@@ -484,7 +484,8 @@ func SolveWithPathsOptions(g *Graph, opts Options) (*PathResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	pr, err := apsp.SuccessorsFromDist(g, res.Dist)
+	// The scan above is the negative-weight check; skip the library's.
+	pr, err := apsp.SuccessorsNonNegative(g, res.Dist)
 	if err != nil {
 		return nil, err
 	}

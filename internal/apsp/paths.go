@@ -21,11 +21,21 @@ type PathResult struct {
 	// repaired results, which move no simulated words.
 	Report comm.Report
 	n      int
-	next   []int32 // next[u*n+v]: vertex after u on a shortest u→v path, -1 if none
+	// next is target-major: next[v*n+u] is the vertex after u on a
+	// shortest u→v path, -1 if none, so row v is the shortest-path tree
+	// into v and a path walk stays inside one row.
+	next []int32
 }
 
 // FloydWarshallPaths runs the classical algorithm while maintaining
 // successors, so Path can extract any shortest path in O(path length).
+//
+// The loop runs on the transposed problem — row j holds the distances
+// and hops TOWARDS j — so the table comes out target-major with every
+// access contiguous. On an undirected graph that is the same matrix:
+// within step k neither row k nor column k changes, so every entry
+// (i,j) and its mirror (j,i) take the minimum of the same two floats
+// and stay bit-equal.
 func FloydWarshallPaths(g *graph.Graph) *PathResult {
 	n := g.N()
 	d := semiring.FromSlice(n, n, g.AdjacencyMatrix())
@@ -36,21 +46,25 @@ func FloydWarshallPaths(g *graph.Graph) *PathResult {
 	for u := 0; u < n; u++ {
 		next[u*n+u] = int32(u)
 		for _, e := range g.Adj(u) {
-			if float64(e.W) <= d.At(u, e.To) {
-				next[u*n+e.To] = int32(e.To)
+			if float64(e.W) <= d.At(e.To, u) {
+				next[e.To*n+u] = int32(e.To)
 			}
 		}
 	}
 	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			dik := d.At(i, k)
-			if math.IsInf(dik, 1) {
+		rowK := d.V[k*n : (k+1)*n]
+		nextK := next[k*n : (k+1)*n]
+		for j := 0; j < n; j++ {
+			dkj := d.V[j*n+k]
+			if math.IsInf(dkj, 1) {
 				continue
 			}
-			for j := 0; j < n; j++ {
-				if s := dik + d.At(k, j); s < d.At(i, j) {
-					d.Set(i, j, s)
-					next[i*n+j] = next[i*n+k]
+			rowJ := d.V[j*n : (j+1)*n]
+			nextJ := next[j*n : (j+1)*n]
+			for i, dik := range rowK {
+				if s := dik + dkj; s < rowJ[i] {
+					rowJ[i] = s
+					nextJ[i] = nextK[i]
 				}
 			}
 		}
@@ -71,6 +85,13 @@ func FloydWarshallPaths(g *graph.Graph) *PathResult {
 // relative tolerance because different solvers may sum the same path
 // in different orders. Cost is O(n·m) time and O(n²) space.
 //
+// The distances towards v are read from ROW v of d: g is undirected,
+// so d(u,v) = d(v,u), and the row is contiguous where the column is
+// not (the same reading Plan.Repair makes). Targets are independent —
+// target v reads row v of d and writes row v of the table — so they
+// are extracted in parallel, and the table does not depend on how many
+// workers ran.
+//
 // The graph must have non-negative weights (in an undirected graph a
 // negative edge is a negative cycle, under which shortest paths are
 // undefined), and d must be a correct distance matrix for g; an
@@ -81,26 +102,28 @@ func SuccessorsFromDist(g *graph.Graph, d *semiring.Matrix) (*PathResult, error)
 	if g == nil {
 		return nil, fmt.Errorf("apsp: SuccessorsFromDist: nil graph")
 	}
-	n := g.N()
-	if d == nil || d.Rows != n || d.Cols != n {
-		return nil, fmt.Errorf("apsp: SuccessorsFromDist: distance matrix is not %d×%d", n, n)
-	}
-	for u := 0; u < n; u++ {
+	for u := 0; u < g.N(); u++ {
 		for _, e := range g.Adj(u) {
 			if e.W < 0 {
 				return nil, fmt.Errorf("apsp: negative edge {%d,%d} weight %g is a negative cycle in an undirected graph", u, e.To, e.W)
 			}
 		}
 	}
-	next := make([]int32, n*n)
-	for i := range next {
-		next[i] = -1
+	return SuccessorsNonNegative(g, d)
+}
+
+// SuccessorsNonNegative is SuccessorsFromDist for a caller that has
+// already rejected negative edge weights under its own error text (the
+// public SolveWithPathsOptions scans before it spends a solve), so the
+// edges are not scanned a second time.
+func SuccessorsNonNegative(g *graph.Graph, d *semiring.Matrix) (*PathResult, error) {
+	n := g.N()
+	if d == nil || d.Rows != n || d.Cols != n {
+		return nil, fmt.Errorf("apsp: SuccessorsFromDist: distance matrix is not %d×%d", n, n)
 	}
-	queue := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if err := successorColumn(g, d, v, next, queue); err != nil {
-			return nil, err
-		}
+	next := make([]int32, n*n)
+	if err := successorRows(g, d, next, nil); err != nil {
+		return nil, err
 	}
 	return &PathResult{Dist: d, n: n, next: next}, nil
 }
@@ -112,47 +135,83 @@ func tightSum(sum, dist float64) bool {
 	if sum == dist {
 		return true
 	}
-	if math.IsInf(sum, 1) || math.IsInf(dist, 1) {
-		return false
-	}
 	tol := 1e-9
 	if a := math.Abs(dist); a > 1 {
 		tol *= a
 	}
-	return math.Abs(sum-dist) <= tol
+	// An infinite sum fails the comparison by itself (the difference is
+	// Inf against a finite tol); an infinite dist would make both Inf.
+	return math.Abs(sum-dist) <= tol && dist <= math.MaxFloat64
 }
 
-// successorColumn rebuilds column v of the successor table from the
-// distance matrix: the backward breadth-first walk of the tight-edge
-// graph rooted at v described on SuccessorsFromDist. Entries
-// next[u*n+v] for all u are overwritten; queue is scratch (may be nil).
-// The incremental repair path calls this for exactly the columns whose
-// distances or tight edges changed, leaving the rest of the table as
-// the original solve built it.
-func successorColumn(g *graph.Graph, d *semiring.Matrix, v int, next []int32, queue []int) error {
+// successorRows rebuilds the rows of the successor table named by
+// targets (every row when targets is nil) on semiring.DefaultPool, in
+// contiguous chunks with one scratch queue each. Distinct targets touch
+// disjoint rows, so the table is the same for any worker count; so is
+// the error, which is always the lowest-numbered failing target's.
+func successorRows(g *graph.Graph, d *semiring.Matrix, next []int32, targets []int) error {
 	n := g.N()
-	for u := 0; u < n; u++ {
-		next[u*n+v] = -1
+	count := n
+	if targets != nil {
+		count = len(targets)
 	}
-	next[v*n+v] = int32(v)
-	queue = append(queue[:0], v)
+	// Several chunks per worker, handed out dynamically: components and
+	// degrees make targets uneven.
+	chunks := 8 * semiring.DefaultPool.Size()
+	if chunks > count {
+		chunks = count
+	}
+	errs := make([]error, chunks)
+	semiring.DefaultPool.ForEach(chunks, func(c int) {
+		queue := make([]int32, 0, n)
+		for i := c * count / chunks; i < (c+1)*count/chunks; i++ {
+			v := i
+			if targets != nil {
+				v = targets[i]
+			}
+			if errs[c] = successorRow(g, d.V[v*n:(v+1)*n], v, next[v*n:(v+1)*n], queue); errs[c] != nil {
+				return
+			}
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// successorRow rebuilds row v of the successor table — the shortest-
+// path tree into v — from row v of the distance matrix: the backward
+// breadth-first walk of the tight-edge graph rooted at v described on
+// SuccessorsFromDist. Every entry of nextV is overwritten; queue is
+// scratch. The incremental repair path calls this for exactly the
+// targets whose distances or tight edges changed, leaving the rest of
+// the table as the original solve built it.
+func successorRow(g *graph.Graph, distV []float64, v int, nextV []int32, queue []int32) error {
+	for u := range nextV {
+		nextV[u] = -1
+	}
+	nextV[v] = int32(v)
+	queue = append(queue[:0], int32(v))
 	for head := 0; head < len(queue); head++ {
 		w := queue[head]
-		dwv := d.At(w, v)
-		for _, e := range g.Adj(w) {
+		dwv := distV[w]
+		for _, e := range g.Adj(int(w)) {
 			u := e.To
-			if u == v || next[u*n+v] != -1 {
+			if nextV[u] != -1 {
 				continue
 			}
-			if tightSum(e.W+dwv, d.At(u, v)) {
-				next[u*n+v] = int32(w)
-				queue = append(queue, u)
+			if tightSum(e.W+dwv, distV[u]) {
+				nextV[u] = w
+				queue = append(queue, int32(u))
 			}
 		}
 	}
-	for u := 0; u < n; u++ {
-		if next[u*n+v] == -1 && !math.IsInf(d.At(u, v), 1) {
-			return fmt.Errorf("apsp: SuccessorsFromDist: d(%d,%d)=%g is not explained by any edge of the graph (inconsistent distances)", u, v, d.At(u, v))
+	for u, nu := range nextV {
+		if nu == -1 && !math.IsInf(distV[u], 1) {
+			return fmt.Errorf("apsp: SuccessorsFromDist: d(%d,%d)=%g is not explained by any edge of the graph (inconsistent distances)", u, v, distV[u])
 		}
 	}
 	return nil
@@ -179,17 +238,21 @@ func (p *PathResult) Path(u, v int) []int {
 	if u == v {
 		return []int{u}
 	}
-	if p.next[u*p.n+v] == -1 {
+	nextV := p.next[v*p.n : (v+1)*p.n]
+	if nextV[u] == -1 {
 		return nil
 	}
-	path := []int{u}
-	cur := u
-	for cur != v {
-		cur = int(p.next[cur*p.n+v])
-		path = append(path, cur)
-		if len(path) > p.n {
+	hops := 0
+	for cur := u; cur != v; cur = int(nextV[cur]) {
+		if hops++; hops >= p.n {
 			panic("apsp: successor structure is cyclic (corrupted)")
 		}
+	}
+	path := make([]int, hops+1)
+	cur := u
+	for i := range path {
+		path[i] = cur
+		cur = int(nextV[cur])
 	}
 	return path
 }

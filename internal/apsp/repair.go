@@ -102,7 +102,7 @@ type RepairStats struct {
 	FellBack        bool  // true when a threshold forced a warm Execute
 	Relaxations     int64 // probes run (sweeps + reset scans + Dijkstra edges)
 	Writes          int64 // entries the repair actually improved
-	RepairedColumns int   // successor-table columns rebuilt
+	RepairedColumns int   // successor-table targets (rows) rebuilt
 }
 
 // edgeDelta is a validated, deduplicated edit with its old weight.
@@ -296,44 +296,43 @@ func (pl *Plan) Repair(g *graph.Graph, prev *PathResult, edits []EdgeEdit, opts 
 
 	dist := &semiring.Matrix{Rows: n, Cols: n, V: d}
 
-	// Successor repair: rebuild exactly the columns holding a NET
-	// changed entry — one O(n²) diff against prev, which is far cheaper
-	// than rebuilding every column the phases merely touched (on graphs
-	// with many tied shortest paths most recomputed entries land on
-	// their old value) — plus columns whose old successor chain crossed
-	// an edited edge (the distance may be unchanged while the stored
-	// pointer now disagrees with the new weight).
-	dirtyCol := make([]bool, n)
+	// Successor repair: rebuild exactly the targets whose distances hold
+	// a NET changed entry — one O(n²) diff against prev, which is far
+	// cheaper than rebuilding every target the phases merely touched (on
+	// graphs with many tied shortest paths most recomputed entries land
+	// on their old value) — plus targets whose old tree used an edited
+	// edge (the distance may be unchanged while the stored pointer now
+	// disagrees with the new weight). A changed d(x,z) dirties both x
+	// and z: extraction reads the distances towards a target from its
+	// row, VerifyPaths and callers read them from its column.
+	dirty := make([]bool, n)
 	for x := 0; x < n; x++ {
 		row := d[x*n : (x+1)*n]
 		prow := prev.Dist.V[x*n : (x+1)*n]
 		for z, v := range row {
 			if v != prow[z] {
-				dirtyCol[z] = true
+				dirty[x], dirty[z] = true, true
 			}
 		}
 	}
-	for _, d := range deltas {
+	for _, del := range deltas {
 		for v := 0; v < n; v++ {
-			if nu := prev.next[d.u*n+v]; nu == int32(d.v) {
-				dirtyCol[v] = true
+			if prev.next[v*n+del.u] == int32(del.v) || prev.next[v*n+del.v] == int32(del.u) {
+				dirty[v] = true
 			}
-			if nv := prev.next[d.v*n+v]; nv == int32(d.u) {
-				dirtyCol[v] = true
-			}
+		}
+	}
+	targets := make([]int, 0, n)
+	for v, isDirty := range dirty {
+		if isDirty {
+			targets = append(targets, v)
 		}
 	}
 	next := append([]int32(nil), prev.next...)
-	scratch := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if !dirtyCol[v] {
-			continue
-		}
-		if err := successorColumn(g2, dist, v, next, scratch); err != nil {
-			return nil, nil, st, fmt.Errorf("apsp: Repair: %w", err)
-		}
-		st.RepairedColumns++
+	if err := successorRows(g2, dist, next, targets); err != nil {
+		return nil, nil, st, fmt.Errorf("apsp: Repair: %w", err)
 	}
+	st.RepairedColumns = len(targets)
 	return &PathResult{Dist: dist, n: n, next: next}, g2, st, nil
 }
 

@@ -87,10 +87,11 @@ func VerifyPaths(g *graph.Graph, res *PathResult) error {
 	if res == nil || res.n != n || res.Dist == nil || res.Dist.Rows != n || res.Dist.Cols != n {
 		return fmt.Errorf("apsp: VerifyPaths: result does not cover %d vertices", n)
 	}
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
+	for v := 0; v < n; v++ {
+		nextV := res.next[v*n : (v+1)*n]
+		for u := 0; u < n; u++ {
 			duv := res.Dist.At(u, v)
-			if res.next[u*n+v] == -1 {
+			if nextV[u] == -1 {
 				if !math.IsInf(duv, 1) {
 					return fmt.Errorf("apsp: VerifyPaths: d(%d,%d)=%g but no successor", u, v, duv)
 				}
@@ -102,7 +103,7 @@ func VerifyPaths(g *graph.Graph, res *PathResult) error {
 			// Walk the successor chain without Path's panic-on-cycle.
 			sum, cur, hops := 0.0, u, 0
 			for cur != v {
-				nxt := int(res.next[cur*n+v])
+				nxt := int(nextV[cur])
 				if nxt < 0 {
 					return fmt.Errorf("apsp: VerifyPaths: successor chain (%d,%d) breaks at %d", u, v, cur)
 				}
