@@ -152,13 +152,12 @@ type Options struct {
 	// right for the distributed solvers, whose ranks already run
 	// concurrently.
 	Kernel Kernel
-	// Wire selects the sparse solver's payload encoding: WirePacked
-	// (default — packed payloads plus symbolic-fill skipping of
-	// provably empty broadcasts), WireDense (raw dense payloads,
-	// nothing skipped; the ablation baseline), or WirePruned (packed
-	// plus the symbolic demand sweep: each broadcast ships only the
-	// payload rows/columns some receiver can fold into a finite
-	// output). Distances are bit-identical in all three; only measured
+	// Wire selects the sparse solver's payload encoding: WirePruned
+	// (default — provably empty broadcasts are skipped and every other
+	// broadcast ships only the payload rows/columns some receiver can
+	// fold into a finite output, in the smallest encoding) or
+	// WireDense (raw dense payloads, nothing skipped; the ablation
+	// baseline). Distances are bit-identical in both; only measured
 	// costs differ.
 	Wire WireFormat
 	// Executor selects the sparse solver's plan execution engine:
@@ -227,16 +226,13 @@ type StructureFingerprint = apsp.StructureFingerprint
 type WireFormat = apsp.WireFormat
 
 const (
-	// WirePacked ships each block in the smallest of the empty /
-	// sparse-pairs / dense encodings and skips provably empty
-	// broadcasts (the default).
-	WirePacked = apsp.WirePacked
+	// WirePruned skips provably empty broadcasts and ships only the
+	// demanded rows/columns of every other payload, in the smallest of
+	// the empty / sparse-pairs / dense / keep-list encodings (the
+	// default).
+	WirePruned = apsp.WirePruned
 	// WireDense ships raw dense payloads and skips nothing.
 	WireDense = apsp.WireDense
-	// WirePruned adds the symbolic demand sweep on top of WirePacked:
-	// plans carry per-op prune descriptors and broadcasts ship only
-	// the demanded rows/columns, never more words than WirePacked.
-	WirePruned = apsp.WirePruned
 )
 
 // Executor selects the sparse solver's plan execution engine; see

@@ -3,6 +3,7 @@ package sparseapsp
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -262,5 +263,57 @@ func TestOracleRegistryAccountsWordsMoved(t *testing.T) {
 	}
 	if sum != st.WordsMoved {
 		t.Errorf("per-phase words sum %d != total %d", sum, st.WordsMoved)
+	}
+}
+
+// TestServedWirePinned pins what a zero-value Options actually ships,
+// on the end-to-end benchmark's own structures (bench/gen.go: integer
+// weights 1..9): the critical-path words and messages BENCHMARK.json
+// gates as comm_words / comm_msgs. The zero value is the demand-pruned
+// wire on both executors, and the dense wire agrees to the bit.
+func TestServedWirePinned(t *testing.T) {
+	w := func(seed int64) WeightFn {
+		rng := rand.New(rand.NewSource(seed))
+		return func(u, v int) float64 { return float64(1 + rng.Intn(9)) }
+	}
+	for _, tc := range []struct {
+		name               string
+		g                  *Graph
+		p                  int
+		words, msgs, total int64
+	}{
+		{"grid32x32", Grid2D(32, 32, w(1)), 49, 113723, 28, 222},
+		{"cycle800", Cycle(800, w(2)), 961, 3670, 72, 4540},
+	} {
+		def, err := Solve(tc.g, Options{P: tc.p, Seed: 42})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		r := def.Report
+		if r.Critical.Bandwidth != tc.words || r.Critical.Latency != tc.msgs || r.TotalMessages != tc.total {
+			t.Errorf("%s: critical words/messages, total messages = %d/%d, %d; want %d/%d, %d",
+				tc.name, r.Critical.Bandwidth, r.Critical.Latency, r.TotalMessages, tc.words, tc.msgs, tc.total)
+		}
+		for _, ex := range []Executor{ExecDataflow, ExecMachine} {
+			got, err := Solve(tc.g, Options{P: tc.p, Seed: 42, Wire: WirePruned, Executor: ex})
+			if err != nil {
+				t.Fatalf("%s/%v: %v", tc.name, ex, err)
+			}
+			if !reflect.DeepEqual(got.Dist, def.Dist) || !reflect.DeepEqual(got.Report, def.Report) {
+				t.Errorf("%s/%v: explicit WirePruned differs from the zero-value solve", tc.name, ex)
+			}
+		}
+		dense, err := Solve(tc.g, Options{P: tc.p, Seed: 42, Wire: WireDense})
+		if err != nil {
+			t.Fatalf("%s/dense: %v", tc.name, err)
+		}
+		for i, v := range dense.Dist.V {
+			if math.Float64bits(v) != math.Float64bits(def.Dist.V[i]) {
+				t.Fatalf("%s: dense-wire distance %d differs from the default wire's", tc.name, i)
+			}
+		}
+		if r.Critical.Bandwidth > dense.Report.Critical.Bandwidth || r.TotalMessages > dense.Report.TotalMessages {
+			t.Errorf("%s: default wire costs more than dense", tc.name)
+		}
 	}
 }

@@ -8,7 +8,7 @@
 //
 //	apspbench -exp all
 //	apspbench -exp table2-latency -sides 16,24,32 -ps 9,49,225
-//	apspbench -exp none -kernel sparse -wire packed -bench-out BENCH_sparse.json
+//	apspbench -exp none -kernel sparse -bench-out BENCH_sparse.json
 package main
 
 import (
@@ -27,7 +27,7 @@ import (
 
 func main() {
 	var (
-		exp          = flag.String("exp", "all", "experiment: all, none, or a comma-separated list of table2-memory, table2-bandwidth, table2-latency, factors, lower, sepcost, crossover, wire, comm, plan, exec, sched, reweight, opcount, perlevel, balance, weak, strong, serve, store, fig1")
+		exp          = flag.String("exp", "all", "experiment: all, none, or a comma-separated list of table2-memory, table2-bandwidth, table2-latency, factors, lower, sepcost, crossover, comm, plan, exec, sched, reweight, opcount, perlevel, balance, weak, strong, serve, store, fig1")
 		sides        = flag.String("sides", "16,24,32", "comma-separated 2D grid sides (n = side²)")
 		ps           = flag.String("ps", "9,49,225,961", "comma-separated machine sizes (sparse algorithm needs (2^h-1)²)")
 		seed         = flag.Int64("seed", 42, "nested-dissection seed")
@@ -37,7 +37,7 @@ func main() {
 		csv          = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		jsonOut      = flag.String("json", "", "also write all experiment tables as machine-readable JSON to this file")
 		kernel       = flag.String("kernel", "serial", "min-plus kernel for local block arithmetic: serial, tiled, pooled, sparse (results and measured costs are identical; wall-clock only)")
-		wire         = flag.String("wire", "packed", "sparse-solver payload encoding: packed (structure-aware, the default), dense (ablation baseline) or pruned (demand keep-lists)")
+		wire         = flag.String("wire", "pruned", "sparse-solver payload encoding: pruned (structure-aware demand keep-lists, the default) or dense (ablation baseline)")
 		bench        = flag.String("bench-out", "", "write the perf-row benchmark sweep (family, n, p, kernel, wire, ns/op, words, flops) as JSON to this file")
 		force        = flag.Bool("force", false, "allow -bench-out to overwrite an existing file (committed reference runs are protected by default)")
 		exec         = flag.String("executor", "dataflow", "plan executor for every experiment: dataflow (bounded worker pool, the default) or machine (goroutine per rank); costs are identical, wall-clock differs")
@@ -174,9 +174,6 @@ func main() {
 		case "crossover":
 			t, err := harness.Crossover(cfg, *xn, *xp)
 			show(name, t, err)
-		case "wire":
-			t, err := harness.WireComparison(cfg, *xn, *xp)
-			show(name, t, err)
 		case "comm":
 			t, err := harness.CommBreakdown(cfg, *xn, *xp)
 			show(name, t, err)
@@ -243,7 +240,7 @@ func main() {
 
 	if *exp == "all" {
 		for _, name := range []string{"table2-memory", "table2-bandwidth", "table2-latency",
-			"factors", "lower", "sepcost", "crossover", "wire", "comm", "plan", "exec", "sched", "reweight", "opcount", "perlevel", "balance", "weak", "strong", "serve", "store", "fig1"} {
+			"factors", "lower", "sepcost", "crossover", "comm", "plan", "exec", "sched", "reweight", "opcount", "perlevel", "balance", "weak", "strong", "serve", "store", "fig1"} {
 			run(name)
 		}
 	} else {

@@ -514,7 +514,7 @@ func lowerPlan(pl *Plan, fuse bool) *dfProgram {
 // dense block dimensions of its op — the same message, word and flop
 // quantities the replay ledger charges, collapsed by
 // comm.PriorityCost. Payload words use the dense upper bound (the
-// packed/pruned encodings shrink data-dependently; priorities must be
+// sparse encodings shrink data-dependently; priorities must be
 // a pure function of the symbolic schedule). Estimates only order
 // execution — they never feed the ledger.
 func microCost(pl *Plan, n *dfNode) int64 {
@@ -1069,36 +1069,6 @@ func (x *dfRun) sendMsg(n *dfNode, w, i int, data []float64) {
 	x.complete(x.prog.superOf[consumer], w)
 }
 
-func (x *dfRun) pack(m *semiring.Matrix) []float64 {
-	switch x.pl.Wire {
-	case WireDense:
-		return append([]float64(nil), m.V...)
-	case WirePruned:
-		return semiring.PackPruned(m, nil, nil, false)
-	default:
-		return semiring.PackMatrix(m)
-	}
-}
-
-// packPruned packs a broadcast payload under the op's frozen demand
-// descriptor; identical to planExec.packPruned.
-func (x *dfRun) packPruned(m *semiring.Matrix, prune *PruneSpec) []float64 {
-	if x.pl.Wire == WirePruned && prune != nil {
-		return semiring.PackPruned(m, prune.Rows, prune.Cols, prune.ZeroDiag)
-	}
-	return x.pack(m)
-}
-
-func (x *dfRun) unpack(data []float64, rows, cols int) *semiring.Matrix {
-	if x.pl.Wire == WireDense {
-		// Copy: the payload backing array is shared by every receiver of
-		// the collective (and retained in the message slot), so an
-		// aliasing decode would let a block mutation corrupt siblings.
-		return semiring.FromSlice(rows, cols, append([]float64(nil), data...))
-	}
-	return semiring.UnpackMatrix(data, rows, cols)
-}
-
 // bcastData replays one rank's role in a broadcast: the root packs its
 // block (a copy — consumers share the payload), everyone else receives
 // once, then all forward down the tree. Charge order — receive, sends,
@@ -1106,7 +1076,7 @@ func (x *dfRun) unpack(data []float64, rows, cols int) *semiring.Matrix {
 func (x *dfRun) bcastData(n *dfNode, w int, op *BcastOp, rs *dfRankState) []float64 {
 	var data []float64
 	if int(n.rank) == op.Root {
-		data = x.packPruned(rs.A, op.Prune)
+		data = x.pl.pack(rs.A, op.Prune)
 	} else {
 		data = x.recvMsg(n, 0)
 	}
@@ -1186,7 +1156,7 @@ func (x *dfRun) execPanelChain(start, end int32, w int, a *semiring.Arena) int32
 		op := &x.pl.Levels[n.level].R2[n.op]
 		raw[i] = x.slots[n.recvs[0]].data
 		steps[i] = semiring.PanelStep{
-			D:     x.unpack(raw[i], x.sizes[op.BI], x.sizes[op.BJ]),
+			D:     x.pl.unpack(raw[i], x.sizes[op.BI], x.sizes[op.BJ]),
 			Right: op.Kind != opR2Left,
 		}
 	}
@@ -1248,7 +1218,7 @@ func (x *dfRun) exec(id int32, w int, a *semiring.Arena) {
 		op := &lv.R2[n.op]
 		data := x.bcastData(n, w, op, rs)
 		if contains(op.Consumers, rank) {
-			dk := x.unpack(data, x.sizes[op.BI], x.sizes[op.BJ])
+			dk := x.pl.unpack(data, x.sizes[op.BI], x.sizes[op.BJ])
 			x.led.AddMemory(rank, int64(len(dk.V)))
 			if op.Kind == opR2Left {
 				x.led.AddFlops(rank, x.kern.PanelUpdateLeftScratch(rs.A, dk, a))
@@ -1262,7 +1232,7 @@ func (x *dfRun) exec(id int32, w int, a *semiring.Arena) {
 		op := &lv.R3[n.op]
 		data := x.bcastData(n, w, op, rs)
 		if contains(op.Consumers, rank) {
-			m := x.unpack(data, x.sizes[op.BI], x.sizes[op.BJ])
+			m := x.pl.unpack(data, x.sizes[op.BI], x.sizes[op.BJ])
 			x.led.AddMemory(rank, int64(len(m.V)))
 			if op.Kind == opR3Row {
 				rs.rowPanel = m
@@ -1287,7 +1257,7 @@ func (x *dfRun) exec(id int32, w int, a *semiring.Arena) {
 		op := &lv.R4Col[n.op]
 		data := x.bcastData(n, w, op, rs)
 		if contains(op.Consumers, rank) {
-			rs.unitAik = x.unpack(data, x.sizes[op.BI], x.sizes[op.BJ])
+			rs.unitAik = x.pl.unpack(data, x.sizes[op.BI], x.sizes[op.BJ])
 			x.led.AddMemory(rank, int64(len(rs.unitAik.V)))
 		}
 
@@ -1295,7 +1265,7 @@ func (x *dfRun) exec(id int32, w int, a *semiring.Arena) {
 		op := &lv.R4Row[n.op]
 		data := x.bcastData(n, w, op, rs)
 		if contains(op.Consumers, rank) {
-			rs.unitAkj = x.unpack(data, x.sizes[op.BI], x.sizes[op.BJ])
+			rs.unitAkj = x.pl.unpack(data, x.sizes[op.BI], x.sizes[op.BJ])
 			x.led.AddMemory(rank, int64(len(rs.unitAkj.V)))
 		}
 
@@ -1342,11 +1312,11 @@ func (x *dfRun) exec(id int32, w int, a *semiring.Arena) {
 		op := &lv.R4Seq[n.op]
 		si := 0
 		if rank == op.AikOwner && op.Owner != op.AikOwner {
-			x.sendMsg(n, w, si, x.packPruned(rs.A, op.PruneA))
+			x.sendMsg(n, w, si, x.pl.pack(rs.A, op.PruneA))
 			si++
 		}
 		if rank == op.AkjOwner && op.Owner != op.AkjOwner {
-			x.sendMsg(n, w, si, x.packPruned(rs.A, op.PruneB))
+			x.sendMsg(n, w, si, x.pl.pack(rs.A, op.PruneB))
 		}
 		if rank == op.Owner {
 			ri := 0
@@ -1355,14 +1325,14 @@ func (x *dfRun) exec(id int32, w int, a *semiring.Arena) {
 			if op.Owner == op.AikOwner {
 				aik = rs.A
 			} else {
-				aik = x.unpack(x.recvMsg(n, ri), x.sizes[op.BI], x.sizes[op.K])
+				aik = x.pl.unpack(x.recvMsg(n, ri), x.sizes[op.BI], x.sizes[op.K])
 				ri++
 				transient += int64(len(aik.V))
 			}
 			if op.Owner == op.AkjOwner {
 				akj = rs.A
 			} else {
-				akj = x.unpack(x.recvMsg(n, ri), x.sizes[op.K], x.sizes[op.BJ])
+				akj = x.pl.unpack(x.recvMsg(n, ri), x.sizes[op.K], x.sizes[op.BJ])
 				transient += int64(len(akj.V))
 			}
 			x.led.AddMemory(rank, transient)
@@ -1373,10 +1343,10 @@ func (x *dfRun) exec(id int32, w int, a *semiring.Arena) {
 	case dfTrans:
 		op := &lv.Trans[n.op]
 		if rank == op.Src {
-			x.sendMsg(n, w, 0, x.pack(rs.A))
+			x.sendMsg(n, w, 0, x.pl.pack(rs.A, nil))
 		}
 		if rank == op.Dst {
-			src := x.unpack(x.recvMsg(n, 0), x.sizes[op.BI], x.sizes[op.BJ])
+			src := x.pl.unpack(x.recvMsg(n, 0), x.sizes[op.BI], x.sizes[op.BJ])
 			rs.A.CopyFrom(src.Transpose())
 		}
 

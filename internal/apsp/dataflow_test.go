@@ -32,7 +32,7 @@ func TestExecutorEquality(t *testing.T) {
 		{"star", graph.Star(60, graph.UnitWeights), 9},
 	}
 	for _, tc := range graphs {
-		for _, wire := range []WireFormat{WirePacked, WireDense, WirePruned} {
+		for _, wire := range []WireFormat{WirePruned, WireDense} {
 			for _, strat := range []R4Strategy{R4Mapped, R4Sequential} {
 				name := fmt.Sprintf("%s/%v/r4=%d", tc.name, wire, strat)
 				mach, err := SparseAPSPWith(tc.g, tc.p, SparseOptions{
@@ -94,7 +94,7 @@ func TestConcurrentDataflowExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := BuildPlan(ly, 9, WirePacked, R4Mapped)
+	pl, err := BuildPlan(ly, 9, WirePruned, R4Mapped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestDataflowLoweringShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := BuildPlan(ly, 9, WirePacked, R4Mapped)
+	pl, err := BuildPlan(ly, 9, WirePruned, R4Mapped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func BenchmarkPlanExecute(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pl, err := BuildPlan(ly, bc.p, WirePacked, R4Mapped)
+		pl, err := BuildPlan(ly, bc.p, WirePruned, R4Mapped)
 		if err != nil {
 			b.Fatal(err)
 		}

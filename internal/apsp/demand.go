@@ -2,7 +2,7 @@ package apsp
 
 import "math/bits"
 
-// Demand-pruned communication (the "pruned" wire format). The fill
+// Demand-pruned communication (WirePruned, the default wire). The fill
 // mask of fillmask.go answers a block-granularity question — can block
 // (i, j) ever hold a finite entry? — which is enough to skip whole
 // broadcasts but says nothing about the entries INSIDE a block that

@@ -133,40 +133,32 @@ type planExec struct {
 	scratch *semiring.Arena
 }
 
-// pack encodes a block body for the wire exactly as the fused solver
-// did: the packed encoding in WirePacked mode (the machine charges
-// bandwidth per payload word, so the packed length IS the charged
-// cost), a plain copy in WireDense mode, and the demand-aware encoding
-// (numeric row/column trim, no symbolic descriptor) in WirePruned
-// mode. Always copies — collective receivers share the payload's
-// backing array, and the executor's scratch arena must never back a
-// payload for the same reason.
-func (e *planExec) pack(m *semiring.Matrix) []float64 {
-	switch e.pl.Wire {
-	case WireDense:
+// pack encodes a block body for the wire; the machine charges bandwidth
+// per payload word, so the encoded length IS the charged cost. The
+// default wire ships only the rows/columns of the op's frozen demand
+// descriptor (nil = every entry demanded; see demand.go) in the
+// smallest encoding semiring.PackPruned finds; WireDense ships the raw
+// body. Always copies — collective receivers share the payload's
+// backing array, and an executor's scratch arena must never back a
+// payload for the same reason. Both executors call this, which is what
+// keeps their charged words identical.
+func (pl *Plan) pack(m *semiring.Matrix, prune *PruneSpec) []float64 {
+	switch {
+	case pl.Wire == WireDense:
 		return append([]float64(nil), m.V...)
-	case WirePruned:
+	case prune == nil:
 		return semiring.PackPruned(m, nil, nil, false)
 	default:
-		return semiring.PackMatrix(m)
-	}
-}
-
-// packPruned is pack plus the op's frozen demand descriptor: under
-// WirePruned the payload ships only the rows/columns some receiver can
-// use (see demand.go); the other wire modes ignore the descriptor.
-func (e *planExec) packPruned(m *semiring.Matrix, prune *PruneSpec) []float64 {
-	if e.pl.Wire == WirePruned && prune != nil {
 		return semiring.PackPruned(m, prune.Rows, prune.Cols, prune.ZeroDiag)
 	}
-	return e.pack(m)
 }
 
 // unpack decodes a received payload into a rows×cols block. The result
 // always owns its body — never the payload's backing array, which every
-// sibling receiver of the collective shares.
-func (e *planExec) unpack(data []float64, rows, cols int) *semiring.Matrix {
-	if e.pl.Wire == WireDense {
+// sibling receiver of the collective shares (and the dataflow executor
+// retains in its message slot).
+func (pl *Plan) unpack(data []float64, rows, cols int) *semiring.Matrix {
+	if pl.Wire == WireDense {
 		return semiring.FromSlice(rows, cols, append([]float64(nil), data...))
 	}
 	return semiring.UnpackMatrix(data, rows, cols)
@@ -194,13 +186,13 @@ func (e *planExec) level(lv *planLevel, st *rankLevel) {
 		op := &lv.R2[x]
 		var payload []float64
 		if rank == op.Root {
-			payload = e.packPruned(e.A, op.Prune) // copy: receivers share the buffer
+			payload = e.pl.pack(e.A, op.Prune) // copy: receivers share the buffer
 		}
 		data := e.ctx.Bcast(op.Group, op.Root, op.Tag, payload)
 		if !contains(op.Consumers, rank) {
 			continue
 		}
-		dk := e.unpack(data, e.sizes[op.BI], e.sizes[op.BJ])
+		dk := e.pl.unpack(data, e.sizes[op.BI], e.sizes[op.BJ])
 		e.ctx.AddMemory(int64(len(dk.V)))
 		if op.Kind == opR2Left {
 			e.ctx.AddFlops(e.kern.PanelUpdateLeftScratch(e.A, dk, e.scratch))
@@ -217,13 +209,13 @@ func (e *planExec) level(lv *planLevel, st *rankLevel) {
 		op := &lv.R3[x]
 		var payload []float64
 		if rank == op.Root {
-			payload = e.packPruned(e.A, op.Prune)
+			payload = e.pl.pack(e.A, op.Prune)
 		}
 		data := e.ctx.Bcast(op.Group, op.Root, op.Tag, payload)
 		if !contains(op.Consumers, rank) {
 			continue
 		}
-		m := e.unpack(data, e.sizes[op.BI], e.sizes[op.BJ])
+		m := e.pl.unpack(data, e.sizes[op.BI], e.sizes[op.BJ])
 		e.ctx.AddMemory(int64(len(m.V)))
 		if op.Kind == opR3Row {
 			rowPanel = m
@@ -249,11 +241,11 @@ func (e *planExec) level(lv *planLevel, st *rankLevel) {
 		op := &lv.R4Col[x]
 		var payload []float64
 		if rank == op.Root {
-			payload = e.packPruned(e.A, op.Prune)
+			payload = e.pl.pack(e.A, op.Prune)
 		}
 		data := e.ctx.Bcast(op.Group, op.Root, op.Tag, payload)
 		if contains(op.Consumers, rank) {
-			unitAik = e.unpack(data, e.sizes[op.BI], e.sizes[op.BJ])
+			unitAik = e.pl.unpack(data, e.sizes[op.BI], e.sizes[op.BJ])
 			e.ctx.AddMemory(int64(len(unitAik.V)))
 		}
 	}
@@ -261,11 +253,11 @@ func (e *planExec) level(lv *planLevel, st *rankLevel) {
 		op := &lv.R4Row[x]
 		var payload []float64
 		if rank == op.Root {
-			payload = e.packPruned(e.A, op.Prune)
+			payload = e.pl.pack(e.A, op.Prune)
 		}
 		data := e.ctx.Bcast(op.Group, op.Root, op.Tag, payload)
 		if contains(op.Consumers, rank) {
-			unitAkj = e.unpack(data, e.sizes[op.BI], e.sizes[op.BJ])
+			unitAkj = e.pl.unpack(data, e.sizes[op.BI], e.sizes[op.BJ])
 			e.ctx.AddMemory(int64(len(unitAkj.V)))
 		}
 	}
@@ -306,10 +298,10 @@ func (e *planExec) level(lv *planLevel, st *rankLevel) {
 	for _, x := range st.Seq {
 		op := &lv.R4Seq[x]
 		if rank == op.AikOwner && op.Owner != op.AikOwner {
-			e.ctx.Send(op.Owner, op.TagA, e.packPruned(e.A, op.PruneA))
+			e.ctx.Send(op.Owner, op.TagA, e.pl.pack(e.A, op.PruneA))
 		}
 		if rank == op.AkjOwner && op.Owner != op.AkjOwner {
-			e.ctx.Send(op.Owner, op.TagB, e.packPruned(e.A, op.PruneB))
+			e.ctx.Send(op.Owner, op.TagB, e.pl.pack(e.A, op.PruneB))
 		}
 		if rank == op.Owner {
 			var aik, akj *semiring.Matrix
@@ -318,14 +310,14 @@ func (e *planExec) level(lv *planLevel, st *rankLevel) {
 				aik = e.A
 			} else {
 				data := e.ctx.Recv(op.AikOwner, op.TagA)
-				aik = e.unpack(data, e.sizes[op.BI], e.sizes[op.K])
+				aik = e.pl.unpack(data, e.sizes[op.BI], e.sizes[op.K])
 				transient += int64(len(aik.V))
 			}
 			if op.Owner == op.AkjOwner {
 				akj = e.A
 			} else {
 				data := e.ctx.Recv(op.AkjOwner, op.TagB)
-				akj = e.unpack(data, e.sizes[op.K], e.sizes[op.BJ])
+				akj = e.pl.unpack(data, e.sizes[op.K], e.sizes[op.BJ])
 				transient += int64(len(akj.V))
 			}
 			e.ctx.AddMemory(transient)
@@ -341,11 +333,11 @@ func (e *planExec) level(lv *planLevel, st *rankLevel) {
 	for _, x := range st.Trans {
 		op := &lv.Trans[x]
 		if rank == op.Src {
-			e.ctx.Send(op.Dst, op.Tag, e.pack(e.A))
+			e.ctx.Send(op.Dst, op.Tag, e.pl.pack(e.A, nil))
 		}
 		if rank == op.Dst {
 			data := e.ctx.Recv(op.Src, op.Tag)
-			src := e.unpack(data, e.sizes[op.BI], e.sizes[op.BJ])
+			src := e.pl.unpack(data, e.sizes[op.BI], e.sizes[op.BJ])
 			e.A.CopyFrom(src.Transpose())
 		}
 	}

@@ -53,8 +53,9 @@ type BcastOp struct {
 	BI, BJ    int
 	Consumers []int
 	Kind      uint8
-	// Prune is the symbolic demand descriptor of the payload under
-	// WirePruned (nil = full, every entry demanded); see demand.go.
+	// Prune is the symbolic demand descriptor of the payload (nil =
+	// full, every entry demanded; always nil under WireDense); see
+	// demand.go.
 	Prune *PruneSpec
 }
 
@@ -82,8 +83,8 @@ type SeqOp struct {
 	AikOwner, AkjOwner int
 	Owner              int
 	TagA, TagB         int
-	// PruneA / PruneB are the WirePruned demand descriptors of the
-	// A(BI,K) and A(K,BJ) payloads (nil = full); see demand.go.
+	// PruneA / PruneB are the demand descriptors of the A(BI,K) and
+	// A(K,BJ) payloads (nil = full); see demand.go.
 	PruneA, PruneB *PruneSpec
 }
 
@@ -304,6 +305,9 @@ func BuildPlan(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, error)
 	if ly.Tree.H != h {
 		return nil, fmt.Errorf("apsp: layout has tree height %d, machine p=%d needs %d", ly.Tree.H, p, h)
 	}
+	if !wire.valid() {
+		return nil, fmt.Errorf("apsp: unknown wire format %v (valid: pruned, dense)", wire)
+	}
 	b := &planBuilder{
 		tr:    ly.Tree,
 		sizes: ly.ND.Sizes,
@@ -365,8 +369,8 @@ func (b *planBuilder) rank(i, j int) int { return b.grid.Rank(i-1, j-1) }
 func (b *planBuilder) active(k int) bool { return b.sizes[k] > 0 }
 
 // mayFill mirrors the fused solver's skip predicate: in dense-wire
-// mode nothing is skipped; in packed mode the mask's verdict is shared
-// by every rank, which is what keeps skip decisions collective-safe.
+// mode nothing is skipped; otherwise the mask's verdict is shared by
+// every rank, which is what keeps skip decisions collective-safe.
 func (b *planBuilder) mayFill(l, i, j int) bool {
 	if b.wire == WireDense {
 		return true

@@ -68,44 +68,30 @@ type goldenKey struct {
 // that these numbers never move: distances bit-identical AND every
 // charged cost — critical latency/bandwidth/flops, message and word
 // totals, peak memory — unchanged. "dc" rows pin DCAPSP (p=4, cyclic
-// factor 2) across its schedule split.
+// factor 2) across its schedule split. "pruned" rows were captured when
+// the demand-pruned wire format landed: DistHash is identical to the
+// dense rows — skipping and pruning elide only provably-absorbed
+// entries — while bandwidth, words and (for the sparse-aware kernels'
+// operand scans) flops drop.
 var goldenTable = map[goldenKey]goldenRow{
-	{"grid", "packed", 0}:   {12, 5293, 70776, 26, 10914, 2304, "a2e3a57550113739"},
-	{"grid", "packed", 1}:   {15, 6512, 73368, 24, 10752, 2223, "a2e3a57550113739"},
 	{"grid", "dense", 0}:    {12, 5283, 70776, 26, 10890, 2304, "a2e3a57550113739"},
 	{"grid", "dense", 1}:    {15, 6498, 73368, 24, 10728, 2223, "a2e3a57550113739"},
 	{"grid", "dc", 0}:       {44, 18405, 159030, 72, 29520, 2646, "a2e3a57550113739"},
-	{"grid49", "packed", 0}: {28, 13104, 118922, 222, 73693, 2856, "96e4aca675b3c7af"},
-	{"grid49", "packed", 1}: {35, 15806, 115783, 210, 72657, 2856, "96e4aca675b3c7af"},
 	{"grid49", "dense", 0}:  {28, 13079, 118922, 222, 74598, 2856, "96e4aca675b3c7af"},
 	{"grid49", "dense", 1}:  {35, 16407, 115783, 210, 73560, 2856, "96e4aca675b3c7af"},
 	{"grid49", "dc", 0}:     {44, 79301, 1343787, 72, 128520, 11094, "96e4aca675b3c7af"},
-	{"gnp", "packed", 0}:    {12, 9814, 169281, 26, 15016, 3844, "60e3ad3fef80fe66"},
-	{"gnp", "packed", 1}:    {15, 10394, 171903, 24, 13958, 3315, "60e3ad3fef80fe66"},
 	{"gnp", "dense", 0}:     {12, 9804, 169281, 26, 14992, 3844, "60e3ad3fef80fe66"},
 	{"gnp", "dense", 1}:     {15, 10379, 171903, 24, 13934, 3315, "60e3ad3fef80fe66"},
 	{"gnp", "dc", 0}:        {44, 13684, 114922, 72, 22048, 1944, "60e3ad3fef80fe66"},
-	{"tree", "packed", 0}:   {28, 2875, 13361, 204, 8652, 1764, "17b38d5f4c544f0b"},
-	{"tree", "packed", 1}:   {33, 2806, 13317, 194, 8660, 1763, "17b38d5f4c544f0b"},
 	{"tree", "dense", 0}:    {28, 7211, 13361, 222, 13602, 1764, "17b38d5f4c544f0b"},
 	{"tree", "dense", 1}:    {35, 7143, 13317, 210, 13630, 1763, "17b38d5f4c544f0b"},
 	{"tree", "dc", 0}:       {44, 22544, 240856, 72, 36448, 3174, "17b38d5f4c544f0b"},
-	{"rmat", "packed", 0}:   {12, 5081, 73596, 26, 8486, 2116, "83accd07a3c61b64"},
-	{"rmat", "packed", 1}:   {15, 5602, 74198, 24, 8094, 1920, "83accd07a3c61b64"},
 	{"rmat", "dense", 0}:    {12, 5072, 73596, 26, 9472, 2116, "83accd07a3c61b64"},
 	{"rmat", "dense", 1}:    {15, 6136, 74198, 24, 9080, 1920, "83accd07a3c61b64"},
 	{"rmat", "dc", 0}:       {44, 11264, 92192, 72, 18432, 1536, "83accd07a3c61b64"},
-	{"star", "packed", 0}:   {12, 338, 4410, 26, 742, 1520, "978ac9a795cb7eba"},
-	{"star", "packed", 1}:   {15, 419, 4430, 24, 740, 1520, "978ac9a795cb7eba"},
 	{"star", "dense", 0}:    {12, 3064, 4410, 26, 4248, 1520, "978ac9a795cb7eba"},
 	{"star", "dense", 1}:    {15, 3142, 4430, 24, 4246, 1520, "978ac9a795cb7eba"},
 	{"star", "dc", 0}:       {44, 9900, 77850, 72, 16200, 1350, "978ac9a795cb7eba"},
-	// "pruned" rows were captured when the demand-pruned wire format
-	// landed. DistHash is identical to the packed/dense rows above —
-	// pruning elides only provably-absorbed entries — while bandwidth,
-	// words and (for the sparse-aware kernels' operand scans) flops
-	// drop. Message counts match packed exactly: pruning never changes
-	// the schedule, only payload sizes.
 	{"grid", "pruned", 0}:   {12, 2890, 60246, 26, 5882, 2304, "a2e3a57550113739"},
 	{"grid", "pruned", 1}:   {15, 3327, 62838, 24, 5720, 2223, "a2e3a57550113739"},
 	{"grid49", "pruned", 0}: {28, 7962, 102542, 222, 47546, 2856, "96e4aca675b3c7af"},
@@ -142,11 +128,11 @@ func checkGolden(t *testing.T, key goldenKey, res *DistResult) {
 
 // TestSparseCostGolden pins the planned executor to the fused solver
 // it replaced: identical distances (to the bit) and identical charged
-// costs for five graph families × all three wire formats × both R4
+// costs for six graph families × both wire formats × both R4
 // strategies — plus the DCAPSP schedule split.
 func TestSparseCostGolden(t *testing.T) {
 	for _, tc := range goldenCases() {
-		for _, wire := range []WireFormat{WirePacked, WireDense, WirePruned} {
+		for _, wire := range []WireFormat{WirePruned, WireDense} {
 			for _, r4 := range []R4Strategy{R4Mapped, R4Sequential} {
 				res, err := SparseAPSPWith(tc.g, tc.p, SparseOptions{Seed: 11, Wire: wire, R4Strategy: r4})
 				if err != nil {
@@ -171,7 +157,7 @@ func TestSparseCostGolden(t *testing.T) {
 // of the shared symbolic inputs.
 func TestPlanDeterministicAcrossRanks(t *testing.T) {
 	for _, tc := range goldenCases() {
-		for _, wire := range []WireFormat{WirePacked, WireDense, WirePruned} {
+		for _, wire := range []WireFormat{WirePruned, WireDense} {
 			var want string
 			for rank := 0; rank < tc.p; rank++ {
 				// Each "rank" recomputes the full symbolic phase from
@@ -260,7 +246,7 @@ func TestPlanCacheWarmSolveSkipsSymbolicWork(t *testing.T) {
 	}
 
 	// Different plan-shaping options are distinct cache keys even on
-	// one structure: a dense-wire plan must never serve a packed solve.
+	// one structure: a dense-wire plan must never serve a default solve.
 	if _, err := SparseAPSPWith(g1, 9, SparseOptions{Seed: 11, Plans: cache, Wire: WireDense}); err != nil {
 		t.Fatal(err)
 	}
@@ -279,23 +265,23 @@ func TestStructureFingerprintIgnoresWeights(t *testing.T) {
 	}
 	g1 := graph.Grid2D(5, 5, w(1))
 	g2 := graph.Grid2D(5, 5, w(99))
-	if StructureFingerprintOf(g1, 9, 7, WirePacked, R4Mapped) != StructureFingerprintOf(g2, 9, 7, WirePacked, R4Mapped) {
+	if StructureFingerprintOf(g1, 9, 7, WirePruned, R4Mapped) != StructureFingerprintOf(g2, 9, 7, WirePruned, R4Mapped) {
 		t.Fatal("same structure, different weights: fingerprints differ")
 	}
-	base := StructureFingerprintOf(g1, 9, 7, WirePacked, R4Mapped)
-	if StructureFingerprintOf(g1, 49, 7, WirePacked, R4Mapped) == base {
+	base := StructureFingerprintOf(g1, 9, 7, WirePruned, R4Mapped)
+	if StructureFingerprintOf(g1, 49, 7, WirePruned, R4Mapped) == base {
 		t.Fatal("different p, same fingerprint")
 	}
-	if StructureFingerprintOf(g1, 9, 8, WirePacked, R4Mapped) == base {
+	if StructureFingerprintOf(g1, 9, 8, WirePruned, R4Mapped) == base {
 		t.Fatal("different ND seed, same fingerprint")
 	}
 	if StructureFingerprintOf(g1, 9, 7, WireDense, R4Mapped) == base {
 		t.Fatal("different wire format, same fingerprint")
 	}
-	if StructureFingerprintOf(g1, 9, 7, WirePacked, R4Sequential) == base {
+	if StructureFingerprintOf(g1, 9, 7, WirePruned, R4Sequential) == base {
 		t.Fatal("different R4 strategy, same fingerprint")
 	}
-	if StructureFingerprintOf(graph.Grid2D(5, 6, w(1)), 9, 7, WirePacked, R4Mapped) == base {
+	if StructureFingerprintOf(graph.Grid2D(5, 6, w(1)), 9, 7, WirePruned, R4Mapped) == base {
 		t.Fatal("different structure, same fingerprint")
 	}
 }
@@ -314,7 +300,7 @@ func TestPlanExecuteMatchesDirectSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := BuildPlan(ly, 9, WirePacked, R4Mapped)
+	pl, err := BuildPlan(ly, 9, WirePruned, R4Mapped)
 	if err != nil {
 		t.Fatal(err)
 	}

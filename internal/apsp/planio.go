@@ -18,7 +18,7 @@ import (
 //
 // Format (all integers signed varints, little-endian elsewhere):
 //
-//	magic "SAPLAN01"                          (8 bytes; version is part of the magic)
+//	magic "SAPLAN02"                          (8 bytes; version is part of the magic)
 //	P, H, NSup, Wire, R4Seq, Tags
 //	ND.Perm, ND.Sizes                         (length-prefixed)
 //	FillMask states                           (count, then one bitset per state)
@@ -41,8 +41,10 @@ import (
 
 // planMagic identifies the format and its version; bump the trailing
 // digits on any incompatible change so old files decode-or-error
-// instead of misparsing.
-const planMagic = "SAPLAN01"
+// instead of misparsing. 02: wire value 0 became the demand-pruned
+// wire — an 01 file stored under the same structure fingerprint holds
+// a wire=0 plan with no prune descriptors and must not be served.
+const planMagic = "SAPLAN02"
 
 // planHashLen is the raw length of the sha256 content-hash trailer.
 const planHashLen = 32
@@ -425,7 +427,7 @@ func DecodePlan(b []byte) (*Plan, error) {
 	if h < 1 || h > 30 || nsup != (1<<h)-1 || p != nsup*nsup {
 		return nil, fmt.Errorf("apsp: DecodePlan: inconsistent header p=%d h=%d nsup=%d", p, h, nsup)
 	}
-	if wire < int(WirePacked) || wire > int(WirePruned) {
+	if !WireFormat(wire).valid() {
 		return nil, fmt.Errorf("apsp: DecodePlan: unknown wire format %d", wire)
 	}
 	if r4seq != 0 && r4seq != 1 {

@@ -29,7 +29,7 @@ func FuzzDecodePlanMalformed(f *testing.F) {
 		}
 		f.Add(pl.Encode())
 	}
-	seedPlan(graph.Grid2D(6, 6, graph.UnitWeights), 9, WirePacked, R4Mapped)
+	seedPlan(graph.Grid2D(6, 6, graph.UnitWeights), 9, WireDense, R4Mapped)
 	seedPlan(graph.Grid2D(8, 8, graph.UnitWeights), 9, WirePruned, R4Mapped)
 	seedPlan(graph.Star(40, graph.UnitWeights), 9, WirePruned, R4Sequential)
 	f.Add([]byte{})

@@ -54,7 +54,7 @@ func buildTestPlan(t *testing.T, g *graph.Graph, p int, wire WireFormat, r4 R4St
 func TestPlanEncodeDecodeRoundTrip(t *testing.T) {
 	const p = 49
 	for name, g := range planioWorkloads(120) {
-		for _, wire := range []WireFormat{WirePacked, WireDense, WirePruned} {
+		for _, wire := range []WireFormat{WirePruned, WireDense} {
 			for _, r4 := range []R4Strategy{R4Mapped, R4Sequential} {
 				pl := buildTestPlan(t, g, p, wire, r4)
 				enc := pl.Encode()
@@ -212,5 +212,83 @@ func TestPlanStoreCorruptFileDegrades(t *testing.T) {
 	}
 	if st := c2.Stats(); st.Builds != 1 || st.DiskErrors != 1 {
 		t.Fatalf("stats after corrupted load = %+v, want 1 build and 1 disk error", st)
+	}
+}
+
+// TestPlanStoreRejectsStaleFormat: a plan directory written before the
+// demand-pruned wire took value 0 holds SAPLAN01 files — wire=0 plans
+// with no prune descriptors, filed under the very fingerprint today's
+// default hashes to. Serving one would silently move the old wire's
+// traffic, so it must count as a disk error, be rebuilt and be
+// overwritten in the current format.
+func TestPlanStoreRejectsStaleFormat(t *testing.T) {
+	dir := t.TempDir()
+	g := graph.Grid2D(12, 12, graph.UnitWeights)
+	const p = 49
+
+	// What the old writer left behind: the mask-skipped schedule with
+	// every prune descriptor absent (stripped before the first Hash, so
+	// the content-hash trailer is the stale plan's own and only the
+	// magic can reject it).
+	stale := buildTestPlan(t, g, p, WirePruned, R4Mapped)
+	for li := range stale.Levels {
+		lv := &stale.Levels[li]
+		for _, ops := range [][]BcastOp{lv.R2, lv.R3, lv.R4Col, lv.R4Row} {
+			for i := range ops {
+				ops[i].Prune = nil
+			}
+		}
+		for i := range lv.R4Seq {
+			lv.R4Seq[i].PruneA, lv.R4Seq[i].PruneB = nil, nil
+		}
+	}
+	old := stale.Encode()
+	if _, err := DecodePlan(old); err != nil {
+		t.Fatalf("stale plan under the current magic must be a valid encoding: %v", err)
+	}
+	copy(old, "SAPLAN01")
+	if _, err := DecodePlan(old); err == nil {
+		t.Fatal("SAPLAN01 file decoded without error")
+	}
+	path := filepath.Join(dir, StructureFingerprintOf(g, p, 42, WirePruned, R4Mapped).String()+".plan")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh, err := SparseAPSPWith(g, p, SparseOptions{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewPlanCacheAt(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := SparseAPSPWith(g, p, SparseOptions{Seed: 42, Plans: c})
+	if err != nil {
+		t.Fatalf("solve over a stale plan file failed: %v", err)
+	}
+	if st := c.Stats(); st.DiskErrors != 1 || st.Builds != 1 || st.DiskWrites != 1 || st.DiskHits != 0 {
+		t.Fatalf("stats over a stale plan file = %+v, want 1 disk error / 1 build / 1 disk write", st)
+	}
+	if !reflect.DeepEqual(got.Report, fresh.Report) {
+		t.Fatalf("rebuilt plan charged %d critical words, fresh build %d",
+			got.Report.Critical.Bandwidth, fresh.Report.Critical.Bandwidth)
+	}
+	rewritten, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(rewritten, []byte(planMagic)) {
+		t.Fatalf("stale file not overwritten: magic %q", rewritten[:len(planMagic)])
+	}
+	// Had the stale file been served it would have cost more: that is
+	// the bug the magic bump closes.
+	served, err := stale.Execute(stale.LayoutFor(g), semiring.KernelSerial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served.Report.Critical.Bandwidth <= fresh.Report.Critical.Bandwidth {
+		t.Fatalf("stale plan moves %d critical words, fresh %d: the fixture no longer models an old file",
+			served.Report.Critical.Bandwidth, fresh.Report.Critical.Bandwidth)
 	}
 }

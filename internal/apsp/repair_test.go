@@ -66,7 +66,7 @@ func TestRepairMatchesWarmExecute(t *testing.T) {
 		{"star", graph.Star(60, integerWeights(rng, 3)), 9},
 	}
 	for _, tc := range graphs {
-		for _, wire := range []WireFormat{WirePacked, WireDense} {
+		for _, wire := range []WireFormat{WirePruned, WireDense} {
 			sopts := SparseOptions{Seed: 11, Wire: wire, Plans: NewPlanCache()}
 			prev := solvePaths(t, tc.g, tc.p, sopts)
 			prevDist := prev.Dist.Clone()

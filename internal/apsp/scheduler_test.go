@@ -27,7 +27,7 @@ func TestSchedulerDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := BuildPlan(ly, 9, WirePacked, R4Mapped)
+	pl, err := BuildPlan(ly, 9, WirePruned, R4Mapped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestFusionBitIdentity(t *testing.T) {
 		{ScheduleFIFO, FuseOff},
 	}
 	for _, tc := range graphs {
-		for _, wire := range []WireFormat{WirePacked, WirePruned} {
+		for _, wire := range []WireFormat{WirePruned, WireDense} {
 			for _, strat := range []R4Strategy{R4Mapped, R4Sequential} {
 				base := SparseOptions{Seed: 13, Wire: wire, R4Strategy: strat}
 				want, err := SparseAPSPWith(tc.g, tc.p, base)
@@ -132,7 +132,7 @@ func TestExecWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := BuildPlan(ly, 9, WirePacked, R4Mapped)
+	pl, err := BuildPlan(ly, 9, WirePruned, R4Mapped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestProfileLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := BuildPlan(ly, 49, WirePacked, R4Mapped)
+	pl, err := BuildPlan(ly, 49, WirePruned, R4Mapped)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,52 +69,45 @@ const (
 type WireFormat int
 
 const (
-	// WirePacked (the default) is the structure-aware engine: payloads
-	// use the semiring packed encoding (empty marker / sparse pairs /
-	// dense body, whichever is smallest), so the simulated machine is
-	// charged the packed word count, and the symbolic fill mask skips
-	// broadcasts whose payload is provably all-Inf together with the
-	// multiplications they would feed. Distances are bit-identical to
-	// WireDense — only identities are elided.
-	WirePacked WireFormat = iota
-	// WireDense is the legacy behavior: every payload is the raw dense
-	// block body and nothing is skipped. It exists as the ablation
-	// baseline for the packed-vs-dense bandwidth comparison.
+	// WirePruned (the default) is the structure-aware wire: the
+	// symbolic fill mask skips broadcasts whose payload is provably
+	// all-Inf together with the multiplications they would feed,
+	// BuildPlan's demand sweep (demand.go) freezes into every remaining
+	// broadcast the payload rows/columns at least one receiver can fold
+	// into a finite output, and semiring.PackPruned ships them in the
+	// smallest of the empty / sparse-pairs / dense / keep-list
+	// encodings. The simulated machine is charged the encoded word
+	// count. Distances are bit-identical to WireDense — only
+	// identities are elided.
+	WirePruned WireFormat = iota
+	// WireDense ships every payload as the raw dense block body and
+	// skips nothing: the ablation baseline and the test reference.
 	WireDense
-	// WirePruned is the demand-pruned communication layer (v2): on top
-	// of WirePacked's skipping, BuildPlan runs the symbolic demand
-	// sweep of demand.go and every broadcast ships only the payload
-	// rows/columns at least one receiver can fold into a finite output
-	// (semiring.PackPruned, chosen per payload only when strictly
-	// smaller than the classic encodings). Distances stay bit-identical
-	// to WireDense; WirePacked is the ablation baseline for the words
-	// saved by demand pruning alone.
-	WirePruned
 )
+
+func (w WireFormat) valid() bool { return w == WirePruned || w == WireDense }
 
 func (w WireFormat) String() string {
 	switch w {
-	case WireDense:
-		return "dense"
 	case WirePruned:
 		return "pruned"
+	case WireDense:
+		return "dense"
 	default:
-		return "packed"
+		return fmt.Sprintf("WireFormat(%d)", int(w))
 	}
 }
 
-// ParseWireFormat maps a wire-format name ("packed", "dense",
-// "pruned"; "" means packed) to its WireFormat value.
+// ParseWireFormat maps a wire-format name ("pruned", "dense"; "" means
+// pruned) to its WireFormat value.
 func ParseWireFormat(s string) (WireFormat, error) {
 	switch s {
-	case "", "packed":
-		return WirePacked, nil
+	case "", "pruned":
+		return WirePruned, nil
 	case "dense":
 		return WireDense, nil
-	case "pruned":
-		return WirePruned, nil
 	default:
-		return 0, fmt.Errorf("apsp: unknown wire format %q (valid: packed, dense, pruned)", s)
+		return 0, fmt.Errorf("apsp: unknown wire format %q (valid: pruned, dense)", s)
 	}
 }
 

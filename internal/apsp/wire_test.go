@@ -1,88 +1,13 @@
 package apsp
 
 import (
-	"math/rand"
+	"strings"
 	"testing"
 
 	"sparseapsp/internal/comm"
 	"sparseapsp/internal/graph"
 	"sparseapsp/internal/semiring"
 )
-
-// TestPackedWireMatchesDense is the engine's safety contract: the
-// packed wire format plus mask-based skipping changes only how costs
-// are counted, never a distance. Across graph families the packed run
-// must be bit-identical to the dense run and never cost more on any
-// communication axis.
-func TestPackedWireMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	cases := []struct {
-		name string
-		g    *graph.Graph
-		p    int
-		// sparseFamily marks graphs with small separators, where the
-		// mask and the sparse encodings must show a strict total-words
-		// win. On connected graphs most blocks eventually fill dense, so
-		// the win is real but modest (1–35% in practice).
-		sparseFamily bool
-		// strongWin marks graphs where whole blocks stay empty for the
-		// entire solve (hub-and-spoke, disconnected components): packed
-		// total words must drop by at least 2x.
-		strongWin bool
-	}{
-		{"grid12", graph.Grid2D(12, 12, graph.RandomWeights(rng, 1, 10)), 49, true, false},
-		{"path", graph.Path(240, graph.UnitWeights), 49, true, false},
-		{"tree", graph.RandomTree(200, graph.UnitWeights, rng), 49, true, false},
-		{"star", graph.Star(120, graph.UnitWeights), 49, true, true},
-		// Two disconnected cliques: the eTree schedule never ships a
-		// cross-component block at all (their separators are empty), so
-		// the only traffic is dense clique diagonals and packing has
-		// nothing left to compress — covered here for the bit-identity
-		// and no-worse-than-overhead bounds only.
-		{"two-cliques", disconnectedCliques(40), 9, false, false},
-		{"gnp-dense", graph.RandomGNP(60, 0.4, graph.RandomWeights(rng, 1, 5), rng), 9, false, false},
-	}
-	for _, tc := range cases {
-		dense, err := SparseAPSPWith(tc.g, tc.p, SparseOptions{Seed: 7, Wire: WireDense})
-		if err != nil {
-			t.Fatalf("%s dense: %v", tc.name, err)
-		}
-		packed, err := SparseAPSPWith(tc.g, tc.p, SparseOptions{Seed: 7, Wire: WirePacked})
-		if err != nil {
-			t.Fatalf("%s packed: %v", tc.name, err)
-		}
-		if !identicalMatrices(packed.Dist, dense.Dist) {
-			t.Errorf("%s: packed distances differ from dense", tc.name)
-		}
-		if packed.Report.Critical.Bandwidth > dense.Report.Critical.Bandwidth+maxPackOverhead(tc.p) {
-			t.Errorf("%s: packed critical bandwidth %d exceeds dense %d",
-				tc.name, packed.Report.Critical.Bandwidth, dense.Report.Critical.Bandwidth)
-		}
-		if packed.Report.Critical.Latency > dense.Report.Critical.Latency {
-			t.Errorf("%s: packed latency %d exceeds dense %d",
-				tc.name, packed.Report.Critical.Latency, dense.Report.Critical.Latency)
-		}
-		if tc.sparseFamily && packed.Report.TotalWords >= dense.Report.TotalWords {
-			t.Errorf("%s: packed total words %d not strictly below dense %d",
-				tc.name, packed.Report.TotalWords, dense.Report.TotalWords)
-		}
-		if tc.strongWin && packed.Report.TotalWords*2 > dense.Report.TotalWords {
-			t.Errorf("%s: packed total words %d not below half of dense %d",
-				tc.name, packed.Report.TotalWords, dense.Report.TotalWords)
-		}
-	}
-}
-
-// maxPackOverhead bounds the packed format's header cost on a critical
-// path: one tag word per message, and a solve's critical path carries
-// far fewer messages than p·log²p.
-func maxPackOverhead(p int) int64 {
-	lg := int64(1)
-	for 1<<lg < p {
-		lg++
-	}
-	return 4 * lg * lg
-}
 
 // TestEmptyPanelBroadcastCostsO1Words is the regression test for the
 // payload-sizing fix: broadcasting a provably empty (all-Inf) panel
@@ -133,19 +58,56 @@ func TestEmptyPanelBroadcastCostsO1Words(t *testing.T) {
 // TestSolverSkipsEmptyPanelBroadcasts checks the mask actually bites
 // inside the solver: on a path graph, leaf supernodes have no edges to
 // the root separator, so several R3/R4 panel broadcasts are provably
-// empty and the packed run must send strictly fewer messages.
+// empty and the default wire must send strictly fewer messages.
 func TestSolverSkipsEmptyPanelBroadcasts(t *testing.T) {
 	g := graph.Path(240, graph.UnitWeights)
 	dense, err := SparseAPSPWith(g, 49, SparseOptions{Seed: 7, Wire: WireDense})
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := SparseAPSPWith(g, 49, SparseOptions{Seed: 7, Wire: WirePacked})
+	sparse, err := SparseAPSPWith(g, 49, SparseOptions{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if packed.Report.TotalMessages >= dense.Report.TotalMessages {
-		t.Errorf("packed run sent %d messages, dense %d: mask skipped nothing",
-			packed.Report.TotalMessages, dense.Report.TotalMessages)
+	if sparse.Report.TotalMessages >= dense.Report.TotalMessages {
+		t.Errorf("default wire sent %d messages, dense %d: mask skipped nothing",
+			sparse.Report.TotalMessages, dense.Report.TotalMessages)
+	}
+}
+
+// TestWireFormatNames pins the name ↔ value mapping: the zero value is
+// the pruned wire, the retired "packed" mode is an error that lists
+// what is valid, and a value outside the enum prints as such instead
+// of borrowing a real mode's name.
+func TestWireFormatNames(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want WireFormat
+		ok   bool
+	}{
+		{"", WirePruned, true},
+		{"pruned", WirePruned, true},
+		{"dense", WireDense, true},
+		{"packed", 0, false},
+		{"bogus", 0, false},
+	} {
+		got, err := ParseWireFormat(tc.in)
+		switch {
+		case tc.ok && (err != nil || got != tc.want):
+			t.Errorf("ParseWireFormat(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), "valid: pruned, dense")):
+			t.Errorf("ParseWireFormat(%q) error = %v; want one listing the valid modes", tc.in, err)
+		}
+	}
+	var zero WireFormat
+	if zero != WirePruned || zero.String() != "pruned" || WireDense.String() != "dense" {
+		t.Errorf("zero value %v / dense %v: want pruned / dense", zero, WireDense)
+	}
+	if got := WireFormat(2).String(); got != "WireFormat(2)" {
+		t.Errorf("WireFormat(2).String() = %q", got)
+	}
+	g := graph.Path(10, graph.UnitWeights)
+	if _, err := SparseAPSPWith(g, 9, SparseOptions{Wire: WireFormat(2)}); err == nil {
+		t.Error("solve with an out-of-range wire format succeeded")
 	}
 }

@@ -23,7 +23,7 @@ type Config struct {
 	Seed         int64
 	CyclicFactor int             // DC-APSP block-cyclic factor
 	Kernel       semiring.Kernel // min-plus kernel for local block arithmetic
-	Wire         apsp.WireFormat // sparse-solver payload encoding (packed or dense)
+	Wire         apsp.WireFormat // sparse-solver payload encoding (pruned or dense)
 	Executor     apsp.Executor   // plan executor (machine or dataflow; costs are identical)
 	Schedule     apsp.Schedule   // dataflow scheduling policy (critical or fifo; costs are identical)
 	Fuse         apsp.Fuse       // dataflow node fusion (on or off; costs are identical)
@@ -280,18 +280,27 @@ func Crossover(cfg Config, n, p int) (*Table, error) {
 	return t, nil
 }
 
-// WireComparison runs experiment E17: the packed-vs-dense wire
-// ablation. Each workload is solved twice — dense payloads with
-// nothing skipped, then the structure-aware engine (packed encodings
-// plus mask-based skipping) — and the wire traffic is compared.
-// Distances are bit-identical by construction (wire_test.go pins it);
-// this table quantifies what the engine saves per family.
-func WireComparison(cfg Config, n, p int) (*Table, error) {
+// CommBreakdown runs experiment E22 (which absorbed E17): the wire
+// ablation with a per-phase words-moved breakdown. Each workload is
+// solved twice — dense payloads with nothing skipped, then the
+// structure-aware wire (mask-based skipping, demand keep-lists, the R2
+// zero-diagonal drop, smallest encoding) — and the table splits each
+// wire's traffic across the schedule phases (R2 pivots, R3 panels, R4
+// panel broadcasts, R4 reduces, R4-sequential sends, transposes).
+// Distances are bit-identical across wires by construction
+// (prune_test.go pins it).
+//
+// The run fails (returns an error) if the sparse wire ever moves more
+// words or more messages than dense on any workload: skipping only
+// removes collectives, and the chooser falls back to the dense body
+// (+1 tag word, which the skipped traffic must cover) whenever nothing
+// smaller exists. CI leans on this as the words-moved smoke check.
+func CommBreakdown(cfg Config, n, p int) (*Table, error) {
 	t := &Table{
-		ID:    "E17",
-		Title: fmt.Sprintf("packed vs dense wire format at n=%d, p=%d", n, p),
-		Columns: []string{"workload", "|S|", "W_dense", "W_packed", "dense/packed",
-			"B_dense", "B_packed", "msg_dense", "msg_packed"},
+		ID:    "E22",
+		Title: fmt.Sprintf("per-phase words moved by wire format at n=%d, p=%d", n, p),
+		Columns: []string{"workload", "|S|", "wire", "W_total", "W_r2", "W_r3", "W_r4panel",
+			"W_r4reduce", "W_r4seq", "W_trans", "B_crit", "msgs", "dense/this"},
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	w := graph.RandomWeights(rng, 1, 10)
@@ -306,67 +315,10 @@ func WireComparison(cfg Config, n, p int) (*Table, error) {
 		{"rgg", graph.RandomGeometric(n, 1.8/math.Sqrt(float64(n)), rng)},
 		{"gnp-avg4", graph.RandomGNP(n, 4/float64(n), w, rng)},
 	}
-	for _, wl := range workloads {
-		opts := cfg.sparseOpts()
-		opts.Wire = apsp.WireDense
-		dense, err := apsp.SparseAPSPWith(wl.g, p, opts)
-		if err != nil {
-			return nil, err
-		}
-		opts.Wire = apsp.WirePacked
-		packed, err := apsp.SparseAPSPWith(wl.g, p, opts)
-		if err != nil {
-			return nil, err
-		}
-		t.Add(wl.name, packed.Layout.ND.SeparatorSize(),
-			dense.Report.TotalWords, packed.Report.TotalWords,
-			float64(dense.Report.TotalWords)/float64(packed.Report.TotalWords),
-			dense.Report.Critical.Bandwidth, packed.Report.Critical.Bandwidth,
-			dense.Report.TotalMessages, packed.Report.TotalMessages)
-	}
-	t.Note("the win tracks how much of the closure stays empty: dramatic on stars (whole")
-	t.Note("panels provably all-Inf), solid on trees, and ~1%% on connected grids where every")
-	t.Note("block fills dense and payloads are incompressible (tag adds one word/message)")
-	return t, nil
-}
-
-// CommBreakdown runs experiment E22: the demand-pruned wire ablation
-// with a per-phase words-moved breakdown. Each workload is solved three
-// times — dense, packed (the E17 winner) and pruned (demand keep-lists
-// plus the R2 zero-diagonal drop) — and the table splits every wire's
-// traffic across the schedule phases (R2 pivots, R3 panels, R4 panel
-// broadcasts, R4 reduces, R4-sequential sends, transposes). Distances
-// are bit-identical across all three wires by construction
-// (prune_test.go pins it); message counts are identical between packed
-// and pruned because pruning shrinks payloads, never the schedule.
-//
-// The run fails (returns an error) if pruned ever moves more words
-// than packed on any workload — the chooser falls back to the classic
-// encodings whenever the keep-lists don't pay, so a regression here
-// means the chooser is broken. CI leans on this as the words-moved
-// smoke check.
-func CommBreakdown(cfg Config, n, p int) (*Table, error) {
-	t := &Table{
-		ID:    "E22",
-		Title: fmt.Sprintf("per-phase words moved by wire format at n=%d, p=%d", n, p),
-		Columns: []string{"workload", "wire", "W_total", "W_r2", "W_r3", "W_r4panel",
-			"W_r4reduce", "W_r4seq", "W_trans", "msgs", "packed/this"},
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	w := graph.RandomWeights(rng, 1, 10)
-	workloads := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"star", graph.Star(n, w)},
-		{"tree", graph.RandomTree(n, w, rng)},
-		{"path", graph.Path(n, w)},
-		{"grid", gridOfN(n, w)},
-		{"gnp-avg4", graph.RandomGNP(n, 4/float64(n), w, rng)},
-	}
-	wires := []apsp.WireFormat{apsp.WireDense, apsp.WirePacked, apsp.WirePruned}
+	wires := []apsp.WireFormat{apsp.WireDense, apsp.WirePruned}
 	for _, wl := range workloads {
 		reports := make([]comm.Report, len(wires))
+		var sep int // wire-independent: the ordering is
 		for i, wf := range wires {
 			opts := cfg.sparseOpts()
 			opts.Wire = wf
@@ -374,26 +326,27 @@ func CommBreakdown(cfg Config, n, p int) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			reports[i] = res.Report
+			reports[i], sep = res.Report, res.Layout.ND.SeparatorSize()
 		}
-		packed, pruned := reports[1], reports[2]
-		if pruned.TotalWords > packed.TotalWords {
-			return nil, fmt.Errorf("comm: %s: pruned wire moved %d words > packed %d — chooser regression",
-				wl.name, pruned.TotalWords, packed.TotalWords)
+		dense, sparse := reports[0], reports[1]
+		if sparse.TotalWords > dense.TotalWords || sparse.TotalMessages > dense.TotalMessages {
+			return nil, fmt.Errorf("comm: %s: sparse wire moved %d words / %d messages > dense %d / %d — chooser regression",
+				wl.name, sparse.TotalWords, sparse.TotalMessages, dense.TotalWords, dense.TotalMessages)
 		}
 		for i, wf := range wires {
 			r := reports[i]
-			t.Add(wl.name, wf.String(), r.TotalWords,
+			t.Add(wl.name, sep, wf.String(), r.TotalWords,
 				r.WordsByClass[comm.SendR2], r.WordsByClass[comm.SendR3],
 				r.WordsByClass[comm.SendR4Panel], r.WordsByClass[comm.SendR4Reduce],
 				r.WordsByClass[comm.SendR4Seq], r.WordsByClass[comm.SendTrans],
-				r.TotalMessages,
-				float64(packed.TotalWords)/float64(r.TotalWords))
+				r.Critical.Bandwidth, r.TotalMessages,
+				float64(dense.TotalWords)/float64(r.TotalWords))
 		}
 	}
-	t.Note("pruned wins where the demand sweep proves receivers fold only a slice of each")
-	t.Note("payload (paths/trees) or where pivots are identity blocks the zero-diag drop")
-	t.Note("collapses to one word (stars); dense-filling grids keep packed's byte counts")
+	t.Note("the win tracks how much of the closure stays empty and how little of each")
+	t.Note("payload a receiver can fold: whole panels provably all-Inf and identity pivots")
+	t.Note("collapsing to one word (stars), receivers folding only a slice of each payload")
+	t.Note("(paths/trees), and R2 pivots trimmed even on grids whose blocks fill dense")
 	return t, nil
 }
 
@@ -524,12 +477,12 @@ func ExecutorComparison(cfg Config, reps int) (*Table, error) {
 	}{
 		// Small machines: the scheduling overhead is modest, the two
 		// executors should be close.
-		{"grid20", graph.Grid2D(20, 20, graph.RandomWeights(w(1), 1, 10)), 49, apsp.WirePacked},
-		{"grid30", graph.Grid2D(30, 30, graph.RandomWeights(w(2), 1, 10)), 225, apsp.WirePacked},
+		{"grid20", graph.Grid2D(20, 20, graph.RandomWeights(w(1), 1, 10)), 49, apsp.WirePruned},
+		{"grid30", graph.Grid2D(30, 30, graph.RandomWeights(w(2), 1, 10)), 225, apsp.WirePruned},
 		// Serving scale: p = 961 ranks on path-like and tree graphs,
 		// where blocks are tiny and scheduling dominates the solve.
 		{"path600", graph.Path(600, graph.UnitWeights), 961, apsp.WireDense},
-		{"cycle800", graph.Cycle(800, graph.UnitWeights), 961, apsp.WirePacked},
+		{"cycle800", graph.Cycle(800, graph.UnitWeights), 961, apsp.WirePruned},
 		{"tree600", graph.RandomTree(600, graph.UnitWeights, w(3)), 961, apsp.WireDense},
 	}
 	for _, wl := range workloads {
@@ -615,15 +568,15 @@ func SchedulerAblation(cfg Config, reps int) (*Table, error) {
 		wire apsp.WireFormat
 	}{
 		// Mid-size machine: modest scheduling pressure.
-		{"grid30", graph.Grid2D(30, 30, intw(w(2))), 225, apsp.WirePacked},
+		{"grid30", graph.Grid2D(30, 30, intw(w(2))), 225, apsp.WirePruned},
 		// Serving scale: p = 961 ranks over a few hundred vertices,
 		// where the ready frontier is wide and per-node overhead is the
 		// whole cost. Same families as E19 plus the star, whose single
 		// hub separator maximises relay-chain depth.
 		{"path600", graph.Path(600, graph.UnitWeights), 961, apsp.WireDense},
-		{"cycle800", graph.Cycle(800, graph.UnitWeights), 961, apsp.WirePacked},
+		{"cycle800", graph.Cycle(800, graph.UnitWeights), 961, apsp.WirePruned},
 		{"tree600", graph.RandomTree(600, graph.UnitWeights, w(3)), 961, apsp.WireDense},
-		{"star600", graph.Star(600, graph.UnitWeights), 961, apsp.WirePacked},
+		{"star600", graph.Star(600, graph.UnitWeights), 961, apsp.WirePruned},
 	}
 	variants := []struct {
 		name  string

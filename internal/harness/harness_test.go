@@ -95,6 +95,18 @@ func TestCrossoverTable(t *testing.T) {
 	}
 }
 
+func TestCommBreakdownTable(t *testing.T) {
+	// The run itself errors if the sparse wire moves more words or
+	// messages than dense on any family; the shape is two rows each.
+	tb, err := CommBreakdown(smallConfig(), 64, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Rows) != 12 {
+		t.Fatalf("rows = %d, want 6 workloads x 2 wires", len(tb.Rows))
+	}
+}
+
 func TestOperationCountsTable(t *testing.T) {
 	tb, err := OperationCounts(Config{GridSides: []int{10}, Seed: 3})
 	if err != nil {
