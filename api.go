@@ -504,8 +504,9 @@ func SolveWithPaths(g *Graph) *PathResult {
 var PathWeight = apsp.PathWeight
 
 // Oracle is a solved graph serving concurrent Dist / Path / BatchDist /
-// BatchPath queries from the retained distance matrix and successor
-// structure (see internal/oracle).
+// BatchPath queries from typed storage — distances at their proven
+// lossless width, successors as uint16 — bit-identically to the
+// solver's float64 matrix (see internal/oracle).
 type Oracle = oracle.Oracle
 
 // OracleRegistry caches oracles by graph fingerprint with singleflight
@@ -548,14 +549,14 @@ func repairP(opts Options) int {
 	return 49
 }
 
-// oracleRepairer adapts apsp.RepairWithOptions to the oracle package's
+// oracleRepairer adapts apsp.RepairRowsWithOptions to the oracle package's
 // repair interface, sharing opts.Plans so a reweight of a structure the
 // registry has already solved performs no symbolic work.
 func oracleRepairer(opts Options) oracle.RepairFunc {
 	p := repairP(opts)
 	sopts := apsp.SparseOptions{Seed: opts.Seed, Kernel: opts.Kernel, Wire: opts.Wire, Executor: opts.Executor, Schedule: opts.Schedule, Fuse: opts.Fuse, ExecWorkers: opts.ExecWorkers, Order: opts.Order, Plans: opts.Plans}
-	return func(g *Graph, prev *PathResult, edits []EdgeEdit) (*PathResult, *Graph, RepairStats, error) {
-		return apsp.RepairWithOptions(g, prev, edits, p, sopts, 0)
+	return func(g *Graph, prevDist apsp.RowFunc, prevNext *apsp.Successors, edits []EdgeEdit) (*PathResult, *Graph, RepairStats, error) {
+		return apsp.RepairRowsWithOptions(g, prevDist, prevNext, edits, p, sopts, 0)
 	}
 }
 
@@ -575,13 +576,15 @@ func NewOracleRegistry(opts Options, budgetBytes int64) *OracleRegistry {
 	return NewTieredOracleRegistry(opts, budgetBytes, 0)
 }
 
-// NewTieredOracleRegistry is NewOracleRegistry with a compressed second
+// NewTieredOracleRegistry is NewOracleRegistry with a demoted second
 // tier: when the hot tier overflows hotBytes, least-recently-used
-// oracles are demoted into losslessly quantized distance blobs (2
-// bytes/pair for integer-weight graphs instead of the hot tier's 12)
-// bounded by compressedBytes, and promoted back bit-identically on
-// access instead of being re-solved. compressedBytes <= 0 disables the
-// tier, restoring plain drop-on-eviction.
+// oracles drop their successor table and keep only their distance
+// store — already at its proven lossless width, 2 bytes/pair for
+// integer-weight graphs against 4 with successors — bounded by
+// compressedBytes, and are promoted back bit-identically on access
+// (successors rebuilt from the retained graph) instead of being
+// re-solved. compressedBytes <= 0 disables the tier, restoring plain
+// drop-on-eviction.
 func NewTieredOracleRegistry(opts Options, hotBytes, compressedBytes int64) *OracleRegistry {
 	if opts.Plans == nil {
 		opts.Plans = NewPlanCache()

@@ -17,6 +17,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -27,7 +28,7 @@ import (
 
 func main() {
 	var (
-		exp          = flag.String("exp", "all", "experiment: all, none, or a comma-separated list of table2-memory, table2-bandwidth, table2-latency, factors, lower, sepcost, crossover, comm, plan, exec, sched, reweight, opcount, perlevel, balance, weak, strong, serve, store, fig1")
+		exp          = flag.String("exp", "all", "experiment: all, none, or a comma-separated list of "+strings.Join(experiments, ", "))
 		sides        = flag.String("sides", "16,24,32", "comma-separated 2D grid sides (n = side²)")
 		ps           = flag.String("ps", "9,49,225,961", "comma-separated machine sizes (sparse algorithm needs (2^h-1)²)")
 		seed         = flag.Int64("seed", 42, "nested-dissection seed")
@@ -126,11 +127,13 @@ func main() {
 		ExecWorkers:  *execWorkers,
 	}
 
-	needSuite := map[string]bool{"all": true, "table2-memory": true,
-		"table2-bandwidth": true, "table2-latency": true, "factors": true, "lower": true}
+	names, needSuite, err := resolveExperiments(*exp)
+	if err != nil {
+		fatal(err)
+	}
 
 	var suite *harness.Suite
-	if needSuite[*exp] {
+	if needSuite {
 		fmt.Fprintf(os.Stderr, "running sweep: sides=%v ps=%v ...\n", cfg.GridSides, cfg.Ps)
 		var err error
 		suite, err = harness.NewSuite(cfg)
@@ -238,17 +241,8 @@ func main() {
 		}
 	}
 
-	if *exp == "all" {
-		for _, name := range []string{"table2-memory", "table2-bandwidth", "table2-latency",
-			"factors", "lower", "sepcost", "crossover", "comm", "plan", "exec", "sched", "reweight", "opcount", "perlevel", "balance", "weak", "strong", "serve", "store", "fig1"} {
-			run(name)
-		}
-	} else {
-		for _, name := range strings.Split(*exp, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				run(name)
-			}
-		}
+	for _, name := range names {
+		run(name)
 	}
 	if *jsonOut != "" {
 		f, err := os.Create(*jsonOut)
@@ -290,6 +284,41 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d benchmark rows to %s\n", len(rows), *bench)
 	}
+}
+
+// experiments lists every -exp name in the order "all" runs them; the
+// first suiteExperiments of them read the shared sweep of
+// harness.NewSuite.
+var experiments = []string{"table2-memory", "table2-bandwidth", "table2-latency", "factors", "lower",
+	"sepcost", "crossover", "comm", "plan", "exec", "sched", "reweight", "opcount", "perlevel",
+	"balance", "weak", "strong", "serve", "store", "fig1"}
+
+const suiteExperiments = 5
+
+// resolveExperiments expands the -exp value — "all", "none", or a
+// comma-separated list — into the experiments to run, in order, and
+// reports whether any of them needs the suite. An unknown name is an
+// error naming the valid ones, before anything runs.
+func resolveExperiments(exp string) (names []string, needSuite bool, err error) {
+	for _, name := range strings.Split(exp, ",") {
+		name = strings.TrimSpace(name)
+		switch name {
+		case "":
+		case "all":
+			names = append(names, experiments...)
+			needSuite = true
+		case "none":
+			names = append(names, name)
+		default:
+			i := slices.Index(experiments, name)
+			if i < 0 {
+				return nil, false, fmt.Errorf("unknown experiment %q (valid: all, none, %s)", name, strings.Join(experiments, ", "))
+			}
+			names = append(names, name)
+			needSuite = needSuite || i < suiteExperiments
+		}
+	}
+	return names, needSuite, nil
 }
 
 func parseInts(s string) []int {

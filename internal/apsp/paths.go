@@ -3,6 +3,7 @@ package apsp
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sparseapsp/internal/comm"
 	"sparseapsp/internal/graph"
@@ -20,11 +21,65 @@ type PathResult struct {
 	// Zero for purely sequential solvers and for incrementally
 	// repaired results, which move no simulated words.
 	Report comm.Report
-	n      int
-	// next is target-major: next[v*n+u] is the vertex after u on a
-	// shortest u→v path, -1 if none, so row v is the shortest-path tree
-	// into v and a path walk stays inside one row.
-	next []int32
+	next   *Successors
+}
+
+// succID is an element of a successor table: uint16 when every vertex
+// id sits below the 0xFFFF sentinel, int32 (sentinel -1) otherwise.
+// Both sentinels are the all-ones pattern, so the generic builders and
+// walkers spell "no successor" ^T(0).
+type succID interface{ uint16 | int32 }
+
+// Successors is the successor table of a solved graph, built and walked
+// at one width: uint16 entries when narrowSuccessors(n), int32 entries
+// otherwise — exactly one of the two slices is in use. It is
+// target-major: entry v*n+u is the vertex after u on a shortest u→v
+// path (all-ones if none), so row v is the shortest-path tree into v
+// and a path walk stays inside one row. Immutable once built.
+type Successors struct {
+	n   int
+	u16 []uint16
+	i32 []int32 // non-nil selects the wide table
+}
+
+// narrowSuccessors reports whether every vertex id of an n-vertex graph
+// is below the uint16 sentinel 0xFFFF.
+func narrowSuccessors(n int) bool { return n <= math.MaxUint16 }
+
+// newSuccessors allocates an n×n table; narrow is narrowSuccessors(n)
+// everywhere outside the tests that force the wide builder onto small
+// graphs.
+func newSuccessors(n int, narrow bool) *Successors {
+	if narrow {
+		return &Successors{n: n, u16: make([]uint16, n*n)}
+	}
+	return &Successors{n: n, i32: make([]int32, n*n)}
+}
+
+// Bytes is the retained size of the table.
+func (s *Successors) Bytes() int64 { return int64(len(s.u16))*2 + int64(len(s.i32))*4 }
+
+func (s *Successors) clone() *Successors {
+	return &Successors{n: s.n, u16: slices.Clone(s.u16), i32: slices.Clone(s.i32)}
+}
+
+// at returns the vertex after u on a shortest u→v path, -1 if none.
+func (s *Successors) at(v, u int) int {
+	if s.i32 != nil {
+		return int(s.i32[v*s.n+u])
+	}
+	if k := s.u16[v*s.n+u]; k != math.MaxUint16 {
+		return int(k)
+	}
+	return -1
+}
+
+// rebuild re-extracts the rows named by targets (every row when nil).
+func (s *Successors) rebuild(g *graph.Graph, row RowFunc, targets []int) error {
+	if s.i32 != nil {
+		return successorRows(g, row, s.i32, targets)
+	}
+	return successorRows(g, row, s.u16, targets)
 }
 
 // FloydWarshallPaths runs the classical algorithm while maintaining
@@ -39,15 +94,25 @@ type PathResult struct {
 func FloydWarshallPaths(g *graph.Graph) *PathResult {
 	n := g.N()
 	d := semiring.FromSlice(n, n, g.AdjacencyMatrix())
-	next := make([]int32, n*n)
+	next := newSuccessors(n, narrowSuccessors(n))
+	if next.i32 != nil {
+		floydWarshallNext(g, d, next.i32)
+	} else {
+		floydWarshallNext(g, d, next.u16)
+	}
+	return &PathResult{Dist: d, next: next}
+}
+
+func floydWarshallNext[T succID](g *graph.Graph, d *semiring.Matrix, next []T) {
+	n := g.N()
 	for i := range next {
-		next[i] = -1
+		next[i] = ^T(0)
 	}
 	for u := 0; u < n; u++ {
-		next[u*n+u] = int32(u)
+		next[u*n+u] = T(u)
 		for _, e := range g.Adj(u) {
 			if float64(e.W) <= d.At(e.To, u) {
-				next[e.To*n+u] = int32(e.To)
+				next[e.To*n+u] = T(e.To)
 			}
 		}
 	}
@@ -69,7 +134,6 @@ func FloydWarshallPaths(g *graph.Graph) *PathResult {
 			}
 		}
 	}
-	return &PathResult{Dist: d, n: n, next: next}
 }
 
 // SuccessorsFromDist reconstructs the successor structure from a
@@ -99,17 +163,24 @@ func FloydWarshallPaths(g *graph.Graph) *PathResult {
 // explains) is reported as an error rather than producing a broken
 // oracle.
 func SuccessorsFromDist(g *graph.Graph, d *semiring.Matrix) (*PathResult, error) {
+	if err := checkNonNegative(g); err != nil {
+		return nil, err
+	}
+	return SuccessorsNonNegative(g, d)
+}
+
+func checkNonNegative(g *graph.Graph) error {
 	if g == nil {
-		return nil, fmt.Errorf("apsp: SuccessorsFromDist: nil graph")
+		return fmt.Errorf("apsp: SuccessorsFromDist: nil graph")
 	}
 	for u := 0; u < g.N(); u++ {
 		for _, e := range g.Adj(u) {
 			if e.W < 0 {
-				return nil, fmt.Errorf("apsp: negative edge {%d,%d} weight %g is a negative cycle in an undirected graph", u, e.To, e.W)
+				return fmt.Errorf("apsp: negative edge {%d,%d} weight %g is a negative cycle in an undirected graph", u, e.To, e.W)
 			}
 		}
 	}
-	return SuccessorsNonNegative(g, d)
+	return nil
 }
 
 // SuccessorsNonNegative is SuccessorsFromDist for a caller that has
@@ -121,11 +192,40 @@ func SuccessorsNonNegative(g *graph.Graph, d *semiring.Matrix) (*PathResult, err
 	if d == nil || d.Rows != n || d.Cols != n {
 		return nil, fmt.Errorf("apsp: SuccessorsFromDist: distance matrix is not %d×%d", n, n)
 	}
-	next := make([]int32, n*n)
-	if err := successorRows(g, d, next, nil); err != nil {
+	next, err := buildSuccessors(g, matrixRows(d), narrowSuccessors(n))
+	if err != nil {
 		return nil, err
 	}
-	return &PathResult{Dist: d, n: n, next: next}, nil
+	return &PathResult{Dist: d, next: next}, nil
+}
+
+// RowFunc yields row v of a distance matrix as float64s. It may return
+// a slice it already holds or fill and return buf (length n, owned by
+// the calling worker until its next call); the row is only read.
+type RowFunc func(v int, buf []float64) []float64
+
+func matrixRows(d *semiring.Matrix) RowFunc {
+	n := d.Cols
+	return func(v int, _ []float64) []float64 { return d.V[v*n : (v+1)*n] }
+}
+
+// SuccessorsFromRows is SuccessorsFromDist for distances that are not
+// held as a float64 matrix: the oracle's typed store widens one row at
+// a time into the extracting worker's scratch. The table is the one
+// SuccessorsFromDist builds from the same values.
+func SuccessorsFromRows(g *graph.Graph, row RowFunc) (*Successors, error) {
+	if err := checkNonNegative(g); err != nil {
+		return nil, err
+	}
+	return buildSuccessors(g, row, narrowSuccessors(g.N()))
+}
+
+func buildSuccessors(g *graph.Graph, row RowFunc, narrow bool) (*Successors, error) {
+	next := newSuccessors(g.N(), narrow)
+	if err := next.rebuild(g, row, nil); err != nil {
+		return nil, err
+	}
+	return next, nil
 }
 
 // tightSum reports whether sum explains dist: exact equality, or — for
@@ -146,10 +246,11 @@ func tightSum(sum, dist float64) bool {
 
 // successorRows rebuilds the rows of the successor table named by
 // targets (every row when targets is nil) on semiring.DefaultPool, in
-// contiguous chunks with one scratch queue each. Distinct targets touch
-// disjoint rows, so the table is the same for any worker count; so is
-// the error, which is always the lowest-numbered failing target's.
-func successorRows(g *graph.Graph, d *semiring.Matrix, next []int32, targets []int) error {
+// contiguous chunks with one scratch queue and one row buffer each.
+// Distinct targets touch disjoint rows, so the table is the same for any
+// worker count; so is the error, which is always the lowest-numbered
+// failing target's.
+func successorRows[T succID](g *graph.Graph, row RowFunc, next []T, targets []int) error {
 	n := g.N()
 	count := n
 	if targets != nil {
@@ -164,12 +265,13 @@ func successorRows(g *graph.Graph, d *semiring.Matrix, next []int32, targets []i
 	errs := make([]error, chunks)
 	semiring.DefaultPool.ForEach(chunks, func(c int) {
 		queue := make([]int32, 0, n)
+		buf := make([]float64, n)
 		for i := c * count / chunks; i < (c+1)*count/chunks; i++ {
 			v := i
 			if targets != nil {
 				v = targets[i]
 			}
-			if errs[c] = successorRow(g, d.V[v*n:(v+1)*n], v, next[v*n:(v+1)*n], queue); errs[c] != nil {
+			if errs[c] = successorRow(g, row(v, buf), v, next[v*n:(v+1)*n], queue); errs[c] != nil {
 				return
 			}
 		}
@@ -185,32 +287,33 @@ func successorRows(g *graph.Graph, d *semiring.Matrix, next []int32, targets []i
 // successorRow rebuilds row v of the successor table — the shortest-
 // path tree into v — from row v of the distance matrix: the backward
 // breadth-first walk of the tight-edge graph rooted at v described on
-// SuccessorsFromDist. Every entry of nextV is overwritten; queue is
-// scratch. The incremental repair path calls this for exactly the
-// targets whose distances or tight edges changed, leaving the rest of
-// the table as the original solve built it.
-func successorRow(g *graph.Graph, distV []float64, v int, nextV []int32, queue []int32) error {
+// SuccessorsFromDist. Every entry of nextV is overwritten, at the
+// table's final width; queue is scratch. The incremental repair path
+// calls this for exactly the targets whose distances or tight edges
+// changed, leaving the rest of the table as the original solve built it.
+func successorRow[T succID](g *graph.Graph, distV []float64, v int, nextV []T, queue []int32) error {
+	none := ^T(0)
 	for u := range nextV {
-		nextV[u] = -1
+		nextV[u] = none
 	}
-	nextV[v] = int32(v)
+	nextV[v] = T(v)
 	queue = append(queue[:0], int32(v))
 	for head := 0; head < len(queue); head++ {
 		w := queue[head]
 		dwv := distV[w]
 		for _, e := range g.Adj(int(w)) {
 			u := e.To
-			if nextV[u] != -1 {
+			if nextV[u] != none {
 				continue
 			}
 			if tightSum(e.W+dwv, distV[u]) {
-				nextV[u] = w
+				nextV[u] = T(w)
 				queue = append(queue, int32(u))
 			}
 		}
 	}
 	for u, nu := range nextV {
-		if nu == -1 && !math.IsInf(distV[u], 1) {
+		if nu == none && !math.IsInf(distV[u], 1) {
 			return fmt.Errorf("apsp: SuccessorsFromDist: d(%d,%d)=%g is not explained by any edge of the graph (inconsistent distances)", u, v, distV[u])
 		}
 	}
@@ -219,32 +322,44 @@ func successorRow(g *graph.Graph, distV []float64, v int, nextV []int32, queue [
 
 // N returns the number of vertices the result covers; valid query
 // endpoints are [0, N).
-func (p *PathResult) N() int { return p.n }
+func (p *PathResult) N() int { return p.next.n }
 
-// MemoryBytes estimates the retained size of the result: the distance
-// matrix plus the successor table. Registries use it for cache
-// accounting.
+// Successors returns the result's successor table (shared, immutable).
+func (p *PathResult) Successors() *Successors { return p.next }
+
+// MemoryBytes is the retained size of the result: the float64 distance
+// matrix plus the successor table at its built width.
 func (p *PathResult) MemoryBytes() int64 {
-	return int64(len(p.Dist.V))*8 + int64(len(p.next))*4
+	return int64(len(p.Dist.V))*8 + p.next.Bytes()
 }
 
 // Path returns the vertices of a shortest u→v path, inclusive of both
 // endpoints, or nil if v is unreachable from u. For u == v it returns
 // [u].
-func (p *PathResult) Path(u, v int) []int {
-	if u < 0 || u >= p.n || v < 0 || v >= p.n {
-		panic(fmt.Sprintf("apsp: path query (%d,%d) outside [0,%d)", u, v, p.n))
+func (p *PathResult) Path(u, v int) []int { return p.next.Path(u, v) }
+
+// Path walks row v of the table in place; see PathResult.Path.
+func (s *Successors) Path(u, v int) []int {
+	n := s.n
+	if u < 0 || u >= n || v < 0 || v >= n {
+		panic(fmt.Sprintf("apsp: path query (%d,%d) outside [0,%d)", u, v, n))
 	}
 	if u == v {
 		return []int{u}
 	}
-	nextV := p.next[v*p.n : (v+1)*p.n]
-	if nextV[u] == -1 {
+	if s.i32 != nil {
+		return walk(s.i32[v*n:(v+1)*n], u, v)
+	}
+	return walk(s.u16[v*n:(v+1)*n], u, v)
+}
+
+func walk[T succID](nextV []T, u, v int) []int {
+	if nextV[u] == ^T(0) {
 		return nil
 	}
 	hops := 0
 	for cur := u; cur != v; cur = int(nextV[cur]) {
-		if hops++; hops >= p.n {
+		if hops++; hops >= len(nextV) {
 			panic("apsp: successor structure is cyclic (corrupted)")
 		}
 	}

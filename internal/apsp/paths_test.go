@@ -198,7 +198,7 @@ func TestPathResultMemoryBytes(t *testing.T) {
 	g := graph.Grid2D(4, 4, graph.UnitWeights)
 	pr := FloydWarshallPaths(g)
 	n := int64(g.N())
-	if got, want := pr.MemoryBytes(), n*n*8+n*n*4; got != want {
+	if got, want := pr.MemoryBytes(), n*n*8+n*n*2; got != want {
 		t.Errorf("MemoryBytes = %d, want %d", got, want)
 	}
 	if pr.N() != g.N() {

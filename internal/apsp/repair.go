@@ -179,13 +179,27 @@ func ApplyEdits(g *graph.Graph, edits []EdgeEdit) (*graph.Graph, error) {
 // Plan.Execute. The plan must have been built for g's structure (same
 // StructureFingerprint modulo weights).
 func (pl *Plan) Repair(g *graph.Graph, prev *PathResult, edits []EdgeEdit, opts RepairOptions) (*PathResult, *graph.Graph, RepairStats, error) {
+	if prev == nil {
+		return nil, nil, RepairStats{}, fmt.Errorf("apsp: Repair: nil graph or result")
+	}
+	return pl.RepairRows(g, matrixRows(prev.Dist), prev.next, edits, opts)
+}
+
+// RepairRows is Repair for a previous result whose distances are not
+// held as a float64 matrix: prevDist yields them a row at a time, and
+// is asked for each row twice — once written straight into the working
+// matrix the repair goes on to mutate (so a caller that stores the
+// distances narrower pays one n² float64 buffer, not two), once into
+// scratch for the final diff. prevNext is the table extracted from
+// those distances. Neither is mutated.
+func (pl *Plan) RepairRows(g *graph.Graph, prevDist RowFunc, prevNext *Successors, edits []EdgeEdit, opts RepairOptions) (*PathResult, *graph.Graph, RepairStats, error) {
 	var st RepairStats
-	if g == nil || prev == nil {
+	if g == nil || prevDist == nil || prevNext == nil {
 		return nil, nil, st, fmt.Errorf("apsp: Repair: nil graph or result")
 	}
 	n := g.N()
-	if prev.N() != n || len(pl.ND.Perm) != n {
-		return nil, nil, st, fmt.Errorf("apsp: Repair: result covers %d vertices, graph has %d (plan: %d)", prev.N(), n, len(pl.ND.Perm))
+	if prevNext.n != n || len(pl.ND.Perm) != n {
+		return nil, nil, st, fmt.Errorf("apsp: Repair: result covers %d vertices, graph has %d (plan: %d)", prevNext.n, n, len(pl.ND.Perm))
 	}
 	deltas, err := normalizeEdits(g, edits)
 	if err != nil {
@@ -225,10 +239,10 @@ func (pl *Plan) Repair(g *graph.Graph, prev *PathResult, edits []EdgeEdit, opts 
 		// Nothing changed: the old result already serves the edited
 		// graph. Return a shallow copy so callers can treat the output
 		// as a fresh oracle either way.
-		return &PathResult{Dist: prev.Dist.Clone(), n: n, next: append([]int32(nil), prev.next...)}, g2, st, nil
+		return &PathResult{Dist: semiring.FromSlice(n, n, copyRows(prevDist, n)), next: prevNext.clone()}, g2, st, nil
 	}
 
-	d := append([]float64(nil), prev.Dist.V...)
+	d := copyRows(prevDist, n)
 
 	// The phases below lean on the matrix being value-symmetric
 	// (d(x,y) = d(y,x), guaranteed for an undirected graph), reading
@@ -306,9 +320,10 @@ func (pl *Plan) Repair(g *graph.Graph, prev *PathResult, edits []EdgeEdit, opts 
 	// and z: extraction reads the distances towards a target from its
 	// row, VerifyPaths and callers read them from its column.
 	dirty := make([]bool, n)
+	buf := make([]float64, n)
 	for x := 0; x < n; x++ {
 		row := d[x*n : (x+1)*n]
-		prow := prev.Dist.V[x*n : (x+1)*n]
+		prow := prevDist(x, buf)
 		for z, v := range row {
 			if v != prow[z] {
 				dirty[x], dirty[z] = true, true
@@ -317,7 +332,7 @@ func (pl *Plan) Repair(g *graph.Graph, prev *PathResult, edits []EdgeEdit, opts 
 	}
 	for _, del := range deltas {
 		for v := 0; v < n; v++ {
-			if prev.next[v*n+del.u] == int32(del.v) || prev.next[v*n+del.v] == int32(del.u) {
+			if prevNext.at(v, del.u) == del.v || prevNext.at(v, del.v) == del.u {
 				dirty[v] = true
 			}
 		}
@@ -328,12 +343,26 @@ func (pl *Plan) Repair(g *graph.Graph, prev *PathResult, edits []EdgeEdit, opts 
 			targets = append(targets, v)
 		}
 	}
-	next := append([]int32(nil), prev.next...)
-	if err := successorRows(g2, dist, next, targets); err != nil {
+	next := prevNext.clone()
+	if err := next.rebuild(g2, matrixRows(dist), targets); err != nil {
 		return nil, nil, st, fmt.Errorf("apsp: Repair: %w", err)
 	}
 	st.RepairedColumns = len(targets)
-	return &PathResult{Dist: dist, n: n, next: next}, g2, st, nil
+	return &PathResult{Dist: dist, next: next}, g2, st, nil
+}
+
+// copyRows materialises the n rows of row as one fresh row-major slice.
+func copyRows(row RowFunc, n int) []float64 {
+	d := make([]float64, n*n)
+	semiring.DefaultPool.ForRanges(n, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			dst := d[v*n : (v+1)*n]
+			if src := row(v, dst); &src[0] != &dst[0] {
+				copy(dst, src)
+			}
+		}
+	})
+	return d
 }
 
 // errRepairDamage signals that the increase phase detected more damage
@@ -600,6 +629,14 @@ func (pl *Plan) repairFallback(g2 *graph.Graph, opts RepairOptions, st *RepairSt
 // structure pay the symbolic cost once — usually zero times, since the
 // original solve already populated the cache.
 func RepairWithOptions(g *graph.Graph, prev *PathResult, edits []EdgeEdit, p int, sopts SparseOptions, threshold float64) (*PathResult, *graph.Graph, RepairStats, error) {
+	if prev == nil {
+		return nil, nil, RepairStats{}, fmt.Errorf("apsp: Repair: nil graph or result")
+	}
+	return RepairRowsWithOptions(g, matrixRows(prev.Dist), prev.next, edits, p, sopts, threshold)
+}
+
+// RepairRowsWithOptions is RepairWithOptions over Plan.RepairRows.
+func RepairRowsWithOptions(g *graph.Graph, prevDist RowFunc, prevNext *Successors, edits []EdgeEdit, p int, sopts SparseOptions, threshold float64) (*PathResult, *graph.Graph, RepairStats, error) {
 	h, err := HeightForP(p)
 	if err != nil {
 		return nil, nil, RepairStats{}, err
@@ -624,7 +661,7 @@ func RepairWithOptions(g *graph.Graph, prev *PathResult, edits []EdgeEdit, p int
 			return nil, nil, RepairStats{}, err
 		}
 	}
-	return pl.Repair(g, prev, edits, RepairOptions{
+	return pl.RepairRows(g, prevDist, prevNext, edits, RepairOptions{
 		DamageThreshold: threshold,
 		Kernel:          sopts.Kernel,
 		Executor:        sopts.Executor,

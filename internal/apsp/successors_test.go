@@ -109,7 +109,7 @@ func TestSuccessorsWorkerInvariance(t *testing.T) {
 	for _, f := range goldenFamilies() {
 		d, _ := FloydWarshall(f.g)
 		n := f.g.N()
-		serial := make([]int32, n*n)
+		serial := make([]uint16, n*n)
 		queue := make([]int32, 0, n)
 		for v := 0; v < n; v++ {
 			if err := successorRow(f.g, d.V[v*n:(v+1)*n], v, serial[v*n:(v+1)*n], queue); err != nil {
@@ -122,7 +122,7 @@ func TestSuccessorsWorkerInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s procs=%d: %v", f.name, procs, err)
 			}
-			if !reflect.DeepEqual(pr.next, serial) {
+			if !reflect.DeepEqual(pr.next.u16, serial) {
 				t.Errorf("%s: table at GOMAXPROCS=%d differs from the serial build", f.name, procs)
 			}
 		}
@@ -349,12 +349,12 @@ func TestRepairRebuildsRows(t *testing.T) {
 			}
 			changed := 0
 			for v := 0; v < n; v++ {
-				row := got.next[v*n : (v+1)*n]
-				if reflect.DeepEqual(row, prev.next[v*n:(v+1)*n]) {
+				row := got.next.u16[v*n : (v+1)*n]
+				if reflect.DeepEqual(row, prev.next.u16[v*n:(v+1)*n]) {
 					continue
 				}
 				changed++
-				if !reflect.DeepEqual(row, fresh.next[v*n:(v+1)*n]) {
+				if !reflect.DeepEqual(row, fresh.next.u16[v*n:(v+1)*n]) {
 					t.Errorf("%s round %d: rebuilt row %d differs from a fresh extraction", name, round, v)
 				}
 			}
@@ -391,5 +391,82 @@ func BenchmarkSuccessorsFromDist(b *testing.B) {
 			relax := float64(c.g.N()) * 2 * float64(c.g.M())
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/relax, "ns/relax")
 		})
+	}
+}
+
+// TestSuccessorsWidth: the width selector's boundary, tested as a
+// function, and the wide (int32) builders — which production reaches
+// only from 65 536 vertices up — driven over the golden families
+// through the internal constructor and held entry for entry, path for
+// path, against the narrow table, through a repair included.
+func TestSuccessorsWidth(t *testing.T) {
+	if !narrowSuccessors(math.MaxUint16) {
+		t.Error("n = 65535: ids 0..65534 all sit below the 0xFFFF sentinel, want uint16")
+	}
+	if narrowSuccessors(math.MaxUint16 + 1) {
+		t.Error("n = 65536: vertex 65535 collides with the sentinel, want int32")
+	}
+	sameTable := func(name string, a, b *Successors) {
+		t.Helper()
+		for v := 0; v < a.n; v++ {
+			for u := 0; u < a.n; u++ {
+				if a.at(v, u) != b.at(v, u) {
+					t.Fatalf("%s: next(%d→%d) = %d wide, %d narrow", name, u, v, a.at(v, u), b.at(v, u))
+				}
+				if !reflect.DeepEqual(a.Path(u, v), b.Path(u, v)) {
+					t.Fatalf("%s: Path(%d,%d) differs between widths", name, u, v)
+				}
+			}
+		}
+	}
+	for _, f := range goldenFamilies() {
+		n := f.g.N()
+		d, _ := FloydWarshall(f.g)
+		narrow, err := SuccessorsFromDist(f.g, d)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		wide, err := buildSuccessors(f.g, matrixRows(d), false)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		if got, want := narrow.next.Bytes(), int64(2*n*n); got != want {
+			t.Errorf("%s: narrow table holds %d bytes, want %d", f.name, got, want)
+		}
+		if got, want := wide.Bytes(), int64(4*n*n); got != want {
+			t.Errorf("%s: wide table holds %d bytes, want %d", f.name, got, want)
+		}
+		sameTable(f.name, wide, narrow.next)
+		if err := VerifyPaths(f.g, &PathResult{Dist: d, next: wide}); err != nil {
+			t.Errorf("%s: wide table: %v", f.name, err)
+		}
+
+		fw := newSuccessors(n, false)
+		floydWarshallNext(f.g, semiring.FromSlice(n, n, f.g.AdjacencyMatrix()), fw.i32)
+		sameTable(f.name+" (classical loop)", fw, FloydWarshallPaths(f.g).next)
+	}
+
+	g := graph.Grid2D(7, 7, func(u, v int) float64 { return float64(1 + (u+v)%4) })
+	sopts := SparseOptions{Seed: 3, Plans: NewPlanCache()}
+	prev := solvePaths(t, g, 9, sopts)
+	widePrev, err := buildSuccessors(g, matrixRows(prev.Dist), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edits := pickEdits(g, rand.New(rand.NewSource(5)), 3, "mixed")
+	want, _, _, err := RepairWithOptions(g, prev, edits, 9, sopts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, g2, _, err := RepairWithOptions(g, &PathResult{Dist: prev.Dist, next: widePrev}, edits, 9, sopts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.next.i32 == nil {
+		t.Fatal("repair of a wide result narrowed its table")
+	}
+	sameTable("repaired", got.next, want.next)
+	if err := VerifyPaths(g2, got); err != nil {
+		t.Error(err)
 	}
 }

@@ -84,14 +84,13 @@ func VerifyDistances(g *graph.Graph, d *semiring.Matrix) error {
 // they now serve. Cost is O(n² · average path length).
 func VerifyPaths(g *graph.Graph, res *PathResult) error {
 	n := g.N()
-	if res == nil || res.n != n || res.Dist == nil || res.Dist.Rows != n || res.Dist.Cols != n {
+	if res == nil || res.N() != n || res.Dist == nil || res.Dist.Rows != n || res.Dist.Cols != n {
 		return fmt.Errorf("apsp: VerifyPaths: result does not cover %d vertices", n)
 	}
 	for v := 0; v < n; v++ {
-		nextV := res.next[v*n : (v+1)*n]
 		for u := 0; u < n; u++ {
 			duv := res.Dist.At(u, v)
-			if nextV[u] == -1 {
+			if res.next.at(v, u) == -1 {
 				if !math.IsInf(duv, 1) {
 					return fmt.Errorf("apsp: VerifyPaths: d(%d,%d)=%g but no successor", u, v, duv)
 				}
@@ -103,7 +102,7 @@ func VerifyPaths(g *graph.Graph, res *PathResult) error {
 			// Walk the successor chain without Path's panic-on-cycle.
 			sum, cur, hops := 0.0, u, 0
 			for cur != v {
-				nxt := int(nextV[cur])
+				nxt := res.next.at(v, cur)
 				if nxt < 0 {
 					return fmt.Errorf("apsp: VerifyPaths: successor chain (%d,%d) breaks at %d", u, v, cur)
 				}

@@ -614,6 +614,12 @@ func addRegistry(a *server.RegistrySnapshot, b server.RegistrySnapshot) {
 	a.CompressedEntries += b.CompressedEntries
 	a.CompressedBytes += b.CompressedBytes
 	a.CompressedBudgetBytes += b.CompressedBudgetBytes
+	for kind, c := range b.StoreKinds {
+		if a.StoreKinds == nil {
+			a.StoreKinds = make(map[string]int, len(b.StoreKinds))
+		}
+		a.StoreKinds[kind] += c
+	}
 	a.SolveMs += b.SolveMs
 	a.QueriesServed += b.QueriesServed
 	a.QueriesInFlight += b.QueriesInFlight

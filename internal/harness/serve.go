@@ -83,9 +83,9 @@ func serveRegistry(seed int64) *oracle.Registry {
 		Solve: func(g *graph.Graph) (*apsp.PathResult, error) {
 			return apsp.FloydWarshallPaths(g), nil
 		},
-		Repair: func(g *graph.Graph, prev *apsp.PathResult, edits []apsp.EdgeEdit) (*apsp.PathResult, *graph.Graph, apsp.RepairStats, error) {
+		Repair: func(g *graph.Graph, prevDist apsp.RowFunc, prevNext *apsp.Successors, edits []apsp.EdgeEdit) (*apsp.PathResult, *graph.Graph, apsp.RepairStats, error) {
 			// p=49 matches the root package's repair default.
-			return apsp.RepairWithOptions(g, prev, edits, 49, sopts, 0)
+			return apsp.RepairRowsWithOptions(g, prevDist, prevNext, edits, 49, sopts, 0)
 		},
 	})
 }

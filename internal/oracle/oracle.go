@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sparseapsp/internal/apsp"
+	"sparseapsp/internal/comm"
 	"sparseapsp/internal/graph"
 	"sparseapsp/internal/semiring"
 )
@@ -23,10 +24,15 @@ type queryCounters struct {
 }
 
 // Oracle holds one solved graph and answers distance and path queries
-// from the retained matrix and successor structure. All query methods
-// are safe for concurrent use; batches fan out over a semiring.Pool.
+// from typed storage: the distances at their proven width (tier.go) and
+// the successor table at its built width, both immutable. It keeps no
+// float64 matrix. All query methods are safe for concurrent use;
+// batches fan out over a semiring.Pool.
 type Oracle struct {
-	res  *apsp.PathResult
+	dist *distStore
+	// succ is nil in the dist-only sibling a registry keeps for a demoted
+	// entry (withSuccessors); every oracle handed to a caller has one.
+	succ *apsp.Successors
 	pool *semiring.Pool
 	// graph is the graph the result was solved for. Oracles built
 	// through New (and so through a Registry) retain it; the registry's
@@ -50,34 +56,61 @@ func New(g *graph.Graph, solve SolveFunc, pool *semiring.Pool) (*Oracle, error) 
 	if solve == nil {
 		return nil, fmt.Errorf("oracle: nil solve function")
 	}
+	o, _, err := solveOracle(g, solve, pool)
+	return o, err
+}
+
+// solveOracle is New that also hands back the solve's cost report,
+// which the oracle itself does not retain.
+func solveOracle(g *graph.Graph, solve SolveFunc, pool *semiring.Pool) (*Oracle, comm.Report, error) {
 	res, err := solve(g)
 	if err != nil {
-		return nil, err
+		return nil, comm.Report{}, err
 	}
 	o := FromResult(res, pool)
 	o.graph = g
-	return o, nil
+	return o, res.Report, nil
 }
 
-// FromResult wraps an already-solved PathResult in an Oracle without
-// re-solving. A nil pool means semiring.DefaultPool.
+// FromResult builds an Oracle from an already-solved PathResult without
+// re-solving: one pass narrows res.Dist into the typed store, and the
+// successor table is shared as built. The oracle does not retain res or
+// res.Dist — except that distances no narrower kind can hold exactly
+// stay in res.Dist's own storage, so res must not be mutated afterwards.
+// A nil pool means semiring.DefaultPool.
 func FromResult(res *apsp.PathResult, pool *semiring.Pool) *Oracle {
 	if pool == nil {
 		pool = semiring.DefaultPool
 	}
-	return &Oracle{res: res, pool: pool}
+	return &Oracle{dist: narrow(res.Dist), succ: res.Successors(), pool: pool}
+}
+
+// withSuccessors returns a sibling of o that shares its store, graph,
+// pool and registry counters and carries succ: nil for the dist-only
+// form a registry keeps after demotion, a rebuilt table on promotion. o
+// itself is never modified — a query may still hold it.
+func (o *Oracle) withSuccessors(succ *apsp.Successors) *Oracle {
+	return &Oracle{dist: o.dist, succ: succ, pool: o.pool, graph: o.graph, shared: o.shared}
 }
 
 // N returns the number of vertices; valid query endpoints are [0, N).
-func (o *Oracle) N() int { return o.res.N() }
+func (o *Oracle) N() int { return o.dist.n }
 
 // Graph returns the graph the oracle was solved for, or nil for an
 // oracle wrapped directly around a bare PathResult. Callers must not
 // modify it.
 func (o *Oracle) Graph() *graph.Graph { return o.graph }
 
-// MemoryBytes estimates the retained size of the solved result.
-func (o *Oracle) MemoryBytes() int64 { return o.res.MemoryBytes() }
+// MemoryBytes is the retained size of the solved result: the length of
+// each slice the oracle holds times its element size — the distance
+// store plus, unless demoted, the successor table.
+func (o *Oracle) MemoryBytes() int64 {
+	b := o.dist.bytes()
+	if o.succ != nil {
+		b += o.succ.Bytes()
+	}
+	return b
+}
 
 // track opens a query window for the stats counters and returns the
 // closer that records it as served. queries is the number of
@@ -102,7 +135,7 @@ func (o *Oracle) track(queries int) func() {
 }
 
 func (o *Oracle) check(u, v int) error {
-	if n := o.res.N(); u < 0 || u >= n || v < 0 || v >= n {
+	if n := o.dist.n; u < 0 || u >= n || v < 0 || v >= n {
 		return fmt.Errorf("oracle: query (%d,%d) outside [0,%d)", u, v, n)
 	}
 	return nil
@@ -115,7 +148,7 @@ func (o *Oracle) Dist(u, v int) (float64, error) {
 		return semiring.Inf, err
 	}
 	defer o.track(1)()
-	return o.res.Dist.At(u, v), nil
+	return o.dist.at(u*o.dist.n + v), nil
 }
 
 // Path returns the vertices of a shortest u→v path inclusive of both
@@ -125,7 +158,7 @@ func (o *Oracle) Path(u, v int) ([]int, error) {
 		return nil, err
 	}
 	defer o.track(1)()
-	return o.res.Path(u, v), nil
+	return o.succ.Path(u, v), nil
 }
 
 // BatchDist answers many distance queries at once, fanned out over the
@@ -138,7 +171,7 @@ func (o *Oracle) BatchDist(pairs [][2]int) ([]float64, error) {
 	defer o.track(len(pairs))()
 	out := make([]float64, len(pairs))
 	o.pool.ForEach(len(pairs), func(i int) {
-		out[i] = o.res.Dist.At(pairs[i][0], pairs[i][1])
+		out[i] = o.dist.at(pairs[i][0]*o.dist.n + pairs[i][1])
 	})
 	return out, nil
 }
@@ -152,7 +185,7 @@ func (o *Oracle) BatchPath(pairs [][2]int) ([][]int, error) {
 	defer o.track(len(pairs))()
 	out := make([][]int, len(pairs))
 	o.pool.ForEach(len(pairs), func(i int) {
-		out[i] = o.res.Path(pairs[i][0], pairs[i][1])
+		out[i] = o.succ.Path(pairs[i][0], pairs[i][1])
 	})
 	return out, nil
 }

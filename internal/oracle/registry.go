@@ -16,10 +16,12 @@ import (
 
 // RepairFunc incrementally repairs a solved result after edge-weight
 // edits, returning the repaired result, the edited graph it is valid
-// for, and what the repair did. The root package supplies one that
-// routes through apsp.RepairWithOptions with the registry's own plan
-// cache.
-type RepairFunc func(g *graph.Graph, prev *apsp.PathResult, edits []apsp.EdgeEdit) (*apsp.PathResult, *graph.Graph, apsp.RepairStats, error)
+// for, and what the repair did. The previous result arrives as the
+// oracle holds it — distances widened a row at a time on request, plus
+// the successor table — and neither may be mutated. The root package
+// supplies one that routes through apsp.RepairRowsWithOptions with the
+// registry's own plan cache.
+type RepairFunc func(g *graph.Graph, prevDist apsp.RowFunc, prevNext *apsp.Successors, edits []apsp.EdgeEdit) (*apsp.PathResult, *graph.Graph, apsp.RepairStats, error)
 
 // ErrUnknownGraph is returned by Reweight when the fingerprint names no
 // cached oracle (never loaded, or already evicted).
@@ -32,17 +34,17 @@ type Config struct {
 	// Repair, when non-nil, enables Registry.Reweight: small weight
 	// edits are repaired from the cached result instead of re-solved.
 	Repair RepairFunc
-	// MemoryBudget bounds the total MemoryBytes of hot-tier oracles;
-	// <= 0 means unlimited. Exceeding it demotes least-recently-used
-	// oracles into the compressed tier (or drops them when that tier is
-	// disabled). An oracle larger than the whole budget is demoted
-	// immediately rather than pinned — it is still served, promoted on
-	// demand, and re-demoted afterward.
+	// MemoryBudget bounds the total MemoryBytes of hot oracles — entries
+	// holding a successor table; <= 0 means unlimited. Exceeding it
+	// demotes least-recently-used oracles (or drops them when
+	// CompressedBudget is off). An oracle larger than the whole budget is
+	// demoted immediately rather than pinned — it is still served,
+	// promoted on demand, and re-demoted afterward.
 	MemoryBudget int64
-	// CompressedBudget bounds the bytes of the compressed (demoted)
-	// tier: quantized distance blobs that promote back to full oracles
-	// on access, bit-identically (see tier.go). <= 0 disables the tier,
-	// restoring plain drop-on-eviction.
+	// CompressedBudget bounds the bytes of demoted entries: the same
+	// typed distance store (see tier.go) with the successor table
+	// dropped, rebuilt from the retained graph on the next access. <= 0
+	// disables demotion, restoring plain drop-on-eviction.
 	CompressedBudget int64
 	// Pool is the worker pool batch queries fan out over; nil means
 	// semiring.DefaultPool.
@@ -67,8 +69,8 @@ type Registry struct {
 	entries map[Fingerprint]*entry
 	lru     *list.List // front = most recently used; hot entries only
 	bytes   int64      // sum of MemoryBytes over hot entries
-	clru    *list.List // compressed tier, front = most recently demoted/used
-	cbytes  int64      // sum of blob bytes over compressed entries
+	clru    *list.List // demoted entries, front = most recently demoted/used
+	cbytes  int64      // sum of MemoryBytes over demoted entries
 
 	solves          int64
 	hits            int64
@@ -100,28 +102,22 @@ type Registry struct {
 }
 
 type entry struct {
-	fp     Fingerprint
-	ready  chan struct{} // closed when the solve finishes
-	oracle *Oracle       // hot tier; nil while solving, demoted, or failed
+	fp    Fingerprint
+	ready chan struct{} // closed when the solve finishes
+	// oracle is nil while solving, after a failed solve, and once the
+	// entry has been dropped. A solved entry is hot while its oracle
+	// carries a successor table and demoted while it holds the dist-only
+	// sibling (same store, same graph); elem is its element on the LRU
+	// of that tier. Only setOracleLocked assigns either.
+	oracle *Oracle
 	err    error
-	elem   *list.Element // hot LRU element; nil unless oracle != nil
+	elem   *list.Element
 
-	// Compressed-tier state. A demoted entry keeps only the quantized
-	// distance blob and the graph (to rebuild successors on promotion);
-	// promoting is non-nil while one goroutine decodes the blob off the
-	// lock, and is closed when the hot oracle is installed (or the
-	// promotion fails) so coalesced waiters can re-check.
-	comp      *compEntry
-	celem     *list.Element
+	// promoting is non-nil while one goroutine rebuilds a demoted
+	// entry's successors off the lock, and is closed when the hot oracle
+	// is installed (or the promotion fails) so coalesced waiters can
+	// re-check.
 	promoting chan struct{}
-}
-
-// compEntry is the demoted form of a solved oracle: the lossless
-// compressed distance blob plus the graph the successor structure is
-// deterministically rebuilt from at promotion time.
-type compEntry struct {
-	blob  []byte
-	graph *graph.Graph
 }
 
 // errEntryDropped reports that an entry vanished from both tiers
@@ -179,24 +175,20 @@ func (r *Registry) Get(g *graph.Graph) (*Oracle, error) {
 	r.mu.Unlock()
 
 	start := time.Now()
-	o, err := New(g, r.cfg.Solve, r.cfg.Pool)
+	o, report, err := solveOracle(g, r.cfg.Solve, r.cfg.Pool)
 	elapsed := time.Since(start).Nanoseconds()
 
 	r.mu.Lock()
 	r.solves++
 	r.solveNanos += elapsed
 	r.endSolveLocked()
-	if err == nil {
-		r.addWordsLocked(o.res.Report)
-	}
 	if err != nil {
 		e.err = err
 		delete(r.entries, fp) // allow a retry; current waiters get err
 	} else {
+		r.addWordsLocked(report)
 		o.shared = &r.queries // install before any Get returns the oracle
-		e.oracle = o
-		e.elem = r.lru.PushFront(e)
-		r.bytes += o.MemoryBytes()
+		r.setOracleLocked(e, o)
 		r.evictLocked()
 	}
 	r.mu.Unlock()
@@ -277,8 +269,8 @@ func (r *Registry) Reweight(fp Fingerprint, edits []apsp.EdgeEdit) (Fingerprint,
 	if e.err != nil {
 		return fp, nil, zero, e.err
 	}
-	// A demoted entry must be promoted first: the repair needs the full
-	// solved result, and the swap below must invalidate both tiers.
+	// A demoted entry must be promoted first: the repair reads the old
+	// successor table as well as the old distances.
 	old, err := r.ensureHot(e)
 	if errors.Is(err, errEntryDropped) {
 		return fp, nil, zero, fmt.Errorf("%w: %s", ErrUnknownGraph, fp)
@@ -324,11 +316,21 @@ func (r *Registry) Reweight(fp Fingerprint, edits []apsp.EdgeEdit) (Fingerprint,
 	r.beginSolveLocked()
 	r.mu.Unlock()
 
+	// Repair works on float64s: it widens the old store straight into
+	// the matrix it goes on to edit, and what it returns is narrowed from
+	// scratch like any solve — an edit that breaks the old kind's proof
+	// simply lands in a wider one. Both passes run before the lock is
+	// taken.
 	start := time.Now()
-	res, g2, st, err := r.cfg.Repair(g, old.res, edits)
+	res, g2, st, err := r.cfg.Repair(g, old.dist.row, old.succ, edits)
 	elapsed := time.Since(start).Nanoseconds()
-
 	var o2 *Oracle
+	if err == nil {
+		o2 = FromResult(res, r.cfg.Pool)
+		o2.graph = g2
+		o2.shared = &r.queries
+	}
+
 	r.mu.Lock()
 	r.reweights++
 	r.repairNanos += elapsed
@@ -341,12 +343,7 @@ func (r *Registry) Reweight(fp Fingerprint, edits []apsp.EdgeEdit) (Fingerprint,
 		delete(r.entries, newFp)
 	} else {
 		r.addWordsLocked(res.Report)
-		o2 = FromResult(res, r.cfg.Pool)
-		o2.graph = g2
-		o2.shared = &r.queries
-		e2.oracle = o2
-		e2.elem = r.lru.PushFront(e2)
-		r.bytes += o2.MemoryBytes()
+		r.setOracleLocked(e2, o2)
 		// The swap: the new entry is live, so the old fingerprint stops
 		// serving in the same critical section.
 		r.removeLocked(e)
@@ -416,44 +413,63 @@ func (r *Registry) Has(fp Fingerprint) bool {
 	return ok
 }
 
-// removeLocked drops a solved entry from the map and from BOTH tiers
-// without touching the eviction counter (Reweight's swap is not an
-// eviction). Safe to call on an entry that was already evicted or
-// replaced.
+// tierOf returns the LRU and the byte total of the tier o belongs to:
+// hot when it carries a successor table, demoted when it does not.
+func (r *Registry) tierOf(o *Oracle) (*list.List, *int64) {
+	if o.succ != nil {
+		return r.lru, &r.bytes
+	}
+	return r.clru, &r.cbytes
+}
+
+// setOracleLocked is the one place an entry changes tier, and so the
+// one place r.bytes and r.cbytes move: it takes e off the LRU it is on,
+// makes o the oracle e serves from, and puts e at the front of the LRU
+// o belongs on — neither when o is nil. O(1): the oracles' sizes are
+// sums of slice lengths.
+func (r *Registry) setOracleLocked(e *entry, o *Oracle) {
+	if e.elem != nil {
+		lru, total := r.tierOf(e.oracle)
+		lru.Remove(e.elem)
+		e.elem = nil
+		*total -= e.oracle.MemoryBytes()
+	}
+	e.oracle = o
+	if o != nil {
+		lru, total := r.tierOf(o)
+		e.elem = lru.PushFront(e)
+		*total += o.MemoryBytes()
+	}
+}
+
+// removeLocked drops a solved entry from the map and from whichever
+// tier holds it, without touching the eviction counter (Reweight's swap
+// is not an eviction). Safe to call on an entry that was already
+// evicted or replaced.
 func (r *Registry) removeLocked(e *entry) {
 	if cur, ok := r.entries[e.fp]; ok && cur == e {
 		delete(r.entries, e.fp)
 	}
-	if e.elem != nil {
-		r.lru.Remove(e.elem)
-		e.elem = nil
-		r.bytes -= e.oracle.MemoryBytes()
-	}
-	if e.celem != nil {
-		r.clru.Remove(e.celem)
-		e.celem = nil
-		r.cbytes -= int64(len(e.comp.blob))
-		e.comp = nil
-	}
+	r.setOracleLocked(e, nil)
 }
 
-// touchLocked moves a solved entry to the LRU front; in-flight entries
-// have no list element yet and are touched on insertion instead.
+// touchLocked moves a solved entry to the front of its tier's LRU;
+// in-flight entries have no list element yet and are touched on
+// insertion instead.
 func (r *Registry) touchLocked(e *entry) {
 	if e.elem != nil {
-		r.lru.MoveToFront(e.elem)
+		lru, _ := r.tierOf(e.oracle)
+		lru.MoveToFront(e.elem)
 	}
 }
 
 // evictLocked demotes least-recently-used hot oracles until the hot
 // bytes fit the budget. The front entry (the one just solved or
 // touched) is kept while anything older can make room — but if the
-// front entry ALONE exceeds the whole budget it is demoted too, fixing
-// the oversized-entry pin: before the tiered rewrite such an oracle sat
-// at the LRU front forever (the Len() > 1 guard protected it and
-// nothing could ever push it out), permanently blowing the budget. Now
-// it lives in the compressed tier (or is dropped with an Evictions
-// count when that tier is off) and is promoted per access.
+// front entry ALONE exceeds the whole budget it is demoted too, so an
+// oversized oracle cannot sit at the LRU front forever, permanently
+// blowing the budget: it lives demoted (or is dropped with an
+// Evictions count when demotion is off) and is promoted per access.
 func (r *Registry) evictLocked() {
 	if r.cfg.MemoryBudget <= 0 {
 		return
@@ -468,38 +484,27 @@ func (r *Registry) evictLocked() {
 	}
 }
 
-// demoteLocked moves a hot entry to the compressed tier: the distance
-// matrix is re-encoded losslessly (tier.go) and the successor structure
-// is discarded — promotion rebuilds it bit-identically from the graph.
-// With the compressed tier disabled (or for an oracle that retains no
-// graph, which a registry never produces) the entry is dropped instead,
-// counted as an eviction.
+// demoteLocked drops a hot entry's successor table: the entry moves to
+// the demoted tier holding a dist-only sibling that shares the store.
+// The hot oracle is left untouched — a query may still hold it — and
+// nothing is re-encoded, so the lock covers no pass over the matrix.
+// With demotion disabled (or for an oracle that retains no graph to
+// rebuild from, which a registry never produces) the entry is dropped
+// instead, counted as an eviction.
 func (r *Registry) demoteLocked(e *entry) {
-	o := e.oracle
-	r.lru.Remove(e.elem)
-	e.elem = nil
-	e.oracle = nil
-	r.bytes -= o.MemoryBytes()
-	g := o.Graph()
-	if r.cfg.CompressedBudget <= 0 || g == nil {
-		if cur, ok := r.entries[e.fp]; ok && cur == e {
-			delete(r.entries, e.fp)
-		}
+	if r.cfg.CompressedBudget <= 0 || e.oracle.Graph() == nil {
+		r.removeLocked(e)
 		r.evictions++
 		return
 	}
-	blob := CompressDist(o.res.Dist)
-	e.comp = &compEntry{blob: blob, graph: g}
-	e.celem = r.clru.PushFront(e)
-	r.cbytes += int64(len(blob))
+	r.setOracleLocked(e, e.oracle.withSuccessors(nil))
 	r.demotions++
 	r.evictCompressedLocked()
 }
 
-// evictCompressedLocked drops least-recently-used compressed blobs
-// until the tier fits its budget. Entries mid-promotion are skipped —
-// their blob is being decoded off the lock and the promotion will move
-// them out of this tier itself.
+// evictCompressedLocked drops least-recently-used demoted entries until
+// the tier fits its budget. Entries mid-promotion are skipped — the
+// promotion will move them out of this tier itself.
 func (r *Registry) evictCompressedLocked() {
 	for r.cbytes > r.cfg.CompressedBudget {
 		el := r.clru.Back()
@@ -509,30 +514,30 @@ func (r *Registry) evictCompressedLocked() {
 		if el == nil {
 			return
 		}
-		e := el.Value.(*entry)
-		r.clru.Remove(el)
-		e.celem = nil
-		r.cbytes -= int64(len(e.comp.blob))
-		e.comp = nil
-		if cur, ok := r.entries[e.fp]; ok && cur == e {
-			delete(r.entries, e.fp)
-		}
+		r.removeLocked(el.Value.(*entry))
 		r.evictions++
 	}
 }
 
 // ensureHot returns a hot oracle for a successfully solved entry,
-// promoting it from the compressed tier when it was demoted. Callers
-// must have waited out e.ready and checked e.err first. Concurrent
-// promotions of the same entry coalesce: one goroutine decodes the blob
-// and rebuilds successors off the lock, the rest wait on e.promoting
-// and re-check. Returns errEntryDropped when the entry no longer exists
-// in either tier.
+// promoting it when it was demoted: the successor table is rebuilt off
+// the lock from the retained graph, widening the store one row at a
+// time into the extracting worker's scratch — the same extraction the
+// production solve path runs, over the same values, so the promoted
+// oracle answers every distance AND path query bit-identically to the
+// one that was demoted. Callers must have waited out e.ready and
+// checked e.err first. Concurrent promotions of one entry coalesce: one
+// goroutine rebuilds, the rest wait on e.promoting and re-check. Returns
+// errEntryDropped when the entry no longer exists in either tier.
 func (r *Registry) ensureHot(e *entry) (*Oracle, error) {
 	for {
 		r.mu.Lock()
-		if e.oracle != nil {
-			o := e.oracle
+		o := e.oracle
+		if o == nil {
+			r.mu.Unlock()
+			return nil, errEntryDropped
+		}
+		if o.succ != nil {
 			r.touchLocked(e)
 			r.mu.Unlock()
 			return o, nil
@@ -542,71 +547,35 @@ func (r *Registry) ensureHot(e *entry) (*Oracle, error) {
 			<-ch
 			continue
 		}
-		if e.comp == nil {
-			r.mu.Unlock()
-			return nil, errEntryDropped
-		}
 		ch := make(chan struct{})
 		e.promoting = ch
-		comp := e.comp
 		r.mu.Unlock()
 
-		o, err := promote(comp, r.cfg.Pool)
+		succ, err := apsp.SuccessorsFromRows(o.graph, o.dist.row)
 
 		r.mu.Lock()
 		e.promoting = nil
 		if err != nil {
-			// The in-memory blob failed to decode — fail closed: drop
+			// The store no longer explains the graph — fail closed: drop
 			// the entry so the next Get re-solves from scratch.
 			r.removeLocked(e)
 			r.evictions++
 			r.mu.Unlock()
 			close(ch)
-			return nil, err
+			return nil, fmt.Errorf("oracle: promote: %w", err)
 		}
-		o.shared = &r.queries
+		hot := o.withSuccessors(succ)
 		r.promotions++
-		if cur, ok := r.entries[e.fp]; !ok || cur != e {
-			// The entry was swapped out (Reweight) while we promoted:
-			// serve the result but do not re-install it in any tier.
-			r.mu.Unlock()
-			close(ch)
-			return o, nil
+		// If the entry was swapped out (Reweight) while we promoted,
+		// serve the result but install it nowhere.
+		if e.oracle == o {
+			r.setOracleLocked(e, hot)
+			r.evictLocked()
 		}
-		if e.celem != nil {
-			r.clru.Remove(e.celem)
-			e.celem = nil
-			r.cbytes -= int64(len(e.comp.blob))
-		}
-		e.comp = nil
-		e.oracle = o
-		e.elem = r.lru.PushFront(e)
-		r.bytes += o.MemoryBytes()
-		r.evictLocked()
 		r.mu.Unlock()
 		close(ch)
-		return o, nil
+		return hot, nil
 	}
-}
-
-// promote rebuilds a hot oracle from a compressed-tier entry: decode
-// the quantized distances (bit-identical by the codec's losslessness
-// guarantee) and rebuild the successor structure deterministically from
-// the retained graph — the same apsp.SuccessorsFromDist the production
-// solve path runs, so the promoted oracle answers every distance AND
-// path query bit-identically to the one that was demoted.
-func promote(c *compEntry, pool *semiring.Pool) (*Oracle, error) {
-	d, err := DecompressDist(c.blob)
-	if err != nil {
-		return nil, fmt.Errorf("oracle: promote: %w", err)
-	}
-	res, err := apsp.SuccessorsFromDist(c.graph, d)
-	if err != nil {
-		return nil, fmt.Errorf("oracle: promote: %w", err)
-	}
-	o := FromResult(res, pool)
-	o.graph = c.graph
-	return o, nil
 }
 
 // Len returns the number of cached (solved or solving) entries.
@@ -642,21 +611,27 @@ type Stats struct {
 	Misses         int64 // Get calls that triggered a solve + unknown Lookups
 	Evictions      int64 // oracles dropped entirely (from either tier)
 
-	// Tier-transition counters: a demotion re-encodes a hot oracle into
-	// the compressed tier, a promotion decodes it back on access. Both
-	// are zero when Config.CompressedBudget is off.
+	// Tier-transition counters: a demotion drops a hot oracle's
+	// successor table, a promotion rebuilds it on access. Both are zero
+	// when Config.CompressedBudget is off.
 	Demotions  int64
 	Promotions int64
 
-	Entries     int   // cached entries, including in-flight solves and compressed
-	Bytes       int64 // retained bytes of hot-tier oracles
+	Entries     int   // cached entries, including in-flight solves and demoted
+	Bytes       int64 // retained bytes of hot oracles (distances + successors)
 	BudgetBytes int64 // configured hot budget (0 = unlimited)
 
-	// Compressed-tier occupancy: entries currently demoted, their total
-	// blob bytes, and the configured budget (0 = tier disabled).
+	// Demoted-tier occupancy: entries currently without successors,
+	// their total store bytes, and the configured budget (0 = disabled).
 	CompressedEntries     int
 	CompressedBytes       int64
 	CompressedBudgetBytes int64
+
+	// StoreKinds counts resident entries (hot and demoted) by the kind
+	// their distance store proved: "u16", "u32", "f32", "f64". Integer
+	// weights serve from u16 at 4 bytes/pair hot; an f64 entry — real-
+	// valued weights — costs 10. Kinds with no entry are omitted.
+	StoreKinds map[string]int
 
 	SolveNanos      int64 // total wall-clock spent solving
 	QueriesServed   int64 // point-queries answered across all oracles
@@ -740,6 +715,14 @@ func (r *Registry) Stats() Stats {
 				s.WordsByPhase = make(map[string]int64, comm.NumSendClasses)
 			}
 			s.WordsByPhase[comm.SendClass(c).String()] = w
+		}
+	}
+	for _, e := range r.entries {
+		if e.oracle != nil {
+			if s.StoreKinds == nil {
+				s.StoreKinds = make(map[string]int, len(tierKindNames))
+			}
+			s.StoreKinds[e.oracle.dist.kindName()]++
 		}
 	}
 	s.QueriesServed = r.queries.served.Load()

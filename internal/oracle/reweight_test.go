@@ -36,8 +36,8 @@ func intGraph(seed int64, n int) *graph.Graph {
 // block layout with a shared plan cache, like the root package wiring.
 func testRepairer() RepairFunc {
 	plans := apsp.NewPlanCache()
-	return func(g *graph.Graph, prev *apsp.PathResult, edits []apsp.EdgeEdit) (*apsp.PathResult, *graph.Graph, apsp.RepairStats, error) {
-		return apsp.RepairWithOptions(g, prev, edits, 9, apsp.SparseOptions{Seed: 1, Plans: plans}, 0)
+	return func(g *graph.Graph, prevDist apsp.RowFunc, prevNext *apsp.Successors, edits []apsp.EdgeEdit) (*apsp.PathResult, *graph.Graph, apsp.RepairStats, error) {
+		return apsp.RepairRowsWithOptions(g, prevDist, prevNext, edits, 9, apsp.SparseOptions{Seed: 1, Plans: plans}, 0)
 	}
 }
 

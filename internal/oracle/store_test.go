@@ -1,0 +1,638 @@
+package oracle
+
+import (
+	"container/list"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"sparseapsp/internal/apsp"
+	"sparseapsp/internal/graph"
+	"sparseapsp/internal/semiring"
+)
+
+// storeCase is one graph whose solved distances must land in one kind.
+type storeCase struct {
+	name  string
+	g     *graph.Graph
+	kind  string
+	scale float64
+}
+
+func storeCases() []storeCase {
+	rng := rand.New(rand.NewSource(1308))
+	ints := func(lo, hi int) graph.WeightFn {
+		return func(u, v int) float64 { return float64(lo + rng.Intn(hi-lo+1)) }
+	}
+	halves := graph.Grid2D(6, 6, func(u, v int) float64 { return 0.5 * float64(1+rng.Intn(9)) })
+	halves.SetEdge(0, 1, 0.5) // pins the smallest positive distance, and so the scale
+
+	wide := graph.Path(4, graph.UnitWeights)
+	wide.SetEdge(1, 2, 65534) // d(0,2) = 65535: one past the last u16 code
+
+	// An integer graph after a fractional edit: 2.5 is no multiple of
+	// the smallest distance (1), but every half-integer is float32-exact.
+	edited := graph.Grid2D(5, 5, ints(1, 9))
+	edited.SetEdge(0, 1, 1)
+	edited.SetEdge(1, 2, 2.5)
+
+	islands := graph.New(30)
+	for v := 1; v < 12; v++ {
+		islands.AddEdge(rng.Intn(v), v, float64(1+rng.Intn(9)))
+	}
+	for v := 13; v < 30; v++ {
+		islands.AddEdge(12+rng.Intn(v-12), v, float64(1+rng.Intn(9)))
+	}
+
+	return []storeCase{
+		{"u16 scale 1", graph.Grid2D(7, 7, ints(1, 9)), "u16", 1},
+		{"u16 scale 0.5", halves, "u16", 0.5},
+		{"u32", wide, "u32", 1},
+		{"f32", edited, "f32", 1},
+		{"f64", graph.RandomGNP(40, 0.15, graph.RandomWeights(rng, 0.5, 10), rng), "f64", 1},
+		{"disconnected", islands, "u16", 1},
+		{"zero-weight edges", graph.Grid2D(6, 6, ints(0, 4)), "u16", 1},
+		{"n=0", graph.New(0), "u16", 1},
+		{"n=1", graph.New(1), "u16", 1},
+	}
+}
+
+// TestStoreBitIdentity is the store's contract, one row per kind: the
+// oracle built from a solve answers every Dist / BatchDist with the
+// solver's own bits and every Path with the solver's own path, whether
+// the kind was proved (u16, u32, f32) or is the f64 fallback for
+// real-valued weights — the store is bit-exact for ANY weights. The
+// same holds for the float64 form handed to Repair, for a table rebuilt
+// from the store row by row (promotion), and for the serialised bytes.
+func TestStoreBitIdentity(t *testing.T) {
+	elem := map[string]int64{"u16": 2, "u32": 4, "f32": 4, "f64": 8}
+	for _, tc := range storeCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			// ref is solved separately: the f64 kind shares the storage of
+			// the result the oracle was built from.
+			ref, err := succSolve(tc.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := succSolve(tc.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := FromResult(res, nil)
+			n := tc.g.N()
+			if got := o.dist.kindName(); got != tc.kind || o.dist.scale != tc.scale {
+				t.Fatalf("stored as %s scale %g, want %s scale %g", got, o.dist.scale, tc.kind, tc.scale)
+			}
+			if got, want := o.MemoryBytes(), int64(n*n)*(elem[tc.kind]+2); got != want {
+				t.Errorf("MemoryBytes = %d, want %d (%d-byte distances + uint16 successors)", got, want, elem[tc.kind])
+			}
+
+			pairs := make([][2]int, 0, n*n)
+			for u := 0; u < n; u++ {
+				for v := 0; v < n; v++ {
+					pairs = append(pairs, [2]int{u, v})
+				}
+			}
+			dists, err := o.BatchDist(pairs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths, err := o.BatchPath(pairs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rebuilt, err := apsp.SuccessorsFromRows(tc.g, o.dist.row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			promoted := o.withSuccessors(nil).withSuccessors(rebuilt)
+			sawInf := false
+			for i, p := range pairs {
+				want := ref.Dist.At(p[0], p[1])
+				sawInf = sawInf || math.IsInf(want, 1)
+				d, err := o.Dist(p[0], p[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(d, want) || !sameBits(dists[i], want) {
+					t.Fatalf("Dist%v = %v, BatchDist %v, want %v bit-exactly", p, d, dists[i], want)
+				}
+				wantPath := ref.Path(p[0], p[1])
+				path, err := o.Path(p[0], p[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(path, wantPath) || !reflect.DeepEqual(paths[i], wantPath) {
+					t.Fatalf("Path%v = %v, BatchPath %v, want %v", p, path, paths[i], wantPath)
+				}
+				if pp, _ := promoted.Path(p[0], p[1]); !reflect.DeepEqual(pp, wantPath) {
+					t.Fatalf("Path%v = %v after rebuilding successors from the store, want %v", p, pp, wantPath)
+				}
+			}
+			if tc.name == "disconnected" && !sawInf {
+				t.Fatal("the disconnected case holds no unreachable pair")
+			}
+
+			if !sameMatrixBits(o.dist.widen(), ref.Dist) {
+				t.Error("the widened store differs from the solver's matrix")
+			}
+			blob := CompressDist(ref.Dist)
+			if kind, bn, err := CompressedInfo(blob); err != nil || kind != tc.kind || bn != n {
+				t.Errorf("CompressedInfo = %s/n=%d (%v), want %s/n=%d", kind, bn, err, tc.kind, n)
+			}
+			if got, want := int64(len(blob)), tierHeaderLen+int64(n*n)*elem[tc.kind]; got != want {
+				t.Errorf("serialised to %d bytes, want %d", got, want)
+			}
+			back, err := DecompressDist(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !back.Equal(ref.Dist) || !sameMatrixBits(back, ref.Dist) {
+				t.Error("DecompressDist(CompressDist(d)) differs from d")
+			}
+		})
+	}
+}
+
+func sameMatrixBits(a, b *semiring.Matrix) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i, x := range a.V {
+		if !sameBits(x, b.V[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStoreKindBoundaries pins the last value each narrow kind holds
+// and the first it does not, and the values the proof must refuse.
+func TestStoreKindBoundaries(t *testing.T) {
+	inf := semiring.Inf
+	for _, tc := range []struct {
+		name string
+		vals []float64
+		kind string
+	}{
+		{"65534 is the last u16 code", []float64{0, 65534, 1, inf}, "u16"},
+		{"65535 is the u16 sentinel", []float64{0, 65535, 1, inf}, "u32"},
+		{"2^32-2 is the last u32 code", []float64{0, 1<<32 - 2, 1, inf}, "u32"},
+		// 2^32-1 needs 32 mantissa bits, so float32 cannot take it either.
+		{"2^32-1 is the u32 sentinel", []float64{0, 1<<32 - 1, 1, inf}, "f64"},
+		{"2^32 is float32-exact", []float64{0, 1 << 32, 1, inf}, "f32"},
+		{"past float32 range", []float64{0, 1e300, 1.5, inf}, "f64"},
+		{"float64 subnormals", []float64{0, 5e-324, 1e-323, inf}, "u16"}, // k·5e-324 is exact
+		{"a float32 subnormal", []float64{0, 0x1p-149, 1.5, 0.3}, "f64"},
+		{"negative zero", []float64{0, math.Copysign(0, -1), 1, inf}, "f64"},
+		{"negative zero among halves", []float64{0, math.Copysign(0, -1), 0.5, 1.5}, "f64"},
+		{"NaN", []float64{0, math.NaN(), 1, inf}, "f64"},
+		{"a negative distance", []float64{0, -3, 1, inf}, "f32"},
+		{"-Inf", []float64{0, math.Inf(-1), 1, inf}, "f32"},
+	} {
+		s := narrow(distOf(tc.vals, 2))
+		if s.kindName() != tc.kind {
+			t.Errorf("%s: stored as %s, want %s", tc.name, s.kindName(), tc.kind)
+		}
+		for i, v := range tc.vals {
+			if !sameBits(s.at(i), v) {
+				t.Errorf("%s: entry %d reads %v, want %v bit-exactly", tc.name, i, s.at(i), v)
+			}
+		}
+	}
+}
+
+// recordingRepairer wraps testRepairer and keeps a copy of the matrix
+// each repair returned, so a test can hold the oracle built from it
+// against the repair's own bits.
+func recordingRepairer(last **semiring.Matrix) RepairFunc {
+	repair := testRepairer()
+	return func(g *graph.Graph, prevDist apsp.RowFunc, prevNext *apsp.Successors, edits []apsp.EdgeEdit) (*apsp.PathResult, *graph.Graph, apsp.RepairStats, error) {
+		res, g2, st, err := repair(g, prevDist, prevNext, edits)
+		if err == nil {
+			*last = res.Dist.Clone()
+		}
+		return res, g2, st, err
+	}
+}
+
+// TestReweightRenarrows: a repaired result is narrowed from scratch, so
+// an edit that breaks the old kind's proof lands in a wider kind and an
+// edit that restores it lands back — with Stats.Bytes following.
+func TestReweightRenarrows(t *testing.T) {
+	const n = 36
+	var repaired *semiring.Matrix
+	r := NewRegistry(Config{Solve: succSolve, Repair: recordingRepairer(&repaired)})
+	g := intGraph(77, n)
+	o, err := r.Get(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kind := o.dist.kindName(); kind != "u16" {
+		t.Fatalf("integer graph stored as %s, want u16", kind)
+	}
+	r.checkAccounting(t)
+	if st := r.Stats(); st.Bytes != 4*n*n || !reflect.DeepEqual(st.StoreKinds, map[string]int{"u16": 1}) {
+		t.Fatalf("stats = %+v, want one u16 entry of %d bytes", st, 4*n*n)
+	}
+
+	e := g.Edges()[0]
+	check := func(o *Oracle, g2 *graph.Graph, exact bool) {
+		t.Helper()
+		fresh := apsp.FloydWarshallPaths(g2)
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				d, err := o.Dist(u, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(d, repaired.At(u, v)) {
+					t.Fatalf("Dist(%d,%d) = %v, the repair returned %v", u, v, d, repaired.At(u, v))
+				}
+				// Sums through the 0.1 edge round differently in different
+				// orders; integer sums do not round at all.
+				if want := fresh.Dist.At(u, v); exact && !sameBits(d, want) || math.Abs(d-want) > 1e-9 {
+					t.Fatalf("Dist(%d,%d) = %v, a fresh solve says %v", u, v, d, want)
+				}
+				path, err := o.Path(u, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w := apsp.PathWeight(g2, path); math.Abs(w-d) > 1e-9 {
+					t.Fatalf("Path(%d,%d) weighs %v, distance %v", u, v, w, d)
+				}
+			}
+		}
+	}
+
+	fp1, o1, _, err := r.Reweight(FingerprintOf(g), []apsp.EdgeEdit{{U: e.U, V: e.V, W: 0.1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kind := o1.dist.kindName(); kind != "f64" {
+		t.Fatalf("after an edit to 0.1 the store is %s, want f64", kind)
+	}
+	r.checkAccounting(t)
+	if st := r.Stats(); st.Bytes != 10*n*n || !reflect.DeepEqual(st.StoreKinds, map[string]int{"f64": 1}) {
+		t.Fatalf("stats = %+v, want one f64 entry of %d bytes", st, 10*n*n)
+	}
+	g1, err := apsp.ApplyEdits(g, []apsp.EdgeEdit{{U: e.U, V: e.V, W: 0.1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(o1, g1, false)
+
+	fp2, o2, _, err := r.Reweight(fp1, []apsp.EdgeEdit{{U: e.U, V: e.V, W: e.W}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp2 != FingerprintOf(g) {
+		t.Error("undoing the edit did not restore the original fingerprint")
+	}
+	if kind := o2.dist.kindName(); kind != "u16" {
+		t.Fatalf("after undoing the edit the store is %s, want u16", kind)
+	}
+	r.checkAccounting(t)
+	if st := r.Stats(); st.Bytes != 4*n*n || !reflect.DeepEqual(st.StoreKinds, map[string]int{"u16": 1}) {
+		t.Fatalf("stats = %+v, want one u16 entry of %d bytes", st, 4*n*n)
+	}
+	check(o2, g, true)
+}
+
+// checkAccounting recomputes the registry's byte totals from its
+// entries and holds them against the running counters Stats reports:
+// every solved entry sits on exactly the LRU of its tier, and each
+// tier's total is the sum of its entries' MemoryBytes.
+func (r *Registry) checkAccounting(t *testing.T) {
+	t.Helper()
+	st := r.Stats()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var hot, demoted int64
+	var nHot, nDemoted int
+	for fp, e := range r.entries {
+		if e.fp != fp {
+			t.Errorf("entry %s filed under %s", e.fp, fp)
+		}
+		switch {
+		case e.oracle == nil:
+			if e.elem != nil {
+				t.Errorf("entry %s has no oracle but sits on an LRU", fp)
+			}
+		case e.oracle.succ != nil:
+			hot += e.oracle.MemoryBytes()
+			nHot++
+		default:
+			demoted += e.oracle.MemoryBytes()
+			nDemoted++
+		}
+	}
+	// Each LRU holds exactly its tier's entries, so none is on both.
+	for _, tier := range []struct {
+		name string
+		lru  *list.List
+		want int
+		hot  bool
+	}{{"hot", r.lru, nHot, true}, {"demoted", r.clru, nDemoted, false}} {
+		if tier.lru.Len() != tier.want {
+			t.Errorf("%s LRU holds %d entries, the map has %d in that tier", tier.name, tier.lru.Len(), tier.want)
+		}
+		for el := tier.lru.Front(); el != nil; el = el.Next() {
+			e := el.Value.(*entry)
+			if e.elem != el || e.oracle == nil || (e.oracle.succ != nil) != tier.hot || r.entries[e.fp] != e {
+				t.Errorf("%s LRU holds entry %s, which does not belong there", tier.name, e.fp)
+			}
+		}
+	}
+	if st.Bytes != hot || st.CompressedBytes != demoted || st.CompressedEntries != nDemoted {
+		t.Errorf("Stats reports %d hot / %d demoted bytes in %d demoted entries; entries sum to %d / %d in %d",
+			st.Bytes, st.CompressedBytes, st.CompressedEntries, hot, demoted, nDemoted)
+	}
+}
+
+// TestRegistryAccounting walks one registry through every tier
+// transition — get, overflow, demote, promote, reweight of a hot entry,
+// reweight of a demoted one, demoted-tier eviction, and an oracle
+// larger than the whole hot budget — recomputing the byte accounting
+// from the entries after each step.
+func TestRegistryAccounting(t *testing.T) {
+	const n, big = 24, 40
+	const hot, demoted = 4 * n * n, 2 * n * n
+	r := NewRegistry(Config{
+		Solve:            succSolve,
+		Repair:           testRepairer(),
+		MemoryBudget:     2*hot + 1,       // two n-vertex oracles
+		CompressedBudget: 3*demoted + 200, // three of them demoted, or the big one alone
+	})
+	g := make([]*graph.Graph, 6)
+	for i := range g {
+		g[i] = intGraph(int64(500+i), n)
+	}
+	step := func(what string, want Stats) {
+		t.Helper()
+		r.checkAccounting(t)
+		got := r.Stats()
+		if got.Bytes != want.Bytes || got.CompressedBytes != want.CompressedBytes ||
+			got.Demotions != want.Demotions || got.Promotions != want.Promotions || got.Evictions != want.Evictions {
+			t.Fatalf("after %s: bytes %d/%d demotions %d promotions %d evictions %d, want %d/%d %d %d %d", what,
+				got.Bytes, got.CompressedBytes, got.Demotions, got.Promotions, got.Evictions,
+				want.Bytes, want.CompressedBytes, want.Demotions, want.Promotions, want.Evictions)
+		}
+	}
+	get := func(g *graph.Graph) {
+		t.Helper()
+		o, err := r.Get(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := apsp.FloydWarshallPaths(g)
+		for v := 0; v < g.N(); v++ {
+			if d, _ := o.Dist(0, v); !sameBits(d, want.Dist.At(0, v)) {
+				t.Fatalf("Dist(0,%d) = %v, want %v", v, d, want.Dist.At(0, v))
+			}
+			if p, _ := o.Path(0, v); apsp.PathWeight(g, p) != want.Dist.At(0, v) {
+				t.Fatalf("Path(0,%d) = %v does not weigh %v", v, p, want.Dist.At(0, v))
+			}
+		}
+	}
+	bump := func(g *graph.Graph) (Fingerprint, *graph.Graph) {
+		t.Helper()
+		e := g.Edges()[0]
+		edits := []apsp.EdgeEdit{{U: e.U, V: e.V, W: e.W + 2}}
+		fp, _, _, err := r.Reweight(FingerprintOf(g), edits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g2, err := apsp.ApplyEdits(g, edits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp != FingerprintOf(g2) || r.Has(FingerprintOf(g)) {
+			t.Fatal("reweight did not swap the fingerprint")
+		}
+		return fp, g2
+	}
+
+	get(g[0])
+	get(g[1])
+	step("two gets", Stats{Bytes: 2 * hot})
+	get(g[2]) // overflow: g0 loses its successors
+	step("overflow", Stats{Bytes: 2 * hot, CompressedBytes: demoted, Demotions: 1})
+	get(g[0]) // promote g0, demote g1
+	step("promotion", Stats{Bytes: 2 * hot, CompressedBytes: demoted, Demotions: 2, Promotions: 1})
+	_, g0 := bump(g[0]) // hot entry: swap in place
+	step("reweight of a hot entry", Stats{Bytes: 2 * hot, CompressedBytes: demoted, Demotions: 2, Promotions: 1})
+	_, g1 := bump(g[1]) // demoted entry: promoted (g2 demoted), repaired, old fingerprint gone from both tiers
+	step("reweight of a demoted entry", Stats{Bytes: 2 * hot, CompressedBytes: demoted, Demotions: 3, Promotions: 2})
+	get(g0)
+	get(g1)
+	step("re-reading the reweighted graphs", Stats{Bytes: 2 * hot, CompressedBytes: demoted, Demotions: 3, Promotions: 2})
+	get(g[3])
+	get(g[4])
+	step("filling the demoted tier", Stats{Bytes: 2 * hot, CompressedBytes: 3 * demoted, Demotions: 5, Promotions: 2})
+	get(g[5]) // a fourth demoted entry does not fit: the oldest is dropped
+	step("demoted-tier eviction", Stats{Bytes: 2 * hot, CompressedBytes: 3 * demoted, Demotions: 6, Promotions: 2, Evictions: 1})
+
+	// An oracle larger than the whole hot budget: the LRU empties the hot
+	// tier trying to make room, then demotes the newcomer too, and its
+	// store alone displaces every smaller demoted entry.
+	huge := intGraph(600, big)
+	if 4*big*big <= 2*hot+1 || 2*big*big > 3*demoted+200 {
+		t.Fatal("test sizes: the big oracle must exceed the hot budget and fit the demoted one")
+	}
+	get(huge)
+	step("an oversized oracle", Stats{CompressedBytes: 2 * big * big, Demotions: 9, Promotions: 2, Evictions: 6})
+	get(huge) // promoted for the access, re-demoted at once
+	step("re-reading the oversized oracle", Stats{CompressedBytes: 2 * big * big, Demotions: 10, Promotions: 3, Evictions: 6})
+}
+
+// TestHeldOracleSurvivesTierChurn: queriers hammer BatchPath on an
+// oracle obtained from Lookup while another goroutine drives the entry
+// through demote / promote / reweight cycles. Transitions install
+// siblings and never touch an oracle a query may hold, so the held one
+// keeps answering exactly, and whatever the registry serves under the
+// same fingerprint in the meantime is correct too. Run under -race.
+func TestHeldOracleSurvivesTierChurn(t *testing.T) {
+	const n, queriers, cycles = 24, 4, 25
+	r := NewRegistry(Config{
+		Solve:            succSolve,
+		Repair:           testRepairer(),
+		MemoryBudget:     4*n*n + 1, // one oracle: every Get of the other graph demotes
+		CompressedBudget: 1 << 20,
+	})
+	a, b := intGraph(41, n), intGraph(42, n)
+	fpA := FingerprintOf(a)
+	if _, err := r.Get(a); err != nil {
+		t.Fatal(err)
+	}
+	want, err := succSolve(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := make([][2]int, 0, n*n)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			pairs = append(pairs, [2]int{u, v})
+		}
+	}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, queriers)
+	for q := 0; q < queriers; q++ {
+		// Taken before the churn starts: mid-churn the fingerprint is
+		// briefly absent, and an oracle that went through an edit and its
+		// undo may break ties between equal paths differently.
+		held, ok, err := r.Lookup(fpA)
+		if err != nil || !ok {
+			t.Fatalf("initial lookup = (%v, %v)", ok, err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				paths, err := held.BatchPath(pairs)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i, p := range pairs {
+					if !reflect.DeepEqual(paths[i], want.Path(p[0], p[1])) {
+						errs <- fmt.Errorf("held oracle: Path%v = %v, want %v", p, paths[i], want.Path(p[0], p[1]))
+						return
+					}
+				}
+				// The fingerprint is the graph's content, so anything served
+				// under it mid-churn must answer for the same graph (it is
+				// briefly absent while the edit is applied).
+				cur, ok, err := r.Lookup(fpA)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !ok {
+					continue
+				}
+				dists, err := cur.BatchDist(pairs)
+				if err != nil {
+					errs <- err
+					return
+				}
+				paths, err = cur.BatchPath(pairs)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i, p := range pairs {
+					ref := want.Dist.At(p[0], p[1])
+					if !sameBits(dists[i], ref) || apsp.PathWeight(a, paths[i]) != ref {
+						errs <- fmt.Errorf("looked-up oracle: pair %v = %v via %v, want %v", p, dists[i], paths[i], ref)
+						return
+					}
+				}
+			}
+		}()
+	}
+
+	e := a.Edges()[0]
+	fp := fpA
+	for c := 0; c < cycles && len(errs) == 0; c++ {
+		if _, err := r.Get(b); err != nil { // demotes a
+			t.Fatal(err)
+		}
+		if _, err := r.Get(a); err != nil { // promotes it again
+			t.Fatal(err)
+		}
+		for _, w := range []float64{e.W + 3, e.W} { // edit, then undo
+			if fp, _, _, err = r.Reweight(fp, []apsp.EdgeEdit{{U: e.U, V: e.V, W: w}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if fp != fpA {
+			t.Fatal("undoing the edit did not restore the fingerprint")
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	r.checkAccounting(t)
+	if st := r.Stats(); st.Demotions == 0 || st.Promotions == 0 || st.Reweights != 2*cycles {
+		t.Errorf("stats = %+v, want demotions, promotions and %d reweights", st, 2*cycles)
+	}
+}
+
+// pathSolve solves a path graph 0–1–…–(n−1) in O(n²) from prefix sums,
+// so the heap test can afford n = 512 under the race detector.
+func pathSolve(g *graph.Graph) (*apsp.PathResult, error) {
+	n := g.N()
+	prefix := make([]float64, n)
+	for v := 1; v < n; v++ {
+		w, _ := g.HasEdge(v-1, v)
+		prefix[v] = prefix[v-1] + w
+	}
+	d := make([]float64, n*n)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			d[u*n+v] = math.Abs(prefix[v] - prefix[u])
+		}
+	}
+	return apsp.SuccessorsFromDist(g, semiring.FromSlice(n, n, d))
+}
+
+// TestMemoryBytesMatchesHeap holds the counter behind
+// oracle_bytes_per_pair against the allocator: after K oracles are
+// loaded through a registry and every other reference is dropped, the
+// live heap must have grown by Σ MemoryBytes, within 15 %. It fails if
+// FromResult keeps the solver's float64 matrix alive beside a narrow
+// store, or copies it for the f64 kind.
+func TestMemoryBytesMatchesHeap(t *testing.T) {
+	const k, n = 8, 512
+	for _, tc := range []struct {
+		kind         string
+		bytesPerPair int64
+		weight       func(rng *rand.Rand) float64
+	}{
+		{"u16", 4, func(rng *rand.Rand) float64 { return float64(1 + rng.Intn(9)) }},
+		{"f64", 10, func(rng *rand.Rand) float64 { return 0.5 + 9.5*rng.Float64() }},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(9))
+			graphs := make([]*graph.Graph, k) // allocated before the baseline: the registry retains these very objects
+			for i := range graphs {
+				graphs[i] = graph.Path(n, func(u, v int) float64 { return tc.weight(rng) })
+			}
+			r := NewRegistry(Config{Solve: pathSolve})
+			heap := func() int64 {
+				runtime.GC()
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				return int64(ms.HeapAlloc)
+			}
+			before := heap()
+			for _, g := range graphs {
+				if _, err := r.Get(g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			grew := heap() - before
+			st := r.Stats()
+			if want := k * tc.bytesPerPair * n * n; st.Bytes != want || st.StoreKinds[tc.kind] != k {
+				t.Fatalf("registry holds %d bytes in kinds %v, want %d bytes in %d %s entries", st.Bytes, st.StoreKinds, want, k, tc.kind)
+			}
+			if diff := grew - st.Bytes; diff < -st.Bytes*15/100 || diff > st.Bytes*15/100 {
+				t.Errorf("live heap grew by %d bytes for %d bytes of MemoryBytes (%+.1f %%), want within 15 %%",
+					grew, st.Bytes, 100*float64(diff)/float64(st.Bytes))
+			}
+			runtime.KeepAlive(r)
+		})
+	}
+}

@@ -1,6 +1,8 @@
 package oracle
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"sparseapsp/internal/semiring"
@@ -36,6 +38,82 @@ func FuzzDecompressMalformed(f *testing.F) {
 		}
 		if _, n, err := CompressedInfo(data); err != nil || n != m.Rows {
 			t.Fatalf("CompressedInfo disagrees with DecompressDist: n=%d err=%v vs rows=%d", n, err, m.Rows)
+		}
+	})
+}
+
+// fuzzValue turns 9 input bytes into one matrix entry: the first picks
+// a family the proofs have an edge in, the other eight pick within it.
+func fuzzValue(b []byte) float64 {
+	x := binary.LittleEndian.Uint64(b[1:])
+	switch b[0] % 10 {
+	case 0:
+		return float64(x % 10) // small integers: the u16 fast path
+	case 1:
+		return float64(65530 + x%10) // straddles the last u16 code, 65534
+	case 2:
+		return float64(1<<32 - 6 + x%10) // straddles the last u32 code, 2^32−2
+	case 3:
+		return 0.5 * float64(x%40) // half-integers: a scale other than 1
+	case 4:
+		return float64(math.Float32frombits(uint32(x))) // float32-exact, incl. float32 NaNs and subnormals
+	case 5:
+		return math.MaxFloat32 * (0.5 + float64(x%4)) // straddles float32 range
+	case 6:
+		return math.Copysign(0, -1)
+	case 7:
+		return math.Float64frombits(x>>12 | 1) // float64 subnormals
+	case 8:
+		return semiring.Inf
+	default:
+		return math.Float64frombits(x) // anything, NaNs with payloads included
+	}
+}
+
+// FuzzNarrowRoundTrip builds small matrices out of the values the
+// narrowing proofs are most likely to get wrong and requires the store
+// to read back, serialise and deserialise every entry bit for bit,
+// whichever kind it chose — and to choose f64 whenever the matrix holds
+// a NaN or a −0.
+func FuzzNarrowRoundTrip(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{1, 4, 0, 0, 0, 0, 0, 0, 0, 1, 5, 0, 0, 0, 0, 0, 0, 0, 2, 4, 0, 0, 0, 0, 0, 0, 0, 2, 5, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{3, 1, 0, 0, 0, 0, 0, 0, 0, 3, 7, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{4, 0, 0, 0xc0, 0x7f, 0, 0, 0, 0, 5, 3, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 9, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := 1
+		for (n+1)*(n+1)*9 <= len(data) && n < 6 {
+			n++
+		}
+		if len(data) < 9 {
+			n = 0
+		}
+		orig := make([]float64, n*n)
+		special := false
+		for i := range orig {
+			orig[i] = fuzzValue(data[9*i:])
+			special = special || orig[i] != orig[i] || (orig[i] == 0 && math.Signbit(orig[i]))
+		}
+		s := narrow(semiring.FromSlice(n, n, append([]float64(nil), orig...)))
+		if special && s.kind != tierF64 {
+			t.Fatalf("a matrix holding NaN or −0 was stored as %s: %v", s.kindName(), orig)
+		}
+		back, err := decodeStore(s.encode())
+		if err != nil {
+			t.Fatalf("%s store does not decode: %v", s.kindName(), err)
+		}
+		buf := make([]float64, n)
+		for i, want := range orig {
+			bits := math.Float64bits(want)
+			if got := s.at(i); math.Float64bits(got) != bits {
+				t.Fatalf("%s store reads entry %d as %v, want %v", s.kindName(), i, got, want)
+			}
+			if got := s.row(i/n, buf)[i%n]; math.Float64bits(got) != bits {
+				t.Fatalf("%s store widens entry %d to %v, want %v", s.kindName(), i, got, want)
+			}
+			if got := back.at(i); back.kind != s.kind || math.Float64bits(got) != bits {
+				t.Fatalf("%s store deserialises entry %d as %v (%s), want %v", s.kindName(), i, got, back.kindName(), want)
+			}
 		}
 	})
 }

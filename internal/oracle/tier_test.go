@@ -24,8 +24,8 @@ func succSolve(g *graph.Graph) (*apsp.PathResult, error) {
 }
 
 // tierWorkloads builds the five standard graph families with small
-// integer weights, so every distance is a small integer and the codec
-// must land in the u16 tier.
+// integer weights, so every distance is a small integer and the store
+// must land in the u16 kind.
 func tierWorkloads(n int) map[string]*graph.Graph {
 	rng := rand.New(rand.NewSource(11))
 	w := func(u, v int) float64 { return float64(rng.Intn(9) + 1) }
@@ -88,8 +88,9 @@ func TestCompressDistKinds(t *testing.T) {
 }
 
 // TestCompressDistGraphFamilies runs the codec over real solved
-// distance matrices: integer-weight graphs must land in u16 (the ≥4x
-// retention claim needs ≤ 3 bytes/pair) and decode bit-identically.
+// distance matrices: integer-weight graphs must land in u16 and decode
+// bit-identically, which is what puts an oracle at 4 bytes/pair hot
+// (uint16 distances + uint16 successors) and 2 demoted or serialised.
 func TestCompressDistGraphFamilies(t *testing.T) {
 	for name, g := range tierWorkloads(40) {
 		res, err := succSolve(g)
@@ -113,15 +114,18 @@ func TestCompressDistGraphFamilies(t *testing.T) {
 				t.Fatalf("%s: value %d decoded to %v, want %v bit-exactly", name, i, got.V[i], v)
 			}
 		}
-		if ratio := float64(res.MemoryBytes()) / float64(len(blob)); ratio < 4 {
-			t.Errorf("%s: compression ratio %.2f vs hot tier, want >= 4", name, ratio)
+		o, pairs := FromResult(res, nil), int64(g.N()*g.N())
+		if hot, demoted := o.MemoryBytes(), o.withSuccessors(nil).MemoryBytes(); hot != 4*pairs || demoted != 2*pairs {
+			t.Errorf("%s: oracle holds %d bytes hot, %d demoted, want %d and %d", name, hot, demoted, 4*pairs, 2*pairs)
+		}
+		if got, want := int64(len(blob)), tierHeaderLen+2*pairs; got != want {
+			t.Errorf("%s: serialised to %d bytes, want %d", name, got, want)
 		}
 	}
 }
 
-// TestDecompressMalformed drives the tier decoder over truncations and
-// header corruptions: decode-or-error, never panic (the registry fails
-// closed on a bad blob by re-solving).
+// TestDecompressMalformed drives the store decoder over truncations and
+// header corruptions: decode-or-error, never panic.
 func TestDecompressMalformed(t *testing.T) {
 	blob := CompressDist(distOf([]float64{0, 2, 5, semiring.Inf}, 2))
 	for cut := 0; cut < len(blob); cut++ {
@@ -165,7 +169,7 @@ func TestRegistryTierTransitions(t *testing.T) {
 			solves.Add(1)
 			return succSolve(g)
 		},
-		MemoryBudget:     12*n*n + 1, // exactly one 40-vertex oracle
+		MemoryBudget:     4*n*n + 1, // exactly one 40-vertex u16 oracle
 		CompressedBudget: 1 << 20,
 	})
 
@@ -206,7 +210,7 @@ func TestRegistryTierTransitions(t *testing.T) {
 							round, name, u, v, d, ref.Dist.At(u, v))
 					}
 					// Every pair, not a sample: promotion re-extracts the
-					// whole successor table from the decoded distances.
+					// whole successor table from the widened store.
 					path, err := o.Path(u, v)
 					if err != nil {
 						t.Fatal(err)
@@ -228,14 +232,14 @@ func TestRegistryTierTransitions(t *testing.T) {
 
 // TestRegistryReweightInvalidatesBothTiers: Reweight of a *demoted*
 // entry must promote it, repair it, and leave the old fingerprint in
-// neither tier — a stale compressed blob serving the old weights would
-// be a correctness bug, not a memory bug.
+// neither tier — a stale demoted store serving the old weights would be
+// a correctness bug, not a memory bug.
 func TestRegistryReweightInvalidatesBothTiers(t *testing.T) {
 	g1, g2 := intGraph(21, 40), intGraph(22, 40)
 	r := NewRegistry(Config{
 		Solve:            fwSolve,
 		Repair:           testRepairer(),
-		MemoryBudget:     12*40*40 + 1,
+		MemoryBudget:     4*40*40 + 1,
 		CompressedBudget: 1 << 20,
 	})
 	fp1 := FingerprintOf(g1)
@@ -279,12 +283,7 @@ func TestRegistryReweightInvalidatesBothTiers(t *testing.T) {
 		}
 	}
 
-	// The registry-wide accounting must still balance: bytes in each
-	// tier are consistent with the entries actually present.
-	st := r.Stats()
-	if st.CompressedEntries == 0 && st.CompressedBytes != 0 {
-		t.Errorf("stats = %+v: compressed bytes with no compressed entries", st)
-	}
+	r.checkAccounting(t)
 }
 
 // TestRegistryConcurrentTierChurn hammers a registry whose hot tier
@@ -297,7 +296,7 @@ func TestRegistryConcurrentTierChurn(t *testing.T) {
 	var solves atomic.Int64
 	r := NewRegistry(Config{
 		Solve:            countingSolver(&solves, 0),
-		MemoryBudget:     12*n*n + 1,
+		MemoryBudget:     4*n*n + 1,
 		CompressedBudget: 1 << 20,
 	})
 	gs := make([]*graph.Graph, graphs)

@@ -101,6 +101,17 @@ func (p *Pool) ForEach(n int, f func(i int)) {
 	wg.Wait()
 }
 
+// ForRanges splits [0, n) into contiguous ranges — a few per worker, so
+// uneven ones balance — and runs f(lo, hi) over them like ForEach. f
+// must be safe to call concurrently for disjoint ranges.
+func (p *Pool) ForRanges(n int, f func(lo, hi int)) {
+	ranges := 4 * p.Size()
+	if ranges > n {
+		ranges = n
+	}
+	p.ForEach(ranges, func(r int) { f(r*n/ranges, (r+1)*n/ranges) })
+}
+
 // Drive runs worker(i) for every i in [0, n), at most Size() at a
 // time, on dedicated goroutines plus the caller — never on the pool's
 // job workers. It exists for long-lived worker loops (the dataflow

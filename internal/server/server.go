@@ -421,15 +421,20 @@ type RegistrySnapshot struct {
 	Entries        int   `json:"entries"`
 	Bytes          int64 `json:"bytes"`
 	BudgetBytes    int64 `json:"budget_bytes"`
-	// Tiered-memory counters: demotions re-encode an LRU-evicted
-	// oracle into the compressed tier (losslessly quantized distances),
-	// promotions decode one back on access; compressed_* describe that
-	// tier's occupancy. All zero when the tier is disabled.
+	// Tiered-memory counters: a demotion drops an LRU-evicted oracle's
+	// successor table (its distance store stays, at its proven width), a
+	// promotion rebuilds the table on access; compressed_* describe the
+	// demoted entries' occupancy. All zero when demotion is disabled.
 	Demotions             int64 `json:"demotions"`
 	Promotions            int64 `json:"promotions"`
 	CompressedEntries     int   `json:"compressed_entries"`
 	CompressedBytes       int64 `json:"compressed_bytes"`
 	CompressedBudgetBytes int64 `json:"compressed_budget_bytes"`
+	// store_kinds counts resident entries (hot and demoted) by the width
+	// their distances proved lossless at: u16 / u32 / f32 / f64. A
+	// backend at 10 bytes/pair instead of 4 shows up here as f64 entries
+	// — graphs with non-integer weights.
+	StoreKinds map[string]int `json:"store_kinds,omitempty"`
 
 	SolveMs         float64 `json:"solve_ms"`
 	QueriesServed   int64   `json:"queries_served"`
@@ -485,6 +490,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) error {
 			CompressedEntries:     st.CompressedEntries,
 			CompressedBytes:       st.CompressedBytes,
 			CompressedBudgetBytes: st.CompressedBudgetBytes,
+			StoreKinds:            st.StoreKinds,
 
 			SolveMs:         float64(st.SolveNanos) / 1e6,
 			QueriesServed:   st.QueriesServed,

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -187,6 +188,11 @@ func TestServerLoadJSONAndUnreachable(t *testing.T) {
 	if qr.Paths[1] != nil {
 		t.Errorf("unreachable path = %v, want null", qr.Paths[1])
 	}
+	// 2.5 and 3.5 are no integer multiple of anything the quantizer
+	// tries, but every distance is float32-exact.
+	if kinds := getStats(t, ts.URL).Registry.StoreKinds; !reflect.DeepEqual(kinds, map[string]int{"f32": 1}) {
+		t.Errorf("store_kinds = %v, want one f32 entry", kinds)
+	}
 }
 
 func TestServerErrorPaths(t *testing.T) {
@@ -251,8 +257,10 @@ func TestServerQueryOutOfRangePair(t *testing.T) {
 // TestServerEviction: a tiny budget forces the registry to drop the
 // least recently used graph, visible through /statsz.
 func TestServerEviction(t *testing.T) {
-	// One 16-vertex FW result is 16*16*(8+4) = 3072 bytes; fit two.
-	ts, _ := newTestServer(t, 2*3072)
+	// /generate draws real-valued weights, so each 16-vertex oracle holds
+	// float64 distances and uint16 successors: 16*16*(8+2) = 2560 bytes;
+	// fit two.
+	ts, _ := newTestServer(t, 2*2560)
 	var a, b, c GraphInfo
 	postJSON(t, ts.URL+"/generate", GenerateRequest{Kind: "grid", N: 16, Seed: 1}, &a)
 	postJSON(t, ts.URL+"/generate", GenerateRequest{Kind: "grid", N: 16, Seed: 2}, &b)
@@ -261,8 +269,11 @@ func TestServerEviction(t *testing.T) {
 	if st.Registry.Evictions != 1 || st.Registry.Entries != 2 {
 		t.Errorf("evictions=%d entries=%d, want 1 and 2", st.Registry.Evictions, st.Registry.Entries)
 	}
-	if st.Registry.Bytes > 2*3072 {
-		t.Errorf("retained %d bytes over budget", st.Registry.Bytes)
+	if st.Registry.Bytes != 2*2560 {
+		t.Errorf("retained %d bytes, want two oracles at 10 bytes/pair = %d", st.Registry.Bytes, 2*2560)
+	}
+	if !reflect.DeepEqual(st.Registry.StoreKinds, map[string]int{"f64": 2}) {
+		t.Errorf("store_kinds = %v, want the two resident entries under f64", st.Registry.StoreKinds)
 	}
 	// The oldest graph must 404 now; the newer ones still answer.
 	if resp := postJSON(t, ts.URL+"/query", QueryRequest{Graph: a.Graph, Pairs: [][2]int{{0, 1}}}, nil); resp.StatusCode != http.StatusNotFound {
