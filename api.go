@@ -160,36 +160,9 @@ type Options struct {
 	// baseline). Distances are bit-identical in both; only measured
 	// costs differ.
 	Wire WireFormat
-	// Executor selects the sparse solver's plan execution engine:
-	// ExecDataflow (default — the lowered dependency graph on a
-	// bounded worker pool) or ExecMachine (the simulated machine, one
-	// goroutine per rank). Distances and cost reports are
-	// bit-identical either way; only host wall-clock differs.
-	Executor Executor
-	// Schedule selects the dataflow executor's scheduling policy:
-	// ScheduleCritical (default — critical-path priorities on per-worker
-	// heaps with work stealing) or ScheduleFIFO (the unordered ready
-	// queue; the ablation baseline). Distances and cost reports are
-	// bit-identical either way; only host wall-clock differs. Ignored by
-	// ExecMachine.
-	Schedule Schedule
-	// Fuse toggles the dataflow executor's node fusion: FuseOn (default
-	// — consecutive panel-update steps run as one fused kernel call and
-	// rank-local relay chains coalesce into single scheduler nodes) or
-	// FuseOff (one scheduler node per plan op; the ablation baseline).
-	// Bit-identical results either way. Ignored by ExecMachine.
-	Fuse Fuse
-	// ExecWorkers fixes the dataflow executor's worker count; 0 (the
-	// default) sizes it automatically from the host. Ignored by
-	// ExecMachine.
+	// ExecWorkers fixes the sparse solver's executor worker count; 0
+	// (the default) sizes it automatically from the host, capped at P.
 	ExecWorkers int
-	// Order selects the vertex ordering applied before the sparse
-	// solve: OrderNatural (default — solve in input order) or OrderRCM
-	// (relabel by reverse Cuthill–McKee first, solve the permuted graph,
-	// and report distances back in the input order). RCM narrows the
-	// bandwidth the nested dissection sees, which can shrink separators
-	// and therefore kernel time and traffic on mesh-like graphs.
-	Order Order
 	// Plans, when non-nil, caches the sparse solver's symbolic plans
 	// (ordering + eTree + fill mask + full op schedule) under a
 	// weights-independent StructureFingerprint: repeated solves on one
@@ -234,71 +207,6 @@ const (
 	// WireDense ships raw dense payloads and skips nothing.
 	WireDense = apsp.WireDense
 )
-
-// Executor selects the sparse solver's plan execution engine; see
-// Options.Executor.
-type Executor = apsp.Executor
-
-const (
-	// ExecDataflow runs frozen plans as a static dependency graph on a
-	// bounded worker pool (the default).
-	ExecDataflow = apsp.ExecDataflow
-	// ExecMachine runs plans on the simulated machine, one goroutine
-	// per rank — the reference executor.
-	ExecMachine = apsp.ExecMachine
-)
-
-// ParseExecutor maps an executor name ("dataflow", "machine"; "" means
-// dataflow) to its Executor value.
-var ParseExecutor = apsp.ParseExecutor
-
-// Schedule selects the dataflow executor's scheduling policy; see
-// Options.Schedule.
-type Schedule = apsp.Schedule
-
-const (
-	// ScheduleCritical orders ready nodes by critical-path priority on
-	// per-worker heaps with work stealing (the default).
-	ScheduleCritical = apsp.ScheduleCritical
-	// ScheduleFIFO uses the unordered ready queue — the ablation
-	// baseline.
-	ScheduleFIFO = apsp.ScheduleFIFO
-)
-
-// ParseSchedule maps a schedule name ("critical", "fifo"; "" means
-// critical) to its Schedule value.
-var ParseSchedule = apsp.ParseSchedule
-
-// Fuse toggles the dataflow executor's node fusion; see Options.Fuse.
-type Fuse = apsp.Fuse
-
-const (
-	// FuseOn fuses panel chains and coalesces rank-local relay runs
-	// (the default).
-	FuseOn = apsp.FuseOn
-	// FuseOff schedules one node per plan op — the ablation baseline.
-	FuseOff = apsp.FuseOff
-)
-
-// ParseFuse maps a fusion setting ("on", "off", "true", "false"; ""
-// means on) to its Fuse value.
-var ParseFuse = apsp.ParseFuse
-
-// Order selects the vertex ordering applied before the sparse solve;
-// see Options.Order.
-type Order = apsp.Order
-
-const (
-	// OrderNatural solves in the input vertex order (the default).
-	OrderNatural = apsp.OrderNatural
-	// OrderRCM relabels by reverse Cuthill–McKee before solving and
-	// maps distances back to the input order.
-	OrderRCM = apsp.OrderRCM
-)
-
-// ParseOrder maps an ordering name ("natural", "rcm"; "" means
-// natural) to its Order value.
-var ParseOrder = apsp.ParseOrder
 
 // EnableProfileLabels toggles runtime/pprof labels (op_kind, phase,
 // level) around the dataflow executor's node execution, so a CPU
@@ -360,7 +268,7 @@ func Solve(g *Graph, opts Options) (*Result, error) {
 		if _, err := apsp.HeightForP(opts.P); err != nil {
 			return nil, invalidSparsePError(opts.P)
 		}
-		r, err := apsp.SparseAPSPWith(g, opts.P, apsp.SparseOptions{Seed: opts.Seed, Kernel: opts.Kernel, Wire: opts.Wire, Executor: opts.Executor, Schedule: opts.Schedule, Fuse: opts.Fuse, ExecWorkers: opts.ExecWorkers, Order: opts.Order, Plans: opts.Plans})
+		r, err := apsp.SparseAPSPWith(g, opts.P, apsp.SparseOptions{Seed: opts.Seed, Kernel: opts.Kernel, Wire: opts.Wire, ExecWorkers: opts.ExecWorkers, Plans: opts.Plans})
 		if err != nil {
 			return nil, err
 		}
@@ -554,7 +462,7 @@ func repairP(opts Options) int {
 // registry has already solved performs no symbolic work.
 func oracleRepairer(opts Options) oracle.RepairFunc {
 	p := repairP(opts)
-	sopts := apsp.SparseOptions{Seed: opts.Seed, Kernel: opts.Kernel, Wire: opts.Wire, Executor: opts.Executor, Schedule: opts.Schedule, Fuse: opts.Fuse, ExecWorkers: opts.ExecWorkers, Order: opts.Order, Plans: opts.Plans}
+	sopts := apsp.SparseOptions{Seed: opts.Seed, Kernel: opts.Kernel, Wire: opts.Wire, ExecWorkers: opts.ExecWorkers, Plans: opts.Plans}
 	return func(g *Graph, prevDist apsp.RowFunc, prevNext *apsp.Successors, edits []EdgeEdit) (*PathResult, *Graph, RepairStats, error) {
 		return apsp.RepairRowsWithOptions(g, prevDist, prevNext, edits, p, sopts, 0)
 	}

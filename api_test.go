@@ -270,7 +270,8 @@ func TestOracleRegistryAccountsWordsMoved(t *testing.T) {
 // on the end-to-end benchmark's own structures (bench/gen.go: integer
 // weights 1..9): the critical-path words and messages BENCHMARK.json
 // gates as comm_words / comm_msgs. The zero value is the demand-pruned
-// wire on both executors, and the dense wire agrees to the bit.
+// wire, and the dense wire agrees to the bit. The machine reference
+// runs these two shapes in internal/apsp's TestExecutorEquality.
 func TestServedWirePinned(t *testing.T) {
 	w := func(seed int64) WeightFn {
 		rng := rand.New(rand.NewSource(seed))
@@ -294,14 +295,12 @@ func TestServedWirePinned(t *testing.T) {
 			t.Errorf("%s: critical words/messages, total messages = %d/%d, %d; want %d/%d, %d",
 				tc.name, r.Critical.Bandwidth, r.Critical.Latency, r.TotalMessages, tc.words, tc.msgs, tc.total)
 		}
-		for _, ex := range []Executor{ExecDataflow, ExecMachine} {
-			got, err := Solve(tc.g, Options{P: tc.p, Seed: 42, Wire: WirePruned, Executor: ex})
-			if err != nil {
-				t.Fatalf("%s/%v: %v", tc.name, ex, err)
-			}
-			if !reflect.DeepEqual(got.Dist, def.Dist) || !reflect.DeepEqual(got.Report, def.Report) {
-				t.Errorf("%s/%v: explicit WirePruned differs from the zero-value solve", tc.name, ex)
-			}
+		got, err := Solve(tc.g, Options{P: tc.p, Seed: 42, Wire: WirePruned})
+		if err != nil {
+			t.Fatalf("%s/pruned: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(got.Dist, def.Dist) || !reflect.DeepEqual(got.Report, def.Report) {
+			t.Errorf("%s: explicit WirePruned differs from the zero-value solve", tc.name)
 		}
 		dense, err := Solve(tc.g, Options{P: tc.p, Seed: 42, Wire: WireDense})
 		if err != nil {

@@ -8,7 +8,7 @@
 //
 //	apspbench -exp all
 //	apspbench -exp table2-latency -sides 16,24,32 -ps 9,49,225
-//	apspbench -exp none -kernel sparse -bench-out BENCH_sparse.json
+//	apspbench -exp comm,store -json tables.json
 package main
 
 import (
@@ -28,29 +28,19 @@ import (
 
 func main() {
 	var (
-		exp          = flag.String("exp", "all", "experiment: all, none, or a comma-separated list of "+strings.Join(experiments, ", "))
-		sides        = flag.String("sides", "16,24,32", "comma-separated 2D grid sides (n = side²)")
-		ps           = flag.String("ps", "9,49,225,961", "comma-separated machine sizes (sparse algorithm needs (2^h-1)²)")
-		seed         = flag.Int64("seed", 42, "nested-dissection seed")
-		cyc          = flag.Int("cyclic", 4, "DC-APSP block-cyclic factor")
-		xn           = flag.Int("crossover-n", 576, "crossover experiment graph size")
-		xp           = flag.Int("crossover-p", 49, "crossover experiment machine size")
-		csv          = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonOut      = flag.String("json", "", "also write all experiment tables as machine-readable JSON to this file")
-		kernel       = flag.String("kernel", "serial", "min-plus kernel for local block arithmetic: serial, tiled, pooled, sparse (results and measured costs are identical; wall-clock only)")
-		wire         = flag.String("wire", "pruned", "sparse-solver payload encoding: pruned (structure-aware demand keep-lists, the default) or dense (ablation baseline)")
-		bench        = flag.String("bench-out", "", "write the perf-row benchmark sweep (family, n, p, kernel, wire, ns/op, words, flops) as JSON to this file")
-		force        = flag.Bool("force", false, "allow -bench-out to overwrite an existing file (committed reference runs are protected by default)")
-		exec         = flag.String("executor", "dataflow", "plan executor for every experiment: dataflow (bounded worker pool, the default) or machine (goroutine per rank); costs are identical, wall-clock differs")
-		schedule     = flag.String("schedule", "critical", "dataflow scheduling policy: critical (critical-path priorities with work stealing, the default) or fifo (unordered ready queue, the ablation baseline); costs are identical, wall-clock differs")
-		fuse         = flag.String("fuse", "on", "dataflow node fusion: on (fused panel chains + coalesced relay runs, the default) or off (one scheduler node per plan op, the ablation baseline); costs are identical, wall-clock differs")
-		execWorkers  = flag.Int("exec-workers", 0, "dataflow executor worker count; 0 = auto (sized from the host, capped at p)")
-		reps         = flag.Int("exec-reps", 5, "timed repetitions per executor in the exec experiment (best-of)")
-		serveN       = flag.Int("serve-n", 256, "serve experiment: grid workload size (n = side²)")
-		serveClients = flag.Int("serve-clients", 16, "serve experiment: concurrent load-generator clients")
-		serveBatches = flag.Int("serve-batches", 150, "serve experiment: query batches per client")
-		serveFleet   = flag.String("serve-fleet", "1,2,4", "serve experiment: comma-separated backend counts to sweep")
-		order        = flag.String("order", "nd", "store experiment: vertex labeling fed to the solver — nd (natural input order) or rcm (Reverse Cuthill–McKee relabeling first)")
+		exp         = flag.String("exp", "all", "experiment: all, or a comma-separated list of "+strings.Join(experiments, ", "))
+		sides       = flag.String("sides", "16,24,32", "comma-separated 2D grid sides (n = side²)")
+		ps          = flag.String("ps", "9,49,225,961", "comma-separated machine sizes (sparse algorithm needs (2^h-1)²)")
+		seed        = flag.Int64("seed", 42, "nested-dissection seed")
+		cyc         = flag.Int("cyclic", 4, "DC-APSP block-cyclic factor")
+		xn          = flag.Int("crossover-n", 576, "crossover experiment graph size")
+		xp          = flag.Int("crossover-p", 49, "crossover experiment machine size")
+		csv         = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		jsonOut     = flag.String("json", "", "also write all experiment tables as machine-readable JSON to this file")
+		kernel      = flag.String("kernel", "serial", "min-plus kernel for local block arithmetic: "+semiring.KernelNames+" (results and measured costs are identical; wall-clock only)")
+		wire        = flag.String("wire", "pruned", "sparse-solver payload encoding: pruned (structure-aware demand keep-lists, the default) or dense (ablation baseline)")
+		execWorkers = flag.Int("exec-workers", 0, "sparse-solver executor worker count; 0 = auto (sized from the host, capped at p)")
+		reps        = flag.Int("exec-reps", 5, "timed repetitions per variant in the reweight experiment (best-of)")
 
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile at exit to this file")
@@ -62,18 +52,6 @@ func main() {
 		fatal(err)
 	}
 	wf, err := apsp.ParseWireFormat(*wire)
-	if err != nil {
-		fatal(err)
-	}
-	ex, err := apsp.ParseExecutor(*exec)
-	if err != nil {
-		fatal(err)
-	}
-	sched, err := apsp.ParseSchedule(*schedule)
-	if err != nil {
-		fatal(err)
-	}
-	fu, err := apsp.ParseFuse(*fuse)
 	if err != nil {
 		fatal(err)
 	}
@@ -121,9 +99,6 @@ func main() {
 		CyclicFactor: *cyc,
 		Kernel:       kern,
 		Wire:         wf,
-		Executor:     ex,
-		Schedule:     sched,
-		Fuse:         fu,
 		ExecWorkers:  *execWorkers,
 	}
 
@@ -183,12 +158,6 @@ func main() {
 		case "plan":
 			t, err := harness.PlanReuse(cfg, *xn, *xp)
 			show(name, t, err)
-		case "exec":
-			t, err := harness.ExecutorComparison(cfg, *reps)
-			show(name, t, err)
-		case "sched":
-			t, err := harness.SchedulerAblation(cfg, *reps)
-			show(name, t, err)
 		case "reweight":
 			t, err := harness.ReweightAblation(cfg, *xn, *xp, *reps)
 			show(name, t, err)
@@ -219,23 +188,12 @@ func main() {
 			}
 			t, err := harness.PerLevel(cfg, side, *xp)
 			show(name, t, err)
-		case "serve":
-			scfg := harness.DefaultServeConfig()
-			scfg.N = *serveN
-			scfg.Clients = *serveClients
-			scfg.Batches = *serveBatches
-			scfg.Fleet = parseInts(*serveFleet)
-			scfg.Seed = *seed
-			t, err := harness.ServeBench(scfg)
-			show(name, t, err)
 		case "store":
-			t, err := harness.StoreBench(cfg, *xn, *xp, *order)
+			t, err := harness.StoreBench(cfg, *xn, *xp)
 			show(name, t, err)
 		case "fig1":
 			t, err := harness.Figure1(*seed)
 			show(name, t, err)
-		case "none":
-			// Run no experiment tables; used with -bench-out alone.
 		default:
 			fatal(fmt.Errorf("unknown experiment %q", name))
 		}
@@ -258,44 +216,18 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d experiment tables to %s\n", len(collected), *jsonOut)
 	}
-	if *bench != "" {
-		// Committed reference runs (BENCH_*.json) must not be clobbered
-		// by a stray rerun; require -force to overwrite.
-		if !*force {
-			if _, err := os.Stat(*bench); err == nil {
-				fatal(fmt.Errorf("-bench-out %s already exists; pass -force to overwrite", *bench))
-			}
-		}
-		fmt.Fprintf(os.Stderr, "running benchmark sweep: kernel=%s wire=%s ...\n", kern, wf)
-		rows, err := harness.PerfSweep(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		f, err := os.Create(*bench)
-		if err != nil {
-			fatal(err)
-		}
-		if err := harness.WritePerfJSON(f, rows); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d benchmark rows to %s\n", len(rows), *bench)
-	}
 }
 
 // experiments lists every -exp name in the order "all" runs them; the
 // first suiteExperiments of them read the shared sweep of
 // harness.NewSuite.
 var experiments = []string{"table2-memory", "table2-bandwidth", "table2-latency", "factors", "lower",
-	"sepcost", "crossover", "comm", "plan", "exec", "sched", "reweight", "opcount", "perlevel",
-	"balance", "weak", "strong", "serve", "store", "fig1"}
+	"sepcost", "crossover", "comm", "plan", "reweight", "opcount", "perlevel",
+	"balance", "weak", "strong", "store", "fig1"}
 
 const suiteExperiments = 5
 
-// resolveExperiments expands the -exp value — "all", "none", or a
+// resolveExperiments expands the -exp value — "all" or a
 // comma-separated list — into the experiments to run, in order, and
 // reports whether any of them needs the suite. An unknown name is an
 // error naming the valid ones, before anything runs.
@@ -307,12 +239,10 @@ func resolveExperiments(exp string) (names []string, needSuite bool, err error) 
 		case "all":
 			names = append(names, experiments...)
 			needSuite = true
-		case "none":
-			names = append(names, name)
 		default:
 			i := slices.Index(experiments, name)
 			if i < 0 {
-				return nil, false, fmt.Errorf("unknown experiment %q (valid: all, none, %s)", name, strings.Join(experiments, ", "))
+				return nil, false, fmt.Errorf("unknown experiment %q (valid: all, %s)", name, strings.Join(experiments, ", "))
 			}
 			names = append(names, name)
 			needSuite = needSuite || i < suiteExperiments

@@ -22,8 +22,7 @@ func TestResolveExperiments(t *testing.T) {
 		{exp: "factors", names: []string{"factors"}, needSuite: true},
 		{exp: "table2-bandwidth,factors", names: []string{"table2-bandwidth", "factors"}, needSuite: true},
 		{exp: "opcount, lower", names: []string{"opcount", "lower"}, needSuite: true},
-		{exp: "none", names: []string{"none"}},
-		{exp: "store,nope", errHas: `unknown experiment "nope" (valid: all, none, table2-memory, `},
+		{exp: "store,nope", errHas: `unknown experiment "nope" (valid: all, table2-memory, `},
 	} {
 		names, needSuite, err := resolveExperiments(tc.exp)
 		if tc.errHas != "" {

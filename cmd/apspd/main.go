@@ -69,15 +69,12 @@ func main() {
 		// serve-mode flags
 		alg      = flag.String("algorithm", "auto", "APSP solver: auto, sparse2d, dc, 2dfw, 1dfw, fw, blockedfw, superfw, superfw-par, johnson")
 		p        = flag.Int("p", 0, "simulated machine size for the distributed solvers (0 = sequential auto)")
-		kernel   = flag.String("kernel", "serial", "min-plus kernel: serial, tiled, pooled")
+		kernel   = flag.String("kernel", "serial", "min-plus kernel: "+semiring.KernelNames)
 		seed     = flag.Int64("seed", 42, "nested-dissection seed")
 		budgetMB = flag.Int64("budget-mb", 0, "oracle cache memory budget in MiB (0 = unlimited)")
 		compMB   = flag.Int64("compressed-budget-mb", 0, "compressed-tier budget in MiB: LRU-evicted oracles demote to losslessly quantized distance blobs and promote back on access (0 = tier disabled, evictions drop)")
 		planDir  = flag.String("plan-dir", "", "persist symbolic plans to this directory: a restarted process reloads them and serves warm solves with zero symbolic rebuilds (empty = memory-only cache)")
-		exec     = flag.String("executor", "dataflow", "plan executor for sparse solves: dataflow (worker pool) or machine (goroutine per rank)")
-		schedule = flag.String("schedule", "critical", "dataflow scheduling policy: critical (critical-path priorities, the default) or fifo (unordered ready queue)")
-		fuse     = flag.String("fuse", "on", "dataflow node fusion: on (fused panel chains + coalesced relay runs, the default) or off (one node per plan op)")
-		workers  = flag.Int("exec-workers", 0, "dataflow executor worker count; 0 = auto (sized from the host, capped at p)")
+		workers  = flag.Int("exec-workers", 0, "sparse-solver executor worker count; 0 = auto (sized from the host, capped at p)")
 		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this extra address (e.g. localhost:6060); empty disables profiling")
 
 		// router-mode flags
@@ -101,18 +98,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		ex, err := sparseapsp.ParseExecutor(*exec)
-		if err != nil {
-			fatal(err)
-		}
-		sched, err := sparseapsp.ParseSchedule(*schedule)
-		if err != nil {
-			fatal(err)
-		}
-		fu, err := sparseapsp.ParseFuse(*fuse)
-		if err != nil {
-			fatal(err)
-		}
 		// 0 means auto; an explicit -exec-workers must name at least one
 		// worker. flag.Visit distinguishes "-exec-workers 0" from the
 		// default.
@@ -126,9 +111,6 @@ func main() {
 			P:           *p,
 			Seed:        *seed,
 			Kernel:      kern,
-			Executor:    ex,
-			Schedule:    sched,
-			Fuse:        fu,
 			ExecWorkers: *workers,
 		}
 		if *planDir != "" {

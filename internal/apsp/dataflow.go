@@ -13,51 +13,50 @@ import (
 	"sparseapsp/internal/semiring"
 )
 
-// The dataflow executor. A Plan freezes the entire communication
-// schedule — every collective's group order, root and tag — so nothing
-// about an Execute needs discovering at run time: the machine
-// executor's p free-running goroutines, cond-var mailboxes and
-// linear-scan message matching only re-derive, expensively, a partial
-// order that is already known. This file lowers the per-rank step
-// lists into that partial order explicitly — a static dependency graph
-// whose micro-nodes are (rank, op) participations and whose edges are
-// each rank's program order plus one edge per point-to-point message
-// hidden inside the collectives — and runs ready nodes on a bounded
-// worker pool (semiring.Pool, GOMAXPROCS-ish workers) instead of p
-// rank goroutines. Message payloads move by direct buffer handoff
-// through preallocated slots; cost accounting becomes deterministic
-// replay on a comm.Replay ledger, advancing each rank's clock in the
-// rank's plan order as its nodes retire.
+// The plan executor. A Plan freezes the entire communication schedule
+// — every collective's group order, root and tag — so nothing about an
+// execute needs discovering at run time: p free-running rank
+// goroutines, cond-var mailboxes and linear-scan message matching (the
+// reference semantics, executeMachine in exec.go) only re-derive,
+// expensively, a partial order that is already known. This file lowers
+// the per-rank step lists into that partial order explicitly — a
+// static dependency graph whose micro-nodes are (rank, op)
+// participations and whose edges are each rank's program order plus
+// one edge per point-to-point message hidden inside the collectives —
+// and runs ready nodes on a bounded worker pool (semiring.Pool,
+// GOMAXPROCS-ish workers) instead of p rank goroutines. Message
+// payloads move by direct buffer handoff through preallocated slots;
+// cost accounting is deterministic replay on a comm.Replay ledger,
+// advancing each rank's clock in the rank's plan order as its nodes
+// retire.
 //
-// Scheduler v2 (see DESIGN.md) adds three lowering/executing upgrades,
-// each ablatable and default-on:
+// There is one lowering and one schedule (decision record:
+// EXPERIMENTS.md E28):
 //
-//   - Coalescing + fusion (SparseOptions.Fuse): consecutive micro-nodes
-//     of one rank are merged into super-nodes whenever the merge
-//     provably cannot create a dependency cycle, shrinking the
-//     scheduled graph (fewer enqueues, atomics and panic fences) while
-//     executing the exact same micro sequence — charged costs and
-//     message counts are untouched. Runs of R2 panel updates inside a
-//     super-node execute through the fused
-//     semiring.Kernel.PanelUpdateMultiScratch, which keeps the
-//     destination block hot across the accumulations.
-//   - Critical-path priorities (SparseOptions.Schedule): every
-//     super-node carries the longest cost path from itself to any sink
-//     (comm.PriorityCost over the same per-op quantities the ledger
-//     charges), computed by a reverse topological sweep at lowering.
-//     The critical schedule replaces the unordered ready channel with
-//     per-worker max-heaps plus stealing, so the most critical ready
-//     node runs first; the fifo schedule keeps the original channel as
-//     the ablation baseline.
+//   - Coalescing + fusion: consecutive micro-nodes of one rank are
+//     merged into super-nodes whenever the merge provably cannot create
+//     a dependency cycle, shrinking the scheduled graph (fewer
+//     enqueues, atomics and panic fences) while executing the exact
+//     same micro sequence — charged costs and message counts are
+//     untouched. Runs of R2 panel updates inside a super-node execute
+//     through the fused semiring.Kernel.PanelUpdateMultiScratch, which
+//     keeps the destination block hot across the accumulations.
+//   - Critical-path priorities: every super-node carries the longest
+//     cost path from itself to any sink (comm.PriorityCost over the
+//     same per-op quantities the ledger charges), computed by a reverse
+//     topological sweep at lowering, and the most critical ready node
+//     runs first. The ready set has two implementations, chosen by the
+//     worker count alone: one worker pops a priority bitmap (no locks,
+//     no atomics); several workers drain per-worker max-heaps with
+//     stealing and a parking lot.
 //
-// The result is bit-identical to the machine executor in distances and
-// in every charged cost, for every schedule × fuse combination. The
-// argument (spelled out in DESIGN.md): both executors issue, per rank,
-// the same sequence of charge operations in the same order — program
-// order is enforced by the next edge (micro order inside a super-node,
-// the next link across them), each receive is wired to the unique
-// (src, tag) message the machine's matching would have picked, and
-// ChargeSend/ChargeRecv reproduce Ctx.Send/Ctx.Recv's
+// The result is bit-identical to the machine reference in distances
+// and in every charged cost. The argument (spelled out in DESIGN.md):
+// both issue, per rank, the same sequence of charge operations in the
+// same order — program order is enforced by the next edge (micro order
+// inside a super-node, the next link across them), each receive is
+// wired to the unique (src, tag) message the machine's matching would
+// have picked, and ChargeSend/ChargeRecv reproduce Ctx.Send/Ctx.Recv's
 // snapshot-then-charge and merge-then-charge rules verbatim. Merging
 // only concatenates one rank's adjacent charge runs without reordering
 // them, so clocks — a deterministic fold over those sequences — agree
@@ -112,8 +111,7 @@ type dfNode struct {
 
 // dfSuper is one scheduled node: a run of count consecutive micro-nodes
 // of one rank (micro ids [first, first+count), contiguous because
-// lowering emits each rank's program in one block). With fusion off
-// every super-node holds exactly one micro-node.
+// lowering emits each rank's program in one block).
 type dfSuper struct {
 	first int32
 	count int32
@@ -143,24 +141,21 @@ type dfProgram struct {
 	prioSid []int32
 }
 
-// dataflow returns the plan's lowered graph for the requested fuse
-// mode, built once per mode and cached. Both lowerings are pure
-// functions of the symbolic schedule, so like the plan itself they are
-// weights-independent and immutable once built.
-func (pl *Plan) dataflow(fuse Fuse) *dfProgram {
-	i := 0
-	if fuse == FuseOff {
-		i = 1
-	}
-	pl.dfOnce[i].Do(func() { pl.df[i] = lowerPlan(pl, fuse == FuseOn) })
-	return pl.df[i]
+// dataflow returns the plan's lowered graph, built on first use and
+// cached: the lowering is a pure function of the symbolic schedule, so
+// like the plan itself it is weights-independent and immutable once
+// built.
+func (pl *Plan) dataflow() *dfProgram {
+	pl.dfOnce.Do(func() { pl.df = lowerPlan(pl) })
+	return pl.df
 }
 
-// DataflowNodes reports the scheduled node count of the plan's lowered
-// graph under the given fuse mode (super-nodes; with fusion off this
-// equals the micro-node count). Exposed for the E24 ablation table.
-func (pl *Plan) DataflowNodes(fuse Fuse) int {
-	return len(pl.dataflow(fuse).supers)
+// DataflowNodes reports the scheduled (super-)node count of the plan's
+// lowered graph. The integer argument is ignored: it is vestigial,
+// kept so the frozen bench/ caller (DataflowNodes(0)) compiles, and is
+// dropped by the benchmark PR of ROADMAP item 1a.
+func (pl *Plan) DataflowNodes(int) int {
+	return len(pl.dataflow().supers)
 }
 
 // dfOpKey identifies one rank's node for one op during lowering, so
@@ -179,7 +174,7 @@ type dfOpKey struct {
 // comm's Bcast, Reduce and ReduceTo; pass 3 computes a topological
 // order; pass 4 merges micro-nodes into super-nodes (fusion +
 // coalescing); pass 5 assigns critical-path priorities.
-func lowerPlan(pl *Plan, fuse bool) *dfProgram {
+func lowerPlan(pl *Plan) *dfProgram {
 	prog := &dfProgram{}
 	lookup := make(map[dfOpKey]int32)
 	last := make([]int32, pl.P)
@@ -401,9 +396,7 @@ func lowerPlan(pl *Plan, fuse bool) *dfProgram {
 	// A cycle in the micro graph is a lowering bug; the executor's
 	// stall detector reports it. Merging on top of a broken order could
 	// only make diagnosis harder, so fall back to 1:1 super-nodes.
-	if len(order) != len(prog.micros) {
-		fuse = false
-	}
+	merge := len(order) == len(prog.micros)
 
 	// Pass 4: super-nodes. Walk each rank's contiguous micro run and
 	// greedily extend the current super-node while the merge is legal:
@@ -429,7 +422,7 @@ func lowerPlan(pl *Plan, fuse bool) *dfProgram {
 		deps := int32(len(prog.micros[mi].recvs)) // rank head: no program pred
 		for mi++; mi < len(prog.micros) && prog.micros[mi].rank == rank; mi++ {
 			v := &prog.micros[mi]
-			legal := fuse
+			legal := merge
 			for _, m := range v.recvs {
 				if pos[msgProducer[m]] >= headPos {
 					legal = false
@@ -619,8 +612,6 @@ type dfSlot struct {
 	clock comm.Cost
 }
 
-const dfStop = int32(-1) // fifo ready-queue sentinel: worker shutdown
-
 // dfRankState is one rank's mutable numeric state during a run: the
 // owned block plus the captured panels/operands that planExec held in
 // level-scoped locals. The combine/release nodes clear them, so state
@@ -632,7 +623,7 @@ type dfRankState struct {
 	unit, unitAik, unitAkj *semiring.Matrix
 }
 
-// dfHeap is one worker's ready heap under the critical schedule: a
+// dfHeap is one worker's ready heap when several workers run: a
 // mutex-guarded binary max-heap on super-node priority, ties broken
 // toward the lower id (earlier plan position). Sharding the ready set
 // per worker keeps push/pop contention near zero; idle workers steal.
@@ -651,36 +642,28 @@ type dfRun struct {
 	ranks   []dfRankState
 	slots   []dfSlot
 	pending []int32 // per-super remaining deps, decremented atomically
-	workers int
 	retired atomic.Int32
 	live    atomic.Int32 // super-nodes enqueued but not yet retired
 	done    atomic.Bool
 	err     error // written once by the shutdown winner, read after join
 
-	// fifo schedule: the unordered buffered channel (the v1 executor,
-	// kept verbatim as the ablation baseline).
-	ready chan int32
-
-	// critical schedule: per-worker heaps with stealing, plus a parking
+	// Several workers: per-worker heaps with stealing, plus a parking
 	// lot for workers that found every heap empty. queued counts
 	// pushed-but-not-popped nodes so a parking worker cannot miss a
 	// push that raced its empty scan.
-	critical bool
 	heaps    []dfHeap
 	parkMu   sync.Mutex
 	parkCond *sync.Cond
 	sleepers atomic.Int32
 	queued   atomic.Int64
 
-	// Serial mode (one worker, e.g. GOMAXPROCS=1): one goroutine
-	// executes everything, so channels, heap locks and atomic counters
-	// are pure overhead — a plain stack (fifo) or a ready bitmap over
-	// the frozen priority order (critical) replaces them. The bitmap
-	// makes the priority queue O(1)-ish: push sets the super-node's
-	// position bit, pop finds the lowest set position (= highest
-	// priority) through a two-level summary with find-first-set.
+	// One worker (e.g. GOMAXPROCS=1): one goroutine executes
+	// everything, so heap locks and atomic counters are pure overhead —
+	// a ready bitmap over the frozen priority order replaces them.
+	// Push sets the super-node's position bit, pop finds the lowest set
+	// position (= highest priority) through a two-level summary with
+	// find-first-set.
 	serial    bool
-	queue     []int32
 	bmWords   []uint64
 	bmSummary []uint64
 	bmHint    int // lowest summary word that can hold a set bit
@@ -690,9 +673,29 @@ type dfRun struct {
 	labels [][]pprof.LabelSet
 }
 
-// executeDataflow is the dataflow counterpart of executeMachine.
-func (pl *Plan) executeDataflow(ly *Layout, o ExecOpts) (*DistResult, error) {
-	prog := pl.dataflow(o.Fuse)
+// ExecOpts are the execution-time settings of a Plan replay; the zero
+// value (serial kernel, auto worker count) is what production runs.
+// Neither changes a bit of the distances or the charged costs.
+type ExecOpts struct {
+	Kernel semiring.Kernel
+	// Workers bounds the worker pool. 0 means auto (the shared pool's
+	// size, capped at p); explicit values are capped at p, and the pool
+	// itself never runs more than its own size concurrently.
+	Workers int
+}
+
+// ExecuteOpts runs the plan against ly's weights and returns the
+// assembled distances plus the simulated machine's cost report. ly
+// must carry the structure the plan was built from (same ordering,
+// tree and mask); LayoutFor produces such a layout for any graph
+// sharing the plan's StructureFingerprint. Safe to call concurrently
+// on one Plan.
+func (pl *Plan) ExecuteOpts(ly *Layout, o ExecOpts) (*DistResult, error) {
+	if ly.Tree.H != pl.H || ly.ND.N != pl.NSup {
+		return nil, fmt.Errorf("apsp: layout (h=%d, N=%d) does not match plan (h=%d, N=%d)",
+			ly.Tree.H, ly.ND.N, pl.H, pl.NSup)
+	}
+	prog := pl.dataflow()
 	blocks, release := ly.BlocksPooled()
 	pool := semiring.DefaultPool
 	workers := o.Workers
@@ -706,17 +709,15 @@ func (pl *Plan) executeDataflow(ly *Layout, o ExecOpts) (*DistResult, error) {
 		workers = 1
 	}
 	x := &dfRun{
-		pl:       pl,
-		prog:     prog,
-		kern:     o.Kernel,
-		sizes:    pl.ND.Sizes,
-		led:      comm.NewReplay(pl.P),
-		ranks:    make([]dfRankState, pl.P),
-		slots:    make([]dfSlot, len(prog.msgConsumer)),
-		pending:  make([]int32, len(prog.supers)),
-		workers:  workers,
-		critical: o.Schedule == ScheduleCritical,
-		serial:   workers == 1,
+		pl:      pl,
+		prog:    prog,
+		kern:    o.Kernel,
+		sizes:   pl.ND.Sizes,
+		led:     comm.NewReplay(pl.P),
+		ranks:   make([]dfRankState, pl.P),
+		slots:   make([]dfSlot, len(prog.msgConsumer)),
+		pending: make([]int32, len(prog.supers)),
+		serial:  workers == 1,
 	}
 	if dfProfileLabels.Load() {
 		x.labels = buildLabelTable(prog)
@@ -728,44 +729,28 @@ func (pl *Plan) executeDataflow(ly *Layout, o ExecOpts) (*DistResult, error) {
 		x.pending[sid] = prog.supers[sid].deps
 	}
 	if x.serial {
-		if x.critical {
-			x.bmWords = make([]uint64, (len(prog.supers)+63)/64)
-			x.bmSummary = make([]uint64, (len(x.bmWords)+63)/64)
-			for _, sid := range prog.seeds {
-				x.pushBitmap(sid)
-			}
-		} else {
-			x.queue = append(make([]int32, 0, 64), prog.seeds...)
+		x.bmWords = make([]uint64, (len(prog.supers)+63)/64)
+		x.bmSummary = make([]uint64, (len(x.bmWords)+63)/64)
+		for _, sid := range prog.seeds {
+			x.pushBitmap(sid)
 		}
 		x.runSerial(semiring.NewArena(prog.maxScratch))
 	} else {
 		// One scratch arena per worker, reused across every op the
 		// worker executes — w arenas total instead of the machine
-		// path's p.
+		// reference's p.
 		arenas := make([]*semiring.Arena, workers)
 		for i := range arenas {
 			arenas[i] = semiring.NewArena(prog.maxScratch)
 		}
-		if x.critical {
-			x.parkCond = sync.NewCond(&x.parkMu)
-			x.heaps = make([]dfHeap, workers)
-			for i, sid := range prog.seeds {
-				x.live.Add(1)
-				x.queued.Add(1)
-				h := &x.heaps[i%workers]
-				h.ids = append(h.ids, sid)
-				x.siftUp(h, len(h.ids)-1)
-			}
-			pool.Drive(workers, func(i int) { x.drainCritical(i, arenas[i]) })
-		} else {
-			// Capacity for every node plus every sentinel: enqueues never block.
-			x.ready = make(chan int32, len(prog.supers)+workers)
-			for _, sid := range prog.seeds {
-				x.live.Add(1)
-				x.ready <- sid
-			}
-			pool.Drive(workers, func(i int) { x.drain(i, arenas[i]) })
+		x.parkCond = sync.NewCond(&x.parkMu)
+		x.heaps = make([]dfHeap, workers)
+		for i, sid := range prog.seeds {
+			x.live.Add(1)
+			x.queued.Add(1)
+			x.heapPush(&x.heaps[i%workers], sid)
 		}
+		pool.Drive(workers, func(i int) { x.drain(i, arenas[i]) })
 	}
 	if x.err != nil {
 		return nil, fmt.Errorf("apsp: sparse solver failed: %w", x.err)
@@ -789,9 +774,9 @@ func (pl *Plan) executeDataflow(ly *Layout, o ExecOpts) (*DistResult, error) {
 // runSerial is the single-worker loop: pop, execute, repeat. The
 // dependency counts make the queue a topological traversal, so an
 // empty queue before every node ran is the same lowering-cycle
-// condition the concurrent path's live counter detects. Under the
-// critical schedule the ready set is the priority bitmap, so even one
-// worker follows the exact priority order.
+// condition the concurrent path's live counter detects. The ready set
+// is the priority bitmap, so one worker follows the exact priority
+// order.
 func (x *dfRun) runSerial(a *semiring.Arena) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -799,44 +784,23 @@ func (x *dfRun) runSerial(a *semiring.Arena) {
 		}
 	}()
 	done := 0
-	if x.critical {
-		for {
-			sid, ok := x.popBitmap()
-			if !ok {
-				break
-			}
-			x.execSuper(sid, 0, a)
-			done++
+	for {
+		sid, ok := x.popBitmap()
+		if !ok {
+			break
 		}
-	} else {
-		for len(x.queue) > 0 {
-			sid := x.queue[len(x.queue)-1]
-			x.queue = x.queue[:len(x.queue)-1]
-			x.execSuper(sid, 0, a)
-			done++
-		}
+		x.execSuper(sid, 0, a)
+		done++
 	}
 	if done < len(x.prog.supers) {
 		x.err = fmt.Errorf("dataflow executor stalled after %d of %d ops (dependency cycle in lowering)", done, len(x.prog.supers))
 	}
 }
 
-// drain executes ready super-nodes until a shutdown sentinel arrives
-// (fifo schedule).
+// drain is one worker's loop when several run: execute ready
+// super-nodes in priority order until shutdown — pop the own heap,
+// steal from the others, park when every heap is empty.
 func (x *dfRun) drain(w int, a *semiring.Arena) {
-	for {
-		sid := <-x.ready
-		if sid < 0 {
-			return
-		}
-		x.execSuperNode(sid, w, a)
-	}
-}
-
-// drainCritical executes ready super-nodes in priority order until
-// shutdown: pop the own heap, steal from the others, park when every
-// heap is empty.
-func (x *dfRun) drainCritical(w int, a *semiring.Arena) {
 	for {
 		if x.done.Load() {
 			return
@@ -901,11 +865,7 @@ func (x *dfRun) complete(sid int32, w int) {
 	if x.serial {
 		x.pending[sid]--
 		if x.pending[sid] == 0 {
-			if x.critical {
-				x.pushBitmap(sid)
-			} else {
-				x.queue = append(x.queue, sid)
-			}
+			x.pushBitmap(sid)
 		}
 		return
 	}
@@ -913,10 +873,6 @@ func (x *dfRun) complete(sid int32, w int) {
 		return
 	}
 	x.live.Add(1)
-	if !x.critical {
-		x.ready <- sid
-		return
-	}
 	x.queued.Add(1)
 	h := &x.heaps[w]
 	h.mu.Lock()
@@ -948,22 +904,15 @@ func (x *dfRun) retire() {
 }
 
 // shutdown ends the run once: records the error (if any) and wakes
-// every worker — sentinels on the fifo channel, a broadcast on the
-// critical parking lot.
+// every parked worker.
 func (x *dfRun) shutdown(err error) {
 	if !x.done.CompareAndSwap(false, true) {
 		return
 	}
 	x.err = err
-	if x.critical {
-		x.parkMu.Lock()
-		x.parkCond.Broadcast()
-		x.parkMu.Unlock()
-		return
-	}
-	for i := 0; i < x.workers; i++ {
-		x.ready <- dfStop
-	}
+	x.parkMu.Lock()
+	x.parkCond.Broadcast()
+	x.parkMu.Unlock()
 }
 
 // Heap plumbing: max-heap on super-node priority. The comparison uses

@@ -11,13 +11,32 @@ import (
 	"sparseapsp/internal/semiring"
 )
 
-// TestExecutorEquality is the dataflow executor's referee: for several
-// graph families × all wire formats × both R4 strategies, the machine
-// and dataflow executors must agree on every observable — distances
-// bit for bit, the full cost report, the per-level phase breakdown and
-// the traffic matrix. Together with TestSparseCostGolden (which pins
-// the dataflow default against the golden table recorded from the
-// machine executor) this makes the two engines interchangeable.
+// machineSolve is SparseAPSPWith on the reference semantics: the same
+// symbolic phase, then executeMachine (one goroutine per rank) instead
+// of ExecuteOpts. It is the one place tests reach the machine executor.
+func machineSolve(g *graph.Graph, p int, opts SparseOptions) (*DistResult, error) {
+	h, err := HeightForP(p)
+	if err != nil {
+		return nil, err
+	}
+	ly, pl, err := buildSymbolic(g, p, h, opts)
+	if err != nil {
+		return nil, err
+	}
+	return pl.executeMachine(ly, opts.Kernel)
+}
+
+// TestExecutorEquality is the executor's referee: for several graph
+// families × all wire formats × both R4 strategies, ExecuteOpts (fused
+// lowering, critical-path schedule) and the machine reference must
+// agree on every observable — distances bit for bit, the full cost
+// report, the per-level phase breakdown and the traffic matrix. The
+// last two inputs are the end-to-end benchmark's own shapes
+// (bench/gen.go, integer weights 1..9; TestServedWirePinned in the root
+// package pins their counts). Together with TestSparseCostGolden (which
+// pins the default against the golden table recorded from the machine
+// executor) this is what keeps the reference and the served path one
+// semantics.
 func TestExecutorEquality(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	graphs := []struct {
@@ -30,18 +49,19 @@ func TestExecutorEquality(t *testing.T) {
 		{"tree", graph.RandomTree(90, graph.UnitWeights, rng), 49},
 		{"rmat", graph.RMAT(6, 3, integerWeights(rng, 4), rng), 9},
 		{"star", graph.Star(60, graph.UnitWeights), 9},
+		{"grid32x32", graph.Grid2D(32, 32, integerWeights(rand.New(rand.NewSource(1)), 9)), 49},
+		{"cycle800", graph.Cycle(800, integerWeights(rand.New(rand.NewSource(2)), 9)), 961},
 	}
 	for _, tc := range graphs {
 		for _, wire := range []WireFormat{WirePruned, WireDense} {
 			for _, strat := range []R4Strategy{R4Mapped, R4Sequential} {
 				name := fmt.Sprintf("%s/%v/r4=%d", tc.name, wire, strat)
-				mach, err := SparseAPSPWith(tc.g, tc.p, SparseOptions{
-					Seed: 11, Wire: wire, R4Strategy: strat, Executor: ExecMachine})
+				opts := SparseOptions{Seed: 11, Wire: wire, R4Strategy: strat}
+				mach, err := machineSolve(tc.g, tc.p, opts)
 				if err != nil {
 					t.Fatalf("%s machine: %v", name, err)
 				}
-				flow, err := SparseAPSPWith(tc.g, tc.p, SparseOptions{
-					Seed: 11, Wire: wire, R4Strategy: strat, Executor: ExecDataflow})
+				flow, err := SparseAPSPWith(tc.g, tc.p, opts)
 				if err != nil {
 					t.Fatalf("%s dataflow: %v", name, err)
 				}
@@ -70,11 +90,12 @@ func TestExecutorEquality(t *testing.T) {
 func TestExecutorEqualityPooledKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	g := graph.Grid2D(12, 12, integerWeights(rng, 10))
-	mach, err := SparseAPSPWith(g, 49, SparseOptions{Seed: 5, Kernel: semiring.KernelPooled, Executor: ExecMachine})
+	opts := SparseOptions{Seed: 5, Kernel: semiring.KernelPooled}
+	mach, err := machineSolve(g, 49, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flow, err := SparseAPSPWith(g, 49, SparseOptions{Seed: 5, Kernel: semiring.KernelPooled, Executor: ExecDataflow})
+	flow, err := SparseAPSPWith(g, 49, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +119,7 @@ func TestConcurrentDataflowExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pl.ExecuteWith(ly, semiring.KernelSerial, ExecDataflow)
+	want, err := pl.ExecuteOpts(ly, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +131,7 @@ func TestConcurrentDataflowExecute(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = pl.ExecuteWith(pl.LayoutFor(g), semiring.KernelSerial, ExecDataflow)
+			results[i], errs[i] = pl.ExecuteOpts(pl.LayoutFor(g), ExecOpts{})
 		}(i)
 	}
 	wg.Wait()
@@ -127,8 +148,9 @@ func TestConcurrentDataflowExecute(t *testing.T) {
 // TestDataflowLoweringShape sanity-checks the lowered graph: every rank
 // contributes nodes, every node is reachable from the seeds (the run
 // retires all of them — a cycle or orphan would trip the executor's
-// stall detector instead of hanging), and the program is cached across
-// calls.
+// stall detector instead of hanging), the super-nodes partition the
+// micro-nodes, merging coalesced something, and the program is cached
+// across calls.
 func TestDataflowLoweringShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	g := graph.Grid2D(10, 10, integerWeights(rng, 10))
@@ -140,63 +162,60 @@ func TestDataflowLoweringShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fuse := range []Fuse{FuseOn, FuseOff} {
-		prog := pl.dataflow(fuse)
-		if prog != pl.dataflow(fuse) {
-			t.Errorf("fuse=%v: dataflow() not cached: two calls returned different programs", fuse)
+	prog := pl.dataflow()
+	if prog != pl.dataflow() {
+		t.Error("dataflow() not cached: two calls returned different programs")
+	}
+	if len(prog.seeds) != pl.P {
+		t.Errorf("got %d seeds, want one head per rank (%d)", len(prog.seeds), pl.P)
+	}
+	perRank := make([]int, pl.P)
+	for _, n := range prog.micros {
+		perRank[n.rank]++
+	}
+	for r, c := range perRank {
+		// At minimum: dfInit plus one dfMark per level.
+		if c < 1+len(pl.Levels) {
+			t.Errorf("rank %d has %d micro-nodes, want at least %d", r, c, 1+len(pl.Levels))
 		}
-		if len(prog.seeds) != pl.P {
-			t.Errorf("fuse=%v: got %d seeds, want one head per rank (%d)", fuse, len(prog.seeds), pl.P)
+	}
+	for m, c := range prog.msgConsumer {
+		if len(prog.micros[c].recvs) == 0 {
+			t.Errorf("message %d points at node %d which has no recvs", m, c)
 		}
-		perRank := make([]int, pl.P)
-		for _, n := range prog.micros {
-			perRank[n.rank]++
+	}
+	// Super-node partition invariants: contiguous, same-rank,
+	// program-order runs covering every micro-node exactly once.
+	covered := 0
+	for sid, s := range prog.supers {
+		if s.count < 1 {
+			t.Fatalf("super %d has count %d", sid, s.count)
 		}
-		for r, c := range perRank {
-			// At minimum: dfInit plus one dfMark per level.
-			if c < 1+len(pl.Levels) {
-				t.Errorf("fuse=%v: rank %d has %d micro-nodes, want at least %d", fuse, r, c, 1+len(pl.Levels))
+		covered += int(s.count)
+		rank := prog.micros[s.first].rank
+		for m := s.first; m < s.first+s.count; m++ {
+			if prog.micros[m].rank != rank {
+				t.Fatalf("super %d spans ranks", sid)
+			}
+			if prog.superOf[m] != int32(sid) {
+				t.Fatalf("superOf[%d] = %d, want %d", m, prog.superOf[m], sid)
 			}
 		}
-		for m, c := range prog.msgConsumer {
-			if len(prog.micros[c].recvs) == 0 {
-				t.Errorf("fuse=%v: message %d points at node %d which has no recvs", fuse, m, c)
-			}
-		}
-		// Super-node partition invariants: contiguous, same-rank,
-		// program-order runs covering every micro-node exactly once.
-		covered := 0
-		for sid, s := range prog.supers {
-			if s.count < 1 {
-				t.Fatalf("fuse=%v: super %d has count %d", fuse, sid, s.count)
-			}
-			covered += int(s.count)
-			rank := prog.micros[s.first].rank
-			for m := s.first; m < s.first+s.count; m++ {
-				if prog.micros[m].rank != rank {
-					t.Fatalf("fuse=%v: super %d spans ranks", fuse, sid)
-				}
-				if prog.superOf[m] != int32(sid) {
-					t.Fatalf("fuse=%v: superOf[%d] = %d, want %d", fuse, m, prog.superOf[m], sid)
-				}
-			}
-		}
-		if covered != len(prog.micros) {
-			t.Errorf("fuse=%v: supers cover %d micro-nodes, want %d", fuse, covered, len(prog.micros))
-		}
-		if fuse == FuseOff && len(prog.supers) != len(prog.micros) {
-			t.Errorf("fuse=off: %d supers for %d micro-nodes, want 1:1", len(prog.supers), len(prog.micros))
-		}
-		if fuse == FuseOn && len(prog.supers) >= len(prog.micros) {
-			t.Errorf("fuse=on: merging coalesced nothing (%d supers, %d micro-nodes)", len(prog.supers), len(prog.micros))
-		}
+	}
+	if covered != len(prog.micros) {
+		t.Errorf("supers cover %d micro-nodes, want %d", covered, len(prog.micros))
+	}
+	if len(prog.supers) >= len(prog.micros) {
+		t.Errorf("merging coalesced nothing (%d supers, %d micro-nodes)", len(prog.supers), len(prog.micros))
+	}
+	if got := pl.DataflowNodes(0); got != len(prog.supers) {
+		t.Errorf("DataflowNodes = %d, want the super-node count %d", got, len(prog.supers))
 	}
 }
 
-// BenchmarkPlanExecute compares the two executors on a warm plan — the
-// serving-path hot loop. The benchmark matrix stays at p <= 225 so the
-// CI 1x smoke run finishes quickly; BENCH_exec.json (apspbench -exp
-// exec) carries the p=961 numbers.
+// BenchmarkPlanExecute times the executor against the machine
+// reference on a warm plan — the serving-path hot loop. The benchmark
+// matrix stays at p <= 225 so the CI 1x smoke run finishes quickly.
 func BenchmarkPlanExecute(b *testing.B) {
 	for _, bc := range []struct {
 		side int
@@ -219,10 +238,16 @@ func BenchmarkPlanExecute(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, ex := range []Executor{ExecMachine, ExecDataflow} {
-			b.Run(fmt.Sprintf("grid%d_p%d/%v", bc.side, bc.p, ex), func(b *testing.B) {
+		for _, ex := range []struct {
+			name string
+			run  func() (*DistResult, error)
+		}{
+			{"machine", func() (*DistResult, error) { return pl.executeMachine(ly, semiring.KernelSerial) }},
+			{"dataflow", func() (*DistResult, error) { return pl.ExecuteOpts(ly, ExecOpts{}) }},
+		} {
+			b.Run(fmt.Sprintf("grid%d_p%d/%s", bc.side, bc.p, ex.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := pl.ExecuteWith(ly, semiring.KernelSerial, ex); err != nil {
+					if _, err := ex.run(); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -8,16 +8,18 @@ import (
 	"sparseapsp/internal/semiring"
 )
 
-// The numeric half of 2D-SPARSE-APSP: replay a Plan against actual
-// edge weights on the simulated machine. The executor makes no
-// symbolic decisions — every group, root, tag, skip and unit
-// assignment was frozen into the Plan — so each rank simply walks its
-// precomputed step list, entering the collectives it belongs to in the
-// order the fused solver would have entered them. That replay is
-// bit-identical to the pre-split solver in both distances and charged
-// costs (the golden cost test pins all of latency, bandwidth, flops,
-// message/word totals and peak memory per graph family × wire format ×
-// R4 strategy).
+// The reference semantics of a Plan replay: the literal simulated
+// machine, one goroutine per rank. It makes no symbolic decisions —
+// every group, root, tag, skip and unit assignment was frozen into the
+// Plan — so each rank simply walks its precomputed step list, entering
+// the collectives it belongs to in the order the fused solver would
+// have entered them. That replay is bit-identical to the pre-split
+// solver in both distances and charged costs (the golden cost test
+// pins all of latency, bandwidth, flops, message/word totals and peak
+// memory per graph family × wire format × R4 strategy). Production
+// runs ExecuteOpts (dataflow.go), which TestExecutorEquality checks
+// against this replay; what both share — LayoutFor, pack, unpack —
+// lives here too.
 
 // LayoutFor wraps g in a Layout that reuses the plan's cached symbolic
 // state. This is the warm serving path: the only per-solve work is the
@@ -33,57 +35,10 @@ func (pl *Plan) LayoutFor(g *graph.Graph) *Layout {
 	}
 }
 
-// Execute runs the plan against ly's weights and returns the assembled
-// distances plus the machine's cost report. ly must carry the
-// structure the plan was built from (same ordering, tree and mask);
-// LayoutFor produces such a layout for any graph sharing the plan's
-// StructureFingerprint. Safe to call concurrently on one Plan.
-// Execute uses the default (dataflow) executor; ExecuteWith selects.
-func (pl *Plan) Execute(ly *Layout, kern semiring.Kernel) (*DistResult, error) {
-	return pl.ExecuteWith(ly, kern, ExecDataflow)
-}
-
-// ExecuteWith is Execute with an explicit executor choice. The two
-// engines are interchangeable: distances, report, phases and traffic
-// are bit-identical (pinned by the golden cost test and the
-// executor-equality property test).
-func (pl *Plan) ExecuteWith(ly *Layout, kern semiring.Kernel, ex Executor) (*DistResult, error) {
-	return pl.ExecuteOpts(ly, ExecOpts{Kernel: kern, Executor: ex})
-}
-
-// ExecOpts bundles the execution-time knobs of a Plan replay. The zero
-// value is the default engine: dataflow executor, serial kernel,
-// critical-path schedule, fusion on, auto worker count. Schedule, Fuse
-// and Workers shape only the dataflow executor's scheduling — every
-// combination produces bit-identical distances and charged costs; the
-// machine executor ignores them.
-type ExecOpts struct {
-	Kernel   semiring.Kernel
-	Executor Executor
-	Schedule Schedule
-	Fuse     Fuse
-	// Workers bounds the dataflow executor's worker pool. 0 means auto
-	// (the shared pool's size, capped at p); explicit values are capped
-	// at p, and the pool itself never runs more than its own size
-	// concurrently.
-	Workers int
-}
-
-// ExecuteOpts is Execute with the full set of execution knobs; see
-// ExecOpts.
-func (pl *Plan) ExecuteOpts(ly *Layout, o ExecOpts) (*DistResult, error) {
-	if ly.Tree.H != pl.H || ly.ND.N != pl.NSup {
-		return nil, fmt.Errorf("apsp: layout (h=%d, N=%d) does not match plan (h=%d, N=%d)",
-			ly.Tree.H, ly.ND.N, pl.H, pl.NSup)
-	}
-	if o.Executor == ExecMachine {
-		return pl.executeMachine(ly, o.Kernel)
-	}
-	return pl.executeDataflow(ly, o)
-}
-
-// executeMachine runs the plan on the simulated machine, one goroutine
-// per rank — the reference executor.
+// executeMachine runs the plan on the simulated machine: p rank
+// goroutines communicating through mailboxes. It is the reference
+// semantics ExecuteOpts is checked against (TestExecutorEquality) and
+// has no caller outside the package's tests.
 func (pl *Plan) executeMachine(ly *Layout, kern semiring.Kernel) (*DistResult, error) {
 	blocks, release := ly.BlocksPooled()
 	machine := comm.NewMachine(pl.P)
@@ -140,8 +95,8 @@ type planExec struct {
 // smallest encoding semiring.PackPruned finds; WireDense ships the raw
 // body. Always copies — collective receivers share the payload's
 // backing array, and an executor's scratch arena must never back a
-// payload for the same reason. Both executors call this, which is what
-// keeps their charged words identical.
+// payload for the same reason. ExecuteOpts and the machine reference
+// both call this, which is what keeps their charged words identical.
 func (pl *Plan) pack(m *semiring.Matrix, prune *PruneSpec) []float64 {
 	switch {
 	case pl.Wire == WireDense:

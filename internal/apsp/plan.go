@@ -22,8 +22,8 @@ import (
 // immutable, rank-independent artifact that fully enumerates the solve
 // — every collective's group, root and tag, every panel update and
 // computing-unit assignment, the mask-derived skip set — built once
-// from (Layout, p, wire, strategy) and replayed by the Executor
-// (exec.go) against any weights with the same structure. Supernodal
+// from (Layout, p, wire, strategy) and replayed by ExecuteOpts
+// (dataflow.go) against any weights with the same structure. Supernodal
 // sparse factorization calls these the symbolic and numeric phases;
 // the serving layer exploits the split by caching Plans under a
 // weights-independent StructureFingerprint so N solves on one topology
@@ -138,7 +138,7 @@ type rankLevel struct {
 // the ordering (ND result), eTree and fill mask it was derived from,
 // the per-level op schedule, a per-rank index of that schedule, and the
 // tag space the per-plan allocator consumed. Build once with
-// BuildPlan, replay any number of times with Execute; plans are safe
+// BuildPlan, replay any number of times with ExecuteOpts; plans are safe
 // for concurrent use by many solves.
 type Plan struct {
 	P     int
@@ -158,15 +158,12 @@ type Plan struct {
 	hash string // lazily computed content hash
 	once sync.Once
 
-	// Lowered dataflow graphs (dataflow.go), one per fuse mode, built
-	// lazily on the first dataflow Execute of each mode and shared by
-	// all subsequent ones: the lowering is a pure function of the
-	// symbolic schedule, so like the plan itself it is
-	// weights-independent and immutable once built. Index 0 is the
-	// fused/coalesced graph (the default), index 1 the 1:1 ablation
-	// graph.
-	dfOnce [2]sync.Once
-	df     [2]*dfProgram
+	// Lowered dataflow graph (dataflow.go), built lazily on the first
+	// execute and shared by all subsequent ones: the lowering is a pure
+	// function of the symbolic schedule, so like the plan itself it is
+	// weights-independent and immutable once built.
+	dfOnce sync.Once
+	df     *dfProgram
 }
 
 // ScratchWords returns the scratch-arena words rank needs for an

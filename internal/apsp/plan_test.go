@@ -305,7 +305,7 @@ func TestPlanExecuteMatchesDirectSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kern := range semiring.Kernels() {
-		res, err := pl.Execute(pl.LayoutFor(g), kern)
+		res, err := pl.ExecuteOpts(pl.LayoutFor(g), ExecOpts{Kernel: kern})
 		if err != nil {
 			t.Fatalf("kernel %v: %v", kern, err)
 		}

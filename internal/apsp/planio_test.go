@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"sparseapsp/internal/graph"
-	"sparseapsp/internal/semiring"
 )
 
 // planioWorkloads builds the standard graph families used across the
@@ -68,11 +67,11 @@ func TestPlanEncodeDecodeRoundTrip(t *testing.T) {
 				if !bytes.Equal(dec.Encode(), enc) {
 					t.Fatalf("%s/%s/r4=%v: re-encoding a decoded plan changed the bytes", name, wire, r4)
 				}
-				want, err := pl.Execute(pl.LayoutFor(g), semiring.KernelSerial)
+				want, err := pl.ExecuteOpts(pl.LayoutFor(g), ExecOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := dec.Execute(dec.LayoutFor(g), semiring.KernelSerial)
+				got, err := dec.ExecuteOpts(dec.LayoutFor(g), ExecOpts{})
 				if err != nil {
 					t.Fatalf("%s/%s/r4=%v: decoded plan failed to execute: %v", name, wire, r4, err)
 				}
@@ -283,7 +282,7 @@ func TestPlanStoreRejectsStaleFormat(t *testing.T) {
 	}
 	// Had the stale file been served it would have cost more: that is
 	// the bug the magic bump closes.
-	served, err := stale.Execute(stale.LayoutFor(g), semiring.KernelSerial)
+	served, err := stale.ExecuteOpts(stale.LayoutFor(g), ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

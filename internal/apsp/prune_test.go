@@ -47,8 +47,12 @@ func TestPrunedWireMatchesDense(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s dense: %v", tc.name, err)
 			}
-			for _, ex := range []Executor{ExecDataflow, ExecMachine} {
-				pruned, err := SparseAPSPWith(tc.g, tc.p, SparseOptions{Seed: 7, R4Strategy: strat, Executor: ex})
+			for _, e := range []struct {
+				name  string
+				solve func(*graph.Graph, int, SparseOptions) (*DistResult, error)
+			}{{"dataflow", SparseAPSPWith}, {"machine", machineSolve}} {
+				ex := e.name
+				pruned, err := e.solve(tc.g, tc.p, SparseOptions{Seed: 7, R4Strategy: strat})
 				if err != nil {
 					t.Fatalf("%s pruned/%v: %v", tc.name, ex, err)
 				}

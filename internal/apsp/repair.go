@@ -36,7 +36,7 @@ import (
 //   - past a damage-fraction threshold — or once the relaxation probes
 //     exceed a fixed multiple of n², meaning the edits rippled through
 //     a large share of all pairs — the repair abandons itself and
-//     falls back to a warm Plan.Execute, which is never slower than a
+//     falls back to a warm Plan.ExecuteOpts, which is never slower than a
 //     full re-solve would have been anyway.
 //
 // (Two coarser designs were measured first and lost: a worklist over
@@ -58,7 +58,7 @@ type EdgeEdit struct {
 }
 
 // DefaultDamageThreshold is the seeded-pair fraction past which Repair
-// falls back to a warm Plan.Execute.
+// falls back to a warm Plan.ExecuteOpts.
 const DefaultDamageThreshold = 0.25
 
 // repairProbeBudget bounds the relaxation probes at budget·n². An edit
@@ -71,19 +71,14 @@ type RepairOptions struct {
 	// DamageThreshold is the fraction of the n² pairs that may be
 	// seeded (changed by an edit or reset by the increase phase) before
 	// Repair gives up on propagation and falls back to a warm
-	// Plan.Execute. 0 means DefaultDamageThreshold; values >= 1 never
+	// Plan.ExecuteOpts. 0 means DefaultDamageThreshold; values >= 1 never
 	// fall back at all (the probe budget is disabled too — useful for
 	// tests that need the propagation path unconditionally).
 	DamageThreshold float64
-	// Kernel and Executor configure the fallback solve only; the
-	// propagation itself works on scalar entries and has no kernel to
-	// choose.
-	Kernel   semiring.Kernel
-	Executor Executor
-	// Schedule, Fuse and ExecWorkers shape the fallback solve's
-	// dataflow scheduling (see ExecOpts); zero values are the defaults.
-	Schedule    Schedule
-	Fuse        Fuse
+	// Kernel and ExecWorkers configure the fallback solve only (see
+	// ExecOpts); the propagation itself works on scalar entries and has
+	// no kernel to choose.
+	Kernel      semiring.Kernel
 	ExecWorkers int
 }
 
@@ -175,8 +170,8 @@ func ApplyEdits(g *graph.Graph, edits []EdgeEdit) (*graph.Graph, error) {
 // The repaired distances are exactly the shortest-path distances of
 // the edited graph; with weights whose path sums are float64-exact
 // (integers, in particular) they are bit-identical to a warm
-// Plan.Execute on the edited graph, and the fallback path IS a warm
-// Plan.Execute. The plan must have been built for g's structure (same
+// Plan.ExecuteOpts on the edited graph, and the fallback path IS a warm
+// Plan.ExecuteOpts. The plan must have been built for g's structure (same
 // StructureFingerprint modulo weights).
 func (pl *Plan) Repair(g *graph.Graph, prev *PathResult, edits []EdgeEdit, opts RepairOptions) (*PathResult, *graph.Graph, RepairStats, error) {
 	if prev == nil {
@@ -598,18 +593,12 @@ func (h *pairHeap) pop() (float64, int) {
 	return top, int(tv)
 }
 
-// repairFallback is the over-threshold path: a warm Plan.Execute on
+// repairFallback is the over-threshold path: a warm Plan.ExecuteOpts on
 // the edited graph plus full successor extraction — exactly what a
 // cache-warm re-solve through the registry would have done.
 func (pl *Plan) repairFallback(g2 *graph.Graph, opts RepairOptions, st *RepairStats) (*PathResult, *graph.Graph, RepairStats, error) {
 	st.FellBack = true
-	res, err := pl.ExecuteOpts(pl.LayoutFor(g2), ExecOpts{
-		Kernel:   opts.Kernel,
-		Executor: opts.Executor,
-		Schedule: opts.Schedule,
-		Fuse:     opts.Fuse,
-		Workers:  opts.ExecWorkers,
-	})
+	res, err := pl.ExecuteOpts(pl.LayoutFor(g2), ExecOpts{Kernel: opts.Kernel, Workers: opts.ExecWorkers})
 	if err != nil {
 		return nil, nil, *st, err
 	}
@@ -664,6 +653,5 @@ func RepairRowsWithOptions(g *graph.Graph, prevDist RowFunc, prevNext *Successor
 	return pl.RepairRows(g, prevDist, prevNext, edits, RepairOptions{
 		DamageThreshold: threshold,
 		Kernel:          sopts.Kernel,
-		Executor:        sopts.Executor,
 	})
 }

@@ -262,7 +262,7 @@ func TestSolveDistSymmetric(t *testing.T) {
 			return distOf(SparseAPSPWith(g, 9, SparseOptions{Seed: 42}))
 		},
 		"sparse-machine-dense-p49": func(g *graph.Graph) (*semiring.Matrix, error) {
-			return distOf(SparseAPSPWith(g, 49, SparseOptions{Seed: 42, Executor: ExecMachine, Wire: WireDense}))
+			return distOf(machineSolve(g, 49, SparseOptions{Seed: 42, Wire: WireDense}))
 		},
 	}
 	for _, f := range goldenFamilies() {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"time"
 
 	"sparseapsp/internal/apsp"
@@ -24,16 +23,12 @@ type Config struct {
 	CyclicFactor int             // DC-APSP block-cyclic factor
 	Kernel       semiring.Kernel // min-plus kernel for local block arithmetic
 	Wire         apsp.WireFormat // sparse-solver payload encoding (pruned or dense)
-	Executor     apsp.Executor   // plan executor (machine or dataflow; costs are identical)
-	Schedule     apsp.Schedule   // dataflow scheduling policy (critical or fifo; costs are identical)
-	Fuse         apsp.Fuse       // dataflow node fusion (on or off; costs are identical)
-	ExecWorkers  int             // dataflow worker count; 0 = auto
+	ExecWorkers  int             // sparse-solver executor worker count; 0 = auto
 }
 
 // sparseOpts builds the SparseOptions every experiment shares.
 func (c Config) sparseOpts() apsp.SparseOptions {
-	return apsp.SparseOptions{Seed: c.Seed, Kernel: c.Kernel, Wire: c.Wire,
-		Executor: c.Executor, Schedule: c.Schedule, Fuse: c.Fuse, ExecWorkers: c.ExecWorkers}
+	return apsp.SparseOptions{Seed: c.Seed, Kernel: c.Kernel, Wire: c.Wire, ExecWorkers: c.ExecWorkers}
 }
 
 // DefaultConfig returns the sweep used by the benchmark suite.
@@ -451,235 +446,12 @@ func cachedPlan(cache *apsp.PlanCache, g *graph.Graph, p int, opts apsp.SparseOp
 	return pl
 }
 
-// ExecutorComparison runs experiment E19: the machine executor (one
-// goroutine per rank, real blocking receives) against the dataflow
-// executor (frozen Plan lowered to a dependency graph, run on a bounded
-// worker pool with replayed cost accounting) on warm plans — the
-// serving-path hot loop. Both executors produce bit-identical distances
-// and cost reports (asserted here and pinned by the golden cost test);
-// the table measures wall-clock only. The p=961 rows are where the
-// machine path drowns in goroutine scheduling: p blocked goroutines for
-// a few hundred vertices of actual numeric work.
-func ExecutorComparison(cfg Config, reps int) (*Table, error) {
-	t := &Table{
-		ID: "E19",
-		Title: fmt.Sprintf("machine vs dataflow executor on warm plans (wall-clock, best of %d)",
-			reps),
-		Columns: []string{"workload", "n", "p", "wire", "plan_ops",
-			"machine_ms", "dataflow_ms", "speedup"},
-	}
-	w := func(seed int64) *rand.Rand { return rand.New(rand.NewSource(cfg.Seed + seed)) }
-	workloads := []struct {
-		name string
-		g    *graph.Graph
-		p    int
-		wire apsp.WireFormat
-	}{
-		// Small machines: the scheduling overhead is modest, the two
-		// executors should be close.
-		{"grid20", graph.Grid2D(20, 20, graph.RandomWeights(w(1), 1, 10)), 49, apsp.WirePruned},
-		{"grid30", graph.Grid2D(30, 30, graph.RandomWeights(w(2), 1, 10)), 225, apsp.WirePruned},
-		// Serving scale: p = 961 ranks on path-like and tree graphs,
-		// where blocks are tiny and scheduling dominates the solve.
-		{"path600", graph.Path(600, graph.UnitWeights), 961, apsp.WireDense},
-		{"cycle800", graph.Cycle(800, graph.UnitWeights), 961, apsp.WirePruned},
-		{"tree600", graph.RandomTree(600, graph.UnitWeights, w(3)), 961, apsp.WireDense},
-	}
-	for _, wl := range workloads {
-		h, err := apsp.HeightForP(wl.p)
-		if err != nil {
-			return nil, err
-		}
-		ly, err := apsp.NewLayout(wl.g, h, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		pl, err := apsp.BuildPlan(ly, wl.p, wl.wire, apsp.R4Mapped)
-		if err != nil {
-			return nil, err
-		}
-		best := func(ex apsp.Executor) (float64, *apsp.DistResult, error) {
-			var keep *apsp.DistResult
-			ms := math.Inf(1)
-			for i := 0; i <= reps; i++ { // one extra warm-up rep, not timed
-				start := time.Now()
-				res, err := pl.ExecuteWith(ly, cfg.Kernel, ex)
-				if err != nil {
-					return 0, nil, err
-				}
-				if d := float64(time.Since(start).Nanoseconds()) / 1e6; i > 0 && d < ms {
-					ms = d
-				}
-				keep = res
-			}
-			return ms, keep, nil
-		}
-		machMs, mach, err := best(apsp.ExecMachine)
-		if err != nil {
-			return nil, fmt.Errorf("exec %s machine: %w", wl.name, err)
-		}
-		flowMs, flow, err := best(apsp.ExecDataflow)
-		if err != nil {
-			return nil, fmt.Errorf("exec %s dataflow: %w", wl.name, err)
-		}
-		if !reflect.DeepEqual(flow.Report, mach.Report) {
-			return nil, fmt.Errorf("exec %s: executors disagree on the cost report", wl.name)
-		}
-		t.Add(wl.name, wl.g.N(), wl.p, wl.wire.String(), pl.OpCount(),
-			machMs, flowMs, machMs/flowMs)
-	}
-	t.Note("identical charged costs by construction (dataflow replays the machine's clock")
-	t.Note("updates in plan order); speedup is pure scheduling: a bounded worker pool walking")
-	t.Note("the ready frontier vs p goroutines parked in blocking receives")
-	return t, nil
-}
-
-// SchedulerAblation runs experiment E24: the cost-aware dataflow
-// scheduler against its own ablations on warm plans. Three variants run
-// per workload — fifo (unordered ready queue, unfused; the E19
-// scheduler), crit (critical-path priorities on per-worker heaps with
-// stealing, unfused) and critfuse (priorities plus fused panel chains
-// and coalesced relay runs; the default) — all three must produce
-// bit-identical distances and cost reports (asserted before timing).
-// The rcm_dw column reports the RCM ordering ablation: total charged
-// words of an Order=rcm solve over the natural-order solve on the same
-// graph (distances are equal by construction; only measured costs and
-// kernel time move).
-func SchedulerAblation(cfg Config, reps int) (*Table, error) {
-	t := &Table{
-		ID: "E24",
-		Title: fmt.Sprintf("dataflow scheduler ablation on warm plans (wall-clock, best of %d)",
-			reps),
-		Columns: []string{"workload", "n", "p", "wire", "nodes", "nodes_fused",
-			"fifo_ms", "crit_ms", "critfuse_ms", "speedup", "rcm_dw"},
-	}
-	w := func(seed int64) *rand.Rand { return rand.New(rand.NewSource(cfg.Seed + seed)) }
-	// Integer weights keep path sums float64-exact, so the rcm column's
-	// bit-identity assert holds across orderings (real-valued weights
-	// would drift by ULPs when a different elimination order
-	// re-associates the additions).
-	intw := func(r *rand.Rand) graph.WeightFn {
-		return func(u, v int) float64 { return float64(r.Intn(10) + 1) }
-	}
-	workloads := []struct {
-		name string
-		g    *graph.Graph
-		p    int
-		wire apsp.WireFormat
-	}{
-		// Mid-size machine: modest scheduling pressure.
-		{"grid30", graph.Grid2D(30, 30, intw(w(2))), 225, apsp.WirePruned},
-		// Serving scale: p = 961 ranks over a few hundred vertices,
-		// where the ready frontier is wide and per-node overhead is the
-		// whole cost. Same families as E19 plus the star, whose single
-		// hub separator maximises relay-chain depth.
-		{"path600", graph.Path(600, graph.UnitWeights), 961, apsp.WireDense},
-		{"cycle800", graph.Cycle(800, graph.UnitWeights), 961, apsp.WirePruned},
-		{"tree600", graph.RandomTree(600, graph.UnitWeights, w(3)), 961, apsp.WireDense},
-		{"star600", graph.Star(600, graph.UnitWeights), 961, apsp.WirePruned},
-	}
-	variants := []struct {
-		name  string
-		sched apsp.Schedule
-		fuse  apsp.Fuse
-	}{
-		{"fifo", apsp.ScheduleFIFO, apsp.FuseOff},
-		{"crit", apsp.ScheduleCritical, apsp.FuseOff},
-		{"critfuse", apsp.ScheduleCritical, apsp.FuseOn},
-	}
-	for _, wl := range workloads {
-		h, err := apsp.HeightForP(wl.p)
-		if err != nil {
-			return nil, err
-		}
-		ly, err := apsp.NewLayout(wl.g, h, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		pl, err := apsp.BuildPlan(ly, wl.p, wl.wire, apsp.R4Mapped)
-		if err != nil {
-			return nil, err
-		}
-		// Interleaved best-of timing: each repetition round times every
-		// variant once, so ambient host load hits all three equally
-		// instead of skewing whichever variant's phase it overlapped.
-		// Round 0 is an untimed warm-up that also feeds the bit-identity
-		// gate: every variant must replay the same plan-order charge
-		// sequence and min-plus accumulation order.
-		ms := [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)}
-		var ref *apsp.DistResult
-		for rep := 0; rep <= reps; rep++ {
-			for i, v := range variants {
-				o := apsp.ExecOpts{Kernel: cfg.Kernel, Executor: apsp.ExecDataflow,
-					Schedule: v.sched, Fuse: v.fuse, Workers: cfg.ExecWorkers}
-				start := time.Now()
-				res, err := pl.ExecuteOpts(ly, o)
-				if err != nil {
-					return nil, fmt.Errorf("sched %s %s: %w", wl.name, v.name, err)
-				}
-				if d := float64(time.Since(start).Nanoseconds()) / 1e6; rep > 0 && d < ms[i] {
-					ms[i] = d
-				}
-				if rep > 0 {
-					continue
-				}
-				if ref == nil {
-					ref = res
-					continue
-				}
-				if !reflect.DeepEqual(res.Report, ref.Report) {
-					return nil, fmt.Errorf("sched %s: %s cost report differs from fifo", wl.name, v.name)
-				}
-				if !reflect.DeepEqual(res.Dist.V, ref.Dist.V) {
-					return nil, fmt.Errorf("sched %s: %s distances differ from fifo", wl.name, v.name)
-				}
-			}
-		}
-		// The scheduler exists to not lose: on the star's deep relay
-		// chains the fused critical-path schedule must never regress
-		// materially against the unordered queue.
-		if wl.name == "star600" && ms[2] > ms[0]*1.25 {
-			return nil, fmt.Errorf("sched star600: critfuse %.2fms is >25%% slower than fifo %.2fms", ms[2], ms[0])
-		}
-		// RCM ordering ablation: full solves (the permutation changes
-		// the nested dissection, so no plan is shared), words ratio.
-		nat, err := apsp.SparseAPSPWith(wl.g, wl.p, apsp.SparseOptions{
-			Seed: cfg.Seed, Kernel: cfg.Kernel, Wire: wl.wire, Schedule: cfg.Schedule, Fuse: cfg.Fuse})
-		if err != nil {
-			return nil, fmt.Errorf("sched %s natural: %w", wl.name, err)
-		}
-		rcm, err := apsp.SparseAPSPWith(wl.g, wl.p, apsp.SparseOptions{
-			Seed: cfg.Seed, Kernel: cfg.Kernel, Wire: wl.wire, Schedule: cfg.Schedule, Fuse: cfg.Fuse,
-			Order: apsp.OrderRCM})
-		if err != nil {
-			return nil, fmt.Errorf("sched %s rcm: %w", wl.name, err)
-		}
-		if !reflect.DeepEqual(rcm.Dist.V, nat.Dist.V) {
-			return nil, fmt.Errorf("sched %s: rcm distances differ from natural order", wl.name)
-		}
-		rcmDW := float64(rcm.Report.TotalWords) / float64(nat.Report.TotalWords)
-		t.Add(wl.name, wl.g.N(), wl.p, wl.wire.String(),
-			pl.DataflowNodes(apsp.FuseOff), pl.DataflowNodes(apsp.FuseOn),
-			ms[0], ms[1], ms[2], ms[0]/ms[2], rcmDW)
-	}
-	t.Note("identical charged costs across all three variants by construction; speedup is")
-	t.Note("fifo_ms/critfuse_ms — pure scheduling and per-node overhead. nodes vs nodes_fused")
-	t.Note("counts scheduler nodes before/after coalescing rank-local relay runs and panel")
-	t.Note("chains. rcm_dw is total charged words of an Order=rcm solve over natural order:")
-	t.Note("a different labeling changes the nested dissection, so words move while the")
-	t.Note("distances stay bit-identical (mapped back to input order). on a host with a")
-	t.Note("single hardware thread both policies run the serial driver (LIFO stack vs")
-	t.Note("priority bitmap) and speedup sits near 1.0; the per-worker heaps + stealing")
-	t.Note("only separate the variants when GOMAXPROCS gives the pool real parallelism")
-	return t, nil
-}
-
 // ReweightAblation runs experiment E20: incremental repair against the
 // warm re-solve it replaces. Each family is solved once (populating the
 // plan cache), then a fraction of its edges is reweighted and the same
 // PathResult is produced two ways: Plan.Repair (decrease propagation +
 // increase resets + dirty-column successor rebuild) and the warm
-// serving path it shortcuts (Plan.LayoutFor + ExecuteWith + full
+// serving path it shortcuts (Plan.LayoutFor + ExecuteOpts + full
 // SuccessorsFromDist). Weights are integers, so path sums are
 // float64-exact and the two results must match bit-for-bit — asserted
 // before anything is timed.
@@ -721,7 +493,6 @@ func ReweightAblation(cfg Config, n, p, reps int) (*Table, error) {
 		ropts := apsp.RepairOptions{
 			DamageThreshold: apsp.DefaultDamageThreshold,
 			Kernel:          cfg.Kernel,
-			Executor:        cfg.Executor,
 		}
 		for _, frac := range fractions {
 			m := wl.g.M()
@@ -742,7 +513,7 @@ func ReweightAblation(cfg Config, n, p, reps int) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("reweight %s: repair: %w", wl.name, err)
 			}
-			ref, err := pl.ExecuteWith(pl.LayoutFor(g2), cfg.Kernel, cfg.Executor)
+			ref, err := pl.ExecuteOpts(pl.LayoutFor(g2), apsp.ExecOpts{Kernel: cfg.Kernel})
 			if err != nil {
 				return nil, fmt.Errorf("reweight %s: re-solve: %w", wl.name, err)
 			}
@@ -766,7 +537,7 @@ func ReweightAblation(cfg Config, n, p, reps int) (*Table, error) {
 			resolveMs := math.Inf(1)
 			for i := 0; i <= reps; i++ {
 				start := time.Now()
-				res, err := pl.ExecuteWith(pl.LayoutFor(g2), cfg.Kernel, cfg.Executor)
+				res, err := pl.ExecuteOpts(pl.LayoutFor(g2), apsp.ExecOpts{Kernel: cfg.Kernel})
 				if err != nil {
 					return nil, err
 				}

@@ -208,35 +208,3 @@ func TestStrongScalingTable(t *testing.T) {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
 }
-
-func TestServeBenchSmoke(t *testing.T) {
-	// Tiny dimensions: the point is that the fleet spins up, every
-	// identity gate passes (router bit-identical to direct, including
-	// through a reweight swap) and the table has one row per topology.
-	cfg := ServeConfig{
-		N:                49,
-		Graphs:           2,
-		Fleet:            []int{1, 2},
-		Replicas:         2,
-		Clients:          4,
-		Batches:          6,
-		BatchPairs:       8,
-		PairPool:         64,
-		ZipfS:            1.2,
-		Seed:             42,
-		CachePairs:       1 << 12,
-		ShardConcurrency: 2,
-		ShardServiceMs:   0.2,
-	}
-	tb, err := ServeBench(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.ID != "E21" {
-		t.Fatalf("table id = %s", tb.ID)
-	}
-	// direct + fleet B=1 + fleet B=2 + fleet+cache.
-	if len(tb.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(tb.Rows))
-	}
-}

@@ -27,18 +27,11 @@ import (
 // a process restart: the cold solve pays the full symbolic phase (and
 // writes the plan to disk), the warm-restart solve must reload it with
 // ZERO symbolic builds (gated) and pay only the numeric phase.
-//
-// order selects the vertex labeling fed to the solver: "nd" (natural
-// input order, the default) or "rcm" (graph.RCM relabeling first).
-// RCM does not change the dense blob sizes — only which distances land
-// where — but it does change the nested-dissection separators and with
-// them the words moved and solve time, which is what the order column
-// surfaces.
-func StoreBench(cfg Config, n, p int, order string) (*Table, error) {
+func StoreBench(cfg Config, n, p int) (*Table, error) {
 	t := &Table{
 		ID: "E23",
-		Title: fmt.Sprintf("tiered oracle memory at n=%d, p=%d, order=%s (compressed tier + persistent plan store)",
-			n, p, order),
+		Title: fmt.Sprintf("tiered oracle memory at n=%d, p=%d (compressed tier + persistent plan store)",
+			n, p),
 		Columns: []string{"workload", "kind", "hot_bytes", "comp_bytes", "hot_B/pair", "comp_B/pair",
 			"per_gb_hot", "per_gb_comp", "cold_ms", "warm_ms", "cold/warm", "words_moved"},
 	}
@@ -55,15 +48,6 @@ func StoreBench(cfg Config, n, p int, order string) (*Table, error) {
 	}
 	for _, wl := range workloads {
 		g := wl.g
-		switch order {
-		case "", "nd":
-			// natural input order
-		case "rcm":
-			g = g.Permute(g.RCM())
-		default:
-			return nil, fmt.Errorf("store: unknown order %q (valid: nd, rcm)", order)
-		}
-
 		dir, err := os.MkdirTemp("", "apsp-store-*")
 		if err != nil {
 			return nil, err

@@ -45,8 +45,12 @@ func (k Kernel) String() string {
 	}
 }
 
-// ParseKernel maps a kernel name ("serial", "tiled", "pooled",
-// "sparse"; "" means serial) to its Kernel value.
+// KernelNames lists the names ParseKernel accepts, for its error and
+// for the CLIs' -kernel help.
+const KernelNames = "serial, tiled, pooled, sparse"
+
+// ParseKernel maps a kernel name (one of KernelNames; "" means serial)
+// to its Kernel value.
 func ParseKernel(s string) (Kernel, error) {
 	switch s {
 	case "", "serial":
@@ -58,7 +62,7 @@ func ParseKernel(s string) (Kernel, error) {
 	case "sparse":
 		return KernelSparse, nil
 	default:
-		return 0, fmt.Errorf("semiring: unknown kernel %q (valid: serial, tiled, pooled, sparse)", s)
+		return 0, fmt.Errorf("semiring: unknown kernel %q (valid: %s)", s, KernelNames)
 	}
 }
 
