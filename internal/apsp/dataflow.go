@@ -215,14 +215,6 @@ func lowerPlan(pl *Plan) *dfProgram {
 			for _, x := range st.R2 {
 				lookup[dfOpKey{l, dfR2, x, int32(rank)}] = emit(rank, dfR2, l, x)
 			}
-			captures := false
-			for _, x := range st.R3 {
-				lookup[dfOpKey{l, dfR3, x, int32(rank)}] = emit(rank, dfR3, l, x)
-				captures = captures || contains(lv.R3[x].Consumers, rank)
-			}
-			if captures {
-				emit(rank, dfR3Mul, l, -1)
-			}
 			r4held := false
 			for _, x := range st.R4Col {
 				lookup[dfOpKey{l, dfR4Col, x, int32(rank)}] = emit(rank, dfR4Col, l, x)
@@ -247,6 +239,14 @@ func lowerPlan(pl *Plan) *dfProgram {
 			}
 			for _, x := range st.Trans {
 				lookup[dfOpKey{l, dfTrans, x, int32(rank)}] = emit(rank, dfTrans, l, x)
+			}
+			captures := false
+			for _, x := range st.R3 {
+				lookup[dfOpKey{l, dfR3, x, int32(rank)}] = emit(rank, dfR3, l, x)
+				captures = captures || contains(lv.R3[x].Consumers, rank)
+			}
+			if captures {
+				emit(rank, dfR3Mul, l, -1)
 			}
 			emit(rank, dfMark, l, -1)
 		}

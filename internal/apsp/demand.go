@@ -16,13 +16,14 @@ import "math/bits"
 //
 // The sweep maintains one boolean matrix per supernodal block — a
 // sound overapproximation of "entry may be finite" — and replays the
-// numeric schedule of exec.go on it in plan order:
+// numeric schedule of exec.go on it, level by level in the same phase
+// order:
 //
 //	R1     M(k,k) ← boolean transitive closure of M(k,k)
 //	R2     M(i,k) |= M(i,k) ⊗ M(k,k);  M(k,j) |= M(k,k) ⊗ M(k,j)
-//	R3     M(i,j) |= M(i,k) ⊗ M(k,j)
 //	R4     M(I,J) |= M(I,K) ⊗ M(K,J)       (one term per planned unit)
 //	trans  M(BJ,BI) ← M(BI,BJ)ᵀ            (replace, like CopyFrom)
+//	R3     M(i,j) |= M(i,k) ⊗ M(k,j)
 //
 // where ⊗ is the boolean matrix product (min-plus finiteness: the
 // product entry may be finite iff some k pairs two maybe-finite
@@ -31,7 +32,11 @@ import "math/bits"
 // phases only (R3 products target blocks with no level-l coordinate,
 // R4 products target ancestor blocks, transposes write the mirror half
 // that is never a same-level source), so the pre-phase masks are
-// exactly the operand state every receiver multiplies at.
+// exactly the operand state every receiver multiplies at. For the same
+// reason R3 and R4 commute — both read the panels R2 left, neither
+// writes a block the other touches — and the sweep's result does not
+// depend on which runs first; it follows exec.go to stay comparable
+// line by line.
 //
 // Soundness of a prune: a payload row t is dropped only when every
 // consumer's left operand has a provably all-Inf column t (and
@@ -331,47 +336,9 @@ func attachPrunes(pl *Plan, ly *Layout) {
 			}
 		}
 
-		// R3: demands from the post-R2 panels, then the one-unit
-		// products (targets carry no level-l coordinate, so no R3
-		// operand is written within the phase).
-		type r3upd struct{ i, j, k int }
-		var r3upds []r3upd
-		for x := range lv.R3 {
-			op := &lv.R3[x]
-			if op.Kind == opR3Row {
-				// Payload A(i,k) is the LEFT operand of
-				// A(i,j) ⊕= A(i,k) ⊗ A(k,j): its column t meets row t
-				// of the consumer's column panel A(k,j).
-				i, k := op.BI, op.BJ
-				cols := bitset(d.sizes[k])
-				for _, r := range op.Consumers {
-					_, j := blockOf(r, n)
-					d.at(k, j).orRowAnyInto(cols)
-					r3upds = append(r3upds, r3upd{i, j, k})
-				}
-				op.Prune = pruneFor(nil, cols, d.sizes[i], d.sizes[k])
-			} else {
-				// Payload A(k,j) is the RIGHT operand: its row t meets
-				// column t of the consumer's row panel A(i,k).
-				k, j := op.BI, op.BJ
-				rows := bitset(d.sizes[k])
-				for _, r := range op.Consumers {
-					i, _ := blockOf(r, n)
-					d.at(i, k).orColAnyInto(rows)
-				}
-				op.Prune = pruneFor(rows, nil, d.sizes[k], d.sizes[j])
-			}
-		}
-		for _, u := range r3upds {
-			a, b := d.at(u.i, u.k), d.at(u.k, u.j)
-			if a != nil && b != nil && !a.empty() && !b.empty() {
-				d.ensure(u.i, u.j).orMul(a, b)
-			}
-		}
-
 		// R4, mapped strategy: a consumer's demand is defined by its
-		// unit's OTHER operand; consumers without a planned unit never
-		// multiply and demand nothing.
+		// unit's OTHER operand (BuildPlan hands a panel only to
+		// processors that host a planned unit).
 		unitOf := make(map[int]*UnitOp, len(lv.R4Units))
 		for x := range lv.R4Units {
 			unitOf[lv.R4Units[x].Rank] = &lv.R4Units[x]
@@ -381,9 +348,8 @@ func attachPrunes(pl *Plan, ly *Layout) {
 			k := op.BJ
 			cols := bitset(d.sizes[k])
 			for _, r := range op.Consumers {
-				if u := unitOf[r]; u != nil {
-					d.at(u.K, u.J).orRowAnyInto(cols)
-				}
+				u := unitOf[r]
+				d.at(u.K, u.J).orRowAnyInto(cols)
 			}
 			op.Prune = pruneFor(nil, cols, d.sizes[op.BI], d.sizes[k])
 		}
@@ -392,9 +358,8 @@ func attachPrunes(pl *Plan, ly *Layout) {
 			k := op.BI
 			rows := bitset(d.sizes[k])
 			for _, r := range op.Consumers {
-				if u := unitOf[r]; u != nil {
-					d.at(u.I, u.K).orColAnyInto(rows)
-				}
+				u := unitOf[r]
+				d.at(u.I, u.K).orColAnyInto(rows)
 			}
 			op.Prune = pruneFor(rows, nil, d.sizes[k], d.sizes[op.BJ])
 		}
@@ -442,6 +407,45 @@ func attachPrunes(pl *Plan, ly *Layout) {
 		}
 		for _, tp := range tps {
 			d.m[(tp.i-1)*d.n+(tp.j-1)] = tp.t
+		}
+
+		// R3: demands from the post-R2 panels — R4 and the transposes
+		// above wrote ancestor × ancestor blocks only — then the one-unit
+		// products (targets carry no level-l coordinate, so no R3
+		// operand is written within the phase).
+		type r3upd struct{ i, j, k int }
+		var r3upds []r3upd
+		for x := range lv.R3 {
+			op := &lv.R3[x]
+			if op.Kind == opR3Row {
+				// Payload A(i,k) is the LEFT operand of
+				// A(i,j) ⊕= A(i,k) ⊗ A(k,j): its column t meets row t
+				// of the consumer's column panel A(k,j).
+				i, k := op.BI, op.BJ
+				cols := bitset(d.sizes[k])
+				for _, r := range op.Consumers {
+					_, j := blockOf(r, n)
+					d.at(k, j).orRowAnyInto(cols)
+					r3upds = append(r3upds, r3upd{i, j, k})
+				}
+				op.Prune = pruneFor(nil, cols, d.sizes[i], d.sizes[k])
+			} else {
+				// Payload A(k,j) is the RIGHT operand: its row t meets
+				// column t of the consumer's row panel A(i,k).
+				k, j := op.BI, op.BJ
+				rows := bitset(d.sizes[k])
+				for _, r := range op.Consumers {
+					i, _ := blockOf(r, n)
+					d.at(i, k).orColAnyInto(rows)
+				}
+				op.Prune = pruneFor(rows, nil, d.sizes[k], d.sizes[j])
+			}
+		}
+		for _, u := range r3upds {
+			a, b := d.at(u.i, u.k), d.at(u.k, u.j)
+			if a != nil && b != nil && !a.empty() && !b.empty() {
+				d.ensure(u.i, u.j).orMul(a, b)
+			}
 		}
 	}
 }

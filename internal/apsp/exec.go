@@ -11,15 +11,14 @@ import (
 // The reference semantics of a Plan replay: the literal simulated
 // machine, one goroutine per rank. It makes no symbolic decisions —
 // every group, root, tag, skip and unit assignment was frozen into the
-// Plan — so each rank simply walks its precomputed step list, entering
-// the collectives it belongs to in the order the fused solver would
-// have entered them. That replay is bit-identical to the pre-split
-// solver in both distances and charged costs (the golden cost test
-// pins all of latency, bandwidth, flops, message/word totals and peak
-// memory per graph family × wire format × R4 strategy). Production
-// runs ExecuteOpts (dataflow.go), which TestExecutorEquality checks
-// against this replay; what both share — LayoutFor, pack, unpack —
-// lives here too.
+// Plan — so each rank simply walks its precomputed step list, level by
+// level in the phase order R1, R2, R4, transposes, R3. That replay is
+// bit-identical to the pre-split solver in distances, and its charged
+// costs are the ones the golden cost test pins (latency, bandwidth,
+// flops, message/word totals and peak memory per graph family × wire
+// format × R4 strategy). Production runs ExecuteOpts (dataflow.go),
+// which TestExecutorEquality checks against this replay; what both
+// share — LayoutFor, pack, unpack — lives here too.
 
 // LayoutFor wraps g in a Layout that reuses the plan's cached symbolic
 // state. This is the warm serving path: the only per-solve work is the
@@ -157,39 +156,9 @@ func (e *planExec) level(lv *planLevel, st *rankLevel) {
 		e.ctx.AddMemory(-int64(len(dk.V)))
 	}
 
-	// ---- R_l^3: panel broadcasts and the one-unit update. ----
-	e.ctx.SetSendClass(comm.SendR3)
-	var rowPanel, colPanel *semiring.Matrix
-	for _, x := range st.R3 {
-		op := &lv.R3[x]
-		var payload []float64
-		if rank == op.Root {
-			payload = e.pl.pack(e.A, op.Prune)
-		}
-		data := e.ctx.Bcast(op.Group, op.Root, op.Tag, payload)
-		if !contains(op.Consumers, rank) {
-			continue
-		}
-		m := e.pl.unpack(data, e.sizes[op.BI], e.sizes[op.BJ])
-		e.ctx.AddMemory(int64(len(m.V)))
-		if op.Kind == opR3Row {
-			rowPanel = m
-		} else {
-			colPanel = m
-		}
-	}
-	if rowPanel != nil && colPanel != nil {
-		e.ctx.AddFlops(e.kern.MulAddInto(e.A, rowPanel, colPanel))
-	}
-	if rowPanel != nil {
-		e.ctx.AddMemory(-int64(len(rowPanel.V)))
-	}
-	if colPanel != nil {
-		e.ctx.AddMemory(-int64(len(colPanel.V)))
-	}
-
 	// ---- R_l^4, mapped strategy: panel broadcasts to the unit
-	// processors, unit products, binomial reduces. ----
+	// processors, unit products, binomial reduces. Ahead of R3: this is
+	// the level's longest dependent chain. ----
 	e.ctx.SetSendClass(comm.SendR4Panel)
 	var unit, unitAik, unitAkj *semiring.Matrix
 	for _, x := range st.R4Col {
@@ -295,6 +264,40 @@ func (e *planExec) level(lv *planLevel, st *rankLevel) {
 			src := e.pl.unpack(data, e.sizes[op.BI], e.sizes[op.BJ])
 			e.A.CopyFrom(src.Transpose())
 		}
+	}
+
+	// ---- R_l^3: panel broadcasts and the one-unit update. Last, so the
+	// R4 chain above is already under way: both read only the panels R2
+	// finished, R4 and the transposes write ancestor × ancestor blocks,
+	// R3 blocks with a descendant coordinate. ----
+	e.ctx.SetSendClass(comm.SendR3)
+	var rowPanel, colPanel *semiring.Matrix
+	for _, x := range st.R3 {
+		op := &lv.R3[x]
+		var payload []float64
+		if rank == op.Root {
+			payload = e.pl.pack(e.A, op.Prune)
+		}
+		data := e.ctx.Bcast(op.Group, op.Root, op.Tag, payload)
+		if !contains(op.Consumers, rank) {
+			continue
+		}
+		m := e.pl.unpack(data, e.sizes[op.BI], e.sizes[op.BJ])
+		e.ctx.AddMemory(int64(len(m.V)))
+		if op.Kind == opR3Row {
+			rowPanel = m
+		} else {
+			colPanel = m
+		}
+	}
+	if rowPanel != nil && colPanel != nil {
+		e.ctx.AddFlops(e.kern.MulAddInto(e.A, rowPanel, colPanel))
+	}
+	if rowPanel != nil {
+		e.ctx.AddMemory(-int64(len(rowPanel.V)))
+	}
+	if colPanel != nil {
+		e.ctx.AddMemory(-int64(len(colPanel.V)))
 	}
 }
 

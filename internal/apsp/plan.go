@@ -45,7 +45,7 @@ const (
 // order is part of the schedule, it decides the tree shape and thus
 // the charged critical path). Consumers are the member ranks that act
 // on the payload according to Kind; members outside Consumers only
-// relay.
+// relay, which beyond the root happens in R2 pivot groups alone.
 type BcastOp struct {
 	Group     []int
 	Root      int
@@ -97,14 +97,17 @@ type TransOp struct {
 	BI, BJ   int
 }
 
-// planLevel is the complete op schedule of one eTree level, in
-// execution order: R1 diagonal pivots, R2 pivot broadcasts + panel
-// updates, R3 panel broadcasts + one-unit products, then either the
-// mapped R4 (panel broadcasts to unit processors, unit products,
-// reduces) or the sequential ablation, and finally the transpose
-// sends. Per-phase lists are globally ordered; a rank replaying only
-// the ops it belongs to sees them in exactly the order the fused
-// solver executed them.
+// planLevel is the complete op schedule of one eTree level. A rank runs
+// the phases in the order R1 diagonal pivots, R2 pivot broadcasts +
+// panel updates, then R4 — the mapped strategy (panel broadcasts to
+// unit processors, unit products, reduces) or the sequential ablation —
+// and its transpose sends, and R3 (panel broadcasts + one-unit
+// products) last: R3 and R4 both depend on R2 alone and touch disjoint
+// blocks, so the long R4 chain starts first and the wide R3 fan-out
+// overlaps it (DESIGN.md §3). The fields below are grouped by region,
+// not by that order. Per-phase lists are globally ordered; a rank
+// replays only the ops it belongs to, in list order. Every broadcast
+// listed has at least one consumer.
 type planLevel struct {
 	R1       []int // supernode labels whose diagonal owner runs ClassicalFW
 	R2       []BcastOp
@@ -289,11 +292,11 @@ func boolInt(b bool) int {
 }
 
 // BuildPlan runs the symbolic phase: it walks the eTree schedule of
-// Algorithm 1 once, consulting the fill mask exactly where the fused
-// solver consulted it, and records every op. The resulting Plan
-// executed against ly's weights is bit-identical — distances AND
-// charged costs — to the pre-split solver (pinned by the golden cost
-// test).
+// Algorithm 1 once, consulting the fill mask, and records every op
+// some processor acts on — a broadcast nobody folds is not planned.
+// The resulting Plan executed against ly's weights yields distances
+// bit-identical to the pre-split solver and the charged costs the
+// golden cost test pins.
 func BuildPlan(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, error) {
 	h, err := HeightForP(p)
 	if err != nil {
@@ -375,6 +378,17 @@ func (b *planBuilder) mayFill(l, i, j int) bool {
 	return b.mask.At(l, i, j)
 }
 
+// addBcast plans op unless nobody folds its payload: a broadcast
+// without a consumer would only charge its hops (a full panel under
+// WireDense), so it gets no tag and no place in the schedule.
+func (b *planBuilder) addBcast(ops *[]BcastOp, op BcastOp) {
+	if len(op.Consumers) == 0 {
+		return
+	}
+	op.Tag = b.tag()
+	*ops = append(*ops, op)
+}
+
 func (b *planBuilder) level(l int, r4seq bool) (planLevel, error) {
 	tr := b.tr
 	var lv planLevel
@@ -410,11 +424,37 @@ func (b *planBuilder) level(l int, r4seq bool) (planLevel, error) {
 		lv.R2 = append(lv.R2, row)
 	}
 
+	// R_l^4 (absent at the root level, which has no ancestors), then the
+	// transpose sends (line 25), shared by both strategies: a block the
+	// mask proves still all-Inf after this level has an equally empty
+	// mirror, so both sides skip the exchange.
+	if l < tr.H {
+		if r4seq {
+			b.levelR4Sequential(l, &lv)
+		} else if err := b.levelR4Mapped(l, &lv); err != nil {
+			return planLevel{}, err
+		}
+		for _, blk := range tr.R4Lower(l) {
+			if blk.I == blk.J || b.sizes[blk.I] == 0 || b.sizes[blk.J] == 0 {
+				continue
+			}
+			if !b.anyActiveUnit(l, blk.I) || !b.mayFill(l+1, blk.I, blk.J) {
+				continue
+			}
+			lv.Trans = append(lv.Trans, TransOp{
+				Src: b.rank(blk.I, blk.J), Dst: b.rank(blk.J, blk.I),
+				Tag: b.tag(), BI: blk.I, BJ: blk.J,
+			})
+		}
+	}
+
 	// R_l^3: row broadcasts of the column panels A(i,k) along row i,
-	// column broadcasts of the row panels A(k,j) down column j, each
-	// over the related set; the unique-pivot blocks capture and
-	// multiply. A panel the mask proves all-Inf skips its broadcast
-	// outright — by every rank, consistently.
+	// column broadcasts of the row panels A(k,j) down column j; the
+	// unique-pivot blocks capture and multiply. A panel travels to the
+	// processors that fold it and to nobody else: the group is the root
+	// plus the consumers, in related-set order, and a panel nobody folds
+	// — one the mask proves all-Inf, or any level-1 panel, since leaves
+	// have no descendants and R_1^3 is empty — is not broadcast at all.
 	for _, k := range tr.LevelNodes(l) {
 		if !b.active(k) {
 			continue
@@ -424,56 +464,32 @@ func (b *planBuilder) level(l int, r4seq bool) (planLevel, error) {
 			if i == k || !b.mayFill(l, i, k) {
 				continue
 			}
-			op := BcastOp{Root: b.rank(i, k), Tag: b.tag(), BI: i, BJ: k, Kind: opR3Row}
+			op := BcastOp{Root: b.rank(i, k), BI: i, BJ: k, Kind: opR3Row}
 			for _, j := range rel {
-				op.Group = append(op.Group, b.rank(i, j))
 				if b.r3Pivot(l, i, j) == k {
+					op.Group = append(op.Group, b.rank(i, j))
 					op.Consumers = append(op.Consumers, b.rank(i, j))
+				} else if j == k {
+					op.Group = append(op.Group, op.Root)
 				}
 			}
-			lv.R3 = append(lv.R3, op)
+			b.addBcast(&lv.R3, op)
 		}
 		for _, j := range rel {
 			if j == k || !b.mayFill(l, k, j) {
 				continue
 			}
-			op := BcastOp{Root: b.rank(k, j), Tag: b.tag(), BI: k, BJ: j, Kind: opR3Col}
+			op := BcastOp{Root: b.rank(k, j), BI: k, BJ: j, Kind: opR3Col}
 			for _, i := range rel {
-				op.Group = append(op.Group, b.rank(i, j))
 				if b.r3Pivot(l, i, j) == k {
+					op.Group = append(op.Group, b.rank(i, j))
 					op.Consumers = append(op.Consumers, b.rank(i, j))
+				} else if i == k {
+					op.Group = append(op.Group, op.Root)
 				}
 			}
-			lv.R3 = append(lv.R3, op)
+			b.addBcast(&lv.R3, op)
 		}
-	}
-
-	// R_l^4 (absent at the root level, which has no ancestors).
-	if l >= tr.H {
-		return lv, nil
-	}
-	if r4seq {
-		b.levelR4Sequential(l, &lv)
-	} else {
-		if err := b.levelR4Mapped(l, &lv); err != nil {
-			return planLevel{}, err
-		}
-	}
-
-	// Transpose sends (line 25), shared by both strategies: a block
-	// the mask proves still all-Inf after this level has an equally
-	// empty mirror, so both sides skip the exchange.
-	for _, blk := range tr.R4Lower(l) {
-		if blk.I == blk.J || b.sizes[blk.I] == 0 || b.sizes[blk.J] == 0 {
-			continue
-		}
-		if !b.anyActiveUnit(l, blk.I) || !b.mayFill(l+1, blk.I, blk.J) {
-			continue
-		}
-		lv.Trans = append(lv.Trans, TransOp{
-			Src: b.rank(blk.I, blk.J), Dst: b.rank(blk.J, blk.I),
-			Tag: b.tag(), BI: blk.I, BJ: blk.J,
-		})
 	}
 	return lv, nil
 }
@@ -483,8 +499,10 @@ func (b *planBuilder) level(l int, r4seq bool) (planLevel, error) {
 // binomial reduce per block.
 func (b *planBuilder) levelR4Mapped(l int, lv *planLevel) error {
 	tr := b.tr
-	// Column-panel broadcasts (line 14): P(i,k) → the unit processors
-	// needing A(i,k), which all capture it as their left operand.
+	// Column-panel broadcasts (line 14): P(i,k) → the processors whose
+	// unit A(i,k) ⊗ A(k,j) is planned below, which capture it as their
+	// left operand. A target whose other operand the mask proves all-Inf
+	// hosts no unit and is handed nothing.
 	for _, k := range tr.LevelNodes(l) {
 		if !b.active(k) {
 			continue
@@ -494,19 +512,22 @@ func (b *planBuilder) levelR4Mapped(l int, lv *planLevel) error {
 			if !b.mayFill(l, i, k) {
 				continue
 			}
-			op := BcastOp{Root: b.rank(i, k), Tag: b.tag(), BI: i, BJ: k, Kind: opR4Aik}
+			op := BcastOp{Root: b.rank(i, k), BI: i, BJ: k, Kind: opR4Aik}
 			op.Group = append(op.Group, op.Root)
 			for _, u := range tr.R4BroadcastTargetsColPanel(l, i, k) {
+				if !b.mayFill(l, k, u.J) {
+					continue
+				}
 				r := b.grid.Rank(u.F-1, u.G-1)
 				if r != op.Root {
 					op.Group = append(op.Group, r)
 				}
 				op.Consumers = append(op.Consumers, r)
 			}
-			lv.R4Col = append(lv.R4Col, op)
+			b.addBcast(&lv.R4Col, op)
 		}
 	}
-	// Row-panel broadcasts (line 17).
+	// Row-panel broadcasts (line 17), likewise.
 	for _, k := range tr.LevelNodes(l) {
 		if !b.active(k) {
 			continue
@@ -516,21 +537,25 @@ func (b *planBuilder) levelR4Mapped(l int, lv *planLevel) error {
 			if !b.mayFill(l, k, j) {
 				continue
 			}
-			op := BcastOp{Root: b.rank(k, j), Tag: b.tag(), BI: k, BJ: j, Kind: opR4Akj}
+			op := BcastOp{Root: b.rank(k, j), BI: k, BJ: j, Kind: opR4Akj}
 			op.Group = append(op.Group, op.Root)
 			for _, u := range tr.R4BroadcastTargetsRowPanel(l, k, j) {
+				if !b.mayFill(l, u.I, k) {
+					continue
+				}
 				r := b.grid.Rank(u.F-1, u.G-1)
 				if r != op.Root {
 					op.Group = append(op.Group, r)
 				}
 				op.Consumers = append(op.Consumers, r)
 			}
-			lv.R4Row = append(lv.R4Row, op)
+			b.addBcast(&lv.R4Row, op)
 		}
 	}
 	// Unit products (line 21): a unit exists iff both its panels can be
-	// finite — exactly when both broadcasts above were planned, so the
-	// executor's captured operands are always present.
+	// finite — exactly when both broadcasts above were planned with its
+	// processor as a consumer, so the executor's captured operands are
+	// always present.
 	seen := make(map[int]bool)
 	for _, u := range tr.UnitsForLevel(l) {
 		if !b.active(u.K) || !b.mayFill(l, u.I, u.K) || !b.mayFill(l, u.K, u.J) {
@@ -616,8 +641,7 @@ func (b *planBuilder) anyActiveUnit(l, i int) bool {
 
 // indexRanks builds the per-rank schedule index: for every rank, the
 // indices of the ops it participates in, phase by phase, preserving
-// each phase's global order (which is exactly the per-rank execution
-// order of the fused solver).
+// each phase's global order.
 func indexRanks(p *Plan) [][]rankLevel {
 	n := p.NSup
 	rk := func(i, j int) int { return (i-1)*n + (j - 1) }

@@ -18,7 +18,7 @@ import (
 //
 // Format (all integers signed varints, little-endian elsewhere):
 //
-//	magic "SAPLAN02"                          (8 bytes; version is part of the magic)
+//	magic "SAPLAN03"                          (8 bytes; version is part of the magic)
 //	P, H, NSup, Wire, R4Seq, Tags
 //	ND.Perm, ND.Sizes                         (length-prefixed)
 //	FillMask states                           (count, then one bitset per state)
@@ -44,7 +44,10 @@ import (
 // instead of misparsing. 02: wire value 0 became the demand-pruned
 // wire — an 01 file stored under the same structure fingerprint holds
 // a wire=0 plan with no prune descriptors and must not be served.
-const planMagic = "SAPLAN02"
+// 03: BuildPlan stopped planning broadcasts nobody folds — an 02 file
+// under the same fingerprint still holds them and would replay with
+// other message and word counts than a fresh build.
+const planMagic = "SAPLAN03"
 
 // planHashLen is the raw length of the sha256 content-hash trailer.
 const planHashLen = 32

@@ -214,24 +214,11 @@ func TestPlanStoreCorruptFileDegrades(t *testing.T) {
 	}
 }
 
-// TestPlanStoreRejectsStaleFormat: a plan directory written before the
-// demand-pruned wire took value 0 holds SAPLAN01 files — wire=0 plans
-// with no prune descriptors, filed under the very fingerprint today's
-// default hashes to. Serving one would silently move the old wire's
-// traffic, so it must count as a disk error, be rebuilt and be
-// overwritten in the current format.
-func TestPlanStoreRejectsStaleFormat(t *testing.T) {
-	dir := t.TempDir()
-	g := graph.Grid2D(12, 12, graph.UnitWeights)
-	const p = 49
-
-	// What the old writer left behind: the mask-skipped schedule with
-	// every prune descriptor absent (stripped before the first Hash, so
-	// the content-hash trailer is the stale plan's own and only the
-	// magic can reject it).
-	stale := buildTestPlan(t, g, p, WirePruned, R4Mapped)
-	for li := range stale.Levels {
-		lv := &stale.Levels[li]
+// stripPrunes turns pl into what an SAPLAN01 writer left behind: the
+// mask-skipped schedule with every prune descriptor absent.
+func stripPrunes(pl *Plan) {
+	for li := range pl.Levels {
+		lv := &pl.Levels[li]
 		for _, ops := range [][]BcastOp{lv.R2, lv.R3, lv.R4Col, lv.R4Row} {
 			for i := range ops {
 				ops[i].Prune = nil
@@ -241,53 +228,111 @@ func TestPlanStoreRejectsStaleFormat(t *testing.T) {
 			lv.R4Seq[i].PruneA, lv.R4Seq[i].PruneB = nil, nil
 		}
 	}
-	old := stale.Encode()
-	if _, err := DecodePlan(old); err != nil {
-		t.Fatalf("stale plan under the current magic must be a valid encoding: %v", err)
-	}
-	copy(old, "SAPLAN01")
-	if _, err := DecodePlan(old); err == nil {
-		t.Fatal("SAPLAN01 file decoded without error")
-	}
-	path := filepath.Join(dir, StructureFingerprintOf(g, p, 42, WirePruned, R4Mapped).String()+".plan")
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
+}
 
+// addLevel1R3 turns pl into what an SAPLAN02 writer left behind at
+// level 1: one R3 broadcast per R2-updated panel, over the pivot's whole
+// related set, with no consumer (leaves have no descendants) and hence
+// the empty demand descriptor.
+func addLevel1R3(pl *Plan) {
+	lv := &pl.Levels[0]
+	for _, r2 := range lv.R2 {
+		k := r2.BI
+		rel := pl.Tree.RelatedSet(k)
+		for _, root := range r2.Consumers {
+			i, j := blockOf(root, pl.NSup)
+			op := BcastOp{Root: root, Tag: pl.Tags, BI: i, BJ: j, Kind: opR3Row, Prune: &PruneSpec{Cols: []int32{}}}
+			if r2.Kind == opR2Right {
+				op.Kind, op.Prune = opR3Col, &PruneSpec{Rows: []int32{}}
+			}
+			pl.Tags++
+			for _, x := range rel {
+				if op.Kind == opR3Row { // column panel A(i,k) along row i
+					op.Group = append(op.Group, (i-1)*pl.NSup+x-1)
+				} else { // row panel A(k,j) down column j
+					op.Group = append(op.Group, (x-1)*pl.NSup+j-1)
+				}
+			}
+			lv.R3 = append(lv.R3, op)
+		}
+	}
+}
+
+// TestPlanStoreRejectsStaleFormat: a plan directory written by an older
+// binary holds files filed under the very fingerprint today's default
+// hashes to — SAPLAN01 from before the demand-pruned wire took value 0
+// (wire=0 plans with no prune descriptors), SAPLAN02 from before
+// BuildPlan stopped planning broadcasts nobody folds. Serving either
+// would silently move the old schedule's traffic, so it must count as a
+// disk error, be rebuilt and be overwritten in the current format.
+func TestPlanStoreRejectsStaleFormat(t *testing.T) {
+	g := graph.Grid2D(12, 12, graph.UnitWeights)
+	const p = 49
 	fresh, err := SparseAPSPWith(g, p, SparseOptions{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewPlanCacheAt(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SparseAPSPWith(g, p, SparseOptions{Seed: 42, Plans: c})
-	if err != nil {
-		t.Fatalf("solve over a stale plan file failed: %v", err)
-	}
-	if st := c.Stats(); st.DiskErrors != 1 || st.Builds != 1 || st.DiskWrites != 1 || st.DiskHits != 0 {
-		t.Fatalf("stats over a stale plan file = %+v, want 1 disk error / 1 build / 1 disk write", st)
-	}
-	if !reflect.DeepEqual(got.Report, fresh.Report) {
-		t.Fatalf("rebuilt plan charged %d critical words, fresh build %d",
-			got.Report.Critical.Bandwidth, fresh.Report.Critical.Bandwidth)
-	}
-	rewritten, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(rewritten, []byte(planMagic)) {
-		t.Fatalf("stale file not overwritten: magic %q", rewritten[:len(planMagic)])
-	}
-	// Had the stale file been served it would have cost more: that is
-	// the bug the magic bump closes.
-	served, err := stale.ExecuteOpts(stale.LayoutFor(g), ExecOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if served.Report.Critical.Bandwidth <= fresh.Report.Critical.Bandwidth {
-		t.Fatalf("stale plan moves %d critical words, fresh %d: the fixture no longer models an old file",
-			served.Report.Critical.Bandwidth, fresh.Report.Critical.Bandwidth)
+	for _, tc := range []struct {
+		magic string
+		age   func(*Plan)
+	}{
+		{"SAPLAN01", stripPrunes},
+		{"SAPLAN02", addLevel1R3},
+	} {
+		dir := t.TempDir()
+		// The fixture is aged before its first Hash, so the content-hash
+		// trailer is the stale plan's own and only the magic can reject
+		// it.
+		stale := buildTestPlan(t, g, p, WirePruned, R4Mapped)
+		tc.age(stale)
+		old := stale.Encode()
+		servable, err := DecodePlan(old)
+		if err != nil {
+			t.Fatalf("%s: stale plan under the current magic must be a valid encoding: %v", tc.magic, err)
+		}
+		copy(old, tc.magic)
+		if _, err := DecodePlan(old); err == nil {
+			t.Fatalf("%s file decoded without error", tc.magic)
+		}
+		path := filepath.Join(dir, StructureFingerprintOf(g, p, 42, WirePruned, R4Mapped).String()+".plan")
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		c, err := NewPlanCacheAt(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := SparseAPSPWith(g, p, SparseOptions{Seed: 42, Plans: c})
+		if err != nil {
+			t.Fatalf("%s: solve over a stale plan file failed: %v", tc.magic, err)
+		}
+		if st := c.Stats(); st.DiskErrors != 1 || st.Builds != 1 || st.DiskWrites != 1 || st.DiskHits != 0 {
+			t.Fatalf("%s: stats over a stale plan file = %+v, want 1 disk error / 1 build / 1 disk write", tc.magic, st)
+		}
+		if !reflect.DeepEqual(got.Report, fresh.Report) {
+			t.Fatalf("%s: rebuilt plan charged %d critical words, fresh build %d",
+				tc.magic, got.Report.Critical.Bandwidth, fresh.Report.Critical.Bandwidth)
+		}
+		rewritten, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(rewritten, []byte(planMagic)) {
+			t.Fatalf("%s: stale file not overwritten: magic %q", tc.magic, rewritten[:len(planMagic)])
+		}
+		// Had the stale file been served it would have cost more: that is
+		// the bug each magic bump closes.
+		served, err := servable.ExecuteOpts(servable.LayoutFor(g), ExecOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if served.Report.TotalWords <= fresh.Report.TotalWords {
+			t.Fatalf("%s: stale plan moves %d words, fresh %d: the fixture no longer models an old file",
+				tc.magic, served.Report.TotalWords, fresh.Report.TotalWords)
+		}
+		if !identicalMatrices(served.Dist, fresh.Dist) {
+			t.Fatalf("%s: stale plan's distances differ — the fixture is not a valid schedule", tc.magic)
+		}
 	}
 }

@@ -1,0 +1,192 @@
+package apsp
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"sparseapsp/internal/graph"
+)
+
+// Structural invariants of the schedule, checked on the Plan alone — no
+// weights, no execute. The numeric suites (golden table, executor
+// equality) compare configurations with each other and would all pass
+// on a plan that ships panels nobody folds; these would not.
+
+// forEachShapePlan builds a plan for every graph family × machine size
+// × wire × R4 strategy of the structural grid and hands it to check.
+func forEachShapePlan(t *testing.T, check func(t *testing.T, name string, pl *Plan)) {
+	rng := rand.New(rand.NewSource(17))
+	// A plain G(n, 4/n) draw (graph.RandomGNP threads a spanning path
+	// through its vertices): ~e⁻⁴·n vertices stay isolated, the input
+	// that sends the partitioner into lopsided splits (ROADMAP item 1).
+	gnp := graph.New(240)
+	for u := 0; u < gnp.N(); u++ {
+		for v := u + 1; v < gnp.N(); v++ {
+			if rng.Float64() < 4.0/float64(gnp.N()) {
+				gnp.AddEdge(u, v, 1)
+			}
+		}
+	}
+	isolated := 0
+	for v := 0; v < gnp.N(); v++ {
+		if gnp.Degree(v) == 0 {
+			isolated++
+		}
+	}
+	if isolated == 0 {
+		t.Fatal("the G(n,4/n) draw has no isolated vertex; pick another seed")
+	}
+	cliques := graph.New(32)
+	for c := 0; c < 2; c++ {
+		for u := 0; u < 16; u++ {
+			for v := u + 1; v < 16; v++ {
+				cliques.AddEdge(16*c+u, 16*c+v, 1)
+			}
+		}
+	}
+	families := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"grid", graph.Grid2D(16, 16, graph.UnitWeights)},
+		{"path", graph.Path(200, graph.UnitWeights)},
+		{"cycle", graph.Cycle(200, graph.UnitWeights)},
+		{"tree", graph.RandomTree(220, graph.UnitWeights, rng)},
+		{"star", graph.Star(120, graph.UnitWeights)},
+		{"caterpillar", graph.Caterpillar(60, 3, graph.UnitWeights)},
+		{"gnp-isolated", gnp},
+		{"two-cliques", cliques},
+		{"rmat", graph.RMAT(8, 3, graph.UnitWeights, rng)},
+	}
+	for _, f := range families {
+		for _, p := range []int{9, 49, 225} {
+			h, err := HeightForP(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ly, err := NewLayout(f.g, h, 11)
+			if err != nil {
+				t.Fatalf("%s p=%d: %v", f.name, p, err)
+			}
+			for _, wire := range []WireFormat{WirePruned, WireDense} {
+				for _, r4 := range []R4Strategy{R4Mapped, R4Sequential} {
+					pl, err := BuildPlan(ly, p, wire, r4)
+					if err != nil {
+						t.Fatalf("%s p=%d: %v", f.name, p, err)
+					}
+					check(t, fmt.Sprintf("%s/p=%d/%v/r4=%d", f.name, p, wire, r4), pl)
+				}
+			}
+		}
+	}
+}
+
+// TestPlanShipsOnlyWhatIsFolded: every planned panel broadcast reaches
+// a processor that folds it and no processor that does not. No R3,
+// R4Col or R4Row op is consumer-less; an R3 group is its root plus its
+// consumers; an R4 panel consumer hosts a planned unit with that panel
+// as its operand (and every unit is handed both operands); and level 1
+// has no R3 at all — leaves have no descendants, R_1^3 = ∅.
+func TestPlanShipsOnlyWhatIsFolded(t *testing.T) {
+	forEachShapePlan(t, func(t *testing.T, name string, pl *Plan) {
+		if n := len(pl.Levels[0].R3); n != 0 {
+			t.Errorf("%s: level 1 plans %d R3 broadcasts, want none", name, n)
+		}
+		for li := range pl.Levels {
+			lv := &pl.Levels[li]
+			for phase, ops := range map[string][]BcastOp{"R3": lv.R3, "R4Col": lv.R4Col, "R4Row": lv.R4Row} {
+				for x := range ops {
+					if len(ops[x].Consumers) == 0 {
+						t.Errorf("%s: level %d %s[%d] (block %d,%d) has no consumer", name, li+1, phase, x, ops[x].BI, ops[x].BJ)
+					}
+				}
+			}
+			for x := range lv.R3 {
+				op := &lv.R3[x]
+				if !contains(op.Group, op.Root) {
+					t.Errorf("%s: level %d R3[%d]: root %d outside its group", name, li+1, x, op.Root)
+				}
+				for _, r := range op.Group {
+					if r != op.Root && !contains(op.Consumers, r) {
+						t.Errorf("%s: level %d R3[%d]: member %d only relays", name, li+1, x, r)
+					}
+				}
+			}
+			unitOf := make(map[int]UnitOp, len(lv.R4Units))
+			for _, u := range lv.R4Units {
+				unitOf[u.Rank] = u
+			}
+			gotAik, gotAkj := map[int]bool{}, map[int]bool{}
+			for x := range lv.R4Col {
+				op := &lv.R4Col[x]
+				for _, r := range op.Consumers {
+					if u, ok := unitOf[r]; !ok || u.I != op.BI || u.K != op.BJ {
+						t.Errorf("%s: level %d R4Col[%d]: consumer %d hosts no unit over panel (%d,%d)", name, li+1, x, r, op.BI, op.BJ)
+					}
+					gotAik[r] = true
+				}
+			}
+			for x := range lv.R4Row {
+				op := &lv.R4Row[x]
+				for _, r := range op.Consumers {
+					if u, ok := unitOf[r]; !ok || u.K != op.BI || u.J != op.BJ {
+						t.Errorf("%s: level %d R4Row[%d]: consumer %d hosts no unit over panel (%d,%d)", name, li+1, x, r, op.BI, op.BJ)
+					}
+					gotAkj[r] = true
+				}
+			}
+			for _, u := range lv.R4Units {
+				if !gotAik[u.Rank] || !gotAkj[u.Rank] {
+					t.Errorf("%s: level %d: unit on rank %d is missing an operand broadcast", name, li+1, u.Rank)
+				}
+			}
+		}
+	})
+}
+
+// TestLevelOrderIsLegal checks the premise of running R4 and the
+// transposes ahead of R3 on every plan instead of arguing it once: per
+// level, the blocks R4 writes (reduce roots, sequential owners,
+// transpose destinations) are disjoint from every block R3 reads as a
+// payload or writes at a consumer, and the blocks R4 reads (its panels,
+// the transpose sources) are disjoint from the ones R3 writes. With
+// that, the two regions commute and distances cannot depend on which
+// runs first.
+func TestLevelOrderIsLegal(t *testing.T) {
+	type block struct{ i, j int }
+	forEachShapePlan(t, func(t *testing.T, name string, pl *Plan) {
+		for li := range pl.Levels {
+			lv := &pl.Levels[li]
+			r4Writes, r4Reads := map[block]bool{}, map[block]bool{}
+			for _, op := range lv.R4Reduce {
+				r4Writes[block{op.BI, op.BJ}] = true
+			}
+			for _, op := range lv.R4Seq {
+				r4Writes[block{op.BI, op.BJ}] = true
+				r4Reads[block{op.BI, op.K}] = true
+				r4Reads[block{op.K, op.BJ}] = true
+			}
+			for _, op := range lv.Trans {
+				r4Writes[block{op.BJ, op.BI}] = true
+				r4Reads[block{op.BI, op.BJ}] = true
+			}
+			for _, ops := range [][]BcastOp{lv.R4Col, lv.R4Row} {
+				for _, op := range ops {
+					r4Reads[block{op.BI, op.BJ}] = true
+				}
+			}
+			for x, op := range lv.R3 {
+				if r4Writes[block{op.BI, op.BJ}] {
+					t.Errorf("%s: level %d R3[%d] ships block (%d,%d), which R4 writes", name, li+1, x, op.BI, op.BJ)
+				}
+				for _, r := range op.Consumers {
+					i, j := blockOf(r, pl.NSup)
+					if r4Writes[block{i, j}] || r4Reads[block{i, j}] {
+						t.Errorf("%s: level %d R3[%d] updates block (%d,%d), which R4 touches", name, li+1, x, i, j)
+					}
+				}
+			}
+		}
+	})
+}

@@ -12,11 +12,17 @@ import (
 // contract: across graph families, both executors and both R4
 // strategies, the default wire's distances are bit-identical to
 // wire=dense — skipping and pruning elide only entries every receiver
-// provably absorbs — while it never costs more than dense on any
-// communication axis and wins strictly where there is structure to
-// exploit. Message counts are pinned to literals: pruning shrinks
-// payloads, never the schedule, so they are the counts the mask-only
-// schedule has always produced.
+// provably absorbs — while it never sends more messages than dense,
+// never moves more words than dense plus one word per message, and wins
+// strictly where there is structure to exploit. The one word is the
+// encoding tag every packed payload carries: on a graph with nothing to
+// prune (gnp-dense: 10,173 / 7,271 words against dense's 10,161 /
+// 7,263) it is all that separates the two wires. Until the schedule
+// stopped planning consumer-less panels — which only dense paid for in
+// full — that overhead was hidden and the bound read "≤ dense".
+// Message counts are pinned to literals: the demand sweep shrinks
+// payloads, never the schedule, so they are the counts of the
+// mask-skipped schedule alone (re-pinned with it, EXPERIMENTS.md E29).
 func TestPrunedWireMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	cases := []struct {
@@ -31,15 +37,15 @@ func TestPrunedWireMatchesDense(t *testing.T) {
 		// msgs is TotalMessages under R4Mapped and R4Sequential.
 		msgs [2]int64
 	}{
-		{"grid12", graph.Grid2D(12, 12, graph.RandomWeights(rng, 1, 10)), 49, true, false, [2]int64{222, 210}},
-		{"path", graph.Path(240, graph.UnitWeights), 49, true, false, [2]int64{204, 194}},
-		{"tree", graph.RandomTree(200, graph.UnitWeights, rng), 49, true, false, [2]int64{108, 100}},
-		{"star", graph.Star(120, graph.UnitWeights), 49, true, true, [2]int64{60, 56}},
+		{"grid12", graph.Grid2D(12, 12, graph.RandomWeights(rng, 1, 10)), 49, true, false, [2]int64{186, 174}},
+		{"path", graph.Path(240, graph.UnitWeights), 49, true, false, [2]int64{175, 166}},
+		{"tree", graph.RandomTree(200, graph.UnitWeights, rng), 49, true, false, [2]int64{88, 84}},
+		{"star", graph.Star(120, graph.UnitWeights), 49, true, true, [2]int64{50, 48}},
 		// Two disconnected cliques: the eTree schedule never ships a
 		// cross-component block at all (their separators are empty), and
 		// no receiver can fold the clique diagonals that do travel.
 		{"two-cliques", disconnectedCliques(40), 9, false, false, [2]int64{4, 4}},
-		{"gnp-dense", graph.RandomGNP(60, 0.4, graph.RandomWeights(rng, 1, 5), rng), 9, false, false, [2]int64{15, 14}},
+		{"gnp-dense", graph.RandomGNP(60, 0.4, graph.RandomWeights(rng, 1, 5), rng), 9, false, false, [2]int64{13, 12}},
 	}
 	for _, tc := range cases {
 		for si, strat := range []R4Strategy{R4Mapped, R4Sequential} {
@@ -60,16 +66,17 @@ func TestPrunedWireMatchesDense(t *testing.T) {
 				if !identicalMatrices(pruned.Dist, dense.Dist) {
 					t.Errorf("%s r4=%d %v: pruned distances differ from dense", tc.name, strat, ex)
 				}
-				if pr.TotalWords > dr.TotalWords || pr.Critical.Bandwidth > dr.Critical.Bandwidth {
-					t.Errorf("%s r4=%d %v: pruned words total/critical %d/%d exceed dense %d/%d",
-						tc.name, strat, ex, pr.TotalWords, pr.Critical.Bandwidth, dr.TotalWords, dr.Critical.Bandwidth)
+				if pr.TotalWords > dr.TotalWords+pr.TotalMessages || pr.Critical.Bandwidth > dr.Critical.Bandwidth+pr.Critical.Latency {
+					t.Errorf("%s r4=%d %v: pruned words total/critical %d/%d exceed dense %d/%d by more than a tag word per message (%d/%d)",
+						tc.name, strat, ex, pr.TotalWords, pr.Critical.Bandwidth, dr.TotalWords, dr.Critical.Bandwidth,
+						pr.TotalMessages, pr.Critical.Latency)
 				}
 				if pr.TotalMessages > dr.TotalMessages || pr.Critical.Latency > dr.Critical.Latency {
 					t.Errorf("%s r4=%d %v: pruned messages total/critical %d/%d exceed dense %d/%d",
 						tc.name, strat, ex, pr.TotalMessages, pr.Critical.Latency, dr.TotalMessages, dr.Critical.Latency)
 				}
 				if pr.TotalMessages != tc.msgs[si] {
-					t.Errorf("%s r4=%d %v: message count %d, want %d (pruning must not change the schedule)",
+					t.Errorf("%s r4=%d %v: message count %d, want %d (the demand sweep must not change the schedule)",
 						tc.name, strat, ex, pr.TotalMessages, tc.msgs[si])
 				}
 				if tc.strictWin && pr.TotalWords >= dr.TotalWords {

@@ -650,8 +650,11 @@ func RepairRowsWithOptions(g *graph.Graph, prevDist RowFunc, prevNext *Successor
 			return nil, nil, RepairStats{}, err
 		}
 	}
-	return pl.RepairRows(g, prevDist, prevNext, edits, RepairOptions{
-		DamageThreshold: threshold,
-		Kernel:          sopts.Kernel,
-	})
+	return pl.RepairRows(g, prevDist, prevNext, edits, sopts.repairOpts(threshold))
+}
+
+// repairOpts projects the solve options a repair's fallback execute
+// honours — the same two execOpts hands a fresh solve.
+func (o SparseOptions) repairOpts(threshold float64) RepairOptions {
+	return RepairOptions{DamageThreshold: threshold, Kernel: o.Kernel, ExecWorkers: o.ExecWorkers}
 }

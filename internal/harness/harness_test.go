@@ -96,8 +96,9 @@ func TestCrossoverTable(t *testing.T) {
 }
 
 func TestCommBreakdownTable(t *testing.T) {
-	// The run itself errors if the sparse wire moves more words or
-	// messages than dense on any family; the shape is two rows each.
+	// The run itself errors if the sparse wire sends more messages than
+	// dense, or more words than dense plus a tag word per message, on
+	// any family; the shape is two rows each.
 	tb, err := CommBreakdown(smallConfig(), 64, 9)
 	if err != nil {
 		t.Fatal(err)
