@@ -41,11 +41,13 @@ const (
 )
 
 // BcastOp is one planned broadcast: the payload block (BI, BJ) travels
-// from Root to every rank of Group (binomial tree in group order — the
-// order is part of the schedule, it decides the tree shape and thus
-// the charged critical path). Consumers are the member ranks that act
-// on the payload according to Kind; members outside Consumers only
-// relay, which beyond the root happens in R2 pivot groups alone.
+// from Root to every rank of Group along the binomial tree in group
+// order. A group is a set plus a chosen order: the set is who needs the
+// payload, the order — Root first, then as placeTrees (place.go)
+// arranged the members — decides who relays, and with it the charged
+// critical path. Consumers are the member ranks that act on the payload
+// according to Kind; members outside Consumers only relay, which beyond
+// the root happens in R2 pivot groups alone.
 type BcastOp struct {
 	Group     []int
 	Root      int
@@ -107,7 +109,9 @@ type TransOp struct {
 // overlaps it (DESIGN.md §3). The fields below are grouped by region,
 // not by that order. Per-phase lists are globally ordered; a rank
 // replays only the ops it belongs to, in list order. Every broadcast
-// listed has at least one consumer.
+// listed has at least one consumer. planBuilder.level lists each group
+// in eTree label order; that is only the arrangement placeTrees starts
+// from, never what a built plan replays.
 type planLevel struct {
 	R1       []int // supernode labels whose diagonal owner runs ClassicalFW
 	R2       []BcastOp
@@ -293,11 +297,27 @@ func boolInt(b bool) int {
 
 // BuildPlan runs the symbolic phase: it walks the eTree schedule of
 // Algorithm 1 once, consulting the fill mask, and records every op
-// some processor acts on — a broadcast nobody folds is not planned.
+// some processor acts on — a broadcast nobody folds is not planned —
+// then chooses the member order of every broadcast group from a replay
+// of the model's clocks over that schedule (placeTrees, place.go).
 // The resulting Plan executed against ly's weights yields distances
 // bit-identical to the pre-split solver and the charged costs the
 // golden cost test pins.
 func BuildPlan(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, error) {
+	pl, err := buildLabelOrder(ly, p, wire, r4)
+	if err != nil {
+		return nil, err
+	}
+	placeTrees(pl)
+	pl.ranks = indexRanks(pl)
+	return pl, nil
+}
+
+// buildLabelOrder is BuildPlan up to the tree placement: every op is
+// planned and every payload rectangle frozen, each broadcast group
+// still lists its members in eTree label order, and the per-rank index
+// is not built yet.
+func buildLabelOrder(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, error) {
 	h, err := HeightForP(p)
 	if err != nil {
 		return nil, err
@@ -339,7 +359,6 @@ func BuildPlan(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, error)
 		attachPrunes(pl, ly)
 	}
 	pl.Tags = b.tags
-	pl.ranks = indexRanks(pl)
 	return pl, nil
 }
 
@@ -452,9 +471,9 @@ func (b *planBuilder) level(l int, r4seq bool) (planLevel, error) {
 	// column broadcasts of the row panels A(k,j) down column j; the
 	// unique-pivot blocks capture and multiply. A panel travels to the
 	// processors that fold it and to nobody else: the group is the root
-	// plus the consumers, in related-set order, and a panel nobody folds
-	// — one the mask proves all-Inf, or any level-1 panel, since leaves
-	// have no descendants and R_1^3 is empty — is not broadcast at all.
+	// plus the consumers, and a panel nobody folds — one the mask proves
+	// all-Inf, or any level-1 panel, since leaves have no descendants and
+	// R_1^3 is empty — is not broadcast at all.
 	for _, k := range tr.LevelNodes(l) {
 		if !b.active(k) {
 			continue

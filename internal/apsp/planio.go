@@ -18,7 +18,7 @@ import (
 //
 // Format (all integers signed varints, little-endian elsewhere):
 //
-//	magic "SAPLAN03"                          (8 bytes; version is part of the magic)
+//	magic "SAPLAN04"                          (8 bytes; version is part of the magic)
 //	P, H, NSup, Wire, R4Seq, Tags
 //	ND.Perm, ND.Sizes                         (length-prefixed)
 //	FillMask states                           (count, then one bitset per state)
@@ -46,8 +46,10 @@ import (
 // a wire=0 plan with no prune descriptors and must not be served.
 // 03: BuildPlan stopped planning broadcasts nobody folds — an 02 file
 // under the same fingerprint still holds them and would replay with
-// other message and word counts than a fresh build.
-const planMagic = "SAPLAN03"
+// other message and word counts than a fresh build. 04: BuildPlan
+// chooses every broadcast group's order (place.go) — an 03 file holds
+// the label-order groups and would replay with other critical counts.
+const planMagic = "SAPLAN04"
 
 // planHashLen is the raw length of the sha256 content-hash trailer.
 const planHashLen = 32
@@ -238,6 +240,40 @@ func (r *planReader) bools(what string) ([]bool, error) {
 type planValidator struct {
 	p, nsup, tags int
 	sizes         []int
+	// member[r] == epoch marks rank r as a member of the group under
+	// validation; bumping epoch clears the set.
+	member []int
+	epoch  int
+}
+
+// group validates a collective's member list as a set — in range,
+// non-empty, pairwise distinct — and leaves it marked for inGroup. The
+// order is the plan's choice (place.go) and is not constrained; a
+// repeated or missing member, though, panics in comm's groupPos or
+// deadlocks the replay.
+func (v *planValidator) group(name string, group []int) error {
+	if len(group) == 0 {
+		return fmt.Errorf("apsp: DecodePlan: %s group is empty", name)
+	}
+	if v.member == nil {
+		v.member = make([]int, v.p)
+	}
+	v.epoch++
+	for _, g := range group {
+		if err := v.rank(name+" group member", g); err != nil {
+			return err
+		}
+		if v.member[g] == v.epoch {
+			return fmt.Errorf("apsp: DecodePlan: %s group lists rank %d twice", name, g)
+		}
+		v.member[g] = v.epoch
+	}
+	return nil
+}
+
+// inGroup reports whether r belongs to the group last validated.
+func (v *planValidator) inGroup(r int) bool {
+	return r >= 0 && r < v.p && v.member[r] == v.epoch
 }
 
 func (v *planValidator) rank(name string, r int) error {
@@ -366,18 +402,18 @@ func (r *planReader) bcasts(what string, v *planValidator) ([]BcastOp, error) {
 		if op.Prune, err = r.prune(what); err != nil {
 			return nil, err
 		}
-		for _, g := range op.Group {
-			if err := v.rank(what+" group member", g); err != nil {
-				return nil, err
-			}
+		if err := v.group(what, op.Group); err != nil {
+			return nil, err
+		}
+		if !v.inGroup(op.Root) {
+			return nil, fmt.Errorf("apsp: DecodePlan: %s root %d is not a member of its group", what, op.Root)
 		}
 		for _, c := range op.Consumers {
-			if err := v.rank(what+" consumer", c); err != nil {
-				return nil, err
+			if !v.inGroup(c) {
+				return nil, fmt.Errorf("apsp: DecodePlan: %s consumer %d is not a member of its group", what, c)
 			}
 		}
 		if err := firstErr(
-			v.rank(what+" root", op.Root),
 			v.tag(what, op.Tag),
 			v.block(what+" BI", op.BI),
 			v.block(what+" BJ", op.BJ),
@@ -571,10 +607,8 @@ func (r *planReader) readReduces(lv *planLevel, v *planValidator) error {
 		if op.Group, err = r.intSlice("reduce group"); err != nil {
 			return err
 		}
-		for _, g := range op.Group {
-			if err := v.rank("reduce member", g); err != nil {
-				return err
-			}
+		if err := v.group("reduce", op.Group); err != nil {
+			return err
 		}
 		for _, dst := range []*int{&op.Root, &op.Tag, &op.BI, &op.BJ} {
 			if *dst, err = r.int(); err != nil {

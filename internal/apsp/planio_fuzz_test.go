@@ -32,6 +32,9 @@ func FuzzDecodePlanMalformed(f *testing.F) {
 	seedPlan(graph.Grid2D(6, 6, graph.UnitWeights), 9, WireDense, R4Mapped)
 	seedPlan(graph.Grid2D(8, 8, graph.UnitWeights), 9, WirePruned, R4Mapped)
 	seedPlan(graph.Star(40, graph.UnitWeights), 9, WirePruned, R4Sequential)
+	for _, fx := range unrunnableGroupPlans(f) {
+		f.Add(fx.enc)
+	}
 	f.Add([]byte{})
 	f.Add([]byte(planMagic))
 	f.Add([]byte("not a plan at all, definitely longer than the envelope minimum"))

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sparseapsp/internal/comm"
 	"sparseapsp/internal/graph"
 )
 
@@ -29,7 +30,7 @@ func planioWorkloads(n int) map[string]*graph.Graph {
 	}
 }
 
-func buildTestPlan(t *testing.T, g *graph.Graph, p int, wire WireFormat, r4 R4Strategy) *Plan {
+func testLayout(t testing.TB, g *graph.Graph, p int) *Layout {
 	t.Helper()
 	h, err := HeightForP(p)
 	if err != nil {
@@ -39,10 +40,28 @@ func buildTestPlan(t *testing.T, g *graph.Graph, p int, wire WireFormat, r4 R4St
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := BuildPlan(ly, p, wire, r4)
+	return ly
+}
+
+func buildTestPlan(t testing.TB, g *graph.Graph, p int, wire WireFormat, r4 R4Strategy) *Plan {
+	t.Helper()
+	pl, err := BuildPlan(testLayout(t, g, p), p, wire, r4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return pl
+}
+
+// labelOrderPlan is BuildPlan without the tree placement: what every
+// writer up to SAPLAN03 produced, and the arrangement place.go starts
+// from.
+func labelOrderPlan(t testing.TB, ly *Layout, p int, wire WireFormat, r4 R4Strategy) *Plan {
+	t.Helper()
+	pl, err := buildLabelOrder(ly, p, wire, r4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.ranks = indexRanks(pl)
 	return pl
 }
 
@@ -262,9 +281,10 @@ func addLevel1R3(pl *Plan) {
 // binary holds files filed under the very fingerprint today's default
 // hashes to — SAPLAN01 from before the demand-pruned wire took value 0
 // (wire=0 plans with no prune descriptors), SAPLAN02 from before
-// BuildPlan stopped planning broadcasts nobody folds. Serving either
-// would silently move the old schedule's traffic, so it must count as a
-// disk error, be rebuilt and be overwritten in the current format.
+// BuildPlan stopped planning broadcasts nobody folds, SAPLAN03 from
+// before it chose the group orders (label-order trees). Serving any of
+// them would silently replay the old schedule's costs, so it must count
+// as a disk error, be rebuilt and be overwritten in the current format.
 func TestPlanStoreRejectsStaleFormat(t *testing.T) {
 	g := graph.Grid2D(12, 12, graph.UnitWeights)
 	const p = 49
@@ -272,20 +292,32 @@ func TestPlanStoreRejectsStaleFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	totalWords := func(r comm.Report) int64 { return r.TotalWords }
+	criticalWords := func(r comm.Report) int64 { return r.Critical.Bandwidth }
 	for _, tc := range []struct {
 		magic string
-		age   func(*Plan)
+		// stale builds the plan the old writer left behind. It must not
+		// have been hashed yet, so the content-hash trailer is the stale
+		// plan's own and only the magic can reject it.
+		stale func() *Plan
+		// cost is what serving the stale file would have raised: the bug
+		// the magic bump closes.
+		cost func(comm.Report) int64
 	}{
-		{"SAPLAN01", stripPrunes},
-		{"SAPLAN02", addLevel1R3},
+		{"SAPLAN01", func() *Plan {
+			pl := buildTestPlan(t, g, p, WirePruned, R4Mapped)
+			stripPrunes(pl)
+			return pl
+		}, totalWords},
+		{"SAPLAN02", func() *Plan {
+			pl := buildTestPlan(t, g, p, WirePruned, R4Mapped)
+			addLevel1R3(pl)
+			return pl
+		}, totalWords},
+		{"SAPLAN03", func() *Plan { return labelOrderPlan(t, testLayout(t, g, p), p, WirePruned, R4Mapped) }, criticalWords},
 	} {
 		dir := t.TempDir()
-		// The fixture is aged before its first Hash, so the content-hash
-		// trailer is the stale plan's own and only the magic can reject
-		// it.
-		stale := buildTestPlan(t, g, p, WirePruned, R4Mapped)
-		tc.age(stale)
-		old := stale.Encode()
+		old := tc.stale().Encode()
 		servable, err := DecodePlan(old)
 		if err != nil {
 			t.Fatalf("%s: stale plan under the current magic must be a valid encoding: %v", tc.magic, err)
@@ -321,18 +353,104 @@ func TestPlanStoreRejectsStaleFormat(t *testing.T) {
 		if !bytes.HasPrefix(rewritten, []byte(planMagic)) {
 			t.Fatalf("%s: stale file not overwritten: magic %q", tc.magic, rewritten[:len(planMagic)])
 		}
-		// Had the stale file been served it would have cost more: that is
-		// the bug each magic bump closes.
 		served, err := servable.ExecuteOpts(servable.LayoutFor(g), ExecOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if served.Report.TotalWords <= fresh.Report.TotalWords {
-			t.Fatalf("%s: stale plan moves %d words, fresh %d: the fixture no longer models an old file",
-				tc.magic, served.Report.TotalWords, fresh.Report.TotalWords)
+		if tc.cost(served.Report) <= tc.cost(fresh.Report) {
+			t.Fatalf("%s: stale plan costs %d words, fresh %d: the fixture no longer models an old file",
+				tc.magic, tc.cost(served.Report), tc.cost(fresh.Report))
 		}
 		if !identicalMatrices(served.Dist, fresh.Dist) {
 			t.Fatalf("%s: stale plan's distances differ — the fixture is not a valid schedule", tc.magic)
 		}
+	}
+}
+
+type unrunnablePlan struct {
+	name string
+	enc  []byte
+}
+
+// unrunnableGroupPlans returns hash-consistent encodings of plans whose
+// collectives cannot run: each fixture is edited before its first Hash,
+// so the trailer matches and only the group validation can reject it.
+// Executing any of them panics in comm's groupPos or deadlocks.
+func unrunnableGroupPlans(t testing.TB) []unrunnablePlan {
+	g := graph.Grid2D(8, 8, graph.UnitWeights)
+	firstR3 := func(pl *Plan) *BcastOp {
+		for li := range pl.Levels {
+			for x := range pl.Levels[li].R3 {
+				if op := &pl.Levels[li].R3[x]; len(op.Group) >= 3 {
+					return op
+				}
+			}
+		}
+		t.Fatal("fixture plan has no R3 broadcast over three members")
+		return nil
+	}
+	var out []unrunnablePlan
+	for _, fx := range []struct {
+		name string
+		edit func(pl *Plan)
+	}{
+		{"R3 group lacks its root", func(pl *Plan) {
+			op := firstR3(pl)
+			op.Group = op.Group[1:] // placement puts the root first
+			op.Consumers = append([]int(nil), op.Group...)
+		}},
+		{"R3 group lists a member twice", func(pl *Plan) {
+			op := firstR3(pl)
+			op.Group = append(op.Group, op.Group[1])
+		}},
+		{"R3 consumer outside the group", func(pl *Plan) {
+			op := firstR3(pl)
+			for r := 0; r < pl.P; r++ {
+				if !contains(op.Group, r) {
+					op.Consumers = append(op.Consumers, r)
+					return
+				}
+			}
+		}},
+		{"reduce group lists a member twice", func(pl *Plan) {
+			for li := range pl.Levels {
+				if ops := pl.Levels[li].R4Reduce; len(ops) > 0 {
+					ops[0].Group = append(ops[0].Group, ops[0].Group[0])
+					return
+				}
+			}
+			t.Fatal("fixture plan has no reduce")
+		}},
+	} {
+		pl := buildTestPlan(t, g, 49, WirePruned, R4Mapped)
+		fx.edit(pl)
+		out = append(out, unrunnablePlan{fx.name, pl.Encode()})
+	}
+	return out
+}
+
+// TestDecodePlanRejectsUnrunnableGroups: a group is a set plus a chosen
+// order, and the decoder validates the set — root inside, members
+// pairwise distinct, consumers inside — for every broadcast, and
+// distinct members for every reduce. The order itself is free.
+func TestDecodePlanRejectsUnrunnableGroups(t *testing.T) {
+	for _, fx := range unrunnableGroupPlans(t) {
+		if _, err := DecodePlan(fx.enc); err == nil {
+			t.Errorf("%s: decoded without error", fx.name)
+		}
+	}
+	// Any order of a valid set decodes: reversing a group's tail keeps
+	// the set and moves only the tree.
+	pl := buildTestPlan(t, graph.Grid2D(8, 8, graph.UnitWeights), 49, WirePruned, R4Mapped)
+	for li := range pl.Levels {
+		for x := range pl.Levels[li].R3 {
+			g := pl.Levels[li].R3[x].Group
+			for i, j := 1, len(g)-1; i < j; i, j = i+1, j-1 {
+				g[i], g[j] = g[j], g[i]
+			}
+		}
+	}
+	if _, err := DecodePlan(pl.Encode()); err != nil {
+		t.Errorf("a re-ordered group must decode: %v", err)
 	}
 }

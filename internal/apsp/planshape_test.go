@@ -16,6 +16,18 @@ import (
 // forEachShapePlan builds a plan for every graph family × machine size
 // × wire × R4 strategy of the structural grid and hands it to check.
 func forEachShapePlan(t *testing.T, check func(t *testing.T, name string, pl *Plan)) {
+	forEachShape(t, func(t *testing.T, name string, ly *Layout, p int, wire WireFormat, r4 R4Strategy) {
+		pl, err := BuildPlan(ly, p, wire, r4)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		check(t, name, pl)
+	})
+}
+
+// forEachShape is the structural grid itself: every graph family ×
+// machine size × wire × R4 strategy, as the inputs of a plan build.
+func forEachShape(t *testing.T, check func(t *testing.T, name string, ly *Layout, p int, wire WireFormat, r4 R4Strategy)) {
 	rng := rand.New(rand.NewSource(17))
 	// A plain G(n, 4/n) draw (graph.RandomGNP threads a spanning path
 	// through its vertices): ~e⁻⁴·n vertices stay isolated, the input
@@ -71,11 +83,7 @@ func forEachShapePlan(t *testing.T, check func(t *testing.T, name string, pl *Pl
 			}
 			for _, wire := range []WireFormat{WirePruned, WireDense} {
 				for _, r4 := range []R4Strategy{R4Mapped, R4Sequential} {
-					pl, err := BuildPlan(ly, p, wire, r4)
-					if err != nil {
-						t.Fatalf("%s p=%d: %v", f.name, p, err)
-					}
-					check(t, fmt.Sprintf("%s/p=%d/%v/r4=%d", f.name, p, wire, r4), pl)
+					check(t, fmt.Sprintf("%s/p=%d/%v/r4=%d", f.name, p, wire, r4), ly, p, wire, r4)
 				}
 			}
 		}
