@@ -3,6 +3,7 @@ package apsp
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"sparseapsp/internal/comm"
@@ -24,62 +25,158 @@ type PathResult struct {
 	next   *Successors
 }
 
-// succID is an element of a successor table: uint16 when every vertex
-// id sits below the 0xFFFF sentinel, int32 (sentinel -1) otherwise.
-// Both sentinels are the all-ones pattern, so the generic builders and
-// walkers spell "no successor" ^T(0).
-type succID interface{ uint16 | int32 }
-
-// Successors is the successor table of a solved graph, built and walked
-// at one width: uint16 entries when narrowSuccessors(n), int32 entries
-// otherwise — exactly one of the two slices is in use. It is
-// target-major: entry v*n+u is the vertex after u on a shortest u→v
-// path (all-ones if none), so row v is the shortest-path tree into v
-// and a path walk stays inside one row. Immutable once built.
+// Successors is the successor table of a solved graph, stored as
+// neighbour slots: the graph is sparse, so the hop after u towards v is
+// one of deg(u) neighbours, not one of n vertices. It is target-major:
+// entry (v,u) is the index in u's adjacency list of the vertex after u
+// on a shortest u→v path (all-ones if none, and on the diagonal), so row
+// v is the shortest-path tree into v and a path walk stays inside one
+// row. Entries are bit-packed at one width per table — the smallest of
+// 2/4/8/16/32 bits whose all-ones value exceeds every slot, so a single
+// hub widens the whole table — and every row starts on a word boundary,
+// because rebuild's workers write rows concurrently and must never
+// share a word. Immutable once built.
 type Successors struct {
-	n   int
-	u16 []uint16
-	i32 []int32 // non-nil selects the wide table
+	n        int
+	adj      *slotAdjacency // structure only: shared by every clone
+	lg       uint           // log2 of the entry width in bits, 1..5
+	mask     uint32         // all-ones at that width: "no successor"
+	rowWords int
+	words    []uint64
 }
 
-// narrowSuccessors reports whether every vertex id of an n-vertex graph
-// is below the uint16 sentinel 0xFFFF.
-func narrowSuccessors(n int) bool { return n <= math.MaxUint16 }
+// slotAdjacency is the edge structure of a graph as compact CSR, in
+// g.Adj order: what turns a slot back into a vertex (to) and a scanned
+// half-edge into the slot that undoes it (rev). It carries no weights,
+// so a reweight (SetEdge never changes structure) keeps sharing it.
+type slotAdjacency struct {
+	off []int32 // neighbours of u are to[off[u]:off[u+1]]
+	to  []int32
+	rev []int32 // rev[off[u]+s] is u's slot in the list of to[off[u]+s]
+}
 
-// newSuccessors allocates an n×n table; narrow is narrowSuccessors(n)
-// everywhere outside the tests that force the wide builder onto small
-// graphs.
-func newSuccessors(n int, narrow bool) *Successors {
-	if narrow {
-		return &Successors{n: n, u16: make([]uint16, n*n)}
+// newSlotAdjacency also returns the maximum degree. Finding each reverse
+// slot scans the neighbour's list: Σ deg² ≤ n·2m in total, never more
+// than the one extraction pass the table is built for.
+func newSlotAdjacency(g *graph.Graph) (*slotAdjacency, int) {
+	n := g.N()
+	a := &slotAdjacency{off: make([]int32, n+1), to: make([]int32, 2*g.M()), rev: make([]int32, 2*g.M())}
+	maxDeg := 0
+	for u := 0; u < n; u++ {
+		a.off[u+1] = a.off[u] + int32(g.Degree(u))
+		maxDeg = max(maxDeg, g.Degree(u))
+		for s, e := range g.Adj(u) {
+			i := int(a.off[u]) + s
+			a.to[i] = int32(e.To)
+			a.rev[i] = int32(slices.IndexFunc(g.Adj(e.To), func(b graph.Edge) bool { return b.To == u }))
+		}
 	}
-	return &Successors{n: n, i32: make([]int32, n*n)}
+	return a, maxDeg
 }
 
-// Bytes is the retained size of the table.
-func (s *Successors) Bytes() int64 { return int64(len(s.u16))*2 + int64(len(s.i32))*4 }
+// slotEdge is one half-edge as the extraction walk wants it: the
+// neighbour, the slot the walk stores when it crosses the edge backwards,
+// and the weight, side by side in adjacency order.
+type slotEdge struct {
+	to, rev int32
+	w       float64
+}
+
+// weigh lays the half-edges of g — the structure a was built from, under
+// whatever weights g carries now — out flat for one rebuild.
+func (a *slotAdjacency) weigh(g *graph.Graph) []slotEdge {
+	edges := make([]slotEdge, len(a.to))
+	for u := 0; u < g.N(); u++ {
+		for s, e := range g.Adj(u) {
+			i := int(a.off[u]) + s
+			edges[i] = slotEdge{to: a.to[i], rev: a.rev[i], w: e.W}
+		}
+	}
+	return edges
+}
+
+// slotBits is the narrowest entry width that keeps all-ones free for
+// "none" above the slots 0..maxDeg-1.
+func slotBits(maxDeg int) int {
+	width := 2
+	for 1<<width-1 < maxDeg {
+		width *= 2
+	}
+	return width
+}
+
+// newSuccessors allocates the n×n table of g at the given entry width,
+// each row padded to whole words; width is 0 (the narrowest that fits
+// g's maximum degree) everywhere outside the tests that force a wider
+// table onto small graphs.
+func newSuccessors(g *graph.Graph, width int) *Successors {
+	adj, maxDeg := newSlotAdjacency(g)
+	if width == 0 {
+		width = slotBits(maxDeg)
+	}
+	n := g.N()
+	rowWords := (n*width + 63) / 64
+	return &Successors{
+		n: n, adj: adj, lg: uint(bits.TrailingZeros(uint(width))), mask: uint32(1<<width - 1),
+		rowWords: rowWords, words: make([]uint64, n*rowWords),
+	}
+}
+
+// Bits is the width of one entry.
+func (s *Successors) Bits() int { return 1 << s.lg }
+
+// Bytes is the retained size of the table: the packed rows plus the
+// adjacency that decodes them.
+func (s *Successors) Bytes() int64 {
+	return int64(len(s.words))*8 + int64(len(s.adj.off)+len(s.adj.to)+len(s.adj.rev))*4
+}
 
 func (s *Successors) clone() *Successors {
-	return &Successors{n: s.n, u16: slices.Clone(s.u16), i32: slices.Clone(s.i32)}
+	c := *s
+	c.words = slices.Clone(s.words)
+	return &c
+}
+
+func (s *Successors) row(v int) []uint64 { return s.words[v*s.rowWords : (v+1)*s.rowWords] }
+
+// slot reads entry u of a row; s.mask means none.
+func (s *Successors) slot(row []uint64, u int) uint32 {
+	perLg := 6 - s.lg // log2 of the entries per word
+	return uint32(row[u>>perLg]>>((uint(u)&(1<<perLg-1))<<s.lg)) & s.mask
+}
+
+// packRow overwrites row v with slots (length n, -1 for none), a word at
+// a time.
+func (s *Successors) packRow(v int, slots []int32) {
+	width, mask, per := uint(1)<<s.lg, s.mask, 64>>s.lg
+	for i, row := 0, s.row(v); i < len(row); i++ {
+		var word uint64
+		shift := uint(0)
+		for _, x := range slots[i*per : min((i+1)*per, s.n)] {
+			word |= uint64(uint32(x)&mask) << (shift & 63)
+			shift += width
+		}
+		row[i] = word
+	}
+}
+
+// packRows packs a whole unpacked table, n×n target-major.
+func (s *Successors) packRows(slots []int32) {
+	for v := 0; v < s.n; v++ {
+		s.packRow(v, slots[v*s.n:(v+1)*s.n])
+	}
 }
 
 // at returns the vertex after u on a shortest u→v path, -1 if none.
 func (s *Successors) at(v, u int) int {
-	if s.i32 != nil {
-		return int(s.i32[v*s.n+u])
+	if u == v {
+		return v
 	}
-	if k := s.u16[v*s.n+u]; k != math.MaxUint16 {
-		return int(k)
+	k := s.slot(s.row(v), u)
+	if k == s.mask {
+		return -1
 	}
-	return -1
-}
-
-// rebuild re-extracts the rows named by targets (every row when nil).
-func (s *Successors) rebuild(g *graph.Graph, row RowFunc, targets []int) error {
-	if s.i32 != nil {
-		return successorRows(g, row, s.i32, targets)
-	}
-	return successorRows(g, row, s.u16, targets)
+	return int(s.adj.to[int(s.adj.off[u])+int(k)])
 }
 
 // FloydWarshallPaths runs the classical algorithm while maintaining
@@ -94,25 +191,25 @@ func (s *Successors) rebuild(g *graph.Graph, row RowFunc, targets []int) error {
 func FloydWarshallPaths(g *graph.Graph) *PathResult {
 	n := g.N()
 	d := semiring.FromSlice(n, n, g.AdjacencyMatrix())
-	next := newSuccessors(n, narrowSuccessors(n))
-	if next.i32 != nil {
-		floydWarshallNext(g, d, next.i32)
-	} else {
-		floydWarshallNext(g, d, next.u16)
-	}
+	next := newSuccessors(g, 0)
+	next.packRows(floydWarshallNext(g, d))
 	return &PathResult{Dist: d, next: next}
 }
 
-func floydWarshallNext[T succID](g *graph.Graph, d *semiring.Matrix, next []T) {
+// floydWarshallNext runs the loop on d in place and returns the slots
+// unpacked, n×n target-major, -1 for none. A slot is relative to its
+// source i, which is the same on both sides of nextJ[i] = nextK[i], so
+// the classical successor copy carries over unchanged.
+func floydWarshallNext(g *graph.Graph, d *semiring.Matrix) []int32 {
 	n := g.N()
+	next := make([]int32, n*n)
 	for i := range next {
-		next[i] = ^T(0)
+		next[i] = -1
 	}
 	for u := 0; u < n; u++ {
-		next[u*n+u] = T(u)
-		for _, e := range g.Adj(u) {
+		for s, e := range g.Adj(u) {
 			if float64(e.W) <= d.At(e.To, u) {
-				next[e.To*n+u] = T(e.To)
+				next[e.To*n+u] = int32(s)
 			}
 		}
 	}
@@ -134,6 +231,7 @@ func floydWarshallNext[T succID](g *graph.Graph, d *semiring.Matrix, next []T) {
 			}
 		}
 	}
+	return next
 }
 
 // SuccessorsFromDist reconstructs the successor structure from a
@@ -192,7 +290,7 @@ func SuccessorsNonNegative(g *graph.Graph, d *semiring.Matrix) (*PathResult, err
 	if d == nil || d.Rows != n || d.Cols != n {
 		return nil, fmt.Errorf("apsp: SuccessorsFromDist: distance matrix is not %d×%d", n, n)
 	}
-	next, err := buildSuccessors(g, matrixRows(d), narrowSuccessors(n))
+	next, err := buildSuccessors(g, matrixRows(d), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -217,11 +315,11 @@ func SuccessorsFromRows(g *graph.Graph, row RowFunc) (*Successors, error) {
 	if err := checkNonNegative(g); err != nil {
 		return nil, err
 	}
-	return buildSuccessors(g, row, narrowSuccessors(g.N()))
+	return buildSuccessors(g, row, 0)
 }
 
-func buildSuccessors(g *graph.Graph, row RowFunc, narrow bool) (*Successors, error) {
-	next := newSuccessors(g.N(), narrow)
+func buildSuccessors(g *graph.Graph, row RowFunc, width int) (*Successors, error) {
+	next := newSuccessors(g, width)
 	if err := next.rebuild(g, row, nil); err != nil {
 		return nil, err
 	}
@@ -244,14 +342,16 @@ func tightSum(sum, dist float64) bool {
 	return math.Abs(sum-dist) <= tol && dist <= math.MaxFloat64
 }
 
-// successorRows rebuilds the rows of the successor table named by
-// targets (every row when targets is nil) on semiring.DefaultPool, in
-// contiguous chunks with one scratch queue and one row buffer each.
-// Distinct targets touch disjoint rows, so the table is the same for any
-// worker count; so is the error, which is always the lowest-numbered
-// failing target's.
-func successorRows[T succID](g *graph.Graph, row RowFunc, next []T, targets []int) error {
-	n := g.N()
+// rebuild re-extracts the rows named by targets (every row when nil)
+// from g — which must have the structure the table was allocated for —
+// on semiring.DefaultPool, in contiguous chunks with one scratch queue,
+// one distance buffer and one unpacked slot row each, all walking one
+// flat copy of the weighted half-edges (weigh). Distinct targets
+// pack into disjoint words, so the table is the same for any worker
+// count; so is the error, which is always the lowest-numbered failing
+// target's.
+func (s *Successors) rebuild(g *graph.Graph, row RowFunc, targets []int) error {
+	n := s.n
 	count := n
 	if targets != nil {
 		count = len(targets)
@@ -263,17 +363,20 @@ func successorRows[T succID](g *graph.Graph, row RowFunc, next []T, targets []in
 		chunks = count
 	}
 	errs := make([]error, chunks)
+	edges := s.adj.weigh(g)
 	semiring.DefaultPool.ForEach(chunks, func(c int) {
 		queue := make([]int32, 0, n)
 		buf := make([]float64, n)
+		slots := make([]int32, n)
 		for i := c * count / chunks; i < (c+1)*count/chunks; i++ {
 			v := i
 			if targets != nil {
 				v = targets[i]
 			}
-			if errs[c] = successorRow(g, row(v, buf), v, next[v*n:(v+1)*n], queue); errs[c] != nil {
+			if errs[c] = successorRow(edges, s.adj.off, row(v, buf), v, slots, queue); errs[c] != nil {
 				return
 			}
+			s.packRow(v, slots)
 		}
 	})
 	for _, err := range errs {
@@ -284,39 +387,38 @@ func successorRows[T succID](g *graph.Graph, row RowFunc, next []T, targets []in
 	return nil
 }
 
-// successorRow rebuilds row v of the successor table — the shortest-
+// successorRow extracts row v of the successor table — the shortest-
 // path tree into v — from row v of the distance matrix: the backward
 // breadth-first walk of the tight-edge graph rooted at v described on
-// SuccessorsFromDist. Every entry of nextV is overwritten, at the
-// table's final width; queue is scratch. The incremental repair path
-// calls this for exactly the targets whose distances or tight edges
+// SuccessorsFromDist. Every entry of slots is overwritten, unpacked (-1
+// for none, v's own included); queue is scratch. The incremental repair
+// path calls this for exactly the targets whose distances or tight edges
 // changed, leaving the rest of the table as the original solve built it.
-func successorRow[T succID](g *graph.Graph, distV []float64, v int, nextV []T, queue []int32) error {
-	none := ^T(0)
-	for u := range nextV {
-		nextV[u] = none
+func successorRow(edges []slotEdge, off []int32, distV []float64, v int, slots []int32, queue []int32) error {
+	for u := range slots {
+		slots[u] = -1
 	}
-	nextV[v] = T(v)
+	slots[v] = 0 // visited; cleared below
 	queue = append(queue[:0], int32(v))
 	for head := 0; head < len(queue); head++ {
 		w := queue[head]
 		dwv := distV[w]
-		for _, e := range g.Adj(int(w)) {
-			u := e.To
-			if nextV[u] != none {
+		for _, e := range edges[off[w]:off[w+1]] {
+			if slots[e.to] != -1 {
 				continue
 			}
-			if tightSum(e.W+dwv, distV[u]) {
-				nextV[u] = T(w)
-				queue = append(queue, int32(u))
+			if tightSum(e.w+dwv, distV[e.to]) {
+				slots[e.to] = e.rev
+				queue = append(queue, e.to)
 			}
 		}
 	}
-	for u, nu := range nextV {
-		if nu == none && !math.IsInf(distV[u], 1) {
+	for u, su := range slots {
+		if su == -1 && !math.IsInf(distV[u], 1) {
 			return fmt.Errorf("apsp: SuccessorsFromDist: d(%d,%d)=%g is not explained by any edge of the graph (inconsistent distances)", u, v, distV[u])
 		}
 	}
+	slots[v] = -1
 	return nil
 }
 
@@ -328,7 +430,8 @@ func (p *PathResult) N() int { return p.next.n }
 func (p *PathResult) Successors() *Successors { return p.next }
 
 // MemoryBytes is the retained size of the result: the float64 distance
-// matrix plus the successor table at its built width.
+// matrix plus Successors.Bytes() — the slot table at its built width and
+// the adjacency that decodes it.
 func (p *PathResult) MemoryBytes() int64 {
 	return int64(len(p.Dist.V))*8 + p.next.Bytes()
 }
@@ -338,7 +441,8 @@ func (p *PathResult) MemoryBytes() int64 {
 // [u].
 func (p *PathResult) Path(u, v int) []int { return p.next.Path(u, v) }
 
-// Path walks row v of the table in place; see PathResult.Path.
+// Path walks row v of the table in one pass — slot, then the neighbour
+// it names — appending as it goes; see PathResult.Path.
 func (s *Successors) Path(u, v int) []int {
 	n := s.n
 	if u < 0 || u >= n || v < 0 || v >= n {
@@ -347,29 +451,25 @@ func (s *Successors) Path(u, v int) []int {
 	if u == v {
 		return []int{u}
 	}
-	if s.i32 != nil {
-		return walk(s.i32[v*n:(v+1)*n], u, v)
-	}
-	return walk(s.u16[v*n:(v+1)*n], u, v)
-}
-
-func walk[T succID](nextV []T, u, v int) []int {
-	if nextV[u] == ^T(0) {
+	row := s.row(v)
+	if s.slot(row, u) == s.mask {
 		return nil
 	}
-	hops := 0
-	for cur := u; cur != v; cur = int(nextV[cur]) {
-		if hops++; hops >= len(nextV) {
+	off, to := s.adj.off, s.adj.to
+	path := make([]int, 0, 32) // a typical path; longer ones grow
+	for cur := u; cur != v; {
+		if path = append(path, cur); len(path) >= n {
 			panic("apsp: successor structure is cyclic (corrupted)")
 		}
+		// A slot past cur's degree (none included) lands at or beyond
+		// off[cur+1].
+		i := int(off[cur]) + int(s.slot(row, cur))
+		if i >= int(off[cur+1]) {
+			panic("apsp: successor structure names a missing neighbour (corrupted)")
+		}
+		cur = int(to[i])
 	}
-	path := make([]int, hops+1)
-	cur := u
-	for i := range path {
-		path[i] = cur
-		cur = int(nextV[cur])
-	}
-	return path
+	return append(path, v)
 }
 
 // PathWeight sums the edge weights of path in g, returning Inf for an

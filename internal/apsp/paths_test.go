@@ -194,15 +194,36 @@ func TestSuccessorsFromDistRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestPathResultMemoryBytes: a result retains its float64 distances
+// plus Successors.Bytes(), and the table's width follows the maximum
+// degree of the family — 2 bits on paths and cycles, 4 on grids, 8 on a
+// small star, 16 once the hub passes 255 neighbours.
 func TestPathResultMemoryBytes(t *testing.T) {
-	g := graph.Grid2D(4, 4, graph.UnitWeights)
-	pr := FloydWarshallPaths(g)
-	n := int64(g.N())
-	if got, want := pr.MemoryBytes(), n*n*8+n*n*2; got != want {
-		t.Errorf("MemoryBytes = %d, want %d", got, want)
-	}
-	if pr.N() != g.N() {
-		t.Errorf("N = %d, want %d", pr.N(), g.N())
+	for _, c := range []struct {
+		name  string
+		g     *graph.Graph
+		width int
+	}{
+		{"path", graph.Path(50, graph.UnitWeights), 2},
+		{"cycle", graph.Cycle(50, graph.UnitWeights), 2},
+		{"grid", graph.Grid2D(4, 4, graph.UnitWeights), 4},
+		{"star-60", graph.Star(60, graph.UnitWeights), 8},
+		{"star-300", graph.Star(300, graph.UnitWeights), 16},
+	} {
+		pr := FloydWarshallPaths(c.g)
+		n := c.g.N()
+		if got := pr.Successors().Bits(); got != c.width {
+			t.Errorf("%s: %d-bit slots, want %d", c.name, got, c.width)
+		}
+		if got, want := pr.Successors().Bytes(), slotTableBytes(n, c.g.M(), c.width); got != want {
+			t.Errorf("%s: Successors.Bytes = %d, want %d", c.name, got, want)
+		}
+		if got, want := pr.MemoryBytes(), int64(n*n*8)+pr.Successors().Bytes(); got != want {
+			t.Errorf("%s: MemoryBytes = %d, want %d", c.name, got, want)
+		}
+		if pr.N() != n {
+			t.Errorf("%s: N = %d, want %d", c.name, pr.N(), n)
+		}
 	}
 }
 

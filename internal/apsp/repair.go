@@ -196,6 +196,9 @@ func (pl *Plan) RepairRows(g *graph.Graph, prevDist RowFunc, prevNext *Successor
 	if prevNext.n != n || len(pl.ND.Perm) != n {
 		return nil, nil, st, fmt.Errorf("apsp: Repair: result covers %d vertices, graph has %d (plan: %d)", prevNext.n, n, len(pl.ND.Perm))
 	}
+	if len(prevNext.adj.to) != 2*g.M() {
+		return nil, nil, st, fmt.Errorf("apsp: Repair: successor table was built for %d edges, graph has %d", len(prevNext.adj.to)/2, g.M())
+	}
 	deltas, err := normalizeEdits(g, edits)
 	if err != nil {
 		return nil, nil, st, err

@@ -249,7 +249,7 @@ func TestRepairEditValidation(t *testing.T) {
 	if !identicalMatrices(got2.Dist, prev.Dist) {
 		t.Error("no-op repair changed distances")
 	}
-	if &got2.Dist.V[0] == &prev.Dist.V[0] || &got2.next.u16[0] == &prev.next.u16[0] {
+	if &got2.Dist.V[0] == &prev.Dist.V[0] || &got2.next.words[0] == &prev.next.words[0] {
 		t.Error("no-op repair aliased the previous result's storage")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -100,29 +101,37 @@ func TestPathIdentityGolden(t *testing.T) {
 	}
 }
 
+// serialSuccessors builds the table of g at the given width one target
+// per rebuild call: a single-target rebuild never leaves the calling
+// goroutine, so this is the one-worker build whatever the pool holds.
+func serialSuccessors(t *testing.T, g *graph.Graph, d *semiring.Matrix, width int) *Successors {
+	t.Helper()
+	s := newSuccessors(g, width)
+	for v := 0; v < g.N(); v++ {
+		if err := s.rebuild(g, matrixRows(d), []int{v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
 // TestSuccessorsWorkerInvariance: targets are extracted in parallel
-// into disjoint rows, so the table must not depend on how many workers
-// ran or how they interleaved. Compared against a single-goroutine
-// build of the same rows, at GOMAXPROCS 1 and 4 (run under -race).
+// into disjoint, word-aligned rows, so the table must not depend on how
+// many workers ran or how they interleaved. Compared against a
+// single-goroutine build of the same rows, at GOMAXPROCS 1 and 4 (run
+// under -race).
 func TestSuccessorsWorkerInvariance(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, f := range goldenFamilies() {
 		d, _ := FloydWarshall(f.g)
-		n := f.g.N()
-		serial := make([]uint16, n*n)
-		queue := make([]int32, 0, n)
-		for v := 0; v < n; v++ {
-			if err := successorRow(f.g, d.V[v*n:(v+1)*n], v, serial[v*n:(v+1)*n], queue); err != nil {
-				t.Fatalf("%s: %v", f.name, err)
-			}
-		}
+		serial := serialSuccessors(t, f.g, d, 0)
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
 			pr, err := SuccessorsFromDist(f.g, d)
 			if err != nil {
 				t.Fatalf("%s procs=%d: %v", f.name, procs, err)
 			}
-			if !reflect.DeepEqual(pr.next.u16, serial) {
+			if !reflect.DeepEqual(pr.next.words, serial.words) {
 				t.Errorf("%s: table at GOMAXPROCS=%d differs from the serial build", f.name, procs)
 			}
 		}
@@ -319,7 +328,13 @@ func distOf(r *DistResult, err error) (*semiring.Matrix, error) {
 // TestRepairRebuildsRows: after random edits, the repaired table
 // passes VerifyPaths, and every row Repair rebuilt — every row that
 // differs from the previous table — is exactly what a fresh extraction
-// from the repaired distances builds for that target.
+// on the edited graph builds for that target. (A row Repair left alone
+// may differ from the fresh one: an edit that only creates a tie changes
+// no distance and breaks no old tree, but a fresh breadth-first walk may
+// meet the new tight edge first.) The repaired table shares the previous
+// one's adjacency — a reweight never changes structure, and the fresh
+// extraction's own adjacency proves it equal — but not its words, and the
+// previous table is left as it was.
 func TestRepairRebuildsRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(1568))
 	w := func(u, v int) float64 { return float64(3 + rng.Intn(7)) }
@@ -336,6 +351,7 @@ func TestRepairRebuildsRows(t *testing.T) {
 		prev := solvePaths(t, g, 9, sopts)
 		for round, kind := range []string{"dec", "inc", "mixed", "mixed"} {
 			edits := pickEdits(g, rng, 1+rng.Intn(3), kind)
+			before := slices.Clone(prev.next.words)
 			got, g2, st, err := RepairWithOptions(g, prev, edits, 9, sopts, 1)
 			if err != nil {
 				t.Fatalf("%s round %d: %v", name, round, err)
@@ -347,14 +363,23 @@ func TestRepairRebuildsRows(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s round %d: %v", name, round, err)
 			}
+			if got.next.adj != prev.next.adj {
+				t.Errorf("%s round %d: repair rebuilt the adjacency instead of sharing it", name, round)
+			}
+			if !reflect.DeepEqual(got.next.adj, fresh.next.adj) || got.next.Bits() != fresh.next.Bits() {
+				t.Errorf("%s round %d: the shared adjacency is not the edited graph's", name, round)
+			}
+			if &got.next.words[0] == &prev.next.words[0] || !slices.Equal(prev.next.words, before) {
+				t.Errorf("%s round %d: repair wrote into the previous table", name, round)
+			}
 			changed := 0
 			for v := 0; v < n; v++ {
-				row := got.next.u16[v*n : (v+1)*n]
-				if reflect.DeepEqual(row, prev.next.u16[v*n:(v+1)*n]) {
+				row := got.next.row(v)
+				if slices.Equal(row, prev.next.row(v)) {
 					continue
 				}
 				changed++
-				if !reflect.DeepEqual(row, fresh.next.u16[v*n:(v+1)*n]) {
+				if !slices.Equal(row, fresh.next.row(v)) {
 					t.Errorf("%s round %d: rebuilt row %d differs from a fresh extraction", name, round, v)
 				}
 			}
@@ -394,79 +419,191 @@ func BenchmarkSuccessorsFromDist(b *testing.B) {
 	}
 }
 
-// TestSuccessorsWidth: the width selector's boundary, tested as a
-// function, and the wide (int32) builders — which production reaches
-// only from 65 536 vertices up — driven over the golden families
-// through the internal constructor and held entry for entry, path for
-// path, against the narrow table, through a repair included.
-func TestSuccessorsWidth(t *testing.T) {
-	if !narrowSuccessors(math.MaxUint16) {
-		t.Error("n = 65535: ids 0..65534 all sit below the 0xFFFF sentinel, want uint16")
+// refTree is the vertex-id successor row the slot table replaced: the
+// same backward breadth-first walk over tight edges, storing the parent
+// itself (-1 for none).
+func refTree(g *graph.Graph, distV []float64, v int) []int {
+	next := make([]int, g.N())
+	for u := range next {
+		next[u] = -1
 	}
-	if narrowSuccessors(math.MaxUint16 + 1) {
-		t.Error("n = 65536: vertex 65535 collides with the sentinel, want int32")
-	}
-	sameTable := func(name string, a, b *Successors) {
-		t.Helper()
-		for v := 0; v < a.n; v++ {
-			for u := 0; u < a.n; u++ {
-				if a.at(v, u) != b.at(v, u) {
-					t.Fatalf("%s: next(%d→%d) = %d wide, %d narrow", name, u, v, a.at(v, u), b.at(v, u))
-				}
-				if !reflect.DeepEqual(a.Path(u, v), b.Path(u, v)) {
-					t.Fatalf("%s: Path(%d,%d) differs between widths", name, u, v)
-				}
+	next[v] = v
+	for queue := []int{v}; len(queue) > 0; queue = queue[1:] {
+		w := queue[0]
+		for _, e := range g.Adj(w) {
+			if next[e.To] == -1 && tightSum(e.W+distV[w], distV[e.To]) {
+				next[e.To] = w
+				queue = append(queue, e.To)
 			}
 		}
 	}
-	for _, f := range goldenFamilies() {
+	return next
+}
+
+// TestSuccessorsSlotWidths: the width selector's boundaries as a
+// function, the production width of each family, and every width —
+// the wider ones, which production reaches only through a hub, forced
+// onto small graphs through the internal builder — held path for path
+// against a vertex-id tree built here, on graphs with zero-weight
+// edges, several components, isolated vertices and hubs. At each width
+// the pooled build equals the one-goroutine build word for word, the
+// classical loop packs to the same paths, and a repair keeps the width
+// it was given.
+func TestSuccessorsSlotWidths(t *testing.T) {
+	for _, c := range [][2]int{{0, 2}, {2, 2}, {3, 2}, {4, 4}, {15, 4}, {16, 8}, {255, 8}, {256, 16}, {65535, 16}, {65536, 32}} {
+		if got := slotBits(c[0]); got != c[1] {
+			t.Errorf("slotBits(max degree %d) = %d, want %d", c[0], got, c[1])
+		}
+	}
+
+	islands := graph.New(40) // two paths, a triangle and 25 isolated vertices
+	for v := 0; v+1 < 6; v++ {
+		islands.AddEdge(v, v+1, 2)
+		islands.AddEdge(6+v, 7+v, 0)
+	}
+	islands.AddEdge(12, 13, 1)
+	islands.AddEdge(13, 14, 1)
+	islands.AddEdge(12, 14, 2)
+	families := append(goldenFamilies(),
+		namedGraph{"islands", islands},
+		namedGraph{"zero-cycle", graph.Cycle(64, func(u, v int) float64 { return 0 })},
+		namedGraph{"star-300", graph.Star(300, graph.UnitWeights)},
+		namedGraph{"edgeless", graph.New(5)},
+	)
+	wantBits := map[string]int{"grid": 4, "cycle": 2, "star": 8, "path": 2, "islands": 2, "zero-cycle": 2, "star-300": 16, "edgeless": 2}
+	for _, f := range families {
 		n := f.g.N()
 		d, _ := FloydWarshall(f.g)
-		narrow, err := SuccessorsFromDist(f.g, d)
+		ref := make([][]int, n)
+		for v := range ref {
+			ref[v] = refTree(f.g, d.V[v*n:(v+1)*n], v)
+		}
+		auto, err := SuccessorsFromDist(f.g, d)
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
-		wide, err := buildSuccessors(f.g, matrixRows(d), false)
-		if err != nil {
-			t.Fatalf("%s: %v", f.name, err)
+		min := auto.next.Bits()
+		if want, ok := wantBits[strings.TrimSuffix(strings.TrimSuffix(f.name, "/int"), "/real")]; ok && min != want {
+			t.Errorf("%s: table built at %d bits, want %d", f.name, min, want)
 		}
-		if got, want := narrow.next.Bytes(), int64(2*n*n); got != want {
-			t.Errorf("%s: narrow table holds %d bytes, want %d", f.name, got, want)
-		}
-		if got, want := wide.Bytes(), int64(4*n*n); got != want {
-			t.Errorf("%s: wide table holds %d bytes, want %d", f.name, got, want)
-		}
-		sameTable(f.name, wide, narrow.next)
-		if err := VerifyPaths(f.g, &PathResult{Dist: d, next: wide}); err != nil {
-			t.Errorf("%s: wide table: %v", f.name, err)
-		}
+		for _, width := range []int{2, 4, 8, 16, 32} {
+			if width < min {
+				continue
+			}
+			s, err := buildSuccessors(f.g, matrixRows(d), width)
+			if err != nil {
+				t.Fatalf("%s at %d bits: %v", f.name, width, err)
+			}
+			if s.Bits() != width {
+				t.Fatalf("%s: asked for %d bits, built %d", f.name, width, s.Bits())
+			}
+			if got, want := s.Bytes(), slotTableBytes(n, f.g.M(), width); got != want {
+				t.Errorf("%s at %d bits: table holds %d bytes, want %d", f.name, width, got, want)
+			}
+			if !slices.Equal(s.words, serialSuccessors(t, f.g, d, width).words) {
+				t.Errorf("%s at %d bits: pooled build differs from the serial build", f.name, width)
+			}
+			for v := 0; v < n; v++ {
+				for u := 0; u < n; u++ {
+					if got := s.at(v, u); got != ref[v][u] {
+						t.Fatalf("%s at %d bits: next(%d→%d) = %d, vertex-id tree says %d", f.name, width, u, v, got, ref[v][u])
+					}
+					var want []int
+					for cur := u; ref[v][u] != -1; cur = ref[v][cur] {
+						if want = append(want, cur); cur == v {
+							break
+						}
+					}
+					if got := s.Path(u, v); !slices.Equal(got, want) || (got == nil) != (want == nil) {
+						t.Fatalf("%s at %d bits: Path(%d,%d) = %v, vertex-id tree walks %v", f.name, width, u, v, got, want)
+					}
+				}
+			}
+			if err := VerifyPaths(f.g, &PathResult{Dist: d, next: s}); err != nil {
+				t.Errorf("%s at %d bits: %v", f.name, width, err)
+			}
 
-		fw := newSuccessors(n, false)
-		floydWarshallNext(f.g, semiring.FromSlice(n, n, f.g.AdjacencyMatrix()), fw.i32)
-		sameTable(f.name+" (classical loop)", fw, FloydWarshallPaths(f.g).next)
+			fw := newSuccessors(f.g, width)
+			fw.packRows(floydWarshallNext(f.g, semiring.FromSlice(n, n, f.g.AdjacencyMatrix())))
+			if pathsHash(&PathResult{next: fw}) != pathsHash(FloydWarshallPaths(f.g)) {
+				t.Errorf("%s at %d bits: classical-loop paths differ from the default width's", f.name, width)
+			}
+		}
 	}
 
 	g := graph.Grid2D(7, 7, func(u, v int) float64 { return float64(1 + (u+v)%4) })
 	sopts := SparseOptions{Seed: 3, Plans: NewPlanCache()}
 	prev := solvePaths(t, g, 9, sopts)
-	widePrev, err := buildSuccessors(g, matrixRows(prev.Dist), false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	edits := pickEdits(g, rand.New(rand.NewSource(5)), 3, "mixed")
 	want, _, _, err := RepairWithOptions(g, prev, edits, 9, sopts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, g2, _, err := RepairWithOptions(g, &PathResult{Dist: prev.Dist, next: widePrev}, edits, 9, sopts, 1)
-	if err != nil {
-		t.Fatal(err)
+	for _, width := range []int{8, 32} {
+		widePrev, err := buildSuccessors(g, matrixRows(prev.Dist), width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, g2, _, err := RepairWithOptions(g, &PathResult{Dist: prev.Dist, next: widePrev}, edits, 9, sopts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.next.Bits() != width {
+			t.Fatalf("repair of a %d-bit table came back at %d bits", width, got.next.Bits())
+		}
+		if pathsHash(got) != pathsHash(want) {
+			t.Errorf("repair of a %d-bit table serves different paths from the 4-bit one", width)
+		}
+		if err := VerifyPaths(g2, got); err != nil {
+			t.Error(err)
+		}
 	}
-	if got.next.i32 == nil {
-		t.Fatal("repair of a wide result narrowed its table")
-	}
-	sameTable("repaired", got.next, want.next)
-	if err := VerifyPaths(g2, got); err != nil {
-		t.Error(err)
-	}
+}
+
+// slotTableBytes is what a table must retain, from first principles: n
+// rows of n entries padded to whole words, plus three int32 arrays over
+// the n+1 offsets and the 2m half-edges twice.
+func slotTableBytes(n, m, width int) int64 {
+	return int64(n)*int64((n*width+63)/64)*8 + int64(n+1+4*m)*4
+}
+
+// FuzzSlotRowRoundTrip packs one scratch row at any width into a table
+// pre-filled with a pattern and reads every entry back; the rows on
+// either side of it — the other side of both word boundaries — must
+// still hold the pattern.
+func FuzzSlotRowRoundTrip(f *testing.F) {
+	f.Add(uint8(0), uint8(17), uint8(3), []byte{0, 1, 2, 3, 255, 254})
+	f.Add(uint8(4), uint8(33), uint8(0), []byte{255, 255, 255, 255, 7})
+	f.Add(uint8(2), uint8(64), uint8(63), []byte{})
+	f.Fuzz(func(t *testing.T, lg, n8, v8 uint8, data []byte) {
+		width := 2 << (lg % 5)
+		n := 1 + int(n8)%96
+		v := int(v8) % n
+		s := newSuccessors(graph.New(n), width)
+		const pattern = 0xA5A5_5A5A_C3C3_3C3C
+		for i := range s.words {
+			s.words[i] = pattern
+		}
+		slots := make([]int32, n)
+		for u := range slots {
+			slots[u] = -1
+			if u < len(data) && data[u] != 255 {
+				// Any value below the mask that the int32 scratch can
+				// hold is a legal slot at this width.
+				slots[u] = int32(uint32(data[u]) * 0x01010101 % min(s.mask, math.MaxInt32))
+			}
+		}
+		s.packRow(v, slots)
+		for u, want := range slots {
+			got := s.slot(s.row(v), u)
+			if (want == -1 && got != s.mask) || (want != -1 && got != uint32(want)) {
+				t.Fatalf("width %d n %d: entry %d packed as %d, read back %#x", width, n, u, want, got)
+			}
+		}
+		for i, w := range s.words {
+			if r := i / s.rowWords; r != v && w != pattern {
+				t.Fatalf("width %d n %d: packing row %d wrote word %d of row %d", width, n, v, i%s.rowWords, r)
+			}
+		}
+	})
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -424,10 +425,29 @@ func (rt *Router) registerBody(w http.ResponseWriter, r *http.Request, fp string
 	return passthrough(w, status, data)
 }
 
-func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) error {
-	body, err := io.ReadAll(io.LimitReader(r.Body, server.MaxBodyBytes))
+// maxBody is the backends' body limit; a variable only so the tests can
+// shrink it.
+var maxBody int64 = server.MaxBodyBytes
+
+// readBody reads a whole request body, refusing one over maxBody with
+// 413 rather than cutting it short: a truncated edge list can parse —
+// and would be placed and served — as a smaller graph.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return nil, &apiError{status: http.StatusRequestEntityTooLarge, err: fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)}
+	}
 	if err != nil {
-		return badRequest("reading body: %v", err)
+		return nil, badRequest("reading body: %v", err)
+	}
+	return body, nil
+}
+
+func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) error {
+	body, err := readBody(w, r)
+	if err != nil {
+		return err
 	}
 	g, err := server.ParseGraphBody(body)
 	if err != nil {
@@ -437,9 +457,9 @@ func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (rt *Router) handleGenerate(w http.ResponseWriter, r *http.Request) error {
-	body, err := io.ReadAll(io.LimitReader(r.Body, server.MaxBodyBytes))
+	body, err := readBody(w, r)
 	if err != nil {
-		return badRequest("reading body: %v", err)
+		return err
 	}
 	var req server.GenerateRequest
 	if err := json.Unmarshal(body, &req); err != nil {
@@ -458,9 +478,9 @@ func (rt *Router) handleGenerate(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) error {
-	body, err := io.ReadAll(io.LimitReader(r.Body, server.MaxBodyBytes))
+	body, err := readBody(w, r)
 	if err != nil {
-		return badRequest("reading body: %v", err)
+		return err
 	}
 	var req server.QueryRequest
 	if err := json.Unmarshal(body, &req); err != nil {
@@ -528,9 +548,9 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (rt *Router) handleReweight(w http.ResponseWriter, r *http.Request) error {
-	body, err := io.ReadAll(io.LimitReader(r.Body, server.MaxBodyBytes))
+	body, err := readBody(w, r)
 	if err != nil {
-		return badRequest("reading body: %v", err)
+		return err
 	}
 	var req server.ReweightRequest
 	if err := json.Unmarshal(body, &req); err != nil {
@@ -598,6 +618,16 @@ type EndpointCounters struct {
 	Errors   int64 `json:"errors"`
 }
 
+// addCounts sums the per-key entry counts of b into *a.
+func addCounts[K comparable](a *map[K]int, b map[K]int) {
+	for k, c := range b {
+		if *a == nil {
+			*a = make(map[K]int, len(b))
+		}
+		(*a)[k] += c
+	}
+}
+
 // addRegistry accumulates b into a (entries, counters and latencies
 // all sum; the budget sums too, as fleet capacity).
 func addRegistry(a *server.RegistrySnapshot, b server.RegistrySnapshot) {
@@ -614,12 +644,8 @@ func addRegistry(a *server.RegistrySnapshot, b server.RegistrySnapshot) {
 	a.CompressedEntries += b.CompressedEntries
 	a.CompressedBytes += b.CompressedBytes
 	a.CompressedBudgetBytes += b.CompressedBudgetBytes
-	for kind, c := range b.StoreKinds {
-		if a.StoreKinds == nil {
-			a.StoreKinds = make(map[string]int, len(b.StoreKinds))
-		}
-		a.StoreKinds[kind] += c
-	}
+	addCounts(&a.StoreKinds, b.StoreKinds)
+	addCounts(&a.SuccBits, b.SuccBits)
 	a.SolveMs += b.SolveMs
 	a.QueriesServed += b.QueriesServed
 	a.QueriesInFlight += b.QueriesInFlight

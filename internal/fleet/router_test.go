@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -441,6 +443,12 @@ func TestRouterStatszAggregates(t *testing.T) {
 	if sum != st.Aggregate.Solves {
 		t.Fatalf("aggregate (%d) != sum of per-backend (%d)", st.Aggregate.Solves, sum)
 	}
+	// The per-entry censuses sum across backends like every counter: four
+	// path graphs with real-valued weights are four f64 stores, all hot
+	// at 2-bit successor slots.
+	if !reflect.DeepEqual(st.Aggregate.StoreKinds, map[string]int{"f64": 4}) || !reflect.DeepEqual(st.Aggregate.SuccBits, map[int]int{2: 4}) {
+		t.Fatalf("aggregate store_kinds = %v, succ_bits = %v, want f64:4 and 2:4", st.Aggregate.StoreKinds, st.Aggregate.SuccBits)
+	}
 	if st.Graphs != 4 {
 		t.Fatalf("router tracks %d placements, want 4", st.Graphs)
 	}
@@ -471,5 +479,49 @@ func TestRouterPlacementFollowsRing(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("replica %s does not hold %s: %d %s", u, info.Graph, status, data)
 		}
+	}
+}
+
+// The router reads every body before it places or forwards it, under
+// the backends' limit: over it the answer is 413 and no backend hears of
+// the request. The /load body is one byte over and, cut at the limit,
+// would still parse — as edge {1,2} at weight 2, not 25 — so the old
+// LimitReader placed and served a graph the client never sent.
+func TestRouterRefusesOversizedBody(t *testing.T) {
+	const body = "n 3\n0 1 2\n1 2 25"
+	defer func(old int64) { maxBody = old }(maxBody)
+	maxBody = int64(len(body)) - 1
+	front, rt, _ := newFleet(t, 2, Config{Replicas: 2, ProbeInterval: time.Hour})
+	send := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(front.URL+path, "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if g, err := server.ParseGraphBody([]byte(body[:maxBody])); err != nil || g.M() != 2 {
+		t.Fatalf("test body: its first %d bytes must parse as a graph (%v)", maxBody, err)
+	}
+	pad := strings.Repeat(" ", int(maxBody))
+	for path, req := range map[string]string{
+		"/load":     body,
+		"/generate": pad + `{"kind":"grid","n":16,"seed":1}`,
+		"/query":    pad + `{"graph":"0","pairs":[[0,1]]}`,
+		"/reweight": pad + `{"graph":"0","edits":[[0,1,2]]}`,
+	} {
+		if status := send(path, req); status != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s over the limit: status %d, want 413", path, status)
+		}
+	}
+	rt.placeMu.Lock()
+	placed := len(rt.placements)
+	rt.placeMu.Unlock()
+	if placed != 0 {
+		t.Errorf("oversized bodies left %d placements", placed)
+	}
+	if status := send("/load", body[:maxBody]); status != http.StatusOK {
+		t.Errorf("/load at the limit: status %d, want 200", status)
 	}
 }

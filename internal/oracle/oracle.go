@@ -25,7 +25,7 @@ type queryCounters struct {
 
 // Oracle holds one solved graph and answers distance and path queries
 // from typed storage: the distances at their proven width (tier.go) and
-// the successor table at its built width, both immutable. It keeps no
+// the successor table as packed neighbour slots, both immutable. It keeps no
 // float64 matrix. All query methods are safe for concurrent use;
 // batches fan out over a semiring.Pool.
 type Oracle struct {
@@ -103,7 +103,8 @@ func (o *Oracle) Graph() *graph.Graph { return o.graph }
 
 // MemoryBytes is the retained size of the solved result: the length of
 // each slice the oracle holds times its element size — the distance
-// store plus, unless demoted, the successor table.
+// store plus, unless demoted, the successor table (Successors.Bytes:
+// its packed rows and the adjacency that decodes them).
 func (o *Oracle) MemoryBytes() int64 {
 	b := o.dist.bytes()
 	if o.succ != nil {

@@ -629,9 +629,15 @@ type Stats struct {
 
 	// StoreKinds counts resident entries (hot and demoted) by the kind
 	// their distance store proved: "u16", "u32", "f32", "f64". Integer
-	// weights serve from u16 at 4 bytes/pair hot; an f64 entry — real-
-	// valued weights — costs 10. Kinds with no entry are omitted.
+	// weights serve from u16 at 2 bytes/pair plus the successor table; an
+	// f64 entry — real-valued weights — costs 8 plus the table. Kinds
+	// with no entry are omitted.
 	StoreKinds map[string]int
+	// SuccBits counts hot entries by the slot width of their successor
+	// table, which follows the graph's maximum degree: a bounded-degree
+	// u16 entry sits near 2.5 bytes/pair, one hub (16-bit slots) keeps
+	// the whole table at 4. Widths with no entry are omitted.
+	SuccBits map[int]int
 
 	SolveNanos      int64 // total wall-clock spent solving
 	QueriesServed   int64 // point-queries answered across all oracles
@@ -723,6 +729,12 @@ func (r *Registry) Stats() Stats {
 				s.StoreKinds = make(map[string]int, len(tierKindNames))
 			}
 			s.StoreKinds[e.oracle.dist.kindName()]++
+			if succ := e.oracle.succ; succ != nil {
+				if s.SuccBits == nil {
+					s.SuccBits = make(map[int]int)
+				}
+				s.SuccBits[succ.Bits()]++
+			}
 		}
 	}
 	s.QueriesServed = r.queries.served.Load()

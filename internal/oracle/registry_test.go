@@ -93,12 +93,17 @@ func TestRegistryCoalescesConcurrentSolves(t *testing.T) {
 func TestRegistryLRUEviction(t *testing.T) {
 	var solves atomic.Int64
 	gs := []*graph.Graph{testGraph(1, 24), testGraph(2, 24), testGraph(3, 24)}
-	one, err := New(gs[0], fwSolve, nil)
-	if err != nil {
-		t.Fatal(err)
+	// Budget fits A beside either of the others, never all three: an
+	// oracle's size follows its graph's edge count and degree.
+	var size [3]int64
+	for i, g := range gs {
+		o, err := New(g, fwSolve, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size[i] = o.MemoryBytes()
 	}
-	// Budget fits exactly two solved oracles of this size.
-	budget := 2 * one.MemoryBytes()
+	budget := size[0] + max(size[1], size[2])
 	r := NewRegistry(Config{Solve: countingSolver(&solves, 0), MemoryBudget: budget})
 
 	fpA, fpB, fpC := FingerprintOf(gs[0]), FingerprintOf(gs[1]), FingerprintOf(gs[2])

@@ -22,6 +22,22 @@ type storeCase struct {
 	g     *graph.Graph
 	kind  string
 	scale float64
+	bits  int // successor slot width: follows the maximum degree
+}
+
+// succBytes is what the successor table of g must retain at the given
+// slot width, from first principles: n rows of n slots padded to whole
+// 64-bit words, plus the int32 adjacency that decodes them (n+1 offsets,
+// 2m neighbours, 2m reverse slots).
+func succBytes(g *graph.Graph, bits int) int64 {
+	n := g.N()
+	return int64(n)*int64((n*bits+63)/64)*8 + int64(n+1+4*g.M())*4
+}
+
+// hotBytes is a hot oracle of g: distances at elem bytes each plus
+// succBytes.
+func hotBytes(g *graph.Graph, elem, bits int) int64 {
+	return int64(g.N()*g.N()*elem) + succBytes(g, bits)
 }
 
 func storeCases() []storeCase {
@@ -50,15 +66,15 @@ func storeCases() []storeCase {
 	}
 
 	return []storeCase{
-		{"u16 scale 1", graph.Grid2D(7, 7, ints(1, 9)), "u16", 1},
-		{"u16 scale 0.5", halves, "u16", 0.5},
-		{"u32", wide, "u32", 1},
-		{"f32", edited, "f32", 1},
-		{"f64", graph.RandomGNP(40, 0.15, graph.RandomWeights(rng, 0.5, 10), rng), "f64", 1},
-		{"disconnected", islands, "u16", 1},
-		{"zero-weight edges", graph.Grid2D(6, 6, ints(0, 4)), "u16", 1},
-		{"n=0", graph.New(0), "u16", 1},
-		{"n=1", graph.New(1), "u16", 1},
+		{"u16 scale 1", graph.Grid2D(7, 7, ints(1, 9)), "u16", 1, 4},
+		{"u16 scale 0.5", halves, "u16", 0.5, 4},
+		{"u32", wide, "u32", 1, 2},
+		{"f32", edited, "f32", 1, 4},
+		{"f64", graph.RandomGNP(40, 0.15, graph.RandomWeights(rng, 0.5, 10), rng), "f64", 1, 4},
+		{"disconnected", islands, "u16", 1, 4},
+		{"zero-weight edges", graph.Grid2D(6, 6, ints(0, 4)), "u16", 1, 4},
+		{"n=0", graph.New(0), "u16", 1, 2},
+		{"n=1", graph.New(1), "u16", 1, 2},
 	}
 }
 
@@ -70,7 +86,7 @@ func storeCases() []storeCase {
 // same holds for the float64 form handed to Repair, for a table rebuilt
 // from the store row by row (promotion), and for the serialised bytes.
 func TestStoreBitIdentity(t *testing.T) {
-	elem := map[string]int64{"u16": 2, "u32": 4, "f32": 4, "f64": 8}
+	elem := map[string]int{"u16": 2, "u32": 4, "f32": 4, "f64": 8}
 	for _, tc := range storeCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			// ref is solved separately: the f64 kind shares the storage of
@@ -88,8 +104,9 @@ func TestStoreBitIdentity(t *testing.T) {
 			if got := o.dist.kindName(); got != tc.kind || o.dist.scale != tc.scale {
 				t.Fatalf("stored as %s scale %g, want %s scale %g", got, o.dist.scale, tc.kind, tc.scale)
 			}
-			if got, want := o.MemoryBytes(), int64(n*n)*(elem[tc.kind]+2); got != want {
-				t.Errorf("MemoryBytes = %d, want %d (%d-byte distances + uint16 successors)", got, want, elem[tc.kind])
+			if got, want := o.MemoryBytes(), hotBytes(tc.g, elem[tc.kind], tc.bits); got != want || o.succ.Bits() != tc.bits {
+				t.Errorf("MemoryBytes = %d at %d-bit slots, want %d (%d-byte distances + Successors.Bytes() at %d bits)",
+					got, o.succ.Bits(), want, elem[tc.kind], tc.bits)
 			}
 
 			pairs := make([][2]int, 0, n*n)
@@ -145,7 +162,7 @@ func TestStoreBitIdentity(t *testing.T) {
 			if kind, bn, err := CompressedInfo(blob); err != nil || kind != tc.kind || bn != n {
 				t.Errorf("CompressedInfo = %s/n=%d (%v), want %s/n=%d", kind, bn, err, tc.kind, n)
 			}
-			if got, want := int64(len(blob)), tierHeaderLen+int64(n*n)*elem[tc.kind]; got != want {
+			if got, want := int64(len(blob)), tierHeaderLen+int64(n*n*elem[tc.kind]); got != want {
 				t.Errorf("serialised to %d bytes, want %d", got, want)
 			}
 			back, err := DecompressDist(blob)
@@ -237,8 +254,8 @@ func TestReweightRenarrows(t *testing.T) {
 		t.Fatalf("integer graph stored as %s, want u16", kind)
 	}
 	r.checkAccounting(t)
-	if st := r.Stats(); st.Bytes != 4*n*n || !reflect.DeepEqual(st.StoreKinds, map[string]int{"u16": 1}) {
-		t.Fatalf("stats = %+v, want one u16 entry of %d bytes", st, 4*n*n)
+	if st := r.Stats(); st.Bytes != hotBytes(g, 2, 4) || !reflect.DeepEqual(st.StoreKinds, map[string]int{"u16": 1}) {
+		t.Fatalf("stats = %+v, want one u16 entry of %d bytes", st, hotBytes(g, 2, 4))
 	}
 
 	e := g.Edges()[0]
@@ -278,8 +295,8 @@ func TestReweightRenarrows(t *testing.T) {
 		t.Fatalf("after an edit to 0.1 the store is %s, want f64", kind)
 	}
 	r.checkAccounting(t)
-	if st := r.Stats(); st.Bytes != 10*n*n || !reflect.DeepEqual(st.StoreKinds, map[string]int{"f64": 1}) {
-		t.Fatalf("stats = %+v, want one f64 entry of %d bytes", st, 10*n*n)
+	if st := r.Stats(); st.Bytes != hotBytes(g, 8, 4) || !reflect.DeepEqual(st.StoreKinds, map[string]int{"f64": 1}) {
+		t.Fatalf("stats = %+v, want one f64 entry of %d bytes", st, hotBytes(g, 8, 4))
 	}
 	g1, err := apsp.ApplyEdits(g, []apsp.EdgeEdit{{U: e.U, V: e.V, W: 0.1}})
 	if err != nil {
@@ -298,8 +315,8 @@ func TestReweightRenarrows(t *testing.T) {
 		t.Fatalf("after undoing the edit the store is %s, want u16", kind)
 	}
 	r.checkAccounting(t)
-	if st := r.Stats(); st.Bytes != 4*n*n || !reflect.DeepEqual(st.StoreKinds, map[string]int{"u16": 1}) {
-		t.Fatalf("stats = %+v, want one u16 entry of %d bytes", st, 4*n*n)
+	if st := r.Stats(); st.Bytes != hotBytes(g, 2, 4) || !reflect.DeepEqual(st.StoreKinds, map[string]int{"u16": 1}) {
+		t.Fatalf("stats = %+v, want one u16 entry of %d bytes", st, hotBytes(g, 2, 4))
 	}
 	check(o2, g, true)
 }
@@ -361,18 +378,26 @@ func (r *Registry) checkAccounting(t *testing.T) {
 // larger than the whole hot budget — recomputing the byte accounting
 // from the entries after each step.
 func TestRegistryAccounting(t *testing.T) {
-	const n, big = 24, 40
-	const hot, demoted = 4 * n * n, 2 * n * n
+	// Six grids of one structure (so one size) under different weights,
+	// and a bigger one: hot is 2-byte distances plus 4-bit slots and the
+	// adjacency, demoted the distances alone.
+	grid := func(seed int64, rows, cols int) *graph.Graph {
+		rng := rand.New(rand.NewSource(seed))
+		return graph.Grid2D(rows, cols, func(u, v int) float64 { return float64(1 + rng.Intn(9)) })
+	}
+	g := make([]*graph.Graph, 6)
+	for i := range g {
+		g[i] = grid(int64(500+i), 4, 6)
+	}
+	huge := grid(600, 5, 8)
+	hot, hugeHot := hotBytes(g[0], 2, 4), hotBytes(huge, 2, 4)
+	demoted, hugeDemoted := hot-succBytes(g[0], 4), hugeHot-succBytes(huge, 4)
 	r := NewRegistry(Config{
 		Solve:            succSolve,
 		Repair:           testRepairer(),
-		MemoryBudget:     2*hot + 1,       // two n-vertex oracles
+		MemoryBudget:     2*hot + 1,       // two 24-vertex oracles
 		CompressedBudget: 3*demoted + 200, // three of them demoted, or the big one alone
 	})
-	g := make([]*graph.Graph, 6)
-	for i := range g {
-		g[i] = intGraph(int64(500+i), n)
-	}
 	step := func(what string, want Stats) {
 		t.Helper()
 		r.checkAccounting(t)
@@ -441,14 +466,13 @@ func TestRegistryAccounting(t *testing.T) {
 	// An oracle larger than the whole hot budget: the LRU empties the hot
 	// tier trying to make room, then demotes the newcomer too, and its
 	// store alone displaces every smaller demoted entry.
-	huge := intGraph(600, big)
-	if 4*big*big <= 2*hot+1 || 2*big*big > 3*demoted+200 {
-		t.Fatal("test sizes: the big oracle must exceed the hot budget and fit the demoted one")
+	if hugeHot <= 2*hot+1 || hugeDemoted > 3*demoted+200 || hugeDemoted+demoted <= 3*demoted+200 {
+		t.Fatal("test sizes: the big oracle must exceed the hot budget and fit the demoted one alone")
 	}
 	get(huge)
-	step("an oversized oracle", Stats{CompressedBytes: 2 * big * big, Demotions: 9, Promotions: 2, Evictions: 6})
+	step("an oversized oracle", Stats{CompressedBytes: hugeDemoted, Demotions: 9, Promotions: 2, Evictions: 6})
 	get(huge) // promoted for the access, re-demoted at once
-	step("re-reading the oversized oracle", Stats{CompressedBytes: 2 * big * big, Demotions: 10, Promotions: 3, Evictions: 6})
+	step("re-reading the oversized oracle", Stats{CompressedBytes: hugeDemoted, Demotions: 10, Promotions: 3, Evictions: 6})
 }
 
 // TestHeldOracleSurvivesTierChurn: queriers hammer BatchPath on an
@@ -596,12 +620,12 @@ func pathSolve(g *graph.Graph) (*apsp.PathResult, error) {
 func TestMemoryBytesMatchesHeap(t *testing.T) {
 	const k, n = 8, 512
 	for _, tc := range []struct {
-		kind         string
-		bytesPerPair int64
-		weight       func(rng *rand.Rand) float64
+		kind   string
+		elem   int
+		weight func(rng *rand.Rand) float64
 	}{
-		{"u16", 4, func(rng *rand.Rand) float64 { return float64(1 + rng.Intn(9)) }},
-		{"f64", 10, func(rng *rand.Rand) float64 { return 0.5 + 9.5*rng.Float64() }},
+		{"u16", 2, func(rng *rand.Rand) float64 { return float64(1 + rng.Intn(9)) }},
+		{"f64", 8, func(rng *rand.Rand) float64 { return 0.5 + 9.5*rng.Float64() }},
 	} {
 		t.Run(tc.kind, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(9))
@@ -625,7 +649,8 @@ func TestMemoryBytesMatchesHeap(t *testing.T) {
 			}
 			grew := heap() - before
 			st := r.Stats()
-			if want := k * tc.bytesPerPair * n * n; st.Bytes != want || st.StoreKinds[tc.kind] != k {
+			// A path has maximum degree 2: 2-bit slots, n/4 bytes a row.
+			if want := k * hotBytes(graphs[0], tc.elem, 2); st.Bytes != want || st.StoreKinds[tc.kind] != k {
 				t.Fatalf("registry holds %d bytes in kinds %v, want %d bytes in %d %s entries", st.Bytes, st.StoreKinds, want, k, tc.kind)
 			}
 			if diff := grew - st.Bytes; diff < -st.Bytes*15/100 || diff > st.Bytes*15/100 {

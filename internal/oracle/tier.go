@@ -23,9 +23,11 @@ import (
 // A quantized kind is accepted only after verifying, per value, that
 // float64(k)·scale reproduces the original bit pattern exactly, so the
 // store is ALWAYS bit-lossless: integer-weight graphs (whose distances
-// are small integers) land in u16 at 2 bytes/pair — 4 with the uint16
-// successor table beside it — and anything that cannot be represented
-// exactly (a fractional edit, NaN, −0) falls through to f32 or raw f64.
+// are small integers) land in u16 at 2 bytes/pair — about 2.5 with the
+// successor table of a bounded-degree graph beside it (apsp.Successors:
+// neighbour slots at the width the maximum degree needs) — and anything
+// that cannot be represented exactly (a fractional edit, NaN, −0) falls
+// through to f32 or raw f64.
 // There is no wider copy kept beside the store and no mode that keeps
 // one; a demoted registry entry is the same store without successors.
 //

@@ -89,9 +89,12 @@ func TestCompressDistKinds(t *testing.T) {
 
 // TestCompressDistGraphFamilies runs the codec over real solved
 // distance matrices: integer-weight graphs must land in u16 and decode
-// bit-identically, which is what puts an oracle at 4 bytes/pair hot
-// (uint16 distances + uint16 successors) and 2 demoted or serialised.
+// bit-identically, which is what puts an oracle at 2 bytes/pair demoted
+// or serialised and, hot, at that plus Successors.Bytes() — whose slot
+// width follows the family's maximum degree: 2 bits on the path, 4 on
+// the grid, tree and G(n,p), 8 on the 40-vertex star.
 func TestCompressDistGraphFamilies(t *testing.T) {
+	bits := map[string]int{"star": 8, "tree": 4, "grid": 4, "path": 2, "gnp": 4}
 	for name, g := range tierWorkloads(40) {
 		res, err := succSolve(g)
 		if err != nil {
@@ -115,8 +118,9 @@ func TestCompressDistGraphFamilies(t *testing.T) {
 			}
 		}
 		o, pairs := FromResult(res, nil), int64(g.N()*g.N())
-		if hot, demoted := o.MemoryBytes(), o.withSuccessors(nil).MemoryBytes(); hot != 4*pairs || demoted != 2*pairs {
-			t.Errorf("%s: oracle holds %d bytes hot, %d demoted, want %d and %d", name, hot, demoted, 4*pairs, 2*pairs)
+		if hot, demoted := o.MemoryBytes(), o.withSuccessors(nil).MemoryBytes(); hot != hotBytes(g, 2, bits[name]) || demoted != 2*pairs {
+			t.Errorf("%s: oracle holds %d bytes hot at %d-bit slots, %d demoted, want %d at %d bits and %d",
+				name, hot, o.succ.Bits(), demoted, hotBytes(g, 2, bits[name]), bits[name], 2*pairs)
 		}
 		if got, want := int64(len(blob)), tierHeaderLen+2*pairs; got != want {
 			t.Errorf("%s: serialised to %d bytes, want %d", name, got, want)
@@ -169,7 +173,7 @@ func TestRegistryTierTransitions(t *testing.T) {
 			solves.Add(1)
 			return succSolve(g)
 		},
-		MemoryBudget:     4*n*n + 1, // exactly one 40-vertex u16 oracle
+		MemoryBudget:     4*n*n + 1, // one 40-vertex u16 oracle, not two: each is over 2n² bytes
 		CompressedBudget: 1 << 20,
 	})
 

@@ -24,8 +24,14 @@ import (
 	"sparseapsp/internal/oracle"
 )
 
-// MaxBodyBytes bounds request bodies (graphs arrive inline).
+// MaxBodyBytes bounds request bodies (graphs arrive inline). A longer
+// body is refused with 413, never cut short: an edge list truncated at
+// a line boundary would parse, and be served, as a smaller graph.
 const MaxBodyBytes = 64 << 20
+
+// maxBody is the limit handle applies; a variable only so the tests can
+// shrink it.
+var maxBody int64 = MaxBodyBytes
 
 // endpointStats counts one endpoint's traffic.
 type endpointStats struct {
@@ -119,6 +125,24 @@ func badRequest(format string, args ...interface{}) error {
 	return &apiError{status: http.StatusBadRequest, err: fmt.Errorf(format, args...)}
 }
 
+// bodyError classifies a failed body read or decode: 413 when the body
+// ran past the limit, 400 (prefixed with what) otherwise.
+func bodyError(what string, err error) error {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return &apiError{status: http.StatusRequestEntityTooLarge, err: fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)}
+	}
+	return badRequest("%s: %v", what, err)
+}
+
+// decodeJSON decodes the (limited) request body into v.
+func decodeJSON(r *http.Request, v interface{}) error {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		return bodyError("bad JSON", err)
+	}
+	return nil
+}
+
 // handle registers a counted handler: requests, errors, in-flight and
 // latency are tracked per endpoint and reported by /statsz.
 func (s *Server) handle(name, pattern string, h func(w http.ResponseWriter, r *http.Request) error) {
@@ -128,6 +152,7 @@ func (s *Server) handle(name, pattern string, h func(w http.ResponseWriter, r *h
 		st.Requests.Add(1)
 		st.InFlight.Add(1)
 		start := time.Now()
+		r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 		err := h(w, r)
 		nanos := time.Since(start).Nanoseconds()
 		st.TotalNanos.Add(nanos)
@@ -229,9 +254,9 @@ func ParseGraphBody(body []byte) (*graph.Graph, error) {
 }
 
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) error {
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxBodyBytes))
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		return badRequest("reading body: %v", err)
+		return bodyError("reading body", err)
 	}
 	g, err := ParseGraphBody(body)
 	if err != nil {
@@ -250,8 +275,8 @@ type GenerateRequest struct {
 
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) error {
 	var req GenerateRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, MaxBodyBytes)).Decode(&req); err != nil {
-		return badRequest("bad JSON: %v", err)
+	if err := decodeJSON(r, &req); err != nil {
+		return err
 	}
 	if req.N <= 0 {
 		return badRequest("generate needs n > 0, got %d", req.N)
@@ -280,8 +305,8 @@ type QueryResponse struct {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	var req QueryRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, MaxBodyBytes)).Decode(&req); err != nil {
-		return badRequest("bad JSON: %v", err)
+	if err := decodeJSON(r, &req); err != nil {
+		return err
 	}
 	if len(req.Pairs) == 0 {
 		return badRequest("query needs at least one [u, v] pair")
@@ -351,8 +376,8 @@ type ReweightResponse struct {
 
 func (s *Server) handleReweight(w http.ResponseWriter, r *http.Request) error {
 	var req ReweightRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, MaxBodyBytes)).Decode(&req); err != nil {
-		return badRequest("bad JSON: %v", err)
+	if err := decodeJSON(r, &req); err != nil {
+		return err
 	}
 	if len(req.Edits) == 0 {
 		return badRequest("reweight needs at least one [u, v, w] edit")
@@ -432,9 +457,14 @@ type RegistrySnapshot struct {
 	CompressedBudgetBytes int64 `json:"compressed_budget_bytes"`
 	// store_kinds counts resident entries (hot and demoted) by the width
 	// their distances proved lossless at: u16 / u32 / f32 / f64. A
-	// backend at 10 bytes/pair instead of 4 shows up here as f64 entries
-	// — graphs with non-integer weights.
+	// backend at 8 bytes/pair of distances instead of 2 shows up here as
+	// f64 entries — graphs with non-integer weights.
 	StoreKinds map[string]int `json:"store_kinds,omitempty"`
+	// succ_bits counts hot entries by the slot width of their successor
+	// table (2 / 4 / 8 / 16 / 32 bits, set by the graph's maximum
+	// degree): a hub graph whose table alone costs 2 bytes/pair where a
+	// grid's costs 0.5 shows up here under "16".
+	SuccBits map[int]int `json:"succ_bits,omitempty"`
 
 	SolveMs         float64 `json:"solve_ms"`
 	QueriesServed   int64   `json:"queries_served"`
@@ -491,6 +521,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) error {
 			CompressedBytes:       st.CompressedBytes,
 			CompressedBudgetBytes: st.CompressedBudgetBytes,
 			StoreKinds:            st.StoreKinds,
+			SuccBits:              st.SuccBits,
 
 			SolveMs:         float64(st.SolveNanos) / 1e6,
 			QueriesServed:   st.QueriesServed,

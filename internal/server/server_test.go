@@ -257,10 +257,12 @@ func TestServerQueryOutOfRangePair(t *testing.T) {
 // TestServerEviction: a tiny budget forces the registry to drop the
 // least recently used graph, visible through /statsz.
 func TestServerEviction(t *testing.T) {
-	// /generate draws real-valued weights, so each 16-vertex oracle holds
-	// float64 distances and uint16 successors: 16*16*(8+2) = 2560 bytes;
-	// fit two.
-	ts, _ := newTestServer(t, 2*2560)
+	// /generate draws real-valued weights, so each 16-vertex grid oracle
+	// holds float64 distances (16·16·8), 16 one-word rows of 4-bit
+	// successor slots and the int32 adjacency over 17 offsets and 2·24
+	// half-edges twice: 2048 + 128 + 452 = 2628 bytes; fit two.
+	const oracleBytes = 16*16*8 + 16*8 + (17+4*24)*4
+	ts, _ := newTestServer(t, 2*oracleBytes)
 	var a, b, c GraphInfo
 	postJSON(t, ts.URL+"/generate", GenerateRequest{Kind: "grid", N: 16, Seed: 1}, &a)
 	postJSON(t, ts.URL+"/generate", GenerateRequest{Kind: "grid", N: 16, Seed: 2}, &b)
@@ -269,11 +271,14 @@ func TestServerEviction(t *testing.T) {
 	if st.Registry.Evictions != 1 || st.Registry.Entries != 2 {
 		t.Errorf("evictions=%d entries=%d, want 1 and 2", st.Registry.Evictions, st.Registry.Entries)
 	}
-	if st.Registry.Bytes != 2*2560 {
-		t.Errorf("retained %d bytes, want two oracles at 10 bytes/pair = %d", st.Registry.Bytes, 2*2560)
+	if st.Registry.Bytes != 2*oracleBytes {
+		t.Errorf("retained %d bytes, want two oracles of %d", st.Registry.Bytes, oracleBytes)
 	}
 	if !reflect.DeepEqual(st.Registry.StoreKinds, map[string]int{"f64": 2}) {
 		t.Errorf("store_kinds = %v, want the two resident entries under f64", st.Registry.StoreKinds)
+	}
+	if !reflect.DeepEqual(st.Registry.SuccBits, map[int]int{4: 2}) {
+		t.Errorf("succ_bits = %v, want the two hot entries under 4", st.Registry.SuccBits)
 	}
 	// The oldest graph must 404 now; the newer ones still answer.
 	if resp := postJSON(t, ts.URL+"/query", QueryRequest{Graph: a.Graph, Pairs: [][2]int{{0, 1}}}, nil); resp.StatusCode != http.StatusNotFound {
@@ -437,5 +442,51 @@ func TestServerReweight(t *testing.T) {
 	}
 	if st.Endpoints["reweight"].Requests != 4 || st.Endpoints["reweight"].Errors != 3 {
 		t.Errorf("reweight endpoint counters %+v, want 4 requests / 3 errors", st.Endpoints["reweight"])
+	}
+}
+
+// TestServerRefusesOversizedBody: a body over the limit is answered 413
+// on every POST endpoint. The /load body is the case that matters — one
+// byte over, and cut at the limit it would still parse, as the same
+// graph with edge {1,2} at weight 2 instead of 25: the old LimitReader
+// served that wrong graph without a word. At exactly the limit the
+// truncated text is a legitimate body and loads.
+func TestServerRefusesOversizedBody(t *testing.T) {
+	const body = "n 3\n0 1 2\n1 2 25"
+	defer func(old int64) { maxBody = old }(maxBody)
+	maxBody = int64(len(body)) - 1
+	ts, _ := newTestServer(t, 0)
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if g, err := ParseGraphBody([]byte(body[:maxBody])); err != nil || g.M() != 2 {
+		t.Fatalf("test body: its first %d bytes must parse as a graph (%v)", maxBody, err)
+	}
+	if status := post("/load", body); status != http.StatusRequestEntityTooLarge {
+		t.Errorf("/load one byte over the limit: status %d, want 413", status)
+	}
+	if st := getStats(t, ts.URL); st.Registry.Entries != 0 {
+		t.Errorf("an oversized /load left %d graphs resident", st.Registry.Entries)
+	}
+	if status := post("/load", body[:maxBody]); status != http.StatusOK {
+		t.Errorf("/load at the limit: status %d, want 200", status)
+	}
+	// The JSON endpoints stop reading where their value ends, so the
+	// padding goes in front.
+	pad := strings.Repeat(" ", int(maxBody))
+	for path, req := range map[string]string{
+		"/generate": `{"kind":"grid","n":16,"seed":1}`,
+		"/query":    `{"graph":"0","pairs":[[0,1]]}`,
+		"/reweight": `{"graph":"0","edits":[[0,1,2]]}`,
+	} {
+		if status := post(path, pad+req); status != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s over the limit: status %d, want 413", path, status)
+		}
 	}
 }
