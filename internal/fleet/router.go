@@ -645,6 +645,7 @@ func addRegistry(a *server.RegistrySnapshot, b server.RegistrySnapshot) {
 	a.CompressedBytes += b.CompressedBytes
 	a.CompressedBudgetBytes += b.CompressedBudgetBytes
 	addCounts(&a.StoreKinds, b.StoreKinds)
+	addCounts(&a.StoreLayouts, b.StoreLayouts)
 	addCounts(&a.SuccBits, b.SuccBits)
 	a.SolveMs += b.SolveMs
 	a.QueriesServed += b.QueriesServed

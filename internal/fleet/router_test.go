@@ -444,10 +444,13 @@ func TestRouterStatszAggregates(t *testing.T) {
 		t.Fatalf("aggregate (%d) != sum of per-backend (%d)", st.Aggregate.Solves, sum)
 	}
 	// The per-entry censuses sum across backends like every counter: four
-	// path graphs with real-valued weights are four f64 stores, all hot
-	// at 2-bit successor slots.
-	if !reflect.DeepEqual(st.Aggregate.StoreKinds, map[string]int{"f64": 4}) || !reflect.DeepEqual(st.Aggregate.SuccBits, map[int]int{2: 4}) {
-		t.Fatalf("aggregate store_kinds = %v, succ_bits = %v, want f64:4 and 2:4", st.Aggregate.StoreKinds, st.Aggregate.SuccBits)
+	// path graphs with real-valued weights are four f64 stores, each the
+	// triangle of a bit-symmetric matrix, all hot at 2-bit successor slots.
+	if !reflect.DeepEqual(st.Aggregate.StoreKinds, map[string]int{"f64": 4}) ||
+		!reflect.DeepEqual(st.Aggregate.StoreLayouts, map[string]int{"tri": 4}) ||
+		!reflect.DeepEqual(st.Aggregate.SuccBits, map[int]int{2: 4}) {
+		t.Fatalf("aggregate store_kinds = %v, store_layouts = %v, succ_bits = %v, want f64:4, tri:4 and 2:4",
+			st.Aggregate.StoreKinds, st.Aggregate.StoreLayouts, st.Aggregate.SuccBits)
 	}
 	if st.Graphs != 4 {
 		t.Fatalf("router tracks %d placements, want 4", st.Graphs)

@@ -16,13 +16,15 @@ import (
 //
 // Memory axis — for each integer-weight workload, the footprint of a
 // solved oracle as the registry holds it: hot (distances at their
-// proven width + the successor table: neighbour slots at the width the
-// family's maximum degree needs, plus the adjacency that decodes them)
-// and demoted (the same distance store with the table dropped). The
-// serialised store is decoded and verified bit-identical before any row
-// is emitted, and the run fails unless every integer workload is
-// exactly 2 bytes/pair demoted and, hot, at most that plus the table at
-// its family's width — the acceptance gate.
+// proven width and layout — the lower triangle of the bit-symmetric
+// matrix every solver here returns — + the successor table: neighbour
+// slots at the width the family's maximum degree needs, plus the
+// adjacency that decodes them) and demoted (the same distance store
+// with the table dropped). The serialised store is decoded and verified
+// bit-identical before any row is emitted, and the run fails unless
+// every integer workload is exactly n(n+1)/2 two-byte entries demoted —
+// (n+1)/n bytes/pair — and, hot, at most that plus the table at its
+// family's width — the acceptance gate.
 //
 // Latency axis — each workload is solved twice against the same
 // persistent plan store directory through two fresh caches, simulating
@@ -126,22 +128,26 @@ func StoreBench(cfg Config, n, p int) (*Table, error) {
 		}
 		// The table at the family's width, from first principles: rows
 		// of slots padded to whole words, plus three int32 arrays over
-		// the offsets and the half-edges (neighbour, reverse slot).
+		// the offsets and the half-edges (neighbour, reverse slot). The
+		// distances likewise: the entries on and below the diagonal, two
+		// bytes each.
 		gn := int64(g.N())
 		pairs := gn * gn
 		table := gn*((gn*int64(wl.bits)+63)/64)*8 + (gn+1+4*int64(g.M()))*4
-		if hotBytes > 2*pairs+table || compBytes != 2*pairs {
-			return nil, fmt.Errorf("store %s: %d bytes hot at %d-bit slots, %d demoted for %d pairs (kind %s), want <= 2 bytes/pair + a %d-bit table (%d) and = 2 bytes/pair",
-				wl.name, hotBytes, res.Successors().Bits(), compBytes, pairs, kind, wl.bits, 2*pairs+table)
+		tri := gn * (gn + 1) / 2 * 2
+		if hotBytes > tri+table || compBytes != tri {
+			return nil, fmt.Errorf("store %s: %d bytes hot at %d-bit slots, %d demoted for %d pairs (kind %s), want <= the u16 triangle (%d) + a %d-bit table (%d) and = the triangle",
+				wl.name, hotBytes, res.Successors().Bits(), compBytes, pairs, kind, tri, wl.bits, tri+table)
 		}
 		const gb = 1 << 30
 		t.Add(wl.name, kind, res.Successors().Bits(), hotBytes, compBytes, float64(hotBytes)/float64(pairs), float64(compBytes)/float64(pairs),
 			gb/hotBytes, gb/compBytes,
 			coldMs, warmMs, coldMs/warmMs, coldRes.Report.TotalWords)
 	}
-	t.Note("hot: distances at their proven width (u16 = 2 B/pair for integer weights) + successors")
-	t.Note("as neighbour slots, slot_bits each — set by the family's maximum degree, so the star's")
-	t.Note("hub keeps its whole table at 16 — plus the counted int32 adjacency that decodes them;")
+	t.Note("hot: the lower triangle of the distances at their proven width (integer weights: u16,")
+	t.Note("(n+1)/n B/pair, the matrix being proved bit-symmetric) + successors as neighbour slots,")
+	t.Note("slot_bits each — set by the family's maximum degree, so the star's hub keeps its whole")
+	t.Note("table at 16 — plus the counted int32 adjacency that decodes them;")
 	t.Note("demoted: the same store without the table (serialised form verified bit-identical on")
 	t.Note("decode) — per_gb_* is how many such graphs fit in one GB")
 	t.Note("warm_ms is a fresh process over the same -plan-dir: the plan loads from disk")

@@ -24,10 +24,11 @@ type queryCounters struct {
 }
 
 // Oracle holds one solved graph and answers distance and path queries
-// from typed storage: the distances at their proven width (tier.go) and
-// the successor table as packed neighbour slots, both immutable. It keeps no
-// float64 matrix. All query methods are safe for concurrent use;
-// batches fan out over a semiring.Pool.
+// from typed storage: the distances at their proven width and layout
+// (tier.go: the lower triangle alone when the matrix is bit-symmetric)
+// and the successor table as packed neighbour slots, both immutable. It
+// keeps no float64 matrix. All query methods are safe for concurrent
+// use; batches fan out over a semiring.Pool.
 type Oracle struct {
 	dist *distStore
 	// succ is nil in the dist-only sibling a registry keeps for a demoted
@@ -75,8 +76,9 @@ func solveOracle(g *graph.Graph, solve SolveFunc, pool *semiring.Pool) (*Oracle,
 // FromResult builds an Oracle from an already-solved PathResult without
 // re-solving: one pass narrows res.Dist into the typed store, and the
 // successor table is shared as built. The oracle does not retain res or
-// res.Dist — except that distances no narrower kind can hold exactly
-// stay in res.Dist's own storage, so res must not be mutated afterwards.
+// res.Dist — except that a matrix which is neither bit-symmetric nor
+// exactly representable in a narrower kind stays in res.Dist's own
+// storage, so res must not be mutated afterwards.
 // A nil pool means semiring.DefaultPool.
 func FromResult(res *apsp.PathResult, pool *semiring.Pool) *Oracle {
 	if pool == nil {
@@ -149,7 +151,7 @@ func (o *Oracle) Dist(u, v int) (float64, error) {
 		return semiring.Inf, err
 	}
 	defer o.track(1)()
-	return o.dist.at(u*o.dist.n + v), nil
+	return o.dist.at(u, v), nil
 }
 
 // Path returns the vertices of a shortest u→v path inclusive of both
@@ -172,7 +174,7 @@ func (o *Oracle) BatchDist(pairs [][2]int) ([]float64, error) {
 	defer o.track(len(pairs))()
 	out := make([]float64, len(pairs))
 	o.pool.ForEach(len(pairs), func(i int) {
-		out[i] = o.dist.at(pairs[i][0]*o.dist.n + pairs[i][1])
+		out[i] = o.dist.at(pairs[i][0], pairs[i][1])
 	})
 	return out, nil
 }

@@ -629,14 +629,21 @@ type Stats struct {
 
 	// StoreKinds counts resident entries (hot and demoted) by the kind
 	// their distance store proved: "u16", "u32", "f32", "f64". Integer
-	// weights serve from u16 at 2 bytes/pair plus the successor table; an
-	// f64 entry — real-valued weights — costs 8 plus the table. Kinds
-	// with no entry are omitted.
+	// weights serve from u16 at 2 bytes per stored entry plus the
+	// successor table; an f64 entry — real-valued weights — costs 8 plus
+	// the table. Kinds with no entry are omitted.
 	StoreKinds map[string]int
+	// StoreLayouts counts the same entries by how many distances they
+	// keep: "tri" for the lower triangle of a matrix proved
+	// bit-symmetric (half the entries per pair), "square" for one that
+	// failed the proof and keeps all n². A backend whose solver returns
+	// asymmetric matrices pays 2× and shows up here.
+	StoreLayouts map[string]int
 	// SuccBits counts hot entries by the slot width of their successor
 	// table, which follows the graph's maximum degree: a bounded-degree
-	// u16 entry sits near 2.5 bytes/pair, one hub (16-bit slots) keeps
-	// the whole table at 4. Widths with no entry are omitted.
+	// triangular u16 entry sits near 1.5 bytes/pair, one hub (16-bit
+	// slots) keeps the whole table at 2 on top of its distances. Widths
+	// with no entry are omitted.
 	SuccBits map[int]int
 
 	SolveNanos      int64 // total wall-clock spent solving
@@ -727,8 +734,10 @@ func (r *Registry) Stats() Stats {
 		if e.oracle != nil {
 			if s.StoreKinds == nil {
 				s.StoreKinds = make(map[string]int, len(tierKindNames))
+				s.StoreLayouts = make(map[string]int, 2)
 			}
 			s.StoreKinds[e.oracle.dist.kindName()]++
+			s.StoreLayouts[e.oracle.dist.layoutName()]++
 			if succ := e.oracle.succ; succ != nil {
 				if s.SuccBits == nil {
 					s.SuccBits = make(map[int]int)

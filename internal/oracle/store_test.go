@@ -16,13 +16,30 @@ import (
 	"sparseapsp/internal/semiring"
 )
 
-// storeCase is one graph whose solved distances must land in one kind.
+// storeCase is one graph whose solved distances must land in one kind
+// and one layout.
 type storeCase struct {
 	name  string
 	g     *graph.Graph
 	kind  string
 	scale float64
 	bits  int // successor slot width: follows the maximum degree
+	// dist solves g; nil means the classical loop. square says its
+	// matrix is NOT bit-symmetric, so the store must keep both halves.
+	dist   func(g *graph.Graph) (*semiring.Matrix, error)
+	square bool
+}
+
+// solve is succSolve over the case's own distance solver.
+func (tc storeCase) solve() (*apsp.PathResult, error) {
+	if tc.dist == nil {
+		return succSolve(tc.g)
+	}
+	d, err := tc.dist(tc.g)
+	if err != nil {
+		return nil, err
+	}
+	return apsp.SuccessorsFromDist(tc.g, d)
 }
 
 // succBytes is what the successor table of g must retain at the given
@@ -34,10 +51,68 @@ func succBytes(g *graph.Graph, bits int) int64 {
 	return int64(n)*int64((n*bits+63)/64)*8 + int64(n+1+4*g.M())*4
 }
 
-// hotBytes is a hot oracle of g: distances at elem bytes each plus
-// succBytes.
+// distBytes is what the distances of an n-vertex graph must retain at
+// elem bytes each: the n(n+1)/2 entries on and below the diagonal when
+// the matrix is bit-symmetric, all n² when square.
+func distBytes(n, elem int, square bool) int64 {
+	if square {
+		return int64(n * n * elem)
+	}
+	return int64(n * (n + 1) / 2 * elem)
+}
+
+// hotBytes is a hot oracle of g over a bit-symmetric matrix: the
+// triangle at elem bytes an entry plus succBytes.
 func hotBytes(g *graph.Graph, elem, bits int) int64 {
-	return int64(g.N()*g.N()*elem) + succBytes(g, bits)
+	return distBytes(g.N(), elem, false) + succBytes(g, bits)
+}
+
+// bitSymmetric is the symmetry proof by brute force.
+func bitSymmetric(d *semiring.Matrix) bool {
+	for u := 0; u < d.Rows; u++ {
+		for v := 0; v < u; v++ {
+			if !sameBits(d.At(u, v), d.At(v, u)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// checkStoreReads holds every way of reading s — at in both argument
+// orders, row, widen, and the same again after a trip through the codec
+// — against want, bit for bit.
+func checkStoreReads(t *testing.T, s *distStore, want *semiring.Matrix) {
+	t.Helper()
+	n := want.Rows
+	back, err := decodeStore(s.encode())
+	if err != nil {
+		t.Fatalf("%s/%s store does not decode: %v", s.kindName(), s.layoutName(), err)
+	}
+	if back.kind != s.kind || back.tri != s.tri || back.n != s.n || back.bytes() != s.bytes() {
+		t.Fatalf("%s/%s store of %d bytes decodes as %s/%s of %d", s.kindName(), s.layoutName(), s.bytes(),
+			back.kindName(), back.layoutName(), back.bytes())
+	}
+	if got, want := s.bytes(), distBytes(n, int(tierElemBytes[s.kind]), !s.tri); got != want {
+		t.Fatalf("%s/%s store of n=%d holds %d bytes, want %d", s.kindName(), s.layoutName(), n, got, want)
+	}
+	for _, st := range []*distStore{s, back} {
+		wide := st.widen()
+		buf := make([]float64, n)
+		for u := 0; u < n; u++ {
+			row := st.row(u, buf)
+			for v := 0; v < n; v++ {
+				w := want.At(u, v)
+				if got := st.at(u, v); !sameBits(got, w) {
+					t.Fatalf("%s/%s store reads (%d,%d) as %v, want %v", st.kindName(), st.layoutName(), u, v, got, w)
+				}
+				if !sameBits(row[v], w) || !sameBits(wide.At(u, v), w) {
+					t.Fatalf("%s/%s store widens (%d,%d) to %v by row, %v whole, want %v",
+						st.kindName(), st.layoutName(), u, v, row[v], wide.At(u, v), w)
+				}
+			}
+		}
+	}
 }
 
 func storeCases() []storeCase {
@@ -65,48 +140,134 @@ func storeCases() []storeCase {
 		islands.AddEdge(12+rng.Intn(v-12), v, float64(1+rng.Intn(9)))
 	}
 
-	return []storeCase{
-		{"u16 scale 1", graph.Grid2D(7, 7, ints(1, 9)), "u16", 1, 4},
-		{"u16 scale 0.5", halves, "u16", 0.5, 4},
-		{"u32", wide, "u32", 1, 2},
-		{"f32", edited, "f32", 1, 4},
-		{"f64", graph.RandomGNP(40, 0.15, graph.RandomWeights(rng, 0.5, 10), rng), "f64", 1, 4},
-		{"disconnected", islands, "u16", 1, 4},
-		{"zero-weight edges", graph.Grid2D(6, 6, ints(0, 4)), "u16", 1, 4},
-		{"n=0", graph.New(0), "u16", 1, 2},
-		{"n=1", graph.New(1), "u16", 1, 2},
+	cases := []storeCase{
+		{name: "u16 scale 1", g: graph.Grid2D(7, 7, ints(1, 9)), kind: "u16", scale: 1, bits: 4},
+		{name: "u16 scale 0.5", g: halves, kind: "u16", scale: 0.5, bits: 4},
+		{name: "u32", g: wide, kind: "u32", scale: 1, bits: 2},
+		{name: "f32", g: edited, kind: "f32", scale: 1, bits: 4},
+		{name: "f64", g: graph.RandomGNP(40, 0.15, graph.RandomWeights(rng, 0.5, 10), rng), kind: "f64", scale: 1, bits: 4},
+		{name: "disconnected", g: islands, kind: "u16", scale: 1, bits: 4},
+		{name: "zero-weight edges", g: graph.Grid2D(6, 6, ints(0, 4)), kind: "u16", scale: 1, bits: 4},
+		{name: "n=0", g: graph.New(0), kind: "u16", scale: 1, bits: 2},
+		{name: "n=1", g: graph.New(1), kind: "u16", scale: 1, bits: 2},
 	}
+
+	// The solvers of apsp.TestSolveDistSymmetric on a real-valued grid,
+	// where path sums round: every matrix-based one must land in the
+	// triangle, and the two that are not bit-symmetric — Johnson, whose
+	// Dijkstras sum a path from opposite ends, and a symmetric matrix
+	// with one entry pushed an ulp off its mirror — must land square.
+	real := graph.Grid2D(7, 7, graph.RandomWeights(rng, 0.5, 10))
+	distResult := func(r *apsp.DistResult, err error) (*semiring.Matrix, error) {
+		if err != nil {
+			return nil, err
+		}
+		return r.Dist, nil
+	}
+	for _, sv := range []struct {
+		name   string
+		dist   func(g *graph.Graph) (*semiring.Matrix, error)
+		square bool
+	}{
+		{"fw-tiled", func(g *graph.Graph) (*semiring.Matrix, error) {
+			d, _ := apsp.FloydWarshallKernel(g, semiring.KernelTiled)
+			return d, nil
+		}, false},
+		{"blockedfw", func(g *graph.Graph) (*semiring.Matrix, error) {
+			d, _ := apsp.BlockedFloydWarshall(g, 16)
+			return d, nil
+		}, false},
+		{"superfw", func(g *graph.Graph) (*semiring.Matrix, error) {
+			r, err := apsp.SuperFW(g, 3, 42)
+			if err != nil {
+				return nil, err
+			}
+			return r.Dist, nil
+		}, false},
+		{"superfw-par", func(g *graph.Graph) (*semiring.Matrix, error) {
+			ly, err := apsp.NewLayout(g, 3, 42)
+			if err != nil {
+				return nil, err
+			}
+			d, _ := apsp.SuperFWParallel(ly)
+			return d, nil
+		}, false},
+		{"1dfw", func(g *graph.Graph) (*semiring.Matrix, error) { return distResult(apsp.Dist1DFW(g, 4)) }, false},
+		{"2dfw", func(g *graph.Graph) (*semiring.Matrix, error) { return distResult(apsp.Dist2DFW(g, 4)) }, false},
+		{"dc", func(g *graph.Graph) (*semiring.Matrix, error) { return distResult(apsp.DCAPSP(g, 4, 1)) }, false},
+		{"sparse", func(g *graph.Graph) (*semiring.Matrix, error) {
+			return distResult(apsp.SparseAPSPWith(g, 9, apsp.SparseOptions{Seed: 42}))
+		}, false},
+		{"johnson", apsp.Johnson, true},
+		{"one-ulp", func(g *graph.Graph) (*semiring.Matrix, error) {
+			d, _ := apsp.FloydWarshall(g)
+			u, v := 1, g.N()-2
+			d.Set(u, v, math.Nextafter(d.At(u, v), math.Inf(1)))
+			return d, nil
+		}, true},
+	} {
+		cases = append(cases, storeCase{name: "f64 " + sv.name, g: real, kind: "f64", scale: 1, bits: 4, dist: sv.dist, square: sv.square})
+	}
+
+	// What /reweight installs on a real-valued graph: the repair folds an
+	// edited edge in as d(x,u) + w + d(v,y), and its mirror image adds the
+	// same three floats in the other order, so the halves round apart.
+	e := real.Edges()
+	edits := []apsp.EdgeEdit{{U: e[0].U, V: e[0].V, W: e[0].W + 2.3}, {U: e[40].U, V: e[40].V, W: e[40].W / 3}}
+	repaired, err := apsp.ApplyEdits(real, edits)
+	if err != nil {
+		panic(err)
+	}
+	return append(cases, storeCase{name: "f64 repaired", g: repaired, kind: "f64", scale: 1, bits: 4, square: true,
+		dist: func(*graph.Graph) (*semiring.Matrix, error) {
+			prev, err := succSolve(real)
+			if err != nil {
+				return nil, err
+			}
+			rows := func(v int, _ []float64) []float64 { return prev.Dist.V[v*real.N() : (v+1)*real.N()] }
+			res, _, _, err := testRepairer()(real, rows, prev.Successors(), edits)
+			if err != nil {
+				return nil, err
+			}
+			return res.Dist, nil
+		}})
 }
 
 // TestStoreBitIdentity is the store's contract, one row per kind: the
 // oracle built from a solve answers every Dist / BatchDist with the
 // solver's own bits and every Path with the solver's own path, whether
 // the kind was proved (u16, u32, f32) or is the f64 fallback for
-// real-valued weights — the store is bit-exact for ANY weights. The
-// same holds for the float64 form handed to Repair, for a table rebuilt
-// from the store row by row (promotion), and for the serialised bytes.
+// real-valued weights — the store is bit-exact for ANY weights — and
+// whether the symmetry proof held (the triangle: every case but the three
+// marked square) or not. The same holds for the float64 form handed to
+// Repair, for a table rebuilt from the store row by row (promotion), and
+// for the serialised bytes.
 func TestStoreBitIdentity(t *testing.T) {
 	elem := map[string]int{"u16": 2, "u32": 4, "f32": 4, "f64": 8}
 	for _, tc := range storeCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			// ref is solved separately: the f64 kind shares the storage of
 			// the result the oracle was built from.
-			ref, err := succSolve(tc.g)
+			ref, err := tc.solve()
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := succSolve(tc.g)
+			res, err := tc.solve()
 			if err != nil {
 				t.Fatal(err)
+			}
+			if bitSymmetric(ref.Dist) == tc.square {
+				t.Fatalf("test input: the solver's matrix must be bit-symmetric exactly when the case is not square (%v)", tc.square)
 			}
 			o := FromResult(res, nil)
 			n := tc.g.N()
-			if got := o.dist.kindName(); got != tc.kind || o.dist.scale != tc.scale {
-				t.Fatalf("stored as %s scale %g, want %s scale %g", got, o.dist.scale, tc.kind, tc.scale)
+			if got := o.dist.kindName(); got != tc.kind || o.dist.scale != tc.scale || o.dist.tri == tc.square {
+				t.Fatalf("stored as %s/%s scale %g, want %s scale %g, square %v", got, o.dist.layoutName(), o.dist.scale, tc.kind, tc.scale, tc.square)
 			}
-			if got, want := o.MemoryBytes(), hotBytes(tc.g, elem[tc.kind], tc.bits); got != want || o.succ.Bits() != tc.bits {
-				t.Errorf("MemoryBytes = %d at %d-bit slots, want %d (%d-byte distances + Successors.Bytes() at %d bits)",
-					got, o.succ.Bits(), want, elem[tc.kind], tc.bits)
+			wantDist := distBytes(n, elem[tc.kind], tc.square)
+			if got, want := o.MemoryBytes(), wantDist+succBytes(tc.g, tc.bits); got != want || o.succ.Bits() != tc.bits {
+				t.Errorf("MemoryBytes = %d at %d-bit slots, want %d (%d bytes of %d-byte distances + Successors.Bytes() at %d bits)",
+					got, o.succ.Bits(), want, wantDist, elem[tc.kind], tc.bits)
 			}
 
 			pairs := make([][2]int, 0, n*n)
@@ -155,14 +316,12 @@ func TestStoreBitIdentity(t *testing.T) {
 				t.Fatal("the disconnected case holds no unreachable pair")
 			}
 
-			if !sameMatrixBits(o.dist.widen(), ref.Dist) {
-				t.Error("the widened store differs from the solver's matrix")
-			}
+			checkStoreReads(t, o.dist, ref.Dist)
 			blob := CompressDist(ref.Dist)
 			if kind, bn, err := CompressedInfo(blob); err != nil || kind != tc.kind || bn != n {
 				t.Errorf("CompressedInfo = %s/n=%d (%v), want %s/n=%d", kind, bn, err, tc.kind, n)
 			}
-			if got, want := int64(len(blob)), tierHeaderLen+int64(n*n*elem[tc.kind]); got != want {
+			if got, want := int64(len(blob)), tierHeaderLen+wantDist; got != want {
 				t.Errorf("serialised to %d bytes, want %d", got, want)
 			}
 			back, err := DecompressDist(blob)
@@ -189,36 +348,103 @@ func sameMatrixBits(a, b *semiring.Matrix) bool {
 }
 
 // TestStoreKindBoundaries pins the last value each narrow kind holds
-// and the first it does not, and the values the proof must refuse.
+// and the first it does not, and the values the two proofs must refuse:
+// the width proof per value, the symmetry proof per mirror pair. Each
+// row is a 2×2 matrix {d00, d01, d10, d11} tried as written — square,
+// since d01 and d10 differ in at least a bit — and with d01 copied onto
+// d10, which must land in the triangle at the kind sym (where the odd
+// value is the only positive one it becomes the scale, and u16 holds it
+// as k = 1).
 func TestStoreKindBoundaries(t *testing.T) {
 	inf := semiring.Inf
+	negZero := math.Copysign(0, -1)
+	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
 	for _, tc := range []struct {
-		name string
-		vals []float64
-		kind string
+		name      string
+		vals      []float64
+		kind, sym string
 	}{
-		{"65534 is the last u16 code", []float64{0, 65534, 1, inf}, "u16"},
-		{"65535 is the u16 sentinel", []float64{0, 65535, 1, inf}, "u32"},
-		{"2^32-2 is the last u32 code", []float64{0, 1<<32 - 2, 1, inf}, "u32"},
+		{"65534 is the last u16 code", []float64{0, 65534, 1, inf}, "u16", "u16"},
+		{"65535 is the u16 sentinel", []float64{0, 65535, 1, inf}, "u32", "u32"},
+		{"2^32-2 is the last u32 code", []float64{0, 1<<32 - 2, 1, inf}, "u32", "u32"},
 		// 2^32-1 needs 32 mantissa bits, so float32 cannot take it either.
-		{"2^32-1 is the u32 sentinel", []float64{0, 1<<32 - 1, 1, inf}, "f64"},
-		{"2^32 is float32-exact", []float64{0, 1 << 32, 1, inf}, "f32"},
-		{"past float32 range", []float64{0, 1e300, 1.5, inf}, "f64"},
-		{"float64 subnormals", []float64{0, 5e-324, 1e-323, inf}, "u16"}, // k·5e-324 is exact
-		{"a float32 subnormal", []float64{0, 0x1p-149, 1.5, 0.3}, "f64"},
-		{"negative zero", []float64{0, math.Copysign(0, -1), 1, inf}, "f64"},
-		{"negative zero among halves", []float64{0, math.Copysign(0, -1), 0.5, 1.5}, "f64"},
-		{"NaN", []float64{0, math.NaN(), 1, inf}, "f64"},
-		{"a negative distance", []float64{0, -3, 1, inf}, "f32"},
-		{"-Inf", []float64{0, math.Inf(-1), 1, inf}, "f32"},
+		{"2^32-1 is the u32 sentinel", []float64{0, 1<<32 - 1, 1, inf}, "f64", "u16"},
+		{"2^32 is float32-exact", []float64{0, 1 << 32, 1, inf}, "f32", "u16"},
+		{"past float32 range", []float64{0, 1e300, 1.5, inf}, "f64", "u16"},
+		{"float64 subnormals", []float64{0, 5e-324, 1e-323, inf}, "u16", "u16"}, // k·5e-324 is exact
+		{"a float32 subnormal", []float64{0, 0x1p-149, 1.5, 0.3}, "f64", "f64"},
+		{"negative zero", []float64{0, negZero, 1, inf}, "f64", "f64"},
+		{"negative zero among halves", []float64{0, negZero, 0.5, 1.5}, "f64", "f64"},
+		{"NaN", []float64{0, math.NaN(), 1, inf}, "f64", "f64"},
+		{"a negative distance", []float64{0, -3, 1, inf}, "f32", "f32"},
+		{"-Inf", []float64{0, math.Inf(-1), 1, inf}, "f32", "f32"},
+		// Mirror pairs that == calls equal, or that differ only where a
+		// comparison of distances never looks: the proof compares bits.
+		{"+0 across the diagonal from -0", []float64{0, 0, negZero, 0}, "f64", "u16"},
+		{"NaNs with different payloads", []float64{0, nan1, nan2, 0}, "f64", "f64"},
+		{"Inf on one side only", []float64{0, inf, 7, 0}, "u16", "u16"},
+		{"a mirror entry one ulp off", []float64{0, 0.3, math.Nextafter(0.3, 1), 0}, "f64", "u16"},
 	} {
-		s := narrow(distOf(tc.vals, 2))
-		if s.kindName() != tc.kind {
-			t.Errorf("%s: stored as %s, want %s", tc.name, s.kindName(), tc.kind)
+		for _, mirror := range []bool{false, true} {
+			vals, kind := append([]float64(nil), tc.vals...), tc.kind
+			if mirror {
+				vals[2], kind = vals[1], tc.sym
+			}
+			s := narrow(distOf(append([]float64(nil), vals...), 2))
+			if s.kindName() != kind || s.tri != mirror {
+				t.Errorf("%s (mirrored: %v): stored as %s/%s, want %s", tc.name, mirror, s.kindName(), s.layoutName(), kind)
+			}
+			checkStoreReads(t, s, distOf(vals, 2))
 		}
-		for i, v := range tc.vals {
-			if !sameBits(s.at(i), v) {
-				t.Errorf("%s: entry %d reads %v, want %v bit-exactly", tc.name, i, s.at(i), v)
+	}
+
+	// The same refusals wherever the odd entry sits in a matrix big
+	// enough to span several blocks of the tiled proof — inside a
+	// diagonal block, in an off-diagonal one, in the ragged last one —
+	// and at every kind the rest of the matrix would have taken.
+	const n = 2*symTile + 7
+	for _, base := range []struct {
+		kind string
+		step float64
+	}{{"u16", 1}, {"u32", 70000}, {"f32", 1.5}, {"f64", 0.1}} {
+		sym := semiring.NewMatrix(n, n)
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				sym.Set(u, v, base.step*math.Abs(float64(u-v)))
+			}
+		}
+		switch base.kind { // multiples of one step alone would quantize at that scale
+		case "f32":
+			sym.Set(0, 1, 2.5)
+			sym.Set(1, 0, 2.5)
+		case "f64":
+			sym.Set(0, 1, 0.25)
+			sym.Set(1, 0, 0.25)
+		}
+		s := narrow(sym.Clone())
+		if s.kindName() != base.kind || !s.tri {
+			t.Fatalf("symmetric %s base stored as %s/%s", base.kind, s.kindName(), s.layoutName())
+		}
+		checkStoreReads(t, s, sym)
+		for _, at := range [][2]int{{1, 0}, {symTile - 1, symTile - 2}, {symTile, symTile - 1}, {symTile + 5, 3}, {n - 1, 0}, {n - 1, n - 2}, {n - 2, symTile + 1}} {
+			for name, poke := range map[string]func(x float64) float64{
+				"one ulp up": func(x float64) float64 { return math.Nextafter(x, inf) },
+				"Inf":        func(float64) float64 { return inf },
+				"NaN":        func(float64) float64 { return nan1 },
+			} {
+				for _, upper := range []bool{false, true} {
+					d := sym.Clone()
+					u, v := at[0], at[1]
+					if upper {
+						u, v = v, u
+					}
+					d.Set(u, v, poke(d.At(u, v)))
+					s := narrow(d.Clone())
+					if s.tri {
+						t.Fatalf("%s base with (%d,%d) poked %s: stored as a triangle", base.kind, u, v, name)
+					}
+					checkStoreReads(t, s, d)
+				}
 			}
 		}
 	}
@@ -615,25 +841,40 @@ func pathSolve(g *graph.Graph) (*apsp.PathResult, error) {
 // oracle_bytes_per_pair against the allocator: after K oracles are
 // loaded through a registry and every other reference is dropped, the
 // live heap must have grown by Σ MemoryBytes, within 15 %. It fails if
-// FromResult keeps the solver's float64 matrix alive beside a narrow
-// store, or copies it for the f64 kind.
+// FromResult keeps the solver's float64 matrix alive beside a narrow or
+// triangular store, or copies it for the square f64 kind — the one case
+// that shares the solver's matrix, reached here by pushing one entry of
+// each matrix an ulp off its mirror.
 func TestMemoryBytesMatchesHeap(t *testing.T) {
 	const k, n = 8, 512
+	ints := func(rng *rand.Rand) float64 { return float64(1 + rng.Intn(9)) }
+	reals := func(rng *rand.Rand) float64 { return 0.5 + 9.5*rng.Float64() }
+	oneUlpOff := func(g *graph.Graph) (*apsp.PathResult, error) {
+		res, err := pathSolve(g)
+		if err != nil {
+			return nil, err
+		}
+		res.Dist.Set(1, n-2, math.Nextafter(res.Dist.At(1, n-2), math.Inf(1)))
+		return res, nil
+	}
 	for _, tc := range []struct {
-		kind   string
-		elem   int
-		weight func(rng *rand.Rand) float64
+		name, kind string
+		elem       int
+		square     bool
+		weight     func(rng *rand.Rand) float64
+		solve      SolveFunc
 	}{
-		{"u16", 2, func(rng *rand.Rand) float64 { return float64(1 + rng.Intn(9)) }},
-		{"f64", 8, func(rng *rand.Rand) float64 { return 0.5 + 9.5*rng.Float64() }},
+		{"u16", "u16", 2, false, ints, pathSolve},
+		{"f64", "f64", 8, false, reals, pathSolve},
+		{"f64 square", "f64", 8, true, reals, oneUlpOff},
 	} {
-		t.Run(tc.kind, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(9))
 			graphs := make([]*graph.Graph, k) // allocated before the baseline: the registry retains these very objects
 			for i := range graphs {
 				graphs[i] = graph.Path(n, func(u, v int) float64 { return tc.weight(rng) })
 			}
-			r := NewRegistry(Config{Solve: pathSolve})
+			r := NewRegistry(Config{Solve: tc.solve})
 			heap := func() int64 {
 				runtime.GC()
 				runtime.GC()
@@ -650,8 +891,14 @@ func TestMemoryBytesMatchesHeap(t *testing.T) {
 			grew := heap() - before
 			st := r.Stats()
 			// A path has maximum degree 2: 2-bit slots, n/4 bytes a row.
-			if want := k * hotBytes(graphs[0], tc.elem, 2); st.Bytes != want || st.StoreKinds[tc.kind] != k {
-				t.Fatalf("registry holds %d bytes in kinds %v, want %d bytes in %d %s entries", st.Bytes, st.StoreKinds, want, k, tc.kind)
+			layout := map[string]int{"tri": k}
+			if tc.square {
+				layout = map[string]int{"square": k}
+			}
+			if want := k * (distBytes(n, tc.elem, tc.square) + succBytes(graphs[0], 2)); st.Bytes != want ||
+				st.StoreKinds[tc.kind] != k || !reflect.DeepEqual(st.StoreLayouts, layout) {
+				t.Fatalf("registry holds %d bytes in kinds %v, layouts %v, want %d bytes in %d %s entries, layouts %v",
+					st.Bytes, st.StoreKinds, st.StoreLayouts, want, k, tc.kind, layout)
 			}
 			if diff := grew - st.Bytes; diff < -st.Bytes*15/100 || diff > st.Bytes*15/100 {
 				t.Errorf("live heap grew by %d bytes for %d bytes of MemoryBytes (%+.1f %%), want within 15 %%",

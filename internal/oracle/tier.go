@@ -11,7 +11,7 @@ import (
 
 // Typed distance storage.
 //
-// An oracle stores its n² distances once, in the narrowest element type
+// An oracle stores its distances once, in the narrowest element type
 // that is provably lossless for the values at hand, and answers every
 // query from that slice. The kinds, tried in this order by narrow:
 //
@@ -23,24 +23,38 @@ import (
 // A quantized kind is accepted only after verifying, per value, that
 // float64(k)·scale reproduces the original bit pattern exactly, so the
 // store is ALWAYS bit-lossless: integer-weight graphs (whose distances
-// are small integers) land in u16 at 2 bytes/pair — about 2.5 with the
-// successor table of a bounded-degree graph beside it (apsp.Successors:
-// neighbour slots at the width the maximum degree needs) — and anything
-// that cannot be represented exactly (a fractional edit, NaN, −0) falls
-// through to f32 or raw f64.
+// are small integers) land in u16, and anything that cannot be
+// represented exactly (a fractional edit, NaN, −0) falls through to f32
+// or raw f64.
+//
+// How many entries are kept is proved the same way. An undirected
+// graph's distance matrix is symmetric, and every matrix-based solver
+// returns it BIT-symmetric (apsp.TestSolveDistSymmetric), so narrow
+// compares bits(d(i,j)) with bits(d(j,i)) for every pair and, when all
+// agree, keeps only the lower triangle: n(n+1)/2 entries, about 1 byte
+// per pair at u16 — 1.5 with the successor table of a bounded-degree
+// graph beside it (apsp.Successors: neighbour slots at the width the
+// maximum degree needs). A matrix that fails the proof anywhere —
+// Johnson's, whose Dijkstras sum a path from opposite ends; one entry an
+// ulp off its mirror; +0 across the diagonal from −0 — keeps all n²
+// entries, so every read is still the solver's own bits. The layout is
+// a property of the store, not an option.
 // There is no wider copy kept beside the store and no mode that keeps
 // one; a demoted registry entry is the same store without successors.
 //
 // CompressDist / DecompressDist are the byte serialisation of the store
-// (format SAPSPT01). Like the plan codec (and unlike the semiring pack
+// (format SAPSPT02; nothing ever persisted an SAPSPT01 blob — the bench
+// census and the E23 harness round-trip one in memory — so the old magic
+// is simply rejected). Like the plan codec (and unlike the semiring pack
 // codec's decode-or-panic), DecompressDist must fail closed on malformed
 // bytes: return an error, never panic.
 
 // tierMagic identifies a serialised store; the trailing digits are the
 // format version.
-const tierMagic = "SAPSPT01"
+const tierMagic = "SAPSPT02"
 
-// tierHeaderLen is magic(8) + kind(1) + reserved(3) + n(4) + scale(8).
+// tierHeaderLen is magic(8) + kind(1) + layout(1) + reserved(2) + n(4) +
+// scale(8).
 const tierHeaderLen = 24
 
 const (
@@ -50,16 +64,26 @@ const (
 	tierF64
 )
 
+// The layout byte of a serialised store.
+const (
+	tierSquare = uint8(iota)
+	tierTri
+)
+
 var (
 	tierKindNames = [...]string{tierU16: "u16", tierU32: "u32", tierF32: "f32", tierF64: "f64"}
 	tierElemBytes = [...]uint64{tierU16: 2, tierU32: 4, tierF32: 4, tierF64: 8}
 )
 
-// distStore is an n×n distance matrix at its proven width: exactly one
-// of the four slices is in use, named by kind. Immutable once built, so
-// a hot oracle and its demoted sibling share one.
+// distStore is the distance matrix of an n-vertex graph at its proven
+// width and layout: exactly one of the four slices is in use, named by
+// kind, and it holds either all n² entries row-major or, when tri is
+// set, the lower triangle packed row-major — entry (i,j), j ≤ i, at
+// i(i+1)/2 + j, standing for (j,i) too. Immutable once built, so a hot
+// oracle and its demoted sibling share one.
 type distStore struct {
 	kind  uint8
+	tri   bool
 	n     int
 	scale float64 // quantized kinds: value = k·scale; 1 for the float kinds
 	u16   []uint16
@@ -70,14 +94,44 @@ type distStore struct {
 
 func (s *distStore) kindName() string { return tierKindNames[s.kind] }
 
+func (s *distStore) layoutName() string {
+	if s.tri {
+		return "tri"
+	}
+	return "square"
+}
+
 // bytes is the retained size of the store: the one slice it holds.
 func (s *distStore) bytes() int64 {
 	return int64(len(s.u16))*2 + int64(len(s.u32))*4 + int64(len(s.f32))*4 + int64(len(s.f64))*8
 }
 
-// at widens entry i (row-major) back to the float64 it was narrowed
-// from, bit for bit.
-func (s *distStore) at(i int) float64 {
+// rowSpan is where row r keeps its entries and how many it keeps: all n
+// of a square row, the r+1 up to the diagonal of a triangular one.
+func rowSpan(n, r int, tri bool) (lo, width int) {
+	if tri {
+		return r * (r + 1) / 2, r + 1
+	}
+	return r * n, n
+}
+
+// storeLen is the number of entries a layout keeps.
+func storeLen(n int, tri bool) int {
+	lo, _ := rowSpan(n, n, tri)
+	return lo
+}
+
+// at widens entry (u,v) back to the float64 it was narrowed from, bit
+// for bit. Above the diagonal of a triangle it reads the mirror entry,
+// which the symmetry proof showed to hold the same bits.
+func (s *distStore) at(u, v int) float64 {
+	i := u*s.n + v
+	if s.tri {
+		if u < v {
+			u, v = v, u
+		}
+		i = u*(u+1)/2 + v
+	}
 	switch s.kind {
 	case tierU16:
 		if k := s.u16[i]; k != math.MaxUint16 {
@@ -96,41 +150,61 @@ func (s *distStore) at(i int) float64 {
 	}
 }
 
-// row widens row v into buf and returns it (an apsp.RowFunc). The f64
-// kind returns its own storage instead; callers only read.
+// row widens row v into buf and returns it (an apsp.RowFunc). A square
+// row is one run of the slice — the f64 kind returns its own storage
+// instead, callers only read; a triangular one is the run up to the
+// diagonal followed by column v below it, gathered at a stride that
+// grows by one entry per row.
 func (s *distStore) row(v int, buf []float64) []float64 {
-	lo, hi := v*s.n, (v+1)*s.n
-	switch s.kind {
-	case tierU16:
-		dequantize(buf, s.u16[lo:hi], s.scale)
-	case tierU32:
-		dequantize(buf, s.u32[lo:hi], s.scale)
-	case tierF32:
-		for i, x := range s.f32[lo:hi] {
-			buf[i] = float64(x)
-		}
-	default:
-		return s.f64[lo:hi]
+	lo, w := rowSpan(s.n, v, s.tri)
+	if !s.tri && s.kind == tierF64 {
+		return s.f64[lo : lo+w]
 	}
+	buf = buf[:s.n]
+	s.widenInto(buf[:w], lo, 1, 0)
+	s.widenInto(buf[w:], lo+w+v, v+2, 1) // entry (v+1, v), then v+2 further on, then v+3, …
 	return buf
 }
 
-func dequantize[T uint16 | uint32](dst []float64, src []T, scale float64) {
-	dst = dst[:len(src)]
-	for i, k := range src {
-		if k == ^T(0) {
-			dst[i] = semiring.Inf
-		} else {
-			dst[i] = float64(k) * scale
+// widenInto fills dst with the stored entries at i, i+step,
+// i+step+(step+grow), …: the one loop per kind that rows, columns and
+// widen all read through.
+func (s *distStore) widenInto(dst []float64, i, step, grow int) {
+	switch s.kind {
+	case tierU16:
+		dequantize(dst, s.u16, i, step, grow, s.scale)
+	case tierU32:
+		dequantize(dst, s.u32, i, step, grow, s.scale)
+	case tierF32:
+		for k := range dst {
+			dst[k] = float64(s.f32[i])
+			i, step = i+step, step+grow
+		}
+	default:
+		for k := range dst {
+			dst[k] = s.f64[i]
+			i, step = i+step, step+grow
 		}
 	}
 }
 
-// widen rebuilds the float64 matrix the store was narrowed from. The
-// f64 kind shares its storage with the result instead of copying it;
-// callers treat the matrix as read-only.
+func dequantize[T uint16 | uint32](dst []float64, src []T, i, step, grow int, scale float64) {
+	for k := range dst {
+		if q := src[i]; q == ^T(0) {
+			dst[k] = semiring.Inf
+		} else {
+			dst[k] = float64(q) * scale
+		}
+		i, step = i+step, step+grow
+	}
+}
+
+// widen rebuilds the float64 matrix the store was narrowed from,
+// mirroring a triangle back to both halves. The square f64 kind shares
+// its storage with the result instead of copying it; callers treat the
+// matrix as read-only.
 func (s *distStore) widen() *semiring.Matrix {
-	if s.kind == tierF64 {
+	if !s.tri && s.kind == tierF64 {
 		return semiring.FromSlice(s.n, s.n, s.f64)
 	}
 	n := s.n
@@ -143,33 +217,82 @@ func (s *distStore) widen() *semiring.Matrix {
 	return semiring.FromSlice(n, n, v)
 }
 
-// narrow stores d at the narrowest lossless width. Each candidate kind
-// is proved and encoded in ONE pass, parallel over rows, that stops at
-// the first value it cannot represent, so an integer-weight matrix is
-// done after the first pass and a real-valued one rejects every narrow
-// kind within its first row, before anything n²-sized is allocated.
-// Only the f64 kind keeps (shares) d's storage: the caller must not
-// mutate d afterwards.
+// narrow stores d at the narrowest lossless width, and only its lower
+// triangle when symmetric proves the upper one redundant. Each
+// candidate kind is proved and encoded in ONE pass, parallel over rows,
+// that stops at the first value it cannot represent, so an
+// integer-weight matrix is done after the first pass and a real-valued
+// one rejects every narrow kind within its first row, before anything
+// n²-sized is allocated. Only the square f64 store keeps (shares) d's
+// storage — the caller must not mutate d afterwards; the triangular one
+// copies its half and lets d go.
 func narrow(d *semiring.Matrix) *distStore {
 	if d == nil || d.Rows != d.Cols {
 		panic("oracle: distance matrix must be square")
 	}
 	n, v := d.Rows, d.V
+	tri := symmetric(v, n)
 	// Scale 1 first (integer-weight graphs), then the smallest positive
 	// finite value (uniform fractional grids like 0.5-weighted meshes),
 	// which is only scanned for once scale 1 has failed.
-	if s := quantized(v, n, 1); s != nil {
+	if s := quantized(v, n, tri, 1); s != nil {
 		return s
 	}
 	if scale := minPositive(v); scale != 1 && !math.IsInf(scale, 1) {
-		if s := quantized(v, n, scale); s != nil {
+		if s := quantized(v, n, tri, scale); s != nil {
 			return s
 		}
 	}
-	if f := narrowRows(v, n, f32Row); f != nil {
-		return &distStore{kind: tierF32, n: n, scale: 1, f32: f}
+	if f := narrowRows(v, n, tri, f32Row); f != nil {
+		return &distStore{kind: tierF32, tri: tri, n: n, scale: 1, f32: f}
 	}
-	return &distStore{kind: tierF64, n: n, scale: 1, f64: v}
+	if tri {
+		v = narrowRows(v, n, tri, func(dst, src []float64) bool { copy(dst, src); return true })
+	}
+	return &distStore{kind: tierF64, tri: tri, n: n, scale: 1, f64: v}
+}
+
+// symTile is the edge of the blocks symmetric compares: a 32×32 float64
+// block and its mirror image are 16 KB together and stay in L1 while
+// one is read by rows and the other by columns.
+const symTile = 32
+
+// symmetric reports whether the n×n row-major matrix v equals its
+// transpose bit for bit — NaN payloads and the sign of zero included,
+// which == would get wrong in both directions. Block rows run in ranges
+// on the pool and every range stops at the first mismatch anywhere; a
+// matrix that is not symmetric usually says so within its first blocks.
+func symmetric(v []float64, n int) bool {
+	var failed atomic.Bool
+	semiring.DefaultPool.ForRanges((n+symTile-1)/symTile, func(lo, hi int) {
+		for bi := lo; bi < hi; bi++ {
+			for bj := 0; bj <= bi; bj++ {
+				if failed.Load() {
+					return
+				}
+				if !symmetricBlock(v, n, bi*symTile, bj*symTile) {
+					failed.Store(true)
+				}
+			}
+		}
+	})
+	return !failed.Load()
+}
+
+// symmetricBlock compares the entries (i,j) of the block at (i0,j0)
+// that lie below the diagonal with their mirror images.
+func symmetricBlock(v []float64, n, i0, j0 int) bool {
+	for i := i0; i < min(i0+symTile, n); i++ {
+		row := v[i*n+j0 : i*n+min(j0+symTile, i)]
+		mirror := j0*n + i // entry (j0, i); the next is one row down
+		for _, x := range row {
+			if math.Float64bits(x) != math.Float64bits(v[mirror]) {
+				return false
+			}
+			mirror += n
+		}
+	}
+	return true
 }
 
 func minPositive(v []float64) float64 {
@@ -183,31 +306,33 @@ func minPositive(v []float64) float64 {
 }
 
 // quantized tries the two integer kinds at one scale.
-func quantized(v []float64, n int, scale float64) *distStore {
-	if k := narrowRows(v, n, func(dst []uint16, src []float64) bool { return quantizeRow(dst, src, scale) }); k != nil {
-		return &distStore{kind: tierU16, n: n, scale: scale, u16: k}
+func quantized(v []float64, n int, tri bool, scale float64) *distStore {
+	if k := narrowRows(v, n, tri, func(dst []uint16, src []float64) bool { return quantizeRow(dst, src, scale) }); k != nil {
+		return &distStore{kind: tierU16, tri: tri, n: n, scale: scale, u16: k}
 	}
-	if k := narrowRows(v, n, func(dst []uint32, src []float64) bool { return quantizeRow(dst, src, scale) }); k != nil {
-		return &distStore{kind: tierU32, n: n, scale: scale, u32: k}
+	if k := narrowRows(v, n, tri, func(dst []uint32, src []float64) bool { return quantizeRow(dst, src, scale) }); k != nil {
+		return &distStore{kind: tierU32, tri: tri, n: n, scale: scale, u32: k}
 	}
 	return nil
 }
 
-// narrowRows encodes the n rows of v into a fresh []T with row, which
-// reports whether every value of its row is exactly representable; nil
-// if any row is not. Rows run in ranges on the pool and every range
-// stops at the first failure anywhere. The first row is tried alone
-// before the n² output exists: a real-valued matrix fails every narrow
-// kind there, and would otherwise allocate and zero each one in turn.
-func narrowRows[T any](v []float64, n int, row func(dst []T, src []float64) bool) []T {
+// narrowRows encodes the rows of v — each up to its diagonal entry when
+// tri — into a fresh []T with row, which reports whether every value it
+// was handed is exactly representable; nil if any row is not. Rows run
+// in ranges on the pool and every range stops at the first failure
+// anywhere. The whole first row is tried alone before the output
+// exists: a real-valued matrix fails every narrow kind there, and would
+// otherwise allocate and zero each one in turn.
+func narrowRows[T any](v []float64, n int, tri bool, row func(dst []T, src []float64) bool) []T {
 	if n > 0 && !row(make([]T, n), v[:n]) {
 		return nil
 	}
-	out := make([]T, len(v))
+	out := make([]T, storeLen(n, tri))
 	var failed atomic.Bool
 	semiring.DefaultPool.ForRanges(n, func(lo, hi int) {
 		for r := lo; r < hi && !failed.Load(); r++ {
-			if !row(out[r*n:(r+1)*n], v[r*n:(r+1)*n]) {
+			at, w := rowSpan(n, r, tri)
+			if !row(out[at:at+w], v[r*n:r*n+w]) {
 				failed.Store(true)
 			}
 		}
@@ -278,9 +403,13 @@ func f32Row(dst []float32, src []float64) bool {
 
 // encode serialises the store: header, then the slice little-endian.
 func (s *distStore) encode() []byte {
+	layout := tierSquare
+	if s.tri {
+		layout = tierTri
+	}
 	b := make([]byte, 0, tierHeaderLen+int(s.bytes()))
 	b = append(b, tierMagic...)
-	b = append(b, s.kind, 0, 0, 0)
+	b = append(b, s.kind, layout, 0, 0)
 	b = binary.LittleEndian.AppendUint32(b, uint32(s.n))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.scale))
 	switch s.kind {
@@ -307,29 +436,29 @@ func (s *distStore) encode() []byte {
 // decodeStore is the inverse of encode. Malformed input yields an
 // error, never a panic.
 func decodeStore(blob []byte) (*distStore, error) {
-	kind, n, scale, payload, err := tierSplit(blob)
+	s, payload, err := tierSplit(blob)
 	if err != nil {
 		return nil, err
 	}
-	s := &distStore{kind: kind, n: n, scale: scale}
-	switch kind {
+	entries := storeLen(s.n, s.tri)
+	switch s.kind {
 	case tierU16:
-		s.u16 = make([]uint16, n*n)
+		s.u16 = make([]uint16, entries)
 		for i := range s.u16 {
 			s.u16[i] = binary.LittleEndian.Uint16(payload[2*i:])
 		}
 	case tierU32:
-		s.u32 = make([]uint32, n*n)
+		s.u32 = make([]uint32, entries)
 		for i := range s.u32 {
 			s.u32[i] = binary.LittleEndian.Uint32(payload[4*i:])
 		}
 	case tierF32:
-		s.f32 = make([]float32, n*n)
+		s.f32 = make([]float32, entries)
 		for i := range s.f32 {
 			s.f32[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
 		}
 	default: // tierF64, validated by tierSplit
-		s.f64 = make([]float64, n*n)
+		s.f64 = make([]float64, entries)
 		for i := range s.f64 {
 			s.f64[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
 		}
@@ -338,15 +467,16 @@ func decodeStore(blob []byte) (*distStore, error) {
 }
 
 // CompressDist serialises a square distance matrix at the narrowest
-// lossless width. It never fails: the fallback chain ends at raw
-// float64 bits.
+// lossless width, its lower triangle alone when it is bit-symmetric. It
+// never fails: the fallback chain ends at raw float64 bits.
 func CompressDist(d *semiring.Matrix) []byte {
 	return narrow(d).encode()
 }
 
 // DecompressDist decodes a CompressDist blob back into the original
-// distance matrix, bit-identical to what was compressed. Malformed
-// input yields an error, never a panic.
+// distance matrix — both halves of it, whichever layout the blob holds —
+// bit-identical to what was compressed. Malformed input yields an
+// error, never a panic.
 func DecompressDist(blob []byte) (*semiring.Matrix, error) {
 	s, err := decodeStore(blob)
 	if err != nil {
@@ -359,50 +489,59 @@ func DecompressDist(blob []byte) (*semiring.Matrix, error) {
 // "f32", "f64") and matrix dimension without decoding the payload — the
 // cheap probe the E23 harness uses.
 func CompressedInfo(blob []byte) (kind string, n int, err error) {
-	k, n, _, _, err := tierSplit(blob)
+	s, _, err := tierSplit(blob)
 	if err != nil {
 		return "", 0, err
 	}
-	return tierKindNames[k], n, nil
+	return s.kindName(), s.n, nil
 }
 
-// tierSplit validates the envelope and returns kind, n, scale and the
-// payload slice. Every length is checked before any payload access.
-func tierSplit(blob []byte) (kind uint8, n int, scale float64, payload []byte, err error) {
+// tierSplit validates the envelope and returns the store it describes,
+// still without entries, and the payload slice. Every length is checked
+// before any payload access.
+func tierSplit(blob []byte) (s *distStore, payload []byte, err error) {
 	if len(blob) < tierHeaderLen {
-		return 0, 0, 0, nil, fmt.Errorf("oracle: compressed blob too short (%d bytes)", len(blob))
+		return nil, nil, fmt.Errorf("oracle: compressed blob too short (%d bytes)", len(blob))
 	}
 	if string(blob[:len(tierMagic)]) != tierMagic {
-		return 0, 0, 0, nil, fmt.Errorf("oracle: bad compressed-tier magic")
+		return nil, nil, fmt.Errorf("oracle: bad compressed-tier magic")
 	}
-	kind = blob[8]
+	kind, layout := blob[8], blob[9]
 	if kind > tierF64 {
-		return 0, 0, 0, nil, fmt.Errorf("oracle: unknown tier kind %d", kind)
+		return nil, nil, fmt.Errorf("oracle: unknown tier kind %d", kind)
 	}
-	if blob[9] != 0 || blob[10] != 0 || blob[11] != 0 {
-		return 0, 0, 0, nil, fmt.Errorf("oracle: nonzero reserved bytes in tier header")
+	if layout > tierTri {
+		return nil, nil, fmt.Errorf("oracle: unknown tier layout %d", layout)
+	}
+	if blob[10] != 0 || blob[11] != 0 {
+		return nil, nil, fmt.Errorf("oracle: nonzero reserved bytes in tier header")
 	}
 	un := binary.LittleEndian.Uint32(blob[12:])
 	if un > 1<<20 {
-		return 0, 0, 0, nil, fmt.Errorf("oracle: implausible tier dimension %d", un)
+		return nil, nil, fmt.Errorf("oracle: implausible tier dimension %d", un)
 	}
-	n = int(un)
-	scale = math.Float64frombits(binary.LittleEndian.Uint64(blob[16:]))
+	scale := math.Float64frombits(binary.LittleEndian.Uint64(blob[16:]))
 	switch kind {
 	case tierU16, tierU32:
 		if !(scale > 0) || math.IsInf(scale, 1) {
-			return 0, 0, 0, nil, fmt.Errorf("oracle: invalid quantization scale %v", scale)
+			return nil, nil, fmt.Errorf("oracle: invalid quantization scale %v", scale)
 		}
 	default:
 		if math.Float64bits(scale) != math.Float64bits(1) {
-			return 0, 0, 0, nil, fmt.Errorf("oracle: float tier blob carries scale %v, want 1", scale)
+			return nil, nil, fmt.Errorf("oracle: float tier blob carries scale %v, want 1", scale)
 		}
 	}
-	want := uint64(n) * uint64(n) * tierElemBytes[kind]
-	payload = blob[tierHeaderLen:]
-	if uint64(len(payload)) != want {
-		return 0, 0, 0, nil, fmt.Errorf("oracle: tier payload is %d bytes, want %d for n=%d kind %s",
-			len(payload), want, n, tierKindNames[kind])
+	s = &distStore{kind: kind, tri: layout == tierTri, n: int(un), scale: scale}
+	// In uint64: n² entries of 8 bytes overflow a 32-bit int long before
+	// n reaches the 2^20 cap.
+	entries := uint64(un) * uint64(un)
+	if s.tri {
+		entries = uint64(un) * (uint64(un) + 1) / 2
 	}
-	return kind, n, scale, payload, nil
+	payload = blob[tierHeaderLen:]
+	if want := entries * tierElemBytes[kind]; uint64(len(payload)) != want {
+		return nil, nil, fmt.Errorf("oracle: tier payload is %d bytes, want %d for n=%d kind %s layout %s",
+			len(payload), want, s.n, s.kindName(), s.layoutName())
+	}
+	return s, payload, nil
 }

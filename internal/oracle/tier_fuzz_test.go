@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzDecompressMalformed mutates valid compressed-tier blobs (one per
-// representation kind) and arbitrary junk, requiring the decoder to
+// representation kind and layout) and arbitrary junk, requiring the decoder to
 // return an error or a well-formed square matrix — never panic. Like
 // the plan codec (and unlike the semiring pack codec's
 // decode-or-panic), tier blobs outlive the solve that produced them, so
@@ -19,13 +19,18 @@ func FuzzDecompressMalformed(f *testing.F) {
 	seed := func(vals []float64, n int) {
 		f.Add(CompressDist(semiring.FromSlice(n, n, vals)))
 	}
-	seed([]float64{0, 3, 7, inf}, 2)                       // u16
-	seed([]float64{0, 70000, 1e9, inf}, 2)                 // u32
-	seed([]float64{0, 1.5, 2.5, inf}, 2)                   // f32
-	seed([]float64{0, 0.1, 0.3, inf}, 2)                   // f64
-	seed([]float64{0, 0.25, 1.5, inf, 0.5, 0, 2, 0, 0}, 3) // u16, scale 0.25
+	seed([]float64{0, 3, 7, inf}, 2)                          // u16, square (d01 != d10)
+	seed([]float64{0, 70000, 1e9, inf}, 2)                    // u32
+	seed([]float64{0, 1.5, 2.5, inf}, 2)                      // f32
+	seed([]float64{0, 0.1, 0.3, inf}, 2)                      // f64
+	seed([]float64{0, 0.25, 1.5, inf, 0.5, 0, 2, 0, 0}, 3)    // u16, scale 0.25
+	seed([]float64{0, 3, inf, 3, 0, 7, inf, 7, 0}, 3)         // u16, triangle
+	seed([]float64{0, 70000, 70000, 0}, 2)                    // u32, triangle
+	seed([]float64{0, 1.5, 2.5, 1.5, 0, inf, 2.5, inf, 0}, 3) // f32, triangle
+	seed([]float64{0, 0.1, 0.3, 0.1, 0, 0.7, 0.3, 0.7, 0}, 3) // f64, triangle
 	f.Add([]byte{})
 	f.Add([]byte(tierMagic))
+	f.Add(append([]byte("SAPSPT01"), CompressDist(semiring.FromSlice(1, 1, []float64{0}))[8:]...)) // the retired format
 	f.Add([]byte("definitely not a compressed distance blob, but long enough"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -71,15 +76,22 @@ func fuzzValue(b []byte) float64 {
 }
 
 // FuzzNarrowRoundTrip builds small matrices out of the values the
-// narrowing proofs are most likely to get wrong and requires the store
-// to read back, serialise and deserialise every entry bit for bit,
-// whichever kind it chose — and to choose f64 whenever the matrix holds
-// a NaN or a −0.
+// narrowing proofs are most likely to get wrong — mirrored across the
+// diagonal when the input's length is odd, so both layouts are reached —
+// and requires the store to read back (at, row, widen), serialise and
+// deserialise every entry bit for bit, whichever kind and layout it
+// chose; to choose f64 whenever the matrix holds a NaN or a −0; and to
+// keep the triangle exactly when the matrix is bit-symmetric.
 func FuzzNarrowRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, 4, 0, 0, 0, 0, 0, 0, 0, 1, 5, 0, 0, 0, 0, 0, 0, 0, 2, 4, 0, 0, 0, 0, 0, 0, 0, 2, 5, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{3, 1, 0, 0, 0, 0, 0, 0, 0, 3, 7, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{4, 0, 0, 0xc0, 0x7f, 0, 0, 0, 0, 5, 3, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 9, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f})
+	// Odd lengths: the same four, mirrored.
+	f.Add([]byte{0, 3, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{1, 4, 0, 0, 0, 0, 0, 0, 0, 1, 5, 0, 0, 0, 0, 0, 0, 0, 2, 4, 0, 0, 0, 0, 0, 0, 0, 2, 5, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{3, 1, 0, 0, 0, 0, 0, 0, 0, 3, 7, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{4, 0, 0, 0xc0, 0x7f, 0, 0, 0, 0, 5, 3, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 9, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n := 1
 		for (n+1)*(n+1)*9 <= len(data) && n < 6 {
@@ -88,32 +100,23 @@ func FuzzNarrowRoundTrip(f *testing.F) {
 		if len(data) < 9 {
 			n = 0
 		}
-		orig := make([]float64, n*n)
+		orig := semiring.NewMatrix(n, n)
 		special := false
-		for i := range orig {
-			orig[i] = fuzzValue(data[9*i:])
-			special = special || orig[i] != orig[i] || (orig[i] == 0 && math.Signbit(orig[i]))
+		for i := range orig.V {
+			x := fuzzValue(data[9*i:])
+			if u, v := i/n, i%n; len(data)%2 == 1 && v > u {
+				x = fuzzValue(data[9*(v*n+u):])
+			}
+			orig.V[i] = x
+			special = special || x != x || (x == 0 && math.Signbit(x))
 		}
-		s := narrow(semiring.FromSlice(n, n, append([]float64(nil), orig...)))
+		s := narrow(orig.Clone())
 		if special && s.kind != tierF64 {
-			t.Fatalf("a matrix holding NaN or −0 was stored as %s: %v", s.kindName(), orig)
+			t.Fatalf("a matrix holding NaN or −0 was stored as %s: %v", s.kindName(), orig.V)
 		}
-		back, err := decodeStore(s.encode())
-		if err != nil {
-			t.Fatalf("%s store does not decode: %v", s.kindName(), err)
+		if s.tri != bitSymmetric(orig) {
+			t.Fatalf("stored as %s, but bit-symmetric is %v: %v", s.layoutName(), !s.tri, orig.V)
 		}
-		buf := make([]float64, n)
-		for i, want := range orig {
-			bits := math.Float64bits(want)
-			if got := s.at(i); math.Float64bits(got) != bits {
-				t.Fatalf("%s store reads entry %d as %v, want %v", s.kindName(), i, got, want)
-			}
-			if got := s.row(i/n, buf)[i%n]; math.Float64bits(got) != bits {
-				t.Fatalf("%s store widens entry %d to %v, want %v", s.kindName(), i, got, want)
-			}
-			if got := back.at(i); back.kind != s.kind || math.Float64bits(got) != bits {
-				t.Fatalf("%s store deserialises entry %d as %v (%s), want %v", s.kindName(), i, got, back.kindName(), want)
-			}
-		}
+		checkStoreReads(t, s, orig)
 	})
 }

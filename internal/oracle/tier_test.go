@@ -88,9 +88,10 @@ func TestCompressDistKinds(t *testing.T) {
 }
 
 // TestCompressDistGraphFamilies runs the codec over real solved
-// distance matrices: integer-weight graphs must land in u16 and decode
-// bit-identically, which is what puts an oracle at 2 bytes/pair demoted
-// or serialised and, hot, at that plus Successors.Bytes() — whose slot
+// distance matrices: integer-weight graphs must land in the u16
+// triangle and decode bit-identically, which is what puts an oracle at
+// n(n+1) bytes — about 1 per pair — demoted or serialised and, hot, at
+// that plus Successors.Bytes() — whose slot
 // width follows the family's maximum degree: 2 bits on the path, 4 on
 // the grid, tree and G(n,p), 8 on the 40-vertex star.
 func TestCompressDistGraphFamilies(t *testing.T) {
@@ -117,38 +118,60 @@ func TestCompressDistGraphFamilies(t *testing.T) {
 				t.Fatalf("%s: value %d decoded to %v, want %v bit-exactly", name, i, got.V[i], v)
 			}
 		}
-		o, pairs := FromResult(res, nil), int64(g.N()*g.N())
-		if hot, demoted := o.MemoryBytes(), o.withSuccessors(nil).MemoryBytes(); hot != hotBytes(g, 2, bits[name]) || demoted != 2*pairs {
+		o, tri := FromResult(res, nil), distBytes(g.N(), 2, false)
+		if hot, demoted := o.MemoryBytes(), o.withSuccessors(nil).MemoryBytes(); hot != hotBytes(g, 2, bits[name]) || demoted != tri {
 			t.Errorf("%s: oracle holds %d bytes hot at %d-bit slots, %d demoted, want %d at %d bits and %d",
-				name, hot, o.succ.Bits(), demoted, hotBytes(g, 2, bits[name]), bits[name], 2*pairs)
+				name, hot, o.succ.Bits(), demoted, hotBytes(g, 2, bits[name]), bits[name], tri)
 		}
-		if got, want := int64(len(blob)), tierHeaderLen+2*pairs; got != want {
+		if got, want := int64(len(blob)), tierHeaderLen+tri; got != want {
 			t.Errorf("%s: serialised to %d bytes, want %d", name, got, want)
 		}
 	}
 }
 
 // TestDecompressMalformed drives the store decoder over truncations and
-// header corruptions: decode-or-error, never panic.
+// header corruptions of a blob in each layout: decode-or-error, never
+// panic. The retired SAPSPT01 magic and a layout byte past the two
+// defined are errors like any other.
 func TestDecompressMalformed(t *testing.T) {
-	blob := CompressDist(distOf([]float64{0, 2, 5, semiring.Inf}, 2))
-	for cut := 0; cut < len(blob); cut++ {
-		if _, err := DecompressDist(blob[:cut]); err == nil {
-			t.Fatalf("truncation to %d bytes decoded without error", cut)
+	for layout, vals := range map[string][]float64{
+		"square": {0, 2, 5, semiring.Inf},
+		"tri":    {0, 2, 2, 0},
+	} {
+		blob := CompressDist(distOf(vals, 2))
+		if s, _, err := tierSplit(blob); err != nil || s.layoutName() != layout {
+			t.Fatalf("%s seed blob: layout %v, err %v", layout, s, err)
 		}
-	}
-	if _, err := DecompressDist(append(append([]byte(nil), blob...), 0)); err == nil {
-		t.Fatal("trailing byte decoded without error")
-	}
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 2000; trial++ {
-		mut := append([]byte(nil), blob...)
-		for flips := 1 + rng.Intn(4); flips > 0; flips-- {
-			mut[rng.Intn(len(mut))] ^= byte(1 << rng.Intn(8))
+		for cut := 0; cut < len(blob); cut++ {
+			if _, err := DecompressDist(blob[:cut]); err == nil {
+				t.Fatalf("%s: truncation to %d bytes decoded without error", layout, cut)
+			}
 		}
-		m, err := DecompressDist(mut) // must not panic; errors are fine
-		if err == nil && (m == nil || m.Rows != m.Cols) {
-			t.Fatalf("trial %d: decode returned malformed matrix", trial)
+		if _, err := DecompressDist(append(append([]byte(nil), blob...), 0)); err == nil {
+			t.Fatalf("%s: trailing byte decoded without error", layout)
+		}
+		for what, corrupt := range map[string]func(b []byte){
+			"the SAPSPT01 magic": func(b []byte) { b[7] = '1' },
+			"layout byte 2":      func(b []byte) { b[9] = 2 },
+			"a reserved byte":    func(b []byte) { b[10] = 1 },
+			"the other layout":   func(b []byte) { b[9] ^= 1 }, // same payload, wrong length for it
+		} {
+			mut := append([]byte(nil), blob...)
+			corrupt(mut)
+			if _, err := DecompressDist(mut); err == nil {
+				t.Errorf("%s blob with %s decoded without error", layout, what)
+			}
+		}
+		rng := rand.New(rand.NewSource(3))
+		for trial := 0; trial < 2000; trial++ {
+			mut := append([]byte(nil), blob...)
+			for flips := 1 + rng.Intn(4); flips > 0; flips-- {
+				mut[rng.Intn(len(mut))] ^= byte(1 << rng.Intn(8))
+			}
+			m, err := DecompressDist(mut) // must not panic; errors are fine
+			if err == nil && (m == nil || m.Rows != m.Cols) {
+				t.Fatalf("%s trial %d: decode returned malformed matrix", layout, trial)
+			}
 		}
 	}
 }
@@ -173,7 +196,10 @@ func TestRegistryTierTransitions(t *testing.T) {
 			solves.Add(1)
 			return succSolve(g)
 		},
-		MemoryBudget:     4*n*n + 1, // one 40-vertex u16 oracle, not two: each is over 2n² bytes
+		// One of these u16 oracles, never two: the triangle is n(n+1) bytes
+		// and the table brings each to between 1.9 and 2.6 n² (2-bit path
+		// slots, 8-bit star slots).
+		MemoryBudget:     3*n*n + 1,
 		CompressedBudget: 1 << 20,
 	})
 

@@ -457,9 +457,14 @@ type RegistrySnapshot struct {
 	CompressedBudgetBytes int64 `json:"compressed_budget_bytes"`
 	// store_kinds counts resident entries (hot and demoted) by the width
 	// their distances proved lossless at: u16 / u32 / f32 / f64. A
-	// backend at 8 bytes/pair of distances instead of 2 shows up here as
-	// f64 entries — graphs with non-integer weights.
+	// backend at 8 bytes per stored distance instead of 2 shows up here
+	// as f64 entries — graphs with non-integer weights.
 	StoreKinds map[string]int `json:"store_kinds,omitempty"`
+	// store_layouts counts the same entries by layout: "tri" keeps the
+	// lower triangle of a matrix proved bit-symmetric, "square" all n²
+	// entries of one that failed the proof — a backend paying 2× for its
+	// distances shows up here.
+	StoreLayouts map[string]int `json:"store_layouts,omitempty"`
 	// succ_bits counts hot entries by the slot width of their successor
 	// table (2 / 4 / 8 / 16 / 32 bits, set by the graph's maximum
 	// degree): a hub graph whose table alone costs 2 bytes/pair where a
@@ -521,6 +526,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) error {
 			CompressedBytes:       st.CompressedBytes,
 			CompressedBudgetBytes: st.CompressedBudgetBytes,
 			StoreKinds:            st.StoreKinds,
+			StoreLayouts:          st.StoreLayouts,
 			SuccBits:              st.SuccBits,
 
 			SolveMs:         float64(st.SolveNanos) / 1e6,

@@ -258,10 +258,11 @@ func TestServerQueryOutOfRangePair(t *testing.T) {
 // least recently used graph, visible through /statsz.
 func TestServerEviction(t *testing.T) {
 	// /generate draws real-valued weights, so each 16-vertex grid oracle
-	// holds float64 distances (16·16·8), 16 one-word rows of 4-bit
+	// holds float64 distances — the lower triangle only, 16·17/2 of them,
+	// the solver's matrix being bit-symmetric — 16 one-word rows of 4-bit
 	// successor slots and the int32 adjacency over 17 offsets and 2·24
-	// half-edges twice: 2048 + 128 + 452 = 2628 bytes; fit two.
-	const oracleBytes = 16*16*8 + 16*8 + (17+4*24)*4
+	// half-edges twice: 1088 + 128 + 452 = 1668 bytes; fit two.
+	const oracleBytes = 16*17/2*8 + 16*8 + (17+4*24)*4
 	ts, _ := newTestServer(t, 2*oracleBytes)
 	var a, b, c GraphInfo
 	postJSON(t, ts.URL+"/generate", GenerateRequest{Kind: "grid", N: 16, Seed: 1}, &a)
@@ -276,6 +277,9 @@ func TestServerEviction(t *testing.T) {
 	}
 	if !reflect.DeepEqual(st.Registry.StoreKinds, map[string]int{"f64": 2}) {
 		t.Errorf("store_kinds = %v, want the two resident entries under f64", st.Registry.StoreKinds)
+	}
+	if !reflect.DeepEqual(st.Registry.StoreLayouts, map[string]int{"tri": 2}) {
+		t.Errorf("store_layouts = %v, want the two resident entries under tri", st.Registry.StoreLayouts)
 	}
 	if !reflect.DeepEqual(st.Registry.SuccBits, map[int]int{4: 2}) {
 		t.Errorf("succ_bits = %v, want the two hot entries under 4", st.Registry.SuccBits)
