@@ -481,31 +481,14 @@ func NewOracle(g *Graph, opts Options) (*Oracle, error) {
 // sparse solve it runs reuses symbolic plans across graphs with the
 // same structure; the cache's counters surface through Registry.Stats.
 func NewOracleRegistry(opts Options, budgetBytes int64) *OracleRegistry {
-	return NewTieredOracleRegistry(opts, budgetBytes, 0)
-}
-
-// NewTieredOracleRegistry is NewOracleRegistry with a demoted second
-// tier: when the hot tier overflows hotBytes, least-recently-used
-// oracles drop their successor table and keep only their distance
-// store — already at its proven lossless width and layout: the lower
-// triangle of a bit-symmetric matrix, about 1 byte/pair for
-// integer-weight graphs, against about 1.5 with the successor table of
-// a bounded-degree graph (neighbour slots, 4 bits each up to degree 15)
-// and 3 when one hub forces 16-bit slots — bounded by compressedBytes,
-// and are promoted back bit-identically on access (successors rebuilt
-// from the retained graph) instead of being re-solved.
-// compressedBytes <= 0 disables the tier, restoring plain
-// drop-on-eviction.
-func NewTieredOracleRegistry(opts Options, hotBytes, compressedBytes int64) *OracleRegistry {
 	if opts.Plans == nil {
 		opts.Plans = NewPlanCache()
 	}
 	return oracle.NewRegistry(oracle.Config{
-		Solve:            oracleSolver(opts),
-		Repair:           oracleRepairer(opts),
-		MemoryBudget:     hotBytes,
-		CompressedBudget: compressedBytes,
-		Plans:            opts.Plans,
+		Solve:        oracleSolver(opts),
+		Repair:       oracleRepairer(opts),
+		MemoryBudget: budgetBytes,
+		Plans:        opts.Plans,
 	})
 }
 

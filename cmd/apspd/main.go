@@ -72,7 +72,6 @@ func main() {
 		kernel   = flag.String("kernel", "serial", "min-plus kernel: "+semiring.KernelNames)
 		seed     = flag.Int64("seed", 42, "nested-dissection seed")
 		budgetMB = flag.Int64("budget-mb", 0, "oracle cache memory budget in MiB (0 = unlimited)")
-		compMB   = flag.Int64("compressed-budget-mb", 0, "demoted-tier budget in MiB: LRU-evicted oracles drop their successor table and keep the same distance store; the next access rebuilds the table instead of re-solving (0 = tier disabled, evictions drop)")
 		planDir  = flag.String("plan-dir", "", "persist symbolic plans to this directory: a restarted process reloads them and serves warm solves with zero symbolic rebuilds (empty = memory-only cache)")
 		workers  = flag.Int("exec-workers", 0, "sparse-solver executor worker count; 0 = auto (sized from the host, capped at p)")
 		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this extra address (e.g. localhost:6060); empty disables profiling")
@@ -120,7 +119,7 @@ func main() {
 			}
 			opts.Plans = plans
 		}
-		reg := sparseapsp.NewTieredOracleRegistry(opts, *budgetMB<<20, *compMB<<20)
+		reg := sparseapsp.NewOracleRegistry(opts, *budgetMB<<20)
 		srv := server.New(reg)
 		handler = srv
 		onSignal = srv.BeginDrain
@@ -135,8 +134,8 @@ func main() {
 					reg.ActiveSolves(), err)
 			}
 		}
-		banner = fmt.Sprintf("serving on %s (algorithm=%s kernel=%s budget=%d MiB compressed=%d MiB plan-dir=%q)",
-			*addr, *alg, *kernel, *budgetMB, *compMB, *planDir)
+		banner = fmt.Sprintf("serving on %s (algorithm=%s kernel=%s budget=%d MiB plan-dir=%q)",
+			*addr, *alg, *kernel, *budgetMB, *planDir)
 
 	case "router":
 		urls := splitBackends(*backends)

@@ -307,17 +307,6 @@ func matrixRows(d *semiring.Matrix) RowFunc {
 	return func(v int, _ []float64) []float64 { return d.V[v*n : (v+1)*n] }
 }
 
-// SuccessorsFromRows is SuccessorsFromDist for distances that are not
-// held as a float64 matrix: the oracle's typed store widens one row at
-// a time into the extracting worker's scratch. The table is the one
-// SuccessorsFromDist builds from the same values.
-func SuccessorsFromRows(g *graph.Graph, row RowFunc) (*Successors, error) {
-	if err := checkNonNegative(g); err != nil {
-		return nil, err
-	}
-	return buildSuccessors(g, row, 0)
-}
-
 func buildSuccessors(g *graph.Graph, row RowFunc, width int) (*Successors, error) {
 	next := newSuccessors(g, width)
 	if err := next.rebuild(g, row, nil); err != nil {

@@ -636,14 +636,9 @@ func addRegistry(a *server.RegistrySnapshot, b server.RegistrySnapshot) {
 	a.Hits += b.Hits
 	a.Misses += b.Misses
 	a.Evictions += b.Evictions
-	a.Demotions += b.Demotions
-	a.Promotions += b.Promotions
 	a.Entries += b.Entries
 	a.Bytes += b.Bytes
 	a.BudgetBytes += b.BudgetBytes
-	a.CompressedEntries += b.CompressedEntries
-	a.CompressedBytes += b.CompressedBytes
-	a.CompressedBudgetBytes += b.CompressedBudgetBytes
 	addCounts(&a.StoreKinds, b.StoreKinds)
 	addCounts(&a.StoreLayouts, b.StoreLayouts)
 	addCounts(&a.SuccBits, b.SuccBits)

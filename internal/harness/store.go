@@ -11,20 +11,19 @@ import (
 	"sparseapsp/internal/oracle"
 )
 
-// StoreBench runs experiment E23: the tiered oracle memory story,
-// end to end.
+// StoreBench runs experiment E23: what a resident oracle costs and what
+// a restart costs.
 //
 // Memory axis — for each integer-weight workload, the footprint of a
-// solved oracle as the registry holds it: hot (distances at their
-// proven width and layout — the lower triangle of the bit-symmetric
-// matrix every solver here returns — + the successor table: neighbour
-// slots at the width the family's maximum degree needs, plus the
-// adjacency that decodes them) and demoted (the same distance store
-// with the table dropped). The serialised store is decoded and verified
+// solved oracle as the registry holds it: distances at their proven
+// width and layout — the lower triangle of the bit-symmetric matrix
+// every solver here returns — + the successor table: neighbour slots at
+// the width the family's maximum degree needs, plus the adjacency that
+// decodes them. The serialised store is decoded and verified
 // bit-identical before any row is emitted, and the run fails unless
-// every integer workload is exactly n(n+1)/2 two-byte entries demoted —
-// (n+1)/n bytes/pair — and, hot, at most that plus the table at its
-// family's width — the acceptance gate.
+// every integer workload holds at most n(n+1)/2 two-byte distances —
+// (n+1)/n bytes/pair — plus the table at its family's width — the
+// acceptance gate.
 //
 // Latency axis — each workload is solved twice against the same
 // persistent plan store directory through two fresh caches, simulating
@@ -33,11 +32,10 @@ import (
 // ZERO symbolic builds (gated) and pay only the numeric phase.
 func StoreBench(cfg Config, n, p int) (*Table, error) {
 	t := &Table{
-		ID: "E23",
-		Title: fmt.Sprintf("tiered oracle memory at n=%d, p=%d (compressed tier + persistent plan store)",
-			n, p),
-		Columns: []string{"workload", "kind", "slot_bits", "hot_bytes", "comp_bytes", "hot_B/pair", "comp_B/pair",
-			"per_gb_hot", "per_gb_comp", "cold_ms", "warm_ms", "cold/warm", "words_moved"},
+		ID:    "E23",
+		Title: fmt.Sprintf("oracle memory + persistent plan store at n=%d, p=%d", n, p),
+		Columns: []string{"workload", "kind", "slot_bits", "hot_bytes", "hot_B/pair", "per_gb_hot",
+			"cold_ms", "warm_ms", "cold/warm", "words_moved"},
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	w := func(u, v int) float64 { return float64(rng.Intn(9) + 1) }
@@ -105,15 +103,13 @@ func StoreBench(cfg Config, n, p int) (*Table, error) {
 			return nil, fmt.Errorf("store %s: persisted plan solved to different distances", wl.name)
 		}
 
-		// Tier footprints, as the registry counts them: a hot oracle, and
-		// the same oracle without its successor table. The serialised
-		// store must decode bit-identically before the bytes mean anything.
+		// The footprint as the registry counts it. The serialised store
+		// must decode bit-identically before the bytes mean anything.
 		res, err := apsp.SuccessorsFromDist(g, coldRes.Dist)
 		if err != nil {
 			return nil, err
 		}
 		hotBytes := oracle.FromResult(res, nil).MemoryBytes()
-		compBytes := hotBytes - res.Successors().Bytes()
 		blob := oracle.CompressDist(coldRes.Dist)
 		kind, _, err := oracle.CompressedInfo(blob)
 		if err != nil {
@@ -135,21 +131,19 @@ func StoreBench(cfg Config, n, p int) (*Table, error) {
 		pairs := gn * gn
 		table := gn*((gn*int64(wl.bits)+63)/64)*8 + (gn+1+4*int64(g.M()))*4
 		tri := gn * (gn + 1) / 2 * 2
-		if hotBytes > tri+table || compBytes != tri {
-			return nil, fmt.Errorf("store %s: %d bytes hot at %d-bit slots, %d demoted for %d pairs (kind %s), want <= the u16 triangle (%d) + a %d-bit table (%d) and = the triangle",
-				wl.name, hotBytes, res.Successors().Bits(), compBytes, pairs, kind, tri, wl.bits, tri+table)
+		if hotBytes > tri+table {
+			return nil, fmt.Errorf("store %s: %d bytes at %d-bit slots for %d pairs (kind %s), want <= the u16 triangle (%d) + a %d-bit table (%d)",
+				wl.name, hotBytes, res.Successors().Bits(), pairs, kind, tri, wl.bits, tri+table)
 		}
 		const gb = 1 << 30
-		t.Add(wl.name, kind, res.Successors().Bits(), hotBytes, compBytes, float64(hotBytes)/float64(pairs), float64(compBytes)/float64(pairs),
-			gb/hotBytes, gb/compBytes,
+		t.Add(wl.name, kind, res.Successors().Bits(), hotBytes, float64(hotBytes)/float64(pairs), gb/hotBytes,
 			coldMs, warmMs, coldMs/warmMs, coldRes.Report.TotalWords)
 	}
 	t.Note("hot: the lower triangle of the distances at their proven width (integer weights: u16,")
 	t.Note("(n+1)/n B/pair, the matrix being proved bit-symmetric) + successors as neighbour slots,")
 	t.Note("slot_bits each — set by the family's maximum degree, so the star's hub keeps its whole")
-	t.Note("table at 16 — plus the counted int32 adjacency that decodes them;")
-	t.Note("demoted: the same store without the table (serialised form verified bit-identical on")
-	t.Note("decode) — per_gb_* is how many such graphs fit in one GB")
+	t.Note("table at 16 — plus the counted int32 adjacency that decodes them (serialised store")
+	t.Note("verified bit-identical on decode) — per_gb_hot is how many such graphs fit in one GB")
 	t.Note("warm_ms is a fresh process over the same -plan-dir: the plan loads from disk")
 	t.Note("hash-verified with zero symbolic builds, so only the numeric phase remains")
 	return t, nil

@@ -31,21 +31,19 @@ type queryCounters struct {
 // use; batches fan out over a semiring.Pool.
 type Oracle struct {
 	dist *distStore
-	// succ is nil in the dist-only sibling a registry keeps for a demoted
-	// entry (withSuccessors); every oracle handed to a caller has one.
-	succ *apsp.Successors
+	succ *apsp.Successors // every oracle has its table
 	pool *semiring.Pool
 	// graph is the graph the result was solved for. Oracles built
 	// through New (and so through a Registry) retain it; the registry's
 	// Reweight path needs it to apply edge edits. Never mutated.
 	graph *graph.Graph
 
-	counters queryCounters
-	// shared, when set, receives every update counters gets. A registry
-	// installs its own block here before publishing the oracle, so its
-	// cumulative totals survive the oracle's eviction and keep counting
-	// queries that were in flight when it was evicted.
-	shared *queryCounters
+	// queries is the registry's counter block, installed before the
+	// oracle is published, so the registry's cumulative totals survive
+	// the oracle's eviction and keep counting queries that were in flight
+	// when it was evicted. Nil for a standalone oracle, which counts
+	// nothing.
+	queries *queryCounters
 }
 
 // New solves g once with solve and wraps the result in an Oracle.
@@ -87,14 +85,6 @@ func FromResult(res *apsp.PathResult, pool *semiring.Pool) *Oracle {
 	return &Oracle{dist: narrow(res.Dist), succ: res.Successors(), pool: pool}
 }
 
-// withSuccessors returns a sibling of o that shares its store, graph,
-// pool and registry counters and carries succ: nil for the dist-only
-// form a registry keeps after demotion, a rebuilt table on promotion. o
-// itself is never modified — a query may still hold it.
-func (o *Oracle) withSuccessors(succ *apsp.Successors) *Oracle {
-	return &Oracle{dist: o.dist, succ: succ, pool: o.pool, graph: o.graph, shared: o.shared}
-}
-
 // N returns the number of vertices; valid query endpoints are [0, N).
 func (o *Oracle) N() int { return o.dist.n }
 
@@ -105,35 +95,25 @@ func (o *Oracle) Graph() *graph.Graph { return o.graph }
 
 // MemoryBytes is the retained size of the solved result: the length of
 // each slice the oracle holds times its element size — the distance
-// store plus, unless demoted, the successor table (Successors.Bytes:
-// its packed rows and the adjacency that decodes them).
-func (o *Oracle) MemoryBytes() int64 {
-	b := o.dist.bytes()
-	if o.succ != nil {
-		b += o.succ.Bytes()
-	}
-	return b
-}
+// store plus the successor table (Successors.Bytes: its packed rows and
+// the adjacency that decodes them).
+func (o *Oracle) MemoryBytes() int64 { return o.dist.bytes() + o.succ.Bytes() }
 
-// track opens a query window for the stats counters and returns the
-// closer that records it as served. queries is the number of
-// point-queries the call answers (batch calls count every pair).
+// track opens a query window for the registry's counters and returns
+// the closer that records it as served. queries is the number of
+// point-queries the call answers (batch calls count every pair). A
+// standalone oracle has no counters and skips the clock too.
 func (o *Oracle) track(queries int) func() {
-	o.counters.inFlight.Add(1)
-	if o.shared != nil {
-		o.shared.inFlight.Add(1)
+	c := o.queries
+	if c == nil {
+		return func() {}
 	}
+	c.inFlight.Add(1)
 	start := time.Now()
 	return func() {
-		nanos := time.Since(start).Nanoseconds()
-		o.counters.queryNanos.Add(nanos)
-		o.counters.served.Add(int64(queries))
-		o.counters.inFlight.Add(-1)
-		if o.shared != nil {
-			o.shared.queryNanos.Add(nanos)
-			o.shared.served.Add(int64(queries))
-			o.shared.inFlight.Add(-1)
-		}
+		c.queryNanos.Add(time.Since(start).Nanoseconds())
+		c.served.Add(int64(queries))
+		c.inFlight.Add(-1)
 	}
 }
 
@@ -200,20 +180,4 @@ func (o *Oracle) checkBatch(pairs [][2]int) error {
 		}
 	}
 	return nil
-}
-
-// QueryStats is a snapshot of one oracle's query counters.
-type QueryStats struct {
-	Served     int64 // point-queries answered (batch pairs count individually)
-	InFlight   int64 // query calls currently executing
-	QueryNanos int64 // total wall-clock spent inside query calls
-}
-
-// QueryStats returns the oracle's counters at this instant.
-func (o *Oracle) QueryStats() QueryStats {
-	return QueryStats{
-		Served:     o.counters.served.Load(),
-		InFlight:   o.counters.inFlight.Load(),
-		QueryNanos: o.counters.queryNanos.Load(),
-	}
 }

@@ -114,26 +114,6 @@ func TestOracleRejectsBadQueries(t *testing.T) {
 	}
 }
 
-func TestOracleQueryStats(t *testing.T) {
-	o, err := New(testGraph(5, 10), fwSolve, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.Dist(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.BatchDist([][2]int{{0, 1}, {1, 2}, {2, 3}}); err != nil {
-		t.Fatal(err)
-	}
-	qs := o.QueryStats()
-	if qs.Served != 4 {
-		t.Errorf("Served = %d, want 4 (1 point + 3 batch)", qs.Served)
-	}
-	if qs.InFlight != 0 {
-		t.Errorf("InFlight = %d, want 0", qs.InFlight)
-	}
-}
-
 func TestFingerprintDistinguishesGraphs(t *testing.T) {
 	a := testGraph(1, 20)
 	b := testGraph(2, 20)

@@ -3,7 +3,6 @@ package oracle
 import (
 	"container/list"
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -34,18 +33,11 @@ type Config struct {
 	// Repair, when non-nil, enables Registry.Reweight: small weight
 	// edits are repaired from the cached result instead of re-solved.
 	Repair RepairFunc
-	// MemoryBudget bounds the total MemoryBytes of hot oracles — entries
-	// holding a successor table; <= 0 means unlimited. Exceeding it
-	// demotes least-recently-used oracles (or drops them when
-	// CompressedBudget is off). An oracle larger than the whole budget is
-	// demoted immediately rather than pinned — it is still served,
-	// promoted on demand, and re-demoted afterward.
+	// MemoryBudget bounds the total MemoryBytes of cached oracles; <= 0
+	// means unlimited. Exceeding it drops least-recently-used oracles. An
+	// oracle larger than the whole budget is dropped at once rather than
+	// pinned: the Get that solved it is served, nothing is cached.
 	MemoryBudget int64
-	// CompressedBudget bounds the bytes of demoted entries: the same
-	// typed distance store (see tier.go) with the successor table
-	// dropped, rebuilt from the retained graph on the next access. <= 0
-	// disables demotion, restoring plain drop-on-eviction.
-	CompressedBudget int64
 	// Pool is the worker pool batch queries fan out over; nil means
 	// semiring.DefaultPool.
 	Pool *semiring.Pool
@@ -67,17 +59,13 @@ type Registry struct {
 
 	mu      sync.Mutex
 	entries map[Fingerprint]*entry
-	lru     *list.List // front = most recently used; hot entries only
-	bytes   int64      // sum of MemoryBytes over hot entries
-	clru    *list.List // demoted entries, front = most recently demoted/used
-	cbytes  int64      // sum of MemoryBytes over demoted entries
+	lru     *list.List // solved entries, front = most recently used
+	bytes   int64      // sum of MemoryBytes over them
 
 	solves          int64
 	hits            int64
 	misses          int64
 	evictions       int64
-	demotions       int64
-	promotions      int64
 	solveNanos      int64
 	reweights       int64
 	repairNanos     int64
@@ -105,25 +93,12 @@ type entry struct {
 	fp    Fingerprint
 	ready chan struct{} // closed when the solve finishes
 	// oracle is nil while solving, after a failed solve, and once the
-	// entry has been dropped. A solved entry is hot while its oracle
-	// carries a successor table and demoted while it holds the dist-only
-	// sibling (same store, same graph); elem is its element on the LRU
-	// of that tier. Only setOracleLocked assigns either.
+	// entry has been dropped; elem is its element on the LRU exactly
+	// while oracle is set. Only setOracleLocked assigns either.
 	oracle *Oracle
 	err    error
 	elem   *list.Element
-
-	// promoting is non-nil while one goroutine rebuilds a demoted
-	// entry's successors off the lock, and is closed when the hot oracle
-	// is installed (or the promotion fails) so coalesced waiters can
-	// re-check.
-	promoting chan struct{}
 }
-
-// errEntryDropped reports that an entry vanished from both tiers
-// between a map lookup and the tier access — the caller treats it as a
-// cache miss.
-var errEntryDropped = fmt.Errorf("oracle: cached entry was evicted")
 
 // NewRegistry returns an empty registry.
 func NewRegistry(cfg Config) *Registry {
@@ -131,7 +106,6 @@ func NewRegistry(cfg Config) *Registry {
 		cfg:     cfg,
 		entries: make(map[Fingerprint]*entry),
 		lru:     list.New(),
-		clru:    list.New(),
 	}
 }
 
@@ -148,6 +122,7 @@ func (r *Registry) Get(g *graph.Graph) (*Oracle, error) {
 	}
 	fp := FingerprintOf(g)
 
+	missed := false
 	r.mu.Lock()
 	for {
 		e, ok := r.entries[fp]
@@ -155,20 +130,19 @@ func (r *Registry) Get(g *graph.Graph) (*Oracle, error) {
 			break
 		}
 		r.mu.Unlock()
-		r.recordWait(e)
-		if e.err != nil {
-			return nil, e.err
-		}
-		o, err := r.ensureHot(e)
-		if !errors.Is(err, errEntryDropped) {
+		o, err := r.await(e, !missed)
+		if o != nil || err != nil {
 			return o, err
 		}
-		// The entry was dropped from both tiers between the map lookup
-		// and the tier access; treat it as a miss and retry — either a
-		// new entry appeared or this Get owns the re-solve.
+		// The entry was evicted between the map lookup and the wait, and
+		// await booked the miss; retry — either a new entry appeared or
+		// this Get owns the re-solve.
+		missed = true
 		r.mu.Lock()
 	}
-	r.misses++
+	if !missed {
+		r.misses++
+	}
 	e := &entry{fp: fp, ready: make(chan struct{})}
 	r.entries[fp] = e
 	r.beginSolveLocked()
@@ -187,7 +161,7 @@ func (r *Registry) Get(g *graph.Graph) (*Oracle, error) {
 		delete(r.entries, fp) // allow a retry; current waiters get err
 	} else {
 		r.addWordsLocked(report)
-		o.shared = &r.queries // install before any Get returns the oracle
+		o.queries = &r.queries // install before any Get returns the oracle
 		r.setOracleLocked(e, o)
 		r.evictLocked()
 	}
@@ -209,35 +183,35 @@ func (r *Registry) Lookup(fp Fingerprint) (o *Oracle, ok bool, err error) {
 		return nil, false, nil
 	}
 	r.mu.Unlock()
-	r.recordWait(e)
-	if e.err != nil {
-		return nil, true, e.err
-	}
-	o, err = r.ensureHot(e)
-	if errors.Is(err, errEntryDropped) {
-		// Dropped while we waited: indistinguishable from an eviction
-		// that happened before the Lookup.
-		return nil, false, nil
-	}
-	return o, true, err
+	o, err = r.await(e, true)
+	// Evicted while we waited (nil, nil) is indistinguishable from an
+	// eviction that happened before the Lookup.
+	return o, o != nil || err != nil, err
 }
 
-// recordWait waits out an entry's solve and then records the outcome:
-// only a successful solve counts as a hit (and refreshes the LRU
-// position); waiting on a solve that fails is a miss — the entry is
-// already gone from the map and the next Get will retry it. Counting
-// before the wait would register failed solves as cache hits and touch
-// the LRU for an entry that never becomes evictable.
-func (r *Registry) recordWait(e *entry) {
+// await waits out an entry's solve and then, in one critical section,
+// settles what the caller is about to get: the oracle, moved to the LRU
+// front and booked as a hit; the solve's error, booked as a miss — the
+// entry is already gone from the map and the next Get will retry it; or
+// (nil, nil) when the entry was evicted while the caller waited, a miss
+// too. Booking before the wait would register failed solves and evicted
+// entries as cache hits. book is false only for a Get that already
+// booked its miss on an earlier turn.
+func (r *Registry) await(e *entry, book bool) (*Oracle, error) {
 	<-e.ready
 	r.mu.Lock()
-	if e.err == nil {
-		r.hits++
-		r.touchLocked(e)
-	} else {
-		r.misses++
+	defer r.mu.Unlock()
+	if e.oracle == nil {
+		if book {
+			r.misses++
+		}
+		return nil, e.err
 	}
-	r.mu.Unlock()
+	if book {
+		r.hits++
+	}
+	r.lru.MoveToFront(e.elem)
+	return e.oracle, nil
 }
 
 // Reweight applies edge-weight edits to the cached oracle for fp and
@@ -265,18 +239,12 @@ func (r *Registry) Reweight(fp Fingerprint, edits []apsp.EdgeEdit) (Fingerprint,
 	if !found {
 		return fp, nil, zero, fmt.Errorf("%w: %s", ErrUnknownGraph, fp)
 	}
-	r.recordWait(e)
-	if e.err != nil {
-		return fp, nil, zero, e.err
-	}
-	// A demoted entry must be promoted first: the repair reads the old
-	// successor table as well as the old distances.
-	old, err := r.ensureHot(e)
-	if errors.Is(err, errEntryDropped) {
-		return fp, nil, zero, fmt.Errorf("%w: %s", ErrUnknownGraph, fp)
-	}
+	old, err := r.await(e, true)
 	if err != nil {
 		return fp, nil, zero, err
+	}
+	if old == nil {
+		return fp, nil, zero, fmt.Errorf("%w: %s", ErrUnknownGraph, fp)
 	}
 	g := old.Graph()
 	if g == nil {
@@ -301,13 +269,9 @@ func (r *Registry) Reweight(fp Fingerprint, edits []apsp.EdgeEdit) (Fingerprint,
 		// still must stop serving.
 		r.removeLocked(e)
 		r.mu.Unlock()
-		r.recordWait(e2)
-		if e2.err != nil {
-			return newFp, nil, zero, e2.err
-		}
-		o2, err := r.ensureHot(e2)
-		if errors.Is(err, errEntryDropped) {
-			return newFp, nil, zero, fmt.Errorf("%w: %s", ErrUnknownGraph, newFp)
+		o2, err := r.await(e2, true)
+		if o2 == nil && err == nil {
+			err = fmt.Errorf("%w: %s", ErrUnknownGraph, newFp)
 		}
 		return newFp, o2, zero, err
 	}
@@ -328,7 +292,7 @@ func (r *Registry) Reweight(fp Fingerprint, edits []apsp.EdgeEdit) (Fingerprint,
 	if err == nil {
 		o2 = FromResult(res, r.cfg.Pool)
 		o2.graph = g2
-		o2.shared = &r.queries
+		o2.queries = &r.queries
 	}
 
 	r.mu.Lock()
@@ -403,49 +367,26 @@ func (r *Registry) Quiesce(ctx context.Context) error {
 	}
 }
 
-// Has reports whether fp names a cached (solved or solving) entry,
-// without touching the hit/miss counters or the LRU order — the cheap
-// membership probe the fleet router uses for placement checks.
-func (r *Registry) Has(fp Fingerprint) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.entries[fp]
-	return ok
-}
-
-// tierOf returns the LRU and the byte total of the tier o belongs to:
-// hot when it carries a successor table, demoted when it does not.
-func (r *Registry) tierOf(o *Oracle) (*list.List, *int64) {
-	if o.succ != nil {
-		return r.lru, &r.bytes
-	}
-	return r.clru, &r.cbytes
-}
-
-// setOracleLocked is the one place an entry changes tier, and so the
-// one place r.bytes and r.cbytes move: it takes e off the LRU it is on,
-// makes o the oracle e serves from, and puts e at the front of the LRU
-// o belongs on — neither when o is nil. O(1): the oracles' sizes are
-// sums of slice lengths.
+// setOracleLocked is the one place an entry joins or leaves the LRU,
+// and so the one place r.bytes moves: it takes e off the list, makes o
+// the oracle e serves from, and puts e at the front — unless o is nil.
+// O(1): an oracle's size is a sum of slice lengths.
 func (r *Registry) setOracleLocked(e *entry, o *Oracle) {
 	if e.elem != nil {
-		lru, total := r.tierOf(e.oracle)
-		lru.Remove(e.elem)
+		r.lru.Remove(e.elem)
 		e.elem = nil
-		*total -= e.oracle.MemoryBytes()
+		r.bytes -= e.oracle.MemoryBytes()
 	}
 	e.oracle = o
 	if o != nil {
-		lru, total := r.tierOf(o)
-		e.elem = lru.PushFront(e)
-		*total += o.MemoryBytes()
+		e.elem = r.lru.PushFront(e)
+		r.bytes += o.MemoryBytes()
 	}
 }
 
-// removeLocked drops a solved entry from the map and from whichever
-// tier holds it, without touching the eviction counter (Reweight's swap
-// is not an eviction). Safe to call on an entry that was already
-// evicted or replaced.
+// removeLocked drops a solved entry from the map and the LRU without
+// touching the eviction counter (Reweight's swap is not an eviction).
+// Safe to call on an entry that was already evicted or replaced.
 func (r *Registry) removeLocked(e *entry) {
 	if cur, ok := r.entries[e.fp]; ok && cur == e {
 		delete(r.entries, e.fp)
@@ -453,128 +394,18 @@ func (r *Registry) removeLocked(e *entry) {
 	r.setOracleLocked(e, nil)
 }
 
-// touchLocked moves a solved entry to the front of its tier's LRU;
-// in-flight entries have no list element yet and are touched on
-// insertion instead.
-func (r *Registry) touchLocked(e *entry) {
-	if e.elem != nil {
-		lru, _ := r.tierOf(e.oracle)
-		lru.MoveToFront(e.elem)
-	}
-}
-
-// evictLocked demotes least-recently-used hot oracles until the hot
-// bytes fit the budget. The front entry (the one just solved or
-// touched) is kept while anything older can make room — but if the
-// front entry ALONE exceeds the whole budget it is demoted too, so an
-// oversized oracle cannot sit at the LRU front forever, permanently
-// blowing the budget: it lives demoted (or is dropped with an
-// Evictions count when demotion is off) and is promoted per access.
+// evictLocked drops least-recently-used oracles until the bytes fit the
+// budget — the front entry (the one just solved or touched) too when it
+// alone exceeds the whole budget, so an oversized oracle cannot sit at
+// the LRU front forever, permanently blowing the budget. r.bytes > 0
+// means the list is not empty.
 func (r *Registry) evictLocked() {
 	if r.cfg.MemoryBudget <= 0 {
 		return
 	}
-	for r.bytes > r.cfg.MemoryBudget && r.lru.Len() > 1 {
-		r.demoteLocked(r.lru.Back().Value.(*entry))
-	}
-	if r.bytes > r.cfg.MemoryBudget && r.lru.Len() == 1 {
-		// Only the front entry is left, so r.bytes is its size alone:
-		// it is larger than the entire budget.
-		r.demoteLocked(r.lru.Front().Value.(*entry))
-	}
-}
-
-// demoteLocked drops a hot entry's successor table: the entry moves to
-// the demoted tier holding a dist-only sibling that shares the store.
-// The hot oracle is left untouched — a query may still hold it — and
-// nothing is re-encoded, so the lock covers no pass over the matrix.
-// With demotion disabled (or for an oracle that retains no graph to
-// rebuild from, which a registry never produces) the entry is dropped
-// instead, counted as an eviction.
-func (r *Registry) demoteLocked(e *entry) {
-	if r.cfg.CompressedBudget <= 0 || e.oracle.Graph() == nil {
-		r.removeLocked(e)
+	for r.bytes > r.cfg.MemoryBudget {
+		r.removeLocked(r.lru.Back().Value.(*entry))
 		r.evictions++
-		return
-	}
-	r.setOracleLocked(e, e.oracle.withSuccessors(nil))
-	r.demotions++
-	r.evictCompressedLocked()
-}
-
-// evictCompressedLocked drops least-recently-used demoted entries until
-// the tier fits its budget. Entries mid-promotion are skipped — the
-// promotion will move them out of this tier itself.
-func (r *Registry) evictCompressedLocked() {
-	for r.cbytes > r.cfg.CompressedBudget {
-		el := r.clru.Back()
-		for el != nil && el.Value.(*entry).promoting != nil {
-			el = el.Prev()
-		}
-		if el == nil {
-			return
-		}
-		r.removeLocked(el.Value.(*entry))
-		r.evictions++
-	}
-}
-
-// ensureHot returns a hot oracle for a successfully solved entry,
-// promoting it when it was demoted: the successor table is rebuilt off
-// the lock from the retained graph, widening the store one row at a
-// time into the extracting worker's scratch — the same extraction the
-// production solve path runs, over the same values, so the promoted
-// oracle answers every distance AND path query bit-identically to the
-// one that was demoted. Callers must have waited out e.ready and
-// checked e.err first. Concurrent promotions of one entry coalesce: one
-// goroutine rebuilds, the rest wait on e.promoting and re-check. Returns
-// errEntryDropped when the entry no longer exists in either tier.
-func (r *Registry) ensureHot(e *entry) (*Oracle, error) {
-	for {
-		r.mu.Lock()
-		o := e.oracle
-		if o == nil {
-			r.mu.Unlock()
-			return nil, errEntryDropped
-		}
-		if o.succ != nil {
-			r.touchLocked(e)
-			r.mu.Unlock()
-			return o, nil
-		}
-		if ch := e.promoting; ch != nil {
-			r.mu.Unlock()
-			<-ch
-			continue
-		}
-		ch := make(chan struct{})
-		e.promoting = ch
-		r.mu.Unlock()
-
-		succ, err := apsp.SuccessorsFromRows(o.graph, o.dist.row)
-
-		r.mu.Lock()
-		e.promoting = nil
-		if err != nil {
-			// The store no longer explains the graph — fail closed: drop
-			// the entry so the next Get re-solves from scratch.
-			r.removeLocked(e)
-			r.evictions++
-			r.mu.Unlock()
-			close(ch)
-			return nil, fmt.Errorf("oracle: promote: %w", err)
-		}
-		hot := o.withSuccessors(succ)
-		r.promotions++
-		// If the entry was swapped out (Reweight) while we promoted,
-		// serve the result but install it nowhere.
-		if e.oracle == o {
-			r.setOracleLocked(e, hot)
-			r.evictLocked()
-		}
-		r.mu.Unlock()
-		close(ch)
-		return hot, nil
 	}
 }
 
@@ -583,18 +414,6 @@ func (r *Registry) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.entries)
-}
-
-// Fingerprints lists the cached fingerprints in LRU order, most
-// recently used first (solved entries only).
-func (r *Registry) Fingerprints() []Fingerprint {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Fingerprint, 0, r.lru.Len())
-	for el := r.lru.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*entry).fp)
-	}
-	return out
 }
 
 // Stats is a snapshot of the registry's counters. Query counters are
@@ -607,28 +426,16 @@ type Stats struct {
 	// the work Quiesce waits for during a drain, and a load signal the
 	// fleet router reads per backend.
 	SolvesInFlight int64
-	Hits           int64 // Get/Lookup calls satisfied by an existing entry
-	Misses         int64 // Get calls that triggered a solve + unknown Lookups
-	Evictions      int64 // oracles dropped entirely (from either tier)
+	Hits           int64 // Get / Lookup / Reweight calls handed a cached or coalesced oracle
+	Misses         int64 // every other one: solved here, unknown, failed, or evicted meanwhile
+	Evictions      int64 // oracles dropped to fit the budget
 
-	// Tier-transition counters: a demotion drops a hot oracle's
-	// successor table, a promotion rebuilds it on access. Both are zero
-	// when Config.CompressedBudget is off.
-	Demotions  int64
-	Promotions int64
+	Entries     int   // cached entries, including in-flight solves
+	Bytes       int64 // retained bytes of cached oracles (distances + successors)
+	BudgetBytes int64 // configured budget (0 = unlimited)
 
-	Entries     int   // cached entries, including in-flight solves and demoted
-	Bytes       int64 // retained bytes of hot oracles (distances + successors)
-	BudgetBytes int64 // configured hot budget (0 = unlimited)
-
-	// Demoted-tier occupancy: entries currently without successors,
-	// their total store bytes, and the configured budget (0 = disabled).
-	CompressedEntries     int
-	CompressedBytes       int64
-	CompressedBudgetBytes int64
-
-	// StoreKinds counts resident entries (hot and demoted) by the kind
-	// their distance store proved: "u16", "u32", "f32", "f64". Integer
+	// StoreKinds counts resident entries by the kind their distance
+	// store proved: "u16", "u32", "f32", "f64". Integer
 	// weights serve from u16 at 2 bytes per stored entry plus the
 	// successor table; an f64 entry — real-valued weights — costs 8 plus
 	// the table. Kinds with no entry are omitted.
@@ -639,8 +446,8 @@ type Stats struct {
 	// failed the proof and keeps all n². A backend whose solver returns
 	// asymmetric matrices pays 2× and shows up here.
 	StoreLayouts map[string]int
-	// SuccBits counts hot entries by the slot width of their successor
-	// table, which follows the graph's maximum degree: a bounded-degree
+	// SuccBits counts them by the slot width of their successor table,
+	// which follows the graph's maximum degree: a bounded-degree
 	// triangular u16 entry sits near 1.5 bytes/pair, one hub (16-bit
 	// slots) keeps the whole table at 2 on top of its distances. Widths
 	// with no entry are omitted.
@@ -704,15 +511,9 @@ func (r *Registry) Stats() Stats {
 		Hits:        r.hits,
 		Misses:      r.misses,
 		Evictions:   r.evictions,
-		Demotions:   r.demotions,
-		Promotions:  r.promotions,
 		Entries:     len(r.entries),
 		Bytes:       r.bytes,
 		BudgetBytes: r.cfg.MemoryBudget,
-
-		CompressedEntries:     r.clru.Len(),
-		CompressedBytes:       r.cbytes,
-		CompressedBudgetBytes: r.cfg.CompressedBudget,
 
 		SolveNanos: r.solveNanos,
 
@@ -735,15 +536,11 @@ func (r *Registry) Stats() Stats {
 			if s.StoreKinds == nil {
 				s.StoreKinds = make(map[string]int, len(tierKindNames))
 				s.StoreLayouts = make(map[string]int, 2)
+				s.SuccBits = make(map[int]int)
 			}
 			s.StoreKinds[e.oracle.dist.kindName()]++
 			s.StoreLayouts[e.oracle.dist.layoutName()]++
-			if succ := e.oracle.succ; succ != nil {
-				if s.SuccBits == nil {
-					s.SuccBits = make(map[int]int)
-				}
-				s.SuccBits[succ.Bits()]++
-			}
+			s.SuccBits[e.oracle.succ.Bits()]++
 		}
 	}
 	s.QueriesServed = r.queries.served.Load()

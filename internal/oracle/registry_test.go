@@ -195,6 +195,9 @@ func TestRegistryBudgetUnderConcurrentChurn(t *testing.T) {
 	if st.QueriesServed != 16*20 {
 		t.Errorf("queries served=%d, want %d (evicted counts must be folded in)", st.QueriesServed, 16*20)
 	}
+	if st.Hits+st.Misses != 16*20 {
+		t.Errorf("hits %d + misses %d = %d, want %d: every Get books exactly one", st.Hits, st.Misses, st.Hits+st.Misses, 16*20)
+	}
 }
 
 func TestRegistryFailedSolveNotCachedAndRetried(t *testing.T) {
@@ -237,8 +240,8 @@ func TestRegistryLookupUnknown(t *testing.T) {
 // TestRegistrySingleOracleOverBudget: one oracle larger than the whole
 // budget used to sit pinned at the LRU front forever (the eviction loop
 // only looked past the front entry), permanently blowing the budget.
-// The fix demotes it: with no compressed tier it is dropped with an
-// Evictions count; the Get that solved it is still served its result.
+// The fix drops it with an Evictions count; the Get that solved it is
+// still served its result.
 func TestRegistrySingleOracleOverBudget(t *testing.T) {
 	var solves atomic.Int64
 	r := NewRegistry(Config{Solve: countingSolver(&solves, 0), MemoryBudget: 1})
@@ -266,53 +269,40 @@ func TestRegistrySingleOracleOverBudget(t *testing.T) {
 	}
 }
 
-// TestRegistryOversizedEntryDemoted is the tiered half of the
-// oversized-pin regression: with a compressed tier configured, the
-// over-budget oracle is demoted rather than dropped, keeps serving
-// bit-identical answers through promotion, and never re-solves.
-func TestRegistryOversizedEntryDemoted(t *testing.T) {
-	var solves atomic.Int64
-	r := NewRegistry(Config{
-		Solve:            countingSolver(&solves, 0),
-		MemoryBudget:     1,
-		CompressedBudget: 64 << 20,
-	})
-	a := testGraph(1, 16)
-	want := apsp.FloydWarshallPaths(a)
+// TestRegistryEvictedWhileWaitingIsAMiss: a caller that found the entry
+// in the map and lost it to an eviction before it could take the oracle
+// gets nothing, so it must be booked as a miss — once — and never as a
+// hit. The window is between Lookup's map read and await's critical
+// section; holding the stale entry across an eviction opens it
+// deterministically.
+func TestRegistryEvictedWhileWaitingIsAMiss(t *testing.T) {
+	a, b := testGraph(1, 16), testGraph(2, 16)
+	one, err := New(a, fwSolve, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRegistry(Config{Solve: fwSolve, MemoryBudget: one.MemoryBytes() + 1})
 	if _, err := r.Get(a); err != nil {
 		t.Fatal(err)
 	}
-	st := r.Stats()
-	if st.Demotions != 1 || st.Evictions != 0 {
-		t.Fatalf("stats = %+v, want the oversized oracle demoted, not dropped", st)
+	r.mu.Lock()
+	stale := r.entries[FingerprintOf(a)] // where Lookup stands after its map read
+	r.mu.Unlock()
+	if _, err := r.Get(b); err != nil { // evicts a
+		t.Fatal(err)
 	}
-	if st.CompressedEntries != 1 || st.CompressedBytes == 0 {
-		t.Fatalf("stats = %+v, want 1 compressed entry", st)
+	before := r.Stats()
+	if before.Evictions != 1 || before.Entries != 1 {
+		t.Fatalf("stats = %+v, want a evicted by b", before)
 	}
-	// Every access promotes (and, still oversized, re-demotes) — served
-	// bit-identically with zero extra solves.
-	for round := 0; round < 3; round++ {
-		o, ok, err := r.Lookup(FingerprintOf(a))
-		if err != nil || !ok {
-			t.Fatalf("round %d: lookup = (%v, %v)", round, ok, err)
-		}
-		for u := 0; u < a.N(); u++ {
-			for v := 0; v < a.N(); v++ {
-				d, err := o.Dist(u, v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ref := want.Dist.At(u, v); d != ref {
-					t.Fatalf("round %d: Dist(%d,%d) = %g, want %g", round, u, v, d, ref)
-				}
-			}
-		}
+	// The rest of Lookup: ok is "there was an oracle or a solve error".
+	o, err := r.await(stale, true)
+	if ok := o != nil || err != nil; ok {
+		t.Fatalf("await on an evicted entry = (%v, %v), want nothing", o, err)
 	}
-	if got := solves.Load(); got != 1 {
-		t.Errorf("solver ran %d times, want 1 (demoted oracle must promote, not re-solve)", got)
-	}
-	if st := r.Stats(); st.Promotions != 3 || st.Demotions != 4 {
-		t.Errorf("stats = %+v, want 3 promotions and 4 demotions", st)
+	if st := r.Stats(); st.Hits != before.Hits || st.Misses != before.Misses+1 {
+		t.Errorf("hits %d -> %d, misses %d -> %d, want no hit and one miss",
+			before.Hits, st.Hits, before.Misses, st.Misses)
 	}
 }
 
@@ -378,16 +368,5 @@ func TestRegistryQuiesceWaitsForInFlightSolves(t *testing.T) {
 	}
 	if st := r.Stats(); st.SolvesInFlight != 0 || st.Solves != 1 {
 		t.Fatalf("stats after drain: %+v", st)
-	}
-	// Has is a side-effect-free membership probe.
-	missesBefore := r.Stats().Misses
-	if !r.Has(FingerprintOf(g)) {
-		t.Error("Has(solved graph) = false")
-	}
-	if r.Has(Fingerprint{1}) {
-		t.Error("Has(unknown) = true")
-	}
-	if got := r.Stats().Misses; got != missesBefore {
-		t.Errorf("Has changed miss counter: %d -> %d", missesBefore, got)
 	}
 }

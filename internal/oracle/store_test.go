@@ -1,7 +1,7 @@
 package oracle
 
 import (
-	"container/list"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -61,7 +61,7 @@ func distBytes(n, elem int, square bool) int64 {
 	return int64(n * (n + 1) / 2 * elem)
 }
 
-// hotBytes is a hot oracle of g over a bit-symmetric matrix: the
+// hotBytes is an oracle of g over a bit-symmetric matrix: the
 // triangle at elem bytes an entry plus succBytes.
 func hotBytes(g *graph.Graph, elem, bits int) int64 {
 	return distBytes(g.N(), elem, false) + succBytes(g, bits)
@@ -240,8 +240,7 @@ func storeCases() []storeCase {
 // real-valued weights — the store is bit-exact for ANY weights — and
 // whether the symmetry proof held (the triangle: every case but the three
 // marked square) or not. The same holds for the float64 form handed to
-// Repair, for a table rebuilt from the store row by row (promotion), and
-// for the serialised bytes.
+// Repair and for the serialised bytes.
 func TestStoreBitIdentity(t *testing.T) {
 	elem := map[string]int{"u16": 2, "u32": 4, "f32": 4, "f64": 8}
 	for _, tc := range storeCases() {
@@ -284,11 +283,6 @@ func TestStoreBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rebuilt, err := apsp.SuccessorsFromRows(tc.g, o.dist.row)
-			if err != nil {
-				t.Fatal(err)
-			}
-			promoted := o.withSuccessors(nil).withSuccessors(rebuilt)
 			sawInf := false
 			for i, p := range pairs {
 				want := ref.Dist.At(p[0], p[1])
@@ -307,9 +301,6 @@ func TestStoreBitIdentity(t *testing.T) {
 				}
 				if !reflect.DeepEqual(path, wantPath) || !reflect.DeepEqual(paths[i], wantPath) {
 					t.Fatalf("Path%v = %v, BatchPath %v, want %v", p, path, paths[i], wantPath)
-				}
-				if pp, _ := promoted.Path(p[0], p[1]); !reflect.DeepEqual(pp, wantPath) {
-					t.Fatalf("Path%v = %v after rebuilding successors from the store, want %v", p, pp, wantPath)
 				}
 			}
 			if tc.name == "disconnected" && !sawInf {
@@ -547,92 +538,78 @@ func TestReweightRenarrows(t *testing.T) {
 	check(o2, g, true)
 }
 
-// checkAccounting recomputes the registry's byte totals from its
-// entries and holds them against the running counters Stats reports:
-// every solved entry sits on exactly the LRU of its tier, and each
-// tier's total is the sum of its entries' MemoryBytes.
+// checkAccounting recomputes the registry's byte total from its entries
+// and holds it against the running counter Stats reports: the LRU holds
+// exactly the solved entries, each once, and r.bytes is the sum of their
+// MemoryBytes.
 func (r *Registry) checkAccounting(t *testing.T) {
 	t.Helper()
 	st := r.Stats()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var hot, demoted int64
-	var nHot, nDemoted int
+	var bytes int64
+	solved := 0
 	for fp, e := range r.entries {
 		if e.fp != fp {
 			t.Errorf("entry %s filed under %s", e.fp, fp)
 		}
-		switch {
-		case e.oracle == nil:
-			if e.elem != nil {
-				t.Errorf("entry %s has no oracle but sits on an LRU", fp)
-			}
-		case e.oracle.succ != nil:
-			hot += e.oracle.MemoryBytes()
-			nHot++
-		default:
-			demoted += e.oracle.MemoryBytes()
-			nDemoted++
+		if (e.oracle == nil) != (e.elem == nil) {
+			t.Errorf("entry %s: oracle %v, LRU element %v — want both or neither", fp, e.oracle != nil, e.elem != nil)
+		}
+		if e.oracle != nil {
+			bytes += e.oracle.MemoryBytes()
+			solved++
 		}
 	}
-	// Each LRU holds exactly its tier's entries, so none is on both.
-	for _, tier := range []struct {
-		name string
-		lru  *list.List
-		want int
-		hot  bool
-	}{{"hot", r.lru, nHot, true}, {"demoted", r.clru, nDemoted, false}} {
-		if tier.lru.Len() != tier.want {
-			t.Errorf("%s LRU holds %d entries, the map has %d in that tier", tier.name, tier.lru.Len(), tier.want)
-		}
-		for el := tier.lru.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*entry)
-			if e.elem != el || e.oracle == nil || (e.oracle.succ != nil) != tier.hot || r.entries[e.fp] != e {
-				t.Errorf("%s LRU holds entry %s, which does not belong there", tier.name, e.fp)
-			}
+	if r.lru.Len() != solved {
+		t.Errorf("LRU holds %d entries, the map has %d solved", r.lru.Len(), solved)
+	}
+	for el := r.lru.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*entry); e.elem != el || r.entries[e.fp] != e {
+			t.Errorf("LRU holds entry %s, which does not belong there", e.fp)
 		}
 	}
-	if st.Bytes != hot || st.CompressedBytes != demoted || st.CompressedEntries != nDemoted {
-		t.Errorf("Stats reports %d hot / %d demoted bytes in %d demoted entries; entries sum to %d / %d in %d",
-			st.Bytes, st.CompressedBytes, st.CompressedEntries, hot, demoted, nDemoted)
+	if st.Bytes != bytes || r.bytes != bytes {
+		t.Errorf("Stats reports %d bytes, the counter holds %d; entries sum to %d", st.Bytes, r.bytes, bytes)
 	}
 }
 
-// TestRegistryAccounting walks one registry through every tier
-// transition — get, overflow, demote, promote, reweight of a hot entry,
-// reweight of a demoted one, demoted-tier eviction, and an oracle
-// larger than the whole hot budget — recomputing the byte accounting
-// from the entries after each step.
+// TestRegistryAccounting walks one registry through everything that
+// moves an entry on or off the LRU — get, overflow drop, reweight of a
+// cached entry, reweight of an evicted fingerprint, an oracle larger
+// than the whole budget, a failed solve — recomputing the byte
+// accounting from the entries after each step.
 func TestRegistryAccounting(t *testing.T) {
-	// Six grids of one structure (so one size) under different weights,
-	// and a bigger one: hot is 2-byte distances plus 4-bit slots and the
-	// adjacency, demoted the distances alone.
+	// Four grids of one structure (so one size) under different weights,
+	// and a bigger one: 2-byte distances plus 4-bit slots and the
+	// adjacency.
 	grid := func(seed int64, rows, cols int) *graph.Graph {
 		rng := rand.New(rand.NewSource(seed))
 		return graph.Grid2D(rows, cols, func(u, v int) float64 { return float64(1 + rng.Intn(9)) })
 	}
-	g := make([]*graph.Graph, 6)
+	g := make([]*graph.Graph, 4)
 	for i := range g {
 		g[i] = grid(int64(500+i), 4, 6)
 	}
-	huge := grid(600, 5, 8)
-	hot, hugeHot := hotBytes(g[0], 2, 4), hotBytes(huge, 2, 4)
-	demoted, hugeDemoted := hot-succBytes(g[0], 4), hugeHot-succBytes(huge, 4)
+	huge, failing := grid(600, 5, 8), grid(700, 3, 3)
+	one, hugeBytes := hotBytes(g[0], 2, 4), hotBytes(huge, 2, 4)
+	boom := errors.New("boom")
 	r := NewRegistry(Config{
-		Solve:            succSolve,
-		Repair:           testRepairer(),
-		MemoryBudget:     2*hot + 1,       // two 24-vertex oracles
-		CompressedBudget: 3*demoted + 200, // three of them demoted, or the big one alone
+		Solve: func(g *graph.Graph) (*apsp.PathResult, error) {
+			if g == failing {
+				return nil, boom
+			}
+			return succSolve(g)
+		},
+		Repair:       testRepairer(),
+		MemoryBudget: 2*one + 1, // two 24-vertex oracles
 	})
-	step := func(what string, want Stats) {
+	step := func(what string, bytes, evictions int64, entries int) {
 		t.Helper()
 		r.checkAccounting(t)
-		got := r.Stats()
-		if got.Bytes != want.Bytes || got.CompressedBytes != want.CompressedBytes ||
-			got.Demotions != want.Demotions || got.Promotions != want.Promotions || got.Evictions != want.Evictions {
-			t.Fatalf("after %s: bytes %d/%d demotions %d promotions %d evictions %d, want %d/%d %d %d %d", what,
-				got.Bytes, got.CompressedBytes, got.Demotions, got.Promotions, got.Evictions,
-				want.Bytes, want.CompressedBytes, want.Demotions, want.Promotions, want.Evictions)
+		if got := r.Stats(); got.Bytes != bytes || got.Evictions != evictions || got.Entries != entries {
+			t.Fatalf("after %s: %d bytes in %d entries, %d evictions, want %d in %d, %d", what,
+				got.Bytes, got.Entries, got.Evictions, bytes, entries, evictions)
 		}
 	}
 	get := func(g *graph.Graph) {
@@ -651,69 +628,67 @@ func TestRegistryAccounting(t *testing.T) {
 			}
 		}
 	}
-	bump := func(g *graph.Graph) (Fingerprint, *graph.Graph) {
-		t.Helper()
+	bump := func(g *graph.Graph) []apsp.EdgeEdit {
 		e := g.Edges()[0]
-		edits := []apsp.EdgeEdit{{U: e.U, V: e.V, W: e.W + 2}}
-		fp, _, _, err := r.Reweight(FingerprintOf(g), edits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g2, err := apsp.ApplyEdits(g, edits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fp != FingerprintOf(g2) || r.Has(FingerprintOf(g)) {
-			t.Fatal("reweight did not swap the fingerprint")
-		}
-		return fp, g2
+		return []apsp.EdgeEdit{{U: e.U, V: e.V, W: e.W + 2}}
 	}
 
 	get(g[0])
 	get(g[1])
-	step("two gets", Stats{Bytes: 2 * hot})
-	get(g[2]) // overflow: g0 loses its successors
-	step("overflow", Stats{Bytes: 2 * hot, CompressedBytes: demoted, Demotions: 1})
-	get(g[0]) // promote g0, demote g1
-	step("promotion", Stats{Bytes: 2 * hot, CompressedBytes: demoted, Demotions: 2, Promotions: 1})
-	_, g0 := bump(g[0]) // hot entry: swap in place
-	step("reweight of a hot entry", Stats{Bytes: 2 * hot, CompressedBytes: demoted, Demotions: 2, Promotions: 1})
-	_, g1 := bump(g[1]) // demoted entry: promoted (g2 demoted), repaired, old fingerprint gone from both tiers
-	step("reweight of a demoted entry", Stats{Bytes: 2 * hot, CompressedBytes: demoted, Demotions: 3, Promotions: 2})
-	get(g0)
-	get(g1)
-	step("re-reading the reweighted graphs", Stats{Bytes: 2 * hot, CompressedBytes: demoted, Demotions: 3, Promotions: 2})
-	get(g[3])
-	get(g[4])
-	step("filling the demoted tier", Stats{Bytes: 2 * hot, CompressedBytes: 3 * demoted, Demotions: 5, Promotions: 2})
-	get(g[5]) // a fourth demoted entry does not fit: the oldest is dropped
-	step("demoted-tier eviction", Stats{Bytes: 2 * hot, CompressedBytes: 3 * demoted, Demotions: 6, Promotions: 2, Evictions: 1})
+	step("two gets", 2*one, 0, 2)
+	get(g[2]) // overflow: g0 is dropped
+	step("overflow", 2*one, 1, 2)
 
-	// An oracle larger than the whole hot budget: the LRU empties the hot
-	// tier trying to make room, then demotes the newcomer too, and its
-	// store alone displaces every smaller demoted entry.
-	if hugeHot <= 2*hot+1 || hugeDemoted > 3*demoted+200 || hugeDemoted+demoted <= 3*demoted+200 {
-		t.Fatal("test sizes: the big oracle must exceed the hot budget and fit the demoted one alone")
+	// Reweight of a cached entry swaps it in place: not an eviction.
+	fp, _, _, err := r.Reweight(FingerprintOf(g[1]), bump(g[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g1, err := apsp.ApplyEdits(g[1], bump(g[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := r.Lookup(FingerprintOf(g[1])); ok || fp != FingerprintOf(g1) {
+		t.Fatal("reweight did not swap the fingerprint")
+	}
+	step("reweight of a cached entry", 2*one, 1, 2)
+	get(g1)
+	step("re-reading the reweighted graph", 2*one, 1, 2)
+
+	// An evicted fingerprint has nothing to repair from.
+	if _, _, _, err := r.Reweight(FingerprintOf(g[0]), bump(g[0])); !errors.Is(err, ErrUnknownGraph) {
+		t.Fatalf("reweight of an evicted fingerprint: err = %v, want ErrUnknownGraph", err)
+	}
+	step("reweight of an evicted fingerprint", 2*one, 1, 2)
+
+	if _, err := r.Get(failing); !errors.Is(err, boom) {
+		t.Fatalf("failed solve: err = %v, want boom", err)
+	}
+	step("a failed solve", 2*one, 1, 2)
+
+	// An oracle larger than the whole budget: the LRU empties trying to
+	// make room, then drops the newcomer too.
+	if hugeBytes <= 2*one+1 {
+		t.Fatal("test sizes: the big oracle must exceed the budget")
 	}
 	get(huge)
-	step("an oversized oracle", Stats{CompressedBytes: hugeDemoted, Demotions: 9, Promotions: 2, Evictions: 6})
-	get(huge) // promoted for the access, re-demoted at once
-	step("re-reading the oversized oracle", Stats{CompressedBytes: hugeDemoted, Demotions: 10, Promotions: 3, Evictions: 6})
+	step("an oversized oracle", 0, 4, 0)
+	get(g[3])
+	step("a get after it", one, 4, 1)
 }
 
-// TestHeldOracleSurvivesTierChurn: queriers hammer BatchPath on an
-// oracle obtained from Lookup while another goroutine drives the entry
-// through demote / promote / reweight cycles. Transitions install
-// siblings and never touch an oracle a query may hold, so the held one
+// TestHeldOracleSurvivesEviction: queriers hammer BatchPath on an oracle
+// obtained from Lookup while another goroutine evicts, re-solves and
+// reweights that fingerprint. Eviction and the reweight swap only unlink
+// an entry and never touch an oracle a query may hold, so the held one
 // keeps answering exactly, and whatever the registry serves under the
 // same fingerprint in the meantime is correct too. Run under -race.
-func TestHeldOracleSurvivesTierChurn(t *testing.T) {
+func TestHeldOracleSurvivesEviction(t *testing.T) {
 	const n, queriers, cycles = 24, 4, 25
 	r := NewRegistry(Config{
-		Solve:            succSolve,
-		Repair:           testRepairer(),
-		MemoryBudget:     4*n*n + 1, // one oracle: every Get of the other graph demotes
-		CompressedBudget: 1 << 20,
+		Solve:        succSolve,
+		Repair:       testRepairer(),
+		MemoryBudget: 4*n*n + 1, // one oracle: every Get of the other graph evicts
 	})
 	a, b := intGraph(41, n), intGraph(42, n)
 	fpA := FingerprintOf(a)
@@ -736,7 +711,7 @@ func TestHeldOracleSurvivesTierChurn(t *testing.T) {
 	errs := make(chan error, queriers)
 	for q := 0; q < queriers; q++ {
 		// Taken before the churn starts: mid-churn the fingerprint is
-		// briefly absent, and an oracle that went through an edit and its
+		// often absent, and an oracle that went through an edit and its
 		// undo may break ties between equal paths differently.
 		held, ok, err := r.Lookup(fpA)
 		if err != nil || !ok {
@@ -759,7 +734,7 @@ func TestHeldOracleSurvivesTierChurn(t *testing.T) {
 				}
 				// The fingerprint is the graph's content, so anything served
 				// under it mid-churn must answer for the same graph (it is
-				// briefly absent while the edit is applied).
+				// absent while evicted and while the edit is applied).
 				cur, ok, err := r.Lookup(fpA)
 				if err != nil {
 					errs <- err
@@ -792,10 +767,10 @@ func TestHeldOracleSurvivesTierChurn(t *testing.T) {
 	e := a.Edges()[0]
 	fp := fpA
 	for c := 0; c < cycles && len(errs) == 0; c++ {
-		if _, err := r.Get(b); err != nil { // demotes a
+		if _, err := r.Get(b); err != nil { // evicts a
 			t.Fatal(err)
 		}
-		if _, err := r.Get(a); err != nil { // promotes it again
+		if _, err := r.Get(a); err != nil { // re-solves it
 			t.Fatal(err)
 		}
 		for _, w := range []float64{e.W + 3, e.W} { // edit, then undo
@@ -814,8 +789,8 @@ func TestHeldOracleSurvivesTierChurn(t *testing.T) {
 		t.Error(err)
 	}
 	r.checkAccounting(t)
-	if st := r.Stats(); st.Demotions == 0 || st.Promotions == 0 || st.Reweights != 2*cycles {
-		t.Errorf("stats = %+v, want demotions, promotions and %d reweights", st, 2*cycles)
+	if st := r.Stats(); st.Evictions != 2*cycles || st.Reweights != 2*cycles {
+		t.Errorf("stats = %+v, want %d evictions and %d reweights", st, 2*cycles, 2*cycles)
 	}
 }
 

@@ -40,12 +40,13 @@ import (
 // entries, so every read is still the solver's own bits. The layout is
 // a property of the store, not an option.
 // There is no wider copy kept beside the store and no mode that keeps
-// one; a demoted registry entry is the same store without successors.
+// one.
 //
 // CompressDist / DecompressDist are the byte serialisation of the store
-// (format SAPSPT02; nothing ever persisted an SAPSPT01 blob — the bench
-// census and the E23 harness round-trip one in memory — so the old magic
-// is simply rejected). Like the plan codec (and unlike the semiring pack
+// (format SAPSPT02; nothing ever persisted an SAPSPT01 blob, so the old
+// magic is simply rejected). No serving path calls them: the bench
+// census and the E23 harness round-trip a blob in memory, and that is
+// what keeps them (E33). Like the plan codec (and unlike the semiring pack
 // codec's decode-or-panic), DecompressDist must fail closed on malformed
 // bytes: return an error, never panic.
 
@@ -79,8 +80,7 @@ var (
 // width and layout: exactly one of the four slices is in use, named by
 // kind, and it holds either all n² entries row-major or, when tri is
 // set, the lower triangle packed row-major — entry (i,j), j ≤ i, at
-// i(i+1)/2 + j, standing for (j,i) too. Immutable once built, so a hot
-// oracle and its demoted sibling share one.
+// i(i+1)/2 + j, standing for (j,i) too. Immutable once built.
 type distStore struct {
 	kind  uint8
 	tri   bool

@@ -200,13 +200,20 @@ func (s *Server) registry() (*oracle.Registry, error) {
 }
 
 // register solves g through the registry (coalesced with any
-// concurrent load of the same graph) and returns its id.
+// concurrent load of the same graph) and returns its id. An oracle
+// larger than the registry's whole budget was dropped as soon as it was
+// solved, so its id could never be queried: that is a 413, not an id.
 func (s *Server) register(w http.ResponseWriter, g *graph.Graph) error {
 	if _, err := s.registry(); err != nil {
 		return err
 	}
-	if _, err := s.reg.Get(g); err != nil {
+	o, err := s.reg.Get(g)
+	if err != nil {
 		return badRequest("solve failed: %v", err)
+	}
+	if size, budget := o.MemoryBytes(), s.reg.Stats().BudgetBytes; budget > 0 && size > budget {
+		return &apiError{status: http.StatusRequestEntityTooLarge,
+			err: fmt.Errorf("the solved oracle holds %d bytes, the whole cache budget is %d: raise -budget-mb", size, budget)}
 	}
 	return writeJSON(w, GraphInfo{Graph: oracle.FingerprintOf(g).String(), N: g.N(), M: g.M()})
 }
@@ -446,17 +453,8 @@ type RegistrySnapshot struct {
 	Entries        int   `json:"entries"`
 	Bytes          int64 `json:"bytes"`
 	BudgetBytes    int64 `json:"budget_bytes"`
-	// Tiered-memory counters: a demotion drops an LRU-evicted oracle's
-	// successor table (its distance store stays, at its proven width), a
-	// promotion rebuilds the table on access; compressed_* describe the
-	// demoted entries' occupancy. All zero when demotion is disabled.
-	Demotions             int64 `json:"demotions"`
-	Promotions            int64 `json:"promotions"`
-	CompressedEntries     int   `json:"compressed_entries"`
-	CompressedBytes       int64 `json:"compressed_bytes"`
-	CompressedBudgetBytes int64 `json:"compressed_budget_bytes"`
-	// store_kinds counts resident entries (hot and demoted) by the width
-	// their distances proved lossless at: u16 / u32 / f32 / f64. A
+	// store_kinds counts resident entries by the width their distances
+	// proved lossless at: u16 / u32 / f32 / f64. A
 	// backend at 8 bytes per stored distance instead of 2 shows up here
 	// as f64 entries — graphs with non-integer weights.
 	StoreKinds map[string]int `json:"store_kinds,omitempty"`
@@ -465,7 +463,7 @@ type RegistrySnapshot struct {
 	// entries of one that failed the proof — a backend paying 2× for its
 	// distances shows up here.
 	StoreLayouts map[string]int `json:"store_layouts,omitempty"`
-	// succ_bits counts hot entries by the slot width of their successor
+	// succ_bits counts them by the slot width of their successor
 	// table (2 / 4 / 8 / 16 / 32 bits, set by the graph's maximum
 	// degree): a hub graph whose table alone costs 2 bytes/pair where a
 	// grid's costs 0.5 shows up here under "16".
@@ -519,15 +517,9 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) error {
 			Entries:        st.Entries,
 			Bytes:          st.Bytes,
 			BudgetBytes:    st.BudgetBytes,
-
-			Demotions:             st.Demotions,
-			Promotions:            st.Promotions,
-			CompressedEntries:     st.CompressedEntries,
-			CompressedBytes:       st.CompressedBytes,
-			CompressedBudgetBytes: st.CompressedBudgetBytes,
-			StoreKinds:            st.StoreKinds,
-			StoreLayouts:          st.StoreLayouts,
-			SuccBits:              st.SuccBits,
+			StoreKinds:     st.StoreKinds,
+			StoreLayouts:   st.StoreLayouts,
+			SuccBits:       st.SuccBits,
 
 			SolveMs:         float64(st.SolveNanos) / 1e6,
 			QueriesServed:   st.QueriesServed,

@@ -293,6 +293,47 @@ func TestServerEviction(t *testing.T) {
 	}
 }
 
+// TestServerLoadOverWholeBudget: an oracle larger than the registry's
+// whole budget is dropped the moment it is solved, so answering /load
+// with its id would hand out a fingerprint that can never be queried.
+// It is a 413 that says what to raise.
+func TestServerLoadOverWholeBudget(t *testing.T) {
+	// A unit-weight 16-vertex grid is TestServerEviction's oracle at two
+	// bytes a distance: 272 + 128 + 452 = 852 bytes.
+	const oracleBytes, budget = 16*17/2*2 + 16*8 + (17+4*24)*4, 300
+	ts, _ := newTestServer(t, budget)
+	g := graph.Grid2D(4, 4, graph.UnitWeights)
+	req := LoadRequest{N: g.N()}
+	for _, e := range g.Edges() {
+		req.Edges = append(req.Edges, [3]float64{float64(e.U), float64(e.V), e.W})
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/load", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("/load of an oracle over the whole budget: status %d (%s), want 413", resp.StatusCode, msg)
+	}
+	for _, want := range []string{fmt.Sprint(oracleBytes), fmt.Sprint(budget), "-budget-mb"} {
+		if !strings.Contains(string(msg), want) {
+			t.Errorf("413 body %q does not name %s", msg, want)
+		}
+	}
+	fp := oracle.FingerprintOf(g).String()
+	if resp := postJSON(t, ts.URL+"/query", QueryRequest{Graph: fp, Pairs: [][2]int{{0, 1}}}, nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/query of the refused graph: status %d, want 404", resp.StatusCode)
+	}
+	if st := getStats(t, ts.URL); st.Registry.Evictions != 1 || st.Registry.Bytes != 0 || st.Registry.Entries != 0 {
+		t.Errorf("registry = %+v, want 1 eviction and nothing resident", st.Registry)
+	}
+}
+
 func TestServerHealthz(t *testing.T) {
 	ts, _ := newTestServer(t, 0)
 	resp, err := http.Get(ts.URL + "/healthz")
