@@ -413,8 +413,8 @@ var PathWeight = apsp.PathWeight
 
 // Oracle is a solved graph serving concurrent Dist / Path / BatchDist /
 // BatchPath queries from typed storage — distances at their proven
-// lossless width, successors as uint16 — bit-identically to the
-// solver's float64 matrix (see internal/oracle).
+// lossless width, successors as packed neighbour slots — bit-identically
+// to the solver's float64 matrix (see internal/oracle).
 type Oracle = oracle.Oracle
 
 // OracleRegistry caches oracles by graph fingerprint with singleflight

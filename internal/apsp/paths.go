@@ -29,49 +29,79 @@ type PathResult struct {
 // neighbour slots: the graph is sparse, so the hop after u towards v is
 // one of deg(u) neighbours, not one of n vertices. It is target-major:
 // entry (v,u) is the index in u's adjacency list of the vertex after u
-// on a shortest u→v path (all-ones if none, and on the diagonal), so row
-// v is the shortest-path tree into v and a path walk stays inside one
-// row. Entries are bit-packed at one width per table — the smallest of
-// 2/4/8/16/32 bits whose all-ones value exceeds every slot, so a single
-// hub widens the whole table — and every row starts on a word boundary,
-// because rebuild's workers write rows concurrently and must never
-// share a word. Immutable once built.
+// on a shortest u→v path, so row v is the shortest-path tree into v and
+// a path walk stays inside one row. Column u is stored in exactly the
+// bits deg(u) slots need — bits.Len(deg(u)−1): none for a leaf, 1 on a
+// cycle, 2 on a grid, 10 for the hub of a 576-star and still none for
+// its leaves — at a bit offset shared by every row (slotAdjacency.cols).
+// There is no code for "no successor": a pair has none exactly when
+// u = v or the two lie in different components, which the adjacency's
+// component labels answer, and every builder refuses a row on which the
+// distances say otherwise (successorRow, FloydWarshallPaths); what such
+// an entry holds is never read. Every row starts on a word boundary,
+// because rebuild's workers write rows concurrently and must never share
+// a word. Immutable once built.
 type Successors struct {
 	n        int
 	adj      *slotAdjacency // structure only: shared by every clone
-	lg       uint           // log2 of the entry width in bits, 1..5
-	mask     uint32         // all-ones at that width: "no successor"
 	rowWords int
 	words    []uint64
 }
 
 // slotAdjacency is the edge structure of a graph as compact CSR, in
-// g.Adj order: what turns a slot back into a vertex (to) and a scanned
-// half-edge into the slot that undoes it (rev). It carries no weights,
-// so a reweight (SetEdge never changes structure) keeps sharing it.
+// g.Adj order: what turns a slot back into a vertex (to), a scanned
+// half-edge into the slot that undoes it (rev), a column into its bits
+// (cols) and a pair into "is there a path at all" (comp). It carries no
+// weights, so a reweight (SetEdge never changes structure) keeps sharing
+// it.
 type slotAdjacency struct {
-	off []int32 // neighbours of u are to[off[u]:off[u+1]]
-	to  []int32
-	rev []int32 // rev[off[u]+s] is u's slot in the list of to[off[u]+s]
+	cols    []slotCol // n+1: column u spans cols[u] up to cols[u+1]
+	to      []int32
+	rev     []int32 // rev[cols[u].off+s] is u's slot in the list of to[cols[u].off+s]
+	comp    []int32 // component label of every vertex
+	maxBits int     // the widest column
 }
 
-// newSlotAdjacency also returns the maximum degree. Finding each reverse
-// slot scans the neighbour's list: Σ deg² ≤ n·2m in total, never more
-// than the one extraction pass the table is built for.
-func newSlotAdjacency(g *graph.Graph) (*slotAdjacency, int) {
+// slotCol is where vertex u starts in both index spaces a hop crosses —
+// its neighbours in to/rev, its column in a packed row — side by side so
+// the walk's two lookups per vertex share a cache line.
+type slotCol struct {
+	off int32 // neighbours of u are to[off:cols[u+1].off]
+	bit int32 // entry u of a row is bits [bit, cols[u+1].bit) of it
+}
+
+// slotWidth is the number of bits that tell deg slots apart.
+func slotWidth(deg int) int {
+	if deg < 2 {
+		return 0
+	}
+	return bits.Len(uint(deg - 1))
+}
+
+// newSlotAdjacency lays out g's structure. Finding each reverse slot
+// scans the neighbour's list: Σ deg² ≤ n·2m in total, never more than
+// the one extraction pass the table is built for.
+func newSlotAdjacency(g *graph.Graph) *slotAdjacency {
 	n := g.N()
-	a := &slotAdjacency{off: make([]int32, n+1), to: make([]int32, 2*g.M()), rev: make([]int32, 2*g.M())}
-	maxDeg := 0
+	a := &slotAdjacency{
+		cols: make([]slotCol, n+1), to: make([]int32, 2*g.M()), rev: make([]int32, 2*g.M()), comp: make([]int32, n),
+	}
 	for u := 0; u < n; u++ {
-		a.off[u+1] = a.off[u] + int32(g.Degree(u))
-		maxDeg = max(maxDeg, g.Degree(u))
+		w := slotWidth(g.Degree(u))
+		a.cols[u+1] = slotCol{off: a.cols[u].off + int32(g.Degree(u)), bit: a.cols[u].bit + int32(w)}
+		a.maxBits = max(a.maxBits, w)
 		for s, e := range g.Adj(u) {
-			i := int(a.off[u]) + s
+			i := int(a.cols[u].off) + s
 			a.to[i] = int32(e.To)
 			a.rev[i] = int32(slices.IndexFunc(g.Adj(e.To), func(b graph.Edge) bool { return b.To == u }))
 		}
 	}
-	return a, maxDeg
+	for c, vs := range g.Components() {
+		for _, v := range vs {
+			a.comp[v] = int32(c)
+		}
+	}
+	return a
 }
 
 // slotEdge is one half-edge as the extraction walk wants it: the
@@ -88,47 +118,30 @@ func (a *slotAdjacency) weigh(g *graph.Graph) []slotEdge {
 	edges := make([]slotEdge, len(a.to))
 	for u := 0; u < g.N(); u++ {
 		for s, e := range g.Adj(u) {
-			i := int(a.off[u]) + s
+			i := int(a.cols[u].off) + s
 			edges[i] = slotEdge{to: a.to[i], rev: a.rev[i], w: e.W}
 		}
 	}
 	return edges
 }
 
-// slotBits is the narrowest entry width that keeps all-ones free for
-// "none" above the slots 0..maxDeg-1.
-func slotBits(maxDeg int) int {
-	width := 2
-	for 1<<width-1 < maxDeg {
-		width *= 2
-	}
-	return width
-}
-
-// newSuccessors allocates the n×n table of g at the given entry width,
-// each row padded to whole words; width is 0 (the narrowest that fits
-// g's maximum degree) everywhere outside the tests that force a wider
-// table onto small graphs.
-func newSuccessors(g *graph.Graph, width int) *Successors {
-	adj, maxDeg := newSlotAdjacency(g)
-	if width == 0 {
-		width = slotBits(maxDeg)
-	}
+// newSuccessors allocates the n×n table of g, each row padded to whole
+// words.
+func newSuccessors(g *graph.Graph) *Successors {
+	adj := newSlotAdjacency(g)
 	n := g.N()
-	rowWords := (n*width + 63) / 64
-	return &Successors{
-		n: n, adj: adj, lg: uint(bits.TrailingZeros(uint(width))), mask: uint32(1<<width - 1),
-		rowWords: rowWords, words: make([]uint64, n*rowWords),
-	}
+	rowWords := (int(adj.cols[n].bit) + 63) / 64
+	return &Successors{n: n, adj: adj, rowWords: rowWords, words: make([]uint64, n*rowWords)}
 }
 
-// Bits is the width of one entry.
-func (s *Successors) Bits() int { return 1 << s.lg }
+// Bits is the width of the widest column: what the highest-degree vertex
+// costs every row.
+func (s *Successors) Bits() int { return s.adj.maxBits }
 
 // Bytes is the retained size of the table: the packed rows plus the
 // adjacency that decodes them.
 func (s *Successors) Bytes() int64 {
-	return int64(len(s.words))*8 + int64(len(s.adj.off)+len(s.adj.to)+len(s.adj.rev))*4
+	return int64(len(s.words))*8 + int64(2*len(s.adj.cols)+len(s.adj.to)+len(s.adj.rev)+len(s.adj.comp))*4
 }
 
 func (s *Successors) clone() *Successors {
@@ -139,23 +152,41 @@ func (s *Successors) clone() *Successors {
 
 func (s *Successors) row(v int) []uint64 { return s.words[v*s.rowWords : (v+1)*s.rowWords] }
 
-// slot reads entry u of a row; s.mask means none.
+// slot reads entry u of a row: the bits between two neighbouring column
+// offsets, which may straddle a word. A column of no bits reads as slot
+// 0, the only neighbour a leaf has.
 func (s *Successors) slot(row []uint64, u int) uint32 {
-	perLg := 6 - s.lg // log2 of the entries per word
-	return uint32(row[u>>perLg]>>((uint(u)&(1<<perLg-1))<<s.lg)) & s.mask
+	lo := uint(s.adj.cols[u].bit)
+	width := uint(s.adj.cols[u+1].bit) - lo
+	if width == 0 {
+		return 0
+	}
+	i, shift := lo>>6, lo&63
+	x := row[i] >> shift
+	if shift+width > 64 {
+		x |= row[i+1] << (64 - shift)
+	}
+	return uint32(x) & (1<<width - 1)
 }
 
-// packRow overwrites row v with slots (length n, -1 for none), a word at
-// a time.
+// packRow overwrites row v with slots (length n), a word at a time. An
+// entry without a successor (-1) is stored as the low bits of -1 that fit
+// its column; nothing reads it back.
 func (s *Successors) packRow(v int, slots []int32) {
-	width, mask, per := uint(1)<<s.lg, s.mask, 64>>s.lg
-	for i, row := 0, s.row(v); i < len(row); i++ {
-		var word uint64
-		shift := uint(0)
-		for _, x := range slots[i*per : min((i+1)*per, s.n)] {
-			word |= uint64(uint32(x)&mask) << (shift & 63)
-			shift += width
+	row, cols := s.row(v), s.adj.cols
+	var word uint64
+	i, fill := 0, uint(0) // fill: bits of word already taken
+	for u, x := range slots {
+		width := uint(cols[u+1].bit - cols[u].bit)
+		val := uint64(uint32(x)) & (1<<width - 1)
+		word |= val << fill
+		if fill += width; fill >= 64 {
+			row[i] = word
+			i, fill = i+1, fill-64
+			word = val >> (width - fill) // the part that did not fit
 		}
+	}
+	if fill > 0 {
 		row[i] = word
 	}
 }
@@ -172,11 +203,10 @@ func (s *Successors) at(v, u int) int {
 	if u == v {
 		return v
 	}
-	k := s.slot(s.row(v), u)
-	if k == s.mask {
+	if s.adj.comp[u] != s.adj.comp[v] {
 		return -1
 	}
-	return int(s.adj.to[int(s.adj.off[u])+int(k)])
+	return int(s.adj.to[int(s.adj.cols[u].off)+int(s.slot(s.row(v), u))])
 }
 
 // FloydWarshallPaths runs the classical algorithm while maintaining
@@ -188,11 +218,22 @@ func (s *Successors) at(v, u int) int {
 // within step k neither row k nor column k changes, so every entry
 // (i,j) and its mirror (j,i) take the minimum of the same two floats
 // and stay bit-equal.
+//
+// It panics on a graph that holds a pair without a path inside one
+// component — one joined only through edges of weight +Inf — because the
+// table has no way to say so; SuccessorsFromDist reports the same as an
+// error.
 func FloydWarshallPaths(g *graph.Graph) *PathResult {
 	n := g.N()
 	d := semiring.FromSlice(n, n, g.AdjacencyMatrix())
-	next := newSuccessors(g, 0)
-	next.packRows(floydWarshallNext(g, d))
+	next := newSuccessors(g)
+	slots := floydWarshallNext(g, d)
+	for i, x := range slots {
+		if v, u := i/n, i%n; x == -1 && u != v && next.adj.comp[u] == next.adj.comp[v] {
+			panic(fmt.Sprintf("apsp: FloydWarshallPaths: no path from %d to %d inside one component (an edge of weight +Inf?)", u, v))
+		}
+	}
+	next.packRows(slots)
 	return &PathResult{Dist: d, next: next}
 }
 
@@ -208,7 +249,7 @@ func floydWarshallNext(g *graph.Graph, d *semiring.Matrix) []int32 {
 	}
 	for u := 0; u < n; u++ {
 		for s, e := range g.Adj(u) {
-			if float64(e.W) <= d.At(e.To, u) {
+			if e.W <= d.At(e.To, u) && !math.IsInf(e.W, 1) {
 				next[e.To*n+u] = int32(s)
 			}
 		}
@@ -290,8 +331,8 @@ func SuccessorsNonNegative(g *graph.Graph, d *semiring.Matrix) (*PathResult, err
 	if d == nil || d.Rows != n || d.Cols != n {
 		return nil, fmt.Errorf("apsp: SuccessorsFromDist: distance matrix is not %d×%d", n, n)
 	}
-	next, err := buildSuccessors(g, matrixRows(d), 0)
-	if err != nil {
+	next := newSuccessors(g)
+	if err := next.rebuild(g, matrixRows(d), nil); err != nil {
 		return nil, err
 	}
 	return &PathResult{Dist: d, next: next}, nil
@@ -305,14 +346,6 @@ type RowFunc func(v int, buf []float64) []float64
 func matrixRows(d *semiring.Matrix) RowFunc {
 	n := d.Cols
 	return func(v int, _ []float64) []float64 { return d.V[v*n : (v+1)*n] }
-}
-
-func buildSuccessors(g *graph.Graph, row RowFunc, width int) (*Successors, error) {
-	next := newSuccessors(g, width)
-	if err := next.rebuild(g, row, nil); err != nil {
-		return nil, err
-	}
-	return next, nil
 }
 
 // tightSum reports whether sum explains dist: exact equality, or — for
@@ -362,7 +395,7 @@ func (s *Successors) rebuild(g *graph.Graph, row RowFunc, targets []int) error {
 			if targets != nil {
 				v = targets[i]
 			}
-			if errs[c] = successorRow(edges, s.adj.off, row(v, buf), v, slots, queue); errs[c] != nil {
+			if errs[c] = successorRow(edges, s.adj, row(v, buf), v, slots, queue); errs[c] != nil {
 				return
 			}
 			s.packRow(v, slots)
@@ -383,7 +416,12 @@ func (s *Successors) rebuild(g *graph.Graph, row RowFunc, targets []int) error {
 // for none, v's own included); queue is scratch. The incremental repair
 // path calls this for exactly the targets whose distances or tight edges
 // changed, leaving the rest of the table as the original solve built it.
-func successorRow(edges []slotEdge, off []int32, distV []float64, v int, slots []int32, queue []int32) error {
+//
+// The table answers "no successor" from the component labels alone, so a
+// row is refused unless its distances agree with them both ways: every
+// finite distance reached by the walk, and no +Inf inside v's component
+// (an edge of weight +Inf).
+func successorRow(edges []slotEdge, adj *slotAdjacency, distV []float64, v int, slots []int32, queue []int32) error {
 	for u := range slots {
 		slots[u] = -1
 	}
@@ -392,7 +430,7 @@ func successorRow(edges []slotEdge, off []int32, distV []float64, v int, slots [
 	for head := 0; head < len(queue); head++ {
 		w := queue[head]
 		dwv := distV[w]
-		for _, e := range edges[off[w]:off[w+1]] {
+		for _, e := range edges[adj.cols[w].off:adj.cols[w+1].off] {
 			if slots[e.to] != -1 {
 				continue
 			}
@@ -403,8 +441,10 @@ func successorRow(edges []slotEdge, off []int32, distV []float64, v int, slots [
 		}
 	}
 	for u, su := range slots {
-		if su == -1 && !math.IsInf(distV[u], 1) {
+		if inf := math.IsInf(distV[u], 1); su == -1 && !inf {
 			return fmt.Errorf("apsp: SuccessorsFromDist: d(%d,%d)=%g is not explained by any edge of the graph (inconsistent distances)", u, v, distV[u])
+		} else if inf && adj.comp[u] == adj.comp[v] {
+			return fmt.Errorf("apsp: SuccessorsFromDist: d(%d,%d)=+Inf inside one component of the graph (inconsistent distances)", u, v)
 		}
 	}
 	slots[v] = -1
@@ -419,8 +459,8 @@ func (p *PathResult) N() int { return p.next.n }
 func (p *PathResult) Successors() *Successors { return p.next }
 
 // MemoryBytes is the retained size of the result: the float64 distance
-// matrix plus Successors.Bytes() — the slot table at its built width and
-// the adjacency that decodes it.
+// matrix plus Successors.Bytes() — the slot table and the adjacency that
+// decodes it.
 func (p *PathResult) MemoryBytes() int64 {
 	return int64(len(p.Dist.V))*8 + p.next.Bytes()
 }
@@ -430,8 +470,8 @@ func (p *PathResult) MemoryBytes() int64 {
 // [u].
 func (p *PathResult) Path(u, v int) []int { return p.next.Path(u, v) }
 
-// Path walks row v of the table in one pass — slot, then the neighbour
-// it names — appending as it goes; see PathResult.Path.
+// Path walks row v of the table in one pass — column, slot, then the
+// neighbour it names — appending as it goes; see PathResult.Path.
 func (s *Successors) Path(u, v int) []int {
 	n := s.n
 	if u < 0 || u >= n || v < 0 || v >= n {
@@ -440,20 +480,18 @@ func (s *Successors) Path(u, v int) []int {
 	if u == v {
 		return []int{u}
 	}
-	row := s.row(v)
-	if s.slot(row, u) == s.mask {
+	if s.adj.comp[u] != s.adj.comp[v] {
 		return nil
 	}
-	off, to := s.adj.off, s.adj.to
+	row, cols, to := s.row(v), s.adj.cols, s.adj.to
 	path := make([]int, 0, 32) // a typical path; longer ones grow
 	for cur := u; cur != v; {
 		if path = append(path, cur); len(path) >= n {
 			panic("apsp: successor structure is cyclic (corrupted)")
 		}
-		// A slot past cur's degree (none included) lands at or beyond
-		// off[cur+1].
-		i := int(off[cur]) + int(s.slot(row, cur))
-		if i >= int(off[cur+1]) {
+		// A slot past cur's degree lands at or beyond cols[cur+1].off.
+		i := int(cols[cur].off) + int(s.slot(row, cur))
+		if i >= int(cols[cur+1].off) {
 			panic("apsp: successor structure names a missing neighbour (corrupted)")
 		}
 		cur = int(to[i])

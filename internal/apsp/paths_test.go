@@ -195,28 +195,29 @@ func TestSuccessorsFromDistRejectsBadInput(t *testing.T) {
 }
 
 // TestPathResultMemoryBytes: a result retains its float64 distances
-// plus Successors.Bytes(), and the table's width follows the maximum
-// degree of the family — 2 bits on paths and cycles, 4 on grids, 8 on a
-// small star, 16 once the hub passes 255 neighbours.
+// plus Successors.Bytes(), and Bits() — the widest column — follows the
+// maximum degree of the family: 1 bit on paths and cycles, 2 on grids, 6
+// on a small star, 9 once the hub passes 256 neighbours. The star's rows
+// hold the hub's column and nothing else: its leaves need no bits.
 func TestPathResultMemoryBytes(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		g     *graph.Graph
 		width int
 	}{
-		{"path", graph.Path(50, graph.UnitWeights), 2},
-		{"cycle", graph.Cycle(50, graph.UnitWeights), 2},
-		{"grid", graph.Grid2D(4, 4, graph.UnitWeights), 4},
-		{"star-60", graph.Star(60, graph.UnitWeights), 8},
-		{"star-300", graph.Star(300, graph.UnitWeights), 16},
+		{"path", graph.Path(50, graph.UnitWeights), 1},
+		{"cycle", graph.Cycle(50, graph.UnitWeights), 1},
+		{"grid", graph.Grid2D(4, 4, graph.UnitWeights), 2},
+		{"star-60", graph.Star(60, graph.UnitWeights), 6},
+		{"star-300", graph.Star(300, graph.UnitWeights), 9},
 	} {
 		pr := FloydWarshallPaths(c.g)
 		n := c.g.N()
 		if got := pr.Successors().Bits(); got != c.width {
-			t.Errorf("%s: %d-bit slots, want %d", c.name, got, c.width)
+			t.Errorf("%s: widest column %d bits, want %d", c.name, got, c.width)
 		}
-		if got, want := pr.Successors().Bytes(), slotTableBytes(n, c.g.M(), c.width); got != want {
-			t.Errorf("%s: Successors.Bytes = %d, want %d", c.name, got, want)
+		if want, _ := columnTableBytes(c.g); pr.Successors().Bytes() != want {
+			t.Errorf("%s: Successors.Bytes = %d, want %d", c.name, pr.Successors().Bytes(), want)
 		}
 		if got, want := pr.MemoryBytes(), int64(n*n*8)+pr.Successors().Bytes(); got != want {
 			t.Errorf("%s: MemoryBytes = %d, want %d", c.name, got, want)
@@ -224,6 +225,9 @@ func TestPathResultMemoryBytes(t *testing.T) {
 		if pr.N() != n {
 			t.Errorf("%s: N = %d, want %d", c.name, pr.N(), n)
 		}
+	}
+	if got := FloydWarshallPaths(graph.Star(300, graph.UnitWeights)).Successors().rowWords; got != 1 {
+		t.Errorf("star-300: a row is %d words, want the hub's 9 bits in one", got)
 	}
 }
 

@@ -2,8 +2,10 @@ package apsp
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -101,12 +103,12 @@ func TestPathIdentityGolden(t *testing.T) {
 	}
 }
 
-// serialSuccessors builds the table of g at the given width one target
-// per rebuild call: a single-target rebuild never leaves the calling
-// goroutine, so this is the one-worker build whatever the pool holds.
-func serialSuccessors(t *testing.T, g *graph.Graph, d *semiring.Matrix, width int) *Successors {
+// serialSuccessors builds the table of g one target per rebuild call: a
+// single-target rebuild never leaves the calling goroutine, so this is
+// the one-worker build whatever the pool holds.
+func serialSuccessors(t *testing.T, g *graph.Graph, d *semiring.Matrix) *Successors {
 	t.Helper()
-	s := newSuccessors(g, width)
+	s := newSuccessors(g)
 	for v := 0; v < g.N(); v++ {
 		if err := s.rebuild(g, matrixRows(d), []int{v}); err != nil {
 			t.Fatal(err)
@@ -124,7 +126,7 @@ func TestSuccessorsWorkerInvariance(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, f := range goldenFamilies() {
 		d, _ := FloydWarshall(f.g)
-		serial := serialSuccessors(t, f.g, d, 0)
+		serial := serialSuccessors(t, f.g, d)
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
 			pr, err := SuccessorsFromDist(f.g, d)
@@ -440,146 +442,199 @@ func refTree(g *graph.Graph, distV []float64, v int) []int {
 	return next
 }
 
-// TestSuccessorsSlotWidths: the width selector's boundaries as a
-// function, the production width of each family, and every width —
-// the wider ones, which production reaches only through a hub, forced
-// onto small graphs through the internal builder — held path for path
-// against a vertex-id tree built here, on graphs with zero-weight
-// edges, several components, isolated vertices and hubs. At each width
-// the pooled build equals the one-goroutine build word for word, the
-// classical loop packs to the same paths, and a repair keeps the width
-// it was given.
-func TestSuccessorsSlotWidths(t *testing.T) {
-	for _, c := range [][2]int{{0, 2}, {2, 2}, {3, 2}, {4, 4}, {15, 4}, {16, 8}, {255, 8}, {256, 16}, {65535, 16}, {65536, 32}} {
-		if got := slotBits(c[0]); got != c[1] {
-			t.Errorf("slotBits(max degree %d) = %d, want %d", c[0], got, c[1])
+// columnFamilies are the degree profiles the per-column layout has an
+// edge in — leaves (no bits), cycles (one), grids (columns of 1 and 2
+// bits side by side), hubs past 2⁸ neighbours next to leaves, isolated
+// vertices, several components — each under integer weights, real-valued
+// ones (path sums round) and weights in {0, 1, 2} (zero-weight edges make
+// the tight-edge graph cyclic).
+func columnFamilies() []namedGraph {
+	var out []namedGraph
+	for _, kind := range []string{"int", "real", "zero"} {
+		rng := rand.New(rand.NewSource(2408))
+		var w graph.WeightFn
+		switch kind {
+		case "int":
+			w = func(u, v int) float64 { return float64(1 + rng.Intn(9)) }
+		case "real":
+			w = graph.RandomWeights(rng, 0.5, 10)
+		default:
+			w = func(u, v int) float64 { return float64(rng.Intn(3)) }
+		}
+		islands := graph.New(40) // two paths, a triangle and 25 isolated vertices
+		for v := 0; v+1 < 6; v++ {
+			islands.AddEdge(v, v+1, w(v, v+1))
+			islands.AddEdge(6+v, 7+v, w(6+v, 7+v))
+		}
+		islands.AddEdge(12, 13, w(12, 13))
+		islands.AddEdge(13, 14, w(13, 14))
+		islands.AddEdge(12, 14, w(12, 14))
+		hub := graph.Star(300, w) // hub of degree 299, and a second one of degree 5 among its leaves
+		for v := 2; v < 6; v++ {
+			hub.AddEdge(1, v, w(1, v))
+		}
+		out = append(out,
+			namedGraph{"grid/" + kind, graph.Grid2D(9, 7, w)},
+			namedGraph{"cycle/" + kind, graph.Cycle(67, w)},
+			namedGraph{"star/" + kind, graph.Star(60, w)},
+			namedGraph{"tree/" + kind, graph.RandomTree(90, w, rng)},
+			namedGraph{"gnp/" + kind, graph.RandomGNP(120, 2.0/120, w, rng)}, // mean degree 2: isolated vertices and small components
+			namedGraph{"islands/" + kind, islands},
+			namedGraph{"hub/" + kind, hub},
+		)
+	}
+	return append(out, namedGraph{"edgeless", graph.New(5)}, namedGraph{"one-edge", graph.Path(2, graph.UnitWeights)})
+}
+
+// columnTableBytes is what a table must retain, from first principles:
+// n rows of Σ bits.Len(deg−1) bits padded to whole words, plus the int32
+// arrays that decode them — n+1 neighbour offsets and n+1 bit offsets,
+// the 2m half-edges twice (neighbour, reverse slot) and n component
+// labels. Also returns the widest column.
+func columnTableBytes(g *graph.Graph) (bytes int64, maxBits int) {
+	n, rowBits := g.N(), 0
+	for u := 0; u < n; u++ {
+		w := 0
+		if deg := g.Degree(u); deg > 1 {
+			w = bits.Len(uint(deg - 1))
+		}
+		rowBits += w
+		maxBits = max(maxBits, w)
+	}
+	return int64(n)*int64((rowBits+63)/64)*8 + int64(2*(n+1)+4*g.M()+n)*4, maxBits
+}
+
+// TestSuccessorsColumnWidths: the width of a column as a function of its
+// degree, and on every family the packed table held entry for entry and
+// path for path against the UNPACKED successorRow output of each target —
+// which itself must name the parents of a vertex-id tree built here with
+// no slots at all. Entries the component labels call "none" must be
+// exactly the −1 entries of the unpacked rows. The table holds the bytes
+// the degree sequence predicts, the pooled build equals the one-goroutine
+// build word for word (run under -race), and the classical loop's table
+// passes VerifyPaths on the same graphs.
+func TestSuccessorsColumnWidths(t *testing.T) {
+	for _, c := range [][2]int{{0, 0}, {1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {8, 3}, {9, 4}, {256, 8}, {257, 9}, {65536, 16}, {65537, 17}} {
+		if got := slotWidth(c[0]); got != c[1] {
+			t.Errorf("slotWidth(degree %d) = %d, want %d", c[0], got, c[1])
 		}
 	}
-
-	islands := graph.New(40) // two paths, a triangle and 25 isolated vertices
-	for v := 0; v+1 < 6; v++ {
-		islands.AddEdge(v, v+1, 2)
-		islands.AddEdge(6+v, 7+v, 0)
-	}
-	islands.AddEdge(12, 13, 1)
-	islands.AddEdge(13, 14, 1)
-	islands.AddEdge(12, 14, 2)
-	families := append(goldenFamilies(),
-		namedGraph{"islands", islands},
-		namedGraph{"zero-cycle", graph.Cycle(64, func(u, v int) float64 { return 0 })},
-		namedGraph{"star-300", graph.Star(300, graph.UnitWeights)},
-		namedGraph{"edgeless", graph.New(5)},
-	)
-	wantBits := map[string]int{"grid": 4, "cycle": 2, "star": 8, "path": 2, "islands": 2, "zero-cycle": 2, "star-300": 16, "edgeless": 2}
-	for _, f := range families {
+	wantBits := map[string]int{"grid": 2, "cycle": 1, "star": 6, "tree": -1, "gnp": -1, "islands": 1, "hub": 9, "edgeless": 0, "one-edge": 0}
+	for _, f := range columnFamilies() {
 		n := f.g.N()
 		d, _ := FloydWarshall(f.g)
-		ref := make([][]int, n)
-		for v := range ref {
-			ref[v] = refTree(f.g, d.V[v*n:(v+1)*n], v)
-		}
-		auto, err := SuccessorsFromDist(f.g, d)
+		pr, err := SuccessorsFromDist(f.g, d)
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
-		min := auto.next.Bits()
-		if want, ok := wantBits[strings.TrimSuffix(strings.TrimSuffix(f.name, "/int"), "/real")]; ok && min != want {
-			t.Errorf("%s: table built at %d bits, want %d", f.name, min, want)
+		s := pr.next
+		wantBytes, maxBits := columnTableBytes(f.g)
+		if want := wantBits[strings.Split(f.name, "/")[0]]; s.Bits() != maxBits || (want >= 0 && maxBits != want) {
+			t.Errorf("%s: widest column %d bits, degree sequence says %d, family %d", f.name, s.Bits(), maxBits, want)
 		}
-		for _, width := range []int{2, 4, 8, 16, 32} {
-			if width < min {
-				continue
+		if got := s.Bytes(); got != wantBytes {
+			t.Errorf("%s: table holds %d bytes, want %d", f.name, got, wantBytes)
+		}
+		if !slices.Equal(s.words, serialSuccessors(t, f.g, d).words) {
+			t.Errorf("%s: pooled build differs from the serial build", f.name)
+		}
+
+		edges := s.adj.weigh(f.g)
+		slots := make([]int32, n)
+		for v := 0; v < n; v++ {
+			if err := successorRow(edges, s.adj, d.V[v*n:(v+1)*n], v, slots, nil); err != nil {
+				t.Fatalf("%s: %v", f.name, err)
 			}
-			s, err := buildSuccessors(f.g, matrixRows(d), width)
-			if err != nil {
-				t.Fatalf("%s at %d bits: %v", f.name, width, err)
+			tree := refTree(f.g, d.V[v*n:(v+1)*n], v)
+			next := func(u int) int { // the hop the unpacked row names, -1 for none
+				if u == v {
+					return v
+				}
+				if slots[u] == -1 {
+					return -1
+				}
+				return f.g.Adj(u)[slots[u]].To
 			}
-			if s.Bits() != width {
-				t.Fatalf("%s: asked for %d bits, built %d", f.name, width, s.Bits())
-			}
-			if got, want := s.Bytes(), slotTableBytes(n, f.g.M(), width); got != want {
-				t.Errorf("%s at %d bits: table holds %d bytes, want %d", f.name, width, got, want)
-			}
-			if !slices.Equal(s.words, serialSuccessors(t, f.g, d, width).words) {
-				t.Errorf("%s at %d bits: pooled build differs from the serial build", f.name, width)
-			}
-			for v := 0; v < n; v++ {
-				for u := 0; u < n; u++ {
-					if got := s.at(v, u); got != ref[v][u] {
-						t.Fatalf("%s at %d bits: next(%d→%d) = %d, vertex-id tree says %d", f.name, width, u, v, got, ref[v][u])
-					}
-					var want []int
-					for cur := u; ref[v][u] != -1; cur = ref[v][cur] {
-						if want = append(want, cur); cur == v {
-							break
-						}
-					}
-					if got := s.Path(u, v); !slices.Equal(got, want) || (got == nil) != (want == nil) {
-						t.Fatalf("%s at %d bits: Path(%d,%d) = %v, vertex-id tree walks %v", f.name, width, u, v, got, want)
+			for u := 0; u < n; u++ {
+				if next(u) != tree[u] {
+					t.Fatalf("%s: unpacked row %d names %d after %d, vertex-id tree says %d", f.name, v, next(u), u, tree[u])
+				}
+				if got := s.at(v, u); got != next(u) {
+					t.Fatalf("%s: next(%d→%d) = %d, unpacked row says %d", f.name, u, v, got, next(u))
+				}
+				var want []int
+				for cur := u; next(u) != -1; cur = next(cur) {
+					if want = append(want, cur); cur == v {
+						break
 					}
 				}
-			}
-			if err := VerifyPaths(f.g, &PathResult{Dist: d, next: s}); err != nil {
-				t.Errorf("%s at %d bits: %v", f.name, width, err)
-			}
-
-			fw := newSuccessors(f.g, width)
-			fw.packRows(floydWarshallNext(f.g, semiring.FromSlice(n, n, f.g.AdjacencyMatrix())))
-			if pathsHash(&PathResult{next: fw}) != pathsHash(FloydWarshallPaths(f.g)) {
-				t.Errorf("%s at %d bits: classical-loop paths differ from the default width's", f.name, width)
+				if got := s.Path(u, v); !slices.Equal(got, want) || (got == nil) != (want == nil) {
+					t.Fatalf("%s: Path(%d,%d) = %v, unpacked row walks %v", f.name, u, v, got, want)
+				}
 			}
 		}
-	}
-
-	g := graph.Grid2D(7, 7, func(u, v int) float64 { return float64(1 + (u+v)%4) })
-	sopts := SparseOptions{Seed: 3, Plans: NewPlanCache()}
-	prev := solvePaths(t, g, 9, sopts)
-	edits := pickEdits(g, rand.New(rand.NewSource(5)), 3, "mixed")
-	want, _, _, err := RepairWithOptions(g, prev, edits, 9, sopts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, width := range []int{8, 32} {
-		widePrev, err := buildSuccessors(g, matrixRows(prev.Dist), width)
-		if err != nil {
-			t.Fatal(err)
+		if err := VerifyPaths(f.g, pr); err != nil {
+			t.Errorf("%s: %v", f.name, err)
 		}
-		got, g2, _, err := RepairWithOptions(g, &PathResult{Dist: prev.Dist, next: widePrev}, edits, 9, sopts, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.next.Bits() != width {
-			t.Fatalf("repair of a %d-bit table came back at %d bits", width, got.next.Bits())
-		}
-		if pathsHash(got) != pathsHash(want) {
-			t.Errorf("repair of a %d-bit table serves different paths from the 4-bit one", width)
-		}
-		if err := VerifyPaths(g2, got); err != nil {
-			t.Error(err)
+		if err := VerifyPaths(f.g, FloydWarshallPaths(f.g)); err != nil {
+			t.Errorf("%s: classical loop: %v", f.name, err)
 		}
 	}
 }
 
-// slotTableBytes is what a table must retain, from first principles: n
-// rows of n entries padded to whole words, plus three int32 arrays over
-// the n+1 offsets and the 2m half-edges twice.
-func slotTableBytes(n, m, width int) int64 {
-	return int64(n)*int64((n*width+63)/64)*8 + int64(n+1+4*m)*4
+// TestSuccessorsRefuseInfInsideComponent: the table answers "no path"
+// from component labels, so a graph whose distances disagree with them —
+// an edge of weight +Inf joins two vertices nothing else does — must
+// never get a table: extraction reports it, the classical loop panics.
+func TestSuccessorsRefuseInfInsideComponent(t *testing.T) {
+	g := graph.Path(5, graph.UnitWeights)
+	g.SetEdge(2, 3, math.Inf(1))
+	d, _ := FloydWarshall(g)
+	if _, err := SuccessorsFromDist(g, d); err == nil || !strings.Contains(err.Error(), "+Inf inside one component") {
+		t.Errorf("SuccessorsFromDist over an Inf edge: err = %v, want the component error", err)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "inside one component") {
+			t.Errorf("FloydWarshallPaths over an Inf edge: recovered %v, want the component panic", r)
+		}
+	}()
+	FloydWarshallPaths(g)
 }
 
-// FuzzSlotRowRoundTrip packs one scratch row at any width into a table
-// pre-filled with a pattern and reads every entry back; the rows on
-// either side of it — the other side of both word boundaries — must
-// still hold the pattern.
+// FuzzSlotRowRoundTrip packs one scratch row into the table of a random
+// degree profile — degrees 0, 1, 2ᵏ and 2ᵏ+1, so columns of no bits sit
+// beside wide ones and entries straddle words — pre-filled with a
+// pattern, and reads every entry back; the rows on either side of it —
+// the other side of both word boundaries — must still hold the pattern.
 func FuzzSlotRowRoundTrip(f *testing.F) {
-	f.Add(uint8(0), uint8(17), uint8(3), []byte{0, 1, 2, 3, 255, 254})
-	f.Add(uint8(4), uint8(33), uint8(0), []byte{255, 255, 255, 255, 7})
-	f.Add(uint8(2), uint8(64), uint8(63), []byte{})
-	f.Fuzz(func(t *testing.T, lg, n8, v8 uint8, data []byte) {
-		width := 2 << (lg % 5)
+	f.Add(uint8(17), uint8(3), []byte{0, 1, 2, 3, 255, 254}, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(uint8(33), uint8(0), []byte{255, 255, 255, 255, 7}, []byte{9, 9, 9, 9, 9, 9, 9})
+	f.Add(uint8(64), uint8(63), []byte{}, []byte{})
+	f.Add(uint8(95), uint8(94), []byte{1, 2, 3}, []byte{11, 10, 11, 10, 11, 10, 11}) // 33- and 32-neighbour columns: 6 and 5 bits, out of step with 64
+	f.Fuzz(func(t *testing.T, n8, v8 uint8, data, profile []byte) {
 		n := 1 + int(n8)%96
 		v := int(v8) % n
-		s := newSuccessors(graph.New(n), width)
+		// Vertex u gets the profile's degree, as far as the vertices after
+		// it (and its own earlier edges) allow.
+		g := graph.New(n)
+		for u := 0; u < n && len(profile) > 0; u++ {
+			deg := 0
+			switch c := int(profile[u%len(profile)]) % 14; {
+			case c >= 2 && c%2 == 0:
+				deg = 1 << (c/2 - 1) // 1, 2, 4, 8, 16, 32
+			case c >= 2:
+				deg = 1<<(c/2-1) + 1 // 2, 3, 5, 9, 17, 33
+			default:
+				deg = c
+			}
+			for w := u + 1; w < n && g.Degree(u) < deg; w++ {
+				g.AddEdge(u, w, 1)
+			}
+		}
+		s := newSuccessors(g)
+		if want, _ := columnTableBytes(g); s.Bytes() != want {
+			t.Fatalf("n %d: table of %d bytes, degree sequence says %d", n, s.Bytes(), want)
+		}
 		const pattern = 0xA5A5_5A5A_C3C3_3C3C
 		for i := range s.words {
 			s.words[i] = pattern
@@ -587,22 +642,19 @@ func FuzzSlotRowRoundTrip(f *testing.F) {
 		slots := make([]int32, n)
 		for u := range slots {
 			slots[u] = -1
-			if u < len(data) && data[u] != 255 {
-				// Any value below the mask that the int32 scratch can
-				// hold is a legal slot at this width.
-				slots[u] = int32(uint32(data[u]) * 0x01010101 % min(s.mask, math.MaxInt32))
+			if u < len(data) && data[u] != 255 && g.Degree(u) > 0 {
+				slots[u] = int32(int(data[u]) * 0x0101 % g.Degree(u))
 			}
 		}
 		s.packRow(v, slots)
 		for u, want := range slots {
-			got := s.slot(s.row(v), u)
-			if (want == -1 && got != s.mask) || (want != -1 && got != uint32(want)) {
-				t.Fatalf("width %d n %d: entry %d packed as %d, read back %#x", width, n, u, want, got)
+			if got := s.slot(s.row(v), u); want != -1 && got != uint32(want) {
+				t.Fatalf("n %d: entry %d (degree %d) packed as %d, read back %#x", n, u, g.Degree(u), want, got)
 			}
 		}
 		for i, w := range s.words {
 			if r := i / s.rowWords; r != v && w != pattern {
-				t.Fatalf("width %d n %d: packing row %d wrote word %d of row %d", width, n, v, i%s.rowWords, r)
+				t.Fatalf("n %d: packing row %d wrote word %d of row %d", n, v, i%s.rowWords, r)
 			}
 		}
 	})

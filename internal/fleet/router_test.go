@@ -421,6 +421,11 @@ func TestRouterStatszAggregates(t *testing.T) {
 	for _, info := range infos {
 		post(t, front.URL, "/query", server.QueryRequest{Graph: info.Graph, Pairs: [][2]int{{0, 5}}})
 	}
+	// And a unit-weight star, for the censuses: one-byte distances, a hub
+	// of four neighbours.
+	if status, data := post(t, front.URL, "/load", server.LoadRequest{N: 5, Edges: [][3]float64{{0, 1, 1}, {0, 2, 1}, {0, 3, 1}, {0, 4, 1}}}); status != http.StatusOK {
+		t.Fatalf("load: status %d: %s", status, data)
+	}
 
 	status, data := get(t, front.URL, "/statsz")
 	if status != http.StatusOK {
@@ -433,8 +438,8 @@ func TestRouterStatszAggregates(t *testing.T) {
 	if st.Mode != "router" || len(st.Backends) != 2 || len(st.Registries) != 2 {
 		t.Fatalf("statsz topology wrong: %+v", st)
 	}
-	if st.Aggregate.Solves != 4 {
-		t.Fatalf("aggregate solves = %d, want 4 (one per generated graph)", st.Aggregate.Solves)
+	if st.Aggregate.Solves != 5 {
+		t.Fatalf("aggregate solves = %d, want 5 (one per graph)", st.Aggregate.Solves)
 	}
 	var sum int64
 	for _, reg := range st.Registries {
@@ -444,16 +449,17 @@ func TestRouterStatszAggregates(t *testing.T) {
 		t.Fatalf("aggregate (%d) != sum of per-backend (%d)", st.Aggregate.Solves, sum)
 	}
 	// The per-entry censuses sum across backends like every counter: four
-	// path graphs with real-valued weights are four f64 stores, each the
-	// triangle of a bit-symmetric matrix, all hot at 2-bit successor slots.
-	if !reflect.DeepEqual(st.Aggregate.StoreKinds, map[string]int{"f64": 4}) ||
-		!reflect.DeepEqual(st.Aggregate.StoreLayouts, map[string]int{"tri": 4}) ||
-		!reflect.DeepEqual(st.Aggregate.SuccBits, map[int]int{2: 4}) {
-		t.Fatalf("aggregate store_kinds = %v, store_layouts = %v, succ_bits = %v, want f64:4, tri:4 and 2:4",
+	// path graphs with real-valued weights are four f64 stores whose widest
+	// successor column is one bit, the star a u8 store whose hub takes two,
+	// each the triangle of a bit-symmetric matrix.
+	if !reflect.DeepEqual(st.Aggregate.StoreKinds, map[string]int{"f64": 4, "u8": 1}) ||
+		!reflect.DeepEqual(st.Aggregate.StoreLayouts, map[string]int{"tri": 5}) ||
+		!reflect.DeepEqual(st.Aggregate.SuccBits, map[int]int{1: 4, 2: 1}) {
+		t.Fatalf("aggregate store_kinds = %v, store_layouts = %v, succ_bits = %v, want f64:4 u8:1, tri:5 and 1:4 2:1",
 			st.Aggregate.StoreKinds, st.Aggregate.StoreLayouts, st.Aggregate.SuccBits)
 	}
-	if st.Graphs != 4 {
-		t.Fatalf("router tracks %d placements, want 4", st.Graphs)
+	if st.Graphs != 5 {
+		t.Fatalf("router tracks %d placements, want 5", st.Graphs)
 	}
 	if st.Endpoints["generate"].Requests != 4 {
 		t.Fatalf("endpoint counters wrong: %+v", st.Endpoints)

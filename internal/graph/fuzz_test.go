@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -16,6 +17,11 @@ func FuzzRead(f *testing.F) {
 	f.Add("n 0\n")
 	f.Add("n 5\n0 4\n")
 	f.Add("n") // regression: bare header once indexed out of range
+	// Regressions: ParseFloat takes all three, and a non-finite weight
+	// was served as a graph (METIS input already refused them).
+	f.Add("n 2\n0 1 NaN\n")
+	f.Add("n 2\n0 1 Inf\n")
+	f.Add("n 2\n0 1 -Inf\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := Read(strings.NewReader(input))
 		if err != nil {
@@ -127,6 +133,9 @@ func checkParsedGraph(t *testing.T, g *Graph) {
 			}
 			if w, ok := g.HasEdge(e.To, v); !ok || w != e.W {
 				t.Fatalf("asymmetric edge {%d,%d}", v, e.To)
+			}
+			if math.IsNaN(e.W) || math.IsInf(e.W, 0) {
+				t.Fatalf("edge {%d,%d} parsed with weight %v", v, e.To, e.W)
 			}
 		}
 	}

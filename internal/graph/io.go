@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -75,8 +76,8 @@ func Read(r io.Reader) (*Graph, error) {
 		w := 1.0
 		if len(fields) >= 3 {
 			w, err = strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad weight %q", line, fields[2])
+			if err != nil || math.IsNaN(w) || math.IsInf(w, 0) {
+				return nil, fmt.Errorf("graph: line %d: bad weight %q (must be finite)", line, fields[2])
 			}
 		}
 		if u < 0 || u >= g.n || v < 0 || v >= g.n {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"os"
 	"time"
@@ -17,13 +18,13 @@ import (
 // Memory axis — for each integer-weight workload, the footprint of a
 // solved oracle as the registry holds it: distances at their proven
 // width and layout — the lower triangle of the bit-symmetric matrix
-// every solver here returns — + the successor table: neighbour slots at
-// the width the family's maximum degree needs, plus the adjacency that
-// decodes them. The serialised store is decoded and verified
+// every solver here returns — + the successor table: neighbour slots,
+// each vertex's column at the width its own degree needs, plus the
+// arrays that decode them. The serialised store is decoded and verified
 // bit-identical before any row is emitted, and the run fails unless
-// every integer workload holds at most n(n+1)/2 two-byte distances —
-// (n+1)/n bytes/pair — plus the table at its family's width — the
-// acceptance gate.
+// every integer workload holds at most n(n+1)/2 distances of one or two
+// bytes — whichever its kind says — plus the table its degree sequence
+// predicts — the acceptance gate.
 //
 // Latency axis — each workload is solved twice against the same
 // persistent plan store directory through two fresh caches, simulating
@@ -34,28 +35,19 @@ func StoreBench(cfg Config, n, p int) (*Table, error) {
 	t := &Table{
 		ID:    "E23",
 		Title: fmt.Sprintf("oracle memory + persistent plan store at n=%d, p=%d", n, p),
-		Columns: []string{"workload", "kind", "slot_bits", "hot_bytes", "hot_B/pair", "per_gb_hot",
+		Columns: []string{"workload", "kind", "slot_bits", "mean_bits", "hot_bytes", "hot_B/pair", "per_gb_hot",
 			"cold_ms", "warm_ms", "cold/warm", "words_moved"},
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	w := func(u, v int) float64 { return float64(rng.Intn(9) + 1) }
-	// bits is the slot width each family must land at: the narrowest of
-	// 2/4/8/16/32 whose all-ones value is left over above the slots of
-	// its highest-degree vertex — the star's hub has n-1 neighbours, the
-	// others stay under 16.
-	starBits := 2
-	for 1<<starBits-1 < n-1 {
-		starBits *= 2
-	}
 	workloads := []struct {
 		name string
 		g    *graph.Graph
-		bits int
 	}{
-		{"star", graph.Star(n, w), starBits},
-		{"tree", graph.RandomTree(n, w, rng), 4},
-		{"grid", gridOfN(n, w), 4},
-		{"gnp-avg4", graph.RandomGNP(n, 4/float64(n), w, rng), 4},
+		{"star", graph.Star(n, w)},
+		{"tree", graph.RandomTree(n, w, rng)},
+		{"grid", gridOfN(n, w)},
+		{"gnp-avg4", graph.RandomGNP(n, 4/float64(n), w, rng)},
 	}
 	for _, wl := range workloads {
 		g := wl.g
@@ -122,28 +114,42 @@ func StoreBench(cfg Config, n, p int) (*Table, error) {
 		if !sameDistBits(coldRes.Dist, dec) {
 			return nil, fmt.Errorf("store %s: serialised store is not bit-lossless", wl.name)
 		}
-		// The table at the family's width, from first principles: rows
-		// of slots padded to whole words, plus three int32 arrays over
-		// the offsets and the half-edges (neighbour, reverse slot). The
-		// distances likewise: the entries on and below the diagonal, two
-		// bytes each.
+		// The table from first principles, off the degree sequence: a
+		// column of bits.Len(deg−1) bits per vertex, rows padded to whole
+		// words, plus the int32 arrays that decode them — neighbour and
+		// bit offsets, the half-edges twice (neighbour, reverse slot),
+		// component labels. The distances likewise: the entries on and
+		// below the diagonal, at the bytes the kind names.
 		gn := int64(g.N())
 		pairs := gn * gn
-		table := gn*((gn*int64(wl.bits)+63)/64)*8 + (gn+1+4*int64(g.M()))*4
-		tri := gn * (gn + 1) / 2 * 2
-		if hotBytes > tri+table {
-			return nil, fmt.Errorf("store %s: %d bytes at %d-bit slots for %d pairs (kind %s), want <= the u16 triangle (%d) + a %d-bit table (%d)",
-				wl.name, hotBytes, res.Successors().Bits(), pairs, kind, tri, wl.bits, tri+table)
+		rowBits, maxBits := int64(0), 0
+		for u := 0; u < g.N(); u++ {
+			if deg := g.Degree(u); deg > 1 {
+				w := bits.Len(uint(deg - 1))
+				rowBits += int64(w)
+				maxBits = max(maxBits, w)
+			}
+		}
+		table := gn*((rowBits+63)/64)*8 + (2*(gn+1)+4*int64(g.M())+gn)*4
+		elem, ok := map[string]int64{"u8": 1, "u16": 2}[kind]
+		if !ok {
+			return nil, fmt.Errorf("store %s: integer-weight distances stored as %s, want u8 or u16", wl.name, kind)
+		}
+		tri := gn * (gn + 1) / 2 * elem
+		if hotBytes > tri+table || res.Successors().Bits() != maxBits {
+			return nil, fmt.Errorf("store %s: %d bytes, widest column %d bits, for %d pairs (kind %s), want <= the %s triangle (%d) + the table of its degree sequence (%d, widest column %d)",
+				wl.name, hotBytes, res.Successors().Bits(), pairs, kind, kind, tri, table, maxBits)
 		}
 		const gb = 1 << 30
-		t.Add(wl.name, kind, res.Successors().Bits(), hotBytes, float64(hotBytes)/float64(pairs), gb/hotBytes,
+		t.Add(wl.name, kind, maxBits, float64(rowBits)/float64(gn), hotBytes, float64(hotBytes)/float64(pairs), gb/hotBytes,
 			coldMs, warmMs, coldMs/warmMs, coldRes.Report.TotalWords)
 	}
-	t.Note("hot: the lower triangle of the distances at their proven width (integer weights: u16,")
-	t.Note("(n+1)/n B/pair, the matrix being proved bit-symmetric) + successors as neighbour slots,")
-	t.Note("slot_bits each — set by the family's maximum degree, so the star's hub keeps its whole")
-	t.Note("table at 16 — plus the counted int32 adjacency that decodes them (serialised store")
-	t.Note("verified bit-identical on decode) — per_gb_hot is how many such graphs fit in one GB")
+	t.Note("hot: the lower triangle of the distances at their proven width (integer weights this")
+	t.Note("small: u8, (n+1)/2n B/pair, the matrix being proved bit-symmetric) + successors as")
+	t.Note("neighbour slots, each column as wide as its vertex's degree needs: slot_bits is the")
+	t.Note("widest column, mean_bits what a pair pays — the star's hub takes 10 bits and its leaves")
+	t.Note("none — plus the counted int32 arrays that decode them (serialised store verified")
+	t.Note("bit-identical on decode) — per_gb_hot is how many such graphs fit in one GB")
 	t.Note("warm_ms is a fresh process over the same -plan-dir: the plan loads from disk")
 	t.Note("hash-verified with zero symbolic builds, so only the numeric phase remains")
 	return t, nil

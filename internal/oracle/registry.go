@@ -435,10 +435,11 @@ type Stats struct {
 	BudgetBytes int64 // configured budget (0 = unlimited)
 
 	// StoreKinds counts resident entries by the kind their distance
-	// store proved: "u16", "u32", "f32", "f64". Integer
-	// weights serve from u16 at 2 bytes per stored entry plus the
-	// successor table; an f64 entry — real-valued weights — costs 8 plus
-	// the table. Kinds with no entry are omitted.
+	// store proved: "u8", "u16", "u32", "f32", "f64". Integer weights
+	// serve from u8 or u16 — 1 or 2 bytes per stored entry, by the
+	// largest distance — plus the successor table; an f64 entry —
+	// real-valued weights — costs 8 plus the table. Kinds with no entry
+	// are omitted.
 	StoreKinds map[string]int
 	// StoreLayouts counts the same entries by how many distances they
 	// keep: "tri" for the lower triangle of a matrix proved
@@ -446,11 +447,11 @@ type Stats struct {
 	// failed the proof and keeps all n². A backend whose solver returns
 	// asymmetric matrices pays 2× and shows up here.
 	StoreLayouts map[string]int
-	// SuccBits counts them by the slot width of their successor table,
-	// which follows the graph's maximum degree: a bounded-degree
-	// triangular u16 entry sits near 1.5 bytes/pair, one hub (16-bit
-	// slots) keeps the whole table at 2 on top of its distances. Widths
-	// with no entry are omitted.
+	// SuccBits counts them by the widest column of their successor table
+	// (Successors.Bits: what the highest-degree vertex's slots take — 2
+	// on a grid, 10 for a 576-star's hub). Columns are sized one by one,
+	// so this names the graph's shape, not its cost. Widths with no
+	// entry are omitted.
 	SuccBits map[int]int
 
 	SolveNanos      int64 // total wall-clock spent solving

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -23,7 +24,6 @@ type storeCase struct {
 	g     *graph.Graph
 	kind  string
 	scale float64
-	bits  int // successor slot width: follows the maximum degree
 	// dist solves g; nil means the classical loop. square says its
 	// matrix is NOT bit-symmetric, so the store must keep both halves.
 	dist   func(g *graph.Graph) (*semiring.Matrix, error)
@@ -42,13 +42,19 @@ func (tc storeCase) solve() (*apsp.PathResult, error) {
 	return apsp.SuccessorsFromDist(tc.g, d)
 }
 
-// succBytes is what the successor table of g must retain at the given
-// slot width, from first principles: n rows of n slots padded to whole
-// 64-bit words, plus the int32 adjacency that decodes them (n+1 offsets,
-// 2m neighbours, 2m reverse slots).
-func succBytes(g *graph.Graph, bits int) int64 {
-	n := g.N()
-	return int64(n)*int64((n*bits+63)/64)*8 + int64(n+1+4*g.M())*4
+// succBytes is what the successor table of g must retain, from first
+// principles: n rows of one column per vertex, bits.Len(deg−1) bits wide,
+// padded to whole 64-bit words, plus the int32 arrays that decode them
+// (n+1 neighbour offsets, n+1 bit offsets, 2m neighbours, 2m reverse
+// slots, n component labels).
+func succBytes(g *graph.Graph) int64 {
+	n, rowBits := g.N(), 0
+	for u := 0; u < n; u++ {
+		if deg := g.Degree(u); deg > 1 {
+			rowBits += bits.Len(uint(deg - 1))
+		}
+	}
+	return int64(n)*int64((rowBits+63)/64)*8 + int64(2*(n+1)+4*g.M()+n)*4
 }
 
 // distBytes is what the distances of an n-vertex graph must retain at
@@ -63,8 +69,8 @@ func distBytes(n, elem int, square bool) int64 {
 
 // hotBytes is an oracle of g over a bit-symmetric matrix: the
 // triangle at elem bytes an entry plus succBytes.
-func hotBytes(g *graph.Graph, elem, bits int) int64 {
-	return distBytes(g.N(), elem, false) + succBytes(g, bits)
+func hotBytes(g *graph.Graph, elem int) int64 {
+	return distBytes(g.N(), elem, false) + succBytes(g)
 }
 
 // bitSymmetric is the symmetry proof by brute force.
@@ -122,6 +128,13 @@ func storeCases() []storeCase {
 	}
 	halves := graph.Grid2D(6, 6, func(u, v int) float64 { return 0.5 * float64(1+rng.Intn(9)) })
 	halves.SetEdge(0, 1, 0.5) // pins the smallest positive distance, and so the scale
+	longHalves := graph.Grid2D(6, 6, func(u, v int) float64 { return 0.5 * float64(60+rng.Intn(9)) })
+	longHalves.SetEdge(0, 1, 0.5) // d(0,35) ≥ 9·30 + 0.5: past the last u8 code at that scale
+
+	brim := graph.Path(3, graph.UnitWeights)
+	brim.SetEdge(1, 2, 253) // d(0,2) = 254: the last u8 code
+	over := graph.Path(3, graph.UnitWeights)
+	over.SetEdge(1, 2, 254) // d(0,2) = 255: the u8 sentinel
 
 	wide := graph.Path(4, graph.UnitWeights)
 	wide.SetEdge(1, 2, 65534) // d(0,2) = 65535: one past the last u16 code
@@ -141,15 +154,19 @@ func storeCases() []storeCase {
 	}
 
 	cases := []storeCase{
-		{name: "u16 scale 1", g: graph.Grid2D(7, 7, ints(1, 9)), kind: "u16", scale: 1, bits: 4},
-		{name: "u16 scale 0.5", g: halves, kind: "u16", scale: 0.5, bits: 4},
-		{name: "u32", g: wide, kind: "u32", scale: 1, bits: 2},
-		{name: "f32", g: edited, kind: "f32", scale: 1, bits: 4},
-		{name: "f64", g: graph.RandomGNP(40, 0.15, graph.RandomWeights(rng, 0.5, 10), rng), kind: "f64", scale: 1, bits: 4},
-		{name: "disconnected", g: islands, kind: "u16", scale: 1, bits: 4},
-		{name: "zero-weight edges", g: graph.Grid2D(6, 6, ints(0, 4)), kind: "u16", scale: 1, bits: 4},
-		{name: "n=0", g: graph.New(0), kind: "u16", scale: 1, bits: 2},
-		{name: "n=1", g: graph.New(1), kind: "u16", scale: 1, bits: 2},
+		{name: "u8 scale 1", g: graph.Grid2D(7, 7, ints(1, 9)), kind: "u8", scale: 1},
+		{name: "u8 scale 0.5", g: halves, kind: "u8", scale: 0.5},
+		{name: "u8 up to 254", g: brim, kind: "u8", scale: 1},
+		{name: "u16 from 255", g: over, kind: "u16", scale: 1},
+		{name: "u16 scale 1", g: graph.Grid2D(7, 7, ints(31, 39)), kind: "u16", scale: 1},
+		{name: "u16 scale 0.5", g: longHalves, kind: "u16", scale: 0.5},
+		{name: "u32", g: wide, kind: "u32", scale: 1},
+		{name: "f32", g: edited, kind: "f32", scale: 1},
+		{name: "f64", g: graph.RandomGNP(40, 0.15, graph.RandomWeights(rng, 0.5, 10), rng), kind: "f64", scale: 1},
+		{name: "disconnected", g: islands, kind: "u8", scale: 1},
+		{name: "zero-weight edges", g: graph.Grid2D(6, 6, ints(0, 4)), kind: "u8", scale: 1},
+		{name: "n=0", g: graph.New(0), kind: "u8", scale: 1},
+		{name: "n=1", g: graph.New(1), kind: "u8", scale: 1},
 	}
 
 	// The solvers of apsp.TestSolveDistSymmetric on a real-valued grid,
@@ -206,7 +223,7 @@ func storeCases() []storeCase {
 			return d, nil
 		}, true},
 	} {
-		cases = append(cases, storeCase{name: "f64 " + sv.name, g: real, kind: "f64", scale: 1, bits: 4, dist: sv.dist, square: sv.square})
+		cases = append(cases, storeCase{name: "f64 " + sv.name, g: real, kind: "f64", scale: 1, dist: sv.dist, square: sv.square})
 	}
 
 	// What /reweight installs on a real-valued graph: the repair folds an
@@ -218,7 +235,7 @@ func storeCases() []storeCase {
 	if err != nil {
 		panic(err)
 	}
-	return append(cases, storeCase{name: "f64 repaired", g: repaired, kind: "f64", scale: 1, bits: 4, square: true,
+	return append(cases, storeCase{name: "f64 repaired", g: repaired, kind: "f64", scale: 1, square: true,
 		dist: func(*graph.Graph) (*semiring.Matrix, error) {
 			prev, err := succSolve(real)
 			if err != nil {
@@ -236,13 +253,13 @@ func storeCases() []storeCase {
 // TestStoreBitIdentity is the store's contract, one row per kind: the
 // oracle built from a solve answers every Dist / BatchDist with the
 // solver's own bits and every Path with the solver's own path, whether
-// the kind was proved (u16, u32, f32) or is the f64 fallback for
+// the kind was proved (u8, u16, u32, f32) or is the f64 fallback for
 // real-valued weights — the store is bit-exact for ANY weights — and
 // whether the symmetry proof held (the triangle: every case but the three
 // marked square) or not. The same holds for the float64 form handed to
 // Repair and for the serialised bytes.
 func TestStoreBitIdentity(t *testing.T) {
-	elem := map[string]int{"u16": 2, "u32": 4, "f32": 4, "f64": 8}
+	elem := map[string]int{"u8": 1, "u16": 2, "u32": 4, "f32": 4, "f64": 8}
 	for _, tc := range storeCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			// ref is solved separately: the f64 kind shares the storage of
@@ -264,9 +281,9 @@ func TestStoreBitIdentity(t *testing.T) {
 				t.Fatalf("stored as %s/%s scale %g, want %s scale %g, square %v", got, o.dist.layoutName(), o.dist.scale, tc.kind, tc.scale, tc.square)
 			}
 			wantDist := distBytes(n, elem[tc.kind], tc.square)
-			if got, want := o.MemoryBytes(), wantDist+succBytes(tc.g, tc.bits); got != want || o.succ.Bits() != tc.bits {
-				t.Errorf("MemoryBytes = %d at %d-bit slots, want %d (%d bytes of %d-byte distances + Successors.Bytes() at %d bits)",
-					got, o.succ.Bits(), want, wantDist, elem[tc.kind], tc.bits)
+			if got, want := o.MemoryBytes(), wantDist+succBytes(tc.g); got != want {
+				t.Errorf("MemoryBytes = %d, want %d (%d bytes of %d-byte distances + the table its degree sequence predicts)",
+					got, want, wantDist, elem[tc.kind])
 			}
 
 			pairs := make([][2]int, 0, n*n)
@@ -344,7 +361,7 @@ func sameMatrixBits(a, b *semiring.Matrix) bool {
 // row is a 2×2 matrix {d00, d01, d10, d11} tried as written — square,
 // since d01 and d10 differ in at least a bit — and with d01 copied onto
 // d10, which must land in the triangle at the kind sym (where the odd
-// value is the only positive one it becomes the scale, and u16 holds it
+// value is the only positive one it becomes the scale, and u8 holds it
 // as k = 1).
 func TestStoreKindBoundaries(t *testing.T) {
 	inf := semiring.Inf
@@ -355,14 +372,20 @@ func TestStoreKindBoundaries(t *testing.T) {
 		vals      []float64
 		kind, sym string
 	}{
+		{"254 is the last u8 code", []float64{0, 254, 1, inf}, "u8", "u8"},
+		{"255 is the u8 sentinel", []float64{0, 255, 1, inf}, "u16", "u16"},
+		{"256 is past it", []float64{0, 256, 1, inf}, "u16", "u16"},
+		{"Inf is 0xFF, beside 254", []float64{0, inf, 254, inf}, "u8", "u8"},
+		{"127 halves are the last u8 code at scale 0.5", []float64{0, 127, 0.5, inf}, "u8", "u8"},
+		{"127.5 is that scale's sentinel", []float64{0, 127.5, 0.5, inf}, "u16", "u8"},
 		{"65534 is the last u16 code", []float64{0, 65534, 1, inf}, "u16", "u16"},
 		{"65535 is the u16 sentinel", []float64{0, 65535, 1, inf}, "u32", "u32"},
 		{"2^32-2 is the last u32 code", []float64{0, 1<<32 - 2, 1, inf}, "u32", "u32"},
 		// 2^32-1 needs 32 mantissa bits, so float32 cannot take it either.
-		{"2^32-1 is the u32 sentinel", []float64{0, 1<<32 - 1, 1, inf}, "f64", "u16"},
-		{"2^32 is float32-exact", []float64{0, 1 << 32, 1, inf}, "f32", "u16"},
-		{"past float32 range", []float64{0, 1e300, 1.5, inf}, "f64", "u16"},
-		{"float64 subnormals", []float64{0, 5e-324, 1e-323, inf}, "u16", "u16"}, // k·5e-324 is exact
+		{"2^32-1 is the u32 sentinel", []float64{0, 1<<32 - 1, 1, inf}, "f64", "u8"},
+		{"2^32 is float32-exact", []float64{0, 1 << 32, 1, inf}, "f32", "u8"},
+		{"past float32 range", []float64{0, 1e300, 1.5, inf}, "f64", "u8"},
+		{"float64 subnormals", []float64{0, 5e-324, 1e-323, inf}, "u8", "u8"}, // k·5e-324 is exact
 		{"a float32 subnormal", []float64{0, 0x1p-149, 1.5, 0.3}, "f64", "f64"},
 		{"negative zero", []float64{0, negZero, 1, inf}, "f64", "f64"},
 		{"negative zero among halves", []float64{0, negZero, 0.5, 1.5}, "f64", "f64"},
@@ -371,10 +394,10 @@ func TestStoreKindBoundaries(t *testing.T) {
 		{"-Inf", []float64{0, math.Inf(-1), 1, inf}, "f32", "f32"},
 		// Mirror pairs that == calls equal, or that differ only where a
 		// comparison of distances never looks: the proof compares bits.
-		{"+0 across the diagonal from -0", []float64{0, 0, negZero, 0}, "f64", "u16"},
+		{"+0 across the diagonal from -0", []float64{0, 0, negZero, 0}, "f64", "u8"},
 		{"NaNs with different payloads", []float64{0, nan1, nan2, 0}, "f64", "f64"},
-		{"Inf on one side only", []float64{0, inf, 7, 0}, "u16", "u16"},
-		{"a mirror entry one ulp off", []float64{0, 0.3, math.Nextafter(0.3, 1), 0}, "f64", "u16"},
+		{"Inf on one side only", []float64{0, inf, 7, 0}, "u8", "u8"},
+		{"a mirror entry one ulp off", []float64{0, 0.3, math.Nextafter(0.3, 1), 0}, "f64", "u8"},
 	} {
 		for _, mirror := range []bool{false, true} {
 			vals, kind := append([]float64(nil), tc.vals...), tc.kind
@@ -397,7 +420,7 @@ func TestStoreKindBoundaries(t *testing.T) {
 	for _, base := range []struct {
 		kind string
 		step float64
-	}{{"u16", 1}, {"u32", 70000}, {"f32", 1.5}, {"f64", 0.1}} {
+	}{{"u8", 1}, {"u16", 4}, {"u32", 70000}, {"f32", 1.5}, {"f64", 0.1}} {
 		sym := semiring.NewMatrix(n, n)
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
@@ -467,12 +490,12 @@ func TestReweightRenarrows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind := o.dist.kindName(); kind != "u16" {
-		t.Fatalf("integer graph stored as %s, want u16", kind)
+	if kind := o.dist.kindName(); kind != "u8" {
+		t.Fatalf("integer graph stored as %s, want u8", kind)
 	}
 	r.checkAccounting(t)
-	if st := r.Stats(); st.Bytes != hotBytes(g, 2, 4) || !reflect.DeepEqual(st.StoreKinds, map[string]int{"u16": 1}) {
-		t.Fatalf("stats = %+v, want one u16 entry of %d bytes", st, hotBytes(g, 2, 4))
+	if st := r.Stats(); st.Bytes != hotBytes(g, 1) || !reflect.DeepEqual(st.StoreKinds, map[string]int{"u8": 1}) {
+		t.Fatalf("stats = %+v, want one u8 entry of %d bytes", st, hotBytes(g, 1))
 	}
 
 	e := g.Edges()[0]
@@ -512,8 +535,8 @@ func TestReweightRenarrows(t *testing.T) {
 		t.Fatalf("after an edit to 0.1 the store is %s, want f64", kind)
 	}
 	r.checkAccounting(t)
-	if st := r.Stats(); st.Bytes != hotBytes(g, 8, 4) || !reflect.DeepEqual(st.StoreKinds, map[string]int{"f64": 1}) {
-		t.Fatalf("stats = %+v, want one f64 entry of %d bytes", st, hotBytes(g, 8, 4))
+	if st := r.Stats(); st.Bytes != hotBytes(g, 8) || !reflect.DeepEqual(st.StoreKinds, map[string]int{"f64": 1}) {
+		t.Fatalf("stats = %+v, want one f64 entry of %d bytes", st, hotBytes(g, 8))
 	}
 	g1, err := apsp.ApplyEdits(g, []apsp.EdgeEdit{{U: e.U, V: e.V, W: 0.1}})
 	if err != nil {
@@ -528,12 +551,12 @@ func TestReweightRenarrows(t *testing.T) {
 	if fp2 != FingerprintOf(g) {
 		t.Error("undoing the edit did not restore the original fingerprint")
 	}
-	if kind := o2.dist.kindName(); kind != "u16" {
-		t.Fatalf("after undoing the edit the store is %s, want u16", kind)
+	if kind := o2.dist.kindName(); kind != "u8" {
+		t.Fatalf("after undoing the edit the store is %s, want u8", kind)
 	}
 	r.checkAccounting(t)
-	if st := r.Stats(); st.Bytes != hotBytes(g, 2, 4) || !reflect.DeepEqual(st.StoreKinds, map[string]int{"u16": 1}) {
-		t.Fatalf("stats = %+v, want one u16 entry of %d bytes", st, hotBytes(g, 2, 4))
+	if st := r.Stats(); st.Bytes != hotBytes(g, 1) || !reflect.DeepEqual(st.StoreKinds, map[string]int{"u8": 1}) {
+		t.Fatalf("stats = %+v, want one u8 entry of %d bytes", st, hotBytes(g, 1))
 	}
 	check(o2, g, true)
 }
@@ -581,8 +604,7 @@ func (r *Registry) checkAccounting(t *testing.T) {
 // accounting from the entries after each step.
 func TestRegistryAccounting(t *testing.T) {
 	// Four grids of one structure (so one size) under different weights,
-	// and a bigger one: 2-byte distances plus 4-bit slots and the
-	// adjacency.
+	// and a bigger one: 1-byte distances plus the slot table.
 	grid := func(seed int64, rows, cols int) *graph.Graph {
 		rng := rand.New(rand.NewSource(seed))
 		return graph.Grid2D(rows, cols, func(u, v int) float64 { return float64(1 + rng.Intn(9)) })
@@ -592,7 +614,7 @@ func TestRegistryAccounting(t *testing.T) {
 		g[i] = grid(int64(500+i), 4, 6)
 	}
 	huge, failing := grid(600, 5, 8), grid(700, 3, 3)
-	one, hugeBytes := hotBytes(g[0], 2, 4), hotBytes(huge, 2, 4)
+	one, hugeBytes := hotBytes(g[0], 1), hotBytes(huge, 1)
 	boom := errors.New("boom")
 	r := NewRegistry(Config{
 		Solve: func(g *graph.Graph) (*apsp.PathResult, error) {
@@ -685,12 +707,12 @@ func TestRegistryAccounting(t *testing.T) {
 // same fingerprint in the meantime is correct too. Run under -race.
 func TestHeldOracleSurvivesEviction(t *testing.T) {
 	const n, queriers, cycles = 24, 4, 25
+	a, b := intGraph(41, n), intGraph(42, n)
 	r := NewRegistry(Config{
 		Solve:        succSolve,
 		Repair:       testRepairer(),
-		MemoryBudget: 4*n*n + 1, // one oracle: every Get of the other graph evicts
+		MemoryBudget: max(hotBytes(a, 1), hotBytes(b, 1)) + 1, // one oracle: every Get of the other graph evicts
 	})
-	a, b := intGraph(41, n), intGraph(42, n)
 	fpA := FingerprintOf(a)
 	if _, err := r.Get(a); err != nil {
 		t.Fatal(err)
@@ -823,6 +845,7 @@ func pathSolve(g *graph.Graph) (*apsp.PathResult, error) {
 func TestMemoryBytesMatchesHeap(t *testing.T) {
 	const k, n = 8, 512
 	ints := func(rng *rand.Rand) float64 { return float64(1 + rng.Intn(9)) }
+	bits01 := func(rng *rand.Rand) float64 { return float64(rng.Intn(8) / 7) } // one edge in eight weighs 1: the path is ≈ 64 long
 	reals := func(rng *rand.Rand) float64 { return 0.5 + 9.5*rng.Float64() }
 	oneUlpOff := func(g *graph.Graph) (*apsp.PathResult, error) {
 		res, err := pathSolve(g)
@@ -839,6 +862,7 @@ func TestMemoryBytesMatchesHeap(t *testing.T) {
 		weight     func(rng *rand.Rand) float64
 		solve      SolveFunc
 	}{
+		{"u8", "u8", 1, false, bits01, pathSolve},
 		{"u16", "u16", 2, false, ints, pathSolve},
 		{"f64", "f64", 8, false, reals, pathSolve},
 		{"f64 square", "f64", 8, true, reals, oneUlpOff},
@@ -865,12 +889,12 @@ func TestMemoryBytesMatchesHeap(t *testing.T) {
 			}
 			grew := heap() - before
 			st := r.Stats()
-			// A path has maximum degree 2: 2-bit slots, n/4 bytes a row.
+			// A path has two leaves and n−2 one-bit columns: n/8 bytes a row.
 			layout := map[string]int{"tri": k}
 			if tc.square {
 				layout = map[string]int{"square": k}
 			}
-			if want := k * (distBytes(n, tc.elem, tc.square) + succBytes(graphs[0], 2)); st.Bytes != want ||
+			if want := k * (distBytes(n, tc.elem, tc.square) + succBytes(graphs[0])); st.Bytes != want ||
 				st.StoreKinds[tc.kind] != k || !reflect.DeepEqual(st.StoreLayouts, layout) {
 				t.Fatalf("registry holds %d bytes in kinds %v, layouts %v, want %d bytes in %d %s entries, layouts %v",
 					st.Bytes, st.StoreKinds, st.StoreLayouts, want, k, tc.kind, layout)
@@ -881,5 +905,56 @@ func TestMemoryBytesMatchesHeap(t *testing.T) {
 			}
 			runtime.KeepAlive(r)
 		})
+	}
+}
+
+// TestMemoryBytesBenchStructures pins oracle_bytes_per_pair on the three
+// structures the end-to-end benchmark solves (bench/gen.go: the 32×32
+// grid, G(768, 4/768) under its fixed structure seed, the 800-cycle;
+// integer weights 1..9): the bytes computed here from n, the degree
+// sequence and the kind the weights must land in — and, so that the
+// computation itself cannot drift, their literal values. The grid and
+// G(n,p) stay under 255 and store a byte per distance; half way round the
+// cycle is past 1,900, two bytes.
+func TestMemoryBytesBenchStructures(t *testing.T) {
+	rng := rand.New(rand.NewSource(20210809)) // bench's gnpStructureSeed: the edge set is part of the count
+	gnp := graph.New(768)
+	var gnpEdges [][2]int
+	for u := 0; u < 768; u++ {
+		for v := u + 1; v < 768; v++ {
+			if rng.Float64() < 4.0/768 {
+				gnpEdges = append(gnpEdges, [2]int{u, v})
+			}
+		}
+	}
+	w := func(u, v int) float64 { return float64(1 + rng.Intn(9)) }
+	for _, e := range gnpEdges {
+		gnp.AddEdge(e[0], e[1], w(e[0], e[1]))
+	}
+	for _, tc := range []struct {
+		name  string
+		g     *graph.Graph
+		kind  string
+		elem  int
+		bytes int64
+	}{
+		{"grid", graph.Grid2D(32, 32, w), "u8", 1, 830984},
+		{"gnp", gnp, "u8", 1, 482712},
+		{"cycle", graph.Cycle(800, w), "u16", 2, 746408},
+	} {
+		res, err := apsp.SparseAPSPWith(tc.g, 49, apsp.SparseOptions{Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := apsp.SuccessorsFromDist(tc.g, res.Dist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := FromResult(pr, nil)
+		n := int64(tc.g.N())
+		if got, want := o.MemoryBytes(), hotBytes(tc.g, tc.elem); got != want || want != tc.bytes || o.dist.kindName() != tc.kind {
+			t.Errorf("%s: MemoryBytes = %d as %s (%.4f B/pair), the degree sequence and %s say %d, pinned %d",
+				tc.name, got, o.dist.kindName(), float64(got)/float64(n*n), tc.kind, want, tc.bytes)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"sparseapsp/internal/semiring"
@@ -15,6 +16,7 @@ import (
 // that is provably lossless for the values at hand, and answers every
 // query from that slice. The kinds, tried in this order by narrow:
 //
+//	u8   quantized: v = k·scale with k ∈ [0, 0xFE], Inf → 0xFF
 //	u16  quantized: v = k·scale with k ∈ [0, 0xFFFE], Inf → 0xFFFF
 //	u32  quantized: v = k·scale with k ∈ [0, 0xFFFFFFFE], Inf → 0xFFFFFFFF
 //	f32  each value survives a float32 round trip bit-exactly
@@ -23,18 +25,22 @@ import (
 // A quantized kind is accepted only after verifying, per value, that
 // float64(k)·scale reproduces the original bit pattern exactly, so the
 // store is ALWAYS bit-lossless: integer-weight graphs (whose distances
-// are small integers) land in u16, and anything that cannot be
-// represented exactly (a fractional edit, NaN, −0) falls through to f32
-// or raw f64.
+// are small integers) land in u8 when the largest finite one is at most
+// 254·scale — unweighted graphs and small weights on short diameters, a
+// 32×32 grid under weights 1..9 included — and in u16 otherwise (the same
+// weights around an 800-cycle), and anything that cannot be represented
+// exactly (a fractional edit, NaN, −0) falls through to f32 or raw f64.
+// The width is a threshold on the values, so it can change with the
+// weights alone; narrow runs again on every reweight.
 //
 // How many entries are kept is proved the same way. An undirected
 // graph's distance matrix is symmetric, and every matrix-based solver
 // returns it BIT-symmetric (apsp.TestSolveDistSymmetric), so narrow
 // compares bits(d(i,j)) with bits(d(j,i)) for every pair and, when all
-// agree, keeps only the lower triangle: n(n+1)/2 entries, about 1 byte
-// per pair at u16 — 1.5 with the successor table of a bounded-degree
-// graph beside it (apsp.Successors: neighbour slots at the width the
-// maximum degree needs). A matrix that fails the proof anywhere —
+// agree, keeps only the lower triangle: n(n+1)/2 entries, about half a
+// byte per pair at u8 — 0.8 with the successor table of a grid beside it
+// (apsp.Successors: neighbour slots, each column at the width its
+// vertex's degree needs). A matrix that fails the proof anywhere —
 // Johnson's, whose Dijkstras sum a path from opposite ends; one entry an
 // ulp off its mirror; +0 across the diagonal from −0 — keeps all n²
 // entries, so every read is still the solver's own bits. The layout is
@@ -43,8 +49,8 @@ import (
 // one.
 //
 // CompressDist / DecompressDist are the byte serialisation of the store
-// (format SAPSPT02; nothing ever persisted an SAPSPT01 blob, so the old
-// magic is simply rejected). No serving path calls them: the bench
+// (format SAPSPT03; nothing ever persisted an older blob, so the old
+// magics are simply rejected). No serving path calls them: the bench
 // census and the E23 harness round-trip a blob in memory, and that is
 // what keeps them (E33). Like the plan codec (and unlike the semiring pack
 // codec's decode-or-panic), DecompressDist must fail closed on malformed
@@ -52,14 +58,15 @@ import (
 
 // tierMagic identifies a serialised store; the trailing digits are the
 // format version.
-const tierMagic = "SAPSPT02"
+const tierMagic = "SAPSPT03"
 
 // tierHeaderLen is magic(8) + kind(1) + layout(1) + reserved(2) + n(4) +
 // scale(8).
 const tierHeaderLen = 24
 
 const (
-	tierU16 = uint8(iota)
+	tierU8 = uint8(iota)
+	tierU16
 	tierU32
 	tierF32
 	tierF64
@@ -72,12 +79,12 @@ const (
 )
 
 var (
-	tierKindNames = [...]string{tierU16: "u16", tierU32: "u32", tierF32: "f32", tierF64: "f64"}
-	tierElemBytes = [...]uint64{tierU16: 2, tierU32: 4, tierF32: 4, tierF64: 8}
+	tierKindNames = [...]string{tierU8: "u8", tierU16: "u16", tierU32: "u32", tierF32: "f32", tierF64: "f64"}
+	tierElemBytes = [...]uint64{tierU8: 1, tierU16: 2, tierU32: 4, tierF32: 4, tierF64: 8}
 )
 
 // distStore is the distance matrix of an n-vertex graph at its proven
-// width and layout: exactly one of the four slices is in use, named by
+// width and layout: exactly one of the five slices is in use, named by
 // kind, and it holds either all n² entries row-major or, when tri is
 // set, the lower triangle packed row-major — entry (i,j), j ≤ i, at
 // i(i+1)/2 + j, standing for (j,i) too. Immutable once built.
@@ -86,6 +93,7 @@ type distStore struct {
 	tri   bool
 	n     int
 	scale float64 // quantized kinds: value = k·scale; 1 for the float kinds
+	u8    []uint8
 	u16   []uint16
 	u32   []uint32
 	f32   []float32
@@ -103,7 +111,7 @@ func (s *distStore) layoutName() string {
 
 // bytes is the retained size of the store: the one slice it holds.
 func (s *distStore) bytes() int64 {
-	return int64(len(s.u16))*2 + int64(len(s.u32))*4 + int64(len(s.f32))*4 + int64(len(s.f64))*8
+	return int64(len(s.u8)) + int64(len(s.u16))*2 + int64(len(s.u32))*4 + int64(len(s.f32))*4 + int64(len(s.f64))*8
 }
 
 // rowSpan is where row r keeps its entries and how many it keeps: all n
@@ -133,6 +141,11 @@ func (s *distStore) at(u, v int) float64 {
 		i = u*(u+1)/2 + v
 	}
 	switch s.kind {
+	case tierU8:
+		if k := s.u8[i]; k != math.MaxUint8 {
+			return float64(k) * s.scale
+		}
+		return semiring.Inf
 	case tierU16:
 		if k := s.u16[i]; k != math.MaxUint16 {
 			return float64(k) * s.scale
@@ -171,6 +184,8 @@ func (s *distStore) row(v int, buf []float64) []float64 {
 // widen all read through.
 func (s *distStore) widenInto(dst []float64, i, step, grow int) {
 	switch s.kind {
+	case tierU8:
+		dequantize(dst, s.u8, i, step, grow, s.scale)
 	case tierU16:
 		dequantize(dst, s.u16, i, step, grow, s.scale)
 	case tierU32:
@@ -188,7 +203,7 @@ func (s *distStore) widenInto(dst []float64, i, step, grow int) {
 	}
 }
 
-func dequantize[T uint16 | uint32](dst []float64, src []T, i, step, grow int, scale float64) {
+func dequantize[T uint8 | uint16 | uint32](dst []float64, src []T, i, step, grow int, scale float64) {
 	for k := range dst {
 		if q := src[i]; q == ^T(0) {
 			dst[k] = semiring.Inf
@@ -305,8 +320,11 @@ func minPositive(v []float64) float64 {
 	return minPos
 }
 
-// quantized tries the two integer kinds at one scale.
+// quantized tries the three integer kinds at one scale, narrowest first.
 func quantized(v []float64, n int, tri bool, scale float64) *distStore {
+	if k := narrowRows(v, n, tri, func(dst []uint8, src []float64) bool { return quantizeRow(dst, src, scale) }); k != nil {
+		return &distStore{kind: tierU8, tri: tri, n: n, scale: scale, u8: k}
+	}
 	if k := narrowRows(v, n, tri, func(dst []uint16, src []float64) bool { return quantizeRow(dst, src, scale) }); k != nil {
 		return &distStore{kind: tierU16, tri: tri, n: n, scale: scale, u16: k}
 	}
@@ -349,7 +367,7 @@ func narrowRows[T any](v []float64, n int, tri bool, row func(dst []T, src []flo
 // make — and comparing bit patterns, so a true answer guarantees a
 // bit-identical read. +Inf takes the all-ones sentinel; NaN, −0 and
 // negative values fail.
-func quantizeRow[T uint16 | uint32](dst []T, src []float64, scale float64) bool {
+func quantizeRow[T uint8 | uint16 | uint32](dst []T, src []float64, scale float64) bool {
 	dst = dst[:len(src)]
 	inf := ^T(0)
 	maxK := float64(inf - 1)
@@ -413,6 +431,8 @@ func (s *distStore) encode() []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(s.n))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.scale))
 	switch s.kind {
+	case tierU8:
+		b = append(b, s.u8...)
 	case tierU16:
 		for _, k := range s.u16 {
 			b = binary.LittleEndian.AppendUint16(b, k)
@@ -442,6 +462,8 @@ func decodeStore(blob []byte) (*distStore, error) {
 	}
 	entries := storeLen(s.n, s.tri)
 	switch s.kind {
+	case tierU8:
+		s.u8 = slices.Clone(payload)
 	case tierU16:
 		s.u16 = make([]uint16, entries)
 		for i := range s.u16 {
@@ -485,8 +507,8 @@ func DecompressDist(blob []byte) (*semiring.Matrix, error) {
 	return s.widen(), nil
 }
 
-// CompressedInfo reports a blob's representation kind ("u16", "u32",
-// "f32", "f64") and matrix dimension without decoding the payload — the
+// CompressedInfo reports a blob's representation kind ("u8", "u16",
+// "u32", "f32", "f64") and matrix dimension without decoding the payload — the
 // cheap probe the E23 harness uses.
 func CompressedInfo(blob []byte) (kind string, n int, err error) {
 	s, _, err := tierSplit(blob)
@@ -522,7 +544,7 @@ func tierSplit(blob []byte) (s *distStore, payload []byte, err error) {
 	}
 	scale := math.Float64frombits(binary.LittleEndian.Uint64(blob[16:]))
 	switch kind {
-	case tierU16, tierU32:
+	case tierU8, tierU16, tierU32:
 		if !(scale > 0) || math.IsInf(scale, 1) {
 			return nil, nil, fmt.Errorf("oracle: invalid quantization scale %v", scale)
 		}

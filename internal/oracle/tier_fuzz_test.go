@@ -19,18 +19,20 @@ func FuzzDecompressMalformed(f *testing.F) {
 	seed := func(vals []float64, n int) {
 		f.Add(CompressDist(semiring.FromSlice(n, n, vals)))
 	}
-	seed([]float64{0, 3, 7, inf}, 2)                          // u16, square (d01 != d10)
+	seed([]float64{0, 3, 7, inf}, 2)                          // u8, square (d01 != d10)
+	seed([]float64{0, 3, 255, inf}, 2)                        // u16, square
 	seed([]float64{0, 70000, 1e9, inf}, 2)                    // u32
 	seed([]float64{0, 1.5, 2.5, inf}, 2)                      // f32
 	seed([]float64{0, 0.1, 0.3, inf}, 2)                      // f64
-	seed([]float64{0, 0.25, 1.5, inf, 0.5, 0, 2, 0, 0}, 3)    // u16, scale 0.25
-	seed([]float64{0, 3, inf, 3, 0, 7, inf, 7, 0}, 3)         // u16, triangle
+	seed([]float64{0, 0.25, 1.5, inf, 0.5, 0, 2, 0, 0}, 3)    // u8, scale 0.25
+	seed([]float64{0, 3, inf, 3, 0, 7, inf, 7, 0}, 3)         // u8, triangle
+	seed([]float64{0, 3, inf, 3, 0, 700, inf, 700, 0}, 3)     // u16, triangle
 	seed([]float64{0, 70000, 70000, 0}, 2)                    // u32, triangle
 	seed([]float64{0, 1.5, 2.5, 1.5, 0, inf, 2.5, inf, 0}, 3) // f32, triangle
 	seed([]float64{0, 0.1, 0.3, 0.1, 0, 0.7, 0.3, 0.7, 0}, 3) // f64, triangle
 	f.Add([]byte{})
 	f.Add([]byte(tierMagic))
-	f.Add(append([]byte("SAPSPT01"), CompressDist(semiring.FromSlice(1, 1, []float64{0}))[8:]...)) // the retired format
+	f.Add(append([]byte("SAPSPT02"), CompressDist(semiring.FromSlice(1, 1, []float64{0}))[8:]...)) // the retired format
 	f.Add([]byte("definitely not a compressed distance blob, but long enough"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -53,7 +55,7 @@ func fuzzValue(b []byte) float64 {
 	x := binary.LittleEndian.Uint64(b[1:])
 	switch b[0] % 10 {
 	case 0:
-		return float64(x % 10) // small integers: the u16 fast path
+		return float64(250 + x%10) // straddles the last u8 code, 254 (x%10 < 5: the u8 fast path)
 	case 1:
 		return float64(65530 + x%10) // straddles the last u16 code, 65534
 	case 2:

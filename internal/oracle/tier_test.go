@@ -18,7 +18,7 @@ func succSolve(g *graph.Graph) (*apsp.PathResult, error) {
 
 // tierWorkloads builds the five standard graph families with small
 // integer weights, so every distance is a small integer and the store
-// must land in the u16 kind.
+// must land in the u8 kind.
 func tierWorkloads(n int) map[string]*graph.Graph {
 	rng := rand.New(rand.NewSource(11))
 	w := func(u, v int) float64 { return float64(rng.Intn(9) + 1) }
@@ -48,8 +48,10 @@ func TestCompressDistKinds(t *testing.T) {
 		vals []float64
 		kind string
 	}{
-		{"integer distances", []float64{0, 3, 7, inf}, "u16"},
-		{"uniform fractional scale", []float64{0, 0.25, 1.5, inf}, "u16"},
+		{"small integer distances", []float64{0, 3, 254, inf}, "u8"},
+		{"uniform fractional scale", []float64{0, 0.25, 1.5, inf}, "u8"},
+		{"integer distances", []float64{0, 3, 255, inf}, "u16"},
+		{"a longer fractional scale", []float64{0, 0.25, 64, inf}, "u16"},
 		{"wide integers", []float64{0, 70000, 1e9, inf}, "u32"},
 		// 2.5/1.5 is not an integer, so quantization fails; both values
 		// survive a float32 round trip.
@@ -81,14 +83,12 @@ func TestCompressDistKinds(t *testing.T) {
 }
 
 // TestCompressDistGraphFamilies runs the codec over real solved
-// distance matrices: integer-weight graphs must land in the u16
-// triangle and decode bit-identically, which is what puts an oracle at
-// n(n+1) bytes of distances — about 1 per pair, in memory or serialised
-// — plus Successors.Bytes(), whose slot width follows the family's
-// maximum degree: 2 bits on the path, 4 on the grid, tree and G(n,p), 8
-// on the 40-vertex star.
+// distance matrices: integer-weight graphs must land in the u8 triangle
+// and decode bit-identically, which is what puts an oracle at n(n+1)/2
+// bytes of distances — about half a byte per pair, in memory or
+// serialised — plus Successors.Bytes(), whose columns follow each
+// vertex's degree.
 func TestCompressDistGraphFamilies(t *testing.T) {
-	bits := map[string]int{"star": 8, "tree": 4, "grid": 4, "path": 2, "gnp": 4}
 	for name, g := range tierWorkloads(40) {
 		res, err := succSolve(g)
 		if err != nil {
@@ -99,8 +99,8 @@ func TestCompressDistGraphFamilies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kind != "u16" {
-			t.Errorf("%s: integer-weight distances compressed as %s, want u16", name, kind)
+		if kind != "u8" {
+			t.Errorf("%s: integer-weight distances compressed as %s, want u8", name, kind)
 		}
 		got, err := DecompressDist(blob)
 		if err != nil {
@@ -111,10 +111,9 @@ func TestCompressDistGraphFamilies(t *testing.T) {
 				t.Fatalf("%s: value %d decoded to %v, want %v bit-exactly", name, i, got.V[i], v)
 			}
 		}
-		o, tri := FromResult(res, nil), distBytes(g.N(), 2, false)
-		if all, dist := o.MemoryBytes(), o.dist.bytes(); all != hotBytes(g, 2, bits[name]) || dist != tri {
-			t.Errorf("%s: oracle holds %d bytes at %d-bit slots, %d of them distances, want %d at %d bits and %d",
-				name, all, o.succ.Bits(), dist, hotBytes(g, 2, bits[name]), bits[name], tri)
+		o, tri := FromResult(res, nil), distBytes(g.N(), 1, false)
+		if all, dist := o.MemoryBytes(), o.dist.bytes(); all != hotBytes(g, 1) || dist != tri {
+			t.Errorf("%s: oracle holds %d bytes, %d of them distances, want %d and %d", name, all, dist, hotBytes(g, 1), tri)
 		}
 		if got, want := int64(len(blob)), tierHeaderLen+tri; got != want {
 			t.Errorf("%s: serialised to %d bytes, want %d", name, got, want)
@@ -124,8 +123,9 @@ func TestCompressDistGraphFamilies(t *testing.T) {
 
 // TestDecompressMalformed drives the store decoder over truncations and
 // header corruptions of a blob in each layout: decode-or-error, never
-// panic. The retired SAPSPT01 magic and a layout byte past the two
-// defined are errors like any other.
+// panic. The retired SAPSPT02 magic — a stale blob's kind byte would
+// name a different width — and a layout byte past the two defined are
+// errors like any other.
 func TestDecompressMalformed(t *testing.T) {
 	for layout, vals := range map[string][]float64{
 		"square": {0, 2, 5, semiring.Inf},
@@ -144,7 +144,8 @@ func TestDecompressMalformed(t *testing.T) {
 			t.Fatalf("%s: trailing byte decoded without error", layout)
 		}
 		for what, corrupt := range map[string]func(b []byte){
-			"the SAPSPT01 magic": func(b []byte) { b[7] = '1' },
+			"the SAPSPT02 magic": func(b []byte) { b[7] = '2' },
+			"kind byte 5":        func(b []byte) { b[8] = 5 },
 			"layout byte 2":      func(b []byte) { b[9] = 2 },
 			"a reserved byte":    func(b []byte) { b[10] = 1 },
 			"the other layout":   func(b []byte) { b[9] ^= 1 }, // same payload, wrong length for it

@@ -454,19 +454,19 @@ type RegistrySnapshot struct {
 	Bytes          int64 `json:"bytes"`
 	BudgetBytes    int64 `json:"budget_bytes"`
 	// store_kinds counts resident entries by the width their distances
-	// proved lossless at: u16 / u32 / f32 / f64. A
-	// backend at 8 bytes per stored distance instead of 2 shows up here
-	// as f64 entries — graphs with non-integer weights.
+	// proved lossless at: u8 / u16 / u32 / f32 / f64. A backend at 8
+	// bytes per stored distance instead of 1 or 2 shows up here as f64
+	// entries — graphs with non-integer weights.
 	StoreKinds map[string]int `json:"store_kinds,omitempty"`
 	// store_layouts counts the same entries by layout: "tri" keeps the
 	// lower triangle of a matrix proved bit-symmetric, "square" all n²
 	// entries of one that failed the proof — a backend paying 2× for its
 	// distances shows up here.
 	StoreLayouts map[string]int `json:"store_layouts,omitempty"`
-	// succ_bits counts them by the slot width of their successor
-	// table (2 / 4 / 8 / 16 / 32 bits, set by the graph's maximum
-	// degree): a hub graph whose table alone costs 2 bytes/pair where a
-	// grid's costs 0.5 shows up here under "16".
+	// succ_bits counts them by the widest column of their successor
+	// table — the bits the highest-degree vertex's slots take: "2" for
+	// a grid, "10" for a 576-star. Every other column is as wide as its
+	// own vertex's degree needs, so a hub costs its one column only.
 	SuccBits map[int]int `json:"succ_bits,omitempty"`
 
 	SolveMs         float64 `json:"solve_ms"`

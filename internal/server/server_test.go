@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -259,10 +260,12 @@ func TestServerQueryOutOfRangePair(t *testing.T) {
 func TestServerEviction(t *testing.T) {
 	// /generate draws real-valued weights, so each 16-vertex grid oracle
 	// holds float64 distances — the lower triangle only, 16·17/2 of them,
-	// the solver's matrix being bit-symmetric — 16 one-word rows of 4-bit
-	// successor slots and the int32 adjacency over 17 offsets and 2·24
-	// half-edges twice: 1088 + 128 + 452 = 1668 bytes; fit two.
-	const oracleBytes = 16*17/2*8 + 16*8 + (17+4*24)*4
+	// the solver's matrix being bit-symmetric — 16 one-word rows of
+	// successor slots (28 bits: the corners' columns take one, the rest
+	// two) and the int32 arrays that decode them over 17 neighbour and 17
+	// bit offsets, 2·24 half-edges twice and 16 component labels:
+	// 1088 + 128 + 584 = 1800 bytes; fit two.
+	const oracleBytes = 16*17/2*8 + 16*8 + (2*17+4*24+16)*4
 	ts, _ := newTestServer(t, 2*oracleBytes)
 	var a, b, c GraphInfo
 	postJSON(t, ts.URL+"/generate", GenerateRequest{Kind: "grid", N: 16, Seed: 1}, &a)
@@ -281,8 +284,8 @@ func TestServerEviction(t *testing.T) {
 	if !reflect.DeepEqual(st.Registry.StoreLayouts, map[string]int{"tri": 2}) {
 		t.Errorf("store_layouts = %v, want the two resident entries under tri", st.Registry.StoreLayouts)
 	}
-	if !reflect.DeepEqual(st.Registry.SuccBits, map[int]int{4: 2}) {
-		t.Errorf("succ_bits = %v, want the two hot entries under 4", st.Registry.SuccBits)
+	if !reflect.DeepEqual(st.Registry.SuccBits, map[int]int{2: 2}) {
+		t.Errorf("succ_bits = %v, want the two resident entries under 2, a grid's widest column", st.Registry.SuccBits)
 	}
 	// The oldest graph must 404 now; the newer ones still answer.
 	if resp := postJSON(t, ts.URL+"/query", QueryRequest{Graph: a.Graph, Pairs: [][2]int{{0, 1}}}, nil); resp.StatusCode != http.StatusNotFound {
@@ -298,9 +301,9 @@ func TestServerEviction(t *testing.T) {
 // with its id would hand out a fingerprint that can never be queried.
 // It is a 413 that says what to raise.
 func TestServerLoadOverWholeBudget(t *testing.T) {
-	// A unit-weight 16-vertex grid is TestServerEviction's oracle at two
-	// bytes a distance: 272 + 128 + 452 = 852 bytes.
-	const oracleBytes, budget = 16*17/2*2 + 16*8 + (17+4*24)*4, 300
+	// A unit-weight 16-vertex grid is TestServerEviction's oracle at one
+	// byte a distance: 136 + 128 + 584 = 848 bytes.
+	const oracleBytes, budget = 16*17/2 + 16*8 + (2*17+4*24+16)*4, 300
 	ts, _ := newTestServer(t, budget)
 	g := graph.Grid2D(4, 4, graph.UnitWeights)
 	req := LoadRequest{N: g.N()}
@@ -533,5 +536,89 @@ func TestServerRefusesOversizedBody(t *testing.T) {
 		if status := post(path, pad+req); status != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s over the limit: status %d, want 413", path, status)
 		}
+	}
+}
+
+// TestServerLoadRejectsNonFiniteWeights: strconv.ParseFloat takes NaN,
+// Inf and -Inf, and /load used to answer each with 200 and a fingerprint
+// (the METIS reader and /reweight already refused them). A non-finite
+// weight is a 400 naming the line, whatever solver the registry runs —
+// which is also what makes "finite distance ⇔ same component" hold for
+// every graph the server loads.
+func TestServerLoadRejectsNonFiniteWeights(t *testing.T) {
+	for _, opts := range []sparseapsp.Options{
+		{Algorithm: sparseapsp.SeqFW},
+		{Algorithm: sparseapsp.Sparse2D, P: 9},
+	} {
+		ts := httptest.NewServer(New(sparseapsp.NewOracleRegistry(opts, 0)))
+		for _, w := range []string{"NaN", "Inf", "-Inf"} {
+			resp, err := http.Post(ts.URL+"/load", "text/plain", strings.NewReader("n 3\n1 2 4\n0 1 "+w+"\n"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "line 3") {
+				t.Errorf("%s: /load with weight %s: status %d (%s), want 400 naming line 3", opts.Algorithm, w, resp.StatusCode, msg)
+			}
+		}
+		if st := getStats(t, ts.URL); st.Registry.Solves != 0 || st.Registry.Entries != 0 {
+			t.Errorf("%s: registry = %+v, want nothing solved", opts.Algorithm, st.Registry)
+		}
+		ts.Close()
+	}
+}
+
+// TestServerPathsGolden: the reply to a paths:true query over every pair
+// of a fixed 5×6 grid — integer weights 0..4, so ties and zero-weight
+// edges are everywhere — is byte-equal to testdata/grid_paths.golden,
+// captured at the last commit whose successor table had one slot width
+// per table and an all-ones "none" code. The store kinds beside it are
+// what /statsz must report for such a graph.
+func TestServerPathsGolden(t *testing.T) {
+	ts, _ := newTestServer(t, 0)
+	g := graph.Grid2D(5, 6, func(u, v int) float64 { return float64((3*u + 5*v) % 5) })
+	var body bytes.Buffer
+	if err := g.Write(&body); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/load", "text/plain", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info GraphInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/load: status %d, %v", resp.StatusCode, err)
+	}
+	resp.Body.Close()
+	req := QueryRequest{Graph: info.Graph, Paths: true}
+	for u := 0; u < g.N(); u++ {
+		for v := 0; v < g.N(); v++ {
+			req.Pairs = append(req.Pairs, [2]int{u, v})
+		}
+	}
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(ts.URL+"/query", "application/json", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/query: status %d, %v", resp.StatusCode, err)
+	}
+	want, err := os.ReadFile("testdata/grid_paths.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("paths:true reply (%d bytes) differs from the golden (%d bytes)", len(got), len(want))
+	}
+	st := getStats(t, ts.URL).Registry
+	if !reflect.DeepEqual(st.StoreKinds, map[string]int{"u8": 1}) || !reflect.DeepEqual(st.SuccBits, map[int]int{2: 1}) {
+		t.Errorf("store_kinds = %v, succ_bits = %v, want one u8 entry whose widest column is 2 bits", st.StoreKinds, st.SuccBits)
 	}
 }
