@@ -54,29 +54,6 @@ type (
 // Inf is the distance of unreachable pairs.
 var Inf = semiring.Inf
 
-// Kernel selects the min-plus compute kernel the solvers use for their
-// local block arithmetic. Every kernel produces bit-identical distances
-// and identical operation counts — the choice affects wall-clock only,
-// never the simulated communication costs.
-type Kernel = semiring.Kernel
-
-const (
-	// KernelSerial is the reference i-k-j loop (the default).
-	KernelSerial = semiring.KernelSerial
-	// KernelTiled is the cache-blocked kernel with autotuned tile sizes.
-	KernelTiled = semiring.KernelTiled
-	// KernelPooled is the tiled kernel fanned out over a persistent
-	// worker pool.
-	KernelPooled = semiring.KernelPooled
-	// KernelSparse indexes the finite entries of the left operand
-	// CSR-style, falling back to the tiled kernel on dense panels.
-	KernelSparse = semiring.KernelSparse
-)
-
-// ParseKernel maps a kernel name ("serial", "tiled", "pooled",
-// "sparse"; "" means serial) to its Kernel value.
-var ParseKernel = semiring.ParseKernel
-
 // NewGraph returns an empty graph with n vertices; add edges with
 // AddEdge.
 func NewGraph(n int) *Graph { return graph.New(n) }
@@ -146,12 +123,6 @@ type Options struct {
 	CyclicFactor int
 	// BlockSize is the block size for SeqBlockedFW (default 64).
 	BlockSize int
-	// Kernel selects the min-plus compute kernel (KernelSerial,
-	// KernelTiled, KernelPooled or KernelSparse). All kernels give bit-identical
-	// results and operation counts; the default serial kernel is usually
-	// right for the distributed solvers, whose ranks already run
-	// concurrently.
-	Kernel Kernel
 	// Wire selects the sparse solver's payload encoding: WirePruned
 	// (default — provably empty broadcasts are skipped and every other
 	// broadcast ships only the payload rows/columns some receiver can
@@ -268,20 +239,20 @@ func Solve(g *Graph, opts Options) (*Result, error) {
 		if _, err := apsp.HeightForP(opts.P); err != nil {
 			return nil, invalidSparsePError(opts.P)
 		}
-		r, err := apsp.SparseAPSPWith(g, opts.P, apsp.SparseOptions{Seed: opts.Seed, Kernel: opts.Kernel, Wire: opts.Wire, ExecWorkers: opts.ExecWorkers, Plans: opts.Plans})
+		r, err := apsp.SparseAPSPWith(g, opts.P, apsp.SparseOptions{Seed: opts.Seed, Wire: opts.Wire, ExecWorkers: opts.ExecWorkers, Plans: opts.Plans})
 		if err != nil {
 			return nil, err
 		}
 		return &Result{Dist: r.Dist, Algorithm: alg, Report: r.Report,
 			SeparatorSize: r.Layout.ND.SeparatorSize()}, nil
 	case DenseDC:
-		r, err := apsp.DCAPSPKernel(g, opts.P, opts.CyclicFactor, opts.Kernel)
+		r, err := apsp.DCAPSP(g, opts.P, opts.CyclicFactor)
 		if err != nil {
 			return nil, err
 		}
 		return &Result{Dist: r.Dist, Algorithm: alg, Report: r.Report}, nil
 	case Dense2DFW:
-		r, err := apsp.Dist2DFWKernel(g, opts.P, opts.Kernel)
+		r, err := apsp.Dist2DFW(g, opts.P)
 		if err != nil {
 			return nil, err
 		}
@@ -293,13 +264,13 @@ func Solve(g *Graph, opts Options) (*Result, error) {
 		}
 		return &Result{Dist: r.Dist, Algorithm: alg, Report: r.Report}, nil
 	case SeqFW:
-		d, ops := apsp.FloydWarshallKernel(g, opts.Kernel)
+		d, ops := apsp.FloydWarshall(g)
 		return &Result{Dist: d, Algorithm: alg, Ops: ops}, nil
 	case SeqBlockedFW:
-		d, ops := apsp.BlockedFloydWarshallKernel(g, opts.BlockSize, opts.Kernel)
+		d, ops := apsp.BlockedFloydWarshall(g, opts.BlockSize)
 		return &Result{Dist: d, Algorithm: alg, Ops: ops}, nil
 	case SeqSuperFW:
-		r, err := apsp.SuperFWKernel(g, opts.TreeHeight, opts.Seed, opts.Kernel)
+		r, err := apsp.SuperFW(g, opts.TreeHeight, opts.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -363,7 +334,7 @@ func SeparatorSize(g *Graph, seed int64) (int, error) {
 type PathResult = apsp.PathResult
 
 // SolveWithPathsOptions computes APSP with path reconstruction using
-// the solver, machine size and kernel selected by opts — any Solve
+// the solver and machine size selected by opts — any Solve
 // configuration works, including the distributed SparseAPSP. The
 // successor structure is extracted from the finished distance matrix
 // (see internal/apsp.SuccessorsFromDist), so Path(u, v) queries run in
@@ -401,7 +372,7 @@ func SolveWithPathsOptions(g *Graph, opts Options) (*PathResult, error) {
 // result answers Path(u, v) queries in time proportional to the path
 // length. Sequential (classical Floyd–Warshall with successors). It is
 // a thin wrapper around SolveWithPathsOptions; use that variant to
-// pick a solver/kernel and to get errors instead of panics.
+// pick a solver and to get errors instead of panics.
 func SolveWithPaths(g *Graph) *PathResult {
 	return apsp.FloydWarshallPaths(g)
 }
@@ -462,7 +433,7 @@ func repairP(opts Options) int {
 // registry has already solved performs no symbolic work.
 func oracleRepairer(opts Options) oracle.RepairFunc {
 	p := repairP(opts)
-	sopts := apsp.SparseOptions{Seed: opts.Seed, Kernel: opts.Kernel, Wire: opts.Wire, ExecWorkers: opts.ExecWorkers, Plans: opts.Plans}
+	sopts := apsp.SparseOptions{Seed: opts.Seed, Wire: opts.Wire, ExecWorkers: opts.ExecWorkers, Plans: opts.Plans}
 	return func(g *Graph, prevDist apsp.RowFunc, prevNext *apsp.Successors, edits []EdgeEdit) (*PathResult, *Graph, RepairStats, error) {
 		return apsp.RepairRowsWithOptions(g, prevDist, prevNext, edits, p, sopts, 0)
 	}

@@ -154,8 +154,6 @@ func TestSolveWithPathsOptionsAcrossSolvers(t *testing.T) {
 		{Algorithm: SeqBlockedFW, BlockSize: 8},
 		{Algorithm: SeqSuperFW},
 		{Algorithm: Sparse2D, P: 9},
-		{Algorithm: SeqFW, Kernel: KernelTiled},
-		{Algorithm: SeqFW, Kernel: KernelPooled},
 	} {
 		pr, err := SolveWithPathsOptions(g, opts)
 		if err != nil {

@@ -23,7 +23,6 @@ import (
 
 	"sparseapsp/internal/apsp"
 	"sparseapsp/internal/harness"
-	"sparseapsp/internal/semiring"
 )
 
 func main() {
@@ -37,7 +36,6 @@ func main() {
 		xp          = flag.Int("crossover-p", 49, "crossover experiment machine size")
 		csv         = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		jsonOut     = flag.String("json", "", "also write all experiment tables as machine-readable JSON to this file")
-		kernel      = flag.String("kernel", "serial", "min-plus kernel for local block arithmetic: "+semiring.KernelNames+" (results and measured costs are identical; wall-clock only)")
 		wire        = flag.String("wire", "pruned", "sparse-solver payload encoding: pruned (structure-aware demand keep-lists, the default) or dense (ablation baseline)")
 		execWorkers = flag.Int("exec-workers", 0, "sparse-solver executor worker count; 0 = auto (sized from the host, capped at p)")
 		reps        = flag.Int("exec-reps", 5, "timed repetitions per variant in the reweight experiment (best-of)")
@@ -47,10 +45,6 @@ func main() {
 	)
 	flag.Parse()
 
-	kern, err := semiring.ParseKernel(*kernel)
-	if err != nil {
-		fatal(err)
-	}
 	wf, err := apsp.ParseWireFormat(*wire)
 	if err != nil {
 		fatal(err)
@@ -97,7 +91,6 @@ func main() {
 		Ps:           parseInts(*ps),
 		Seed:         *seed,
 		CyclicFactor: *cyc,
-		Kernel:       kern,
 		Wire:         wf,
 		ExecWorkers:  *execWorkers,
 	}

@@ -35,7 +35,7 @@
 //
 // Usage:
 //
-//	apspd -addr :8080 -algorithm auto -kernel tiled -budget-mb 512
+//	apspd -addr :8080 -algorithm auto -budget-mb 512
 //	apspd -addr :8080 -pprof localhost:6060   # live profiling on a side address
 //	apspd -mode router -addr :8080 -backends http://s1:8081,http://s2:8082 -replicas 2
 package main
@@ -56,7 +56,6 @@ import (
 
 	"sparseapsp"
 	"sparseapsp/internal/fleet"
-	"sparseapsp/internal/semiring"
 	"sparseapsp/internal/server"
 )
 
@@ -69,7 +68,6 @@ func main() {
 		// serve-mode flags
 		alg      = flag.String("algorithm", "auto", "APSP solver: auto, sparse2d, dc, 2dfw, 1dfw, fw, blockedfw, superfw, superfw-par, johnson")
 		p        = flag.Int("p", 0, "simulated machine size for the distributed solvers (0 = sequential auto)")
-		kernel   = flag.String("kernel", "serial", "min-plus kernel: "+semiring.KernelNames)
 		seed     = flag.Int64("seed", 42, "nested-dissection seed")
 		budgetMB = flag.Int64("budget-mb", 0, "oracle cache memory budget in MiB (0 = unlimited)")
 		planDir  = flag.String("plan-dir", "", "persist symbolic plans to this directory: a restarted process reloads them and serves warm solves with zero symbolic rebuilds (empty = memory-only cache)")
@@ -93,10 +91,6 @@ func main() {
 
 	switch *mode {
 	case "serve":
-		kern, err := semiring.ParseKernel(*kernel)
-		if err != nil {
-			fatal(err)
-		}
 		// 0 means auto; an explicit -exec-workers must name at least one
 		// worker. flag.Visit distinguishes "-exec-workers 0" from the
 		// default.
@@ -109,7 +103,6 @@ func main() {
 			Algorithm:   sparseapsp.Algorithm(*alg),
 			P:           *p,
 			Seed:        *seed,
-			Kernel:      kern,
 			ExecWorkers: *workers,
 		}
 		if *planDir != "" {
@@ -134,8 +127,8 @@ func main() {
 					reg.ActiveSolves(), err)
 			}
 		}
-		banner = fmt.Sprintf("serving on %s (algorithm=%s kernel=%s budget=%d MiB plan-dir=%q)",
-			*addr, *alg, *kernel, *budgetMB, *planDir)
+		banner = fmt.Sprintf("serving on %s (algorithm=%s budget=%d MiB plan-dir=%q)",
+			*addr, *alg, *budgetMB, *planDir)
 
 	case "router":
 		urls := splitBackends(*backends)

@@ -21,7 +21,7 @@ func main() {
 	// The registry solves on first request and caches by content
 	// fingerprint under a 64 MiB budget.
 	reg := sparseapsp.NewOracleRegistry(
-		sparseapsp.Options{Algorithm: sparseapsp.SeqSuperFW, Kernel: sparseapsp.KernelTiled},
+		sparseapsp.Options{Algorithm: sparseapsp.SeqSuperFW},
 		64<<20)
 
 	o, err := reg.Get(g)

@@ -39,7 +39,7 @@ import (
 //     enqueues, atomics and panic fences) while executing the exact
 //     same micro sequence — charged costs and message counts are
 //     untouched. Runs of R2 panel updates inside a super-node execute
-//     through the fused semiring.Kernel.PanelUpdateMultiScratch, which
+//     through the fused semiring.PanelUpdateMultiScratch, which
 //     keeps the destination block hot across the accumulations.
 //   - Critical-path priorities: every super-node carries the longest
 //     cost path from itself to any sink (comm.PriorityCost over the
@@ -636,7 +636,6 @@ type dfHeap struct {
 type dfRun struct {
 	pl      *Plan
 	prog    *dfProgram
-	kern    semiring.Kernel
 	sizes   []int
 	led     *comm.Replay
 	ranks   []dfRankState
@@ -674,10 +673,9 @@ type dfRun struct {
 }
 
 // ExecOpts are the execution-time settings of a Plan replay; the zero
-// value (serial kernel, auto worker count) is what production runs.
-// Neither changes a bit of the distances or the charged costs.
+// value (auto worker count) is what production runs. It changes no bit
+// of the distances or the charged costs.
 type ExecOpts struct {
-	Kernel semiring.Kernel
 	// Workers bounds the worker pool. 0 means auto (the shared pool's
 	// size, capped at p); explicit values are capped at p, and the pool
 	// itself never runs more than its own size concurrently.
@@ -711,7 +709,6 @@ func (pl *Plan) ExecuteOpts(ly *Layout, o ExecOpts) (*DistResult, error) {
 	x := &dfRun{
 		pl:      pl,
 		prog:    prog,
-		kern:    o.Kernel,
 		sizes:   pl.ND.Sizes,
 		led:     comm.NewReplay(pl.P),
 		ranks:   make([]dfRankState, pl.P),
@@ -1109,7 +1106,7 @@ func (x *dfRun) execPanelChain(start, end int32, w int, a *semiring.Arena) int32
 			Right: op.Kind != opR2Left,
 		}
 	}
-	x.kern.PanelUpdateMultiScratch(rs.A, steps, a,
+	semiring.PanelUpdateMultiScratch(rs.A, steps, a,
 		func(i int) {
 			n := &x.prog.micros[start+int32(i)]
 			x.led.SetSendClass(rank, comm.SendR2)
@@ -1161,7 +1158,7 @@ func (x *dfRun) exec(id int32, w int, a *semiring.Arena) {
 		x.led.SetMemory(rank, int64(len(rs.A.V)))
 
 	case dfDiag:
-		x.led.AddFlops(rank, x.kern.ClassicalFW(rs.A))
+		x.led.AddFlops(rank, semiring.ClassicalFW(rs.A))
 
 	case dfR2:
 		op := &lv.R2[n.op]
@@ -1170,9 +1167,9 @@ func (x *dfRun) exec(id int32, w int, a *semiring.Arena) {
 			dk := x.pl.unpack(data, x.sizes[op.BI], x.sizes[op.BJ])
 			x.led.AddMemory(rank, int64(len(dk.V)))
 			if op.Kind == opR2Left {
-				x.led.AddFlops(rank, x.kern.PanelUpdateLeftScratch(rs.A, dk, a))
+				x.led.AddFlops(rank, semiring.PanelUpdateLeftScratch(rs.A, dk, a))
 			} else {
-				x.led.AddFlops(rank, x.kern.PanelUpdateRightScratch(rs.A, dk, a))
+				x.led.AddFlops(rank, semiring.PanelUpdateRightScratch(rs.A, dk, a))
 			}
 			x.led.AddMemory(rank, -int64(len(dk.V)))
 		}
@@ -1192,7 +1189,7 @@ func (x *dfRun) exec(id int32, w int, a *semiring.Arena) {
 
 	case dfR3Mul:
 		if rs.rowPanel != nil && rs.colPanel != nil {
-			x.led.AddFlops(rank, x.kern.MulAddInto(rs.A, rs.rowPanel, rs.colPanel))
+			x.led.AddFlops(rank, semiring.MulAddInto(rs.A, rs.rowPanel, rs.colPanel))
 		}
 		if rs.rowPanel != nil {
 			x.led.AddMemory(rank, -int64(len(rs.rowPanel.V)))
@@ -1222,7 +1219,7 @@ func (x *dfRun) exec(id int32, w int, a *semiring.Arena) {
 		u := &lv.R4Units[n.op]
 		rs.unit = semiring.NewMatrix(x.sizes[u.I], x.sizes[u.J])
 		x.led.AddMemory(rank, int64(len(rs.unit.V)))
-		x.led.AddFlops(rank, x.kern.MulAddInto(rs.unit, rs.unitAik, rs.unitAkj))
+		x.led.AddFlops(rank, semiring.MulAddInto(rs.unit, rs.unitAik, rs.unitAkj))
 
 	case dfReduce:
 		op := &lv.R4Reduce[n.op]
@@ -1285,7 +1282,7 @@ func (x *dfRun) exec(id int32, w int, a *semiring.Arena) {
 				transient += int64(len(akj.V))
 			}
 			x.led.AddMemory(rank, transient)
-			x.led.AddFlops(rank, x.kern.MulAddInto(rs.A, aik, akj))
+			x.led.AddFlops(rank, semiring.MulAddInto(rs.A, aik, akj))
 			x.led.AddMemory(rank, -transient)
 		}
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"sparseapsp/internal/graph"
-	"sparseapsp/internal/semiring"
 )
 
 // machineSolve is SparseAPSPWith on the reference semantics: the same
@@ -23,7 +22,7 @@ func machineSolve(g *graph.Graph, p int, opts SparseOptions) (*DistResult, error
 	if err != nil {
 		return nil, err
 	}
-	return pl.executeMachine(ly, opts.Kernel)
+	return pl.executeMachine(ly)
 }
 
 // TestExecutorEquality is the executor's referee: for several graph
@@ -79,28 +78,6 @@ func TestExecutorEquality(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestExecutorEqualityPooledKernel repeats the equality check with the
-// pooled kernel, which nests pool jobs inside the dataflow drain loops
-// — the configuration that would deadlock if the drains ran on the
-// kernel pool's job workers instead of Pool.Drive's dedicated
-// goroutines.
-func TestExecutorEqualityPooledKernel(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	g := graph.Grid2D(12, 12, integerWeights(rng, 10))
-	opts := SparseOptions{Seed: 5, Kernel: semiring.KernelPooled}
-	mach, err := machineSolve(g, 49, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flow, err := SparseAPSPWith(g, 49, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !identicalMatrices(flow.Dist, mach.Dist) || !reflect.DeepEqual(flow.Report, mach.Report) {
-		t.Error("pooled-kernel dataflow run differs from machine run")
 	}
 }
 
@@ -242,7 +219,7 @@ func BenchmarkPlanExecute(b *testing.B) {
 			name string
 			run  func() (*DistResult, error)
 		}{
-			{"machine", func() (*DistResult, error) { return pl.executeMachine(ly, semiring.KernelSerial) }},
+			{"machine", func() (*DistResult, error) { return pl.executeMachine(ly) }},
 			{"dataflow", func() (*DistResult, error) { return pl.ExecuteOpts(ly, ExecOpts{}) }},
 		} {
 			b.Run(fmt.Sprintf("grid%d_p%d/%s", bc.side, bc.p, ex.name), func(b *testing.B) {

@@ -37,13 +37,6 @@ import (
 // default used by the experiments, and BenchmarkLayoutAblation sweeps
 // it.
 func DCAPSP(g *graph.Graph, p int, cyclicFactor int) (*DistResult, error) {
-	return DCAPSPKernel(g, p, cyclicFactor, semiring.KernelSerial)
-}
-
-// DCAPSPKernel is DCAPSP with an explicit min-plus kernel for each
-// rank's local block arithmetic. Distances, operation counts and the
-// simulated cost report are identical for every kernel.
-func DCAPSPKernel(g *graph.Graph, p int, cyclicFactor int, kern semiring.Kernel) (*DistResult, error) {
 	grid, err := comm.NewSquareGrid(p)
 	if err != nil {
 		return nil, err
@@ -104,7 +97,6 @@ func DCAPSPKernel(g *graph.Graph, p int, cyclicFactor int, kern semiring.Kernel)
 			nb:    nb,
 			dim:   dim,
 			local: blocks[ctx.Rank()],
-			kern:  kern,
 		}
 		w.myI, w.myJ = grid.Coords(ctx.Rank())
 		var words int64
@@ -195,7 +187,6 @@ type dcWorker struct {
 	dim      func(int) int
 	local    map[[2]int]*semiring.Matrix
 	myI, myJ int
-	kern     semiring.Kernel // min-plus kernel for local block arithmetic
 }
 
 func (w *dcWorker) tag(family, x int) int { return family*4096 + x }
@@ -205,7 +196,7 @@ func (w *dcWorker) run(sch *dcSchedule) {
 	for _, st := range sch.steps {
 		if !st.Summa {
 			if blk, mine := w.local[[2]int{st.T, st.T}]; mine {
-				w.ctx.AddFlops(w.kern.ClassicalFW(blk))
+				w.ctx.AddFlops(semiring.ClassicalFW(blk))
 			}
 			continue
 		}
@@ -259,7 +250,7 @@ func (w *dcWorker) summaStep(st dcStep) {
 				continue
 			}
 			bm := semiring.FromSlice(w.dim(t), w.dim(bj), colPanels[bj])
-			w.ctx.AddFlops(w.kern.MulAddInto(w.local[[2]int{bi, bj}], a, bm))
+			w.ctx.AddFlops(semiring.MulAddInto(w.local[[2]int{bi, bj}], a, bm))
 		}
 	}
 	for _, d := range rowPanels {

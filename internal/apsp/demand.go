@@ -43,8 +43,8 @@ import "math/bits"
 // symmetrically for columns against right-operand rows). A dropped
 // row then contributes only Inf terms to every min-plus fold at every
 // receiver, and min(x, Inf) = x bit-for-bit — which is why wire=pruned
-// distances are bit-identical to wire=dense (pinned by the golden and
-// kernel×wire tests).
+// distances are bit-identical to wire=dense (pinned by the golden
+// table and TestSparseAPSPMatchesClassicalFW).
 
 // PruneSpec is a per-op prune descriptor frozen into the Plan: the
 // ascending row/column indices of the payload at least one consumer

@@ -19,13 +19,6 @@ import (
 // It accepts any perfect-square p and serves as the second dense
 // baseline next to DCAPSP.
 func Dist2DFW(g *graph.Graph, p int) (*DistResult, error) {
-	return Dist2DFWKernel(g, p, semiring.KernelSerial)
-}
-
-// Dist2DFWKernel is Dist2DFW with an explicit min-plus kernel for each
-// rank's local block arithmetic. Distances, operation counts and the
-// simulated cost report are identical for every kernel.
-func Dist2DFWKernel(g *graph.Graph, p int, kern semiring.Kernel) (*DistResult, error) {
 	grid, err := comm.NewSquareGrid(p)
 	if err != nil {
 		return nil, err
@@ -35,7 +28,7 @@ func Dist2DFWKernel(g *graph.Graph, p int, kern semiring.Kernel) (*DistResult, e
 	blocks, starts := denseBlocks(g, s)
 	machine := comm.NewMachine(p)
 	err = machine.Run(func(ctx *comm.Ctx) {
-		dist2dRank(ctx, grid, blocks, starts, kern)
+		dist2dRank(ctx, grid, blocks, starts)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("apsp: 2D FW solver failed: %w", err)
@@ -102,7 +95,7 @@ func assembleDense(blocks [][]*semiring.Matrix, starts []int, n int) *semiring.M
 	return out
 }
 
-func dist2dRank(ctx *comm.Ctx, grid comm.Grid, blocks [][]*semiring.Matrix, starts []int, kern semiring.Kernel) {
+func dist2dRank(ctx *comm.Ctx, grid comm.Grid, blocks [][]*semiring.Matrix, starts []int) {
 	s := grid.Rows
 	myI, myJ := grid.Coords(ctx.Rank())
 	A := blocks[myI][myJ]
@@ -113,7 +106,7 @@ func dist2dRank(ctx *comm.Ctx, grid comm.Grid, blocks [][]*semiring.Matrix, star
 	for k := 0; k < s; k++ {
 		// Diagonal update on P_kk.
 		if myI == k && myJ == k {
-			ctx.AddFlops(kern.ClassicalFW(A))
+			ctx.AddFlops(semiring.ClassicalFW(A))
 		}
 		// Pivot column: broadcast A(k,k) down column k, update panels.
 		if myJ == k {
@@ -124,7 +117,7 @@ func dist2dRank(ctx *comm.Ctx, grid comm.Grid, blocks [][]*semiring.Matrix, star
 			data := ctx.Bcast(grid.ColRanks(k), grid.Rank(k, k), tag(k, 1, 0), payload)
 			if myI != k {
 				dk := semiring.FromSlice(dims(k), dims(k), data)
-				ctx.AddFlops(kern.PanelUpdateLeft(A, dk))
+				ctx.AddFlops(semiring.PanelUpdateLeft(A, dk))
 			}
 		}
 		// Pivot row: broadcast A(k,k) along row k, update panels.
@@ -136,7 +129,7 @@ func dist2dRank(ctx *comm.Ctx, grid comm.Grid, blocks [][]*semiring.Matrix, star
 			data := ctx.Bcast(grid.RowRanks(k), grid.Rank(k, k), tag(k, 2, 0), payload)
 			if myJ != k {
 				dk := semiring.FromSlice(dims(k), dims(k), data)
-				ctx.AddFlops(kern.PanelUpdateRight(A, dk))
+				ctx.AddFlops(semiring.PanelUpdateRight(A, dk))
 			}
 		}
 		// Row broadcasts: every P(i,k) with i ≠ k shares A(i,k) along row i.
@@ -162,7 +155,7 @@ func dist2dRank(ctx *comm.Ctx, grid comm.Grid, blocks [][]*semiring.Matrix, star
 		}
 		// Min-plus outer product everywhere off the pivot cross.
 		if rowPanel != nil && colPanel != nil {
-			ctx.AddFlops(kern.MulAddInto(A, rowPanel, colPanel))
+			ctx.AddFlops(semiring.MulAddInto(A, rowPanel, colPanel))
 		}
 		if rowPanel != nil {
 			ctx.AddMemory(-int64(len(rowPanel.V)))

@@ -38,7 +38,7 @@ func (pl *Plan) LayoutFor(g *graph.Graph) *Layout {
 // goroutines communicating through mailboxes. It is the reference
 // semantics ExecuteOpts is checked against (TestExecutorEquality) and
 // has no caller outside the package's tests.
-func (pl *Plan) executeMachine(ly *Layout, kern semiring.Kernel) (*DistResult, error) {
+func (pl *Plan) executeMachine(ly *Layout) (*DistResult, error) {
 	blocks, release := ly.BlocksPooled()
 	machine := comm.NewMachine(pl.P)
 	err := machine.Run(func(ctx *comm.Ctx) {
@@ -46,7 +46,6 @@ func (pl *Plan) executeMachine(ly *Layout, kern semiring.Kernel) (*DistResult, e
 			ctx:     ctx,
 			pl:      pl,
 			sizes:   pl.ND.Sizes,
-			kern:    kern,
 			steps:   pl.ranks[ctx.Rank()],
 			scratch: semiring.NewArena(pl.ScratchWords(ctx.Rank())),
 		}
@@ -81,7 +80,6 @@ type planExec struct {
 	ctx     *comm.Ctx
 	pl      *Plan
 	sizes   []int
-	kern    semiring.Kernel
 	steps   []rankLevel
 	A       *semiring.Matrix
 	scratch *semiring.Arena
@@ -131,7 +129,7 @@ func (e *planExec) level(lv *planLevel, st *rankLevel) {
 
 	// ---- R_l^1: diagonal update, local. ----
 	if st.Diag {
-		e.ctx.AddFlops(e.kern.ClassicalFW(e.A))
+		e.ctx.AddFlops(semiring.ClassicalFW(e.A))
 	}
 
 	// ---- R_l^2: pivot broadcasts and panel updates. ----
@@ -149,9 +147,9 @@ func (e *planExec) level(lv *planLevel, st *rankLevel) {
 		dk := e.pl.unpack(data, e.sizes[op.BI], e.sizes[op.BJ])
 		e.ctx.AddMemory(int64(len(dk.V)))
 		if op.Kind == opR2Left {
-			e.ctx.AddFlops(e.kern.PanelUpdateLeftScratch(e.A, dk, e.scratch))
+			e.ctx.AddFlops(semiring.PanelUpdateLeftScratch(e.A, dk, e.scratch))
 		} else {
-			e.ctx.AddFlops(e.kern.PanelUpdateRightScratch(e.A, dk, e.scratch))
+			e.ctx.AddFlops(semiring.PanelUpdateRightScratch(e.A, dk, e.scratch))
 		}
 		e.ctx.AddMemory(-int64(len(dk.V)))
 	}
@@ -191,7 +189,7 @@ func (e *planExec) level(lv *planLevel, st *rankLevel) {
 		u := lv.R4Units[st.Unit]
 		unit = semiring.NewMatrix(e.sizes[u.I], e.sizes[u.J])
 		e.ctx.AddMemory(int64(len(unit.V)))
-		e.ctx.AddFlops(e.kern.MulAddInto(unit, unitAik, unitAkj))
+		e.ctx.AddFlops(semiring.MulAddInto(unit, unitAik, unitAkj))
 	}
 	e.ctx.SetSendClass(comm.SendR4Reduce)
 	for _, x := range st.Reduce {
@@ -245,7 +243,7 @@ func (e *planExec) level(lv *planLevel, st *rankLevel) {
 				transient += int64(len(akj.V))
 			}
 			e.ctx.AddMemory(transient)
-			e.ctx.AddFlops(e.kern.MulAddInto(e.A, aik, akj))
+			e.ctx.AddFlops(semiring.MulAddInto(e.A, aik, akj))
 			e.ctx.AddMemory(-transient)
 		}
 	}
@@ -291,7 +289,7 @@ func (e *planExec) level(lv *planLevel, st *rankLevel) {
 		}
 	}
 	if rowPanel != nil && colPanel != nil {
-		e.ctx.AddFlops(e.kern.MulAddInto(e.A, rowPanel, colPanel))
+		e.ctx.AddFlops(semiring.MulAddInto(e.A, rowPanel, colPanel))
 	}
 	if rowPanel != nil {
 		e.ctx.AddMemory(-int64(len(rowPanel.V)))

@@ -35,31 +35,18 @@ import (
 // classical algorithm. The second return value is the number of
 // semiring operations performed.
 func FloydWarshall(g *graph.Graph) (*semiring.Matrix, int64) {
-	return FloydWarshallKernel(g, semiring.KernelSerial)
-}
-
-// FloydWarshallKernel is FloydWarshall with an explicit min-plus
-// kernel. Results and operation counts are identical for every kernel.
-func FloydWarshallKernel(g *graph.Graph, kern semiring.Kernel) (*semiring.Matrix, int64) {
 	n := g.N()
 	m := semiring.FromSlice(n, n, g.AdjacencyMatrix())
-	ops := kern.ClassicalFW(m)
+	ops := semiring.ClassicalFW(m)
 	return m, ops
 }
 
 // BlockedFloydWarshall computes APSP with the blocked algorithm of
 // Section 3.3 using block size b.
 func BlockedFloydWarshall(g *graph.Graph, b int) (*semiring.Matrix, int64) {
-	return BlockedFloydWarshallKernel(g, b, semiring.KernelSerial)
-}
-
-// BlockedFloydWarshallKernel is BlockedFloydWarshall with an explicit
-// min-plus kernel for the diagonal, panel and outer-product steps.
-// Results and operation counts are identical for every kernel.
-func BlockedFloydWarshallKernel(g *graph.Graph, b int, kern semiring.Kernel) (*semiring.Matrix, int64) {
 	n := g.N()
 	m := semiring.FromSlice(n, n, g.AdjacencyMatrix())
-	ops := semiring.BlockedFWKernel(m, b, kern)
+	ops := semiring.BlockedFW(m, b)
 	return m, ops
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"sparseapsp/internal/graph"
-	"sparseapsp/internal/semiring"
 )
 
 // planClock replays the placement pass's clocks over pl as it stands,
@@ -56,7 +55,7 @@ func TestPlanClockIsExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				mach, err := pl.executeMachine(ly, semiring.KernelSerial)
+				mach, err := pl.executeMachine(ly)
 				if err != nil {
 					t.Fatal(err)
 				}

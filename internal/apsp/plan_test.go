@@ -295,7 +295,7 @@ func TestStructureFingerprintIgnoresWeights(t *testing.T) {
 
 // TestPlanExecuteMatchesDirectSolve closes the loop between the two
 // entry points: a plan built once and executed via LayoutFor must
-// reproduce the plain SparseAPSPWith result exactly, for every kernel.
+// reproduce the plain SparseAPSPWith result exactly.
 func TestPlanExecuteMatchesDirectSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.RandomGNP(40, 0.15, integerWeights(rng, 6), rng)
@@ -311,16 +311,14 @@ func TestPlanExecuteMatchesDirectSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kern := range semiring.Kernels() {
-		res, err := pl.ExecuteOpts(pl.LayoutFor(g), ExecOpts{Kernel: kern})
-		if err != nil {
-			t.Fatalf("kernel %v: %v", kern, err)
-		}
-		if !identicalMatrices(res.Dist, direct.Dist) {
-			t.Fatalf("kernel %v: planned execute distances differ from direct solve", kern)
-		}
-		if !reflect.DeepEqual(res.Report, direct.Report) {
-			t.Fatalf("kernel %v: planned execute report differs from direct solve", kern)
-		}
+	res, err := pl.ExecuteOpts(pl.LayoutFor(g), ExecOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !identicalMatrices(res.Dist, direct.Dist) {
+		t.Fatal("planned execute distances differ from direct solve")
+	}
+	if !reflect.DeepEqual(res.Report, direct.Report) {
+		t.Fatal("planned execute report differs from direct solve")
 	}
 }

@@ -75,10 +75,7 @@ type RepairOptions struct {
 	// fall back at all (the probe budget is disabled too — useful for
 	// tests that need the propagation path unconditionally).
 	DamageThreshold float64
-	// Kernel and ExecWorkers configure the fallback solve only (see
-	// ExecOpts); the propagation itself works on scalar entries and has
-	// no kernel to choose.
-	Kernel      semiring.Kernel
+	// ExecWorkers configures the fallback solve only (see ExecOpts).
 	ExecWorkers int
 }
 
@@ -601,7 +598,7 @@ func (h *pairHeap) pop() (float64, int) {
 // cache-warm re-solve through the registry would have done.
 func (pl *Plan) repairFallback(g2 *graph.Graph, opts RepairOptions, st *RepairStats) (*PathResult, *graph.Graph, RepairStats, error) {
 	st.FellBack = true
-	res, err := pl.ExecuteOpts(pl.LayoutFor(g2), ExecOpts{Kernel: opts.Kernel, Workers: opts.ExecWorkers})
+	res, err := pl.ExecuteOpts(pl.LayoutFor(g2), ExecOpts{Workers: opts.ExecWorkers})
 	if err != nil {
 		return nil, nil, *st, err
 	}
@@ -656,8 +653,8 @@ func RepairRowsWithOptions(g *graph.Graph, prevDist RowFunc, prevNext *Successor
 	return pl.RepairRows(g, prevDist, prevNext, edits, sopts.repairOpts(threshold))
 }
 
-// repairOpts projects the solve options a repair's fallback execute
-// honours — the same two execOpts hands a fresh solve.
+// repairOpts projects the solve option a repair's fallback execute
+// honours — the same one execOpts hands a fresh solve.
 func (o SparseOptions) repairOpts(threshold float64) RepairOptions {
-	return RepairOptions{DamageThreshold: threshold, Kernel: o.Kernel, ExecWorkers: o.ExecWorkers}
+	return RepairOptions{DamageThreshold: threshold, ExecWorkers: o.ExecWorkers}
 }

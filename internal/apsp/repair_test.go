@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"sparseapsp/internal/graph"
-	"sparseapsp/internal/semiring"
 )
 
 // solvePaths runs the sparse solver and extracts successors — the
@@ -147,7 +146,7 @@ func TestRepairFallback(t *testing.T) {
 }
 
 // TestRepairForwardsExecSettings: a repair's fallback solve must run
-// under the caller's kernel and worker bound, as a fresh solve does
+// under the caller's worker bound, as a fresh solve does
 // (RepairRowsWithOptions used to drop ExecWorkers, so apspd
 // -exec-workers did not bound it). No result bit depends on the worker
 // count — that is TestExecWorkers' property — so the forwarding is
@@ -156,8 +155,8 @@ func TestRepairFallback(t *testing.T) {
 // at one worker (the serial ready queue) and held to the default's
 // result.
 func TestRepairForwardsExecSettings(t *testing.T) {
-	ro := SparseOptions{Kernel: semiring.KernelTiled, ExecWorkers: 1}.repairOpts(0.5)
-	if want := (RepairOptions{DamageThreshold: 0.5, Kernel: semiring.KernelTiled, ExecWorkers: 1}); ro != want {
+	ro := SparseOptions{ExecWorkers: 1}.repairOpts(0.5)
+	if want := (RepairOptions{DamageThreshold: 0.5, ExecWorkers: 1}); ro != want {
 		t.Fatalf("repairOpts = %+v, want %+v", ro, want)
 	}
 	v := reflect.ValueOf(ro)

@@ -119,12 +119,6 @@ type SparseOptions struct {
 	// partition.DistributedND) instead of running the sequential nested
 	// dissection; its tree height must match the machine size.
 	Layout *Layout
-	// Kernel selects the min-plus kernel each rank uses for its local
-	// block arithmetic. Every kernel yields bit-identical distances and
-	// identical operation counts (so the simulated cost report does not
-	// change); the default KernelSerial is usually right because each
-	// rank is already its own goroutine.
-	Kernel semiring.Kernel
 	// Wire selects the payload encoding (and with it the mask-based
 	// skipping); see WireFormat.
 	Wire WireFormat
@@ -140,9 +134,9 @@ type SparseOptions struct {
 	ExecWorkers int
 }
 
-// execOpts projects the execution-time knobs out of SparseOptions.
+// execOpts projects the execution-time knob out of SparseOptions.
 func (o SparseOptions) execOpts() ExecOpts {
-	return ExecOpts{Kernel: o.Kernel, Workers: o.ExecWorkers}
+	return ExecOpts{Workers: o.ExecWorkers}
 }
 
 // SparseAPSPWith is SparseAPSP with explicit options. It is a thin

@@ -244,11 +244,7 @@ func TestTightSum(t *testing.T) {
 // one ulp in one entry, still yield tables that pass VerifyPaths.
 func TestSolveDistSymmetric(t *testing.T) {
 	solvers := map[string]func(g *graph.Graph) (*semiring.Matrix, error){
-		"fw": func(g *graph.Graph) (*semiring.Matrix, error) { d, _ := FloydWarshall(g); return d, nil },
-		"fw-tiled": func(g *graph.Graph) (*semiring.Matrix, error) {
-			d, _ := FloydWarshallKernel(g, semiring.KernelTiled)
-			return d, nil
-		},
+		"fw":        func(g *graph.Graph) (*semiring.Matrix, error) { d, _ := FloydWarshall(g); return d, nil },
 		"blockedfw": func(g *graph.Graph) (*semiring.Matrix, error) { d, _ := BlockedFloydWarshall(g, 16); return d, nil },
 		"fwpaths":   func(g *graph.Graph) (*semiring.Matrix, error) { return FloydWarshallPaths(g).Dist, nil },
 		"superfw": func(g *graph.Graph) (*semiring.Matrix, error) {

@@ -23,13 +23,6 @@ type SuperFWResult struct {
 // both run the same region schedule, so their results must agree
 // exactly.
 func SuperFW(g *graph.Graph, h int, seed int64) (*SuperFWResult, error) {
-	return SuperFWKernel(g, h, seed, semiring.KernelSerial)
-}
-
-// SuperFWKernel is SuperFW with an explicit min-plus kernel for every
-// block update. All kernels produce the same distances and the same
-// operation count; only wall-clock differs.
-func SuperFWKernel(g *graph.Graph, h int, seed int64, kern semiring.Kernel) (*SuperFWResult, error) {
 	ly, err := NewLayout(g, h, seed)
 	if err != nil {
 		return nil, err
@@ -41,7 +34,7 @@ func SuperFWKernel(g *graph.Graph, h int, seed int64, kern semiring.Kernel) (*Su
 	for l := 1; l <= tr.H; l++ {
 		// R_l^1: diagonal updates.
 		for _, k := range tr.LevelNodes(l) {
-			ops += kern.ClassicalFW(blocks[k][k])
+			ops += semiring.ClassicalFW(blocks[k][k])
 		}
 		// R_l^2: panel updates.
 		for _, k := range tr.LevelNodes(l) {
@@ -50,19 +43,19 @@ func SuperFWKernel(g *graph.Graph, h int, seed int64, kern semiring.Kernel) (*Su
 				if i == k {
 					continue
 				}
-				ops += kern.PanelUpdateLeft(blocks[i][k], dk)
-				ops += kern.PanelUpdateRight(blocks[k][i], dk)
+				ops += semiring.PanelUpdateLeft(blocks[i][k], dk)
+				ops += semiring.PanelUpdateRight(blocks[k][i], dk)
 			}
 		}
 		// R_l^3: single-unit min-plus outer products.
 		for _, pb := range tr.R3(l) {
-			ops += kern.MulAddInto(blocks[pb.I][pb.J], blocks[pb.I][pb.K], blocks[pb.K][pb.J])
+			ops += semiring.MulAddInto(blocks[pb.I][pb.J], blocks[pb.I][pb.K], blocks[pb.K][pb.J])
 		}
 		// R_l^4: multi-unit blocks; compute the level(i) ≤ level(j) half
 		// and mirror by symmetry, exactly as the distributed algorithm.
 		for _, b := range tr.R4Lower(l) {
 			for _, k := range tr.UnitsFor(l, b.I, b.J) {
-				ops += kern.MulAddInto(blocks[b.I][b.J], blocks[b.I][k], blocks[k][b.J])
+				ops += semiring.MulAddInto(blocks[b.I][b.J], blocks[b.I][k], blocks[k][b.J])
 			}
 			if b.I != b.J {
 				blocks[b.J][b.I] = blocks[b.I][b.J].Transpose()

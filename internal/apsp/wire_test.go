@@ -1,6 +1,9 @@
 package apsp
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -110,4 +113,103 @@ func TestWireFormatNames(t *testing.T) {
 	if _, err := SparseAPSPWith(g, 9, SparseOptions{Wire: WireFormat(2)}); err == nil {
 		t.Error("solve with an out-of-range wire format succeeded")
 	}
+}
+
+// identicalMatrices compares bit for bit: the solvers' contract is
+// stronger than EqualTol.
+func identicalMatrices(a, b *semiring.Matrix) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i := range a.V {
+		if math.Float64bits(a.V[i]) != math.Float64bits(b.V[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSparseAPSPMatchesClassicalFW is the end-to-end property test of
+// the plan/execute, min-plus and wire layers together: for random
+// graphs from several families and BOTH wire formats, the distributed
+// sparse solver's distances are bit-identical to a scalar
+// Floyd–Warshall that shares no code with internal/semiring — and
+// within a wire format, the charged cost report is identical across
+// cold (plan built this solve) and warm (plan fetched from a cache)
+// execution. Weights are small random integers: integer sums are exact
+// in float64, so the distributed elimination and the sequential sweep
+// fold path sums to identical bits even though they associate them
+// differently.
+func TestSparseAPSPMatchesClassicalFW(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+		p    int
+	}{
+		{"grid", graph.Grid2D(9, 9, integerWeights(rng, 10)), 9},
+		{"gnp", graph.RandomGNP(70, 0.08, integerWeights(rng, 5), rng), 9},
+		{"tree", graph.RandomTree(90, graph.UnitWeights, rng), 49},
+		{"rmat", graph.RMAT(6, 3, integerWeights(rng, 4), rng), 9},
+		{"star", graph.Star(60, graph.UnitWeights), 9},
+	}
+	for _, tc := range graphs {
+		want := classicalReference(tc.g)
+		for _, wire := range []WireFormat{WirePruned, WireDense} {
+			base, err := SparseAPSPWith(tc.g, tc.p, SparseOptions{Seed: 11, Wire: wire})
+			if err != nil {
+				t.Fatalf("%s/%v: %v", tc.name, wire, err)
+			}
+			if !identicalMatrices(base.Dist, want) {
+				t.Errorf("%s/%v: distances differ from the scalar Floyd–Warshall", tc.name, wire)
+			}
+			// The cached-plan path must be indistinguishable from the
+			// build-per-solve path (the first solve builds, the second hits).
+			cache := NewPlanCache()
+			for _, run := range []string{"build", "hit"} {
+				warm, err := SparseAPSPWith(tc.g, tc.p, SparseOptions{Seed: 11, Wire: wire, Plans: cache})
+				if err != nil {
+					t.Fatalf("%s/%v (cache %s): %v", tc.name, wire, run, err)
+				}
+				if !identicalMatrices(warm.Dist, want) || !reflect.DeepEqual(warm.Report, base.Report) {
+					t.Errorf("%s/%v: plan-cached solve (%s) differs from direct solve", tc.name, wire, run)
+				}
+			}
+			if s := cache.Stats(); s.Builds != 1 || s.Hits != 1 {
+				t.Errorf("%s/%v: plan cache stats %+v, want 1 build / 1 hit", tc.name, wire, s)
+			}
+		}
+	}
+}
+
+// integerWeights returns a WeightFn drawing integer weights in [1, hi],
+// which float64 represents and sums exactly.
+func integerWeights(rng *rand.Rand, hi int) graph.WeightFn {
+	return func(u, v int) float64 { return float64(rng.Intn(hi) + 1) }
+}
+
+// classicalReference builds the adjacency matrix and closes it with a
+// scalar Floyd–Warshall of its own, so what it referees shares no
+// kernel with it.
+func classicalReference(g *graph.Graph) *semiring.Matrix {
+	n := g.N()
+	m := semiring.NewMatrix(n, n)
+	for v := 0; v < n; v++ {
+		m.Set(v, v, 0)
+		for _, e := range g.Adj(v) {
+			if e.W < m.At(v, e.To) {
+				m.Set(v, e.To, e.W)
+			}
+		}
+	}
+	for k := 0; k < n; k++ {
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if s := m.At(i, k) + m.At(k, j); s < m.At(i, j) {
+					m.Set(i, j, s)
+				}
+			}
+		}
+	}
+	return m
 }

@@ -21,14 +21,13 @@ type Config struct {
 	Ps           []int // machine sizes; must be (2^h−1)² for the sparse algorithm
 	Seed         int64
 	CyclicFactor int             // DC-APSP block-cyclic factor
-	Kernel       semiring.Kernel // min-plus kernel for local block arithmetic
 	Wire         apsp.WireFormat // sparse-solver payload encoding (pruned or dense)
 	ExecWorkers  int             // sparse-solver executor worker count; 0 = auto
 }
 
 // sparseOpts builds the SparseOptions every experiment shares.
 func (c Config) sparseOpts() apsp.SparseOptions {
-	return apsp.SparseOptions{Seed: c.Seed, Kernel: c.Kernel, Wire: c.Wire, ExecWorkers: c.ExecWorkers}
+	return apsp.SparseOptions{Seed: c.Seed, Wire: c.Wire, ExecWorkers: c.ExecWorkers}
 }
 
 // DefaultConfig returns the sweep used by the benchmark suite.
@@ -72,12 +71,12 @@ func NewSuite(cfg Config) (*Suite, error) {
 			}
 			pt.Sparse = sp.Report
 			pt.Sep = sp.Layout.ND.SeparatorSize()
-			dc, err := apsp.DCAPSPKernel(g, p, cfg.CyclicFactor, cfg.Kernel)
+			dc, err := apsp.DCAPSP(g, p, cfg.CyclicFactor)
 			if err != nil {
 				return nil, fmt.Errorf("dc side=%d p=%d: %w", side, p, err)
 			}
 			pt.DenseDC = dc.Report
-			fw, err := apsp.Dist2DFWKernel(g, p, cfg.Kernel)
+			fw, err := apsp.Dist2DFW(g, p)
 			if err != nil {
 				return nil, fmt.Errorf("2dfw side=%d p=%d: %w", side, p, err)
 			}
@@ -262,7 +261,7 @@ func Crossover(cfg Config, n, p int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dc, err := apsp.DCAPSPKernel(wl.g, p, cfg.CyclicFactor, cfg.Kernel)
+		dc, err := apsp.DCAPSP(wl.g, p, cfg.CyclicFactor)
 		if err != nil {
 			return nil, err
 		}
@@ -495,7 +494,6 @@ func ReweightAblation(cfg Config, n, p, reps int) (*Table, error) {
 		}
 		ropts := apsp.RepairOptions{
 			DamageThreshold: apsp.DefaultDamageThreshold,
-			Kernel:          cfg.Kernel,
 		}
 		for _, frac := range fractions {
 			m := wl.g.M()
@@ -516,7 +514,7 @@ func ReweightAblation(cfg Config, n, p, reps int) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("reweight %s: repair: %w", wl.name, err)
 			}
-			ref, err := pl.ExecuteOpts(pl.LayoutFor(g2), apsp.ExecOpts{Kernel: cfg.Kernel})
+			ref, err := pl.ExecuteOpts(pl.LayoutFor(g2), apsp.ExecOpts{})
 			if err != nil {
 				return nil, fmt.Errorf("reweight %s: re-solve: %w", wl.name, err)
 			}
@@ -540,7 +538,7 @@ func ReweightAblation(cfg Config, n, p, reps int) (*Table, error) {
 			resolveMs := math.Inf(1)
 			for i := 0; i <= reps; i++ {
 				start := time.Now()
-				res, err := pl.ExecuteOpts(pl.LayoutFor(g2), apsp.ExecOpts{Kernel: cfg.Kernel})
+				res, err := pl.ExecuteOpts(pl.LayoutFor(g2), apsp.ExecOpts{})
 				if err != nil {
 					return nil, err
 				}
@@ -613,7 +611,7 @@ func OperationCounts(cfg Config) (*Table, error) {
 		g := graph.Grid2D(side, side, graph.RandomWeights(rng, 1, 10))
 		n := g.N()
 		for _, h := range []int{2, 3, 4} {
-			res, err := apsp.SuperFWKernel(g, h, cfg.Seed, cfg.Kernel)
+			res, err := apsp.SuperFW(g, h, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
@@ -742,12 +740,12 @@ func LoadBalance(cfg Config, side, p int) (*Table, error) {
 		return nil, err
 	}
 	add("2d-sparse-apsp", sp.Report)
-	dc, err := apsp.DCAPSPKernel(g, p, cfg.CyclicFactor, cfg.Kernel)
+	dc, err := apsp.DCAPSP(g, p, cfg.CyclicFactor)
 	if err != nil {
 		return nil, err
 	}
 	add("2d-dc-apsp", dc.Report)
-	fw, err := apsp.Dist2DFWKernel(g, p, cfg.Kernel)
+	fw, err := apsp.Dist2DFW(g, p)
 	if err != nil {
 		return nil, err
 	}
@@ -777,7 +775,7 @@ func WeakScaling(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dc, err := apsp.DCAPSPKernel(g, c.p, cfg.CyclicFactor, cfg.Kernel)
+		dc, err := apsp.DCAPSP(g, c.p, cfg.CyclicFactor)
 		if err != nil {
 			return nil, err
 		}

@@ -186,8 +186,8 @@ func storeCases() []storeCase {
 		dist   func(g *graph.Graph) (*semiring.Matrix, error)
 		square bool
 	}{
-		{"fw-tiled", func(g *graph.Graph) (*semiring.Matrix, error) {
-			d, _ := apsp.FloydWarshallKernel(g, semiring.KernelTiled)
+		{"fw", func(g *graph.Graph) (*semiring.Matrix, error) {
+			d, _ := apsp.FloydWarshall(g)
 			return d, nil
 		}, false},
 		{"blockedfw", func(g *graph.Graph) (*semiring.Matrix, error) {

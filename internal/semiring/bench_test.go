@@ -46,18 +46,27 @@ func BenchmarkMulAddIntoParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkClassicalFW times the diagonal update on a symmetric
+// non-negative block — what an undirected graph's R1 regions are — at
+// the grid's block edges and the G(768,4/n) supernode: the general loop
+// against the triangle path ClassicalFW takes once the proof holds.
 func BenchmarkClassicalFW(b *testing.B) {
-	for _, n := range []int{64, 128, 256} {
-		b.Run(itoa(n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(2))
-			src := benchMatrix(n, rng)
-			work := NewMatrix(n, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				work.CopyFrom(src)
-				ClassicalFW(work)
-			}
-		})
+	for _, n := range []int{8, 16, 32, 64, 210, 768} {
+		rng := rand.New(rand.NewSource(2))
+		src := benchMatrix(n, rng)
+		mirrorLower(src)
+		work := NewMatrix(n, n)
+		for _, fw := range []struct {
+			name string
+			f    func(*Matrix) int64
+		}{{"ref", classicalFWRef}, {"triangle", ClassicalFW}} {
+			b.Run(fw.name+"/n="+itoa(n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					work.CopyFrom(src)
+					fw.f(work)
+				}
+			})
+		}
 	}
 }
 
@@ -77,33 +86,37 @@ func BenchmarkBlockedFW(b *testing.B) {
 	}
 }
 
-// BenchmarkMinPlusKernels is the kernel-layer headline: serial vs
-// tiled vs pooled min-plus multiply on square matrices up to
-// 1024×1024, plus a tile-size sweep for the tiled kernel. Operation
-// counts are asserted identical across kernels on every iteration, so
-// the benchmark doubles as a large-shape regression check.
+// benchKernels are the loops MulAddInto chooses between, and the
+// dispatch itself.
+var benchKernels = []struct {
+	name string
+	f    func(c, a, b *Matrix) int64
+}{
+	{"plain", mulAddPlain},
+	{"tiled", func(c, a, b *Matrix) int64 { return mulAddTiled(c, a, b, tileK, tileJ) }},
+	{"csr", func(c, a, b *Matrix) int64 { return IndexMatrix(a).MulAddInto(c, b) }},
+	{"dispatch", MulAddInto},
+}
+
+// BenchmarkMinPlusKernels is the kernel-layer headline: the plain loop
+// vs the tiled and CSR kernels vs the dispatch, on half-full square
+// matrices from the dispatch's small-operand cutoff up to 1024×1024.
+// Operation counts are asserted identical across kernels on every
+// iteration, so the benchmark doubles as a large-shape regression
+// check.
 func BenchmarkMinPlusKernels(b *testing.B) {
-	for _, n := range []int{256, 1024} {
+	for _, n := range []int{4, 8, 16, 32, 256, 1024} {
 		rng := rand.New(rand.NewSource(5))
 		a := benchMatrix(n, rng)
 		bm := benchMatrix(n, rng)
 		c := NewMatrix(n, n)
-		want := MulAddInto(c.Clone(), a, bm)
-		kernels := []struct {
-			name string
-			f    func(c, a, b *Matrix) int64
-		}{
-			{"serial", MulAddInto},
-			{"tiled", MulAddIntoTiled},
-			{"pooled", MulAddIntoPooled},
-			{"sparse", MulAddIntoSparse},
-		}
-		for _, k := range kernels {
+		want := mulAddPlain(c.Clone(), a, bm)
+		for _, k := range benchKernels {
 			b.Run(k.name+"/n="+itoa(n), func(b *testing.B) {
 				b.SetBytes(8 * int64(n) * int64(n))
 				for i := 0; i < b.N; i++ {
 					if ops := k.f(c, a, bm); ops != want {
-						b.Fatalf("%s ops=%d, serial=%d", k.name, ops, want)
+						b.Fatalf("%s ops=%d, plain=%d", k.name, ops, want)
 					}
 				}
 			})
@@ -111,11 +124,11 @@ func BenchmarkMinPlusKernels(b *testing.B) {
 	}
 }
 
-// BenchmarkMinPlusLowDensity is the sparse kernel's headline: tiled vs
-// CSR min-plus on panels whose A operand is mostly Inf — the regime of
-// early-level supernodal blocks, where the CSR index skips the Inf
-// scanning the dense kernels repeat per tile. Operation counts are
-// asserted identical, so the benchmark doubles as a regression check.
+// BenchmarkMinPlusLowDensity is the CSR kernel's headline: min-plus on
+// panels whose A operand is mostly Inf — the regime of early-level
+// supernodal blocks, where the CSR index skips the Inf scanning the
+// dense kernels repeat per tile. Operation counts are asserted
+// identical, so the benchmark doubles as a regression check.
 func BenchmarkMinPlusLowDensity(b *testing.B) {
 	const n = 512
 	for _, density := range []float64{0.01, 0.05, 0.25} {
@@ -128,19 +141,12 @@ func BenchmarkMinPlusLowDensity(b *testing.B) {
 		}
 		bm := benchMatrix(n, rng)
 		c := NewMatrix(n, n)
-		want := MulAddInto(c.Clone(), a, bm)
-		kernels := []struct {
-			name string
-			f    func(c, a, b *Matrix) int64
-		}{
-			{"tiled", MulAddIntoTiled},
-			{"sparse", MulAddIntoSparse},
-		}
-		for _, k := range kernels {
+		want := mulAddPlain(c.Clone(), a, bm)
+		for _, k := range benchKernels {
 			b.Run(k.name+"/d="+itoa(int(density*100)), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if ops := k.f(c, a, bm); ops != want {
-						b.Fatalf("%s ops=%d, serial=%d", k.name, ops, want)
+						b.Fatalf("%s ops=%d, plain=%d", k.name, ops, want)
 					}
 				}
 			})
@@ -179,21 +185,21 @@ func BenchmarkPack(b *testing.B) {
 }
 
 // BenchmarkMinPlusTileSizes sweeps the tiled kernel's (k, j) tile shape
-// on a 1024×1024 multiply — the data behind the autotune's candidates.
+// on a half-full multiply at the bench grid's block edge and at
+// 1024×1024 — the data behind the tileK×tileJ constants.
 func BenchmarkMinPlusTileSizes(b *testing.B) {
-	const n = 1024
-	rng := rand.New(rand.NewSource(6))
-	a := benchMatrix(n, rng)
-	bm := benchMatrix(n, rng)
-	c := NewMatrix(n, n)
-	for _, tile := range [][2]int{{32, 256}, {64, 256}, {64, 512}, {128, 512}, {256, 1024}} {
-		b.Run("tk="+itoa(tile[0])+"/tj="+itoa(tile[1]), func(b *testing.B) {
-			SetTileSizes(tile[0], tile[1])
-			defer SetTileSizes(0, 0)
-			for i := 0; i < b.N; i++ {
-				MulAddIntoTiled(c, a, bm)
-			}
-		})
+	for _, n := range []int{210, 1024} {
+		rng := rand.New(rand.NewSource(6))
+		a := benchMatrix(n, rng)
+		bm := benchMatrix(n, rng)
+		c := NewMatrix(n, n)
+		for _, tile := range [][2]int{{32, 256}, {64, 256}, {64, 512}, {128, 512}, {256, 1024}} {
+			b.Run("n="+itoa(n)+"/tk="+itoa(tile[0])+"/tj="+itoa(tile[1]), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					mulAddTiled(c, a, bm, tile[0], tile[1])
+				}
+			})
+		}
 	}
 }
 

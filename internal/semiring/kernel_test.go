@@ -1,6 +1,8 @@
 package semiring
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -32,28 +34,28 @@ func bitIdentical(a, b *Matrix) bool {
 	return true
 }
 
-// TestKernelsMatchSerial is the contract of the kernel layer: tiled and
-// pooled MulAddInto produce bit-identical output and identical
-// operation counts to the serial reference, across random shapes,
+// TestKernelsMatchSerial is the contract of the kernel layer: the
+// dispatch MulAddInto, and each kernel it can pick — the tiled one at
+// tile sizes small enough that boundaries land inside the shapes, the
+// CSR index — produce bit-identical output and identical operation
+// counts to the plain reference loop, across (rows, cols, density),
 // Inf-padded rows and degenerate (0-row / 0-col) matrices.
 func TestKernelsMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := [][3]int{
 		{0, 0, 0}, {0, 5, 3}, {5, 0, 3}, {5, 3, 0}, {1, 1, 1},
+		{16, 16, 16}, {16, 16, 17}, // either side of plainLoopMaxOps
+		{3, 300, 70}, {70, 3, 300}, {300, 70, 3},
 	}
 	for trial := 0; trial < 40; trial++ {
 		shapes = append(shapes, [3]int{rng.Intn(70), rng.Intn(70), rng.Intn(70)})
 	}
-	// Force small tiles so tile boundaries land inside the test shapes,
-	// then restore the autotune for other tests.
-	SetTileSizes(8, 16)
-	defer SetTileSizes(0, 0)
 	for _, sh := range shapes {
 		r, k, c := sh[0], sh[1], sh[2]
-		for _, infFrac := range []float64{0, 0.3, 1} {
+		for _, infFrac := range []float64{0, 0.3, 0.45, 0.55, 0.9, 1} {
 			a := randKernelMatrix(r, k, infFrac, rng)
 			b := randKernelMatrix(k, c, infFrac, rng)
-			// Inf-pad a few whole rows of A: the serial kernel's
+			// Inf-pad a few whole rows of A: the reference loop's
 			// empty-row skip must be reproduced op-for-op.
 			for i := 0; i < r; i++ {
 				if rng.Intn(4) == 0 {
@@ -64,47 +66,52 @@ func TestKernelsMatchSerial(t *testing.T) {
 			}
 			cInit := randKernelMatrix(r, c, 0.5, rng)
 			want := cInit.Clone()
-			wantOps := MulAddInto(want, a, b)
-			for _, kern := range []Kernel{KernelTiled, KernelPooled, KernelSparse} {
+			wantOps := mulAddPlain(want, a, b)
+			if wantOps != int64(a.NNZ())*int64(c) {
+				t.Fatalf("%dx%dx%d: reference charged %d, formula %d", r, k, c, wantOps, int64(a.NNZ())*int64(c))
+			}
+			for _, kern := range []struct {
+				name string
+				f    func(c, a, b *Matrix) int64
+			}{
+				{"dispatch", MulAddInto},
+				{"tiled", func(c, a, b *Matrix) int64 { return mulAddTiled(c, a, b, 8, 16) }},
+				{"csr", func(c, a, b *Matrix) int64 { return IndexMatrix(a).MulAddInto(c, b) }},
+			} {
 				got := cInit.Clone()
-				gotOps := kern.MulAddInto(got, a, b)
+				gotOps := kern.f(got, a, b)
 				if gotOps != wantOps {
-					t.Fatalf("%v kernel %dx%dx%d infFrac=%g: ops=%d, serial=%d",
-						kern, r, k, c, infFrac, gotOps, wantOps)
+					t.Fatalf("%s kernel %dx%dx%d infFrac=%g: ops=%d, reference=%d",
+						kern.name, r, k, c, infFrac, gotOps, wantOps)
 				}
 				if !bitIdentical(got, want) {
-					t.Fatalf("%v kernel %dx%dx%d infFrac=%g: result differs from serial",
-						kern, r, k, c, infFrac)
+					t.Fatalf("%s kernel %dx%dx%d infFrac=%g: result differs from reference",
+						kern.name, r, k, c, infFrac)
 				}
 			}
 		}
 	}
 }
 
-// TestKernelClassicalFWMatchesSerial locks the pooled Floyd–Warshall
-// (per-pivot row fan-out) to the serial reference, including above the
-// size threshold where the pool actually engages.
+// TestKernelClassicalFWMatchesSerial locks ClassicalFW to the general
+// loop on random matrices large enough for several pivot quads, both
+// as drawn (asymmetric: the proof fails) and symmetrized (it holds).
+// TestClassicalFWMatchesReference has the edge cases.
 func TestKernelClassicalFWMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{0, 1, 17, 64, 200} {
 		m := randKernelMatrix(n, n, 0.6, rng)
-		want := m.Clone()
-		wantOps := ClassicalFW(want)
-		for _, kern := range []Kernel{KernelTiled, KernelPooled, KernelSparse} {
-			got := m.Clone()
-			gotOps := kern.ClassicalFW(got)
-			if gotOps != wantOps {
-				t.Fatalf("%v ClassicalFW n=%d: ops=%d, serial=%d", kern, n, gotOps, wantOps)
-			}
-			if !bitIdentical(got, want) {
-				t.Fatalf("%v ClassicalFW n=%d: result differs from serial", kern, n)
-			}
-		}
+		checkClassicalFW(t, m, n < triangleMinN)
+		mirrorLower(m)
+		checkClassicalFW(t, m, true)
 	}
 }
 
-// TestKernelBlockedFWMatchesSerial checks the full blocked algorithm
-// under every kernel, across block sizes that do and don't divide n.
+// TestKernelBlockedFWMatchesSerial pins the full blocked algorithm —
+// diagonal, panels and outer products through the dispatch — to the
+// operation counts and result bits the serial kernel of the commit
+// before the dispatch gave, on a real-valued matrix as drawn and
+// symmetrized, across block sizes that do and don't divide n.
 func TestKernelBlockedFWMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	n := 75
@@ -112,32 +119,41 @@ func TestKernelBlockedFWMatchesSerial(t *testing.T) {
 	for i := 0; i < n; i++ {
 		m.Set(i, i, 0)
 	}
-	want := m.Clone()
-	wantOps := BlockedFW(want, 16)
-	for _, kern := range []Kernel{KernelTiled, KernelPooled, KernelSparse} {
-		for _, b := range []int{16, 25, 80} {
-			got := m.Clone()
-			ref := m.Clone()
-			refOps := BlockedFW(ref, b)
-			gotOps := BlockedFWKernel(got, b, kern)
-			if gotOps != refOps {
-				t.Fatalf("%v BlockedFW b=%d: ops=%d, serial=%d", kern, b, gotOps, refOps)
-			}
-			if !bitIdentical(got, ref) {
-				t.Fatalf("%v BlockedFW b=%d: result differs from serial", kern, b)
-			}
+	sym := m.Clone()
+	mirrorLower(sym)
+	for _, tc := range []struct {
+		name string
+		m    *Matrix
+		b    int
+		ops  int64
+		hash uint64
+	}{
+		{"asym", m, 16, 408702, 0x606acf95860780b4},
+		{"asym", m, 25, 397150, 0x362a5f29dd0be781},
+		{"asym", m, 80, 398550, 0x9a5207094612aae1},
+		{"sym", sym, 16, 409907, 0xaa933f2f8a91158d},
+		{"sym", sym, 25, 397325, 0xfeba3a5e1534159},
+		{"sym", sym, 80, 398400, 0x854c6abfb4e3be9},
+	} {
+		got := tc.m.Clone()
+		if ops := BlockedFW(got, tc.b); ops != tc.ops || hashBits(got) != tc.hash {
+			t.Errorf("%s b=%d: ops=%d hash=%#x, pinned %d / %#x", tc.name, tc.b, ops, hashBits(got), tc.ops, tc.hash)
 		}
-	}
-	// All block sizes close to the same distances (up to FP association).
-	got := m.Clone()
-	BlockedFWKernel(got, 25, KernelPooled)
-	if !got.EqualTol(want, 1e-9) {
-		_ = wantOps
-		t.Fatal("BlockedFW closures differ across block sizes")
 	}
 }
 
-// TestPanelUpdatesMatchSerial covers the kernel panel-update wrappers.
+func hashBits(m *Matrix) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, v := range m.V {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// TestPanelUpdatesMatchSerial covers the panel-update wrappers: each is
+// the reference multiply of a snapshot of the panel.
 func TestPanelUpdatesMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pL := randKernelMatrix(40, 13, 0.4, rng) // column panel: r×k
@@ -145,44 +161,17 @@ func TestPanelUpdatesMatchSerial(t *testing.T) {
 	d := randKernelMatrix(13, 13, 0.4, rng)
 	ClassicalFW(d)
 	wantL := pL.Clone()
-	wantLOps := PanelUpdateLeft(wantL, d)
+	wantLOps := mulAddPlain(wantL, pL, d)
 	wantR := pR.Clone()
-	wantROps := PanelUpdateRight(wantR, d)
-	for _, kern := range []Kernel{KernelTiled, KernelPooled, KernelSparse} {
-		gotL := pL.Clone()
-		if ops := kern.PanelUpdateLeft(gotL, d); ops != wantLOps || !bitIdentical(gotL, wantL) {
-			t.Fatalf("%v PanelUpdateLeft mismatch (ops=%d want %d)", kern, ops, wantLOps)
-		}
-		gotR := pR.Clone()
-		if ops := kern.PanelUpdateRight(gotR, d); ops != wantROps || !bitIdentical(gotR, wantR) {
-			t.Fatalf("%v PanelUpdateRight mismatch (ops=%d want %d)", kern, ops, wantROps)
-		}
+	wantROps := mulAddPlain(wantR, d, pR)
+	gotL := pL.Clone()
+	if ops := PanelUpdateLeft(gotL, d); ops != wantLOps || !bitIdentical(gotL, wantL) {
+		t.Fatalf("PanelUpdateLeft mismatch (ops=%d want %d)", ops, wantLOps)
 	}
-}
-
-func TestParseKernel(t *testing.T) {
-	for _, k := range Kernels() {
-		got, err := ParseKernel(k.String())
-		if err != nil || got != k {
-			t.Fatalf("ParseKernel(%q) = %v, %v", k.String(), got, err)
-		}
+	gotR := pR.Clone()
+	if ops := PanelUpdateRight(gotR, d); ops != wantROps || !bitIdentical(gotR, wantR) {
+		t.Fatalf("PanelUpdateRight mismatch (ops=%d want %d)", ops, wantROps)
 	}
-	if k, err := ParseKernel(""); err != nil || k != KernelSerial {
-		t.Fatalf("ParseKernel(\"\") = %v, %v; want serial", k, err)
-	}
-	if _, err := ParseKernel("simd"); err == nil {
-		t.Fatal("ParseKernel(\"simd\"): expected error")
-	}
-}
-
-func TestSetTileSizesValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetTileSizes(8, 0): expected panic")
-		}
-		SetTileSizes(0, 0)
-	}()
-	SetTileSizes(8, 0)
 }
 
 // TestPoolForEachCoversAllIndices exercises the pool under nesting (a
@@ -214,9 +203,9 @@ func TestMulAddIntoParallelPoolMatchesSerial(t *testing.T) {
 	b := randKernelMatrix(33, 47, 0.3, rng)
 	c1 := randKernelMatrix(61, 47, 0.5, rng)
 	c2 := c1.Clone()
-	ops1 := MulAddInto(c1, a, b)
+	ops1 := mulAddPlain(c1, a, b)
 	ops2 := MulAddIntoParallel(c2, a, b)
 	if ops1 != ops2 || !bitIdentical(c1, c2) {
-		t.Fatalf("MulAddIntoParallel diverges from serial (ops %d vs %d)", ops2, ops1)
+		t.Fatalf("MulAddIntoParallel diverges from the reference (ops %d vs %d)", ops2, ops1)
 	}
 }

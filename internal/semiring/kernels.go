@@ -5,20 +5,52 @@ import (
 	"math"
 )
 
-// Every kernel returns the number of semiring operations it performed
-// (one ⊕ plus one ⊗ per inner-loop step), so callers can charge the
-// simulated machine's flop clock and the experiments can verify the
-// F = Ω(n²|S|) operation-count bound of Lemma 6.4.
+// Every kernel returns the number of semiring operations it is charged
+// (one ⊕ plus one ⊗ per inner-loop step of the reference loops), so
+// callers can charge the simulated machine's flop clock and the
+// experiments can verify the F = Ω(n²|S|) operation-count bound of
+// Lemma 6.4. The count is a formula over the finite entries of the
+// operands, never a loop counter, so it does not depend on which
+// implementation the dispatch below picks.
 
-// MulAddInto computes C = C ⊕ A ⊗ B. A is r×k, B is k×c, C is r×c.
-// The i-k-j loop order keeps the B row access sequential for cache
-// friendliness, and rows of A that are entirely Inf are skipped (the
-// empty-block saving of Section 4.1 at element granularity).
+// plainLoopMaxOps is the r·k·c volume up to which MulAddInto keeps the
+// plain loop: below it the density scan and the pivot bookkeeping of
+// the other two kernels cost more than they save.
+const plainLoopMaxOps = 4096
+
+// MulAddInto computes C = C ⊕ A ⊗ B. A is r×k, B is k×c, C is r×c, and
+// C must not alias A or B. Inf entries of A are skipped (the
+// empty-block saving of Section 4.1 at element granularity) and charged
+// nothing: the result is c per finite entry of A.
+//
+// It picks one of three loops from the operands alone: the plain i-k-j
+// loop for tiny products, a CSR index of A's finite entries when fewer
+// than SparseDensityThreshold of them are finite, and the cache-blocked
+// four-pivot kernel otherwise. Every candidate a(i,k)+b(k,j) is formed
+// once and folded in ascending k order by all three, so the matrix and
+// the count are bit-identical whichever runs.
 func MulAddInto(c, a, b *Matrix) int64 {
+	checkMulDims(c, a, b)
+	if a.Rows*a.Cols*b.Cols <= plainLoopMaxOps {
+		return mulAddPlain(c, a, b)
+	}
+	if ix := IndexIfSparse(a); ix != nil {
+		return ix.MulAddInto(c, b)
+	}
+	return mulAddTiled(c, a, b, tileK, tileJ)
+}
+
+func checkMulDims(c, a, b *Matrix) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("semiring: mul dims %dx%d * %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
+}
+
+// mulAddPlain is the reference i-k-j loop: B's rows stream sequentially
+// and Inf entries of A are skipped. The other kernels are tested
+// against it.
+func mulAddPlain(c, a, b *Matrix) int64 {
 	var ops int64
 	for i := 0; i < a.Rows; i++ {
 		arow := a.V[i*a.Cols : (i+1)*a.Cols]
@@ -28,35 +60,23 @@ func MulAddInto(c, a, b *Matrix) int64 {
 				continue
 			}
 			brow := b.V[k*b.Cols : (k+1)*b.Cols]
-			for j, bkj := range brow {
-				if s := aik + bkj; s < crow[j] {
-					crow[j] = s
-				}
-			}
+			minPlusRow(crow, aik, brow)
 			ops += int64(len(brow))
 		}
 	}
 	return ops
 }
 
-// MulAddIntoFull is MulAddInto without the Inf-row skip; it always
-// performs r·k·c operations. The operation-count experiments use it to
-// measure the classical (non-avoiding) cost.
+// MulAddIntoFull is MulAddInto without the Inf skip; it always performs
+// r·k·c operations. The operation-count experiments use it to measure
+// the classical (non-avoiding) cost.
 func MulAddIntoFull(c, a, b *Matrix) int64 {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic(fmt.Sprintf("semiring: mul dims %dx%d * %dx%d -> %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
+	checkMulDims(c, a, b)
 	for i := 0; i < a.Rows; i++ {
 		arow := a.V[i*a.Cols : (i+1)*a.Cols]
 		crow := c.V[i*c.Cols : (i+1)*c.Cols]
 		for k, aik := range arow {
-			brow := b.V[k*b.Cols : (k+1)*b.Cols]
-			for j, bkj := range brow {
-				if s := aik + bkj; s < crow[j] {
-					crow[j] = s
-				}
-			}
+			minPlusRow(crow, aik, b.V[k*b.Cols:(k+1)*b.Cols])
 		}
 	}
 	return int64(a.Rows) * int64(a.Cols) * int64(b.Cols)
@@ -66,13 +86,10 @@ func MulAddIntoFull(c, a, b *Matrix) int64 {
 // persistent DefaultPool workers. Distinct bands write disjoint row
 // blocks of C, so no synchronization beyond the final join is needed.
 // Use it for large sequential baselines; the simulated-machine
-// algorithms use the serial kernel because each rank is already a
-// goroutine. MulAddIntoPooled additionally tiles each band.
+// algorithms multiply serially because each rank is already a
+// goroutine.
 func MulAddIntoParallel(c, a, b *Matrix) int64 {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic(fmt.Sprintf("semiring: mul dims %dx%d * %dx%d -> %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
+	checkMulDims(c, a, b)
 	workers := DefaultPool.Size()
 	if workers > a.Rows {
 		workers = a.Rows
@@ -95,54 +112,81 @@ func MulAddIntoParallel(c, a, b *Matrix) int64 {
 	return total
 }
 
-// ClassicalFW runs the classical Floyd–Warshall update on the square
-// matrix m in place: m_ij = m_ij ⊕ m_ik ⊗ m_kj for all k, i, j. The
-// diagonal is clamped to ⊕0 first so that a block whose diagonal was
-// never initialized still behaves as a distance matrix.
-func ClassicalFW(m *Matrix) int64 {
-	if m.Rows != m.Cols {
-		panic(fmt.Sprintf("semiring: ClassicalFW on %dx%d matrix", m.Rows, m.Cols))
-	}
-	n := m.Rows
-	for i := 0; i < n; i++ {
-		if m.V[i*n+i] > 0 {
-			m.V[i*n+i] = 0
-		}
-	}
-	var ops int64
-	for k := 0; k < n; k++ {
-		krow := m.V[k*n : (k+1)*n]
-		for i := 0; i < n; i++ {
-			mik := m.V[i*n+k]
-			if math.IsInf(mik, 1) {
-				continue
-			}
-			irow := m.V[i*n : (i+1)*n]
-			for j, mkj := range krow {
-				if s := mik + mkj; s < irow[j] {
-					irow[j] = s
-				}
-			}
-			ops += int64(n)
-		}
-	}
-	return ops
-}
-
 // PanelUpdateLeft computes P = P ⊕ P ⊗ D for a column panel P (r×k) and
 // diagonal block D (k×k): the A(i,k) ← A(i,k) ⊕ A(i,k)⊗A(k,k) step of
 // the blocked algorithm. D must already be transitively closed
 // (ClassicalFW applied), which makes a single pass sufficient.
 func PanelUpdateLeft(p, d *Matrix) int64 {
-	tmp := p.Clone()
-	return MulAddInto(p, tmp, d)
+	return PanelUpdateLeftScratch(p, d, nil)
 }
 
 // PanelUpdateRight computes P = P ⊕ D ⊗ P for a row panel P (k×c) and a
 // transitively closed diagonal block D (k×k).
 func PanelUpdateRight(p, d *Matrix) int64 {
-	tmp := p.Clone()
-	return MulAddInto(p, d, tmp)
+	return PanelUpdateRightScratch(p, d, nil)
+}
+
+// PanelUpdateLeftScratch is PanelUpdateLeft with the snapshot of P
+// taken into a's scratch space instead of a fresh allocation (a nil
+// arena allocates).
+func PanelUpdateLeftScratch(p, d *Matrix, a *Arena) int64 {
+	return MulAddInto(p, snapshot(p, a), d)
+}
+
+// PanelUpdateRightScratch is PanelUpdateRight with an arena-backed
+// snapshot; see PanelUpdateLeftScratch.
+func PanelUpdateRightScratch(p, d *Matrix, a *Arena) int64 {
+	return MulAddInto(p, d, snapshot(p, a))
+}
+
+func snapshot(p *Matrix, a *Arena) *Matrix {
+	tmp := FromSlice(p.Rows, p.Cols, a.Scratch(len(p.V)))
+	copy(tmp.V, p.V)
+	return tmp
+}
+
+// PanelStep is one link of a fused panel-update chain: the broadcast
+// operand D and which side it multiplies on. Right=false applies
+// P ⊕= P ⊗ D (PanelUpdateLeftScratch), Right=true applies P ⊕= D ⊗ P
+// (PanelUpdateRightScratch).
+type PanelStep struct {
+	D     *Matrix
+	Right bool
+}
+
+// PanelUpdateMultiScratch applies a chain of panel updates to the
+// resident block p, keeping p hot across all accumulations: one fused
+// node loads the destination once and runs k accumulates instead of k
+// separate nodes each paying a full scheduler round-trip and
+// write-back. Step i is bit-identical to the corresponding single
+// PanelUpdateLeft/RightScratch call — each step snapshots p into the
+// arena before multiplying, so the min-plus accumulation order over
+// the same block is exactly plan order.
+//
+// The optional hooks let the caller interleave its accounting with the
+// arithmetic at the same points the unfused nodes would have:
+// before(i) runs ahead of step i's multiply (receive/send/memory
+// charges), after(i, ops) runs right after it with the step's
+// operation count (flops/memory-release charges). Either may be nil.
+// Returns the total operation count.
+func PanelUpdateMultiScratch(p *Matrix, steps []PanelStep, a *Arena, before func(i int), after func(i int, ops int64)) int64 {
+	var total int64
+	for i := range steps {
+		if before != nil {
+			before(i)
+		}
+		var ops int64
+		if steps[i].Right {
+			ops = PanelUpdateRightScratch(p, steps[i].D, a)
+		} else {
+			ops = PanelUpdateLeftScratch(p, steps[i].D, a)
+		}
+		if after != nil {
+			after(i, ops)
+		}
+		total += ops
+	}
+	return total
 }
 
 // BlockedFW runs the blocked Floyd–Warshall algorithm of Section 3.3 on
@@ -151,13 +195,6 @@ func PanelUpdateRight(p, d *Matrix) int64 {
 // It is the shared-memory reference the distributed algorithms are
 // validated against.
 func BlockedFW(m *Matrix, b int) int64 {
-	return BlockedFWKernel(m, b, KernelSerial)
-}
-
-// BlockedFWKernel is BlockedFW with an explicit kernel choice for the
-// diagonal, panel and outer-product steps. Results and operation
-// counts are identical for every kernel.
-func BlockedFWKernel(m *Matrix, b int, kern Kernel) int64 {
 	if m.Rows != m.Cols {
 		panic(fmt.Sprintf("semiring: BlockedFW on %dx%d matrix", m.Rows, m.Cols))
 	}
@@ -186,7 +223,7 @@ func BlockedFWKernel(m *Matrix, b int, kern Kernel) int64 {
 	}
 	for k := 0; k < nb; k++ {
 		dk := view(k, k)
-		ops += kern.ClassicalFW(dk)
+		ops += ClassicalFW(dk)
 		store(k, k, dk)
 		panelsCol := make([]*Matrix, nb)
 		panelsRow := make([]*Matrix, nb)
@@ -195,11 +232,11 @@ func BlockedFWKernel(m *Matrix, b int, kern Kernel) int64 {
 				continue
 			}
 			pc := view(i, k)
-			ops += kern.PanelUpdateLeft(pc, dk)
+			ops += PanelUpdateLeft(pc, dk)
 			store(i, k, pc)
 			panelsCol[i] = pc
 			pr := view(k, i)
-			ops += kern.PanelUpdateRight(pr, dk)
+			ops += PanelUpdateRight(pr, dk)
 			store(k, i, pr)
 			panelsRow[i] = pr
 		}
@@ -207,22 +244,12 @@ func BlockedFWKernel(m *Matrix, b int, kern Kernel) int64 {
 			if i == k {
 				continue
 			}
-			// The sparse kernel builds the column panel's CSR index once
-			// and reuses it across all nb-1 outer products of block row i.
-			var ixc *SparseIndex
-			if kern == KernelSparse {
-				ixc = IndexIfSparse(panelsCol[i])
-			}
 			for j := 0; j < nb; j++ {
 				if j == k {
 					continue
 				}
 				blk := view(i, j)
-				if ixc != nil {
-					ops += ixc.MulAddInto(blk, panelsRow[j])
-				} else {
-					ops += kern.MulAddInto(blk, panelsCol[i], panelsRow[j])
-				}
+				ops += MulAddInto(blk, panelsCol[i], panelsRow[j])
 				store(i, j, blk)
 			}
 		}

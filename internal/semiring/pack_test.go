@@ -143,10 +143,10 @@ func TestUnpackRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestSparseIndexMulMatchesSerial locks the CSR kernel to the serial
-// reference: bit-identical results and identical operation counts, with
-// and without the index-reuse entry point, across densities that land
-// on both sides of the fallback threshold.
+// TestSparseIndexMulMatchesSerial locks the CSR kernel to the plain
+// reference loop: bit-identical results and identical operation counts,
+// through the dispatch and through an index built directly, across
+// densities that land on both sides of the dispatch threshold.
 func TestSparseIndexMulMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	shapes := [][3]int{{0, 0, 0}, {1, 1, 1}, {5, 0, 3}, {33, 17, 29}, {64, 64, 64}}
@@ -157,11 +157,11 @@ func TestSparseIndexMulMatchesSerial(t *testing.T) {
 			b := randKernelMatrix(k, c, infFrac, rng)
 			cInit := randKernelMatrix(r, c, 0.5, rng)
 			want := cInit.Clone()
-			wantOps := MulAddInto(want, a, b)
+			wantOps := mulAddPlain(want, a, b)
 
 			got := cInit.Clone()
-			if ops := MulAddIntoSparse(got, a, b); ops != wantOps || !bitIdentical(got, want) {
-				t.Fatalf("MulAddIntoSparse %v infFrac=%g: ops=%d want %d", sh, infFrac, ops, wantOps)
+			if ops := MulAddInto(got, a, b); ops != wantOps || !bitIdentical(got, want) {
+				t.Fatalf("MulAddInto %v infFrac=%g: ops=%d want %d", sh, infFrac, ops, wantOps)
 			}
 			ix := IndexMatrix(a)
 			if ix.NNZ() != a.NNZ() {
@@ -175,6 +175,11 @@ func TestSparseIndexMulMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestIndexIfSparseThreshold puts the left operand on either side of
+// SparseDensityThreshold — near-empty and full, then exactly one finite
+// entry short of half full (CSR index) and exactly half full (tiled
+// kernel) — and checks the dispatch agrees with the reference on both
+// sides of the boundary.
 func TestIndexIfSparseThreshold(t *testing.T) {
 	dense := NewMatrix(8, 8)
 	dense.Fill(1)
@@ -188,5 +193,25 @@ func TestIndexIfSparseThreshold(t *testing.T) {
 	}
 	if IndexIfSparse(NewMatrix(0, 5)) == nil {
 		t.Fatal("0-row matrix should be indexed (trivially sparse)")
+	}
+	rng := rand.New(rand.NewSource(9))
+	const r, k, c = 20, 30, 40
+	b := randKernelMatrix(k, c, 0.2, rng)
+	cInit := randKernelMatrix(r, c, 0.5, rng)
+	for _, tc := range []struct {
+		finite int
+		csr    bool
+	}{{r*k/2 - 1, true}, {r * k / 2, false}} {
+		a := NewMatrix(r, k)
+		for _, at := range rng.Perm(r * k)[:tc.finite] {
+			a.V[at] = rng.Float64() * 16
+		}
+		if got := IndexIfSparse(a) != nil; got != tc.csr {
+			t.Fatalf("%d of %d finite: indexed=%v, want %v", tc.finite, r*k, got, tc.csr)
+		}
+		want, got := cInit.Clone(), cInit.Clone()
+		if wantOps, ops := mulAddPlain(want, a, b), MulAddInto(got, a, b); ops != wantOps || !bitIdentical(got, want) {
+			t.Fatalf("%d of %d finite: dispatch diverges from reference (ops %d vs %d)", tc.finite, r*k, ops, wantOps)
+		}
 	}
 }

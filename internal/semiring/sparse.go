@@ -1,37 +1,29 @@
 package semiring
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// CSR-style min-plus multiply. The serial kernel already skips Inf
-// pivots, but it rescans the full row of A to find them, and the tiled
-// kernel rescans every (k-tile, j-tile) pass — on a low-density panel
-// almost all of that scanning is wasted. MulAddIntoSparse builds a
-// compact index of the finite entries of A once, then streams only
-// those, fusing four pivots per pass over C like the tiled kernel's
-// register blocking. Above SparseDensityThreshold the index buys
-// nothing over cache blocking, so it falls back to the tiled kernel.
+// CSR-style min-plus multiply. The plain loop rescans the full row of
+// A to find its finite pivots, and the tiled kernel rescans every
+// (k-tile, j-tile) pass — on a low-density panel almost all of that
+// scanning is wasted. SparseIndex is a compact index of the finite
+// entries of A, built once and streamed four pivots per pass over C
+// like the tiled kernel's register blocking.
 //
-// The semantics are exactly MulAddInto's: pivots are visited in
+// The semantics are exactly mulAddPlain's: pivots are visited in
 // ascending k order per row, each candidate a(i,k)+b(k,j) is formed
 // identically, and the operation count charges len(brow) per finite
 // pivot — so results are bit-identical and cost reports are unchanged
-// (the kernel-invariance tests lock this in).
+// (TestKernelsMatchSerial locks this in).
 
-// SparseDensityThreshold is the finite-entry density of A above which
-// MulAddIntoSparse hands the multiply to the tiled kernel. At half
-// full, the index roughly matches the dense row in size and the tiled
-// kernel's B-panel reuse wins; below it, skipping the Inf scan and the
-// per-tile rescans dominates.
+// SparseDensityThreshold is the finite-entry density of A at and above
+// which MulAddInto uses the tiled kernel instead of a CSR index. At
+// half full, the index roughly matches the dense row in size and the
+// tiled kernel's B-panel reuse wins; below it, skipping the Inf scan
+// and the per-tile rescans dominates.
 const SparseDensityThreshold = 0.5
 
 // SparseIndex is a CSR view of the finite entries of a matrix: row i's
-// pivots are Col/Val[RowPtr[i]:RowPtr[i+1]], ascending in column. Build
-// it once per panel and reuse it across every multiply that panel
-// participates in (BlockedFWKernel reuses one index across all nb-1
-// outer products of a block row).
+// pivots are Col/Val[RowPtr[i]:RowPtr[i+1]], ascending in column.
 type SparseIndex struct {
 	Rows, Cols int
 	RowPtr     []int
@@ -40,9 +32,12 @@ type SparseIndex struct {
 }
 
 // IndexMatrix builds the CSR index of a's finite entries.
-func IndexMatrix(a *Matrix) *SparseIndex {
+func IndexMatrix(a *Matrix) *SparseIndex { return indexMatrix(a, a.NNZ()) }
+
+// indexMatrix is IndexMatrix for a caller that has already counted a's
+// nnz finite entries.
+func indexMatrix(a *Matrix, nnz int) *SparseIndex {
 	ix := &SparseIndex{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int, a.Rows+1)}
-	nnz := a.NNZ()
 	ix.Col = make([]int, 0, nnz)
 	ix.Val = make([]float64, 0, nnz)
 	for i := 0; i < a.Rows; i++ {
@@ -60,13 +55,11 @@ func IndexMatrix(a *Matrix) *SparseIndex {
 // IndexIfSparse returns a's CSR index when its density is below
 // SparseDensityThreshold, else nil (use the tiled kernel instead).
 func IndexIfSparse(a *Matrix) *SparseIndex {
-	if len(a.V) == 0 {
-		return IndexMatrix(a)
-	}
-	if float64(a.NNZ())/float64(len(a.V)) >= SparseDensityThreshold {
+	nnz := a.NNZ()
+	if nnz > 0 && float64(nnz)/float64(len(a.V)) >= SparseDensityThreshold {
 		return nil
 	}
-	return IndexMatrix(a)
+	return indexMatrix(a, nnz)
 }
 
 // NNZ returns the number of indexed finite entries.
@@ -76,10 +69,7 @@ func (ix *SparseIndex) NNZ() int { return len(ix.Col) }
 // Results and the returned operation count are identical to
 // MulAddInto(c, a, b).
 func (ix *SparseIndex) MulAddInto(c, b *Matrix) int64 {
-	if ix.Cols != b.Rows || c.Rows != ix.Rows || c.Cols != b.Cols {
-		panic(fmt.Sprintf("semiring: mul dims %dx%d * %dx%d -> %dx%d",
-			ix.Rows, ix.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
+	checkMulDims(c, &Matrix{Rows: ix.Rows, Cols: ix.Cols}, b)
 	jj := b.Cols
 	if jj == 0 {
 		return 0
@@ -109,18 +99,4 @@ func (ix *SparseIndex) MulAddInto(c, b *Matrix) int64 {
 		ops += int64(hi-lo) * int64(jj)
 	}
 	return ops
-}
-
-// MulAddIntoSparse computes C = C ⊕ A ⊗ B via a CSR index of A when A
-// is below SparseDensityThreshold, falling back to the tiled kernel on
-// dense inputs. Results and operation counts match MulAddInto exactly.
-func MulAddIntoSparse(c, a, b *Matrix) int64 {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic(fmt.Sprintf("semiring: mul dims %dx%d * %dx%d -> %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
-	if ix := IndexIfSparse(a); ix != nil {
-		return ix.MulAddInto(c, b)
-	}
-	return MulAddIntoTiled(c, a, b)
 }

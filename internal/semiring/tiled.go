@@ -1,13 +1,8 @@
 package semiring
 
-import (
-	"fmt"
-	"math"
-	"sync"
-	"time"
-)
+import "math"
 
-// Cache-blocked min-plus multiply. The naive i-k-j MulAddInto streams
+// Cache-blocked min-plus multiply. The plain i-k-j loop streams
 // the whole of B once per row of A — Θ(r·k·c) words of B traffic — so
 // for matrices past the last-level cache it is memory bound. The tiled
 // kernel iterates (k-tile, j-tile) panels of B in the outer loops and
@@ -16,133 +11,45 @@ import (
 // fusing four pivot rows per pass so each C element is loaded and
 // stored once per quad instead of once per pivot.
 //
-// The semantics are exactly MulAddInto's: for every output column the
+// The semantics are exactly mulAddPlain's: for every output column the
 // pivots are visited in ascending k order (the j-tile loop nests inside
 // the k-tile loop), each candidate a(i,k)+b(k,j) is formed identically,
 // and the Inf-row skip applies per (i,k) element — so results are
 // bit-identical and the returned operation count is equal for every
 // input (TestKernelsMatchSerial locks this in).
 
-// Deterministic fallback tile sizes, used when the one-time autotune is
-// disabled or cannot measure (e.g. a clock of insufficient resolution):
-// a 64×256 float64 panel is 128 KiB — comfortably inside a typical L2.
+// tileK×tileJ is the panel of B the tiled kernel keeps hot: 64×256
+// float64 is 128 KiB, inside a typical L2. BenchmarkMinPlusTileSizes
+// sweeps the alternatives (EXPERIMENTS.md E35); one constant replaced a
+// first-use autotune whose pick was host noise.
 const (
-	fallbackTileK = 64
-	fallbackTileJ = 256
+	tileK = 64
+	tileJ = 256
 )
 
-var (
-	tileMu       sync.Mutex
-	tileK, tileJ int  // 0 until chosen
-	tileForced   bool // SetTileSizes pins the sizes, skipping autotune
-)
-
-// SetTileSizes pins the tiled kernel's tile sizes, bypassing the
-// autotune — used by benchmarks sweeping block sizes and by tests that
-// need determinism. SetTileSizes(0, 0) unpins, so the next TileSizes
-// call re-runs the autotune.
-func SetTileSizes(tk, tj int) {
-	if (tk <= 0) != (tj <= 0) {
-		panic(fmt.Sprintf("semiring: SetTileSizes(%d, %d): both sizes must be positive, or both zero to reset", tk, tj))
-	}
-	tileMu.Lock()
-	defer tileMu.Unlock()
-	if tk <= 0 {
-		tileK, tileJ, tileForced = 0, 0, false
-		return
-	}
-	tileK, tileJ, tileForced = tk, tj, true
-}
-
-// TileSizes returns the (k, j) tile sizes the tiled kernel uses. The
-// first call runs a small one-time autotune (a few candidate shapes
-// timed on a synthetic multiply, ~tens of milliseconds); if the
-// measurements are unusable the deterministic fallback 64×256 is kept.
-func TileSizes() (int, int) {
-	tileMu.Lock()
-	defer tileMu.Unlock()
-	if tileK == 0 {
-		tileK, tileJ = autotuneTiles()
-	}
-	return tileK, tileJ
-}
-
-// autotuneTiles times each candidate tile shape on a fixed synthetic
-// workload and keeps the fastest. Candidates all fit plausible L2
-// sizes; the workload is big enough to leave L1 but small enough that
-// the whole tune stays in the tens of milliseconds.
-func autotuneTiles() (int, int) {
-	candidates := [][2]int{
-		{32, 256}, {64, 256}, {64, 512}, {128, 512}, {256, 1024},
-	}
-	const n = 192
-	a, b := autotuneMatrix(n, 1), autotuneMatrix(n, 2)
-	c := NewMatrix(n, n)
-	bestK, bestJ := fallbackTileK, fallbackTileJ
-	best := time.Duration(math.MaxInt64)
-	for _, cand := range candidates {
-		c.Fill(Inf)
-		start := time.Now()
-		mulAddTiledRows(c, a, b, 0, n, cand[0], cand[1])
-		elapsed := time.Since(start)
-		if elapsed <= 0 {
-			// Clock too coarse to rank candidates: keep the fallback.
-			return fallbackTileK, fallbackTileJ
-		}
-		if elapsed < best {
-			best, bestK, bestJ = elapsed, cand[0], cand[1]
-		}
-	}
-	return bestK, bestJ
-}
-
-// autotuneMatrix builds a deterministic dense-ish matrix (no RNG so the
-// tune adds no dependency on math/rand state).
-func autotuneMatrix(n int, salt uint64) *Matrix {
-	m := NewMatrix(n, n)
-	x := salt*2654435761 + 1
-	for i := range m.V {
-		x = x*6364136223846793005 + 1442695040888963407
-		if x%8 != 0 { // ~12% Inf, like a partially filled distance block
-			m.V[i] = float64(x%1024) / 64
-		}
-	}
-	return m
-}
-
-// MulAddIntoTiled computes C = C ⊕ A ⊗ B with the cache-blocked kernel.
-// Results and the returned operation count are identical to MulAddInto.
-func MulAddIntoTiled(c, a, b *Matrix) int64 {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic(fmt.Sprintf("semiring: mul dims %dx%d * %dx%d -> %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
-	tk, tj := TileSizes()
-	return mulAddTiledRows(c, a, b, 0, a.Rows, tk, tj)
-}
-
-// mulAddTiledRows runs the tiled update on rows [r0, r1) of A and C.
-// Row ranges are independent, so the pooled kernel calls it per band.
-func mulAddTiledRows(c, a, b *Matrix, r0, r1, tk, tj int) int64 {
+// mulAddTiled runs the tiled update with tk×tj panels of B. MulAddInto
+// passes tileK×tileJ; tests pass small tiles so that tile boundaries
+// land inside small shapes.
+func mulAddTiled(c, a, b *Matrix, tk, tj int) int64 {
 	kk, jj := a.Cols, b.Cols
-	if r1 <= r0 || kk == 0 || jj == 0 {
+	if kk == 0 || jj == 0 {
 		return 0
 	}
 	var ops int64
-	piv := make([]int, 0, tk) // finite pivots of the current (i, k-tile)
+	var pivots [tileK]int // finite pivots of the current (i, k-tile)
 	for k0 := 0; k0 < kk; k0 += tk {
 		k1 := min(kk, k0+tk)
 		for j0 := 0; j0 < jj; j0 += tj {
 			j1 := min(jj, j0+tj)
 			w := int64(j1 - j0)
-			for i := r0; i < r1; i++ {
+			for i := 0; i < a.Rows; i++ {
 				arow := a.V[i*kk : (i+1)*kk]
 				crow := c.V[i*jj+j0 : i*jj+j1]
 				// Collect the finite pivots of this k-tile, then fuse
 				// them four at a time so crow is read and written once
 				// per quad instead of once per pivot. Pivots stay in
 				// ascending k order, preserving serial tie-breaking.
-				piv = piv[:0]
+				piv := pivots[:0]
 				for k := k0; k < k1; k++ {
 					if !math.IsInf(arow[k], 1) {
 						piv = append(piv, k)
@@ -181,6 +88,9 @@ func minPlusRow(crow []float64, aik float64, brow []float64) {
 // are applied in argument order, matching the serial ascending-k order.
 func minPlusRow4(crow []float64, a1 float64, b1 []float64, a2 float64, b2 []float64,
 	a3 float64, b3 []float64, a4 float64, b4 []float64) {
+	if len(crow) == 0 {
+		return
+	}
 	_ = b1[len(crow)-1] // hoist bounds checks out of the loop
 	_ = b2[len(crow)-1]
 	_ = b3[len(crow)-1]

@@ -207,11 +207,21 @@ func (s *Server) register(w http.ResponseWriter, g *graph.Graph) error {
 	if _, err := s.registry(); err != nil {
 		return err
 	}
+	// Admit before solving: every solver allocates n² float64s, so a
+	// graph whose smallest possible oracle — n(n+1)/2 one-byte
+	// distances, before any successor table — is already over the whole
+	// budget is refused without being solved. A store that turns out
+	// wider than that floor is caught by the check after the solve.
+	budget := s.reg.Stats().BudgetBytes
+	if n := int64(g.N()); budget > 0 && n*(n+1)/2 > budget {
+		return &apiError{status: http.StatusRequestEntityTooLarge,
+			err: fmt.Errorf("an oracle on %d vertices holds at least %d bytes, the whole cache budget is %d: raise -budget-mb", n, n*(n+1)/2, budget)}
+	}
 	o, err := s.reg.Get(g)
 	if err != nil {
 		return badRequest("solve failed: %v", err)
 	}
-	if size, budget := o.MemoryBytes(), s.reg.Stats().BudgetBytes; budget > 0 && size > budget {
+	if size := o.MemoryBytes(); budget > 0 && size > budget {
 		return &apiError{status: http.StatusRequestEntityTooLarge,
 			err: fmt.Errorf("the solved oracle holds %d bytes, the whole cache budget is %d: raise -budget-mb", size, budget)}
 	}

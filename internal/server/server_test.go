@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sparseapsp"
@@ -293,6 +294,76 @@ func TestServerEviction(t *testing.T) {
 	}
 	if resp := postJSON(t, ts.URL+"/query", QueryRequest{Graph: c.Graph, Pairs: [][2]int{{0, 1}}}, nil); resp.StatusCode != http.StatusOK {
 		t.Errorf("fresh graph: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestServerLoadRefusedBeforeSolve: a graph whose smallest possible
+// oracle — the one-byte triangle, n(n+1)/2 bytes — is over the whole
+// budget is answered 413 naming both sizes without the solver ever
+// running (it used to allocate n² float64s first). One vertex fewer
+// fits the floor, is solved, and is then refused by the check after
+// the solve because its real oracle is wider.
+func TestServerLoadRefusedBeforeSolve(t *testing.T) {
+	const n, budget = 200_000, 64 << 20
+	var solves atomic.Int32
+	solve := func(g *graph.Graph) (*apsp.PathResult, error) {
+		solves.Add(1)
+		if g.N() > 1000 { // a regression must fail the test, not allocate n² float64s
+			return nil, fmt.Errorf("the solver was reached with n=%d", g.N())
+		}
+		return apsp.FloydWarshallPaths(g), nil
+	}
+	reg := oracle.NewRegistry(oracle.Config{MemoryBudget: budget, Solve: solve})
+	ts := httptest.NewServer(New(reg))
+	defer ts.Close()
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	for path, body := range map[string]string{
+		"/load":     fmt.Sprintf(`{"n": %d, "edges": []}`, n),
+		"/generate": fmt.Sprintf(`{"kind": "cycle", "n": %d, "seed": 1}`, n),
+	} {
+		status, msg := post(path, body)
+		if status != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s n=%d under a %d-byte budget: status %d (%s), want 413", path, n, budget, status, msg)
+		}
+		for _, want := range []string{fmt.Sprint(int64(n) * (n + 1) / 2), fmt.Sprint(budget), "-budget-mb"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s: 413 body %q does not name %s", path, msg, want)
+			}
+		}
+	}
+	if got := solves.Load(); got != 0 {
+		t.Fatalf("the solver ran %d times for graphs refused up front", got)
+	}
+	if st := reg.Stats(); st.Entries != 0 || st.Solves != 0 {
+		t.Errorf("refused graphs left registry state behind: %+v", st)
+	}
+
+	// The floor admits what might fit: 20 vertices under 210 bytes pass
+	// it exactly, are solved once, and the solved oracle (distances plus
+	// successor table) is what the post-solve check refuses.
+	tight := oracle.NewRegistry(oracle.Config{MemoryBudget: 20 * 21 / 2, Solve: solve})
+	ts2 := httptest.NewServer(New(tight))
+	defer ts2.Close()
+	resp, err := http.Post(ts2.URL+"/generate", "application/json", strings.NewReader(`{"kind": "cycle", "n": 20, "seed": 1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), "solved oracle") {
+		t.Errorf("n=20 at its floor: status %d (%s), want the post-solve 413", resp.StatusCode, msg)
+	}
+	if got := solves.Load(); got != 1 {
+		t.Errorf("n=20 at its floor: %d solves, want 1", got)
 	}
 }
 
