@@ -421,7 +421,7 @@ func TestRouterStatszAggregates(t *testing.T) {
 	for _, info := range infos {
 		post(t, front.URL, "/query", server.QueryRequest{Graph: info.Graph, Pairs: [][2]int{{0, 5}}})
 	}
-	// And a unit-weight star, for the censuses: one-byte distances, a hub
+	// And a unit-weight star, for the censuses: two-bit distances, a hub
 	// of four neighbours.
 	if status, data := post(t, front.URL, "/load", server.LoadRequest{N: 5, Edges: [][3]float64{{0, 1, 1}, {0, 2, 1}, {0, 3, 1}, {0, 4, 1}}}); status != http.StatusOK {
 		t.Fatalf("load: status %d: %s", status, data)
@@ -450,12 +450,12 @@ func TestRouterStatszAggregates(t *testing.T) {
 	}
 	// The per-entry censuses sum across backends like every counter: four
 	// path graphs with real-valued weights are four f64 stores whose widest
-	// successor column is one bit, the star a u8 store whose hub takes two,
+	// successor column is one bit, the star a u2 store whose hub takes two,
 	// each the triangle of a bit-symmetric matrix.
-	if !reflect.DeepEqual(st.Aggregate.StoreKinds, map[string]int{"f64": 4, "u8": 1}) ||
+	if !reflect.DeepEqual(st.Aggregate.StoreKinds, map[string]int{"f64": 4, "u2": 1}) ||
 		!reflect.DeepEqual(st.Aggregate.StoreLayouts, map[string]int{"tri": 5}) ||
 		!reflect.DeepEqual(st.Aggregate.SuccBits, map[int]int{1: 4, 2: 1}) {
-		t.Fatalf("aggregate store_kinds = %v, store_layouts = %v, succ_bits = %v, want f64:4 u8:1, tri:5 and 1:4 2:1",
+		t.Fatalf("aggregate store_kinds = %v, store_layouts = %v, succ_bits = %v, want f64:4 u2:1, tri:5 and 1:4 2:1",
 			st.Aggregate.StoreKinds, st.Aggregate.StoreLayouts, st.Aggregate.SuccBits)
 	}
 	if st.Graphs != 5 {

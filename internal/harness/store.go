@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"os"
@@ -22,9 +23,9 @@ import (
 // each vertex's column at the width its own degree needs, plus the
 // arrays that decode them. The serialised store is decoded and verified
 // bit-identical before any row is emitted, and the run fails unless
-// every integer workload holds at most n(n+1)/2 distances of one or two
-// bytes — whichever its kind says — plus the table its degree sequence
-// predicts — the acceptance gate.
+// every integer workload stores its distances as uN with N from its
+// largest distance and holds at most n(n+1)/2 of them at N bits plus the
+// table its degree sequence predicts — the acceptance gate.
 //
 // Latency axis — each workload is solved twice against the same
 // persistent plan store directory through two fresh caches, simulating
@@ -119,7 +120,8 @@ func StoreBench(cfg Config, n, p int) (*Table, error) {
 		// words, plus the int32 arrays that decode them — neighbour and
 		// bit offsets, the half-edges twice (neighbour, reverse slot),
 		// component labels. The distances likewise: the entries on and
-		// below the diagonal, at the bytes the kind names.
+		// below the diagonal, back to back at N = bits.Len(d_max + 1) bits
+		// — d_max the largest finite distance, the all-ones code Inf.
 		gn := int64(g.N())
 		pairs := gn * gn
 		rowBits, maxBits := int64(0), 0
@@ -131,11 +133,17 @@ func StoreBench(cfg Config, n, p int) (*Table, error) {
 			}
 		}
 		table := gn*((rowBits+63)/64)*8 + (2*(gn+1)+4*int64(g.M())+gn)*4
-		elem, ok := map[string]int64{"u8": 1, "u16": 2}[kind]
-		if !ok {
-			return nil, fmt.Errorf("store %s: integer-weight distances stored as %s, want u8 or u16", wl.name, kind)
+		maxD := 0.0
+		for _, d := range coldRes.Dist.V {
+			if d <= math.MaxFloat64 {
+				maxD = max(maxD, d)
+			}
 		}
-		tri := gn * (gn + 1) / 2 * elem
+		width := bits.Len64(uint64(maxD) + 1)
+		if want := fmt.Sprintf("u%d", width); kind != want {
+			return nil, fmt.Errorf("store %s: integer-weight distances up to %g stored as %s, want %s", wl.name, maxD, kind, want)
+		}
+		tri := (gn*(gn+1)/2*int64(width) + 63) / 64 * 8
 		if hotBytes > tri+table || res.Successors().Bits() != maxBits {
 			return nil, fmt.Errorf("store %s: %d bytes, widest column %d bits, for %d pairs (kind %s), want <= the %s triangle (%d) + the table of its degree sequence (%d, widest column %d)",
 				wl.name, hotBytes, res.Successors().Bits(), pairs, kind, kind, tri, table, maxBits)
@@ -144,12 +152,13 @@ func StoreBench(cfg Config, n, p int) (*Table, error) {
 		t.Add(wl.name, kind, maxBits, float64(rowBits)/float64(gn), hotBytes, float64(hotBytes)/float64(pairs), gb/hotBytes,
 			coldMs, warmMs, coldMs/warmMs, coldRes.Report.TotalWords)
 	}
-	t.Note("hot: the lower triangle of the distances at their proven width (integer weights this")
-	t.Note("small: u8, (n+1)/2n B/pair, the matrix being proved bit-symmetric) + successors as")
-	t.Note("neighbour slots, each column as wide as its vertex's degree needs: slot_bits is the")
-	t.Note("widest column, mean_bits what a pair pays — the star's hub takes 10 bits and its leaves")
-	t.Note("none — plus the counted int32 arrays that decode them (serialised store verified")
-	t.Note("bit-identical on decode) — per_gb_hot is how many such graphs fit in one GB")
+	t.Note("hot: the lower triangle of the distances at their proven width (integer weights:")
+	t.Note("uN, N = bits.Len(d_max+1) bits an entry, (n+1)N/16n B/pair, the matrix being")
+	t.Note("proved bit-symmetric) + successors as neighbour slots, each column as wide as its")
+	t.Note("vertex's degree needs: slot_bits is the widest column, mean_bits what a pair pays")
+	t.Note("— the star's hub takes 10 bits and its leaves none — plus the counted int32 arrays")
+	t.Note("that decode them (serialised store verified bit-identical on decode) — per_gb_hot")
+	t.Note("is how many such graphs fit in one GB")
 	t.Note("warm_ms is a fresh process over the same -plan-dir: the plan loads from disk")
 	t.Note("hash-verified with zero symbolic builds, so only the numeric phase remains")
 	return t, nil

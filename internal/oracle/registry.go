@@ -435,11 +435,12 @@ type Stats struct {
 	BudgetBytes int64 // configured budget (0 = unlimited)
 
 	// StoreKinds counts resident entries by the kind their distance
-	// store proved: "u8", "u16", "u32", "f32", "f64". Integer weights
-	// serve from u8 or u16 — 1 or 2 bytes per stored entry, by the
-	// largest distance — plus the successor table; an f64 entry —
-	// real-valued weights — costs 8 plus the table. Kinds with no entry
-	// are omitted.
+	// store proved: "u1" … "u32", "f32", "f64". Integer weights serve
+	// from uN — N bits per stored entry, N = bits.Len(largest distance
+	// + 1) at scale 1: "u8" for a 32×32 grid under weights 1..9, "u11"
+	// for an 800-cycle — plus the successor table; an f64 entry —
+	// real-valued weights — costs 64 bits plus the table. Kinds with no
+	// entry are omitted.
 	StoreKinds map[string]int
 	// StoreLayouts counts the same entries by how many distances they
 	// keep: "tri" for the lower triangle of a matrix proved
@@ -535,7 +536,7 @@ func (r *Registry) Stats() Stats {
 	for _, e := range r.entries {
 		if e.oracle != nil {
 			if s.StoreKinds == nil {
-				s.StoreKinds = make(map[string]int, len(tierKindNames))
+				s.StoreKinds = make(map[string]int)
 				s.StoreLayouts = make(map[string]int, 2)
 				s.SuccBits = make(map[int]int)
 			}

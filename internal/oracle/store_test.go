@@ -8,6 +8,9 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -57,20 +60,48 @@ func succBytes(g *graph.Graph) int64 {
 	return int64(n)*int64((rowBits+63)/64)*8 + int64(2*(n+1)+4*g.M()+n)*4
 }
 
-// distBytes is what the distances of an n-vertex graph must retain at
-// elem bytes each: the n(n+1)/2 entries on and below the diagonal when
-// the matrix is bit-symmetric, all n² when square.
-func distBytes(n, elem int, square bool) int64 {
+// distBytes is what the distances of an n-vertex graph must retain in
+// kind: the n(n+1)/2 entries on and below the diagonal when the matrix
+// is bit-symmetric, all n² when square — N bits each for uN, back to
+// back in whole 64-bit words, 4 or 8 bytes each for f32 / f64.
+func distBytes(n int, kind string, square bool) int64 {
+	entries := int64(n) * int64(n+1) / 2
 	if square {
-		return int64(n * n * elem)
+		entries = int64(n) * int64(n)
 	}
-	return int64(n * (n + 1) / 2 * elem)
+	switch kind {
+	case "f32":
+		return entries * 4
+	case "f64":
+		return entries * 8
+	}
+	width, err := strconv.Atoi(strings.TrimPrefix(kind, "u"))
+	if err != nil || width < 1 || width > 32 {
+		panic("distBytes: no kind " + kind)
+	}
+	return (entries*int64(width) + 63) / 64 * 8
 }
 
 // hotBytes is an oracle of g over a bit-symmetric matrix: the
-// triangle at elem bytes an entry plus succBytes.
-func hotBytes(g *graph.Graph, elem int) int64 {
-	return distBytes(g.N(), elem, false) + succBytes(g)
+// triangle in kind plus succBytes.
+func hotBytes(g *graph.Graph, kind string) int64 {
+	return distBytes(g.N(), kind, false) + succBytes(g)
+}
+
+// uKind names the uN whose largest finite code is maxK: N bits tell
+// maxK + 1 codes apart, the last of them Inf.
+func uKind(maxK uint64) string { return fmt.Sprintf("u%d", bits.Len64(maxK+1)) }
+
+// quantKind is the kind a matrix of multiples of scale must land in:
+// uKind of its largest finite entry over scale.
+func quantKind(d *semiring.Matrix, scale float64) string {
+	var maxK uint64
+	for _, x := range d.V {
+		if !math.IsInf(x, 1) {
+			maxK = max(maxK, uint64(math.Round(x/scale)))
+		}
+	}
+	return uKind(maxK)
 }
 
 // bitSymmetric is the symmetry proof by brute force.
@@ -95,11 +126,11 @@ func checkStoreReads(t *testing.T, s *distStore, want *semiring.Matrix) {
 	if err != nil {
 		t.Fatalf("%s/%s store does not decode: %v", s.kindName(), s.layoutName(), err)
 	}
-	if back.kind != s.kind || back.tri != s.tri || back.n != s.n || back.bytes() != s.bytes() {
+	if back.kindName() != s.kindName() || back.tri != s.tri || back.n != s.n || back.bytes() != s.bytes() {
 		t.Fatalf("%s/%s store of %d bytes decodes as %s/%s of %d", s.kindName(), s.layoutName(), s.bytes(),
 			back.kindName(), back.layoutName(), back.bytes())
 	}
-	if got, want := s.bytes(), distBytes(n, int(tierElemBytes[s.kind]), !s.tri); got != want {
+	if got, want := s.bytes(), distBytes(n, s.kindName(), !s.tri); got != want {
 		t.Fatalf("%s/%s store of n=%d holds %d bytes, want %d", s.kindName(), s.layoutName(), n, got, want)
 	}
 	for _, st := range []*distStore{s, back} {
@@ -126,18 +157,21 @@ func storeCases() []storeCase {
 	ints := func(lo, hi int) graph.WeightFn {
 		return func(u, v int) float64 { return float64(lo + rng.Intn(hi-lo+1)) }
 	}
-	halves := graph.Grid2D(6, 6, func(u, v int) float64 { return 0.5 * float64(1+rng.Intn(9)) })
-	halves.SetEdge(0, 1, 0.5) // pins the smallest positive distance, and so the scale
-	longHalves := graph.Grid2D(6, 6, func(u, v int) float64 { return 0.5 * float64(60+rng.Intn(9)) })
-	longHalves.SetEdge(0, 1, 0.5) // d(0,35) ≥ 9·30 + 0.5: past the last u8 code at that scale
+	// On a 6×6 grid every pair is joined by a path of at most 10 edges,
+	// and d(0,35) takes at least 10 — or edge {0,1} and 9 more — so
+	// weights in [lo, hi] put the largest distance in [0.5 + 9·lo, 10·hi].
+	halves := graph.Grid2D(6, 6, func(u, v int) float64 { return 0.5 * float64(14+rng.Intn(12)) })
+	halves.SetEdge(0, 1, 0.5) // pins the smallest positive distance, and so the scale: k ∈ [127, 250]
+	longHalves := graph.Grid2D(6, 6, func(u, v int) float64 { return 0.5 * float64(3700+rng.Intn(2801)) })
+	longHalves.SetEdge(0, 1, 0.5) // k ∈ [33,301, 65,000]: 16 bits at that scale
 
 	brim := graph.Path(3, graph.UnitWeights)
-	brim.SetEdge(1, 2, 253) // d(0,2) = 254: the last u8 code
+	brim.SetEdge(1, 2, 253) // d(0,2) = 254: the last finite 8-bit code
 	over := graph.Path(3, graph.UnitWeights)
-	over.SetEdge(1, 2, 254) // d(0,2) = 255: the u8 sentinel
+	over.SetEdge(1, 2, 254) // d(0,2) = 255: the 8-bit Inf code, so 9 bits
 
 	wide := graph.Path(4, graph.UnitWeights)
-	wide.SetEdge(1, 2, 65534) // d(0,2) = 65535: one past the last u16 code
+	wide.SetEdge(1, 2, 1<<31-1) // d(0,3) = 2^31 + 1: 32 bits
 
 	// An integer graph after a fractional edit: 2.5 is no multiple of
 	// the smallest distance (1), but every half-integer is float32-exact.
@@ -153,20 +187,21 @@ func storeCases() []storeCase {
 		islands.AddEdge(12+rng.Intn(v-12), v, float64(1+rng.Intn(9)))
 	}
 
+	// On a 7×7 grid the bound is 12 edges both ways.
 	cases := []storeCase{
-		{name: "u8 scale 1", g: graph.Grid2D(7, 7, ints(1, 9)), kind: "u8", scale: 1},
+		{name: "u8 scale 1", g: graph.Grid2D(7, 7, ints(11, 19)), kind: "u8", scale: 1}, // [132, 228]
 		{name: "u8 scale 0.5", g: halves, kind: "u8", scale: 0.5},
 		{name: "u8 up to 254", g: brim, kind: "u8", scale: 1},
-		{name: "u16 from 255", g: over, kind: "u16", scale: 1},
-		{name: "u16 scale 1", g: graph.Grid2D(7, 7, ints(31, 39)), kind: "u16", scale: 1},
+		{name: "u9 from 255", g: over, kind: "u9", scale: 1},
+		{name: "u16 scale 1", g: graph.Grid2D(7, 7, ints(3000, 5000)), kind: "u16", scale: 1}, // [36,000, 60,000]
 		{name: "u16 scale 0.5", g: longHalves, kind: "u16", scale: 0.5},
 		{name: "u32", g: wide, kind: "u32", scale: 1},
 		{name: "f32", g: edited, kind: "f32", scale: 1},
 		{name: "f64", g: graph.RandomGNP(40, 0.15, graph.RandomWeights(rng, 0.5, 10), rng), kind: "f64", scale: 1},
-		{name: "disconnected", g: islands, kind: "u8", scale: 1},
-		{name: "zero-weight edges", g: graph.Grid2D(6, 6, ints(0, 4)), kind: "u8", scale: 1},
-		{name: "n=0", g: graph.New(0), kind: "u8", scale: 1},
-		{name: "n=1", g: graph.New(1), kind: "u8", scale: 1},
+		{name: "disconnected", g: islands, kind: "u6", scale: 1},
+		{name: "zero-weight edges", g: graph.Grid2D(6, 6, ints(0, 4)), kind: "u4", scale: 1},
+		{name: "n=0", g: graph.New(0), kind: "u1", scale: 1},
+		{name: "n=1", g: graph.New(1), kind: "u1", scale: 1},
 	}
 
 	// The solvers of apsp.TestSolveDistSymmetric on a real-valued grid,
@@ -253,13 +288,12 @@ func storeCases() []storeCase {
 // TestStoreBitIdentity is the store's contract, one row per kind: the
 // oracle built from a solve answers every Dist / BatchDist with the
 // solver's own bits and every Path with the solver's own path, whether
-// the kind was proved (u8, u16, u32, f32) or is the f64 fallback for
-// real-valued weights — the store is bit-exact for ANY weights — and
+// the kind was proved (uN at 1 to 32 bits, f32) or is the f64 fallback
+// for real-valued weights — the store is bit-exact for ANY weights — and
 // whether the symmetry proof held (the triangle: every case but the three
 // marked square) or not. The same holds for the float64 form handed to
 // Repair and for the serialised bytes.
 func TestStoreBitIdentity(t *testing.T) {
-	elem := map[string]int{"u8": 1, "u16": 2, "u32": 4, "f32": 4, "f64": 8}
 	for _, tc := range storeCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			// ref is solved separately: the f64 kind shares the storage of
@@ -275,15 +309,18 @@ func TestStoreBitIdentity(t *testing.T) {
 			if bitSymmetric(ref.Dist) == tc.square {
 				t.Fatalf("test input: the solver's matrix must be bit-symmetric exactly when the case is not square (%v)", tc.square)
 			}
+			if tc.kind[0] == 'u' && quantKind(ref.Dist, tc.scale) != tc.kind {
+				t.Fatalf("test input: the largest distance over %g needs %s, the case says %s", tc.scale, quantKind(ref.Dist, tc.scale), tc.kind)
+			}
 			o := FromResult(res, nil)
 			n := tc.g.N()
 			if got := o.dist.kindName(); got != tc.kind || o.dist.scale != tc.scale || o.dist.tri == tc.square {
 				t.Fatalf("stored as %s/%s scale %g, want %s scale %g, square %v", got, o.dist.layoutName(), o.dist.scale, tc.kind, tc.scale, tc.square)
 			}
-			wantDist := distBytes(n, elem[tc.kind], tc.square)
+			wantDist := distBytes(n, tc.kind, tc.square)
 			if got, want := o.MemoryBytes(), wantDist+succBytes(tc.g); got != want {
-				t.Errorf("MemoryBytes = %d, want %d (%d bytes of %d-byte distances + the table its degree sequence predicts)",
-					got, want, wantDist, elem[tc.kind])
+				t.Errorf("MemoryBytes = %d, want %d (%d bytes of %s distances + the table its degree sequence predicts)",
+					got, want, wantDist, tc.kind)
 			}
 
 			pairs := make([][2]int, 0, n*n)
@@ -355,16 +392,40 @@ func sameMatrixBits(a, b *semiring.Matrix) bool {
 	return true
 }
 
-// TestStoreKindBoundaries pins the last value each narrow kind holds
-// and the first it does not, and the values the two proofs must refuse:
-// the width proof per value, the symmetry proof per mirror pair. Each
-// row is a 2×2 matrix {d00, d01, d10, d11} tried as written — square,
-// since d01 and d10 differ in at least a bit — and with d01 copied onto
-// d10, which must land in the triangle at the kind sym (where the odd
-// value is the only positive one it becomes the scale, and u8 holds it
-// as k = 1).
+// TestStoreKindBoundaries pins, at every width N from 1 to 32, the last
+// finite code and the Inf code beside it, and the values the two proofs
+// must refuse: the width proof per value, the symmetry proof per mirror
+// pair. Each row is a 2×2 matrix {d00, d01, d10, d11} tried as written —
+// square, since d01 and d10 differ in at least a bit — and with d01
+// copied onto d10, which must land in the triangle at the kind sym
+// (where the odd value is the only positive one it becomes the scale,
+// and two bits hold it as k = 1 beside Inf).
 func TestStoreKindBoundaries(t *testing.T) {
 	inf := semiring.Inf
+	// Every width: 2^N−2 is the largest finite code of N bits, the Inf
+	// code 2^N−1 sits beside it, and a finite 2^N−1 takes N+1 bits — or,
+	// past 32, f64 (it needs 32 mantissa bits, so no float32 holds it).
+	for width := 1; width <= 32; width++ {
+		last := uint64(1)<<width - 2
+		s := narrow(distOf([]float64{0, float64(last), inf, 0}, 2))
+		if got, want := s.kindName(), fmt.Sprintf("u%d", width); got != want || s.tri {
+			t.Fatalf("2^%d-2 beside Inf: stored as %s/%s, want %s/square", width, got, s.layoutName(), want)
+		}
+		if s.code(1) != last || s.code(2) != last+1 || s.inf() != last+1 {
+			t.Fatalf("u%d: codes %d and %d, Inf code %d, want %d, %d and %d", width, s.code(1), s.code(2), s.inf(), last, last+1, last+1)
+		}
+		checkStoreReads(t, s, distOf([]float64{0, float64(last), inf, 0}, 2))
+		over := distOf([]float64{0, float64(last + 1), inf, 1}, 2) // with 1 beside it, 2^N−1 is no scale
+		want := fmt.Sprintf("u%d", width+1)
+		if width == 32 {
+			want = "f64"
+		}
+		if s := narrow(over.Clone()); s.kindName() != want {
+			t.Fatalf("a finite 2^%d-1: stored as %s, want %s", width, s.kindName(), want)
+		}
+		checkStoreReads(t, narrow(over.Clone()), over)
+	}
+
 	negZero := math.Copysign(0, -1)
 	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
 	for _, tc := range []struct {
@@ -372,20 +433,19 @@ func TestStoreKindBoundaries(t *testing.T) {
 		vals      []float64
 		kind, sym string
 	}{
-		{"254 is the last u8 code", []float64{0, 254, 1, inf}, "u8", "u8"},
-		{"255 is the u8 sentinel", []float64{0, 255, 1, inf}, "u16", "u16"},
-		{"256 is past it", []float64{0, 256, 1, inf}, "u16", "u16"},
-		{"Inf is 0xFF, beside 254", []float64{0, inf, 254, inf}, "u8", "u8"},
-		{"127 halves are the last u8 code at scale 0.5", []float64{0, 127, 0.5, inf}, "u8", "u8"},
-		{"127.5 is that scale's sentinel", []float64{0, 127.5, 0.5, inf}, "u16", "u8"},
-		{"65534 is the last u16 code", []float64{0, 65534, 1, inf}, "u16", "u16"},
-		{"65535 is the u16 sentinel", []float64{0, 65535, 1, inf}, "u32", "u32"},
-		{"2^32-2 is the last u32 code", []float64{0, 1<<32 - 2, 1, inf}, "u32", "u32"},
-		// 2^32-1 needs 32 mantissa bits, so float32 cannot take it either.
-		{"2^32-1 is the u32 sentinel", []float64{0, 1<<32 - 1, 1, inf}, "f64", "u8"},
-		{"2^32 is float32-exact", []float64{0, 1 << 32, 1, inf}, "f32", "u8"},
-		{"past float32 range", []float64{0, 1e300, 1.5, inf}, "f64", "u8"},
-		{"float64 subnormals", []float64{0, 5e-324, 1e-323, inf}, "u8", "u8"}, // k·5e-324 is exact
+		{"254 is the last 8-bit code", []float64{0, 254, 1, inf}, "u8", "u8"},
+		{"255 is the 8-bit Inf code", []float64{0, 255, 1, inf}, "u9", "u9"},
+		{"256 is past it", []float64{0, 256, 1, inf}, "u9", "u9"},
+		{"Inf beside 254", []float64{0, inf, 254, inf}, "u8", "u1"},
+		{"127 halves are the last 8-bit code at scale 0.5", []float64{0, 127, 0.5, inf}, "u8", "u8"},
+		{"127.5 is that scale's 8-bit Inf code", []float64{0, 127.5, 0.5, inf}, "u9", "u2"},
+		{"65534 is the last 16-bit code", []float64{0, 65534, 1, inf}, "u16", "u16"},
+		{"65535 is the 16-bit Inf code", []float64{0, 65535, 1, inf}, "u17", "u17"},
+		{"2^32-2 is the last 32-bit code", []float64{0, 1<<32 - 2, 1, inf}, "u32", "u32"},
+		{"2^32-1 is the 32-bit Inf code", []float64{0, 1<<32 - 1, 1, inf}, "f64", "u2"},
+		{"2^32 is float32-exact", []float64{0, 1 << 32, 1, inf}, "f32", "u2"},
+		{"past float32 range", []float64{0, 1e300, 1.5, inf}, "f64", "u2"},
+		{"float64 subnormals", []float64{0, 5e-324, 1e-323, inf}, "u2", "u2"}, // k·5e-324 is exact
 		{"a float32 subnormal", []float64{0, 0x1p-149, 1.5, 0.3}, "f64", "f64"},
 		{"negative zero", []float64{0, negZero, 1, inf}, "f64", "f64"},
 		{"negative zero among halves", []float64{0, negZero, 0.5, 1.5}, "f64", "f64"},
@@ -394,10 +454,10 @@ func TestStoreKindBoundaries(t *testing.T) {
 		{"-Inf", []float64{0, math.Inf(-1), 1, inf}, "f32", "f32"},
 		// Mirror pairs that == calls equal, or that differ only where a
 		// comparison of distances never looks: the proof compares bits.
-		{"+0 across the diagonal from -0", []float64{0, 0, negZero, 0}, "f64", "u8"},
+		{"+0 across the diagonal from -0", []float64{0, 0, negZero, 0}, "f64", "u1"},
 		{"NaNs with different payloads", []float64{0, nan1, nan2, 0}, "f64", "f64"},
-		{"Inf on one side only", []float64{0, inf, 7, 0}, "u8", "u8"},
-		{"a mirror entry one ulp off", []float64{0, 0.3, math.Nextafter(0.3, 1), 0}, "f64", "u8"},
+		{"Inf on one side only", []float64{0, inf, 7, 0}, "u4", "u1"},
+		{"a mirror entry one ulp off", []float64{0, 0.3, math.Nextafter(0.3, 1), 0}, "f64", "u2"},
 	} {
 		for _, mirror := range []bool{false, true} {
 			vals, kind := append([]float64(nil), tc.vals...), tc.kind
@@ -420,7 +480,7 @@ func TestStoreKindBoundaries(t *testing.T) {
 	for _, base := range []struct {
 		kind string
 		step float64
-	}{{"u8", 1}, {"u16", 4}, {"u32", 70000}, {"f32", 1.5}, {"f64", 0.1}} {
+	}{{"u7", 1}, {"u9", 4}, {"u23", 70000}, {"f32", 1.5}, {"f64", 0.1}} { // |u−v| ≤ 70
 		sym := semiring.NewMatrix(n, n)
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
@@ -464,6 +524,63 @@ func TestStoreKindBoundaries(t *testing.T) {
 	}
 }
 
+// TestNarrowPacksLikeOneWriter: narrow packs in parallel, each worker a
+// range of 64-entry blocks; the words must equal a reference that sets
+// every entry's bits one at a time on one goroutine — at widths whose
+// entries straddle words and at n whose rows end mid-word, so every
+// range seam falls inside a row, in both layouts. Run under -race.
+func TestNarrowPacksLikeOneWriter(t *testing.T) {
+	for _, n := range []int{1, 7, 63, 65, 130, 257} {
+		for _, width := range []int{1, 3, 8, 11, 17, 31, 32} {
+			for _, square := range []bool{false, true} {
+				if square && n == 1 {
+					continue
+				}
+				top := uint64(1)<<width - 2 // the largest finite code; top+1 is Inf
+				d := semiring.NewMatrix(n, n)
+				for u := 0; u < n; u++ {
+					for v := 0; v < n; v++ {
+						k := uint64(min(u, v)*n+max(u, v)) * 2654435761 % (top + 2)
+						if square && u < v {
+							k = (k + 1) % (top + 2)
+						}
+						d.Set(u, v, float64(k))
+						if k == top+1 {
+							d.Set(u, v, semiring.Inf)
+						}
+					}
+				}
+				d.Set(0, 0, float64(top))
+				s := narrow(d.Clone())
+				if s.kindName() != fmt.Sprintf("u%d", width) || s.tri == square {
+					t.Fatalf("n=%d, width %d, square %v: stored as %s/%s", n, width, square, s.kindName(), s.layoutName())
+				}
+				want := make([]uint64, codeWords(storeLen(n, !square), uint8(width)))
+				i := 0
+				for r := 0; r < n; r++ {
+					_, w := rowSpan(n, r, !square)
+					for c := 0; c < w; c++ {
+						k := top + 1
+						if x := d.At(r, c); !math.IsInf(x, 1) {
+							k = uint64(x)
+						}
+						for bit := 0; bit < width; bit++ {
+							if k>>bit&1 == 1 {
+								p := i*width + bit
+								want[p/64] |= 1 << (p % 64)
+							}
+						}
+						i++
+					}
+				}
+				if !slices.Equal(s.codes, want) {
+					t.Fatalf("n=%d, width %d, square %v: the parallel pack differs from the one-writer reference", n, width, square)
+				}
+			}
+		}
+	}
+}
+
 // recordingRepairer wraps testRepairer and keeps a copy of the matrix
 // each repair returned, so a test can hold the oracle built from it
 // against the repair's own bits.
@@ -490,12 +607,13 @@ func TestReweightRenarrows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind := o.dist.kindName(); kind != "u8" {
-		t.Fatalf("integer graph stored as %s, want u8", kind)
+	intKind := quantKind(apsp.FloydWarshallPaths(g).Dist, 1)
+	if kind := o.dist.kindName(); kind != intKind {
+		t.Fatalf("integer graph stored as %s, want %s", kind, intKind)
 	}
 	r.checkAccounting(t)
-	if st := r.Stats(); st.Bytes != hotBytes(g, 1) || !reflect.DeepEqual(st.StoreKinds, map[string]int{"u8": 1}) {
-		t.Fatalf("stats = %+v, want one u8 entry of %d bytes", st, hotBytes(g, 1))
+	if st := r.Stats(); st.Bytes != hotBytes(g, intKind) || !reflect.DeepEqual(st.StoreKinds, map[string]int{intKind: 1}) {
+		t.Fatalf("stats = %+v, want one %s entry of %d bytes", st, intKind, hotBytes(g, intKind))
 	}
 
 	e := g.Edges()[0]
@@ -535,8 +653,8 @@ func TestReweightRenarrows(t *testing.T) {
 		t.Fatalf("after an edit to 0.1 the store is %s, want f64", kind)
 	}
 	r.checkAccounting(t)
-	if st := r.Stats(); st.Bytes != hotBytes(g, 8) || !reflect.DeepEqual(st.StoreKinds, map[string]int{"f64": 1}) {
-		t.Fatalf("stats = %+v, want one f64 entry of %d bytes", st, hotBytes(g, 8))
+	if st := r.Stats(); st.Bytes != hotBytes(g, "f64") || !reflect.DeepEqual(st.StoreKinds, map[string]int{"f64": 1}) {
+		t.Fatalf("stats = %+v, want one f64 entry of %d bytes", st, hotBytes(g, "f64"))
 	}
 	g1, err := apsp.ApplyEdits(g, []apsp.EdgeEdit{{U: e.U, V: e.V, W: 0.1}})
 	if err != nil {
@@ -551,12 +669,12 @@ func TestReweightRenarrows(t *testing.T) {
 	if fp2 != FingerprintOf(g) {
 		t.Error("undoing the edit did not restore the original fingerprint")
 	}
-	if kind := o2.dist.kindName(); kind != "u8" {
-		t.Fatalf("after undoing the edit the store is %s, want u8", kind)
+	if kind := o2.dist.kindName(); kind != intKind {
+		t.Fatalf("after undoing the edit the store is %s, want %s", kind, intKind)
 	}
 	r.checkAccounting(t)
-	if st := r.Stats(); st.Bytes != hotBytes(g, 1) || !reflect.DeepEqual(st.StoreKinds, map[string]int{"u8": 1}) {
-		t.Fatalf("stats = %+v, want one u8 entry of %d bytes", st, hotBytes(g, 1))
+	if st := r.Stats(); st.Bytes != hotBytes(g, intKind) || !reflect.DeepEqual(st.StoreKinds, map[string]int{intKind: 1}) {
+		t.Fatalf("stats = %+v, want one %s entry of %d bytes", st, intKind, hotBytes(g, intKind))
 	}
 	check(o2, g, true)
 }
@@ -603,18 +721,21 @@ func (r *Registry) checkAccounting(t *testing.T) {
 // than the whole budget, a failed solve — recomputing the byte
 // accounting from the entries after each step.
 func TestRegistryAccounting(t *testing.T) {
-	// Four grids of one structure (so one size) under different weights,
-	// and a bigger one: 1-byte distances plus the slot table.
+	// Four grids of one structure under different weights, and a bigger
+	// one: distances plus the slot table. Weights 8..15 fix the width, and
+	// so the size: the 4×6 grids' corners are 8 edges apart, so their
+	// largest distance is in [64, 120] — 7 bits, a bump of 2 included —
+	// and the 5×8 one's in [88, 165], 8 bits.
 	grid := func(seed int64, rows, cols int) *graph.Graph {
 		rng := rand.New(rand.NewSource(seed))
-		return graph.Grid2D(rows, cols, func(u, v int) float64 { return float64(1 + rng.Intn(9)) })
+		return graph.Grid2D(rows, cols, func(u, v int) float64 { return float64(8 + rng.Intn(8)) })
 	}
 	g := make([]*graph.Graph, 4)
 	for i := range g {
 		g[i] = grid(int64(500+i), 4, 6)
 	}
 	huge, failing := grid(600, 5, 8), grid(700, 3, 3)
-	one, hugeBytes := hotBytes(g[0], 1), hotBytes(huge, 1)
+	one, hugeBytes := hotBytes(g[0], "u7"), hotBytes(huge, "u8")
 	boom := errors.New("boom")
 	r := NewRegistry(Config{
 		Solve: func(g *graph.Graph) (*apsp.PathResult, error) {
@@ -708,10 +829,12 @@ func TestRegistryAccounting(t *testing.T) {
 func TestHeldOracleSurvivesEviction(t *testing.T) {
 	const n, queriers, cycles = 24, 4, 25
 	a, b := intGraph(41, n), intGraph(42, n)
+	bytesA := hotBytes(a, quantKind(apsp.FloydWarshallPaths(a).Dist, 1))
+	bytesB := hotBytes(b, quantKind(apsp.FloydWarshallPaths(b).Dist, 1))
 	r := NewRegistry(Config{
 		Solve:        succSolve,
 		Repair:       testRepairer(),
-		MemoryBudget: max(hotBytes(a, 1), hotBytes(b, 1)) + 1, // one oracle: every Get of the other graph evicts
+		MemoryBudget: bytesA + bytesB - 1, // one oracle, even a bit wider: every Get of the other graph evicts
 	})
 	fpA := FingerprintOf(a)
 	if _, err := r.Get(a); err != nil {
@@ -844,8 +967,8 @@ func pathSolve(g *graph.Graph) (*apsp.PathResult, error) {
 // each matrix an ulp off its mirror.
 func TestMemoryBytesMatchesHeap(t *testing.T) {
 	const k, n = 8, 512
-	ints := func(rng *rand.Rand) float64 { return float64(1 + rng.Intn(9)) }
-	bits01 := func(rng *rand.Rand) float64 { return float64(rng.Intn(8) / 7) } // one edge in eight weighs 1: the path is ≈ 64 long
+	ints := func(rng *rand.Rand) float64 { return float64(100 + rng.Intn(28)) } // the path is 51,100 to 64,897 long
+	bits01 := func(rng *rand.Rand) float64 { return float64(rng.Intn(3) / 2) }  // one edge in three weighs 1: the path is ≈ 170 long
 	reals := func(rng *rand.Rand) float64 { return 0.5 + 9.5*rng.Float64() }
 	oneUlpOff := func(g *graph.Graph) (*apsp.PathResult, error) {
 		res, err := pathSolve(g)
@@ -857,15 +980,14 @@ func TestMemoryBytesMatchesHeap(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name, kind string
-		elem       int
 		square     bool
 		weight     func(rng *rand.Rand) float64
 		solve      SolveFunc
 	}{
-		{"u8", "u8", 1, false, bits01, pathSolve},
-		{"u16", "u16", 2, false, ints, pathSolve},
-		{"f64", "f64", 8, false, reals, pathSolve},
-		{"f64 square", "f64", 8, true, reals, oneUlpOff},
+		{"u8", "u8", false, bits01, pathSolve},
+		{"u16", "u16", false, ints, pathSolve},
+		{"f64", "f64", false, reals, pathSolve},
+		{"f64 square", "f64", true, reals, oneUlpOff},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(9))
@@ -894,7 +1016,7 @@ func TestMemoryBytesMatchesHeap(t *testing.T) {
 			if tc.square {
 				layout = map[string]int{"square": k}
 			}
-			if want := k * (distBytes(n, tc.elem, tc.square) + succBytes(graphs[0])); st.Bytes != want ||
+			if want := k * (distBytes(n, tc.kind, tc.square) + succBytes(graphs[0])); st.Bytes != want ||
 				st.StoreKinds[tc.kind] != k || !reflect.DeepEqual(st.StoreLayouts, layout) {
 				t.Fatalf("registry holds %d bytes in kinds %v, layouts %v, want %d bytes in %d %s entries, layouts %v",
 					st.Bytes, st.StoreKinds, st.StoreLayouts, want, k, tc.kind, layout)
@@ -912,10 +1034,11 @@ func TestMemoryBytesMatchesHeap(t *testing.T) {
 // structures the end-to-end benchmark solves (bench/gen.go: the 32×32
 // grid, G(768, 4/768) under its fixed structure seed, the 800-cycle;
 // integer weights 1..9): the bytes computed here from n, the degree
-// sequence and the kind the weights must land in — and, so that the
-// computation itself cannot drift, their literal values. The grid and
-// G(n,p) stay under 255 and store a byte per distance; half way round the
-// cycle is past 1,900, two bytes.
+// sequence and the width the largest distance needs — and, so that the
+// computation itself cannot drift, their literal values. The grid's
+// largest distance is under 255, 8 bits, and the grid literal is the
+// guard for the five grid workloads; G(n,p)'s is under 63, 6 bits; half
+// way round the cycle is past 1,900, 11 bits.
 func TestMemoryBytesBenchStructures(t *testing.T) {
 	rng := rand.New(rand.NewSource(20210809)) // bench's gnpStructureSeed: the edge set is part of the count
 	gnp := graph.New(768)
@@ -935,12 +1058,11 @@ func TestMemoryBytesBenchStructures(t *testing.T) {
 		name  string
 		g     *graph.Graph
 		kind  string
-		elem  int
 		bytes int64
 	}{
-		{"grid", graph.Grid2D(32, 32, w), "u8", 1, 830984},
-		{"gnp", gnp, "u8", 1, 482712},
-		{"cycle", graph.Cycle(800, w), "u16", 2, 746408},
+		{"grid", graph.Grid2D(32, 32, w), "u8", 830984},
+		{"gnp", gnp, "u6", 408888},
+		{"cycle", graph.Cycle(800, w), "u11", 546160},
 	} {
 		res, err := apsp.SparseAPSPWith(tc.g, 49, apsp.SparseOptions{Seed: 42})
 		if err != nil {
@@ -952,8 +1074,11 @@ func TestMemoryBytesBenchStructures(t *testing.T) {
 		}
 		o := FromResult(pr, nil)
 		n := int64(tc.g.N())
-		if got, want := o.MemoryBytes(), hotBytes(tc.g, tc.elem); got != want || want != tc.bytes || o.dist.kindName() != tc.kind {
-			t.Errorf("%s: MemoryBytes = %d as %s (%.4f B/pair), the degree sequence and %s say %d, pinned %d",
+		if kind := quantKind(res.Dist, 1); kind != tc.kind {
+			t.Errorf("%s: the largest distance needs %s, pinned %s", tc.name, kind, tc.kind)
+		}
+		if got, want := o.MemoryBytes(), hotBytes(tc.g, tc.kind); got != want || want != tc.bytes || o.dist.kindName() != tc.kind {
+			t.Errorf("%s: MemoryBytes = %d as %s (%.5f B/pair), the degree sequence and %s say %d, pinned %d",
 				tc.name, got, o.dist.kindName(), float64(got)/float64(n*n), tc.kind, want, tc.bytes)
 		}
 	}

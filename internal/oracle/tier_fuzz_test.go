@@ -19,21 +19,22 @@ func FuzzDecompressMalformed(f *testing.F) {
 	seed := func(vals []float64, n int) {
 		f.Add(CompressDist(semiring.FromSlice(n, n, vals)))
 	}
-	seed([]float64{0, 3, 7, inf}, 2)                          // u8, square (d01 != d10)
-	seed([]float64{0, 3, 255, inf}, 2)                        // u16, square
-	seed([]float64{0, 70000, 1e9, inf}, 2)                    // u32
+	seed([]float64{0, 3, 7, inf}, 2)                          // u4, square (d01 != d10)
+	seed([]float64{0, 3, 255, inf}, 2)                        // u9, square
+	seed([]float64{0, 70000, 1e9, inf}, 2)                    // u30: entries straddle words
 	seed([]float64{0, 1.5, 2.5, inf}, 2)                      // f32
 	seed([]float64{0, 0.1, 0.3, inf}, 2)                      // f64
-	seed([]float64{0, 0.25, 1.5, inf, 0.5, 0, 2, 0, 0}, 3)    // u8, scale 0.25
-	seed([]float64{0, 3, inf, 3, 0, 7, inf, 7, 0}, 3)         // u8, triangle
-	seed([]float64{0, 3, inf, 3, 0, 700, inf, 700, 0}, 3)     // u16, triangle
-	seed([]float64{0, 70000, 70000, 0}, 2)                    // u32, triangle
+	seed([]float64{0, 0.25, 1.5, inf, 0.5, 0, 2, 0, 0}, 3)    // u4, scale 0.25
+	seed([]float64{0, 3, inf, 3, 0, 7, inf, 7, 0}, 3)         // u4, triangle
+	seed([]float64{0, 3, inf, 3, 0, 700, inf, 700, 0}, 3)     // u10, triangle
+	seed([]float64{0, 70000, 70000, 0}, 2)                    // u17, triangle
 	seed([]float64{0, 1.5, 2.5, 1.5, 0, inf, 2.5, inf, 0}, 3) // f32, triangle
 	seed([]float64{0, 0.1, 0.3, 0.1, 0, 0.7, 0.3, 0.7, 0}, 3) // f64, triangle
 	f.Add([]byte{})
 	f.Add([]byte(tierMagic))
-	f.Add(append([]byte("SAPSPT02"), CompressDist(semiring.FromSlice(1, 1, []float64{0}))[8:]...)) // the retired format
+	f.Add(append([]byte("SAPSPT03"), CompressDist(semiring.FromSlice(1, 1, []float64{0}))[8:]...)) // the retired format
 	f.Add([]byte("definitely not a compressed distance blob, but long enough"))
+	seed([]float64{0, 1<<32 - 2, 1<<32 - 2, 0}, 2) // u32, the widest
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecompressDist(data)
@@ -55,11 +56,11 @@ func fuzzValue(b []byte) float64 {
 	x := binary.LittleEndian.Uint64(b[1:])
 	switch b[0] % 10 {
 	case 0:
-		return float64(250 + x%10) // straddles the last u8 code, 254 (x%10 < 5: the u8 fast path)
+		return float64(uint64(1)<<(1+x%32)) - 3 + float64(x>>5%3) // 2^N−3, 2^N−2, 2^N−1: straddles the last code of every width
 	case 1:
-		return float64(65530 + x%10) // straddles the last u16 code, 65534
+		return float64(x >> 8 & (1<<(x%33) - 1)) // an integer of any width up to 32 bits
 	case 2:
-		return float64(1<<32 - 6 + x%10) // straddles the last u32 code, 2^32−2
+		return float64(1<<32 - 6 + x%10) // straddles the last code of the widest, 2^32−2
 	case 3:
 		return 0.5 * float64(x%40) // half-integers: a scale other than 1
 	case 4:
@@ -78,9 +79,11 @@ func fuzzValue(b []byte) float64 {
 }
 
 // FuzzNarrowRoundTrip builds small matrices out of the values the
-// narrowing proofs are most likely to get wrong — mirrored across the
-// diagonal when the input's length is odd, so both layouts are reached —
-// and requires the store to read back (at, row, widen), serialise and
+// narrowing proofs are most likely to get wrong — every 2^N−2 and its
+// neighbours, integers of every width, fractions of a scale, NaN, −0,
+// subnormals — mirrored across the diagonal when the input's length is
+// odd, so both layouts are reached — and requires the store to read
+// back (at, row, widen), serialise and
 // deserialise every entry bit for bit, whichever kind and layout it
 // chose; to choose f64 whenever the matrix holds a NaN or a −0; and to
 // keep the triangle exactly when the matrix is bit-symmetric.

@@ -18,7 +18,7 @@ func succSolve(g *graph.Graph) (*apsp.PathResult, error) {
 
 // tierWorkloads builds the five standard graph families with small
 // integer weights, so every distance is a small integer and the store
-// must land in the u8 kind.
+// must land in the uN its largest one needs.
 func tierWorkloads(n int) map[string]*graph.Graph {
 	rng := rand.New(rand.NewSource(11))
 	w := func(u, v int) float64 { return float64(rng.Intn(9) + 1) }
@@ -49,10 +49,10 @@ func TestCompressDistKinds(t *testing.T) {
 		kind string
 	}{
 		{"small integer distances", []float64{0, 3, 254, inf}, "u8"},
-		{"uniform fractional scale", []float64{0, 0.25, 1.5, inf}, "u8"},
-		{"integer distances", []float64{0, 3, 255, inf}, "u16"},
-		{"a longer fractional scale", []float64{0, 0.25, 64, inf}, "u16"},
-		{"wide integers", []float64{0, 70000, 1e9, inf}, "u32"},
+		{"uniform fractional scale", []float64{0, 0.25, 1.5, inf}, "u3"},
+		{"integer distances", []float64{0, 3, 255, inf}, "u9"},
+		{"a longer fractional scale", []float64{0, 0.25, 64, inf}, "u9"},
+		{"wide integers", []float64{0, 70000, 1e9, inf}, "u30"},
 		// 2.5/1.5 is not an integer, so quantization fails; both values
 		// survive a float32 round trip.
 		{"f32-exact reals", []float64{0, 1.5, 2.5, inf}, "f32"},
@@ -83,11 +83,11 @@ func TestCompressDistKinds(t *testing.T) {
 }
 
 // TestCompressDistGraphFamilies runs the codec over real solved
-// distance matrices: integer-weight graphs must land in the u8 triangle
-// and decode bit-identically, which is what puts an oracle at n(n+1)/2
-// bytes of distances — about half a byte per pair, in memory or
-// serialised — plus Successors.Bytes(), whose columns follow each
-// vertex's degree.
+// distance matrices: integer-weight graphs must land in the triangle at
+// the width their largest distance needs and decode bit-identically,
+// which is what puts an oracle at n(n+1)/2 distances of N bits — in
+// memory or serialised — plus Successors.Bytes(), whose columns follow
+// each vertex's degree.
 func TestCompressDistGraphFamilies(t *testing.T) {
 	for name, g := range tierWorkloads(40) {
 		res, err := succSolve(g)
@@ -99,8 +99,9 @@ func TestCompressDistGraphFamilies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kind != "u8" {
-			t.Errorf("%s: integer-weight distances compressed as %s, want u8", name, kind)
+		want := quantKind(res.Dist, 1)
+		if kind != want {
+			t.Errorf("%s: integer-weight distances compressed as %s, want %s", name, kind, want)
 		}
 		got, err := DecompressDist(blob)
 		if err != nil {
@@ -111,9 +112,9 @@ func TestCompressDistGraphFamilies(t *testing.T) {
 				t.Fatalf("%s: value %d decoded to %v, want %v bit-exactly", name, i, got.V[i], v)
 			}
 		}
-		o, tri := FromResult(res, nil), distBytes(g.N(), 1, false)
-		if all, dist := o.MemoryBytes(), o.dist.bytes(); all != hotBytes(g, 1) || dist != tri {
-			t.Errorf("%s: oracle holds %d bytes, %d of them distances, want %d and %d", name, all, dist, hotBytes(g, 1), tri)
+		o, tri := FromResult(res, nil), distBytes(g.N(), want, false)
+		if all, dist := o.MemoryBytes(), o.dist.bytes(); all != hotBytes(g, want) || dist != tri {
+			t.Errorf("%s: oracle holds %d bytes, %d of them distances, want %d and %d", name, all, dist, hotBytes(g, want), tri)
 		}
 		if got, want := int64(len(blob)), tierHeaderLen+tri; got != want {
 			t.Errorf("%s: serialised to %d bytes, want %d", name, got, want)
@@ -123,17 +124,28 @@ func TestCompressDistGraphFamilies(t *testing.T) {
 
 // TestDecompressMalformed drives the store decoder over truncations and
 // header corruptions of a blob in each layout: decode-or-error, never
-// panic. The retired SAPSPT02 magic — a stale blob's kind byte would
-// name a different width — and a layout byte past the two defined are
-// errors like any other.
+// panic. The retired SAPSPT03 magic — a stale blob's kind byte would
+// name a different width — a layout byte past the two defined, a code
+// width outside 1..32 and a set bit after the last entry are errors like
+// any other.
 func TestDecompressMalformed(t *testing.T) {
-	for layout, vals := range map[string][]float64{
-		"square": {0, 2, 5, semiring.Inf},
-		"tri":    {0, 2, 2, 0},
-	} {
-		blob := CompressDist(distOf(vals, 2))
-		if s, _, err := tierSplit(blob); err != nil || s.layoutName() != layout {
-			t.Fatalf("%s seed blob: layout %v, err %v", layout, s, err)
+	// 12 vertices, so the two layouts' 78 and 144 entries fill different
+	// numbers of words at any width; both end mid-word, at 5 and 6 bits.
+	const n = 12
+	square, tri := semiring.NewMatrix(n, n), semiring.NewMatrix(n, n)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			square.Set(u, v, float64(2*u+v))
+			tri.Set(u, v, float64(3*max(u-v, v-u)))
+		}
+	}
+	square.Set(0, n-1, semiring.Inf)
+	tri.Set(0, n-1, semiring.Inf)
+	tri.Set(n-1, 0, semiring.Inf)
+	for layout, d := range map[string]*semiring.Matrix{"square": square, "tri": tri} {
+		blob := CompressDist(d)
+		if s, _, err := tierSplit(blob); err != nil || s.layoutName() != layout || storeLen(n, s.tri)*int(s.width)%64 == 0 {
+			t.Fatalf("%s seed blob: %+v, err %v; want that layout, ending mid-word", layout, s, err)
 		}
 		for cut := 0; cut < len(blob); cut++ {
 			if _, err := DecompressDist(blob[:cut]); err == nil {
@@ -144,11 +156,15 @@ func TestDecompressMalformed(t *testing.T) {
 			t.Fatalf("%s: trailing byte decoded without error", layout)
 		}
 		for what, corrupt := range map[string]func(b []byte){
-			"the SAPSPT02 magic": func(b []byte) { b[7] = '2' },
-			"kind byte 5":        func(b []byte) { b[8] = 5 },
+			"the SAPSPT03 magic": func(b []byte) { b[7] = '3' },
+			"kind byte 3":        func(b []byte) { b[8] = 3 },
 			"layout byte 2":      func(b []byte) { b[9] = 2 },
-			"a reserved byte":    func(b []byte) { b[10] = 1 },
+			"width byte 0":       func(b []byte) { b[10] = 0 },
+			"width byte 33":      func(b []byte) { b[10] = 33 },
+			"the f64 kind":       func(b []byte) { b[8] = tierF64 }, // a width and a scale it cannot carry
+			"the reserved byte":  func(b []byte) { b[11] = 1 },
 			"the other layout":   func(b []byte) { b[9] ^= 1 }, // same payload, wrong length for it
+			"a padding bit":      func(b []byte) { b[len(b)-1] |= 0x80 },
 		} {
 			mut := append([]byte(nil), blob...)
 			corrupt(mut)

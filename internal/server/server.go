@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -204,28 +205,45 @@ func (s *Server) registry() (*oracle.Registry, error) {
 // larger than the registry's whole budget was dropped as soon as it was
 // solved, so its id could never be queried: that is a 413, not an id.
 func (s *Server) register(w http.ResponseWriter, g *graph.Graph) error {
-	if _, err := s.registry(); err != nil {
+	if err := s.admit(g.N()); err != nil {
 		return err
-	}
-	// Admit before solving: every solver allocates n² float64s, so a
-	// graph whose smallest possible oracle — n(n+1)/2 one-byte
-	// distances, before any successor table — is already over the whole
-	// budget is refused without being solved. A store that turns out
-	// wider than that floor is caught by the check after the solve.
-	budget := s.reg.Stats().BudgetBytes
-	if n := int64(g.N()); budget > 0 && n*(n+1)/2 > budget {
-		return &apiError{status: http.StatusRequestEntityTooLarge,
-			err: fmt.Errorf("an oracle on %d vertices holds at least %d bytes, the whole cache budget is %d: raise -budget-mb", n, n*(n+1)/2, budget)}
 	}
 	o, err := s.reg.Get(g)
 	if err != nil {
 		return badRequest("solve failed: %v", err)
 	}
-	if size := o.MemoryBytes(); budget > 0 && size > budget {
+	if size, budget := o.MemoryBytes(), s.reg.Stats().BudgetBytes; budget > 0 && size > budget {
 		return &apiError{status: http.StatusRequestEntityTooLarge,
 			err: fmt.Errorf("the solved oracle holds %d bytes, the whole cache budget is %d: raise -budget-mb", size, budget)}
 	}
 	return writeJSON(w, GraphInfo{Graph: oracle.FingerprintOf(g).String(), N: g.N(), M: g.M()})
+}
+
+// admit refuses a graph on n vertices before anything n-sized is built
+// or solved when its smallest possible oracle is already over the whole
+// budget: n(n+1)/2 distances of one bit each — the u1 triangle — before
+// any successor table. Every solver allocates n² float64s, and a
+// generator n adjacency lists, so this comes first; a store that turns
+// out wider than the floor is caught by the check after the solve.
+func (s *Server) admit(n int) error {
+	reg, err := s.registry()
+	if err != nil {
+		return err
+	}
+	budget := reg.Stats().BudgetBytes
+	if budget <= 0 {
+		return nil
+	}
+	entries := uint64(math.MaxUint64) // n(n+1)/2, saturated
+	if hi, lo := bits.Mul64(uint64(n), uint64(n)+1); hi == 0 {
+		entries = lo / 2
+	}
+	if floor := entries/8 + min(entries%8, 1); floor > uint64(budget) {
+		return &apiError{status: http.StatusRequestEntityTooLarge,
+			err: fmt.Errorf("an oracle on %d vertices holds at least %d one-bit distances, %d bytes; the whole cache budget is %d: raise -budget-mb",
+				n, entries, floor, budget)}
+	}
+	return nil
 }
 
 // LoadRequest is the JSON form of /load; the endpoint also accepts the
@@ -297,6 +315,10 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) error {
 	}
 	if req.N <= 0 {
 		return badRequest("generate needs n > 0, got %d", req.N)
+	}
+	// A generator builds at most the n it is asked for.
+	if err := s.admit(req.N); err != nil {
+		return err
 	}
 	g, err := graph.NamedGenerator(req.Kind, req.N, req.Seed)
 	if err != nil {
@@ -464,9 +486,10 @@ type RegistrySnapshot struct {
 	Bytes          int64 `json:"bytes"`
 	BudgetBytes    int64 `json:"budget_bytes"`
 	// store_kinds counts resident entries by the width their distances
-	// proved lossless at: u8 / u16 / u32 / f32 / f64. A backend at 8
-	// bytes per stored distance instead of 1 or 2 shows up here as f64
-	// entries — graphs with non-integer weights.
+	// proved lossless at: u1 … u32 (N bits an entry, from the largest
+	// distance), f32, f64. A backend at 64 bits per stored distance
+	// instead of a dozen shows up here as f64 entries — graphs with
+	// non-integer weights.
 	StoreKinds map[string]int `json:"store_kinds,omitempty"`
 	// store_layouts counts the same entries by layout: "tri" keeps the
 	// lower triangle of a matrix proved bit-symmetric, "square" all n²

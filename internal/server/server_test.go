@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -298,11 +299,11 @@ func TestServerEviction(t *testing.T) {
 }
 
 // TestServerLoadRefusedBeforeSolve: a graph whose smallest possible
-// oracle — the one-byte triangle, n(n+1)/2 bytes — is over the whole
-// budget is answered 413 naming both sizes without the solver ever
-// running (it used to allocate n² float64s first). One vertex fewer
-// fits the floor, is solved, and is then refused by the check after
-// the solve because its real oracle is wider.
+// oracle — the one-bit triangle, n(n+1)/2 bits — is over the whole
+// budget is answered 413 naming the distances and both sizes without
+// the solver ever running (it used to allocate n² float64s first). A
+// graph exactly at the floor is solved, and is then refused by the
+// check after the solve because its real oracle is wider.
 func TestServerLoadRefusedBeforeSolve(t *testing.T) {
 	const n, budget = 200_000, 64 << 20
 	var solves atomic.Int32
@@ -334,7 +335,7 @@ func TestServerLoadRefusedBeforeSolve(t *testing.T) {
 		if status != http.StatusRequestEntityTooLarge {
 			t.Fatalf("%s n=%d under a %d-byte budget: status %d (%s), want 413", path, n, budget, status, msg)
 		}
-		for _, want := range []string{fmt.Sprint(int64(n) * (n + 1) / 2), fmt.Sprint(budget), "-budget-mb"} {
+		for _, want := range []string{fmt.Sprint(int64(n) * (n + 1) / 2), fmt.Sprint(int64(n) * (n + 1) / 16), fmt.Sprint(budget), "-budget-mb"} {
 			if !strings.Contains(msg, want) {
 				t.Errorf("%s: 413 body %q does not name %s", path, msg, want)
 			}
@@ -347,23 +348,79 @@ func TestServerLoadRefusedBeforeSolve(t *testing.T) {
 		t.Errorf("refused graphs left registry state behind: %+v", st)
 	}
 
-	// The floor admits what might fit: 20 vertices under 210 bytes pass
-	// it exactly, are solved once, and the solved oracle (distances plus
-	// successor table) is what the post-solve check refuses.
-	tight := oracle.NewRegistry(oracle.Config{MemoryBudget: 20 * 21 / 2, Solve: solve})
+	// The floor admits what might fit: 20 vertices under ⌈210 bits / 8⌉
+	// = 27 bytes pass it exactly, are solved once, and the solved oracle
+	// (distances plus successor table) is what the post-solve check
+	// refuses; 21 vertices, 231 bits, do not pass it.
+	tight := oracle.NewRegistry(oracle.Config{MemoryBudget: (20*21/2 + 7) / 8, Solve: solve})
 	ts2 := httptest.NewServer(New(tight))
 	defer ts2.Close()
-	resp, err := http.Post(ts2.URL+"/generate", "application/json", strings.NewReader(`{"kind": "cycle", "n": 20, "seed": 1}`))
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		n, solves int32
+		msg       string
+	}{{20, 1, "solved oracle"}, {21, 1, "231 one-bit distances, 29 bytes"}} {
+		resp, err := http.Post(ts2.URL+"/generate", "application/json", strings.NewReader(fmt.Sprintf(`{"kind": "cycle", "n": %d, "seed": 1}`, tc.n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), tc.msg) {
+			t.Errorf("n=%d against a 27-byte budget: status %d (%s), want a 413 saying %q", tc.n, resp.StatusCode, msg, tc.msg)
+		}
+		if got := solves.Load(); got != tc.solves {
+			t.Errorf("n=%d against a 27-byte budget: %d solves in all, want %d", tc.n, got, tc.solves)
+		}
 	}
-	msg, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), "solved oracle") {
-		t.Errorf("n=20 at its floor: status %d (%s), want the post-solve 413", resp.StatusCode, msg)
+}
+
+// TestServerAdmitsBetweenFloors: a unit-weight star of 200 vertices has
+// distances of at most 2 — two bits each, 20,100 of them, 5,032 bytes —
+// and one 64-bit word of successor slots a row (the hub's column is 8
+// bits, the leaves' none), plus the arrays that decode them: an oracle
+// under n(n+1)/2 = 20,100 bytes, the floor that refused it before the
+// store came in bits. It is served under a budget one byte below that.
+func TestServerAdmitsBetweenFloors(t *testing.T) {
+	const n = 200
+	ts, _ := newTestServer(t, n*(n+1)/2-1)
+	g := graph.Star(n, graph.UnitWeights)
+	req := LoadRequest{N: n}
+	for _, e := range g.Edges() {
+		req.Edges = append(req.Edges, [3]float64{float64(e.U), float64(e.V), e.W})
 	}
-	if got := solves.Load(); got != 1 {
-		t.Errorf("n=20 at its floor: %d solves, want 1", got)
+	var info GraphInfo
+	if resp := postJSON(t, ts.URL+"/load", req, &info); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/load of a unit-weight %d-star under a %d-byte budget: status %d, want 200", n, n*(n+1)/2-1, resp.StatusCode)
+	}
+	const want = (n*(n+1)/2*2+63)/64*8 + n*8 + (2*(n+1)+4*(n-1)+n)*4
+	if st := getStats(t, ts.URL).Registry; st.Bytes != want || st.Entries != 1 || !reflect.DeepEqual(st.StoreKinds, map[string]int{"u2": 1}) {
+		t.Errorf("registry = %+v, want one u2 entry of %d bytes", st, want)
+	}
+	var qr QueryResponse
+	if resp := postJSON(t, ts.URL+"/query", QueryRequest{Graph: info.Graph, Pairs: [][2]int{{1, 2}, {0, 7}}, Paths: true}, &qr); resp.StatusCode != http.StatusOK ||
+		!reflect.DeepEqual(qr, QueryResponse{Dists: []float64{2, 1}, Paths: [][]int{{1, 0, 2}, {0, 7}}}) {
+		t.Errorf("/query: status %d, %+v", resp.StatusCode, qr)
+	}
+}
+
+// TestServerGenerateAdmitsBeforeBuilding: /generate checks n against
+// the budget before the generator runs, so a cycle of 10⁶ vertices —
+// ≈ 60 MB of adjacency lists were it built — under a 1 MB budget is a
+// 413 that allocates next to nothing.
+func TestServerGenerateAdmitsBeforeBuilding(t *testing.T) {
+	ts, _ := newTestServer(t, 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp := postJSON(t, ts.URL+"/generate", GenerateRequest{Kind: "cycle", N: 1_000_000, Seed: 1}, nil)
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("/generate n=10⁶ under a 1 MB budget: status %d, want 413", resp.StatusCode)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Errorf("refusing /generate n=10⁶ allocated %d bytes: the graph was built first", grew)
+	}
+	if st := getStats(t, ts.URL).Registry; st.Solves != 0 || st.Entries != 0 {
+		t.Errorf("registry = %+v, want nothing solved", st)
 	}
 }
 
@@ -372,9 +429,9 @@ func TestServerLoadRefusedBeforeSolve(t *testing.T) {
 // with its id would hand out a fingerprint that can never be queried.
 // It is a 413 that says what to raise.
 func TestServerLoadOverWholeBudget(t *testing.T) {
-	// A unit-weight 16-vertex grid is TestServerEviction's oracle at one
-	// byte a distance: 136 + 128 + 584 = 848 bytes.
-	const oracleBytes, budget = 16*17/2 + 16*8 + (2*17+4*24+16)*4, 300
+	// A unit-weight 16-vertex grid is TestServerEviction's oracle at three
+	// bits a distance (the largest is 6): 56 + 128 + 584 = 768 bytes.
+	const oracleBytes, budget = (16*17/2*3+63)/64*8 + 16*8 + (2*17+4*24+16)*4, 300
 	ts, _ := newTestServer(t, budget)
 	g := graph.Grid2D(4, 4, graph.UnitWeights)
 	req := LoadRequest{N: g.N()}
@@ -689,7 +746,7 @@ func TestServerPathsGolden(t *testing.T) {
 		t.Errorf("paths:true reply (%d bytes) differs from the golden (%d bytes)", len(got), len(want))
 	}
 	st := getStats(t, ts.URL).Registry
-	if !reflect.DeepEqual(st.StoreKinds, map[string]int{"u8": 1}) || !reflect.DeepEqual(st.SuccBits, map[int]int{2: 1}) {
-		t.Errorf("store_kinds = %v, succ_bits = %v, want one u8 entry whose widest column is 2 bits", st.StoreKinds, st.SuccBits)
+	if !reflect.DeepEqual(st.StoreKinds, map[string]int{"u5": 1}) || !reflect.DeepEqual(st.SuccBits, map[int]int{2: 1}) {
+		t.Errorf("store_kinds = %v, succ_bits = %v, want one u5 entry whose widest column is 2 bits", st.StoreKinds, st.SuccBits)
 	}
 }
