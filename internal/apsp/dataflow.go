@@ -14,15 +14,15 @@ import (
 )
 
 // The plan executor. A Plan freezes the entire communication schedule
-// — every collective's group order, root and tag — so nothing about an
+// — every collective's group order and root — so nothing about an
 // execute needs discovering at run time: p free-running rank
 // goroutines, cond-var mailboxes and linear-scan message matching (the
 // reference semantics, executeMachine in exec.go) only re-derive,
 // expensively, a partial order that is already known. This file lowers
-// the per-rank step lists into that partial order explicitly — a
-// static dependency graph whose micro-nodes are (rank, op)
-// participations and whose edges are each rank's program order plus
-// one edge per point-to-point message hidden inside the collectives —
+// the per-rank programs into that partial order explicitly — a static
+// dependency graph whose micro-nodes are the programs' steps and whose
+// edges are each rank's program order plus one edge per point-to-point
+// message hidden inside the collectives —
 // and runs ready nodes on a bounded worker pool (semiring.Pool,
 // GOMAXPROCS-ish workers) instead of p rank goroutines. Message
 // payloads move by direct buffer handoff through preallocated slots;
@@ -52,58 +52,40 @@ import (
 //
 // The result is bit-identical to the machine reference in distances
 // and in every charged cost. The argument (spelled out in DESIGN.md):
-// both issue, per rank, the same sequence of charge operations in the
-// same order — program order is enforced by the next edge (micro order
-// inside a super-node, the next link across them), each receive is
-// wired to the unique (src, tag) message the machine's matching would
-// have picked, and ChargeSend/ChargeRecv reproduce Ctx.Send/Ctx.Recv's
-// snapshot-then-charge and merge-then-charge rules verbatim. Merging
-// only concatenates one rank's adjacent charge runs without reordering
-// them, so clocks — a deterministic fold over those sequences — agree
-// by induction over plan order; the numeric kernels see the same
-// operand bytes in the same order, so distances agree bit for bit.
-
-// Node kinds. One micro-node is one rank's participation in one plan
-// op, or a local glue step (init, the R3 combine, the R4 release, a
-// phase mark) that the machine executor ran inline between
-// collectives.
-const (
-	dfInit   uint8 = iota // SetMemory(len(A)) — each rank's first node
-	dfDiag                // R1: ClassicalFW on the owned diagonal block
-	dfR2                  // R2 pivot broadcast + panel update
-	dfR3                  // R3 panel broadcast + capture
-	dfR3Mul               // R3 combine: multiply captured panels, release
-	dfR4Col               // R4 column-panel broadcast + left-operand capture
-	dfR4Row               // R4 row-panel broadcast + right-operand capture
-	dfUnit                // R4 unit product
-	dfReduce              // R4 binomial reduce participation
-	dfR4Done              // R4 release of unit and captured operands
-	dfSeq                 // R4 sequential-ablation exchange
-	dfTrans               // transpose send/receive
-	dfMark                // per-level phase mark
-	dfNumKinds
-)
+// both walk, per rank, the same program (Plan.ranks) through the same
+// numeric steps (exec.go), so they issue the same sequence of charge
+// operations in the same order — program order is enforced by the next
+// edge (micro order inside a super-node, the next link across them),
+// each receive is wired to the message comm's collective would have
+// delivered (appendMessages), and ChargeSend/ChargeRecv reproduce
+// Ctx.Send/Ctx.Recv's snapshot-then-charge and merge-then-charge rules
+// verbatim. Merging only concatenates one rank's adjacent charge runs
+// without reordering them, so clocks — a deterministic fold over those
+// sequences — agree by induction over plan order; the numeric kernels
+// see the same operand bytes in the same order, so distances agree bit
+// for bit.
 
 // dfKindNames and dfPhaseNames back the runtime/pprof labels: op_kind
 // is the micro-node kind, phase the paper region it belongs to.
-var dfKindNames = [dfNumKinds]string{
-	"init", "diag", "r2", "r3", "r3mul", "r4col", "r4row",
-	"unit", "reduce", "r4done", "seq", "trans", "mark",
+var dfKindNames = [numKinds]string{
+	opDiag: "diag", opR2Left: "r2", opR2Right: "r2", opR4Aik: "r4col", opR4Akj: "r4row",
+	opUnit: "unit", opReduce: "reduce", opSeq: "seq", opTrans: "trans", opR3Row: "r3", opR3Col: "r3",
+	kindR4Release: "r4done", kindR3Combine: "r3mul", kindInit: "init", kindMark: "mark",
 }
 
-var dfPhaseNames = [dfNumKinds]string{
-	"init", "r1", "r2", "r3", "r3", "r4", "r4",
-	"r4", "r4-reduce", "r4", "r4-seq", "trans", "mark",
+var dfPhaseNames = [numKinds]string{
+	opDiag: "r1", opR2Left: "r2", opR2Right: "r2", opR4Aik: "r4", opR4Akj: "r4",
+	opUnit: "r4", opReduce: "r4-reduce", opSeq: "r4-seq", opTrans: "trans", opR3Row: "r3", opR3Col: "r3",
+	kindR4Release: "r4", kindR3Combine: "r3", kindInit: "init", kindMark: "mark",
 }
 
-// dfNode is one micro-node of the lowered graph. recvs and sends list
-// the node's message slots in charge order — the exact order the
-// machine executor would have charged them on this rank.
+// dfNode is one micro-node of the lowered graph: one step of one rank's
+// program. recvs and sends list the node's message slots in charge
+// order — the exact order the machine executor charges them on this
+// rank.
 type dfNode struct {
+	step
 	rank  int32
-	kind  uint8
-	level int32 // index into Plan.Levels, -1 for dfInit
-	op    int32 // index into the level's phase list (kind-dependent)
 	next  int32 // same-rank successor in program order, -1 if last
 	recvs []int32
 	sends []int32
@@ -160,203 +142,63 @@ func (pl *Plan) DataflowNodes(int) int {
 
 // dfOpKey identifies one rank's node for one op during lowering, so
 // the wiring pass can find both endpoints of every message.
-type dfOpKey struct {
-	level int32
-	phase uint8
-	op    int32
-	rank  int32
-}
+type dfOpKey struct{ level, op, rank int32 }
 
-// lowerPlan builds the dependency graph. Pass 1 emits each rank's
-// micro-nodes in the rank's program order (the machine executor's
-// order in exec.go, exactly); pass 2 wires one message slot per
-// point-to-point send by replaying the binomial-tree arithmetic of
-// comm's Bcast, Reduce and ReduceTo; pass 3 computes a topological
+// lowerPlan builds the dependency graph. Pass 1 emits one micro-node
+// per step of each rank's program (Plan.ranks, which the machine
+// executor walks too); pass 2 wires one message slot per point-to-point
+// message of every op (appendMessages); pass 3 computes a topological
 // order; pass 4 merges micro-nodes into super-nodes (fusion +
 // coalescing); pass 5 assigns critical-path priorities.
 func lowerPlan(pl *Plan) *dfProgram {
 	prog := &dfProgram{}
 	lookup := make(map[dfOpKey]int32)
-	last := make([]int32, pl.P)
 	heads := make([]int32, 0, pl.P)
-	for i := range last {
-		last[i] = -1
-	}
-	emit := func(rank int, kind uint8, level, op int32) int32 {
-		id := int32(len(prog.micros))
-		prog.micros = append(prog.micros, dfNode{rank: int32(rank), kind: kind, level: level, op: op, next: -1})
-		if last[rank] >= 0 {
-			prog.micros[last[rank]].next = id
-		} else {
-			heads = append(heads, id)
-		}
-		last[rank] = id
-		return id
-	}
 	for li := range pl.Levels {
-		prog.levelNames = append(prog.levelNames, fmt.Sprintf("level-%d", li+1))
+		prog.levelNames = append(prog.levelNames, levelName(int32(li)))
 	}
 
-	// Pass 1: per-rank program order, mirroring planExec.run/level.
-	// Each rank's micro-nodes occupy one contiguous id range — the
-	// super-node pass depends on that.
+	// Pass 1: per-rank program order. Each rank's micro-nodes occupy one
+	// contiguous id range — the super-node pass depends on that.
 	for rank := 0; rank < pl.P; rank++ {
-		if w := pl.ScratchWords(rank); w > prog.maxScratch {
-			prog.maxScratch = w
-		}
-		emit(rank, dfInit, -1, -1)
-		for li := range pl.Levels {
-			lv := &pl.Levels[li]
-			st := &pl.ranks[rank][li]
-			l := int32(li)
-			if st.Diag {
-				emit(rank, dfDiag, l, -1)
+		prog.maxScratch = max(prog.maxScratch, pl.ScratchWords(rank))
+		heads = append(heads, int32(len(prog.micros)))
+		for i, st := range pl.ranks[rank] {
+			id := int32(len(prog.micros))
+			if i > 0 {
+				prog.micros[id-1].next = id
 			}
-			for _, x := range st.R2 {
-				lookup[dfOpKey{l, dfR2, x, int32(rank)}] = emit(rank, dfR2, l, x)
+			prog.micros = append(prog.micros, dfNode{step: st, rank: int32(rank), next: -1})
+			if st.kind < numOpKinds {
+				lookup[dfOpKey{st.level, st.op, int32(rank)}] = id
 			}
-			r4held := false
-			for _, x := range st.R4Col {
-				lookup[dfOpKey{l, dfR4Col, x, int32(rank)}] = emit(rank, dfR4Col, l, x)
-				r4held = r4held || contains(lv.R4Col[x].Consumers, rank)
-			}
-			for _, x := range st.R4Row {
-				lookup[dfOpKey{l, dfR4Row, x, int32(rank)}] = emit(rank, dfR4Row, l, x)
-				r4held = r4held || contains(lv.R4Row[x].Consumers, rank)
-			}
-			if st.Unit >= 0 {
-				emit(rank, dfUnit, l, st.Unit)
-				r4held = true
-			}
-			for _, x := range st.Reduce {
-				lookup[dfOpKey{l, dfReduce, x, int32(rank)}] = emit(rank, dfReduce, l, x)
-			}
-			if r4held {
-				emit(rank, dfR4Done, l, -1)
-			}
-			for _, x := range st.Seq {
-				lookup[dfOpKey{l, dfSeq, x, int32(rank)}] = emit(rank, dfSeq, l, x)
-			}
-			for _, x := range st.Trans {
-				lookup[dfOpKey{l, dfTrans, x, int32(rank)}] = emit(rank, dfTrans, l, x)
-			}
-			captures := false
-			for _, x := range st.R3 {
-				lookup[dfOpKey{l, dfR3, x, int32(rank)}] = emit(rank, dfR3, l, x)
-				captures = captures || contains(lv.R3[x].Consumers, rank)
-			}
-			if captures {
-				emit(rank, dfR3Mul, l, -1)
-			}
-			emit(rank, dfMark, l, -1)
 		}
 	}
 
 	// Pass 2: message wiring. msgProducer (transient, merge legality
-	// only) records the sending micro-node of every slot.
+	// only) records the sending micro-node of every slot. Each node's
+	// sends and receives are appended in the expansion's order, which is
+	// the rank's charge order.
 	var msgProducer []int32
-	get := func(level int32, phase uint8, op int32, rank int) int32 {
-		id, ok := lookup[dfOpKey{level, phase, op, int32(rank)}]
+	get := func(level, op int32, rank int) int32 {
+		id, ok := lookup[dfOpKey{level, op, int32(rank)}]
 		if !ok {
-			panic(fmt.Sprintf("apsp: dataflow lowering: no node for rank %d in op %d of phase %d, level %d", rank, op, phase, level+1))
+			panic(fmt.Sprintf("apsp: dataflow lowering: no node for rank %d in op %d, level %d", rank, op, level+1))
 		}
 		return id
 	}
-	link := func(from, to int32) {
-		msg := int32(len(prog.msgConsumer))
-		prog.msgConsumer = append(prog.msgConsumer, to)
-		msgProducer = append(msgProducer, from)
-		prog.micros[from].sends = append(prog.micros[from].sends, msg)
-		prog.micros[to].recvs = append(prog.micros[to].recvs, msg)
-	}
-	// wireBcast replays comm.Ctx.bcast: a non-root member receives once
-	// from the rank differing in its lowest relative-position bit, then
-	// forwards at decreasing bit distances. Iterating every member and
-	// wiring its sends in that decreasing-mask order reproduces the
-	// machine's per-rank send order; each receiver has exactly one recv.
-	wireBcast := func(level int32, phase uint8, ops []BcastOp) {
+	var msgs []msg
+	for li, ops := range pl.Levels {
 		for x := range ops {
-			op := &ops[x]
-			q := len(op.Group)
-			rootPos := 0
-			for i, r := range op.Group {
-				if r == op.Root {
-					rootPos = i
-					break
-				}
+			msgs = appendMessages(msgs[:0], ops[x].Kind, ops[x].Group, ops[x].Root)
+			for _, m := range msgs {
+				from, to := get(int32(li), int32(x), m.src), get(int32(li), int32(x), m.dst)
+				slot := int32(len(prog.msgConsumer))
+				prog.msgConsumer = append(prog.msgConsumer, to)
+				msgProducer = append(msgProducer, from)
+				prog.micros[from].sends = append(prog.micros[from].sends, slot)
+				prog.micros[to].recvs = append(prog.micros[to].recvs, slot)
 			}
-			for pos, rank := range op.Group {
-				rel := (pos - rootPos + q) % q
-				node := get(level, phase, int32(x), rank)
-				mask := 1
-				for mask < q && rel&mask == 0 {
-					mask <<= 1
-				}
-				for m := mask >> 1; m > 0; m >>= 1 {
-					if rel+m < q {
-						link(node, get(level, phase, int32(x), op.Group[(rel+m+rootPos)%q]))
-					}
-				}
-			}
-		}
-	}
-	for li := range pl.Levels {
-		lv := &pl.Levels[li]
-		l := int32(li)
-		wireBcast(l, dfR2, lv.R2)
-		wireBcast(l, dfR3, lv.R3)
-		wireBcast(l, dfR4Col, lv.R4Col)
-		wireBcast(l, dfR4Row, lv.R4Row)
-		// Reduce trees, replaying comm.Ctx.ReduceTo: reduce to the root
-		// if it is a member, else to group[0] which forwards one extra
-		// message to the external root. Receives are wired from the
-		// receiver side in increasing-mask order (the machine's charge
-		// order); each non-root member's unique send is the matching
-		// endpoint, appended exactly once.
-		for x := range lv.R4Reduce {
-			op := &lv.R4Reduce[x]
-			q := len(op.Group)
-			rootInGroup := contains(op.Group, op.Root)
-			effRoot := op.Root
-			if !rootInGroup {
-				effRoot = op.Group[0]
-			}
-			rootPos := 0
-			for i, r := range op.Group {
-				if r == effRoot {
-					rootPos = i
-					break
-				}
-			}
-			for pos, rank := range op.Group {
-				rel := (pos - rootPos + q) % q
-				node := get(l, dfReduce, int32(x), rank)
-				for mask := 1; mask < q; mask <<= 1 {
-					if rel&mask != 0 {
-						break // this member's send is wired by its parent
-					}
-					if srcRel := rel | mask; srcRel < q {
-						link(get(l, dfReduce, int32(x), op.Group[(srcRel+rootPos)%q]), node)
-					}
-				}
-			}
-			if !rootInGroup {
-				link(get(l, dfReduce, int32(x), op.Group[0]), get(l, dfReduce, int32(x), op.Root))
-			}
-		}
-		for x := range lv.R4Seq {
-			op := &lv.R4Seq[x]
-			owner := get(l, dfSeq, int32(x), op.Owner)
-			if op.AikOwner != op.Owner {
-				link(get(l, dfSeq, int32(x), op.AikOwner), owner) // aik first: the owner receives TagA before TagB
-			}
-			if op.AkjOwner != op.Owner {
-				link(get(l, dfSeq, int32(x), op.AkjOwner), owner)
-			}
-		}
-		for x := range lv.Trans {
-			op := &lv.Trans[x]
-			link(get(l, dfTrans, int32(x), op.Src), get(l, dfTrans, int32(x), op.Dst))
 		}
 	}
 
@@ -515,58 +357,34 @@ func microCost(pl *Plan, n *dfNode) int64 {
 	bi := int64(sizes[int(n.rank)/pl.NSup+1])
 	bj := int64(sizes[int(n.rank)%pl.NSup+1])
 	msgs := int64(len(n.recvs) + len(n.sends))
-	var words, flops int64
+	if n.op < 0 {
+		return comm.PriorityCost(msgs, 0, 0) // glue: no payload, no product
+	}
+	op := &pl.Levels[n.level][n.op]
 	block := func(i, j int) int64 { return int64(sizes[i]) * int64(sizes[j]) }
-	switch n.kind {
-	case dfDiag:
+	// A(i,j) ⊕= rowPanel(i,k) ⊗ colPanel(k,j): the pivot width is the
+	// column count of the captured row panel n.op names.
+	if n.kind == kindR3Combine {
+		return comm.PriorityCost(msgs, 0, bi*int64(sizes[op.BJ])*bj)
+	}
+	words := block(op.BI, op.BJ) * msgs
+	var flops int64
+	switch {
+	case op.Kind == opDiag:
 		flops = bi * bi * bi
-	case dfR2:
-		op := &pl.Levels[n.level].R2[n.op]
-		words = block(op.BI, op.BJ) * msgs
-		if contains(op.Consumers, int(n.rank)) {
-			if op.Kind == opR2Left {
-				flops = bi * bj * bj
-			} else {
-				flops = bi * bi * bj
-			}
-		}
-	case dfR3:
-		op := &pl.Levels[n.level].R3[n.op]
-		words = block(op.BI, op.BJ) * msgs
-	case dfR3Mul:
-		// A(i,j) ⊕= rowPanel(i,k) ⊗ colPanel(k,j): the pivot width is
-		// the column count of the captured row panel.
-		for _, x := range pl.ranks[n.rank][n.level].R3 {
-			op := &pl.Levels[n.level].R3[x]
-			if op.Kind == opR3Row && contains(op.Consumers, int(n.rank)) {
-				flops = bi * int64(sizes[op.BJ]) * bj
-				break
-			}
-		}
-	case dfR4Col:
-		op := &pl.Levels[n.level].R4Col[n.op]
-		words = block(op.BI, op.BJ) * msgs
-	case dfR4Row:
-		op := &pl.Levels[n.level].R4Row[n.op]
-		words = block(op.BI, op.BJ) * msgs
-	case dfUnit:
-		u := &pl.Levels[n.level].R4Units[n.op]
-		flops = int64(sizes[u.I]) * int64(sizes[u.K]) * int64(sizes[u.J])
-	case dfReduce:
-		op := &pl.Levels[n.level].R4Reduce[n.op]
-		words = block(op.BI, op.BJ) * msgs
-		if int(n.rank) == op.Root {
-			flops = block(op.BI, op.BJ)
-		}
-	case dfSeq:
-		op := &pl.Levels[n.level].R4Seq[n.op]
+	case op.Kind == opR2Left && n.use:
+		flops = bi * bj * bj
+	case op.Kind == opR2Right && n.use:
+		flops = bi * bi * bj
+	case op.Kind == opReduce && int(n.rank) == op.Root:
+		flops = block(op.BI, op.BJ)
+	case op.Kind == opSeq:
 		words = (block(op.BI, op.K) + block(op.K, op.BJ)) / 2 * msgs
-		if int(n.rank) == op.Owner {
+		if int(n.rank) == op.Root {
 			flops = int64(sizes[op.BI]) * int64(sizes[op.K]) * int64(sizes[op.BJ])
 		}
-	case dfTrans:
-		op := &pl.Levels[n.level].Trans[n.op]
-		words = block(op.BI, op.BJ) * msgs
+	case op.Kind == opUnit:
+		flops = int64(sizes[op.BI]) * int64(sizes[op.K]) * int64(sizes[op.BJ])
 	}
 	return comm.PriorityCost(msgs, words, flops)
 }
@@ -586,7 +404,7 @@ func EnableProfileLabels(on bool) { dfProfileLabels.Store(on) }
 // the per-node cost under profiling is a table lookup, not a label
 // allocation.
 func buildLabelTable(prog *dfProgram) [][]pprof.LabelSet {
-	table := make([][]pprof.LabelSet, dfNumKinds)
+	table := make([][]pprof.LabelSet, numKinds)
 	for k := range table {
 		table[k] = make([]pprof.LabelSet, len(prog.levelNames)+1)
 		for l := range table[k] {
@@ -612,16 +430,14 @@ type dfSlot struct {
 	clock comm.Cost
 }
 
-// dfRankState is one rank's mutable numeric state during a run: the
-// owned block plus the captured panels/operands that planExec held in
-// level-scoped locals. The combine/release nodes clear them, so state
-// never leaks across levels. Only the rank's own nodes touch it, and
-// those are serialized by the program-order edge.
-type dfRankState struct {
-	A                      *semiring.Matrix
-	rowPanel, colPanel     *semiring.Matrix
-	unit, unitAik, unitAkj *semiring.Matrix
+// ledgerSink charges one rank's numeric steps to the run's ledger.
+type ledgerSink struct {
+	led  *comm.Replay
+	rank int
 }
+
+func (s *ledgerSink) AddFlops(n int64)      { s.led.AddFlops(s.rank, n) }
+func (s *ledgerSink) AddMemory(delta int64) { s.led.AddMemory(s.rank, delta) }
 
 // dfHeap is one worker's ready heap when several workers run: a
 // mutex-guarded binary max-heap on super-node priority, ties broken
@@ -638,7 +454,8 @@ type dfRun struct {
 	prog    *dfProgram
 	sizes   []int
 	led     *comm.Replay
-	ranks   []dfRankState
+	ranks   []rankState  // each touched only by its rank's nodes, serialized by program order
+	sinks   []ledgerSink // per rank
 	slots   []dfSlot
 	pending []int32 // per-super remaining deps, decremented atomically
 	retired atomic.Int32
@@ -711,7 +528,8 @@ func (pl *Plan) ExecuteOpts(ly *Layout, o ExecOpts) (*DistResult, error) {
 		prog:    prog,
 		sizes:   pl.ND.Sizes,
 		led:     comm.NewReplay(pl.P),
-		ranks:   make([]dfRankState, pl.P),
+		ranks:   make([]rankState, pl.P),
+		sinks:   make([]ledgerSink, pl.P),
 		slots:   make([]dfSlot, len(prog.msgConsumer)),
 		pending: make([]int32, len(prog.supers)),
 		serial:  workers == 1,
@@ -721,6 +539,7 @@ func (pl *Plan) ExecuteOpts(ly *Layout, o ExecOpts) (*DistResult, error) {
 	}
 	for r := 0; r < pl.P; r++ {
 		x.ranks[r].A = blocks[r/pl.NSup+1][r%pl.NSup+1]
+		x.sinks[r] = ledgerSink{led: x.led, rank: r}
 	}
 	for sid := range prog.supers {
 		x.pending[sid] = prog.supers[sid].deps
@@ -1019,10 +838,10 @@ func (x *dfRun) sendMsg(n *dfNode, w, i int, data []float64) {
 // block (a copy — consumers share the payload), everyone else receives
 // once, then all forward down the tree. Charge order — receive, sends,
 // then the caller's consumer work — is the machine's.
-func (x *dfRun) bcastData(n *dfNode, w int, op *BcastOp, rs *dfRankState) []float64 {
+func (x *dfRun) bcastData(n *dfNode, w int, op *Op, rs *rankState) []float64 {
 	var data []float64
 	if int(n.rank) == op.Root {
-		data = x.pl.pack(rs.A, op.Prune)
+		data = x.pl.pack(rs.A, op.Prune[0])
 	} else {
 		data = x.recvMsg(n, 0)
 	}
@@ -1071,11 +890,7 @@ func (x *dfRun) execAt(mi, end int32, w int, a *semiring.Arena) int32 {
 // shape PanelUpdateMultiScratch fuses.
 func (x *dfRun) isPanelStep(mi int32) bool {
 	n := &x.prog.micros[mi]
-	if n.kind != dfR2 {
-		return false
-	}
-	op := &x.pl.Levels[n.level].R2[n.op]
-	return int(n.rank) != op.Root && contains(op.Consumers, int(n.rank))
+	return n.use && len(n.recvs) == 1 && (n.kind == opR2Left || n.kind == opR2Right)
 }
 
 // execPanelChain runs a maximal fused run of consumer R2 panel updates
@@ -1099,7 +914,7 @@ func (x *dfRun) execPanelChain(start, end int32, w int, a *semiring.Arena) int32
 	raw := make([][]float64, cnt)
 	for i := range steps {
 		n := &x.prog.micros[start+int32(i)]
-		op := &x.pl.Levels[n.level].R2[n.op]
+		op := &x.pl.Levels[n.level][n.op]
 		raw[i] = x.slots[n.recvs[0]].data
 		steps[i] = semiring.PanelStep{
 			D:     x.pl.unpack(raw[i], x.sizes[op.BI], x.sizes[op.BJ]),
@@ -1124,179 +939,77 @@ func (x *dfRun) execPanelChain(start, end int32, w int, a *semiring.Arena) int32
 	return j
 }
 
-// exec runs one micro-node. Each case mirrors the corresponding lines
-// of planExec.level; the charge sequences must stay textually parallel
-// — that correspondence is the bit-identity proof obligation.
+// exec runs one micro-node: the node's messages travel through the
+// slots its lowering wired, and what the rank does with them is the
+// numeric step both executors share (exec.go).
 func (x *dfRun) exec(id int32, w int, a *semiring.Arena) {
 	n := &x.prog.micros[id]
 	rank := int(n.rank)
-	rs := &x.ranks[rank]
-	var lv *planLevel
-	if n.level >= 0 {
-		lv = &x.pl.Levels[n.level]
-	}
-	// Classify this node's sends for the words-by-phase breakdown,
-	// matching the sticky per-phase classes planExec.level sets. Only
-	// sending kinds matter; the rank's nodes are serialized by program
-	// order, so the per-rank sticky class is race-free.
+	rs, s := &x.ranks[rank], &x.sinks[rank]
 	switch n.kind {
-	case dfR2:
-		x.led.SetSendClass(rank, comm.SendR2)
-	case dfR3:
-		x.led.SetSendClass(rank, comm.SendR3)
-	case dfR4Col, dfR4Row:
-		x.led.SetSendClass(rank, comm.SendR4Panel)
-	case dfReduce:
-		x.led.SetSendClass(rank, comm.SendR4Reduce)
-	case dfSeq:
-		x.led.SetSendClass(rank, comm.SendR4Seq)
-	case dfTrans:
-		x.led.SetSendClass(rank, comm.SendTrans)
-	}
-	switch n.kind {
-	case dfInit:
+	case kindInit:
 		x.led.SetMemory(rank, int64(len(rs.A.V)))
-
-	case dfDiag:
-		x.led.AddFlops(rank, semiring.ClassicalFW(rs.A))
-
-	case dfR2:
-		op := &lv.R2[n.op]
-		data := x.bcastData(n, w, op, rs)
-		if contains(op.Consumers, rank) {
-			dk := x.pl.unpack(data, x.sizes[op.BI], x.sizes[op.BJ])
-			x.led.AddMemory(rank, int64(len(dk.V)))
-			if op.Kind == opR2Left {
-				x.led.AddFlops(rank, semiring.PanelUpdateLeftScratch(rs.A, dk, a))
-			} else {
-				x.led.AddFlops(rank, semiring.PanelUpdateRightScratch(rs.A, dk, a))
+		return
+	case kindMark:
+		x.led.Mark(rank, x.prog.levelNames[n.level])
+		return
+	case kindR4Release:
+		rs.releaseR4(s)
+		return
+	case kindR3Combine:
+		rs.combineR3(s)
+		return
+	}
+	op := &x.pl.Levels[n.level][n.op]
+	// The rank's nodes are serialized by program order, so the sticky
+	// per-rank send class is race-free.
+	x.led.SetSendClass(rank, opSendClass[op.Kind])
+	switch op.Kind {
+	case opDiag:
+		rs.diag(s)
+	case opUnit:
+		rs.unitProduct(s, x.sizes[op.BI], x.sizes[op.BJ])
+	case opReduce:
+		if !n.use { // a root outside the group: one receive from its first member
+			rs.fold(s, x.recvMsg(n, 0))
+			return
+		}
+		data := rs.unit.V
+		for i := range n.recvs {
+			semiring.MinInto(data, x.recvMsg(n, i))
+		}
+		for i := range n.sends {
+			x.sendMsg(n, w, i, data)
+		}
+		if rank == op.Root {
+			rs.fold(s, data)
+		}
+	case opSeq, opTrans:
+		var got [2]*semiring.Matrix
+		si, ri := 0, 0
+		for i, src := range op.Group {
+			if src == op.Root {
+				continue
 			}
-			x.led.AddMemory(rank, -int64(len(dk.V)))
-		}
-
-	case dfR3:
-		op := &lv.R3[n.op]
-		data := x.bcastData(n, w, op, rs)
-		if contains(op.Consumers, rank) {
-			m := x.pl.unpack(data, x.sizes[op.BI], x.sizes[op.BJ])
-			x.led.AddMemory(rank, int64(len(m.V)))
-			if op.Kind == opR3Row {
-				rs.rowPanel = m
-			} else {
-				rs.colPanel = m
-			}
-		}
-
-	case dfR3Mul:
-		if rs.rowPanel != nil && rs.colPanel != nil {
-			x.led.AddFlops(rank, semiring.MulAddInto(rs.A, rs.rowPanel, rs.colPanel))
-		}
-		if rs.rowPanel != nil {
-			x.led.AddMemory(rank, -int64(len(rs.rowPanel.V)))
-		}
-		if rs.colPanel != nil {
-			x.led.AddMemory(rank, -int64(len(rs.colPanel.V)))
-		}
-		rs.rowPanel, rs.colPanel = nil, nil
-
-	case dfR4Col:
-		op := &lv.R4Col[n.op]
-		data := x.bcastData(n, w, op, rs)
-		if contains(op.Consumers, rank) {
-			rs.unitAik = x.pl.unpack(data, x.sizes[op.BI], x.sizes[op.BJ])
-			x.led.AddMemory(rank, int64(len(rs.unitAik.V)))
-		}
-
-	case dfR4Row:
-		op := &lv.R4Row[n.op]
-		data := x.bcastData(n, w, op, rs)
-		if contains(op.Consumers, rank) {
-			rs.unitAkj = x.pl.unpack(data, x.sizes[op.BI], x.sizes[op.BJ])
-			x.led.AddMemory(rank, int64(len(rs.unitAkj.V)))
-		}
-
-	case dfUnit:
-		u := &lv.R4Units[n.op]
-		rs.unit = semiring.NewMatrix(x.sizes[u.I], x.sizes[u.J])
-		x.led.AddMemory(rank, int64(len(rs.unit.V)))
-		x.led.AddFlops(rank, semiring.MulAddInto(rs.unit, rs.unitAik, rs.unitAkj))
-
-	case dfReduce:
-		op := &lv.R4Reduce[n.op]
-		if contains(op.Group, rank) {
-			data := rs.unit.V
-			for i := range n.recvs {
-				semiring.MinInto(data, x.recvMsg(n, i))
-			}
-			for i := range n.sends {
-				x.sendMsg(n, w, i, data)
+			if rank == src {
+				x.sendMsg(n, w, si, x.pl.pack(rs.A, op.Prune[i]))
+				si++
 			}
 			if rank == op.Root {
-				semiring.MinInto(rs.A.V, data)
-				x.led.AddFlops(rank, int64(len(data)))
-			}
-		} else {
-			// External root: one receive from the group's first member.
-			res := x.recvMsg(n, 0)
-			semiring.MinInto(rs.A.V, res)
-			x.led.AddFlops(rank, int64(len(res)))
-		}
-
-	case dfR4Done:
-		if rs.unit != nil {
-			x.led.AddMemory(rank, -int64(len(rs.unit.V)))
-		}
-		if rs.unitAik != nil {
-			x.led.AddMemory(rank, -int64(len(rs.unitAik.V)))
-		}
-		if rs.unitAkj != nil {
-			x.led.AddMemory(rank, -int64(len(rs.unitAkj.V)))
-		}
-		rs.unit, rs.unitAik, rs.unitAkj = nil, nil, nil
-
-	case dfSeq:
-		op := &lv.R4Seq[n.op]
-		si := 0
-		if rank == op.AikOwner && op.Owner != op.AikOwner {
-			x.sendMsg(n, w, si, x.pl.pack(rs.A, op.PruneA))
-			si++
-		}
-		if rank == op.AkjOwner && op.Owner != op.AkjOwner {
-			x.sendMsg(n, w, si, x.pl.pack(rs.A, op.PruneB))
-		}
-		if rank == op.Owner {
-			ri := 0
-			var aik, akj *semiring.Matrix
-			var transient int64
-			if op.Owner == op.AikOwner {
-				aik = rs.A
-			} else {
-				aik = x.pl.unpack(x.recvMsg(n, ri), x.sizes[op.BI], x.sizes[op.K])
+				bi, bj := op.payload(i)
+				got[i] = x.pl.unpack(x.recvMsg(n, ri), x.sizes[bi], x.sizes[bj])
 				ri++
-				transient += int64(len(aik.V))
 			}
-			if op.Owner == op.AkjOwner {
-				akj = rs.A
-			} else {
-				akj = x.pl.unpack(x.recvMsg(n, ri), x.sizes[op.K], x.sizes[op.BJ])
-				transient += int64(len(akj.V))
-			}
-			x.led.AddMemory(rank, transient)
-			x.led.AddFlops(rank, semiring.MulAddInto(rs.A, aik, akj))
-			x.led.AddMemory(rank, -transient)
 		}
-
-	case dfTrans:
-		op := &lv.Trans[n.op]
-		if rank == op.Src {
-			x.sendMsg(n, w, 0, x.pl.pack(rs.A, nil))
+		if rank == op.Root && op.Kind == opSeq {
+			rs.seqProduct(s, got)
+		} else if rank == op.Root {
+			rs.transpose(got[0])
 		}
-		if rank == op.Dst {
-			src := x.pl.unpack(x.recvMsg(n, 0), x.sizes[op.BI], x.sizes[op.BJ])
-			rs.A.CopyFrom(src.Transpose())
+	default:
+		data := x.bcastData(n, w, op, rs)
+		if n.use {
+			rs.consume(s, op.Kind, x.pl.unpack(data, x.sizes[op.BI], x.sizes[op.BJ]), a)
 		}
-
-	case dfMark:
-		x.led.Mark(rank, x.prog.levelNames[n.level])
 	}
 }

@@ -127,19 +127,43 @@ func TestConcurrentDataflowExecute(t *testing.T) {
 // retires all of them — a cycle or orphan would trip the executor's
 // stall detector instead of hanging), the super-nodes partition the
 // micro-nodes, merging coalesced something, and the program is cached
-// across calls.
+// across calls. On the benchmark's two shapes (pruned, mapped, seed 42)
+// it pins the plan's op count and the lowered graph's super-node,
+// micro-node and message counts.
 func TestDataflowLoweringShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	g := graph.Grid2D(10, 10, integerWeights(rng, 10))
-	ly, err := NewLayout(g, 2, 11)
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		p      int
+		seed   int64
+		counts [4]int // ops, super-nodes, micro-nodes, messages; zero = unpinned
+	}{
+		{"grid10x10", graph.Grid2D(10, 10, integerWeights(rng, 10)), 9, 11, [4]int{}},
+		{"grid32x32", graph.Grid2D(32, 32, graph.UnitWeights), 49, 42, [4]int{87, 183, 535, 186}},
+		{"cycle800", graph.Cycle(800, graph.UnitWeights), 961, 42, [4]int{621, 3970, 12264, 4075}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkLoweringShape(t, tc.g, tc.p, tc.seed, tc.counts) })
+	}
+}
+
+func checkLoweringShape(t *testing.T, g *graph.Graph, p int, seed int64, counts [4]int) {
+	h, err := HeightForP(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := BuildPlan(ly, 9, WirePruned, R4Mapped)
+	ly, err := NewLayout(g, h, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := BuildPlan(ly, p, WirePruned, R4Mapped)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog := pl.dataflow()
+	if got := [4]int{pl.OpCount(), len(prog.supers), len(prog.micros), len(prog.msgConsumer)}; counts != [4]int{} && got != counts {
+		t.Errorf("ops / super-nodes / micro-nodes / messages = %v, want %v", got, counts)
+	}
 	if prog != pl.dataflow() {
 		t.Error("dataflow() not cached: two calls returned different programs")
 	}

@@ -16,8 +16,7 @@ import "math/bits"
 //
 // The sweep maintains one boolean matrix per supernodal block — a
 // sound overapproximation of "entry may be finite" — and replays the
-// numeric schedule of exec.go on it, level by level in the same phase
-// order:
+// numeric schedule on it, op by op through each level's op list:
 //
 //	R1     M(k,k) ← boolean transitive closure of M(k,k)
 //	R2     M(i,k) |= M(i,k) ⊗ M(k,k);  M(k,j) |= M(k,k) ⊗ M(k,j)
@@ -27,16 +26,16 @@ import "math/bits"
 //
 // where ⊗ is the boolean matrix product (min-plus finiteness: the
 // product entry may be finite iff some k pairs two maybe-finite
-// entries). Within each phase all demands are computed BEFORE any mask
-// update is applied — the phases read operands written by earlier
-// phases only (R3 products target blocks with no level-l coordinate,
-// R4 products target ancestor blocks, transposes write the mirror half
-// that is never a same-level source), so the pre-phase masks are
-// exactly the operand state every receiver multiplies at. For the same
-// reason R3 and R4 commute — both read the panels R2 left, neither
-// writes a block the other touches — and the sweep's result does not
-// depend on which runs first; it follows exec.go to stay comparable
-// line by line.
+// entries). An op's demands are computed BEFORE its own mask update,
+// and no op writes a block another op of its phase reads (R2 updates
+// write their own pivot's panels, R3 products target blocks with no
+// level-l coordinate, R4 products target ancestor blocks, transposes
+// write the mirror half that is never a same-level source), so the
+// masks at each op are exactly the operand state every receiver
+// multiplies at. For the same reason R3 and R4 commute — both read the
+// panels R2 left, neither writes a block the other touches — and the
+// sweep's result does not depend on which runs first; it follows the
+// op list to stay comparable op by op.
 //
 // Soundness of a prune: a payload row t is dropped only when every
 // consumer's left operand has a provably all-Inf column t (and
@@ -272,181 +271,115 @@ func bitset(n int) []uint64 { return make([]uint64, (n+63)/64) }
 // raw vectors outside the pack layer and are left untouched.
 func attachPrunes(pl *Plan, ly *Layout) {
 	d := newDemandState(ly)
-	n := pl.NSup
-	for li := range pl.Levels {
-		lv := &pl.Levels[li]
-
-		// R1: diagonal closures.
-		for _, k := range lv.R1 {
-			if dk := d.at(k, k); dk != nil {
-				dk.closure()
+	for _, ops := range pl.Levels {
+		unitOf := make(map[int]*Op)
+		for x := range ops {
+			if ops[x].Kind == opUnit {
+				unitOf[ops[x].Root] = &ops[x]
 			}
 		}
+		for x := range ops {
+			d.sweep(&ops[x], unitOf)
+		}
+	}
+}
 
-		// R2: demands against the pre-update panels, then the panel
-		// mask updates in one batch (consumer blocks are pairwise
-		// distinct across the level's R2 ops).
-		type r2upd struct{ i, j, k int }
-		var r2upds []r2upd
-		for x := range lv.R2 {
-			op := &lv.R2[x]
-			k := op.BI // payload is the diagonal block (k, k)
-			if op.Kind == opR2Left {
-				// Payload is the RIGHT operand of A(i,k) ⊕= A(i,k) ⊗ D:
-				// row t of D meets column t of every consumer's A(i,k).
-				rows := bitset(d.sizes[k])
-				for _, r := range op.Consumers {
-					i, _ := blockOf(r, n)
-					d.at(i, k).orColAnyInto(rows)
-					r2upds = append(r2upds, r2upd{i, k, k})
-				}
-				op.Prune = pruneFor(rows, nil, d.sizes[k], d.sizes[k])
-			} else {
-				// Payload is the LEFT operand of A(k,j) ⊕= D ⊗ A(k,j):
-				// column t of D meets row t of every consumer's A(k,j).
-				cols := bitset(d.sizes[k])
-				for _, r := range op.Consumers {
-					_, j := blockOf(r, n)
-					d.at(k, j).orRowAnyInto(cols)
-					r2upds = append(r2upds, r2upd{k, j, k})
-				}
-				op.Prune = pruneFor(nil, cols, d.sizes[k], d.sizes[k])
+// sweep freezes op's demand descriptors from the masks as they stand,
+// then applies op's mask update (the file comment says why op by op is
+// sound). unitOf maps a rank to the level's unit on it.
+func (d *demandState) sweep(op *Op, unitOf map[int]*Op) {
+	switch op.Kind {
+	case opDiag:
+		if dk := d.at(op.BI, op.BI); dk != nil {
+			dk.closure()
+		}
+	case opUnit:
+		d.mul(op.BI, op.K, op.BJ)
+	case opSeq:
+		op.Prune[0] = d.demand(op.BI, op.K, true, [][2]int{{op.K, op.BJ}})
+		op.Prune[1] = d.demand(op.K, op.BJ, false, [][2]int{{op.BI, op.K}})
+		d.mul(op.BI, op.K, op.BJ)
+	case opTrans:
+		if src := d.at(op.BI, op.BJ); src != nil {
+			d.m[(op.BJ-1)*d.n+(op.BI-1)] = src.transposeOf()
+		}
+	case opReduce:
+	default:
+		// The payload is the left operand of every consumer's product
+		// (R2 row pivots, R4 column panels, R3 row broadcasts) or the
+		// right one; others[c] is the consumer's other operand.
+		left := op.Kind == opR2Right || op.Kind == opR4Aik || op.Kind == opR3Row
+		others := make([][2]int, len(op.Consumers))
+		for c, r := range op.Consumers {
+			i, j := blockOf(r, d.n) // R2: the consumer's own panel
+			switch op.Kind {
+			case opR4Aik:
+				i, j = unitOf[r].K, unitOf[r].BJ
+			case opR4Akj:
+				i, j = unitOf[r].BI, unitOf[r].K
+			case opR3Row:
+				i = op.BJ
+			case opR3Col:
+				j = op.BI
 			}
+			others[c] = [2]int{i, j}
+		}
+		op.Prune[0] = d.demand(op.BI, op.BJ, left, others)
+		switch op.Kind {
+		case opR2Left, opR2Right:
 			// Pivot payloads always allow the zero-diagonal drop (the
 			// `full` descriptor becomes a non-nil spec carrying only the
 			// flag). On identity pivots — diagonal supernodes with no
 			// internal fill, e.g. every leaf supernode of a star — the
 			// whole broadcast collapses to the 1-word empty payload.
-			if op.Prune == nil {
-				op.Prune = &PruneSpec{ZeroDiag: true}
-			} else {
-				op.Prune.ZeroDiag = true
+			if op.Prune[0] == nil {
+				op.Prune[0] = &PruneSpec{}
 			}
-		}
-		for _, u := range r2upds {
-			if p := d.at(u.i, u.j); p != nil {
-				// The panel is both an operand and the destination; the
-				// numeric kernel reads the PRE-update panel (via its
-				// scratch clone), so the sweep multiplies a snapshot.
-				if u.i == u.k { // M(k,j) |= M(k,k) ⊗ M(k,j)
-					p.orMul(d.at(u.k, u.k), snapshotOf(p))
-				} else { // M(i,k) |= M(i,k) ⊗ M(k,k)
-					p.orMul(snapshotOf(p), d.at(u.k, u.k))
-				}
-			}
-		}
-
-		// R4, mapped strategy: a consumer's demand is defined by its
-		// unit's OTHER operand (BuildPlan hands a panel only to
-		// processors that host a planned unit).
-		unitOf := make(map[int]*UnitOp, len(lv.R4Units))
-		for x := range lv.R4Units {
-			unitOf[lv.R4Units[x].Rank] = &lv.R4Units[x]
-		}
-		for x := range lv.R4Col {
-			op := &lv.R4Col[x] // payload A(i,k): left operand of unit products
-			k := op.BJ
-			cols := bitset(d.sizes[k])
-			for _, r := range op.Consumers {
-				u := unitOf[r]
-				d.at(u.K, u.J).orRowAnyInto(cols)
-			}
-			op.Prune = pruneFor(nil, cols, d.sizes[op.BI], d.sizes[k])
-		}
-		for x := range lv.R4Row {
-			op := &lv.R4Row[x] // payload A(k,j): right operand
+			op.Prune[0].ZeroDiag = true
+			// The panel is both an operand and the destination; the
+			// numeric kernel reads the PRE-update panel (via its scratch
+			// clone), so the sweep multiplies a snapshot.
 			k := op.BI
-			rows := bitset(d.sizes[k])
-			for _, r := range op.Consumers {
-				u := unitOf[r]
-				d.at(u.I, u.K).orColAnyInto(rows)
-			}
-			op.Prune = pruneFor(rows, nil, d.sizes[k], d.sizes[op.BJ])
-		}
-
-		// R4, sequential ablation: the same products, point-to-point.
-		for x := range lv.R4Seq {
-			op := &lv.R4Seq[x]
-			cols := bitset(d.sizes[op.K])
-			d.at(op.K, op.BJ).orRowAnyInto(cols)
-			op.PruneA = pruneFor(nil, cols, d.sizes[op.BI], d.sizes[op.K])
-			rows := bitset(d.sizes[op.K])
-			d.at(op.BI, op.K).orColAnyInto(rows)
-			op.PruneB = pruneFor(rows, nil, d.sizes[op.K], d.sizes[op.BJ])
-		}
-
-		// R4 mask updates (both strategies fold the same products).
-		for x := range lv.R4Units {
-			u := &lv.R4Units[x]
-			a, b := d.at(u.I, u.K), d.at(u.K, u.J)
-			if a != nil && b != nil && !a.empty() && !b.empty() {
-				d.ensure(u.I, u.J).orMul(a, b)
-			}
-		}
-		for x := range lv.R4Seq {
-			op := &lv.R4Seq[x]
-			a, b := d.at(op.BI, op.K), d.at(op.K, op.BJ)
-			if a != nil && b != nil && !a.empty() && !b.empty() {
-				d.ensure(op.BI, op.BJ).orMul(a, b)
-			}
-		}
-
-		// Transposes replace the mirror block (CopyFrom semantics).
-		// Sources are lower-half blocks and destinations upper-half, so
-		// no op reads another's destination; still, snapshot first.
-		type transUpd struct {
-			i, j int
-			t    *entryMask
-		}
-		var tps []transUpd
-		for x := range lv.Trans {
-			op := &lv.Trans[x]
-			if src := d.at(op.BI, op.BJ); src != nil {
-				tps = append(tps, transUpd{op.BJ, op.BI, src.transposeOf()})
-			}
-		}
-		for _, tp := range tps {
-			d.m[(tp.i-1)*d.n+(tp.j-1)] = tp.t
-		}
-
-		// R3: demands from the post-R2 panels — R4 and the transposes
-		// above wrote ancestor × ancestor blocks only — then the one-unit
-		// products (targets carry no level-l coordinate, so no R3
-		// operand is written within the phase).
-		type r3upd struct{ i, j, k int }
-		var r3upds []r3upd
-		for x := range lv.R3 {
-			op := &lv.R3[x]
-			if op.Kind == opR3Row {
-				// Payload A(i,k) is the LEFT operand of
-				// A(i,j) ⊕= A(i,k) ⊗ A(k,j): its column t meets row t
-				// of the consumer's column panel A(k,j).
-				i, k := op.BI, op.BJ
-				cols := bitset(d.sizes[k])
-				for _, r := range op.Consumers {
-					_, j := blockOf(r, n)
-					d.at(k, j).orRowAnyInto(cols)
-					r3upds = append(r3upds, r3upd{i, j, k})
+			for _, o := range others {
+				if p := d.at(o[0], o[1]); p != nil && left { // M(k,j) |= M(k,k) ⊗ M(k,j)
+					p.orMul(d.at(k, k), snapshotOf(p))
+				} else if p != nil { // M(i,k) |= M(i,k) ⊗ M(k,k)
+					p.orMul(snapshotOf(p), d.at(k, k))
 				}
-				op.Prune = pruneFor(nil, cols, d.sizes[i], d.sizes[k])
-			} else {
-				// Payload A(k,j) is the RIGHT operand: its row t meets
-				// column t of the consumer's row panel A(i,k).
-				k, j := op.BI, op.BJ
-				rows := bitset(d.sizes[k])
-				for _, r := range op.Consumers {
-					i, _ := blockOf(r, n)
-					d.at(i, k).orColAnyInto(rows)
-				}
-				op.Prune = pruneFor(rows, nil, d.sizes[k], d.sizes[j])
+			}
+		case opR3Row:
+			for _, o := range others {
+				d.mul(op.BI, op.BJ, o[1]) // M(i,j) |= M(i,k) ⊗ M(k,j)
 			}
 		}
-		for _, u := range r3upds {
-			a, b := d.at(u.i, u.k), d.at(u.k, u.j)
-			if a != nil && b != nil && !a.empty() && !b.empty() {
-				d.ensure(u.i, u.j).orMul(a, b)
-			}
+	}
+}
+
+// demand returns the descriptor of payload block (bi, bj), given the
+// other operand of every product it enters: as the left operand, its
+// column t meets row t of each other operand, so it keeps the columns
+// some other operand has a maybe-finite row for; as the right operand,
+// symmetrically, the rows.
+func (d *demandState) demand(bi, bj int, left bool, others [][2]int) *PruneSpec {
+	if left {
+		cols := bitset(d.sizes[bj])
+		for _, o := range others {
+			d.at(o[0], o[1]).orRowAnyInto(cols)
 		}
+		return pruneFor(nil, cols, d.sizes[bi], d.sizes[bj])
+	}
+	rows := bitset(d.sizes[bi])
+	for _, o := range others {
+		d.at(o[0], o[1]).orColAnyInto(rows)
+	}
+	return pruneFor(rows, nil, d.sizes[bi], d.sizes[bj])
+}
+
+// mul folds M(i,k) ⊗ M(k,j) into M(i,j) unless an operand is provably
+// all-Inf.
+func (d *demandState) mul(i, k, j int) {
+	if a, b := d.at(i, k), d.at(k, j); !a.empty() && !b.empty() {
+		d.ensure(i, j).orMul(a, b)
 	}
 }
 

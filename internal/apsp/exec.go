@@ -8,17 +8,17 @@ import (
 	"sparseapsp/internal/semiring"
 )
 
-// The reference semantics of a Plan replay: the literal simulated
-// machine, one goroutine per rank. It makes no symbolic decisions —
-// every group, root, tag, skip and unit assignment was frozen into the
-// Plan — so each rank simply walks its precomputed step list, level by
-// level in the phase order R1, R2, R4, transposes, R3. That replay is
-// bit-identical to the pre-split solver in distances, and its charged
-// costs are the ones the golden cost test pins (latency, bandwidth,
-// flops, message/word totals and peak memory per graph family × wire
-// format × R4 strategy). Production runs ExecuteOpts (dataflow.go),
-// which TestExecutorEquality checks against this replay; what both
-// share — LayoutFor, pack, unpack — lives here too.
+// What a rank does with a payload, and the reference semantics of a
+// Plan replay. The numeric steps below — one per kind — are shared by
+// both executors, which call them in each rank's program order
+// (Plan.ranks) and charge them through their own sink. How messages
+// travel is not shared: executeMachine, the literal simulated machine
+// with one goroutine per rank, drives every exchange through comm's own
+// Bcast, ReduceTo, Send and Recv, while ExecuteOpts (dataflow.go) wires
+// them from appendMessages. That keeps the machine an independent check
+// of the expansion: TestExecutorEquality and TestPlanClockIsExact hold
+// the two executors to the same distances and the same charged costs —
+// the ones the golden cost test pins.
 
 // LayoutFor wraps g in a Layout that reuses the plan's cached symbolic
 // state. This is the warm serving path: the only per-solve work is the
@@ -34,25 +34,127 @@ func (pl *Plan) LayoutFor(g *graph.Graph) *Layout {
 	}
 }
 
+// rankState is one rank's numeric state during an execute: the owned
+// block and what the level's broadcasts captured for a later step. The
+// R4 release and the R3 combine drop the captures, so nothing leaks
+// across levels. Only the rank's own steps touch it.
+type rankState struct {
+	A                  *semiring.Matrix
+	rowPanel, colPanel *semiring.Matrix // R3 captures
+	aik, akj, unit     *semiring.Matrix // R4 operands and the unit product
+}
+
+// sink is what a step charges its work to: the machine rank's comm.Ctx,
+// or the dataflow executor's ledger slot for the rank.
+type sink interface {
+	AddFlops(n int64)
+	AddMemory(delta int64)
+}
+
+// diag runs R1 on the owned diagonal block.
+func (rs *rankState) diag(s sink) { s.AddFlops(semiring.ClassicalFW(rs.A)) }
+
+// consume acts on a broadcast payload d: an R2 panel update of the
+// owned block, or a capture for the unit product or the R3 combine.
+func (rs *rankState) consume(s sink, kind uint8, d *semiring.Matrix, a *semiring.Arena) {
+	s.AddMemory(int64(len(d.V)))
+	switch kind {
+	case opR2Left:
+		s.AddFlops(semiring.PanelUpdateLeftScratch(rs.A, d, a))
+		s.AddMemory(-int64(len(d.V)))
+	case opR2Right:
+		s.AddFlops(semiring.PanelUpdateRightScratch(rs.A, d, a))
+		s.AddMemory(-int64(len(d.V)))
+	case opR4Aik:
+		rs.aik = d
+	case opR4Akj:
+		rs.akj = d
+	case opR3Row:
+		rs.rowPanel = d
+	case opR3Col:
+		rs.colPanel = d
+	}
+}
+
+// unitProduct computes the rank's R4 unit from its captured operands.
+func (rs *rankState) unitProduct(s sink, rows, cols int) {
+	rs.unit = semiring.NewMatrix(rows, cols)
+	s.AddMemory(int64(len(rs.unit.V)))
+	s.AddFlops(semiring.MulAddInto(rs.unit, rs.aik, rs.akj))
+}
+
+// fold min-folds a reduced unit sum into the owned block.
+func (rs *rankState) fold(s sink, res []float64) {
+	semiring.MinInto(rs.A.V, res)
+	s.AddFlops(int64(len(res)))
+}
+
+// seqProduct folds A(BI,K) ⊗ A(K,BJ) into the owned block: got[i] is
+// the operand seq member i sent, nil where the owner holds it itself.
+func (rs *rankState) seqProduct(s sink, got [2]*semiring.Matrix) {
+	var transient int64
+	for i, m := range got {
+		if m == nil {
+			got[i] = rs.A
+		} else {
+			transient += int64(len(m.V))
+		}
+	}
+	s.AddMemory(transient)
+	s.AddFlops(semiring.MulAddInto(rs.A, got[0], got[1]))
+	s.AddMemory(-transient)
+}
+
+// transpose replaces the owned block with the mirror block received —
+// replace, not fold, which is why transposes are never pruned.
+func (rs *rankState) transpose(src *semiring.Matrix) { rs.A.CopyFrom(src.Transpose()) }
+
+// releaseR4 drops the unit and its operands.
+func (rs *rankState) releaseR4(s sink) {
+	drop(s, &rs.unit)
+	drop(s, &rs.aik)
+	drop(s, &rs.akj)
+}
+
+// combineR3 multiplies the captured R3 panels into the owned block and
+// drops them.
+func (rs *rankState) combineR3(s sink) {
+	if rs.rowPanel != nil && rs.colPanel != nil {
+		s.AddFlops(semiring.MulAddInto(rs.A, rs.rowPanel, rs.colPanel))
+	}
+	drop(s, &rs.rowPanel)
+	drop(s, &rs.colPanel)
+}
+
+func drop(s sink, m **semiring.Matrix) {
+	if *m != nil {
+		s.AddMemory(-int64(len((*m).V)))
+		*m = nil
+	}
+}
+
+// levelName is the phase-mark id of level index li.
+func levelName(li int32) string { return fmt.Sprintf("level-%d", li+1) }
+
 // executeMachine runs the plan on the simulated machine: p rank
 // goroutines communicating through mailboxes. It is the reference
 // semantics ExecuteOpts is checked against (TestExecutorEquality) and
-// has no caller outside the package's tests.
+// has no caller outside the package's tests. An op's tag is its ordinal
+// over all levels, so no two ops share one.
 func (pl *Plan) executeMachine(ly *Layout) (*DistResult, error) {
 	blocks, release := ly.BlocksPooled()
+	tags := make([]int, len(pl.Levels))
+	for li := 1; li < len(tags); li++ {
+		tags[li] = tags[li-1] + len(pl.Levels[li-1])
+	}
 	machine := comm.NewMachine(pl.P)
 	err := machine.Run(func(ctx *comm.Ctx) {
-		e := &planExec{
-			ctx:     ctx,
-			pl:      pl,
-			sizes:   pl.ND.Sizes,
-			steps:   pl.ranks[ctx.Rank()],
-			scratch: semiring.NewArena(pl.ScratchWords(ctx.Rank())),
+		r := ctx.Rank()
+		rs := &rankState{A: blocks[r/pl.NSup+1][r%pl.NSup+1]}
+		scratch := semiring.NewArena(pl.ScratchWords(r))
+		for _, st := range pl.ranks[r] {
+			pl.machineStep(ctx, rs, st, scratch, tags)
 		}
-		myI := ctx.Rank()/pl.NSup + 1
-		myJ := ctx.Rank()%pl.NSup + 1
-		e.A = blocks[myI][myJ]
-		e.run()
 	})
 	if err != nil {
 		return nil, fmt.Errorf("apsp: sparse solver failed: %w", err)
@@ -73,16 +175,69 @@ func (pl *Plan) executeMachine(ly *Layout) (*DistResult, error) {
 	}, nil
 }
 
-// planExec is one rank's executor state: the owned block, the rank's
-// step lists, and a scratch arena sized from the plan so the R2 panel
-// updates allocate no per-level temporaries.
-type planExec struct {
-	ctx     *comm.Ctx
-	pl      *Plan
-	sizes   []int
-	steps   []rankLevel
-	A       *semiring.Matrix
-	scratch *semiring.Arena
+// machineStep runs one step of the calling rank's program on the
+// machine.
+func (pl *Plan) machineStep(ctx *comm.Ctx, rs *rankState, st step, a *semiring.Arena, tags []int) {
+	switch st.kind {
+	case kindInit:
+		ctx.SetMemory(int64(len(rs.A.V)))
+		return
+	case kindMark:
+		ctx.Mark(levelName(st.level))
+		return
+	case kindR4Release:
+		rs.releaseR4(ctx)
+		return
+	case kindR3Combine:
+		rs.combineR3(ctx)
+		return
+	}
+	rank, sizes := ctx.Rank(), pl.ND.Sizes
+	op := &pl.Levels[st.level][st.op]
+	tag := tags[st.level] + int(st.op)
+	ctx.SetSendClass(opSendClass[op.Kind])
+	switch op.Kind {
+	case opDiag:
+		rs.diag(ctx)
+	case opUnit:
+		rs.unitProduct(ctx, sizes[op.BI], sizes[op.BJ])
+	case opReduce:
+		var data []float64
+		if st.use {
+			data = rs.unit.V
+		}
+		if res := ctx.ReduceTo(op.Group, op.Root, tag, data, semiring.MinInto); rank == op.Root {
+			rs.fold(ctx, res)
+		}
+	case opSeq, opTrans:
+		var got [2]*semiring.Matrix
+		for i, src := range op.Group {
+			if src == op.Root {
+				continue
+			}
+			if rank == src {
+				ctx.Send(op.Root, tag, pl.pack(rs.A, op.Prune[i]))
+			}
+			if rank == op.Root {
+				bi, bj := op.payload(i)
+				got[i] = pl.unpack(ctx.Recv(src, tag), sizes[bi], sizes[bj])
+			}
+		}
+		if rank == op.Root && op.Kind == opSeq {
+			rs.seqProduct(ctx, got)
+		} else if rank == op.Root {
+			rs.transpose(got[0])
+		}
+	default:
+		var payload []float64
+		if rank == op.Root {
+			payload = pl.pack(rs.A, op.Prune[0]) // copy: receivers share the buffer
+		}
+		data := ctx.Bcast(op.Group, op.Root, tag, payload)
+		if st.use {
+			rs.consume(ctx, op.Kind, pl.unpack(data, sizes[op.BI], sizes[op.BJ]), a)
+		}
+	}
 }
 
 // pack encodes a block body for the wire; the machine charges bandwidth
@@ -114,196 +269,4 @@ func (pl *Plan) unpack(data []float64, rows, cols int) *semiring.Matrix {
 		return semiring.FromSlice(rows, cols, append([]float64(nil), data...))
 	}
 	return semiring.UnpackMatrix(data, rows, cols)
-}
-
-func (e *planExec) run() {
-	e.ctx.SetMemory(int64(len(e.A.V)))
-	for li := range e.pl.Levels {
-		e.level(&e.pl.Levels[li], &e.steps[li])
-		e.ctx.Mark(fmt.Sprintf("level-%d", li+1))
-	}
-}
-
-func (e *planExec) level(lv *planLevel, st *rankLevel) {
-	rank := e.ctx.Rank()
-
-	// ---- R_l^1: diagonal update, local. ----
-	if st.Diag {
-		e.ctx.AddFlops(semiring.ClassicalFW(e.A))
-	}
-
-	// ---- R_l^2: pivot broadcasts and panel updates. ----
-	e.ctx.SetSendClass(comm.SendR2)
-	for _, x := range st.R2 {
-		op := &lv.R2[x]
-		var payload []float64
-		if rank == op.Root {
-			payload = e.pl.pack(e.A, op.Prune) // copy: receivers share the buffer
-		}
-		data := e.ctx.Bcast(op.Group, op.Root, op.Tag, payload)
-		if !contains(op.Consumers, rank) {
-			continue
-		}
-		dk := e.pl.unpack(data, e.sizes[op.BI], e.sizes[op.BJ])
-		e.ctx.AddMemory(int64(len(dk.V)))
-		if op.Kind == opR2Left {
-			e.ctx.AddFlops(semiring.PanelUpdateLeftScratch(e.A, dk, e.scratch))
-		} else {
-			e.ctx.AddFlops(semiring.PanelUpdateRightScratch(e.A, dk, e.scratch))
-		}
-		e.ctx.AddMemory(-int64(len(dk.V)))
-	}
-
-	// ---- R_l^4, mapped strategy: panel broadcasts to the unit
-	// processors, unit products, binomial reduces. Ahead of R3: this is
-	// the level's longest dependent chain. ----
-	e.ctx.SetSendClass(comm.SendR4Panel)
-	var unit, unitAik, unitAkj *semiring.Matrix
-	for _, x := range st.R4Col {
-		op := &lv.R4Col[x]
-		var payload []float64
-		if rank == op.Root {
-			payload = e.pl.pack(e.A, op.Prune)
-		}
-		data := e.ctx.Bcast(op.Group, op.Root, op.Tag, payload)
-		if contains(op.Consumers, rank) {
-			unitAik = e.pl.unpack(data, e.sizes[op.BI], e.sizes[op.BJ])
-			e.ctx.AddMemory(int64(len(unitAik.V)))
-		}
-	}
-	for _, x := range st.R4Row {
-		op := &lv.R4Row[x]
-		var payload []float64
-		if rank == op.Root {
-			payload = e.pl.pack(e.A, op.Prune)
-		}
-		data := e.ctx.Bcast(op.Group, op.Root, op.Tag, payload)
-		if contains(op.Consumers, rank) {
-			unitAkj = e.pl.unpack(data, e.sizes[op.BI], e.sizes[op.BJ])
-			e.ctx.AddMemory(int64(len(unitAkj.V)))
-		}
-	}
-	if st.Unit >= 0 {
-		// The plan guarantees both operand broadcasts above were planned
-		// with this rank as a consumer, so the operands are present.
-		u := lv.R4Units[st.Unit]
-		unit = semiring.NewMatrix(e.sizes[u.I], e.sizes[u.J])
-		e.ctx.AddMemory(int64(len(unit.V)))
-		e.ctx.AddFlops(semiring.MulAddInto(unit, unitAik, unitAkj))
-	}
-	e.ctx.SetSendClass(comm.SendR4Reduce)
-	for _, x := range st.Reduce {
-		op := &lv.R4Reduce[x]
-		var data []float64
-		if contains(op.Group, rank) {
-			data = unit.V
-		}
-		res := e.ctx.ReduceTo(op.Group, op.Root, op.Tag, data, semiring.MinInto)
-		if rank == op.Root {
-			semiring.MinInto(e.A.V, res)
-			e.ctx.AddFlops(int64(len(res)))
-		}
-	}
-	if unit != nil {
-		e.ctx.AddMemory(-int64(len(unit.V)))
-	}
-	if unitAik != nil {
-		e.ctx.AddMemory(-int64(len(unitAik.V)))
-	}
-	if unitAkj != nil {
-		e.ctx.AddMemory(-int64(len(unitAkj.V)))
-	}
-
-	// ---- R_l^4, sequential ablation: panel owners send, the block
-	// owner folds locally. ----
-	e.ctx.SetSendClass(comm.SendR4Seq)
-	for _, x := range st.Seq {
-		op := &lv.R4Seq[x]
-		if rank == op.AikOwner && op.Owner != op.AikOwner {
-			e.ctx.Send(op.Owner, op.TagA, e.pl.pack(e.A, op.PruneA))
-		}
-		if rank == op.AkjOwner && op.Owner != op.AkjOwner {
-			e.ctx.Send(op.Owner, op.TagB, e.pl.pack(e.A, op.PruneB))
-		}
-		if rank == op.Owner {
-			var aik, akj *semiring.Matrix
-			var transient int64
-			if op.Owner == op.AikOwner {
-				aik = e.A
-			} else {
-				data := e.ctx.Recv(op.AikOwner, op.TagA)
-				aik = e.pl.unpack(data, e.sizes[op.BI], e.sizes[op.K])
-				transient += int64(len(aik.V))
-			}
-			if op.Owner == op.AkjOwner {
-				akj = e.A
-			} else {
-				data := e.ctx.Recv(op.AkjOwner, op.TagB)
-				akj = e.pl.unpack(data, e.sizes[op.K], e.sizes[op.BJ])
-				transient += int64(len(akj.V))
-			}
-			e.ctx.AddMemory(transient)
-			e.ctx.AddFlops(semiring.MulAddInto(e.A, aik, akj))
-			e.ctx.AddMemory(-transient)
-		}
-	}
-
-	// ---- Transpose sends (Algorithm 1 line 25). Never symbolically
-	// pruned — the receiver's block BECOMES the payload (replace, not
-	// fold) — but the pack-time numeric trim still applies. ----
-	e.ctx.SetSendClass(comm.SendTrans)
-	for _, x := range st.Trans {
-		op := &lv.Trans[x]
-		if rank == op.Src {
-			e.ctx.Send(op.Dst, op.Tag, e.pl.pack(e.A, nil))
-		}
-		if rank == op.Dst {
-			data := e.ctx.Recv(op.Src, op.Tag)
-			src := e.pl.unpack(data, e.sizes[op.BI], e.sizes[op.BJ])
-			e.A.CopyFrom(src.Transpose())
-		}
-	}
-
-	// ---- R_l^3: panel broadcasts and the one-unit update. Last, so the
-	// R4 chain above is already under way: both read only the panels R2
-	// finished, R4 and the transposes write ancestor × ancestor blocks,
-	// R3 blocks with a descendant coordinate. ----
-	e.ctx.SetSendClass(comm.SendR3)
-	var rowPanel, colPanel *semiring.Matrix
-	for _, x := range st.R3 {
-		op := &lv.R3[x]
-		var payload []float64
-		if rank == op.Root {
-			payload = e.pl.pack(e.A, op.Prune)
-		}
-		data := e.ctx.Bcast(op.Group, op.Root, op.Tag, payload)
-		if !contains(op.Consumers, rank) {
-			continue
-		}
-		m := e.pl.unpack(data, e.sizes[op.BI], e.sizes[op.BJ])
-		e.ctx.AddMemory(int64(len(m.V)))
-		if op.Kind == opR3Row {
-			rowPanel = m
-		} else {
-			colPanel = m
-		}
-	}
-	if rowPanel != nil && colPanel != nil {
-		e.ctx.AddFlops(semiring.MulAddInto(e.A, rowPanel, colPanel))
-	}
-	if rowPanel != nil {
-		e.ctx.AddMemory(-int64(len(rowPanel.V)))
-	}
-	if colPanel != nil {
-		e.ctx.AddMemory(-int64(len(colPanel.V)))
-	}
-}
-
-func contains(list []int, x int) bool {
-	for _, v := range list {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -9,9 +9,12 @@ import "sort"
 // gets. BuildPlan knows every message of the solve and — once the demand
 // sweep has frozen the payload rectangles — an upper bound on its size,
 // so it can replay the machine's cost clocks symbolically and choose
-// each group's order from them. The pass permutes BcastOp.Group and
-// nothing else: the same messages travel, only who relays them changes
-// (DESIGN.md §3 "Group order", EXPERIMENTS.md E30).
+// each group's order from them. The pass permutes a broadcast's
+// Op.Group and nothing else: the same messages travel, only who relays
+// them changes (DESIGN.md §3 "Group order", EXPERIMENTS.md E30). The
+// messages are appendMessages', the expansion the dataflow lowering
+// wires, so the clock replayed here is the one the executors charge
+// (TestPlanClockIsExact).
 
 // tick is the communication half of comm.Cost: messages and words along
 // the critical path. Both components are advanced and max-merged
@@ -44,14 +47,13 @@ func (t tick) less(o tick) bool {
 	return t.msgs < o.msgs
 }
 
-// treeShape is the binomial tree comm.Ctx.bcast walks over q members
-// with the root at position 0, and the two position orders the
-// candidate arrangements fill. It depends on q alone.
+// treeShape is the binomial tree of a broadcast over q members with the
+// root at position 0, and the two position orders the candidate
+// arrangements fill. It depends on q alone.
 type treeShape struct {
-	// edges lists every (sender, receiver) position pair in an order
-	// that respects each member's program order: a member's receive
-	// precedes its sends, its sends go out at decreasing bit distance.
-	edges [][2]int32
+	// tree is the broadcast's messages between positions, in
+	// appendMessages' order.
+	tree []msg
 	// relays: positions 1..q-1, most children first, then earliest
 	// receive slot — where an idle member is most useful.
 	relays []int32
@@ -61,21 +63,17 @@ type treeShape struct {
 }
 
 func newTreeShape(q int) *treeShape {
-	sh := &treeShape{}
+	positions := make([]int, q)
+	for i := range positions {
+		positions[i] = i
+	}
+	// Any broadcast kind: the tree depends on the group size alone.
+	sh := &treeShape{tree: appendMessages(nil, opR3Row, positions, 0)}
 	slot := make([]int, q)     // message step at which the position holds the payload
 	children := make([]int, q) // sends the position makes
-	for rel := 0; rel < q; rel++ {
-		mask := 1
-		for mask < q && rel&mask == 0 {
-			mask <<= 1
-		}
-		for m := mask >> 1; m > 0; m >>= 1 {
-			if rel+m < q {
-				children[rel]++
-				slot[rel+m] = slot[rel] + children[rel]
-				sh.edges = append(sh.edges, [2]int32{int32(rel), int32(rel + m)})
-			}
-		}
+	for _, m := range sh.tree {
+		children[m.src]++
+		slot[m.dst] = slot[m.src] + children[m.src]
 	}
 	for pos := 1; pos < q; pos++ {
 		sh.relays = append(sh.relays, int32(pos))
@@ -101,32 +99,32 @@ func newTreeShape(q int) *treeShape {
 	return sh
 }
 
-// placeStep is one entry of the plan's message schedule in execution
-// order: a broadcast (messages follow its tree) or, with op nil, one
-// point-to-point message of a reduce, a sequential-R4 send or a
-// transpose — simulated, never reordered.
+// placeStep is one op of the plan's message schedule, in execution
+// order. Only broadcasts are re-arranged; every other op's messages are
+// simulated and never reordered.
 type placeStep struct {
-	op       *BcastOp
-	src, dst int32
-	w        int64
-	// tails[i] is the longest remaining path from member op.Group[i]'s
-	// program point just after the broadcast.
+	op *Op
+	w  [2]int64 // words of one message of each payload part
+	// tails[i] is the longest remaining path from broadcast member
+	// op.Group[i]'s program point just after the op; nil for the rest.
 	tails []tick
 }
 
-// payloadWords bounds what Plan.pack ships for block (bi, bj) under
-// prune from above: the raw body under WireDense, else the frozen
-// demand rectangle in the pruned encoding, the dense encoding when no
-// descriptor applies, one word when an axis is empty.
-func (pl *Plan) payloadWords(bi, bj int, prune *PruneSpec) int64 {
+// msgWords bounds from above the words one message of op's part-th
+// payload carries: a reduce's raw unit body under both wires, the raw
+// body under WireDense, else what Plan.pack ships for the frozen demand
+// rectangle — the dense encoding when no descriptor applies, one word
+// when an axis is empty.
+func (pl *Plan) msgWords(op *Op, part int) int64 {
+	bi, bj := op.payload(part)
 	rows, cols := pl.ND.Sizes[bi], pl.ND.Sizes[bj]
-	if pl.Wire == WireDense {
+	prune := op.Prune[part]
+	switch {
+	case pl.Wire == WireDense || op.Kind == opReduce:
 		return int64(rows * cols)
-	}
-	if prune == nil {
-		if rows*cols == 0 {
-			return 1
-		}
+	case prune == nil && rows*cols == 0:
+		return 1
+	case prune == nil:
 		return int64(1 + rows*cols)
 	}
 	nr, nc := rows, cols
@@ -159,14 +157,15 @@ func undeliver(tail []tick, src, dst int, w int64) {
 	tail[dst] = tail[dst].plus(w)
 }
 
-// placer carries one placeTrees run: the flattened schedule, the
-// per-rank clocks of the two sweeps and the scratch the candidate
-// arrangements are built and scored in.
+// placer carries one placeTrees run: the schedule, the per-rank clocks
+// of the two sweeps and the scratch the candidate arrangements are
+// built and scored in.
 type placer struct {
 	steps  []placeStep
 	clock  []tick // forward sweep: per-rank clock
 	tail   []tick // backward sweep: per-rank longest remaining path
 	shapes []*treeShape
+	msgs   []msg // the messages of the op at hand
 
 	// Candidate scratch, sized to the largest group.
 	pos      []tick // per-position clocks of the arrangement being scored
@@ -223,31 +222,28 @@ func placeTrees(pl *Plan) {
 	}
 }
 
+// newPlacer lists every op that sends, each broadcast rotated so that
+// its root leads the group: comm.Ctx.bcast numbers positions relative
+// to the root, so the rotation keeps the tree exactly as planned and
+// lets every later step treat index 0 as the root.
 func newPlacer(pl *Plan) *placer {
 	pc := &placer{clock: make([]tick, pl.P), tail: make([]tick, pl.P)}
-	for li := range pl.Levels {
-		lv := &pl.Levels[li]
-		pc.addBcasts(pl, lv.R2)
-		pc.addBcasts(pl, lv.R4Col)
-		pc.addBcasts(pl, lv.R4Row)
-		for x := range lv.R4Reduce {
-			pc.addReduce(pl, &lv.R4Reduce[x])
-		}
-		for x := range lv.R4Seq {
-			op := &lv.R4Seq[x]
-			pc.addSend(op.AikOwner, op.Owner, pl.payloadWords(op.BI, op.K, op.PruneA))
-			pc.addSend(op.AkjOwner, op.Owner, pl.payloadWords(op.K, op.BJ, op.PruneB))
-		}
-		for x := range lv.Trans {
-			op := &lv.Trans[x]
-			pc.addSend(op.Src, op.Dst, pl.payloadWords(op.BI, op.BJ, nil))
-		}
-		pc.addBcasts(pl, lv.R3)
-	}
 	maxQ := 0
-	for i := range pc.steps {
-		if op := pc.steps[i].op; op != nil && len(op.Group) > maxQ {
-			maxQ = len(op.Group)
+	for _, ops := range pl.Levels {
+		for x := range ops {
+			op := &ops[x]
+			if op.Kind == opDiag || op.Kind == opUnit {
+				continue
+			}
+			st := placeStep{op: op, w: [2]int64{pl.msgWords(op, 0), pl.msgWords(op, 1)}}
+			if isBcast(op.Kind) {
+				if i := position(op.Group, op.Root); i > 0 {
+					op.Group = append(append(make([]int, 0, len(op.Group)), op.Group[i:]...), op.Group[:i]...)
+				}
+				st.tails = make([]tick, len(op.Group))
+				maxQ = max(maxQ, len(op.Group))
+			}
+			pc.steps = append(pc.steps, st)
 		}
 	}
 	pc.shapes = make([]*treeShape, maxQ+1)
@@ -265,57 +261,10 @@ func newPlacer(pl *Plan) *placer {
 	return pc
 }
 
-// addBcasts appends ops to the schedule, each rotated so that its root
-// leads the group: comm.Ctx.bcast numbers positions relative to the
-// root, so the rotation keeps the tree exactly as planned and lets
-// every later step treat index 0 as the root.
-func (pc *placer) addBcasts(pl *Plan, ops []BcastOp) {
-	for x := range ops {
-		op := &ops[x]
-		for i, r := range op.Group {
-			if r == op.Root && i > 0 {
-				rotated := append(append(make([]int, 0, len(op.Group)), op.Group[i:]...), op.Group[:i]...)
-				op.Group = rotated
-				break
-			}
-		}
-		pc.steps = append(pc.steps, placeStep{
-			op:    op,
-			w:     pl.payloadWords(op.BI, op.BJ, op.Prune),
-			tails: make([]tick, len(op.Group)),
-		})
-	}
-}
-
-// addSend appends one point-to-point message; a rank keeps what it
-// already holds, as in the executors.
-func (pc *placer) addSend(src, dst int, w int64) {
-	if src != dst {
-		pc.steps = append(pc.steps, placeStep{src: int32(src), dst: int32(dst), w: w})
-	}
-}
-
-// addReduce expands comm.Ctx.ReduceTo: a binomial reduce to the root if
-// it is a member, else to the group's first member, which forwards the
-// result. Every message carries the raw unit body under both wires.
-func (pc *placer) addReduce(pl *Plan, op *ReduceOp) {
-	w := int64(pl.ND.Sizes[op.BI] * pl.ND.Sizes[op.BJ])
-	q := len(op.Group)
-	rootPos, member := 0, false
-	for i, r := range op.Group {
-		if r == op.Root {
-			rootPos, member = i, true
-			break
-		}
-	}
-	for mask := 1; mask < q; mask <<= 1 {
-		for rel := mask; rel < q; rel += 2 * mask {
-			pc.addSend(op.Group[(rel+rootPos)%q], op.Group[(rel-mask+rootPos)%q], w)
-		}
-	}
-	if !member {
-		pc.addSend(op.Group[0], op.Root, w)
-	}
+// messages expands st's op as it stands into pc.msgs.
+func (pc *placer) messages(st *placeStep) []msg {
+	pc.msgs = appendMessages(pc.msgs[:0], st.op.Kind, st.op.Group, st.op.Root)
+	return pc.msgs
 }
 
 // backward computes, for every rank's program point, the longest
@@ -328,17 +277,12 @@ func (pc *placer) backward() {
 	}
 	for i := len(pc.steps) - 1; i >= 0; i-- {
 		st := &pc.steps[i]
-		if st.op == nil {
-			undeliver(pc.tail, int(st.src), int(st.dst), st.w)
-			continue
+		for m := range st.tails {
+			st.tails[m] = pc.tail[st.op.Group[m]]
 		}
-		g := st.op.Group
-		for m, r := range g {
-			st.tails[m] = pc.tail[r]
-		}
-		edges := pc.shape(len(g)).edges
-		for e := len(edges) - 1; e >= 0; e-- {
-			undeliver(pc.tail, g[edges[e][0]], g[edges[e][1]], st.w)
+		msgs := pc.messages(st)
+		for e := len(msgs) - 1; e >= 0; e-- {
+			undeliver(pc.tail, msgs[e].src, msgs[e].dst, st.w[msgs[e].part])
 		}
 	}
 }
@@ -351,16 +295,11 @@ func (pc *placer) forward(choose bool) {
 	}
 	for i := range pc.steps {
 		st := &pc.steps[i]
-		if st.op == nil {
-			deliver(pc.clock, int(st.src), int(st.dst), st.w)
-			continue
-		}
-		g := st.op.Group
-		if choose && len(g) >= 3 {
+		if choose && len(st.tails) >= 3 {
 			pc.choose(st)
 		}
-		for _, e := range pc.shape(len(g)).edges {
-			deliver(pc.clock, g[e[0]], g[e[1]], st.w)
+		for _, m := range pc.messages(st) {
+			deliver(pc.clock, m.src, m.dst, st.w[m.part])
 		}
 	}
 }
@@ -372,8 +311,8 @@ func (pc *placer) score(st *placeStep, sh *treeShape, arr []int32) tick {
 	for p, m := range arr {
 		pc.pos[p] = pc.ready[m]
 	}
-	for _, e := range sh.edges {
-		deliver(pc.pos, int(e[0]), int(e[1]), st.w)
+	for _, m := range sh.tree {
+		deliver(pc.pos, m.src, m.dst, st.w[0])
 	}
 	var worst tick
 	for p, m := range arr {

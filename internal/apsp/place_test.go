@@ -83,8 +83,8 @@ func TestPlanClockIsExact(t *testing.T) {
 // over the whole shape grid the placed plan's plan-time messages and
 // words are each at most the label-order plan's, and the pass touched
 // nothing but the order of each broadcast group — same member set, root
-// first, consumers, tag, kind and prune descriptor as planned, every
-// other op list identical.
+// first, consumers, kind, blocks and prune descriptor as planned, every
+// other op identical.
 func TestPlacementNeverRaisesCost(t *testing.T) {
 	sorted := func(g []int) []int {
 		s := append([]int(nil), g...)
@@ -102,32 +102,28 @@ func TestPlacementNeverRaisesCost(t *testing.T) {
 			t.Errorf("%s: placement raised the plan-time cost: %+v → %+v", name, before, after)
 		}
 		for li := range label.Levels {
-			was, now := &label.Levels[li], &placed.Levels[li]
-			for phase, ops := range map[string][2][]BcastOp{
-				"R2": {was.R2, now.R2}, "R3": {was.R3, now.R3},
-				"R4Col": {was.R4Col, now.R4Col}, "R4Row": {was.R4Row, now.R4Row},
-			} {
-				if len(ops[0]) != len(ops[1]) {
-					t.Fatalf("%s: level %d %s: %d ops became %d", name, li+1, phase, len(ops[0]), len(ops[1]))
-				}
-				for x := range ops[0] {
-					a, b := ops[0][x], ops[1][x]
-					if b.Group[0] != b.Root {
-						t.Errorf("%s: level %d %s[%d]: root %d is not first in %v", name, li+1, phase, x, b.Root, b.Group)
-					}
-					if !reflect.DeepEqual(sorted(a.Group), sorted(b.Group)) {
-						t.Errorf("%s: level %d %s[%d]: group %v is not a permutation of %v", name, li+1, phase, x, b.Group, a.Group)
-					}
-					a.Group, b.Group = nil, nil
-					if !reflect.DeepEqual(a, b) {
-						t.Errorf("%s: level %d %s[%d]: placement changed more than the group order:\n was %+v\n now %+v", name, li+1, phase, x, a, b)
-					}
-				}
+			was, now := label.Levels[li], placed.Levels[li]
+			if len(was) != len(now) {
+				t.Fatalf("%s: level %d: %d ops became %d", name, li+1, len(was), len(now))
 			}
-			if !reflect.DeepEqual(was.R1, now.R1) || !reflect.DeepEqual(was.R4Units, now.R4Units) ||
-				!reflect.DeepEqual(was.R4Reduce, now.R4Reduce) || !reflect.DeepEqual(was.R4Seq, now.R4Seq) ||
-				!reflect.DeepEqual(was.Trans, now.Trans) {
-				t.Errorf("%s: level %d: placement changed an op list it only simulates", name, li+1)
+			for x := range was {
+				a, b := was[x], now[x]
+				if !isBcast(a.Kind) {
+					if !reflect.DeepEqual(a, b) {
+						t.Errorf("%s: level %d op %d: placement changed an op it only simulates", name, li+1, x)
+					}
+					continue
+				}
+				if b.Group[0] != b.Root {
+					t.Errorf("%s: level %d op %d: root %d is not first in %v", name, li+1, x, b.Root, b.Group)
+				}
+				if !reflect.DeepEqual(sorted(a.Group), sorted(b.Group)) {
+					t.Errorf("%s: level %d op %d: group %v is not a permutation of %v", name, li+1, x, b.Group, a.Group)
+				}
+				a.Group, b.Group = nil, nil
+				if !reflect.DeepEqual(a, b) {
+					t.Errorf("%s: level %d op %d: placement changed more than the group order:\n was %+v\n now %+v", name, li+1, x, a, b)
+				}
 			}
 		}
 	})

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"sync"
 
 	"sparseapsp/internal/comm"
@@ -20,7 +19,7 @@ import (
 // graph STRUCTURE alone) and a numeric one (the min-plus block updates
 // on actual weights). A Plan is the symbolic half reified: an
 // immutable, rank-independent artifact that fully enumerates the solve
-// — every collective's group, root and tag, every panel update and
+// — every collective's group and root, every panel update and
 // computing-unit assignment, the mask-derived skip set — built once
 // from (Layout, p, wire, strategy) and replayed by ExecuteOpts
 // (dataflow.go) against any weights with the same structure. Supernodal
@@ -28,125 +27,177 @@ import (
 // the serving layer exploits the split by caching Plans under a
 // weights-independent StructureFingerprint so N solves on one topology
 // pay the symbolic cost once.
+//
+// The schedule is one op table: per level, one list of Op records in
+// execution order. Everything that needs to know what an op means reads
+// the record through three definitions — appendMessages (the messages
+// an op sends), the rankState steps of exec.go (what a participant does
+// with a payload) and the per-rank program indexRanks derives — so the
+// executors, the lowering, the placement and demand sweeps, the codec
+// and the hash cannot disagree about it.
 
-// Kinds of broadcast payload consumption. The kind decides what a
-// consumer rank does with the payload it received.
+// Op kinds, declared in execution order: a level lists its ops sorted by
+// opPhase, so every rank meets R1, R2, R4 (panels, units, then reduces
+// or the sequential sends), the transposes and R3 last. R3 and R4 both
+// depend on R2 alone and touch disjoint blocks, so the long R4 chain
+// starts first and the wide R3 fan-out overlaps it (DESIGN.md §3).
 const (
-	opR2Left  uint8 = iota // P(i,k): A ⊕= A ⊗ D  (pivot arrives from the column broadcast)
-	opR2Right              // P(k,j): A ⊕= D ⊗ A
-	opR3Row                // capture payload as the rank's R_l^3 row panel A(i,k)
-	opR3Col                // capture payload as the rank's R_l^3 column panel A(k,j)
-	opR4Aik                // capture payload as the unit's left operand A(i,k)
-	opR4Akj                // capture payload as the unit's right operand A(k,j)
+	opDiag    uint8 = iota // R1: Root runs ClassicalFW on its diagonal block (BI, BI)
+	opR2Left               // R2 pivot D = A(BI,BI) down its column: consumers run A ⊕= A ⊗ D
+	opR2Right              // R2 pivot along its row: consumers run A ⊕= D ⊗ A
+	opR4Aik                // R4 column panel A(BI,BJ): consumers capture their unit's left operand
+	opR4Akj                // R4 row panel A(BI,BJ): consumers capture their unit's right operand
+	opUnit                 // R4 unit product A(BI,K) ⊗ A(K,BJ) on processor Root (Corollary 5.5)
+	opReduce               // R4 binomial reduce of the units of (BI,BJ) into Root
+	opSeq                  // R4 sequential ablation: Group sends A(BI,K) and A(K,BJ), Root folds the product
+	opTrans                // Algorithm 1 line 25: Group[0] sends (BI,BJ), Root stores its transpose
+	opR3Row                // R3 row broadcast of A(BI,BJ): consumers capture their row panel
+	opR3Col                // R3 column broadcast of A(BI,BJ): consumers capture their column panel
+
+	// Glue steps of a rank's program, never in an op list.
+	kindR4Release // drop the unit and its operands after the rank's last R4 step
+	kindR3Combine // multiply the captured R3 panels into the owned block, drop them
+	kindInit      // register the owned block's memory: each rank's first step
+	kindMark      // close a level (the per-level phase costs)
+	numKinds
 )
 
-// BcastOp is one planned broadcast: the payload block (BI, BJ) travels
-// from Root to every rank of Group along the binomial tree in group
-// order. A group is a set plus a chosen order: the set is who needs the
-// payload, the order — Root first, then as placeTrees (place.go)
+const numOpKinds = kindR4Release
+
+// opPhase is the order of the kinds within a level; the kinds of one
+// phase interleave.
+var opPhase = [numOpKinds]uint8{0, 1, 1, 2, 3, 4, 5, 6, 7, 8, 8}
+
+// opSendClass labels the words each kind sends in the report.
+var opSendClass = [numOpKinds]comm.SendClass{
+	opR2Left: comm.SendR2, opR2Right: comm.SendR2,
+	opR4Aik: comm.SendR4Panel, opR4Akj: comm.SendR4Panel,
+	opReduce: comm.SendR4Reduce, opSeq: comm.SendR4Seq, opTrans: comm.SendTrans,
+	opR3Row: comm.SendR3, opR3Col: comm.SendR3,
+}
+
+func isBcast(kind uint8) bool {
+	switch kind {
+	case opR2Left, opR2Right, opR4Aik, opR4Akj, opR3Row, opR3Col:
+		return true
+	}
+	return false
+}
+
+// Op is one planned operation: a collective, a point-to-point exchange
+// or a local product; the kind list says which fields it uses. A
+// broadcast's Group is a set plus a chosen order: the set is who needs
+// the payload, the order — Root first, then as placeTrees (place.go)
 // arranged the members — decides who relays, and with it the charged
-// critical path. Consumers are the member ranks that act on the payload
-// according to Kind; members outside Consumers only relay, which beyond
-// the root happens in R2 pivot groups alone.
-type BcastOp struct {
-	Group     []int
-	Root      int
-	Tag       int
-	BI, BJ    int
-	Consumers []int
+// critical path. Members outside Consumers only relay, which beyond the
+// root happens in R2 pivot groups alone.
+type Op struct {
 	Kind      uint8
-	// Prune is the symbolic demand descriptor of the payload (nil =
-	// full, every entry demanded; always nil under WireDense); see
-	// demand.go.
-	Prune *PruneSpec
+	BI, BJ    int   // the block the op ships, reduces into or updates
+	K         int   // unit and seq: the pivot of A(BI,K) ⊗ A(K,BJ); 0 otherwise
+	Root      int   // broadcast root; reduce, seq and transpose destination; diag and unit rank
+	Group     []int // broadcast and reduce members; seq: the owners of A(BI,K), A(K,BJ); transpose: the source
+	Consumers []int // the broadcast members that act on the payload
+	// Prune holds the symbolic demand descriptors of the op's payloads —
+	// a broadcast's in Prune[0], a seq op's A(BI,K) and A(K,BJ) in
+	// Prune[0] and Prune[1]; nil = full, every entry demanded, and always
+	// nil under WireDense; see demand.go.
+	Prune [2]*PruneSpec
 }
 
-// UnitOp assigns the computing unit A(I,K) ⊗ A(K,J) of Corollary 5.5
-// to Rank (= processor P_{f,g}).
-type UnitOp struct {
-	Rank, I, K, J int
+// payload returns the block the op's part-th payload carries: A(BI,K)
+// and A(K,BJ) for a seq op, (BI, BJ) for every other kind.
+func (op *Op) payload(part int) (int, int) {
+	switch {
+	case op.Kind != opSeq:
+		return op.BI, op.BJ
+	case part == 0:
+		return op.BI, op.K
+	}
+	return op.K, op.BJ
 }
 
-// ReduceOp folds the units of block (BI, BJ) into its owner: Group are
-// the unit processors (contiguous columns of one row), Root the block
-// owner, which need not be a member.
-type ReduceOp struct {
-	Group  []int
-	Root   int
-	Tag    int
-	BI, BJ int
+// msg is one point-to-point message of an op: src sends the op's
+// part-th payload to dst.
+type msg struct{ src, dst, part int }
+
+// appendMessages appends the messages of an op of the given kind over
+// group and root to buf, in an order that meets every rank's messages
+// in the rank's program order. A broadcast is comm.Ctx.bcast's binomial
+// tree: a member receives once, from the member differing in its lowest
+// root-relative position bit, then forwards at decreasing bit
+// distances. A reduce is comm.Ctx.ReduceTo's: a binomial reduce to the
+// root if it is a member, else to group[0], which forwards the result;
+// a member receives at increasing bit distances before its one send.
+// Seq and transpose ops send member i's part i to the root, except from
+// a member that is the root. Diag and unit ops send nothing. The
+// lowering wires the dataflow graph from this and the placement replays
+// its clocks over it; the machine reference runs comm's own collectives,
+// so the executor-equality suites check this expansion.
+func appendMessages(buf []msg, kind uint8, group []int, root int) []msg {
+	q := len(group)
+	switch {
+	case isBcast(kind):
+		rootPos := position(group, root)
+		for rel := 0; rel < q; rel++ {
+			mask := 1
+			for mask < q && rel&mask == 0 {
+				mask <<= 1
+			}
+			for m := mask >> 1; m > 0; m >>= 1 {
+				if rel+m < q {
+					buf = append(buf, msg{group[(rel+rootPos)%q], group[(rel+m+rootPos)%q], 0})
+				}
+			}
+		}
+	case kind == opReduce:
+		rootPos := max(position(group, root), 0)
+		for mask := 1; mask < q; mask <<= 1 {
+			for rel := mask; rel < q; rel += 2 * mask {
+				buf = append(buf, msg{group[(rel+rootPos)%q], group[(rel-mask+rootPos)%q], 0})
+			}
+		}
+		if group[rootPos] != root {
+			buf = append(buf, msg{group[0], root, 0})
+		}
+	case kind == opSeq || kind == opTrans:
+		for i, r := range group {
+			if r != root {
+				buf = append(buf, msg{r, root, i})
+			}
+		}
+	}
+	return buf
 }
 
-// SeqOp is one unit of the Section 5.2.2 "trivial strategy" ablation:
-// both panel owners send directly to the block owner, which folds the
-// product locally.
-type SeqOp struct {
-	K, BI, BJ          int
-	AikOwner, AkjOwner int
-	Owner              int
-	TagA, TagB         int
-	// PruneA / PruneB are the demand descriptors of the A(BI,K) and
-	// A(K,BJ) payloads (nil = full); see demand.go.
-	PruneA, PruneB *PruneSpec
+// position returns the index of x in list, or -1.
+func position(list []int, x int) int {
+	for i, v := range list {
+		if v == x {
+			return i
+		}
+	}
+	return -1
 }
 
-// TransOp mirrors the computed lower half of R_l^4 to its transpose
-// position (Algorithm 1 line 25): Src = owner of (BI, BJ) sends, Dst =
-// owner of (BJ, BI) receives and transposes in place.
-type TransOp struct {
-	Src, Dst int
-	Tag      int
-	BI, BJ   int
-}
+func contains(list []int, x int) bool { return position(list, x) >= 0 }
 
-// planLevel is the complete op schedule of one eTree level. A rank runs
-// the phases in the order R1 diagonal pivots, R2 pivot broadcasts +
-// panel updates, then R4 — the mapped strategy (panel broadcasts to
-// unit processors, unit products, reduces) or the sequential ablation —
-// and its transpose sends, and R3 (panel broadcasts + one-unit
-// products) last: R3 and R4 both depend on R2 alone and touch disjoint
-// blocks, so the long R4 chain starts first and the wide R3 fan-out
-// overlaps it (DESIGN.md §3). The fields below are grouped by region,
-// not by that order. Per-phase lists are globally ordered; a rank
-// replays only the ops it belongs to, in list order. Every broadcast
-// listed has at least one consumer. planBuilder.level lists each group
-// in eTree label order; that is only the arrangement placeTrees starts
-// from, never what a built plan replays.
-type planLevel struct {
-	R1       []int // supernode labels whose diagonal owner runs ClassicalFW
-	R2       []BcastOp
-	R3       []BcastOp
-	R4Col    []BcastOp
-	R4Row    []BcastOp
-	R4Units  []UnitOp
-	R4Reduce []ReduceOp
-	R4Seq    []SeqOp
-	Trans    []TransOp
-}
-
-// rankLevel is one rank's view of a planLevel: indices into the
-// per-phase op lists, restricted to the ops the rank participates in.
-// Precomputing these is what makes a warm Execute skip every
-// membership test the fused solver re-ran per solve.
-type rankLevel struct {
-	Diag   bool    // run ClassicalFW on the owned diagonal block
-	R2     []int32 // indices into planLevel.R2
-	R3     []int32
-	R4Col  []int32
-	R4Row  []int32
-	Unit   int32 // index into planLevel.R4Units, -1 if none
-	Reduce []int32
-	Seq    []int32
-	Trans  []int32
+// step is one entry of a rank's program: its part in one op, or a glue
+// step between ops. Both executors and the lowering walk a rank's steps
+// in order, so no execute scans an op to find the rank's role in it.
+type step struct {
+	level int32 // index into Plan.Levels; -1 for kindInit
+	op    int32 // index into the level's ops; kindR3Combine: the row panel the rank captured (-1 none)
+	kind  uint8 // the op's kind or a glue kind
+	use   bool  // the rank consumes the broadcast, or is a reduce, seq or transpose member
 }
 
 // Plan is the immutable symbolic artifact: everything about a
 // 2D-SPARSE-APSP solve that does not depend on edge weights. It holds
 // the ordering (ND result), eTree and fill mask it was derived from,
-// the per-level op schedule, a per-rank index of that schedule, and the
-// tag space the per-plan allocator consumed. Build once with
-// BuildPlan, replay any number of times with ExecuteOpts; plans are safe
-// for concurrent use by many solves.
+// the per-level op table and every rank's program over it. Build once
+// with BuildPlan, replay any number of times with ExecuteOpts; plans
+// are safe for concurrent use by many solves.
 type Plan struct {
 	P     int
 	H     int
@@ -158,11 +209,10 @@ type Plan struct {
 	Tree *etree.Tree
 	Fill *FillMask
 
-	Levels []planLevel
-	ranks  [][]rankLevel // [rank][level-1]
-	Tags   int           // tags consumed by the per-plan allocator
+	Levels [][]Op   // per eTree level, the ops in execution order
+	ranks  [][]step // per rank, its program over every level
 
-	hash string // lazily computed content hash
+	sum  [sha256.Size]byte // lazily computed content hash
 	once sync.Once
 
 	// Lowered dataflow graph (dataflow.go), built lazily on the first
@@ -186,106 +236,26 @@ func (p *Plan) ScratchWords(rank int) int {
 // size of the symbolic schedule the mask left standing.
 func (p *Plan) OpCount() int {
 	n := 0
-	for _, lv := range p.Levels {
-		n += len(lv.R1) + len(lv.R2) + len(lv.R3) + len(lv.R4Col) +
-			len(lv.R4Row) + len(lv.R4Units) + len(lv.R4Reduce) + len(lv.R4Seq) + len(lv.Trans)
+	for _, ops := range p.Levels {
+		n += len(ops)
 	}
 	return n
 }
 
-// Hash returns a content hash of the full symbolic schedule (ordering,
-// tree shape, fill-driven op lists, groups, roots, tags). Every rank —
-// indeed every process — deriving a Plan from the same (graph
-// structure, p, seed, options) must produce the same hash; the
-// cross-rank determinism test pins this, because a single diverging
-// group order would deadlock or silently mis-cost a real machine.
+// Hash returns a content hash of the full symbolic schedule: the sha256
+// of the plan's encoded body (planio.go). Every rank — indeed every
+// process — deriving a Plan from the same (graph structure, p, seed,
+// options) must produce the same hash; the cross-rank determinism test
+// pins this, because a single diverging group order would deadlock or
+// silently mis-cost a real machine.
 func (p *Plan) Hash() string {
-	p.once.Do(func() {
-		h := sha256.New()
-		w := &hashWriter{h: h}
-		w.ints(p.P, p.H, p.NSup, int(p.Wire), boolInt(p.R4Seq), p.Tags)
-		w.intSlice(p.ND.Perm)
-		w.intSlice(p.ND.Sizes)
-		for _, lv := range p.Levels {
-			w.intSlice(lv.R1)
-			for _, op := range lv.R2 {
-				w.bcast(op)
-			}
-			for _, op := range lv.R3 {
-				w.bcast(op)
-			}
-			for _, op := range lv.R4Col {
-				w.bcast(op)
-			}
-			for _, op := range lv.R4Row {
-				w.bcast(op)
-			}
-			for _, u := range lv.R4Units {
-				w.ints(u.Rank, u.I, u.K, u.J)
-			}
-			for _, r := range lv.R4Reduce {
-				w.intSlice(r.Group)
-				w.ints(r.Root, r.Tag, r.BI, r.BJ)
-			}
-			for _, s := range lv.R4Seq {
-				w.ints(s.K, s.BI, s.BJ, s.AikOwner, s.AkjOwner, s.Owner, s.TagA, s.TagB)
-				w.prune(s.PruneA)
-				w.prune(s.PruneB)
-			}
-			for _, t := range lv.Trans {
-				w.ints(t.Src, t.Dst, t.Tag, t.BI, t.BJ)
-			}
-		}
-		p.hash = hex.EncodeToString(h.Sum(nil))
-	})
-	return p.hash
+	sum := p.digest()
+	return hex.EncodeToString(sum[:])
 }
 
-type hashWriter struct {
-	h   hash.Hash
-	buf [8]byte
-}
-
-func (w *hashWriter) ints(vs ...int) {
-	for _, v := range vs {
-		binary.LittleEndian.PutUint64(w.buf[:], uint64(int64(v)))
-		w.h.Write(w.buf[:])
-	}
-}
-
-func (w *hashWriter) intSlice(vs []int) {
-	w.ints(len(vs))
-	w.ints(vs...)
-}
-
-func (w *hashWriter) bcast(op BcastOp) {
-	w.intSlice(op.Group)
-	w.ints(op.Root, op.Tag, op.BI, op.BJ, int(op.Kind))
-	w.intSlice(op.Consumers)
-	w.prune(op.Prune)
-}
-
-func (w *hashWriter) prune(p *PruneSpec) {
-	if p == nil {
-		w.ints(-1)
-		return
-	}
-	w.ints(boolInt(p.ZeroDiag))
-	w.int32Axis(p.Rows)
-	w.int32Axis(p.Cols)
-}
-
-// int32Axis hashes one PruneSpec axis, keeping nil ("all") distinct
-// from empty ("none").
-func (w *hashWriter) int32Axis(vs []int32) {
-	if vs == nil {
-		w.ints(-2)
-		return
-	}
-	w.ints(len(vs))
-	for _, v := range vs {
-		w.ints(int(v))
-	}
+func (p *Plan) digest() [sha256.Size]byte {
+	p.once.Do(func() { p.sum = sha256.Sum256(p.appendBody(nil)) })
+	return p.sum
 }
 
 func boolInt(b bool) int {
@@ -315,8 +285,8 @@ func BuildPlan(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, error)
 
 // buildLabelOrder is BuildPlan up to the tree placement: every op is
 // planned and every payload rectangle frozen, each broadcast group
-// still lists its members in eTree label order, and the per-rank index
-// is not built yet.
+// still lists its members in eTree label order, and the per-rank
+// programs are not built yet.
 func buildLabelOrder(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, error) {
 	h, err := HeightForP(p)
 	if err != nil {
@@ -346,11 +316,11 @@ func buildLabelOrder(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, 
 		Fill:  ly.Fill,
 	}
 	for l := 1; l <= h; l++ {
-		lv, err := b.level(l, pl.R4Seq)
+		ops, err := b.level(l, pl.R4Seq)
 		if err != nil {
 			return nil, err
 		}
-		pl.Levels = append(pl.Levels, lv)
+		pl.Levels = append(pl.Levels, ops)
 	}
 	if wire == WirePruned {
 		// Demand sweep (demand.go): bake the per-op prune descriptors
@@ -358,28 +328,16 @@ func buildLabelOrder(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, 
 		// replay the frozen descriptors at zero per-solve cost.
 		attachPrunes(pl, ly)
 	}
-	pl.Tags = b.tags
 	return pl, nil
 }
 
-// planBuilder carries the symbolic state of one BuildPlan run, plus
-// the per-plan tag allocator: every collective and point-to-point
-// exchange gets a fresh tag, so no two concurrently-active ops can
-// collide regardless of tree height (the fused solver's packed
-// (level, phase, x, y) encoding capped machines at h ≤ 8).
+// planBuilder carries the symbolic state of one BuildPlan run.
 type planBuilder struct {
 	tr    *etree.Tree
 	sizes []int
 	mask  *FillMask
 	wire  WireFormat
 	grid  comm.Grid
-	tags  int
-}
-
-func (b *planBuilder) tag() int {
-	t := b.tags
-	b.tags++
-	return t
 }
 
 // rank converts 1-based supernode labels to a machine rank.
@@ -397,25 +355,29 @@ func (b *planBuilder) mayFill(l, i, j int) bool {
 	return b.mask.At(l, i, j)
 }
 
-// addBcast plans op unless nobody folds its payload: a broadcast
+// appendBcast plans op unless nobody folds its payload: a broadcast
 // without a consumer would only charge its hops (a full panel under
-// WireDense), so it gets no tag and no place in the schedule.
-func (b *planBuilder) addBcast(ops *[]BcastOp, op BcastOp) {
+// WireDense), so it gets no place in the schedule.
+func appendBcast(ops []Op, op Op) []Op {
 	if len(op.Consumers) == 0 {
-		return
+		return ops
 	}
-	op.Tag = b.tag()
-	*ops = append(*ops, op)
+	return append(ops, op)
 }
 
-func (b *planBuilder) level(l int, r4seq bool) (planLevel, error) {
+// level plans the ops of eTree level l in execution order. Each group
+// lists its members in eTree label order; that is only the arrangement
+// placeTrees starts from, never what a built plan replays.
+func (b *planBuilder) level(l int, r4seq bool) ([]Op, error) {
 	tr := b.tr
-	var lv planLevel
+	var ops []Op
 
 	// R_l^1: the diagonal owners of level l run ClassicalFW locally
 	// (empty pivots too — a 0×0 update charges nothing, matching the
 	// fused solver).
-	lv.R1 = append(lv.R1, tr.LevelNodes(l)...)
+	for _, k := range tr.LevelNodes(l) {
+		ops = append(ops, Op{Kind: opDiag, BI: k, BJ: k, Root: b.rank(k, k)})
+	}
 
 	// R_l^2: pivot broadcasts down the pivot column and row. The pivot
 	// diagonal always holds distance 0, so the collective always runs;
@@ -424,23 +386,19 @@ func (b *planBuilder) level(l int, r4seq bool) (planLevel, error) {
 		if !b.active(k) {
 			continue
 		}
-		rel := tr.RelatedSet(k)
-		col := BcastOp{Root: b.rank(k, k), Tag: b.tag(), BI: k, BJ: k, Kind: opR2Left}
-		for _, i := range rel {
-			col.Group = append(col.Group, b.rank(i, k))
-			if i != k && b.mayFill(l, i, k) {
-				col.Consumers = append(col.Consumers, b.rank(i, k))
+		col := Op{Kind: opR2Left, BI: k, BJ: k, Root: b.rank(k, k)}
+		row := Op{Kind: opR2Right, BI: k, BJ: k, Root: b.rank(k, k)}
+		for _, x := range tr.RelatedSet(k) {
+			col.Group = append(col.Group, b.rank(x, k))
+			if x != k && b.mayFill(l, x, k) {
+				col.Consumers = append(col.Consumers, b.rank(x, k))
+			}
+			row.Group = append(row.Group, b.rank(k, x))
+			if x != k && b.mayFill(l, k, x) {
+				row.Consumers = append(row.Consumers, b.rank(k, x))
 			}
 		}
-		lv.R2 = append(lv.R2, col)
-		row := BcastOp{Root: b.rank(k, k), Tag: b.tag(), BI: k, BJ: k, Kind: opR2Right}
-		for _, j := range rel {
-			row.Group = append(row.Group, b.rank(k, j))
-			if j != k && b.mayFill(l, k, j) {
-				row.Consumers = append(row.Consumers, b.rank(k, j))
-			}
-		}
-		lv.R2 = append(lv.R2, row)
+		ops = append(ops, col, row)
 	}
 
 	// R_l^4 (absent at the root level, which has no ancestors), then the
@@ -448,10 +406,11 @@ func (b *planBuilder) level(l int, r4seq bool) (planLevel, error) {
 	// mask proves still all-Inf after this level has an equally empty
 	// mirror, so both sides skip the exchange.
 	if l < tr.H {
+		var err error
 		if r4seq {
-			b.levelR4Sequential(l, &lv)
-		} else if err := b.levelR4Mapped(l, &lv); err != nil {
-			return planLevel{}, err
+			ops = b.levelR4Sequential(l, ops)
+		} else if ops, err = b.levelR4Mapped(l, ops); err != nil {
+			return nil, err
 		}
 		for _, blk := range tr.R4Lower(l) {
 			if blk.I == blk.J || b.sizes[blk.I] == 0 || b.sizes[blk.J] == 0 {
@@ -460,10 +419,8 @@ func (b *planBuilder) level(l int, r4seq bool) (planLevel, error) {
 			if !b.anyActiveUnit(l, blk.I) || !b.mayFill(l+1, blk.I, blk.J) {
 				continue
 			}
-			lv.Trans = append(lv.Trans, TransOp{
-				Src: b.rank(blk.I, blk.J), Dst: b.rank(blk.J, blk.I),
-				Tag: b.tag(), BI: blk.I, BJ: blk.J,
-			})
+			ops = append(ops, Op{Kind: opTrans, BI: blk.I, BJ: blk.J,
+				Root: b.rank(blk.J, blk.I), Group: []int{b.rank(blk.I, blk.J)}})
 		}
 	}
 
@@ -483,7 +440,7 @@ func (b *planBuilder) level(l int, r4seq bool) (planLevel, error) {
 			if i == k || !b.mayFill(l, i, k) {
 				continue
 			}
-			op := BcastOp{Root: b.rank(i, k), BI: i, BJ: k, Kind: opR3Row}
+			op := Op{Kind: opR3Row, BI: i, BJ: k, Root: b.rank(i, k)}
 			for _, j := range rel {
 				if b.r3Pivot(l, i, j) == k {
 					op.Group = append(op.Group, b.rank(i, j))
@@ -492,13 +449,13 @@ func (b *planBuilder) level(l int, r4seq bool) (planLevel, error) {
 					op.Group = append(op.Group, op.Root)
 				}
 			}
-			b.addBcast(&lv.R3, op)
+			ops = appendBcast(ops, op)
 		}
 		for _, j := range rel {
 			if j == k || !b.mayFill(l, k, j) {
 				continue
 			}
-			op := BcastOp{Root: b.rank(k, j), BI: k, BJ: j, Kind: opR3Col}
+			op := Op{Kind: opR3Col, BI: k, BJ: j, Root: b.rank(k, j)}
 			for _, i := range rel {
 				if b.r3Pivot(l, i, j) == k {
 					op.Group = append(op.Group, b.rank(i, j))
@@ -507,16 +464,16 @@ func (b *planBuilder) level(l int, r4seq bool) (planLevel, error) {
 					op.Group = append(op.Group, op.Root)
 				}
 			}
-			b.addBcast(&lv.R3, op)
+			ops = appendBcast(ops, op)
 		}
 	}
-	return lv, nil
+	return ops, nil
 }
 
 // levelR4Mapped plans the paper's strategy: panel broadcasts to the
 // Corollary 5.5 unit processors, one unit product per processor, and a
 // binomial reduce per block.
-func (b *planBuilder) levelR4Mapped(l int, lv *planLevel) error {
+func (b *planBuilder) levelR4Mapped(l int, ops []Op) ([]Op, error) {
 	tr := b.tr
 	// Column-panel broadcasts (line 14): P(i,k) → the processors whose
 	// unit A(i,k) ⊗ A(k,j) is planned below, which capture it as their
@@ -531,7 +488,7 @@ func (b *planBuilder) levelR4Mapped(l int, lv *planLevel) error {
 			if !b.mayFill(l, i, k) {
 				continue
 			}
-			op := BcastOp{Root: b.rank(i, k), BI: i, BJ: k, Kind: opR4Aik}
+			op := Op{Kind: opR4Aik, BI: i, BJ: k, Root: b.rank(i, k)}
 			op.Group = append(op.Group, op.Root)
 			for _, u := range tr.R4BroadcastTargetsColPanel(l, i, k) {
 				if !b.mayFill(l, k, u.J) {
@@ -543,7 +500,7 @@ func (b *planBuilder) levelR4Mapped(l int, lv *planLevel) error {
 				}
 				op.Consumers = append(op.Consumers, r)
 			}
-			b.addBcast(&lv.R4Col, op)
+			ops = appendBcast(ops, op)
 		}
 	}
 	// Row-panel broadcasts (line 17), likewise.
@@ -556,7 +513,7 @@ func (b *planBuilder) levelR4Mapped(l int, lv *planLevel) error {
 			if !b.mayFill(l, k, j) {
 				continue
 			}
-			op := BcastOp{Root: b.rank(k, j), BI: k, BJ: j, Kind: opR4Akj}
+			op := Op{Kind: opR4Akj, BI: k, BJ: j, Root: b.rank(k, j)}
 			op.Group = append(op.Group, op.Root)
 			for _, u := range tr.R4BroadcastTargetsRowPanel(l, k, j) {
 				if !b.mayFill(l, u.I, k) {
@@ -568,7 +525,7 @@ func (b *planBuilder) levelR4Mapped(l int, lv *planLevel) error {
 				}
 				op.Consumers = append(op.Consumers, r)
 			}
-			b.addBcast(&lv.R4Row, op)
+			ops = appendBcast(ops, op)
 		}
 	}
 	// Unit products (line 21): a unit exists iff both its panels can be
@@ -582,10 +539,10 @@ func (b *planBuilder) levelR4Mapped(l int, lv *planLevel) error {
 		}
 		r := b.grid.Rank(u.F-1, u.G-1)
 		if seen[r] {
-			return fmt.Errorf("apsp: plan: unit processor P(%d,%d) assigned twice at level %d", u.F, u.G, l)
+			return nil, fmt.Errorf("apsp: plan: unit processor P(%d,%d) assigned twice at level %d", u.F, u.G, l)
 		}
 		seen[r] = true
-		lv.R4Units = append(lv.R4Units, UnitOp{Rank: r, I: u.I, K: u.K, J: u.J})
+		ops = append(ops, Op{Kind: opUnit, BI: u.I, BJ: u.J, K: u.K, Root: r})
 	}
 	// Reduces (line 23): the units of block (i,j) live on one processor
 	// row in contiguous columns.
@@ -598,34 +555,28 @@ func (b *planBuilder) levelR4Mapped(l int, lv *planLevel) error {
 				group = append(group, b.grid.Rank(row-1, g-1))
 			}
 		}
-		if len(group) == 0 {
-			continue
+		if len(group) > 0 {
+			ops = append(ops, Op{Kind: opReduce, BI: blk.I, BJ: blk.J, Root: b.rank(blk.I, blk.J), Group: group})
 		}
-		lv.R4Reduce = append(lv.R4Reduce, ReduceOp{
-			Group: group, Root: b.rank(blk.I, blk.J), Tag: b.tag(), BI: blk.I, BJ: blk.J,
-		})
 	}
-	return nil
+	return ops, nil
 }
 
 // levelR4Sequential plans the Section 5.2.2 "trivial strategy"
 // ablation: the block owner receives both panels of every unit
 // directly and folds locally — 2q serialized receives instead of the
 // mapped O(log q).
-func (b *planBuilder) levelR4Sequential(l int, lv *planLevel) {
-	tr := b.tr
-	for _, blk := range tr.R4Lower(l) {
-		for _, k := range tr.UnitsFor(l, blk.I, blk.J) {
+func (b *planBuilder) levelR4Sequential(l int, ops []Op) []Op {
+	for _, blk := range b.tr.R4Lower(l) {
+		for _, k := range b.tr.UnitsFor(l, blk.I, blk.J) {
 			if !b.active(k) || !b.mayFill(l, blk.I, k) || !b.mayFill(l, k, blk.J) {
 				continue
 			}
-			lv.R4Seq = append(lv.R4Seq, SeqOp{
-				K: k, BI: blk.I, BJ: blk.J,
-				AikOwner: b.rank(blk.I, k), AkjOwner: b.rank(k, blk.J),
-				Owner: b.rank(blk.I, blk.J), TagA: b.tag(), TagB: b.tag(),
-			})
+			ops = append(ops, Op{Kind: opSeq, BI: blk.I, BJ: blk.J, K: k, Root: b.rank(blk.I, blk.J),
+				Group: []int{b.rank(blk.I, k), b.rank(k, blk.J)}})
 		}
 	}
+	return ops
 }
 
 // r3Pivot returns the unique active pivot k ∈ Q_l for which block
@@ -658,73 +609,83 @@ func (b *planBuilder) anyActiveUnit(l, i int) bool {
 	return false
 }
 
-// indexRanks builds the per-rank schedule index: for every rank, the
-// indices of the ops it participates in, phase by phase, preserving
-// each phase's global order.
-func indexRanks(p *Plan) [][]rankLevel {
-	n := p.NSup
-	rk := func(i, j int) int { return (i-1)*n + (j - 1) }
-	ranks := make([][]rankLevel, p.P)
+// indexRanks builds every rank's program: its init step, then per level
+// its part in each op in op-list order, the R4 release after its last
+// R4 step if it holds an operand or a unit, the R3 combine after its
+// last R3 step if it captured a panel, and the level's mark.
+func indexRanks(pl *Plan) [][]step {
+	ranks := make([][]step, pl.P)
 	for r := range ranks {
-		ranks[r] = make([]rankLevel, p.H)
-		for l := range ranks[r] {
-			ranks[r][l].Unit = -1
-		}
+		ranks[r] = []step{{level: -1, op: -1, kind: kindInit}}
 	}
-	for li := range p.Levels {
-		lv := &p.Levels[li]
-		for _, k := range lv.R1 {
-			ranks[rk(k, k)][li].Diag = true
+	held := make([]bool, pl.P)   // an R4 operand or unit is captured
+	rowOp := make([]int32, pl.P) // the R3 row panel captured, -1 none
+	r3 := make([]bool, pl.P)     // an R3 panel is captured
+	uses := make([]int, pl.P)    // uses[r] == stamp: r consumes the broadcast at hand
+	stamp := 0
+	for li, ops := range pl.Levels {
+		l := int32(li)
+		add := func(r, x int, use bool) {
+			ranks[r] = append(ranks[r], step{level: l, op: int32(x), kind: ops[x].Kind, use: use})
 		}
-		for x, op := range lv.R2 {
-			for _, r := range op.Group {
-				ranks[r][li].R2 = append(ranks[r][li].R2, int32(x))
-			}
-		}
-		for x, op := range lv.R3 {
-			for _, r := range op.Group {
-				ranks[r][li].R3 = append(ranks[r][li].R3, int32(x))
-			}
-		}
-		for x, op := range lv.R4Col {
-			for _, r := range op.Group {
-				ranks[r][li].R4Col = append(ranks[r][li].R4Col, int32(x))
-			}
-		}
-		for x, op := range lv.R4Row {
-			for _, r := range op.Group {
-				ranks[r][li].R4Row = append(ranks[r][li].R4Row, int32(x))
-			}
-		}
-		for x, u := range lv.R4Units {
-			ranks[u.Rank][li].Unit = int32(x)
-		}
-		for x, op := range lv.R4Reduce {
-			member := false
-			for _, r := range op.Group {
-				ranks[r][li].Reduce = append(ranks[r][li].Reduce, int32(x))
-				if r == op.Root {
-					member = true
-				}
-			}
-			if !member {
-				ranks[op.Root][li].Reduce = append(ranks[op.Root][li].Reduce, int32(x))
-			}
-		}
-		for x, op := range lv.R4Seq {
-			seen := map[int]bool{}
-			for _, r := range []int{op.AikOwner, op.AkjOwner, op.Owner} {
-				if !seen[r] {
-					seen[r] = true
-					ranks[r][li].Seq = append(ranks[r][li].Seq, int32(x))
+		release := func() {
+			for r := range held {
+				if held[r] {
+					ranks[r] = append(ranks[r], step{level: l, op: -1, kind: kindR4Release})
+					held[r] = false
 				}
 			}
 		}
-		for x, op := range lv.Trans {
-			ranks[op.Src][li].Trans = append(ranks[op.Src][li].Trans, int32(x))
-			if op.Dst != op.Src {
-				ranks[op.Dst][li].Trans = append(ranks[op.Dst][li].Trans, int32(x))
+		for r := range rowOp {
+			rowOp[r], r3[r] = -1, false
+		}
+		r4open := true
+		for x := range ops {
+			op := &ops[x]
+			if r4open && opPhase[op.Kind] > opPhase[opReduce] {
+				release()
+				r4open = false
 			}
+			switch {
+			case op.Kind == opDiag || op.Kind == opUnit:
+				add(op.Root, x, false)
+				held[op.Root] = held[op.Root] || op.Kind == opUnit
+			case isBcast(op.Kind):
+				stamp++
+				for _, c := range op.Consumers {
+					uses[c] = stamp
+				}
+				for _, r := range op.Group {
+					use := uses[r] == stamp
+					add(r, x, use)
+					switch {
+					case !use:
+					case op.Kind == opR4Aik || op.Kind == opR4Akj:
+						held[r] = true
+					case op.Kind == opR3Row || op.Kind == opR3Col:
+						r3[r] = true
+						if op.Kind == opR3Row && rowOp[r] < 0 {
+							rowOp[r] = int32(x)
+						}
+					}
+				}
+			default: // reduce, seq, transpose: the members, then a root outside them
+				for _, r := range op.Group {
+					add(r, x, true)
+				}
+				if !contains(op.Group, op.Root) {
+					add(op.Root, x, false)
+				}
+			}
+		}
+		if r4open {
+			release()
+		}
+		for r := range ranks {
+			if r3[r] {
+				ranks[r] = append(ranks[r], step{level: l, op: rowOp[r], kind: kindR3Combine})
+			}
+			ranks[r] = append(ranks[r], step{level: l, op: -1, kind: kindMark})
 		}
 	}
 	return ranks

@@ -1,8 +1,9 @@
 package apsp
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math"
 
@@ -16,22 +17,26 @@ import (
 // the entire symbolic phase — nested dissection, eTree, fill mask,
 // schedule enumeration — for every structure it has ever solved.
 //
-// Format (all integers signed varints, little-endian elsewhere):
+// Format (all integers signed varints):
 //
-//	magic "SAPLAN04"                          (8 bytes; version is part of the magic)
-//	P, H, NSup, Wire, R4Seq, Tags
-//	ND.Perm, ND.Sizes                         (length-prefixed)
-//	FillMask states                           (count, then one bitset per state)
-//	Levels                                    (count, then per level every op list)
-//	content hash                              (32 raw bytes of Plan.Hash)
+//	magic "SAPLAN05"                    (8 bytes; version is part of the magic)
+//	body:
+//	  P, H, NSup, Wire, R4Seq
+//	  ND.Perm, ND.Sizes                 (length-prefixed)
+//	  FillMask states                   (count, then one bitset per state)
+//	  Levels                            (count, then per level the op count and one record per op:
+//	                                     Kind, BI, BJ, K, Root, Group, Consumers, Prune[0], Prune[1])
+//	content hash                        (32 raw bytes: sha256 of the body, = Plan.Hash)
 //
-// The trailer is the same sha256 Plan.Hash computes over the live
-// schedule: DecodePlan recomputes it from the decoded fields and
-// rejects any mismatch, so a corrupted or truncated file can never
-// produce a silently wrong schedule. Only the canonical fields travel;
-// everything derivable (Starts/InvPerm/Super, the eTree, the per-rank
-// index) is rebuilt on decode, which keeps the bytes deterministic:
-// encoding a decoded plan reproduces them bit for bit.
+// DecodePlan checks the trailer against the body before parsing it, so
+// a corrupted or truncated file can never produce a silently wrong
+// schedule, and then runs every op through one validator, so a
+// hash-consistent file whose schedule cannot run is rejected too. Only
+// the canonical fields travel; everything derivable (Starts / InvPerm /
+// Super, the eTree, the per-rank programs) is rebuilt on decode, and
+// the decoder accepts only canonical bytes (minimal varints, zero
+// padding bits), so encoding a decoded plan reproduces them bit for
+// bit.
 //
 // DecodePlan returns an error — never panics — on malformed input
 // (fuzzed by FuzzDecodePlanMalformed). Note this is the opposite policy
@@ -49,16 +54,21 @@ import (
 // other message and word counts than a fresh build. 04: BuildPlan
 // chooses every broadcast group's order (place.go) — an 03 file holds
 // the label-order groups and would replay with other critical counts.
-const planMagic = "SAPLAN04"
-
-// planHashLen is the raw length of the sha256 content-hash trailer.
-const planHashLen = 32
+// 05: one op record per op, in execution order, and a plan file ends
+// with the fingerprint it is filed under (planstore.go) — an 04 file
+// cannot prove which structure it belongs to.
+const planMagic = "SAPLAN05"
 
 // Encode serializes the plan to its deterministic binary form.
 func (p *Plan) Encode() []byte {
-	b := make([]byte, 0, 1024)
-	b = append(b, planMagic...)
-	b = appendPlanInt(b, p.P, p.H, p.NSup, int(p.Wire), boolInt(p.R4Seq), p.Tags)
+	b := p.appendBody(append(make([]byte, 0, 1024), planMagic...))
+	sum := p.digest()
+	return append(b, sum[:]...)
+}
+
+// appendBody appends the plan's canonical fields: the bytes Hash digests.
+func (p *Plan) appendBody(b []byte) []byte {
+	b = appendPlanInt(b, p.P, p.H, p.NSup, int(p.Wire), boolInt(p.R4Seq))
 	b = appendPlanIntSlice(b, p.ND.Perm)
 	b = appendPlanIntSlice(b, p.ND.Sizes)
 	b = appendPlanInt(b, len(p.Fill.states))
@@ -66,39 +76,18 @@ func (p *Plan) Encode() []byte {
 		b = appendPlanBools(b, st)
 	}
 	b = appendPlanInt(b, len(p.Levels))
-	for _, lv := range p.Levels {
-		b = appendPlanIntSlice(b, lv.R1)
-		b = appendPlanBcasts(b, lv.R2)
-		b = appendPlanBcasts(b, lv.R3)
-		b = appendPlanBcasts(b, lv.R4Col)
-		b = appendPlanBcasts(b, lv.R4Row)
-		b = appendPlanInt(b, len(lv.R4Units))
-		for _, u := range lv.R4Units {
-			b = appendPlanInt(b, u.Rank, u.I, u.K, u.J)
-		}
-		b = appendPlanInt(b, len(lv.R4Reduce))
-		for _, r := range lv.R4Reduce {
-			b = appendPlanIntSlice(b, r.Group)
-			b = appendPlanInt(b, r.Root, r.Tag, r.BI, r.BJ)
-		}
-		b = appendPlanInt(b, len(lv.R4Seq))
-		for _, s := range lv.R4Seq {
-			b = appendPlanInt(b, s.K, s.BI, s.BJ, s.AikOwner, s.AkjOwner, s.Owner, s.TagA, s.TagB)
-			b = appendPlanPrune(b, s.PruneA)
-			b = appendPlanPrune(b, s.PruneB)
-		}
-		b = appendPlanInt(b, len(lv.Trans))
-		for _, t := range lv.Trans {
-			b = appendPlanInt(b, t.Src, t.Dst, t.Tag, t.BI, t.BJ)
+	for _, ops := range p.Levels {
+		b = appendPlanInt(b, len(ops))
+		for i := range ops {
+			op := &ops[i]
+			b = appendPlanInt(b, int(op.Kind), op.BI, op.BJ, op.K, op.Root)
+			b = appendPlanIntSlice(b, op.Group)
+			b = appendPlanIntSlice(b, op.Consumers)
+			b = appendPlanPrune(b, op.Prune[0])
+			b = appendPlanPrune(b, op.Prune[1])
 		}
 	}
-	sum, err := hex.DecodeString(p.Hash())
-	if err != nil || len(sum) != planHashLen {
-		// Hash() always yields 64 hex chars; reaching here means memory
-		// corruption, not input — fail loudly.
-		panic(fmt.Sprintf("apsp: Plan.Hash produced invalid hex %q", p.Hash()))
-	}
-	return append(b, sum...)
+	return b
 }
 
 func appendPlanInt(b []byte, vs ...int) []byte {
@@ -132,19 +121,8 @@ func appendPlanBools(b []byte, vs []bool) []byte {
 	return b
 }
 
-func appendPlanBcasts(b []byte, ops []BcastOp) []byte {
-	b = appendPlanInt(b, len(ops))
-	for _, op := range ops {
-		b = appendPlanIntSlice(b, op.Group)
-		b = appendPlanInt(b, op.Root, op.Tag, op.BI, op.BJ, int(op.Kind))
-		b = appendPlanIntSlice(b, op.Consumers)
-		b = appendPlanPrune(b, op.Prune)
-	}
-	return b
-}
-
-// appendPlanPrune mirrors hashWriter.prune: nil specs and nil-vs-empty
-// axes are all distinct on the wire, because they are distinct to the
+// appendPlanPrune writes a descriptor: nil specs and nil-vs-empty axes
+// are all distinct on the wire, because they are distinct to the
 // executor (nil axis = ship all, empty axis = ship nothing).
 func appendPlanPrune(b []byte, p *PruneSpec) []byte {
 	if p == nil {
@@ -166,7 +144,7 @@ func appendPlanInt32Axis(b []byte, vs []int32) []byte {
 	return b
 }
 
-// planReader is a bounds-checked varint reader over the payload bytes.
+// planReader is a bounds-checked varint reader over the body bytes.
 // Every accessor reports malformed input through an error; nothing in
 // the decode path indexes past the buffer.
 type planReader struct {
@@ -186,6 +164,10 @@ func (r *planReader) int() (int, error) {
 		// also caps every later allocation.
 		return 0, fmt.Errorf("apsp: DecodePlan: field value %d out of range at offset %d", v, r.off)
 	}
+	var buf [binary.MaxVarintLen64]byte
+	if n != binary.PutVarint(buf[:], v) {
+		return 0, fmt.Errorf("apsp: DecodePlan: non-canonical varint at offset %d", r.off)
+	}
 	r.off += n
 	return int(v), nil
 }
@@ -204,9 +186,11 @@ func (r *planReader) length(what string) (int, error) {
 	return n, nil
 }
 
+// intSlice reads a length-prefixed list; an empty one decodes as nil,
+// as the builder leaves it.
 func (r *planReader) intSlice(what string) ([]int, error) {
 	n, err := r.length(what)
-	if err != nil {
+	if err != nil || n == 0 {
 		return nil, err
 	}
 	out := make([]int, n)
@@ -226,6 +210,9 @@ func (r *planReader) bools(what string) ([]bool, error) {
 	if n < 0 || (n+7)/8 > r.remaining() {
 		return nil, fmt.Errorf("apsp: DecodePlan: %s bitset length %d invalid with %d bytes left", what, n, r.remaining())
 	}
+	if n%8 != 0 && r.b[r.off+n/8]>>(n%8) != 0 {
+		return nil, fmt.Errorf("apsp: DecodePlan: %s bitset has padding bits set", what)
+	}
 	out := make([]bool, n)
 	for i := range out {
 		out[i] = r.b[r.off+i/8]&(1<<(i%8)) != 0
@@ -234,94 +221,7 @@ func (r *planReader) bools(what string) ([]bool, error) {
 	return out, nil
 }
 
-// planValidator carries the decoded header fields every op reference is
-// checked against before the per-rank index is built — indexRanks and
-// the executors index by these values without further checks.
-type planValidator struct {
-	p, nsup, tags int
-	sizes         []int
-	// member[r] == epoch marks rank r as a member of the group under
-	// validation; bumping epoch clears the set.
-	member []int
-	epoch  int
-}
-
-// group validates a collective's member list as a set — in range,
-// non-empty, pairwise distinct — and leaves it marked for inGroup. The
-// order is the plan's choice (place.go) and is not constrained; a
-// repeated or missing member, though, panics in comm's groupPos or
-// deadlocks the replay.
-func (v *planValidator) group(name string, group []int) error {
-	if len(group) == 0 {
-		return fmt.Errorf("apsp: DecodePlan: %s group is empty", name)
-	}
-	if v.member == nil {
-		v.member = make([]int, v.p)
-	}
-	v.epoch++
-	for _, g := range group {
-		if err := v.rank(name+" group member", g); err != nil {
-			return err
-		}
-		if v.member[g] == v.epoch {
-			return fmt.Errorf("apsp: DecodePlan: %s group lists rank %d twice", name, g)
-		}
-		v.member[g] = v.epoch
-	}
-	return nil
-}
-
-// inGroup reports whether r belongs to the group last validated.
-func (v *planValidator) inGroup(r int) bool {
-	return r >= 0 && r < v.p && v.member[r] == v.epoch
-}
-
-func (v *planValidator) rank(name string, r int) error {
-	if r < 0 || r >= v.p {
-		return fmt.Errorf("apsp: DecodePlan: %s rank %d outside [0,%d)", name, r, v.p)
-	}
-	return nil
-}
-
-func (v *planValidator) block(name string, b int) error {
-	if b < 1 || b > v.nsup {
-		return fmt.Errorf("apsp: DecodePlan: %s block %d outside [1,%d]", name, b, v.nsup)
-	}
-	return nil
-}
-
-func (v *planValidator) tag(name string, t int) error {
-	if t < 0 || t >= v.tags {
-		return fmt.Errorf("apsp: DecodePlan: %s tag %d outside [0,%d)", name, t, v.tags)
-	}
-	return nil
-}
-
-// prune validates one axis of a PruneSpec against the block dimension
-// it indexes: ascending, in range, no duplicates — what the executor's
-// pack path assumes.
-func (v *planValidator) pruneAxis(name string, axis []int32, dim int) error {
-	prev := int32(-1)
-	for _, x := range axis {
-		if x <= prev || int(x) >= dim {
-			return fmt.Errorf("apsp: DecodePlan: %s prune index %d invalid for dimension %d", name, x, dim)
-		}
-		prev = x
-	}
-	return nil
-}
-
-func (v *planValidator) prune(name string, p *PruneSpec, bi, bj int) error {
-	if p == nil {
-		return nil
-	}
-	if err := v.pruneAxis(name+" rows", p.Rows, v.sizes[bi]); err != nil {
-		return err
-	}
-	return v.pruneAxis(name+" cols", p.Cols, v.sizes[bj])
-}
-
-func (r *planReader) prune(what string) (*PruneSpec, error) {
+func (r *planReader) prune() (*PruneSpec, error) {
 	marker, err := r.int()
 	if err != nil {
 		return nil, err
@@ -331,19 +231,19 @@ func (r *planReader) prune(what string) (*PruneSpec, error) {
 		return nil, nil
 	case 0, 1:
 		spec := &PruneSpec{ZeroDiag: marker == 1}
-		if spec.Rows, err = r.int32Axis(what + " rows"); err != nil {
+		if spec.Rows, err = r.int32Axis(); err != nil {
 			return nil, err
 		}
-		if spec.Cols, err = r.int32Axis(what + " cols"); err != nil {
+		if spec.Cols, err = r.int32Axis(); err != nil {
 			return nil, err
 		}
 		return spec, nil
 	default:
-		return nil, fmt.Errorf("apsp: DecodePlan: bad prune marker %d in %s", marker, what)
+		return nil, fmt.Errorf("apsp: DecodePlan: bad prune marker %d", marker)
 	}
 }
 
-func (r *planReader) int32Axis(what string) ([]int32, error) {
+func (r *planReader) int32Axis() ([]int32, error) {
 	n, err := r.int()
 	if err != nil {
 		return nil, err
@@ -352,7 +252,7 @@ func (r *planReader) int32Axis(what string) ([]int32, error) {
 		return nil, nil
 	}
 	if n < 0 || n > r.remaining() {
-		return nil, fmt.Errorf("apsp: DecodePlan: %s axis length %d invalid with %d bytes left", what, n, r.remaining())
+		return nil, fmt.Errorf("apsp: DecodePlan: prune axis length %d invalid with %d bytes left", n, r.remaining())
 	}
 	out := make([]int32, n)
 	for i := range out {
@@ -365,69 +265,231 @@ func (r *planReader) int32Axis(what string) ([]int32, error) {
 	return out, nil
 }
 
-func (r *planReader) bcasts(what string, v *planValidator) ([]BcastOp, error) {
-	n, err := r.length(what)
-	if err != nil {
-		return nil, err
-	}
-	ops := make([]BcastOp, 0, n)
-	for i := 0; i < n; i++ {
-		var op BcastOp
-		if op.Group, err = r.intSlice(what + " group"); err != nil {
-			return nil, err
-		}
-		if op.Root, err = r.int(); err != nil {
-			return nil, err
-		}
-		if op.Tag, err = r.int(); err != nil {
-			return nil, err
-		}
-		if op.BI, err = r.int(); err != nil {
-			return nil, err
-		}
-		if op.BJ, err = r.int(); err != nil {
-			return nil, err
-		}
-		kind, err := r.int()
+// op reads one op record.
+func (r *planReader) op(op *Op) error {
+	var f [5]int
+	for i := range f {
+		v, err := r.int()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if kind < 0 || kind > int(opR4Akj) {
-			return nil, fmt.Errorf("apsp: DecodePlan: bad %s kind %d", what, kind)
+		f[i] = v
+	}
+	if f[0] < 0 || f[0] >= int(numOpKinds) {
+		return fmt.Errorf("apsp: DecodePlan: bad op kind %d", f[0])
+	}
+	op.Kind, op.BI, op.BJ, op.K, op.Root = uint8(f[0]), f[1], f[2], f[3], f[4]
+	var err error
+	if op.Group, err = r.intSlice("group"); err != nil {
+		return err
+	}
+	if op.Consumers, err = r.intSlice("consumers"); err != nil {
+		return err
+	}
+	for i := range op.Prune {
+		if op.Prune[i], err = r.prune(); err != nil {
+			return err
 		}
-		op.Kind = uint8(kind)
-		if op.Consumers, err = r.intSlice(what + " consumers"); err != nil {
-			return nil, err
+	}
+	return nil
+}
+
+// planValidator checks every decoded op against the header before
+// anything indexes by it — indexRanks, the lowering and the executors
+// take the op table as given. It checks what they assume: every group
+// is a set of ranks holding its root and consumers; every op but a unit
+// is rooted at the owner of the block it ships or updates, and a seq or
+// transpose source at the owner of the block it sends; an R2 pivot or
+// an R3 panel reaches only ranks in its column or row; and a rank's R4
+// and R3 captures pair up into operands of matching dimensions. It does
+// not prove the schedule complete — a dropped op still decodes, which
+// the content hash guards against.
+type planValidator struct {
+	p, nsup int
+	sizes   []int
+	// member[r] == epoch marks rank r as a member of the group under
+	// validation; bumping epoch clears the set.
+	member []int
+	epoch  int
+	// Per rank, the level's unit and, per capturing kind, the panel it
+	// captures (op indices, -1 none).
+	unit []int
+	held [numOpKinds][]int
+}
+
+// capturing lists the broadcast kinds whose consumers keep the payload
+// for a later step.
+var capturing = [...]uint8{opR4Aik, opR4Akj, opR3Row, opR3Col}
+
+func (v *planValidator) errorf(format string, args ...any) error {
+	return fmt.Errorf("apsp: DecodePlan: "+format, args...)
+}
+
+func (v *planValidator) rank(r int) bool  { return r >= 0 && r < v.p }
+func (v *planValidator) block(b int) bool { return b >= 1 && b <= v.nsup }
+
+// owner is the rank of block (i, j).
+func (v *planValidator) owner(i, j int) int { return (i-1)*v.nsup + j - 1 }
+
+// reaches reports whether broadcast op may hand its payload to rank c:
+// an R2 pivot updates, and an R3 panel combines into, the consumer's own
+// block, so it travels down its column or along its row.
+func (v *planValidator) reaches(op *Op, c int) bool {
+	switch op.Kind {
+	case opR2Left, opR3Col:
+		return c%v.nsup+1 == op.BJ
+	case opR2Right, opR3Row:
+		return c/v.nsup+1 == op.BI
+	}
+	return true
+}
+
+// group validates a member list as a set — in range, non-empty,
+// pairwise distinct — and leaves it marked for inGroup. A broadcast's
+// order is the plan's choice (place.go) and is not constrained; a
+// repeated or missing member, though, panics in comm's groupPos or
+// deadlocks the replay.
+func (v *planValidator) group(group []int) error {
+	v.epoch++
+	for _, g := range group {
+		if !v.rank(g) || v.member[g] == v.epoch {
+			return v.errorf("group %v lists rank %d twice or outside [0,%d)", group, g, v.p)
 		}
-		if op.Prune, err = r.prune(what); err != nil {
-			return nil, err
+		v.member[g] = v.epoch
+	}
+	return nil
+}
+
+func (v *planValidator) inGroup(r int) bool { return v.rank(r) && v.member[r] == v.epoch }
+
+// pruneAxis validates one axis of a PruneSpec against the block
+// dimension it indexes: ascending, in range, no duplicates — what the
+// executor's pack path assumes.
+func (v *planValidator) pruneAxis(axis []int32, dim int) error {
+	prev := int32(-1)
+	for _, x := range axis {
+		if x <= prev || int(x) >= dim {
+			return v.errorf("prune index %d invalid for dimension %d", x, dim)
 		}
-		if err := v.group(what, op.Group); err != nil {
-			return nil, err
+		prev = x
+	}
+	return nil
+}
+
+// op validates one op record; the kind list in plan.go says which
+// fields each kind uses, and an unused field must be zero or empty.
+func (v *planValidator) op(op *Op) error {
+	name := dfKindNames[op.Kind]
+	if !v.block(op.BI) || !v.block(op.BJ) || !v.rank(op.Root) {
+		return v.errorf("%s op on block (%d,%d) at rank %d out of range", name, op.BI, op.BJ, op.Root)
+	}
+	if pivot := op.Kind == opUnit || op.Kind == opSeq; pivot && !v.block(op.K) || !pivot && op.K != 0 {
+		return v.errorf("%s op with pivot %d", name, op.K)
+	}
+	switch members := len(op.Group); {
+	case (isBcast(op.Kind) || op.Kind == opReduce) && members > 0:
+	case op.Kind == opSeq && members == 2, op.Kind == opTrans && members == 1:
+	case members == 0 && (op.Kind == opDiag || op.Kind == opUnit):
+	default:
+		return v.errorf("%s op with %d group members", name, members)
+	}
+	if op.Group != nil {
+		if err := v.group(op.Group); err != nil {
+			return err
 		}
-		if !v.inGroup(op.Root) {
-			return nil, fmt.Errorf("apsp: DecodePlan: %s root %d is not a member of its group", what, op.Root)
+	}
+	owner := v.owner(op.BI, op.BJ)
+	switch {
+	case (op.Kind == opDiag || op.Kind == opR2Left || op.Kind == opR2Right) && op.BI != op.BJ:
+		return v.errorf("%s op on off-diagonal block (%d,%d)", name, op.BI, op.BJ)
+	case op.Kind == opTrans && (op.BI == op.BJ || op.Group[0] != owner || op.Root != v.owner(op.BJ, op.BI)):
+		return v.errorf("transpose of (%d,%d) from rank %d to rank %d", op.BI, op.BJ, op.Group[0], op.Root)
+	case op.Kind == opSeq && (op.Group[0] != v.owner(op.BI, op.K) || op.Group[1] != v.owner(op.K, op.BJ)):
+		return v.errorf("seq op over (%d,%d) via %d from ranks %v", op.BI, op.BJ, op.K, op.Group)
+	case op.Kind != opUnit && op.Kind != opTrans && op.Root != owner:
+		return v.errorf("%s op on block (%d,%d) rooted at rank %d, not its owner", name, op.BI, op.BJ, op.Root)
+	case isBcast(op.Kind) && !v.inGroup(op.Root):
+		return v.errorf("%s root %d is not a member of its group", name, op.Root)
+	case !isBcast(op.Kind) && op.Consumers != nil:
+		return v.errorf("%s op lists consumers", name)
+	}
+	for _, c := range op.Consumers {
+		if !v.inGroup(c) || !v.reaches(op, c) {
+			return v.errorf("%s consumer %d is outside its group or its block's row or column", name, c)
 		}
-		for _, c := range op.Consumers {
-			if !v.inGroup(c) {
-				return nil, fmt.Errorf("apsp: DecodePlan: %s consumer %d is not a member of its group", what, c)
+	}
+	for part, spec := range op.Prune {
+		if spec == nil {
+			continue
+		}
+		if op.Kind != opSeq && (part > 0 || !isBcast(op.Kind)) {
+			return v.errorf("%s op carries a prune descriptor %d", name, part)
+		}
+		bi, bj := op.payload(part)
+		if err := firstErr(v.pruneAxis(spec.Rows, v.sizes[bi]), v.pruneAxis(spec.Cols, v.sizes[bj])); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// level validates one level's op table: every op, the phase order, the
+// captures — at most one panel of each capturing kind per rank, and the
+// R3 row and column panels a rank combines meet at one pivot — and the
+// R4 products: at most one unit per rank, handed the column and row
+// panels that are its operands, and every reduce member hosts a unit
+// over the reduced block.
+func (v *planValidator) level(ops []Op) error {
+	for r := range v.unit {
+		v.unit[r] = -1
+		for _, k := range capturing {
+			v.held[k][r] = -1
+		}
+	}
+	for x := range ops {
+		op := &ops[x]
+		if err := v.op(op); err != nil {
+			return err
+		}
+		if x > 0 && opPhase[op.Kind] < opPhase[ops[x-1].Kind] {
+			return v.errorf("%s op after a %s op", dfKindNames[op.Kind], dfKindNames[ops[x-1].Kind])
+		}
+		switch held := v.held[op.Kind]; {
+		case op.Kind == opUnit:
+			if v.unit[op.Root] >= 0 {
+				return v.errorf("unit processor %d assigned twice", op.Root)
+			}
+			v.unit[op.Root] = x
+		case held != nil:
+			for _, c := range op.Consumers {
+				if held[c] >= 0 {
+					return v.errorf("rank %d captures two %s panels of one kind", c, dfKindNames[op.Kind])
+				}
+				held[c] = x
 			}
 		}
-		if err := firstErr(
-			v.tag(what, op.Tag),
-			v.block(what+" BI", op.BI),
-			v.block(what+" BJ", op.BJ),
-		); err != nil {
-			return nil, err
-		}
-		// Only after BI/BJ are known-valid may the prune axes be checked
-		// against the block dimensions.
-		if err := v.prune(what, op.Prune, op.BI, op.BJ); err != nil {
-			return nil, err
-		}
-		ops = append(ops, op)
 	}
-	return ops, nil
+	for r := range v.unit {
+		if row, col := v.held[opR3Row][r], v.held[opR3Col][r]; row >= 0 && col >= 0 && ops[row].BJ != ops[col].BI {
+			return v.errorf("rank %d combines R3 panels of pivots %d and %d", r, ops[row].BJ, ops[col].BI)
+		}
+	}
+	for x := range ops {
+		switch op := &ops[x]; op.Kind {
+		case opUnit:
+			a, b := v.held[opR4Aik][op.Root], v.held[opR4Akj][op.Root]
+			if a < 0 || b < 0 || ops[a].BI != op.BI || ops[a].BJ != op.K || ops[b].BI != op.K || ops[b].BJ != op.BJ {
+				return v.errorf("unit on rank %d is not handed its operand panels", op.Root)
+			}
+		case opReduce:
+			for _, r := range op.Group {
+				if u := v.unit[r]; u < 0 || ops[u].BI != op.BI || ops[u].BJ != op.BJ {
+					return v.errorf("reduce member %d hosts no unit over (%d,%d)", r, op.BI, op.BJ)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 func firstErr(errs ...error) error {
@@ -439,22 +501,25 @@ func firstErr(errs ...error) error {
 	return nil
 }
 
-// DecodePlan parses bytes produced by Plan.Encode, rebuilds every
-// derived structure (ordering inverse, supernode table, eTree, per-rank
-// index), and verifies the embedded content hash against a recompute
-// over the decoded schedule. Malformed, truncated or corrupted input
-// returns an error; DecodePlan never panics.
+// DecodePlan parses bytes produced by Plan.Encode: it verifies the
+// content hash against the body, validates every op, and rebuilds
+// every derived structure (ordering inverse, supernode table, eTree,
+// per-rank programs). Malformed, truncated or corrupted input returns
+// an error; DecodePlan never panics.
 func DecodePlan(b []byte) (*Plan, error) {
-	if len(b) < len(planMagic)+planHashLen {
+	if len(b) < len(planMagic)+sha256.Size {
 		return nil, fmt.Errorf("apsp: DecodePlan: %d bytes is shorter than the minimal envelope", len(b))
 	}
 	if string(b[:len(planMagic)]) != planMagic {
 		return nil, fmt.Errorf("apsp: DecodePlan: bad magic %q (want %q)", b[:len(planMagic)], planMagic)
 	}
-	stored := b[len(b)-planHashLen:]
-	r := &planReader{b: b[len(planMagic) : len(b)-planHashLen]}
+	body := b[len(planMagic) : len(b)-sha256.Size]
+	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], b[len(b)-sha256.Size:]) {
+		return nil, fmt.Errorf("apsp: DecodePlan: content hash mismatch")
+	}
+	r := &planReader{b: body}
 
-	var hdr [6]int
+	var hdr [5]int
 	for i := range hdr {
 		v, err := r.int()
 		if err != nil {
@@ -462,7 +527,7 @@ func DecodePlan(b []byte) (*Plan, error) {
 		}
 		hdr[i] = v
 	}
-	p, h, nsup, wire, r4seq, tags := hdr[0], hdr[1], hdr[2], hdr[3], hdr[4], hdr[5]
+	p, h, nsup, wire, r4seq := hdr[0], hdr[1], hdr[2], hdr[3], hdr[4]
 	if h < 1 || h > 30 || nsup != (1<<h)-1 || p != nsup*nsup {
 		return nil, fmt.Errorf("apsp: DecodePlan: inconsistent header p=%d h=%d nsup=%d", p, h, nsup)
 	}
@@ -471,9 +536,6 @@ func DecodePlan(b []byte) (*Plan, error) {
 	}
 	if r4seq != 0 && r4seq != 1 {
 		return nil, fmt.Errorf("apsp: DecodePlan: bad R4Seq flag %d", r4seq)
-	}
-	if tags < 0 {
-		return nil, fmt.Errorf("apsp: DecodePlan: negative tag count %d", tags)
 	}
 
 	perm, err := r.intSlice("perm")
@@ -506,7 +568,6 @@ func DecodePlan(b []byte) (*Plan, error) {
 		}
 	}
 
-	v := &planValidator{p: p, nsup: nsup, tags: tags, sizes: sizes}
 	numLevels, err := r.int()
 	if err != nil {
 		return nil, err
@@ -514,39 +575,23 @@ func DecodePlan(b []byte) (*Plan, error) {
 	if numLevels != h {
 		return nil, fmt.Errorf("apsp: DecodePlan: %d levels for height %d", numLevels, h)
 	}
-	levels := make([]planLevel, numLevels)
+	v := &planValidator{p: p, nsup: nsup, sizes: sizes, member: make([]int, p), unit: make([]int, p)}
+	for _, k := range capturing {
+		v.held[k] = make([]int, p)
+	}
+	levels := make([][]Op, numLevels)
 	for li := range levels {
-		lv := &levels[li]
-		if lv.R1, err = r.intSlice("R1"); err != nil {
+		n, err := r.length("level")
+		if err != nil {
 			return nil, err
 		}
-		for _, k := range lv.R1 {
-			if err := v.block("R1 pivot", k); err != nil {
+		levels[li] = make([]Op, n)
+		for x := range levels[li] {
+			if err := r.op(&levels[li][x]); err != nil {
 				return nil, err
 			}
 		}
-		if lv.R2, err = r.bcasts("R2", v); err != nil {
-			return nil, err
-		}
-		if lv.R3, err = r.bcasts("R3", v); err != nil {
-			return nil, err
-		}
-		if lv.R4Col, err = r.bcasts("R4Col", v); err != nil {
-			return nil, err
-		}
-		if lv.R4Row, err = r.bcasts("R4Row", v); err != nil {
-			return nil, err
-		}
-		if err := r.readUnits(lv, v); err != nil {
-			return nil, err
-		}
-		if err := r.readReduces(lv, v); err != nil {
-			return nil, err
-		}
-		if err := r.readSeqs(lv, v); err != nil {
-			return nil, err
-		}
-		if err := r.readTrans(lv, v); err != nil {
+		if err := v.level(levels[li]); err != nil {
 			return nil, err
 		}
 	}
@@ -556,142 +601,15 @@ func DecodePlan(b []byte) (*Plan, error) {
 
 	pl := &Plan{
 		P: p, H: h, NSup: nsup,
-		Wire:  WireFormat(wire),
-		R4Seq: r4seq == 1,
-		ND:    nd,
-		Tree:  etree.New(h),
-		Fill:  &FillMask{H: h, N: nsup, states: states},
-		Tags:  tags,
-	}
-	pl.Levels = levels
-	if got, want := pl.Hash(), hex.EncodeToString(stored); got != want {
-		return nil, fmt.Errorf("apsp: DecodePlan: content hash mismatch (stored %s, recomputed %s)", want[:12], got[:12])
+		Wire:   WireFormat(wire),
+		R4Seq:  r4seq == 1,
+		ND:     nd,
+		Tree:   etree.New(h),
+		Fill:   &FillMask{H: h, N: nsup, states: states},
+		Levels: levels,
 	}
 	pl.ranks = indexRanks(pl)
 	return pl, nil
-}
-
-func (r *planReader) readUnits(lv *planLevel, v *planValidator) error {
-	n, err := r.length("R4Units")
-	if err != nil {
-		return err
-	}
-	lv.R4Units = make([]UnitOp, n)
-	for i := range lv.R4Units {
-		u := &lv.R4Units[i]
-		for _, dst := range []*int{&u.Rank, &u.I, &u.K, &u.J} {
-			if *dst, err = r.int(); err != nil {
-				return err
-			}
-		}
-		if err := firstErr(
-			v.rank("unit", u.Rank),
-			v.block("unit I", u.I),
-			v.block("unit K", u.K),
-			v.block("unit J", u.J),
-		); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (r *planReader) readReduces(lv *planLevel, v *planValidator) error {
-	n, err := r.length("R4Reduce")
-	if err != nil {
-		return err
-	}
-	lv.R4Reduce = make([]ReduceOp, n)
-	for i := range lv.R4Reduce {
-		op := &lv.R4Reduce[i]
-		if op.Group, err = r.intSlice("reduce group"); err != nil {
-			return err
-		}
-		if err := v.group("reduce", op.Group); err != nil {
-			return err
-		}
-		for _, dst := range []*int{&op.Root, &op.Tag, &op.BI, &op.BJ} {
-			if *dst, err = r.int(); err != nil {
-				return err
-			}
-		}
-		if err := firstErr(
-			v.rank("reduce root", op.Root),
-			v.tag("reduce", op.Tag),
-			v.block("reduce BI", op.BI),
-			v.block("reduce BJ", op.BJ),
-		); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (r *planReader) readSeqs(lv *planLevel, v *planValidator) error {
-	n, err := r.length("R4Seq")
-	if err != nil {
-		return err
-	}
-	lv.R4Seq = make([]SeqOp, n)
-	for i := range lv.R4Seq {
-		op := &lv.R4Seq[i]
-		for _, dst := range []*int{&op.K, &op.BI, &op.BJ, &op.AikOwner, &op.AkjOwner, &op.Owner, &op.TagA, &op.TagB} {
-			if *dst, err = r.int(); err != nil {
-				return err
-			}
-		}
-		if op.PruneA, err = r.prune("seq pruneA"); err != nil {
-			return err
-		}
-		if op.PruneB, err = r.prune("seq pruneB"); err != nil {
-			return err
-		}
-		if err := firstErr(
-			v.block("seq K", op.K),
-			v.block("seq BI", op.BI),
-			v.block("seq BJ", op.BJ),
-			v.rank("seq aik owner", op.AikOwner),
-			v.rank("seq akj owner", op.AkjOwner),
-			v.rank("seq owner", op.Owner),
-			v.tag("seq A", op.TagA),
-			v.tag("seq B", op.TagB),
-		); err != nil {
-			return err
-		}
-		if err := firstErr(
-			v.prune("seq pruneA", op.PruneA, op.BI, op.K),
-			v.prune("seq pruneB", op.PruneB, op.K, op.BJ),
-		); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (r *planReader) readTrans(lv *planLevel, v *planValidator) error {
-	n, err := r.length("Trans")
-	if err != nil {
-		return err
-	}
-	lv.Trans = make([]TransOp, n)
-	for i := range lv.Trans {
-		op := &lv.Trans[i]
-		for _, dst := range []*int{&op.Src, &op.Dst, &op.Tag, &op.BI, &op.BJ} {
-			if *dst, err = r.int(); err != nil {
-				return err
-			}
-		}
-		if err := firstErr(
-			v.rank("trans src", op.Src),
-			v.rank("trans dst", op.Dst),
-			v.tag("trans", op.Tag),
-			v.block("trans BI", op.BI),
-			v.block("trans BJ", op.BJ),
-		); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // rebuildND reconstructs the full nested-dissection result from its

@@ -1,6 +1,7 @@
 package apsp
 
 import (
+	"crypto/sha256"
 	"testing"
 
 	"sparseapsp/internal/graph"
@@ -40,16 +41,27 @@ func FuzzDecodePlanMalformed(f *testing.F) {
 	f.Add([]byte("not a plan at all, definitely longer than the envelope minimum"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pl, err := DecodePlan(data)
-		if err == nil && pl == nil {
-			t.Fatal("DecodePlan returned nil plan with nil error")
-		}
-		if err == nil {
-			// Whatever decoded must round-trip to the same bytes: the
-			// decoder may only accept canonical encodings.
-			if string(pl.Encode()) != string(data) {
-				t.Fatal("accepted input is not the canonical encoding of the decoded plan")
-			}
+		decodeCanonical(t, data)
+		// The content hash rejects nearly every mutation before the body
+		// is parsed. Re-sealing the mutated body under its own hash hands
+		// it to the varint reader, the bitsets and the op validator.
+		if len(data) >= len(planMagic)+sha256.Size {
+			sealed := append([]byte(nil), data...)
+			sum := sha256.Sum256(sealed[len(planMagic) : len(sealed)-sha256.Size])
+			copy(sealed[len(sealed)-sha256.Size:], sum[:])
+			decodeCanonical(t, sealed)
 		}
 	})
+}
+
+// decodeCanonical decodes data and requires an error or a plan whose
+// encoding is data itself: the decoder may only accept canonical bytes.
+func decodeCanonical(t *testing.T, data []byte) {
+	pl, err := DecodePlan(data)
+	if err == nil && pl == nil {
+		t.Fatal("DecodePlan returned nil plan with nil error")
+	}
+	if err == nil && string(pl.Encode()) != string(data) {
+		t.Fatal("accepted input is not the canonical encoding of the decoded plan")
+	}
 }

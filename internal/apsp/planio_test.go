@@ -2,6 +2,7 @@ package apsp
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -137,10 +138,11 @@ func TestDecodePlanMalformed(t *testing.T) {
 	if _, err := DecodePlan([]byte("XXPLAN99" + string(make([]byte, 64)))); err == nil {
 		t.Fatal("foreign magic decoded without error")
 	}
-	// Trailing junk between the schedule and the hash must be rejected.
-	padded := append(append([]byte(nil), enc[:len(enc)-planHashLen]...), 0xFF)
-	padded = append(padded, enc[len(enc)-planHashLen:]...)
-	if _, err := DecodePlan(padded); err == nil {
+	// Trailing junk between the schedule and the hash must be rejected,
+	// even under a trailer that matches it.
+	padded := append(append([]byte(nil), enc[:len(enc)-sha256.Size]...), 0x00)
+	sum := sha256.Sum256(padded[len(planMagic):])
+	if _, err := DecodePlan(append(padded, sum[:]...)); err == nil {
 		t.Fatal("trailing bytes decoded without error")
 	}
 }
@@ -236,15 +238,9 @@ func TestPlanStoreCorruptFileDegrades(t *testing.T) {
 // stripPrunes turns pl into what an SAPLAN01 writer left behind: the
 // mask-skipped schedule with every prune descriptor absent.
 func stripPrunes(pl *Plan) {
-	for li := range pl.Levels {
-		lv := &pl.Levels[li]
-		for _, ops := range [][]BcastOp{lv.R2, lv.R3, lv.R4Col, lv.R4Row} {
-			for i := range ops {
-				ops[i].Prune = nil
-			}
-		}
-		for i := range lv.R4Seq {
-			lv.R4Seq[i].PruneA, lv.R4Seq[i].PruneB = nil, nil
+	for _, ops := range pl.Levels {
+		for x := range ops {
+			ops[x].Prune = [2]*PruneSpec{}
 		}
 	}
 }
@@ -254,17 +250,17 @@ func stripPrunes(pl *Plan) {
 // related set, with no consumer (leaves have no descendants) and hence
 // the empty demand descriptor.
 func addLevel1R3(pl *Plan) {
-	lv := &pl.Levels[0]
-	for _, r2 := range lv.R2 {
-		k := r2.BI
-		rel := pl.Tree.RelatedSet(k)
+	for _, r2 := range pl.Levels[0] {
+		if r2.Kind != opR2Left && r2.Kind != opR2Right {
+			continue
+		}
+		rel := pl.Tree.RelatedSet(r2.BI)
 		for _, root := range r2.Consumers {
 			i, j := blockOf(root, pl.NSup)
-			op := BcastOp{Root: root, Tag: pl.Tags, BI: i, BJ: j, Kind: opR3Row, Prune: &PruneSpec{Cols: []int32{}}}
+			op := Op{Kind: opR3Row, BI: i, BJ: j, Root: root, Prune: [2]*PruneSpec{{Cols: []int32{}}}}
 			if r2.Kind == opR2Right {
-				op.Kind, op.Prune = opR3Col, &PruneSpec{Rows: []int32{}}
+				op.Kind, op.Prune[0] = opR3Col, &PruneSpec{Rows: []int32{}}
 			}
-			pl.Tags++
 			for _, x := range rel {
 				if op.Kind == opR3Row { // column panel A(i,k) along row i
 					op.Group = append(op.Group, (i-1)*pl.NSup+x-1)
@@ -272,7 +268,7 @@ func addLevel1R3(pl *Plan) {
 					op.Group = append(op.Group, (x-1)*pl.NSup+j-1)
 				}
 			}
-			lv.R3 = append(lv.R3, op)
+			pl.Levels[0] = append(pl.Levels[0], op) // R3 is a level's last phase
 		}
 	}
 }
@@ -282,12 +278,16 @@ func addLevel1R3(pl *Plan) {
 // hashes to — SAPLAN01 from before the demand-pruned wire took value 0
 // (wire=0 plans with no prune descriptors), SAPLAN02 from before
 // BuildPlan stopped planning broadcasts nobody folds, SAPLAN03 from
-// before it chose the group orders (label-order trees). Serving any of
-// them would silently replay the old schedule's costs, so it must count
-// as a disk error, be rebuilt and be overwritten in the current format.
+// before it chose the group orders (label-order trees), SAPLAN04 from
+// before the op table (a file that cannot name its structure: the
+// testdata file is the one an SAPLAN04 writer saved for this grid).
+// Serving any of them would silently replay the old schedule's costs or
+// someone else's schedule, so it must count as a disk error, be rebuilt
+// and be overwritten in the current format.
 func TestPlanStoreRejectsStaleFormat(t *testing.T) {
 	g := graph.Grid2D(12, 12, graph.UnitWeights)
 	const p = 49
+	fp := StructureFingerprintOf(g, p, 42, WirePruned, R4Mapped)
 	fresh, err := SparseAPSPWith(g, p, SparseOptions{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +298,9 @@ func TestPlanStoreRejectsStaleFormat(t *testing.T) {
 		magic string
 		// stale builds the plan the old writer left behind. It must not
 		// have been hashed yet, so the content-hash trailer is the stale
-		// plan's own and only the magic can reject it.
+		// plan's own and, filed under the right fingerprint, only the
+		// magic can reject it. Nil for a case whose file is committed
+		// under testdata.
 		stale func() *Plan
 		// cost is what serving the stale file would have raised: the bug
 		// the magic bump closes.
@@ -315,19 +317,29 @@ func TestPlanStoreRejectsStaleFormat(t *testing.T) {
 			return pl
 		}, totalWords},
 		{"SAPLAN03", func() *Plan { return labelOrderPlan(t, testLayout(t, g, p), p, WirePruned, R4Mapped) }, criticalWords},
+		{"SAPLAN04", nil, nil},
 	} {
 		dir := t.TempDir()
-		old := tc.stale().Encode()
-		servable, err := DecodePlan(old)
-		if err != nil {
-			t.Fatalf("%s: stale plan under the current magic must be a valid encoding: %v", tc.magic, err)
+		var old, file []byte
+		var servable *Plan
+		if tc.stale == nil {
+			if file, err = os.ReadFile(filepath.Join("testdata", "grid12x12-p49-seed42."+tc.magic+".plan")); err != nil {
+				t.Fatal(err)
+			}
+			old = file
+		} else {
+			old = tc.stale().Encode()
+			if servable, err = DecodePlan(old); err != nil {
+				t.Fatalf("%s: stale plan under the current magic must be a valid encoding: %v", tc.magic, err)
+			}
+			copy(old, tc.magic)
+			file = append(old, fp[:]...)
 		}
-		copy(old, tc.magic)
 		if _, err := DecodePlan(old); err == nil {
 			t.Fatalf("%s file decoded without error", tc.magic)
 		}
-		path := filepath.Join(dir, StructureFingerprintOf(g, p, 42, WirePruned, R4Mapped).String()+".plan")
-		if err := os.WriteFile(path, old, 0o644); err != nil {
+		path := filepath.Join(dir, fp.String()+".plan")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
 		}
 
@@ -353,6 +365,9 @@ func TestPlanStoreRejectsStaleFormat(t *testing.T) {
 		if !bytes.HasPrefix(rewritten, []byte(planMagic)) {
 			t.Fatalf("%s: stale file not overwritten: magic %q", tc.magic, rewritten[:len(planMagic)])
 		}
+		if servable == nil {
+			continue
+		}
 		served, err := servable.ExecuteOpts(servable.LayoutFor(g), ExecOpts{})
 		if err != nil {
 			t.Fatal(err)
@@ -373,38 +388,41 @@ type unrunnablePlan struct {
 }
 
 // unrunnableGroupPlans returns hash-consistent encodings of plans whose
-// collectives cannot run: each fixture is edited before its first Hash,
-// so the trailer matches and only the group validation can reject it.
-// Executing any of them panics in comm's groupPos or deadlocks.
+// ops cannot run: each fixture is edited before its first Hash, so the
+// trailer matches and only the validator can reject it. Executing any
+// of them panics in comm's groupPos, deadlocks, multiplies operands of
+// the wrong shape, or computes from a block other than the one the op
+// names.
 func unrunnableGroupPlans(t testing.TB) []unrunnablePlan {
 	g := graph.Grid2D(8, 8, graph.UnitWeights)
-	firstR3 := func(pl *Plan) *BcastOp {
-		for li := range pl.Levels {
-			for x := range pl.Levels[li].R3 {
-				if op := &pl.Levels[li].R3[x]; len(op.Group) >= 3 {
+	first := func(pl *Plan, kind uint8, minGroup int) *Op {
+		for _, ops := range pl.Levels {
+			for x := range ops {
+				if op := &ops[x]; op.Kind == kind && len(op.Group) >= minGroup {
 					return op
 				}
 			}
 		}
-		t.Fatal("fixture plan has no R3 broadcast over three members")
+		t.Fatalf("fixture plan has no %s op over %d members", dfKindNames[kind], minGroup)
 		return nil
 	}
 	var out []unrunnablePlan
 	for _, fx := range []struct {
 		name string
+		r4   R4Strategy
 		edit func(pl *Plan)
 	}{
-		{"R3 group lacks its root", func(pl *Plan) {
-			op := firstR3(pl)
+		{"R3 group lacks its root", R4Mapped, func(pl *Plan) {
+			op := first(pl, opR3Row, 3)
 			op.Group = op.Group[1:] // placement puts the root first
 			op.Consumers = append([]int(nil), op.Group...)
 		}},
-		{"R3 group lists a member twice", func(pl *Plan) {
-			op := firstR3(pl)
+		{"R3 group lists a member twice", R4Mapped, func(pl *Plan) {
+			op := first(pl, opR3Row, 3)
 			op.Group = append(op.Group, op.Group[1])
 		}},
-		{"R3 consumer outside the group", func(pl *Plan) {
-			op := firstR3(pl)
+		{"R3 consumer outside the group", R4Mapped, func(pl *Plan) {
+			op := first(pl, opR3Row, 3)
 			for r := 0; r < pl.P; r++ {
 				if !contains(op.Group, r) {
 					op.Consumers = append(op.Consumers, r)
@@ -412,17 +430,70 @@ func unrunnableGroupPlans(t testing.TB) []unrunnablePlan {
 				}
 			}
 		}},
-		{"reduce group lists a member twice", func(pl *Plan) {
-			for li := range pl.Levels {
-				if ops := pl.Levels[li].R4Reduce; len(ops) > 0 {
-					ops[0].Group = append(ops[0].Group, ops[0].Group[0])
+		{"reduce group lists a member twice", R4Mapped, func(pl *Plan) {
+			op := first(pl, opReduce, 1)
+			op.Group = append(op.Group, op.Group[0])
+		}},
+		{"R3 root is another member of its row", R4Mapped, func(pl *Plan) {
+			op := first(pl, opR3Row, 3)
+			op.Root = op.Group[1]
+		}},
+		{"R2 pivot consumed outside its column", R4Mapped, func(pl *Plan) {
+			op := first(pl, opR2Left, 2)
+			for r := 0; r < pl.P; r++ {
+				if r%pl.NSup+1 != op.BJ {
+					op.Group = append(op.Group, r)
+					op.Consumers = append(op.Consumers, r)
 					return
 				}
 			}
-			t.Fatal("fixture plan has no reduce")
+		}},
+		{"R3 panels of two pivots", R4Mapped, func(pl *Plan) {
+			for _, ops := range pl.Levels {
+				for x := range ops {
+					for y := range ops {
+						a, b := &ops[x], &ops[y]
+						if a.Kind != opR3Col || b.Kind != opR3Col || a.BJ != b.BJ || a.BI == b.BI ||
+							len(a.Consumers) == 0 || contains(b.Group, a.Consumers[0]) {
+							continue
+						}
+						c := a.Consumers[0] // it keeps its row panel over a.BI
+						a.Consumers = a.Consumers[1:]
+						b.Group, b.Consumers = append(b.Group, c), append(b.Consumers, c)
+						return
+					}
+				}
+			}
+			t.Fatal("fixture plan has no two R3 column panels in one column")
+		}},
+		{"transpose to a rank other than the mirror's owner", R4Mapped, func(pl *Plan) {
+			op := first(pl, opTrans, 1)
+			op.Root = (op.Root + 1) % pl.P
+			if op.Root == op.Group[0] {
+				op.Root = (op.Root + 1) % pl.P
+			}
+		}},
+		{"seq members swapped", R4Sequential, func(pl *Plan) {
+			op := first(pl, opSeq, 2)
+			op.Group[0], op.Group[1] = op.Group[1], op.Group[0]
+		}},
+		{"two units on one rank", R4Mapped, func(pl *Plan) {
+			for _, ops := range pl.Levels {
+				var units []*Op
+				for x := range ops {
+					if ops[x].Kind == opUnit {
+						units = append(units, &ops[x])
+					}
+				}
+				if len(units) >= 2 {
+					units[1].Root = units[0].Root
+					return
+				}
+			}
+			t.Fatal("fixture plan has no level with two units")
 		}},
 	} {
-		pl := buildTestPlan(t, g, 49, WirePruned, R4Mapped)
+		pl := buildTestPlan(t, g, 49, WirePruned, fx.r4)
 		fx.edit(pl)
 		out = append(out, unrunnablePlan{fx.name, pl.Encode()})
 	}
@@ -432,7 +503,11 @@ func unrunnableGroupPlans(t testing.TB) []unrunnablePlan {
 // TestDecodePlanRejectsUnrunnableGroups: a group is a set plus a chosen
 // order, and the decoder validates the set — root inside, members
 // pairwise distinct, consumers inside — for every broadcast, and
-// distinct members for every reduce. The order itself is free.
+// distinct members for every reduce. Every op is rooted at the owner of
+// its block, seq and transpose sources at theirs; R2 and R3 payloads
+// reach only their block's column or row; a rank's R3 panels meet at one
+// pivot; and a level's units are one per rank, each handed its own
+// operand panels. The order itself is free.
 func TestDecodePlanRejectsUnrunnableGroups(t *testing.T) {
 	for _, fx := range unrunnableGroupPlans(t) {
 		if _, err := DecodePlan(fx.enc); err == nil {
@@ -442,15 +517,68 @@ func TestDecodePlanRejectsUnrunnableGroups(t *testing.T) {
 	// Any order of a valid set decodes: reversing a group's tail keeps
 	// the set and moves only the tree.
 	pl := buildTestPlan(t, graph.Grid2D(8, 8, graph.UnitWeights), 49, WirePruned, R4Mapped)
-	for li := range pl.Levels {
-		for x := range pl.Levels[li].R3 {
-			g := pl.Levels[li].R3[x].Group
-			for i, j := 1, len(g)-1; i < j; i, j = i+1, j-1 {
-				g[i], g[j] = g[j], g[i]
+	for _, ops := range pl.Levels {
+		for _, op := range ops {
+			if op.Kind != opR3Row && op.Kind != opR3Col {
+				continue
+			}
+			for i, j := 1, len(op.Group)-1; i < j; i, j = i+1, j-1 {
+				op.Group[i], op.Group[j] = op.Group[j], op.Group[i]
 			}
 		}
 	}
 	if _, err := DecodePlan(pl.Encode()); err != nil {
 		t.Errorf("a re-ordered group must decode: %v", err)
+	}
+}
+
+// TestPlanStoreRejectsMisfiledPlan: a plan file is self-consistent under
+// its content hash whatever it is named, so a file renamed to, or
+// written under, another structure's fingerprint would serve that
+// structure someone else's schedule. The file carries the fingerprint it
+// was saved under; a mismatch counts as a disk error, is rebuilt and is
+// overwritten, and the solve is the fresh one.
+func TestPlanStoreRejectsMisfiledPlan(t *testing.T) {
+	const p = 49
+	grid := graph.Grid2D(12, 12, graph.UnitWeights)
+	path := graph.Path(144, graph.UnitWeights)
+	dir := t.TempDir()
+	c, err := NewPlanCacheAt(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SparseAPSPWith(grid, p, SparseOptions{Seed: 42, Plans: c}); err != nil {
+		t.Fatal(err)
+	}
+	gridFile := filepath.Join(dir, StructureFingerprintOf(grid, p, 42, WirePruned, R4Mapped).String()+".plan")
+	pathFile := filepath.Join(dir, StructureFingerprintOf(path, p, 42, WirePruned, R4Mapped).String()+".plan")
+	if err := os.Rename(gridFile, pathFile); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err = NewPlanCacheAt(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := SparseAPSPWith(path, p, SparseOptions{Seed: 42, Plans: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.DiskErrors != 1 || st.Builds != 1 || st.DiskWrites != 1 || st.DiskHits != 0 {
+		t.Fatalf("stats over a misfiled plan = %+v, want 1 disk error / 1 build / 1 disk write", st)
+	}
+	fresh, err := SparseAPSPWith(path, p, SparseOptions{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !identicalMatrices(got.Dist, fresh.Dist) || !reflect.DeepEqual(got.Report, fresh.Report) {
+		t.Fatal("solve over a misfiled plan differs from a fresh solve")
+	}
+	st, err := NewPlanStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := st.Load(StructureFingerprintOf(path, p, 42, WirePruned, R4Mapped)); !ok || err != nil {
+		t.Fatalf("misfiled plan not overwritten by the path's own: ok=%v err=%v", ok, err)
 	}
 }

@@ -92,61 +92,60 @@ func forEachShape(t *testing.T, check func(t *testing.T, name string, ly *Layout
 
 // TestPlanShipsOnlyWhatIsFolded: every planned panel broadcast reaches
 // a processor that folds it and no processor that does not. No R3,
-// R4Col or R4Row op is consumer-less; an R3 group is its root plus its
+// R4Aik or R4Akj op is consumer-less; an R3 group is its root plus its
 // consumers; an R4 panel consumer hosts a planned unit with that panel
 // as its operand (and every unit is handed both operands); and level 1
 // has no R3 at all — leaves have no descendants, R_1^3 = ∅.
 func TestPlanShipsOnlyWhatIsFolded(t *testing.T) {
 	forEachShapePlan(t, func(t *testing.T, name string, pl *Plan) {
-		if n := len(pl.Levels[0].R3); n != 0 {
-			t.Errorf("%s: level 1 plans %d R3 broadcasts, want none", name, n)
-		}
-		for li := range pl.Levels {
-			lv := &pl.Levels[li]
-			for phase, ops := range map[string][]BcastOp{"R3": lv.R3, "R4Col": lv.R4Col, "R4Row": lv.R4Row} {
-				for x := range ops {
-					if len(ops[x].Consumers) == 0 {
-						t.Errorf("%s: level %d %s[%d] (block %d,%d) has no consumer", name, li+1, phase, x, ops[x].BI, ops[x].BJ)
-					}
+		for li, ops := range pl.Levels {
+			unitOf := make(map[int]Op)
+			for _, op := range ops {
+				if op.Kind == opUnit {
+					unitOf[op.Root] = op
 				}
-			}
-			for x := range lv.R3 {
-				op := &lv.R3[x]
-				if !contains(op.Group, op.Root) {
-					t.Errorf("%s: level %d R3[%d]: root %d outside its group", name, li+1, x, op.Root)
-				}
-				for _, r := range op.Group {
-					if r != op.Root && !contains(op.Consumers, r) {
-						t.Errorf("%s: level %d R3[%d]: member %d only relays", name, li+1, x, r)
-					}
-				}
-			}
-			unitOf := make(map[int]UnitOp, len(lv.R4Units))
-			for _, u := range lv.R4Units {
-				unitOf[u.Rank] = u
 			}
 			gotAik, gotAkj := map[int]bool{}, map[int]bool{}
-			for x := range lv.R4Col {
-				op := &lv.R4Col[x]
-				for _, r := range op.Consumers {
-					if u, ok := unitOf[r]; !ok || u.I != op.BI || u.K != op.BJ {
-						t.Errorf("%s: level %d R4Col[%d]: consumer %d hosts no unit over panel (%d,%d)", name, li+1, x, r, op.BI, op.BJ)
+			for x, op := range ops {
+				kind := dfKindNames[op.Kind]
+				switch op.Kind {
+				case opR3Row, opR3Col, opR4Aik, opR4Akj:
+					if len(op.Consumers) == 0 {
+						t.Errorf("%s: level %d %s op %d (block %d,%d) has no consumer", name, li+1, kind, x, op.BI, op.BJ)
 					}
-					gotAik[r] = true
+				}
+				switch op.Kind {
+				case opR3Row, opR3Col:
+					if li == 0 {
+						t.Errorf("%s: level 1 plans an R3 broadcast (op %d)", name, x)
+					}
+					if !contains(op.Group, op.Root) {
+						t.Errorf("%s: level %d op %d: root %d outside its group", name, li+1, x, op.Root)
+					}
+					for _, r := range op.Group {
+						if r != op.Root && !contains(op.Consumers, r) {
+							t.Errorf("%s: level %d op %d: member %d only relays", name, li+1, x, r)
+						}
+					}
+				case opR4Aik:
+					for _, r := range op.Consumers {
+						if u, ok := unitOf[r]; !ok || u.BI != op.BI || u.K != op.BJ {
+							t.Errorf("%s: level %d %s op %d: consumer %d hosts no unit over panel (%d,%d)", name, li+1, kind, x, r, op.BI, op.BJ)
+						}
+						gotAik[r] = true
+					}
+				case opR4Akj:
+					for _, r := range op.Consumers {
+						if u, ok := unitOf[r]; !ok || u.K != op.BI || u.BJ != op.BJ {
+							t.Errorf("%s: level %d %s op %d: consumer %d hosts no unit over panel (%d,%d)", name, li+1, kind, x, r, op.BI, op.BJ)
+						}
+						gotAkj[r] = true
+					}
 				}
 			}
-			for x := range lv.R4Row {
-				op := &lv.R4Row[x]
-				for _, r := range op.Consumers {
-					if u, ok := unitOf[r]; !ok || u.K != op.BI || u.J != op.BJ {
-						t.Errorf("%s: level %d R4Row[%d]: consumer %d hosts no unit over panel (%d,%d)", name, li+1, x, r, op.BI, op.BJ)
-					}
-					gotAkj[r] = true
-				}
-			}
-			for _, u := range lv.R4Units {
-				if !gotAik[u.Rank] || !gotAkj[u.Rank] {
-					t.Errorf("%s: level %d: unit on rank %d is missing an operand broadcast", name, li+1, u.Rank)
+			for r := range unitOf {
+				if !gotAik[r] || !gotAkj[r] {
+					t.Errorf("%s: level %d: unit on rank %d is missing an operand broadcast", name, li+1, r)
 				}
 			}
 		}
@@ -164,34 +163,34 @@ func TestPlanShipsOnlyWhatIsFolded(t *testing.T) {
 func TestLevelOrderIsLegal(t *testing.T) {
 	type block struct{ i, j int }
 	forEachShapePlan(t, func(t *testing.T, name string, pl *Plan) {
-		for li := range pl.Levels {
-			lv := &pl.Levels[li]
+		for li, ops := range pl.Levels {
 			r4Writes, r4Reads := map[block]bool{}, map[block]bool{}
-			for _, op := range lv.R4Reduce {
-				r4Writes[block{op.BI, op.BJ}] = true
-			}
-			for _, op := range lv.R4Seq {
-				r4Writes[block{op.BI, op.BJ}] = true
-				r4Reads[block{op.BI, op.K}] = true
-				r4Reads[block{op.K, op.BJ}] = true
-			}
-			for _, op := range lv.Trans {
-				r4Writes[block{op.BJ, op.BI}] = true
-				r4Reads[block{op.BI, op.BJ}] = true
-			}
-			for _, ops := range [][]BcastOp{lv.R4Col, lv.R4Row} {
-				for _, op := range ops {
+			for _, op := range ops {
+				switch op.Kind {
+				case opReduce:
+					r4Writes[block{op.BI, op.BJ}] = true
+				case opSeq:
+					r4Writes[block{op.BI, op.BJ}] = true
+					r4Reads[block{op.BI, op.K}] = true
+					r4Reads[block{op.K, op.BJ}] = true
+				case opTrans:
+					r4Writes[block{op.BJ, op.BI}] = true
+					r4Reads[block{op.BI, op.BJ}] = true
+				case opR4Aik, opR4Akj:
 					r4Reads[block{op.BI, op.BJ}] = true
 				}
 			}
-			for x, op := range lv.R3 {
+			for x, op := range ops {
+				if op.Kind != opR3Row && op.Kind != opR3Col {
+					continue
+				}
 				if r4Writes[block{op.BI, op.BJ}] {
-					t.Errorf("%s: level %d R3[%d] ships block (%d,%d), which R4 writes", name, li+1, x, op.BI, op.BJ)
+					t.Errorf("%s: level %d R3 op %d ships block (%d,%d), which R4 writes", name, li+1, x, op.BI, op.BJ)
 				}
 				for _, r := range op.Consumers {
 					i, j := blockOf(r, pl.NSup)
 					if r4Writes[block{i, j}] || r4Reads[block{i, j}] {
-						t.Errorf("%s: level %d R3[%d] updates block (%d,%d), which R4 touches", name, li+1, x, i, j)
+						t.Errorf("%s: level %d R3 op %d updates block (%d,%d), which R4 touches", name, li+1, x, i, j)
 					}
 				}
 			}

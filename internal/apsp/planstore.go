@@ -19,7 +19,10 @@ import (
 // Files are written atomically (temp file + rename) and verified on
 // read by DecodePlan's content hash, so a torn write or bit rot
 // surfaces as a decode error — treated as a miss, never as a wrong
-// schedule. The store itself is stateless; concurrent readers and
+// schedule. A file is the plan's encoding followed by the fingerprint it
+// was saved under, and a file whose fingerprint is not the one asked for
+// (a misfiled or renamed plan, self-consistent but of another structure)
+// is an error too. The store itself is stateless; concurrent readers and
 // writers (even across processes) are safe because rename is atomic
 // and plans for one fingerprint are deterministic, so any winner of a
 // racing double-write stores identical bytes.
@@ -47,7 +50,8 @@ func (s *PlanStore) path(fp StructureFingerprint) string {
 
 // Load reads and decodes the plan stored for fp. ok is false when no
 // file exists; a file that fails to decode (truncated, corrupted, or a
-// foreign format) returns an error.
+// foreign format) or holds the plan of another fingerprint returns an
+// error.
 func (s *PlanStore) Load(fp StructureFingerprint) (pl *Plan, ok bool, err error) {
 	b, err := os.ReadFile(s.path(fp))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -56,21 +60,28 @@ func (s *PlanStore) Load(fp StructureFingerprint) (pl *Plan, ok bool, err error)
 	if err != nil {
 		return nil, false, fmt.Errorf("apsp: PlanStore.Load: %w", err)
 	}
-	pl, err = DecodePlan(b)
+	if len(b) < len(fp) {
+		return nil, false, fmt.Errorf("apsp: PlanStore.Load %s: %d bytes is shorter than a fingerprint", fp, len(b))
+	}
+	enc, filed := b[:len(b)-len(fp)], StructureFingerprint(b[len(b)-len(fp):])
+	pl, err = DecodePlan(enc)
 	if err != nil {
 		return nil, false, fmt.Errorf("apsp: PlanStore.Load %s: %w", fp, err)
+	}
+	if filed != fp {
+		return nil, false, fmt.Errorf("apsp: PlanStore.Load %s: the file holds the plan of %s", fp, filed)
 	}
 	return pl, true, nil
 }
 
-// Save encodes and atomically writes the plan for fp.
+// Save atomically writes the plan's encoding for fp, followed by fp.
 func (s *PlanStore) Save(fp StructureFingerprint, pl *Plan) error {
 	tmp, err := os.CreateTemp(s.dir, "."+fp.String()+".tmp*")
 	if err != nil {
 		return fmt.Errorf("apsp: PlanStore.Save: %w", err)
 	}
 	name := tmp.Name()
-	if _, err := tmp.Write(pl.Encode()); err != nil {
+	if _, err := tmp.Write(append(pl.Encode(), fp[:]...)); err != nil {
 		tmp.Close()
 		os.Remove(name)
 		return fmt.Errorf("apsp: PlanStore.Save: %w", err)
