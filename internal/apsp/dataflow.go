@@ -30,36 +30,34 @@ import (
 // advancing each rank's clock in the rank's plan order as its nodes
 // retire.
 //
-// There is one lowering and one schedule (decision record:
-// EXPERIMENTS.md E28):
+// There is one lowering, one schedule and one ready set (decision
+// records: EXPERIMENTS.md E28, E38):
 //
 //   - Coalescing + fusion: consecutive micro-nodes of one rank are
 //     merged into super-nodes whenever the merge provably cannot create
-//     a dependency cycle, shrinking the scheduled graph (fewer
-//     enqueues, atomics and panic fences) while executing the exact
-//     same micro sequence — charged costs and message counts are
-//     untouched. Runs of R2 panel updates inside a super-node execute
-//     through the fused semiring.PanelUpdateMultiScratch, which
-//     keeps the destination block hot across the accumulations.
+//     a dependency cycle, shrinking the scheduled graph (fewer pushes,
+//     atomics and panic fences) while executing the exact same micro
+//     sequence — charged costs and message counts are untouched. Runs
+//     of R2 panel updates inside a super-node execute through the fused
+//     semiring.PanelUpdateMultiScratch, which keeps the destination
+//     block hot across the accumulations.
 //   - Critical-path priorities: every super-node carries the longest
-//     cost path from itself to any sink (comm.PriorityCost over the
-//     same per-op quantities the ledger charges), computed by a reverse
-//     topological sweep at lowering, and the most critical ready node
-//     runs first. The ready set has two implementations, chosen by the
-//     worker count alone: one worker pops a priority bitmap (no locks,
-//     no atomics); several workers drain per-worker max-heaps with
-//     stealing and a parking lot.
+//     cost path from itself to any sink (priorityCost over the same
+//     per-op quantities the ledger charges), computed by a reverse
+//     topological sweep at lowering and frozen into a total order. The
+//     ready set is one bitmap over that order under one lock, and every
+//     worker — one or several — pops its lowest set bit, the globally
+//     most critical ready node.
 //
 // The result is bit-identical to the machine reference in distances
 // and in every charged cost. The argument (spelled out in DESIGN.md):
 // both walk, per rank, the same program (Plan.ranks) through the same
-// numeric steps (exec.go), so they issue the same sequence of charge
-// operations in the same order — program order is enforced by the next
-// edge (micro order inside a super-node, the next link across them),
-// each receive is wired to the message comm's collective would have
-// delivered (appendMessages), and ChargeSend/ChargeRecv reproduce
-// Ctx.Send/Ctx.Recv's snapshot-then-charge and merge-then-charge rules
-// verbatim. Merging only concatenates one rank's adjacent charge runs
+// numeric steps (exec.go) and charge the same comm.Replay rule, so they
+// issue the same sequence of charge operations in the same order —
+// program order is enforced by the next edge (micro order inside a
+// super-node, the next link across them), and each receive is wired to
+// the message comm's collective would have delivered (appendMessages).
+// Merging only concatenates one rank's adjacent charge runs
 // without reordering them, so clocks — a deterministic fold over those
 // sequences — agree by induction over plan order; the numeric kernels
 // see the same operand bytes in the same order, so distances agree bit
@@ -116,9 +114,8 @@ type dfProgram struct {
 	// Static priority rank: prioIdx[sid] is the super-node's position
 	// in (prio desc, id asc) order and prioSid is its inverse.
 	// Priorities are pure functions of the symbolic schedule, so the
-	// total order is frozen at lowering — the runtime schedulers compare
-	// dense int32 positions (parallel heaps) or index a ready bitmap by
-	// them (serial mode) instead of chasing prio through the supers.
+	// total order is frozen at lowering — the ready bitmap is indexed by
+	// these positions instead of comparing prio at run time.
 	prioIdx []int32
 	prioSid []int32
 }
@@ -296,7 +293,7 @@ func lowerPlan(pl *Plan) *dfProgram {
 
 	// Pass 5: critical-path priorities. Per-micro scheduling weights
 	// come from the same quantities the ledger charges
-	// (comm.PriorityCost); a super-node's priority is its members' cost
+	// (priorityCost); a super-node's priority is its members' cost
 	// plus the max successor priority — the longest cost path to a
 	// sink. Iterating super-nodes by descending ψ is a reverse
 	// topological sweep (every edge increases ψ, shown above).
@@ -327,8 +324,8 @@ func lowerPlan(pl *Plan) *dfProgram {
 		s.prio = c + best
 	}
 
-	// Freeze the priority total order (prio desc, id asc): the runtime
-	// schedulers work with these dense positions.
+	// Freeze the priority total order (prio desc, id asc): the ready
+	// set works with these dense positions.
 	prog.prioSid = make([]int32, len(prog.supers))
 	for i := range prog.prioSid {
 		prog.prioSid[i] = int32(i)
@@ -345,27 +342,42 @@ func lowerPlan(pl *Plan) *dfProgram {
 	return prog
 }
 
+// priorityHopCost is the scheduling weight of one message hop relative
+// to moving one word (the α/β ratio of the priority model). The exact
+// value only shifts tie-breaks between latency-bound relay chains and
+// bandwidth/compute-bound updates; 64 keeps log-depth collective
+// spines ahead of similarly-sized local arithmetic.
+const priorityHopCost = 64
+
+// priorityCost folds a node's charged quantities — message count,
+// payload words and kernel operations — into one comparable weight,
+// mirroring the α-β-γ shape of comm.Cost: a hop is worth
+// priorityHopCost words, words and flops count one each.
+func priorityCost(messages, words, flops int64) int64 {
+	return messages*priorityHopCost + words + flops
+}
+
 // microCost estimates one micro-node's scheduling weight using the
 // dense block dimensions of its op — the same message, word and flop
-// quantities the replay ledger charges, collapsed by
-// comm.PriorityCost. Payload words use the dense upper bound (the
-// sparse encodings shrink data-dependently; priorities must be
-// a pure function of the symbolic schedule). Estimates only order
-// execution — they never feed the ledger.
+// quantities the replay ledger charges, collapsed by priorityCost.
+// Payload words use the dense upper bound (the sparse encodings shrink
+// data-dependently; priorities must be a pure function of the symbolic
+// schedule). Estimates only order execution — they never feed the
+// ledger, so any deterministic weight is semantically safe.
 func microCost(pl *Plan, n *dfNode) int64 {
 	sizes := pl.ND.Sizes
 	bi := int64(sizes[int(n.rank)/pl.NSup+1])
 	bj := int64(sizes[int(n.rank)%pl.NSup+1])
 	msgs := int64(len(n.recvs) + len(n.sends))
 	if n.op < 0 {
-		return comm.PriorityCost(msgs, 0, 0) // glue: no payload, no product
+		return priorityCost(msgs, 0, 0) // glue: no payload, no product
 	}
 	op := &pl.Levels[n.level][n.op]
 	block := func(i, j int) int64 { return int64(sizes[i]) * int64(sizes[j]) }
 	// A(i,j) ⊕= rowPanel(i,k) ⊗ colPanel(k,j): the pivot width is the
 	// column count of the captured row panel n.op names.
 	if n.kind == kindR3Combine {
-		return comm.PriorityCost(msgs, 0, bi*int64(sizes[op.BJ])*bj)
+		return priorityCost(msgs, 0, bi*int64(sizes[op.BJ])*bj)
 	}
 	words := block(op.BI, op.BJ) * msgs
 	var flops int64
@@ -386,7 +398,7 @@ func microCost(pl *Plan, n *dfNode) int64 {
 	case op.Kind == opUnit:
 		flops = int64(sizes[op.BI]) * int64(sizes[op.K]) * int64(sizes[op.BJ])
 	}
-	return comm.PriorityCost(msgs, words, flops)
+	return priorityCost(msgs, words, flops)
 }
 
 // dfProfileLabels gates the runtime/pprof labels around micro-node
@@ -439,50 +451,32 @@ type ledgerSink struct {
 func (s *ledgerSink) AddFlops(n int64)      { s.led.AddFlops(s.rank, n) }
 func (s *ledgerSink) AddMemory(delta int64) { s.led.AddMemory(s.rank, delta) }
 
-// dfHeap is one worker's ready heap when several workers run: a
-// mutex-guarded binary max-heap on super-node priority, ties broken
-// toward the lower id (earlier plan position). Sharding the ready set
-// per worker keeps push/pop contention near zero; idle workers steal.
-type dfHeap struct {
-	mu  sync.Mutex
-	ids []int32
-}
-
 // dfRun is the per-Execute runtime state of the dataflow executor.
 type dfRun struct {
 	pl      *Plan
 	prog    *dfProgram
 	sizes   []int
 	led     *comm.Replay
-	ranks   []rankState  // each touched only by its rank's nodes, serialized by program order
+	ranks   []rankState  // each touched only by its rank's nodes, one at a time in program order
 	sinks   []ledgerSink // per rank
 	slots   []dfSlot
 	pending []int32 // per-super remaining deps, decremented atomically
-	retired atomic.Int32
-	live    atomic.Int32 // super-nodes enqueued but not yet retired
-	done    atomic.Bool
-	err     error // written once by the shutdown winner, read after join
 
-	// Several workers: per-worker heaps with stealing, plus a parking
-	// lot for workers that found every heap empty. queued counts
-	// pushed-but-not-popped nodes so a parking worker cannot miss a
-	// push that raced its empty scan.
-	heaps    []dfHeap
-	parkMu   sync.Mutex
-	parkCond *sync.Cond
-	sleepers atomic.Int32
-	queued   atomic.Int64
-
-	// One worker (e.g. GOMAXPROCS=1): one goroutine executes
-	// everything, so heap locks and atomic counters are pure overhead —
-	// a ready bitmap over the frozen priority order replaces them.
-	// Push sets the super-node's position bit, pop finds the lowest set
-	// position (= highest priority) through a two-level summary with
-	// find-first-set.
-	serial    bool
-	bmWords   []uint64
-	bmSummary []uint64
-	bmHint    int // lowest summary word that can hold a set bit
+	// The ready set: one bit per super-node at its frozen priority
+	// position, plus a one-level summary (one bit per 64-bit word), so
+	// the lowest set position — the most critical ready node — is two
+	// find-first-sets away; hint is the lowest summary word that can
+	// hold a set bit. mu guards the set and every field after it; cond
+	// wakes idle workers on a push and at the end of the run.
+	mu             sync.Mutex
+	cond           sync.Cond
+	words, summary []uint64
+	hint           int
+	running        int // super-nodes popped but not yet retired
+	retired        int
+	idle           int // workers waiting on cond
+	done           bool
+	err            error
 
 	// labels is the (kind, level) pprof label table, nil unless
 	// EnableProfileLabels(true) was called before this Execute.
@@ -510,19 +504,21 @@ func (pl *Plan) ExecuteOpts(ly *Layout, o ExecOpts) (*DistResult, error) {
 		return nil, fmt.Errorf("apsp: layout (h=%d, N=%d) does not match plan (h=%d, N=%d)",
 			ly.Tree.H, ly.ND.N, pl.H, pl.NSup)
 	}
-	prog := pl.dataflow()
+	return pl.execute(pl.dataflow(), ly, o)
+}
+
+// execute runs the lowered program prog — the plan's own, or in tests
+// a deliberately broken copy of it.
+func (pl *Plan) execute(prog *dfProgram, ly *Layout, o ExecOpts) (*DistResult, error) {
 	blocks, release := ly.BlocksPooled()
 	pool := semiring.DefaultPool
 	workers := o.Workers
 	if workers <= 0 {
 		workers = pool.Size()
 	}
-	if workers > pl.P {
-		workers = pl.P
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	// Beyond the pool's size a worker loop would only start once the
+	// run is over (Pool.Drive), so cap there as well as at p.
+	workers = max(1, min(workers, pl.P, pool.Size()))
 	x := &dfRun{
 		pl:      pl,
 		prog:    prog,
@@ -532,8 +528,10 @@ func (pl *Plan) ExecuteOpts(ly *Layout, o ExecOpts) (*DistResult, error) {
 		sinks:   make([]ledgerSink, pl.P),
 		slots:   make([]dfSlot, len(prog.msgConsumer)),
 		pending: make([]int32, len(prog.supers)),
-		serial:  workers == 1,
+		words:   make([]uint64, (len(prog.supers)+63)/64),
 	}
+	x.summary = make([]uint64, (len(x.words)+63)/64)
+	x.cond.L = &x.mu
 	if dfProfileLabels.Load() {
 		x.labels = buildLabelTable(prog)
 	}
@@ -544,30 +542,12 @@ func (pl *Plan) ExecuteOpts(ly *Layout, o ExecOpts) (*DistResult, error) {
 	for sid := range prog.supers {
 		x.pending[sid] = prog.supers[sid].deps
 	}
-	if x.serial {
-		x.bmWords = make([]uint64, (len(prog.supers)+63)/64)
-		x.bmSummary = make([]uint64, (len(x.bmWords)+63)/64)
-		for _, sid := range prog.seeds {
-			x.pushBitmap(sid)
-		}
-		x.runSerial(semiring.NewArena(prog.maxScratch))
-	} else {
-		// One scratch arena per worker, reused across every op the
-		// worker executes — w arenas total instead of the machine
-		// reference's p.
-		arenas := make([]*semiring.Arena, workers)
-		for i := range arenas {
-			arenas[i] = semiring.NewArena(prog.maxScratch)
-		}
-		x.parkCond = sync.NewCond(&x.parkMu)
-		x.heaps = make([]dfHeap, workers)
-		for i, sid := range prog.seeds {
-			x.live.Add(1)
-			x.queued.Add(1)
-			x.heapPush(&x.heaps[i%workers], sid)
-		}
-		pool.Drive(workers, func(i int) { x.drain(i, arenas[i]) })
+	for _, sid := range prog.seeds {
+		x.push(sid)
 	}
+	// One scratch arena per worker, reused across every op the worker
+	// executes — w arenas total instead of the machine reference's p.
+	pool.Drive(workers, func(int) { x.work(semiring.NewArena(prog.maxScratch)) })
 	if x.err != nil {
 		return nil, fmt.Errorf("apsp: sparse solver failed: %w", x.err)
 	}
@@ -587,229 +567,91 @@ func (pl *Plan) ExecuteOpts(ly *Layout, o ExecOpts) (*DistResult, error) {
 	}, nil
 }
 
-// runSerial is the single-worker loop: pop, execute, repeat. The
-// dependency counts make the queue a topological traversal, so an
-// empty queue before every node ran is the same lowering-cycle
-// condition the concurrent path's live counter detects. The ready set
-// is the priority bitmap, so one worker follows the exact priority
-// order.
-func (x *dfRun) runSerial(a *semiring.Arena) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			x.err = fmt.Errorf("dataflow op panicked: %v", rec)
+// work is the one worker loop, run by pool.Drive for every worker
+// count: pop the most critical ready super-node, run it, retire it.
+// Only a running node can make another ready, so a worker that finds
+// the set empty waits while some node runs, and nothing ready with
+// nothing running before every node retired proves nothing can ever
+// run again — a dependency cycle in the lowering, reported instead of
+// hanging, with no timers. (The machine executor needs a sampling
+// watchdog for the same job because its ranks block in ways it cannot
+// count.)
+func (x *dfRun) work(a *semiring.Arena) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for !x.done {
+		sid, ok := x.pop()
+		switch {
+		case ok:
+			x.running++
+			x.mu.Unlock()
+			err := x.execSuper(sid, a)
+			x.mu.Lock()
+			x.running--
+			x.retired++
+			if err != nil || x.retired == len(x.prog.supers) {
+				x.finish(err)
+			}
+		case x.running > 0:
+			x.idle++
+			x.cond.Wait()
+			x.idle--
+		default:
+			x.finish(fmt.Errorf("dataflow executor stalled after %d of %d ops (dependency cycle in lowering)", x.retired, len(x.prog.supers)))
 		}
-	}()
-	done := 0
-	for {
-		sid, ok := x.popBitmap()
-		if !ok {
-			break
-		}
-		x.execSuper(sid, 0, a)
-		done++
-	}
-	if done < len(x.prog.supers) {
-		x.err = fmt.Errorf("dataflow executor stalled after %d of %d ops (dependency cycle in lowering)", done, len(x.prog.supers))
-	}
-}
-
-// drain is one worker's loop when several run: execute ready
-// super-nodes in priority order until shutdown — pop the own heap,
-// steal from the others, park when every heap is empty.
-func (x *dfRun) drain(w int, a *semiring.Arena) {
-	for {
-		if x.done.Load() {
-			return
-		}
-		sid, ok := x.take(w)
-		if !ok {
-			x.park()
-			continue
-		}
-		x.execSuperNode(sid, w, a)
 	}
 }
 
-// take pops the highest-priority node from worker w's heap, scanning
-// the other workers' heaps (stealing, most critical first) when the
-// own heap is empty.
-func (x *dfRun) take(w int) (int32, bool) {
-	for i := 0; i < len(x.heaps); i++ {
-		h := &x.heaps[(w+i)%len(x.heaps)]
-		h.mu.Lock()
-		if len(h.ids) > 0 {
-			sid := x.heapPop(h)
-			h.mu.Unlock()
-			x.queued.Add(-1)
-			return sid, true
-		}
-		h.mu.Unlock()
+// finish ends the run once, under mu: it keeps the first outcome and
+// wakes every idle worker.
+func (x *dfRun) finish(err error) {
+	if !x.done {
+		x.done, x.err = true, err
+		x.cond.Broadcast()
 	}
-	return 0, false
-}
-
-// park blocks until a push or shutdown. The pusher increments queued
-// before signaling and park re-checks queued under the lot's mutex, so
-// a push racing the empty heap scan is never lost.
-func (x *dfRun) park() {
-	x.parkMu.Lock()
-	x.sleepers.Add(1)
-	for x.queued.Load() == 0 && !x.done.Load() {
-		x.parkCond.Wait()
-	}
-	x.sleepers.Add(-1)
-	x.parkMu.Unlock()
-}
-
-func (x *dfRun) execSuperNode(sid int32, w int, a *semiring.Arena) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			s := &x.prog.supers[sid]
-			n := &x.prog.micros[s.first]
-			x.shutdown(fmt.Errorf("dataflow node %d (rank %d, kind %d) panicked: %v", sid, n.rank, n.kind, rec))
-		}
-	}()
-	x.execSuper(sid, w, a)
-	x.retire()
 }
 
 // complete records one satisfied dependency of a super-node; the last
-// one enqueues it on worker w's queue. The atomic decrement orders
-// every prior write of the dependency's producer (slot payloads, rank
-// state) before the node's execution.
-func (x *dfRun) complete(sid int32, w int) {
-	if x.serial {
-		x.pending[sid]--
-		if x.pending[sid] == 0 {
-			x.pushBitmap(sid)
-		}
-		return
-	}
+// one pushes it onto the ready set. The atomic decrement orders every
+// prior write of the dependency's producer (slot payloads, rank state)
+// before the push, and the lock orders the push before the pop.
+func (x *dfRun) complete(sid int32) {
 	if atomic.AddInt32(&x.pending[sid], -1) != 0 {
 		return
 	}
-	x.live.Add(1)
-	x.queued.Add(1)
-	h := &x.heaps[w]
-	h.mu.Lock()
-	x.heapPush(h, sid)
-	h.mu.Unlock()
-	if x.sleepers.Load() > 0 {
-		x.parkMu.Lock()
-		x.parkCond.Signal()
-		x.parkMu.Unlock()
+	x.mu.Lock()
+	x.push(sid)
+	if x.idle > 0 {
+		x.cond.Signal()
 	}
+	x.mu.Unlock()
 }
 
-// retire finishes a super-node. Termination and stall detection are
-// exact, with no timers: live counts nodes enqueued but not retired,
-// and enqueues only happen from inside executing (hence unretired,
-// hence live-counted) nodes, so live reaching zero before every node
-// retired proves nothing can ever run again — a lowering bug, reported
-// instead of hanging. The machine executor needs a sampling watchdog
-// for the same job because its ranks block in ways it cannot count.
-func (x *dfRun) retire() {
-	r := x.retired.Add(1)
-	if x.live.Add(-1) == 0 && int(r) < len(x.prog.supers) {
-		x.shutdown(fmt.Errorf("dataflow executor stalled after %d of %d ops (dependency cycle in lowering)", r, len(x.prog.supers)))
-		return
-	}
-	if int(r) == len(x.prog.supers) {
-		x.shutdown(nil)
-	}
-}
-
-// shutdown ends the run once: records the error (if any) and wakes
-// every parked worker.
-func (x *dfRun) shutdown(err error) {
-	if !x.done.CompareAndSwap(false, true) {
-		return
-	}
-	x.err = err
-	x.parkMu.Lock()
-	x.parkCond.Broadcast()
-	x.parkMu.Unlock()
-}
-
-// Heap plumbing: max-heap on super-node priority. The comparison uses
-// the frozen priority positions (prio desc, id asc at lowering), so
-// ordering is deterministic for a fixed plan and the hot compare reads
-// one dense int32 array instead of chasing prio through the supers.
-func (x *dfRun) heapLess(a, b int32) bool {
-	return x.prog.prioIdx[a] < x.prog.prioIdx[b]
-}
-
-func (x *dfRun) heapPush(h *dfHeap, sid int32) {
-	h.ids = append(h.ids, sid)
-	x.siftUp(h, len(h.ids)-1)
-}
-
-func (x *dfRun) siftUp(h *dfHeap, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !x.heapLess(h.ids[i], h.ids[p]) {
-			return
-		}
-		h.ids[i], h.ids[p] = h.ids[p], h.ids[i]
-		i = p
-	}
-}
-
-func (x *dfRun) heapPop(h *dfHeap) int32 {
-	top := h.ids[0]
-	last := len(h.ids) - 1
-	h.ids[0] = h.ids[last]
-	h.ids = h.ids[:last]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= last {
-			return top
-		}
-		if c+1 < last && x.heapLess(h.ids[c+1], h.ids[c]) {
-			c++
-		}
-		if !x.heapLess(h.ids[c], h.ids[i]) {
-			return top
-		}
-		h.ids[i], h.ids[c] = h.ids[c], h.ids[i]
-		i = c
-	}
-}
-
-// Serial-mode priority bitmap: one bit per super-node at its frozen
-// priority position, plus a one-level summary (one bit per 64-bit
-// word). Push sets a bit; pop find-first-sets the summary then the
-// word — the lowest set position is the highest-priority ready node.
-// The hint tracks the lowest summary word that can be non-empty so pop
-// does not rescan known-empty prefixes.
-func (x *dfRun) pushBitmap(sid int32) {
+// push sets sid's priority bit; pop clears and returns the lowest set
+// one. Both run under mu (or before the workers start).
+func (x *dfRun) push(sid int32) {
 	p := int(x.prog.prioIdx[sid])
-	x.bmWords[p>>6] |= 1 << (p & 63)
-	x.bmSummary[p>>12] |= 1 << ((p >> 6) & 63)
-	if s := p >> 12; s < x.bmHint {
-		x.bmHint = s
-	}
+	x.words[p>>6] |= 1 << (p & 63)
+	x.summary[p>>12] |= 1 << ((p >> 6) & 63)
+	x.hint = min(x.hint, p>>12)
 }
 
-func (x *dfRun) popBitmap() (int32, bool) {
-	for s := x.bmHint; s < len(x.bmSummary); s++ {
-		sw := x.bmSummary[s]
+func (x *dfRun) pop() (int32, bool) {
+	for ; x.hint < len(x.summary); x.hint++ {
+		sw := x.summary[x.hint]
 		if sw == 0 {
 			continue
 		}
-		x.bmHint = s
-		wi := s<<6 | bits.TrailingZeros64(sw)
-		w := x.bmWords[wi]
+		wi := x.hint<<6 | bits.TrailingZeros64(sw)
+		w := x.words[wi]
 		p := wi<<6 | bits.TrailingZeros64(w)
 		w &= w - 1
-		x.bmWords[wi] = w
+		x.words[wi] = w
 		if w == 0 {
-			x.bmSummary[s] &^= 1 << (wi & 63)
+			x.summary[x.hint] &^= 1 << (wi & 63)
 		}
 		return x.prog.prioSid[p], true
 	}
-	x.bmHint = len(x.bmSummary)
 	return 0, false
 }
 
@@ -826,19 +668,19 @@ func (x *dfRun) recvMsg(n *dfNode, i int) []float64 {
 // message slot and credits the consumer's dependency. Publishing
 // happens mid-node, as soon as the machine would have sent — a relay's
 // children never wait for the relay's local compute.
-func (x *dfRun) sendMsg(n *dfNode, w, i int, data []float64) {
+func (x *dfRun) sendMsg(n *dfNode, i int, data []float64) {
 	msg := n.sends[i]
 	consumer := x.prog.msgConsumer[msg]
 	snap := x.led.ChargeSend(int(n.rank), int(x.prog.micros[consumer].rank), int64(len(data)))
 	x.slots[msg] = dfSlot{data: data, clock: snap}
-	x.complete(x.prog.superOf[consumer], w)
+	x.complete(x.prog.superOf[consumer])
 }
 
 // bcastData replays one rank's role in a broadcast: the root packs its
 // block (a copy — consumers share the payload), everyone else receives
 // once, then all forward down the tree. Charge order — receive, sends,
 // then the caller's consumer work — is the machine's.
-func (x *dfRun) bcastData(n *dfNode, w int, op *Op, rs *rankState) []float64 {
+func (x *dfRun) bcastData(n *dfNode, op *Op, rs *rankState) []float64 {
 	var data []float64
 	if int(n.rank) == op.Root {
 		data = x.pl.pack(rs.A, op.Prune[0])
@@ -846,42 +688,52 @@ func (x *dfRun) bcastData(n *dfNode, w int, op *Op, rs *rankState) []float64 {
 		data = x.recvMsg(n, 0)
 	}
 	for i := range n.sends {
-		x.sendMsg(n, w, i, data)
+		x.sendMsg(n, i, data)
 	}
 	return data
 }
 
 // execSuper runs every micro-node of a super-node in program order,
 // then credits the rank's next super-node. Runs of R2 panel updates
-// inside the super execute through the fused kernel.
-func (x *dfRun) execSuper(sid int32, w int, a *semiring.Arena) {
+// inside the super execute through the fused kernel. A panic is
+// contained and returned as an error naming the node, its rank and the
+// micro-node (or fused chain) it was running.
+func (x *dfRun) execSuper(sid int32, a *semiring.Arena) (err error) {
 	s := &x.prog.supers[sid]
 	end := s.first + s.count
-	for mi := s.first; mi < end; {
+	mi := s.first
+	defer func() {
+		if rec := recover(); rec != nil {
+			n := &x.prog.micros[mi]
+			err = fmt.Errorf("dataflow node %d (rank %d, step %d, kind %d) panicked: %v", sid, n.rank, mi-s.first, n.kind, rec)
+		}
+	}()
+	for mi < end {
 		if x.labels != nil {
 			n := &x.prog.micros[mi]
 			next := mi
 			pprof.Do(context.Background(), x.labels[n.kind][n.level+1], func(context.Context) {
-				next = x.execAt(mi, end, w, a)
+				next = x.execAt(mi, end, a)
 			})
 			mi = next
 		} else {
-			mi = x.execAt(mi, end, w, a)
+			mi = x.execAt(mi, end, a)
 		}
 	}
 	if s.next >= 0 {
-		x.complete(s.next, w)
+		x.complete(s.next)
 	}
+	return nil
 }
 
 // execAt executes the micro-node at mi — or, when mi starts a run of
 // consumer R2 panel updates inside the super-node, the whole fused
 // chain — and returns the index of the next unexecuted micro-node.
-func (x *dfRun) execAt(mi, end int32, w int, a *semiring.Arena) int32 {
+func (x *dfRun) execAt(mi, end int32, a *semiring.Arena) int32 {
 	if x.isPanelStep(mi) && mi+1 < end && x.isPanelStep(mi+1) {
-		return x.execPanelChain(mi, end, w, a)
+		return x.execPanelChain(mi, end, a)
 	}
-	x.exec(mi, w, a)
+	x.exec(mi, a)
 	return mi + 1
 }
 
@@ -902,7 +754,7 @@ func (x *dfRun) isPanelStep(mi int32) bool {
 // unfused nodes' sequences, in the same order. Operand decode happens
 // up front: decoding is numeric-only (no ledger traffic), so hoisting
 // it preserves bit-identity.
-func (x *dfRun) execPanelChain(start, end int32, w int, a *semiring.Arena) int32 {
+func (x *dfRun) execPanelChain(start, end int32, a *semiring.Arena) int32 {
 	j := start + 1
 	for j < end && x.isPanelStep(j) {
 		j++
@@ -928,7 +780,7 @@ func (x *dfRun) execPanelChain(start, end int32, w int, a *semiring.Arena) int32
 			s := &x.slots[n.recvs[0]]
 			x.led.ChargeRecv(rank, s.clock, int64(len(s.data)))
 			for si := range n.sends {
-				x.sendMsg(n, w, si, raw[i])
+				x.sendMsg(n, si, raw[i])
 			}
 			x.led.AddMemory(rank, int64(len(steps[i].D.V)))
 		},
@@ -942,7 +794,7 @@ func (x *dfRun) execPanelChain(start, end int32, w int, a *semiring.Arena) int32
 // exec runs one micro-node: the node's messages travel through the
 // slots its lowering wired, and what the rank does with them is the
 // numeric step both executors share (exec.go).
-func (x *dfRun) exec(id int32, w int, a *semiring.Arena) {
+func (x *dfRun) exec(id int32, a *semiring.Arena) {
 	n := &x.prog.micros[id]
 	rank := int(n.rank)
 	rs, s := &x.ranks[rank], &x.sinks[rank]
@@ -961,7 +813,7 @@ func (x *dfRun) exec(id int32, w int, a *semiring.Arena) {
 		return
 	}
 	op := &x.pl.Levels[n.level][n.op]
-	// The rank's nodes are serialized by program order, so the sticky
+	// The rank's nodes run one at a time in program order, so the sticky
 	// per-rank send class is race-free.
 	x.led.SetSendClass(rank, opSendClass[op.Kind])
 	switch op.Kind {
@@ -979,7 +831,7 @@ func (x *dfRun) exec(id int32, w int, a *semiring.Arena) {
 			semiring.MinInto(data, x.recvMsg(n, i))
 		}
 		for i := range n.sends {
-			x.sendMsg(n, w, i, data)
+			x.sendMsg(n, i, data)
 		}
 		if rank == op.Root {
 			rs.fold(s, data)
@@ -992,7 +844,7 @@ func (x *dfRun) exec(id int32, w int, a *semiring.Arena) {
 				continue
 			}
 			if rank == src {
-				x.sendMsg(n, w, si, x.pl.pack(rs.A, op.Prune[i]))
+				x.sendMsg(n, si, x.pl.pack(rs.A, op.Prune[i]))
 				si++
 			}
 			if rank == op.Root {
@@ -1007,7 +859,7 @@ func (x *dfRun) exec(id int32, w int, a *semiring.Arena) {
 			rs.transpose(got[0])
 		}
 	default:
-		data := x.bcastData(n, w, op, rs)
+		data := x.bcastData(n, op, rs)
 		if n.use {
 			rs.consume(s, op.Kind, x.pl.unpack(data, x.sizes[op.BI], x.sizes[op.BJ]), a)
 		}

@@ -1,7 +1,9 @@
 package apsp
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -129,7 +131,9 @@ func TestConcurrentDataflowExecute(t *testing.T) {
 // micro-nodes, merging coalesced something, and the program is cached
 // across calls. On the benchmark's two shapes (pruned, mapped, seed 42)
 // it pins the plan's op count and the lowered graph's super-node,
-// micro-node and message counts.
+// micro-node and message counts, and an FNV-64a hash of prioSid — the
+// frozen priority order every worker pops in — so a change to the
+// priority model or the lowering cannot silently reorder the schedule.
 func TestDataflowLoweringShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for _, tc := range []struct {
@@ -138,16 +142,17 @@ func TestDataflowLoweringShape(t *testing.T) {
 		p      int
 		seed   int64
 		counts [4]int // ops, super-nodes, micro-nodes, messages; zero = unpinned
+		order  uint64 // prioSid hash; zero = unpinned
 	}{
-		{"grid10x10", graph.Grid2D(10, 10, integerWeights(rng, 10)), 9, 11, [4]int{}},
-		{"grid32x32", graph.Grid2D(32, 32, graph.UnitWeights), 49, 42, [4]int{87, 183, 535, 186}},
-		{"cycle800", graph.Cycle(800, graph.UnitWeights), 961, 42, [4]int{621, 3970, 12264, 4075}},
+		{"grid10x10", graph.Grid2D(10, 10, integerWeights(rng, 10)), 9, 11, [4]int{}, 0},
+		{"grid32x32", graph.Grid2D(32, 32, graph.UnitWeights), 49, 42, [4]int{87, 183, 535, 186}, 0x6c7d6eaf2a4d18a2},
+		{"cycle800", graph.Cycle(800, graph.UnitWeights), 961, 42, [4]int{621, 3970, 12264, 4075}, 0x6283a3d02af11dd8},
 	} {
-		t.Run(tc.name, func(t *testing.T) { checkLoweringShape(t, tc.g, tc.p, tc.seed, tc.counts) })
+		t.Run(tc.name, func(t *testing.T) { checkLoweringShape(t, tc.g, tc.p, tc.seed, tc.counts, tc.order) })
 	}
 }
 
-func checkLoweringShape(t *testing.T, g *graph.Graph, p int, seed int64, counts [4]int) {
+func checkLoweringShape(t *testing.T, g *graph.Graph, p int, seed int64, counts [4]int, order uint64) {
 	h, err := HeightForP(p)
 	if err != nil {
 		t.Fatal(err)
@@ -163,6 +168,13 @@ func checkLoweringShape(t *testing.T, g *graph.Graph, p int, seed int64, counts 
 	prog := pl.dataflow()
 	if got := [4]int{pl.OpCount(), len(prog.supers), len(prog.micros), len(prog.msgConsumer)}; counts != [4]int{} && got != counts {
 		t.Errorf("ops / super-nodes / micro-nodes / messages = %v, want %v", got, counts)
+	}
+	h64 := fnv.New64a()
+	for _, sid := range prog.prioSid {
+		h64.Write(binary.LittleEndian.AppendUint32(nil, uint32(sid)))
+	}
+	if got := h64.Sum64(); order != 0 && got != order {
+		t.Errorf("prioSid hash = %#016x, want %#016x: the priority order moved", got, order)
 	}
 	if prog != pl.dataflow() {
 		t.Error("dataflow() not cached: two calls returned different programs")

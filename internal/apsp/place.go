@@ -141,8 +141,9 @@ func (pl *Plan) msgWords(op *Op, part int) int64 {
 }
 
 // deliver charges one message of w words on the forward clocks, like
-// comm.Ctx.Send / Recv: the message carries the sender's pre-send
-// clock, the sender is charged, the receiver max-merges and is charged.
+// comm.Replay's ChargeSend / ChargeRecv: the message carries the
+// sender's pre-send clock, the sender is charged, the receiver
+// max-merges and is charged.
 func deliver(clock []tick, src, dst int, w int64) {
 	sent := clock[src]
 	clock[src] = sent.plus(w)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"sparseapsp/internal/graph"
 	"sparseapsp/internal/semiring"
@@ -626,29 +625,9 @@ func RepairWithOptions(g *graph.Graph, prev *PathResult, edits []EdgeEdit, p int
 
 // RepairRowsWithOptions is RepairWithOptions over Plan.RepairRows.
 func RepairRowsWithOptions(g *graph.Graph, prevDist RowFunc, prevNext *Successors, edits []EdgeEdit, p int, sopts SparseOptions, threshold float64) (*PathResult, *graph.Graph, RepairStats, error) {
-	h, err := HeightForP(p)
+	pl, err := planFor(g, p, sopts)
 	if err != nil {
 		return nil, nil, RepairStats{}, err
-	}
-	var pl *Plan
-	if sopts.Plans != nil {
-		fp := StructureFingerprintOf(g, p, sopts.Seed, sopts.Wire, sopts.R4Strategy)
-		if cached, ok := sopts.Plans.lookup(fp); ok {
-			pl = cached
-		} else {
-			start := time.Now()
-			_, built, err := buildSymbolic(g, p, h, sopts)
-			if err != nil {
-				return nil, nil, RepairStats{}, err
-			}
-			sopts.Plans.put(fp, built, time.Since(start).Nanoseconds())
-			pl = built
-		}
-	} else {
-		_, pl, err = buildSymbolic(g, p, h, sopts)
-		if err != nil {
-			return nil, nil, RepairStats{}, err
-		}
 	}
 	return pl.RepairRows(g, prevDist, prevNext, edits, sopts.repairOpts(threshold))
 }

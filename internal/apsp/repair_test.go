@@ -152,8 +152,7 @@ func TestRepairFallback(t *testing.T) {
 // count — that is TestExecWorkers' property — so the forwarding is
 // checked where it happens: every RepairOptions field the projection
 // leaves zero is a dropped setting. The fallback itself is then driven
-// at one worker (the serial ready queue) and held to the default's
-// result.
+// at one worker and held to the default's result.
 func TestRepairForwardsExecSettings(t *testing.T) {
 	ro := SparseOptions{ExecWorkers: 1}.repairOpts(0.5)
 	if want := (RepairOptions{DamageThreshold: 0.5, ExecWorkers: 1}); ro != want {

@@ -157,24 +157,35 @@ func SparseAPSPWith(g *graph.Graph, p int, opts SparseOptions) (*DistResult, err
 		}
 		return pl.ExecuteOpts(ly, opts.execOpts())
 	}
-	if opts.Plans != nil {
-		fp := StructureFingerprintOf(g, p, opts.Seed, opts.Wire, opts.R4Strategy)
-		if pl, ok := opts.Plans.lookup(fp); ok {
-			return pl.ExecuteOpts(pl.LayoutFor(g), opts.execOpts())
-		}
-		start := time.Now()
-		ly, pl, err := buildSymbolic(g, p, h, opts)
-		if err != nil {
-			return nil, err
-		}
-		opts.Plans.put(fp, pl, time.Since(start).Nanoseconds())
-		return pl.ExecuteOpts(ly, opts.execOpts())
-	}
-	ly, pl, err := buildSymbolic(g, p, h, opts)
+	pl, err := planFor(g, p, opts)
 	if err != nil {
 		return nil, err
 	}
-	return pl.ExecuteOpts(ly, opts.execOpts())
+	return pl.ExecuteOpts(pl.LayoutFor(g), opts.execOpts())
+}
+
+// planFor fetches g's plan from opts.Plans, or builds it (and caches it
+// when opts.Plans is set).
+func planFor(g *graph.Graph, p int, opts SparseOptions) (*Plan, error) {
+	h, err := HeightForP(p)
+	if err != nil {
+		return nil, err
+	}
+	if opts.Plans == nil {
+		_, pl, err := buildSymbolic(g, p, h, opts)
+		return pl, err
+	}
+	fp := StructureFingerprintOf(g, p, opts.Seed, opts.Wire, opts.R4Strategy)
+	if pl, ok := opts.Plans.lookup(fp); ok {
+		return pl, nil
+	}
+	start := time.Now()
+	_, pl, err := buildSymbolic(g, p, h, opts)
+	if err != nil {
+		return nil, err
+	}
+	opts.Plans.put(fp, pl, time.Since(start).Nanoseconds())
+	return pl, nil
 }
 
 // buildSymbolic runs the full symbolic phase from scratch: nested

@@ -46,13 +46,11 @@ func (s SendClass) String() string {
 
 // SetSendClass sets the phase class charged by this rank's subsequent
 // sends. Purely an accounting label; costs and matching are unaffected.
-func (c *Ctx) SetSendClass(class SendClass) {
-	c.state().sendClass = class
-}
+func (c *Ctx) SetSendClass(class SendClass) { c.machine.led.SetSendClass(c.rank, class) }
 
 // SetSendClass sets the phase class charged by rank's subsequent
-// ChargeSend calls, as Ctx.SetSendClass. Same concurrency contract as
-// the charge calls: issue it in the rank's program order.
+// ChargeSend calls. Same concurrency contract as the charge calls:
+// issue it in the rank's program order.
 func (r *Replay) SetSendClass(rank int, class SendClass) {
 	r.states[rank].sendClass = class
 }

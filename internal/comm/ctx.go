@@ -4,6 +4,9 @@ import "fmt"
 
 // Ctx is one rank's handle to the machine, valid only inside the
 // function passed to Machine.Run and only on that rank's goroutine.
+// Its calls move the data and validate the ranks; the arithmetic is
+// the machine's ledger's, one rank per goroutine, which is the
+// ledger's concurrency contract.
 type Ctx struct {
 	machine *Machine
 	rank    int
@@ -15,16 +18,14 @@ func (c *Ctx) Rank() int { return c.rank }
 // P returns the machine size.
 func (c *Ctx) P() int { return c.machine.p }
 
-func (c *Ctx) state() *rankState { return &c.machine.states[c.rank] }
-
 // Send transmits data to rank dst with the given tag. The slice is
 // handed over to the receiver; the caller must not modify it afterwards
 // (receivers get the same backing array, mirroring zero-copy transfer;
 // copy before sending if the local buffer will be reused).
 //
-// Cost: the sender is charged one message of len(data) words, after the
-// message captured the sender's pre-send clock, so a rank issuing k
-// sends serializes them (assumption 2 of the model).
+// Cost: Replay.ChargeSend — the message carries the sender's pre-send
+// clock, so a rank issuing k sends serializes them (assumption 2 of the
+// model).
 func (c *Ctx) Send(dst, tag int, data []float64) {
 	if dst < 0 || dst >= c.machine.p {
 		panic(fmt.Sprintf("comm: send to invalid rank %d (p=%d)", dst, c.machine.p))
@@ -32,21 +33,14 @@ func (c *Ctx) Send(dst, tag int, data []float64) {
 	if dst == c.rank {
 		panic("comm: self-send is not allowed; keep the data local instead")
 	}
-	st := c.state()
-	msg := message{src: c.rank, tag: tag, data: data, clock: st.clock}
-	st.clock.addMessage(int64(len(data)))
-	st.sentMsgs++
-	st.sentWords += int64(len(data))
-	st.sentByClass[st.sendClass] += int64(len(data))
-	st.addSent(dst, int64(len(data)))
-	c.machine.boxes[dst].put(&c.machine.ws, msg)
+	clock := c.machine.led.ChargeSend(c.rank, dst, int64(len(data)))
+	c.machine.boxes[dst].put(&c.machine.ws, message{src: c.rank, tag: tag, data: data, clock: clock})
 }
 
 // Recv blocks until a message from src with the given tag arrives and
-// returns its payload. The receiver's clock is advanced to the
-// element-wise max with the sender's pre-send clock and then charged one
-// message of the payload's size, so a rank receiving k messages
-// serializes them.
+// returns its payload. Cost: Replay.ChargeRecv — the receiver's clock
+// max-merges the sender's pre-send clock, then pays one message of the
+// payload's size, so a rank receiving k messages serializes them.
 func (c *Ctx) Recv(src, tag int) []float64 {
 	if src < 0 || src >= c.machine.p {
 		panic(fmt.Sprintf("comm: recv from invalid rank %d (p=%d)", src, c.machine.p))
@@ -55,41 +49,21 @@ func (c *Ctx) Recv(src, tag int) []float64 {
 		panic("comm: self-recv is not allowed")
 	}
 	msg := c.machine.boxes[c.rank].take(&c.machine.ws, c.rank, src, tag)
-	st := c.state()
-	st.clock.maxInPlace(msg.clock)
-	st.clock.addMessage(int64(len(msg.data)))
-	st.recvdMsgs++
-	st.recvdWords += int64(len(msg.data))
+	c.machine.led.ChargeRecv(c.rank, msg.clock, int64(len(msg.data)))
 	return msg.data
 }
 
 // AddFlops charges n semiring operations to this rank's clock and its
 // local work counter.
-func (c *Ctx) AddFlops(n int64) {
-	st := c.state()
-	st.clock.Flops += n
-	st.localFlops += n
-}
+func (c *Ctx) AddFlops(n int64) { c.machine.led.AddFlops(c.rank, n) }
 
 // SetMemory registers the rank's current resident data size in words
 // and updates the peak. Algorithms call it once after allocating their
 // local blocks (and again if they grow).
-func (c *Ctx) SetMemory(words int64) {
-	st := c.state()
-	st.memWords = words
-	if words > st.peakWords {
-		st.peakWords = words
-	}
-}
+func (c *Ctx) SetMemory(words int64) { c.machine.led.SetMemory(c.rank, words) }
 
 // AddMemory adjusts the registered resident size by delta words.
-func (c *Ctx) AddMemory(delta int64) {
-	st := c.state()
-	st.memWords += delta
-	if st.memWords > st.peakWords {
-		st.peakWords = st.memWords
-	}
-}
+func (c *Ctx) AddMemory(delta int64) { c.machine.led.AddMemory(c.rank, delta) }
 
 // Clock returns the rank's current cost clock.
-func (c *Ctx) Clock() Cost { return c.state().clock }
+func (c *Ctx) Clock() Cost { return c.machine.led.Clock(c.rank) }

@@ -76,57 +76,18 @@ func (mb *mailbox) take(ws *watchState, rank, src, tag int) message {
 	}
 }
 
-// rankState is the per-rank bookkeeping touched only by the rank's own
-// goroutine (except after Run returns, when the machine reads it).
-type rankState struct {
-	clock      Cost
-	sentMsgs   int64
-	sentWords  int64
-	memWords   int64 // currently registered resident words
-	peakWords  int64 // maximum ever registered
-	recvdMsgs  int64
-	recvdWords int64
-	localFlops int64       // flops performed by this rank itself (no max-merge)
-	sentTo     []dstWords  // words sent per destination rank (compact pairs)
-	marks      []markEntry // phase boundaries recorded by Ctx.Mark
-
-	sendClass   SendClass             // phase label charged by subsequent sends
-	sentByClass [NumSendClasses]int64 // words sent per phase class
-}
-
-// dstWords is one (destination, words) entry of a rank's traffic row.
-// A rank talks to O(log p) distinct peers (its collective-tree
-// neighbours), so the row is kept as a short scanned list instead of a
-// dense p-word slice — at p ≈ 10³ the dense rows cost several MB of
-// zeroed allocation per run and dominate the executor's GC load.
-type dstWords struct {
-	dst   int32
-	words int64
-}
-
-// addSent accumulates words into the rank's traffic row. Consecutive
-// sends usually target the same peer (tree fan-out runs), so the scan
-// starts from the most recent entry.
-func (st *rankState) addSent(dst int, words int64) {
-	for i := len(st.sentTo) - 1; i >= 0; i-- {
-		if st.sentTo[i].dst == int32(dst) {
-			st.sentTo[i].words += words
-			return
-		}
-	}
-	st.sentTo = append(st.sentTo, dstWords{dst: int32(dst), words: words})
-}
-
 // Machine is a simulated distributed-memory machine with p ranks.
 // Create one with NewMachine, execute an SPMD program with Run, then
 // read costs with Report or CriticalPath. A Machine may be reused for
 // several consecutive Run calls; costs accumulate across them (use
-// Reset to clear).
+// Reset to clear). Its ranks charge their costs to a Replay ledger the
+// machine owns, so the machine and a replay executor share one clock
+// rule and one set of aggregators.
 type Machine struct {
-	p      int
-	boxes  []*mailbox
-	states []rankState
-	ws     watchState
+	p     int
+	boxes []*mailbox
+	led   *Replay
+	ws    watchState
 }
 
 // NewMachine returns a machine with p ranks. p must be positive.
@@ -135,9 +96,9 @@ func NewMachine(p int) *Machine {
 		panic(fmt.Sprintf("comm: machine size must be positive, got %d", p))
 	}
 	m := &Machine{
-		p:      p,
-		boxes:  make([]*mailbox, p),
-		states: make([]rankState, p),
+		p:     p,
+		boxes: make([]*mailbox, p),
+		led:   NewReplay(p),
 	}
 	for i := range m.boxes {
 		m.boxes[i] = newMailbox()
@@ -160,9 +121,8 @@ func (m *Machine) Reset() {
 	m.ws.taken.Store(0)
 	m.ws.blocked.Store(0)
 	m.ws.finished.Store(0)
-	for i := range m.states {
-		m.states[i] = rankState{}
-		mb := m.boxes[i]
+	m.led = NewReplay(m.p)
+	for _, mb := range m.boxes {
 		mb.mu.Lock()
 		mb.pending = nil
 		mb.waiting = false
@@ -217,15 +177,7 @@ func (m *Machine) Run(fn func(ctx *Ctx)) error {
 // CriticalPath returns the element-wise maximum cost clock over all
 // ranks: the critical-path latency, bandwidth and flops of everything
 // executed so far.
-func (m *Machine) CriticalPath() Cost { return criticalPathOf(m.states) }
-
-func criticalPathOf(states []rankState) Cost {
-	var c Cost
-	for i := range states {
-		c.maxInPlace(states[i].clock)
-	}
-	return c
-}
+func (m *Machine) CriticalPath() Cost { return m.led.CriticalPath() }
 
 // Report summarizes a finished run.
 type Report struct {
@@ -242,57 +194,13 @@ type Report struct {
 }
 
 // Report returns the cost summary of everything executed so far.
-func (m *Machine) Report() Report { return buildReport(m.p, m.states) }
-
-// buildReport summarizes a slice of per-rank states. Shared by Machine
-// and Replay so the two executors produce reports through identical
-// aggregation code.
-func buildReport(p int, states []rankState) Report {
-	rep := Report{
-		P:          p,
-		PerRank:    make([]Cost, p),
-		PeakWords:  make([]int64, p),
-		LocalFlops: make([]int64, p),
-		LocalSent:  make([]int64, p),
-	}
-	for i := range states {
-		st := &states[i]
-		rep.Critical.maxInPlace(st.clock)
-		rep.TotalMessages += st.sentMsgs
-		rep.TotalWords += st.sentWords
-		if st.peakWords > rep.MaxMemory {
-			rep.MaxMemory = st.peakWords
-		}
-		rep.PerRank[i] = st.clock
-		rep.PeakWords[i] = st.peakWords
-		rep.LocalFlops[i] = st.localFlops
-		rep.LocalSent[i] = st.sentWords
-		for c := 0; c < NumSendClasses; c++ {
-			rep.WordsByClass[c] += st.sentByClass[c]
-		}
-	}
-	return rep
-}
+func (m *Machine) Report() Report { return m.led.Report() }
 
 // Traffic returns the words-sent matrix: Traffic()[src][dst] is the
 // total payload volume src sent to dst. Useful for inspecting the
 // communication structure (the sparse algorithm's matrix mirrors the
 // eTree: pivot rows/columns and the unit-processor rows light up).
-func (m *Machine) Traffic() [][]int64 { return trafficOf(m.p, m.states) }
-
-func trafficOf(p int, states []rankState) [][]int64 {
-	// One backing array for the whole p×p matrix: at large p the row
-	// headers and per-row zeroing otherwise dominate the call.
-	out := make([][]int64, p)
-	flat := make([]int64, p*p)
-	for r := range out {
-		out[r] = flat[r*p : (r+1)*p : (r+1)*p]
-		for _, e := range states[r].sentTo {
-			out[r][e.dst] = e.words
-		}
-	}
-	return out
-}
+func (m *Machine) Traffic() [][]int64 { return m.led.Traffic() }
 
 func (r Report) String() string {
 	return fmt.Sprintf("p=%d critical{%v} totalMsgs=%d totalWords=%d maxMemWords=%d",

@@ -19,10 +19,7 @@ type markEntry struct {
 }
 
 // Mark records a phase boundary labelled id on this rank.
-func (c *Ctx) Mark(id string) {
-	st := c.state()
-	st.marks = append(st.marks, markEntry{id: id, clock: st.clock})
-}
+func (c *Ctx) Mark(id string) { c.machine.led.Mark(c.rank, id) }
 
 // PhaseCost is the aggregated cost of one phase across all ranks.
 type PhaseCost struct {
@@ -42,11 +39,11 @@ type PhaseCost struct {
 // PhaseCosts aggregates the marks of a finished run. The k-th phase
 // spans from the (k−1)-th mark (or the start) to the k-th mark. It
 // returns an error if ranks recorded diverging mark sequences.
-func (m *Machine) PhaseCosts() ([]PhaseCost, error) { return phaseCostsOf(m.p, m.states) }
+func (m *Machine) PhaseCosts() ([]PhaseCost, error) { return m.led.PhaseCosts() }
 
-// phaseCostsOf is the shared implementation behind Machine.PhaseCosts
-// and Replay.PhaseCosts.
-func phaseCostsOf(p int, states []rankState) ([]PhaseCost, error) {
+// PhaseCosts aggregates the recorded marks, as Machine.PhaseCosts.
+func (r *Replay) PhaseCosts() ([]PhaseCost, error) {
+	p, states := r.p, r.states
 	if p == 0 {
 		return nil, nil
 	}

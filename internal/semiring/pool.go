@@ -31,7 +31,7 @@ type Pool struct {
 func NewPool(size int) *Pool { return &Pool{size: size} }
 
 // DefaultPool is the package-wide pool: MulAddIntoParallel, the
-// dataflow executor's drain loops, successor extraction and the
+// dataflow executor's worker loops, successor extraction and the
 // oracle's store builders share it.
 var DefaultPool = NewPool(0)
 
@@ -116,7 +116,7 @@ func (p *Pool) ForRanges(n int, f func(lo, hi int)) {
 // Drive runs worker(i) for every i in [0, n), at most Size() at a
 // time, on dedicated goroutines plus the caller — never on the pool's
 // job workers. It exists for long-lived worker loops (the dataflow
-// plan executor's drain loops block waiting for ready ops): a job
+// plan executor's worker loops block waiting for ready ops): a job
 // worker parked inside such a loop for a whole execute is a worker no
 // concurrent ForEach — an oracle batch, a successor extraction — can
 // be handed. Drive returns when every worker call has returned.
