@@ -131,9 +131,6 @@ type Options struct {
 	// baseline). Distances are bit-identical in both; only measured
 	// costs differ.
 	Wire WireFormat
-	// ExecWorkers fixes the sparse solver's executor worker count; 0
-	// (the default) sizes it automatically from the host, capped at P.
-	ExecWorkers int
 	// Plans, when non-nil, caches the sparse solver's symbolic plans
 	// (ordering + eTree + fill mask + full op schedule) under a
 	// weights-independent StructureFingerprint: repeated solves on one
@@ -239,7 +236,7 @@ func Solve(g *Graph, opts Options) (*Result, error) {
 		if _, err := apsp.HeightForP(opts.P); err != nil {
 			return nil, invalidSparsePError(opts.P)
 		}
-		r, err := apsp.SparseAPSPWith(g, opts.P, apsp.SparseOptions{Seed: opts.Seed, Wire: opts.Wire, ExecWorkers: opts.ExecWorkers, Plans: opts.Plans})
+		r, err := apsp.SparseAPSPWith(g, opts.P, apsp.SparseOptions{Seed: opts.Seed, Wire: opts.Wire, Plans: opts.Plans})
 		if err != nil {
 			return nil, err
 		}
@@ -433,7 +430,7 @@ func repairP(opts Options) int {
 // registry has already solved performs no symbolic work.
 func oracleRepairer(opts Options) oracle.RepairFunc {
 	p := repairP(opts)
-	sopts := apsp.SparseOptions{Seed: opts.Seed, Wire: opts.Wire, ExecWorkers: opts.ExecWorkers, Plans: opts.Plans}
+	sopts := apsp.SparseOptions{Seed: opts.Seed, Wire: opts.Wire, Plans: opts.Plans}
 	return func(g *Graph, prevDist apsp.RowFunc, prevNext *apsp.Successors, edits []EdgeEdit) (*PathResult, *Graph, RepairStats, error) {
 		return apsp.RepairRowsWithOptions(g, prevDist, prevNext, edits, p, sopts, 0)
 	}

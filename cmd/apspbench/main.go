@@ -4,11 +4,16 @@
 // the sparsity crossover, the operation-count checks and the Figure 1
 // reordering demo.
 //
+// Every table is a model count of the simulated machine and no column
+// is wall-clock, so the output is a pure function of the flags: the
+// stdout of "-exp all" is committed as docs/experiments-output.txt and
+// checked byte for byte.
+//
 // Usage:
 //
 //	apspbench -exp all
 //	apspbench -exp table2-latency -sides 16,24,32 -ps 9,49,225
-//	apspbench -exp comm,store -json tables.json
+//	apspbench -exp comm,fig1 -json tables.json
 package main
 
 import (
@@ -27,18 +32,16 @@ import (
 
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "experiment: all, or a comma-separated list of "+strings.Join(experiments, ", "))
-		sides       = flag.String("sides", "16,24,32", "comma-separated 2D grid sides (n = side²)")
-		ps          = flag.String("ps", "9,49,225,961", "comma-separated machine sizes (sparse algorithm needs (2^h-1)²)")
-		seed        = flag.Int64("seed", 42, "nested-dissection seed")
-		cyc         = flag.Int("cyclic", 4, "DC-APSP block-cyclic factor")
-		xn          = flag.Int("crossover-n", 576, "crossover experiment graph size")
-		xp          = flag.Int("crossover-p", 49, "crossover experiment machine size")
-		csv         = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonOut     = flag.String("json", "", "also write all experiment tables as machine-readable JSON to this file")
-		wire        = flag.String("wire", "pruned", "sparse-solver payload encoding: pruned (structure-aware demand keep-lists, the default) or dense (ablation baseline)")
-		execWorkers = flag.Int("exec-workers", 0, "sparse-solver executor worker count; 0 = auto (sized from the host, capped at p)")
-		reps        = flag.Int("exec-reps", 5, "timed repetitions per variant in the reweight experiment (best-of)")
+		exp     = flag.String("exp", "all", "experiment: all, or a comma-separated list of "+strings.Join(experiments, ", "))
+		sides   = flag.String("sides", "16,24,32", "comma-separated 2D grid sides (n = side²)")
+		ps      = flag.String("ps", "9,49,225,961", "comma-separated machine sizes (sparse algorithm needs (2^h-1)²)")
+		seed    = flag.Int64("seed", 42, "nested-dissection seed")
+		cyc     = flag.Int("cyclic", 4, "DC-APSP block-cyclic factor")
+		xn      = flag.Int("crossover-n", 576, "crossover experiment graph size")
+		xp      = flag.Int("crossover-p", 49, "crossover experiment machine size")
+		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		jsonOut = flag.String("json", "", "also write all experiment tables as machine-readable JSON to this file")
+		wire    = flag.String("wire", "pruned", "sparse-solver payload encoding: pruned (structure-aware demand keep-lists, the default) or dense (ablation baseline)")
 
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile at exit to this file")
@@ -49,13 +52,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// 0 means auto; an explicit -exec-workers must name at least one
-	// worker. flag.Visit distinguishes "-exec-workers 0" from the default.
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "exec-workers" && *execWorkers < 1 {
-			fatal(fmt.Errorf("-exec-workers %d: want at least 1 worker (omit the flag for auto)", *execWorkers))
-		}
-	})
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -92,7 +88,6 @@ func main() {
 		Seed:         *seed,
 		CyclicFactor: *cyc,
 		Wire:         wf,
-		ExecWorkers:  *execWorkers,
 	}
 
 	names, needSuite, err := resolveExperiments(*exp)
@@ -148,12 +143,6 @@ func main() {
 		case "comm":
 			t, err := harness.CommBreakdown(cfg, *xn, *xp)
 			show(name, t, err)
-		case "plan":
-			t, err := harness.PlanReuse(cfg, *xn, *xp)
-			show(name, t, err)
-		case "reweight":
-			t, err := harness.ReweightAblation(cfg, *xn, *xp, *reps)
-			show(name, t, err)
 		case "opcount":
 			t, err := harness.OperationCounts(cfg)
 			show(name, t, err)
@@ -180,9 +169,6 @@ func main() {
 				side++
 			}
 			t, err := harness.PerLevel(cfg, side, *xp)
-			show(name, t, err)
-		case "store":
-			t, err := harness.StoreBench(cfg, *xn, *xp)
 			show(name, t, err)
 		case "fig1":
 			t, err := harness.Figure1(*seed)
@@ -215,8 +201,8 @@ func main() {
 // first suiteExperiments of them read the shared sweep of
 // harness.NewSuite.
 var experiments = []string{"table2-memory", "table2-bandwidth", "table2-latency", "factors", "lower",
-	"sepcost", "crossover", "comm", "plan", "reweight", "opcount", "perlevel",
-	"balance", "weak", "strong", "store", "fig1"}
+	"sepcost", "crossover", "comm", "opcount", "perlevel",
+	"balance", "weak", "strong", "fig1"}
 
 const suiteExperiments = 5
 

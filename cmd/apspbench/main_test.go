@@ -18,11 +18,11 @@ func TestResolveExperiments(t *testing.T) {
 		errHas    string
 	}{
 		{exp: "all", names: experiments, needSuite: true},
-		{exp: "store", names: []string{"store"}},
+		{exp: "comm", names: []string{"comm"}},
 		{exp: "factors", names: []string{"factors"}, needSuite: true},
 		{exp: "table2-bandwidth,factors", names: []string{"table2-bandwidth", "factors"}, needSuite: true},
 		{exp: "opcount, lower", names: []string{"opcount", "lower"}, needSuite: true},
-		{exp: "store,nope", errHas: `unknown experiment "nope" (valid: all, table2-memory, `},
+		{exp: "comm,nope", errHas: `unknown experiment "nope" (valid: all, table2-memory, `},
 	} {
 		names, needSuite, err := resolveExperiments(tc.exp)
 		if tc.errHas != "" {

@@ -71,7 +71,6 @@ func main() {
 		seed     = flag.Int64("seed", 42, "nested-dissection seed")
 		budgetMB = flag.Int64("budget-mb", 0, "oracle cache memory budget in MiB (0 = unlimited)")
 		planDir  = flag.String("plan-dir", "", "persist symbolic plans to this directory: a restarted process reloads them and serves warm solves with zero symbolic rebuilds (empty = memory-only cache)")
-		workers  = flag.Int("exec-workers", 0, "sparse-solver executor worker count; 0 = auto (sized from the host, capped at p)")
 		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this extra address (e.g. localhost:6060); empty disables profiling")
 
 		// router-mode flags
@@ -91,19 +90,10 @@ func main() {
 
 	switch *mode {
 	case "serve":
-		// 0 means auto; an explicit -exec-workers must name at least one
-		// worker. flag.Visit distinguishes "-exec-workers 0" from the
-		// default.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "exec-workers" && *workers < 1 {
-				fatal(fmt.Errorf("-exec-workers %d: want at least 1 worker (omit the flag for auto)", *workers))
-			}
-		})
 		opts := sparseapsp.Options{
-			Algorithm:   sparseapsp.Algorithm(*alg),
-			P:           *p,
-			Seed:        *seed,
-			ExecWorkers: *workers,
+			Algorithm: sparseapsp.Algorithm(*alg),
+			P:         *p,
+			Seed:      *seed,
 		}
 		if *planDir != "" {
 			plans, err := sparseapsp.NewPlanCacheAt(*planDir)

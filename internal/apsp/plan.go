@@ -788,15 +788,6 @@ func (c *PlanCache) lookup(fp StructureFingerprint) (*Plan, bool) {
 	return pl, true
 }
 
-// Peek returns the cached plan for fp without counting a hit —
-// introspection for stats/experiment code, never the solve path.
-func (c *PlanCache) Peek(fp StructureFingerprint) (*Plan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	pl, ok := c.plans[fp]
-	return pl, ok
-}
-
 // store records a freshly built plan (and the nanoseconds the symbolic
 // phase took). Two racing builders of the same structure both count as
 // builds; the last stored plan wins, which is harmless because builds

@@ -74,8 +74,6 @@ type RepairOptions struct {
 	// fall back at all (the probe budget is disabled too — useful for
 	// tests that need the propagation path unconditionally).
 	DamageThreshold float64
-	// ExecWorkers configures the fallback solve only (see ExecOpts).
-	ExecWorkers int
 }
 
 // RepairStats describes what one Repair call did.
@@ -227,7 +225,7 @@ func (pl *Plan) RepairRows(g *graph.Graph, prevDist RowFunc, prevNext *Successor
 	// re-solve instead.
 	if m := g.M(); m > 0 && float64(len(deltas))/float64(m) > threshold {
 		st.DamageFraction = 1
-		return pl.repairFallback(g2, opts, &st)
+		return pl.repairFallback(g2, &st)
 	}
 	if len(deltas) == 0 {
 		// Nothing changed: the old result already serves the edited
@@ -270,7 +268,7 @@ func (pl *Plan) RepairRows(g *graph.Graph, prevDist RowFunc, prevNext *Successor
 		}
 		st.Relaxations += int64(n) + int64(len(affected))*int64(n)
 		if st.Relaxations > budget {
-			return pl.repairFallback(g2, opts, &st)
+			return pl.repairFallback(g2, &st)
 		}
 		for _, x := range affected {
 			rowX := d[x*n : (x+1)*n]
@@ -296,7 +294,7 @@ func (pl *Plan) RepairRows(g *graph.Graph, prevDist RowFunc, prevNext *Successor
 	if st.Increases > 0 {
 		if err := repairIncreases(g2, deltas, d, threshold, budget, &st); err != nil {
 			if err == errRepairDamage {
-				return pl.repairFallback(g2, opts, &st)
+				return pl.repairFallback(g2, &st)
 			}
 			return nil, nil, st, err
 		}
@@ -595,9 +593,9 @@ func (h *pairHeap) pop() (float64, int) {
 // repairFallback is the over-threshold path: a warm Plan.ExecuteOpts on
 // the edited graph plus full successor extraction — exactly what a
 // cache-warm re-solve through the registry would have done.
-func (pl *Plan) repairFallback(g2 *graph.Graph, opts RepairOptions, st *RepairStats) (*PathResult, *graph.Graph, RepairStats, error) {
+func (pl *Plan) repairFallback(g2 *graph.Graph, st *RepairStats) (*PathResult, *graph.Graph, RepairStats, error) {
 	st.FellBack = true
-	res, err := pl.ExecuteOpts(pl.LayoutFor(g2), ExecOpts{Workers: opts.ExecWorkers})
+	res, err := pl.ExecuteOpts(pl.LayoutFor(g2), ExecOpts{})
 	if err != nil {
 		return nil, nil, *st, err
 	}
@@ -629,11 +627,5 @@ func RepairRowsWithOptions(g *graph.Graph, prevDist RowFunc, prevNext *Successor
 	if err != nil {
 		return nil, nil, RepairStats{}, err
 	}
-	return pl.RepairRows(g, prevDist, prevNext, edits, sopts.repairOpts(threshold))
-}
-
-// repairOpts projects the solve option a repair's fallback execute
-// honours — the same one execOpts hands a fresh solve.
-func (o SparseOptions) repairOpts(threshold float64) RepairOptions {
-	return RepairOptions{DamageThreshold: threshold, ExecWorkers: o.ExecWorkers}
+	return pl.RepairRows(g, prevDist, prevNext, edits, RepairOptions{DamageThreshold: threshold})
 }

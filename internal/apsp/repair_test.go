@@ -3,7 +3,6 @@ package apsp
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"sparseapsp/internal/graph"
@@ -142,49 +141,6 @@ func TestRepairFallback(t *testing.T) {
 	}
 	if st2.FellBack {
 		t.Errorf("threshold 2 fell back anyway (stats %+v)", st2)
-	}
-}
-
-// TestRepairForwardsExecSettings: a repair's fallback solve must run
-// under the caller's worker bound, as a fresh solve does
-// (RepairRowsWithOptions used to drop ExecWorkers, so apspd
-// -exec-workers did not bound it). No result bit depends on the worker
-// count — that is TestExecWorkers' property — so the forwarding is
-// checked where it happens: every RepairOptions field the projection
-// leaves zero is a dropped setting. The fallback itself is then driven
-// at one worker and held to the default's result.
-func TestRepairForwardsExecSettings(t *testing.T) {
-	ro := SparseOptions{ExecWorkers: 1}.repairOpts(0.5)
-	if want := (RepairOptions{DamageThreshold: 0.5, ExecWorkers: 1}); ro != want {
-		t.Fatalf("repairOpts = %+v, want %+v", ro, want)
-	}
-	v := reflect.ValueOf(ro)
-	for i := 0; i < v.NumField(); i++ {
-		if v.Field(i).IsZero() {
-			t.Errorf("RepairOptions.%s is not forwarded from SparseOptions", v.Type().Field(i).Name)
-		}
-	}
-
-	rng := rand.New(rand.NewSource(7))
-	g := graph.Grid2D(9, 9, integerWeights(rng, 10))
-	const p = 9
-	sopts := SparseOptions{Seed: 5, Plans: NewPlanCache()}
-	prev := solvePaths(t, g, p, sopts)
-	edits := pickEdits(g, rng, 6, "mixed")
-	want, _, _, err := RepairWithOptions(g, prev, edits, p, sopts, 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sopts.ExecWorkers = 1
-	got, _, st, err := RepairWithOptions(g, prev, edits, p, sopts, 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.FellBack {
-		t.Fatalf("threshold 1e-9 did not trigger fallback (stats %+v)", st)
-	}
-	if !identicalMatrices(got.Dist, want.Dist) || !reflect.DeepEqual(got.Report, want.Report) {
-		t.Error("one-worker fallback differs from the default's")
 	}
 }
 

@@ -129,14 +129,6 @@ type SparseOptions struct {
 	// permutation). Ignored when Layout is supplied — a caller-provided
 	// ordering is not necessarily reproducible from the graph alone.
 	Plans *PlanCache
-	// ExecWorkers bounds the executor's worker pool; 0 means auto
-	// (shared pool size, capped at p). See ExecOpts.Workers.
-	ExecWorkers int
-}
-
-// execOpts projects the execution-time knob out of SparseOptions.
-func (o SparseOptions) execOpts() ExecOpts {
-	return ExecOpts{Workers: o.ExecWorkers}
 }
 
 // SparseAPSPWith is SparseAPSP with explicit options. It is a thin
@@ -155,13 +147,13 @@ func SparseAPSPWith(g *graph.Graph, p int, opts SparseOptions) (*DistResult, err
 		if err != nil {
 			return nil, err
 		}
-		return pl.ExecuteOpts(ly, opts.execOpts())
+		return pl.ExecuteOpts(ly, ExecOpts{})
 	}
 	pl, err := planFor(g, p, opts)
 	if err != nil {
 		return nil, err
 	}
-	return pl.ExecuteOpts(pl.LayoutFor(g), opts.execOpts())
+	return pl.ExecuteOpts(pl.LayoutFor(g), ExecOpts{})
 }
 
 // planFor fetches g's plan from opts.Plans, or builds it (and caches it

@@ -18,14 +18,16 @@ import (
 //     be numerically wrong for its fingerprint; the only staleness
 //     hazard is liveness — serving a fingerprint the backends already
 //     404 after Reweight's atomic swap.
-//   - Invalidate closes that hazard with a per-fingerprint generation:
-//     it bumps the generation and drops the fingerprint's entries in
-//     one critical section, and every fill must present the generation
-//     it observed *before* its backend read (Gen). A fill that raced a
+//   - Invalidate closes that hazard with one cache-wide generation: it
+//     drops the fingerprint's entries and bumps the generation in one
+//     critical section, and every fill must present the generation it
+//     observed *before* its backend read (Gen). A fill that raced any
 //     swap carries a stale generation and is discarded, so once
 //     Invalidate returns, no pre-swap read can ever re-populate the
 //     fingerprint — the "no stale pair is ever served" contract the
-//     -race tests pin down.
+//     -race tests pin down. The price is that a swap also discards the
+//     fills of other fingerprints in flight across it; the gain is that
+//     a retired fingerprint leaves nothing behind.
 //
 // All methods are safe for concurrent use. A nil *PairCache is a valid
 // always-miss cache, so callers can disable caching by configuration
@@ -33,19 +35,15 @@ import (
 type PairCache struct {
 	mu   sync.Mutex
 	cap  int
-	lru  *list.List             // of *pairEntry; front = most recent
-	byFP map[string]*pairBucket // fingerprint → generation + entries
+	gen  uint64
+	lru  *list.List                           // of *pairEntry; front = most recent
+	byFP map[string]map[pairKey]*list.Element // fingerprint → its entries
 
 	hits          int64
 	misses        int64
 	stalePuts     int64
 	evictions     int64
 	invalidations int64
-}
-
-type pairBucket struct {
-	gen     uint64
-	entries map[pairKey]*list.Element
 }
 
 type pairKey struct{ u, v int }
@@ -66,24 +64,21 @@ func NewPairCache(capacity int) *PairCache {
 	return &PairCache{
 		cap:  capacity,
 		lru:  list.New(),
-		byFP: make(map[string]*pairBucket),
+		byFP: make(map[string]map[pairKey]*list.Element),
 	}
 }
 
-// Gen returns the fingerprint's current invalidation generation. A
-// filler must call Gen before issuing its backend read and pass the
-// value to Put: the pair (generation, backend answer) is what makes
-// the fill safe against a concurrent Invalidate.
-func (c *PairCache) Gen(fp string) uint64 {
+// Gen returns the cache's current invalidation generation. A filler
+// must call Gen before issuing its backend read and pass the value to
+// Put: the pair (generation, backend answer) is what makes the fill
+// safe against a concurrent Invalidate.
+func (c *PairCache) Gen() uint64 {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if b, ok := c.byFP[fp]; ok {
-		return b.gen
-	}
-	return 0
+	return c.gen
 }
 
 // Get returns the cached distance for (fp, u, v) and refreshes its LRU
@@ -94,12 +89,7 @@ func (c *PairCache) Get(fp string, u, v int) (float64, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	b, ok := c.byFP[fp]
-	if !ok {
-		c.misses++
-		return 0, false
-	}
-	el, ok := b.entries[pairKey{u, v}]
+	el, ok := c.byFP[fp][pairKey{u, v}]
 	if !ok {
 		c.misses++
 		return 0, false
@@ -118,26 +108,22 @@ func (c *PairCache) Put(fp string, gen uint64, u, v int, dist float64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	b, ok := c.byFP[fp]
-	if !ok {
-		if gen != 0 {
-			c.stalePuts++
-			return
-		}
-		b = &pairBucket{entries: make(map[pairKey]*list.Element)}
-		c.byFP[fp] = b
-	}
-	if b.gen != gen {
+	if gen != c.gen {
 		c.stalePuts++
 		return
 	}
+	b, ok := c.byFP[fp]
+	if !ok {
+		b = make(map[pairKey]*list.Element)
+		c.byFP[fp] = b
+	}
 	k := pairKey{u, v}
-	if el, ok := b.entries[k]; ok {
+	if el, ok := b[k]; ok {
 		el.Value.(*pairEntry).dist = dist
 		c.lru.MoveToFront(el)
 		return
 	}
-	b.entries[k] = c.lru.PushFront(&pairEntry{fp: fp, key: k, dist: dist})
+	b[k] = c.lru.PushFront(&pairEntry{fp: fp, key: k, dist: dist})
 	for c.lru.Len() > c.cap {
 		back := c.lru.Back()
 		e := back.Value.(*pairEntry)
@@ -147,22 +133,18 @@ func (c *PairCache) Put(fp string, gen uint64, u, v int, dist float64) {
 	}
 }
 
-// removeEntryLocked drops e from its bucket, retiring the bucket when
-// it holds no entries and no invalidation history (generation 0
-// buckets carry no information).
+// removeEntryLocked drops e from its fingerprint's entries, and the
+// fingerprint with its last entry.
 func (c *PairCache) removeEntryLocked(e *pairEntry) {
-	b, ok := c.byFP[e.fp]
-	if !ok {
-		return
-	}
-	delete(b.entries, e.key)
-	if len(b.entries) == 0 && b.gen == 0 {
+	b := c.byFP[e.fp]
+	delete(b, e.key)
+	if len(b) == 0 {
 		delete(c.byFP, e.fp)
 	}
 }
 
 // Invalidate atomically retires a fingerprint: its entries are dropped
-// and its generation bumped in one critical section, so in-flight
+// and the generation bumped in one critical section, so in-flight
 // fills that read the backend before the swap can never land (their
 // Put carries the old generation). Called by the router the moment a
 // /reweight response confirms the backends swapped fingerprints.
@@ -172,19 +154,11 @@ func (c *PairCache) Invalidate(fp string) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	b, ok := c.byFP[fp]
-	if !ok {
-		// Never cached, but the generation bump must still be recorded
-		// so a fill racing this call is rejected.
-		c.byFP[fp] = &pairBucket{gen: 1, entries: make(map[pairKey]*list.Element)}
-		c.invalidations++
-		return
-	}
-	for _, el := range b.entries {
+	for _, el := range c.byFP[fp] {
 		c.lru.Remove(el)
 	}
-	b.entries = make(map[pairKey]*list.Element)
-	b.gen++
+	delete(c.byFP, fp)
+	c.gen++
 	c.invalidations++
 }
 

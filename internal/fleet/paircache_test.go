@@ -11,16 +11,16 @@ func TestPairCacheHitMissEvict(t *testing.T) {
 	if _, ok := c.Get("fpA", 0, 1); ok {
 		t.Fatal("hit on empty cache")
 	}
-	gen := c.Gen("fpA")
+	gen := c.Gen()
 	c.Put("fpA", gen, 0, 1, 1.5)
 	c.Put("fpA", gen, 0, 2, 2.5)
-	c.Put("fpB", c.Gen("fpB"), 0, 1, 9.0)
+	c.Put("fpB", c.Gen(), 0, 1, 9.0)
 	if d, ok := c.Get("fpA", 0, 1); !ok || d != 1.5 {
 		t.Fatalf("Get(fpA,0,1) = %v,%v want 1.5,true", d, ok)
 	}
 	// Cache is full; (fpA,0,2) is now the LRU entry. One more Put
 	// evicts it.
-	c.Put("fpB", c.Gen("fpB"), 3, 4, 4.0)
+	c.Put("fpB", c.Gen(), 3, 4, 4.0)
 	if _, ok := c.Get("fpA", 0, 2); ok {
 		t.Fatal("LRU entry survived eviction")
 	}
@@ -38,7 +38,7 @@ func TestPairCacheHitMissEvict(t *testing.T) {
 // racing a reweight swap harmless.
 func TestPairCacheStaleGenerationRejected(t *testing.T) {
 	c := NewPairCache(16)
-	gen := c.Gen("fp") // filler snapshots generation...
+	gen := c.Gen()     // filler snapshots generation...
 	c.Invalidate("fp") // ...swap lands...
 	c.Put("fp", gen, 0, 1, 3.0)
 	if _, ok := c.Get("fp", 0, 1); ok {
@@ -48,7 +48,7 @@ func TestPairCacheStaleGenerationRejected(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 stale put, 1 invalidation", st)
 	}
 	// A fill that observed the post-swap generation lands fine.
-	c.Put("fp", c.Gen("fp"), 0, 1, 4.0)
+	c.Put("fp", c.Gen(), 0, 1, 4.0)
 	if d, ok := c.Get("fp", 0, 1); !ok || d != 4.0 {
 		t.Fatalf("fresh-generation fill lost: %v %v", d, ok)
 	}
@@ -56,9 +56,9 @@ func TestPairCacheStaleGenerationRejected(t *testing.T) {
 
 func TestPairCacheInvalidateDropsOnlyThatFingerprint(t *testing.T) {
 	c := NewPairCache(16)
-	c.Put("keep", c.Gen("keep"), 1, 2, 1.0)
-	c.Put("drop", c.Gen("drop"), 1, 2, 2.0)
-	c.Put("drop", c.Gen("drop"), 3, 4, 3.0)
+	c.Put("keep", c.Gen(), 1, 2, 1.0)
+	c.Put("drop", c.Gen(), 1, 2, 2.0)
+	c.Put("drop", c.Gen(), 3, 4, 3.0)
 	c.Invalidate("drop")
 	if _, ok := c.Get("drop", 1, 2); ok {
 		t.Fatal("invalidated entry served")
@@ -71,13 +71,34 @@ func TestPairCacheInvalidateDropsOnlyThatFingerprint(t *testing.T) {
 	}
 }
 
+// Every /reweight retires a fingerprint the fleet never serves again,
+// so K reweights of distinct fingerprints — cached or never cached —
+// must leave no per-fingerprint state behind.
+func TestPairCacheInvalidateLeavesNoBuckets(t *testing.T) {
+	c := NewPairCache(16)
+	const k = 50
+	for i := 0; i < k; i++ {
+		fp := fmt.Sprintf("fp%d", i)
+		if i%2 == 0 {
+			c.Put(fp, c.Gen(), 0, 1, float64(i))
+		}
+		c.Invalidate(fp)
+	}
+	if len(c.byFP) != 0 {
+		t.Fatalf("%d fingerprint buckets left after %d invalidations, want 0", len(c.byFP), k)
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Invalidations != k {
+		t.Fatalf("stats = %+v, want 0 entries, %d invalidations", st, k)
+	}
+}
+
 // A nil cache (capacity <= 0) is a valid always-miss receiver.
 func TestPairCacheNilReceiver(t *testing.T) {
 	c := NewPairCache(0)
 	if c != nil {
 		t.Fatal("capacity 0 should disable the cache")
 	}
-	c.Put("fp", c.Gen("fp"), 0, 1, 1.0)
+	c.Put("fp", c.Gen(), 0, 1, 1.0)
 	if _, ok := c.Get("fp", 0, 1); ok {
 		t.Fatal("nil cache returned a hit")
 	}
@@ -105,7 +126,7 @@ func TestPairCacheConcurrent(t *testing.T) {
 				case 5:
 					c.Stats()
 				default:
-					gen := c.Gen(fp)
+					gen := c.Gen()
 					c.Get(fp, i%16, (i+1)%16)
 					c.Put(fp, gen, i%16, (i+1)%16, float64(i))
 				}

@@ -507,7 +507,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	// only the missing pairs. The generation is snapshotted before the
 	// backend read so a concurrent reweight invalidation discards the
 	// fill (see PairCache).
-	gen := rt.cache.Gen(req.Graph)
+	gen := rt.cache.Gen()
 	dists := make([]float64, len(req.Pairs))
 	var missIdx []int
 	for i, p := range req.Pairs {

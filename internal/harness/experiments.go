@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"sparseapsp/internal/apsp"
 	"sparseapsp/internal/bounds"
 	"sparseapsp/internal/comm"
 	"sparseapsp/internal/graph"
 	"sparseapsp/internal/partition"
-	"sparseapsp/internal/semiring"
 )
 
 // Config sets the sweep dimensions. The defaults finish in a couple of
@@ -22,12 +20,11 @@ type Config struct {
 	Seed         int64
 	CyclicFactor int             // DC-APSP block-cyclic factor
 	Wire         apsp.WireFormat // sparse-solver payload encoding (pruned or dense)
-	ExecWorkers  int             // sparse-solver executor worker count; 0 = auto
 }
 
 // sparseOpts builds the SparseOptions every experiment shares.
 func (c Config) sparseOpts() apsp.SparseOptions {
-	return apsp.SparseOptions{Seed: c.Seed, Wire: c.Wire, ExecWorkers: c.ExecWorkers}
+	return apsp.SparseOptions{Seed: c.Seed, Wire: c.Wire}
 }
 
 // DefaultConfig returns the sweep used by the benchmark suite.
@@ -351,249 +348,6 @@ func CommBreakdown(cfg Config, n, p int) (*Table, error) {
 func gridOfN(n int, w graph.WeightFn) *graph.Graph {
 	side := int(math.Sqrt(float64(n)))
 	return graph.Grid2D(side, side, w)
-}
-
-// PlanReuse runs experiment E18: the symbolic plan-cache ablation.
-// Each workload is solved cold (empty cache: nested dissection, eTree,
-// fill mask and op-schedule enumeration all run), then warm on the
-// SAME structure with fresh weights — the serving/weight-update
-// pattern — which must hit the plan cache and perform zero symbolic
-// work. The table reports cold vs warm wall-clock, the symbolic share
-// the warm path skipped, and the cache counters proving the skip.
-func PlanReuse(cfg Config, n, p int) (*Table, error) {
-	t := &Table{
-		ID: "E18",
-		Title: fmt.Sprintf("symbolic plan reuse at n=%d, p=%d (cold vs warm solve, warm = best of %d)",
-			n, p, planReuseWarmRuns),
-		Columns: []string{"workload", "plan_ops", "cold_ms", "warm_ms", "cold/warm",
-			"symbolic_ms", "builds", "hits"},
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	w := graph.RandomWeights(rng, 1, 10)
-	workloads := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"star", graph.Star(n, w)},
-		{"tree", graph.RandomTree(n, w, rng)},
-		{"grid", gridOfN(n, w)},
-		{"gnp-avg4", graph.RandomGNP(n, 4/float64(n), w, rng)},
-	}
-	for _, wl := range workloads {
-		cache := apsp.NewPlanCache()
-		opts := cfg.sparseOpts()
-		opts.Plans = cache
-
-		start := time.Now()
-		cold, err := apsp.SparseAPSPWith(wl.g, p, opts)
-		if err != nil {
-			return nil, err
-		}
-		coldMs := float64(time.Since(start).Nanoseconds()) / 1e6
-
-		// Warm solves: identical structure, fresh weights, so each one
-		// must reuse the cached plan.
-		warmMs := math.Inf(1)
-		for i := 0; i < planReuseWarmRuns; i++ {
-			wg := reweight(wl.g, rng)
-			start = time.Now()
-			warm, err := apsp.SparseAPSPWith(wg, p, opts)
-			if err != nil {
-				return nil, err
-			}
-			if ms := float64(time.Since(start).Nanoseconds()) / 1e6; ms < warmMs {
-				warmMs = ms
-			}
-			if warm.Dist.Rows != cold.Dist.Rows {
-				return nil, fmt.Errorf("plan-reuse: warm solve shape mismatch")
-			}
-		}
-
-		stats := cache.Stats()
-		if stats.Builds != 1 || stats.Hits != int64(planReuseWarmRuns) {
-			return nil, fmt.Errorf("plan-reuse %s: cache stats %+v, want 1 build / %d hits",
-				wl.name, stats, planReuseWarmRuns)
-		}
-		var planOps int
-		if pl := cachedPlan(cache, wl.g, p, opts); pl != nil {
-			planOps = pl.OpCount()
-		}
-		t.Add(wl.name, planOps, coldMs, warmMs, coldMs/warmMs,
-			float64(stats.BuildNanos)/1e6, stats.Builds, stats.Hits)
-	}
-	t.Note("warm solves fetch the frozen op schedule by StructureFingerprint: no nested")
-	t.Note("dissection, no eTree, no fill mask — only the O(n+m) weight permutation plus the")
-	t.Note("numeric replay; symbolic_ms is exactly the work each warm solve skipped")
-	return t, nil
-}
-
-// planReuseWarmRuns is the number of warm (plan-hit) solves E18 times.
-const planReuseWarmRuns = 3
-
-// reweight copies g's structure with fresh random weights — the
-// weight-update serving workload, which shares the graph's
-// StructureFingerprint by construction.
-func reweight(g *graph.Graph, rng *rand.Rand) *graph.Graph {
-	out := graph.New(g.N())
-	for _, e := range g.Edges() {
-		out.AddEdge(e.U, e.V, float64(rng.Intn(10)+1))
-	}
-	return out
-}
-
-// cachedPlan pulls the plan E18 just built back out of the cache with
-// a stats-neutral Peek; it runs no solve and touches no weights.
-func cachedPlan(cache *apsp.PlanCache, g *graph.Graph, p int, opts apsp.SparseOptions) *apsp.Plan {
-	pl, _ := cache.Peek(apsp.StructureFingerprintOf(g, p, opts.Seed, opts.Wire, opts.R4Strategy))
-	return pl
-}
-
-// ReweightAblation runs experiment E20: incremental repair against the
-// warm re-solve it replaces. Each family is solved once (populating the
-// plan cache), then a fraction of its edges is reweighted and the same
-// PathResult is produced two ways: Plan.Repair (decrease propagation +
-// increase resets + dirty-column successor rebuild) and the warm
-// serving path it shortcuts (Plan.LayoutFor + ExecuteOpts + full
-// SuccessorsFromDist). Weights are integers, so path sums are
-// float64-exact and the two results must match bit-for-bit — asserted
-// before anything is timed.
-func ReweightAblation(cfg Config, n, p, reps int) (*Table, error) {
-	t := &Table{
-		ID: "E20",
-		Title: fmt.Sprintf("incremental reweight repair vs warm re-solve at n=%d, p=%d (best of %d)",
-			n, p, reps),
-		Columns: []string{"workload", "n", "m", "edits", "edit_%", "reset_pairs",
-			"damage", "repair_ms", "resolve_ms", "speedup"},
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	iw := func(u, v int) float64 { return float64(rng.Intn(9) + 1) }
-	workloads := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"star", graph.Star(n, iw)},
-		{"tree", graph.RandomTree(n, iw, rng)},
-		{"grid", gridOfN(n, iw)},
-	}
-	fractions := []float64{0.001, 0.01, 0.10}
-	for _, wl := range workloads {
-		cache := apsp.NewPlanCache()
-		opts := cfg.sparseOpts()
-		opts.Plans = cache
-		sp, err := apsp.SparseAPSPWith(wl.g, p, opts)
-		if err != nil {
-			return nil, fmt.Errorf("reweight %s: cold solve: %w", wl.name, err)
-		}
-		prev, err := apsp.SuccessorsFromDist(wl.g, sp.Dist)
-		if err != nil {
-			return nil, fmt.Errorf("reweight %s: successors: %w", wl.name, err)
-		}
-		pl := cachedPlan(cache, wl.g, p, opts)
-		if pl == nil {
-			return nil, fmt.Errorf("reweight %s: cold solve did not cache its plan", wl.name)
-		}
-		ropts := apsp.RepairOptions{
-			DamageThreshold: apsp.DefaultDamageThreshold,
-		}
-		for _, frac := range fractions {
-			m := wl.g.M()
-			k := int(frac*float64(m) + 0.5)
-			if k < 1 {
-				k = 1
-			}
-			edits := reweightEdits(wl.g, rng, k)
-			g2, err := apsp.ApplyEdits(wl.g, edits)
-			if err != nil {
-				return nil, fmt.Errorf("reweight %s: %w", wl.name, err)
-			}
-
-			// Correctness gate before any timing: the repaired result
-			// must be bit-identical to the warm re-solve and its
-			// successor chains must replay every distance.
-			repaired, _, stats, err := pl.Repair(wl.g, prev, edits, ropts)
-			if err != nil {
-				return nil, fmt.Errorf("reweight %s: repair: %w", wl.name, err)
-			}
-			ref, err := pl.ExecuteOpts(pl.LayoutFor(g2), apsp.ExecOpts{})
-			if err != nil {
-				return nil, fmt.Errorf("reweight %s: re-solve: %w", wl.name, err)
-			}
-			if !sameDistBits(repaired.Dist, ref.Dist) {
-				return nil, fmt.Errorf("reweight %s k=%d: repair diverges from warm re-solve", wl.name, k)
-			}
-			if err := apsp.VerifyPaths(g2, repaired); err != nil {
-				return nil, fmt.Errorf("reweight %s k=%d: repaired successors: %w", wl.name, k, err)
-			}
-
-			repairMs := math.Inf(1)
-			for i := 0; i <= reps; i++ { // one extra warm-up rep, not timed
-				start := time.Now()
-				if _, _, _, err := pl.Repair(wl.g, prev, edits, ropts); err != nil {
-					return nil, err
-				}
-				if d := float64(time.Since(start).Nanoseconds()) / 1e6; i > 0 && d < repairMs {
-					repairMs = d
-				}
-			}
-			resolveMs := math.Inf(1)
-			for i := 0; i <= reps; i++ {
-				start := time.Now()
-				res, err := pl.ExecuteOpts(pl.LayoutFor(g2), apsp.ExecOpts{})
-				if err != nil {
-					return nil, err
-				}
-				if _, err := apsp.SuccessorsFromDist(g2, res.Dist); err != nil {
-					return nil, err
-				}
-				if d := float64(time.Since(start).Nanoseconds()) / 1e6; i > 0 && d < resolveMs {
-					resolveMs = d
-				}
-			}
-			damage := fmt.Sprintf("%.4f", stats.DamageFraction)
-			if stats.FellBack {
-				damage += "*"
-			}
-			t.Add(wl.name, wl.g.N(), m, k, 100*float64(k)/float64(m), stats.ResetPairs,
-				damage, repairMs, resolveMs, resolveMs/repairMs)
-		}
-	}
-	t.Note("every row is bit-identical to the warm re-solve before timing (integer weights,")
-	t.Note("float64-exact sums); damage is the seeded share of the n² pairs, * = the repair")
-	t.Note("crossed a threshold and fell back to the warm path it is measured against")
-	return t, nil
-}
-
-// reweightEdits picks k distinct edges of g and gives each a fresh
-// integer weight different from its current one — a mixed
-// increase/decrease reweighting workload.
-func reweightEdits(g *graph.Graph, rng *rand.Rand, k int) []apsp.EdgeEdit {
-	es := g.Edges()
-	if k > len(es) {
-		k = len(es)
-	}
-	edits := make([]apsp.EdgeEdit, 0, k)
-	for _, i := range rng.Perm(len(es))[:k] {
-		e := es[i]
-		w := float64(rng.Intn(9) + 1)
-		for w == e.W {
-			w = float64(rng.Intn(9) + 1)
-		}
-		edits = append(edits, apsp.EdgeEdit{U: e.U, V: e.V, W: w})
-	}
-	return edits
-}
-
-// sameDistBits compares two distance matrices bit-for-bit.
-func sameDistBits(a, b *semiring.Matrix) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i, v := range a.V {
-		if math.Float64bits(v) != math.Float64bits(b.V[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // OperationCounts runs experiment E12 plus the Lemma 6.4 check:

@@ -86,8 +86,8 @@ func (t *Table) String() string {
 }
 
 // jsonTable is the machine-readable form of a Table: rows become
-// column-keyed objects so downstream tooling (the BENCH_*.json perf
-// trajectory, plotting scripts) can index cells by name.
+// column-keyed objects so downstream tooling (plotting scripts) can
+// index cells by name.
 type jsonTable struct {
 	ID    string              `json:"id"`
 	Title string              `json:"title"`

@@ -1038,7 +1038,10 @@ func TestMemoryBytesMatchesHeap(t *testing.T) {
 // computation itself cannot drift, their literal values. The grid's
 // largest distance is under 255, 8 bits, and the grid literal is the
 // guard for the five grid workloads; G(n,p)'s is under 63, 6 bits; half
-// way round the cycle is past 1,900, 11 bits.
+// way round the cycle is past 1,900, 11 bits. Two more inputs keep the
+// extremes of the degree sequence pinned: the n = 576 star, whose hub's
+// column takes 10 bits and whose leaves' take none, and a random tree
+// on 576 vertices (weights 1..9 drawn from seed 42).
 func TestMemoryBytesBenchStructures(t *testing.T) {
 	rng := rand.New(rand.NewSource(20210809)) // bench's gnpStructureSeed: the edge set is part of the count
 	gnp := graph.New(768)
@@ -1054,6 +1057,8 @@ func TestMemoryBytesBenchStructures(t *testing.T) {
 	for _, e := range gnpEdges {
 		gnp.AddEdge(e[0], e[1], w(e[0], e[1]))
 	}
+	trng := rand.New(rand.NewSource(42))
+	tw := func(u, v int) float64 { return float64(1 + trng.Intn(9)) }
 	for _, tc := range []struct {
 		name  string
 		g     *graph.Graph
@@ -1063,6 +1068,8 @@ func TestMemoryBytesBenchStructures(t *testing.T) {
 		{"grid", graph.Grid2D(32, 32, w), "u8", 830984},
 		{"gnp", gnp, "u6", 408888},
 		{"cycle", graph.Cycle(800, w), "u11", 546160},
+		{"star", graph.Star(576, tw), "u5", 124592},
+		{"tree", graph.RandomTree(576, tw, trng), "u7", 198392},
 	} {
 		res, err := apsp.SparseAPSPWith(tc.g, 49, apsp.SparseOptions{Seed: 42})
 		if err != nil {

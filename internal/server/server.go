@@ -74,13 +74,12 @@ type Server struct {
 	mux       *http.ServeMux
 	started   time.Time
 	endpoints map[string]*endpointStats
-	ready     atomic.Bool
 	draining  atomic.Bool
 }
 
 // New wires the handlers. The registry owns solving and caching; the
-// server only parses requests and keeps per-endpoint counters. The
-// server reports ready as soon as New returns with a non-nil registry.
+// server only parses requests and keeps per-endpoint counters. reg must
+// not be nil; the server reports ready as soon as New returns.
 func New(reg *oracle.Registry) *Server {
 	s := &Server{
 		reg:       reg,
@@ -95,24 +94,15 @@ func New(reg *oracle.Registry) *Server {
 	s.handle("statsz", "GET /statsz", s.handleStatsz)
 	s.handle("healthz", "GET /healthz", s.handleHealthz)
 	s.handle("readyz", "GET /readyz", s.handleReadyz)
-	s.ready.Store(reg != nil)
 	return s
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// SetReady overrides the readiness state; New already marks the server
-// ready, so this mainly serves embedders that construct the server
-// before its registry is usable.
-func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
 // BeginDrain flips /readyz to 503 without touching /healthz: health
 // probes stop sending new traffic while in-flight requests (and the
 // registry solves they coalesced into) finish. Idempotent.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // apiError carries an HTTP status through the handler return path.
 type apiError struct {
@@ -191,15 +181,6 @@ type GraphInfo struct {
 	M     int    `json:"m"`
 }
 
-// registry returns the oracle registry, or a 503 error for a server
-// constructed before its registry exists (see SetReady).
-func (s *Server) registry() (*oracle.Registry, error) {
-	if s.reg == nil {
-		return nil, &apiError{status: http.StatusServiceUnavailable, err: errors.New("registry not initialized")}
-	}
-	return s.reg, nil
-}
-
 // register solves g through the registry (coalesced with any
 // concurrent load of the same graph) and returns its id. An oracle
 // larger than the registry's whole budget was dropped as soon as it was
@@ -226,11 +207,7 @@ func (s *Server) register(w http.ResponseWriter, g *graph.Graph) error {
 // generator n adjacency lists, so this comes first; a store that turns
 // out wider than the floor is caught by the check after the solve.
 func (s *Server) admit(n int) error {
-	reg, err := s.registry()
-	if err != nil {
-		return err
-	}
-	budget := reg.Stats().BudgetBytes
+	budget := s.reg.Stats().BudgetBytes
 	if budget <= 0 {
 		return nil
 	}
@@ -354,11 +331,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return badRequest("%v", err)
 	}
-	reg, err := s.registry()
-	if err != nil {
-		return err
-	}
-	o, ok, err := reg.Lookup(fp)
+	o, ok, err := s.reg.Lookup(fp)
 	if !ok {
 		return &apiError{status: http.StatusNotFound,
 			err: fmt.Errorf("unknown graph %s: load or generate it first", req.Graph)}
@@ -433,11 +406,7 @@ func (s *Server) handleReweight(w http.ResponseWriter, r *http.Request) error {
 		}
 		edits[i] = apsp.EdgeEdit{U: u, V: v, W: e[2]}
 	}
-	reg, err := s.registry()
-	if err != nil {
-		return err
-	}
-	newFp, o, st, err := reg.Reweight(fp, edits)
+	newFp, o, st, err := s.reg.Reweight(fp, edits)
 	if errors.Is(err, oracle.ErrUnknownGraph) {
 		return &apiError{status: http.StatusNotFound,
 			err: fmt.Errorf("unknown graph %s: load or generate it first", req.Graph)}
@@ -534,11 +503,7 @@ type RegistrySnapshot struct {
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) error {
-	reg, err := s.registry()
-	if err != nil {
-		return err
-	}
-	st := reg.Stats()
+	st := s.reg.Stats()
 	resp := StatszResponse{
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Registry: RegistrySnapshot{
@@ -585,16 +550,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 	return writeJSON(w, map[string]string{"status": "ok"})
 }
 
-// handleReadyz is the readiness probe: 503 before the registry is
-// installed and from BeginDrain onward, 200 in between. The fleet
-// router probes this endpoint, so a draining backend stops receiving
-// new queries while it finishes in-flight work.
+// handleReadyz is the readiness probe: 200 until BeginDrain, 503 from
+// then on. The fleet router probes this endpoint, so a draining backend
+// stops receiving new queries while it finishes in-flight work.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) error {
-	switch {
-	case s.draining.Load():
+	if s.draining.Load() {
 		return &apiError{status: http.StatusServiceUnavailable, err: errors.New("draining")}
-	case !s.ready.Load():
-		return &apiError{status: http.StatusServiceUnavailable, err: errors.New("not ready")}
 	}
 	return writeJSON(w, map[string]string{"status": "ready"})
 }

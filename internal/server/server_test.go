@@ -495,9 +495,6 @@ func TestServerReadyzDrain(t *testing.T) {
 		t.Fatalf("/readyz before drain: status %d, want 200", got)
 	}
 	s.BeginDrain()
-	if !s.Draining() {
-		t.Fatal("Draining() = false after BeginDrain")
-	}
 	if got := status("/readyz"); got != http.StatusServiceUnavailable {
 		t.Errorf("/readyz during drain: status %d, want 503", got)
 	}
@@ -512,28 +509,30 @@ func TestServerReadyzDrain(t *testing.T) {
 	}
 }
 
-// TestServerNotReadyWithoutRegistry: a server constructed before its
-// registry exists reports not-ready until SetReady flips it.
+// TestServerNotReadyWithoutRegistry: readiness has no registry-install
+// step. New takes its registry up front, so /readyz answers exactly
+// "not draining": 200 from New on with nothing else to flip, and 503
+// from the first BeginDrain on, which a second BeginDrain leaves as is.
 func TestServerNotReadyWithoutRegistry(t *testing.T) {
-	s := New(nil)
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
+	ts, s := newTestServer(t, 0)
+	readyz := func() int {
+		resp, err := http.Get(ts.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz with nil registry: status %d, want 503", resp.StatusCode)
+	if got := readyz(); got != http.StatusOK {
+		t.Fatalf("/readyz straight after New: status %d, want 200", got)
 	}
-	s.SetReady(true)
-	resp, err = http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
+	s.BeginDrain()
+	if got := readyz(); got != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz after BeginDrain: status %d, want 503", got)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/readyz after SetReady: status %d, want 200", resp.StatusCode)
+	s.BeginDrain()
+	if got := readyz(); got != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz after a second BeginDrain: status %d, want 503", got)
 	}
 }
 
