@@ -398,12 +398,12 @@ func GraphFingerprint(g *Graph) oracle.Fingerprint { return oracle.FingerprintOf
 
 // EdgeEdit names one existing edge and its new weight, for the
 // incremental reweighting path (OracleRegistry.Reweight and
-// apsp.Repair). Edits may only change weights, never the structure.
+// apsp.RepairRows). Edits may only change weights, never the structure.
 type EdgeEdit = apsp.EdgeEdit
 
 // RepairStats describes what one incremental repair did: edit mix,
-// dirtied block counts, damage fraction, and whether the repair fell
-// back to a warm re-solve.
+// reset pairs and rows, damage fraction, and whether the repair gave up
+// (FellBack) so that the registry solved the edited graph instead.
 type RepairStats = apsp.RepairStats
 
 // oracleSolver adapts Solve + successor extraction to the oracle
@@ -414,26 +414,11 @@ func oracleSolver(opts Options) oracle.SolveFunc {
 	}
 }
 
-// repairP picks the sparse machine size the repair engine stages its
-// block matrix on: the configured P when it is a valid sparse size (so
-// repairs share the plan cache with the solves), else the 49-rank
-// default layout.
-func repairP(opts Options) int {
-	if _, err := apsp.HeightForP(opts.P); err == nil && opts.P > 1 {
-		return opts.P
-	}
-	return 49
-}
-
-// oracleRepairer adapts apsp.RepairRowsWithOptions to the oracle package's
-// repair interface, sharing opts.Plans so a reweight of a structure the
-// registry has already solved performs no symbolic work.
-func oracleRepairer(opts Options) oracle.RepairFunc {
-	p := repairP(opts)
-	sopts := apsp.SparseOptions{Seed: opts.Seed, Wire: opts.Wire, Plans: opts.Plans}
-	return func(g *Graph, prevDist apsp.RowFunc, prevNext *apsp.Successors, edits []EdgeEdit) (*PathResult, *Graph, RepairStats, error) {
-		return apsp.RepairRowsWithOptions(g, prevDist, prevNext, edits, p, sopts, 0)
-	}
+// repairRows is apsp.RepairRows at its default damage threshold. It
+// needs no solver configuration: a repair that gives up is answered by
+// the registry's own solve of the edited graph.
+func repairRows(g *Graph, prevDist apsp.RowFunc, prevNext *apsp.Successors, edits []EdgeEdit) (*PathResult, *Graph, RepairStats, error) {
+	return apsp.RepairRows(g, prevDist, prevNext, edits, apsp.DefaultDamageThreshold)
 }
 
 // NewOracle solves g once with the configuration in opts and returns a
@@ -454,7 +439,7 @@ func NewOracleRegistry(opts Options, budgetBytes int64) *OracleRegistry {
 	}
 	return oracle.NewRegistry(oracle.Config{
 		Solve:        oracleSolver(opts),
-		Repair:       oracleRepairer(opts),
+		Repair:       repairRows,
 		MemoryBudget: budgetBytes,
 		Plans:        opts.Plans,
 	})

@@ -314,3 +314,65 @@ func TestServedWirePinned(t *testing.T) {
 		}
 	}
 }
+
+// TestReweightBuildsNoPlan: a repair executes no solve, so it needs no
+// plan. A default registry — sequential SuperFW, the plan cache unused by
+// its solves — reweights a grid without building one, and serves what a
+// fresh Get of the edited graph serves: the same distances bit for bit,
+// and shortest paths.
+func TestReweightBuildsNoPlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := Grid2D(16, 16, func(u, v int) float64 { return float64(1 + rng.Intn(9)) })
+	reg := NewOracleRegistry(Options{Seed: 42}, 0)
+	if _, err := reg.Get(g); err != nil {
+		t.Fatal(err)
+	}
+	e := g.Edges()
+	edits := []EdgeEdit{{U: e[10].U, V: e[10].V, W: e[10].W + 3}, {U: e[200].U, V: e[200].V, W: 1}}
+	_, o, st, err := reg.Reweight(GraphFingerprint(g), edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FellBack {
+		t.Fatalf("two edits fell back: %+v", st)
+	}
+	if s := reg.Stats(); s.PlanBuilds != 0 || s.PlanHits != 0 || s.Reweights != 1 {
+		t.Errorf("after one reweight: %d plan builds, %d plan hits, %d reweights; want 0, 0, 1", s.PlanBuilds, s.PlanHits, s.Reweights)
+	}
+	g2 := o.Graph()
+	fresh, err := NewOracleRegistry(Options{Seed: 42}, 0).Get(g2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < g2.N(); u++ {
+		for v := 0; v < g2.N(); v++ {
+			d, _ := o.Dist(u, v)
+			want, _ := fresh.Dist(u, v)
+			if math.Float64bits(d) != math.Float64bits(want) {
+				t.Fatalf("Dist(%d,%d) = %v, a fresh Get serves %v", u, v, d, want)
+			}
+			p, _ := o.Path(u, v)
+			if len(p) == 0 || p[0] != u || p[len(p)-1] != v || PathWeight(g2, p) != want {
+				t.Fatalf("Path(%d,%d) = %v is no shortest path of weight %v", u, v, p, want)
+			}
+		}
+	}
+}
+
+// TestSolveRejectsNonPositiveP: every distributed solver answers a
+// machine size below one with an error, never a panic (2D-DC divided by
+// zero, 2D Floyd–Warshall took the square root of a negative number),
+// and the sparse solver's error is the one that lists the valid sizes.
+func TestSolveRejectsNonPositiveP(t *testing.T) {
+	g := Grid2D(4, 4, UnitWeights)
+	for _, alg := range []Algorithm{Sparse2D, DenseDC, Dense2DFW, Dense1DFW} {
+		for _, p := range []int{0, -4} {
+			_, err := Solve(g, Options{Algorithm: alg, P: p})
+			if err == nil {
+				t.Errorf("%s at P=%d: no error", alg, p)
+			} else if alg == Sparse2D && !strings.Contains(err.Error(), "not a valid sparse machine size") {
+				t.Errorf("%s at P=%d: %v, want the valid sizes", alg, p, err)
+			}
+		}
+	}
+}

@@ -76,7 +76,6 @@ func main() {
 		// router-mode flags
 		backends  = flag.String("backends", "", "router: comma-separated backend base URLs (http://host:port)")
 		replicas  = flag.Int("replicas", 2, "router: replication factor R (capped at the backend count)")
-		vnodes    = flag.Int("vnodes", fleet.DefaultVNodes, "router: virtual nodes per backend on the hash ring")
 		cachePair = flag.Int("cache-pairs", fleet.DefaultCachePairs, "router: hot-pair cache capacity in (graph, src, dst) entries; negative disables")
 		maxInFl   = flag.Int("max-inflight", 256, "router: admitted in-flight requests per backend before 429")
 		probeIv   = flag.Duration("probe-interval", 500*time.Millisecond, "router: backend /readyz probe period")
@@ -94,6 +93,15 @@ func main() {
 			Algorithm: sparseapsp.Algorithm(*alg),
 			P:         *p,
 			Seed:      *seed,
+		}
+		// One solve of a one-edge graph checks the configuration before
+		// the port is bound: an unknown algorithm or a machine size its
+		// solver refuses exits 2, like a bad flag, instead of serving a
+		// 400 to every /load. It runs before the plan cache exists, so
+		// nothing is counted or written to -plan-dir.
+		if _, err := sparseapsp.Solve(sparseapsp.Path(2, sparseapsp.UnitWeights), opts); err != nil {
+			fmt.Fprintln(os.Stderr, "apspd:", err)
+			os.Exit(2)
 		}
 		if *planDir != "" {
 			plans, err := sparseapsp.NewPlanCacheAt(*planDir)
@@ -128,7 +136,6 @@ func main() {
 		rt, err := fleet.NewRouter(fleet.Config{
 			Backends:      urls,
 			Replicas:      *replicas,
-			VNodes:        *vnodes,
 			CachePairs:    *cachePair,
 			MaxInFlight:   *maxInFl,
 			ProbeInterval: *probeIv,

@@ -37,6 +37,9 @@ import (
 // default used by the experiments, and BenchmarkLayoutAblation sweeps
 // it.
 func DCAPSP(g *graph.Graph, p int, cyclicFactor int) (*DistResult, error) {
+	if p < 1 {
+		return nil, fmt.Errorf("apsp: p=%d < 1", p)
+	}
 	grid, err := comm.NewSquareGrid(p)
 	if err != nil {
 		return nil, err

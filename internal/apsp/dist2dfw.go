@@ -19,6 +19,9 @@ import (
 // It accepts any perfect-square p and serves as the second dense
 // baseline next to DCAPSP.
 func Dist2DFW(g *graph.Graph, p int) (*DistResult, error) {
+	if p < 1 {
+		return nil, fmt.Errorf("apsp: p=%d < 1", p)
+	}
 	grid, err := comm.NewSquareGrid(p)
 	if err != nil {
 		return nil, err

@@ -290,7 +290,7 @@ func floydWarshallNext(g *graph.Graph, d *semiring.Matrix) []int32 {
 //
 // The distances towards v are read from ROW v of d: g is undirected,
 // so d(u,v) = d(v,u), and the row is contiguous where the column is
-// not (the same reading Plan.Repair makes). Targets are independent —
+// not (the same reading RepairRows makes). Targets are independent —
 // target v reads row v of d and writes row v of the table — so they
 // are extracted in parallel, and the table does not depend on how many
 // workers ran.

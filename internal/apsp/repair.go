@@ -10,11 +10,11 @@ import (
 )
 
 // Incremental reweighting: repair a solved distance matrix after a
-// small set of edge-weight edits instead of replaying the whole
-// numeric phase. The symbolic machinery is weights-independent, so a
-// weight edit never changes the Plan — only the numeric state ages.
-// This is the update-oriented APSP of Urakov & Timeryaev
-// (arXiv:1308.1568):
+// small set of edge-weight edits instead of solving again. The repair
+// reads only the previous distances, their successor table and the
+// graph — no Plan: the symbolic machinery is needed to execute a solve,
+// and the repair executes none. This is the update-oriented APSP of
+// Urakov & Timeryaev (arXiv:1308.1568):
 //
 //   - weight decreases only ever LOWER distances, and with non-negative
 //     weights a shortest path crosses a decreased edge {u,v} at most
@@ -35,8 +35,8 @@ import (
 //   - past a damage-fraction threshold — or once the relaxation probes
 //     exceed a fixed multiple of n², meaning the edits rippled through
 //     a large share of all pairs — the repair abandons itself and
-//     falls back to a warm Plan.ExecuteOpts, which is never slower than a
-//     full re-solve would have been anyway.
+//     reports FellBack: the caller solves the edited graph instead,
+//     which is never slower than finishing the propagation.
 //
 // (Two coarser designs were measured first and lost: a worklist over
 // the Plan's supernodal blocks loses to a warm re-solve even for
@@ -48,35 +48,25 @@ import (
 // milliseconds of recompute for edits that changed almost nothing.)
 
 // EdgeEdit changes the weight of one EXISTING edge {U, V} to W. Edits
-// may only reweight edges, never add or remove them — the repair
-// engine reuses the plan's weights-independent symbolic structure,
-// which an edge insertion or deletion would invalidate.
+// may only reweight edges, never add or remove them — the repaired
+// successor table shares the previous one's adjacency, and a re-solve
+// reuses the structure's cached plan; an edge insertion or deletion
+// would invalidate both.
 type EdgeEdit struct {
 	U, V int
 	W    float64
 }
 
-// DefaultDamageThreshold is the seeded-pair fraction past which Repair
-// falls back to a warm Plan.ExecuteOpts.
+// DefaultDamageThreshold is the seeded-pair fraction past which
+// RepairRows gives up and reports FellBack.
 const DefaultDamageThreshold = 0.25
 
-// repairProbeBudget bounds the relaxation probes at budget·n². An edit
+// probeBudget bounds the relaxation probes at budget·n². An edit
 // whose ripple exceeds that has invalidated a large share of all pairs
 // and a warm re-solve is cheaper than finishing the propagation.
-const repairProbeBudget = 32
+const probeBudget = 32
 
-// RepairOptions configures Plan.Repair.
-type RepairOptions struct {
-	// DamageThreshold is the fraction of the n² pairs that may be
-	// seeded (changed by an edit or reset by the increase phase) before
-	// Repair gives up on propagation and falls back to a warm
-	// Plan.ExecuteOpts. 0 means DefaultDamageThreshold; values >= 1 never
-	// fall back at all (the probe budget is disabled too — useful for
-	// tests that need the propagation path unconditionally).
-	DamageThreshold float64
-}
-
-// RepairStats describes what one Repair call did.
+// RepairStats describes what one repair did.
 type RepairStats struct {
 	Edits     int // edits that survived validation and dedup
 	Decreases int // edits that lowered a weight
@@ -88,7 +78,7 @@ type RepairStats struct {
 	TotalPairs     int     // n² (the damage denominator)
 	DamageFraction float64 // ResetPairs / TotalPairs
 
-	FellBack        bool  // true when a threshold forced a warm Execute
+	FellBack        bool  // true when a threshold gave up: no result, solve the edited graph
 	Relaxations     int64 // probes run (sweeps + reset scans + Dijkstra edges)
 	Writes          int64 // entries the repair actually improved
 	RepairedColumns int   // successor-table targets (rows) rebuilt
@@ -137,7 +127,7 @@ func normalizeEdits(g *graph.Graph, edits []EdgeEdit) ([]edgeDelta, error) {
 }
 
 // ApplyEdits returns a copy of g with the edits applied. It validates
-// exactly as Repair does: every edit must name an existing edge and a
+// exactly as RepairRows does: every edit must name an existing edge and a
 // finite non-negative weight. The registry uses it to compute the
 // edited graph's fingerprint before the repair runs.
 func ApplyEdits(g *graph.Graph, edits []EdgeEdit) (*graph.Graph, error) {
@@ -155,40 +145,35 @@ func ApplyEdits(g *graph.Graph, edits []EdgeEdit) (*graph.Graph, error) {
 	return out, nil
 }
 
-// Repair produces the PathResult for g with edits applied, starting
-// from prev (the solved result for g) instead of re-running the
-// numeric phase. prev is never mutated — in-flight queries on the old
-// oracle stay valid while the registry swaps fingerprints. The
-// returned graph is the edited copy the result is valid for.
+// RepairRows produces the PathResult for g with edits applied, starting
+// from the solved result for g instead of solving again. prevDist
+// yields its distances a row at a time, and is asked for each row twice
+// — once written straight into the working matrix the repair goes on to
+// mutate (so a caller that stores the distances narrower pays one n²
+// float64 buffer, not two), once into scratch for the final diff.
+// prevNext is the successor table extracted from those distances.
+// Neither is mutated — in-flight queries on the old result stay valid
+// while the caller swaps it out. The returned graph is the edited copy
+// the result is valid for.
 //
 // The repaired distances are exactly the shortest-path distances of
 // the edited graph; with weights whose path sums are float64-exact
-// (integers, in particular) they are bit-identical to a warm
-// Plan.ExecuteOpts on the edited graph, and the fallback path IS a warm
-// Plan.ExecuteOpts. The plan must have been built for g's structure (same
-// StructureFingerprint modulo weights).
-func (pl *Plan) Repair(g *graph.Graph, prev *PathResult, edits []EdgeEdit, opts RepairOptions) (*PathResult, *graph.Graph, RepairStats, error) {
-	if prev == nil {
-		return nil, nil, RepairStats{}, fmt.Errorf("apsp: Repair: nil graph or result")
-	}
-	return pl.RepairRows(g, matrixRows(prev.Dist), prev.next, edits, opts)
-}
-
-// RepairRows is Repair for a previous result whose distances are not
-// held as a float64 matrix: prevDist yields them a row at a time, and
-// is asked for each row twice — once written straight into the working
-// matrix the repair goes on to mutate (so a caller that stores the
-// distances narrower pays one n² float64 buffer, not two), once into
-// scratch for the final diff. prevNext is the table extracted from
-// those distances. Neither is mutated.
-func (pl *Plan) RepairRows(g *graph.Graph, prevDist RowFunc, prevNext *Successors, edits []EdgeEdit, opts RepairOptions) (*PathResult, *graph.Graph, RepairStats, error) {
+// (integers, in particular) they are bit-identical to a fresh solve.
+//
+// threshold is the fraction of the n² pairs that may be seeded (changed
+// by an edit or reset by the increase phase) before the repair gives up;
+// 0 means DefaultDamageThreshold, and values >= 1 never give up (the
+// probe budget is disabled too — for tests that need the propagation
+// path unconditionally). Giving up returns no result, the edited graph
+// and stats with FellBack set: the caller solves the edited graph.
+func RepairRows(g *graph.Graph, prevDist RowFunc, prevNext *Successors, edits []EdgeEdit, threshold float64) (*PathResult, *graph.Graph, RepairStats, error) {
 	var st RepairStats
 	if g == nil || prevDist == nil || prevNext == nil {
 		return nil, nil, st, fmt.Errorf("apsp: Repair: nil graph or result")
 	}
 	n := g.N()
-	if prevNext.n != n || len(pl.ND.Perm) != n {
-		return nil, nil, st, fmt.Errorf("apsp: Repair: result covers %d vertices, graph has %d (plan: %d)", prevNext.n, n, len(pl.ND.Perm))
+	if prevNext.n != n {
+		return nil, nil, st, fmt.Errorf("apsp: Repair: result covers %d vertices, graph has %d", prevNext.n, n)
 	}
 	if len(prevNext.adj.to) != 2*g.M() {
 		return nil, nil, st, fmt.Errorf("apsp: Repair: successor table was built for %d edges, graph has %d", len(prevNext.adj.to)/2, g.M())
@@ -207,7 +192,10 @@ func (pl *Plan) RepairRows(g *graph.Graph, prevDist RowFunc, prevNext *Successor
 			st.Increases++
 		}
 	}
-	threshold := opts.DamageThreshold
+	fellBack := func() (*PathResult, *graph.Graph, RepairStats, error) {
+		st.FellBack = true
+		return nil, g2, st, nil
+	}
 	if threshold == 0 {
 		threshold = DefaultDamageThreshold
 	}
@@ -215,7 +203,7 @@ func (pl *Plan) RepairRows(g *graph.Graph, prevDist RowFunc, prevNext *Successor
 	if st.TotalPairs == 0 {
 		st.TotalPairs = 1 // empty graphs: avoid 0/0 below
 	}
-	budget := int64(repairProbeBudget) * int64(st.TotalPairs)
+	budget := int64(probeBudget) * int64(st.TotalPairs)
 	if threshold >= 1 {
 		budget = math.MaxInt64
 	}
@@ -225,7 +213,7 @@ func (pl *Plan) RepairRows(g *graph.Graph, prevDist RowFunc, prevNext *Successor
 	// re-solve instead.
 	if m := g.M(); m > 0 && float64(len(deltas))/float64(m) > threshold {
 		st.DamageFraction = 1
-		return pl.repairFallback(g2, &st)
+		return fellBack()
 	}
 	if len(deltas) == 0 {
 		// Nothing changed: the old result already serves the edited
@@ -268,7 +256,7 @@ func (pl *Plan) RepairRows(g *graph.Graph, prevDist RowFunc, prevNext *Successor
 		}
 		st.Relaxations += int64(n) + int64(len(affected))*int64(n)
 		if st.Relaxations > budget {
-			return pl.repairFallback(g2, &st)
+			return fellBack()
 		}
 		for _, x := range affected {
 			rowX := d[x*n : (x+1)*n]
@@ -294,7 +282,7 @@ func (pl *Plan) RepairRows(g *graph.Graph, prevDist RowFunc, prevNext *Successor
 	if st.Increases > 0 {
 		if err := repairIncreases(g2, deltas, d, threshold, budget, &st); err != nil {
 			if err == errRepairDamage {
-				return pl.repairFallback(g2, &st)
+				return fellBack()
 			}
 			return nil, nil, st, err
 		}
@@ -358,8 +346,8 @@ func copyRows(row RowFunc, n int) []float64 {
 }
 
 // errRepairDamage signals that the increase phase detected more damage
-// (or projected more work) than its thresholds allow; the caller
-// answers with repairFallback.
+// (or projected more work) than its thresholds allow; RepairRows then
+// reports FellBack.
 var errRepairDamage = errors.New("apsp: repair damage threshold exceeded")
 
 // repairIncreases repairs d (exact for the graph carrying every
@@ -394,7 +382,7 @@ var errRepairDamage = errors.New("apsp: repair damage threshold exceeded")
 // Rows are repaired independently (each reads only its own settled
 // entries and edge weights), so the order is irrelevant. The boundary
 // Dijkstra requires non-negative weights; graphs carrying a negative
-// edge take the warm fallback instead (errRepairDamage), which
+// edge fall back instead (errRepairDamage), and the caller's solve
 // handles them exactly.
 func repairIncreases(g2 *graph.Graph, deltas []edgeDelta, d []float64, threshold float64, budget int64, st *RepairStats) error {
 	n := g2.N()
@@ -590,42 +578,29 @@ func (h *pairHeap) pop() (float64, int) {
 	return top, int(tv)
 }
 
-// repairFallback is the over-threshold path: a warm Plan.ExecuteOpts on
-// the edited graph plus full successor extraction — exactly what a
-// cache-warm re-solve through the registry would have done.
-func (pl *Plan) repairFallback(g2 *graph.Graph, st *RepairStats) (*PathResult, *graph.Graph, RepairStats, error) {
-	st.FellBack = true
-	res, err := pl.ExecuteOpts(pl.LayoutFor(g2), ExecOpts{})
-	if err != nil {
-		return nil, nil, *st, err
-	}
-	pr, err := SuccessorsFromDist(g2, res.Dist)
-	if err != nil {
-		return nil, nil, *st, err
-	}
-	pr.Report = res.Report
-	st.RepairedColumns = g2.N()
-	return pr, g2, *st, nil
-}
-
-// RepairWithOptions is the serving-layer entry point: fetch (or build
-// and cache) the symbolic plan for g exactly as SparseAPSPWith would,
-// then Repair prev against it. p must be a valid sparse machine size;
-// the plan cache in sopts.Plans makes repeated reweights of one
-// structure pay the symbolic cost once — usually zero times, since the
-// original solve already populated the cache.
+// RepairWithOptions repairs prev, the solved float64 result for g, and
+// when the repair falls back solves the edited graph warm instead:
+// SparseAPSPWith on p ranks, whose plan cache in sopts.Plans already
+// holds the structure, plus full successor extraction. The serving
+// layer does not use it — the oracle registry answers a fallback with
+// its own solve — but the tests and the bench harness hold results as
+// float64 matrices.
 func RepairWithOptions(g *graph.Graph, prev *PathResult, edits []EdgeEdit, p int, sopts SparseOptions, threshold float64) (*PathResult, *graph.Graph, RepairStats, error) {
 	if prev == nil {
 		return nil, nil, RepairStats{}, fmt.Errorf("apsp: Repair: nil graph or result")
 	}
-	return RepairRowsWithOptions(g, matrixRows(prev.Dist), prev.next, edits, p, sopts, threshold)
-}
-
-// RepairRowsWithOptions is RepairWithOptions over Plan.RepairRows.
-func RepairRowsWithOptions(g *graph.Graph, prevDist RowFunc, prevNext *Successors, edits []EdgeEdit, p int, sopts SparseOptions, threshold float64) (*PathResult, *graph.Graph, RepairStats, error) {
-	pl, err := planFor(g, p, sopts)
-	if err != nil {
-		return nil, nil, RepairStats{}, err
+	res, g2, st, err := RepairRows(g, matrixRows(prev.Dist), prev.next, edits, threshold)
+	if err != nil || !st.FellBack {
+		return res, g2, st, err
 	}
-	return pl.RepairRows(g, prevDist, prevNext, edits, RepairOptions{DamageThreshold: threshold})
+	solved, err := SparseAPSPWith(g2, p, sopts)
+	if err != nil {
+		return nil, nil, st, err
+	}
+	if res, err = SuccessorsFromDist(g2, solved.Dist); err != nil {
+		return nil, nil, st, err
+	}
+	res.Report = solved.Report
+	st.RepairedColumns = g2.N()
+	return res, g2, st, nil
 }

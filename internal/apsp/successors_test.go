@@ -235,7 +235,7 @@ func TestTightSum(t *testing.T) {
 }
 
 // TestSolveDistSymmetric states the precondition target-major
-// extraction and Plan.Repair share: they read d(x,v) as row v entry x.
+// extraction and RepairRows share: they read d(x,v) as row v entry x.
 // Every matrix-based solver returns a bit-symmetric matrix on an
 // undirected graph even when path sums round, because a ⊕ b⊗c and its
 // mirror image add the same two floats. Johnson is the exception — its

@@ -37,7 +37,7 @@ func HeightForGrid(s int) (int, error) {
 	for (1<<(h+1))-1 <= s {
 		h++
 	}
-	if (1<<h)-1 != s {
+	if h == 0 || (1<<h)-1 != s {
 		return 0, fmt.Errorf("etree: grid side %d is not 2^h-1 (valid: 1, 3, 7, 15, 31, ...)", s)
 	}
 	return h, nil

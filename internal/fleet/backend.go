@@ -10,6 +10,15 @@ import (
 	"time"
 )
 
+// Each proxied attempt is bounded by attemptTimeout (loads solve graphs,
+// which dwarfs query latency). Transport errors and 502/503/504 get
+// retries extra attempts, the k-th one backoff·k after the one before.
+const (
+	attemptTimeout = 120 * time.Second
+	retries        = 2
+	backoff        = 50 * time.Millisecond
+)
+
 // Backend is the router's client for one apspd shard: a bounded
 // admission slot pool, a retrying HTTP client, and the health state
 // the prober maintains. All fields are atomics — the hot path
@@ -18,8 +27,6 @@ type Backend struct {
 	url         string
 	client      *http.Client
 	maxInFlight int64
-	retries     int
-	backoff     time.Duration
 
 	inFlight atomic.Int64
 	healthy  atomic.Bool
@@ -34,17 +41,15 @@ type Backend struct {
 	retriesUsed atomic.Int64 // extra attempts beyond the first
 }
 
-func newBackend(url string, maxInFlight int, timeout time.Duration, retries int, backoff time.Duration) *Backend {
+func newBackend(url string, maxInFlight int) *Backend {
 	b := &Backend{
 		url:         url,
-		client:      &http.Client{Timeout: timeout},
+		client:      &http.Client{Timeout: attemptTimeout},
 		maxInFlight: int64(maxInFlight),
-		retries:     retries,
-		backoff:     backoff,
 	}
 	// Start healthy: the router must be able to route before the first
 	// probe round completes; a dead backend is ejected within
-	// FailThreshold probes (or immediately on a transport error).
+	// ejectAfter probes (or immediately on a transport error).
 	b.healthy.Store(true)
 	return b
 }
@@ -104,7 +109,7 @@ func retryableStatus(status int) bool {
 	return false
 }
 
-// do performs one proxied request with up to b.retries extra attempts
+// do performs one proxied request with up to retries extra attempts
 // on transport errors and retryable statuses, backing off linearly
 // between attempts. It returns the final status and body, or an error
 // when every attempt failed at the transport layer. Callers own
@@ -112,11 +117,11 @@ func retryableStatus(status int) bool {
 func (b *Backend) do(ctx context.Context, method, path, contentType string, body []byte) (int, []byte, error) {
 	b.requests.Add(1)
 	var lastErr error
-	for attempt := 0; attempt <= b.retries; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			b.retriesUsed.Add(1)
 			select {
-			case <-time.After(time.Duration(attempt) * b.backoff):
+			case <-time.After(time.Duration(attempt) * backoff):
 			case <-ctx.Done():
 				b.errors.Add(1)
 				return 0, nil, ctx.Err()
@@ -141,14 +146,14 @@ func (b *Backend) do(ctx context.Context, method, path, contentType string, body
 			lastErr = err
 			continue
 		}
-		if retryableStatus(resp.StatusCode) && attempt < b.retries {
+		if retryableStatus(resp.StatusCode) && attempt < retries {
 			lastErr = fmt.Errorf("fleet: %s %s: backend status %d", method, path, resp.StatusCode)
 			continue
 		}
 		return resp.StatusCode, data, nil
 	}
 	b.errors.Add(1)
-	return 0, nil, fmt.Errorf("fleet: %s %s%s failed after %d attempts: %w", method, b.url, path, b.retries+1, lastErr)
+	return 0, nil, fmt.Errorf("fleet: %s %s%s failed after %d attempts: %w", method, b.url, path, retries+1, lastErr)
 }
 
 // probe performs one readiness check against /readyz. It returns true

@@ -43,9 +43,9 @@ type ringPoint struct {
 	backend int // index into backends
 }
 
-// DefaultVNodes is the default virtual-node count per backend: enough
-// to keep the max/mean load ratio small without making ring
-// construction or lookup noticeable.
+// DefaultVNodes is the virtual-node count per backend on the router's
+// ring: enough to keep the max/mean load ratio small without making
+// ring construction or lookup noticeable.
 const DefaultVNodes = 128
 
 // hash64 is the ring's hash: the first 8 bytes of sha256, so placement

@@ -26,9 +26,6 @@ type Config struct {
 	// R distinct backends and reads fan out to the least-loaded healthy
 	// replica. Capped at len(Backends); default 2.
 	Replicas int
-	// VNodes is the virtual-node count per backend on the hash ring;
-	// default DefaultVNodes.
-	VNodes int
 	// CachePairs bounds the hot-pair cache in (fingerprint, src, dst)
 	// entries; 0 means DefaultCachePairs, negative disables caching.
 	CachePairs int
@@ -38,22 +35,15 @@ type Config struct {
 	MaxInFlight int
 	// ProbeInterval is the /readyz health-probe period; default 500ms.
 	ProbeInterval time.Duration
-	// FailThreshold is the consecutive probe failures that eject a
-	// backend (a transport error on live traffic ejects immediately);
-	// one probe success re-admits. Default 3.
-	FailThreshold int
-	// Timeout bounds each proxied attempt; default 120s (loads solve
-	// graphs, which dwarfs query latency).
-	Timeout time.Duration
-	// Retries is the extra attempts per proxied request on transport
-	// errors and 502/503/504, with linear Backoff between attempts.
-	// Default 2 retries, 50ms backoff.
-	Retries int
-	Backoff time.Duration
 }
 
 // DefaultCachePairs is the default hot-pair cache capacity.
 const DefaultCachePairs = 1 << 16
+
+// ejectAfter is the consecutive probe failures that eject a backend (a
+// transport error on live traffic ejects at once); one probe success
+// re-admits it.
+const ejectAfter = 3
 
 func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
@@ -61,9 +51,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Replicas > len(c.Backends) {
 		c.Replicas = len(c.Backends)
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
 	}
 	if c.CachePairs == 0 {
 		c.CachePairs = DefaultCachePairs
@@ -73,20 +60,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
-	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 3
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 120 * time.Second
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 50 * time.Millisecond
 	}
 	return c
 }
@@ -132,7 +105,7 @@ type Router struct {
 // backend. Call Close to stop the probers.
 func NewRouter(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
-	ring, err := NewRing(cfg.Backends, cfg.VNodes)
+	ring, err := NewRing(cfg.Backends, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +121,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		stop:       make(chan struct{}),
 	}
 	for _, u := range ring.Backends() {
-		b := newBackend(u, cfg.MaxInFlight, cfg.Timeout, cfg.Retries, cfg.Backoff)
+		b := newBackend(u, cfg.MaxInFlight)
 		rt.byURL[u] = b
 		rt.all = append(rt.all, b)
 	}
@@ -177,7 +150,7 @@ func (rt *Router) Close() {
 // harness reads its stats.
 func (rt *Router) Cache() *PairCache { return rt.cache }
 
-// probeLoop maintains one backend's health state: FailThreshold
+// probeLoop maintains one backend's health state: ejectAfter
 // consecutive /readyz failures eject it, a single success re-admits.
 func (rt *Router) probeLoop(b *Backend) {
 	defer rt.wg.Done()
@@ -195,7 +168,7 @@ func (rt *Router) probeLoop(b *Backend) {
 		}
 		if b.probe(timeout) {
 			b.markHealthy()
-		} else if b.fails.Add(1) >= int64(rt.cfg.FailThreshold) {
+		} else if b.fails.Add(1) >= ejectAfter {
 			b.markUnhealthy()
 		}
 	}
@@ -326,7 +299,7 @@ func (rt *Router) forward(ctx context.Context, replicas []*Backend, method, path
 		b.release()
 		if err != nil {
 			// Transport-level failure after retries: eject now rather
-			// than waiting FailThreshold probe periods, and fail over
+			// than waiting ejectAfter probe periods, and fail over
 			// to the next replica.
 			b.markUnhealthy()
 			lastErr = err
@@ -601,9 +574,9 @@ type RouterStatsz struct {
 
 	// Aggregate sums the registry sections of every reachable backend;
 	// Unreachable lists the backends whose /statsz fetch failed.
-	Aggregate   server.RegistrySnapshot            `json:"aggregate"`
-	Registries  map[string]server.RegistrySnapshot `json:"registries"`
-	Unreachable []string                           `json:"unreachable,omitempty"`
+	Aggregate   oracle.Stats            `json:"aggregate"`
+	Registries  map[string]oracle.Stats `json:"registries"`
+	Unreachable []string                `json:"unreachable,omitempty"`
 
 	Backends []BackendStats `json:"backends"`
 
@@ -616,53 +589,6 @@ type RouterStatsz struct {
 type EndpointCounters struct {
 	Requests int64 `json:"requests"`
 	Errors   int64 `json:"errors"`
-}
-
-// addCounts sums the per-key entry counts of b into *a.
-func addCounts[K comparable](a *map[K]int, b map[K]int) {
-	for k, c := range b {
-		if *a == nil {
-			*a = make(map[K]int, len(b))
-		}
-		(*a)[k] += c
-	}
-}
-
-// addRegistry accumulates b into a (entries, counters and latencies
-// all sum; the budget sums too, as fleet capacity).
-func addRegistry(a *server.RegistrySnapshot, b server.RegistrySnapshot) {
-	a.Solves += b.Solves
-	a.SolvesInFlight += b.SolvesInFlight
-	a.Hits += b.Hits
-	a.Misses += b.Misses
-	a.Evictions += b.Evictions
-	a.Entries += b.Entries
-	a.Bytes += b.Bytes
-	a.BudgetBytes += b.BudgetBytes
-	addCounts(&a.StoreKinds, b.StoreKinds)
-	addCounts(&a.StoreLayouts, b.StoreLayouts)
-	addCounts(&a.SuccBits, b.SuccBits)
-	a.SolveMs += b.SolveMs
-	a.QueriesServed += b.QueriesServed
-	a.QueriesInFlight += b.QueriesInFlight
-	a.QueryMs += b.QueryMs
-	a.Reweights += b.Reweights
-	a.RepairFallbacks += b.RepairFallbacks
-	a.RepairMs += b.RepairMs
-	a.PlanBuilds += b.PlanBuilds
-	a.PlanHits += b.PlanHits
-	a.PlanEntries += b.PlanEntries
-	a.PlanBuildMs += b.PlanBuildMs
-	a.PlanDiskHits += b.PlanDiskHits
-	a.PlanDiskWrites += b.PlanDiskWrites
-	a.PlanDiskErrors += b.PlanDiskErrors
-	a.WordsMoved += b.WordsMoved
-	for phase, w := range b.WordsByPhase {
-		if a.WordsByPhase == nil {
-			a.WordsByPhase = make(map[string]int64, len(b.WordsByPhase))
-		}
-		a.WordsByPhase[phase] += w
-	}
 }
 
 func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) error {
@@ -702,9 +628,9 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) error {
 		Mode:          "router",
 		UptimeSeconds: time.Since(rt.started).Seconds(),
 		Replicas:      rt.cfg.Replicas,
-		VNodes:        rt.cfg.VNodes,
+		VNodes:        DefaultVNodes,
 		Graphs:        graphs,
-		Registries:    make(map[string]server.RegistrySnapshot, len(results)),
+		Registries:    make(map[string]oracle.Stats, len(results)),
 		Endpoints:     make(map[string]EndpointCounters, len(rt.endpoints)),
 	}
 	for _, f := range results {
@@ -713,7 +639,7 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) error {
 			continue
 		}
 		resp.Registries[f.url] = f.st.Registry
-		addRegistry(&resp.Aggregate, f.st.Registry)
+		resp.Aggregate.Add(f.st.Registry)
 	}
 	for _, b := range rt.all {
 		resp.Backends = append(resp.Backends, b.Stats())
@@ -752,6 +678,6 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) error {
 // String describes the fleet topology for logs.
 func (rt *Router) String() string {
 	return fmt.Sprintf("router over %d backends (R=%d, vnodes=%d, cache=%d pairs): %s",
-		len(rt.all), rt.cfg.Replicas, rt.cfg.VNodes, rt.cfg.CachePairs,
+		len(rt.all), rt.cfg.Replicas, DefaultVNodes, rt.cfg.CachePairs,
 		strings.Join(rt.ring.Backends(), ", "))
 }

@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -280,8 +282,7 @@ func TestRouterReweightInvalidatesCache(t *testing.T) {
 // to the surviving replica, the dead backend is ejected, and the
 // router stays ready.
 func TestRouterBackendFailover(t *testing.T) {
-	front, rt, backends := newFleet(t, 2, Config{Replicas: 2, ProbeInterval: time.Hour,
-		Retries: -1 /* no retries: fail over immediately */})
+	front, rt, backends := newFleet(t, 2, Config{Replicas: 2, ProbeInterval: time.Hour})
 
 	info := generate(t, front.URL, "grid", 16, 1)
 	pairs := allPairs(info.N)
@@ -330,7 +331,7 @@ func TestRouterBackendFailover(t *testing.T) {
 // When every backend is gone the router reports not-ready and queries
 // fail with 502, not hangs.
 func TestRouterAllBackendsDown(t *testing.T) {
-	front, _, backends := newFleet(t, 1, Config{ProbeInterval: time.Hour, Retries: -1})
+	front, _, backends := newFleet(t, 1, Config{ProbeInterval: time.Hour})
 	info := generate(t, front.URL, "path", 8, 1)
 	backends[0].Close()
 
@@ -365,7 +366,7 @@ func TestRouterAdmission429(t *testing.T) {
 	defer slow.Close()
 
 	rt, err := NewRouter(Config{Backends: []string{slow.URL}, MaxInFlight: 1,
-		ProbeInterval: time.Hour, Retries: -1})
+		ProbeInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,5 +533,78 @@ func TestRouterRefusesOversizedBody(t *testing.T) {
 	}
 	if status := send("/load", body[:maxBody]); status != http.StatusOK {
 		t.Errorf("/load at the limit: status %d, want 200", status)
+	}
+}
+
+// TestRouterStatszGolden: over two sparse backends holding every graph,
+// the aggregate registry section of the router's /statsz — every key,
+// their order and every value but the durations — matches
+// testdata/router_statsz_aggregate.golden, captured while the section
+// had its own struct and summing code, and it equals the field-wise sum
+// of the per-backend sections it reports beside it.
+func TestRouterStatszGolden(t *testing.T) {
+	var urls []string
+	for i := 0; i < 2; i++ {
+		ts := httptest.NewServer(server.New(sparseapsp.NewOracleRegistry(sparseapsp.Options{Algorithm: sparseapsp.Sparse2D, P: 9}, 1<<20)))
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	rt, err := NewRouter(Config{Backends: urls, Replicas: 2, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	front := httptest.NewServer(rt)
+	t.Cleanup(front.Close)
+
+	a := generate(t, front.URL, "grid", 49, 1)
+	generate(t, front.URL, "grid", 49, 2)
+	cycle := server.LoadRequest{N: 20}
+	for i := 0; i < 20; i++ {
+		cycle.Edges = append(cycle.Edges, [3]float64{float64(i), float64((i + 1) % 20), float64(1 + i%9)})
+	}
+	_, data := post(t, front.URL, "/load", cycle)
+	var c server.GraphInfo
+	if err := json.Unmarshal(data, &c); err != nil {
+		t.Fatal(err)
+	}
+	post(t, front.URL, "/query", server.QueryRequest{Graph: a.Graph, Pairs: [][2]int{{0, 48}, {3, 7}}, Paths: true})
+	post(t, front.URL, "/query", server.QueryRequest{Graph: c.Graph, Pairs: [][2]int{{0, 10}}})
+	_, data = post(t, front.URL, "/reweight", server.ReweightRequest{Graph: c.Graph, Edits: [][3]float64{{0, 1, 9}, {1, 2, 9}, {2, 3, 9}, {3, 4, 9}, {4, 5, 9}, {5, 6, 9}}})
+	var rw server.ReweightResponse
+	if err := json.Unmarshal(data, &rw); err != nil || !rw.FellBack {
+		t.Fatalf("reweight = %s, want a fallback", data)
+	}
+	post(t, front.URL, "/query", server.QueryRequest{Graph: rw.Graph, Pairs: [][2]int{{0, 10}}})
+
+	status, body := get(t, front.URL, "/statsz")
+	if status != http.StatusOK {
+		t.Fatalf("statsz: %d %s", status, body)
+	}
+	var raw struct {
+		Aggregate json.RawMessage `json:"aggregate"`
+	}
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	got := append(regexp.MustCompile(`("[a-z_]+_ms":)[^,}]+`).ReplaceAll(raw.Aggregate, []byte("${1}0")), '\n')
+	want, err := os.ReadFile("testdata/router_statsz_aggregate.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("router /statsz aggregate differs from the golden:\ngot  %s\nwant %s", got, want)
+	}
+
+	var st RouterStatsz
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	var sum oracle.Stats
+	for _, u := range rt.ring.Backends() {
+		sum.Add(st.Registries[u])
+	}
+	if !reflect.DeepEqual(sum, st.Aggregate) {
+		t.Errorf("aggregate %+v is not the sum of the backends, %+v", st.Aggregate, sum)
 	}
 }

@@ -13,7 +13,8 @@ import (
 
 // SolveFunc runs a full APSP solve with path reconstruction. The root
 // package supplies one that routes through the public Solve options
-// (kernel, algorithm, machine size); tests inject instrumented ones.
+// (algorithm, machine size, seed, wire, plan cache); tests inject
+// instrumented ones.
 type SolveFunc func(g *graph.Graph) (*apsp.PathResult, error)
 
 // queryCounters tracks query traffic; the zero value is ready to use.

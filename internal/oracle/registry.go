@@ -10,16 +10,16 @@ import (
 	"sparseapsp/internal/apsp"
 	"sparseapsp/internal/comm"
 	"sparseapsp/internal/graph"
-	"sparseapsp/internal/semiring"
 )
 
 // RepairFunc incrementally repairs a solved result after edge-weight
 // edits, returning the repaired result, the edited graph it is valid
 // for, and what the repair did. The previous result arrives as the
 // oracle holds it — distances widened a row at a time on request, plus
-// the successor table — and neither may be mutated. The root package
-// supplies one that routes through apsp.RepairRowsWithOptions with the
-// registry's own plan cache.
+// the successor table — and neither may be mutated. A repair that gives
+// up returns no result, the edited graph and stats with FellBack set;
+// the registry then solves the edited graph with Config.Solve. The root
+// package supplies apsp.RepairRows at its default damage threshold.
 type RepairFunc func(g *graph.Graph, prevDist apsp.RowFunc, prevNext *apsp.Successors, edits []apsp.EdgeEdit) (*apsp.PathResult, *graph.Graph, apsp.RepairStats, error)
 
 // ErrUnknownGraph is returned by Reweight when the fingerprint names no
@@ -38,15 +38,13 @@ type Config struct {
 	// oracle larger than the whole budget is dropped at once rather than
 	// pinned: the Get that solved it is served, nothing is cached.
 	MemoryBudget int64
-	// Pool is the worker pool batch queries fan out over; nil means
-	// semiring.DefaultPool.
-	Pool *semiring.Pool
 	// Plans, when non-nil, is the sparse solver's symbolic plan cache.
 	// The registry itself never touches it — the Solve closure is
 	// expected to pass the same cache into SparseOptions.Plans — but
 	// registering it here surfaces its counters through Stats (and so
-	// through apspd /statsz). Weight-update workloads re-solving one
-	// topology show up as plan hits with zero new symbolic work.
+	// through apspd /statsz). Solves of one topology under new weights —
+	// a reweight that falls back among them — show up as plan hits with
+	// zero new symbolic work; a repair touches no plan.
 	Plans *apsp.PlanCache
 }
 
@@ -62,18 +60,18 @@ type Registry struct {
 	lru     *list.List // solved entries, front = most recently used
 	bytes   int64      // sum of MemoryBytes over them
 
-	solves          int64
-	hits            int64
-	misses          int64
-	evictions       int64
-	solveNanos      int64
-	reweights       int64
-	repairNanos     int64
-	repairFallbacks int64
-	// Simulated communication totals across every solve (and repair
-	// fallback) this registry ever ran, cumulative like the query
-	// counters: the serving-layer view of the words the wire format
-	// actually moved, per schedule phase.
+	solves      int64
+	hits        int64
+	misses      int64
+	evictions   int64
+	solveNanos  int64
+	reweights   int64
+	repairNanos int64
+	fallbacks   int64
+	// Simulated communication totals across every solve this registry
+	// ever ran, a reweight's fallback solve included, cumulative like the
+	// query counters: the serving-layer view of the words the wire
+	// format actually moved, per schedule phase.
 	wordsMoved   int64
 	wordsByClass [comm.NumSendClasses]int64
 	// activeSolves counts solves and repairs executing right now —
@@ -112,7 +110,8 @@ func NewRegistry(cfg Config) *Registry {
 // Get returns the oracle for g, solving it first if no oracle with g's
 // fingerprint is cached. If another goroutine is already solving the
 // same graph, Get waits for that solve instead of starting a second
-// one. A failed solve is not cached: the next Get retries.
+// one. A failed solve is not cached: the next Get retries. A solve that
+// panics fails the same way, with the panic as its error.
 func (r *Registry) Get(g *graph.Graph) (*Oracle, error) {
 	if g == nil {
 		return nil, fmt.Errorf("oracle: nil graph")
@@ -149,7 +148,7 @@ func (r *Registry) Get(g *graph.Graph) (*Oracle, error) {
 	r.mu.Unlock()
 
 	start := time.Now()
-	o, report, err := solveOracle(g, r.cfg.Solve, r.cfg.Pool)
+	o, report, err := r.solve(g)
 	elapsed := time.Since(start).Nanoseconds()
 
 	r.mu.Lock()
@@ -168,6 +167,42 @@ func (r *Registry) Get(g *graph.Graph) (*Oracle, error) {
 	r.mu.Unlock()
 	close(e.ready)
 	return o, err
+}
+
+// recoverInto turns a panic in a solve or repair into err. The caller
+// owns an entry whose ready channel only it closes, so a panic that
+// escaped would leave every waiter on that graph — and Quiesce — blocked
+// for good; as an error it drops the entry like any failed solve.
+func recoverInto(err *error) {
+	if p := recover(); p != nil {
+		*err = fmt.Errorf("oracle: solver panicked: %v", p)
+	}
+}
+
+// solve runs Config.Solve on g and wraps the result in an oracle.
+func (r *Registry) solve(g *graph.Graph) (o *Oracle, report comm.Report, err error) {
+	defer recoverInto(&err)
+	return solveOracle(g, r.cfg.Solve, nil)
+}
+
+// repair runs Config.Repair against old and wraps the result in an
+// oracle for the edited graph. A repair that gives up is answered with
+// Config.Solve on the edited graph — the solve a Get of that graph would
+// run, here inside the caller's entry — whose report is returned for the
+// words-moved totals.
+func (r *Registry) repair(old *Oracle, edits []apsp.EdgeEdit) (o *Oracle, report comm.Report, st apsp.RepairStats, err error) {
+	defer recoverInto(&err)
+	res, g2, st, err := r.cfg.Repair(old.graph, old.dist.row, old.succ, edits)
+	if err != nil {
+		return nil, report, st, err
+	}
+	if st.FellBack {
+		o, report, err = solveOracle(g2, r.cfg.Solve, nil)
+		return o, report, st, err
+	}
+	o = FromResult(res, nil)
+	o.graph = g2
+	return o, res.Report, st, nil
 }
 
 // Lookup returns the cached oracle for an already-registered
@@ -220,9 +255,11 @@ func (r *Registry) await(e *entry, book bool) (*Oracle, error) {
 // longer serves and newFp does, with no window in which stale distances
 // answer queries under the new fingerprint. The repair itself runs
 // outside the registry lock (queries on the old oracle proceed
-// throughout) and falls back to a warm re-solve internally when the
-// edit damage is too large; either way the result is exact for the
-// edited graph.
+// throughout). When the edit damage is too large the repair gives up
+// and Reweight solves the edited graph with Config.Solve instead,
+// counted as a reweight and a repair fallback, not as a solve; either
+// way the result is exact for the edited graph. A panicking repair or
+// solve is that call's error.
 //
 // Edits may only reweight existing edges (see apsp.EdgeEdit). If the
 // edits are a no-op (every weight unchanged), the old oracle is
@@ -286,12 +323,9 @@ func (r *Registry) Reweight(fp Fingerprint, edits []apsp.EdgeEdit) (Fingerprint,
 	// simply lands in a wider one. Both passes run before the lock is
 	// taken.
 	start := time.Now()
-	res, g2, st, err := r.cfg.Repair(g, old.dist.row, old.succ, edits)
+	o2, report, st, err := r.repair(old, edits)
 	elapsed := time.Since(start).Nanoseconds()
-	var o2 *Oracle
 	if err == nil {
-		o2 = FromResult(res, r.cfg.Pool)
-		o2.graph = g2
 		o2.queries = &r.queries
 	}
 
@@ -300,13 +334,13 @@ func (r *Registry) Reweight(fp Fingerprint, edits []apsp.EdgeEdit) (Fingerprint,
 	r.repairNanos += elapsed
 	r.endSolveLocked()
 	if st.FellBack {
-		r.repairFallbacks++
+		r.fallbacks++
 	}
 	if err != nil {
 		e2.err = err
 		delete(r.entries, newFp)
 	} else {
-		r.addWordsLocked(res.Report)
+		r.addWordsLocked(report)
 		r.setOracleLocked(e2, o2)
 		// The swap: the new entry is live, so the old fingerprint stops
 		// serving in the same critical section.
@@ -416,81 +450,129 @@ func (r *Registry) Len() int {
 	return len(r.entries)
 }
 
-// Stats is a snapshot of the registry's counters. Query counters are
-// cumulative across evictions: every oracle the registry ever created
-// feeds the same totals, including queries still in flight on an
-// already-evicted oracle.
+// Stats is a snapshot of the registry's counters, and the registry
+// section of apspd's /statsz as it goes on the wire: the router decodes
+// its backends' sections into Stats and sums them with Add. Query
+// counters are cumulative across evictions: every oracle the registry
+// ever created feeds the same totals, including queries still in flight
+// on an already-evicted oracle.
 type Stats struct {
-	Solves int64 // solves actually run (coalesced requests share one)
+	Solves int64 `json:"solves"` // solves actually run (coalesced requests share one)
 	// SolvesInFlight counts solves and repairs executing right now —
-	// the work Quiesce waits for during a drain, and a load signal the
-	// fleet router reads per backend.
-	SolvesInFlight int64
-	Hits           int64 // Get / Lookup / Reweight calls handed a cached or coalesced oracle
-	Misses         int64 // every other one: solved here, unknown, failed, or evicted meanwhile
-	Evictions      int64 // oracles dropped to fit the budget
+	// including ones whose originating caller has gone away but whose
+	// coalesced waiters are still pending. Quiesce waits for them during
+	// a drain, and the fleet router surfaces them as backend load.
+	SolvesInFlight int64 `json:"solves_in_flight"`
+	Hits           int64 `json:"hits"`      // Get / Lookup / Reweight calls handed a cached or coalesced oracle
+	Misses         int64 `json:"misses"`    // every other one: solved here, unknown, failed, or evicted meanwhile
+	Evictions      int64 `json:"evictions"` // oracles dropped to fit the budget
 
-	Entries     int   // cached entries, including in-flight solves
-	Bytes       int64 // retained bytes of cached oracles (distances + successors)
-	BudgetBytes int64 // configured budget (0 = unlimited)
+	Entries     int   `json:"entries"`      // cached entries, including in-flight solves
+	Bytes       int64 `json:"bytes"`        // retained bytes of cached oracles (distances + successors)
+	BudgetBytes int64 `json:"budget_bytes"` // configured budget (0 = unlimited)
 
 	// StoreKinds counts resident entries by the kind their distance
-	// store proved: "u1" … "u32", "f32", "f64". Integer weights serve
-	// from uN — N bits per stored entry, N = bits.Len(largest distance
-	// + 1) at scale 1: "u8" for a 32×32 grid under weights 1..9, "u11"
-	// for an 800-cycle — plus the successor table; an f64 entry —
+	// store proved lossless: "u1" … "u32", "f32", "f64". Integer weights
+	// serve from uN — N bits per stored entry, N = bits.Len(largest
+	// distance + 1) at scale 1: "u8" for a 32×32 grid under weights 1..9,
+	// "u11" for an 800-cycle — plus the successor table; an f64 entry —
 	// real-valued weights — costs 64 bits plus the table. Kinds with no
 	// entry are omitted.
-	StoreKinds map[string]int
+	StoreKinds map[string]int `json:"store_kinds,omitempty"`
 	// StoreLayouts counts the same entries by how many distances they
 	// keep: "tri" for the lower triangle of a matrix proved
 	// bit-symmetric (half the entries per pair), "square" for one that
 	// failed the proof and keeps all n². A backend whose solver returns
 	// asymmetric matrices pays 2× and shows up here.
-	StoreLayouts map[string]int
+	StoreLayouts map[string]int `json:"store_layouts,omitempty"`
 	// SuccBits counts them by the widest column of their successor table
 	// (Successors.Bits: what the highest-degree vertex's slots take — 2
 	// on a grid, 10 for a 576-star's hub). Columns are sized one by one,
 	// so this names the graph's shape, not its cost. Widths with no
 	// entry are omitted.
-	SuccBits map[int]int
+	SuccBits map[int]int `json:"succ_bits,omitempty"`
 
-	SolveNanos      int64 // total wall-clock spent solving
-	QueriesServed   int64 // point-queries answered across all oracles
-	QueriesInFlight int64 // query calls executing right now
-	QueryNanos      int64 // total wall-clock spent inside query calls
+	SolveMs         float64 `json:"solve_ms"`          // total wall-clock spent solving
+	QueriesServed   int64   `json:"queries_served"`    // point-queries answered across all oracles
+	QueriesInFlight int64   `json:"queries_in_flight"` // query calls executing right now
+	QueryMs         float64 `json:"query_ms"`          // total wall-clock spent inside query calls
 
 	// Reweight counters. RepairFallbacks counts reweights whose edit
-	// damage exceeded the repair threshold and ran a warm re-solve
-	// instead; RepairNanos is total wall-clock inside the repair
-	// function (both paths).
-	Reweights       int64
-	RepairFallbacks int64
-	RepairNanos     int64
+	// damage exceeded the repair threshold and were answered with a
+	// solve of the edited graph instead; RepairMs is total wall-clock
+	// inside Reweight's repair and fallback solves.
+	Reweights       int64   `json:"reweights"`
+	RepairFallbacks int64   `json:"repair_fallbacks"`
+	RepairMs        float64 `json:"repair_ms"`
 
 	// Plan-cache counters (all zero when no plan cache is configured).
 	// PlanHits counts solves that reused a cached symbolic plan and so
-	// performed zero ordering/eTree/fill-mask work; PlanBuildNanos is
-	// the total wall-clock the symbolic phase has cost.
-	PlanBuilds     int64
-	PlanHits       int64
-	PlanEntries    int
-	PlanBuildNanos int64
+	// performed zero ordering/eTree/fill-mask work — a reweight's
+	// fallback solve among them, a repair never; PlanBuildMs is the total
+	// wall-clock the symbolic phase has cost.
+	PlanBuilds  int64   `json:"plan_builds"`
+	PlanHits    int64   `json:"plan_hits"`
+	PlanEntries int     `json:"plan_entries"`
+	PlanBuildMs float64 `json:"plan_build_ms"`
 	// Plan-store counters (zero without a disk-backed plan cache). A
 	// disk hit is a plan served from the persistent store with zero
 	// symbolic work — the warm-restart path; it is NOT a build.
-	PlanDiskHits   int64
-	PlanDiskWrites int64
-	PlanDiskErrors int64
+	PlanDiskHits   int64 `json:"plan_disk_hits"`
+	PlanDiskWrites int64 `json:"plan_disk_writes"`
+	PlanDiskErrors int64 `json:"plan_disk_errors"`
 
-	// Simulated communication totals over every solve and repair
-	// fallback: WordsMoved is the all-rank words-sent sum, and
+	// Simulated communication totals over every solve, fallback solves
+	// included: WordsMoved is the all-rank words-sent sum, and
 	// WordsByPhase splits it by schedule phase (keys are the
 	// comm.SendClass names: "r2", "r3", "r4-panel", "r4-reduce",
 	// "r4-seq", "trans"; zero classes are omitted). Both stay zero for
 	// solvers that run no simulated machine.
-	WordsMoved   int64
-	WordsByPhase map[string]int64
+	WordsMoved   int64            `json:"words_moved"`
+	WordsByPhase map[string]int64 `json:"words_by_phase,omitempty"`
+}
+
+// Add folds b into s field by field: counters, sizes and durations sum,
+// the budget sums as fleet capacity, and the per-key censuses sum key by
+// key — so the sum of several registries' Stats is exact.
+func (s *Stats) Add(b Stats) {
+	s.Solves += b.Solves
+	s.SolvesInFlight += b.SolvesInFlight
+	s.Hits += b.Hits
+	s.Misses += b.Misses
+	s.Evictions += b.Evictions
+	s.Entries += b.Entries
+	s.Bytes += b.Bytes
+	s.BudgetBytes += b.BudgetBytes
+	addCounts(&s.StoreKinds, b.StoreKinds)
+	addCounts(&s.StoreLayouts, b.StoreLayouts)
+	addCounts(&s.SuccBits, b.SuccBits)
+	s.SolveMs += b.SolveMs
+	s.QueriesServed += b.QueriesServed
+	s.QueriesInFlight += b.QueriesInFlight
+	s.QueryMs += b.QueryMs
+	s.Reweights += b.Reweights
+	s.RepairFallbacks += b.RepairFallbacks
+	s.RepairMs += b.RepairMs
+	s.PlanBuilds += b.PlanBuilds
+	s.PlanHits += b.PlanHits
+	s.PlanEntries += b.PlanEntries
+	s.PlanBuildMs += b.PlanBuildMs
+	s.PlanDiskHits += b.PlanDiskHits
+	s.PlanDiskWrites += b.PlanDiskWrites
+	s.PlanDiskErrors += b.PlanDiskErrors
+	s.WordsMoved += b.WordsMoved
+	addCounts(&s.WordsByPhase, b.WordsByPhase)
+}
+
+// addCounts sums the per-key counts of b into *a, allocating *a on the
+// first key so an empty census stays nil (and off the wire).
+func addCounts[K comparable, V int | int64](a *map[K]V, b map[K]V) {
+	for k, c := range b {
+		if *a == nil {
+			*a = make(map[K]V, len(b))
+		}
+		(*a)[k] += c
+	}
 }
 
 // addWordsLocked folds one solve's cost report into the cumulative
@@ -501,6 +583,9 @@ func (r *Registry) addWordsLocked(rep comm.Report) {
 		r.wordsByClass[c] += w
 	}
 }
+
+// ms converts a nanosecond total to the milliseconds Stats reports.
+func ms(nanos int64) float64 { return float64(nanos) / 1e6 }
 
 // Stats returns the registry counters at this instant.
 func (r *Registry) Stats() Stats {
@@ -517,11 +602,11 @@ func (r *Registry) Stats() Stats {
 		Bytes:       r.bytes,
 		BudgetBytes: r.cfg.MemoryBudget,
 
-		SolveNanos: r.solveNanos,
+		SolveMs: ms(r.solveNanos),
 
 		Reweights:       r.reweights,
-		RepairFallbacks: r.repairFallbacks,
-		RepairNanos:     r.repairNanos,
+		RepairFallbacks: r.fallbacks,
+		RepairMs:        ms(r.repairNanos),
 
 		WordsMoved: r.wordsMoved,
 	}
@@ -547,13 +632,13 @@ func (r *Registry) Stats() Stats {
 	}
 	s.QueriesServed = r.queries.served.Load()
 	s.QueriesInFlight = r.queries.inFlight.Load()
-	s.QueryNanos = r.queries.queryNanos.Load()
+	s.QueryMs = ms(r.queries.queryNanos.Load())
 	if r.cfg.Plans != nil {
 		ps := r.cfg.Plans.Stats()
 		s.PlanBuilds = ps.Builds
 		s.PlanHits = ps.Hits
 		s.PlanEntries = ps.Entries
-		s.PlanBuildNanos = ps.BuildNanos
+		s.PlanBuildMs = ms(ps.BuildNanos)
 		s.PlanDiskHits = ps.DiskHits
 		s.PlanDiskWrites = ps.DiskWrites
 		s.PlanDiskErrors = ps.DiskErrors

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -368,5 +369,59 @@ func TestRegistryQuiesceWaitsForInFlightSolves(t *testing.T) {
 	}
 	if st := r.Stats(); st.SolvesInFlight != 0 || st.Solves != 1 {
 		t.Fatalf("stats after drain: %+v", st)
+	}
+}
+
+// TestStatsAddCoversEveryField sets every field of a Stats by reflection
+// — a counter, a duration, a census key — and adds it twice to a zero
+// Stats: every field must come out doubled. A field added to Stats
+// later is set here too, so Add cannot leave it out of the fleet sum.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	var one Stats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 0.5)
+		case reflect.Map:
+			m := reflect.MakeMap(f.Type())
+			key := reflect.New(f.Type().Key()).Elem()
+			if key.Kind() == reflect.String {
+				key.SetString("k")
+			} else {
+				key.SetInt(7)
+			}
+			val := reflect.New(f.Type().Elem()).Elem()
+			val.SetInt(int64(i + 1))
+			m.SetMapIndex(key, val)
+			f.Set(m)
+		default:
+			t.Fatalf("Stats.%s: kind %s has no case here; teach the test (and Add) to sum it", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	var sum Stats
+	sum.Add(one)
+	sum.Add(one)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < v.NumField(); i++ {
+		name, f, g := v.Type().Field(i).Name, v.Field(i), got.Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			if g.Int() != 2*f.Int() {
+				t.Errorf("Stats.%s: %d + %d added up to %d", name, f.Int(), f.Int(), g.Int())
+			}
+		case reflect.Float64:
+			if g.Float() != 2*f.Float() {
+				t.Errorf("Stats.%s: %v + %v added up to %v", name, f.Float(), f.Float(), g.Float())
+			}
+		case reflect.Map:
+			key := f.MapKeys()[0]
+			if g.Len() != 1 || !g.MapIndex(key).IsValid() || g.MapIndex(key).Int() != 2*f.MapIndex(key).Int() {
+				t.Errorf("Stats.%s: %v + %v added up to %v", name, f, f, g)
+			}
+		}
 	}
 }

@@ -1,10 +1,13 @@
 package oracle
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,12 +35,11 @@ func intGraph(seed int64, n int) *graph.Graph {
 	return g
 }
 
-// testRepairer routes repairs through the real engine on a 9-rank
-// block layout with a shared plan cache, like the root package wiring.
+// testRepairer routes repairs through the real engine at its default
+// damage threshold, like the root package wiring.
 func testRepairer() RepairFunc {
-	plans := apsp.NewPlanCache()
 	return func(g *graph.Graph, prevDist apsp.RowFunc, prevNext *apsp.Successors, edits []apsp.EdgeEdit) (*apsp.PathResult, *graph.Graph, apsp.RepairStats, error) {
-		return apsp.RepairRowsWithOptions(g, prevDist, prevNext, edits, 9, apsp.SparseOptions{Seed: 1, Plans: plans}, 0)
+		return apsp.RepairRows(g, prevDist, prevNext, edits, 0)
 	}
 }
 
@@ -317,5 +319,126 @@ func TestRegistryReweightConcurrent(t *testing.T) {
 	}
 	if st.Bytes != o.MemoryBytes() {
 		t.Errorf("Bytes = %d, want %d", st.Bytes, o.MemoryBytes())
+	}
+}
+
+// TestReweightFallbackIsRegistrySolve: editing more than a quarter of
+// the edges makes the repair give up, and Reweight answers with the
+// registry's own Solve on the edited graph — called exactly once, booked
+// as a reweight and a repair fallback but not as a solve — so distances
+// and every path are bit-identical to what a fresh Get of the edited
+// graph serves.
+func TestReweightFallbackIsRegistrySolve(t *testing.T) {
+	var solves atomic.Int64
+	solve := func(g *graph.Graph) (*apsp.PathResult, error) {
+		solves.Add(1)
+		return succSolve(g)
+	}
+	r := NewRegistry(Config{Solve: solve, Repair: testRepairer()})
+	g := intGraph(31, 30)
+	if _, err := r.Get(g); err != nil {
+		t.Fatal(err)
+	}
+	var edits []apsp.EdgeEdit
+	edges := g.Edges()
+	for _, e := range edges[:len(edges)/3] {
+		edits = append(edits, apsp.EdgeEdit{U: e.U, V: e.V, W: e.W + 3})
+	}
+	before := r.Stats()
+	solves.Store(0)
+	newFp, o, st, err := r.Reweight(FingerprintOf(g), edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.FellBack {
+		t.Fatalf("editing %d of %d edges did not fall back: %+v", len(edits), len(edges), st)
+	}
+	if got := solves.Load(); got != 1 {
+		t.Errorf("the fallback ran Solve %d times, want 1", got)
+	}
+	after := r.Stats()
+	if after.RepairFallbacks != 1 || after.Reweights != 1 || after.Solves != before.Solves {
+		t.Errorf("after the fallback: %d fallbacks, %d reweights, %d solves; want 1, 1, %d",
+			after.RepairFallbacks, after.Reweights, after.Solves, before.Solves)
+	}
+
+	g2, err := apsp.ApplyEdits(g, edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if newFp != FingerprintOf(g2) {
+		t.Fatal("the fallback installed the result under another fingerprint")
+	}
+	fresh, err := NewRegistry(Config{Solve: succSolve}).Get(g2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < g2.N(); u++ {
+		for v := 0; v < g2.N(); v++ {
+			d, _ := o.Dist(u, v)
+			want, _ := fresh.Dist(u, v)
+			if !sameBits(d, want) {
+				t.Fatalf("Dist(%d,%d) = %v, a fresh Get serves %v", u, v, d, want)
+			}
+			p, _ := o.Path(u, v)
+			wantP, _ := fresh.Path(u, v)
+			if !slices.Equal(p, wantP) {
+				t.Fatalf("Path(%d,%d) = %v, a fresh Get serves %v", u, v, p, wantP)
+			}
+		}
+	}
+}
+
+// TestRegistryPanicIsTheCallsError: a Solve or Repair that panics fails
+// the Get or Reweight that ran it, like an error would. The entry is
+// dropped and its waiters released, so a second Get of the same graph
+// retries instead of blocking forever, Quiesce returns and nothing stays
+// in flight; a panicking repair leaves the old oracle serving.
+func TestRegistryPanicIsTheCallsError(t *testing.T) {
+	var calls atomic.Int64
+	r := NewRegistry(Config{
+		Solve: func(g *graph.Graph) (*apsp.PathResult, error) {
+			if calls.Add(1) == 1 {
+				var zero int
+				_ = 1 / zero // the first solve divides by zero
+			}
+			return succSolve(g)
+		},
+		Repair: func(*graph.Graph, apsp.RowFunc, *apsp.Successors, []apsp.EdgeEdit) (*apsp.PathResult, *graph.Graph, apsp.RepairStats, error) {
+			panic("repair exploded")
+		},
+	})
+	g := intGraph(13, 20)
+	if _, err := r.Get(g); err == nil || !strings.Contains(err.Error(), "divide by zero") {
+		t.Fatalf("Get with a panicking solve: err = %v, want the panic", err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.Get(g)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Get after the panic: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Get after a panicking solve is still blocked")
+	}
+
+	e := g.Edges()[0]
+	if _, _, _, err := r.Reweight(FingerprintOf(g), []apsp.EdgeEdit{{U: e.U, V: e.V, W: e.W + 1}}); err == nil || !strings.Contains(err.Error(), "repair exploded") {
+		t.Fatalf("Reweight with a panicking repair: err = %v, want the panic", err)
+	}
+	if _, ok, err := r.Lookup(FingerprintOf(g)); !ok || err != nil {
+		t.Errorf("a panicking repair displaced the old oracle: ok=%v err=%v", ok, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := r.Quiesce(ctx); err != nil {
+		t.Fatalf("Quiesce after the panics: %v", err)
+	}
+	if st := r.Stats(); st.SolvesInFlight != 0 || st.Entries != 1 || st.Reweights != 1 {
+		t.Errorf("stats = %+v, want nothing in flight, 1 entry and 1 reweight", st)
 	}
 }

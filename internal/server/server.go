@@ -432,111 +432,18 @@ func (s *Server) handleReweight(w http.ResponseWriter, r *http.Request) error {
 
 // StatszResponse is the /statsz report: registry counters plus the
 // per-endpoint traffic counters. The fleet router fans this out across
-// its backends and sums the registry sections.
+// its backends and sums the registry sections with oracle.Stats.Add.
 type StatszResponse struct {
 	UptimeSeconds float64                     `json:"uptime_seconds"`
-	Registry      RegistrySnapshot            `json:"registry"`
+	Registry      oracle.Stats                `json:"registry"`
 	Endpoints     map[string]EndpointSnapshot `json:"endpoints"`
 }
 
-// RegistrySnapshot is the registry section of /statsz.
-type RegistrySnapshot struct {
-	Solves int64 `json:"solves"`
-	// SolvesInFlight counts solves (and repairs) executing right now —
-	// including ones whose originating HTTP client has gone away but
-	// whose coalesced waiters are still pending. The drain path waits
-	// on this through Registry.Quiesce, and the router surfaces it as
-	// backend load.
-	SolvesInFlight int64 `json:"solves_in_flight"`
-	Hits           int64 `json:"hits"`
-	Misses         int64 `json:"misses"`
-	Evictions      int64 `json:"evictions"`
-	Entries        int   `json:"entries"`
-	Bytes          int64 `json:"bytes"`
-	BudgetBytes    int64 `json:"budget_bytes"`
-	// store_kinds counts resident entries by the width their distances
-	// proved lossless at: u1 … u32 (N bits an entry, from the largest
-	// distance), f32, f64. A backend at 64 bits per stored distance
-	// instead of a dozen shows up here as f64 entries — graphs with
-	// non-integer weights.
-	StoreKinds map[string]int `json:"store_kinds,omitempty"`
-	// store_layouts counts the same entries by layout: "tri" keeps the
-	// lower triangle of a matrix proved bit-symmetric, "square" all n²
-	// entries of one that failed the proof — a backend paying 2× for its
-	// distances shows up here.
-	StoreLayouts map[string]int `json:"store_layouts,omitempty"`
-	// succ_bits counts them by the widest column of their successor
-	// table — the bits the highest-degree vertex's slots take: "2" for
-	// a grid, "10" for a 576-star. Every other column is as wide as its
-	// own vertex's degree needs, so a hub costs its one column only.
-	SuccBits map[int]int `json:"succ_bits,omitempty"`
-
-	SolveMs         float64 `json:"solve_ms"`
-	QueriesServed   int64   `json:"queries_served"`
-	QueriesInFlight int64   `json:"queries_in_flight"`
-	QueryMs         float64 `json:"query_ms"`
-	// Reweight counters: repair_fallbacks counts reweights whose edit
-	// damage forced a warm re-solve instead of an incremental repair.
-	Reweights       int64   `json:"reweights"`
-	RepairFallbacks int64   `json:"repair_fallbacks"`
-	RepairMs        float64 `json:"repair_ms"`
-	// Symbolic plan-cache counters of the sparse solver: plan_hits are
-	// solves that reused a cached plan (zero ordering/eTree/fill-mask
-	// work). All zero when the registry's solver runs without a cache.
-	PlanBuilds  int64   `json:"plan_builds"`
-	PlanHits    int64   `json:"plan_hits"`
-	PlanEntries int     `json:"plan_entries"`
-	PlanBuildMs float64 `json:"plan_build_ms"`
-	// Persistent plan-store counters: a disk hit is a plan served from
-	// the on-disk store with zero symbolic work — the warm-restart
-	// path. All zero without a -plan-dir.
-	PlanDiskHits   int64 `json:"plan_disk_hits"`
-	PlanDiskWrites int64 `json:"plan_disk_writes"`
-	PlanDiskErrors int64 `json:"plan_disk_errors"`
-	// Simulated communication totals of every solve and repair
-	// fallback the registry ran: words_moved is the all-rank sum,
-	// words_by_phase splits it by schedule phase (r2, r3, r4-panel,
-	// r4-reduce, r4-seq, trans) — the serving-layer view of what the
-	// configured wire format costs.
-	WordsMoved   int64            `json:"words_moved"`
-	WordsByPhase map[string]int64 `json:"words_by_phase,omitempty"`
-}
-
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) error {
-	st := s.reg.Stats()
 	resp := StatszResponse{
 		UptimeSeconds: time.Since(s.started).Seconds(),
-		Registry: RegistrySnapshot{
-			Solves:         st.Solves,
-			SolvesInFlight: st.SolvesInFlight,
-			Hits:           st.Hits,
-			Misses:         st.Misses,
-			Evictions:      st.Evictions,
-			Entries:        st.Entries,
-			Bytes:          st.Bytes,
-			BudgetBytes:    st.BudgetBytes,
-			StoreKinds:     st.StoreKinds,
-			StoreLayouts:   st.StoreLayouts,
-			SuccBits:       st.SuccBits,
-
-			SolveMs:         float64(st.SolveNanos) / 1e6,
-			QueriesServed:   st.QueriesServed,
-			QueriesInFlight: st.QueriesInFlight,
-			QueryMs:         float64(st.QueryNanos) / 1e6,
-			Reweights:       st.Reweights,
-			RepairFallbacks: st.RepairFallbacks,
-			RepairMs:        float64(st.RepairNanos) / 1e6,
-			PlanBuilds:      st.PlanBuilds,
-			PlanHits:        st.PlanHits,
-			PlanEntries:     st.PlanEntries,
-			PlanBuildMs:     float64(st.PlanBuildNanos) / 1e6,
-			PlanDiskHits:    st.PlanDiskHits,
-			PlanDiskWrites:  st.PlanDiskWrites,
-			PlanDiskErrors:  st.PlanDiskErrors,
-			WordsMoved:      st.WordsMoved,
-			WordsByPhase:    st.WordsByPhase,
-		},
-		Endpoints: make(map[string]EndpointSnapshot, len(s.endpoints)),
+		Registry:      s.reg.Stats(),
+		Endpoints:     make(map[string]EndpointSnapshot, len(s.endpoints)),
 	}
 	for name, ep := range s.endpoints {
 		resp.Endpoints[name] = ep.snapshot()

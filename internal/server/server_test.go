@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -747,5 +748,58 @@ func TestServerPathsGolden(t *testing.T) {
 	st := getStats(t, ts.URL).Registry
 	if !reflect.DeepEqual(st.StoreKinds, map[string]int{"u5": 1}) || !reflect.DeepEqual(st.SuccBits, map[int]int{2: 1}) {
 		t.Errorf("store_kinds = %v, succ_bits = %v, want one u5 entry whose widest column is 2 bits", st.StoreKinds, st.SuccBits)
+	}
+}
+
+// msValue matches one duration of the registry section: its value
+// varies run to run, its key and place do not.
+var msValue = regexp.MustCompile(`("[a-z_]+_ms":)[^,}]+`)
+
+// TestStatszRegistryGolden pins the registry section of /statsz — every
+// key, their order and every value but the durations — after a fixed
+// request sequence on a distributed sparse registry, one reweight that
+// falls back among them, against testdata/statsz_registry.golden,
+// captured while the section was a struct of its own in this package.
+func TestStatszRegistryGolden(t *testing.T) {
+	ts := httptest.NewServer(New(sparseapsp.NewOracleRegistry(sparseapsp.Options{Algorithm: sparseapsp.Sparse2D, P: 9}, 1<<20)))
+	defer ts.Close()
+	var a GraphInfo
+	postJSON(t, ts.URL+"/generate", GenerateRequest{Kind: "grid", N: 49, Seed: 1}, &a)
+	postJSON(t, ts.URL+"/generate", GenerateRequest{Kind: "grid", N: 49, Seed: 2}, nil)
+	cycle := LoadRequest{N: 20}
+	for i := 0; i < 20; i++ {
+		cycle.Edges = append(cycle.Edges, [3]float64{float64(i), float64((i + 1) % 20), float64(1 + i%9)})
+	}
+	var c GraphInfo
+	postJSON(t, ts.URL+"/load", cycle, &c)
+	postJSON(t, ts.URL+"/query", QueryRequest{Graph: a.Graph, Pairs: [][2]int{{0, 48}, {3, 7}}, Paths: true}, nil)
+	postJSON(t, ts.URL+"/query", QueryRequest{Graph: c.Graph, Pairs: [][2]int{{0, 10}}}, nil)
+	// Six of the cycle's 20 edges is past the repair's damage threshold:
+	// the reweight falls back to a solve on the same plan.
+	var rw ReweightResponse
+	postJSON(t, ts.URL+"/reweight", ReweightRequest{Graph: c.Graph, Edits: [][3]float64{{0, 1, 9}, {1, 2, 9}, {2, 3, 9}, {3, 4, 9}, {4, 5, 9}, {5, 6, 9}}}, &rw)
+	if !rw.FellBack {
+		t.Fatalf("reweight = %+v, want a fallback", rw)
+	}
+	postJSON(t, ts.URL+"/query", QueryRequest{Graph: rw.Graph, Pairs: [][2]int{{0, 10}}}, nil)
+
+	resp, err := http.Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Registry json.RawMessage `json:"registry"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	got := append(msValue.ReplaceAll(st.Registry, []byte("${1}0")), '\n')
+	want, err := os.ReadFile("testdata/statsz_registry.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("/statsz registry section differs from the golden:\ngot  %s\nwant %s", got, want)
 	}
 }
