@@ -14,7 +14,7 @@ import (
 )
 
 // The plan executor. A Plan freezes the entire communication schedule
-// — every collective's group order and root — so nothing about an
+// — every collective's group, root and tree — so nothing about an
 // execute needs discovering at run time: p free-running rank
 // goroutines, cond-var mailboxes and linear-scan message matching (the
 // reference semantics, executeMachine in exec.go) only re-derive,
@@ -187,7 +187,7 @@ func lowerPlan(pl *Plan) *dfProgram {
 	var msgs []msg
 	for li, ops := range pl.Levels {
 		for x := range ops {
-			msgs = appendMessages(msgs[:0], ops[x].Kind, ops[x].Group, ops[x].Root)
+			msgs = appendMessages(msgs[:0], &ops[x])
 			for _, m := range msgs {
 				from, to := get(int32(li), int32(x), m.src), get(int32(li), int32(x), m.dst)
 				slot := int32(len(prog.msgConsumer))

@@ -14,7 +14,7 @@ import (
 // (Plan.ranks) and charge them through their own sink. How messages
 // travel is not shared: executeMachine, the literal simulated machine
 // with one goroutine per rank, drives every exchange through comm's own
-// Bcast, ReduceTo, Send and Recv, while ExecuteOpts (dataflow.go) wires
+// BcastTree, ReduceTo, Send and Recv, while ExecuteOpts (dataflow.go) wires
 // them from appendMessages. That keeps the machine an independent check
 // of the expansion: TestExecutorEquality and TestPlanClockIsExact hold
 // the two executors to the same distances and the same charged costs —
@@ -233,7 +233,7 @@ func (pl *Plan) machineStep(ctx *comm.Ctx, rs *rankState, st step, a *semiring.A
 		if rank == op.Root {
 			payload = pl.pack(rs.A, op.Prune[0]) // copy: receivers share the buffer
 		}
-		data := ctx.Bcast(op.Group, op.Root, tag, payload)
+		data := ctx.BcastTree(op.Group, op.Parent, tag, payload)
 		if st.use {
 			rs.consume(ctx, op.Kind, pl.unpack(data, sizes[op.BI], sizes[op.BJ]), a)
 		}

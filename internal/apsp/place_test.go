@@ -15,7 +15,7 @@ import (
 // comm.Report.Critical.
 func planClock(pl *Plan) tick {
 	pc := newPlacer(pl)
-	pc.forward(false)
+	pc.forward(false, false)
 	var crit tick
 	for _, c := range pc.clock {
 		crit = crit.max(c)
@@ -82,9 +82,10 @@ func TestPlanClockIsExact(t *testing.T) {
 // TestPlacementNeverRaisesCost holds the pass's guarantee structurally:
 // over the whole shape grid the placed plan's plan-time messages and
 // words are each at most the label-order plan's, and the pass touched
-// nothing but the order of each broadcast group — same member set, root
-// first, consumers, kind, blocks and prune descriptor as planned, every
-// other op identical.
+// nothing but each broadcast's member order and tree — the same member
+// set, root at position 0, a tree (every parent an earlier position),
+// consumers, kind, blocks and prune descriptor as planned, every other op
+// identical.
 func TestPlacementNeverRaisesCost(t *testing.T) {
 	sorted := func(g []int) []int {
 		s := append([]int(nil), g...)
@@ -120,9 +121,17 @@ func TestPlacementNeverRaisesCost(t *testing.T) {
 				if !reflect.DeepEqual(sorted(a.Group), sorted(b.Group)) {
 					t.Errorf("%s: level %d op %d: group %v is not a permutation of %v", name, li+1, x, b.Group, a.Group)
 				}
-				a.Group, b.Group = nil, nil
+				if len(b.Parent) != len(b.Group) || b.Parent[0] != -1 {
+					t.Errorf("%s: level %d op %d: tree %v is not rooted at position 0 of %d members", name, li+1, x, b.Parent, len(b.Group))
+				}
+				for i := 1; i < len(b.Parent); i++ {
+					if b.Parent[i] < 0 || int(b.Parent[i]) >= i {
+						t.Errorf("%s: level %d op %d: position %d has parent %d", name, li+1, x, i, b.Parent[i])
+					}
+				}
+				a.Group, b.Group, a.Parent, b.Parent = nil, nil, nil, nil
 				if !reflect.DeepEqual(a, b) {
-					t.Errorf("%s: level %d op %d: placement changed more than the group order:\n was %+v\n now %+v", name, li+1, x, a, b)
+					t.Errorf("%s: level %d op %d: placement changed more than the tree:\n was %+v\n now %+v", name, li+1, x, a, b)
 				}
 			}
 		}

@@ -86,18 +86,21 @@ func isBcast(kind uint8) bool {
 
 // Op is one planned operation: a collective, a point-to-point exchange
 // or a local product; the kind list says which fields it uses. A
-// broadcast's Group is a set plus a chosen order: the set is who needs
-// the payload, the order — Root first, then as placeTrees (place.go)
-// arranged the members — decides who relays, and with it the charged
-// critical path. Members outside Consumers only relay, which beyond the
-// root happens in R2 pivot groups alone.
+// broadcast is a set plus a chosen tree: the set is who needs the
+// payload; Group lists it in the order the members receive, Root first,
+// and Parent names the position each member receives from. A member sends
+// to its children in position order, so the tree — who relays, to whom,
+// in which order — decides the charged critical path. placeTrees
+// (place.go) chooses it. Members outside Consumers only relay, which
+// beyond the root happens in R2 pivot groups alone.
 type Op struct {
 	Kind      uint8
-	BI, BJ    int   // the block the op ships, reduces into or updates
-	K         int   // unit and seq: the pivot of A(BI,K) ⊗ A(K,BJ); 0 otherwise
-	Root      int   // broadcast root; reduce, seq and transpose destination; diag and unit rank
-	Group     []int // broadcast and reduce members; seq: the owners of A(BI,K), A(K,BJ); transpose: the source
-	Consumers []int // the broadcast members that act on the payload
+	BI, BJ    int     // the block the op ships, reduces into or updates
+	K         int     // unit and seq: the pivot of A(BI,K) ⊗ A(K,BJ); 0 otherwise
+	Root      int     // broadcast root; reduce, seq and transpose destination; diag and unit rank
+	Group     []int   // broadcast members in receive order, Root first; reduce members; seq: the owners of A(BI,K), A(K,BJ); transpose: the source
+	Parent    []int32 // broadcast: Group[i] receives from Group[Parent[i]]; Parent[0] = -1, Parent[i] < i; nil for the other kinds
+	Consumers []int   // the broadcast members that act on the payload
 	// Prune holds the symbolic demand descriptors of the op's payloads —
 	// a broadcast's in Prune[0], a seq op's A(BI,K) and A(K,BJ) in
 	// Prune[0] and Prune[1]; nil = full, every entry demanded, and always
@@ -121,34 +124,26 @@ func (op *Op) payload(part int) (int, int) {
 // part-th payload to dst.
 type msg struct{ src, dst, part int }
 
-// appendMessages appends the messages of an op of the given kind over
-// group and root to buf, in an order that meets every rank's messages
-// in the rank's program order. A broadcast is comm.Ctx.bcast's binomial
-// tree: a member receives once, from the member differing in its lowest
-// root-relative position bit, then forwards at decreasing bit
-// distances. A reduce is comm.Ctx.ReduceTo's: a binomial reduce to the
-// root if it is a member, else to group[0], which forwards the result;
-// a member receives at increasing bit distances before its one send.
-// Seq and transpose ops send member i's part i to the root, except from
-// a member that is the root. Diag and unit ops send nothing. The
-// lowering wires the dataflow graph from this and the placement replays
-// its clocks over it; the machine reference runs comm's own collectives,
-// so the executor-equality suites check this expansion.
-func appendMessages(buf []msg, kind uint8, group []int, root int) []msg {
+// appendMessages appends the messages of op to buf, in an order that
+// meets every rank's messages in the rank's program order. A broadcast is
+// comm.Ctx.BcastTree's: one message into each member but the root, from
+// its parent, in position order — so a member receives before it sends
+// and sends to its children in position order. A reduce is
+// comm.Ctx.ReduceTo's: a binomial reduce to the root if it is a member,
+// else to group[0], which forwards the result; a member receives at
+// increasing bit distances before its one send. Seq and transpose ops
+// send member i's part i to the root, except from a member that is the
+// root. Diag and unit ops send nothing. The lowering wires the dataflow
+// graph from this and the placement replays its clocks over it; the
+// machine reference runs comm's own collectives, so the executor-equality
+// suites check this expansion.
+func appendMessages(buf []msg, op *Op) []msg {
+	group, root := op.Group, op.Root
 	q := len(group)
-	switch {
+	switch kind := op.Kind; {
 	case isBcast(kind):
-		rootPos := position(group, root)
-		for rel := 0; rel < q; rel++ {
-			mask := 1
-			for mask < q && rel&mask == 0 {
-				mask <<= 1
-			}
-			for m := mask >> 1; m > 0; m >>= 1 {
-				if rel+m < q {
-					buf = append(buf, msg{group[(rel+rootPos)%q], group[(rel+m+rootPos)%q], 0})
-				}
-			}
+		for i := 1; i < q; i++ {
+			buf = append(buf, msg{group[op.Parent[i]], group[i], 0})
 		}
 	case kind == opReduce:
 		rootPos := max(position(group, root), 0)
@@ -246,7 +241,7 @@ func (p *Plan) OpCount() int {
 // of the plan's encoded body (planio.go). Every rank — indeed every
 // process — deriving a Plan from the same (graph structure, p, seed,
 // options) must produce the same hash; the cross-rank determinism test
-// pins this, because a single diverging group order would deadlock or
+// pins this, because a single diverging broadcast tree would deadlock or
 // silently mis-cost a real machine.
 func (p *Plan) Hash() string {
 	sum := p.digest()
@@ -268,7 +263,7 @@ func boolInt(b bool) int {
 // BuildPlan runs the symbolic phase: it walks the eTree schedule of
 // Algorithm 1 once, consulting the fill mask, and records every op
 // some processor acts on — a broadcast nobody folds is not planned —
-// then chooses the member order of every broadcast group from a replay
+// then chooses the tree of every broadcast from a replay
 // of the model's clocks over that schedule (placeTrees, place.go).
 // The resulting Plan executed against ly's weights yields distances
 // bit-identical to the pre-split solver and the charged costs the
@@ -284,9 +279,9 @@ func BuildPlan(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, error)
 }
 
 // buildLabelOrder is BuildPlan up to the tree placement: every op is
-// planned and every payload rectangle frozen, each broadcast group
-// still lists its members in eTree label order, and the per-rank
-// programs are not built yet.
+// planned and every payload rectangle frozen, each broadcast is still
+// the binomial tree over its members in eTree label order (labelTree),
+// and the per-rank programs are not built yet.
 func buildLabelOrder(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, error) {
 	h, err := HeightForP(p)
 	if err != nil {
@@ -319,6 +314,11 @@ func buildLabelOrder(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, 
 		ops, err := b.level(l, pl.R4Seq)
 		if err != nil {
 			return nil, err
+		}
+		for x := range ops {
+			if isBcast(ops[x].Kind) {
+				labelTree(&ops[x])
+			}
 		}
 		pl.Levels = append(pl.Levels, ops)
 	}
@@ -365,9 +365,23 @@ func appendBcast(ops []Op, op Op) []Op {
 	return append(ops, op)
 }
 
+// labelTree turns a broadcast group listed in eTree label order into
+// comm.Ctx.Bcast's binomial tree over that order, rooted at op.Root:
+// the tree placeTrees starts from, never what a built plan replays.
+func labelTree(op *Op) {
+	q := len(op.Group)
+	rootPos := position(op.Group, op.Root)
+	order, parent := comm.BinomialTree(q)
+	group := make([]int, q)
+	for i, rel := range order {
+		group[i] = op.Group[(int(rel)+rootPos)%q]
+	}
+	op.Group, op.Parent = group, parent
+}
+
 // level plans the ops of eTree level l in execution order. Each group
-// lists its members in eTree label order; that is only the arrangement
-// placeTrees starts from, never what a built plan replays.
+// lists its members in eTree label order; buildLabelOrder makes each
+// broadcast's the binomial tree over that order.
 func (b *planBuilder) level(l int, r4seq bool) ([]Op, error) {
 	tr := b.tr
 	var ops []Op

@@ -19,13 +19,13 @@ import (
 //
 // Format (all integers signed varints):
 //
-//	magic "SAPLAN05"                    (8 bytes; version is part of the magic)
+//	magic "SAPLAN06"                    (8 bytes; version is part of the magic)
 //	body:
 //	  P, H, NSup, Wire, R4Seq
 //	  ND.Perm, ND.Sizes                 (length-prefixed)
 //	  FillMask states                   (count, then one bitset per state)
 //	  Levels                            (count, then per level the op count and one record per op:
-//	                                     Kind, BI, BJ, K, Root, Group, Consumers, Prune[0], Prune[1])
+//	                                     Kind, BI, BJ, K, Root, Group, Parent, Consumers, Prune[0], Prune[1])
 //	content hash                        (32 raw bytes: sha256 of the body, = Plan.Hash)
 //
 // DecodePlan checks the trailer against the body before parsing it, so
@@ -57,7 +57,10 @@ import (
 // 05: one op record per op, in execution order, and a plan file ends
 // with the fingerprint it is filed under (planstore.go) — an 04 file
 // cannot prove which structure it belongs to.
-const planMagic = "SAPLAN05"
+// 06: every broadcast stores its tree (Op.Parent) and BuildPlan chooses
+// it — an 05 file holds binomial trees and would replay with other
+// critical counts.
+const planMagic = "SAPLAN06"
 
 // Encode serializes the plan to its deterministic binary form.
 func (p *Plan) Encode() []byte {
@@ -82,6 +85,10 @@ func (p *Plan) appendBody(b []byte) []byte {
 			op := &ops[i]
 			b = appendPlanInt(b, int(op.Kind), op.BI, op.BJ, op.K, op.Root)
 			b = appendPlanIntSlice(b, op.Group)
+			b = appendPlanInt(b, len(op.Parent))
+			for _, v := range op.Parent {
+				b = appendPlanInt(b, int(v))
+			}
 			b = appendPlanIntSlice(b, op.Consumers)
 			b = appendPlanPrune(b, op.Prune[0])
 			b = appendPlanPrune(b, op.Prune[1])
@@ -283,6 +290,13 @@ func (r *planReader) op(op *Op) error {
 	if op.Group, err = r.intSlice("group"); err != nil {
 		return err
 	}
+	parent, err := r.intSlice("parent")
+	if err != nil {
+		return err
+	}
+	for _, v := range parent {
+		op.Parent = append(op.Parent, int32(v))
+	}
 	if op.Consumers, err = r.intSlice("consumers"); err != nil {
 		return err
 	}
@@ -297,11 +311,13 @@ func (r *planReader) op(op *Op) error {
 // planValidator checks every decoded op against the header before
 // anything indexes by it — indexRanks, the lowering and the executors
 // take the op table as given. It checks what they assume: every group
-// is a set of ranks holding its root and consumers; every op but a unit
-// is rooted at the owner of the block it ships or updates, and a seq or
-// transpose source at the owner of the block it sends; an R2 pivot or
-// an R3 panel reaches only ranks in its column or row; and a rank's R4
-// and R3 captures pair up into operands of matching dimensions. It does
+// is a set of ranks holding its root (a broadcast's at position 0) and
+// consumers, and every broadcast's Parent is a tree over it; every op
+// but a unit is rooted at the owner of the block it ships or updates,
+// and a seq or transpose source at the owner of the block it sends; an
+// R2 pivot or an R3 panel reaches only ranks in its column or row; and a
+// rank's R4 and R3 captures pair up into operands of matching
+// dimensions. It does
 // not prove the schedule complete — a dropped op still decodes, which
 // the content hash guards against.
 type planValidator struct {
@@ -346,9 +362,9 @@ func (v *planValidator) reaches(op *Op, c int) bool {
 
 // group validates a member list as a set — in range, non-empty,
 // pairwise distinct — and leaves it marked for inGroup. A broadcast's
-// order is the plan's choice (place.go) and is not constrained; a
-// repeated or missing member, though, panics in comm's groupPos or
-// deadlocks the replay.
+// tree is the plan's choice (place.go), and tree checks only that it is
+// one; a repeated or missing member, though, panics in comm's groupPos
+// or deadlocks the replay.
 func (v *planValidator) group(group []int) error {
 	v.epoch++
 	for _, g := range group {
@@ -361,6 +377,32 @@ func (v *planValidator) group(group []int) error {
 }
 
 func (v *planValidator) inGroup(r int) bool { return v.rank(r) && v.member[r] == v.epoch }
+
+// tree validates a broadcast's Parent list — one entry per member, -1
+// for the root, an earlier position for every other member — which is
+// what appendMessages and comm.Ctx.BcastTree take as given; every other
+// kind carries none.
+func (v *planValidator) tree(op *Op) error {
+	name := dfKindNames[op.Kind]
+	if !isBcast(op.Kind) {
+		if op.Parent != nil {
+			return v.errorf("%s op carries a broadcast tree", name)
+		}
+		return nil
+	}
+	if len(op.Parent) != len(op.Group) || op.Parent[0] != -1 {
+		return v.errorf("%s tree %v does not root %d members at position 0", name, op.Parent, len(op.Group))
+	}
+	for i, up := range op.Parent[1:] {
+		switch {
+		case up < 0 || int(up) >= len(op.Group):
+			return v.errorf("%s member at position %d has parent %d out of range", name, i+1, up)
+		case int(up) > i:
+			return v.errorf("%s member at position %d has parent %d, not an earlier position", name, i+1, up)
+		}
+	}
+	return nil
+}
 
 // pruneAxis validates one axis of a PruneSpec against the block
 // dimension it indexes: ascending, in range, no duplicates — what the
@@ -408,10 +450,13 @@ func (v *planValidator) op(op *Op) error {
 		return v.errorf("seq op over (%d,%d) via %d from ranks %v", op.BI, op.BJ, op.K, op.Group)
 	case op.Kind != opUnit && op.Kind != opTrans && op.Root != owner:
 		return v.errorf("%s op on block (%d,%d) rooted at rank %d, not its owner", name, op.BI, op.BJ, op.Root)
-	case isBcast(op.Kind) && !v.inGroup(op.Root):
-		return v.errorf("%s root %d is not a member of its group", name, op.Root)
+	case isBcast(op.Kind) && op.Group[0] != op.Root:
+		return v.errorf("%s root %d is not at position 0 of its group", name, op.Root)
 	case !isBcast(op.Kind) && op.Consumers != nil:
 		return v.errorf("%s op lists consumers", name)
+	}
+	if err := v.tree(op); err != nil {
+		return err
 	}
 	for _, c := range op.Consumers {
 		if !v.inGroup(c) || !v.reaches(op, c) {

@@ -268,6 +268,7 @@ func addLevel1R3(pl *Plan) {
 					op.Group = append(op.Group, (x-1)*pl.NSup+j-1)
 				}
 			}
+			labelTree(&op)
 			pl.Levels[0] = append(pl.Levels[0], op) // R3 is a level's last phase
 		}
 	}
@@ -279,11 +280,13 @@ func addLevel1R3(pl *Plan) {
 // (wire=0 plans with no prune descriptors), SAPLAN02 from before
 // BuildPlan stopped planning broadcasts nobody folds, SAPLAN03 from
 // before it chose the group orders (label-order trees), SAPLAN04 from
-// before the op table (a file that cannot name its structure: the
-// testdata file is the one an SAPLAN04 writer saved for this grid).
-// Serving any of them would silently replay the old schedule's costs or
-// someone else's schedule, so it must count as a disk error, be rebuilt
-// and be overwritten in the current format.
+// before the op table (a file that cannot name its structure), SAPLAN05
+// from before it chose each broadcast's tree (binomial trees, with more
+// critical words and messages). The SAPLAN04 and SAPLAN05 testdata files
+// are the ones those writers saved for this grid. Serving any of them
+// would silently replay the old schedule's costs or someone else's
+// schedule, so it must count as a disk error, be rebuilt and be
+// overwritten in the current format.
 func TestPlanStoreRejectsStaleFormat(t *testing.T) {
 	g := graph.Grid2D(12, 12, graph.UnitWeights)
 	const p = 49
@@ -318,6 +321,7 @@ func TestPlanStoreRejectsStaleFormat(t *testing.T) {
 		}, totalWords},
 		{"SAPLAN03", func() *Plan { return labelOrderPlan(t, testLayout(t, g, p), p, WirePruned, R4Mapped) }, criticalWords},
 		{"SAPLAN04", nil, nil},
+		{"SAPLAN05", nil, nil},
 	} {
 		dir := t.TempDir()
 		var old, file []byte
@@ -390,9 +394,10 @@ type unrunnablePlan struct {
 // unrunnableGroupPlans returns hash-consistent encodings of plans whose
 // ops cannot run: each fixture is edited before its first Hash, so the
 // trailer matches and only the validator can reject it. Executing any
-// of them panics in comm's groupPos, deadlocks, multiplies operands of
-// the wrong shape, or computes from a block other than the one the op
-// names.
+// of them panics in comm's groupPos or BcastTree, deadlocks, indexes a
+// group out of range, multiplies operands of the wrong shape, or
+// computes from a block other than the one the op names — or carries a
+// field its kind does not use, which no plan BuildPlan writes.
 func unrunnableGroupPlans(t testing.TB) []unrunnablePlan {
 	g := graph.Grid2D(8, 8, graph.UnitWeights)
 	first := func(pl *Plan, kind uint8, minGroup int) *Op {
@@ -414,12 +419,13 @@ func unrunnableGroupPlans(t testing.TB) []unrunnablePlan {
 	}{
 		{"R3 group lacks its root", R4Mapped, func(pl *Plan) {
 			op := first(pl, opR3Row, 3)
-			op.Group = op.Group[1:] // placement puts the root first
+			op.Group, op.Parent = op.Group[1:], op.Parent[1:] // the root is first
 			op.Consumers = append([]int(nil), op.Group...)
+			op.Parent[0] = -1
 		}},
 		{"R3 group lists a member twice", R4Mapped, func(pl *Plan) {
 			op := first(pl, opR3Row, 3)
-			op.Group = append(op.Group, op.Group[1])
+			op.Group, op.Parent = append(op.Group, op.Group[1]), append(op.Parent, 0)
 		}},
 		{"R3 consumer outside the group", R4Mapped, func(pl *Plan) {
 			op := first(pl, opR3Row, 3)
@@ -442,7 +448,7 @@ func unrunnableGroupPlans(t testing.TB) []unrunnablePlan {
 			op := first(pl, opR2Left, 2)
 			for r := 0; r < pl.P; r++ {
 				if r%pl.NSup+1 != op.BJ {
-					op.Group = append(op.Group, r)
+					op.Group, op.Parent = append(op.Group, r), append(op.Parent, 0)
 					op.Consumers = append(op.Consumers, r)
 					return
 				}
@@ -460,6 +466,7 @@ func unrunnableGroupPlans(t testing.TB) []unrunnablePlan {
 						c := a.Consumers[0] // it keeps its row panel over a.BI
 						a.Consumers = a.Consumers[1:]
 						b.Group, b.Consumers = append(b.Group, c), append(b.Consumers, c)
+						b.Parent = append(b.Parent, 0)
 						return
 					}
 				}
@@ -476,6 +483,23 @@ func unrunnableGroupPlans(t testing.TB) []unrunnablePlan {
 		{"seq members swapped", R4Sequential, func(pl *Plan) {
 			op := first(pl, opSeq, 2)
 			op.Group[0], op.Group[1] = op.Group[1], op.Group[0]
+		}},
+		{"R3 parent not earlier than its child", R4Mapped, func(pl *Plan) {
+			op := first(pl, opR3Row, 3)
+			op.Parent[1] = 2
+		}},
+		{"R3 parent out of range", R4Mapped, func(pl *Plan) {
+			op := first(pl, opR3Row, 3)
+			op.Parent[2] = -1 // a second root
+		}},
+		{"R3 root not at position 0", R4Mapped, func(pl *Plan) {
+			op := first(pl, opR3Row, 3)
+			op.Group[0], op.Group[1] = op.Group[1], op.Group[0]
+		}},
+		{"reduce carries a broadcast tree", R4Mapped, func(pl *Plan) {
+			op := first(pl, opReduce, 1)
+			op.Parent = make([]int32, len(op.Group))
+			op.Parent[0] = -1
 		}},
 		{"two units on one rank", R4Mapped, func(pl *Plan) {
 			for _, ops := range pl.Levels {
@@ -500,22 +524,23 @@ func unrunnableGroupPlans(t testing.TB) []unrunnablePlan {
 	return out
 }
 
-// TestDecodePlanRejectsUnrunnableGroups: a group is a set plus a chosen
-// order, and the decoder validates the set — root inside, members
-// pairwise distinct, consumers inside — for every broadcast, and
-// distinct members for every reduce. Every op is rooted at the owner of
-// its block, seq and transpose sources at theirs; R2 and R3 payloads
-// reach only their block's column or row; a rank's R3 panels meet at one
-// pivot; and a level's units are one per rank, each handed its own
-// operand panels. The order itself is free.
+// TestDecodePlanRejectsUnrunnableGroups: a broadcast is a set plus a
+// chosen tree, and the decoder validates the set — root at position 0,
+// members pairwise distinct, consumers inside — and that the tree is
+// one — a parent per member, each an earlier position — for every
+// broadcast, distinct members and no tree for every reduce. Every op is
+// rooted at the owner of its block, seq and transpose sources at theirs;
+// R2 and R3 payloads reach only their block's column or row; a rank's R3
+// panels meet at one pivot; and a level's units are one per rank, each
+// handed its own operand panels. Which tree it is, is free.
 func TestDecodePlanRejectsUnrunnableGroups(t *testing.T) {
 	for _, fx := range unrunnableGroupPlans(t) {
 		if _, err := DecodePlan(fx.enc); err == nil {
 			t.Errorf("%s: decoded without error", fx.name)
 		}
 	}
-	// Any order of a valid set decodes: reversing a group's tail keeps
-	// the set and moves only the tree.
+	// Any tree over a valid set decodes: reversing a group's tail keeps
+	// the set and the parent list and moves only who sits where.
 	pl := buildTestPlan(t, graph.Grid2D(8, 8, graph.UnitWeights), 49, WirePruned, R4Mapped)
 	for _, ops := range pl.Levels {
 		for _, op := range ops {

@@ -66,21 +66,12 @@ func (c *Ctx) BcastScag(group []int, root, tag int, data []float64) []float64 {
 	// [r, r+extent(r)) where extent halves down the tree.
 	myRel := rel(pos)
 	segs := make([][]float64, q) // by relative segment index
-	segRange := func(relLo, relHi int) (int, int) {
-		// segment s of relative rank r holds data[off(absSeg(s))...]; we
-		// keep segments indexed by relative position to make the ranges
-		// contiguous, mapping back to absolute offsets at the end.
-		return relLo, relHi
-	}
-	_ = segRange
 	if c.rank == root {
 		for s := 0; s < q; s++ {
 			a := (s + rootPos) % q
 			segs[s] = data[off(a):off(a+1)]
 		}
 	}
-	// Determine my subtree extent: largest power of two ≤ q - myRel,
-	// following the binomial scatter recursion from the root.
 	// Receive phase.
 	mask := 1
 	for mask < q {

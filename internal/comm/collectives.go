@@ -1,6 +1,9 @@
 package comm
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Collectives are implemented with binomial trees over an explicit group
 // of ranks, so a collective over q ranks costs O(log q) latency along
@@ -83,6 +86,84 @@ func (c *Ctx) bcast(group []int, root, tag int, data []float64) []float64 {
 		mask >>= 1
 	}
 	return data
+}
+
+// BcastTree broadcasts data from group[0] down an explicit tree: parent[i]
+// is the position group[i] receives from (parent[0] = -1, parent[i] < i),
+// and every member forwards to its children in position order. So group
+// lists the members in an order they can receive in, and the tree's shape
+// — who relays, how often — is the caller's. On the root, data is the
+// payload; elsewhere it is ignored. Every caller receives the payload as
+// the return value, sharing its backing array like Bcast's receivers.
+func (c *Ctx) BcastTree(group []int, parent []int32, tag int, data []float64) []float64 {
+	checkTag(tag)
+	if len(group) == 0 {
+		panic("comm: broadcast over empty group")
+	}
+	if len(parent) != len(group) {
+		panic(fmt.Sprintf("comm: broadcast tree has %d parents for %d members", len(parent), len(group)))
+	}
+	pos := groupPos(group, c.rank)
+	if pos > 0 {
+		from := int(parent[pos])
+		if from < 0 || from >= pos {
+			panic(fmt.Sprintf("comm: broadcast member at position %d has parent %d, not an earlier position", pos, from))
+		}
+		data = c.Recv(group[from], tag)
+	}
+	for i := pos + 1; i < len(group); i++ {
+		if int(parent[i]) == pos {
+			c.Send(group[i], tag, data)
+		}
+	}
+	return data
+}
+
+// BinomialTree returns Bcast's tree over q members in BcastTree's form:
+// order[i] is the root-relative position (Bcast's rel) of the i-th member
+// to receive, and parent[i] the index into order it receives from. A
+// member's children are ordered as Bcast sends to them, at decreasing
+// bit distances, so BcastTree over the group rearranged this way sends
+// Bcast's messages in Bcast's order.
+func BinomialTree(q int) (order, parent []int32) {
+	slot := make([]int, q) // message step at which rel holds the payload
+	up := make([]int, q)   // rel's parent rel
+	for rel := 0; rel < q; rel++ {
+		mask := 1
+		for mask < q && rel&mask == 0 {
+			mask <<= 1
+		}
+		sent := 0
+		for m := mask >> 1; m > 0; m >>= 1 {
+			if rel+m < q {
+				sent++
+				slot[rel+m], up[rel+m] = slot[rel]+sent, rel
+			}
+		}
+	}
+	order = make([]int32, q)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(a, b int) bool {
+		x, y := order[a], order[b]
+		if slot[x] != slot[y] {
+			return slot[x] < slot[y]
+		}
+		return x < y
+	})
+	at := make([]int32, q) // rel → index into order
+	for i, rel := range order {
+		at[rel] = int32(i)
+	}
+	parent = make([]int32, q)
+	for i := range parent {
+		parent[i] = at[up[order[i]]]
+	}
+	if q > 0 {
+		parent[0] = -1
+	}
+	return order, parent
 }
 
 // Reduce combines the data contributed by every member of group with op

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -238,4 +239,127 @@ func TestGroupPosPanicsForNonMember(t *testing.T) {
 		}
 	}()
 	groupPos([]int{1, 2, 3}, 7)
+}
+
+// runTreeBcast runs one broadcast of a w-word payload on a fresh machine of p
+// ranks and returns what every rank received (nil outside the group),
+// with the machine for its Report and Traffic.
+func runTreeBcast(t *testing.T, p, w int, root int, group []int, bcast func(c *Ctx, payload []float64) []float64) ([][]float64, *Machine) {
+	t.Helper()
+	m := NewMachine(p)
+	got := make([][]float64, p)
+	err := m.Run(func(c *Ctx) {
+		if !contains(group, c.Rank()) {
+			return
+		}
+		var payload []float64
+		if c.Rank() == root {
+			payload = make([]float64, w)
+			for i := range payload {
+				payload[i] = float64(100*root + i)
+			}
+		}
+		got[c.Rank()] = bcast(c, payload)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, m
+}
+
+func contains(list []int, x int) bool {
+	for _, v := range list {
+		if v == x {
+			return true
+		}
+	}
+	return false
+}
+
+// BcastTree over BinomialTree's arrangement of a group is Bcast over the
+// group: the same payloads, the same charged Report and the same traffic
+// matrix, for every group size up to 17 and every root.
+func TestBcastTreeBinomialMatchesBcast(t *testing.T) {
+	for q := 1; q <= 17; q++ {
+		group := make([]int, q) // a scrambled strict subset of the ranks
+		for i := range group {
+			group[i] = (2*q-1-i+q/3)%q + 1
+		}
+		order, parent := BinomialTree(q)
+		for rootPos, root := range group {
+			tree := make([]int, q) // rotated root-first, then in receive order
+			for i, rel := range order {
+				tree[i] = group[(int(rel)+rootPos)%q]
+			}
+			w := q + 3
+			want, wm := runTreeBcast(t, q+2, w, root, group, func(c *Ctx, payload []float64) []float64 {
+				return c.Bcast(group, root, 5, payload)
+			})
+			got, gm := runTreeBcast(t, q+2, w, root, group, func(c *Ctx, payload []float64) []float64 {
+				return c.BcastTree(tree, parent, 5, payload)
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("q=%d root %d: payloads %v, Bcast's %v", q, root, got, want)
+			}
+			if !reflect.DeepEqual(gm.Report(), wm.Report()) {
+				t.Fatalf("q=%d root %d: report %v, Bcast's %v", q, root, gm.Report(), wm.Report())
+			}
+			if !reflect.DeepEqual(gm.Traffic(), wm.Traffic()) {
+				t.Fatalf("q=%d root %d: traffic differs from Bcast's", q, root)
+			}
+		}
+	}
+}
+
+// A chain and a star charge the clocks of docs/MODEL.md's micro-examples:
+// a k-hop chain is k messages and k·w words along the critical path, and
+// a root sending to k children serializes its sends, so its i-th child
+// receives at i messages.
+func TestBcastTreeChainAndStar(t *testing.T) {
+	const k, w = 6, 4
+	group := []int{3, 0, 5, 1, 6, 2, 4}
+	chain, star := make([]int32, k+1), make([]int32, k+1)
+	for i := range chain {
+		chain[i], star[i] = int32(i-1), 0
+	}
+	star[0] = -1
+	for name, parent := range map[string][]int32{"chain": chain, "star": star} {
+		m := NewMachine(k + 1)
+		clocks := make([]Cost, k+1)
+		err := m.Run(func(c *Ctx) {
+			var payload []float64
+			if c.Rank() == group[0] {
+				payload = make([]float64, w)
+			}
+			if got := c.BcastTree(group, parent, 0, payload); len(got) != w {
+				t.Errorf("%s: rank %d received %d words, want %d", name, c.Rank(), len(got), w)
+			}
+			clocks[c.Rank()] = c.Clock()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp := m.CriticalPath(); cp.Latency != k || cp.Bandwidth != k*w {
+			t.Errorf("%s: critical path %+v, want %d messages and %d words", name, cp, k, k*w)
+		}
+		if name == "star" {
+			for i := 1; i <= k; i++ {
+				if got := clocks[group[i]].Latency; got != int64(i) {
+					t.Errorf("star: child %d received at %d messages, want %d", i, got, i)
+				}
+			}
+		}
+	}
+}
+
+// A parent that is not an earlier position panics (and fails the run)
+// instead of deadlocking.
+func TestBcastTreeRejectsLaterParent(t *testing.T) {
+	m := NewMachine(3)
+	err := m.Run(func(c *Ctx) {
+		c.BcastTree([]int{0, 1, 2}, []int32{-1, 2, 0}, 0, []float64{1})
+	})
+	if err == nil {
+		t.Fatal("a parent at a later position ran without error")
+	}
 }
