@@ -281,8 +281,8 @@ func TestServedWirePinned(t *testing.T) {
 		p                  int
 		words, msgs, total int64
 	}{
-		{"grid32x32", Grid2D(32, 32, w(1)), 49, 72530, 22, 186},
-		{"cycle800", Cycle(800, w(2)), 961, 2420, 44, 4075},
+		{"grid32x32", Grid2D(32, 32, w(1)), 49, 64820, 22, 186},
+		{"cycle800", Cycle(800, w(2)), 961, 2000, 44, 4075},
 	} {
 		def, err := Solve(tc.g, Options{P: tc.p, Seed: 42})
 		if err != nil {

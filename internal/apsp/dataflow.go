@@ -17,7 +17,7 @@ import (
 // — every collective's group, root and tree — so nothing about an
 // execute needs discovering at run time: p free-running rank
 // goroutines, cond-var mailboxes and linear-scan message matching (the
-// reference semantics, executeMachine in exec.go) only re-derive,
+// reference semantics, executeMachine in machine_test.go) only re-derive,
 // expensively, a partial order that is already known. This file lowers
 // the per-rank programs into that partial order explicitly — a static
 // dependency graph whose micro-nodes are the programs' steps and whose
@@ -107,6 +107,7 @@ type dfProgram struct {
 	supers      []dfSuper
 	superOf     []int32  // micro id -> owning super-node
 	msgConsumer []int32  // message slot -> consuming micro-node
+	msgPart     []int32  // message slot -> the payload part it carries (msg.part)
 	seeds       []int32  // super-nodes with deps == 0 (each rank's head)
 	levelNames  []string // "level-1".. precomputed mark ids
 	maxScratch  int      // max ScratchWords over ranks: per-worker arena size
@@ -192,6 +193,7 @@ func lowerPlan(pl *Plan) *dfProgram {
 				from, to := get(int32(li), int32(x), m.src), get(int32(li), int32(x), m.dst)
 				slot := int32(len(prog.msgConsumer))
 				prog.msgConsumer = append(prog.msgConsumer, to)
+				prog.msgPart = append(prog.msgPart, int32(m.part))
 				msgProducer = append(msgProducer, from)
 				prog.micros[from].sends = append(prog.micros[from].sends, slot)
 				prog.micros[to].recvs = append(prog.micros[to].recvs, slot)
@@ -676,21 +678,36 @@ func (x *dfRun) sendMsg(n *dfNode, i int, data []float64) {
 	x.complete(x.prog.superOf[consumer])
 }
 
-// bcastData replays one rank's role in a broadcast: the root packs its
-// block (a copy — consumers share the payload), everyone else receives
-// once, then all forward down the tree. Charge order — receive, sends,
-// then the caller's consumer work — is the machine's.
-func (x *dfRun) bcastData(n *dfNode, op *Op, rs *rankState) []float64 {
-	var data []float64
+// bcastData replays one rank's role in a broadcast: the root holds its
+// own block, every other member receives once and decodes what it got;
+// then each sends its children down the tree (relay). It returns the
+// block the member folds — what it decoded, or for a consuming root its
+// block packed at the whole group's demand and decoded. Charge order —
+// receive, sends, then the caller's consumer work — is the machine's.
+func (x *dfRun) bcastData(n *dfNode, op *Op, rs *rankState) *semiring.Matrix {
+	rows, cols := x.sizes[op.BI], x.sizes[op.BJ]
+	var held *semiring.Matrix
 	if int(n.rank) == op.Root {
-		data = x.pl.pack(rs.A, op.Prune[0])
-	} else {
-		data = x.recvMsg(n, 0)
+		held = rs.A
+	} else if data := x.recvMsg(n, 0); n.use || len(n.sends) > 0 {
+		held = x.pl.unpack(data, rows, cols)
 	}
-	for i := range n.sends {
-		x.sendMsg(n, i, data)
+	x.relay(n, op, held)
+	if int(n.rank) == op.Root && n.use {
+		return x.pl.unpack(x.pl.pack(rs.A, op.prune(0)), rows, cols)
 	}
-	return data
+	return held
+}
+
+// relay sends each child of broadcast member n the child's subtree
+// demand (Op.Prune), packed from the block the member holds. A relay's
+// block is what its own, wider demand decoded to, so the re-pack keeps
+// the entries packing the root's block would, in no more words
+// (semiring.PackPruned).
+func (x *dfRun) relay(n *dfNode, op *Op, held *semiring.Matrix) {
+	for i, slot := range n.sends {
+		x.sendMsg(n, i, x.pl.pack(held, op.prune(int(x.prog.msgPart[slot]))))
+	}
 }
 
 // execSuper runs every micro-node of a super-node in program order,
@@ -761,15 +778,12 @@ func (x *dfRun) execPanelChain(start, end int32, a *semiring.Arena) int32 {
 	}
 	rank := int(x.prog.micros[start].rank)
 	rs := &x.ranks[rank]
-	cnt := int(j - start)
-	steps := make([]semiring.PanelStep, cnt)
-	raw := make([][]float64, cnt)
+	steps := make([]semiring.PanelStep, j-start)
 	for i := range steps {
 		n := &x.prog.micros[start+int32(i)]
 		op := &x.pl.Levels[n.level][n.op]
-		raw[i] = x.slots[n.recvs[0]].data
 		steps[i] = semiring.PanelStep{
-			D:     x.pl.unpack(raw[i], x.sizes[op.BI], x.sizes[op.BJ]),
+			D:     x.pl.unpack(x.slots[n.recvs[0]].data, x.sizes[op.BI], x.sizes[op.BJ]),
 			Right: op.Kind != opR2Left,
 		}
 	}
@@ -779,9 +793,7 @@ func (x *dfRun) execPanelChain(start, end int32, a *semiring.Arena) int32 {
 			x.led.SetSendClass(rank, comm.SendR2)
 			s := &x.slots[n.recvs[0]]
 			x.led.ChargeRecv(rank, s.clock, int64(len(s.data)))
-			for si := range n.sends {
-				x.sendMsg(n, si, raw[i])
-			}
+			x.relay(n, &x.pl.Levels[n.level][n.op], steps[i].D)
 			x.led.AddMemory(rank, int64(len(steps[i].D.V)))
 		},
 		func(i int, ops int64) {
@@ -844,7 +856,7 @@ func (x *dfRun) exec(id int32, a *semiring.Arena) {
 				continue
 			}
 			if rank == src {
-				x.sendMsg(n, si, x.pl.pack(rs.A, op.Prune[i]))
+				x.sendMsg(n, si, x.pl.pack(rs.A, op.prune(i)))
 				si++
 			}
 			if rank == op.Root {
@@ -859,9 +871,8 @@ func (x *dfRun) exec(id int32, a *semiring.Arena) {
 			rs.transpose(got[0])
 		}
 	default:
-		data := x.bcastData(n, op, rs)
-		if n.use {
-			rs.consume(s, op.Kind, x.pl.unpack(data, x.sizes[op.BI], x.sizes[op.BJ]), a)
+		if d := x.bcastData(n, op, rs); n.use {
+			rs.consume(s, op.Kind, d, a)
 		}
 	}
 }

@@ -269,8 +269,16 @@ func bitset(n int) []uint64 { return make([]uint64, (n+63)/64) }
 // the payload (replace, not fold), so every entry is demanded — they
 // still benefit from the pack-time numeric trim. Reduce payloads are
 // raw vectors outside the pack layer and are left untouched.
-func attachPrunes(pl *Plan, ly *Layout) {
+//
+// A broadcast's descriptors end up per edge — the message into position
+// i carries the union of what the members of the subtree rooted at i
+// fold — but that depends on the tree, which placeTrees chooses later.
+// Until then every edge carries the whole group's union (wholeGroup), and
+// attachPrunes returns each broadcast's per-member demand, from which
+// placeTrees freezes the per-edge descriptors of the trees it chooses.
+func attachPrunes(pl *Plan, ly *Layout) map[*Op]*bcastNeed {
 	d := newDemandState(ly)
+	needs := make(map[*Op]*bcastNeed)
 	for _, ops := range pl.Levels {
 		unitOf := make(map[int]*Op)
 		for x := range ops {
@@ -279,15 +287,20 @@ func attachPrunes(pl *Plan, ly *Layout) {
 			}
 		}
 		for x := range ops {
-			d.sweep(&ops[x], unitOf)
+			if need := d.sweep(&ops[x], unitOf); need != nil {
+				need.wholeGroup(&ops[x])
+				needs[&ops[x]] = need
+			}
 		}
 	}
+	return needs
 }
 
-// sweep freezes op's demand descriptors from the masks as they stand,
-// then applies op's mask update (the file comment says why op by op is
+// sweep freezes op's demand descriptors from the masks as they stand —
+// for a broadcast, it returns what each member demands instead — then
+// applies op's mask update (the file comment says why op by op is
 // sound). unitOf maps a rank to the level's unit on it.
-func (d *demandState) sweep(op *Op, unitOf map[int]*Op) {
+func (d *demandState) sweep(op *Op, unitOf map[int]*Op) *bcastNeed {
 	switch op.Kind {
 	case opDiag:
 		if dk := d.at(op.BI, op.BI); dk != nil {
@@ -296,8 +309,10 @@ func (d *demandState) sweep(op *Op, unitOf map[int]*Op) {
 	case opUnit:
 		d.mul(op.BI, op.K, op.BJ)
 	case opSeq:
-		op.Prune[0] = d.demand(op.BI, op.K, true, [][2]int{{op.K, op.BJ}})
-		op.Prune[1] = d.demand(op.K, op.BJ, false, [][2]int{{op.BI, op.K}})
+		op.Prune = []*PruneSpec{
+			d.demand(op.BI, op.K, true, [][2]int{{op.K, op.BJ}}),
+			d.demand(op.K, op.BJ, false, [][2]int{{op.BI, op.K}}),
+		}
 		d.mul(op.BI, op.K, op.BJ)
 	case opTrans:
 		if src := d.at(op.BI, op.BJ); src != nil {
@@ -324,7 +339,7 @@ func (d *demandState) sweep(op *Op, unitOf map[int]*Op) {
 			}
 			others[c] = [2]int{i, j}
 		}
-		op.Prune[0] = d.demand(op.BI, op.BJ, left, others)
+		need := d.need(op, left, others)
 		switch op.Kind {
 		case opR2Left, opR2Right:
 			// Pivot payloads always allow the zero-diagonal drop (the
@@ -332,10 +347,7 @@ func (d *demandState) sweep(op *Op, unitOf map[int]*Op) {
 			// flag). On identity pivots — diagonal supernodes with no
 			// internal fill, e.g. every leaf supernode of a star — the
 			// whole broadcast collapses to the 1-word empty payload.
-			if op.Prune[0] == nil {
-				op.Prune[0] = &PruneSpec{}
-			}
-			op.Prune[0].ZeroDiag = true
+			need.zeroDiag = true
 			// The panel is both an operand and the destination; the
 			// numeric kernel reads the PRE-update panel (via its scratch
 			// clone), so the sweep multiplies a snapshot.
@@ -352,7 +364,9 @@ func (d *demandState) sweep(op *Op, unitOf map[int]*Op) {
 				d.mul(op.BI, op.BJ, o[1]) // M(i,j) |= M(i,k) ⊗ M(k,j)
 			}
 		}
+		return need
 	}
+	return nil
 }
 
 // demand returns the descriptor of payload block (bi, bj), given the
@@ -361,18 +375,146 @@ func (d *demandState) sweep(op *Op, unitOf map[int]*Op) {
 // some other operand has a maybe-finite row for; as the right operand,
 // symmetrically, the rows.
 func (d *demandState) demand(bi, bj int, left bool, others [][2]int) *PruneSpec {
+	axis := d.axis(bi, bj, left, others)
+	if left {
+		return pruneFor(nil, axis, d.sizes[bi], d.sizes[bj])
+	}
+	return pruneFor(axis, nil, d.sizes[bi], d.sizes[bj])
+}
+
+// axis is demand's kept axis as a bitset: the columns (left) or rows the
+// products with the given other operands can fold.
+func (d *demandState) axis(bi, bj int, left bool, others [][2]int) []uint64 {
 	if left {
 		cols := bitset(d.sizes[bj])
 		for _, o := range others {
 			d.at(o[0], o[1]).orRowAnyInto(cols)
 		}
-		return pruneFor(nil, cols, d.sizes[bi], d.sizes[bj])
+		return cols
 	}
 	rows := bitset(d.sizes[bi])
 	for _, o := range others {
 		d.at(o[0], o[1]).orColAnyInto(rows)
 	}
-	return pruneFor(rows, nil, d.sizes[bi], d.sizes[bj])
+	return rows
+}
+
+// need returns broadcast op's per-member demand: others[c] is the other
+// operand of consumer c's product, and members outside Consumers — the
+// R2 relays — demand nothing.
+func (d *demandState) need(op *Op, left bool, others [][2]int) *bcastNeed {
+	n := &bcastNeed{rows: d.sizes[op.BI], cols: d.sizes[op.BJ], onRows: !left, member: make([][]uint64, len(op.Group))}
+	for c, r := range op.Consumers {
+		n.member[position(op.Group, r)] = d.axis(op.BI, op.BJ, left, others[c:c+1])
+	}
+	for m := range n.member {
+		if n.member[m] == nil {
+			n.member[m] = bitset(n.dim())
+		}
+	}
+	return n
+}
+
+// bcastNeed is one broadcast's demand per member, kept from the sweep
+// until placeTrees has chosen the broadcast's tree: member[m] is the
+// bitset of payload rows (onRows) or columns that Group[m] folds, and it
+// is permuted with Group. Every descriptor of the op derives from it.
+type bcastNeed struct {
+	rows, cols int // payload dimensions
+	onRows     bool
+	zeroDiag   bool // an R2 pivot: every descriptor carries the flag
+	member     [][]uint64
+}
+
+// dim is the length of the pruned axis.
+func (n *bcastNeed) dim() int {
+	if n.onRows {
+		return n.rows
+	}
+	return n.cols
+}
+
+// unions fills dst with the subtree demands of the tree (arr, parent):
+// dst[p] is the union of what the members of the subtree rooted at
+// position p fold, where arr[p] indexes member (nil: the identity) and
+// parent is the tree over positions. Parents precede children, so one
+// reverse sweep folds every subtree into its parent. dst must have a
+// slot per position; its slots' storage is reused.
+func (n *bcastNeed) unions(arr, parent []int32, dst [][]uint64) [][]uint64 {
+	q := len(parent)
+	for p := 0; p < q; p++ {
+		m := p
+		if arr != nil {
+			m = int(arr[p])
+		}
+		dst[p] = append(dst[p][:0], n.member[m]...)
+	}
+	for p := q - 1; p > 0; p-- {
+		up := dst[parent[p]]
+		for x, w := range dst[p] {
+			up[x] |= w
+		}
+	}
+	return dst[:q]
+}
+
+// spec is the descriptor of a kept-axis bitset.
+func (n *bcastNeed) spec(bs []uint64) *PruneSpec {
+	var s *PruneSpec
+	if n.onRows {
+		s = pruneFor(bs, nil, n.rows, n.cols)
+	} else {
+		s = pruneFor(nil, bs, n.rows, n.cols)
+	}
+	if n.zeroDiag {
+		if s == nil {
+			s = &PruneSpec{}
+		}
+		s.ZeroDiag = true
+	}
+	return s
+}
+
+// words is packWords of spec(bs), counted without building it (before
+// msgWords' cap at the whole group's words).
+func (n *bcastNeed) words(bs []uint64) int64 {
+	kept := 0
+	for _, w := range bs {
+		kept += bits.OnesCount64(w)
+	}
+	nr, nc := n.rows, n.cols
+	if n.onRows {
+		nr = kept
+	} else {
+		nc = kept
+	}
+	return packWords(n.rows, n.cols, nr, nc, kept == n.dim() && !n.zeroDiag)
+}
+
+// wholeGroup gives every position of op the whole group's descriptor:
+// the union of every member's demand, which any tree's root subtree is.
+func (n *bcastNeed) wholeGroup(op *Op) {
+	all := bitset(n.dim())
+	for _, bs := range n.member {
+		for x, w := range bs {
+			all[x] |= w
+		}
+	}
+	spec := n.spec(all)
+	op.Prune = make([]*PruneSpec, len(op.Group))
+	for i := range op.Prune {
+		op.Prune[i] = spec
+	}
+}
+
+// freeze sets op.Prune to the subtree demands of op's tree as it stands,
+// using buf (a slot per member) for the unions.
+func (n *bcastNeed) freeze(op *Op, buf [][]uint64) {
+	sub := n.unions(nil, op.Parent, buf)
+	op.Prune = make([]*PruneSpec, len(sub))
+	for p, bs := range sub {
+		op.Prune[p] = n.spec(bs)
+	}
 }
 
 // mul folds M(i,k) ⊗ M(k,j) into M(i,j) unless an operand is provably

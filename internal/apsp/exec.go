@@ -3,22 +3,21 @@ package apsp
 import (
 	"fmt"
 
-	"sparseapsp/internal/comm"
 	"sparseapsp/internal/graph"
 	"sparseapsp/internal/semiring"
 )
 
 // What a rank does with a payload, and the reference semantics of a
 // Plan replay. The numeric steps below — one per kind — are shared by
-// both executors, which call them in each rank's program order
-// (Plan.ranks) and charge them through their own sink. How messages
-// travel is not shared: executeMachine, the literal simulated machine
-// with one goroutine per rank, drives every exchange through comm's own
-// BcastTree, ReduceTo, Send and Recv, while ExecuteOpts (dataflow.go) wires
-// them from appendMessages. That keeps the machine an independent check
-// of the expansion: TestExecutorEquality and TestPlanClockIsExact hold
-// the two executors to the same distances and the same charged costs —
-// the ones the golden cost test pins.
+// ExecuteOpts (dataflow.go) and the test suite's machine reference
+// (executeMachine, machine_test.go), which call them in each rank's
+// program order (Plan.ranks) and charge them through their own sink. How
+// messages travel is not shared: the machine, one goroutine per rank,
+// drives every exchange through comm's own BcastTreeEach, ReduceTo, Send
+// and Recv, while ExecuteOpts wires them from appendMessages. That keeps
+// the machine an independent check of the expansion: TestExecutorEquality
+// and TestPlanClockIsExact hold the two executors to the same distances
+// and the same charged costs — the ones the golden cost test pins.
 
 // LayoutFor wraps g in a Layout that reuses the plan's cached symbolic
 // state. This is the warm serving path: the only per-solve work is the
@@ -135,110 +134,6 @@ func drop(s sink, m **semiring.Matrix) {
 
 // levelName is the phase-mark id of level index li.
 func levelName(li int32) string { return fmt.Sprintf("level-%d", li+1) }
-
-// executeMachine runs the plan on the simulated machine: p rank
-// goroutines communicating through mailboxes. It is the reference
-// semantics ExecuteOpts is checked against (TestExecutorEquality) and
-// has no caller outside the package's tests. An op's tag is its ordinal
-// over all levels, so no two ops share one.
-func (pl *Plan) executeMachine(ly *Layout) (*DistResult, error) {
-	blocks, release := ly.BlocksPooled()
-	tags := make([]int, len(pl.Levels))
-	for li := 1; li < len(tags); li++ {
-		tags[li] = tags[li-1] + len(pl.Levels[li-1])
-	}
-	machine := comm.NewMachine(pl.P)
-	err := machine.Run(func(ctx *comm.Ctx) {
-		r := ctx.Rank()
-		rs := &rankState{A: blocks[r/pl.NSup+1][r%pl.NSup+1]}
-		scratch := semiring.NewArena(pl.ScratchWords(r))
-		for _, st := range pl.ranks[r] {
-			pl.machineStep(ctx, rs, st, scratch, tags)
-		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("apsp: sparse solver failed: %w", err)
-	}
-	phases, err := machine.PhaseCosts()
-	if err != nil {
-		return nil, fmt.Errorf("apsp: phase accounting failed: %w", err)
-	}
-	dist := ly.AssembleOriginal(blocks)
-	release()
-	return &DistResult{
-		Dist:    dist,
-		Report:  machine.Report(),
-		Layout:  ly,
-		P:       pl.P,
-		Phases:  phases,
-		Traffic: machine.Traffic(),
-	}, nil
-}
-
-// machineStep runs one step of the calling rank's program on the
-// machine.
-func (pl *Plan) machineStep(ctx *comm.Ctx, rs *rankState, st step, a *semiring.Arena, tags []int) {
-	switch st.kind {
-	case kindInit:
-		ctx.SetMemory(int64(len(rs.A.V)))
-		return
-	case kindMark:
-		ctx.Mark(levelName(st.level))
-		return
-	case kindR4Release:
-		rs.releaseR4(ctx)
-		return
-	case kindR3Combine:
-		rs.combineR3(ctx)
-		return
-	}
-	rank, sizes := ctx.Rank(), pl.ND.Sizes
-	op := &pl.Levels[st.level][st.op]
-	tag := tags[st.level] + int(st.op)
-	ctx.SetSendClass(opSendClass[op.Kind])
-	switch op.Kind {
-	case opDiag:
-		rs.diag(ctx)
-	case opUnit:
-		rs.unitProduct(ctx, sizes[op.BI], sizes[op.BJ])
-	case opReduce:
-		var data []float64
-		if st.use {
-			data = rs.unit.V
-		}
-		if res := ctx.ReduceTo(op.Group, op.Root, tag, data, semiring.MinInto); rank == op.Root {
-			rs.fold(ctx, res)
-		}
-	case opSeq, opTrans:
-		var got [2]*semiring.Matrix
-		for i, src := range op.Group {
-			if src == op.Root {
-				continue
-			}
-			if rank == src {
-				ctx.Send(op.Root, tag, pl.pack(rs.A, op.Prune[i]))
-			}
-			if rank == op.Root {
-				bi, bj := op.payload(i)
-				got[i] = pl.unpack(ctx.Recv(src, tag), sizes[bi], sizes[bj])
-			}
-		}
-		if rank == op.Root && op.Kind == opSeq {
-			rs.seqProduct(ctx, got)
-		} else if rank == op.Root {
-			rs.transpose(got[0])
-		}
-	default:
-		var payload []float64
-		if rank == op.Root {
-			payload = pl.pack(rs.A, op.Prune[0]) // copy: receivers share the buffer
-		}
-		data := ctx.BcastTree(op.Group, op.Parent, tag, payload)
-		if st.use {
-			rs.consume(ctx, op.Kind, pl.unpack(data, sizes[op.BI], sizes[op.BJ]), a)
-		}
-	}
-}
 
 // pack encodes a block body for the wire; the machine charges bandwidth
 // per payload word, so the encoded length IS the charged cost. The

@@ -16,12 +16,14 @@ import (
 // once the demand sweep has frozen the payload rectangles — an upper
 // bound on its size, so it can replay the machine's cost clocks
 // symbolically and choose each broadcast's tree from them. The pass
-// rewrites a broadcast's Op.Group order and Op.Parent and nothing else:
-// the same members receive the same payload, only the tree it travels
-// down changes (DESIGN.md §3 "Broadcast trees", EXPERIMENTS.md E30,
-// E40). The messages are appendMessages', the expansion the dataflow
-// lowering wires, so the clock replayed here is the one the executors
-// charge (TestPlanClockIsExact).
+// rewrites a broadcast's Op.Group order, Op.Parent and the per-position
+// descriptors that follow from the tree (Op.Prune) and nothing else: the
+// same members receive and fold the same payload, only the tree it
+// travels down, and so what each edge carries, changes (DESIGN.md §3
+// "Broadcast trees", EXPERIMENTS.md E30, E40, E41). The messages are
+// appendMessages', the expansion the dataflow lowering wires, so the
+// clock replayed here is the one the executors charge
+// (TestPlanClockIsExact).
 
 // tick is the communication half of comm.Cost: messages and words along
 // the critical path. Both components are advanced and max-merged
@@ -110,38 +112,56 @@ func newTreeShape(q int) *treeShape {
 // simulated and never reordered.
 type placeStep struct {
 	op *Op
-	w  [2]int64 // words of one message of each payload part
+	// w[part] is the words of one message of each payload part
+	// (msg.part): a broadcast's per receiving position, w[0] being the
+	// whole group's.
+	w []int64
 	// tails[i] is the longest remaining path from broadcast member
 	// op.Group[i]'s program point just after the op; nil for the rest.
 	tails []tick
+	// need is a broadcast's per-member demand under the pruned wire of a
+	// plan being placed, permuted with op.Group; nil otherwise.
+	need *bcastNeed
 }
 
 // msgWords bounds from above the words one message of op's part-th
 // payload carries: a reduce's raw unit body under both wires, the raw
 // body under WireDense, else what Plan.pack ships for the frozen demand
-// rectangle — the dense encoding when no descriptor applies, one word
-// when an axis is empty.
+// rectangle (packWords) — capped, on a broadcast edge, at the whole
+// group's bound: pack falls back to the classic encoding whenever that is
+// shorter, so a sub-rectangle never ships more than the whole group's
+// payload would.
 func (pl *Plan) msgWords(op *Op, part int) int64 {
 	bi, bj := op.payload(part)
 	rows, cols := pl.ND.Sizes[bi], pl.ND.Sizes[bj]
-	prune := op.Prune[part]
-	switch {
-	case pl.Wire == WireDense || op.Kind == opReduce:
+	if pl.Wire == WireDense || op.Kind == opReduce {
 		return int64(rows * cols)
-	case prune == nil && rows*cols == 0:
-		return 1
-	case prune == nil:
-		return int64(1 + rows*cols)
 	}
+	prune := op.prune(part)
 	nr, nc := rows, cols
-	if prune.Rows != nil {
+	if prune != nil && prune.Rows != nil {
 		nr = len(prune.Rows)
 	}
-	if prune.Cols != nil {
+	if prune != nil && prune.Cols != nil {
 		nc = len(prune.Cols)
 	}
-	if nr == 0 || nc == 0 {
+	w := packWords(rows, cols, nr, nc, prune == nil)
+	if isBcast(op.Kind) && part > 0 {
+		w = min(w, pl.msgWords(op, 0))
+	}
+	return w
+}
+
+// packWords bounds the words Plan.pack ships on the pruned wire for a
+// rows×cols payload whose descriptor keeps nr rows and nc columns: one
+// word when the kept rectangle is empty, the dense encoding under the
+// full descriptor, else the pruned encoding of the rectangle.
+func packWords(rows, cols, nr, nc int, full bool) int64 {
+	switch {
+	case nr == 0 || nc == 0:
 		return 1
+	case full:
+		return int64(1 + rows*cols)
 	}
 	return int64(3 + nr + nc + nr*nc)
 }
@@ -173,11 +193,15 @@ type candidate struct{ arr, parent []int32 }
 // of the two sweeps and the scratch the candidate trees are built and
 // scored in.
 type placer struct {
+	pl     *Plan
 	steps  []placeStep
 	clock  []tick // forward sweep: per-rank clock
 	tail   []tick // backward sweep: per-rank longest remaining path
 	shapes []*treeShape
 	msgs   []msg // the messages of the op at hand
+	// perEdge: candidate trees are scored at each edge's subtree demand;
+	// otherwise every edge weighs the whole group's (Prune[0]).
+	perEdge bool
 
 	// Candidate scratch, sized to the largest group.
 	pos      []tick       // per-position clocks of the tree being scored
@@ -185,8 +209,11 @@ type placer struct {
 	byReady  []int32      // members 1..q-1 by ascending ready clock
 	byTail   []int32      // members 1..q-1 by descending tail
 	cand     [4]candidate // (b)–(e) of choose
+	edge     []int64      // per-position words of the message into it
+	union    [][]uint64   // per-position subtree demand
 	regroup  []int
 	retails  []tick
+	reneed   [][]uint64
 	identity []int32
 }
 
@@ -198,11 +225,13 @@ func (pc *placer) shape(q int) *treeShape {
 }
 
 // binomialRounds is how many rounds re-arrange members over the binomial
-// tree only; placeRounds is how often the two sweeps run in all, the
-// later rounds also growing greedy trees. Each round recomputes the tails
-// from the previous round's trees. A third binomial round still moved 13
-// of 416 sweep cells (never for the worse), not enough to pay for a third
-// of the pass's time (E30); the two greedy rounds are E40's.
+// tree only; placeRounds is how often the two sweeps run at whole-group
+// words, the later rounds also growing greedy trees. Each round
+// recomputes the tails from the previous round's trees. A third binomial
+// round still moved 13 of 416 sweep cells (never for the worse), not
+// enough to pay for a third of the pass's time (E30); the two greedy
+// rounds are E40's. On the pruned wire one more round follows at
+// per-edge words (E41).
 const (
 	binomialRounds = 2
 	placeRounds    = 4
@@ -210,30 +239,58 @@ const (
 
 // placeTrees chooses the tree of every broadcast; see the file comment
 // and DESIGN.md §3. It must run after attachPrunes (the payload
-// rectangles are its word sizes) and before indexRanks.
-func placeTrees(pl *Plan) {
-	pc := newPlacer(pl)
+// rectangles are its word sizes; needs is what it returned) and before
+// indexRanks. The placeRounds rounds weigh every message of a broadcast
+// at the whole group's rectangle, an upper bound on every edge. The
+// per-position descriptors are then frozen from the chosen trees, and a
+// final round under the same rule weighs each candidate's edges at their
+// subtree demand. Scoring per-edge words from the first round measured
+// worse, with a message count rising (E41).
+func placeTrees(pl *Plan, needs map[*Op]*bcastNeed) {
+	pc := newPlacer(pl, needs)
 	for round := 0; round < placeRounds; round++ {
 		pc.backward()
 		pc.forward(true, round >= binomialRounds)
 	}
+	if len(needs) == 0 {
+		return // WireDense: every edge ships the whole block
+	}
+	pc.perEdge = true
+	for i := range pc.steps {
+		st := &pc.steps[i]
+		if st.need != nil {
+			st.need.freeze(st.op, pc.union)
+		}
+		pc.weigh(st)
+	}
+	pc.backward()
+	pc.forward(true, true)
 }
 
-// newPlacer lists every op that sends.
-func newPlacer(pl *Plan) *placer {
-	pc := &placer{clock: make([]tick, pl.P), tail: make([]tick, pl.P)}
-	maxQ := 0
+// newPlacer lists every op that sends, each message weighed at the
+// descriptor it carries; needs (nil to replay the plan as it stands)
+// attaches each broadcast's per-member demand.
+func newPlacer(pl *Plan, needs map[*Op]*bcastNeed) *placer {
+	pc := &placer{pl: pl, clock: make([]tick, pl.P), tail: make([]tick, pl.P)}
+	maxQ, maxAxis := 0, 0
 	for _, ops := range pl.Levels {
 		for x := range ops {
 			op := &ops[x]
 			if op.Kind == opDiag || op.Kind == opUnit {
 				continue
 			}
-			st := placeStep{op: op, w: [2]int64{pl.msgWords(op, 0), pl.msgWords(op, 1)}}
-			if isBcast(op.Kind) {
-				st.tails = make([]tick, len(op.Group))
-				maxQ = max(maxQ, len(op.Group))
+			st := placeStep{op: op, w: make([]int64, 1)}
+			if op.Kind == opSeq {
+				st.w = make([]int64, 2)
 			}
+			if isBcast(op.Kind) {
+				st.w = make([]int64, len(op.Group))
+				st.tails = make([]tick, len(op.Group))
+				st.need = needs[op]
+				maxQ = max(maxQ, len(op.Group))
+				maxAxis = max(maxAxis, pl.ND.Sizes[op.BI], pl.ND.Sizes[op.BJ])
+			}
+			pc.weigh(&st)
 			pc.steps = append(pc.steps, st)
 		}
 	}
@@ -245,13 +302,28 @@ func newPlacer(pl *Plan) *placer {
 	for c := range pc.cand {
 		pc.cand[c] = candidate{arr: make([]int32, maxQ), parent: make([]int32, maxQ)}
 	}
+	pc.edge = make([]int64, maxQ)
+	pc.union = make([][]uint64, maxQ)
+	for p := range pc.union {
+		pc.union[p] = make([]uint64, 0, (maxAxis+63)/64)
+	}
 	pc.regroup = make([]int, maxQ)
 	pc.retails = make([]tick, maxQ)
+	pc.reneed = make([][]uint64, maxQ)
 	pc.identity = make([]int32, maxQ)
 	for i := range pc.identity {
 		pc.identity[i] = int32(i)
 	}
 	return pc
+}
+
+// weigh sets the words of each of st's messages from the op's
+// descriptors as they stand: until placeTrees freezes the per-edge ones,
+// every position of a broadcast holds the whole group's.
+func (pc *placer) weigh(st *placeStep) {
+	for part := range st.w {
+		st.w[part] = pc.pl.msgWords(st.op, part)
+	}
 }
 
 // messages expands st's op as it stands into pc.msgs.
@@ -302,17 +374,35 @@ func (pc *placer) forward(choose, grow bool) {
 // path through any member: max over members of clock after the op +
 // remaining tail.
 func (pc *placer) score(st *placeStep, c candidate) tick {
+	w := pc.edgeWords(st, c)
 	for p, m := range c.arr {
 		pc.pos[p] = pc.ready[m]
 	}
 	for p := 1; p < len(c.arr); p++ {
-		deliver(pc.pos, int(c.parent[p]), p, st.w[0])
+		deliver(pc.pos, int(c.parent[p]), p, w[p])
 	}
 	var worst tick
 	for p, m := range c.arr {
 		worst = worst.max(pc.pos[p].add(st.tails[m]))
 	}
 	return worst
+}
+
+// edgeWords returns the words of the message into each position of
+// candidate c: the whole group's until the per-edge round, then the
+// union of what the members of the position's subtree fold.
+func (pc *placer) edgeWords(st *placeStep, c candidate) []int64 {
+	w := pc.edge[:len(c.arr)]
+	if !pc.perEdge {
+		for p := range w {
+			w[p] = st.w[0]
+		}
+		return w
+	}
+	for p, bs := range st.need.unions(c.arr, c.parent, pc.union) {
+		w[p] = min(st.need.words(bs), st.w[0]) // msgWords' cap
+	}
+	return w
 }
 
 // sortMembers fills dst with members 1..q-1 ordered by key, ascending or
@@ -428,8 +518,18 @@ func (pc *placer) choose(st *placeStep, grow bool) {
 	for p, m := range best.arr {
 		pc.regroup[p] = g[m]
 		pc.retails[p] = st.tails[m]
+		if st.need != nil {
+			pc.reneed[p] = st.need.member[m]
+		}
 	}
 	copy(g, pc.regroup[:q])
 	copy(st.tails, pc.retails[:q])
 	copy(op.Parent, best.parent)
+	if st.need != nil {
+		copy(st.need.member, pc.reneed[:q])
+	}
+	if pc.perEdge {
+		st.need.freeze(op, pc.union)
+		pc.weigh(st)
+	}
 }

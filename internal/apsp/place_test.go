@@ -1,6 +1,7 @@
 package apsp
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -14,7 +15,7 @@ import (
 // words): the component-wise maximum over the ranks' final clocks, like
 // comm.Report.Critical.
 func planClock(pl *Plan) tick {
-	pc := newPlacer(pl)
+	pc := newPlacer(pl, nil)
 	pc.forward(false, false)
 	var crit tick
 	for _, c := range pc.clock {
@@ -80,12 +81,15 @@ func TestPlanClockIsExact(t *testing.T) {
 }
 
 // TestPlacementNeverRaisesCost holds the pass's guarantee structurally:
-// over the whole shape grid the placed plan's plan-time messages and
-// words are each at most the label-order plan's, and the pass touched
-// nothing but each broadcast's member order and tree — the same member
-// set, root at position 0, a tree (every parent an earlier position),
-// consumers, kind, blocks and prune descriptor as planned, every other op
-// identical.
+// over the whole shape grid the placed plan's plan-time messages are at
+// most the label-order plan's, and its plan-time words at per-edge
+// payloads at most the label-order plan's at whole-group payloads — the
+// bound its first rounds are scored at, which no edge's subtree demand
+// exceeds. The pass touched nothing but each broadcast's member order,
+// tree and per-position descriptors — the same member set, root at
+// position 0, a tree (every parent an earlier position), consumers,
+// kind, blocks and whole-group descriptor as planned, no edge weighing
+// more than the whole group's, every other op identical.
 func TestPlacementNeverRaisesCost(t *testing.T) {
 	sorted := func(g []int) []int {
 		s := append([]int(nil), g...)
@@ -101,6 +105,9 @@ func TestPlacementNeverRaisesCost(t *testing.T) {
 		before, after := planClock(label), planClock(placed)
 		if !after.within(before) {
 			t.Errorf("%s: placement raised the plan-time cost: %+v → %+v", name, before, after)
+		}
+		if whole := planClock(wholeGroupPayloads(t, placed)); !after.within(whole) {
+			t.Errorf("%s: per-edge payloads cost %+v, whole-group %+v", name, after, whole)
 		}
 		for li := range label.Levels {
 			was, now := label.Levels[li], placed.Levels[li]
@@ -128,14 +135,85 @@ func TestPlacementNeverRaisesCost(t *testing.T) {
 					if b.Parent[i] < 0 || int(b.Parent[i]) >= i {
 						t.Errorf("%s: level %d op %d: position %d has parent %d", name, li+1, x, i, b.Parent[i])
 					}
+					if edge, whole := placed.msgWords(&b, i), placed.msgWords(&b, 0); edge > whole {
+						t.Errorf("%s: level %d op %d: the edge into position %d weighs %d words, the whole group %d", name, li+1, x, i, edge, whole)
+					}
 				}
-				a.Group, b.Group, a.Parent, b.Parent = nil, nil, nil, nil
+				if !reflect.DeepEqual(a.prune(0), b.prune(0)) {
+					t.Errorf("%s: level %d op %d: whole-group descriptor %+v became %+v", name, li+1, x, a.prune(0), b.prune(0))
+				}
+				a.Group, b.Group, a.Parent, b.Parent, a.Prune, b.Prune = nil, nil, nil, nil, nil, nil
 				if !reflect.DeepEqual(a, b) {
 					t.Errorf("%s: level %d op %d: placement changed more than the tree:\n was %+v\n now %+v", name, li+1, x, a, b)
 				}
 			}
 		}
 	})
+}
+
+// wholeGroupPayloads returns a copy of pl whose broadcast messages all
+// carry the whole group's demand (every Prune[i] = Prune[0]), as every
+// plan before per-edge descriptors did: the same trees and messages.
+func wholeGroupPayloads(t *testing.T, pl *Plan) *Plan {
+	t.Helper()
+	cp, err := DecodePlan(pl.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ops := range cp.Levels {
+		for x := range ops {
+			if op := &ops[x]; isBcast(op.Kind) {
+				for i := range op.Prune {
+					op.Prune[i] = op.Prune[0]
+				}
+			}
+		}
+	}
+	return cp
+}
+
+// TestPerEdgePayloadsNeverRaiseCost executes every golden case and both
+// benchmark shapes on the pruned wire twice — as built, and with every
+// broadcast edge carrying the whole group's payload — and requires the
+// same distances to the bit, the same messages (critical and total), the
+// same peak memory, and no more words, critical or total: a relay ships
+// each child what its subtree folds, re-packed from what it decoded, and
+// that is never more than it received.
+func TestPerEdgePayloadsNeverRaiseCost(t *testing.T) {
+	cases := append(goldenCases(),
+		goldenCase{"grid32x32", graph.Grid2D(32, 32, integerWeights(rand.New(rand.NewSource(1)), 9)), 49},
+		goldenCase{"cycle800", graph.Cycle(800, integerWeights(rand.New(rand.NewSource(2)), 9)), 961},
+	)
+	for _, tc := range cases {
+		ly := testLayout(t, tc.g, tc.p)
+		for _, r4 := range []R4Strategy{R4Mapped, R4Sequential} {
+			name := fmt.Sprintf("%s/r4=%d", tc.name, r4)
+			pl, err := BuildPlan(ly, tc.p, WirePruned, r4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edge, err := pl.ExecuteOpts(ly, ExecOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			whole, err := wholeGroupPayloads(t, pl).ExecuteOpts(ly, ExecOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, w := edge.Report, whole.Report
+			if distHash(edge.Dist) != distHash(whole.Dist) {
+				t.Errorf("%s: distances differ from the whole-group replay", name)
+			}
+			if e.Critical.Latency != w.Critical.Latency || e.TotalMessages != w.TotalMessages || e.MaxMemory != w.MaxMemory {
+				t.Errorf("%s: messages %d / %d and memory %d, whole-group %d / %d and %d",
+					name, e.Critical.Latency, e.TotalMessages, e.MaxMemory, w.Critical.Latency, w.TotalMessages, w.MaxMemory)
+			}
+			if e.Critical.Bandwidth > w.Critical.Bandwidth || e.TotalWords > w.TotalWords {
+				t.Errorf("%s: words %d critical / %d total, whole-group %d / %d",
+					name, e.Critical.Bandwidth, e.TotalWords, w.Critical.Bandwidth, w.TotalWords)
+			}
+		}
+	}
 }
 
 // TestPlacementDeterministic: the pass is a pure function of the

@@ -101,11 +101,24 @@ type Op struct {
 	Group     []int   // broadcast members in receive order, Root first; reduce members; seq: the owners of A(BI,K), A(K,BJ); transpose: the source
 	Parent    []int32 // broadcast: Group[i] receives from Group[Parent[i]]; Parent[0] = -1, Parent[i] < i; nil for the other kinds
 	Consumers []int   // the broadcast members that act on the payload
-	// Prune holds the symbolic demand descriptors of the op's payloads —
-	// a broadcast's in Prune[0], a seq op's A(BI,K) and A(K,BJ) in
-	// Prune[0] and Prune[1]; nil = full, every entry demanded, and always
-	// nil under WireDense; see demand.go.
-	Prune [2]*PruneSpec
+	// Prune holds the symbolic demand descriptors of the op's payloads,
+	// one per message part (msg.part). A broadcast has one per position:
+	// the message into Group[i] carries Prune[i], the demand of the
+	// subtree rooted at position i, so Prune[0] is the whole group's — what
+	// a consuming root keeps — and a child's never exceeds its parent's. A
+	// seq op has A(BI,K)'s and A(K,BJ)'s. A nil entry is full, every entry
+	// demanded; the list is nil under WireDense and for the other kinds;
+	// see demand.go.
+	Prune []*PruneSpec
+}
+
+// prune returns the descriptor of the op's part-th payload: nil (full)
+// when the op carries none.
+func (op *Op) prune(part int) *PruneSpec {
+	if part < len(op.Prune) {
+		return op.Prune[part]
+	}
+	return nil
 }
 
 // payload returns the block the op's part-th payload carries: A(BI,K)
@@ -121,7 +134,8 @@ func (op *Op) payload(part int) (int, int) {
 }
 
 // msg is one point-to-point message of an op: src sends the op's
-// part-th payload to dst.
+// part-th payload to dst. A broadcast's part is the receiver's position,
+// whose subtree demand (Op.Prune) the message carries.
 type msg struct{ src, dst, part int }
 
 // appendMessages appends the messages of op to buf, in an order that
@@ -143,7 +157,7 @@ func appendMessages(buf []msg, op *Op) []msg {
 	switch kind := op.Kind; {
 	case isBcast(kind):
 		for i := 1; i < q; i++ {
-			buf = append(buf, msg{group[op.Parent[i]], group[i], 0})
+			buf = append(buf, msg{group[op.Parent[i]], group[i], i})
 		}
 	case kind == opReduce:
 		rootPos := max(position(group, root), 0)
@@ -269,29 +283,32 @@ func boolInt(b bool) int {
 // bit-identical to the pre-split solver and the charged costs the
 // golden cost test pins.
 func BuildPlan(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, error) {
-	pl, err := buildLabelOrder(ly, p, wire, r4)
+	pl, needs, err := buildLabelOrder(ly, p, wire, r4)
 	if err != nil {
 		return nil, err
 	}
-	placeTrees(pl)
+	placeTrees(pl, needs)
 	pl.ranks = indexRanks(pl)
 	return pl, nil
 }
 
 // buildLabelOrder is BuildPlan up to the tree placement: every op is
 // planned and every payload rectangle frozen, each broadcast is still
-// the binomial tree over its members in eTree label order (labelTree),
-// and the per-rank programs are not built yet.
-func buildLabelOrder(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, error) {
+// the binomial tree over its members in eTree label order (labelTree)
+// with every edge carrying the whole group's payload, and the per-rank
+// programs are not built yet. It also returns what each member of every
+// broadcast demands (nil under WireDense), from which placeTrees freezes
+// the per-edge descriptors of the trees it chooses.
+func buildLabelOrder(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, map[*Op]*bcastNeed, error) {
 	h, err := HeightForP(p)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if ly.Tree.H != h {
-		return nil, fmt.Errorf("apsp: layout has tree height %d, machine p=%d needs %d", ly.Tree.H, p, h)
+		return nil, nil, fmt.Errorf("apsp: layout has tree height %d, machine p=%d needs %d", ly.Tree.H, p, h)
 	}
 	if !wire.valid() {
-		return nil, fmt.Errorf("apsp: unknown wire format %v (valid: pruned, dense)", wire)
+		return nil, nil, fmt.Errorf("apsp: unknown wire format %v (valid: pruned, dense)", wire)
 	}
 	b := &planBuilder{
 		tr:    ly.Tree,
@@ -313,7 +330,7 @@ func buildLabelOrder(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, 
 	for l := 1; l <= h; l++ {
 		ops, err := b.level(l, pl.R4Seq)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for x := range ops {
 			if isBcast(ops[x].Kind) {
@@ -322,13 +339,13 @@ func buildLabelOrder(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, 
 		}
 		pl.Levels = append(pl.Levels, ops)
 	}
-	if wire == WirePruned {
-		// Demand sweep (demand.go): bake the per-op prune descriptors
-		// into the schedule. Purely symbolic — warm solves and repairs
-		// replay the frozen descriptors at zero per-solve cost.
-		attachPrunes(pl, ly)
+	if wire == WireDense {
+		return pl, nil, nil
 	}
-	return pl, nil
+	// Demand sweep (demand.go): bake the per-op prune descriptors into
+	// the schedule. Purely symbolic — warm solves and repairs replay the
+	// frozen descriptors at zero per-solve cost.
+	return pl, attachPrunes(pl, ly), nil
 }
 
 // planBuilder carries the symbolic state of one BuildPlan run.

@@ -19,13 +19,14 @@ import (
 //
 // Format (all integers signed varints):
 //
-//	magic "SAPLAN06"                    (8 bytes; version is part of the magic)
+//	magic "SAPLAN07"                    (8 bytes; version is part of the magic)
 //	body:
 //	  P, H, NSup, Wire, R4Seq
 //	  ND.Perm, ND.Sizes                 (length-prefixed)
 //	  FillMask states                   (count, then one bitset per state)
 //	  Levels                            (count, then per level the op count and one record per op:
-//	                                     Kind, BI, BJ, K, Root, Group, Parent, Consumers, Prune[0], Prune[1])
+//	                                     Kind, BI, BJ, K, Root, Group, Parent, Consumers,
+//	                                     Prune (length-prefixed, one descriptor per part))
 //	content hash                        (32 raw bytes: sha256 of the body, = Plan.Hash)
 //
 // DecodePlan checks the trailer against the body before parsing it, so
@@ -60,7 +61,10 @@ import (
 // 06: every broadcast stores its tree (Op.Parent) and BuildPlan chooses
 // it — an 05 file holds binomial trees and would replay with other
 // critical counts.
-const planMagic = "SAPLAN06"
+// 07: a broadcast stores one descriptor per position, what the message
+// into it carries — an 06 file holds one per broadcast and would replay
+// with other critical and total words.
+const planMagic = "SAPLAN07"
 
 // Encode serializes the plan to its deterministic binary form.
 func (p *Plan) Encode() []byte {
@@ -90,8 +94,10 @@ func (p *Plan) appendBody(b []byte) []byte {
 				b = appendPlanInt(b, int(v))
 			}
 			b = appendPlanIntSlice(b, op.Consumers)
-			b = appendPlanPrune(b, op.Prune[0])
-			b = appendPlanPrune(b, op.Prune[1])
+			b = appendPlanInt(b, len(op.Prune))
+			for _, spec := range op.Prune {
+				b = appendPlanPrune(b, spec)
+			}
 		}
 	}
 	return b
@@ -300,6 +306,11 @@ func (r *planReader) op(op *Op) error {
 	if op.Consumers, err = r.intSlice("consumers"); err != nil {
 		return err
 	}
+	n, err := r.length("prune")
+	if err != nil || n == 0 {
+		return err
+	}
+	op.Prune = make([]*PruneSpec, n)
 	for i := range op.Prune {
 		if op.Prune[i], err = r.prune(); err != nil {
 			return err
@@ -315,11 +326,12 @@ func (r *planReader) op(op *Op) error {
 // consumers, and every broadcast's Parent is a tree over it; every op
 // but a unit is rooted at the owner of the block it ships or updates,
 // and a seq or transpose source at the owner of the block it sends; an
-// R2 pivot or an R3 panel reaches only ranks in its column or row; and a
+// R2 pivot or an R3 panel reaches only ranks in its column or row; a
 // rank's R4 and R3 captures pair up into operands of matching
-// dimensions. It does
-// not prove the schedule complete — a dropped op still decodes, which
-// the content hash guards against.
+// dimensions; and every prune descriptor is canonical and, down a
+// broadcast's tree, never wider than its parent's (prunes). It does not
+// prove the schedule complete — a dropped op still decodes, which the
+// content hash guards against.
 type planValidator struct {
 	p, nsup int
 	sizes   []int
@@ -406,8 +418,12 @@ func (v *planValidator) tree(op *Op) error {
 
 // pruneAxis validates one axis of a PruneSpec against the block
 // dimension it indexes: ascending, in range, no duplicates — what the
-// executor's pack path assumes.
+// executor's pack path assumes — and canonical: a list keeping every
+// index is written nil.
 func (v *planValidator) pruneAxis(axis []int32, dim int) error {
+	if axis != nil && len(axis) == dim {
+		return v.errorf("prune axis keeps all %d indices but is not nil", dim)
+	}
 	prev := int32(-1)
 	for _, x := range axis {
 		if x <= prev || int(x) >= dim {
@@ -416,6 +432,79 @@ func (v *planValidator) pruneAxis(axis []int32, dim int) error {
 		prev = x
 	}
 	return nil
+}
+
+// prunes validates an op's descriptors: one per payload part or none, in
+// canonical form over the block each part ships, and on a broadcast the
+// invariant a relay depends on — it can forward only what it received —
+// so no position's descriptor keeps an entry its parent's drops, and the
+// op carries one ZeroDiag value.
+func (v *planValidator) prunes(op *Op) error {
+	name := dfKindNames[op.Kind]
+	parts := 0
+	switch {
+	case isBcast(op.Kind):
+		parts = len(op.Group)
+	case op.Kind == opSeq:
+		parts = 2
+	}
+	if len(op.Prune) != 0 && len(op.Prune) != parts {
+		return v.errorf("%s op carries %d prune descriptors", name, len(op.Prune))
+	}
+	for part, spec := range op.Prune {
+		if spec != nil && spec.Rows == nil && spec.Cols == nil && !spec.ZeroDiag {
+			return v.errorf("%s op's prune descriptor %d is full but not nil", name, part)
+		}
+		if spec != nil {
+			bi, bj := op.payload(part)
+			if err := firstErr(v.pruneAxis(spec.Rows, v.sizes[bi]), v.pruneAxis(spec.Cols, v.sizes[bj])); err != nil {
+				return err
+			}
+		}
+		switch {
+		case !isBcast(op.Kind):
+		case zeroDiag(spec) != zeroDiag(op.Prune[0]):
+			return v.errorf("%s op mixes ZeroDiag values", name)
+		case part > 0 && !covers(op.Prune[op.Parent[part]], spec):
+			return v.errorf("%s position %d keeps entries its parent's payload drops", name, part)
+		}
+	}
+	return nil
+}
+
+func zeroDiag(spec *PruneSpec) bool { return spec != nil && spec.ZeroDiag }
+
+// covers reports whether descriptor outer keeps every entry inner keeps.
+// A nil descriptor or axis is full: it covers anything and is covered
+// only by full.
+func covers(outer, inner *PruneSpec) bool {
+	if outer == nil {
+		return true
+	}
+	if inner == nil {
+		return outer.Rows == nil && outer.Cols == nil
+	}
+	return axisCovers(outer.Rows, inner.Rows) && axisCovers(outer.Cols, inner.Cols)
+}
+
+// axisCovers is covers on one ascending keep-list.
+func axisCovers(outer, inner []int32) bool {
+	if outer == nil {
+		return true
+	}
+	if inner == nil {
+		return false
+	}
+	j := 0
+	for _, x := range inner {
+		for j < len(outer) && outer[j] < x {
+			j++
+		}
+		if j == len(outer) || outer[j] != x {
+			return false
+		}
+	}
+	return true
 }
 
 // op validates one op record; the kind list in plan.go says which
@@ -463,19 +552,7 @@ func (v *planValidator) op(op *Op) error {
 			return v.errorf("%s consumer %d is outside its group or its block's row or column", name, c)
 		}
 	}
-	for part, spec := range op.Prune {
-		if spec == nil {
-			continue
-		}
-		if op.Kind != opSeq && (part > 0 || !isBcast(op.Kind)) {
-			return v.errorf("%s op carries a prune descriptor %d", name, part)
-		}
-		bi, bj := op.payload(part)
-		if err := firstErr(v.pruneAxis(spec.Rows, v.sizes[bi]), v.pruneAxis(spec.Cols, v.sizes[bj])); err != nil {
-			return err
-		}
-	}
-	return nil
+	return v.prunes(op)
 }
 
 // level validates one level's op table: every op, the phase order, the

@@ -58,7 +58,7 @@ func buildTestPlan(t testing.TB, g *graph.Graph, p int, wire WireFormat, r4 R4St
 // from.
 func labelOrderPlan(t testing.TB, ly *Layout, p int, wire WireFormat, r4 R4Strategy) *Plan {
 	t.Helper()
-	pl, err := buildLabelOrder(ly, p, wire, r4)
+	pl, _, err := buildLabelOrder(ly, p, wire, r4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestPlanStoreCorruptFileDegrades(t *testing.T) {
 func stripPrunes(pl *Plan) {
 	for _, ops := range pl.Levels {
 		for x := range ops {
-			ops[x].Prune = [2]*PruneSpec{}
+			ops[x].Prune = nil
 		}
 	}
 }
@@ -257,9 +257,10 @@ func addLevel1R3(pl *Plan) {
 		rel := pl.Tree.RelatedSet(r2.BI)
 		for _, root := range r2.Consumers {
 			i, j := blockOf(root, pl.NSup)
-			op := Op{Kind: opR3Row, BI: i, BJ: j, Root: root, Prune: [2]*PruneSpec{{Cols: []int32{}}}}
+			op := Op{Kind: opR3Row, BI: i, BJ: j, Root: root}
+			empty := &PruneSpec{Cols: []int32{}}
 			if r2.Kind == opR2Right {
-				op.Kind, op.Prune[0] = opR3Col, &PruneSpec{Rows: []int32{}}
+				op.Kind, empty = opR3Col, &PruneSpec{Rows: []int32{}}
 			}
 			for _, x := range rel {
 				if op.Kind == opR3Row { // column panel A(i,k) along row i
@@ -267,6 +268,7 @@ func addLevel1R3(pl *Plan) {
 				} else { // row panel A(k,j) down column j
 					op.Group = append(op.Group, (x-1)*pl.NSup+j-1)
 				}
+				op.Prune = append(op.Prune, empty)
 			}
 			labelTree(&op)
 			pl.Levels[0] = append(pl.Levels[0], op) // R3 is a level's last phase
@@ -282,8 +284,10 @@ func addLevel1R3(pl *Plan) {
 // before it chose the group orders (label-order trees), SAPLAN04 from
 // before the op table (a file that cannot name its structure), SAPLAN05
 // from before it chose each broadcast's tree (binomial trees, with more
-// critical words and messages). The SAPLAN04 and SAPLAN05 testdata files
-// are the ones those writers saved for this grid. Serving any of them
+// critical words and messages), SAPLAN06 from before a broadcast's
+// descriptors were per edge (one per broadcast, with more words). The
+// SAPLAN04, 05 and 06 testdata files are the ones those writers saved
+// for this grid. Serving any of them
 // would silently replay the old schedule's costs or someone else's
 // schedule, so it must count as a disk error, be rebuilt and be
 // overwritten in the current format.
@@ -322,6 +326,7 @@ func TestPlanStoreRejectsStaleFormat(t *testing.T) {
 		{"SAPLAN03", func() *Plan { return labelOrderPlan(t, testLayout(t, g, p), p, WirePruned, R4Mapped) }, criticalWords},
 		{"SAPLAN04", nil, nil},
 		{"SAPLAN05", nil, nil},
+		{"SAPLAN06", nil, nil},
 	} {
 		dir := t.TempDir()
 		var old, file []byte
@@ -389,6 +394,28 @@ func TestPlanStoreRejectsStaleFormat(t *testing.T) {
 type unrunnablePlan struct {
 	name string
 	enc  []byte
+}
+
+// narrowBcast returns a broadcast of pl of two or more members whose
+// whole-group descriptor keeps a strict subset of one axis (*axis, over
+// dim indices) — so position 1's descriptor does too.
+func narrowBcast(t testing.TB, pl *Plan) (op *Op, axis *[]int32, dim int) {
+	for _, ops := range pl.Levels {
+		for x := range ops {
+			op := &ops[x]
+			if !isBcast(op.Kind) || len(op.Group) < 2 || op.prune(0) == nil {
+				continue
+			}
+			switch spec := op.Prune[0]; {
+			case spec.Rows != nil:
+				return op, &spec.Rows, pl.ND.Sizes[op.BI]
+			case spec.Cols != nil:
+				return op, &spec.Cols, pl.ND.Sizes[op.BJ]
+			}
+		}
+	}
+	t.Fatal("fixture plan has no narrowed broadcast")
+	return nil, nil, 0
 }
 
 // unrunnableGroupPlans returns hash-consistent encodings of plans whose
@@ -501,6 +528,25 @@ func unrunnableGroupPlans(t testing.TB) []unrunnablePlan {
 			op.Parent = make([]int32, len(op.Group))
 			op.Parent[0] = -1
 		}},
+		{"broadcast child's descriptor wider than its parent's", R4Mapped, func(pl *Plan) {
+			op, _, _ := narrowBcast(t, pl)
+			// Full; its parent, the root, keeps less.
+			op.Prune[1] = nil
+			if op.Prune[0].ZeroDiag {
+				op.Prune[1] = &PruneSpec{ZeroDiag: true}
+			}
+		}},
+		{"broadcast descriptors mix ZeroDiag", R4Mapped, func(pl *Plan) {
+			op, _, _ := narrowBcast(t, pl)
+			op.Prune[1].ZeroDiag = !op.Prune[1].ZeroDiag
+		}},
+		{"keep-list listing every index", R4Mapped, func(pl *Plan) {
+			_, axis, dim := narrowBcast(t, pl)
+			*axis = make([]int32, dim)
+			for c := range *axis {
+				(*axis)[c] = int32(c)
+			}
+		}},
 		{"two units on one rank", R4Mapped, func(pl *Plan) {
 			for _, ops := range pl.Levels {
 				var units []*Op
@@ -531,8 +577,10 @@ func unrunnableGroupPlans(t testing.TB) []unrunnablePlan {
 // broadcast, distinct members and no tree for every reduce. Every op is
 // rooted at the owner of its block, seq and transpose sources at theirs;
 // R2 and R3 payloads reach only their block's column or row; a rank's R3
-// panels meet at one pivot; and a level's units are one per rank, each
-// handed its own operand panels. Which tree it is, is free.
+// panels meet at one pivot; a level's units are one per rank, each
+// handed its own operand panels; and a broadcast's descriptors are
+// canonical, share one ZeroDiag value and never widen down the tree — a
+// relay can forward only what it received. Which tree it is, is free.
 func TestDecodePlanRejectsUnrunnableGroups(t *testing.T) {
 	for _, fx := range unrunnableGroupPlans(t) {
 		if _, err := DecodePlan(fx.enc); err == nil {

@@ -96,6 +96,15 @@ func (c *Ctx) bcast(group []int, root, tag int, data []float64) []float64 {
 // payload; elsewhere it is ignored. Every caller receives the payload as
 // the return value, sharing its backing array like Bcast's receivers.
 func (c *Ctx) BcastTree(group []int, parent []int32, tag int, data []float64) []float64 {
+	return c.BcastTreeEach(group, parent, tag, data, nil)
+}
+
+// BcastTreeEach is BcastTree with a payload per child: before each send,
+// forward(child, held) returns what group[child] is sent, given the
+// payload this member holds — the root's data, or what it received. A
+// nil forward sends the held payload itself. The return value is still
+// the held payload.
+func (c *Ctx) BcastTreeEach(group []int, parent []int32, tag int, data []float64, forward func(child int, held []float64) []float64) []float64 {
 	checkTag(tag)
 	if len(group) == 0 {
 		panic("comm: broadcast over empty group")
@@ -112,9 +121,14 @@ func (c *Ctx) BcastTree(group []int, parent []int32, tag int, data []float64) []
 		data = c.Recv(group[from], tag)
 	}
 	for i := pos + 1; i < len(group); i++ {
-		if int(parent[i]) == pos {
-			c.Send(group[i], tag, data)
+		if int(parent[i]) != pos {
+			continue
 		}
+		payload := data
+		if forward != nil {
+			payload = forward(i, data)
+		}
+		c.Send(group[i], tag, payload)
 	}
 	return data
 }

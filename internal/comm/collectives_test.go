@@ -352,6 +352,44 @@ func TestBcastTreeChainAndStar(t *testing.T) {
 	}
 }
 
+// BcastTreeEach sends every child what forward returns for it, from the
+// payload the sender holds: down a chain whose k-th hop carries k words
+// fewer than the root's payload, member i holds w−i words, the i-th hop
+// is charged w−i words, and the critical path is the sum.
+func TestBcastTreeEachForwardsPerChild(t *testing.T) {
+	const k, w = 4, 9
+	group := []int{2, 4, 0, 3, 1}
+	chain := []int32{-1, 0, 1, 2, 3}
+	m := NewMachine(k + 1)
+	held := make([]int, k+1)
+	err := m.Run(func(c *Ctx) {
+		var payload []float64
+		if c.Rank() == group[0] {
+			payload = make([]float64, w)
+		}
+		got := c.BcastTreeEach(group, chain, 0, payload, func(child int, held []float64) []float64 {
+			if len(held) != w-child+1 {
+				t.Errorf("forward to position %d from a member holding %d words", child, len(held))
+			}
+			return held[:w-child]
+		})
+		held[groupPos(group, c.Rank())] = len(got)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := 0
+	for i := range held {
+		if held[i] != w-i {
+			t.Errorf("position %d holds %d words, want %d", i, held[i], w-i)
+		}
+		words += w - i
+	}
+	if cp := m.CriticalPath(); cp.Latency != k || cp.Bandwidth != int64(words-w) {
+		t.Errorf("critical path %+v, want %d messages and %d words", cp, k, words-w)
+	}
+}
+
 // A parent that is not an earlier position panics (and fails the run)
 // instead of deadlocking.
 func TestBcastTreeRejectsLaterParent(t *testing.T) {

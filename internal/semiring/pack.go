@@ -181,12 +181,15 @@ func UnpackMatrix(payload []float64, rows, cols int) *Matrix {
 // still falls inside the kept rectangle ships anyway (with its true
 // value), which is equally exact.
 func PackPruned(m *Matrix, rows, cols []int32, dropZeroDiag bool) []float64 {
-	keepR, keepC := prunedKeep(m, rows, cols, dropZeroDiag)
+	keepR, keepC, seen := prunedKeep(m, rows, cols, dropZeroDiag)
 	if len(keepR) == 0 || len(keepC) == 0 {
 		return []float64{packEmpty}
 	}
 	prunedLen := 3 + len(keepR) + len(keepC) + len(keepR)*len(keepC)
-	if classic := PackedLen(m.V); classic <= prunedLen {
+	// The block holds at least the seen non-Inf entries, so a classic
+	// encoding is at least packedLenFor of them: when that already
+	// exceeds prunedLen the full-block count is not needed.
+	if packedLenFor(len(m.V), seen) <= prunedLen && PackedLen(m.V) <= prunedLen {
 		return Pack(m.V)
 	}
 	out := make([]float64, 0, prunedLen)
@@ -211,8 +214,9 @@ func PackPruned(m *Matrix, rows, cols []int32, dropZeroDiag bool) []float64 {
 // finite entry in some demanded column, and a demanded column survives
 // if it holds a finite entry in some surviving row. With dropZeroDiag,
 // an exact-zero diagonal entry does not count as finite (see
-// PackPruned).
-func prunedKeep(m *Matrix, rows, cols []int32, dropZeroDiag bool) (keepR, keepC []int32) {
+// PackPruned). seen counts the non-Inf entries of the demanded
+// rectangle, droppable ones included.
+func prunedKeep(m *Matrix, rows, cols []int32, dropZeroDiag bool) (keepR, keepC []int32, seen int) {
 	demandC := cols
 	if demandC == nil {
 		demandC = make([]int32, m.Cols)
@@ -228,6 +232,7 @@ func prunedKeep(m *Matrix, rows, cols []int32, dropZeroDiag bool) (keepR, keepC 
 			if math.IsInf(row[c], 1) {
 				continue
 			}
+			seen++
 			if dropZeroDiag && int(c) == int(r) && row[c] == 0 {
 				continue
 			}
@@ -254,7 +259,7 @@ func prunedKeep(m *Matrix, rows, cols []int32, dropZeroDiag bool) (keepR, keepC 
 			keepC = append(keepC, c)
 		}
 	}
-	return keepR, keepC
+	return keepR, keepC, seen
 }
 
 // UnpackPruned decodes any block payload — the three Pack encodings or

@@ -3,6 +3,7 @@ package semiring
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -124,6 +125,124 @@ func FuzzPackRoundTrip(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// nested returns a keep-list inside outer: outer itself when inner is
+// nil (full), else the indices in both.
+func nested(outer, inner []int32) []int32 {
+	if inner == nil {
+		return outer
+	}
+	if outer == nil {
+		return inner
+	}
+	out := []int32{}
+	for _, x := range inner {
+		if inList(outer, int(x)) {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// checkRepack holds the contract a broadcast relay depends on: a block
+// decoded from its pack at an outer demand and re-packed at an inner one
+// (inner ⊆ outer on each axis) decodes, on the inner rectangle, to the
+// entries packing the original block at the inner demand gives — bar a
+// droppable zero diagonal entry, which either may carry — and is no
+// longer.
+func checkRepack(t *testing.T, m *Matrix, outerR, outerC, innerR, innerC []int32, zeroDiag bool) {
+	t.Helper()
+	direct := PackPruned(m, innerR, innerC, zeroDiag)
+	held := UnpackMatrix(PackPruned(m, outerR, outerC, zeroDiag), m.Rows, m.Cols)
+	relay := PackPruned(held, innerR, innerC, zeroDiag)
+	if len(relay) > len(direct) {
+		t.Fatalf("re-pack is %d words, packing the block itself %d", len(relay), len(direct))
+	}
+	want, got := UnpackMatrix(direct, m.Rows, m.Cols), UnpackMatrix(relay, m.Rows, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			if !inList(innerR, i) || !inList(innerC, j) || zeroDiag && i == j && m.At(i, j) == 0 {
+				continue
+			}
+			if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
+				t.Fatalf("(%d,%d): re-pack decodes %x, direct pack %x", i, j, math.Float64bits(got.At(i, j)), math.Float64bits(want.At(i, j)))
+			}
+		}
+	}
+}
+
+// TestRepackNestedDemand runs checkRepack over random blocks with Inf
+// rows and columns, zero (and −0) diagonals and nested demands.
+func TestRepackNestedDemand(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	keep := func(n int) []int32 {
+		if rng.Intn(4) == 0 {
+			return nil
+		}
+		out := []int32{}
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) > 0 {
+				out = append(out, int32(i))
+			}
+		}
+		return out
+	}
+	for trial := 0; trial < 2000; trial++ {
+		r, c := rng.Intn(10), rng.Intn(10)
+		m := NewMatrix(r, c)
+		infRow, infCol := rng.Intn(r+1), rng.Intn(c+1)
+		for i := 0; i < r; i++ {
+			for j := 0; j < c; j++ {
+				switch {
+				case i == infRow || j == infCol || rng.Intn(3) == 0:
+				case i == j && rng.Intn(2) == 0:
+					m.Set(i, j, math.Copysign(0, float64(rng.Intn(2)-1)))
+				default:
+					m.Set(i, j, float64(rng.Intn(9)))
+				}
+			}
+		}
+		outerR, outerC := keep(r), keep(c)
+		checkRepack(t, m, outerR, outerC, nested(outerR, keep(r)), nested(outerC, keep(c)), rng.Intn(2) == 0)
+	}
+}
+
+// FuzzRepackPruned is checkRepack over fuzzed blocks, outer demands and
+// inner demands nested inside them.
+func FuzzRepackPruned(f *testing.F) {
+	inf := make([]byte, 8)
+	binary.LittleEndian.PutUint64(inf, math.Float64bits(math.Inf(1)))
+	one := make([]byte, 8)
+	binary.LittleEndian.PutUint64(one, math.Float64bits(1))
+	var block []byte
+	for i := 0; i < 16; i++ {
+		switch {
+		case i%5 == 0:
+			block = append(block, make([]byte, 8)...) // zero diagonal
+		case i < 4 || i%4 == 3:
+			block = append(block, inf...) // an Inf row and an Inf column
+		default:
+			block = append(block, one...)
+		}
+	}
+	f.Add(block, uint8(4), uint8(4), []byte{0x0e, 0x0f}, []byte{0x06, 0x0b}, true)
+	f.Add(block, uint8(4), uint8(4), []byte{0}, []byte{0x03, 0x05}, false)
+	f.Add([]byte{}, uint8(0), uint8(3), []byte{}, []byte{0xff}, true)
+
+	f.Fuzz(func(t *testing.T, data []byte, rows, cols uint8, outerMask, innerMask []byte, zeroDiag bool) {
+		r, c := int(rows%24), int(cols%24)
+		m := fuzzMatrix(data, r, c)
+		var outerC, innerC []int32
+		if len(outerMask) > 1 {
+			outerC = fuzzKeep(outerMask[1:], c)
+		}
+		if len(innerMask) > 1 {
+			innerC = fuzzKeep(innerMask[1:], c)
+		}
+		outerR := fuzzKeep(outerMask, r)
+		checkRepack(t, m, outerR, outerC, nested(outerR, fuzzKeep(innerMask, r)), nested(outerC, innerC), zeroDiag)
 	})
 }
 
