@@ -3,13 +3,16 @@
 // once per graph and amortized over many point/path queries — the
 // precompute-once / query-many shape of road-network workloads.
 //
-// Endpoints (both modes speak the same wire protocol):
+// Endpoints (both modes speak the same wire protocol through one request
+// layer, internal/server's API: every body is read whole under a 64 MiB
+// cap — 413 past it — and a JSON body must be exactly one value, so a
+// malformed request gets the same status and bytes in either mode):
 //
 //	POST /load      edge-list text or JSON {"n": 9, "edges": [[0,1,2.5], ...]}
 //	POST /generate  {"kind": "grid", "n": 1024, "seed": 42}
 //	POST /query     {"graph": "<id>", "pairs": [[0, 8], ...], "paths": true}
 //	POST /reweight  {"graph": "<id>", "edits": [[0, 1, 3.5], ...]}
-//	GET  /statsz    registry + per-endpoint counters
+//	GET  /statsz    registry + per-endpoint requests, errors, in-flight and latency
 //	GET  /healthz   liveness probe (process is up)
 //	GET  /readyz    readiness probe (willing to take traffic; 503 while draining)
 //
@@ -18,8 +21,10 @@
 //   - serve (default): one process, one oracle registry. /load and
 //     /generate solve the graph through the shared registry: concurrent
 //     requests for the same graph coalesce into exactly one solve, and
-//     solved results are retained LRU under -budget-mb. The returned
-//     "graph" id is the content fingerprint to pass to /query.
+//     solved results are retained LRU under -budget-mb; a graph whose
+//     declared vertex count cannot fit the budget is refused with 413
+//     before it is built. The returned "graph" id is the content
+//     fingerprint to pass to /query.
 //   - router: the fleet coordinator. No local solves — graph
 //     fingerprints are consistent-hash-sharded across -backends with
 //     replication factor -replicas, hot (source, target) pairs are
@@ -28,10 +33,10 @@
 //     Retry-After. Backends are health-probed via /readyz and ejected /
 //     re-admitted automatically.
 //
-// SIGINT/SIGTERM drain before exit: /readyz flips to 503 (so load
-// balancers and the router stop sending work), open connections finish,
-// and — in serve mode — in-flight solves coalesced in the registry are
-// waited for, not just open sockets.
+// SIGINT/SIGTERM drain before exit, in both modes: /readyz flips to 503
+// (so load balancers and the router stop sending work), open connections
+// finish, and — in serve mode — in-flight solves coalesced in the
+// registry are waited for, not just open sockets.
 //
 // Usage:
 //
@@ -82,8 +87,7 @@ func main() {
 	)
 	flag.Parse()
 
-	var handler http.Handler
-	var onSignal func()                   // flip readiness off
+	var front *server.API                 // either mode's request layer: the handler and the drain switch
 	var quiesce func(ctx context.Context) // wait for work the socket close cannot see
 	var banner string
 
@@ -111,9 +115,7 @@ func main() {
 			opts.Plans = plans
 		}
 		reg := sparseapsp.NewOracleRegistry(opts, *budgetMB<<20)
-		srv := server.New(reg)
-		handler = srv
-		onSignal = srv.BeginDrain
+		front = server.New(reg).API
 		// Server.Shutdown only waits for open connections; a solve whose
 		// originating client disconnected (or whose waiters coalesced in
 		// the registry singleflight) keeps running after the socket
@@ -143,8 +145,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		handler = rt
-		onSignal = func() {}
+		front = rt.API
 		quiesce = func(context.Context) { rt.Close() }
 		banner = fmt.Sprintf("serving on %s as %s", *addr, rt)
 
@@ -152,7 +153,7 @@ func main() {
 		fatal(fmt.Errorf("unknown -mode %q: want serve or router", *mode))
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := &http.Server{Addr: *addr, Handler: front}
 
 	if *pprofA != "" {
 		// Label dataflow node execution with op_kind/phase/level so CPU
@@ -188,7 +189,7 @@ func main() {
 	// then close listeners and wait for open connections, then wait for
 	// registry work no socket is attached to.
 	log.Printf("apspd: shutting down, draining in-flight requests (up to %s)", *drain)
-	onSignal()
+	front.BeginDrain()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {

@@ -5,15 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"sparseapsp/internal/graph"
 	"sparseapsp/internal/oracle"
 	"sparseapsp/internal/server"
 )
@@ -64,12 +61,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// endpointCounters is the per-route traffic section of router /statsz.
-type endpointCounters struct {
-	requests atomic.Int64
-	errors   atomic.Int64
-}
-
 // Router is the fleet coordinator: an http.Handler exposing the same
 // wire protocol as a single apspd backend (load / generate / query /
 // reweight / statsz / healthz / readyz) over a sharded, replicated
@@ -77,15 +68,16 @@ type endpointCounters struct {
 // writes fan out to all R replicas, reads go to the least-loaded
 // healthy replica, hot pairs are served from the PairCache without any
 // backend round-trip, and saturation turns into 429 + Retry-After at
-// the admission boundary.
+// the admission boundary. Requests are read, counted, decoded and
+// refused by the same request layer as apspd's (server.API), whose
+// ServeHTTP and BeginDrain the router's are.
 type Router struct {
-	cfg     Config
-	ring    *Ring
-	byURL   map[string]*Backend
-	all     []*Backend // ring order (sorted URLs)
-	cache   *PairCache
-	mux     *http.ServeMux
-	started time.Time
+	*server.API
+	cfg   Config
+	ring  *Ring
+	byURL map[string]*Backend
+	all   []*Backend // ring order (sorted URLs)
+	cache *PairCache
 
 	// placements pins fingerprints to replica sets. Fresh loads follow
 	// the ring, so the map only diverges from pure hashing after a
@@ -95,7 +87,6 @@ type Router struct {
 	placeMu    sync.Mutex
 	placements map[string][]string
 
-	endpoints map[string]*endpointCounters
 	stop      chan struct{}
 	wg        sync.WaitGroup
 	closeOnce sync.Once
@@ -110,14 +101,12 @@ func NewRouter(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	rt := &Router{
+		API:        server.NewAPI(),
 		cfg:        cfg,
 		ring:       ring,
 		byURL:      make(map[string]*Backend),
 		cache:      NewPairCache(cfg.CachePairs),
-		mux:        http.NewServeMux(),
-		started:    time.Now(),
 		placements: make(map[string][]string),
-		endpoints:  make(map[string]*endpointCounters),
 		stop:       make(chan struct{}),
 	}
 	for _, u := range ring.Backends() {
@@ -125,13 +114,13 @@ func NewRouter(cfg Config) (*Router, error) {
 		rt.byURL[u] = b
 		rt.all = append(rt.all, b)
 	}
-	rt.handle("load", "POST /load", rt.handleLoad)
-	rt.handle("generate", "POST /generate", rt.handleGenerate)
-	rt.handle("query", "POST /query", rt.handleQuery)
-	rt.handle("reweight", "POST /reweight", rt.handleReweight)
-	rt.handle("statsz", "GET /statsz", rt.handleStatsz)
-	rt.handle("healthz", "GET /healthz", rt.handleHealthz)
-	rt.handle("readyz", "GET /readyz", rt.handleReadyz)
+	rt.Handle("load", "POST /load", rt.handleLoad)
+	rt.Handle("generate", "POST /generate", rt.handleGenerate)
+	rt.Handle("query", "POST /query", rt.handleQuery)
+	rt.Handle("reweight", "POST /reweight", rt.handleReweight)
+	rt.Handle("statsz", "GET /statsz", rt.handleStatsz)
+	rt.Handle("healthz", "GET /healthz", rt.handleHealthz)
+	rt.HandleReadyz(rt.handleReadyz)
 	for _, b := range rt.all {
 		rt.wg.Add(1)
 		go rt.probeLoop(b)
@@ -174,44 +163,9 @@ func (rt *Router) probeLoop(b *Backend) {
 	}
 }
 
-func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
-
-// apiError mirrors the backend server's error carrier.
-type apiError struct {
-	status int
-	err    error
-}
-
-func (e *apiError) Error() string { return e.err.Error() }
-
-func badRequest(format string, args ...interface{}) error {
-	return &apiError{status: http.StatusBadRequest, err: fmt.Errorf(format, args...)}
-}
-
 // errSaturated is the admission-control refusal: every routable
 // replica is at its in-flight bound.
-var errSaturated = &apiError{status: http.StatusTooManyRequests, err: fmt.Errorf("all replicas saturated; retry later")}
-
-func (rt *Router) handle(name, pattern string, h func(w http.ResponseWriter, r *http.Request) error) {
-	ep := &endpointCounters{}
-	rt.endpoints[name] = ep
-	rt.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		ep.requests.Add(1)
-		if err := h(w, r); err != nil {
-			ep.errors.Add(1)
-			status := http.StatusBadGateway
-			if ae, ok := err.(*apiError); ok {
-				status = ae.status
-			}
-			w.Header().Set("Content-Type", "application/json")
-			if status == http.StatusTooManyRequests {
-				w.Header().Set("Retry-After", "1")
-			}
-			w.WriteHeader(status)
-			json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-		}
-	})
-}
+var errSaturated = server.Errorf(http.StatusTooManyRequests, "all replicas saturated; retry later")
 
 // passthrough relays a backend response verbatim, preserving the
 // bit-identical-to-single-process contract for proxied answers.
@@ -220,11 +174,6 @@ func passthrough(w http.ResponseWriter, status int, body []byte) error {
 	w.WriteHeader(status)
 	_, err := w.Write(body)
 	return err
-}
-
-func writeJSON(w http.ResponseWriter, v interface{}) error {
-	w.Header().Set("Content-Type", "application/json")
-	return json.NewEncoder(w).Encode(v)
 }
 
 // replicasFor resolves a fingerprint to its replica set: the recorded
@@ -286,7 +235,7 @@ func orderForRead(replicas []*Backend) []*Backend {
 // 502 when every admitted attempt failed.
 func (rt *Router) forward(ctx context.Context, replicas []*Backend, method, path, contentType string, body []byte) (int, []byte, error) {
 	if len(replicas) == 0 {
-		return 0, nil, &apiError{status: http.StatusServiceUnavailable, err: fmt.Errorf("no backends available")}
+		return 0, nil, server.Errorf(http.StatusServiceUnavailable, "no backends available")
 	}
 	saturated := 0
 	var lastErr error
@@ -310,7 +259,7 @@ func (rt *Router) forward(ctx context.Context, replicas []*Backend, method, path
 	if saturated == len(replicas) {
 		return 0, nil, errSaturated
 	}
-	return 0, nil, &apiError{status: http.StatusBadGateway, err: fmt.Errorf("all replicas failed: %v", lastErr)}
+	return 0, nil, server.Errorf(http.StatusBadGateway, "all replicas failed: %v", lastErr)
 }
 
 // fanout sends a write to every routable replica in parallel and
@@ -336,7 +285,7 @@ func (rt *Router) fanout(ctx context.Context, replicas []*Backend, method, path,
 		routable = replicas // all ejected: try anyway rather than refuse
 	}
 	if len(routable) == 0 {
-		return 0, nil, 0, &apiError{status: http.StatusServiceUnavailable, err: fmt.Errorf("no backends available")}
+		return 0, nil, 0, server.Errorf(http.StatusServiceUnavailable, "no backends available")
 	}
 	results := make([]result, len(routable))
 	var wg sync.WaitGroup
@@ -376,10 +325,10 @@ func (rt *Router) fanout(ctx context.Context, replicas []*Backend, method, path,
 	if firstResp != nil {
 		return firstResp.status, firstResp.data, successes, nil
 	}
-	if ae, ok := err.(*apiError); ok {
-		return 0, nil, 0, ae
+	if errors.Is(err, errSaturated) {
+		return 0, nil, 0, err
 	}
-	return 0, nil, 0, &apiError{status: http.StatusBadGateway, err: fmt.Errorf("all replicas failed: %v", err)}
+	return 0, nil, 0, server.Errorf(http.StatusBadGateway, "all replicas failed: %v", err)
 }
 
 // registerBody places a parsed graph: the fingerprint is computed
@@ -398,72 +347,34 @@ func (rt *Router) registerBody(w http.ResponseWriter, r *http.Request, fp string
 	return passthrough(w, status, data)
 }
 
-// maxBody is the backends' body limit; a variable only so the tests can
-// shrink it.
-var maxBody int64 = server.MaxBodyBytes
-
-// readBody reads a whole request body, refusing one over maxBody with
-// 413 rather than cutting it short: a truncated edge list can parse —
-// and would be placed and served — as a smaller graph.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return nil, &apiError{status: http.StatusRequestEntityTooLarge, err: fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)}
-	}
-	if err != nil {
-		return nil, badRequest("reading body: %v", err)
-	}
-	return body, nil
-}
-
-func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) error {
-	body, err := readBody(w, r)
-	if err != nil {
-		return err
-	}
+// handleLoad parses the graph router-side, under no budget (the
+// backends admit it), for the fingerprint that decides placement.
+func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request, body []byte) error {
 	g, err := server.ParseGraphBody(body)
 	if err != nil {
-		return badRequest("%v", err)
+		return err
 	}
 	return rt.registerBody(w, r, oracle.FingerprintOf(g).String(), r.Header.Get("Content-Type"), body)
 }
 
-func (rt *Router) handleGenerate(w http.ResponseWriter, r *http.Request) error {
-	body, err := readBody(w, r)
+func (rt *Router) handleGenerate(w http.ResponseWriter, r *http.Request, body []byte) error {
+	req, err := server.DecodeGenerate(body)
 	if err != nil {
 		return err
 	}
-	var req server.GenerateRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return badRequest("bad JSON: %v", err)
-	}
-	if req.N <= 0 {
-		return badRequest("generate needs n > 0, got %d", req.N)
-	}
 	// Generating router-side costs O(n + m) — noise next to the solve —
 	// and yields the fingerprint that decides placement.
-	g, err := graph.NamedGenerator(req.Kind, req.N, req.Seed)
+	g, err := req.Build()
 	if err != nil {
-		return badRequest("%v", err)
+		return err
 	}
 	return rt.registerBody(w, r, oracle.FingerprintOf(g).String(), "application/json", body)
 }
 
-func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) error {
-	body, err := readBody(w, r)
+func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request, body []byte) error {
+	req, _, err := server.DecodeQuery(body)
 	if err != nil {
 		return err
-	}
-	var req server.QueryRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return badRequest("bad JSON: %v", err)
-	}
-	if len(req.Pairs) == 0 {
-		return badRequest("query needs at least one [u, v] pair")
-	}
-	if _, err := oracle.ParseFingerprint(req.Graph); err != nil {
-		return badRequest("%v", err)
 	}
 	replicas := rt.replicasFor(req.Graph)
 
@@ -510,30 +421,20 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) error {
 		}
 		var subResp server.QueryResponse
 		if err := json.Unmarshal(data, &subResp); err != nil || len(subResp.Dists) != len(missIdx) {
-			return &apiError{status: http.StatusBadGateway, err: fmt.Errorf("malformed backend query response")}
+			return server.Errorf(http.StatusBadGateway, "malformed backend query response")
 		}
 		for j, i := range missIdx {
 			dists[i] = subResp.Dists[j]
 			rt.cache.Put(req.Graph, gen, req.Pairs[i][0], req.Pairs[i][1], subResp.Dists[j])
 		}
 	}
-	return writeJSON(w, server.QueryResponse{Dists: dists})
+	return server.WriteJSON(w, server.QueryResponse{Dists: dists})
 }
 
-func (rt *Router) handleReweight(w http.ResponseWriter, r *http.Request) error {
-	body, err := readBody(w, r)
+func (rt *Router) handleReweight(w http.ResponseWriter, r *http.Request, body []byte) error {
+	req, _, _, err := server.DecodeReweight(body)
 	if err != nil {
 		return err
-	}
-	var req server.ReweightRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return badRequest("bad JSON: %v", err)
-	}
-	if len(req.Edits) == 0 {
-		return badRequest("reweight needs at least one [u, v, w] edit")
-	}
-	if _, err := oracle.ParseFingerprint(req.Graph); err != nil {
-		return badRequest("%v", err)
 	}
 	replicas := rt.replicasFor(req.Graph)
 	// The fan-out must complete on every routable replica before the
@@ -549,7 +450,7 @@ func (rt *Router) handleReweight(w http.ResponseWriter, r *http.Request) error {
 	}
 	var resp server.ReweightResponse
 	if err := json.Unmarshal(data, &resp); err != nil {
-		return &apiError{status: http.StatusBadGateway, err: fmt.Errorf("malformed backend reweight response")}
+		return server.Errorf(http.StatusBadGateway, "malformed backend reweight response")
 	}
 	// The repaired oracle lives where the old one did — content moved
 	// nowhere, so the new fingerprint inherits the old placement
@@ -564,7 +465,7 @@ func (rt *Router) handleReweight(w http.ResponseWriter, r *http.Request) error {
 
 // RouterStatsz is the router's /statsz report: fleet-aggregated
 // registry counters, per-backend health and traffic, hot-pair cache
-// counters and per-endpoint router traffic.
+// counters and per-endpoint router traffic (apspd's endpoint record).
 type RouterStatsz struct {
 	Mode          string  `json:"mode"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
@@ -580,18 +481,12 @@ type RouterStatsz struct {
 
 	Backends []BackendStats `json:"backends"`
 
-	Cache        PairCacheStats              `json:"cache"`
-	CacheHitRate float64                     `json:"cache_hit_rate"`
-	Endpoints    map[string]EndpointCounters `json:"endpoints"`
+	Cache        PairCacheStats                     `json:"cache"`
+	CacheHitRate float64                            `json:"cache_hit_rate"`
+	Endpoints    map[string]server.EndpointSnapshot `json:"endpoints"`
 }
 
-// EndpointCounters is the JSON form of one router endpoint's traffic.
-type EndpointCounters struct {
-	Requests int64 `json:"requests"`
-	Errors   int64 `json:"errors"`
-}
-
-func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) error {
+func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request, _ []byte) error {
 	type fetched struct {
 		url string
 		st  server.StatszResponse
@@ -626,12 +521,12 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) error {
 
 	resp := RouterStatsz{
 		Mode:          "router",
-		UptimeSeconds: time.Since(rt.started).Seconds(),
+		UptimeSeconds: rt.Uptime().Seconds(),
 		Replicas:      rt.cfg.Replicas,
 		VNodes:        DefaultVNodes,
 		Graphs:        graphs,
 		Registries:    make(map[string]oracle.Stats, len(results)),
-		Endpoints:     make(map[string]EndpointCounters, len(rt.endpoints)),
+		Endpoints:     rt.Endpoints(),
 	}
 	for _, f := range results {
 		if f.err != nil {
@@ -646,19 +541,16 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) error {
 	}
 	resp.Cache = rt.cache.Stats()
 	resp.CacheHitRate = resp.Cache.HitRate()
-	for name, ep := range rt.endpoints {
-		resp.Endpoints[name] = EndpointCounters{Requests: ep.requests.Load(), Errors: ep.errors.Load()}
-	}
-	return writeJSON(w, resp)
+	return server.WriteJSON(w, resp)
 }
 
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) error {
-	return writeJSON(w, map[string]string{"status": "ok", "mode": "router"})
+func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request, _ []byte) error {
+	return server.WriteJSON(w, map[string]string{"status": "ok", "mode": "router"})
 }
 
-// handleReadyz: the router is ready while at least one backend is
-// routable.
-func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) error {
+// handleReadyz: until BeginDrain, the router is ready while at least
+// one backend is routable.
+func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request, _ []byte) error {
 	healthy := 0
 	for _, b := range rt.all {
 		if b.Healthy() {
@@ -666,10 +558,9 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) error {
 		}
 	}
 	if healthy == 0 {
-		return &apiError{status: http.StatusServiceUnavailable,
-			err: fmt.Errorf("0/%d backends healthy", len(rt.all))}
+		return server.Errorf(http.StatusServiceUnavailable, "0/%d backends healthy", len(rt.all))
 	}
-	return writeJSON(w, map[string]string{
+	return server.WriteJSON(w, map[string]string{
 		"status":   "ready",
 		"backends": fmt.Sprintf("%d/%d healthy", healthy, len(rt.all)),
 	})

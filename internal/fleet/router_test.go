@@ -492,6 +492,16 @@ func TestRouterPlacementFollowsRing(t *testing.T) {
 	}
 }
 
+// capBody serves h with request bodies capped at limit: a MaxBytesReader
+// outside the request layer's own trips first, and the layer answers it
+// with its 413 naming limit.
+func capBody(h http.Handler, limit int) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, int64(limit))
+		h.ServeHTTP(w, r)
+	})
+}
+
 // The router reads every body before it places or forwards it, under
 // the backends' limit: over it the answer is 413 and no backend hears of
 // the request. The /load body is one byte over and, cut at the limit,
@@ -499,9 +509,10 @@ func TestRouterPlacementFollowsRing(t *testing.T) {
 // LimitReader placed and served a graph the client never sent.
 func TestRouterRefusesOversizedBody(t *testing.T) {
 	const body = "n 3\n0 1 2\n1 2 25"
-	defer func(old int64) { maxBody = old }(maxBody)
-	maxBody = int64(len(body)) - 1
-	front, rt, _ := newFleet(t, 2, Config{Replicas: 2, ProbeInterval: time.Hour})
+	const limit = len(body) - 1
+	_, rt, _ := newFleet(t, 2, Config{Replicas: 2, ProbeInterval: time.Hour})
+	front := httptest.NewServer(capBody(rt, limit))
+	defer front.Close()
 	send := func(path, body string) int {
 		t.Helper()
 		resp, err := http.Post(front.URL+path, "text/plain", strings.NewReader(body))
@@ -511,15 +522,15 @@ func TestRouterRefusesOversizedBody(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	if g, err := server.ParseGraphBody([]byte(body[:maxBody])); err != nil || g.M() != 2 {
-		t.Fatalf("test body: its first %d bytes must parse as a graph (%v)", maxBody, err)
+	if g, err := server.ParseGraphBody([]byte(body[:limit])); err != nil || g.M() != 2 {
+		t.Fatalf("test body: its first %d bytes must parse as a graph (%v)", limit, err)
 	}
-	pad := strings.Repeat(" ", int(maxBody))
+	pad := strings.Repeat(" ", limit)
 	for path, req := range map[string]string{
 		"/load":     body,
-		"/generate": pad + `{"kind":"grid","n":16,"seed":1}`,
-		"/query":    pad + `{"graph":"0","pairs":[[0,1]]}`,
-		"/reweight": pad + `{"graph":"0","edits":[[0,1,2]]}`,
+		"/generate": `{"kind":"grid","n":16,"seed":1}` + pad,
+		"/query":    `{"graph":"0","pairs":[[0,1]]}` + pad,
+		"/reweight": `{"graph":"0","edits":[[0,1,2]]}` + pad,
 	} {
 		if status := send(path, req); status != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s over the limit: status %d, want 413", path, status)
@@ -531,8 +542,110 @@ func TestRouterRefusesOversizedBody(t *testing.T) {
 	if placed != 0 {
 		t.Errorf("oversized bodies left %d placements", placed)
 	}
-	if status := send("/load", body[:maxBody]); status != http.StatusOK {
+	if status := send("/load", body[:limit]); status != http.StatusOK {
 		t.Errorf("/load at the limit: status %d, want 200", status)
+	}
+}
+
+// TestRouterErrorsMatchDirect: the router refuses a malformed body with
+// the status and the bytes a direct apspd gives it, whether the router
+// refuses it itself (the shared decoders and body cap) or relays a
+// backend's verdict. Bytes after the JSON value, or padding past the
+// cap behind it, are refused by both: the whole body is one value.
+func TestRouterErrorsMatchDirect(t *testing.T) {
+	const limit = 256
+	_, rt, _ := newFleet(t, 2, Config{Replicas: 2, ProbeInterval: time.Hour})
+	front := httptest.NewServer(capBody(rt, limit))
+	defer front.Close()
+	direct := httptest.NewServer(capBody(newBackendServer(t).Config.Handler, limit))
+	defer direct.Close()
+	fp := generate(t, front.URL, "grid", 16, 1).Graph
+	if got := generate(t, direct.URL, "grid", 16, 1).Graph; got != fp {
+		t.Fatalf("fingerprints diverge: router %s direct %s", fp, got)
+	}
+	query := `{"graph":"` + fp + `","pairs":[[0,1]]}`
+	send := func(url, path, body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(url+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, data
+	}
+	for _, c := range []struct{ name, path, body string }{
+		{"empty query", "/query", ""},
+		{"empty generate", "/generate", ""},
+		{"empty reweight", "/reweight", ""},
+		{"empty load", "/load", ""},
+		{"truncated query", "/query", `{"graph":"` + fp},
+		{"bytes after query", "/query", query + " x"},
+		{"bytes after reweight", "/reweight", `{"graph":"` + fp + `","edits":[[0,1,9]]}{}`},
+		{"bytes after generate", "/generate", `{"kind":"grid","n":16,"seed":1} 1`},
+		{"padding past the cap", "/query", query + strings.Repeat(" ", limit)},
+		{"bad fingerprint", "/query", `{"graph":"zz","pairs":[[0,1]]}`},
+		{"no pairs", "/query", `{"graph":"` + fp + `"}`},
+		{"pair out of range", "/query", `{"graph":"` + fp + `","pairs":[[0,999]]}`},
+		{"unknown graph", "/query", `{"graph":"` + strings.Repeat("ab", 32) + `","pairs":[[0,1]]}`},
+		{"non-integer edit", "/reweight", `{"graph":"` + fp + `","edits":[[0.5,1,2]]}`},
+		{"zero n", "/generate", `{"kind":"grid","n":0}`},
+		{"unknown kind", "/generate", `{"kind":"nope","n":9}`},
+		{"JSON array", "/query", `[[0,1]]`},
+	} {
+		wantStatus, want := send(direct.URL, c.path, c.body)
+		gotStatus, got := send(front.URL, c.path, c.body)
+		if wantStatus < 400 {
+			t.Errorf("%s: direct answered %d (%s), want a refusal", c.name, wantStatus, want)
+		}
+		if gotStatus != wantStatus || !bytes.Equal(got, want) {
+			t.Errorf("%s: router %d %q, direct %d %q", c.name, gotStatus, got, wantStatus, want)
+		}
+	}
+}
+
+// TestRouterUppercaseGraphID: hex digits of either case name one graph
+// to a backend, so the router places and caches by the canonical id: an
+// upper-case id reaches the one replica that holds the graph and gets
+// the direct answer, not a 404 from a backend the raw string hashed to.
+func TestRouterUppercaseGraphID(t *testing.T) {
+	front, _, _ := newFleet(t, 3, Config{Replicas: 1, ProbeInterval: time.Hour})
+	direct := newBackendServer(t)
+	var upper []string
+	for seed := int64(1); seed <= 4; seed++ {
+		info := generate(t, front.URL, "grid", 16, seed)
+		generate(t, direct.URL, "grid", 16, seed)
+		upper = append(upper, strings.ToUpper(info.Graph))
+	}
+	for _, id := range upper {
+		for _, paths := range []bool{false, true} {
+			req := server.QueryRequest{Graph: id, Pairs: [][2]int{{0, 15}, {3, 9}}, Paths: paths}
+			wantStatus, want := post(t, direct.URL, "/query", req)
+			gotStatus, got := post(t, front.URL, "/query", req)
+			if wantStatus != http.StatusOK || gotStatus != wantStatus || !bytes.Equal(got, want) {
+				t.Errorf("%s paths=%v: router %d %s, direct %d %s", id, paths, gotStatus, got, wantStatus, want)
+			}
+		}
+	}
+}
+
+// TestRouterReadyzDrain: BeginDrain turns the router's /readyz to 503
+// with every backend healthy, so whatever balances across routers stops
+// sending it work, while /healthz stays 200 (liveness is not readiness).
+func TestRouterReadyzDrain(t *testing.T) {
+	front, rt, _ := newFleet(t, 2, Config{ProbeInterval: time.Hour})
+	if status, data := get(t, front.URL, "/readyz"); status != http.StatusOK {
+		t.Fatalf("/readyz before drain: %d %s", status, data)
+	}
+	rt.BeginDrain()
+	if status, data := get(t, front.URL, "/readyz"); status != http.StatusServiceUnavailable || !bytes.Contains(data, []byte("draining")) {
+		t.Errorf("/readyz during drain: %d %s, want 503 draining", status, data)
+	}
+	if status, _ := get(t, front.URL, "/healthz"); status != http.StatusOK {
+		t.Errorf("/healthz during drain: %d, want 200", status)
 	}
 }
 

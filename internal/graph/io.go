@@ -34,6 +34,13 @@ func (g *Graph) Write(w io.Writer) error {
 
 // Read parses a graph in edge-list format.
 func Read(r io.Reader) (*Graph, error) {
+	return ReadChecked(r, func(int) error { return nil })
+}
+
+// ReadChecked is Read with check called on the vertex count of the n
+// header before anything that many vertices long is allocated; an error
+// from check is returned as is.
+func ReadChecked(r io.Reader, check func(n int) error) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	var g *Graph
@@ -55,6 +62,9 @@ func Read(r io.Reader) (*Graph, error) {
 			n, err := strconv.Atoi(fields[1])
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("graph: line %d: bad vertex count %q", line, fields[1])
+			}
+			if err := check(n); err != nil {
+				return nil, err
 			}
 			g = New(n)
 			continue

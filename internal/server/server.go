@@ -3,9 +3,13 @@
 // and the tests can all spin up real backends in-process. cmd/apspd
 // wraps it in a net/http.Server; internal/fleet proxies to it.
 //
-// The package also owns the wire protocol: the request/response JSON
-// types of every endpoint live here and are imported by the router, so
-// a single definition decides what travels between router and backends.
+// The package also owns the wire protocol and the request layer: the
+// request/response JSON types of every endpoint, the decoder and checks
+// of every JSON request, and API — the counted handler, the body cap and
+// the JSON error reply — live here. The router registers its handlers
+// through the same API and decoders, so a single definition decides
+// what travels between router and backends, and a malformed body gets
+// the same status and bytes from either.
 package server
 
 import (
@@ -30,9 +34,26 @@ import (
 // a line boundary would parse, and be served, as a smaller graph.
 const MaxBodyBytes = 64 << 20
 
-// maxBody is the limit handle applies; a variable only so the tests can
+// maxBody is the limit API applies; a variable only so the tests can
 // shrink it.
 var maxBody int64 = MaxBodyBytes
+
+// Error is a request failure with the HTTP status it is answered with.
+type Error struct {
+	Status int
+	Err    error
+}
+
+func (e *Error) Error() string { return e.Err.Error() }
+
+// Errorf builds an *Error answered with status.
+func Errorf(status int, format string, args ...any) error {
+	return &Error{Status: status, Err: fmt.Errorf(format, args...)}
+}
+
+func badRequest(format string, args ...any) error {
+	return Errorf(http.StatusBadRequest, format, args...)
+}
 
 // endpointStats counts one endpoint's traffic.
 type endpointStats struct {
@@ -62,89 +83,60 @@ func (e *endpointStats) snapshot() EndpointSnapshot {
 	}
 }
 
-// Server is the apspd HTTP handler over an oracle registry.
+// Handler serves one request whose body the layer has already read
+// whole. A returned error is answered {"error": ...} with its status.
+type Handler func(w http.ResponseWriter, r *http.Request, body []byte) error
+
+// API is the request layer apspd and the fleet router both serve
+// through: counted endpoints on one mux, every body read whole under
+// the cap, every failure answered {"error": ...} with its status, and
+// the drain switch behind /readyz.
 //
 // Liveness and readiness are split: /healthz answers 200 for the whole
 // process lifetime (the probe for "restart me"), while /readyz answers
-// 200 only while the server wants traffic — it goes 503 the moment
+// 200 only while the front-end wants traffic — it goes 503 the moment
 // BeginDrain is called, so a router health-probing /readyz stops
 // routing to a draining backend before its listener closes.
-type Server struct {
-	reg       *oracle.Registry
+type API struct {
 	mux       *http.ServeMux
 	started   time.Time
 	endpoints map[string]*endpointStats
 	draining  atomic.Bool
 }
 
-// New wires the handlers. The registry owns solving and caching; the
-// server only parses requests and keeps per-endpoint counters. reg must
-// not be nil; the server reports ready as soon as New returns.
-func New(reg *oracle.Registry) *Server {
-	s := &Server{
-		reg:       reg,
-		mux:       http.NewServeMux(),
-		started:   time.Now(),
-		endpoints: make(map[string]*endpointStats),
-	}
-	s.handle("load", "POST /load", s.handleLoad)
-	s.handle("generate", "POST /generate", s.handleGenerate)
-	s.handle("query", "POST /query", s.handleQuery)
-	s.handle("reweight", "POST /reweight", s.handleReweight)
-	s.handle("statsz", "GET /statsz", s.handleStatsz)
-	s.handle("healthz", "GET /healthz", s.handleHealthz)
-	s.handle("readyz", "GET /readyz", s.handleReadyz)
-	return s
+// NewAPI returns a layer with no endpoints, ready until BeginDrain.
+func NewAPI() *API {
+	return &API{mux: http.NewServeMux(), started: time.Now(), endpoints: make(map[string]*endpointStats)}
 }
 
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) { a.mux.ServeHTTP(w, r) }
 
 // BeginDrain flips /readyz to 503 without touching /healthz: health
 // probes stop sending new traffic while in-flight requests (and the
 // registry solves they coalesced into) finish. Idempotent.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
+func (a *API) BeginDrain() { a.draining.Store(true) }
 
-// apiError carries an HTTP status through the handler return path.
-type apiError struct {
-	status int
-	err    error
-}
-
-func (e *apiError) Error() string { return e.err.Error() }
-
-func badRequest(format string, args ...interface{}) error {
-	return &apiError{status: http.StatusBadRequest, err: fmt.Errorf(format, args...)}
-}
-
-// bodyError classifies a failed body read or decode: 413 when the body
-// ran past the limit, 400 (prefixed with what) otherwise.
-func bodyError(what string, err error) error {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return &apiError{status: http.StatusRequestEntityTooLarge, err: fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)}
-	}
-	return badRequest("%s: %v", what, err)
-}
-
-// decodeJSON decodes the (limited) request body into v.
-func decodeJSON(r *http.Request, v interface{}) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		return bodyError("bad JSON", err)
-	}
-	return nil
-}
-
-// handle registers a counted handler: requests, errors, in-flight and
-// latency are tracked per endpoint and reported by /statsz.
-func (s *Server) handle(name, pattern string, h func(w http.ResponseWriter, r *http.Request) error) {
+// Handle registers h for pattern as the endpoint name: requests,
+// errors, in-flight and latency are counted per endpoint and reported by
+// Endpoints. The body is read whole before h runs; one over the cap is
+// a 413, never cut short. A 429 carries Retry-After.
+func (a *API) Handle(name, pattern string, h Handler) {
 	st := &endpointStats{}
-	s.endpoints[name] = st
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+	a.endpoints[name] = st
+	a.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		st.Requests.Add(1)
 		st.InFlight.Add(1)
 		start := time.Now()
-		r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-		err := h(w, r)
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+		var tooLarge *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooLarge):
+			err = Errorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+		case err != nil:
+			err = badRequest("reading body: %v", err)
+		default:
+			err = h(w, r, body)
+		}
 		nanos := time.Since(start).Nanoseconds()
 		st.TotalNanos.Add(nanos)
 		for {
@@ -157,20 +149,79 @@ func (s *Server) handle(name, pattern string, h func(w http.ResponseWriter, r *h
 		if err != nil {
 			st.Errors.Add(1)
 			status := http.StatusInternalServerError
-			var ae *apiError
-			if errors.As(err, &ae) {
-				status = ae.status
+			var e *Error
+			if errors.As(err, &e) {
+				status = e.Status
 			}
 			w.Header().Set("Content-Type", "application/json")
+			if status == http.StatusTooManyRequests {
+				w.Header().Set("Retry-After", "1")
+			}
 			w.WriteHeader(status)
 			json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 		}
 	})
 }
 
-func writeJSON(w http.ResponseWriter, v interface{}) error {
+// HandleReadyz registers the readiness probe: ready answers it until
+// BeginDrain, 503 "draining" from then on.
+func (a *API) HandleReadyz(ready Handler) {
+	a.Handle("readyz", "GET /readyz", func(w http.ResponseWriter, r *http.Request, body []byte) error {
+		if a.draining.Load() {
+			return Errorf(http.StatusServiceUnavailable, "draining")
+		}
+		return ready(w, r, body)
+	})
+}
+
+// Uptime is the time since NewAPI.
+func (a *API) Uptime() time.Duration { return time.Since(a.started) }
+
+// Endpoints snapshots every endpoint's counters, the endpoints section of
+// /statsz.
+func (a *API) Endpoints() map[string]EndpointSnapshot {
+	out := make(map[string]EndpointSnapshot, len(a.endpoints))
+	for name, st := range a.endpoints {
+		out[name] = st.snapshot()
+	}
+	return out
+}
+
+// WriteJSON answers 200 with v encoded as JSON.
+func WriteJSON(w http.ResponseWriter, v any) error {
 	w.Header().Set("Content-Type", "application/json")
 	return json.NewEncoder(w).Encode(v)
+}
+
+// decode unmarshals a request body that must be exactly one JSON value:
+// bytes after it are refused, not ignored.
+func decode(body []byte, v any) error {
+	if err := json.Unmarshal(body, v); err != nil {
+		return badRequest("bad JSON: %v", err)
+	}
+	return nil
+}
+
+// Server is the apspd HTTP handler over an oracle registry; its
+// ServeHTTP and BeginDrain are the request layer's.
+type Server struct {
+	*API
+	reg *oracle.Registry
+}
+
+// New wires the handlers. The registry owns solving and caching; the
+// server only parses requests. reg must not be nil; the server reports
+// ready as soon as New returns.
+func New(reg *oracle.Registry) *Server {
+	s := &Server{API: NewAPI(), reg: reg}
+	s.Handle("load", "POST /load", s.handleLoad)
+	s.Handle("generate", "POST /generate", s.handleGenerate)
+	s.Handle("query", "POST /query", s.handleQuery)
+	s.Handle("reweight", "POST /reweight", s.handleReweight)
+	s.Handle("statsz", "GET /statsz", s.handleStatsz)
+	s.Handle("healthz", "GET /healthz", s.handleHealthz)
+	s.HandleReadyz(s.handleReadyz)
+	return s
 }
 
 // GraphInfo is the response of /load and /generate: the id to query by
@@ -182,30 +233,29 @@ type GraphInfo struct {
 }
 
 // register solves g through the registry (coalesced with any
-// concurrent load of the same graph) and returns its id. An oracle
-// larger than the registry's whole budget was dropped as soon as it was
-// solved, so its id could never be queried: that is a 413, not an id.
+// concurrent load of the same graph) and returns its id. The caller has
+// admitted g's vertex count. An oracle larger than the registry's whole
+// budget was dropped as soon as it was solved, so its id could never be
+// queried: that is a 413, not an id.
 func (s *Server) register(w http.ResponseWriter, g *graph.Graph) error {
-	if err := s.admit(g.N()); err != nil {
-		return err
-	}
 	o, err := s.reg.Get(g)
 	if err != nil {
 		return badRequest("solve failed: %v", err)
 	}
 	if size, budget := o.MemoryBytes(), s.reg.Stats().BudgetBytes; budget > 0 && size > budget {
-		return &apiError{status: http.StatusRequestEntityTooLarge,
-			err: fmt.Errorf("the solved oracle holds %d bytes, the whole cache budget is %d: raise -budget-mb", size, budget)}
+		return Errorf(http.StatusRequestEntityTooLarge,
+			"the solved oracle holds %d bytes, the whole cache budget is %d: raise -budget-mb", size, budget)
 	}
-	return writeJSON(w, GraphInfo{Graph: oracle.FingerprintOf(g).String(), N: g.N(), M: g.M()})
+	return WriteJSON(w, GraphInfo{Graph: oracle.FingerprintOf(g).String(), N: g.N(), M: g.M()})
 }
 
 // admit refuses a graph on n vertices before anything n-sized is built
 // or solved when its smallest possible oracle is already over the whole
 // budget: n(n+1)/2 distances of one bit each — the u1 triangle — before
-// any successor table. Every solver allocates n² float64s, and a
-// generator n adjacency lists, so this comes first; a store that turns
-// out wider than the floor is caught by the check after the solve.
+// any successor table. Every solver allocates n² float64s, graph.New n
+// adjacency lists and a generator as many, so this comes first; a store
+// that turns out wider than the floor is caught by the check after the
+// solve.
 func (s *Server) admit(n int) error {
 	budget := s.reg.Stats().BudgetBytes
 	if budget <= 0 {
@@ -216,9 +266,9 @@ func (s *Server) admit(n int) error {
 		entries = lo / 2
 	}
 	if floor := entries/8 + min(entries%8, 1); floor > uint64(budget) {
-		return &apiError{status: http.StatusRequestEntityTooLarge,
-			err: fmt.Errorf("an oracle on %d vertices holds at least %d one-bit distances, %d bytes; the whole cache budget is %d: raise -budget-mb",
-				n, entries, floor, budget)}
+		return Errorf(http.StatusRequestEntityTooLarge,
+			"an oracle on %d vertices holds at least %d one-bit distances, %d bytes; the whole cache budget is %d: raise -budget-mb",
+			n, entries, floor, budget)
 	}
 	return nil
 }
@@ -236,43 +286,52 @@ type LoadRequest struct {
 // fingerprint locally is what lets it place a load deterministically
 // before any backend has seen the graph.
 func ParseGraphBody(body []byte) (*graph.Graph, error) {
+	return parseGraphBody(body, func(int) error { return nil })
+}
+
+// parseGraphBody is ParseGraphBody with admit run on the vertex count
+// the body declares before anything n-sized is built.
+func parseGraphBody(body []byte, admit func(n int) error) (*graph.Graph, error) {
 	trimmed := strings.TrimSpace(string(body))
 	if trimmed == "" {
-		return nil, fmt.Errorf("empty body: want JSON {n, edges} or edge-list text")
+		return nil, badRequest("empty body: want JSON {n, edges} or edge-list text")
 	}
 	if strings.HasPrefix(trimmed, "{") {
 		var req LoadRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, fmt.Errorf("bad JSON: %v", err)
+		if err := decode(body, &req); err != nil {
+			return nil, err
 		}
 		if req.N < 0 {
-			return nil, fmt.Errorf("negative vertex count %d", req.N)
+			return nil, badRequest("negative vertex count %d", req.N)
+		}
+		if err := admit(req.N); err != nil {
+			return nil, err
 		}
 		g := graph.New(req.N)
 		for i, e := range req.Edges {
 			u, v := int(e[0]), int(e[1])
 			if float64(u) != e[0] || float64(v) != e[1] || u < 0 || u >= req.N || v < 0 || v >= req.N {
-				return nil, fmt.Errorf("edge %d: endpoints (%g,%g) outside [0,%d)", i, e[0], e[1], req.N)
+				return nil, badRequest("edge %d: endpoints (%g,%g) outside [0,%d)", i, e[0], e[1], req.N)
 			}
 			g.AddEdge(u, v, e[2])
 		}
 		return g, nil
 	}
-	g, err := graph.Read(strings.NewReader(trimmed))
+	g, err := graph.ReadChecked(strings.NewReader(trimmed), admit)
+	var refused *Error
+	if errors.As(err, &refused) {
+		return nil, err
+	}
 	if err != nil {
-		return nil, fmt.Errorf("bad edge list: %v", err)
+		return nil, badRequest("bad edge list: %v", err)
 	}
 	return g, nil
 }
 
-func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) error {
-	body, err := io.ReadAll(r.Body)
+func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request, body []byte) error {
+	g, err := parseGraphBody(body, s.admit)
 	if err != nil {
-		return bodyError("reading body", err)
-	}
-	g, err := ParseGraphBody(body)
-	if err != nil {
-		return badRequest("%v", err)
+		return err
 	}
 	return s.register(w, g)
 }
@@ -285,21 +344,35 @@ type GenerateRequest struct {
 	Seed int64  `json:"seed"`
 }
 
-func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) error {
-	var req GenerateRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return err
+// DecodeGenerate decodes and checks a /generate body.
+func DecodeGenerate(body []byte) (req GenerateRequest, err error) {
+	if err = decode(body, &req); err == nil && req.N <= 0 {
+		err = badRequest("generate needs n > 0, got %d", req.N)
 	}
-	if req.N <= 0 {
-		return badRequest("generate needs n > 0, got %d", req.N)
+	return req, err
+}
+
+// Build runs the requested generator; an unknown kind is a 400.
+func (req GenerateRequest) Build() (*graph.Graph, error) {
+	g, err := graph.NamedGenerator(req.Kind, req.N, req.Seed)
+	if err != nil {
+		return nil, badRequest("%v", err)
+	}
+	return g, nil
+}
+
+func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request, body []byte) error {
+	req, err := DecodeGenerate(body)
+	if err != nil {
+		return err
 	}
 	// A generator builds at most the n it is asked for.
 	if err := s.admit(req.N); err != nil {
 		return err
 	}
-	g, err := graph.NamedGenerator(req.Kind, req.N, req.Seed)
+	g, err := req.Build()
 	if err != nil {
-		return badRequest("%v", err)
+		return err
 	}
 	return s.register(w, g)
 }
@@ -319,22 +392,40 @@ type QueryResponse struct {
 	Paths [][]int   `json:"paths,omitempty"`
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
-	var req QueryRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return err
+// DecodeQuery decodes and checks a /query body: at least one pair and a
+// well-formed graph id, returned parsed. Whether the pairs are in range
+// is for the oracle that holds the graph to say.
+func DecodeQuery(body []byte) (req QueryRequest, fp oracle.Fingerprint, err error) {
+	if err = decode(body, &req); err != nil {
+		return req, fp, err
 	}
 	if len(req.Pairs) == 0 {
-		return badRequest("query needs at least one [u, v] pair")
+		return req, fp, badRequest("query needs at least one [u, v] pair")
 	}
-	fp, err := oracle.ParseFingerprint(req.Graph)
+	fp, err = parseGraphID(&req.Graph)
+	return req, fp, err
+}
+
+// parseGraphID parses a request's graph id and rewrites it in the
+// canonical lowercase form: hex digits of either case name one graph,
+// and the router places and caches by the id string.
+func parseGraphID(id *string) (oracle.Fingerprint, error) {
+	fp, err := oracle.ParseFingerprint(*id)
 	if err != nil {
-		return badRequest("%v", err)
+		return fp, badRequest("%v", err)
+	}
+	*id = fp.String()
+	return fp, nil
+}
+
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, body []byte) error {
+	req, fp, err := DecodeQuery(body)
+	if err != nil {
+		return err
 	}
 	o, ok, err := s.reg.Lookup(fp)
 	if !ok {
-		return &apiError{status: http.StatusNotFound,
-			err: fmt.Errorf("unknown graph %s: load or generate it first", req.Graph)}
+		return Errorf(http.StatusNotFound, "unknown graph %s: load or generate it first", req.Graph)
 	}
 	if err != nil {
 		return badRequest("solve failed: %v", err)
@@ -343,20 +434,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return badRequest("%v", err)
 	}
-	resp := QueryResponse{Dists: make([]float64, len(dists))}
 	for i, d := range dists {
 		if math.IsInf(d, 1) {
-			resp.Dists[i] = -1
-		} else {
-			resp.Dists[i] = d
+			dists[i] = -1
 		}
 	}
+	resp := QueryResponse{Dists: dists}
 	if req.Paths {
 		if resp.Paths, err = o.BatchPath(req.Pairs); err != nil {
 			return badRequest("%v", err)
 		}
 	}
-	return writeJSON(w, resp)
+	return WriteJSON(w, resp)
 }
 
 // ReweightRequest changes the weights of existing edges of a loaded
@@ -386,36 +475,45 @@ type ReweightResponse struct {
 	FellBack       bool    `json:"fell_back"`
 }
 
-func (s *Server) handleReweight(w http.ResponseWriter, r *http.Request) error {
-	var req ReweightRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return err
+// DecodeReweight decodes and checks a /reweight body: at least one edit,
+// a well-formed graph id and integer endpoints, returned as the parsed
+// id and the edits the registry takes. Whether each edge exists is for
+// the oracle that holds the graph to say.
+func DecodeReweight(body []byte) (req ReweightRequest, fp oracle.Fingerprint, edits []apsp.EdgeEdit, err error) {
+	if err = decode(body, &req); err != nil {
+		return req, fp, nil, err
 	}
 	if len(req.Edits) == 0 {
-		return badRequest("reweight needs at least one [u, v, w] edit")
+		return req, fp, nil, badRequest("reweight needs at least one [u, v, w] edit")
 	}
-	fp, err := oracle.ParseFingerprint(req.Graph)
-	if err != nil {
-		return badRequest("%v", err)
+	if fp, err = parseGraphID(&req.Graph); err != nil {
+		return req, fp, nil, err
 	}
-	edits := make([]apsp.EdgeEdit, len(req.Edits))
+	edits = make([]apsp.EdgeEdit, len(req.Edits))
 	for i, e := range req.Edits {
 		u, v := int(e[0]), int(e[1])
 		if float64(u) != e[0] || float64(v) != e[1] {
-			return badRequest("edit %d: endpoints (%g,%g) are not integers", i, e[0], e[1])
+			return req, fp, nil, badRequest("edit %d: endpoints (%g,%g) are not integers", i, e[0], e[1])
 		}
 		edits[i] = apsp.EdgeEdit{U: u, V: v, W: e[2]}
 	}
+	return req, fp, edits, nil
+}
+
+func (s *Server) handleReweight(w http.ResponseWriter, r *http.Request, body []byte) error {
+	req, fp, edits, err := DecodeReweight(body)
+	if err != nil {
+		return err
+	}
 	newFp, o, st, err := s.reg.Reweight(fp, edits)
 	if errors.Is(err, oracle.ErrUnknownGraph) {
-		return &apiError{status: http.StatusNotFound,
-			err: fmt.Errorf("unknown graph %s: load or generate it first", req.Graph)}
+		return Errorf(http.StatusNotFound, "unknown graph %s: load or generate it first", req.Graph)
 	}
 	if err != nil {
 		return badRequest("reweight failed: %v", err)
 	}
 	g := o.Graph()
-	return writeJSON(w, ReweightResponse{
+	return WriteJSON(w, ReweightResponse{
 		Graph:          newFp.String(),
 		N:              g.N(),
 		M:              g.M(),
@@ -439,30 +537,23 @@ type StatszResponse struct {
 	Endpoints     map[string]EndpointSnapshot `json:"endpoints"`
 }
 
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) error {
-	resp := StatszResponse{
-		UptimeSeconds: time.Since(s.started).Seconds(),
+func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request, _ []byte) error {
+	return WriteJSON(w, StatszResponse{
+		UptimeSeconds: s.Uptime().Seconds(),
 		Registry:      s.reg.Stats(),
-		Endpoints:     make(map[string]EndpointSnapshot, len(s.endpoints)),
-	}
-	for name, ep := range s.endpoints {
-		resp.Endpoints[name] = ep.snapshot()
-	}
-	return writeJSON(w, resp)
+		Endpoints:     s.Endpoints(),
+	})
 }
 
 // handleHealthz is the liveness probe: 200 for the whole process
 // lifetime, draining included. Use /readyz to decide routability.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
-	return writeJSON(w, map[string]string{"status": "ok"})
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, _ []byte) error {
+	return WriteJSON(w, map[string]string{"status": "ok"})
 }
 
-// handleReadyz is the readiness probe: 200 until BeginDrain, 503 from
-// then on. The fleet router probes this endpoint, so a draining backend
-// stops receiving new queries while it finishes in-flight work.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) error {
-	if s.draining.Load() {
-		return &apiError{status: http.StatusServiceUnavailable, err: errors.New("draining")}
-	}
-	return writeJSON(w, map[string]string{"status": "ready"})
+// handleReadyz answers the readiness probe until BeginDrain. The fleet
+// router probes this endpoint, so a draining backend stops receiving
+// new queries while it finishes in-flight work.
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request, _ []byte) error {
+	return WriteJSON(w, map[string]string{"status": "ready"})
 }

@@ -425,6 +425,35 @@ func TestServerGenerateAdmitsBeforeBuilding(t *testing.T) {
 	}
 }
 
+// TestServerLoadAdmitsBeforeBuilding: /load checks the vertex count a
+// body declares — JSON's n or the edge list's n header — against the
+// budget before graph.New allocates n adjacency lists (24 MB for 10⁶
+// vertices), so a body of a few bytes under a 1 MB budget is a 413 that
+// allocates next to nothing.
+func TestServerLoadAdmitsBeforeBuilding(t *testing.T) {
+	ts, _ := newTestServer(t, 1<<20)
+	for _, body := range []string{`{"n":1000000,"edges":[]}`, "# a comment first\n\nn 1000000\n0 1 1\n"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := http.Post(ts.URL+"/load", "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), "on 1000000 vertices") {
+			t.Errorf("/load %q under a 1 MB budget: status %d (%s), want a 413 naming the vertex count", body, resp.StatusCode, msg)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+			t.Errorf("refusing /load %q allocated %d bytes: the graph was built first", body, grew)
+		}
+	}
+	if st := getStats(t, ts.URL).Registry; st.Solves != 0 || st.Entries != 0 {
+		t.Errorf("registry = %+v, want nothing solved", st)
+	}
+}
+
 // TestServerLoadOverWholeBudget: an oracle larger than the registry's
 // whole budget is dropped the moment it is solved, so answering /load
 // with its id would hand out a fingerprint that can never be queried.
@@ -653,15 +682,13 @@ func TestServerRefusesOversizedBody(t *testing.T) {
 	if status := post("/load", body[:maxBody]); status != http.StatusOK {
 		t.Errorf("/load at the limit: status %d, want 200", status)
 	}
-	// The JSON endpoints stop reading where their value ends, so the
-	// padding goes in front.
 	pad := strings.Repeat(" ", int(maxBody))
 	for path, req := range map[string]string{
 		"/generate": `{"kind":"grid","n":16,"seed":1}`,
 		"/query":    `{"graph":"0","pairs":[[0,1]]}`,
 		"/reweight": `{"graph":"0","edits":[[0,1,2]]}`,
 	} {
-		if status := post(path, pad+req); status != http.StatusRequestEntityTooLarge {
+		if status := post(path, req+pad); status != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s over the limit: status %d, want 413", path, status)
 		}
 	}
