@@ -4,8 +4,8 @@
 //
 //   - weighted undirected graphs and generators (grids, random graphs,
 //     R-MAT, trees, ...);
-//   - sequential APSP solvers: classical and blocked Floyd–Warshall,
-//     Johnson's algorithm, and the supernodal SuperFW;
+//   - sequential APSP solvers: classical Floyd–Warshall, Johnson's
+//     algorithm, and the supernodal SuperFW;
 //   - distributed APSP solvers executing on a simulated
 //     distributed-memory machine with critical-path cost accounting:
 //     the paper's 2D-SPARSE-APSP, the dense 2D-DC-APSP comparator, and
@@ -89,21 +89,20 @@ const (
 	DenseDC Algorithm = "dc"
 	// Dense2DFW is the distributed blocked 2D Floyd–Warshall.
 	Dense2DFW Algorithm = "2dfw"
-	// Dense1DFW is the unblocked row-striped Floyd–Warshall
-	// (Jenq–Sahni lineage) with Θ(n·log p) latency — the related-work
-	// baseline showing why blocked layouts matter.
-	Dense1DFW Algorithm = "1dfw"
 	// SeqFW is the sequential classical Floyd–Warshall.
 	SeqFW Algorithm = "fw"
-	// SeqBlockedFW is the sequential blocked Floyd–Warshall.
-	SeqBlockedFW Algorithm = "blockedfw"
 	// SeqSuperFW is the sequential supernodal solver of Sao et al.
 	SeqSuperFW Algorithm = "superfw"
-	// SeqSuperFWParallel is SuperFW with eTree-level shared-memory
-	// parallelism (goroutine pool over independent blocks).
-	SeqSuperFWParallel Algorithm = "superfw-par"
 	// SeqJohnson is Dijkstra from every source.
 	SeqJohnson Algorithm = "johnson"
+)
+
+// The solvers' structural constants: SeqSuperFW's eTree height (the
+// distributed sparse algorithm derives its height from P instead) and
+// DenseDC's block-cyclic factor.
+const (
+	superFWTreeHeight = 3
+	dcCyclicFactor    = 4
 )
 
 // Options configures Solve.
@@ -116,13 +115,6 @@ type Options struct {
 	Algorithm Algorithm
 	// Seed makes the randomized nested-dissection deterministic.
 	Seed int64
-	// TreeHeight is the eTree height for SeqSuperFW (default 3). The
-	// distributed sparse algorithm derives it from P instead.
-	TreeHeight int
-	// CyclicFactor is the block-cyclic factor of DenseDC (default 4).
-	CyclicFactor int
-	// BlockSize is the block size for SeqBlockedFW (default 64).
-	BlockSize int
 	// Wire selects the sparse solver's payload encoding: WirePruned
 	// (default — provably empty broadcasts are skipped and every other
 	// broadcast ships only the payload rows/columns some receiver can
@@ -209,15 +201,6 @@ func Solve(g *Graph, opts Options) (*Result, error) {
 	if opts.Algorithm == "" {
 		opts.Algorithm = Auto
 	}
-	if opts.TreeHeight == 0 {
-		opts.TreeHeight = 3
-	}
-	if opts.CyclicFactor == 0 {
-		opts.CyclicFactor = 4
-	}
-	if opts.BlockSize == 0 {
-		opts.BlockSize = 64
-	}
 	alg := opts.Algorithm
 	if alg == Auto {
 		switch {
@@ -243,7 +226,7 @@ func Solve(g *Graph, opts Options) (*Result, error) {
 		return &Result{Dist: r.Dist, Algorithm: alg, Report: r.Report,
 			SeparatorSize: r.Layout.ND.SeparatorSize()}, nil
 	case DenseDC:
-		r, err := apsp.DCAPSP(g, opts.P, opts.CyclicFactor)
+		r, err := apsp.DCAPSP(g, opts.P, dcCyclicFactor)
 		if err != nil {
 			return nil, err
 		}
@@ -254,33 +237,16 @@ func Solve(g *Graph, opts Options) (*Result, error) {
 			return nil, err
 		}
 		return &Result{Dist: r.Dist, Algorithm: alg, Report: r.Report}, nil
-	case Dense1DFW:
-		r, err := apsp.Dist1DFW(g, opts.P)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Dist: r.Dist, Algorithm: alg, Report: r.Report}, nil
 	case SeqFW:
 		d, ops := apsp.FloydWarshall(g)
 		return &Result{Dist: d, Algorithm: alg, Ops: ops}, nil
-	case SeqBlockedFW:
-		d, ops := apsp.BlockedFloydWarshall(g, opts.BlockSize)
-		return &Result{Dist: d, Algorithm: alg, Ops: ops}, nil
 	case SeqSuperFW:
-		r, err := apsp.SuperFW(g, opts.TreeHeight, opts.Seed)
+		r, err := apsp.SuperFW(g, superFWTreeHeight, opts.Seed)
 		if err != nil {
 			return nil, err
 		}
 		return &Result{Dist: r.Dist, Algorithm: alg, Ops: r.Ops,
 			SeparatorSize: r.Layout.ND.SeparatorSize()}, nil
-	case SeqSuperFWParallel:
-		ly, err := apsp.NewLayout(g, opts.TreeHeight, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		d, ops := apsp.SuperFWParallel(ly)
-		return &Result{Dist: d, Algorithm: alg, Ops: ops,
-			SeparatorSize: ly.ND.SeparatorSize()}, nil
 	case SeqJohnson:
 		d, err := apsp.Johnson(g)
 		if err != nil {
@@ -327,7 +293,7 @@ func SeparatorSize(g *Graph, seed int64) (int, error) {
 }
 
 // PathResult carries distances plus successor structure for extracting
-// actual shortest paths (see SolveWithPaths).
+// actual shortest paths (see SolveWithPathsOptions).
 type PathResult = apsp.PathResult
 
 // SolveWithPathsOptions computes APSP with path reconstruction using
@@ -337,18 +303,17 @@ type PathResult = apsp.PathResult
 // (see internal/apsp.SuccessorsFromDist), so Path(u, v) queries run in
 // time proportional to the path length regardless of the solver.
 //
-// Unlike the legacy SolveWithPaths it validates its input: a nil graph
-// or a negative edge weight (a negative cycle in an undirected graph,
-// the same policy Solve applies through Johnson) returns an error
-// instead of panicking.
+// A nil graph or a negative edge weight (a negative cycle in an
+// undirected graph, the same policy Solve applies through Johnson)
+// returns an error instead of panicking.
 func SolveWithPathsOptions(g *Graph, opts Options) (*PathResult, error) {
 	if g == nil {
-		return nil, fmt.Errorf("sparseapsp: SolveWithPaths: nil graph")
+		return nil, fmt.Errorf("sparseapsp: SolveWithPathsOptions: nil graph")
 	}
 	for u := 0; u < g.N(); u++ {
 		for _, e := range g.Adj(u) {
 			if e.W < 0 {
-				return nil, fmt.Errorf("sparseapsp: SolveWithPaths: negative edge {%d,%d} weight %g is a negative cycle in an undirected graph", u, e.To, e.W)
+				return nil, fmt.Errorf("sparseapsp: SolveWithPathsOptions: negative edge {%d,%d} weight %g is a negative cycle in an undirected graph", u, e.To, e.W)
 			}
 		}
 	}
@@ -363,15 +328,6 @@ func SolveWithPathsOptions(g *Graph, opts Options) (*PathResult, error) {
 	}
 	pr.Report = res.Report
 	return pr, nil
-}
-
-// SolveWithPaths computes APSP with path reconstruction: the returned
-// result answers Path(u, v) queries in time proportional to the path
-// length. Sequential (classical Floyd–Warshall with successors). It is
-// a thin wrapper around SolveWithPathsOptions; use that variant to
-// pick a solver and to get errors instead of panics.
-func SolveWithPaths(g *Graph) *PathResult {
-	return apsp.FloydWarshallPaths(g)
 }
 
 // PathWeight sums the edge weights of path in g, returning Inf for an

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"sparseapsp/internal/apsp"
 )
 
 func TestSolveAutoSelection(t *testing.T) {
@@ -43,8 +45,8 @@ func TestSolveAllAlgorithmsAgree(t *testing.T) {
 		a Algorithm
 		p int
 	}{
-		{SeqBlockedFW, 0}, {SeqSuperFW, 0}, {SeqSuperFWParallel, 0}, {SeqJohnson, 0},
-		{Sparse2D, 9}, {DenseDC, 9}, {Dense2DFW, 9}, {Dense1DFW, 9},
+		{SeqSuperFW, 0}, {SeqJohnson, 0},
+		{Sparse2D, 9}, {DenseDC, 9}, {Dense2DFW, 9},
 	}
 	for _, c := range algs {
 		res, err := Solve(g, Options{Algorithm: c.a, P: c.p})
@@ -148,10 +150,10 @@ func TestSeparatorSizeGrid(t *testing.T) {
 
 func TestSolveWithPathsOptionsAcrossSolvers(t *testing.T) {
 	g := Grid2D(7, 7, UnitWeights)
-	want := SolveWithPaths(g)
+	want := apsp.FloydWarshallPaths(g)
 	for _, opts := range []Options{
 		{Algorithm: SeqFW},
-		{Algorithm: SeqBlockedFW, BlockSize: 8},
+		{Algorithm: SeqJohnson},
 		{Algorithm: SeqSuperFW},
 		{Algorithm: Sparse2D, P: 9},
 	} {
@@ -197,11 +199,11 @@ func TestSolveWithPathsOptionsValidates(t *testing.T) {
 
 func TestNewOracleServesQueries(t *testing.T) {
 	g := Grid2D(6, 6, UnitWeights)
-	o, err := NewOracle(g, Options{Algorithm: SeqBlockedFW, BlockSize: 8})
+	o, err := NewOracle(g, Options{Algorithm: SeqJohnson})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := SolveWithPaths(g)
+	want := apsp.FloydWarshallPaths(g)
 	d, err := o.Dist(0, 35)
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +367,7 @@ func TestReweightBuildsNoPlan(t *testing.T) {
 // and the sparse solver's error is the one that lists the valid sizes.
 func TestSolveRejectsNonPositiveP(t *testing.T) {
 	g := Grid2D(4, 4, UnitWeights)
-	for _, alg := range []Algorithm{Sparse2D, DenseDC, Dense2DFW, Dense1DFW} {
+	for _, alg := range []Algorithm{Sparse2D, DenseDC, Dense2DFW} {
 		for _, p := range []int{0, -4} {
 			_, err := Solve(g, Options{Algorithm: alg, P: p})
 			if err == nil {

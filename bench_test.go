@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"sparseapsp/internal/apsp"
-	"sparseapsp/internal/comm"
 	"sparseapsp/internal/graph"
 	"sparseapsp/internal/harness"
 	"sparseapsp/internal/partition"
@@ -229,11 +228,6 @@ func BenchmarkSequentialSolvers(b *testing.B) {
 			apsp.FloydWarshall(g)
 		}
 	})
-	b.Run("BlockedFW", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			apsp.BlockedFloydWarshall(g, 64)
-		}
-	})
 	b.Run("Johnson", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := apsp.Johnson(g); err != nil {
@@ -369,26 +363,6 @@ func BenchmarkR4Ablation(b *testing.B) {
 	}
 }
 
-// BenchmarkDist1DFW measures the unblocked baseline whose latency is
-// polynomial in n (the Section 2 motivation for blocking).
-func BenchmarkDist1DFW(b *testing.B) {
-	g := benchGraph(16)
-	for _, p := range []int{4, 9} {
-		b.Run(benchName("p", p), func(b *testing.B) {
-			var rep Report
-			for i := 0; i < b.N; i++ {
-				r, err := apsp.Dist1DFW(g, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rep = r.Report
-			}
-			b.ReportMetric(float64(rep.Critical.Latency), "latency_msgs")
-			b.ReportMetric(float64(rep.Critical.Bandwidth), "bandwidth_words")
-		})
-	}
-}
-
 // BenchmarkPerLevel regenerates the Lemma 5.6/5.8/5.9 per-level
 // decomposition (E13).
 func BenchmarkPerLevel(b *testing.B) {
@@ -401,51 +375,6 @@ func BenchmarkPerLevel(b *testing.B) {
 		out = t.String()
 	}
 	b.Log("\n" + out)
-}
-
-// BenchmarkBcastAlgorithms compares the three broadcast algorithms'
-// modelled costs at a dense-panel payload size.
-func BenchmarkBcastAlgorithms(b *testing.B) {
-	const q, words = 32, 8192
-	algs := []struct {
-		name string
-		f    func(c *comm.Ctx, g []int, root, tag int, d []float64) []float64
-	}{
-		{"binomial", func(c *comm.Ctx, g []int, root, tag int, d []float64) []float64 {
-			return c.Bcast(g, root, tag, d)
-		}},
-		{"linear", func(c *comm.Ctx, g []int, root, tag int, d []float64) []float64 {
-			return c.BcastLinear(g, root, tag, d)
-		}},
-		{"scatter-allgather", func(c *comm.Ctx, g []int, root, tag int, d []float64) []float64 {
-			return c.BcastScag(g, root, tag, d)
-		}},
-	}
-	group := make([]int, q)
-	for i := range group {
-		group[i] = i
-	}
-	for _, alg := range algs {
-		b.Run(alg.name, func(b *testing.B) {
-			var rep Report
-			for i := 0; i < b.N; i++ {
-				m := comm.NewMachine(q)
-				err := m.Run(func(c *comm.Ctx) {
-					var payload []float64
-					if c.Rank() == 0 {
-						payload = make([]float64, words)
-					}
-					alg.f(c, group, 0, 10, payload)
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rep = m.Report()
-			}
-			b.ReportMetric(float64(rep.Critical.Latency), "latency_msgs")
-			b.ReportMetric(float64(rep.Critical.Bandwidth), "bandwidth_words")
-		})
-	}
 }
 
 // BenchmarkDistributedNDReal measures the real distributed partitioner
@@ -466,26 +395,4 @@ func BenchmarkDistributedNDReal(b *testing.B) {
 			b.ReportMetric(float64(rep.Critical.Bandwidth), "bandwidth_words")
 		})
 	}
-}
-
-// BenchmarkSuperFWParallelism measures the shared-memory speedup of
-// the eTree-parallel SuperFW over the sequential schedule.
-func BenchmarkSuperFWParallelism(b *testing.B) {
-	g := benchGraph(32)
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := apsp.SuperFW(g, 4, 11); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ly, err := apsp.NewLayout(g, 4, 11)
-			if err != nil {
-				b.Fatal(err)
-			}
-			apsp.SuperFWParallel(ly)
-		}
-	})
 }

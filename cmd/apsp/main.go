@@ -19,6 +19,7 @@ import (
 	"os"
 
 	"sparseapsp"
+	"sparseapsp/internal/apsp"
 	"sparseapsp/internal/graph"
 )
 
@@ -28,7 +29,7 @@ func main() {
 		metis  = flag.Bool("metis", false, "input is METIS format instead of edge-list")
 		gen    = flag.String("gen", "", "generate a workload instead: grid, grid3d, path, cycle, tree, gnp, gnp-dense, rmat, complete, star, rgg")
 		n      = flag.Int("n", 256, "target vertex count for -gen")
-		alg    = flag.String("alg", "auto", "algorithm: auto, sparse2d, dc, 2dfw, 1dfw, fw, blockedfw, superfw, superfw-par, johnson")
+		alg    = flag.String("alg", "auto", "algorithm: auto, sparse2d, dc, 2dfw, fw, superfw, johnson")
 		p      = flag.Int("p", 0, "simulated machine size for distributed algorithms")
 		seed   = flag.Int64("seed", 42, "random seed")
 		from   = flag.Int("from", -1, "source vertex (-1: no single query)")
@@ -95,8 +96,14 @@ func main() {
 			fmt.Printf("d(%d,%d) = %g\n", *from, *to, d)
 		}
 		if *path {
-			pr := sparseapsp.SolveWithPaths(g)
-			fmt.Printf("path: %v\n", pr.Path(*from, *to))
+			// Successors come from the distances just solved, not from
+			// a second solve.
+			pr, err := apsp.SuccessorsFromDist(g, res.Dist)
+			if err != nil {
+				fatal(err)
+			}
+			route := pr.Path(*from, *to)
+			fmt.Printf("path: %v weight=%g\n", route, sparseapsp.PathWeight(g, route))
 		}
 	}
 	if *matrix {

@@ -71,7 +71,7 @@ func main() {
 		drain = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 
 		// serve-mode flags
-		alg      = flag.String("algorithm", "auto", "APSP solver: auto, sparse2d, dc, 2dfw, 1dfw, fw, blockedfw, superfw, superfw-par, johnson")
+		alg      = flag.String("algorithm", "auto", "APSP solver: auto, sparse2d, dc, 2dfw, fw, superfw, johnson")
 		p        = flag.Int("p", 0, "simulated machine size for the distributed solvers (0 = sequential auto)")
 		seed     = flag.Int64("seed", 42, "nested-dissection seed")
 		budgetMB = flag.Int64("budget-mb", 0, "oracle cache memory budget in MiB (0 = unlimited)")

@@ -41,14 +41,17 @@ func ExampleSolve_distributed() {
 }
 
 // Shortest paths, not just distances.
-func ExampleSolveWithPaths() {
+func ExampleSolveWithPathsOptions() {
 	g := sparseapsp.NewGraph(4)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 2)
 	g.AddEdge(2, 3, 1)
 	g.AddEdge(0, 3, 10)
 
-	pr := sparseapsp.SolveWithPaths(g)
+	pr, err := sparseapsp.SolveWithPathsOptions(g, sparseapsp.Options{})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(pr.Path(0, 3))
 	// Output: [0 1 2 3]
 }

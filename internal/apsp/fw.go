@@ -4,15 +4,12 @@
 // Sequential baselines:
 //   - FloydWarshall — the classical O(n³) dynamic program [Floyd 62,
 //     Warshall 62], the correctness oracle for everything else.
-//   - BlockedFloydWarshall — the cache-blocked variant of Section 3.3.
 //   - Johnson — Dijkstra from every source [Johnson 77].
 //   - SuperFW — the supernodal sparse APSP of Sao et al. (PPoPP'20):
 //     nested-dissection ordering + eTree-guided elimination, skipping
 //     cousin-block computation.
 //
 // Distributed algorithms (on the simulated machine of internal/comm):
-//   - Dist1DFW — unblocked row-striped Floyd–Warshall (Jenq–Sahni
-//     lineage), the Θ(n·log p)-latency strawman of Section 2.
 //   - Dist2DFW — blocked Floyd–Warshall on a √p×√p grid in block
 //     layout.
 //   - DCAPSP — the divide-and-conquer 2D-DC-APSP of Solomonik, Buluç,
@@ -41,19 +38,9 @@ func FloydWarshall(g *graph.Graph) (*semiring.Matrix, int64) {
 	return m, ops
 }
 
-// BlockedFloydWarshall computes APSP with the blocked algorithm of
-// Section 3.3 using block size b.
-func BlockedFloydWarshall(g *graph.Graph, b int) (*semiring.Matrix, int64) {
-	n := g.N()
-	m := semiring.FromSlice(n, n, g.AdjacencyMatrix())
-	ops := semiring.BlockedFW(m, b)
-	return m, ops
-}
-
 // FloydWarshallFull is FloydWarshall with no empty-entry skipping: it
-// always performs exactly n³ operations. The operation-count
-// experiments (Lemma 6.4, SuperFW's reduction factor) use it as the
-// classical-cost reference.
+// always performs exactly n³ operations: the classical-cost reference
+// the operation-count tests compare SuperFW's saving against.
 func FloydWarshallFull(g *graph.Graph) (*semiring.Matrix, int64) {
 	n := g.N()
 	m := semiring.FromSlice(n, n, g.AdjacencyMatrix())

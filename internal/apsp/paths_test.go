@@ -9,57 +9,6 @@ import (
 	"sparseapsp/internal/graph"
 )
 
-func TestDist1DFWMatchesFloydWarshall(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	for name, g := range testGraphs(rng) {
-		want, _ := FloydWarshall(g)
-		for _, p := range []int{1, 3, 7} {
-			res, err := Dist1DFW(g, p)
-			if err != nil {
-				t.Errorf("%s p=%d: %v", name, p, err)
-				continue
-			}
-			if !res.Dist.EqualTol(want, 1e-9) {
-				t.Errorf("%s p=%d: Dist1DFW diverges", name, p)
-			}
-		}
-	}
-}
-
-// The Section 2 point about Jenq–Sahni: without blocking, latency is
-// Θ(n·log p) — it must grow linearly with n, unlike every blocked
-// algorithm.
-func TestDist1DFWLatencyGrowsWithN(t *testing.T) {
-	lat := func(side int) int64 {
-		g := graph.Grid2D(side, side, graph.UnitWeights)
-		res, err := Dist1DFW(g, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Report.Critical.Latency
-	}
-	l10, l20 := lat(10), lat(20)
-	// n quadruples (100 -> 400): latency should too, within slack.
-	if l20 < 3*l10 {
-		t.Errorf("1D FW latency grew too slowly: %d -> %d", l10, l20)
-	}
-	// And it must dwarf the blocked 2D variant's latency.
-	g := graph.Grid2D(20, 20, graph.UnitWeights)
-	blocked, err := Dist2DFW(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l20 <= 5*blocked.Report.Critical.Latency {
-		t.Errorf("1D latency %d not far above blocked %d", l20, blocked.Report.Critical.Latency)
-	}
-}
-
-func TestDist1DFWRejectsBadP(t *testing.T) {
-	if _, err := Dist1DFW(graph.New(3), 0); err == nil {
-		t.Error("expected error for p=0")
-	}
-}
-
 func TestFloydWarshallPathsSmall(t *testing.T) {
 	g := graph.New(4)
 	g.AddEdge(0, 1, 1)

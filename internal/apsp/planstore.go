@@ -41,9 +41,6 @@ func NewPlanStore(dir string) (*PlanStore, error) {
 	return &PlanStore{dir: dir}, nil
 }
 
-// Dir returns the directory the store persists into.
-func (s *PlanStore) Dir() string { return s.dir }
-
 func (s *PlanStore) path(fp StructureFingerprint) string {
 	return filepath.Join(s.dir, fp.String()+".plan")
 }

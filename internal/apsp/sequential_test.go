@@ -90,20 +90,6 @@ func TestJohnsonRejectsNegativeEdges(t *testing.T) {
 	}
 }
 
-func TestBlockedFloydWarshallMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	g := graph.RandomGNP(40, 0.1, graph.RandomWeights(rng, 1, 5), rng)
-	want, _ := FloydWarshall(g)
-	for _, b := range []int{1, 4, 7, 40, 64} {
-		got, _ := BlockedFloydWarshall(g, b)
-		// Tolerance, not equality: blocked evaluation associates the
-		// floating-point additions differently than the classical loop.
-		if !got.EqualTol(want, 1e-9) {
-			t.Errorf("b=%d: blocked FW diverges", b)
-		}
-	}
-}
-
 func TestFloydWarshallFullCountsN3(t *testing.T) {
 	g := graph.Path(9, graph.UnitWeights)
 	d, ops := FloydWarshallFull(g)
@@ -315,30 +301,5 @@ func TestQuickDistanceScaling(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-// The shared-memory parallel SuperFW must match the sequential one
-// exactly (identical schedule, disjoint outputs per phase).
-func TestSuperFWParallelMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(127))
-	for name, g := range testGraphs(rng) {
-		for _, h := range []int{1, 2, 3} {
-			ly, err := NewLayout(g, h, 7)
-			if err != nil {
-				t.Fatalf("%s h=%d: %v", name, h, err)
-			}
-			seq, err := SuperFW(g, h, 7)
-			if err != nil {
-				t.Fatalf("%s h=%d: %v", name, h, err)
-			}
-			par, ops := SuperFWParallel(ly)
-			if !par.Equal(seq.Dist) {
-				t.Errorf("%s h=%d: parallel SuperFW diverges", name, h)
-			}
-			if ops != seq.Ops {
-				t.Errorf("%s h=%d: ops %d vs sequential %d", name, h, ops, seq.Ops)
-			}
-		}
 	}
 }

@@ -65,12 +65,3 @@ func (g Grid) ColRanks(j int) []int {
 	}
 	return out
 }
-
-// AllRanks returns all ranks of the grid in row-major order.
-func (g Grid) AllRanks() []int {
-	out := make([]int, g.Rows*g.Cols)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}

@@ -551,7 +551,9 @@ func TestRouterRefusesOversizedBody(t *testing.T) {
 // the status and the bytes a direct apspd gives it, whether the router
 // refuses it itself (the shared decoders and body cap) or relays a
 // backend's verdict. Bytes after the JSON value, or padding past the
-// cap behind it, are refused by both: the whole body is one value.
+// cap behind it, are refused by both: the whole body is one value. Both
+// are held to testdata/router_errors.golden, so a refusal cannot change
+// on both sides at once unseen.
 func TestRouterErrorsMatchDirect(t *testing.T) {
 	const limit = 256
 	_, rt, _ := newFleet(t, 2, Config{Replicas: 2, ProbeInterval: time.Hour})
@@ -563,8 +565,20 @@ func TestRouterErrorsMatchDirect(t *testing.T) {
 	if got := generate(t, direct.URL, "grid", 16, 1).Graph; got != fp {
 		t.Fatalf("fingerprints diverge: router %s direct %s", fp, got)
 	}
+	data, err := os.ReadFile("testdata/router_errors.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden []struct {
+		Name   string `json:"name"`
+		Status int    `json:"status"`
+		Body   string `json:"body"`
+	}
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
 	query := `{"graph":"` + fp + `","pairs":[[0,1]]}`
-	send := func(url, path, body string) (int, []byte) {
+	send := func(url, path, body string) (int, string) {
 		t.Helper()
 		resp, err := http.Post(url+path, "application/json", strings.NewReader(body))
 		if err != nil {
@@ -575,9 +589,9 @@ func TestRouterErrorsMatchDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp.StatusCode, data
+		return resp.StatusCode, string(data)
 	}
-	for _, c := range []struct{ name, path, body string }{
+	rows := []struct{ name, path, body string }{
 		{"empty query", "/query", ""},
 		{"empty generate", "/generate", ""},
 		{"empty reweight", "/reweight", ""},
@@ -595,14 +609,19 @@ func TestRouterErrorsMatchDirect(t *testing.T) {
 		{"zero n", "/generate", `{"kind":"grid","n":0}`},
 		{"unknown kind", "/generate", `{"kind":"nope","n":9}`},
 		{"JSON array", "/query", `[[0,1]]`},
-	} {
-		wantStatus, want := send(direct.URL, c.path, c.body)
-		gotStatus, got := send(front.URL, c.path, c.body)
-		if wantStatus < 400 {
-			t.Errorf("%s: direct answered %d (%s), want a refusal", c.name, wantStatus, want)
+	}
+	if len(golden) != len(rows) {
+		t.Fatalf("golden holds %d refusals, the test sends %d", len(golden), len(rows))
+	}
+	for i, c := range rows {
+		want := golden[i]
+		if want.Name != c.name {
+			t.Fatalf("golden row %d is %q, the test sends %q", i, want.Name, c.name)
 		}
-		if gotStatus != wantStatus || !bytes.Equal(got, want) {
-			t.Errorf("%s: router %d %q, direct %d %q", c.name, gotStatus, got, wantStatus, want)
+		for _, side := range []struct{ name, url string }{{"direct", direct.URL}, {"router", front.URL}} {
+			if status, body := send(side.url, c.path, c.body); status != want.Status || body != want.Body {
+				t.Errorf("%s: %s answered %d %q, golden %d %q", c.name, side.name, status, body, want.Status, want.Body)
+			}
 		}
 	}
 }

@@ -225,10 +225,6 @@ func storeCases() []storeCase {
 			d, _ := apsp.FloydWarshall(g)
 			return d, nil
 		}, false},
-		{"blockedfw", func(g *graph.Graph) (*semiring.Matrix, error) {
-			d, _ := apsp.BlockedFloydWarshall(g, 16)
-			return d, nil
-		}, false},
 		{"superfw", func(g *graph.Graph) (*semiring.Matrix, error) {
 			r, err := apsp.SuperFW(g, 3, 42)
 			if err != nil {
@@ -236,15 +232,6 @@ func storeCases() []storeCase {
 			}
 			return r.Dist, nil
 		}, false},
-		{"superfw-par", func(g *graph.Graph) (*semiring.Matrix, error) {
-			ly, err := apsp.NewLayout(g, 3, 42)
-			if err != nil {
-				return nil, err
-			}
-			d, _ := apsp.SuperFWParallel(ly)
-			return d, nil
-		}, false},
-		{"1dfw", func(g *graph.Graph) (*semiring.Matrix, error) { return distResult(apsp.Dist1DFW(g, 4)) }, false},
 		{"2dfw", func(g *graph.Graph) (*semiring.Matrix, error) { return distResult(apsp.Dist2DFW(g, 4)) }, false},
 		{"dc", func(g *graph.Graph) (*semiring.Matrix, error) { return distResult(apsp.DCAPSP(g, 4, 1)) }, false},
 		{"sparse", func(g *graph.Graph) (*semiring.Matrix, error) {

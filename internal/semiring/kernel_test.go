@@ -2,6 +2,7 @@ package semiring
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -140,6 +141,74 @@ func TestKernelBlockedFWMatchesSerial(t *testing.T) {
 			t.Errorf("%s b=%d: ops=%d hash=%#x, pinned %d / %#x", tc.name, tc.b, ops, hashBits(got), tc.ops, tc.hash)
 		}
 	}
+}
+
+// BlockedFW runs the blocked Floyd–Warshall algorithm of Section 3.3 on
+// the square matrix m in place with block size b: for each block pivot
+// k — diagonal update, panel updates, then the min-plus outer product.
+// It drives every kernel the solvers use in one loop, which is what
+// TestKernelBlockedFWMatchesSerial pins.
+func BlockedFW(m *Matrix, b int) int64 {
+	if m.Rows != m.Cols {
+		panic(fmt.Sprintf("semiring: BlockedFW on %dx%d matrix", m.Rows, m.Cols))
+	}
+	if b <= 0 {
+		panic("semiring: BlockedFW block size must be positive")
+	}
+	n := m.Rows
+	nb := (n + b - 1) / b
+	var ops int64
+	// view extracts block (bi, bj) as a copy.
+	view := func(bi, bj int) *Matrix {
+		r0, r1 := bi*b, min(n, (bi+1)*b)
+		c0, c1 := bj*b, min(n, (bj+1)*b)
+		blk := NewMatrix(r1-r0, c1-c0)
+		for r := r0; r < r1; r++ {
+			copy(blk.V[(r-r0)*blk.Cols:(r-r0+1)*blk.Cols], m.V[r*n+c0:r*n+c1])
+		}
+		return blk
+	}
+	store := func(bi, bj int, blk *Matrix) {
+		r0 := bi * b
+		c0 := bj * b
+		for r := 0; r < blk.Rows; r++ {
+			copy(m.V[(r0+r)*n+c0:(r0+r)*n+c0+blk.Cols], blk.V[r*blk.Cols:(r+1)*blk.Cols])
+		}
+	}
+	for k := 0; k < nb; k++ {
+		dk := view(k, k)
+		ops += ClassicalFW(dk)
+		store(k, k, dk)
+		panelsCol := make([]*Matrix, nb)
+		panelsRow := make([]*Matrix, nb)
+		for i := 0; i < nb; i++ {
+			if i == k {
+				continue
+			}
+			pc := view(i, k)
+			ops += PanelUpdateLeft(pc, dk)
+			store(i, k, pc)
+			panelsCol[i] = pc
+			pr := view(k, i)
+			ops += PanelUpdateRight(pr, dk)
+			store(k, i, pr)
+			panelsRow[i] = pr
+		}
+		for i := 0; i < nb; i++ {
+			if i == k {
+				continue
+			}
+			for j := 0; j < nb; j++ {
+				if j == k {
+					continue
+				}
+				blk := view(i, j)
+				ops += MulAddInto(blk, panelsCol[i], panelsRow[j])
+				store(i, j, blk)
+			}
+		}
+	}
+	return ops
 }
 
 func hashBits(m *Matrix) uint64 {
