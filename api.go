@@ -373,8 +373,8 @@ func oracleSolver(opts Options) oracle.SolveFunc {
 // repairRows is apsp.RepairRows at its default damage threshold. It
 // needs no solver configuration: a repair that gives up is answered by
 // the registry's own solve of the edited graph.
-func repairRows(g *Graph, prevDist apsp.RowFunc, prevNext *apsp.Successors, edits []EdgeEdit) (*PathResult, *Graph, RepairStats, error) {
-	return apsp.RepairRows(g, prevDist, prevNext, edits, apsp.DefaultDamageThreshold)
+func repairRows(ed *apsp.Edited, prevDist apsp.RowFunc, prevNext *apsp.Successors) (*PathResult, RepairStats, error) {
+	return apsp.RepairRows(ed, prevDist, prevNext, apsp.DefaultDamageThreshold)
 }
 
 // NewOracle solves g once with the configuration in opts and returns a

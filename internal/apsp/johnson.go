@@ -1,7 +1,6 @@
 package apsp
 
 import (
-	"container/heap"
 	"fmt"
 
 	"sparseapsp/internal/graph"
@@ -24,55 +23,91 @@ func Johnson(g *graph.Graph) (*semiring.Matrix, error) {
 		}
 	}
 	dist := semiring.NewMatrix(n, n)
-	d := make([]float64, n)
+	var h pairHeap
 	for src := 0; src < n; src++ {
-		dijkstra(g, src, d)
-		copy(dist.V[src*n:(src+1)*n], d)
+		d := dist.V[src*n : (src+1)*n]
+		d[src] = 0
+		h.push(0, src)
+		dijkstra(g, &h, d, nil)
 	}
 	return dist, nil
 }
 
-// dijkstra fills d with single-source distances from src using a binary
-// heap; unreachable vertices get Inf.
-func dijkstra(g *graph.Graph, src int, d []float64) {
-	for i := range d {
-		d[i] = semiring.Inf
-	}
-	d[src] = 0
-	done := make([]bool, len(d))
-	pq := &distHeap{items: []distItem{{v: src, d: 0}}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(distItem)
-		if done[it.v] {
+// dijkstra is the package's one Dijkstra. h holds the seeded frontier,
+// and dist the seeds' values with Inf everywhere else still to be
+// settled. It pops h empty, skipping stale entries, and relaxes each
+// popped vertex's edges into the vertices that in marks (every vertex
+// when in is nil), so dist ends as the shortest distances from the
+// seeds through g's non-negative edges. It returns the adjacency
+// entries it probed. Johnson seeds one source and relaxes every
+// vertex; the repair's boundary search seeds a row's reset targets
+// from their settled neighbours and relaxes only those targets.
+func dijkstra(g *graph.Graph, h *pairHeap, dist []float64, in []bool) int64 {
+	var probes int64
+	for len(h.d) > 0 {
+		dv, v := h.pop()
+		if dv > dist[v] {
 			continue
 		}
-		done[it.v] = true
-		for _, e := range g.Adj(it.v) {
-			if nd := it.d + e.W; nd < d[e.To] {
-				d[e.To] = nd
-				heap.Push(pq, distItem{v: e.To, d: nd})
+		adj := g.Adj(v)
+		for _, e := range adj {
+			if in != nil && !in[e.To] {
+				continue
+			}
+			if nd := dv + e.W; nd < dist[e.To] {
+				dist[e.To] = nd
+				h.push(nd, e.To)
 			}
 		}
+		probes += int64(len(adj))
+	}
+	return probes
+}
+
+// pairHeap is a small binary min-heap of (dist, vertex) pairs with
+// lazy deletion: a vertex may appear multiple times and stale entries
+// are skipped on pop.
+type pairHeap struct {
+	d []float64
+	v []int32
+}
+
+func (h *pairHeap) push(dist float64, vtx int) {
+	h.d = append(h.d, dist)
+	h.v = append(h.v, int32(vtx))
+	i := len(h.d) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h.d[p] <= h.d[i] {
+			break
+		}
+		h.d[p], h.d[i] = h.d[i], h.d[p]
+		h.v[p], h.v[i] = h.v[i], h.v[p]
+		i = p
 	}
 }
 
-type distItem struct {
-	v int
-	d float64
-}
-
-type distHeap struct {
-	items []distItem
-}
-
-func (h *distHeap) Len() int           { return len(h.items) }
-func (h *distHeap) Less(i, j int) bool { return h.items[i].d < h.items[j].d }
-func (h *distHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *distHeap) Push(x interface{}) { h.items = append(h.items, x.(distItem)) }
-func (h *distHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
+func (h *pairHeap) pop() (float64, int) {
+	top, tv := h.d[0], h.v[0]
+	last := len(h.d) - 1
+	h.d[0], h.v[0] = h.d[last], h.v[last]
+	h.d, h.v = h.d[:last], h.v[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		s := i
+		if l < last && h.d[l] < h.d[s] {
+			s = l
+		}
+		if r < last && h.d[r] < h.d[s] {
+			s = r
+		}
+		if s == i {
+			break
+		}
+		h.d[s], h.d[i] = h.d[i], h.d[s]
+		h.v[s], h.v[i] = h.v[i], h.v[s]
+		i = s
+	}
+	return top, int(tv)
 }

@@ -340,7 +340,10 @@ func SuccessorsNonNegative(g *graph.Graph, d *semiring.Matrix) (*PathResult, err
 
 // RowFunc yields row v of a distance matrix as float64s. It may return
 // a slice it already holds or fill and return buf (length n, owned by
-// the calling worker until its next call); the row is only read.
+// the calling worker until its next call); the row is only read. Pool
+// workers call it concurrently for distinct rows: successor extraction
+// reads each target's row, and RepairRows reads each row of the
+// previous result once, straight into the matrix it edits.
 type RowFunc func(v int, buf []float64) []float64
 
 func matrixRows(d *semiring.Matrix) RowFunc {

@@ -248,7 +248,7 @@ func TestPlanCacheWarmSolveSkipsSymbolicWork(t *testing.T) {
 	if s := cache.Stats(); s.Builds != 1 || s.Hits != 2 {
 		t.Fatalf("after same-structure new-weights solve: %+v, want 1 build / 2 hits", s)
 	}
-	if !identicalMatrices(res2.Dist, classicalReference(g2)) {
+	if !identicalMatrices(res2.Dist, mustJohnson(t, g2)) {
 		t.Fatal("plan-reused solve on new weights is wrong")
 	}
 

@@ -126,11 +126,19 @@ func normalizeEdits(g *graph.Graph, edits []EdgeEdit) ([]edgeDelta, error) {
 	return out, nil
 }
 
-// ApplyEdits returns a copy of g with the edits applied. It validates
-// exactly as RepairRows does: every edit must name an existing edge and a
-// finite non-negative weight. The registry uses it to compute the
-// edited graph's fingerprint before the repair runs.
-func ApplyEdits(g *graph.Graph, edits []EdgeEdit) (*graph.Graph, error) {
+// Edited is a graph with a batch of EdgeEdits applied, together with
+// the validated, deduplicated weight changes that made it: the one
+// copy the registry fingerprints, the repair edits from and the
+// repaired oracle keeps. ApplyEdits builds it.
+type Edited struct {
+	Graph  *graph.Graph
+	deltas []edgeDelta
+}
+
+// ApplyEdits validates edits against g and returns a copy of g with
+// them applied: every edit must name an existing edge and a finite
+// non-negative weight, and the last edit of an edge wins.
+func ApplyEdits(g *graph.Graph, edits []EdgeEdit) (*Edited, error) {
 	if g == nil {
 		return nil, fmt.Errorf("apsp: ApplyEdits: nil graph")
 	}
@@ -142,19 +150,17 @@ func ApplyEdits(g *graph.Graph, edits []EdgeEdit) (*graph.Graph, error) {
 	for _, d := range deltas {
 		out.SetEdge(d.u, d.v, d.new)
 	}
-	return out, nil
+	return &Edited{Graph: out, deltas: deltas}, nil
 }
 
-// RepairRows produces the PathResult for g with edits applied, starting
-// from the solved result for g instead of solving again. prevDist
-// yields its distances a row at a time, and is asked for each row twice
-// — once written straight into the working matrix the repair goes on to
-// mutate (so a caller that stores the distances narrower pays one n²
-// float64 buffer, not two), once into scratch for the final diff.
-// prevNext is the successor table extracted from those distances.
-// Neither is mutated — in-flight queries on the old result stay valid
-// while the caller swaps it out. The returned graph is the edited copy
-// the result is valid for.
+// RepairRows produces the PathResult for ed.Graph, starting from the
+// solved result for the graph ed was applied to instead of solving
+// again. prevDist yields those distances a row at a time and is asked
+// for each row once, written straight into the working matrix the
+// repair goes on to mutate (so a caller that stores the distances
+// narrower pays one n² float64 buffer, not two). prevNext is the
+// successor table extracted from them. Neither is mutated — in-flight
+// queries on the old result stay valid while the caller swaps it out.
 //
 // The repaired distances are exactly the shortest-path distances of
 // the edited graph; with weights whose path sums are float64-exact
@@ -164,27 +170,22 @@ func ApplyEdits(g *graph.Graph, edits []EdgeEdit) (*graph.Graph, error) {
 // by an edit or reset by the increase phase) before the repair gives up;
 // 0 means DefaultDamageThreshold, and values >= 1 never give up (the
 // probe budget is disabled too — for tests that need the propagation
-// path unconditionally). Giving up returns no result, the edited graph
-// and stats with FellBack set: the caller solves the edited graph.
-func RepairRows(g *graph.Graph, prevDist RowFunc, prevNext *Successors, edits []EdgeEdit, threshold float64) (*PathResult, *graph.Graph, RepairStats, error) {
+// path unconditionally). Giving up returns no result and stats with
+// FellBack set: the caller solves ed.Graph.
+func RepairRows(ed *Edited, prevDist RowFunc, prevNext *Successors, threshold float64) (*PathResult, RepairStats, error) {
 	var st RepairStats
-	if g == nil || prevDist == nil || prevNext == nil {
-		return nil, nil, st, fmt.Errorf("apsp: Repair: nil graph or result")
+	if ed == nil || prevDist == nil || prevNext == nil {
+		return nil, st, fmt.Errorf("apsp: Repair: nil graph or result")
 	}
-	n := g.N()
+	g2, deltas := ed.Graph, ed.deltas
+	n := g2.N()
 	if prevNext.n != n {
-		return nil, nil, st, fmt.Errorf("apsp: Repair: result covers %d vertices, graph has %d", prevNext.n, n)
+		return nil, st, fmt.Errorf("apsp: Repair: result covers %d vertices, graph has %d", prevNext.n, n)
 	}
-	if len(prevNext.adj.to) != 2*g.M() {
-		return nil, nil, st, fmt.Errorf("apsp: Repair: successor table was built for %d edges, graph has %d", len(prevNext.adj.to)/2, g.M())
+	if len(prevNext.adj.to) != 2*g2.M() {
+		return nil, st, fmt.Errorf("apsp: Repair: successor table was built for %d edges, graph has %d", len(prevNext.adj.to)/2, g2.M())
 	}
-	deltas, err := normalizeEdits(g, edits)
-	if err != nil {
-		return nil, nil, st, err
-	}
-	g2 := g.Clone()
 	for _, d := range deltas {
-		g2.SetEdge(d.u, d.v, d.new)
 		st.Edits++
 		if d.new < d.old {
 			st.Decreases++
@@ -192,9 +193,9 @@ func RepairRows(g *graph.Graph, prevDist RowFunc, prevNext *Successors, edits []
 			st.Increases++
 		}
 	}
-	fellBack := func() (*PathResult, *graph.Graph, RepairStats, error) {
+	fellBack := func() (*PathResult, RepairStats, error) {
 		st.FellBack = true
-		return nil, g2, st, nil
+		return nil, st, nil
 	}
 	if threshold == 0 {
 		threshold = DefaultDamageThreshold
@@ -211,18 +212,17 @@ func RepairRows(g *graph.Graph, prevDist RowFunc, prevNext *Successors, edits []
 	// Cheap pre-guard, before any O(n²) inspection: editing a large
 	// fraction of the edges seeds a comparable fraction of the pairs —
 	// re-solve instead.
-	if m := g.M(); m > 0 && float64(len(deltas))/float64(m) > threshold {
+	if m := g2.M(); m > 0 && float64(len(deltas))/float64(m) > threshold {
 		st.DamageFraction = 1
 		return fellBack()
 	}
-	if len(deltas) == 0 {
-		// Nothing changed: the old result already serves the edited
-		// graph. Return a shallow copy so callers can treat the output
-		// as a fresh oracle either way.
-		return &PathResult{Dist: semiring.FromSlice(n, n, copyRows(prevDist, n)), next: prevNext.clone()}, g2, st, nil
-	}
 
 	d := copyRows(prevDist, n)
+	// dirty marks the targets whose successor rows are rebuilt: both
+	// ends of every entry either phase writes. A changed d(x,z) dirties
+	// x and z alike — extraction reads the distances towards a target
+	// from its row, VerifyPaths and callers read them from its column.
+	dirty := make([]bool, n)
 
 	// The phases below lean on the matrix being value-symmetric
 	// (d(x,y) = d(y,x), guaranteed for an undirected graph), reading
@@ -270,6 +270,7 @@ func RepairRows(g *graph.Graph, prevDist RowFunc, prevNext *Successors, edits []
 				if s < rowX[z] {
 					rowX[z] = s
 					st.Writes++
+					dirty[x], dirty[z] = true, true
 				}
 			}
 		}
@@ -280,36 +281,26 @@ func RepairRows(g *graph.Graph, prevDist RowFunc, prevNext *Successors, edits []
 	// edge at its OLD weight), so it is a min-plus fixpoint under which
 	// the tightness tests below are meaningful.
 	if st.Increases > 0 {
-		if err := repairIncreases(g2, deltas, d, threshold, budget, &st); err != nil {
+		if err := repairIncreases(g2, deltas, d, dirty, threshold, budget, &st); err != nil {
 			if err == errRepairDamage {
 				return fellBack()
 			}
-			return nil, nil, st, err
+			return nil, st, err
 		}
 	}
 
 	dist := &semiring.Matrix{Rows: n, Cols: n, V: d}
 
-	// Successor repair: rebuild exactly the targets whose distances hold
-	// a NET changed entry — one O(n²) diff against prev, which is far
-	// cheaper than rebuilding every target the phases merely touched (on
-	// graphs with many tied shortest paths most recomputed entries land
-	// on their old value) — plus targets whose old tree used an edited
-	// edge (the distance may be unchanged while the stored pointer now
-	// disagrees with the new weight). A changed d(x,z) dirties both x
-	// and z: extraction reads the distances towards a target from its
-	// row, VerifyPaths and callers read them from its column.
-	dirty := make([]bool, n)
-	buf := make([]float64, n)
-	for x := 0; x < n; x++ {
-		row := d[x*n : (x+1)*n]
-		prow := prevDist(x, buf)
-		for z, v := range row {
-			if v != prow[z] {
-				dirty[x], dirty[z] = true, true
-			}
-		}
-	}
+	// Successor repair: rebuild the targets the phases wrote to. Phase 1
+	// writes only strict decreases and phase 2 only values that differ,
+	// so for a decrease-only or increase-only batch the writes are
+	// exactly the net changes, and for a mixed batch a superset (an
+	// entry lowered and then raised back) — rebuilding a row whose
+	// distances did not move reproduces it, so either is exact. Tied
+	// entries the increase phase recomputes to their old value are not
+	// writes and dirty nothing. Add the targets whose old tree used an
+	// edited edge: the distance may be unchanged while the stored
+	// pointer now disagrees with the new weight.
 	for _, del := range deltas {
 		for v := 0; v < n; v++ {
 			if prevNext.at(v, del.u) == del.v || prevNext.at(v, del.v) == del.u {
@@ -325,10 +316,10 @@ func RepairRows(g *graph.Graph, prevDist RowFunc, prevNext *Successors, edits []
 	}
 	next := prevNext.clone()
 	if err := next.rebuild(g2, matrixRows(dist), targets); err != nil {
-		return nil, nil, st, fmt.Errorf("apsp: Repair: %w", err)
+		return nil, st, fmt.Errorf("apsp: Repair: %w", err)
 	}
 	st.RepairedColumns = len(targets)
-	return &PathResult{Dist: dist, next: next}, g2, st, nil
+	return &PathResult{Dist: dist, next: next}, st, nil
 }
 
 // copyRows materialises the n rows of row as one fresh row-major slice.
@@ -368,8 +359,9 @@ var errRepairDamage = errors.New("apsp: repair damage threshold exceeded")
 //     just gets recomputed to its old value in step 3.
 //  3. Boundary Dijkstra per damaged row. Within row a, every
 //     non-reset entry is final for g2 (same argument as step 1, per
-//     pair), so the reset targets S are rebuilt by a Dijkstra that
-//     settles ONLY vertices of S: each b ∈ S is seeded with the best
+//     pair), so the reset targets S are rebuilt by the package's one
+//     dijkstra (Johnson's), relaxing ONLY vertices of S: each b ∈ S
+//     is seeded with the best
 //     step from a settled neighbour, min over {y ∉ S adjacent to b}
 //     of d(a,y)+w(y,b), and edges inside S propagate the rest. Any
 //     true shortest a→b path has a last vertex y outside S (possibly
@@ -384,7 +376,7 @@ var errRepairDamage = errors.New("apsp: repair damage threshold exceeded")
 // Dijkstra requires non-negative weights; graphs carrying a negative
 // edge fall back instead (errRepairDamage), and the caller's solve
 // handles them exactly.
-func repairIncreases(g2 *graph.Graph, deltas []edgeDelta, d []float64, threshold float64, budget int64, st *RepairStats) error {
+func repairIncreases(g2 *graph.Graph, deltas []edgeDelta, d []float64, dirty []bool, threshold float64, budget int64, st *RepairStats) error {
 	n := g2.N()
 
 	aff := make([]bool, n)
@@ -483,7 +475,6 @@ func repairIncreases(g2 *graph.Graph, deltas []edgeDelta, d []float64, threshold
 		for _, b := range S {
 			inS[b] = true
 		}
-		h.d, h.v = h.d[:0], h.v[:0]
 		for _, b := range S {
 			adj := g2.Adj(int(b))
 			best := semiring.Inf
@@ -500,27 +491,13 @@ func repairIncreases(g2 *graph.Graph, deltas []edgeDelta, d []float64, threshold
 			}
 			st.Relaxations += int64(len(adj))
 		}
-		for len(h.d) > 0 {
-			dv, v := h.pop()
-			if dv > dist[v] {
-				continue
-			}
-			adj := g2.Adj(v)
-			for _, e := range adj {
-				if inS[e.To] {
-					if nd := dv + e.W; nd < dist[e.To] {
-						dist[e.To] = nd
-						h.push(nd, e.To)
-					}
-				}
-			}
-			st.Relaxations += int64(len(adj))
-		}
+		st.Relaxations += dijkstra(g2, &h, dist, inS)
 		for _, b := range S {
 			inS[b] = false
 			if nv := dist[b]; nv != row[b] {
 				row[b] = nv
 				st.Writes++
+				dirty[a], dirty[b] = true, true
 			}
 		}
 		if st.Relaxations > budget {
@@ -528,54 +505,6 @@ func repairIncreases(g2 *graph.Graph, deltas []edgeDelta, d []float64, threshold
 		}
 	}
 	return nil
-}
-
-// pairHeap is a small binary min-heap of (dist, vertex) pairs with
-// lazy deletion: a vertex may appear multiple times and stale entries
-// are skipped on pop. Used by the boundary Dijkstra row repair.
-type pairHeap struct {
-	d []float64
-	v []int32
-}
-
-func (h *pairHeap) push(dist float64, vtx int) {
-	h.d = append(h.d, dist)
-	h.v = append(h.v, int32(vtx))
-	i := len(h.d) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.d[p] <= h.d[i] {
-			break
-		}
-		h.d[p], h.d[i] = h.d[i], h.d[p]
-		h.v[p], h.v[i] = h.v[i], h.v[p]
-		i = p
-	}
-}
-
-func (h *pairHeap) pop() (float64, int) {
-	top, tv := h.d[0], h.v[0]
-	last := len(h.d) - 1
-	h.d[0], h.v[0] = h.d[last], h.v[last]
-	h.d, h.v = h.d[:last], h.v[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < last && h.d[l] < h.d[s] {
-			s = l
-		}
-		if r < last && h.d[r] < h.d[s] {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		h.d[s], h.d[i] = h.d[i], h.d[s]
-		h.v[s], h.v[i] = h.v[i], h.v[s]
-		i = s
-	}
-	return top, int(tv)
 }
 
 // RepairWithOptions repairs prev, the solved float64 result for g, and
@@ -589,7 +518,12 @@ func RepairWithOptions(g *graph.Graph, prev *PathResult, edits []EdgeEdit, p int
 	if prev == nil {
 		return nil, nil, RepairStats{}, fmt.Errorf("apsp: Repair: nil graph or result")
 	}
-	res, g2, st, err := RepairRows(g, matrixRows(prev.Dist), prev.next, edits, threshold)
+	ed, err := ApplyEdits(g, edits)
+	if err != nil {
+		return nil, nil, RepairStats{}, err
+	}
+	g2 := ed.Graph
+	res, st, err := RepairRows(ed, matrixRows(prev.Dist), prev.next, threshold)
 	if err != nil || !st.FellBack {
 		return res, g2, st, err
 	}

@@ -3,6 +3,7 @@ package apsp
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"sparseapsp/internal/graph"
@@ -283,4 +284,113 @@ func TestRepairChain(t *testing.T) {
 	if err := VerifyPaths(cur, prev); err != nil {
 		t.Errorf("chained repairs: %v", err)
 	}
+}
+
+// johnsonPaths is the repair tests' cheap reference solve: Johnson's
+// distances plus full successor extraction.
+func johnsonPaths(t *testing.T, g *graph.Graph) *PathResult {
+	t.Helper()
+	pr, err := SuccessorsFromDist(g, mustJohnson(t, g))
+	if err != nil {
+		t.Fatalf("successors: %v", err)
+	}
+	return pr
+}
+
+// TestRepairReadsEachRowOnce: a repair that does not fall back asks
+// prevDist for each row exactly once — the copy it goes on to edit —
+// and finds the successor rows to rebuild from its own writes rather
+// than by reading every row a second time to diff against.
+func TestRepairReadsEachRowOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	g := graph.Grid2D(8, 8, integerWeights(rng, 9))
+	n := g.N()
+	prev := johnsonPaths(t, g)
+	for _, kind := range []string{"dec", "inc", "mixed"} {
+		ed, err := ApplyEdits(g, pickEdits(g, rng, 3, kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var calls atomic.Int64
+		rows := matrixRows(prev.Dist)
+		counting := func(v int, buf []float64) []float64 {
+			calls.Add(1)
+			return rows(v, buf)
+		}
+		got, st, err := RepairRows(ed, counting, prev.next, 1)
+		if err != nil || st.FellBack {
+			t.Fatalf("%s: err %v, stats %+v", kind, err, st)
+		}
+		if c := calls.Load(); c != int64(n) {
+			t.Errorf("%s: prevDist asked %d times, want one read per row (%d)", kind, c, n)
+		}
+		if !identicalMatrices(got.Dist, mustJohnson(t, ed.Graph)) {
+			t.Errorf("%s: repaired distances differ from Johnson", kind)
+		}
+	}
+}
+
+// FuzzRepairMatchesJohnson draws a small integer-weight graph (zero
+// weights, duplicate edges and several components included) and a
+// batch of edits to it; the repair must either report FellBack or
+// return Johnson's distances for the edited graph bit for bit, with
+// successors that pass VerifyPaths and the previous result untouched.
+func FuzzRepairMatchesJohnson(f *testing.F) {
+	f.Add([]byte{9, 14, 0, 1, 3, 1, 2, 0, 2, 3, 5, 3, 4, 1, 4, 0, 2, 5, 6, 7, 6, 7, 0, 7, 8, 4, 8, 5, 3, 2, 4, 1, 0, 3, 7, 5, 6, 1, 0})
+	f.Add([]byte{6, 9, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 4, 1, 4, 5, 0, 5, 0, 2, 1, 3, 7, 0, 4, 2, 2, 6, 0, 7, 2, 1})
+	f.Add([]byte{12, 30, 1, 2, 7, 3, 4, 7, 5, 6, 7, 7, 8, 7, 9, 10, 7, 11, 0, 7, 0, 1, 1, 2, 3, 1, 4, 5, 1, 6, 7, 1, 8, 9, 1, 10, 11, 1, 4, 2, 0, 5, 3, 6, 0, 1, 8, 2, 4, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		n := 2 + next()%14
+		g := graph.New(n)
+		for k := next() % 48; k > 0; k-- {
+			g.AddEdge(next()%n, next()%n, float64(next()%8))
+		}
+		edges := g.Edges()
+		if len(edges) == 0 {
+			return
+		}
+		var edits []EdgeEdit
+		for k := next() % 6; k > 0; k-- {
+			e := edges[next()%len(edges)]
+			if next()%2 == 1 {
+				e.U, e.V = e.V, e.U
+			}
+			edits = append(edits, EdgeEdit{U: e.U, V: e.V, W: float64(next() % 8)})
+		}
+		threshold := 0.0
+		if next()%2 == 1 {
+			threshold = 2 // never give up
+		}
+
+		prev := johnsonPaths(t, g)
+		before := prev.Dist.Clone()
+		ed, err := ApplyEdits(g, edits)
+		if err != nil {
+			t.Fatalf("valid edits %+v refused: %v", edits, err)
+		}
+		got, st, err := RepairRows(ed, matrixRows(prev.Dist), prev.next, threshold)
+		if err != nil {
+			t.Fatalf("repair: %v", err)
+		}
+		if !identicalMatrices(prev.Dist, before) {
+			t.Fatal("the repair mutated the previous distances")
+		}
+		if st.FellBack {
+			return
+		}
+		if !identicalMatrices(got.Dist, mustJohnson(t, ed.Graph)) {
+			t.Fatalf("repaired distances differ from Johnson of the edited graph (edits %+v, stats %+v)", edits, st)
+		}
+		if err := VerifyPaths(ed.Graph, got); err != nil {
+			t.Fatalf("repaired successors: %v (edits %+v)", err, edits)
+		}
+	})
 }

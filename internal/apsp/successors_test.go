@@ -337,8 +337,14 @@ func TestRepairRebuildsRows(t *testing.T) {
 		n := g.N()
 		sopts := SparseOptions{Seed: 42, Plans: NewPlanCache()}
 		prev := solvePaths(t, g, 9, sopts)
-		for round, kind := range []string{"dec", "inc", "mixed", "mixed"} {
-			edits := pickEdits(g, rng, 1+rng.Intn(3), kind)
+		for round, kind := range []string{"dec", "inc", "mixed", "mixed", "cancel"} {
+			var edits []EdgeEdit
+			var pair [2]int
+			if kind == "cancel" {
+				edits, pair = cancellingEdits(t, g)
+			} else {
+				edits = pickEdits(g, rng, 1+rng.Intn(3), kind)
+			}
 			before := slices.Clone(prev.next.words)
 			got, g2, st, err := RepairWithOptions(g, prev, edits, 9, sopts, 1)
 			if err != nil {
@@ -374,9 +380,43 @@ func TestRepairRebuildsRows(t *testing.T) {
 			if changed > st.RepairedColumns {
 				t.Errorf("%s round %d: %d rows changed but only %d were rebuilt", name, round, changed, st.RepairedColumns)
 			}
+			if a, b := pair[0], pair[1]; kind == "cancel" && (st.Writes == 0 || got.Dist.At(a, b) != prev.Dist.At(a, b)) {
+				t.Errorf("%s round %d: d(%d,%d) %v → %v with %d writes, want a written pair that cancels", name, round, a, b, prev.Dist.At(a, b), got.Dist.At(a, b), st.Writes)
+			}
 			g, prev = g2, got
 		}
 	}
+}
+
+// cancellingEdits finds a vertex v with neighbours a and b such that
+// a–v–b is a shortest a–b path and the mixed batch lowering {a,v} by
+// one and raising {v,b} by one leaves d(a,b) unchanged, and returns
+// that batch: the decrease phase writes d(a,b) one lower and the
+// increase phase writes it back, so the pair is written twice and
+// does not change.
+func cancellingEdits(t *testing.T, g *graph.Graph) ([]EdgeEdit, [2]int) {
+	t.Helper()
+	d := mustJohnson(t, g)
+	for v := 0; v < g.N(); v++ {
+		for _, ea := range g.Adj(v) {
+			for _, eb := range g.Adj(v) {
+				a, b := ea.To, eb.To
+				if a == b || ea.W < 1 || ea.W+eb.W != d.At(a, b) {
+					continue
+				}
+				edits := []EdgeEdit{{U: a, V: v, W: ea.W - 1}, {U: v, V: b, W: eb.W + 1}}
+				ed, err := ApplyEdits(g, edits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mustJohnson(t, ed.Graph).At(a, b) == d.At(a, b) {
+					return edits, [2]int{a, b}
+				}
+			}
+		}
+	}
+	t.Fatal("no shortest a–v–b path whose distance the batch leaves unchanged")
+	return nil, [2]int{}
 }
 
 // BenchmarkSuccessorsFromDist times the extraction kernel alone on the

@@ -132,13 +132,13 @@ func identicalMatrices(a, b *semiring.Matrix) bool {
 // TestSparseAPSPMatchesClassicalFW is the end-to-end property test of
 // the plan/execute, min-plus and wire layers together: for random
 // graphs from several families and BOTH wire formats, the distributed
-// sparse solver's distances are bit-identical to a scalar
-// Floyd–Warshall that shares no code with internal/semiring — and
-// within a wire format, the charged cost report is identical across
-// cold (plan built this solve) and warm (plan fetched from a cache)
+// sparse solver's distances are bit-identical to Johnson's per-source
+// Dijkstra, which shares no kernel with internal/semiring — and within
+// a wire format, the charged cost report is identical across cold
+// (plan built this solve) and warm (plan fetched from a cache)
 // execution. Weights are small random integers: integer sums are exact
-// in float64, so the distributed elimination and the sequential sweep
-// fold path sums to identical bits even though they associate them
+// in float64, so the distributed elimination and the Dijkstra fold
+// path sums to identical bits even though they associate them
 // differently.
 func TestSparseAPSPMatchesClassicalFW(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
@@ -154,14 +154,14 @@ func TestSparseAPSPMatchesClassicalFW(t *testing.T) {
 		{"star", graph.Star(60, graph.UnitWeights), 9},
 	}
 	for _, tc := range graphs {
-		want := classicalReference(tc.g)
+		want := mustJohnson(t, tc.g)
 		for _, wire := range []WireFormat{WirePruned, WireDense} {
 			base, err := SparseAPSPWith(tc.g, tc.p, SparseOptions{Seed: 11, Wire: wire})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", tc.name, wire, err)
 			}
 			if !identicalMatrices(base.Dist, want) {
-				t.Errorf("%s/%v: distances differ from the scalar Floyd–Warshall", tc.name, wire)
+				t.Errorf("%s/%v: distances differ from Johnson", tc.name, wire)
 			}
 			// The cached-plan path must be indistinguishable from the
 			// build-per-solve path (the first solve builds, the second hits).
@@ -186,30 +186,4 @@ func TestSparseAPSPMatchesClassicalFW(t *testing.T) {
 // which float64 represents and sums exactly.
 func integerWeights(rng *rand.Rand, hi int) graph.WeightFn {
 	return func(u, v int) float64 { return float64(rng.Intn(hi) + 1) }
-}
-
-// classicalReference builds the adjacency matrix and closes it with a
-// scalar Floyd–Warshall of its own, so what it referees shares no
-// kernel with it.
-func classicalReference(g *graph.Graph) *semiring.Matrix {
-	n := g.N()
-	m := semiring.NewMatrix(n, n)
-	for v := 0; v < n; v++ {
-		m.Set(v, v, 0)
-		for _, e := range g.Adj(v) {
-			if e.W < m.At(v, e.To) {
-				m.Set(v, e.To, e.W)
-			}
-		}
-	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if s := m.At(i, k) + m.At(k, j); s < m.At(i, j) {
-					m.Set(i, j, s)
-				}
-			}
-		}
-	}
-	return m
 }

@@ -12,15 +12,15 @@ import (
 	"sparseapsp/internal/graph"
 )
 
-// RepairFunc incrementally repairs a solved result after edge-weight
-// edits, returning the repaired result, the edited graph it is valid
-// for, and what the repair did. The previous result arrives as the
+// RepairFunc incrementally repairs a solved result into the result for
+// ed.Graph, the edited graph Reweight built and fingerprinted, and
+// reports what the repair did. The previous result arrives as the
 // oracle holds it — distances widened a row at a time on request, plus
 // the successor table — and neither may be mutated. A repair that gives
-// up returns no result, the edited graph and stats with FellBack set;
-// the registry then solves the edited graph with Config.Solve. The root
-// package supplies apsp.RepairRows at its default damage threshold.
-type RepairFunc func(g *graph.Graph, prevDist apsp.RowFunc, prevNext *apsp.Successors, edits []apsp.EdgeEdit) (*apsp.PathResult, *graph.Graph, apsp.RepairStats, error)
+// up returns no result and stats with FellBack set; the registry then
+// solves ed.Graph with Config.Solve. The root package supplies
+// apsp.RepairRows at its default damage threshold.
+type RepairFunc func(ed *apsp.Edited, prevDist apsp.RowFunc, prevNext *apsp.Successors) (*apsp.PathResult, apsp.RepairStats, error)
 
 // ErrUnknownGraph is returned by Reweight when the fingerprint names no
 // cached oracle (never loaded, or already evicted).
@@ -185,23 +185,23 @@ func (r *Registry) solve(g *graph.Graph) (o *Oracle, report comm.Report, err err
 	return solveOracle(g, r.cfg.Solve, nil)
 }
 
-// repair runs Config.Repair against old and wraps the result in an
-// oracle for the edited graph. A repair that gives up is answered with
-// Config.Solve on the edited graph — the solve a Get of that graph would
-// run, here inside the caller's entry — whose report is returned for the
+// repair runs Config.Repair from old to ed and wraps the result in an
+// oracle that keeps ed.Graph. A repair that gives up is answered with
+// Config.Solve on ed.Graph — the solve a Get of that graph would run,
+// here inside the caller's entry — whose report is returned for the
 // words-moved totals.
-func (r *Registry) repair(old *Oracle, edits []apsp.EdgeEdit) (o *Oracle, report comm.Report, st apsp.RepairStats, err error) {
+func (r *Registry) repair(old *Oracle, ed *apsp.Edited) (o *Oracle, report comm.Report, st apsp.RepairStats, err error) {
 	defer recoverInto(&err)
-	res, g2, st, err := r.cfg.Repair(old.graph, old.dist.row, old.succ, edits)
+	res, st, err := r.cfg.Repair(ed, old.dist.row, old.succ)
 	if err != nil {
 		return nil, report, st, err
 	}
 	if st.FellBack {
-		o, report, err = solveOracle(g2, r.cfg.Solve, nil)
+		o, report, err = solveOracle(ed.Graph, r.cfg.Solve, nil)
 		return o, report, st, err
 	}
 	o = FromResult(res, nil)
-	o.graph = g2
+	o.graph = ed.Graph
 	return o, res.Report, st, nil
 }
 
@@ -288,13 +288,14 @@ func (r *Registry) Reweight(fp Fingerprint, edits []apsp.EdgeEdit) (Fingerprint,
 		return fp, nil, zero, fmt.Errorf("oracle: cached oracle for %s retains no graph", fp)
 	}
 
-	// Fingerprint the edited graph first: it decides the new cache key,
-	// validates the edits, and detects no-ops before any numeric work.
-	g2, err := apsp.ApplyEdits(g, edits)
+	// Apply the edits once, first: the one edited copy decides the new
+	// cache key and detects no-ops before any numeric work, and it is
+	// the graph the repair edits from and the new oracle keeps.
+	ed, err := apsp.ApplyEdits(g, edits)
 	if err != nil {
 		return fp, nil, zero, err
 	}
-	newFp := FingerprintOf(g2)
+	newFp := FingerprintOf(ed.Graph)
 	if newFp == fp {
 		return fp, old, zero, nil
 	}
@@ -317,13 +318,13 @@ func (r *Registry) Reweight(fp Fingerprint, edits []apsp.EdgeEdit) (Fingerprint,
 	r.beginSolveLocked()
 	r.mu.Unlock()
 
-	// Repair works on float64s: it widens the old store straight into
-	// the matrix it goes on to edit, and what it returns is narrowed from
-	// scratch like any solve — an edit that breaks the old kind's proof
-	// simply lands in a wider one. Both passes run before the lock is
-	// taken.
+	// Repair works on float64s: it widens each row of the old store
+	// once, straight into the matrix it goes on to edit, and what it
+	// returns is narrowed from scratch like any solve — an edit that
+	// breaks the old kind's proof simply lands in a wider one. Both
+	// passes run before the lock is taken.
 	start := time.Now()
-	o2, report, st, err := r.repair(old, edits)
+	o2, report, st, err := r.repair(old, ed)
 	elapsed := time.Since(start).Nanoseconds()
 	if err == nil {
 		o2.queries = &r.queries

@@ -38,8 +38,8 @@ func intGraph(seed int64, n int) *graph.Graph {
 // testRepairer routes repairs through the real engine at its default
 // damage threshold, like the root package wiring.
 func testRepairer() RepairFunc {
-	return func(g *graph.Graph, prevDist apsp.RowFunc, prevNext *apsp.Successors, edits []apsp.EdgeEdit) (*apsp.PathResult, *graph.Graph, apsp.RepairStats, error) {
-		return apsp.RepairRows(g, prevDist, prevNext, edits, 0)
+	return func(ed *apsp.Edited, prevDist apsp.RowFunc, prevNext *apsp.Successors) (*apsp.PathResult, apsp.RepairStats, error) {
+		return apsp.RepairRows(ed, prevDist, prevNext, 0)
 	}
 }
 
@@ -88,10 +88,11 @@ func TestRegistryReweightSwapsFingerprint(t *testing.T) {
 
 	// The repaired distances are bit-identical to a from-scratch solve
 	// of the edited graph (integer weights keep sums exact).
-	g2, err := apsp.ApplyEdits(g, edits)
+	ed, err := apsp.ApplyEdits(g, edits)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g2 := ed.Graph
 	if FingerprintOf(g2) != newFp {
 		t.Error("reweight fingerprint disagrees with ApplyEdits")
 	}
@@ -249,10 +250,11 @@ func TestRegistryReweightConcurrent(t *testing.T) {
 	}
 	e0 := g.Edges()[0]
 	edits := []apsp.EdgeEdit{{U: e0.U, V: e0.V, W: e0.W + 5}}
-	g2, err := apsp.ApplyEdits(g, edits)
+	ed, err := apsp.ApplyEdits(g, edits)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g2 := ed.Graph
 	want := apsp.FloydWarshallPaths(g2)
 	newFp := FingerprintOf(g2)
 
@@ -362,10 +364,11 @@ func TestReweightFallbackIsRegistrySolve(t *testing.T) {
 			after.RepairFallbacks, after.Reweights, after.Solves, before.Solves)
 	}
 
-	g2, err := apsp.ApplyEdits(g, edits)
+	ed, err := apsp.ApplyEdits(g, edits)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g2 := ed.Graph
 	if newFp != FingerprintOf(g2) {
 		t.Fatal("the fallback installed the result under another fingerprint")
 	}
@@ -404,7 +407,7 @@ func TestRegistryPanicIsTheCallsError(t *testing.T) {
 			}
 			return succSolve(g)
 		},
-		Repair: func(*graph.Graph, apsp.RowFunc, *apsp.Successors, []apsp.EdgeEdit) (*apsp.PathResult, *graph.Graph, apsp.RepairStats, error) {
+		Repair: func(*apsp.Edited, apsp.RowFunc, *apsp.Successors) (*apsp.PathResult, apsp.RepairStats, error) {
 			panic("repair exploded")
 		},
 	})

@@ -253,10 +253,11 @@ func storeCases() []storeCase {
 	// same three floats in the other order, so the halves round apart.
 	e := real.Edges()
 	edits := []apsp.EdgeEdit{{U: e[0].U, V: e[0].V, W: e[0].W + 2.3}, {U: e[40].U, V: e[40].V, W: e[40].W / 3}}
-	repaired, err := apsp.ApplyEdits(real, edits)
+	ed, err := apsp.ApplyEdits(real, edits)
 	if err != nil {
 		panic(err)
 	}
+	repaired := ed.Graph
 	return append(cases, storeCase{name: "f64 repaired", g: repaired, kind: "f64", scale: 1, square: true,
 		dist: func(*graph.Graph) (*semiring.Matrix, error) {
 			prev, err := succSolve(real)
@@ -264,7 +265,7 @@ func storeCases() []storeCase {
 				return nil, err
 			}
 			rows := func(v int, _ []float64) []float64 { return prev.Dist.V[v*real.N() : (v+1)*real.N()] }
-			res, _, _, err := testRepairer()(real, rows, prev.Successors(), edits)
+			res, _, err := testRepairer()(ed, rows, prev.Successors())
 			if err != nil {
 				return nil, err
 			}
@@ -573,12 +574,12 @@ func TestNarrowPacksLikeOneWriter(t *testing.T) {
 // against the repair's own bits.
 func recordingRepairer(last **semiring.Matrix) RepairFunc {
 	repair := testRepairer()
-	return func(g *graph.Graph, prevDist apsp.RowFunc, prevNext *apsp.Successors, edits []apsp.EdgeEdit) (*apsp.PathResult, *graph.Graph, apsp.RepairStats, error) {
-		res, g2, st, err := repair(g, prevDist, prevNext, edits)
+	return func(ed *apsp.Edited, prevDist apsp.RowFunc, prevNext *apsp.Successors) (*apsp.PathResult, apsp.RepairStats, error) {
+		res, st, err := repair(ed, prevDist, prevNext)
 		if err == nil {
 			*last = res.Dist.Clone()
 		}
-		return res, g2, st, err
+		return res, st, err
 	}
 }
 
@@ -643,10 +644,11 @@ func TestReweightRenarrows(t *testing.T) {
 	if st := r.Stats(); st.Bytes != hotBytes(g, "f64") || !reflect.DeepEqual(st.StoreKinds, map[string]int{"f64": 1}) {
 		t.Fatalf("stats = %+v, want one f64 entry of %d bytes", st, hotBytes(g, "f64"))
 	}
-	g1, err := apsp.ApplyEdits(g, []apsp.EdgeEdit{{U: e.U, V: e.V, W: 0.1}})
+	ed, err := apsp.ApplyEdits(g, []apsp.EdgeEdit{{U: e.U, V: e.V, W: 0.1}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g1 := ed.Graph
 	check(o1, g1, false)
 
 	fp2, o2, _, err := r.Reweight(fp1, []apsp.EdgeEdit{{U: e.U, V: e.V, W: e.W}})
@@ -774,10 +776,11 @@ func TestRegistryAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1, err := apsp.ApplyEdits(g[1], bump(g[1]))
+	ed, err := apsp.ApplyEdits(g[1], bump(g[1]))
 	if err != nil {
 		t.Fatal(err)
 	}
+	g1 := ed.Graph
 	if _, ok, _ := r.Lookup(FingerprintOf(g[1])); ok || fp != FingerprintOf(g1) {
 		t.Fatal("reweight did not swap the fingerprint")
 	}

@@ -34,18 +34,6 @@ func BenchmarkMulAddInto(b *testing.B) {
 	}
 }
 
-func BenchmarkMulAddIntoParallel(b *testing.B) {
-	const n = 256
-	rng := rand.New(rand.NewSource(1))
-	a := benchMatrix(n, rng)
-	bm := benchMatrix(n, rng)
-	c := NewMatrix(n, n)
-	b.SetBytes(int64(n) * int64(n) * 8)
-	for i := 0; i < b.N; i++ {
-		MulAddIntoParallel(c, a, bm)
-	}
-}
-
 // BenchmarkClassicalFW times the diagonal update on a symmetric
 // non-negative block — what an undirected graph's R1 regions are — at
 // the grid's block edges and the G(768,4/n) supernode: the general loop

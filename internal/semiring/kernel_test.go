@@ -265,16 +265,3 @@ func TestPoolForEachCoversAllIndices(t *testing.T) {
 		}
 	}
 }
-
-func TestMulAddIntoParallelPoolMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	a := randKernelMatrix(61, 33, 0.3, rng)
-	b := randKernelMatrix(33, 47, 0.3, rng)
-	c1 := randKernelMatrix(61, 47, 0.5, rng)
-	c2 := c1.Clone()
-	ops1 := mulAddPlain(c1, a, b)
-	ops2 := MulAddIntoParallel(c2, a, b)
-	if ops1 != ops2 || !bitIdentical(c1, c2) {
-		t.Fatalf("MulAddIntoParallel diverges from the reference (ops %d vs %d)", ops2, ops1)
-	}
-}

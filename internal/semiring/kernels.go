@@ -82,36 +82,6 @@ func MulAddIntoFull(c, a, b *Matrix) int64 {
 	return int64(a.Rows) * int64(a.Cols) * int64(b.Cols)
 }
 
-// MulAddIntoParallel is MulAddInto with the row loop split over the
-// persistent DefaultPool workers. Distinct bands write disjoint row
-// blocks of C, so no synchronization beyond the final join is needed.
-// Use it for large sequential baselines; the simulated-machine
-// algorithms multiply serially because each rank is already a
-// goroutine.
-func MulAddIntoParallel(c, a, b *Matrix) int64 {
-	checkMulDims(c, a, b)
-	workers := DefaultPool.Size()
-	if workers > a.Rows {
-		workers = a.Rows
-	}
-	if workers <= 1 {
-		return MulAddInto(c, a, b)
-	}
-	ops := make([]int64, workers)
-	DefaultPool.ForEach(workers, func(w int) {
-		lo := w * a.Rows / workers
-		hi := (w + 1) * a.Rows / workers
-		sub := &Matrix{Rows: hi - lo, Cols: a.Cols, V: a.V[lo*a.Cols : hi*a.Cols]}
-		csub := &Matrix{Rows: hi - lo, Cols: c.Cols, V: c.V[lo*c.Cols : hi*c.Cols]}
-		ops[w] = MulAddInto(csub, sub, b)
-	})
-	var total int64
-	for _, o := range ops {
-		total += o
-	}
-	return total
-}
-
 // PanelUpdateLeft computes P = P ⊕ P ⊗ D for a column panel P (r×k) and
 // diagonal block D (k×k): the A(i,k) ← A(i,k) ⊕ A(i,k)⊗A(k,k) step of
 // the blocked algorithm. D must already be transitively closed

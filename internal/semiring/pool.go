@@ -30,9 +30,9 @@ type Pool struct {
 // the first ForEach, so constructing a Pool is free.
 func NewPool(size int) *Pool { return &Pool{size: size} }
 
-// DefaultPool is the package-wide pool: MulAddIntoParallel, the
-// dataflow executor's worker loops, successor extraction and the
-// oracle's store builders share it.
+// DefaultPool is the package-wide pool: the dataflow executor's worker
+// loops, successor extraction, the repair's row copy and rebuild and
+// the oracle's store builders share it.
 var DefaultPool = NewPool(0)
 
 func (p *Pool) start() {

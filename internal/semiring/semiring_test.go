@@ -111,22 +111,6 @@ func TestMulAddIntoFullMatchesSkipping(t *testing.T) {
 	}
 }
 
-func TestMulAddIntoParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	a := randomMatrix(64, 48, 0.2, rng)
-	b := randomMatrix(48, 56, 0.2, rng)
-	c1 := randomMatrix(64, 56, 0.8, rng)
-	c2 := c1.Clone()
-	ops1 := MulAddInto(c1, a, b)
-	ops2 := MulAddIntoParallel(c2, a, b)
-	if !c1.Equal(c2) {
-		t.Fatal("parallel kernel diverges from serial")
-	}
-	if ops1 != ops2 {
-		t.Errorf("ops: serial %d, parallel %d", ops1, ops2)
-	}
-}
-
 func TestClassicalFWOnTriangle(t *testing.T) {
 	// 3-cycle with a shortcut: 0-1 (1), 1-2 (1), 0-2 (5).
 	m := NewMatrix(3, 3)
@@ -390,29 +374,6 @@ func TestQuickMulAssociative(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestMulAddIntoParallelBranches(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	// Single-row matrix exercises the serial fallback.
-	a1 := randomMatrix(1, 6, 0.2, rng)
-	b1 := randomMatrix(6, 4, 0.2, rng)
-	c1 := NewMatrix(1, 4)
-	c2 := c1.Clone()
-	MulAddIntoParallel(c1, a1, b1)
-	MulAddInto(c2, a1, b1)
-	if !c1.Equal(c2) {
-		t.Error("single-row parallel fallback diverges")
-	}
-	// Dimension mismatch panics.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected dimension panic in parallel multiply")
-			}
-		}()
-		MulAddIntoParallel(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(4, 2))
-	}()
 }
 
 func TestMatrixFillAndCopy(t *testing.T) {

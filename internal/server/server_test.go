@@ -602,13 +602,14 @@ func TestServerReweight(t *testing.T) {
 	if resp := postJSON(t, ts.URL+"/query", QueryRequest{Graph: info.Graph, Pairs: [][2]int{{0, 1}}}, nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("old fingerprint: status %d, want 404", resp.StatusCode)
 	}
-	g2, err := apsp.ApplyEdits(g, []apsp.EdgeEdit{
+	ed, err := apsp.ApplyEdits(g, []apsp.EdgeEdit{
 		{U: edges[0].U, V: edges[0].V, W: edges[0].W + 4},
 		{U: edges[1].U, V: edges[1].V, W: 0},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g2 := ed.Graph
 	if got := oracle.FingerprintOf(g2).String(); got != rw.Graph {
 		t.Fatalf("server reweight fingerprint %s, local %s", rw.Graph, got)
 	}
