@@ -283,8 +283,8 @@ func TestServedWirePinned(t *testing.T) {
 		p                  int
 		words, msgs, total int64
 	}{
-		{"grid32x32", Grid2D(32, 32, w(1)), 49, 64820, 22, 186},
-		{"cycle800", Cycle(800, w(2)), 961, 2000, 44, 4075},
+		{"grid32x32", Grid2D(32, 32, w(1)), 49, 60723, 20, 170},
+		{"cycle800", Cycle(800, w(2)), 961, 1924, 43, 3945},
 	} {
 		def, err := Solve(tc.g, Options{P: tc.p, Seed: 42})
 		if err != nil {
@@ -311,8 +311,10 @@ func TestServedWirePinned(t *testing.T) {
 				t.Fatalf("%s: dense-wire distance %d differs from the default wire's", tc.name, i)
 			}
 		}
-		if r.Critical.Bandwidth > dense.Report.Critical.Bandwidth || r.TotalMessages > dense.Report.TotalMessages {
-			t.Errorf("%s: default wire costs more than dense", tc.name)
+		// Critical, not total, messages: which members dropMirrors removes
+		// depends on each wire's trees (E44).
+		if d := dense.Report.Critical; r.Critical.Bandwidth > d.Bandwidth || r.Critical.Latency > d.Latency {
+			t.Errorf("%s: default wire's critical path costs more than dense's", tc.name)
 		}
 	}
 }

@@ -821,7 +821,7 @@ func (x *dfRun) exec(id int32, a *semiring.Arena) {
 		rs.releaseR4(s)
 		return
 	case kindR3Combine:
-		rs.combineR3(s)
+		rs.combineR3(s, n.use)
 		return
 	}
 	op := &x.pl.Levels[n.level][n.op]

@@ -75,8 +75,13 @@ func (rs *rankState) consume(s sink, kind uint8, d *semiring.Matrix, a *semiring
 	}
 }
 
-// unitProduct computes the rank's R4 unit from its captured operands.
+// unitProduct computes the rank's R4 unit from its captured operands. A
+// diagonal block's unit may be handed its column panel alone
+// (dropMirrors): its right operand A(k,i) is that panel's mirror.
 func (rs *rankState) unitProduct(s sink, rows, cols int) {
+	if rs.akj == nil {
+		rs.akj = mirror(s, rs.aik)
+	}
 	rs.unit = semiring.NewMatrix(rows, cols)
 	s.AddMemory(int64(len(rs.unit.V)))
 	s.AddFlops(semiring.MulAddInto(rs.unit, rs.aik, rs.akj))
@@ -116,13 +121,26 @@ func (rs *rankState) releaseR4(s sink) {
 }
 
 // combineR3 multiplies the captured R3 panels into the owned block and
-// drops them.
-func (rs *rankState) combineR3(s sink) {
+// drops them. With mirrored set the rank owns a diagonal block and was
+// handed its row panel alone (dropMirrors): the column panel is its
+// transpose.
+func (rs *rankState) combineR3(s sink, mirrored bool) {
+	if mirrored {
+		rs.colPanel = mirror(s, rs.rowPanel)
+	}
 	if rs.rowPanel != nil && rs.colPanel != nil {
 		s.AddFlops(semiring.MulAddInto(rs.A, rs.rowPanel, rs.colPanel))
 	}
 	drop(s, &rs.rowPanel)
 	drop(s, &rs.colPanel)
+}
+
+// mirror returns panelᵀ, charged to rank memory like the received
+// payload it stands in for (and dropped with it).
+func mirror(s sink, panel *semiring.Matrix) *semiring.Matrix {
+	t := panel.Transpose()
+	s.AddMemory(int64(len(t.V)))
+	return t
 }
 
 func drop(s sink, m **semiring.Matrix) {

@@ -62,7 +62,7 @@ func (pl *Plan) machineStep(ctx *comm.Ctx, rs *rankState, st step, a *semiring.A
 		rs.releaseR4(ctx)
 		return
 	case kindR3Combine:
-		rs.combineR3(ctx)
+		rs.combineR3(ctx, st.use)
 		return
 	}
 	rank, sizes := ctx.Rank(), pl.ND.Sizes

@@ -20,7 +20,9 @@ import (
 // descriptors that follow from the tree (Op.Prune) and nothing else: the
 // same members receive and fold the same payload, only the tree it
 // travels down, and so what each edge carries, changes (DESIGN.md §3
-// "Broadcast trees", EXPERIMENTS.md E30, E40, E41). The messages are
+// "Broadcast trees", EXPERIMENTS.md E30, E40, E41). Its last step,
+// dropMirrors, then removes the leaves that fold a panel against its own
+// mirror (DESIGN.md §3 "Mirror operands", E44). The messages are
 // appendMessages', the expansion the dataflow lowering wires, so the
 // clock replayed here is the one the executors charge
 // (TestPlanClockIsExact).
@@ -237,16 +239,24 @@ const (
 	placeRounds    = 4
 )
 
-// placeTrees chooses the tree of every broadcast; see the file comment
-// and DESIGN.md §3. It must run after attachPrunes (the payload
-// rectangles are its word sizes; needs is what it returned) and before
-// indexRanks. The placeRounds rounds weigh every message of a broadcast
-// at the whole group's rectangle, an upper bound on every edge. The
-// per-position descriptors are then frozen from the chosen trees, and a
-// final round under the same rule weighs each candidate's edges at their
-// subtree demand. Scoring per-edge words from the first round measured
-// worse, with a message count rising (E41).
+// placeTrees chooses the tree of every broadcast (chooseTrees), then
+// drops the members that fold a panel against its own mirror
+// (dropMirrors); see the file comment and DESIGN.md §3. It must run
+// after attachPrunes (the payload rectangles are its word sizes; needs
+// is what it returned) and before indexRanks.
 func placeTrees(pl *Plan, needs map[*Op]*bcastNeed) {
+	chooseTrees(pl, needs)
+	dropMirrors(pl, needs)
+}
+
+// chooseTrees chooses the tree of every broadcast. The placeRounds
+// rounds weigh every message of a broadcast at the whole group's
+// rectangle, an upper bound on every edge. The per-position descriptors
+// are then frozen from the chosen trees, and a final round under the
+// same rule weighs each candidate's edges at their subtree demand.
+// Scoring per-edge words from the first round measured worse, with a
+// message count rising (E41).
+func chooseTrees(pl *Plan, needs map[*Op]*bcastNeed) {
 	pc := newPlacer(pl, needs)
 	for round := 0; round < placeRounds; round++ {
 		pc.backward()
@@ -531,5 +541,98 @@ func (pc *placer) choose(st *placeStep, grow bool) {
 	if pc.perEdge {
 		st.need.freeze(op, pc.union)
 		pc.weigh(st)
+	}
+}
+
+// dropMirrors removes the receipts a rank can do without: a rank that
+// folds a diagonal block (i, i) multiplies A(i,k) by A(k,i) = A(i,k)ᵀ —
+// the R4 unit of an ancestor's diagonal block and the R3 combine of a
+// descendant's alike — so it can transpose the A(i,k) it receives
+// anyway, the R4 column panel or the R3 row panel
+// (rankState.unitProduct, combineR3), instead of receiving A(k,i) too.
+// From every R4 row-panel broadcast the pass drops each member whose
+// unit computes a diagonal block, from every R3 column broadcast each
+// diagonal-block member that captures its row panel, and either only if
+// it relays to no one; a broadcast left without a consumer goes, and the
+// per-edge descriptors are re-frozen from the members that remain. The
+// dropped member's demand is the kept panel's transposed: the demand
+// sweep's masks are symmetric like the distances, so the payload it
+// kept covers it.
+//
+// It runs after the trees are chosen: deleting a leaf only deletes
+// charges from the replayed clocks, so no rank's clock gets later
+// (TestMirrorDropNeverLengthensAClock). The placer run without these
+// members from the start has no such guarantee, and measured above the
+// parent in 26 of 208 sweep cells, the served grid among them (E44).
+func dropMirrors(pl *Plan, needs map[*Op]*bcastNeed) {
+	type fold struct {
+		kind uint8 // the broadcast of the mirror panel
+		rank int
+	}
+	for li, ops := range pl.Levels {
+		pivot := make(map[fold]int) // the k of the A(i,k) a rank folds into a diagonal block
+		for _, op := range ops {
+			switch {
+			case op.Kind == opUnit && op.BI == op.BJ:
+				pivot[fold{opR4Akj, op.Root}] = op.K
+			case op.Kind == opR3Row:
+				for _, r := range op.Consumers {
+					if i, j := blockOf(r, pl.NSup); i == j {
+						pivot[fold{opR3Col, r}] = op.BJ
+					}
+				}
+			}
+		}
+		kept := ops[:0]
+		for x := range ops {
+			op := &ops[x]
+			if op.Kind == opR4Akj || op.Kind == opR3Col {
+				dropLeaves(op, needs[op], func(r int) bool {
+					k, ok := pivot[fold{op.Kind, r}]
+					return ok && k == op.BI
+				})
+				if len(op.Consumers) == 0 {
+					continue
+				}
+			}
+			kept = append(kept, *op)
+		}
+		pl.Levels[li] = kept
+	}
+}
+
+// dropLeaves removes from broadcast op every member past the root that
+// relays to no one and drop selects — from its tree, its consumers and
+// need (nil under WireDense) — and re-freezes op's descriptors.
+func dropLeaves(op *Op, need *bcastNeed, drop func(r int) bool) {
+	q := len(op.Group)
+	relays := make([]bool, q)
+	for p := 1; p < q; p++ {
+		relays[op.Parent[p]] = true
+	}
+	at := make([]int32, q) // old position -> new
+	n := 0
+	for p, r := range op.Group {
+		if p > 0 && !relays[p] && drop(r) {
+			op.Consumers = slices.DeleteFunc(op.Consumers, func(c int) bool { return c == r })
+			continue
+		}
+		at[p] = int32(n)
+		op.Group[n] = r
+		if p > 0 {
+			op.Parent[n] = at[op.Parent[p]]
+		}
+		if need != nil {
+			need.member[n] = need.member[p]
+		}
+		n++
+	}
+	if n == q {
+		return
+	}
+	op.Group, op.Parent = op.Group[:n], op.Parent[:n]
+	if need != nil {
+		need.member = need.member[:n]
+		need.freeze(op, make([][]uint64, n))
 	}
 }

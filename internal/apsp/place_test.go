@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -15,13 +16,18 @@ import (
 // words): the component-wise maximum over the ranks' final clocks, like
 // comm.Report.Critical.
 func planClock(pl *Plan) tick {
-	pc := newPlacer(pl, nil)
-	pc.forward(false, false)
 	var crit tick
-	for _, c := range pc.clock {
+	for _, c := range rankClocks(pl) {
 		crit = crit.max(c)
 	}
 	return crit
+}
+
+// rankClocks replays pl's clocks like planClock and returns every rank's.
+func rankClocks(pl *Plan) []tick {
+	pc := newPlacer(pl, nil)
+	pc.forward(false, false)
+	return pc.clock
 }
 
 // TestPlanClockIsExact ties the clock the placement decides by to the
@@ -80,16 +86,18 @@ func TestPlanClockIsExact(t *testing.T) {
 	}
 }
 
-// TestPlacementNeverRaisesCost holds the pass's guarantee structurally:
-// over the whole shape grid the placed plan's plan-time messages are at
-// most the label-order plan's, and its plan-time words at per-edge
-// payloads at most the label-order plan's at whole-group payloads — the
-// bound its first rounds are scored at, which no edge's subtree demand
-// exceeds. The pass touched nothing but each broadcast's member order,
-// tree and per-position descriptors — the same member set, root at
-// position 0, a tree (every parent an earlier position), consumers,
-// kind, blocks and whole-group descriptor as planned, no edge weighing
-// more than the whole group's, every other op identical.
+// TestPlacementNeverRaisesCost holds the tree choice's guarantee
+// structurally: over the whole shape grid the placed plan's plan-time
+// messages are at most the label-order plan's, and its plan-time words
+// at per-edge payloads at most the label-order plan's at whole-group
+// payloads — the bound its first rounds are scored at, which no edge's
+// subtree demand exceeds. chooseTrees touched nothing but each
+// broadcast's member order, tree and per-position descriptors — the same
+// member set, root at position 0, a tree (every parent an earlier
+// position), consumers, kind, blocks and whole-group descriptor as
+// planned, no edge weighing more than the whole group's, every other op
+// identical. The members dropMirrors removes afterwards are
+// TestMirrorDropNeverLengthensAClock's.
 func TestPlacementNeverRaisesCost(t *testing.T) {
 	sorted := func(g []int) []int {
 		s := append([]int(nil), g...)
@@ -98,10 +106,7 @@ func TestPlacementNeverRaisesCost(t *testing.T) {
 	}
 	forEachShape(t, func(t *testing.T, name string, ly *Layout, p int, wire WireFormat, r4 R4Strategy) {
 		label := labelOrderPlan(t, ly, p, wire, r4)
-		placed, err := BuildPlan(ly, p, wire, r4)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		placed := chosenTreesPlan(t, ly, p, wire, r4)
 		before, after := planClock(label), planClock(placed)
 		if !after.within(before) {
 			t.Errorf("%s: placement raised the plan-time cost: %+v → %+v", name, before, after)
@@ -232,4 +237,120 @@ func TestPlacementDeterministic(t *testing.T) {
 			t.Errorf("%s: two builds hashed %s and %s", name, hashes[0][:12], hashes[1][:12])
 		}
 	})
+}
+
+// TestMirrorDropNeverLengthensAClock holds dropMirrors to its argument:
+// over the sweep families of E41 at test sizes and two disconnected
+// cliques, p ∈ {9, 49, 225} and both wires, every rank's plan-time clock
+// after the pass is no later in either component than over the chosen
+// trees before it, and the plan solves to the same distances, bit for
+// bit, on integer and on real-valued weights — the mirrored panel is the
+// one the rank no longer receives. The pass touches nothing but R4
+// row-panel and R3 column broadcasts (sameBesideMirrors).
+func TestMirrorDropNeverLengthensAClock(t *testing.T) {
+	families := []struct {
+		name string
+		make func(w graph.WeightFn, rng *rand.Rand) *graph.Graph
+	}{
+		{"caterpillar", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Caterpillar(60, 2, w) }},
+		{"complete", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Complete(24, w) }},
+		{"cycle", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Cycle(200, w) }},
+		{"gnp-avg4", func(w graph.WeightFn, rng *rand.Rand) *graph.Graph { return graph.RandomGNP(150, 4.0/150, w, rng) }},
+		{"gnp-dense", func(w graph.WeightFn, rng *rand.Rand) *graph.Graph { return graph.RandomGNP(60, 0.3, w, rng) }},
+		{"grid12", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Grid2D(12, 12, w) }},
+		{"grid16", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Grid2D(16, 16, w) }},
+		{"grid3d", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Grid3D(5, 5, 5, w) }},
+		{"path", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Path(200, w) }},
+		{"rgg", func(_ graph.WeightFn, rng *rand.Rand) *graph.Graph { return graph.RandomGeometric(150, 0.15, rng) }},
+		{"rmat", func(w graph.WeightFn, rng *rand.Rand) *graph.Graph { return graph.RMAT(7, 8, w, rng) }},
+		{"star", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Star(100, w) }},
+		{"tree", func(w graph.WeightFn, rng *rand.Rand) *graph.Graph { return graph.RandomTree(200, w, rng) }},
+		// Empty separators: R2 pivots no one folds, whose groups stay whole.
+		{"two-cliques", func(graph.WeightFn, *rand.Rand) *graph.Graph { return disconnectedCliques(20) }},
+	}
+	weights := []struct {
+		name string
+		w    func(rng *rand.Rand) graph.WeightFn
+	}{
+		{"int", func(rng *rand.Rand) graph.WeightFn { return integerWeights(rng, 9) }},
+		{"real", func(rng *rand.Rand) graph.WeightFn { return graph.RandomWeights(rng, 0.5, 9.5) }},
+	}
+	earlier := 0 // ranks whose clock the pass moved
+	for _, f := range families {
+		for _, wt := range weights {
+			g := f.make(wt.w(rand.New(rand.NewSource(5))), rand.New(rand.NewSource(3)))
+			for _, p := range []int{9, 49, 225} {
+				ly := testLayout(t, g, p)
+				for _, wire := range []WireFormat{WirePruned, WireDense} {
+					name := fmt.Sprintf("%s/%s/p=%d/%v", f.name, wt.name, p, wire)
+					before := chosenTreesPlan(t, ly, p, wire, R4Mapped)
+					after, err := BuildPlan(ly, p, wire, R4Mapped)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameBesideMirrors(t, name, before, after)
+					was := rankClocks(before)
+					for r, c := range rankClocks(after) {
+						if !c.within(was[r]) {
+							t.Errorf("%s: rank %d's clock went %+v → %+v", name, r, was[r], c)
+						}
+						if c != was[r] {
+							earlier++
+						}
+					}
+					var hashes [2]string
+					for i, pl := range []*Plan{before, after} {
+						res, err := pl.ExecuteOpts(ly, ExecOpts{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						hashes[i] = distHash(res.Dist)
+					}
+					if hashes[0] != hashes[1] {
+						t.Errorf("%s: distances differ from the plan before the drop", name)
+					}
+				}
+			}
+		}
+	}
+	if earlier == 0 {
+		t.Error("the pass moved no rank's clock: the test checks nothing")
+	}
+	t.Logf("%d rank clocks moved earlier", earlier)
+}
+
+// sameBesideMirrors requires after to be before with only R4 row-panel
+// and R3 column broadcasts changed: each kept one over the same block and
+// root, its members and consumers a subset of what they were, the rest
+// gone; every other op identical and in place.
+func sameBesideMirrors(t *testing.T, name string, before, after *Plan) {
+	t.Helper()
+	subset := func(a, b []int) bool {
+		for _, x := range a {
+			if !slices.Contains(b, x) {
+				return false
+			}
+		}
+		return true
+	}
+	for li := range before.Levels {
+		was, now := before.Levels[li], after.Levels[li]
+		j := 0
+		for _, a := range was {
+			mirror := a.Kind == opR4Akj || a.Kind == opR3Col
+			if j < len(now) && now[j].Kind == a.Kind && now[j].BI == a.BI && now[j].BJ == a.BJ && now[j].K == a.K && now[j].Root == a.Root {
+				b := now[j]
+				j++
+				if mirror && subset(b.Group, a.Group) && subset(b.Consumers, a.Consumers) || reflect.DeepEqual(a, b) {
+					continue
+				}
+				t.Errorf("%s: level %d: the pass changed a %s op over (%d,%d)", name, li+1, dfKindNames[a.Kind], a.BI, a.BJ)
+			} else if !mirror {
+				t.Fatalf("%s: level %d: the pass removed a %s op over (%d,%d)", name, li+1, dfKindNames[a.Kind], a.BI, a.BJ)
+			}
+		}
+		if j != len(now) {
+			t.Fatalf("%s: level %d: the pass added ops", name, li+1)
+		}
+	}
 }

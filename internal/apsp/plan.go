@@ -198,7 +198,7 @@ type step struct {
 	level int32 // index into Plan.Levels; -1 for kindInit
 	op    int32 // index into the level's ops; kindR3Combine: the row panel the rank captured (-1 none)
 	kind  uint8 // the op's kind or a glue kind
-	use   bool  // the rank consumes the broadcast, or is a reduce, seq or transpose member
+	use   bool  // the rank consumes the broadcast, or is a reduce, seq or transpose member; kindR3Combine: the column panel is the row panel's mirror
 }
 
 // Plan is the immutable symbolic artifact: everything about a
@@ -562,7 +562,8 @@ func (b *planBuilder) levelR4Mapped(l int, ops []Op) ([]Op, error) {
 	// Unit products (line 21): a unit exists iff both its panels can be
 	// finite — exactly when both broadcasts above were planned with its
 	// processor as a consumer, so the executor's captured operands are
-	// always present.
+	// always present (a diagonal block's unit may later be left its
+	// column panel alone, which it mirrors: dropMirrors, place.go).
 	seen := make(map[int]bool)
 	for _, u := range tr.UnitsForLevel(l) {
 		if !b.active(u.K) || !b.mayFill(l, u.I, u.K) || !b.mayFill(l, u.K, u.J) {
@@ -643,16 +644,18 @@ func (b *planBuilder) anyActiveUnit(l, i int) bool {
 // indexRanks builds every rank's program: its init step, then per level
 // its part in each op in op-list order, the R4 release after its last
 // R4 step if it holds an operand or a unit, the R3 combine after its
-// last R3 step if it captured a panel, and the level's mark.
+// last R3 step if it captured a panel — mirroring the row panel if the
+// rank owns a diagonal block and captured no column panel — and the
+// level's mark.
 func indexRanks(pl *Plan) [][]step {
 	ranks := make([][]step, pl.P)
 	for r := range ranks {
 		ranks[r] = []step{{level: -1, op: -1, kind: kindInit}}
 	}
-	held := make([]bool, pl.P)   // an R4 operand or unit is captured
-	rowOp := make([]int32, pl.P) // the R3 row panel captured, -1 none
-	r3 := make([]bool, pl.P)     // an R3 panel is captured
-	uses := make([]int, pl.P)    // uses[r] == stamp: r consumes the broadcast at hand
+	held := make([]bool, pl.P)    // an R4 operand or unit is captured
+	rowOp := make([]int32, pl.P)  // the R3 row panel captured, -1 none
+	colHeld := make([]bool, pl.P) // the R3 column panel is captured
+	uses := make([]int, pl.P)     // uses[r] == stamp: r consumes the broadcast at hand
 	stamp := 0
 	for li, ops := range pl.Levels {
 		l := int32(li)
@@ -668,7 +671,7 @@ func indexRanks(pl *Plan) [][]step {
 			}
 		}
 		for r := range rowOp {
-			rowOp[r], r3[r] = -1, false
+			rowOp[r], colHeld[r] = -1, false
 		}
 		r4open := true
 		for x := range ops {
@@ -693,11 +696,10 @@ func indexRanks(pl *Plan) [][]step {
 					case !use:
 					case op.Kind == opR4Aik || op.Kind == opR4Akj:
 						held[r] = true
-					case op.Kind == opR3Row || op.Kind == opR3Col:
-						r3[r] = true
-						if op.Kind == opR3Row && rowOp[r] < 0 {
-							rowOp[r] = int32(x)
-						}
+					case op.Kind == opR3Row && rowOp[r] < 0:
+						rowOp[r] = int32(x)
+					case op.Kind == opR3Col:
+						colHeld[r] = true
 					}
 				}
 			default: // reduce, seq, transpose: the members, then a root outside them
@@ -713,8 +715,10 @@ func indexRanks(pl *Plan) [][]step {
 			release()
 		}
 		for r := range ranks {
-			if r3[r] {
-				ranks[r] = append(ranks[r], step{level: l, op: rowOp[r], kind: kindR3Combine})
+			if rowOp[r] >= 0 || colHeld[r] {
+				i, j := blockOf(r, pl.NSup)
+				mirrored := i == j && !colHeld[r]
+				ranks[r] = append(ranks[r], step{level: l, op: rowOp[r], kind: kindR3Combine, use: mirrored})
 			}
 			ranks[r] = append(ranks[r], step{level: l, op: -1, kind: kindMark})
 		}

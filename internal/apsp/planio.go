@@ -19,7 +19,7 @@ import (
 //
 // Format (all integers signed varints):
 //
-//	magic "SAPLAN07"                    (8 bytes; version is part of the magic)
+//	magic "SAPLAN08"                    (8 bytes; version is part of the magic)
 //	body:
 //	  P, H, NSup, Wire, R4Seq
 //	  ND.Perm, ND.Sizes                 (length-prefixed)
@@ -64,7 +64,10 @@ import (
 // 07: a broadcast stores one descriptor per position, what the message
 // into it carries — an 06 file holds one per broadcast and would replay
 // with other critical and total words.
-const planMagic = "SAPLAN07"
+// 08: a rank that folds a diagonal block receives the column panel alone
+// and mirrors it (dropMirrors) — an 07 file hands it both panels and
+// would replay with more messages and words.
+const planMagic = "SAPLAN08"
 
 // Encode serializes the plan to its deterministic binary form.
 func (p *Plan) Encode() []byte {
@@ -556,11 +559,14 @@ func (v *planValidator) op(op *Op) error {
 }
 
 // level validates one level's op table: every op, the phase order, the
-// captures — at most one panel of each capturing kind per rank, and the
-// R3 row and column panels a rank combines meet at one pivot — and the
-// R4 products: at most one unit per rank, handed the column and row
-// panels that are its operands, and every reduce member hosts a unit
-// over the reduced block.
+// captures — at most one panel of each capturing kind per rank, the R3
+// row and column panels a rank combines meet at one pivot, and a
+// diagonal block's rank that captures an R3 panel captures the row
+// panel, which its combine mirrors if it has no column panel — and the
+// R4 products: at most one unit per rank, handed the column panel that
+// is its left operand and, unless it computes a diagonal block (whose
+// right operand is that panel's mirror), the row panel too, and every
+// reduce member hosts a unit over the reduced block.
 func (v *planValidator) level(ops []Op) error {
 	for r := range v.unit {
 		v.unit[r] = -1
@@ -592,15 +598,20 @@ func (v *planValidator) level(ops []Op) error {
 		}
 	}
 	for r := range v.unit {
-		if row, col := v.held[opR3Row][r], v.held[opR3Col][r]; row >= 0 && col >= 0 && ops[row].BJ != ops[col].BI {
+		row, col := v.held[opR3Row][r], v.held[opR3Col][r]
+		if row >= 0 && col >= 0 && ops[row].BJ != ops[col].BI {
 			return v.errorf("rank %d combines R3 panels of pivots %d and %d", r, ops[row].BJ, ops[col].BI)
+		}
+		if i, j := blockOf(r, v.nsup); i == j && col >= 0 && row < 0 {
+			return v.errorf("diagonal rank %d combines an R3 column panel without its row panel", r)
 		}
 	}
 	for x := range ops {
 		switch op := &ops[x]; op.Kind {
 		case opUnit:
 			a, b := v.held[opR4Aik][op.Root], v.held[opR4Akj][op.Root]
-			if a < 0 || b < 0 || ops[a].BI != op.BI || ops[a].BJ != op.K || ops[b].BI != op.K || ops[b].BJ != op.BJ {
+			mirrored := b < 0 && op.BI == op.BJ
+			if a < 0 || ops[a].BI != op.BI || ops[a].BJ != op.K || !mirrored && (b < 0 || ops[b].BI != op.K || ops[b].BJ != op.BJ) {
 				return v.errorf("unit on rank %d is not handed its operand panels", op.Root)
 			}
 		case opReduce:

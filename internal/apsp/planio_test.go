@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sparseapsp/internal/comm"
@@ -62,6 +63,19 @@ func labelOrderPlan(t testing.TB, ly *Layout, p int, wire WireFormat, r4 R4Strat
 	if err != nil {
 		t.Fatal(err)
 	}
+	pl.ranks = indexRanks(pl)
+	return pl
+}
+
+// chosenTreesPlan is BuildPlan without its last pass (dropMirrors): the
+// chosen trees over every member the schedule plans.
+func chosenTreesPlan(t testing.TB, ly *Layout, p int, wire WireFormat, r4 R4Strategy) *Plan {
+	t.Helper()
+	pl, needs, err := buildLabelOrder(ly, p, wire, r4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chooseTrees(pl, needs)
 	pl.ranks = indexRanks(pl)
 	return pl
 }
@@ -327,6 +341,7 @@ func TestPlanStoreRejectsStaleFormat(t *testing.T) {
 		{"SAPLAN04", nil, nil},
 		{"SAPLAN05", nil, nil},
 		{"SAPLAN06", nil, nil},
+		{"SAPLAN07", nil, nil},
 	} {
 		dir := t.TempDir()
 		var old, file []byte
@@ -547,6 +562,42 @@ func unrunnableGroupPlans(t testing.TB) []unrunnablePlan {
 				(*axis)[c] = int32(c)
 			}
 		}},
+		{"diagonal unit without its column panel", R4Mapped, func(pl *Plan) {
+			dropUnitOperand(t, pl, opR4Aik, true)
+		}},
+		{"off-diagonal unit without its row panel", R4Mapped, func(pl *Plan) {
+			dropUnitOperand(t, pl, opR4Akj, false)
+		}},
+		{"diagonal R3 combine without its row panel", R4Mapped, func(pl *Plan) {
+			for _, ops := range pl.Levels {
+				for x := range ops {
+					row := &ops[x]
+					if row.Kind != opR3Row {
+						continue
+					}
+					r := (row.BI-1)*pl.NSup + row.BI - 1 // the diagonal block of the panel's row
+					p := position(row.Group, r)
+					if p < 1 || slices.Contains(row.Parent, int32(p)) {
+						continue
+					}
+					for y := range ops {
+						col := &ops[y]
+						if col.Kind != opR3Col || col.BI != row.BJ || col.BJ != row.BI || contains(col.Group, r) {
+							continue
+						}
+						// The rank moves from the row panel's tree to the
+						// column panel's, a leaf under its root.
+						dropLeaf(row, p)
+						col.Group, col.Parent, col.Consumers = append(col.Group, r), append(col.Parent, 0), append(col.Consumers, r)
+						if col.Prune != nil {
+							col.Prune = append(col.Prune, col.Prune[0])
+						}
+						return
+					}
+				}
+			}
+			t.Fatal("fixture plan has no diagonal R3 row-panel leaf beside a column panel")
+		}},
 		{"two units on one rank", R4Mapped, func(pl *Plan) {
 			for _, ops := range pl.Levels {
 				var units []*Op
@@ -570,6 +621,46 @@ func unrunnableGroupPlans(t testing.TB) []unrunnablePlan {
 	return out
 }
 
+// dropLeaf removes the member at position p of broadcast op, one that
+// relays to no one, with its descriptor.
+func dropLeaf(op *Op, p int) {
+	r := op.Group[p]
+	if op.Prune != nil {
+		op.Prune = slices.Delete(op.Prune, p, p+1)
+	}
+	dropLeaves(op, nil, func(m int) bool { return m == r })
+}
+
+// dropUnitOperand removes, from the first R4 panel broadcast of kind
+// (opR4Aik or opR4Akj) that hands a unit over a diagonal block (diagonal
+// set) or an off-diagonal one its operand, that unit's rank — a leaf of
+// the broadcast's tree, so the tree and its descriptors stay valid.
+func dropUnitOperand(t testing.TB, pl *Plan, kind uint8, diagonal bool) {
+	for _, ops := range pl.Levels {
+		unitOf := make(map[int]*Op)
+		for x := range ops {
+			if ops[x].Kind == opUnit {
+				unitOf[ops[x].Root] = &ops[x]
+			}
+		}
+		for x := range ops {
+			op := &ops[x]
+			if op.Kind != kind {
+				continue
+			}
+			for p := 1; p < len(op.Group); p++ {
+				r := op.Group[p]
+				if u := unitOf[r]; u == nil || (u.BI == u.BJ) != diagonal || slices.Contains(op.Parent, int32(p)) {
+					continue
+				}
+				dropLeaf(op, p)
+				return
+			}
+		}
+	}
+	t.Fatalf("fixture plan hands no %s unit a %s panel from a leaf", map[bool]string{true: "diagonal", false: "off-diagonal"}[diagonal], dfKindNames[kind])
+}
+
 // TestDecodePlanRejectsUnrunnableGroups: a broadcast is a set plus a
 // chosen tree, and the decoder validates the set — root at position 0,
 // members pairwise distinct, consumers inside — and that the tree is
@@ -578,7 +669,8 @@ func unrunnableGroupPlans(t testing.TB) []unrunnablePlan {
 // rooted at the owner of its block, seq and transpose sources at theirs;
 // R2 and R3 payloads reach only their block's column or row; a rank's R3
 // panels meet at one pivot; a level's units are one per rank, each
-// handed its own operand panels; and a broadcast's descriptors are
+// handed its own column panel and, off the diagonal, its row panel; and
+// a broadcast's descriptors are
 // canonical, share one ZeroDiag value and never widen down the tree — a
 // relay can forward only what it received. Which tree it is, is free.
 func TestDecodePlanRejectsUnrunnableGroups(t *testing.T) {

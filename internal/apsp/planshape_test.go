@@ -94,8 +94,11 @@ func forEachShape(t *testing.T, check func(t *testing.T, name string, ly *Layout
 // a processor that folds it and no processor that does not. No R3,
 // R4Aik or R4Akj op is consumer-less; an R3 group is its root plus its
 // consumers; an R4 panel consumer hosts a planned unit with that panel
-// as its operand (and every unit is handed both operands); and level 1
-// has no R3 at all — leaves have no descendants, R_1^3 = ∅.
+// as its operand; a unit is handed its column panel, and its row panel
+// too unless it computes a diagonal block, whose row panel is the column
+// panel's mirror; a diagonal block's rank that captures an R3 panel
+// captures its row panel; and level 1 has no R3 at all — leaves have no
+// descendants, R_1^3 = ∅.
 func TestPlanShipsOnlyWhatIsFolded(t *testing.T) {
 	forEachShapePlan(t, func(t *testing.T, name string, pl *Plan) {
 		for li, ops := range pl.Levels {
@@ -105,7 +108,7 @@ func TestPlanShipsOnlyWhatIsFolded(t *testing.T) {
 					unitOf[op.Root] = op
 				}
 			}
-			gotAik, gotAkj := map[int]bool{}, map[int]bool{}
+			gotAik, gotAkj, gotRow, gotCol := map[int]bool{}, map[int]bool{}, map[int]bool{}, map[int]bool{}
 			for x, op := range ops {
 				kind := dfKindNames[op.Kind]
 				switch op.Kind {
@@ -116,6 +119,13 @@ func TestPlanShipsOnlyWhatIsFolded(t *testing.T) {
 				}
 				switch op.Kind {
 				case opR3Row, opR3Col:
+					for _, r := range op.Consumers {
+						if op.Kind == opR3Row {
+							gotRow[r] = true
+						} else {
+							gotCol[r] = true
+						}
+					}
 					if li == 0 {
 						t.Errorf("%s: level 1 plans an R3 broadcast (op %d)", name, x)
 					}
@@ -143,9 +153,14 @@ func TestPlanShipsOnlyWhatIsFolded(t *testing.T) {
 					}
 				}
 			}
-			for r := range unitOf {
-				if !gotAik[r] || !gotAkj[r] {
+			for r, u := range unitOf {
+				if !gotAik[r] || !gotAkj[r] && u.BI != u.BJ {
 					t.Errorf("%s: level %d: unit on rank %d is missing an operand broadcast", name, li+1, r)
+				}
+			}
+			for r := range gotCol {
+				if i, j := blockOf(r, pl.NSup); i == j && !gotRow[r] {
+					t.Errorf("%s: level %d: diagonal rank %d captures an R3 column panel without its row panel", name, li+1, r)
 				}
 			}
 		}
