@@ -283,8 +283,8 @@ func TestServedWirePinned(t *testing.T) {
 		p                  int
 		words, msgs, total int64
 	}{
-		{"grid32x32", Grid2D(32, 32, w(1)), 49, 60723, 20, 170},
-		{"cycle800", Cycle(800, w(2)), 961, 1924, 43, 3945},
+		{"grid32x32", Grid2D(32, 32, w(1)), 49, 60659, 20, 170},
+		{"cycle800", Cycle(800, w(2)), 961, 1892, 40, 3944},
 	} {
 		def, err := Solve(tc.g, Options{P: tc.p, Seed: 42})
 		if err != nil {

@@ -1,6 +1,10 @@
 package apsp
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"sparseapsp/internal/semiring"
+)
 
 // Demand-pruned communication (WirePruned, the default wire). The fill
 // mask of fillmask.go answers a block-granularity question — can block
@@ -44,6 +48,16 @@ import "math/bits"
 // receiver, and min(x, Inf) = x bit-for-bit — which is why wire=pruned
 // distances are bit-identical to wire=dense (pinned by the golden
 // table and TestSparseAPSPMatchesClassicalFW).
+//
+// Exact prices: the sweep also keeps the mask of every broadcast, seq and
+// transpose payload as of its send (sendDemand). For finite weights the
+// masks are not just sound but exact — an entry is finite exactly when
+// its bit is set — so packPrice can say what semiring.PackPruned will
+// ship for any descriptor, word for word, before any weight exists: the
+// demand trimmed on both axes to its finite entries, the zero diagonal
+// left out, or the classic encoding when that is shorter. The tree
+// placement's descent replays its clocks at these prices
+// (place.go, TestPlanClockIsExact).
 
 // PruneSpec is a per-op prune descriptor frozen into the Plan: the
 // ascending row/column indices of the payload at least one consumer
@@ -63,9 +77,15 @@ type PruneSpec struct {
 }
 
 // entryMask is a boolean rows×cols matrix stored as w words per row.
+// A frozen mask is a payload's as of its send (demandState.send): the
+// sweep never writes it again, finite counts its set bits and live is the
+// bitset of its rows holding one.
 type entryMask struct {
 	rows, cols, w int
 	bits          []uint64
+	frozen        bool
+	finite        int
+	live          []uint64
 }
 
 func newEntryMask(rows, cols int) *entryMask {
@@ -192,12 +212,40 @@ type demandState struct {
 
 func (d *demandState) at(i, j int) *entryMask { return d.m[(i-1)*d.n+(j-1)] }
 
-func (d *demandState) ensure(i, j int) *entryMask {
+// own returns block (i, j)'s mask for writing: a fresh one for an all-Inf
+// block, a copy of one frozen by a send.
+func (d *demandState) own(i, j int) *entryMask {
 	idx := (i-1)*d.n + (j - 1)
-	if d.m[idx] == nil {
+	switch m := d.m[idx]; {
+	case m == nil:
 		d.m[idx] = newEntryMask(d.sizes[i], d.sizes[j])
+	case m.frozen:
+		d.m[idx] = snapshotOf(m)
 	}
 	return d.m[idx]
+}
+
+// send returns block (i, j)'s mask as a payload ships it, frozen — the
+// sweep copies it before writing the block again (own) — with its set
+// bits counted. An all-Inf block ships an empty mask.
+func (d *demandState) send(i, j int) *entryMask {
+	m := d.at(i, j)
+	if m == nil {
+		m = newEntryMask(d.sizes[i], d.sizes[j])
+	}
+	if !m.frozen {
+		m.frozen = true
+		m.live = bitset(m.rows)
+		for r := 0; r < m.rows; r++ {
+			for _, word := range m.row(r) {
+				if word != 0 {
+					m.live[r/64] |= 1 << (r % 64)
+				}
+				m.finite += bits.OnesCount64(word)
+			}
+		}
+	}
+	return m
 }
 
 // newDemandState mirrors Layout.BlocksPooled's initial structure: the
@@ -210,7 +258,7 @@ func newDemandState(ly *Layout) *demandState {
 		if d.sizes[i] == 0 {
 			continue
 		}
-		diag := d.ensure(i, i)
+		diag := d.own(i, i)
 		for t := 0; t < d.sizes[i]; t++ {
 			diag.set(t, t)
 		}
@@ -219,7 +267,7 @@ func newDemandState(ly *Layout) *demandState {
 	for v := 0; v < ly.PG.N(); v++ {
 		sv, lv := int(sup[v]), int(loc[v])
 		for _, e := range ly.PG.Adj(v) {
-			d.ensure(sv, int(sup[e.To])).set(lv, int(loc[e.To]))
+			d.own(sv, int(sup[e.To])).set(lv, int(loc[e.To]))
 		}
 	}
 	return d
@@ -274,11 +322,56 @@ func bitset(n int) []uint64 { return make([]uint64, (n+63)/64) }
 // i carries the union of what the members of the subtree rooted at i
 // fold — but that depends on the tree, which placeTrees chooses later.
 // Until then every edge carries the whole group's union (wholeGroup), and
-// attachPrunes returns each broadcast's per-member demand, from which
-// placeTrees freezes the per-edge descriptors of the trees it chooses.
-func attachPrunes(pl *Plan, ly *Layout) map[*Op]*bcastNeed {
+// attachPrunes returns what the sweep knows of every sending op: each
+// broadcast's per-member demand, from which placeTrees freezes the
+// per-edge descriptors of the trees it chooses, and every payload's mask,
+// at which it prices them.
+func attachPrunes(pl *Plan, ly *Layout) map[*Op]*sendDemand {
+	sends := sweepPlan(pl, ly, true)
+	for op, sd := range sends {
+		if sd.need != nil {
+			sd.need.wholeGroup(op)
+		}
+	}
+	return sends
+}
+
+// sendDemand is what the demand sweep knows of one sending op as of its
+// send: the mask of each payload — a seq op's A(BI,K) and A(K,BJ), every
+// other kind's one block — at which packPrice prices its messages, and a
+// broadcast's per-member demand (nil for the other kinds, and when the
+// sweep only replays the masks).
+type sendDemand struct {
+	mask [2]*entryMask
+	need *bcastNeed
+}
+
+// perMember is sd.need, nil for a nil sd.
+func (sd *sendDemand) perMember() *bcastNeed {
+	if sd == nil {
+		return nil
+	}
+	return sd.need
+}
+
+// maskOf is the mask of op's part-th payload.
+func (sd *sendDemand) maskOf(op *Op, part int) *entryMask {
+	if op.Kind == opSeq {
+		return sd.mask[part]
+	}
+	return sd.mask[0]
+}
+
+// sweepPlan replays the demand sweep over pl's schedule as it stands and
+// returns what it knows of every broadcast, seq and transpose op. With
+// freeze set it is attachPrunes' sweep: it also computes each
+// broadcast's per-member demand and writes each seq op's descriptors.
+// Without, it only reads the plan — the masks are the same for any trees
+// and mirror drops, which change no mask update — so a built plan's
+// messages can be priced again (TestPlanClockIsExact).
+func sweepPlan(pl *Plan, ly *Layout, freeze bool) map[*Op]*sendDemand {
 	d := newDemandState(ly)
-	needs := make(map[*Op]*bcastNeed)
+	sends := make(map[*Op]*sendDemand)
 	for _, ops := range pl.Levels {
 		unitOf := make(map[int]*Op)
 		for x := range ops {
@@ -287,39 +380,46 @@ func attachPrunes(pl *Plan, ly *Layout) map[*Op]*bcastNeed {
 			}
 		}
 		for x := range ops {
-			if need := d.sweep(&ops[x], unitOf); need != nil {
-				need.wholeGroup(&ops[x])
-				needs[&ops[x]] = need
+			if sd := d.sweep(&ops[x], unitOf, freeze); sd != nil {
+				sends[&ops[x]] = sd
 			}
 		}
 	}
-	return needs
+	return sends
 }
 
-// sweep freezes op's demand descriptors from the masks as they stand —
-// for a broadcast, it returns what each member demands instead — then
-// applies op's mask update (the file comment says why op by op is
-// sound). unitOf maps a rank to the level's unit on it.
-func (d *demandState) sweep(op *Op, unitOf map[int]*Op) *bcastNeed {
+// sweep records op's payload masks and, with freeze set, its demand —
+// what each broadcast member folds, a seq op's descriptors — from the
+// masks as they stand, then applies op's mask update (the file comment
+// says why op by op is sound). unitOf maps a rank to the level's unit on
+// it.
+func (d *demandState) sweep(op *Op, unitOf map[int]*Op, freeze bool) *sendDemand {
 	switch op.Kind {
 	case opDiag:
-		if dk := d.at(op.BI, op.BI); dk != nil {
-			dk.closure()
+		if d.at(op.BI, op.BI) != nil {
+			d.own(op.BI, op.BI).closure()
 		}
 	case opUnit:
 		d.mul(op.BI, op.K, op.BJ)
 	case opSeq:
-		op.Prune = []*PruneSpec{
-			d.demand(op.BI, op.K, true, [][2]int{{op.K, op.BJ}}),
-			d.demand(op.K, op.BJ, false, [][2]int{{op.BI, op.K}}),
+		sd := &sendDemand{mask: [2]*entryMask{d.send(op.BI, op.K), d.send(op.K, op.BJ)}}
+		if freeze {
+			op.Prune = []*PruneSpec{
+				d.demand(op.BI, op.K, true, [][2]int{{op.K, op.BJ}}),
+				d.demand(op.K, op.BJ, false, [][2]int{{op.BI, op.K}}),
+			}
 		}
 		d.mul(op.BI, op.K, op.BJ)
+		return sd
 	case opTrans:
+		sd := &sendDemand{mask: [2]*entryMask{d.send(op.BI, op.BJ)}}
 		if src := d.at(op.BI, op.BJ); src != nil {
 			d.m[(op.BJ-1)*d.n+(op.BI-1)] = src.transposeOf()
 		}
+		return sd
 	case opReduce:
 	default:
+		sd := &sendDemand{mask: [2]*entryMask{d.send(op.BI, op.BJ)}}
 		// The payload is the left operand of every consumer's product
 		// (R2 row pivots, R4 column panels, R3 row broadcasts) or the
 		// right one; others[c] is the consumer's other operand.
@@ -339,7 +439,9 @@ func (d *demandState) sweep(op *Op, unitOf map[int]*Op) *bcastNeed {
 			}
 			others[c] = [2]int{i, j}
 		}
-		need := d.need(op, left, others)
+		if freeze {
+			sd.need = d.need(op, left, others)
+		}
 		switch op.Kind {
 		case opR2Left, opR2Right:
 			// Pivot payloads always allow the zero-diagonal drop (the
@@ -347,16 +449,26 @@ func (d *demandState) sweep(op *Op, unitOf map[int]*Op) *bcastNeed {
 			// flag). On identity pivots — diagonal supernodes with no
 			// internal fill, e.g. every leaf supernode of a star — the
 			// whole broadcast collapses to the 1-word empty payload.
-			need.zeroDiag = true
+			if freeze {
+				sd.need.zeroDiag = true
+			}
 			// The panel is both an operand and the destination; the
 			// numeric kernel reads the PRE-update panel (via its scratch
 			// clone), so the sweep multiplies a snapshot.
+			// A frozen panel is that snapshot already: own writes a copy.
 			k := op.BI
 			for _, o := range others {
-				if p := d.at(o[0], o[1]); p != nil && left { // M(k,j) |= M(k,k) ⊗ M(k,j)
-					p.orMul(d.at(k, k), snapshotOf(p))
-				} else if p != nil { // M(i,k) |= M(i,k) ⊗ M(k,k)
-					p.orMul(snapshotOf(p), d.at(k, k))
+				pre := d.at(o[0], o[1])
+				if pre == nil {
+					continue
+				}
+				if !pre.frozen {
+					pre = snapshotOf(pre)
+				}
+				if left { // M(k,j) |= M(k,k) ⊗ M(k,j)
+					d.own(o[0], o[1]).orMul(d.at(k, k), pre)
+				} else { // M(i,k) |= M(i,k) ⊗ M(k,k)
+					d.own(o[0], o[1]).orMul(pre, d.at(k, k))
 				}
 			}
 		case opR3Row:
@@ -364,7 +476,7 @@ func (d *demandState) sweep(op *Op, unitOf map[int]*Op) *bcastNeed {
 				d.mul(op.BI, op.BJ, o[1]) // M(i,j) |= M(i,k) ⊗ M(k,j)
 			}
 		}
-		return need
+		return sd
 	}
 	return nil
 }
@@ -517,11 +629,126 @@ func (n *bcastNeed) freeze(op *Op, buf [][]uint64) {
 	}
 }
 
+// axes returns the demand of a kept-axis bitset as rows × columns, a nil
+// axis demanding every index.
+func (n *bcastNeed) axes(bs []uint64) (rows, cols []uint64) {
+	if n.onRows {
+		return bs, nil
+	}
+	return nil, bs
+}
+
+// rect is the part of a payload's mask a broadcast member holds: the rows
+// and columns of the pruned encoding it decoded, a nil axis holding every
+// index. The root holds its whole block; a relay whose message came in a
+// classic encoding holds what its parent held.
+type rect struct{ rows, cols []uint64 }
+
+// packPrice returns the words semiring.PackPruned ships when it packs a
+// block whose finite entries are m's inside held, for the demand rows ×
+// cols (a nil axis demands every index; zeroDiag as in PruneSpec), and
+// the rectangle the receiver holds once it decodes them. keep is the
+// storage of the kept rectangle (a row slot of m.rows bits, a column slot
+// of m.cols) and filter scratch of m.w words.
+//
+// The price is exact: for finite weights an entry is finite exactly when
+// the sweep's mask marks it, and with no negative cycle every diagonal
+// entry of a pivot block is 0, so the kept rows and columns — the demand
+// trimmed on both axes to its finite entries, the zero diagonal left out
+// — and the length of the classic encoding are what pack finds.
+func (m *entryMask) packPrice(held rect, rows, cols []uint64, zeroDiag bool, keep rect, filter []uint64) (int64, rect) {
+	filter = filter[:m.w]
+	for x := range filter {
+		f := ^uint64(0)
+		if held.cols != nil {
+			f &= held.cols[x]
+		}
+		if cols != nil {
+			f &= cols[x]
+		}
+		filter[x] = f
+	}
+	kr, kc := keep.rows[:len(m.live)], keep.cols[:m.w]
+	clear(kr)
+	clear(kc)
+	nr := 0
+	for xr, scan := range m.live {
+		if held.rows != nil {
+			scan &= held.rows[xr]
+		}
+		if rows != nil {
+			scan &= rows[xr]
+		}
+		for ; scan != 0; scan &= scan - 1 {
+			r := xr*64 + bits.TrailingZeros64(scan)
+			if m.w == 1 { // one word a row: most blocks
+				v := m.bits[r] & filter[0]
+				if zeroDiag && xr == 0 {
+					v &^= 1 << r
+				}
+				if v != 0 {
+					kc[0] |= v
+					kr[xr] |= 1 << (r % 64)
+					nr++
+				}
+				continue
+			}
+			var any uint64
+			for x, word := range m.row(r) {
+				v := word & filter[x]
+				if zeroDiag && x == xr {
+					v &^= 1 << (r % 64)
+				}
+				kc[x] |= v
+				any |= v
+			}
+			if any != 0 {
+				kr[xr] |= 1 << (r % 64)
+				nr++
+			}
+		}
+	}
+	if nr == 0 {
+		return 1, rect{kr, kc}
+	}
+	nc := 0
+	for _, word := range kc {
+		nc += bits.OnesCount64(word)
+	}
+	pruned := int64(semiring.PrunedLen(nr, nc))
+	if classic := int64(semiring.ClassicLen(m.rows*m.cols, m.finiteIn(held))); classic <= pruned {
+		return classic, held
+	}
+	return pruned, rect{kr, kc}
+}
+
+// finiteIn counts m's set bits inside held.
+func (m *entryMask) finiteIn(held rect) int {
+	if held.rows == nil && held.cols == nil {
+		return m.finite
+	}
+	n := 0
+	for xr, scan := range m.live {
+		if held.rows != nil {
+			scan &= held.rows[xr]
+		}
+		for ; scan != 0; scan &= scan - 1 {
+			for x, word := range m.row(xr*64 + bits.TrailingZeros64(scan)) {
+				if held.cols != nil {
+					word &= held.cols[x]
+				}
+				n += bits.OnesCount64(word)
+			}
+		}
+	}
+	return n
+}
+
 // mul folds M(i,k) ⊗ M(k,j) into M(i,j) unless an operand is provably
 // all-Inf.
 func (d *demandState) mul(i, k, j int) {
 	if a, b := d.at(i, k), d.at(k, j); !a.empty() && !b.empty() {
-		d.ensure(i, j).orMul(a, b)
+		d.own(i, j).orMul(a, b)
 	}
 }
 

@@ -1,11 +1,11 @@
 package apsp
 
 import (
-	"cmp"
 	"slices"
 	"sort"
 
 	"sparseapsp/internal/comm"
+	"sparseapsp/internal/semiring"
 )
 
 // Tree placement: the last symbolic pass of BuildPlan. A broadcast is an
@@ -13,16 +13,16 @@ import (
 // every message to the sender and to the receiver, so who relays, and
 // how many sends a member makes in a row, decides how long the level's
 // dependent chain gets. BuildPlan knows every message of the solve and —
-// once the demand sweep has frozen the payload rectangles — an upper
-// bound on its size, so it can replay the machine's cost clocks
-// symbolically and choose each broadcast's tree from them. The pass
-// rewrites a broadcast's Op.Group order, Op.Parent and the per-position
-// descriptors that follow from the tree (Op.Prune) and nothing else: the
-// same members receive and fold the same payload, only the tree it
-// travels down, and so what each edge carries, changes (DESIGN.md §3
-// "Broadcast trees", EXPERIMENTS.md E30, E40, E41). Its last step,
-// dropMirrors, then removes the leaves that fold a panel against its own
-// mirror (DESIGN.md §3 "Mirror operands", E44). The messages are
+// from the demand sweep's masks — its exact size, so it can replay the
+// machine's cost clocks symbolically and choose each broadcast's tree
+// from them. The pass rewrites a broadcast's Op.Group order, Op.Parent
+// and the per-position descriptors that follow from the tree (Op.Prune)
+// and nothing else: the same members receive and fold the same payload,
+// only the tree it travels down, and so what each edge carries, changes
+// (DESIGN.md §3 "Broadcast trees", EXPERIMENTS.md E30, E40, E41).
+// dropMirrors then removes the leaves that fold a panel against its own
+// mirror (DESIGN.md §3 "Mirror operands", E44), and a descent at exact
+// prices re-places the trees that remain (E45). The messages are
 // appendMessages', the expansion the dataflow lowering wires, so the
 // clock replayed here is the one the executors charge
 // (TestPlanClockIsExact).
@@ -121,10 +121,14 @@ type placeStep struct {
 	// tails[i] is the longest remaining path from broadcast member
 	// op.Group[i]'s program point just after the op; nil for the rest.
 	tails []tick
-	// need is a broadcast's per-member demand under the pruned wire of a
-	// plan being placed, permuted with op.Group; nil otherwise.
-	need *bcastNeed
+	// sd is what the demand sweep knows of the op under the pruned wire:
+	// its payload masks and, for a broadcast of a plan being placed, its
+	// per-member demand, permuted with op.Group. Nil otherwise.
+	sd *sendDemand
 }
+
+// need is st's per-member demand, nil when it has none.
+func (st *placeStep) need() *bcastNeed { return st.sd.perMember() }
 
 // msgWords bounds from above the words one message of op's part-th
 // payload carries: a reduce's raw unit body under both wires, the raw
@@ -165,7 +169,7 @@ func packWords(rows, cols, nr, nc int, full bool) int64 {
 	case full:
 		return int64(1 + rows*cols)
 	}
-	return int64(3 + nr + nc + nr*nc)
+	return int64(semiring.PrunedLen(nr, nc))
 }
 
 // deliver charges one message of w words on the forward clocks, like
@@ -204,19 +208,34 @@ type placer struct {
 	// perEdge: candidate trees are scored at each edge's subtree demand;
 	// otherwise every edge weighs the whole group's (Prune[0]).
 	perEdge bool
+	// exact: every message weighs what pack ships for it (packPrice);
+	// otherwise msgWords' bound.
+	exact bool
+	// focus: choose leaves alone a broadcast none of whose members is on
+	// a critical path (crit, as the backward sweep found it) in either
+	// component.
+	focus bool
+	crit  tick
 
 	// Candidate scratch, sized to the largest group.
 	pos      []tick       // per-position clocks of the tree being scored
+	opens    []tick       // grow's per-position path of a holder's next send
 	ready    []tick       // per-member clock before the op
 	byReady  []int32      // members 1..q-1 by ascending ready clock
 	byTail   []int32      // members 1..q-1 by descending tail
 	cand     [4]candidate // (b)–(e) of choose
-	edge     []int64      // per-position words of the message into it
 	union    [][]uint64   // per-position subtree demand
 	regroup  []int
 	retails  []tick
 	reneed   [][]uint64
 	identity []int32
+
+	// Exact-price scratch: per position, the rectangle the member holds
+	// and the storage of the one it keeps; a descriptor's axes as
+	// bitsets; packPrice's column filter.
+	held, keep   []rect
+	specR, specC []uint64
+	filter       []uint64
 }
 
 func (pc *placer) shape(q int) *treeShape {
@@ -233,20 +252,23 @@ func (pc *placer) shape(q int) *treeShape {
 // round still moved 13 of 416 sweep cells (never for the worse), not
 // enough to pay for a third of the pass's time (E30); the two greedy
 // rounds are E40's. On the pruned wire one more round follows at
-// per-edge words (E41).
+// per-edge words (E41), and after the mirror drop one at exact prices and
+// focusRounds focused ones (E45).
 const (
 	binomialRounds = 2
 	placeRounds    = 4
+	focusRounds    = 2
 )
 
-// placeTrees chooses the tree of every broadcast (chooseTrees), then
-// drops the members that fold a panel against its own mirror
-// (dropMirrors); see the file comment and DESIGN.md §3. It must run
-// after attachPrunes (the payload rectangles are its word sizes; needs
-// is what it returned) and before indexRanks.
-func placeTrees(pl *Plan, needs map[*Op]*bcastNeed) {
-	chooseTrees(pl, needs)
-	dropMirrors(pl, needs)
+// placeTrees chooses the tree of every broadcast (chooseTrees), drops
+// the members that fold a panel against its own mirror (dropMirrors),
+// and on the pruned wire re-places the trees at exact prices (descend);
+// see the file comment and DESIGN.md §3. It must run after attachPrunes
+// (sends is what it returned) and before indexRanks.
+func placeTrees(pl *Plan, sends map[*Op]*sendDemand) {
+	chooseTrees(pl, sends)
+	sends = dropMirrors(pl, sends)
+	descend(pl, sends)
 }
 
 // chooseTrees chooses the tree of every broadcast. The placeRounds
@@ -255,21 +277,23 @@ func placeTrees(pl *Plan, needs map[*Op]*bcastNeed) {
 // are then frozen from the chosen trees, and a final round under the
 // same rule weighs each candidate's edges at their subtree demand.
 // Scoring per-edge words from the first round measured worse, with a
-// message count rising (E41).
-func chooseTrees(pl *Plan, needs map[*Op]*bcastNeed) {
-	pc := newPlacer(pl, needs)
+// message count rising (E41), and so did exact prices (E45): the
+// rectangle bound is the better guide while the trees are still far from
+// placed.
+func chooseTrees(pl *Plan, sends map[*Op]*sendDemand) {
+	pc := newPlacer(pl, sends, false)
 	for round := 0; round < placeRounds; round++ {
 		pc.backward()
 		pc.forward(true, round >= binomialRounds)
 	}
-	if len(needs) == 0 {
+	if len(sends) == 0 {
 		return // WireDense: every edge ships the whole block
 	}
 	pc.perEdge = true
 	for i := range pc.steps {
 		st := &pc.steps[i]
-		if st.need != nil {
-			st.need.freeze(st.op, pc.union)
+		if need := st.need(); need != nil {
+			need.freeze(st.op, pc.union)
 		}
 		pc.weigh(st)
 	}
@@ -277,45 +301,148 @@ func chooseTrees(pl *Plan, needs map[*Op]*bcastNeed) {
 	pc.forward(true, true)
 }
 
+// descend re-places the trees from the plan as it stands at exact prices
+// (packPrice): a per-edge round under choose's rule, dropMirrors again —
+// a tree the round chose can leave a mirror member a leaf — and
+// focusRounds more rounds that re-score only the broadcasts with a member
+// on a critical path (focus): the first round makes almost every move,
+// and a full second one costs more than the build may spend (E45). The
+// clock it replays is the one the executors charge, so no round makes
+// the executed critical path longer in either component than the plan's
+// it started from. Nor does the drop: a leaf's demand leaves its
+// ancestors' edges, which almost always only shortens them, but an edge
+// that then fits the classic encoding hands its relay more of the block
+// to re-pack from, so a drop that would lengthen the critical path is
+// undone. The dense wire has no demand, and keeps the trees chooseTrees
+// gave it.
+func descend(pl *Plan, sends map[*Op]*sendDemand) {
+	if len(sends) == 0 {
+		return
+	}
+	pc := newPlacer(pl, sends, true)
+	pc.perEdge = true
+	pc.backward()
+	pc.forward(true, true)
+	crit := pc.critical()
+	undo := saveForDrop(pl, sends)
+	pc = newPlacer(pl, dropMirrors(pl, sends), true)
+	pc.backward()
+	if !pc.longest().within(crit) {
+		undo()
+		pc = newPlacer(pl, sends, true)
+		pc.backward()
+	}
+	pc.perEdge, pc.focus = true, true
+	for round := 0; round < focusRounds; round++ {
+		if round > 0 {
+			pc.backward()
+		}
+		pc.forward(true, true)
+	}
+}
+
+// saveForDrop records what dropMirrors edits in place — every level's op
+// list and, of each R4 row-panel and R3 column broadcast, its member
+// lists and per-member demand — and returns the function that puts it
+// back, after which sends, keyed by the ops' addresses before the drop,
+// holds again.
+func saveForDrop(pl *Plan, sends map[*Op]*sendDemand) (undo func()) {
+	levels := make([][]Op, len(pl.Levels))
+	var needs []*bcastNeed
+	var members [][][]uint64
+	for li, ops := range pl.Levels {
+		levels[li] = slices.Clone(ops)
+		for x := range ops {
+			if op := &levels[li][x]; op.Kind == opR4Akj || op.Kind == opR3Col {
+				op.Group, op.Parent, op.Consumers = slices.Clone(op.Group), slices.Clone(op.Parent), slices.Clone(op.Consumers)
+				need := sends[&ops[x]].need
+				needs, members = append(needs, need), append(members, slices.Clone(need.member))
+			}
+		}
+	}
+	return func() {
+		for li, ops := range levels {
+			pl.Levels[li] = pl.Levels[li][:len(ops)] // the array the drop compacted
+			copy(pl.Levels[li], ops)
+		}
+		for i, need := range needs {
+			need.member = members[i]
+		}
+	}
+}
+
+// longest is the critical path of the tails a backward sweep left.
+func (pc *placer) longest() tick {
+	var crit tick
+	for _, t := range pc.tail {
+		crit = crit.max(t)
+	}
+	return crit
+}
+
+// critical is the critical path of the clocks a forward sweep left.
+func (pc *placer) critical() tick {
+	var crit tick
+	for _, c := range pc.clock {
+		crit = crit.max(c)
+	}
+	return crit
+}
+
 // newPlacer lists every op that sends, each message weighed at the
-// descriptor it carries; needs (nil to replay the plan as it stands)
-// attaches each broadcast's per-member demand.
-func newPlacer(pl *Plan, needs map[*Op]*bcastNeed) *placer {
-	pc := &placer{pl: pl, clock: make([]tick, pl.P), tail: make([]tick, pl.P)}
-	maxQ, maxAxis := 0, 0
+// descriptor it carries — at its exact price if exact is set, else at
+// msgWords' bound; sends (nil under WireDense) attaches what the demand
+// sweep knows of each op: its payload masks and, while the plan is being
+// placed, each broadcast's per-member demand.
+func newPlacer(pl *Plan, sends map[*Op]*sendDemand, exact bool) *placer {
+	pc := &placer{pl: pl, clock: make([]tick, pl.P), tail: make([]tick, pl.P), exact: exact}
+	steps, nw, nt := 0, 0, 0
+	for _, ops := range pl.Levels {
+		for x := range ops {
+			if n := sendParts(&ops[x]); n > 0 {
+				steps, nw = steps+1, nw+n
+				if isBcast(ops[x].Kind) {
+					nt += n
+				}
+			}
+		}
+	}
+	pc.steps = make([]placeStep, 0, steps)
+	w, tails := make([]int64, nw), make([]tick, nt)
+	maxQ := 2 // a seq op's two parts price in positions 0 and 1
 	for _, ops := range pl.Levels {
 		for x := range ops {
 			op := &ops[x]
-			if op.Kind == opDiag || op.Kind == opUnit {
+			n := sendParts(op)
+			if n == 0 {
 				continue
 			}
-			st := placeStep{op: op, w: make([]int64, 1)}
-			if op.Kind == opSeq {
-				st.w = make([]int64, 2)
-			}
+			st := placeStep{op: op, w: w[:n:n], sd: sends[op]}
+			w = w[n:]
 			if isBcast(op.Kind) {
-				st.w = make([]int64, len(op.Group))
-				st.tails = make([]tick, len(op.Group))
-				st.need = needs[op]
-				maxQ = max(maxQ, len(op.Group))
-				maxAxis = max(maxAxis, pl.ND.Sizes[op.BI], pl.ND.Sizes[op.BJ])
+				st.tails, tails = tails[:n:n], tails[n:]
+				maxQ = max(maxQ, n)
 			}
-			pc.weigh(&st)
 			pc.steps = append(pc.steps, st)
 		}
 	}
+	maxAxis := 0
+	for _, sz := range pl.ND.Sizes {
+		maxAxis = max(maxAxis, sz)
+	}
+	words := (maxAxis + 63) / 64
 	pc.shapes = make([]*treeShape, maxQ+1)
 	pc.pos = make([]tick, maxQ)
+	pc.opens = make([]tick, maxQ)
 	pc.ready = make([]tick, maxQ)
 	pc.byReady = make([]int32, 0, maxQ)
 	pc.byTail = make([]int32, 0, maxQ)
 	for c := range pc.cand {
 		pc.cand[c] = candidate{arr: make([]int32, maxQ), parent: make([]int32, maxQ)}
 	}
-	pc.edge = make([]int64, maxQ)
 	pc.union = make([][]uint64, maxQ)
 	for p := range pc.union {
-		pc.union[p] = make([]uint64, 0, (maxAxis+63)/64)
+		pc.union[p] = make([]uint64, 0, words)
 	}
 	pc.regroup = make([]int, maxQ)
 	pc.retails = make([]tick, maxQ)
@@ -324,16 +451,82 @@ func newPlacer(pl *Plan, needs map[*Op]*bcastNeed) *placer {
 	for i := range pc.identity {
 		pc.identity[i] = int32(i)
 	}
+	pc.held = make([]rect, maxQ)
+	pc.keep = make([]rect, maxQ)
+	for p := range pc.keep {
+		pc.keep[p] = rect{make([]uint64, words), make([]uint64, words)}
+	}
+	pc.specR, pc.specC, pc.filter = make([]uint64, words), make([]uint64, words), make([]uint64, words)
+	for i := range pc.steps {
+		pc.weigh(&pc.steps[i])
+	}
 	return pc
 }
 
-// weigh sets the words of each of st's messages from the op's
-// descriptors as they stand: until placeTrees freezes the per-edge ones,
-// every position of a broadcast holds the whole group's.
-func (pc *placer) weigh(st *placeStep) {
-	for part := range st.w {
-		st.w[part] = pc.pl.msgWords(st.op, part)
+// sendParts is the number of payload parts op's messages carry (msg.part):
+// one per broadcast position, two for a seq op, none for a diag or unit.
+func sendParts(op *Op) int {
+	switch {
+	case op.Kind == opDiag || op.Kind == opUnit:
+		return 0
+	case isBcast(op.Kind):
+		return len(op.Group)
+	case op.Kind == opSeq:
+		return 2
 	}
+	return 1
+}
+
+// weigh sets the words of each of st's messages from the op's
+// descriptors as they stand: until chooseTrees freezes the per-edge
+// ones, every position of a broadcast holds the whole group's. An exact
+// placer prices the pruned wire's messages from the payload masks — a
+// broadcast's edges down its tree, since a relay packs from what it
+// holds, and w[0] at the whole group's descriptor from the root, the
+// weight grow gives every edge; msgWords is exact for the rest.
+func (pc *placer) weigh(st *placeStep) {
+	op := st.op
+	if !pc.exact || st.sd == nil || pc.pl.Wire == WireDense {
+		for part := range st.w {
+			st.w[part] = pc.pl.msgWords(op, part)
+		}
+		return
+	}
+	relayed := isBcast(op.Kind) // part p > 0 is packed from what Group[Parent[p]] holds
+	for part := range st.w {
+		from := rect{}
+		if relayed && part > 0 {
+			from = pc.held[op.Parent[part]]
+		}
+		var held rect
+		st.w[part], held = pc.price(st.sd.maskOf(op, part), from, op.prune(part), part)
+		if relayed && part > 0 {
+			pc.held[part] = held
+		}
+	}
+}
+
+// price is packPrice at descriptor spec (nil: full), the kept rectangle
+// stored in slot's scratch.
+func (pc *placer) price(m *entryMask, held rect, spec *PruneSpec, slot int) (int64, rect) {
+	var rows, cols []uint64
+	zeroDiag := spec != nil && spec.ZeroDiag
+	if spec != nil && spec.Rows != nil {
+		rows = listBits(pc.specR[:(m.rows+63)/64], spec.Rows)
+	}
+	if spec != nil && spec.Cols != nil {
+		cols = listBits(pc.specC[:m.w], spec.Cols)
+	}
+	return m.packPrice(held, rows, cols, zeroDiag, pc.keep[slot], pc.filter)
+}
+
+// listBits fills bs with the indices of list and returns it.
+func listBits(bs []uint64, list []int32) []uint64 {
+	clear(bs)
+	for _, t := range list {
+		bs[t/64] |= 1 << (t % 64)
+	}
+	return bs
 }
 
 // messages expands st's op as it stands into pc.msgs.
@@ -366,6 +559,7 @@ func (pc *placer) backward() {
 // broadcast of three or more members gets its tree chosen first
 // (choose); grow adds the greedy trees to the candidates.
 func (pc *placer) forward(choose, grow bool) {
+	pc.crit = pc.longest()
 	for r := range pc.clock {
 		pc.clock[r] = tick{}
 	}
@@ -380,11 +574,10 @@ func (pc *placer) forward(choose, grow bool) {
 	}
 }
 
-// score runs the candidate on scratch clocks and returns the longest
-// path through any member: max over members of clock after the op +
-// remaining tail.
-func (pc *placer) score(st *placeStep, c candidate) tick {
-	w := pc.edgeWords(st, c)
+// score runs the candidate on scratch clocks, each edge weighing w[p],
+// and returns the longest path through any member: max over members of
+// clock after the op + remaining tail.
+func (pc *placer) score(st *placeStep, c candidate, w []int64) tick {
 	for p, m := range c.arr {
 		pc.pos[p] = pc.ready[m]
 	}
@@ -398,44 +591,80 @@ func (pc *placer) score(st *placeStep, c candidate) tick {
 	return worst
 }
 
-// edgeWords returns the words of the message into each position of
-// candidate c: the whole group's until the per-edge round, then the
-// union of what the members of the position's subtree fold.
-func (pc *placer) edgeWords(st *placeStep, c candidate) []int64 {
-	w := pc.edge[:len(c.arr)]
-	if !pc.perEdge {
-		for p := range w {
-			w[p] = st.w[0]
+// beats scores candidate c like score, weighing each edge as it is
+// delivered (edgeWord), and reports whether c is admissible against
+// asStands and scores below best. Every clock only grows as the edges
+// are delivered, so it gives up at the first edge after which the
+// longest path so far already fails either test.
+func (pc *placer) beats(st *placeStep, c candidate, asStands, best tick) (tick, bool) {
+	var worst tick
+	for p, m := range c.arr {
+		pc.pos[p] = pc.ready[m]
+		worst = worst.max(pc.pos[p].add(st.tails[m]))
+	}
+	var unions [][]uint64
+	if pc.perEdge {
+		unions = st.need().unions(c.arr, c.parent, pc.union)
+	}
+	for p := 1; p < len(c.arr); p++ {
+		up := int(c.parent[p])
+		deliver(pc.pos, up, p, pc.edgeWord(st, c, unions, p))
+		worst = worst.max(pc.pos[up].add(st.tails[c.arr[up]])).max(pc.pos[p].add(st.tails[c.arr[p]]))
+		if !worst.within(asStands) || !worst.less(best) {
+			return worst, false
 		}
-		return w
 	}
-	for p, bs := range st.need.unions(c.arr, c.parent, pc.union) {
-		w[p] = min(st.need.words(bs), st.w[0]) // msgWords' cap
+	return worst, true
+}
+
+// edgeWord returns the words of the message into position p of
+// candidate c: the whole group's until the per-edge round, then the
+// union of what the members of the position's subtree fold (unions) — at
+// msgWords' bound, or, by an exact placer, priced down c's tree: the
+// edges into p's ancestors must have been priced first.
+func (pc *placer) edgeWord(st *placeStep, c candidate, unions [][]uint64, p int) int64 {
+	need := st.need()
+	switch {
+	case !pc.perEdge:
+		return st.w[0]
+	case !pc.exact:
+		return min(need.words(unions[p]), st.w[0]) // msgWords' cap
 	}
+	rows, cols := need.axes(unions[p])
+	var w int64
+	w, pc.held[p] = st.sd.mask[0].packPrice(pc.held[c.parent[p]], rows, cols, need.zeroDiag, pc.keep[p], pc.filter)
 	return w
 }
 
 // sortMembers fills dst with members 1..q-1 ordered by key, ascending or
-// descending, ties by the shape's rel.
+// descending, ties by the shape's rel — an insertion sort, as groups are
+// small and every key is distinct once rel breaks the ties.
 func sortMembers(dst []int32, sh *treeShape, key []tick, desc bool) []int32 {
 	dst = dst[:0]
-	for m := 1; m < len(sh.rel); m++ {
-		dst = append(dst, int32(m))
+	for m := int32(1); m < int32(len(sh.rel)); m++ {
+		i := len(dst)
+		dst = append(dst, m)
+		for ; i > 0 && precedes(sh, key, desc, m, dst[i-1]); i-- {
+			dst[i] = dst[i-1]
+		}
+		dst[i] = m
 	}
-	slices.SortFunc(dst, func(a, b int32) int {
-		ka, kb := key[a], key[b]
-		if desc {
-			ka, kb = kb, ka
-		}
-		switch {
-		case ka.less(kb):
-			return -1
-		case kb.less(ka):
-			return 1
-		}
-		return cmp.Compare(sh.rel[a], sh.rel[b])
-	})
 	return dst
+}
+
+// precedes reports whether member a sorts before member b in sortMembers.
+func precedes(sh *treeShape, key []tick, desc bool, a, b int32) bool {
+	ka, kb := key[a], key[b]
+	if desc {
+		ka, kb = kb, ka
+	}
+	if ka.words != kb.words {
+		return ka.words < kb.words
+	}
+	if ka.msgs != kb.msgs {
+		return ka.msgs < kb.msgs
+	}
+	return sh.rel[a] < sh.rel[b]
 }
 
 // grow builds a greedy tree into c: the recipients, in the order given,
@@ -445,22 +674,25 @@ func sortMembers(dst []int32, sh *treeShape, key []tick, desc bool) []int32 {
 // own tail; ties go to the earlier arrival, then the earlier holder.
 func (pc *placer) grow(st *placeStep, recipients []int32, c candidate) {
 	w := st.w[0]
-	hold := pc.pos // per position: the holder's clock after its sends so far
+	hold := pc.pos   // per position: the holder's clock after its sends so far
+	open := pc.opens // per position: the holder's path if it sends next
 	c.arr[0], c.parent[0], hold[0] = 0, -1, pc.ready[0]
+	open[0] = hold[0].plus(w).add(st.tails[0])
 	for k, r := range recipients {
 		at := k + 1
+		ready, tail := pc.ready[r], st.tails[r]
 		best := -1
 		var bestScore, bestArrive tick
-		for h := 0; h < at; h++ {
-			sent := hold[h]
-			arrive := pc.ready[r].max(sent).plus(w)
-			sc := arrive.add(st.tails[r]).max(sent.plus(w).add(st.tails[c.arr[h]]))
+		for h, sent := range hold[:at] {
+			arrive := ready.max(sent).plus(w)
+			sc := arrive.add(tail).max(open[h])
 			if best < 0 || sc.less(bestScore) || sc == bestScore && arrive.less(bestArrive) {
 				best, bestScore, bestArrive = h, sc, arrive
 			}
 		}
 		hold[best] = hold[best].plus(w)
-		hold[at] = bestArrive
+		open[best] = hold[best].plus(w).add(st.tails[c.arr[best]])
+		hold[at], open[at] = bestArrive, bestArrive.plus(w).add(tail)
 		c.arr[at], c.parent[at] = r, int32(best)
 	}
 }
@@ -486,7 +718,9 @@ func (pc *placer) grow(st *placeStep, recipients []int32, c candidate) {
 // just after this op; the tails do not depend on this op's tree and
 // non-members are untouched, so an admissible tree cannot lengthen any
 // path in either component — whatever the sort keys and the greedy do.
-// Among the admissible, fewer words wins, then fewer messages.
+// Among the admissible, fewer words wins, then fewer messages. A
+// focusing placer leaves the tree as it stands when no member's path is
+// critical in either component.
 func (pc *placer) choose(st *placeStep, grow bool) {
 	op := st.op
 	g := op.Group
@@ -495,13 +729,16 @@ func (pc *placer) choose(st *placeStep, grow bool) {
 	for m, r := range g {
 		pc.ready[m] = pc.clock[r]
 	}
-	asStands := pc.score(st, candidate{pc.identity[:q], op.Parent})
+	asStands := pc.score(st, candidate{pc.identity[:q], op.Parent}, st.w)
+	if pc.focus && asStands.words < pc.crit.words && asStands.msgs < pc.crit.msgs {
+		return
+	}
 	pc.byReady = sortMembers(pc.byReady, sh, pc.ready[:q], false)
 	pc.byTail = sortMembers(pc.byTail, sh, st.tails, true)
 	var best *candidate
 	bestScore := asStands
 	consider := func(c *candidate) {
-		if sc := pc.score(st, *c); sc.within(asStands) && sc.less(bestScore) {
+		if sc, ok := pc.beats(st, *c, asStands, bestScore); ok {
 			best, bestScore = c, sc
 		}
 	}
@@ -525,21 +762,22 @@ func (pc *placer) choose(st *placeStep, grow bool) {
 	if best == nil {
 		return
 	}
+	need := st.need()
 	for p, m := range best.arr {
 		pc.regroup[p] = g[m]
 		pc.retails[p] = st.tails[m]
-		if st.need != nil {
-			pc.reneed[p] = st.need.member[m]
+		if need != nil {
+			pc.reneed[p] = need.member[m]
 		}
 	}
 	copy(g, pc.regroup[:q])
 	copy(st.tails, pc.retails[:q])
 	copy(op.Parent, best.parent)
-	if st.need != nil {
-		copy(st.need.member, pc.reneed[:q])
+	if need != nil {
+		copy(need.member, pc.reneed[:q])
 	}
 	if pc.perEdge {
-		st.need.freeze(op, pc.union)
+		need.freeze(op, pc.union)
 		pc.weigh(st)
 	}
 }
@@ -564,7 +802,14 @@ func (pc *placer) choose(st *placeStep, grow bool) {
 // (TestMirrorDropNeverLengthensAClock). The placer run without these
 // members from the start has no such guarantee, and measured above the
 // parent in 26 of 208 sweep cells, the served grid among them (E44).
-func dropMirrors(pl *Plan, needs map[*Op]*bcastNeed) {
+//
+// Deleting ops moves the ones after them, so it returns sends keyed by
+// the ops' new addresses (nil under WireDense).
+func dropMirrors(pl *Plan, sends map[*Op]*sendDemand) map[*Op]*sendDemand {
+	var moved map[*Op]*sendDemand
+	if sends != nil {
+		moved = make(map[*Op]*sendDemand, len(sends))
+	}
 	type fold struct {
 		kind uint8 // the broadcast of the mirror panel
 		rank int
@@ -586,8 +831,9 @@ func dropMirrors(pl *Plan, needs map[*Op]*bcastNeed) {
 		kept := ops[:0]
 		for x := range ops {
 			op := &ops[x]
+			sd := sends[op]
 			if op.Kind == opR4Akj || op.Kind == opR3Col {
-				dropLeaves(op, needs[op], func(r int) bool {
+				dropLeaves(op, sd.perMember(), func(r int) bool {
 					k, ok := pivot[fold{op.Kind, r}]
 					return ok && k == op.BI
 				})
@@ -596,9 +842,13 @@ func dropMirrors(pl *Plan, needs map[*Op]*bcastNeed) {
 				}
 			}
 			kept = append(kept, *op)
+			if sd != nil {
+				moved[&kept[len(kept)-1]] = sd
+			}
 		}
 		pl.Levels[li] = kept
 	}
+	return moved
 }
 
 // dropLeaves removes from broadcast op every member past the root that

@@ -12,35 +12,46 @@ import (
 )
 
 // planClock replays the placement pass's clocks over pl as it stands,
-// choosing nothing, and returns the plan-time critical (messages,
-// words): the component-wise maximum over the ranks' final clocks, like
+// choosing nothing, at msgWords' bound — the guide chooseTrees places by
+// — and returns the plan-time critical (messages, words): the
+// component-wise maximum over the ranks' final clocks, like
 // comm.Report.Critical.
 func planClock(pl *Plan) tick {
-	var crit tick
-	for _, c := range rankClocks(pl) {
-		crit = crit.max(c)
-	}
-	return crit
+	pc := newPlacer(pl, nil, false)
+	pc.forward(false, false)
+	return pc.critical()
 }
 
 // rankClocks replays pl's clocks like planClock and returns every rank's.
 func rankClocks(pl *Plan) []tick {
-	pc := newPlacer(pl, nil)
+	pc := newPlacer(pl, nil, false)
 	pc.forward(false, false)
 	return pc.clock
 }
 
+// exactClock is planClock at exact prices: every message weighs what
+// pack ships for it, priced from the demand sweep's masks over ly.
+func exactClock(pl *Plan, ly *Layout) tick {
+	pc := newPlacer(pl, sweepPlan(pl, ly, false), true)
+	pc.forward(false, false)
+	return pc.critical()
+}
+
 // TestPlanClockIsExact ties the clock the placement decides by to the
-// clocks the executors charge: on every sparse row of the golden table
-// and both benchmark shapes, the plan-time message count IS the critical
-// latency either executor reports, and the plan-time word count bounds
-// the critical bandwidth from above (the frozen demand rectangle is what
-// pack may ship at most; the numeric trim only removes).
+// clocks the executors charge: on every sparse row of the golden table,
+// both benchmark shapes, the grid on real-valued weights and two
+// disconnected cliques (masks with empty rows), the plan-time message
+// count IS the critical latency either executor reports, and the
+// plan-time word count IS the critical bandwidth — on the pruned wire
+// too, where every message is priced from the payload's mask as pack
+// ships it (packPrice).
 func TestPlanClockIsExact(t *testing.T) {
 	cases := goldenCases()
 	cases = append(cases,
 		goldenCase{"grid32x32", graph.Grid2D(32, 32, integerWeights(rand.New(rand.NewSource(1)), 9)), 49},
 		goldenCase{"cycle800", graph.Cycle(800, integerWeights(rand.New(rand.NewSource(2)), 9)), 961},
+		goldenCase{"grid32x32-real", graph.Grid2D(32, 32, graph.RandomWeights(rand.New(rand.NewSource(3)), 0.5, 9.5)), 49},
+		goldenCase{"two-cliques", disconnectedCliques(20), 9},
 	)
 	for _, tc := range cases {
 		h, err := HeightForP(tc.p)
@@ -57,7 +68,7 @@ func TestPlanClockIsExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				clock := planClock(pl)
+				clock := exactClock(pl, ly)
 				flow, err := pl.ExecuteOpts(ly, ExecOpts{})
 				if err != nil {
 					t.Fatal(err)
@@ -72,13 +83,9 @@ func TestPlanClockIsExact(t *testing.T) {
 						t.Errorf("%s/%v/r4=%d %s: plan-time messages %d, executor charged %d",
 							tc.name, wire, r4, exec, clock.msgs, crit.Latency)
 					}
-					if clock.words < crit.Bandwidth {
-						t.Errorf("%s/%v/r4=%d %s: plan-time words %d below the %d the executor charged",
+					if clock.words != crit.Bandwidth {
+						t.Errorf("%s/%v/r4=%d %s: plan-time words %d, executor charged %d",
 							tc.name, wire, r4, exec, clock.words, crit.Bandwidth)
-					}
-					if wire == WireDense && clock.words != crit.Bandwidth {
-						t.Errorf("%s/dense/r4=%d %s: plan-time words %d, executor charged %d — the dense wire has no trim to hide behind",
-							tc.name, r4, exec, clock.words, crit.Bandwidth)
 					}
 				}
 			}
@@ -242,52 +249,23 @@ func TestPlacementDeterministic(t *testing.T) {
 // TestMirrorDropNeverLengthensAClock holds dropMirrors to its argument:
 // over the sweep families of E41 at test sizes and two disconnected
 // cliques, p ∈ {9, 49, 225} and both wires, every rank's plan-time clock
-// after the pass is no later in either component than over the chosen
+// right after the pass (droppedMirrorsPlan, before the descent) is no
+// later in either component, at the guide's prices, than over the chosen
 // trees before it, and the plan solves to the same distances, bit for
 // bit, on integer and on real-valued weights — the mirrored panel is the
 // one the rank no longer receives. The pass touches nothing but R4
 // row-panel and R3 column broadcasts (sameBesideMirrors).
 func TestMirrorDropNeverLengthensAClock(t *testing.T) {
-	families := []struct {
-		name string
-		make func(w graph.WeightFn, rng *rand.Rand) *graph.Graph
-	}{
-		{"caterpillar", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Caterpillar(60, 2, w) }},
-		{"complete", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Complete(24, w) }},
-		{"cycle", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Cycle(200, w) }},
-		{"gnp-avg4", func(w graph.WeightFn, rng *rand.Rand) *graph.Graph { return graph.RandomGNP(150, 4.0/150, w, rng) }},
-		{"gnp-dense", func(w graph.WeightFn, rng *rand.Rand) *graph.Graph { return graph.RandomGNP(60, 0.3, w, rng) }},
-		{"grid12", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Grid2D(12, 12, w) }},
-		{"grid16", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Grid2D(16, 16, w) }},
-		{"grid3d", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Grid3D(5, 5, 5, w) }},
-		{"path", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Path(200, w) }},
-		{"rgg", func(_ graph.WeightFn, rng *rand.Rand) *graph.Graph { return graph.RandomGeometric(150, 0.15, rng) }},
-		{"rmat", func(w graph.WeightFn, rng *rand.Rand) *graph.Graph { return graph.RMAT(7, 8, w, rng) }},
-		{"star", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Star(100, w) }},
-		{"tree", func(w graph.WeightFn, rng *rand.Rand) *graph.Graph { return graph.RandomTree(200, w, rng) }},
-		// Empty separators: R2 pivots no one folds, whose groups stay whole.
-		{"two-cliques", func(graph.WeightFn, *rand.Rand) *graph.Graph { return disconnectedCliques(20) }},
-	}
-	weights := []struct {
-		name string
-		w    func(rng *rand.Rand) graph.WeightFn
-	}{
-		{"int", func(rng *rand.Rand) graph.WeightFn { return integerWeights(rng, 9) }},
-		{"real", func(rng *rand.Rand) graph.WeightFn { return graph.RandomWeights(rng, 0.5, 9.5) }},
-	}
 	earlier := 0 // ranks whose clock the pass moved
-	for _, f := range families {
-		for _, wt := range weights {
+	for _, f := range placeFamilies {
+		for _, wt := range placeWeights {
 			g := f.make(wt.w(rand.New(rand.NewSource(5))), rand.New(rand.NewSource(3)))
 			for _, p := range []int{9, 49, 225} {
 				ly := testLayout(t, g, p)
 				for _, wire := range []WireFormat{WirePruned, WireDense} {
 					name := fmt.Sprintf("%s/%s/p=%d/%v", f.name, wt.name, p, wire)
 					before := chosenTreesPlan(t, ly, p, wire, R4Mapped)
-					after, err := BuildPlan(ly, p, wire, R4Mapped)
-					if err != nil {
-						t.Fatal(err)
-					}
+					after := droppedMirrorsPlan(t, ly, p, wire, R4Mapped)
 					sameBesideMirrors(t, name, before, after)
 					was := rankClocks(before)
 					for r, c := range rankClocks(after) {
@@ -317,6 +295,200 @@ func TestMirrorDropNeverLengthensAClock(t *testing.T) {
 		t.Error("the pass moved no rank's clock: the test checks nothing")
 	}
 	t.Logf("%d rank clocks moved earlier", earlier)
+}
+
+// placeFamilies are the sweep families of E41 at test sizes and two
+// disconnected cliques; placeWeights draws integer or real weights.
+var (
+	placeFamilies = []struct {
+		name string
+		make func(w graph.WeightFn, rng *rand.Rand) *graph.Graph
+	}{
+		{"caterpillar", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Caterpillar(60, 2, w) }},
+		{"complete", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Complete(24, w) }},
+		{"cycle", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Cycle(200, w) }},
+		{"gnp-avg4", func(w graph.WeightFn, rng *rand.Rand) *graph.Graph { return graph.RandomGNP(150, 4.0/150, w, rng) }},
+		{"gnp-dense", func(w graph.WeightFn, rng *rand.Rand) *graph.Graph { return graph.RandomGNP(60, 0.3, w, rng) }},
+		{"grid12", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Grid2D(12, 12, w) }},
+		{"grid16", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Grid2D(16, 16, w) }},
+		{"grid3d", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Grid3D(5, 5, 5, w) }},
+		{"path", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Path(200, w) }},
+		{"rgg", func(_ graph.WeightFn, rng *rand.Rand) *graph.Graph { return graph.RandomGeometric(150, 0.15, rng) }},
+		{"rmat", func(w graph.WeightFn, rng *rand.Rand) *graph.Graph { return graph.RMAT(7, 8, w, rng) }},
+		{"star", func(w graph.WeightFn, _ *rand.Rand) *graph.Graph { return graph.Star(100, w) }},
+		{"tree", func(w graph.WeightFn, rng *rand.Rand) *graph.Graph { return graph.RandomTree(200, w, rng) }},
+		// Empty separators: R2 pivots no one folds, whose groups stay whole.
+		{"two-cliques", func(graph.WeightFn, *rand.Rand) *graph.Graph { return disconnectedCliques(20) }},
+	}
+	placeWeights = []struct {
+		name string
+		w    func(rng *rand.Rand) graph.WeightFn
+	}{
+		{"int", func(rng *rand.Rand) graph.WeightFn { return integerWeights(rng, 9) }},
+		{"real", func(rng *rand.Rand) graph.WeightFn { return graph.RandomWeights(rng, 0.5, 9.5) }},
+	}
+)
+
+// TestExactDescentNeverRaisesCost holds descend to its argument: it
+// starts from the plan dropMirrors leaves and replays the clock the
+// executors charge, so over the families of TestMirrorDropNeverLengthensAClock,
+// p ∈ {9, 49, 225} and both R4 strategies the built plan's executed
+// critical words and messages are each no higher than the plan's before
+// the descent, and it solves to the same distances, bit for bit, on
+// integer and on real-valued weights. Only the critical path is
+// promised: a rank off it may finish later in either component. The
+// dense wire is not descended: its plan is the one before, byte for byte.
+func TestExactDescentNeverRaisesCost(t *testing.T) {
+	lower := 0 // cells whose critical path the descent shortened
+	for _, f := range placeFamilies {
+		for _, wt := range placeWeights {
+			g := f.make(wt.w(rand.New(rand.NewSource(5))), rand.New(rand.NewSource(3)))
+			for _, p := range []int{9, 49, 225} {
+				ly := testLayout(t, g, p)
+				for _, r4 := range []R4Strategy{R4Mapped, R4Sequential} {
+					name := fmt.Sprintf("%s/%s/p=%d/r4=%d", f.name, wt.name, p, r4)
+					if dense := droppedMirrorsPlan(t, ly, p, WireDense, r4); dense.Hash() != buildTestPlanAt(t, ly, p, WireDense, r4).Hash() {
+						t.Errorf("%s: the descent moved the dense wire's plan", name)
+					}
+					before := droppedMirrorsPlan(t, ly, p, WirePruned, r4)
+					after := buildTestPlanAt(t, ly, p, WirePruned, r4)
+					var reps [2]*DistResult
+					for i, pl := range []*Plan{before, after} {
+						res, err := pl.ExecuteOpts(ly, ExecOpts{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						reps[i] = res
+					}
+					was, now := reps[0].Report.Critical, reps[1].Report.Critical
+					if now.Bandwidth > was.Bandwidth || now.Latency > was.Latency {
+						t.Errorf("%s: the descent raised the critical path: %d words / %d messages → %d / %d",
+							name, was.Bandwidth, was.Latency, now.Bandwidth, now.Latency)
+					}
+					if now != was {
+						lower++
+					}
+					if distHash(reps[0].Dist) != distHash(reps[1].Dist) {
+						t.Errorf("%s: distances differ from the plan before the descent", name)
+					}
+				}
+			}
+		}
+	}
+	if lower == 0 {
+		t.Error("the descent shortened no critical path: the test checks nothing")
+	}
+	t.Logf("%d critical paths shortened", lower)
+}
+
+// buildTestPlanAt is BuildPlan over ly, failing t on error.
+func buildTestPlanAt(t testing.TB, ly *Layout, p int, wire WireFormat, r4 R4Strategy) *Plan {
+	t.Helper()
+	pl, err := BuildPlan(ly, p, wire, r4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+// TestMirrorDropRekeysDemands: dropMirrors deletes ops, which moves every
+// later op of their level down a slot, so the sweep's records it returns
+// must follow the ops to their new addresses. After the drop every
+// surviving broadcast's record holds one demand per Group member — what
+// the sweep computed for that member, nothing for a member outside
+// Consumers — and a mask of its block's shape, and every sending op has
+// one.
+func TestMirrorDropRekeysDemands(t *testing.T) {
+	type opKey struct {
+		level           int
+		kind            uint8
+		bi, bj, k, root int
+	}
+	moved := 0 // cells where a dropped op moved a later broadcast
+	forEachShape(t, func(t *testing.T, name string, ly *Layout, p int, wire WireFormat, r4 R4Strategy) {
+		if wire == WireDense {
+			return
+		}
+		pl, sends, err := buildLabelOrder(ly, p, wire, r4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make(map[opKey]map[int][]uint64)
+		for li, ops := range pl.Levels {
+			for x := range ops {
+				op := &ops[x]
+				if !isBcast(op.Kind) {
+					continue
+				}
+				key := opKey{li, op.Kind, op.BI, op.BJ, op.K, op.Root}
+				if want[key] != nil {
+					t.Fatalf("%s: two broadcasts share the key %+v", name, key)
+				}
+				want[key] = make(map[int][]uint64)
+				for m, r := range op.Group {
+					want[key][r] = slices.Clone(sends[op].need.member[m])
+				}
+			}
+		}
+		chooseTrees(pl, sends)
+		keys := make([][]opKey, len(pl.Levels))
+		for li, ops := range pl.Levels {
+			for _, op := range ops {
+				keys[li] = append(keys[li], opKey{li, op.Kind, op.BI, op.BJ, op.K, op.Root})
+			}
+		}
+		sends = dropMirrors(pl, sends)
+		senders := 0
+		for li, ops := range pl.Levels {
+			first := len(ops) // the slot of the first op the drop moved
+			for x, op := range ops {
+				if op.Kind != keys[li][x].kind || op.BI != keys[li][x].bi || op.BJ != keys[li][x].bj || op.Root != keys[li][x].root {
+					first = x
+					break
+				}
+			}
+			shifted := false
+			for x := range ops {
+				op := &ops[x]
+				if op.Kind == opDiag || op.Kind == opUnit || op.Kind == opReduce {
+					continue
+				}
+				senders++
+				sd := sends[op]
+				if sd == nil {
+					t.Fatalf("%s: level %d op %d (%s) has no record after the drop", name, li+1, x, dfKindNames[op.Kind])
+				}
+				if bi, bj := op.payload(0); sd.mask[0].rows != ly.ND.Sizes[bi] || sd.mask[0].cols != ly.ND.Sizes[bj] {
+					t.Errorf("%s: level %d op %d: a %d×%d mask for block (%d,%d)", name, li+1, x, sd.mask[0].rows, sd.mask[0].cols, bi, bj)
+				}
+				if !isBcast(op.Kind) {
+					continue
+				}
+				w := want[opKey{li, op.Kind, op.BI, op.BJ, op.K, op.Root}]
+				if sd.need == nil || len(sd.need.member) != len(op.Group) {
+					t.Fatalf("%s: level %d op %d: %d members, a demand record for %d", name, li+1, x, len(op.Group), len(sd.need.member))
+				}
+				for m, r := range op.Group {
+					if !slices.Equal(sd.need.member[m], w[r]) {
+						t.Errorf("%s: level %d op %d: member %d's demand is another's", name, li+1, x, r)
+					}
+					if !slices.Contains(op.Consumers, r) && slices.ContainsFunc(sd.need.member[m], func(b uint64) bool { return b != 0 }) {
+						t.Errorf("%s: level %d op %d: member %d demands without consuming", name, li+1, x, r)
+					}
+				}
+				shifted = shifted || x >= first
+			}
+			if shifted {
+				moved++
+			}
+		}
+		if senders != len(sends) {
+			t.Errorf("%s: %d sending ops, %d records", name, senders, len(sends))
+		}
+	})
+	if moved == 0 {
+		t.Error("no drop moved a broadcast: the test checks nothing")
+	}
 }
 
 // sameBesideMirrors requires after to be before with only R4 row-panel

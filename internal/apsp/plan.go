@@ -283,11 +283,11 @@ func boolInt(b bool) int {
 // bit-identical to the pre-split solver and the charged costs the
 // golden cost test pins.
 func BuildPlan(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, error) {
-	pl, needs, err := buildLabelOrder(ly, p, wire, r4)
+	pl, sends, err := buildLabelOrder(ly, p, wire, r4)
 	if err != nil {
 		return nil, err
 	}
-	placeTrees(pl, needs)
+	placeTrees(pl, sends)
 	pl.ranks = indexRanks(pl)
 	return pl, nil
 }
@@ -296,10 +296,12 @@ func BuildPlan(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, error)
 // planned and every payload rectangle frozen, each broadcast is still
 // the binomial tree over its members in eTree label order (labelTree)
 // with every edge carrying the whole group's payload, and the per-rank
-// programs are not built yet. It also returns what each member of every
-// broadcast demands (nil under WireDense), from which placeTrees freezes
-// the per-edge descriptors of the trees it chooses.
-func buildLabelOrder(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, map[*Op]*bcastNeed, error) {
+// programs are not built yet. It also returns what the demand sweep
+// knows of every sending op (nil under WireDense): what each member of a
+// broadcast demands, from which placeTrees freezes the per-edge
+// descriptors of the trees it chooses, and each payload's mask, at which
+// it prices them.
+func buildLabelOrder(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, map[*Op]*sendDemand, error) {
 	h, err := HeightForP(p)
 	if err != nil {
 		return nil, nil, err

@@ -111,18 +111,18 @@ var goldenTable = map[goldenKey]goldenRow{
 	{"star", "dense", 0}:    {10, 2986, 4410, 18, 4012, 1520, "978ac9a795cb7eba"},
 	{"star", "dense", 1}:    {10, 3024, 4409, 18, 4069, 1520, "978ac9a795cb7eba"},
 	{"star", "dc", 0}:       {44, 9900, 77850, 72, 16200, 1350, "978ac9a795cb7eba"},
-	{"grid", "pruned", 0}:   {10, 2402, 57477, 18, 4578, 2304, "a2e3a57550113739"},
-	{"grid", "pruned", 1}:   {10, 2836, 62838, 18, 5066, 2223, "a2e3a57550113739"},
-	{"grid49", "pruned", 0}: {20, 4602, 89352, 169, 40345, 2856, "96e4aca675b3c7af"},
+	{"grid", "pruned", 0}:   {10, 2132, 57477, 18, 4578, 2304, "a2e3a57550113739"},
+	{"grid", "pruned", 1}:   {10, 2566, 62838, 18, 5066, 2223, "a2e3a57550113739"},
+	{"grid49", "pruned", 0}: {20, 4602, 89352, 169, 39944, 2856, "96e4aca675b3c7af"},
 	{"grid49", "pruned", 1}: {23, 5785, 96673, 168, 41577, 2856, "96e4aca675b3c7af"},
-	{"gnp", "pruned", 0}:    {10, 7857, 137301, 18, 10476, 3844, "60e3ad3fef80fe66"},
-	{"gnp", "pruned", 1}:    {10, 7169, 168315, 18, 10501, 3315, "60e3ad3fef80fe66"},
-	{"tree", "pruned", 0}:   {20, 872, 13127, 160, 2832, 1764, "17b38d5f4c544f0b"},
-	{"tree", "pruned", 1}:   {22, 729, 13127, 159, 2790, 1763, "17b38d5f4c544f0b"},
-	{"rmat", "pruned", 0}:   {10, 3843, 61212, 18, 5693, 2116, "83accd07a3c61b64"},
-	{"rmat", "pruned", 1}:   {10, 3683, 70614, 18, 5866, 1920, "83accd07a3c61b64"},
-	{"star", "pruned", 0}:   {10, 143, 4410, 18, 254, 1520, "978ac9a795cb7eba"},
-	{"star", "pruned", 1}:   {10, 224, 4409, 18, 313, 1520, "978ac9a795cb7eba"},
+	{"gnp", "pruned", 0}:    {10, 7304, 137301, 18, 10476, 3844, "60e3ad3fef80fe66"},
+	{"gnp", "pruned", 1}:    {10, 6616, 168315, 18, 10501, 3315, "60e3ad3fef80fe66"},
+	{"tree", "pruned", 0}:   {20, 829, 13127, 160, 2832, 1764, "17b38d5f4c544f0b"},
+	{"tree", "pruned", 1}:   {22, 570, 13127, 159, 2601, 1763, "17b38d5f4c544f0b"},
+	{"rmat", "pruned", 0}:   {10, 3591, 61212, 18, 5693, 2116, "83accd07a3c61b64"},
+	{"rmat", "pruned", 1}:   {10, 3431, 70614, 18, 5866, 1920, "83accd07a3c61b64"},
+	{"star", "pruned", 0}:   {10, 121, 4410, 18, 254, 1520, "978ac9a795cb7eba"},
+	{"star", "pruned", 1}:   {10, 202, 4409, 18, 313, 1520, "978ac9a795cb7eba"},
 }
 
 func checkGolden(t *testing.T, key goldenKey, res *DistResult) {

@@ -19,7 +19,7 @@ import (
 //
 // Format (all integers signed varints):
 //
-//	magic "SAPLAN08"                    (8 bytes; version is part of the magic)
+//	magic "SAPLAN09"                    (8 bytes; version is part of the magic)
 //	body:
 //	  P, H, NSup, Wire, R4Seq
 //	  ND.Perm, ND.Sizes                 (length-prefixed)
@@ -67,7 +67,7 @@ import (
 // 08: a rank that folds a diagonal block receives the column panel alone
 // and mirrors it (dropMirrors) — an 07 file hands it both panels and
 // would replay with more messages and words.
-const planMagic = "SAPLAN08"
+const planMagic = "SAPLAN09"
 
 // Encode serializes the plan to its deterministic binary form.
 func (p *Plan) Encode() []byte {

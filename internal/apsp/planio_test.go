@@ -67,15 +67,29 @@ func labelOrderPlan(t testing.TB, ly *Layout, p int, wire WireFormat, r4 R4Strat
 	return pl
 }
 
-// chosenTreesPlan is BuildPlan without its last pass (dropMirrors): the
+// chosenTreesPlan is BuildPlan up to the tree choice (chooseTrees): the
 // chosen trees over every member the schedule plans.
 func chosenTreesPlan(t testing.TB, ly *Layout, p int, wire WireFormat, r4 R4Strategy) *Plan {
 	t.Helper()
-	pl, needs, err := buildLabelOrder(ly, p, wire, r4)
+	pl, sends, err := buildLabelOrder(ly, p, wire, r4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chooseTrees(pl, needs)
+	chooseTrees(pl, sends)
+	pl.ranks = indexRanks(pl)
+	return pl
+}
+
+// droppedMirrorsPlan is chosenTreesPlan followed by dropMirrors: BuildPlan
+// without the exact descent (descend), the plan it starts from.
+func droppedMirrorsPlan(t testing.TB, ly *Layout, p int, wire WireFormat, r4 R4Strategy) *Plan {
+	t.Helper()
+	pl, sends, err := buildLabelOrder(ly, p, wire, r4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chooseTrees(pl, sends)
+	dropMirrors(pl, sends)
 	pl.ranks = indexRanks(pl)
 	return pl
 }
@@ -299,9 +313,12 @@ func addLevel1R3(pl *Plan) {
 // before the op table (a file that cannot name its structure), SAPLAN05
 // from before it chose each broadcast's tree (binomial trees, with more
 // critical words and messages), SAPLAN06 from before a broadcast's
-// descriptors were per edge (one per broadcast, with more words). The
-// SAPLAN04, 05 and 06 testdata files are the ones those writers saved
-// for this grid. Serving any of them
+// descriptors were per edge (one per broadcast, with more words),
+// SAPLAN07 from before a rank that folds a panel against its mirror left
+// the mirror's broadcast, and SAPLAN08 from before the trees were
+// re-placed at exact prices after that drop. The SAPLAN04 to 08 testdata
+// files are the ones those writers saved for this grid. Serving any of
+// them
 // would silently replay the old schedule's costs or someone else's
 // schedule, so it must count as a disk error, be rebuilt and be
 // overwritten in the current format.
@@ -342,6 +359,7 @@ func TestPlanStoreRejectsStaleFormat(t *testing.T) {
 		{"SAPLAN05", nil, nil},
 		{"SAPLAN06", nil, nil},
 		{"SAPLAN07", nil, nil},
+		{"SAPLAN08", nil, nil},
 	} {
 		dir := t.TempDir()
 		var old, file []byte

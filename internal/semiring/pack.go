@@ -56,10 +56,13 @@ func PackedLen(v []float64) int {
 			nnz++
 		}
 	}
-	return packedLenFor(len(v), nnz)
+	return ClassicLen(len(v), nnz)
 }
 
-func packedLenFor(n, nnz int) int {
+// ClassicLen is the wire length Pack produces for an n-entry body
+// holding nnz finite entries: the shortest of the empty, sparse and
+// dense encodings.
+func ClassicLen(n, nnz int) int {
 	if nnz == 0 {
 		return 1
 	}
@@ -185,11 +188,11 @@ func PackPruned(m *Matrix, rows, cols []int32, dropZeroDiag bool) []float64 {
 	if len(keepR) == 0 || len(keepC) == 0 {
 		return []float64{packEmpty}
 	}
-	prunedLen := 3 + len(keepR) + len(keepC) + len(keepR)*len(keepC)
+	prunedLen := PrunedLen(len(keepR), len(keepC))
 	// The block holds at least the seen non-Inf entries, so a classic
-	// encoding is at least packedLenFor of them: when that already
+	// encoding is at least ClassicLen of them: when that already
 	// exceeds prunedLen the full-block count is not needed.
-	if packedLenFor(len(m.V), seen) <= prunedLen && PackedLen(m.V) <= prunedLen {
+	if ClassicLen(len(m.V), seen) <= prunedLen && PackedLen(m.V) <= prunedLen {
 		return Pack(m.V)
 	}
 	out := make([]float64, 0, prunedLen)
@@ -208,6 +211,10 @@ func PackPruned(m *Matrix, rows, cols []int32, dropZeroDiag bool) []float64 {
 	}
 	return out
 }
+
+// PrunedLen is the wire length of the pruned encoding of an nr×nc kept
+// rectangle.
+func PrunedLen(nr, nc int) int { return 3 + nr + nc + nr*nc }
 
 // prunedKeep intersects the demand keep-lists with the numerically
 // non-empty rows/columns of m: a demanded row survives if it holds a
