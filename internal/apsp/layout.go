@@ -137,31 +137,60 @@ func (ly *Layout) vertexBlocks() (sup, loc []int32) {
 }
 
 // AssembleOriginal reassembles a full distance matrix in the original
-// vertex order from the block matrix.
+// vertex order from the block matrix. It reads every off-diagonal pair
+// from its owned orientation (ownsBlock) and writes the mirror as its
+// transpose: the pruned wire computes the R3 sink blocks in that
+// orientation alone (plan.go), and every other final block equals its
+// mirror's transpose bit for bit, under both wires and in SuperFW.
 func (ly *Layout) AssembleOriginal(blocks [][]*semiring.Matrix) *semiring.Matrix {
 	n := ly.G.N()
 	out := semiring.NewMatrix(n, n)
+	// A row of the result is a sequence of runs: consecutive columns at
+	// consecutive offsets of one supernode. A run is one copy out of row
+	// lu of an owned block (i, j), or one walk down column lu of the
+	// mirror (j, i).
+	type run struct{ v, lv, len, j int }
+	var runs []run
 	sup, loc := ly.vertexBlocks()
-	// Gather each column's block coordinates once; the inner loop is
-	// then two table loads and one block access per entry.
-	colSup := make([]int32, n)
-	colLoc := make([]int32, n)
 	for v := 0; v < n; v++ {
 		pv := ly.ND.Perm[v]
-		colSup[v], colLoc[v] = sup[pv], loc[pv]
+		j, lv := int(sup[pv]), int(loc[pv])
+		if k := len(runs) - 1; k >= 0 && runs[k].j == j && runs[k].lv+runs[k].len == lv {
+			runs[k].len++
+			continue
+		}
+		runs = append(runs, run{v: v, lv: lv, len: 1, j: j})
 	}
-	for u := 0; u < n; u++ {
-		pu := ly.ND.Perm[u]
-		brow := blocks[sup[pu]]
-		lu := int(loc[pu])
-		orow := out.V[u*n : (u+1)*n]
-		for v := 0; v < n; v++ {
-			b := brow[colSup[v]]
-			orow[v] = b.V[lu*b.Cols+int(colLoc[v])]
+	// Rows go out in supernode order, so consecutive rows walk
+	// neighbouring columns of a mirror.
+	for i := 1; i <= ly.ND.N; i++ {
+		for lu := 0; lu < ly.ND.Sizes[i]; lu++ {
+			u := ly.ND.InvPerm[ly.ND.Starts[i]+lu]
+			orow := out.V[u*n : (u+1)*n]
+			for _, r := range runs {
+				dst := orow[r.v : r.v+r.len]
+				if ownsBlock(i, r.j) {
+					b := blocks[i][r.j]
+					copy(dst, b.V[lu*b.Cols+r.lv:])
+					continue
+				}
+				b := blocks[r.j][i]
+				for x := range dst {
+					dst[x] = b.V[(r.lv+x)*b.Cols+lu]
+				}
+			}
 		}
 	}
 	return out
 }
+
+// ownsBlock reports whether block (i, j) is the owned orientation of its
+// pair, the one AssembleOriginal reads: i < j exactly when i + j is odd.
+// The rule is a balanced tournament on the labels, fixed across levels,
+// so each supernode owns about half of its pairs and the R3 panels that
+// only owned sink blocks fold (sinkMirror) lose about half of every row
+// and column. A diagonal block owns itself.
+func ownsBlock(i, j int) bool { return (i < j) == ((i+j)%2 == 1) }
 
 // HeightForP returns the eTree height for a machine of p ranks under
 // the block layout (√p = 2^h − 1), or an error for invalid p.

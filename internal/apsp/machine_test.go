@@ -16,6 +16,29 @@ import (
 // ordinal over all levels, so no two ops share one.
 func (pl *Plan) executeMachine(ly *Layout) (*DistResult, error) {
 	blocks, release := ly.BlocksPooled()
+	machine, err := pl.runMachine(blocks)
+	if err != nil {
+		return nil, err
+	}
+	phases, err := machine.PhaseCosts()
+	if err != nil {
+		return nil, fmt.Errorf("apsp: phase accounting failed: %w", err)
+	}
+	dist := ly.AssembleOriginal(blocks)
+	release()
+	return &DistResult{
+		Dist:    dist,
+		Report:  machine.Report(),
+		Layout:  ly,
+		P:       pl.P,
+		Phases:  phases,
+		Traffic: machine.Traffic(),
+	}, nil
+}
+
+// runMachine runs the plan on the simulated machine over blocks, the
+// block matrix Layout.Blocks builds, and leaves the final blocks there.
+func (pl *Plan) runMachine(blocks [][]*semiring.Matrix) (*comm.Machine, error) {
 	tags := make([]int, len(pl.Levels))
 	for li := 1; li < len(tags); li++ {
 		tags[li] = tags[li-1] + len(pl.Levels[li-1])
@@ -32,20 +55,7 @@ func (pl *Plan) executeMachine(ly *Layout) (*DistResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("apsp: sparse solver failed: %w", err)
 	}
-	phases, err := machine.PhaseCosts()
-	if err != nil {
-		return nil, fmt.Errorf("apsp: phase accounting failed: %w", err)
-	}
-	dist := ly.AssembleOriginal(blocks)
-	release()
-	return &DistResult{
-		Dist:    dist,
-		Report:  machine.Report(),
-		Layout:  ly,
-		P:       pl.P,
-		Phases:  phases,
-		Traffic: machine.Traffic(),
-	}, nil
+	return machine, nil
 }
 
 // machineStep runs one step of the calling rank's program on the

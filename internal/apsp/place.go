@@ -161,15 +161,18 @@ func (pl *Plan) msgWords(op *Op, part int) int64 {
 // packWords bounds the words Plan.pack ships on the pruned wire for a
 // rows×cols payload whose descriptor keeps nr rows and nc columns: one
 // word when the kept rectangle is empty, the dense encoding under the
-// full descriptor, else the pruned encoding of the rectangle.
+// full descriptor, else the pruned encoding of the rectangle — but never
+// more than the dense encoding, pack's classic fallback, so narrowing a
+// descriptor never raises the bound.
 func packWords(rows, cols, nr, nc int, full bool) int64 {
+	dense := int64(1 + rows*cols)
 	switch {
 	case nr == 0 || nc == 0:
 		return 1
 	case full:
-		return int64(1 + rows*cols)
+		return dense
 	}
-	return int64(semiring.PrunedLen(nr, nc))
+	return min(int64(semiring.PrunedLen(nr, nc)), dense)
 }
 
 // deliver charges one message of w words on the forward clocks, like

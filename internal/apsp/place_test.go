@@ -246,6 +246,93 @@ func TestPlacementDeterministic(t *testing.T) {
 	})
 }
 
+// TestMsgWordsNeverRisesWhenNarrowed: the guide prices a message at most
+// at the dense body, pack's classic fallback, so narrowing a descriptor
+// never raises its price — which dropMirrors' argument takes for granted,
+// since deleting a member narrows the descriptors above it. Exhaustively
+// over small payloads packWords does not rise as the kept rectangle
+// shrinks or leaves the full descriptor, and on every broadcast edge of
+// the caterpillar at p = 225 (where a dropped member once doubled an
+// edge's price) narrowing the edge's descriptor by one index does not
+// raise msgWords.
+func TestMsgWordsNeverRisesWhenNarrowed(t *testing.T) {
+	for rows := 1; rows <= 12; rows++ {
+		for cols := 1; cols <= 12; cols++ {
+			full := packWords(rows, cols, rows, cols, true)
+			for nr := 0; nr <= rows; nr++ {
+				for nc := 0; nc <= cols; nc++ {
+					w := packWords(rows, cols, nr, nc, false)
+					if w > full || nr > 0 && packWords(rows, cols, nr-1, nc, false) > w ||
+						nc > 0 && packWords(rows, cols, nr, nc-1, false) > w {
+						t.Fatalf("%d×%d payload: keeping %d×%d prices %d words, above a wider descriptor's", rows, cols, nr, nc, w)
+					}
+				}
+			}
+		}
+	}
+	pl := buildTestPlan(t, graph.Caterpillar(60, 2, graph.UnitWeights), 225, WirePruned, R4Mapped)
+	edges := 0
+	for _, ops := range pl.Levels {
+		for x := range ops {
+			op := &ops[x]
+			if !isBcast(op.Kind) {
+				continue
+			}
+			rows, cols := pl.ND.Sizes[op.BI], pl.ND.Sizes[op.BJ]
+			for part := 1; part < len(op.Group); part++ {
+				spec := op.Prune[part]
+				narrow := narrowByOne(spec, rows, cols)
+				if narrow == nil {
+					continue
+				}
+				before := pl.msgWords(op, part)
+				op.Prune[part] = narrow
+				after := pl.msgWords(op, part)
+				op.Prune[part] = spec
+				if after > before {
+					t.Errorf("%s (%d,%d) edge into %d: one index fewer prices %d words, %d before",
+						dfKindNames[op.Kind], op.BI, op.BJ, op.Group[part], after, before)
+				}
+				edges++
+			}
+		}
+	}
+	if edges == 0 {
+		t.Error("no broadcast edge could be narrowed: the test checks nothing")
+	}
+}
+
+// narrowByOne returns spec (over a rows×cols payload) keeping one row or
+// column fewer, or nil when it keeps nothing.
+func narrowByOne(spec *PruneSpec, rows, cols int) *PruneSpec {
+	all := func(n int) []int32 {
+		list := make([]int32, n)
+		for x := range list {
+			list[x] = int32(x)
+		}
+		return list
+	}
+	out := &PruneSpec{Rows: all(rows), Cols: all(cols)}
+	if spec != nil {
+		out.ZeroDiag = spec.ZeroDiag
+		if spec.Rows != nil {
+			out.Rows = spec.Rows
+		}
+		if spec.Cols != nil {
+			out.Cols = spec.Cols
+		}
+	}
+	switch {
+	case len(out.Rows) == 0 || len(out.Cols) == 0:
+		return nil
+	case len(out.Rows) > 1:
+		out.Rows = out.Rows[:len(out.Rows)-1]
+	default:
+		out.Cols = out.Cols[:len(out.Cols)-1]
+	}
+	return out
+}
+
 // TestMirrorDropNeverLengthensAClock holds dropMirrors to its argument:
 // over the sweep families of E41 at test sizes and two disconnected
 // cliques, p ∈ {9, 49, 225} and both wires, every rank's plan-time clock

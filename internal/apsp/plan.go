@@ -463,7 +463,8 @@ func (b *planBuilder) level(l int, r4seq bool) ([]Op, error) {
 	// processors that fold it and to nobody else: the group is the root
 	// plus the consumers, and a panel nobody folds — one the mask proves
 	// all-Inf, or any level-1 panel, since leaves have no descendants and
-	// R_1^3 is empty — is not broadcast at all.
+	// R_1^3 is empty — is not broadcast at all. On the pruned wire the
+	// mirror of a sink block is not a consumer either (r3Folds).
 	for _, k := range tr.LevelNodes(l) {
 		if !b.active(k) {
 			continue
@@ -475,7 +476,7 @@ func (b *planBuilder) level(l int, r4seq bool) ([]Op, error) {
 			}
 			op := Op{Kind: opR3Row, BI: i, BJ: k, Root: b.rank(i, k)}
 			for _, j := range rel {
-				if b.r3Pivot(l, i, j) == k {
+				if b.r3Folds(l, i, j, k) {
 					op.Group = append(op.Group, b.rank(i, j))
 					op.Consumers = append(op.Consumers, b.rank(i, j))
 				} else if j == k {
@@ -490,7 +491,7 @@ func (b *planBuilder) level(l int, r4seq bool) ([]Op, error) {
 			}
 			op := Op{Kind: opR3Col, BI: k, BJ: j, Root: b.rank(k, j)}
 			for _, i := range rel {
-				if b.r3Pivot(l, i, j) == k {
+				if b.r3Folds(l, i, j, k) {
 					op.Group = append(op.Group, b.rank(i, j))
 					op.Consumers = append(op.Consumers, b.rank(i, j))
 				} else if i == k {
@@ -630,6 +631,25 @@ func (b *planBuilder) r3Pivot(l, i, j int) int {
 		return 0
 	}
 	return k
+}
+
+// r3Folds reports whether rank (i, j) folds the level-l R3 panels of
+// pivot k: block (i, j) lies in R_l^3 under k and, on the pruned wire, is
+// not the mirror of a sink (sinkMirror). The dense wire, Algorithm 1's
+// own schedule, computes both orientations.
+func (b *planBuilder) r3Folds(l, i, j, k int) bool {
+	return b.r3Pivot(l, i, j) == k && (b.wire == WireDense || !sinkMirror(b.tr, l, i, j))
+}
+
+// sinkMirror reports whether block (i, j) is the mirror of a level-l
+// sink: an off-diagonal pair whose coordinates both lie below level l.
+// R3 writes such a pair at level l and no op after it reads the pair —
+// every later level's R3 only writes it again, and the panels later
+// levels read all have a coordinate at their own level or above — so only
+// the final matrix sees it, and AssembleOriginal reads the orientation
+// ownsBlock names.
+func sinkMirror(tr *etree.Tree, l, i, j int) bool {
+	return !ownsBlock(i, j) && tr.Level(i) < l && tr.Level(j) < l
 }
 
 // anyActiveUnit reports whether block (i, ·) has at least one active

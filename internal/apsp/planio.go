@@ -19,7 +19,7 @@ import (
 //
 // Format (all integers signed varints):
 //
-//	magic "SAPLAN09"                    (8 bytes; version is part of the magic)
+//	magic "SAPLAN10"                    (8 bytes; version is part of the magic)
 //	body:
 //	  P, H, NSup, Wire, R4Seq
 //	  ND.Perm, ND.Sizes                 (length-prefixed)
@@ -67,7 +67,13 @@ import (
 // 08: a rank that folds a diagonal block receives the column panel alone
 // and mirrors it (dropMirrors) — an 07 file hands it both panels and
 // would replay with more messages and words.
-const planMagic = "SAPLAN09"
+// 09: every broadcast's trees are re-placed at exact prices after that
+// drop (place.go's descent) — an 08 file would replay with other
+// critical counts.
+// 10: on the pruned wire R3 computes each sink block in one orientation
+// (sinkMirror) — an 09 file hands the mirror its panels too and would
+// replay with more messages and words.
+const planMagic = "SAPLAN10"
 
 // Encode serializes the plan to its deterministic binary form.
 func (p *Plan) Encode() []byte {
@@ -331,13 +337,17 @@ func (r *planReader) op(op *Op) error {
 // and a seq or transpose source at the owner of the block it sends; an
 // R2 pivot or an R3 panel reaches only ranks in its column or row; a
 // rank's R4 and R3 captures pair up into operands of matching
-// dimensions; and every prune descriptor is canonical and, down a
-// broadcast's tree, never wider than its parent's (prunes). It does not
-// prove the schedule complete — a dropped op still decodes, which the
-// content hash guards against.
+// dimensions; on the pruned wire no R3 panel reaches the mirror of a
+// sink block (sinkMirror), whose owned orientation alone folds it; and
+// every prune descriptor is canonical and, down a broadcast's tree,
+// never wider than its parent's (prunes). It does not prove the schedule
+// complete — a dropped op still decodes, which the content hash guards
+// against.
 type planValidator struct {
 	p, nsup int
 	sizes   []int
+	tr      *etree.Tree
+	pruned  bool
 	// member[r] == epoch marks rank r as a member of the group under
 	// validation; bumping epoch clears the set.
 	member []int
@@ -558,8 +568,9 @@ func (v *planValidator) op(op *Op) error {
 	return v.prunes(op)
 }
 
-// level validates one level's op table: every op, the phase order, the
-// captures — at most one panel of each capturing kind per rank, the R3
+// level validates level l's op table: every op, the phase order, the
+// captures — at most one panel of each capturing kind per rank, on the
+// pruned wire no R3 panel at the mirror of a level-l sink block, the R3
 // row and column panels a rank combines meet at one pivot, and a
 // diagonal block's rank that captures an R3 panel captures the row
 // panel, which its combine mirrors if it has no column panel — and the
@@ -567,7 +578,7 @@ func (v *planValidator) op(op *Op) error {
 // is its left operand and, unless it computes a diagonal block (whose
 // right operand is that panel's mirror), the row panel too, and every
 // reduce member hosts a unit over the reduced block.
-func (v *planValidator) level(ops []Op) error {
+func (v *planValidator) level(l int, ops []Op) error {
 	for r := range v.unit {
 		v.unit[r] = -1
 		for _, k := range capturing {
@@ -594,6 +605,10 @@ func (v *planValidator) level(ops []Op) error {
 					return v.errorf("rank %d captures two %s panels of one kind", c, dfKindNames[op.Kind])
 				}
 				held[c] = x
+				r3 := op.Kind == opR3Row || op.Kind == opR3Col
+				if i, j := blockOf(c, v.nsup); r3 && v.pruned && sinkMirror(v.tr, l, i, j) {
+					return v.errorf("R3 panel reaches rank %d, the mirror of sink block (%d,%d) at level %d", c, j, i, l)
+				}
 			}
 		}
 	}
@@ -708,7 +723,9 @@ func DecodePlan(b []byte) (*Plan, error) {
 	if numLevels != h {
 		return nil, fmt.Errorf("apsp: DecodePlan: %d levels for height %d", numLevels, h)
 	}
-	v := &planValidator{p: p, nsup: nsup, sizes: sizes, member: make([]int, p), unit: make([]int, p)}
+	tr := etree.New(h)
+	v := &planValidator{p: p, nsup: nsup, sizes: sizes, tr: tr, pruned: WireFormat(wire) == WirePruned,
+		member: make([]int, p), unit: make([]int, p)}
 	for _, k := range capturing {
 		v.held[k] = make([]int, p)
 	}
@@ -724,7 +741,7 @@ func DecodePlan(b []byte) (*Plan, error) {
 				return nil, err
 			}
 		}
-		if err := v.level(levels[li]); err != nil {
+		if err := v.level(li+1, levels[li]); err != nil {
 			return nil, err
 		}
 	}
@@ -737,7 +754,7 @@ func DecodePlan(b []byte) (*Plan, error) {
 		Wire:   WireFormat(wire),
 		R4Seq:  r4seq == 1,
 		ND:     nd,
-		Tree:   etree.New(h),
+		Tree:   tr,
 		Fill:   &FillMask{H: h, N: nsup, states: states},
 		Levels: levels,
 	}

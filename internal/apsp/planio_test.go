@@ -315,10 +315,10 @@ func addLevel1R3(pl *Plan) {
 // critical words and messages), SAPLAN06 from before a broadcast's
 // descriptors were per edge (one per broadcast, with more words),
 // SAPLAN07 from before a rank that folds a panel against its mirror left
-// the mirror's broadcast, and SAPLAN08 from before the trees were
-// re-placed at exact prices after that drop. The SAPLAN04 to 08 testdata
-// files are the ones those writers saved for this grid. Serving any of
-// them
+// the mirror's broadcast, SAPLAN08 from before the trees were re-placed
+// at exact prices after that drop, and SAPLAN09 from before R3 computed
+// each sink block in one orientation. The SAPLAN04 to 09 testdata files
+// are the ones those writers saved for this grid. Serving any of them
 // would silently replay the old schedule's costs or someone else's
 // schedule, so it must count as a disk error, be rebuilt and be
 // overwritten in the current format.
@@ -360,6 +360,7 @@ func TestPlanStoreRejectsStaleFormat(t *testing.T) {
 		{"SAPLAN06", nil, nil},
 		{"SAPLAN07", nil, nil},
 		{"SAPLAN08", nil, nil},
+		{"SAPLAN09", nil, nil},
 	} {
 		dir := t.TempDir()
 		var old, file []byte
@@ -616,6 +617,8 @@ func unrunnableGroupPlans(t testing.TB) []unrunnablePlan {
 			}
 			t.Fatal("fixture plan has no diagonal R3 row-panel leaf beside a column panel")
 		}},
+		{"R3 row panel handed to a sink's mirror", R4Mapped, func(pl *Plan) { handSinkMirror(t, pl, opR3Row) }},
+		{"R3 column panel handed to a sink's mirror", R4Mapped, func(pl *Plan) { handSinkMirror(t, pl, opR3Col) }},
 		{"two units on one rank", R4Mapped, func(pl *Plan) {
 			for _, ops := range pl.Levels {
 				var units []*Op
@@ -647,6 +650,39 @@ func dropLeaf(op *Op, p int) {
 		op.Prune = slices.Delete(op.Prune, p, p+1)
 	}
 	dropLeaves(op, nil, func(m int) bool { return m == r })
+}
+
+// handSinkMirror adds to the first R3 broadcast of kind (opR3Row or
+// opR3Col) whose panel the mirror of a sink block would fold were both
+// orientations computed that mirror's rank, as a leaf under the root
+// that folds the panel — the schedule the dense wire plans.
+func handSinkMirror(t testing.TB, pl *Plan, kind uint8) {
+	for li, ops := range pl.Levels {
+		for x := range ops {
+			op := &ops[x]
+			if op.Kind != kind {
+				continue
+			}
+			k := op.BJ // the pivot: a row broadcast ships A(i,k), a column one A(k,j)
+			if kind == opR3Col {
+				k = op.BI
+			}
+			for _, y := range pl.Tree.RelatedSet(k) {
+				i, j := op.BI, y
+				if kind == opR3Col {
+					i, j = y, op.BJ
+				}
+				if !sinkMirror(pl.Tree, li+1, i, j) {
+					continue
+				}
+				r := (i-1)*pl.NSup + j - 1
+				op.Group, op.Parent, op.Consumers = append(op.Group, r), append(op.Parent, 0), append(op.Consumers, r)
+				op.Prune = append(op.Prune, op.Prune[0])
+				return
+			}
+		}
+	}
+	t.Fatalf("fixture plan has no %s panel a sink's mirror would fold", dfKindNames[kind])
 }
 
 // dropUnitOperand removes, from the first R4 panel broadcast of kind

@@ -238,7 +238,10 @@ func TestTightSum(t *testing.T) {
 // extraction and RepairRows share: they read d(x,v) as row v entry x.
 // Every matrix-based solver returns a bit-symmetric matrix on an
 // undirected graph even when path sums round, because a ⊕ b⊗c and its
-// mirror image add the same two floats. Johnson is the exception — its
+// mirror image add the same two floats. (SuperFW and the sparse solver
+// assemble each mirror as its owned block's transpose, so for them this
+// holds by construction; TestR3SinkComputedOnce checks the blocks
+// themselves.) Johnson is the exception — its
 // Dijkstras sum a path from opposite ends — and what covers it is the
 // extraction tolerance: its matrix, and a symmetric one pushed off by
 // one ulp in one entry, still yield tables that pass VerifyPaths.

@@ -2,8 +2,12 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
+
+	"sparseapsp/internal/apsp"
+	"sparseapsp/internal/graph"
 )
 
 // smallConfig keeps unit tests fast; the real sweeps run in the
@@ -174,20 +178,65 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
+// TestLoadBalanceTable: on a connected grid all p ranks do work in
+// every algorithm as the paper states it — Algorithm 1 (the sparse
+// solver's dense wire) included. The served wire computes each R3 sink
+// block in one orientation, so its count is the plan's: the ranks that
+// run a diagonal or unit op or consume a broadcast.
 func TestLoadBalanceTable(t *testing.T) {
-	tb, err := LoadBalance(smallConfig(), 12, 9)
+	cfg := smallConfig()
+	const side, p = 12, 9
+	tb, err := LoadBalance(cfg, side, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3 algorithms", len(tb.Rows))
+	if len(tb.Rows) != 4 {
+		t.Fatalf("rows = %d, want Algorithm 1, the served wire and 2 baselines", len(tb.Rows))
 	}
-	// All p ranks do work in every algorithm on a connected grid.
+	served := strconv.Itoa(planActiveRanks(t, graph.Grid2D(side, side, graph.UnitWeights), p, cfg.Seed))
 	for _, row := range tb.Rows {
-		if row[3] != "9" {
-			t.Errorf("%s: active ranks = %s, want 9", row[0], row[3])
+		want := "9"
+		if row[0] == "2d-sparse-apsp pruned" {
+			want = served
+		}
+		if row[3] != want {
+			t.Errorf("%s: active ranks = %s, want %s", row[0], row[3], want)
 		}
 	}
+	if served == "9" {
+		t.Error("the served plan leaves no rank idle: the R3 sink mirrors are handed panels")
+	}
+}
+
+// planActiveRanks counts the ranks the default plan for g hands numeric
+// work: the rank of a diagonal or unit op (the kinds with no group) and
+// every consumer of a broadcast.
+func planActiveRanks(t *testing.T, g *graph.Graph, p int, seed int64) int {
+	t.Helper()
+	h, err := apsp.HeightForP(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ly, err := apsp.NewLayout(g, h, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := apsp.BuildPlan(ly, p, apsp.WirePruned, apsp.R4Mapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := make(map[int]bool)
+	for _, ops := range pl.Levels {
+		for _, op := range ops {
+			if len(op.Group) == 0 {
+				active[op.Root] = true
+			}
+			for _, c := range op.Consumers {
+				active[c] = true
+			}
+		}
+	}
+	return len(active)
 }
 
 func TestWeakScalingTable(t *testing.T) {
