@@ -283,8 +283,8 @@ func TestServedWirePinned(t *testing.T) {
 		p                  int
 		words, msgs, total int64
 	}{
-		{"grid32x32", Grid2D(32, 32, w(1)), 49, 53076, 19, 134},
-		{"cycle800", Cycle(800, w(2)), 961, 1757, 40, 2578},
+		{"grid32x32", Grid2D(32, 32, w(1)), 49, 49399, 18, 132},
+		{"cycle800", Cycle(800, w(2)), 961, 1676, 39, 2579},
 	} {
 		def, err := Solve(tc.g, Options{P: tc.p, Seed: 42})
 		if err != nil {

@@ -679,18 +679,24 @@ func (x *dfRun) sendMsg(n *dfNode, i int, data []float64) {
 }
 
 // bcastData replays one rank's role in a broadcast: the root holds its
-// own block, every other member receives once and decodes what it got;
-// then each sends its children down the tree (relay). It returns the
-// block the member folds — what it decoded, or for a consuming root its
-// block packed at the whole group's demand and decoded. Charge order —
-// receive, sends, then the caller's consumer work — is the machine's.
+// own block and a mirror holder its own block's transpose, every other
+// member receives once and decodes what it got; then each sends its
+// children down the tree (relay). It returns the block the member folds —
+// what it decoded, or for a consuming root its block packed at the whole
+// group's demand and decoded. Charge order — receive, sends, then the
+// caller's consumer work — is the machine's.
 func (x *dfRun) bcastData(n *dfNode, op *Op, rs *rankState) *semiring.Matrix {
 	rows, cols := x.sizes[op.BI], x.sizes[op.BJ]
 	var held *semiring.Matrix
-	if int(n.rank) == op.Root {
+	switch {
+	case int(n.rank) == op.Root:
 		held = rs.A
-	} else if data := x.recvMsg(n, 0); n.use || len(n.sends) > 0 {
-		held = x.pl.unpack(data, rows, cols)
+	case len(n.recvs) == 0: // a mirror holder
+		held = x.pl.mirrorHeld(op, position(op.Group, int(n.rank)), int(n.rank), rs)
+	default:
+		if data := x.recvMsg(n, 0); n.use || len(n.sends) > 0 {
+			held = x.pl.unpack(data, rows, cols)
+		}
 	}
 	x.relay(n, op, held)
 	if int(n.rank) == op.Root && n.use {
@@ -786,6 +792,9 @@ func (x *dfRun) execPanelChain(start, end int32, a *semiring.Arena) int32 {
 			D:     x.pl.unpack(x.slots[n.recvs[0]].data, x.sizes[op.BI], x.sizes[op.BJ]),
 			Right: op.Kind != opR2Left,
 		}
+		if !steps[i].Right {
+			rs.pivot = steps[i].D
+		}
 	}
 	semiring.PanelUpdateMultiScratch(rs.A, steps, a,
 		func(i int) {
@@ -834,11 +843,12 @@ func (x *dfRun) exec(id int32, a *semiring.Arena) {
 	case opUnit:
 		rs.unitProduct(s, x.sizes[op.BI], x.sizes[op.BJ])
 	case opReduce:
+		upper := x.pl.upperReduce(op)
 		if !n.use { // a root outside the group: one receive from its first member
-			rs.fold(s, x.recvMsg(n, 0))
+			rs.fold(s, x.recvMsg(n, 0), upper)
 			return
 		}
-		data := rs.unit.V
+		data := x.pl.reducePayload(op, rs.unit)
 		for i := range n.recvs {
 			semiring.MinInto(data, x.recvMsg(n, i))
 		}
@@ -846,7 +856,7 @@ func (x *dfRun) exec(id int32, a *semiring.Arena) {
 			x.sendMsg(n, i, data)
 		}
 		if rank == op.Root {
-			rs.fold(s, data)
+			rs.fold(s, data, upper)
 		}
 	case opSeq, opTrans:
 		var got [2]*semiring.Matrix

@@ -550,8 +550,9 @@ func (n *bcastNeed) dim() int {
 // dst[p] is the union of what the members of the subtree rooted at
 // position p fold, where arr[p] indexes member (nil: the identity) and
 // parent is the tree over positions. Parents precede children, so one
-// reverse sweep folds every subtree into its parent. dst must have a
-// slot per position; its slots' storage is reused.
+// reverse sweep folds every subtree into its parent — a mirror holder's
+// into the root's, which stays the whole group's. dst must have a slot
+// per position; its slots' storage is reused.
 func (n *bcastNeed) unions(arr, parent []int32, dst [][]uint64) [][]uint64 {
 	q := len(parent)
 	for p := 0; p < q; p++ {
@@ -562,7 +563,7 @@ func (n *bcastNeed) unions(arr, parent []int32, dst [][]uint64) [][]uint64 {
 		dst[p] = append(dst[p][:0], n.member[m]...)
 	}
 	for p := q - 1; p > 0; p-- {
-		up := dst[parent[p]]
+		up := dst[max(parent[p], 0)]
 		for x, w := range dst[p] {
 			up[x] |= w
 		}
@@ -655,7 +656,10 @@ type rect struct{ rows, cols []uint64 }
 // the sweep's mask marks it, and with no negative cycle every diagonal
 // entry of a pivot block is 0, so the kept rows and columns — the demand
 // trimmed on both axes to its finite entries, the zero diagonal left out
-// — and the length of the classic encoding are what pack finds.
+// — and the length of the classic encoding are what pack finds. A pivot
+// (zeroDiag) ships the indices kept on both axes as a triangle
+// (semiring.TriangleLen): the distances, and so every pivot, are their
+// own transposes bit for bit (TestSymmetricPayloadsAtSend).
 func (m *entryMask) packPrice(held rect, rows, cols []uint64, zeroDiag bool, keep rect, filter []uint64) (int64, rect) {
 	filter = filter[:m.w]
 	for x := range filter {
@@ -715,7 +719,13 @@ func (m *entryMask) packPrice(held rect, rows, cols []uint64, zeroDiag bool, kee
 	for _, word := range kc {
 		nc += bits.OnesCount64(word)
 	}
-	pruned := int64(semiring.PrunedLen(nr, nc))
+	s := 0
+	if zeroDiag && m.rows == m.cols {
+		for x, word := range kc {
+			s += bits.OnesCount64(word & kr[x])
+		}
+	}
+	pruned := int64(semiring.TriangleLen(nr, nc, s))
 	if classic := int64(semiring.ClassicLen(m.rows*m.cols, m.finiteIn(held))); classic <= pruned {
 		return classic, held
 	}

@@ -41,6 +41,7 @@ type rankState struct {
 	A                  *semiring.Matrix
 	rowPanel, colPanel *semiring.Matrix // R3 captures
 	aik, akj, unit     *semiring.Matrix // R4 operands and the unit product
+	pivot              *semiring.Matrix // the last R2 column pivot decoded
 }
 
 // sink is what a step charges its work to: the machine rank's comm.Ctx,
@@ -59,6 +60,7 @@ func (rs *rankState) consume(s sink, kind uint8, d *semiring.Matrix, a *semiring
 	s.AddMemory(int64(len(d.V)))
 	switch kind {
 	case opR2Left:
+		rs.pivot = d
 		s.AddFlops(semiring.PanelUpdateLeftScratch(rs.A, d, a))
 		s.AddMemory(-int64(len(d.V)))
 	case opR2Right:
@@ -87,10 +89,16 @@ func (rs *rankState) unitProduct(s sink, rows, cols int) {
 	s.AddFlops(semiring.MulAddInto(rs.unit, rs.aik, rs.akj))
 }
 
-// fold min-folds a reduced unit sum into the owned block.
-func (rs *rankState) fold(s sink, res []float64) {
-	semiring.MinInto(rs.A.V, res)
-	s.AddFlops(int64(len(res)))
+// fold min-folds a reduced unit sum into the owned block: res is the
+// sum's body, or with upper set its upper triangle (Plan.reducePayload),
+// folded into both halves.
+func (rs *rankState) fold(s sink, res []float64, upper bool) {
+	if upper {
+		semiring.MinIntoUpper(rs.A, res)
+	} else {
+		semiring.MinInto(rs.A.V, res)
+	}
+	s.AddFlops(int64(len(rs.A.V)))
 }
 
 // seqProduct folds A(BI,K) ⊗ A(K,BJ) into the owned block: got[i] is
@@ -147,6 +155,67 @@ func drop(s sink, m **semiring.Matrix) {
 	if *m != nil {
 		s.AddMemory(-int64(len((*m).V)))
 		*m = nil
+	}
+}
+
+// upperReduce reports whether reduce op's payloads are upper triangles:
+// on the pruned wire, for a diagonal block, every unit A(I,K) ⊗ A(K,I)
+// is its own transpose (A(K,I) = A(I,K)ᵀ), and so is their min-fold.
+// The dense wire ships Algorithm 1's whole blocks.
+func (pl *Plan) upperReduce(op *Op) bool { return pl.Wire == WirePruned && op.BI == op.BJ }
+
+// reducePayload is what a member of reduce op contributes: its unit's
+// body, or its upper triangle when the op's payloads are (upperReduce).
+func (pl *Plan) reducePayload(op *Op, unit *semiring.Matrix) []float64 {
+	if pl.upperReduce(op) {
+		return semiring.PackUpper(unit)
+	}
+	return unit.V
+}
+
+// mirrorHeld returns what mirror holder rank, at position pos of
+// broadcast op, sends its children slices of: the transpose of the
+// mirror it holds — its own block if it owns the mirror, else the panel
+// of it it captured from the pair broadcast (the R3 row panel, the R4
+// column panel) — kept to the position's descriptor, the rectangle the
+// plan prices its sends from (placer.weigh).
+func (pl *Plan) mirrorHeld(op *Op, pos, rank int, rs *rankState) *semiring.Matrix {
+	src := rs.A
+	switch {
+	case rank == mirrorOwner(op, pl.NSup):
+	case op.Kind == opR2Right:
+		src = rs.pivot
+	case op.Kind == opR3Col:
+		src = rs.rowPanel
+	default:
+		src = rs.aik
+	}
+	t := src.Transpose()
+	if spec := op.prune(pos); spec != nil {
+		keepOnly(t, spec.Rows, spec.Cols)
+	}
+	return t
+}
+
+// keepOnly sets every entry of m outside the rows × cols rectangle to
+// Inf; a nil axis keeps every index.
+func keepOnly(m *semiring.Matrix, rows, cols []int32) {
+	keepR, keepC := make([]bool, m.Rows), make([]bool, m.Cols)
+	for t, list := range [2][]int32{rows, cols} {
+		keep := [2][]bool{keepR, keepC}[t]
+		for x := range keep {
+			keep[x] = list == nil
+		}
+		for _, x := range list {
+			keep[x] = true
+		}
+	}
+	for r := 0; r < m.Rows; r++ {
+		for c := 0; c < m.Cols; c++ {
+			if !keepR[r] || !keepC[c] {
+				m.V[r*m.Cols+c] = semiring.Inf
+			}
+		}
 	}
 }
 

@@ -36,6 +36,20 @@ func (pl *Plan) executeMachine(ly *Layout) (*DistResult, error) {
 	}, nil
 }
 
+// sentFrom is what a sender of the machine reference packs from: a
+// broadcast root's block or a reduce member's unit (child -1), or the
+// payload a mirror holder sends broadcast position child, decoded.
+type sentFrom struct {
+	op    *Op
+	rank  int
+	child int
+	block *semiring.Matrix
+}
+
+// machineProbe, when a test sets it, sees every sentFrom on the sender's
+// goroutine, so it must be safe for concurrent use.
+var machineProbe func(sentFrom)
+
 // runMachine runs the plan on the simulated machine over blocks, the
 // block matrix Layout.Blocks builds, and leaves the final blocks there.
 func (pl *Plan) runMachine(blocks [][]*semiring.Matrix) (*comm.Machine, error) {
@@ -87,10 +101,13 @@ func (pl *Plan) machineStep(ctx *comm.Ctx, rs *rankState, st step, a *semiring.A
 	case opReduce:
 		var data []float64
 		if st.use {
-			data = rs.unit.V
+			data = pl.reducePayload(op, rs.unit)
+			if machineProbe != nil {
+				machineProbe(sentFrom{op, rank, -1, rs.unit.Clone()})
+			}
 		}
 		if res := ctx.ReduceTo(op.Group, op.Root, tag, data, semiring.MinInto); rank == op.Root {
-			rs.fold(ctx, res)
+			rs.fold(ctx, res, pl.upperReduce(op))
 		}
 	case opSeq, opTrans:
 		var got [2]*semiring.Matrix
@@ -113,24 +130,38 @@ func (pl *Plan) machineStep(ctx *comm.Ctx, rs *rankState, st step, a *semiring.A
 		}
 	default:
 		// Every member sends each child the child's subtree demand, packed
-		// from the block it holds: the root's own, a relay's decoded from
-		// what it received. A consuming root keeps the whole group's.
+		// from the block it holds: the root's own, a mirror holder's own
+		// transposed, a relay's decoded from what it received. A consuming
+		// root keeps the whole group's.
 		rows, cols := sizes[op.BI], sizes[op.BJ]
 		var payload []float64
 		var held *semiring.Matrix
-		if rank == op.Root {
+		switch {
+		case rank == op.Root:
 			held = rs.A
 			if st.use {
 				payload = pl.pack(rs.A, op.prune(0))
 			}
+		case op.holdsMirror(position(op.Group, rank)):
+			held = pl.mirrorHeld(op, position(op.Group, rank), rank, rs)
+		}
+		holder := held != nil && rank != op.Root
+		if machineProbe != nil && rank == op.Root {
+			machineProbe(sentFrom{op, rank, -1, rs.A.Clone()})
 		}
 		data := ctx.BcastTreeEach(op.Group, op.Parent, tag, payload, func(child int, got []float64) []float64 {
 			if held == nil {
 				held = pl.unpack(got, rows, cols)
 			}
-			return pl.pack(held, op.prune(child))
+			out := pl.pack(held, op.prune(child))
+			if machineProbe != nil && holder {
+				machineProbe(sentFrom{op, rank, child, pl.unpack(out, rows, cols)})
+			}
+			return out
 		})
-		if st.use {
+		if st.use && holder {
+			rs.consume(ctx, op.Kind, held, a)
+		} else if st.use {
 			rs.consume(ctx, op.Kind, pl.unpack(data, rows, cols), a)
 		}
 	}

@@ -22,7 +22,9 @@ import (
 // (DESIGN.md §3 "Broadcast trees", EXPERIMENTS.md E30, E40, E41).
 // dropMirrors then removes the leaves that fold a panel against its own
 // mirror (DESIGN.md §3 "Mirror operands", E44), and a descent at exact
-// prices re-places the trees that remain (E45). The messages are
+// prices re-places the trees that remain (E45), letting ranks that hold a
+// panel's mirror serve it as extra roots (DESIGN.md §3 "Mirror holders",
+// E47). The messages are
 // appendMessages', the expansion the dataflow lowering wires, so the
 // clock replayed here is the one the executors charge
 // (TestPlanClockIsExact).
@@ -125,6 +127,15 @@ type placeStep struct {
 	// its payload masks and, for a broadcast of a plan being placed, its
 	// per-member demand, permuted with op.Group. Nil otherwise.
 	sd *sendDemand
+	// holders are the ranks that may serve the broadcast as mirror
+	// holders (serve): the owner of the payload's mirror (mirrorOwner),
+	// then the consumers of pair — the level's earlier broadcast of that
+	// mirror, nil if none. holderTails[c] is holders[c]'s longest
+	// remaining path from just after the op.
+	holders     []int
+	holderTails []tick
+	pair        *placeStep
+	index       int // in placer.steps
 }
 
 // need is st's per-member demand, nil when it has none.
@@ -156,6 +167,18 @@ func (pl *Plan) msgWords(op *Op, part int) int64 {
 		w = min(w, pl.msgWords(op, 0))
 	}
 	return w
+}
+
+// reduceWords is the words of one message of reduce op: the unit's body,
+// or on the pruned wire, for a diagonal block, its upper triangle
+// (Plan.upperReduce). msgWords keeps the body's price, so the guide the
+// trees are chosen by does not see the triangles.
+func (pl *Plan) reduceWords(op *Op) int64 {
+	n := pl.ND.Sizes[op.BI]
+	if pl.upperReduce(op) {
+		return int64(semiring.UpperLen(n))
+	}
+	return int64(n * pl.ND.Sizes[op.BJ])
 }
 
 // packWords bounds the words Plan.pack ships on the pruned wire for a
@@ -219,6 +242,9 @@ type placer struct {
 	// component.
 	focus bool
 	crit  tick
+	// serving: the ranks that hold a broadcast's payload mirrored may join
+	// its tree as holders (serve).
+	serving bool
 
 	// Candidate scratch, sized to the largest group.
 	pos      []tick       // per-position clocks of the tree being scored
@@ -232,6 +258,10 @@ type placer struct {
 	retails  []tick
 	reneed   [][]uint64
 	identity []int32
+	mranks   []int   // serve's members: the group's, then the holders'
+	mtails   []tick  // and their tails
+	lead     []int32 // serve's members that hold the payload at the start
+	order    []int32 // serve's recipients in one order
 
 	// Exact-price scratch: per position, the rectangle the member holds
 	// and the storage of the one it keeps; a descriptor's axes as
@@ -255,12 +285,14 @@ func (pc *placer) shape(q int) *treeShape {
 // round still moved 13 of 416 sweep cells (never for the worse), not
 // enough to pay for a third of the pass's time (E30); the two greedy
 // rounds are E40's. On the pruned wire one more round follows at
-// per-edge words (E41), and after the mirror drop one at exact prices and
-// focusRounds focused ones (E45).
+// per-edge words (E41), and after the mirror drop one at exact prices,
+// focusRounds focused ones (E45) and pairRounds pair rounds (E47; a third
+// moved nothing on the served shapes).
 const (
 	binomialRounds = 2
 	placeRounds    = 4
 	focusRounds    = 2
+	pairRounds     = 2
 )
 
 // placeTrees chooses the tree of every broadcast (chooseTrees), drops
@@ -310,13 +342,15 @@ func chooseTrees(pl *Plan, sends map[*Op]*sendDemand) {
 // focusRounds more rounds that re-score only the broadcasts with a member
 // on a critical path (focus): the first round makes almost every move,
 // and a full second one costs more than the build may spend (E45). The
-// clock it replays is the one the executors charge, so no round makes
-// the executed critical path longer in either component than the plan's
-// it started from. Nor does the drop: a leaf's demand leaves its
-// ancestors' edges, which almost always only shortens them, but an edge
-// that then fits the classic encoding hands its relay more of the block
-// to re-pack from, so a drop that would lengthen the critical path is
-// undone. The dense wire has no demand, and keeps the trees chooseTrees
+// last of them also lets the ranks that hold a panel's mirror serve the
+// panel (serve), and pair rounds serve a panel and its mirror from both
+// owners at once (pairRound, E47). The clock it replays is the one the
+// executors charge, so no round makes the executed critical path longer
+// in either component than the plan's it started from. Nor does the
+// drop: a leaf's demand leaves its ancestors' edges, which almost always
+// only shortens them, but an edge that then fits the classic encoding
+// hands its relay more of the block to re-pack from, so a drop that would
+// lengthen the critical path is undone. The dense wire has no demand, and keeps the trees chooseTrees
 // gave it.
 func descend(pl *Plan, sends map[*Op]*sendDemand) {
 	if len(sends) == 0 {
@@ -340,7 +374,11 @@ func descend(pl *Plan, sends map[*Op]*sendDemand) {
 		if round > 0 {
 			pc.backward()
 		}
+		pc.serving = round == focusRounds-1
 		pc.forward(true, true)
+	}
+	for round := 0; round < pairRounds; round++ {
+		pc.pairRound()
 	}
 }
 
@@ -420,7 +458,7 @@ func newPlacer(pl *Plan, sends map[*Op]*sendDemand, exact bool) *placer {
 			if n == 0 {
 				continue
 			}
-			st := placeStep{op: op, w: w[:n:n], sd: sends[op]}
+			st := placeStep{op: op, w: w[:n:n], sd: sends[op], index: len(pc.steps)}
 			w = w[n:]
 			if isBcast(op.Kind) {
 				st.tails, tails = tails[:n:n], tails[n:]
@@ -428,6 +466,9 @@ func newPlacer(pl *Plan, sends map[*Op]*sendDemand, exact bool) *placer {
 			}
 			pc.steps = append(pc.steps, st)
 		}
+	}
+	if exact && pl.Wire == WirePruned {
+		maxQ = max(maxQ, pc.findHolders())
 	}
 	maxAxis := 0
 	for _, sz := range pl.ND.Sizes {
@@ -447,6 +488,8 @@ func newPlacer(pl *Plan, sends map[*Op]*sendDemand, exact bool) *placer {
 	for p := range pc.union {
 		pc.union[p] = make([]uint64, 0, words)
 	}
+	pc.mranks, pc.mtails, pc.lead = make([]int, 0, maxQ), make([]tick, 0, maxQ), make([]int32, 0, maxQ)
+	pc.order = make([]int32, 0, maxQ)
 	pc.regroup = make([]int, maxQ)
 	pc.retails = make([]tick, maxQ)
 	pc.reneed = make([][]uint64, maxQ)
@@ -486,18 +529,26 @@ func sendParts(op *Op) int {
 // placer prices the pruned wire's messages from the payload masks — a
 // broadcast's edges down its tree, since a relay packs from what it
 // holds, and w[0] at the whole group's descriptor from the root, the
-// weight grow gives every edge; msgWords is exact for the rest.
+// weight grow gives every edge — and a reduce at what its members send
+// (reduceWords); msgWords is exact for the rest.
 func (pc *placer) weigh(st *placeStep) {
 	op := st.op
 	if !pc.exact || st.sd == nil || pc.pl.Wire == WireDense {
 		for part := range st.w {
 			st.w[part] = pc.pl.msgWords(op, part)
 		}
+		if pc.exact && op.Kind == opReduce {
+			st.w[0] = pc.pl.reduceWords(op)
+		}
 		return
 	}
 	relayed := isBcast(op.Kind) // part p > 0 is packed from what Group[Parent[p]] holds
 	for part := range st.w {
 		from := rect{}
+		if relayed && op.holdsMirror(part) { // receives nothing, holds its descriptor's rectangle
+			st.w[part], pc.held[part] = 0, pc.specRect(st.sd.mask[0], op.prune(part), part)
+			continue
+		}
 		if relayed && part > 0 {
 			from = pc.held[op.Parent[part]]
 		}
@@ -521,6 +572,19 @@ func (pc *placer) price(m *entryMask, held rect, spec *PruneSpec, slot int) (int
 		cols = listBits(pc.specC[:m.w], spec.Cols)
 	}
 	return m.packPrice(held, rows, cols, zeroDiag, pc.keep[slot], pc.filter)
+}
+
+// specRect is the rectangle descriptor spec keeps of a payload with m's
+// shape, stored in slot's scratch.
+func (pc *placer) specRect(m *entryMask, spec *PruneSpec, slot int) rect {
+	var r rect
+	if spec != nil && spec.Rows != nil {
+		r.rows = listBits(pc.keep[slot].rows[:(m.rows+63)/64], spec.Rows)
+	}
+	if spec != nil && spec.Cols != nil {
+		r.cols = listBits(pc.keep[slot].cols[:m.w], spec.Cols)
+	}
+	return r
 }
 
 // listBits fills bs with the indices of list and returns it.
@@ -551,6 +615,9 @@ func (pc *placer) backward() {
 		for m := range st.tails {
 			st.tails[m] = pc.tail[st.op.Group[m]]
 		}
+		for c, r := range st.holders {
+			st.holderTails[c] = pc.tail[r]
+		}
 		msgs := pc.messages(st)
 		for e := len(msgs) - 1; e >= 0; e-- {
 			undeliver(pc.tail, msgs[e].src, msgs[e].dst, st.w[msgs[e].part])
@@ -560,7 +627,8 @@ func (pc *placer) backward() {
 
 // forward replays the clocks in execution order. With choose set, every
 // broadcast of three or more members gets its tree chosen first
-// (choose); grow adds the greedy trees to the candidates.
+// (choose); grow adds the greedy trees to the candidates. A serving
+// placer then offers every broadcast with holders their trees (serve).
 func (pc *placer) forward(choose, grow bool) {
 	pc.crit = pc.longest()
 	for r := range pc.clock {
@@ -570,6 +638,9 @@ func (pc *placer) forward(choose, grow bool) {
 		st := &pc.steps[i]
 		if choose && len(st.tails) >= 3 {
 			pc.choose(st, grow)
+		}
+		if choose && pc.serving && len(st.holders) > 0 {
+			pc.serve(st, serveGuarded)
 		}
 		for _, m := range pc.messages(st) {
 			deliver(pc.clock, m.src, m.dst, st.w[m.part])
@@ -585,7 +656,9 @@ func (pc *placer) score(st *placeStep, c candidate, w []int64) tick {
 		pc.pos[p] = pc.ready[m]
 	}
 	for p := 1; p < len(c.arr); p++ {
-		deliver(pc.pos, int(c.parent[p]), p, w[p])
+		if c.parent[p] >= 0 {
+			deliver(pc.pos, int(c.parent[p]), p, w[p])
+		}
 	}
 	var worst tick
 	for p, m := range c.arr {
@@ -596,14 +669,14 @@ func (pc *placer) score(st *placeStep, c candidate, w []int64) tick {
 
 // beats scores candidate c like score, weighing each edge as it is
 // delivered (edgeWord), and reports whether c is admissible against
-// asStands and scores below best. Every clock only grows as the edges
-// are delivered, so it gives up at the first edge after which the
-// longest path so far already fails either test.
-func (pc *placer) beats(st *placeStep, c candidate, asStands, best tick) (tick, bool) {
+// asStands and scores below best; tails[m] is member m's. Every clock
+// only grows as the edges are delivered, so it gives up at the first edge
+// after which the longest path so far already fails either test.
+func (pc *placer) beats(st *placeStep, c candidate, tails []tick, asStands, best tick) (tick, bool) {
 	var worst tick
 	for p, m := range c.arr {
 		pc.pos[p] = pc.ready[m]
-		worst = worst.max(pc.pos[p].add(st.tails[m]))
+		worst = worst.max(pc.pos[p].add(tails[m]))
 	}
 	var unions [][]uint64
 	if pc.perEdge {
@@ -611,8 +684,13 @@ func (pc *placer) beats(st *placeStep, c candidate, asStands, best tick) (tick, 
 	}
 	for p := 1; p < len(c.arr); p++ {
 		up := int(c.parent[p])
+		if up < 0 { // a mirror holder: what its subtree folds, transposed
+			rows, cols := st.need().axes(unions[p])
+			pc.held[p] = rect{rows, cols}
+			continue
+		}
 		deliver(pc.pos, up, p, pc.edgeWord(st, c, unions, p))
-		worst = worst.max(pc.pos[up].add(st.tails[c.arr[up]])).max(pc.pos[p].add(st.tails[c.arr[p]]))
+		worst = worst.max(pc.pos[up].add(tails[c.arr[up]])).max(pc.pos[p].add(tails[c.arr[p]]))
 		if !worst.within(asStands) || !worst.less(best) {
 			return worst, false
 		}
@@ -670,20 +748,24 @@ func precedes(sh *treeShape, key []tick, desc bool, a, b int32) bool {
 	return sh.rel[a] < sh.rel[b]
 }
 
-// grow builds a greedy tree into c: the recipients, in the order given,
-// each go to the holder — the root or a member placed before — that
-// minimises the longer of the two paths the send opens, the recipient's
-// arrival plus its tail and the holder's clock after the send plus its
-// own tail; ties go to the earlier arrival, then the earlier holder.
-func (pc *placer) grow(st *placeStep, recipients []int32, c candidate) {
+// grow builds a greedy tree into c: the members c.arr already lists at
+// positions below roots hold the payload at the start (the root, then a
+// mirror holder), and the recipients, in the order given, each go to the
+// holder — a root or a member placed before — that minimises the longer
+// of the two paths the send opens, the recipient's arrival plus its tail
+// and the holder's clock after the send plus its own tail; ties go to the
+// earlier arrival, then the earlier holder. tails[m] is member m's.
+func (pc *placer) grow(st *placeStep, tails []tick, roots int, recipients []int32, c candidate) {
 	w := st.w[0]
 	hold := pc.pos   // per position: the holder's clock after its sends so far
 	open := pc.opens // per position: the holder's path if it sends next
-	c.arr[0], c.parent[0], hold[0] = 0, -1, pc.ready[0]
-	open[0] = hold[0].plus(w).add(st.tails[0])
+	for p, m := range c.arr[:roots] {
+		c.parent[p], hold[p] = -1, pc.ready[m]
+		open[p] = hold[p].plus(w).add(tails[m])
+	}
 	for k, r := range recipients {
-		at := k + 1
-		ready, tail := pc.ready[r], st.tails[r]
+		at := roots + k
+		ready, tail := pc.ready[r], tails[r]
 		best := -1
 		var bestScore, bestArrive tick
 		for h, sent := range hold[:at] {
@@ -694,7 +776,7 @@ func (pc *placer) grow(st *placeStep, recipients []int32, c candidate) {
 			}
 		}
 		hold[best] = hold[best].plus(w)
-		open[best] = hold[best].plus(w).add(st.tails[c.arr[best]])
+		open[best] = hold[best].plus(w).add(tails[c.arr[best]])
 		hold[at], open[at] = bestArrive, bestArrive.plus(w).add(tail)
 		c.arr[at], c.parent[at] = r, int32(best)
 	}
@@ -741,7 +823,7 @@ func (pc *placer) choose(st *placeStep, grow bool) {
 	var best *candidate
 	bestScore := asStands
 	consider := func(c *candidate) {
-		if sc, ok := pc.beats(st, *c, asStands, bestScore); ok {
+		if sc, ok := pc.beats(st, *c, st.tails, asStands, bestScore); ok {
 			best, bestScore = c, sc
 		}
 	}
@@ -758,7 +840,8 @@ func (pc *placer) choose(st *placeStep, grow bool) {
 		for c, members := range [2][]int32{pc.byTail, pc.byReady} {
 			cand := &pc.cand[2+c]
 			cand.arr, cand.parent = cand.arr[:q], cand.parent[:q]
-			pc.grow(st, members, *cand)
+			cand.arr[0] = 0
+			pc.grow(st, st.tails, 1, members, *cand)
 			consider(cand)
 		}
 	}
@@ -783,6 +866,307 @@ func (pc *placer) choose(st *placeStep, grow bool) {
 		need.freeze(op, pc.union)
 		pc.weigh(st)
 	}
+}
+
+// findHolders lists every broadcast's possible mirror holders: the
+// owner of the mirror of an R4 or R3 panel (mirrorOwner), and for an R4
+// row-panel or R3 column broadcast of A(k,j) the consumers of the level's
+// column-panel or row broadcast of A(j,k), which captured their slice of
+// it before. A panel broadcast's pivot names its level, so its kind and
+// block name it. It returns the largest group plus holders, for the
+// scratch.
+func (pc *placer) findHolders() int {
+	n := pc.pl.NSup
+	at := make([]*placeStep, int(numOpKinds)*n*n) // by kind and block
+	key := func(kind uint8, bi, bj int) int { return (int(kind)*n+bi-1)*n + bj - 1 }
+	maxQ := 0
+	for i := range pc.steps {
+		st := &pc.steps[i]
+		op := st.op
+		if !isBcast(op.Kind) {
+			continue
+		}
+		at[key(op.Kind, op.BI, op.BJ)] = st
+		owner := mirrorOwner(op, pc.pl.NSup)
+		if owner < 0 {
+			continue
+		}
+		st.holders = []int{owner}
+		if pair := at[key(mirrorPair(op.Kind), op.BJ, op.BI)]; pair != nil {
+			st.pair = pair
+			for _, r := range pair.op.Consumers {
+				if r != owner {
+					st.holders = append(st.holders, r)
+				}
+			}
+		}
+		st.holderTails = make([]tick, len(st.holders))
+		maxQ = max(maxQ, len(op.Group)+len(st.holders))
+	}
+	return maxQ
+}
+
+// serveMode is how serve picks a tree: serveGuarded by choose's rule,
+// from every holder; serveOwner and serveAll take the greedy tree over
+// the members by descending tail whatever it costs, with the holders'
+// tails taken as empty — from the owner alone, or from every holder — and
+// leave the judging to pairRound's replay.
+type serveMode int
+
+const (
+	serveGuarded serveMode = iota
+	serveOwner
+	serveAll
+)
+
+// serve lets st's broadcast of A(BI,BJ) start from more than its root:
+// a mirror holder holds A(BJ,BI) = A(BI,BJ)ᵀ at that point of its
+// program — the owner its own block, a consumer of the pair broadcast the
+// slice it captured, which must cover every member's demand — so it can
+// send slices of the transpose without receiving anything, and a member
+// that holds it already stops receiving it. serve grows the greedy trees
+// from the root and every holder, each at a position of its own with
+// Parent -1, over the other members by descending tail and by ascending
+// ready clock, and installs the better one under
+// choose's rule: admissible against the tree as it stands — the holders'
+// paths, which the op does not touch yet, included — and fewer words,
+// then fewer messages; mode says otherwise (serveMode). A holder left
+// without a child leaves the group unless it folds the payload.
+func (pc *placer) serve(st *placeStep, mode serveMode) {
+	force := mode != serveGuarded
+	op, need := st.op, st.need()
+	g := op.Group
+	q := len(g)
+	for m, r := range g {
+		pc.ready[m] = pc.clock[r]
+	}
+	asStands := pc.score(st, candidate{pc.identity[:q], op.Parent}, st.w)
+	ranks := append(pc.mranks[:0], g...)
+	tails := append(pc.mtails[:0], st.tails...)
+	lead := append(pc.lead[:0], 0) // the members that hold the payload at the start
+	for c, r := range st.holders {
+		if c > 0 && (mode == serveOwner || !capturesMirror(st.pair.op, op, r, op.prune(0))) {
+			continue
+		}
+		switch m := position(g, r); {
+		case m == 0: // an R2 pivot's owner is its root
+		case m > 0: // a member that holds the payload already stops receiving it
+			lead = append(lead, int32(m))
+		default:
+			m = len(ranks)
+			ranks, tails = append(ranks, r), append(tails, st.holderTails[c])
+			if force {
+				tails[m] = tick{}
+			}
+			pc.ready[m] = pc.clock[r]
+			asStands = asStands.max(pc.ready[m].add(tails[m]))
+			lead = append(lead, int32(m))
+		}
+	}
+	n, roots := len(ranks), len(lead)
+	if roots == 1 || !force && pc.focus && asStands.words < pc.crit.words && asStands.msgs < pc.crit.msgs {
+		return
+	}
+	for m := q; m < n; m++ {
+		need.member = append(need.member, bitset(need.dim())) // a holder folds nothing
+	}
+	var best *candidate
+	bestScore := asStands
+	for c, desc := range [2]bool{true, false} {
+		key := pc.ready[:n]
+		if desc {
+			key = tails
+		}
+		pc.order = pc.order[:0]
+		for m := int32(1); m < int32(q); m++ {
+			if slices.Contains(lead, m) {
+				continue
+			}
+			i := len(pc.order)
+			pc.order = append(pc.order, m)
+			for ; i > 0 && before(key, desc, m, pc.order[i-1]); i-- {
+				pc.order[i] = pc.order[i-1]
+			}
+			pc.order[i] = m
+		}
+		cand := &pc.cand[2+c]
+		cand.arr, cand.parent = cand.arr[:n], cand.parent[:n]
+		copy(cand.arr, lead)
+		pc.grow(st, tails, roots, pc.order, *cand)
+		if force { // the replay judges it
+			best = cand
+			break
+		}
+		if sc, ok := pc.beats(st, *cand, tails, asStands, bestScore); ok {
+			best, bestScore = cand, sc
+		}
+	}
+	if best == nil {
+		need.member = need.member[:q]
+		return
+	}
+	// Install best without the childless holders that fold nothing.
+	kids := make([]int32, n)
+	for p := 1; p < n; p++ {
+		if up := best.parent[p]; up >= 0 {
+			kids[up]++
+		}
+	}
+	at := make([]int32, n)
+	var group []int
+	var parent []int32
+	var member [][]uint64
+	st.tails = st.tails[:0:0]
+	for p, m := range best.arr {
+		if p > 0 && p < roots && kids[p] == 0 && !contains(op.Consumers, ranks[m]) {
+			continue
+		}
+		at[p] = int32(len(group))
+		up := best.parent[p]
+		if up >= 0 {
+			up = at[up]
+		}
+		group, parent = append(group, ranks[m]), append(parent, up)
+		member, st.tails = append(member, need.member[m]), append(st.tails, tails[m])
+	}
+	op.Group, op.Parent, need.member = group, parent, member
+	if len(st.w) != len(group) {
+		st.w = make([]int64, len(group))
+	}
+	need.freeze(op, pc.union)
+	pc.weigh(st)
+}
+
+// servedByMirror reports whether broadcast op lists a mirror holder.
+func servedByMirror(op *Op) bool {
+	for p := range op.Group {
+		if op.holdsMirror(p) {
+			return true
+		}
+	}
+	return false
+}
+
+// replay replays the clocks in execution order like forward, from step
+// i on and the clocks from (all zero when nil), calling hook (if any) on
+// each step before its messages, and returns the critical path.
+func (pc *placer) replay(i int, from []tick, hook func(*placeStep)) tick {
+	if from == nil {
+		clear(pc.clock)
+	} else {
+		copy(pc.clock, from)
+	}
+	for ; i < len(pc.steps); i++ {
+		st := &pc.steps[i]
+		if hook != nil {
+			hook(st)
+		}
+		for _, m := range pc.messages(st) {
+			deliver(pc.clock, m.src, m.dst, st.w[m.part])
+		}
+	}
+	return pc.critical()
+}
+
+// pairRound tries, for every pair of panel broadcasts of a block and its
+// mirror, serving both from both owners at once: the earlier broadcast's
+// root owns the later one's payload transposed and the later one's root
+// the earlier one's, so each can take the other's sends. Neither move
+// alone shortens a path when both roots are busy with their own
+// fan-outs, so serve never takes it; the schedule is replayed from the
+// earlier broadcast on under each of serve's two forcing modes, and the
+// better is kept if the critical path gets no longer in either
+// component. Like the focused rounds it tries only the pairs with a
+// member on a critical path as the round starts, at the tails of the
+// trees as they stand — so a second round re-grows the pairs the first
+// served, knowing which members now serve.
+func (pc *placer) pairRound() {
+	pc.backward()
+	pc.crit = pc.longest()
+	onPath := make([]bool, len(pc.steps))
+	crit := pc.replay(0, nil, func(st *placeStep) {
+		if st.holders == nil {
+			return
+		}
+		q := len(st.op.Group)
+		for m, r := range st.op.Group {
+			pc.ready[m] = pc.clock[r]
+		}
+		s := pc.score(st, candidate{pc.identity[:q], st.op.Parent}, st.w)
+		onPath[st.index] = s.words >= pc.crit.words
+	})
+	lateOf := make(map[int]*placeStep)
+	for i := range pc.steps {
+		late := &pc.steps[i]
+		if early := late.pair; early != nil && late.op.Kind != opR2Right && (onPath[i] || onPath[early.index]) {
+			lateOf[early.index] = late
+		}
+	}
+	at := make([]tick, len(pc.clock)) // the clocks before step i
+	for i := range pc.steps {
+		early := &pc.steps[i]
+		if late := lateOf[i]; late != nil {
+			pick, best := serveGuarded, crit
+			for _, mode := range [2]serveMode{serveAll, serveOwner} {
+				undo := pc.saveSteps(early, late)
+				if now := pc.replay(i, at, pc.servePair(early, late, mode)); now.within(best) && (pick == serveGuarded || now.less(best)) {
+					pick, best = mode, now
+				}
+				undo()
+			}
+			if pick != serveGuarded {
+				crit = pc.replay(i, at, pc.servePair(early, late, pick))
+			}
+		}
+		for _, m := range pc.messages(early) {
+			deliver(at, m.src, m.dst, early.w[m.part])
+		}
+	}
+}
+
+// servePair is the replay hook that serves early and late in mode.
+func (pc *placer) servePair(early, late *placeStep, mode serveMode) func(*placeStep) {
+	return func(st *placeStep) {
+		if st == early || st == late {
+			pc.serve(st, mode)
+		}
+	}
+}
+
+// saveSteps records what serve replaces of the given steps and returns
+// the function that puts it back.
+func (pc *placer) saveSteps(steps ...*placeStep) (undo func()) {
+	type saved struct {
+		group  []int
+		parent []int32
+		prune  []*PruneSpec
+		member [][]uint64
+		w      []int64
+		tails  []tick
+	}
+	was := make([]saved, len(steps))
+	for i, st := range steps {
+		was[i] = saved{st.op.Group, st.op.Parent, st.op.Prune, st.need().member, slices.Clone(st.w), st.tails}
+	}
+	return func() {
+		for i, st := range steps {
+			s := was[i]
+			st.op.Group, st.op.Parent, st.op.Prune, st.need().member, st.w, st.tails = s.group, s.parent, s.prune, s.member, s.w, s.tails
+		}
+	}
+}
+
+// before orders serve's recipients like sortMembers: by key, ascending or
+// descending, ties by member index.
+func before(key []tick, desc bool, a, b int32) bool {
+	ka, kb := key[a], key[b]
+	if desc {
+		ka, kb = kb, ka
+	}
+	if ka != kb {
+		return ka.less(kb)
+	}
+	return a < b
 }
 
 // dropMirrors removes the receipts a rank can do without: a rank that
@@ -861,7 +1245,9 @@ func dropLeaves(op *Op, need *bcastNeed, drop func(r int) bool) {
 	q := len(op.Group)
 	relays := make([]bool, q)
 	for p := 1; p < q; p++ {
-		relays[op.Parent[p]] = true
+		if !op.holdsMirror(p) {
+			relays[op.Parent[p]] = true
+		}
 	}
 	at := make([]int32, q) // old position -> new
 	n := 0
@@ -872,8 +1258,10 @@ func dropLeaves(op *Op, need *bcastNeed, drop func(r int) bool) {
 		}
 		at[p] = int32(n)
 		op.Group[n] = r
-		if p > 0 {
+		if p > 0 && !op.holdsMirror(p) {
 			op.Parent[n] = at[op.Parent[p]]
+		} else if p > 0 {
+			op.Parent[n] = -1
 		}
 		if need != nil {
 			need.member[n] = need.member[p]

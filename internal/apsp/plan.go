@@ -92,14 +92,19 @@ func isBcast(kind uint8) bool {
 // to its children in position order, so the tree — who relays, to whom,
 // in which order — decides the charged critical path. placeTrees
 // (place.go) chooses it. Members outside Consumers only relay, which
-// beyond the root happens in R2 pivot groups alone.
+// beyond the root happens in R2 pivot groups alone. On the pruned wire a
+// broadcast of A(BI,BJ) may also list mirror holders, with Parent -1:
+// ranks that already hold A(BJ,BI) = A(BI,BJ)ᵀ — its owner, or a consumer
+// of the level's earlier broadcast of it (mirrorOwner, capturesMirror).
+// A holder receives nothing and sends its children slices of what it
+// holds, transposed (Plan.mirrorHeld).
 type Op struct {
 	Kind      uint8
 	BI, BJ    int     // the block the op ships, reduces into or updates
 	K         int     // unit and seq: the pivot of A(BI,K) ⊗ A(K,BJ); 0 otherwise
 	Root      int     // broadcast root; reduce, seq and transpose destination; diag and unit rank
 	Group     []int   // broadcast members in receive order, Root first; reduce members; seq: the owners of A(BI,K), A(K,BJ); transpose: the source
-	Parent    []int32 // broadcast: Group[i] receives from Group[Parent[i]]; Parent[0] = -1, Parent[i] < i; nil for the other kinds
+	Parent    []int32 // broadcast: Group[i] receives from Group[Parent[i]]; Parent[0] = -1, else Parent[i] < i or -1 for a mirror holder; nil for the other kinds
 	Consumers []int   // the broadcast members that act on the payload
 	// Prune holds the symbolic demand descriptors of the op's payloads,
 	// one per message part (msg.part). A broadcast has one per position:
@@ -133,6 +138,60 @@ func (op *Op) payload(part int) (int, int) {
 	return op.K, op.BJ
 }
 
+// mirrorOwner returns the rank owning the mirror of the block broadcast
+// op ships, which may serve the broadcast as a holder (Op), or -1 when op
+// takes none: the R4 and R3 panel broadcasts do, whose mirror A(BJ,BI)
+// its owner holds, current, from the level's R2 step on — R4 writes
+// blocks with both coordinates above the level, R3 blocks with neither
+// at it. An R2 pivot is its own mirror, owned by the root.
+func mirrorOwner(op *Op, nsup int) int {
+	switch op.Kind {
+	case opR2Right, opR4Aik, opR4Akj, opR3Row, opR3Col:
+		return (op.BJ-1)*nsup + op.BI - 1
+	}
+	return -1
+}
+
+// prunedAxis is the axis a panel broadcast's descriptor spec keeps a
+// list on: the columns of a left operand — an R2 row pivot, an R4 column
+// panel, an R3 row panel — else the rows.
+func prunedAxis(kind uint8, spec *PruneSpec) []int32 {
+	switch {
+	case spec == nil:
+		return nil
+	case kind == opR2Right || kind == opR4Aik || kind == opR3Row:
+		return spec.Cols
+	}
+	return spec.Rows
+}
+
+// capturesMirror reports whether rank r, a consumer of pair — the
+// broadcast of A(j,k) that the level runs before later's of A(k,j) —
+// decoded every index of A(k,j) = A(j,k)ᵀ that spec keeps on later's
+// pruned axis: the slice of A(j,k) it kept on pair's.
+func capturesMirror(pair, later *Op, r int, spec *PruneSpec) bool {
+	return contains(pair.Consumers, r) &&
+		axisCovers(prunedAxis(pair.Kind, pair.prune(position(pair.Group, r))), prunedAxis(later.Kind, spec))
+}
+
+// mirrorPair is the kind of the broadcast of a payload's mirror that the
+// level runs before a broadcast of kind, whose consumers may hold it; 0
+// for none.
+func mirrorPair(kind uint8) uint8 {
+	switch kind {
+	case opR2Right:
+		return opR2Left
+	case opR4Akj:
+		return opR4Aik
+	case opR3Col:
+		return opR3Row
+	}
+	return 0
+}
+
+// holdsMirror reports whether broadcast position i is a mirror holder.
+func (op *Op) holdsMirror(i int) bool { return i > 0 && i < len(op.Parent) && op.Parent[i] < 0 }
+
 // msg is one point-to-point message of an op: src sends the op's
 // part-th payload to dst. A broadcast's part is the receiver's position,
 // whose subtree demand (Op.Prune) the message carries.
@@ -157,7 +216,9 @@ func appendMessages(buf []msg, op *Op) []msg {
 	switch kind := op.Kind; {
 	case isBcast(kind):
 		for i := 1; i < q; i++ {
-			buf = append(buf, msg{group[op.Parent[i]], group[i], i})
+			if !op.holdsMirror(i) {
+				buf = append(buf, msg{group[op.Parent[i]], group[i], i})
+			}
 		}
 	case kind == opReduce:
 		rootPos := max(position(group, root), 0)

@@ -19,7 +19,7 @@ import (
 //
 // Format (all integers signed varints):
 //
-//	magic "SAPLAN10"                    (8 bytes; version is part of the magic)
+//	magic "SAPLAN11"                    (8 bytes; version is part of the magic)
 //	body:
 //	  P, H, NSup, Wire, R4Seq
 //	  ND.Perm, ND.Sizes                 (length-prefixed)
@@ -73,7 +73,12 @@ import (
 // 10: on the pruned wire R3 computes each sink block in one orientation
 // (sinkMirror) — an 09 file hands the mirror its panels too and would
 // replay with more messages and words.
-const planMagic = "SAPLAN10"
+// 11: on the pruned wire R2 pivots and diagonal-block reduces ship as
+// triangles, the trees are re-placed at those prices, and a broadcast may
+// list mirror holders (Parent -1 past position 0) — a 10 file holds trees
+// placed at the rectangle prices with no holder and would replay with
+// other critical counts.
+const planMagic = "SAPLAN11"
 
 // Encode serializes the plan to its deterministic binary form.
 func (p *Plan) Encode() []byte {
@@ -404,9 +409,9 @@ func (v *planValidator) group(group []int) error {
 func (v *planValidator) inGroup(r int) bool { return v.rank(r) && v.member[r] == v.epoch }
 
 // tree validates a broadcast's Parent list — one entry per member, -1
-// for the root, an earlier position for every other member — which is
-// what appendMessages and comm.Ctx.BcastTree take as given; every other
-// kind carries none.
+// for the root and a mirror holder (which level checks), an earlier
+// position for every other member — which is what appendMessages and
+// comm.Ctx.BcastTree take as given; every other kind carries none.
 func (v *planValidator) tree(op *Op) error {
 	name := dfKindNames[op.Kind]
 	if !isBcast(op.Kind) {
@@ -420,6 +425,7 @@ func (v *planValidator) tree(op *Op) error {
 	}
 	for i, up := range op.Parent[1:] {
 		switch {
+		case up == -1:
 		case up < 0 || int(up) >= len(op.Group):
 			return v.errorf("%s member at position %d has parent %d out of range", name, i+1, up)
 		case int(up) > i:
@@ -478,7 +484,7 @@ func (v *planValidator) prunes(op *Op) error {
 		case !isBcast(op.Kind):
 		case zeroDiag(spec) != zeroDiag(op.Prune[0]):
 			return v.errorf("%s op mixes ZeroDiag values", name)
-		case part > 0 && !covers(op.Prune[op.Parent[part]], spec):
+		case part > 0 && !covers(op.Prune[max(op.Parent[part], 0)], spec):
 			return v.errorf("%s position %d keeps entries its parent's payload drops", name, part)
 		}
 	}
@@ -593,6 +599,13 @@ func (v *planValidator) level(l int, ops []Op) error {
 		if x > 0 && opPhase[op.Kind] < opPhase[ops[x-1].Kind] {
 			return v.errorf("%s op after a %s op", dfKindNames[op.Kind], dfKindNames[ops[x-1].Kind])
 		}
+		for p := range op.Group {
+			if op.holdsMirror(p) {
+				if err := v.holder(op, p, ops[:x]); err != nil {
+					return err
+				}
+			}
+		}
 		switch held := v.held[op.Kind]; {
 		case op.Kind == opUnit:
 			if v.unit[op.Root] >= 0 {
@@ -638,6 +651,30 @@ func (v *planValidator) level(l int, ops []Op) error {
 		}
 	}
 	return nil
+}
+
+// holder validates the mirror holder at position p of broadcast op, a
+// member with no parent: on the pruned wire, either the owner of the
+// payload's mirror (mirrorOwner) or a consumer of the level's earlier
+// broadcast of that mirror whose descriptor there covers what its subtree
+// here is sent (capturesMirror).
+func (v *planValidator) holder(op *Op, p int, earlier []Op) error {
+	r, name := op.Group[p], dfKindNames[op.Kind]
+	switch owner := mirrorOwner(op, v.nsup); {
+	case !v.pruned || owner < 0:
+		return v.errorf("%s member at position %d has no parent", name, p)
+	case r == owner:
+		return nil
+	}
+	for y := len(earlier) - 1; y >= 0; y-- {
+		if pair := &earlier[y]; pair.Kind == mirrorPair(op.Kind) && pair.BI == op.BJ && pair.BJ == op.BI {
+			if capturesMirror(pair, op, r, op.prune(p)) {
+				return nil
+			}
+			break
+		}
+	}
+	return v.errorf("%s mirror holder %d at position %d holds no slice of (%d,%d) covering its subtree", name, r, p, op.BJ, op.BI)
 }
 
 func firstErr(errs ...error) error {

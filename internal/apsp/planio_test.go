@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"sparseapsp/internal/comm"
@@ -316,11 +317,13 @@ func addLevel1R3(pl *Plan) {
 // descriptors were per edge (one per broadcast, with more words),
 // SAPLAN07 from before a rank that folds a panel against its mirror left
 // the mirror's broadcast, SAPLAN08 from before the trees were re-placed
-// at exact prices after that drop, and SAPLAN09 from before R3 computed
-// each sink block in one orientation. The SAPLAN04 to 09 testdata files
-// are the ones those writers saved for this grid. Serving any of them
-// would silently replay the old schedule's costs or someone else's
-// schedule, so it must count as a disk error, be rebuilt and be
+// at exact prices after that drop, SAPLAN09 from before R3 computed
+// each sink block in one orientation, and SAPLAN10 from before pivots and
+// diagonal reduces shipped as triangles and mirror holders served panel
+// broadcasts (trees placed at the old prices). The SAPLAN04 to 10
+// testdata files are the ones those writers saved for this grid. Serving
+// any of them would silently replay the old schedule's costs or someone
+// else's schedule, so it must count as a disk error, be rebuilt and be
 // overwritten in the current format.
 func TestPlanStoreRejectsStaleFormat(t *testing.T) {
 	g := graph.Grid2D(12, 12, graph.UnitWeights)
@@ -361,6 +364,7 @@ func TestPlanStoreRejectsStaleFormat(t *testing.T) {
 		{"SAPLAN07", nil, nil},
 		{"SAPLAN08", nil, nil},
 		{"SAPLAN09", nil, nil},
+		{"SAPLAN10", nil, nil},
 	} {
 		dir := t.TempDir()
 		var old, file []byte
@@ -472,12 +476,96 @@ func unrunnableGroupPlans(t testing.TB) []unrunnablePlan {
 		t.Fatalf("fixture plan has no %s op over %d members", dfKindNames[kind], minGroup)
 		return nil
 	}
+	// addHolder lists rank r in broadcast op as a childless mirror
+	// holder whose subtree is sent spec.
+	addHolder := func(op *Op, r int, spec *PruneSpec) {
+		op.Group, op.Parent = append(op.Group, r), append(op.Parent, -1)
+		if op.Prune != nil {
+			op.Prune = append(op.Prune, spec)
+		}
+	}
+	// outsider is a rank neither in op's group nor holding its mirror.
+	outsider := func(pl *Plan, op *Op, pair *Op) int {
+		for r := 0; r < pl.P; r++ {
+			if !contains(op.Group, r) && r != mirrorOwner(op, pl.NSup) && (pair == nil || !contains(pair.Consumers, r)) {
+				return r
+			}
+		}
+		t.Fatal("fixture plan has no rank outside a broadcast")
+		return -1
+	}
+	// pairOf is the level's earlier broadcast of op's mirror, nil if none.
+	pairOf := func(ops []Op, op *Op) *Op {
+		for y := range ops {
+			if p := &ops[y]; p.Kind == mirrorPair(op.Kind) && p.BI == op.BJ && p.BJ == op.BI {
+				return p
+			}
+		}
+		return nil
+	}
 	var out []unrunnablePlan
 	for _, fx := range []struct {
 		name string
 		r4   R4Strategy
 		edit func(pl *Plan)
 	}{
+		{"mirror holder on the dense wire", R4Mapped, func(pl *Plan) {
+			for _, ops := range pl.Levels {
+				for x := range ops {
+					if isBcast(ops[x].Kind) && servedByMirror(&ops[x]) {
+						pl.Wire = WireDense
+						stripPrunes(pl)
+						return
+					}
+				}
+			}
+			t.Fatal("fixture plan has no mirror holder")
+		}},
+		{"mirror holder owning no mirror and holding no slice", R4Mapped, func(pl *Plan) {
+			for _, ops := range pl.Levels {
+				for x := range ops {
+					if op := &ops[x]; op.Kind == opR3Col {
+						addHolder(op, outsider(pl, op, pairOf(ops, op)), op.prune(0))
+						return
+					}
+				}
+			}
+			t.Fatal("fixture plan has no R3 column broadcast")
+		}},
+		{"mirror holder of an R2 column pivot", R4Mapped, func(pl *Plan) {
+			op := first(pl, opR2Left, 2)
+			addHolder(op, outsider(pl, op, nil), op.prune(0))
+		}},
+		{"mirror holder whose slice misses its subtree's demand", R4Mapped, func(pl *Plan) {
+			for _, ops := range pl.Levels {
+				for x := range ops {
+					late := &ops[x]
+					pair := pairOf(ops, late)
+					if pair == nil {
+						continue
+					}
+					whole := prunedAxis(late.Kind, late.prune(0))
+					for _, c := range pair.Consumers {
+						kept := prunedAxis(pair.Kind, pair.prune(position(pair.Group, c)))
+						if contains(late.Group, c) || kept == nil {
+							continue
+						}
+						for r := int32(0); int(r) < pl.ND.Sizes[late.BI]; r++ {
+							if slices.Contains(kept, r) || whole != nil && !slices.Contains(whole, r) {
+								continue
+							}
+							spec := &PruneSpec{Rows: []int32{r}, ZeroDiag: late.Kind == opR2Right}
+							if late.Kind == opR2Right {
+								spec.Rows, spec.Cols = nil, spec.Rows
+							}
+							addHolder(late, c, spec)
+							return
+						}
+					}
+				}
+			}
+			t.Fatal("fixture plan has no pair-broadcast consumer missing an index of the later broadcast's demand")
+		}},
 		{"R3 group lacks its root", R4Mapped, func(pl *Plan) {
 			op := first(pl, opR3Row, 3)
 			op.Group, op.Parent = op.Group[1:], op.Parent[1:] // the root is first
@@ -729,19 +817,29 @@ func dropUnitOperand(t testing.TB, pl *Plan, kind uint8, diagonal bool) {
 // relay can forward only what it received. Which tree it is, is free.
 func TestDecodePlanRejectsUnrunnableGroups(t *testing.T) {
 	for _, fx := range unrunnableGroupPlans(t) {
-		if _, err := DecodePlan(fx.enc); err == nil {
+		_, err := DecodePlan(fx.enc)
+		switch {
+		case err == nil:
 			t.Errorf("%s: decoded without error", fx.name)
+		case strings.HasPrefix(fx.name, "mirror holder") && !strings.Contains(err.Error(), "holder") && !strings.Contains(err.Error(), "no parent"):
+			t.Errorf("%s: rejected for another reason: %v", fx.name, err)
 		}
 	}
 	// Any tree over a valid set decodes: reversing a group's tail keeps
 	// the set and the parent list and moves only who sits where.
+	// A mirror holder keeps its position: it holds the payload, the
+	// others receive it.
 	pl := buildTestPlan(t, graph.Grid2D(8, 8, graph.UnitWeights), 49, WirePruned, R4Mapped)
 	for _, ops := range pl.Levels {
 		for _, op := range ops {
 			if op.Kind != opR3Row && op.Kind != opR3Col {
 				continue
 			}
-			for i, j := 1, len(op.Group)-1; i < j; i, j = i+1, j-1 {
+			i := 1
+			for op.holdsMirror(i) {
+				i++
+			}
+			for j := len(op.Group) - 1; i < j; i, j = i+1, j-1 {
 				op.Group[i], op.Group[j] = op.Group[j], op.Group[i]
 			}
 		}

@@ -24,8 +24,9 @@ import (
 // payloads, never the schedule, so they are the counts of the
 // mask-skipped schedule alone (re-pinned with it, EXPERIMENTS.md E29,
 // and when R3 stopped handing a sink's mirror its panels, E46), less
-// one per member dropMirrors removes — which members those are
-// depends on the trees, so the total no longer bounds dense's (E44).
+// one per member dropMirrors removes or that holds its payload's mirror
+// and stops receiving (E47) — which members those are depends on the
+// trees, so the total no longer bounds dense's (E44).
 func TestPrunedWireMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	cases := []struct {
@@ -145,15 +146,20 @@ func TestWordsByClassBreakdown(t *testing.T) {
 	}
 }
 
-// mirrorMembers counts the members past the root of pl's R4 row-panel
-// and R3 column broadcasts, the two kinds dropMirrors removes members
+// mirrorMembers counts the members of pl's R4 row-panel and R3 column
+// broadcasts that receive, the two kinds dropMirrors removes members
 // from: the messages those broadcasts send.
 func mirrorMembers(pl *Plan) int64 {
 	var n int64
 	for _, ops := range pl.Levels {
 		for _, op := range ops {
-			if op.Kind == opR4Akj || op.Kind == opR3Col {
-				n += int64(len(op.Group) - 1)
+			if op.Kind != opR4Akj && op.Kind != opR3Col {
+				continue
+			}
+			for p := 1; p < len(op.Group); p++ {
+				if !op.holdsMirror(p) { // a mirror holder receives nothing
+					n++
+				}
 			}
 		}
 	}

@@ -103,7 +103,8 @@ func (c *Ctx) BcastTree(group []int, parent []int32, tag int, data []float64) []
 // forward(child, held) returns what group[child] is sent, given the
 // payload this member holds — the root's data, or what it received. A
 // nil forward sends the held payload itself. The return value is still
-// the held payload.
+// the held payload. A member past position 0 whose parent is -1 is a root
+// too: it already holds data, receives nothing and only sends.
 func (c *Ctx) BcastTreeEach(group []int, parent []int32, tag int, data []float64, forward func(child int, held []float64) []float64) []float64 {
 	checkTag(tag)
 	if len(group) == 0 {
@@ -113,7 +114,7 @@ func (c *Ctx) BcastTreeEach(group []int, parent []int32, tag int, data []float64
 		panic(fmt.Sprintf("comm: broadcast tree has %d parents for %d members", len(parent), len(group)))
 	}
 	pos := groupPos(group, c.rank)
-	if pos > 0 {
+	if pos > 0 && parent[pos] != -1 {
 		from := int(parent[pos])
 		if from < 0 || from >= pos {
 			panic(fmt.Sprintf("comm: broadcast member at position %d has parent %d, not an earlier position", pos, from))

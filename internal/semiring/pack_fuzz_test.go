@@ -66,6 +66,14 @@ func FuzzPackRoundTrip(f *testing.F) {
 		}
 	}
 	f.Add(id, uint8(3), uint8(3), []byte{0x0f, 0xf0}, true)
+	// Pivot blocks for the triangle encoding: S = every index, S empty
+	// (rows and columns kept on disjoint indices), and the cores that
+	// must fall back to the rectangle (triangleSeeds).
+	for _, block := range triangleSeeds() {
+		f.Add(block, uint8(4), uint8(4), []byte{0xff, 0xff}, true)
+		f.Add(block, uint8(4), uint8(4), []byte{0x03, 0x0c}, true)
+		f.Add(block, uint8(4), uint8(4), []byte{0x07, 0x0e}, true)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, rows, cols uint8, mask []byte, zeroDiag bool) {
 		r, c := int(rows%24), int(cols%24)
@@ -265,6 +273,22 @@ func FuzzUnpackMalformed(f *testing.F) {
 	}
 	f.Add(prunedBytes, uint8(4), uint8(4))
 	f.Add(prunedBytes[:16], uint8(4), uint8(4)) // truncated pruned header
+	pivot := NewMatrix(4, 4)
+	pivot.Fill(2)
+	for r := 0; r < 4; r++ {
+		pivot.Set(r, r, 0)
+	}
+	tri := triangleBytes(PackPruned(pivot, []int32{0, 1, 2}, []int32{1, 2, 3}, true))
+	if tri[7] != 0x40 || tri[6] != 0x10 { // the tag, 4.0
+		f.Fatal("the triangle seed is not a triangle payload")
+	}
+	f.Add(tri, uint8(4), uint8(4))
+	f.Add(tri, uint8(4), uint8(5))              // a triangle for a block that is not square
+	f.Add(tri[:len(tri)-8], uint8(4), uint8(4)) // one body word short
+	swapped := append([]byte(nil), tri...)
+	copy(swapped[24:32], tri[32:40]) // rows listed out of order
+	copy(swapped[32:40], tri[24:32])
+	f.Add(swapped, uint8(4), uint8(4))
 
 	f.Fuzz(func(t *testing.T, data []byte, rows, cols uint8) {
 		r, c := int(rows%24), int(cols%24)
