@@ -284,7 +284,7 @@ func TestServedWirePinned(t *testing.T) {
 		words, msgs, total int64
 	}{
 		{"grid32x32", Grid2D(32, 32, w(1)), 49, 49399, 18, 132},
-		{"cycle800", Cycle(800, w(2)), 961, 1676, 39, 2579},
+		{"cycle800", Cycle(800, w(2)), 961, 1670, 34, 2190},
 	} {
 		def, err := Solve(tc.g, Options{P: tc.p, Seed: 42})
 		if err != nil {

@@ -24,7 +24,8 @@ import (
 // mirror (DESIGN.md §3 "Mirror operands", E44), and a descent at exact
 // prices re-places the trees that remain (E45), letting ranks that hold a
 // panel's mirror serve it as extra roots (DESIGN.md §3 "Mirror holders",
-// E47). The messages are
+// E47); last, dropDead takes out the work whose result is already known
+// (dead.go, DESIGN.md §3 "Dead work", E48). The messages are
 // appendMessages', the expansion the dataflow lowering wires, so the
 // clock replayed here is the one the executors charge
 // (TestPlanClockIsExact).
@@ -297,13 +298,17 @@ const (
 
 // placeTrees chooses the tree of every broadcast (chooseTrees), drops
 // the members that fold a panel against its own mirror (dropMirrors),
-// and on the pruned wire re-places the trees at exact prices (descend);
-// see the file comment and DESIGN.md §3. It must run after attachPrunes
+// and on the pruned wire re-places the trees at exact prices (descend)
+// and drops the work whose result is already known (dropDead); see the
+// file comment and DESIGN.md §3. It must run after attachPrunes
 // (sends is what it returned) and before indexRanks.
 func placeTrees(pl *Plan, sends map[*Op]*sendDemand) {
 	chooseTrees(pl, sends)
 	sends = dropMirrors(pl, sends)
-	descend(pl, sends)
+	if len(sends) == 0 {
+		return // WireDense: no demand to descend by, nothing provably dead
+	}
+	dropDead(pl, descend(pl, sends))
 }
 
 // chooseTrees chooses the tree of every broadcast. The placeRounds
@@ -350,12 +355,11 @@ func chooseTrees(pl *Plan, sends map[*Op]*sendDemand) {
 // drop: a leaf's demand leaves its ancestors' edges, which almost always
 // only shortens them, but an edge that then fits the classic encoding
 // hands its relay more of the block to re-pack from, so a drop that would
-// lengthen the critical path is undone. The dense wire has no demand, and keeps the trees chooseTrees
-// gave it.
-func descend(pl *Plan, sends map[*Op]*sendDemand) {
-	if len(sends) == 0 {
-		return
-	}
+// lengthen the critical path is undone. It returns the placer of its
+// last round, whose steps hold what the demand sweep knows of every op
+// that sends. The dense wire has no demand, and keeps the trees
+// chooseTrees gave it.
+func descend(pl *Plan, sends map[*Op]*sendDemand) *placer {
 	pc := newPlacer(pl, sends, true)
 	pc.perEdge = true
 	pc.backward()
@@ -380,25 +384,23 @@ func descend(pl *Plan, sends map[*Op]*sendDemand) {
 	for round := 0; round < pairRounds; round++ {
 		pc.pairRound()
 	}
+	return pc
 }
 
-// saveForDrop records what dropMirrors edits in place — every level's op
-// list and, of each R4 row-panel and R3 column broadcast, its member
-// lists and per-member demand — and returns the function that puts it
-// back, after which sends, keyed by the ops' addresses before the drop,
-// holds again.
+// saveForDrop records what a drop (dropMirrors, dropDead) replaces —
+// every level's op list, and each broadcast's per-member demand list;
+// dropLeaves edits copies of the lists it changes — and returns the
+// function that puts it back, after which sends, keyed by the ops'
+// addresses before the drop, holds again.
 func saveForDrop(pl *Plan, sends map[*Op]*sendDemand) (undo func()) {
 	levels := make([][]Op, len(pl.Levels))
-	var needs []*bcastNeed
-	var members [][][]uint64
 	for li, ops := range pl.Levels {
 		levels[li] = slices.Clone(ops)
-		for x := range ops {
-			if op := &levels[li][x]; op.Kind == opR4Akj || op.Kind == opR3Col {
-				op.Group, op.Parent, op.Consumers = slices.Clone(op.Group), slices.Clone(op.Parent), slices.Clone(op.Consumers)
-				need := sends[&ops[x]].need
-				needs, members = append(needs, need), append(members, slices.Clone(need.member))
-			}
+	}
+	members := make(map[*bcastNeed][][]uint64, len(sends))
+	for _, sd := range sends {
+		if sd.need != nil {
+			members[sd.need] = sd.need.member
 		}
 	}
 	return func() {
@@ -406,8 +408,8 @@ func saveForDrop(pl *Plan, sends map[*Op]*sendDemand) (undo func()) {
 			pl.Levels[li] = pl.Levels[li][:len(ops)] // the array the drop compacted
 			copy(pl.Levels[li], ops)
 		}
-		for i, need := range needs {
-			need.member = members[i]
+		for need, member := range members {
+			need.member = member
 		}
 	}
 }
@@ -972,6 +974,7 @@ func (pc *placer) serve(st *placeStep, mode serveMode) {
 	}
 	var best *candidate
 	bestScore := asStands
+	relayed := op.Kind == opR2Left || op.Kind == opR2Right // a pivot's members that fold nothing relay it
 	for c, desc := range [2]bool{true, false} {
 		key := pc.ready[:n]
 		if desc {
@@ -979,8 +982,8 @@ func (pc *placer) serve(st *placeStep, mode serveMode) {
 		}
 		pc.order = pc.order[:0]
 		for m := int32(1); m < int32(q); m++ {
-			if slices.Contains(lead, m) {
-				continue
+			if slices.Contains(lead, m) || !relayed && !contains(op.Consumers, g[m]) {
+				continue // a holder this mode does not serve from needs nothing
 			}
 			i := len(pc.order)
 			pc.order = append(pc.order, m)
@@ -990,7 +993,7 @@ func (pc *placer) serve(st *placeStep, mode serveMode) {
 			pc.order[i] = m
 		}
 		cand := &pc.cand[2+c]
-		cand.arr, cand.parent = cand.arr[:n], cand.parent[:n]
+		cand.arr, cand.parent = cand.arr[:roots+len(pc.order)], cand.parent[:roots+len(pc.order)]
 		copy(cand.arr, lead)
 		pc.grow(st, tails, roots, pc.order, *cand)
 		if force { // the replay judges it
@@ -1007,7 +1010,7 @@ func (pc *placer) serve(st *placeStep, mode serveMode) {
 	}
 	// Install best without the childless holders that fold nothing.
 	kids := make([]int32, n)
-	for p := 1; p < n; p++ {
+	for p := 1; p < len(best.arr); p++ {
 		if up := best.parent[p]; up >= 0 {
 			kids[up]++
 		}
@@ -1035,6 +1038,18 @@ func (pc *placer) serve(st *placeStep, mode serveMode) {
 	}
 	need.freeze(op, pc.union)
 	pc.weigh(st)
+}
+
+// relays reports, per position of broadcast op, whether the member sends
+// to another.
+func (op *Op) relays() []bool {
+	relays := make([]bool, len(op.Group))
+	for p := 1; p < len(op.Group); p++ {
+		if !op.holdsMirror(p) {
+			relays[op.Parent[p]] = true
+		}
+	}
+	return relays
 }
 
 // servedByMirror reports whether broadcast op lists a mirror holder.
@@ -1193,15 +1208,11 @@ func before(key []tick, desc bool, a, b int32) bool {
 // Deleting ops moves the ones after them, so it returns sends keyed by
 // the ops' new addresses (nil under WireDense).
 func dropMirrors(pl *Plan, sends map[*Op]*sendDemand) map[*Op]*sendDemand {
-	var moved map[*Op]*sendDemand
-	if sends != nil {
-		moved = make(map[*Op]*sendDemand, len(sends))
-	}
 	type fold struct {
 		kind uint8 // the broadcast of the mirror panel
 		rank int
 	}
-	for li, ops := range pl.Levels {
+	return compactLevels(pl, sends, func(_ int, ops []Op) func(op *Op, sd *sendDemand) bool {
 		pivot := make(map[fold]int) // the k of the A(i,k) a rank folds into a diagonal block
 		for _, op := range ops {
 			switch {
@@ -1215,18 +1226,39 @@ func dropMirrors(pl *Plan, sends map[*Op]*sendDemand) map[*Op]*sendDemand {
 				}
 			}
 		}
+		return func(op *Op, sd *sendDemand) bool {
+			if op.Kind != opR4Akj && op.Kind != opR3Col {
+				return true
+			}
+			need := sd.perMember()
+			if dropLeaves(op, need, func(r int) bool {
+				k, ok := pivot[fold{op.Kind, r}]
+				return ok && k == op.BI
+			}) && need != nil {
+				need.freeze(op, make([][]uint64, len(op.Group)))
+			}
+			return len(op.Consumers) > 0
+		}
+	})
+}
+
+// compactLevels deletes from every level the ops the level's keep
+// function rejects — keep may edit an op in place first — and returns
+// sends keyed by the kept ops' new addresses (nil for a nil sends), as
+// deleting an op moves the ones after it.
+func compactLevels(pl *Plan, sends map[*Op]*sendDemand, level func(li int, ops []Op) (keep func(op *Op, sd *sendDemand) bool)) map[*Op]*sendDemand {
+	var moved map[*Op]*sendDemand
+	if sends != nil {
+		moved = make(map[*Op]*sendDemand, len(sends))
+	}
+	for li, ops := range pl.Levels {
+		keep := level(li, ops)
 		kept := ops[:0]
 		for x := range ops {
 			op := &ops[x]
 			sd := sends[op]
-			if op.Kind == opR4Akj || op.Kind == opR3Col {
-				dropLeaves(op, sd.perMember(), func(r int) bool {
-					k, ok := pivot[fold{op.Kind, r}]
-					return ok && k == op.BI
-				})
-				if len(op.Consumers) == 0 {
-					continue
-				}
+			if !keep(op, sd) {
+				continue
 			}
 			kept = append(kept, *op)
 			if sd != nil {
@@ -1240,19 +1272,22 @@ func dropMirrors(pl *Plan, sends map[*Op]*sendDemand) map[*Op]*sendDemand {
 
 // dropLeaves removes from broadcast op every member past the root that
 // relays to no one and drop selects — from its tree, its consumers and
-// need (nil under WireDense) — and re-freezes op's descriptors.
-func dropLeaves(op *Op, need *bcastNeed, drop func(r int) bool) {
+// need (nil under WireDense) — and reports whether it removed any; the
+// caller re-freezes op's descriptors (bcastNeed.freeze). It edits copies
+// of the lists, so a saved op keeps its own (saveForDrop).
+func dropLeaves(op *Op, need *bcastNeed, drop func(r int) bool) bool {
 	q := len(op.Group)
-	relays := make([]bool, q)
-	for p := 1; p < q; p++ {
-		if !op.holdsMirror(p) {
-			relays[op.Parent[p]] = true
-		}
-	}
+	relays := op.relays()
 	at := make([]int32, q) // old position -> new
 	n := 0
 	for p, r := range op.Group {
 		if p > 0 && !relays[p] && drop(r) {
+			if n == p { // the first drop
+				op.Group, op.Parent, op.Consumers = slices.Clone(op.Group), slices.Clone(op.Parent), slices.Clone(op.Consumers)
+				if need != nil {
+					need.member = slices.Clone(need.member)
+				}
+			}
 			op.Consumers = slices.DeleteFunc(op.Consumers, func(c int) bool { return c == r })
 			continue
 		}
@@ -1269,11 +1304,11 @@ func dropLeaves(op *Op, need *bcastNeed, drop func(r int) bool) {
 		n++
 	}
 	if n == q {
-		return
+		return false
 	}
 	op.Group, op.Parent = op.Group[:n], op.Parent[:n]
 	if need != nil {
 		need.member = need.member[:n]
-		need.freeze(op, make([][]uint64, n))
 	}
+	return true
 }

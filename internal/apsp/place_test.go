@@ -32,9 +32,19 @@ func rankClocks(pl *Plan) []tick {
 // exactClock is planClock at exact prices: every message weighs what
 // pack ships for it, priced from the demand sweep's masks over ly.
 func exactClock(pl *Plan, ly *Layout) tick {
+	var crit tick
+	for _, c := range exactRankClocks(pl, ly) {
+		crit = crit.max(c)
+	}
+	return crit
+}
+
+// exactRankClocks replays pl's clocks like exactClock and returns every
+// rank's.
+func exactRankClocks(pl *Plan, ly *Layout) []tick {
 	pc := newPlacer(pl, sweepPlan(pl, ly, false), true)
 	pc.forward(false, false)
-	return pc.critical()
+	return pc.clock
 }
 
 // TestPlanClockIsExact ties the clock the placement decides by to the
@@ -466,6 +476,109 @@ func TestExactDescentNeverRaisesCost(t *testing.T) {
 		t.Error("the descent shortened no critical path: the test checks nothing")
 	}
 	t.Logf("%d critical paths shortened", lower)
+}
+
+// TestDeadDropNeverLengthensAClock holds dropDead to its argument over
+// the sweep — the families of TestMirrorDropNeverLengthensAClock on
+// integer and real weights, p ∈ {9, 49, 225, 961}, ND seeds 11 and 42 and
+// both R4 strategies: every rank's exact clock in the built plan is no
+// later in either component than in the plan the descent left
+// (descendedPlan), the two solve to the same distances bit for bit, and
+// the built plan decodes. No unit or reduce is left into a 1×1 diagonal
+// block, and a pivot member that neither folds nor relays is left only in
+// a pivot broadcast planned with no consumer (deadWorkLeft).
+func TestDeadDropNeverLengthensAClock(t *testing.T) {
+	if testing.Short() {
+		t.Skip("448 plans built twice and executed; run without -short")
+	}
+	shorter := 0 // cells whose schedule the pass shortened
+	for _, f := range placeFamilies {
+		for _, wt := range placeWeights {
+			g := f.make(wt.w(rand.New(rand.NewSource(5))), rand.New(rand.NewSource(3)))
+			for _, p := range []int{9, 49, 225, 961} {
+				h, err := HeightForP(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, seed := range []int64{11, 42} {
+					ly, err := NewLayout(g, h, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, r4 := range []R4Strategy{R4Mapped, R4Sequential} {
+						name := fmt.Sprintf("%s/%s/p=%d/seed=%d/r4=%d", f.name, wt.name, p, seed, r4)
+						before := descendedPlan(t, ly, p, WirePruned, r4)
+						after := buildTestPlanAt(t, ly, p, WirePruned, r4)
+						roundTrips(t, name, after)
+						deadWorkLeft(t, name, after)
+						was := exactRankClocks(before, ly)
+						for r, c := range exactRankClocks(after, ly) {
+							if !c.within(was[r]) {
+								t.Errorf("%s: rank %d's exact clock went %+v → %+v", name, r, was[r], c)
+							}
+						}
+						if planMessages(after) < planMessages(before) {
+							shorter++
+						}
+						var hashes [2]string
+						for i, pl := range []*Plan{before, after} {
+							res, err := pl.ExecuteOpts(ly, ExecOpts{})
+							if err != nil {
+								t.Fatal(err)
+							}
+							hashes[i] = distHash(res.Dist)
+						}
+						if hashes[0] != hashes[1] {
+							t.Errorf("%s: distances differ from the plan before the drop", name)
+						}
+					}
+				}
+			}
+		}
+	}
+	if shorter == 0 {
+		t.Error("the pass dropped no message: the test checks nothing")
+	}
+	t.Logf("%d schedules shortened", shorter)
+}
+
+// deadWorkLeft fails t if pl plans a unit or a reduce into a 1×1 diagonal
+// block, or lists a pivot member that neither folds nor relays in a pivot
+// broadcast some member folds.
+func deadWorkLeft(t *testing.T, name string, pl *Plan) {
+	t.Helper()
+	for li, ops := range pl.Levels {
+		for _, op := range ops {
+			switch op.Kind {
+			case opUnit, opReduce:
+				if op.BI == op.BJ && pl.ND.Sizes[op.BI] == 1 {
+					t.Errorf("%s: level %d plans a %s into the 1×1 diagonal block %d", name, li+1, dfKindNames[op.Kind], op.BI)
+				}
+			case opR2Left, opR2Right:
+				if len(op.Consumers) == 0 {
+					continue
+				}
+				relays := op.relays()
+				for p, r := range op.Group {
+					if p > 0 && !relays[p] && !op.holdsMirror(p) && !contains(op.Consumers, r) {
+						t.Errorf("%s: level %d %s pivot %d lists rank %d, which neither folds nor relays", name, li+1, dfKindNames[op.Kind], op.BI, r)
+					}
+				}
+			}
+		}
+	}
+}
+
+// roundTrips fails t unless pl's encoding decodes to a plan with its hash:
+// the decoder's validator accepts every plan BuildPlan returns.
+func roundTrips(t *testing.T, name string, pl *Plan) {
+	t.Helper()
+	dec, err := DecodePlan(pl.Encode())
+	if err != nil {
+		t.Errorf("%s: the built plan does not decode: %v", name, err)
+	} else if dec.Hash() != pl.Hash() {
+		t.Errorf("%s: the decoded plan hashes %s, the built one %s", name, dec.Hash()[:12], pl.Hash()[:12])
+	}
 }
 
 // buildTestPlanAt is BuildPlan over ly, failing t on error.

@@ -92,7 +92,9 @@ func isBcast(kind uint8) bool {
 // to its children in position order, so the tree — who relays, to whom,
 // in which order — decides the charged critical path. placeTrees
 // (place.go) chooses it. Members outside Consumers only relay, which
-// beyond the root happens in R2 pivot groups alone. On the pruned wire a
+// beyond the root happens in R2 pivot groups and, on the pruned wire, in
+// an R4 panel group whose unit processor lost its unit to dropDead but
+// relays the panel on (dead.go). On the pruned wire a
 // broadcast of A(BI,BJ) may also list mirror holders, with Parent -1:
 // ranks that already hold A(BJ,BI) = A(BI,BJ)ᵀ — its owner, or a consumer
 // of the level's earlier broadcast of it (mirrorOwner, capturesMirror).
@@ -220,7 +222,7 @@ func appendMessages(buf []msg, op *Op) []msg {
 				buf = append(buf, msg{group[op.Parent[i]], group[i], i})
 			}
 		}
-	case kind == opReduce:
+	case kind == opReduce && q > 0: // dropDead empties a reduce before it goes
 		rootPos := max(position(group, root), 0)
 		for mask := 1; mask < q; mask <<= 1 {
 			for rel := mask; rel < q; rel += 2 * mask {
@@ -339,7 +341,9 @@ func boolInt(b bool) int {
 // Algorithm 1 once, consulting the fill mask, and records every op
 // some processor acts on — a broadcast nobody folds is not planned —
 // then chooses the tree of every broadcast from a replay
-// of the model's clocks over that schedule (placeTrees, place.go).
+// of the model's clocks over that schedule (placeTrees, place.go), which
+// on the pruned wire also takes out every fold the demand sweep proves
+// the identity (dropDead, dead.go).
 // The resulting Plan executed against ly's weights yields distances
 // bit-identical to the pre-split solver and the charged costs the
 // golden cost test pins.
@@ -473,9 +477,13 @@ func (b *planBuilder) level(l int, r4seq bool) ([]Op, error) {
 		ops = append(ops, Op{Kind: opDiag, BI: k, BJ: k, Root: b.rank(k, k)})
 	}
 
-	// R_l^2: pivot broadcasts down the pivot column and row. The pivot
-	// diagonal always holds distance 0, so the collective always runs;
-	// panels the mask proves all-Inf skip only their (vacuous) update.
+	// R_l^2: pivot broadcasts down the pivot column and row, planned for
+	// every active pivot over its whole related set — the consumers are
+	// the panels the mask lets fill, the other members relay. On the
+	// pruned wire dropDead (dead.go) later takes out every consumer whose
+	// update the pivot's entries prove the identity, the members left
+	// relaying to no one, and a pivot whose consumers all go; one planned
+	// with no consumer stays.
 	for _, k := range tr.LevelNodes(l) {
 		if !b.active(k) {
 			continue

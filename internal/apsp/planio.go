@@ -19,7 +19,7 @@ import (
 //
 // Format (all integers signed varints):
 //
-//	magic "SAPLAN11"                    (8 bytes; version is part of the magic)
+//	magic "SAPLAN12"                    (8 bytes; version is part of the magic)
 //	body:
 //	  P, H, NSup, Wire, R4Seq
 //	  ND.Perm, ND.Sizes                 (length-prefixed)
@@ -78,7 +78,10 @@ import (
 // list mirror holders (Parent -1 past position 0) — a 10 file holds trees
 // placed at the rectangle prices with no holder and would replay with
 // other critical counts.
-const planMagic = "SAPLAN11"
+// 12: on the pruned wire the work whose result is already known leaves the
+// schedule (dropDead) — an 11 file still plans it and would replay with
+// more messages and words.
+const planMagic = "SAPLAN12"
 
 // Encode serializes the plan to its deterministic binary form.
 func (p *Plan) Encode() []byte {

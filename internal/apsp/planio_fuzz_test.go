@@ -34,6 +34,7 @@ func FuzzDecodePlanMalformed(f *testing.F) {
 	seedPlan(graph.Grid2D(8, 8, graph.UnitWeights), 9, WirePruned, R4Mapped)
 	seedPlan(graph.Grid2D(8, 8, graph.UnitWeights), 49, WirePruned, R4Mapped) // mirror holders
 	seedPlan(graph.Star(40, graph.UnitWeights), 9, WirePruned, R4Sequential)
+	seedPlan(graph.Cycle(800, graph.UnitWeights), 961, WirePruned, R4Mapped) // dead work dropped
 	for _, fx := range unrunnableGroupPlans(f) {
 		f.Add(fx.enc)
 	}

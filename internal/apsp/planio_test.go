@@ -95,6 +95,23 @@ func droppedMirrorsPlan(t testing.TB, ly *Layout, p int, wire WireFormat, r4 R4S
 	return pl
 }
 
+// descendedPlan is droppedMirrorsPlan followed, on the pruned wire, by
+// the exact descent (descend): BuildPlan without the dead-work drop
+// (dropDead), the plan it starts from.
+func descendedPlan(t testing.TB, ly *Layout, p int, wire WireFormat, r4 R4Strategy) *Plan {
+	t.Helper()
+	pl, sends, err := buildLabelOrder(ly, p, wire, r4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chooseTrees(pl, sends)
+	if sends = dropMirrors(pl, sends); len(sends) > 0 {
+		descend(pl, sends)
+	}
+	pl.ranks = indexRanks(pl)
+	return pl
+}
+
 // TestPlanEncodeDecodeRoundTrip proves the codec is faithful across
 // graph families × wire formats × R4 strategies: the decoded plan has
 // the same content hash, re-encodes to identical bytes, and executes
@@ -318,13 +335,14 @@ func addLevel1R3(pl *Plan) {
 // SAPLAN07 from before a rank that folds a panel against its mirror left
 // the mirror's broadcast, SAPLAN08 from before the trees were re-placed
 // at exact prices after that drop, SAPLAN09 from before R3 computed
-// each sink block in one orientation, and SAPLAN10 from before pivots and
+// each sink block in one orientation, SAPLAN10 from before pivots and
 // diagonal reduces shipped as triangles and mirror holders served panel
-// broadcasts (trees placed at the old prices). The SAPLAN04 to 10
-// testdata files are the ones those writers saved for this grid. Serving
-// any of them would silently replay the old schedule's costs or someone
-// else's schedule, so it must count as a disk error, be rebuilt and be
-// overwritten in the current format.
+// broadcasts (trees placed at the old prices), and SAPLAN11 from before
+// the work whose result is already known left the schedule. The SAPLAN04
+// to 11 testdata files are the ones those writers saved for this grid.
+// Serving any of them would silently replay the old schedule's costs or
+// someone else's schedule, so it must count as a disk error, be rebuilt
+// and be overwritten in the current format.
 func TestPlanStoreRejectsStaleFormat(t *testing.T) {
 	g := graph.Grid2D(12, 12, graph.UnitWeights)
 	const p = 49
@@ -365,6 +383,7 @@ func TestPlanStoreRejectsStaleFormat(t *testing.T) {
 		{"SAPLAN08", nil, nil},
 		{"SAPLAN09", nil, nil},
 		{"SAPLAN10", nil, nil},
+		{"SAPLAN11", nil, nil},
 	} {
 		dir := t.TempDir()
 		var old, file []byte

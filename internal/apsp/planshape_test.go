@@ -14,15 +14,34 @@ import (
 // on a plan that ships panels nobody folds; these would not.
 
 // forEachShapePlan builds a plan for every graph family × machine size
-// × wire × R4 strategy of the structural grid and hands it to check.
+// × wire × R4 strategy of the structural grid, and for the benchmark's two
+// served shapes at its ND seed, requires that it decodes (roundTrips) and
+// hands it to check.
 func forEachShapePlan(t *testing.T, check func(t *testing.T, name string, pl *Plan)) {
-	forEachShape(t, func(t *testing.T, name string, ly *Layout, p int, wire WireFormat, r4 R4Strategy) {
+	build := func(t *testing.T, name string, ly *Layout, p int, wire WireFormat, r4 R4Strategy) {
 		pl, err := BuildPlan(ly, p, wire, r4)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		roundTrips(t, name, pl)
 		check(t, name, pl)
-	})
+	}
+	forEachShape(t, build)
+	for _, s := range []struct {
+		name string
+		g    *graph.Graph
+		p    int
+	}{
+		{"grid32x32", graph.Grid2D(32, 32, graph.UnitWeights), 49},
+		{"cycle800", graph.Cycle(800, graph.UnitWeights), 961},
+	} {
+		ly := testLayout(t, s.g, s.p)
+		for _, wire := range []WireFormat{WirePruned, WireDense} {
+			for _, r4 := range []R4Strategy{R4Mapped, R4Sequential} {
+				build(t, fmt.Sprintf("%s/p=%d/%v/r4=%d", s.name, s.p, wire, r4), ly, s.p, wire, r4)
+			}
+		}
+	}
 }
 
 // forEachShape is the structural grid itself: every graph family ×
@@ -93,10 +112,11 @@ func forEachShape(t *testing.T, check func(t *testing.T, name string, ly *Layout
 // TestPlanShipsOnlyWhatIsFolded: every planned panel broadcast reaches
 // a processor that folds it and no processor that does not. No R3,
 // R4Aik or R4Akj op is consumer-less; an R3 group is its root plus its
-// consumers; an R4 panel consumer hosts a planned unit with that panel
-// as its operand; a unit is handed its column panel, and its row panel
-// too unless it computes a diagonal block, whose row panel is the column
-// panel's mirror; a diagonal block's rank that captures an R3 panel
+// consumers; an R4 panel member outside its consumers relays (a unit
+// processor whose unit dropDead took out); an R4 panel consumer hosts a
+// planned unit with that panel as its operand; a unit is handed its
+// column panel, and its row panel too unless it computes a diagonal
+// block, whose row panel is the column panel's mirror; a diagonal block's rank that captures an R3 panel
 // captures its row panel; and level 1 has no R3 at all — leaves have no
 // descendants, R_1^3 = ∅.
 func TestPlanShipsOnlyWhatIsFolded(t *testing.T) {
@@ -115,6 +135,14 @@ func TestPlanShipsOnlyWhatIsFolded(t *testing.T) {
 				case opR3Row, opR3Col, opR4Aik, opR4Akj:
 					if len(op.Consumers) == 0 {
 						t.Errorf("%s: level %d %s op %d (block %d,%d) has no consumer", name, li+1, kind, x, op.BI, op.BJ)
+					}
+				}
+				if op.Kind == opR4Aik || op.Kind == opR4Akj {
+					relays := op.relays()
+					for p, r := range op.Group {
+						if p > 0 && !relays[p] && !op.holdsMirror(p) && !contains(op.Consumers, r) {
+							t.Errorf("%s: level %d %s op %d: member %d neither folds nor relays", name, li+1, kind, x, r)
+						}
 					}
 				}
 				switch op.Kind {

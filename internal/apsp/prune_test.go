@@ -20,13 +20,15 @@ import (
 // 7,263) it is all that separates the two wires. Until the schedule
 // stopped planning consumer-less panels — which only dense paid for in
 // full — that overhead was hidden and the bound read "≤ dense".
-// Message counts are pinned to literals: the demand sweep shrinks
-// payloads, never the schedule, so they are the counts of the
-// mask-skipped schedule alone (re-pinned with it, EXPERIMENTS.md E29,
-// and when R3 stopped handing a sink's mirror its panels, E46), less
-// one per member dropMirrors removes or that holds its payload's mirror
-// and stops receiving (E47) — which members those are depends on the
-// trees, so the total no longer bounds dense's (E44).
+// The mask-skipped schedule's message counts are pinned to literals
+// (re-pinned with it, EXPERIMENTS.md E29, and when R3 stopped handing a
+// sink's mirror its panels, E46): the label-order plan sends exactly
+// them. The placement then only deletes messages — a member dropMirrors
+// removes (E44), one that holds its payload's mirror and stops receiving
+// (E47), a participant whose fold dropDead proves the identity (E48) —
+// which ones depends on the trees, so the executors must send what the
+// built plan lists, no more than the pin, and the total no longer bounds
+// dense's.
 func TestPrunedWireMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	cases := []struct {
@@ -65,7 +67,13 @@ func TestPrunedWireMatchesDense(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dropped := mirrorMembers(chosenTreesPlan(t, ly, tc.p, WirePruned, strat)) - mirrorMembers(built)
+			if planned := planMessages(labelOrderPlan(t, ly, tc.p, WirePruned, strat)); planned != tc.msgs[si] {
+				t.Errorf("%s r4=%d: the mask-skipped schedule sends %d messages, want %d", tc.name, strat, planned, tc.msgs[si])
+			}
+			listed := planMessages(built)
+			if listed > tc.msgs[si] {
+				t.Errorf("%s r4=%d: the built plan sends %d messages, more than the %d its schedule planned", tc.name, strat, listed, tc.msgs[si])
+			}
 			dense, err := SparseAPSPWith(tc.g, tc.p, SparseOptions{Seed: 7, Wire: WireDense, R4Strategy: strat})
 			if err != nil {
 				t.Fatalf("%s dense: %v", tc.name, err)
@@ -92,9 +100,8 @@ func TestPrunedWireMatchesDense(t *testing.T) {
 					t.Errorf("%s r4=%d %v: pruned critical messages %d exceed dense %d",
 						tc.name, strat, ex, pr.Critical.Latency, dr.Critical.Latency)
 				}
-				if pr.TotalMessages != tc.msgs[si]-dropped {
-					t.Errorf("%s r4=%d %v: message count %d, want %d less the %d mirror members dropped (the demand sweep must not change the schedule)",
-						tc.name, strat, ex, pr.TotalMessages, tc.msgs[si], dropped)
+				if pr.TotalMessages != listed {
+					t.Errorf("%s r4=%d %v: message count %d, the plan lists %d", tc.name, strat, ex, pr.TotalMessages, listed)
 				}
 				if tc.strictWin && pr.TotalWords >= dr.TotalWords {
 					t.Errorf("%s r4=%d %v: pruned total words %d not strictly below dense %d",
@@ -146,21 +153,12 @@ func TestWordsByClassBreakdown(t *testing.T) {
 	}
 }
 
-// mirrorMembers counts the members of pl's R4 row-panel and R3 column
-// broadcasts that receive, the two kinds dropMirrors removes members
-// from: the messages those broadcasts send.
-func mirrorMembers(pl *Plan) int64 {
+// planMessages counts the messages pl's ops send (appendMessages).
+func planMessages(pl *Plan) int64 {
 	var n int64
 	for _, ops := range pl.Levels {
-		for _, op := range ops {
-			if op.Kind != opR4Akj && op.Kind != opR3Col {
-				continue
-			}
-			for p := 1; p < len(op.Group); p++ {
-				if !op.holdsMirror(p) { // a mirror holder receives nothing
-					n++
-				}
-			}
+		for x := range ops {
+			n += int64(len(appendMessages(nil, &ops[x])))
 		}
 	}
 	return n
