@@ -12,8 +12,8 @@ import "slices"
 // lowers. The pass takes them out of the schedule with the receipts
 // that only fed them (DESIGN.md §3 "Dead work", EXPERIMENTS.md E48).
 
-// dropDead removes, from the plan the descent placed (pc is its last
-// placer), every participant whose fold is provably the identity:
+// dropDead removes, from the plan the descent placed, every participant
+// whose fold is provably the identity:
 //
 //   - an R2 consumer whose payload at its own demand, the zero diagonal
 //     left out (packPrice), is the empty encoding;
@@ -32,51 +32,21 @@ import "slices"
 // level's two R3 broadcasts, and a unit processor relays its panel on to
 // the members below it and folds nothing. A mirror holder that serves
 // stays, and so does the capture it serves from, with the unit that
-// capture feeds. An op all of whose participants left goes. Deleting
-// leaves and whole ops deletes charges, but a re-frozen ancestor edge can
-// fit the classic encoding and hand its relay more to re-pack (E45), so
-// if any rank's exact clock would get later the pass is undone, as
-// descend undoes the mirror drop. The demand sweep's masks do not change:
-// every fold left out was the identity on them too.
-func dropDead(pl *Plan, pc *placer) {
-	pc.replay(0, nil, nil)
-	was := slices.Clone(pc.clock)
-	sends := make(map[*Op]*sendDemand, len(pc.steps))
-	for i := range pc.steps {
-		if st := &pc.steps[i]; st.sd != nil {
-			sends[st.op] = st.sd
-		}
-	}
-	undo := saveForDrop(pl, sends)
-	dw := &deadWork{pc: pc, sends: sends, idle: make(map[*Op]bool), edited: make(map[*Op]bool),
-		stuck: make([]uint8, pl.P), rowOf: make([]*Op, pl.P)}
+// capture feeds. An op all of whose participants left goes. The drop is
+// guarded like the mirror drop (drop). The demand sweep's masks do not
+// change: every fold left out was the identity on them too.
+func (pc *placer) dropDead() {
+	dw := &deadWork{pc: pc, idle: make(map[*Op]bool), edited: make(map[*Op]bool),
+		stuck: make([]uint8, pc.pl.P), rowOf: make([]*Op, pc.pl.P)}
 	for c := range dw.dead {
-		dw.dead[c] = make([]int8, pl.P)
+		dw.dead[c] = make([]int8, pc.pl.P)
 	}
-	gone := make([][]bool, len(pl.Levels))
-	for li, ops := range pl.Levels {
-		gone[li] = dw.level(ops)
-	}
-	// Replay the clocks before the ops that go leave the lists: they send
-	// nothing now, and the placer's steps still point at every op.
-	for i := range pc.steps {
-		if st := &pc.steps[i]; dw.edited[st.op] {
-			st.w = st.w[:len(st.op.Group)]
-			pc.weigh(st)
-		}
-	}
-	pc.replay(0, nil, nil)
-	for r, c := range pc.clock {
-		if !c.within(was[r]) {
-			undo()
-			return
-		}
-	}
-	compactLevels(pl, nil, func(li int, _ []Op) func(*Op, *sendDemand) bool {
+	pc.drop(func(ops []Op) func(*Op, *sendDemand) bool {
+		gone := dw.level(ops)
 		return func(op *Op, _ *sendDemand) bool {
 			switch {
 			case op.Kind == opUnit:
-				return !gone[li][op.Root]
+				return !gone[op.Root]
 			case op.Kind == opReduce:
 				return len(op.Group) > 0
 			case isBcast(op.Kind):
@@ -91,7 +61,6 @@ func dropDead(pl *Plan, pc *placer) {
 // scratch, reset per level.
 type deadWork struct {
 	pc     *placer
-	sends  map[*Op]*sendDemand
 	idle   map[*Op]bool // the pivots planned with no consumer, left whole
 	edited map[*Op]bool // the ops the pass changed
 	stuck  []uint8      // per rank, a bit per bundle it cannot leave
@@ -190,7 +159,7 @@ func (dw *deadWork) level(ops []Op) (gone []bool) {
 			if !isBcast(op.Kind) || dw.idle[op] || round > 0 && (op.Kind == opR4Aik || op.Kind == opR4Akj) {
 				continue
 			}
-			sd := dw.sends[op]
+			sd := pc.sends[op]
 			for dropLeaves(op, sd.need, func(r int) bool {
 				switch {
 				case dw.stuck[r]&(1<<bundle(op.Kind)) != 0:
@@ -212,7 +181,7 @@ func (dw *deadWork) level(ops []Op) (gone []bool) {
 		op := &ops[x]
 		switch op.Kind {
 		case opR4Aik, opR4Akj:
-			need := dw.sends[op].need
+			need := pc.sends[op].need
 			for m, r := range op.Group {
 				if gone[r] && contains(op.Consumers, r) {
 					if !dw.edited[op] {
@@ -230,7 +199,7 @@ func (dw *deadWork) level(ops []Op) (gone []bool) {
 	}
 	for x := range ops {
 		if op := &ops[x]; dw.edited[op] {
-			dw.sends[op].need.freeze(op, pc.union)
+			pc.sends[op].need.freeze(op, pc.union)
 		}
 	}
 	return gone
@@ -243,7 +212,7 @@ func (dw *deadWork) level(ops []Op) (gone []bool) {
 func (dw *deadWork) r3Dead(r int) bool {
 	i, j := blockOf(r, dw.pc.pl.NSup)
 	row := dw.rowOf[r]
-	return row == nil || i == j && dw.pc.pl.ND.Sizes[i] == 1 || dw.pc.emptyAt(dw.sends[row], position(row.Group, r))
+	return row == nil || i == j && dw.pc.pl.ND.Sizes[i] == 1 || dw.pc.emptyAt(dw.pc.sends[row], position(row.Group, r))
 }
 
 // emptyAt reports whether the payload of sd's broadcast ships the empty

@@ -25,10 +25,12 @@ import (
 // prices re-places the trees that remain (E45), letting ranks that hold a
 // panel's mirror serve it as extra roots (DESIGN.md §3 "Mirror holders",
 // E47); last, dropDead takes out the work whose result is already known
-// (dead.go, DESIGN.md §3 "Dead work", E48). The messages are
-// appendMessages', the expansion the dataflow lowering wires, so the
-// clock replayed here is the one the executors charge
-// (TestPlanClockIsExact).
+// (dead.go, DESIGN.md §3 "Dead work", E48). One placer runs every step:
+// it owns the schedule and the demand sweep's records, and each of the
+// three drops goes through its guarded drop, which re-keys the records
+// and re-lists the schedule. The messages are appendMessages', the
+// expansion the dataflow lowering wires, so the clock replayed here is the
+// one the executors charge (TestPlanClockIsExact).
 
 // tick is the communication half of comm.Cost: messages and words along
 // the critical path. Both components are advanced and max-merged
@@ -222,11 +224,14 @@ func undeliver(tail []tick, src, dst int, w int64) {
 // tree over positions.
 type candidate struct{ arr, parent []int32 }
 
-// placer carries one placeTrees run: the schedule, the per-rank clocks
-// of the two sweeps and the scratch the candidate trees are built and
-// scored in.
+// placer carries one placeTrees run: the schedule and the demand
+// sweep's records, the per-rank clocks of the two sweeps and the scratch
+// the candidate trees are built and scored in.
 type placer struct {
-	pl     *Plan
+	pl *Plan
+	// sends is what the demand sweep knows of each op that sends (nil under
+	// WireDense), keyed by the op's address: drop re-keys it.
+	sends  map[*Op]*sendDemand
 	steps  []placeStep
 	clock  []tick // forward sweep: per-rank clock
 	tail   []tick // backward sweep: per-rank longest remaining path
@@ -247,7 +252,8 @@ type placer struct {
 	// its tree as holders (serve).
 	serving bool
 
-	// Candidate scratch, sized to the largest group.
+	// Candidate scratch, sized to the largest group, holders included
+	// (reserve).
 	pos      []tick       // per-position clocks of the tree being scored
 	opens    []tick       // grow's per-position path of a holder's next send
 	ready    []tick       // per-member clock before the op
@@ -299,16 +305,19 @@ const (
 // placeTrees chooses the tree of every broadcast (chooseTrees), drops
 // the members that fold a panel against its own mirror (dropMirrors),
 // and on the pruned wire re-places the trees at exact prices (descend)
-// and drops the work whose result is already known (dropDead); see the
-// file comment and DESIGN.md §3. It must run after attachPrunes
-// (sends is what it returned) and before indexRanks.
+// and drops the work whose result is already known (dropDead) — one
+// placer through every step; see the file comment and DESIGN.md §3. It
+// must run after attachPrunes (sends is what it returned) and before
+// indexRanks.
 func placeTrees(pl *Plan, sends map[*Op]*sendDemand) {
-	chooseTrees(pl, sends)
-	sends = dropMirrors(pl, sends)
-	if len(sends) == 0 {
+	pc := newPlacer(pl, sends)
+	pc.chooseTrees()
+	pc.dropMirrors()
+	if len(pc.sends) == 0 {
 		return // WireDense: no demand to descend by, nothing provably dead
 	}
-	dropDead(pl, descend(pl, sends))
+	pc.descend()
+	pc.dropDead()
 }
 
 // chooseTrees chooses the tree of every broadcast. The placeRounds
@@ -320,13 +329,12 @@ func placeTrees(pl *Plan, sends map[*Op]*sendDemand) {
 // message count rising (E41), and so did exact prices (E45): the
 // rectangle bound is the better guide while the trees are still far from
 // placed.
-func chooseTrees(pl *Plan, sends map[*Op]*sendDemand) {
-	pc := newPlacer(pl, sends, false)
+func (pc *placer) chooseTrees() {
 	for round := 0; round < placeRounds; round++ {
 		pc.backward()
 		pc.forward(true, round >= binomialRounds)
 	}
-	if len(sends) == 0 {
+	if len(pc.sends) == 0 {
 		return // WireDense: every edge ships the whole block
 	}
 	pc.perEdge = true
@@ -351,94 +359,114 @@ func chooseTrees(pl *Plan, sends map[*Op]*sendDemand) {
 // panel (serve), and pair rounds serve a panel and its mirror from both
 // owners at once (pairRound, E47). The clock it replays is the one the
 // executors charge, so no round makes the executed critical path longer
-// in either component than the plan's it started from. Nor does the
-// drop: a leaf's demand leaves its ancestors' edges, which almost always
-// only shortens them, but an edge that then fits the classic encoding
-// hands its relay more of the block to re-pack from, so a drop that would
-// lengthen the critical path is undone. It returns the placer of its
-// last round, whose steps hold what the demand sweep knows of every op
-// that sends. The dense wire has no demand, and keeps the trees
+// in either component than the plan's it started from, and the drop is
+// guarded (drop). The dense wire has no demand, and keeps the trees
 // chooseTrees gave it.
-func descend(pl *Plan, sends map[*Op]*sendDemand) *placer {
-	pc := newPlacer(pl, sends, true)
-	pc.perEdge = true
+func (pc *placer) descend() {
+	pc.exact = true
+	pc.list()
 	pc.backward()
 	pc.forward(true, true)
-	crit := pc.critical()
-	undo := saveForDrop(pl, sends)
-	pc = newPlacer(pl, dropMirrors(pl, sends), true)
-	pc.backward()
-	if !pc.longest().within(crit) {
-		undo()
-		pc = newPlacer(pl, sends, true)
-		pc.backward()
-	}
-	pc.perEdge, pc.focus = true, true
+	pc.dropMirrors()
+	pc.focus = true
 	for round := 0; round < focusRounds; round++ {
-		if round > 0 {
-			pc.backward()
-		}
+		pc.backward()
 		pc.serving = round == focusRounds-1
 		pc.forward(true, true)
 	}
 	for round := 0; round < pairRounds; round++ {
 		pc.pairRound()
 	}
-	return pc
 }
 
-// saveForDrop records what a drop (dropMirrors, dropDead) replaces —
-// every level's op list, and each broadcast's per-member demand list;
-// dropLeaves edits copies of the lists it changes — and returns the
-// function that puts it back, after which sends, keyed by the ops'
-// addresses before the drop, holds again.
-func saveForDrop(pl *Plan, sends map[*Op]*sendDemand) (undo func()) {
+// drop deletes from every level the ops the keep rule level gives it
+// rejects — the rule may edit an op first (dropLeaves) — re-keys sends by
+// the kept ops' new addresses, as deleting an op moves the ones after it,
+// and re-lists the steps. Deleting leaves and ops deletes charges, which
+// almost always only shortens every path, but an ancestor edge re-frozen
+// without a leaf's demand can fit the classic encoding and hand its relay
+// more of the block to re-pack (E45), so if any rank's clock, replayed at
+// the placer's prices, gets later, drop puts every level and demand list
+// back as it was. Every list a rule edits it replaces, so the levels'
+// shallow copies keep the old ones.
+func (pc *placer) drop(level func(ops []Op) (keep func(op *Op, sd *sendDemand) bool)) {
+	pl, sends := pc.pl, pc.sends
+	pc.replay(0, nil, nil)
+	was := slices.Clone(pc.clock)
 	levels := make([][]Op, len(pl.Levels))
-	for li, ops := range pl.Levels {
-		levels[li] = slices.Clone(ops)
-	}
 	members := make(map[*bcastNeed][][]uint64, len(sends))
 	for _, sd := range sends {
 		if sd.need != nil {
 			members[sd.need] = sd.need.member
 		}
 	}
-	return func() {
-		for li, ops := range levels {
-			pl.Levels[li] = pl.Levels[li][:len(ops)] // the array the drop compacted
-			copy(pl.Levels[li], ops)
+	var moved map[*Op]*sendDemand
+	if sends != nil {
+		moved = make(map[*Op]*sendDemand, len(sends))
+	}
+	for li, ops := range pl.Levels {
+		levels[li] = slices.Clone(ops)
+		keep := level(ops)
+		kept := ops[:0]
+		for x := range ops {
+			op := &ops[x]
+			sd := sends[op]
+			if !keep(op, sd) {
+				continue
+			}
+			kept = append(kept, *op)
+			if sd != nil {
+				moved[&kept[len(kept)-1]] = sd
+			}
 		}
-		for need, member := range members {
-			need.member = member
+		pl.Levels[li] = kept
+	}
+	pc.sends = moved
+	pc.list()
+	pc.replay(0, nil, nil)
+	for r, c := range pc.clock {
+		if !c.within(was[r]) {
+			for li, ops := range levels {
+				pl.Levels[li] = pl.Levels[li][:len(ops)] // the array the drop compacted
+				copy(pl.Levels[li], ops)
+			}
+			for need, member := range members {
+				need.member = member
+			}
+			pc.sends = sends
+			pc.list()
+			return
 		}
 	}
 }
 
-// longest is the critical path of the tails a backward sweep left.
-func (pc *placer) longest() tick {
+// latest is the critical path of per-rank ticks: of the clocks a forward
+// sweep left, or of the tails a backward one did.
+func latest(ticks []tick) tick {
 	var crit tick
-	for _, t := range pc.tail {
+	for _, t := range ticks {
 		crit = crit.max(t)
 	}
 	return crit
 }
 
-// critical is the critical path of the clocks a forward sweep left.
-func (pc *placer) critical() tick {
-	var crit tick
-	for _, c := range pc.clock {
-		crit = crit.max(c)
-	}
-	return crit
+// newPlacer is the placer of one placeTrees run over pl; sends (nil under
+// WireDense) is what the demand sweep knows of each op that sends: its
+// payload masks and, while the plan is being placed, each broadcast's
+// per-member demand. It prices at msgWords' bound until descend sets
+// exact.
+func newPlacer(pl *Plan, sends map[*Op]*sendDemand) *placer {
+	pc := &placer{pl: pl, sends: sends, clock: make([]tick, pl.P), tail: make([]tick, pl.P)}
+	pc.list()
+	return pc
 }
 
-// newPlacer lists every op that sends, each message weighed at the
-// descriptor it carries — at its exact price if exact is set, else at
-// msgWords' bound; sends (nil under WireDense) attaches what the demand
-// sweep knows of each op: its payload masks and, while the plan is being
-// placed, each broadcast's per-member demand.
-func newPlacer(pl *Plan, sends map[*Op]*sendDemand, exact bool) *placer {
-	pc := &placer{pl: pl, clock: make([]tick, pl.P), tail: make([]tick, pl.P), exact: exact}
+// list lists every op that sends, with what sends knows of it and, once
+// prices are exact on the pruned wire, its mirror holders (findHolders),
+// and weighs every message at the descriptor it carries — at its exact
+// price if exact is set, else at msgWords' bound.
+func (pc *placer) list() {
+	pl := pc.pl
 	steps, nw, nt := 0, 0, 0
 	for _, ops := range pl.Levels {
 		for x := range ops {
@@ -460,7 +488,7 @@ func newPlacer(pl *Plan, sends map[*Op]*sendDemand, exact bool) *placer {
 			if n == 0 {
 				continue
 			}
-			st := placeStep{op: op, w: w[:n:n], sd: sends[op], index: len(pc.steps)}
+			st := placeStep{op: op, w: w[:n:n], sd: pc.sends[op], index: len(pc.steps)}
 			w = w[n:]
 			if isBcast(op.Kind) {
 				st.tails, tails = tails[:n:n], tails[n:]
@@ -469,11 +497,23 @@ func newPlacer(pl *Plan, sends map[*Op]*sendDemand, exact bool) *placer {
 			pc.steps = append(pc.steps, st)
 		}
 	}
-	if exact && pl.Wire == WirePruned {
+	if pc.exact && pl.Wire == WirePruned {
 		maxQ = max(maxQ, pc.findHolders())
 	}
+	pc.reserve(maxQ)
+	for i := range pc.steps {
+		pc.weigh(&pc.steps[i])
+	}
+}
+
+// reserve sizes the candidate scratch for groups, holders included, of up
+// to maxQ members.
+func (pc *placer) reserve(maxQ int) {
+	if maxQ <= len(pc.pos) {
+		return
+	}
 	maxAxis := 0
-	for _, sz := range pl.ND.Sizes {
+	for _, sz := range pc.pl.ND.Sizes {
 		maxAxis = max(maxAxis, sz)
 	}
 	words := (maxAxis + 63) / 64
@@ -505,10 +545,6 @@ func newPlacer(pl *Plan, sends map[*Op]*sendDemand, exact bool) *placer {
 		pc.keep[p] = rect{make([]uint64, words), make([]uint64, words)}
 	}
 	pc.specR, pc.specC, pc.filter = make([]uint64, words), make([]uint64, words), make([]uint64, words)
-	for i := range pc.steps {
-		pc.weigh(&pc.steps[i])
-	}
-	return pc
 }
 
 // sendParts is the number of payload parts op's messages carry (msg.part):
@@ -632,7 +668,7 @@ func (pc *placer) backward() {
 // (choose); grow adds the greedy trees to the candidates. A serving
 // placer then offers every broadcast with holders their trees (serve).
 func (pc *placer) forward(choose, grow bool) {
-	pc.crit = pc.longest()
+	pc.crit = latest(pc.tail)
 	for r := range pc.clock {
 		pc.clock[r] = tick{}
 	}
@@ -1080,7 +1116,7 @@ func (pc *placer) replay(i int, from []tick, hook func(*placeStep)) tick {
 			deliver(pc.clock, m.src, m.dst, st.w[m.part])
 		}
 	}
-	return pc.critical()
+	return latest(pc.clock)
 }
 
 // pairRound tries, for every pair of panel broadcasts of a block and its
@@ -1097,7 +1133,7 @@ func (pc *placer) replay(i int, from []tick, hook func(*placeStep)) tick {
 // served, knowing which members now serve.
 func (pc *placer) pairRound() {
 	pc.backward()
-	pc.crit = pc.longest()
+	pc.crit = latest(pc.tail)
 	onPath := make([]bool, len(pc.steps))
 	crit := pc.replay(0, nil, func(st *placeStep) {
 		if st.holders == nil {
@@ -1199,20 +1235,17 @@ func before(key []tick, desc bool, a, b int32) bool {
 // sweep's masks are symmetric like the distances, so the payload it
 // kept covers it.
 //
-// It runs after the trees are chosen: deleting a leaf only deletes
-// charges from the replayed clocks, so no rank's clock gets later
-// (TestMirrorDropNeverLengthensAClock). The placer run without these
-// members from the start has no such guarantee, and measured above the
-// parent in 26 of 208 sweep cells, the served grid among them (E44).
-//
-// Deleting ops moves the ones after them, so it returns sends keyed by
-// the ops' new addresses (nil under WireDense).
-func dropMirrors(pl *Plan, sends map[*Op]*sendDemand) map[*Op]*sendDemand {
+// It runs after the trees are chosen, and again inside the descent,
+// through drop's guard (TestMirrorDropNeverLengthensAClock). The placer
+// run without these members from the start has no such guarantee, and
+// measured above the parent in 26 of 208 sweep cells, the served grid
+// among them (E44).
+func (pc *placer) dropMirrors() {
 	type fold struct {
 		kind uint8 // the broadcast of the mirror panel
 		rank int
 	}
-	return compactLevels(pl, sends, func(_ int, ops []Op) func(op *Op, sd *sendDemand) bool {
+	pc.drop(func(ops []Op) func(op *Op, sd *sendDemand) bool {
 		pivot := make(map[fold]int) // the k of the A(i,k) a rank folds into a diagonal block
 		for _, op := range ops {
 			switch {
@@ -1220,7 +1253,7 @@ func dropMirrors(pl *Plan, sends map[*Op]*sendDemand) map[*Op]*sendDemand {
 				pivot[fold{opR4Akj, op.Root}] = op.K
 			case op.Kind == opR3Row:
 				for _, r := range op.Consumers {
-					if i, j := blockOf(r, pl.NSup); i == j {
+					if i, j := blockOf(r, pc.pl.NSup); i == j {
 						pivot[fold{opR3Col, r}] = op.BJ
 					}
 				}
@@ -1235,46 +1268,18 @@ func dropMirrors(pl *Plan, sends map[*Op]*sendDemand) map[*Op]*sendDemand {
 				k, ok := pivot[fold{op.Kind, r}]
 				return ok && k == op.BI
 			}) && need != nil {
-				need.freeze(op, make([][]uint64, len(op.Group)))
+				need.freeze(op, pc.union)
 			}
 			return len(op.Consumers) > 0
 		}
 	})
 }
 
-// compactLevels deletes from every level the ops the level's keep
-// function rejects — keep may edit an op in place first — and returns
-// sends keyed by the kept ops' new addresses (nil for a nil sends), as
-// deleting an op moves the ones after it.
-func compactLevels(pl *Plan, sends map[*Op]*sendDemand, level func(li int, ops []Op) (keep func(op *Op, sd *sendDemand) bool)) map[*Op]*sendDemand {
-	var moved map[*Op]*sendDemand
-	if sends != nil {
-		moved = make(map[*Op]*sendDemand, len(sends))
-	}
-	for li, ops := range pl.Levels {
-		keep := level(li, ops)
-		kept := ops[:0]
-		for x := range ops {
-			op := &ops[x]
-			sd := sends[op]
-			if !keep(op, sd) {
-				continue
-			}
-			kept = append(kept, *op)
-			if sd != nil {
-				moved[&kept[len(kept)-1]] = sd
-			}
-		}
-		pl.Levels[li] = kept
-	}
-	return moved
-}
-
 // dropLeaves removes from broadcast op every member past the root that
 // relays to no one and drop selects — from its tree, its consumers and
 // need (nil under WireDense) — and reports whether it removed any; the
 // caller re-freezes op's descriptors (bcastNeed.freeze). It edits copies
-// of the lists, so a saved op keeps its own (saveForDrop).
+// of the lists, so the copy of op a drop keeps holds its own (drop).
 func dropLeaves(op *Op, need *bcastNeed, drop func(r int) bool) bool {
 	q := len(op.Group)
 	relays := op.relays()

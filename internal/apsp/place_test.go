@@ -17,14 +17,14 @@ import (
 // component-wise maximum over the ranks' final clocks, like
 // comm.Report.Critical.
 func planClock(pl *Plan) tick {
-	pc := newPlacer(pl, nil, false)
+	pc := newPlacer(pl, nil)
 	pc.forward(false, false)
-	return pc.critical()
+	return latest(pc.clock)
 }
 
 // rankClocks replays pl's clocks like planClock and returns every rank's.
 func rankClocks(pl *Plan) []tick {
-	pc := newPlacer(pl, nil, false)
+	pc := newPlacer(pl, nil)
 	pc.forward(false, false)
 	return pc.clock
 }
@@ -32,17 +32,15 @@ func rankClocks(pl *Plan) []tick {
 // exactClock is planClock at exact prices: every message weighs what
 // pack ships for it, priced from the demand sweep's masks over ly.
 func exactClock(pl *Plan, ly *Layout) tick {
-	var crit tick
-	for _, c := range exactRankClocks(pl, ly) {
-		crit = crit.max(c)
-	}
-	return crit
+	return latest(exactRankClocks(pl, ly))
 }
 
 // exactRankClocks replays pl's clocks like exactClock and returns every
 // rank's.
 func exactRankClocks(pl *Plan, ly *Layout) []tick {
-	pc := newPlacer(pl, sweepPlan(pl, ly, false), true)
+	pc := newPlacer(pl, sweepPlan(pl, ly, false))
+	pc.exact = true
+	pc.list()
 	pc.forward(false, false)
 	return pc.clock
 }
@@ -592,8 +590,8 @@ func buildTestPlanAt(t testing.TB, ly *Layout, p int, wire WireFormat, r4 R4Stra
 }
 
 // TestMirrorDropRekeysDemands: dropMirrors deletes ops, which moves every
-// later op of their level down a slot, so the sweep's records it returns
-// must follow the ops to their new addresses. After the drop every
+// later op of their level down a slot, so the sweep's records the placer
+// holds must follow the ops to their new addresses (drop). After the drop every
 // surviving broadcast's record holds one demand per Group member — what
 // the sweep computed for that member, nothing for a member outside
 // Consumers — and a mask of its block's shape, and every sending op has
@@ -630,14 +628,16 @@ func TestMirrorDropRekeysDemands(t *testing.T) {
 				}
 			}
 		}
-		chooseTrees(pl, sends)
+		pc := newPlacer(pl, sends)
+		pc.chooseTrees()
 		keys := make([][]opKey, len(pl.Levels))
 		for li, ops := range pl.Levels {
 			for _, op := range ops {
 				keys[li] = append(keys[li], opKey{li, op.Kind, op.BI, op.BJ, op.K, op.Root})
 			}
 		}
-		sends = dropMirrors(pl, sends)
+		pc.dropMirrors()
+		sends = pc.sends
 		senders := 0
 		for li, ops := range pl.Levels {
 			first := len(ops) // the slot of the first op the drop moved
@@ -724,5 +724,97 @@ func sameBesideMirrors(t *testing.T, name string, before, after *Plan) {
 		if j != len(now) {
 			t.Fatalf("%s: level %d: the pass added ops", name, li+1)
 		}
+	}
+}
+
+// TestDropUndoesALaterClock holds drop's guard to its word: a drop that
+// chains every broadcast of four or more members — the last member then
+// receives later — and deletes each level's last broadcast is put back
+// as it was: every level byte for byte, every demand list, the sweep's
+// records keyed by the ops' addresses again and the steps listed over
+// them.
+func TestDropUndoesALaterClock(t *testing.T) {
+	ly := testLayout(t, graph.Grid2D(12, 12, graph.UnitWeights), 49)
+	pl, sends, err := buildLabelOrder(ly, 49, WirePruned, R4Mapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := newPlacer(pl, sends)
+	pc.chooseTrees()
+	body := pl.appendBody(nil)
+	type record struct {
+		sd     *sendDemand
+		member [][]uint64
+	}
+	was := make(map[[2]int]record)
+	for li, ops := range pl.Levels {
+		for x := range ops {
+			if sd := pc.sends[&ops[x]]; sd != nil {
+				rec := record{sd: sd}
+				if sd.need != nil {
+					rec.member = slices.Clone(sd.need.member)
+				}
+				was[[2]int{li, x}] = rec
+			}
+		}
+	}
+	chained, deleted := 0, 0
+	pc.drop(func(ops []Op) func(*Op, *sendDemand) bool {
+		last := -1
+		for x := range ops {
+			if isBcast(ops[x].Kind) {
+				last = x
+			}
+		}
+		return func(op *Op, sd *sendDemand) bool {
+			if isBcast(op.Kind) && len(op.Group) >= 4 {
+				op.Parent = make([]int32, len(op.Group))
+				for p := range op.Parent {
+					op.Parent[p] = int32(p - 1)
+				}
+				sd.need.member = slices.Clone(sd.need.member)
+				slices.Reverse(sd.need.member)
+				chained++
+			}
+			if &ops[last] == op {
+				deleted++
+				return false
+			}
+			return true
+		}
+	})
+	if chained == 0 || deleted == 0 {
+		t.Fatalf("the drop chained %d broadcasts and deleted %d: the test checks nothing", chained, deleted)
+	}
+	if !slices.Equal(pl.appendBody(nil), body) {
+		t.Error("the levels differ from the plan before the undone drop")
+	}
+	if len(pc.sends) != len(was) {
+		t.Errorf("%d records after the undo, %d before", len(pc.sends), len(was))
+	}
+	for key, rec := range was {
+		op := &pl.Levels[key[0]][key[1]]
+		if pc.sends[op] != rec.sd {
+			t.Fatalf("level %d op %d: the record is not the one before the drop", key[0]+1, key[1])
+		}
+		if rec.sd.need != nil && !reflect.DeepEqual(rec.sd.need.member, rec.member) {
+			t.Errorf("level %d op %d: the demand list differs from the one before the drop", key[0]+1, key[1])
+		}
+	}
+	for i := range pc.steps {
+		if st := &pc.steps[i]; st.sd != pc.sends[st.op] {
+			t.Fatalf("step %d lists another record than its op's", i)
+		}
+	}
+	senders := 0
+	for _, ops := range pl.Levels {
+		for x := range ops {
+			if sendParts(&ops[x]) > 0 {
+				senders++
+			}
+		}
+	}
+	if len(pc.steps) != senders {
+		t.Errorf("%d steps listed over %d sending ops", len(pc.steps), senders)
 	}
 }

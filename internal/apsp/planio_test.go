@@ -72,27 +72,17 @@ func labelOrderPlan(t testing.TB, ly *Layout, p int, wire WireFormat, r4 R4Strat
 // chosen trees over every member the schedule plans.
 func chosenTreesPlan(t testing.TB, ly *Layout, p int, wire WireFormat, r4 R4Strategy) *Plan {
 	t.Helper()
-	pl, sends, err := buildLabelOrder(ly, p, wire, r4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chooseTrees(pl, sends)
-	pl.ranks = indexRanks(pl)
-	return pl
+	return placedPlan(t, ly, p, wire, r4, func(pc *placer) { pc.chooseTrees() })
 }
 
 // droppedMirrorsPlan is chosenTreesPlan followed by dropMirrors: BuildPlan
 // without the exact descent (descend), the plan it starts from.
 func droppedMirrorsPlan(t testing.TB, ly *Layout, p int, wire WireFormat, r4 R4Strategy) *Plan {
 	t.Helper()
-	pl, sends, err := buildLabelOrder(ly, p, wire, r4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chooseTrees(pl, sends)
-	dropMirrors(pl, sends)
-	pl.ranks = indexRanks(pl)
-	return pl
+	return placedPlan(t, ly, p, wire, r4, func(pc *placer) {
+		pc.chooseTrees()
+		pc.dropMirrors()
+	})
 }
 
 // descendedPlan is droppedMirrorsPlan followed, on the pruned wire, by
@@ -100,14 +90,23 @@ func droppedMirrorsPlan(t testing.TB, ly *Layout, p int, wire WireFormat, r4 R4S
 // (dropDead), the plan it starts from.
 func descendedPlan(t testing.TB, ly *Layout, p int, wire WireFormat, r4 R4Strategy) *Plan {
 	t.Helper()
+	return placedPlan(t, ly, p, wire, r4, func(pc *placer) {
+		pc.chooseTrees()
+		if pc.dropMirrors(); len(pc.sends) > 0 {
+			pc.descend()
+		}
+	})
+}
+
+// placedPlan is BuildPlan with place run on the placer in placeTrees'
+// stead.
+func placedPlan(t testing.TB, ly *Layout, p int, wire WireFormat, r4 R4Strategy, place func(pc *placer)) *Plan {
+	t.Helper()
 	pl, sends, err := buildLabelOrder(ly, p, wire, r4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chooseTrees(pl, sends)
-	if sends = dropMirrors(pl, sends); len(sends) > 0 {
-		descend(pl, sends)
-	}
+	place(newPlacer(pl, sends))
 	pl.ranks = indexRanks(pl)
 	return pl
 }
