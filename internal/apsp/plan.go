@@ -343,7 +343,9 @@ func boolInt(b bool) int {
 // then chooses the tree of every broadcast from a replay
 // of the model's clocks over that schedule (placeTrees, place.go), which
 // on the pruned wire also takes out every fold the demand sweep proves
-// the identity (dropDead, dead.go).
+// the identity (dropDead, dead.go). It checks the plan it built as
+// DecodePlan checks one it reads (planValidator), and returns an error
+// rather than a plan that cannot run.
 // The resulting Plan executed against ly's weights yields distances
 // bit-identical to the pre-split solver and the charged costs the
 // golden cost test pins.
@@ -353,6 +355,9 @@ func BuildPlan(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, error)
 		return nil, err
 	}
 	placeTrees(pl, sends)
+	if err := pl.validate(); err != nil {
+		return nil, err
+	}
 	pl.ranks = indexRanks(pl)
 	return pl, nil
 }

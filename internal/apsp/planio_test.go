@@ -449,6 +449,7 @@ func TestPlanStoreRejectsStaleFormat(t *testing.T) {
 
 type unrunnablePlan struct {
 	name string
+	pl   *Plan // the edited plan
 	enc  []byte
 }
 
@@ -743,7 +744,7 @@ func unrunnableGroupPlans(t testing.TB) []unrunnablePlan {
 	} {
 		pl := buildTestPlan(t, g, 49, WirePruned, fx.r4)
 		fx.edit(pl)
-		out = append(out, unrunnablePlan{fx.name, pl.Encode()})
+		out = append(out, unrunnablePlan{fx.name, pl, pl.Encode()})
 	}
 	return out
 }

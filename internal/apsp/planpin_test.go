@@ -26,6 +26,9 @@ const pinnedPlanDigest = "a88a7a441642fd852a1fd670d61b50124b523f848c00e6ae3f0562
 // cell's Plan.Hash. A refactor of the placement pass must leave it as it
 // is.
 func TestPlanHashesPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1,012 plans built; run without -short")
+	}
 	var lines []string
 	add := func(name string, ly *Layout, p int, wire WireFormat, r4 R4Strategy) {
 		lines = append(lines, name+" "+buildTestPlanAt(t, ly, p, wire, r4).Hash())
