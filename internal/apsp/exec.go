@@ -191,6 +191,15 @@ func (pl *Plan) mirrorHeld(op *Op, pos, rank int, rs *rankState) *semiring.Matri
 		src = rs.aik
 	}
 	t := src.Transpose()
+	if op.Kind == opR2Right {
+		// A pivot's diagonal is +0 (no negative cycle), but the capture
+		// holds only the entries its own descriptor kept (PackPruned's
+		// dropZeroDiag): put the zeros back, so that the holder holds what
+		// the plan prices it as holding.
+		for r := 0; r < t.Rows; r++ {
+			t.V[r*t.Cols+r] = 0
+		}
+	}
 	if spec := op.prune(pos); spec != nil {
 		keepOnly(t, spec.Rows, spec.Cols)
 	}

@@ -25,12 +25,11 @@ import (
 // prices re-places the trees that remain (E45), letting ranks that hold a
 // panel's mirror serve it as extra roots (DESIGN.md §3 "Mirror holders",
 // E47); last, dropDead takes out the work whose result is already known
-// (dead.go, DESIGN.md §3 "Dead work", E48). One placer runs every step:
-// it owns the schedule and the demand sweep's records, and each of the
-// three drops goes through its guarded drop, which re-keys the records
-// and re-lists the schedule. The messages are appendMessages', the
-// expansion the dataflow lowering wires, so the clock replayed here is the
-// one the executors charge (TestPlanClockIsExact).
+// (dead.go, DESIGN.md §3 "Dead work", E48). One placer runs every step,
+// and all three drops go through its guarded drop. The messages are
+// appendMessages', the expansion the dataflow lowering wires, so the
+// clock replayed here is the one the executors charge
+// (TestPlanClockIsExact).
 
 // tick is the communication half of comm.Cost: messages and words along
 // the critical path. Both components are advanced and max-merged
@@ -252,8 +251,7 @@ type placer struct {
 	// its tree as holders (serve).
 	serving bool
 
-	// Candidate scratch, sized to the largest group, holders included
-	// (reserve).
+	// Candidate scratch, sized by reserve to the largest group.
 	pos      []tick       // per-position clocks of the tree being scored
 	opens    []tick       // grow's per-position path of a holder's next send
 	ready    []tick       // per-member clock before the op
@@ -305,10 +303,9 @@ const (
 // placeTrees chooses the tree of every broadcast (chooseTrees), drops
 // the members that fold a panel against its own mirror (dropMirrors),
 // and on the pruned wire re-places the trees at exact prices (descend)
-// and drops the work whose result is already known (dropDead) — one
-// placer through every step; see the file comment and DESIGN.md §3. It
-// must run after attachPrunes (sends is what it returned) and before
-// indexRanks.
+// and drops the work whose result is already known (dropDead); see the
+// file comment and DESIGN.md §3. It must run after attachPrunes
+// (sends is what it returned) and before indexRanks.
 func placeTrees(pl *Plan, sends map[*Op]*sendDemand) {
 	pc := newPlacer(pl, sends)
 	pc.chooseTrees()
@@ -379,16 +376,16 @@ func (pc *placer) descend() {
 	}
 }
 
-// drop deletes from every level the ops the keep rule level gives it
-// rejects — the rule may edit an op first (dropLeaves) — re-keys sends by
-// the kept ops' new addresses, as deleting an op moves the ones after it,
-// and re-lists the steps. Deleting leaves and ops deletes charges, which
-// almost always only shortens every path, but an ancestor edge re-frozen
-// without a leaf's demand can fit the classic encoding and hand its relay
-// more of the block to re-pack (E45), so if any rank's clock, replayed at
-// the placer's prices, gets later, drop puts every level and demand list
-// back as it was. Every list a rule edits it replaces, so the levels'
-// shallow copies keep the old ones.
+// drop deletes from each level the ops that level(ops), the level's keep
+// rule, rejects — the rule may edit an op first (dropLeaves) — re-keys
+// sends by the kept ops' new addresses, as deleting an op moves the ones
+// after it, and re-lists the steps. Deleting leaves and ops deletes
+// charges, which almost always only shortens every path, but an ancestor
+// edge re-frozen without a leaf's demand can fit the classic encoding and
+// hand its relay more of the block to re-pack (E45), so if any rank's
+// clock, replayed at the placer's prices, gets later, drop puts every
+// level and demand list back as it was. Every list a rule edits it
+// replaces, so the levels' shallow copies keep the old ones.
 func (pc *placer) drop(level func(ops []Op) (keep func(op *Op, sd *sendDemand) bool)) {
 	pl, sends := pc.pl, pc.sends
 	pc.replay(0, nil, nil)

@@ -66,6 +66,10 @@ func FuzzBuildPlan(f *testing.F) {
 	// family, n-2 low and high byte, p, ND seed, weight seed, wire, R4.
 	f.Add([]byte{0, 254, 3, 1, 42, 1, 0, 0})
 	f.Add([]byte{1, 30, 3, 0xff, 42, 2, 0, 0})
+	// A random tree, n = 803 at p = 49, whose R2 row-pivot mirror holder
+	// shipped its column 2 words under the exact price: its capture had
+	// dropped the pivot's zero diagonal (Plan.mirrorHeld).
+	f.Add([]byte("C!\x031\xff)"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
