@@ -377,15 +377,17 @@ func (pc *placer) descend() {
 }
 
 // drop deletes from each level the ops that level(ops), the level's keep
-// rule, rejects — the rule may edit an op first (dropLeaves) — re-keys
-// sends by the kept ops' new addresses, as deleting an op moves the ones
-// after it, and re-lists the steps. Deleting leaves and ops deletes
-// charges, which almost always only shortens every path, but an ancestor
-// edge re-frozen without a leaf's demand can fit the classic encoding and
-// hand its relay more of the block to re-pack (E45), so if any rank's
-// clock, replayed at the placer's prices, gets later, drop puts every
-// level and demand list back as it was. Every list a rule edits it
-// replaces, so the levels' shallow copies keep the old ones.
+// rule, rejects — the rule may edit an op first (dropLeaves), replacing
+// every list it edits — re-keys sends by the kept ops' new addresses, as
+// deleting an op moves the ones after it, and re-lists the steps.
+// Deleting leaves and ops deletes charges, which almost always only
+// shortens every path, but an ancestor edge re-frozen without a leaf's
+// demand can fit the classic encoding and hand its relay more of the
+// block to re-pack (E45). So if any rank's clock, replayed at the
+// placer's prices, gets later — or, once holders serve, the plan fails
+// the validator, as a leaf leaving below a holder in the pair broadcast
+// can narrow its capture under what it serves — drop puts every level and
+// demand list back as it was.
 func (pc *placer) drop(level func(ops []Op) (keep func(op *Op, sd *sendDemand) bool)) {
 	pl, sends := pc.pl, pc.sends
 	pc.replay(0, nil, nil)
@@ -421,20 +423,22 @@ func (pc *placer) drop(level func(ops []Op) (keep func(op *Op, sd *sendDemand) b
 	pc.sends = moved
 	pc.list()
 	pc.replay(0, nil, nil)
+	ok := !pc.serving || pl.validate() == nil
 	for r, c := range pc.clock {
-		if !c.within(was[r]) {
-			for li, ops := range levels {
-				pl.Levels[li] = pl.Levels[li][:len(ops)] // the array the drop compacted
-				copy(pl.Levels[li], ops)
-			}
-			for need, member := range members {
-				need.member = member
-			}
-			pc.sends = sends
-			pc.list()
-			return
-		}
+		ok = ok && c.within(was[r])
 	}
+	if ok {
+		return
+	}
+	for li, ops := range levels {
+		pl.Levels[li] = pl.Levels[li][:len(ops)] // the array the drop compacted
+		copy(pl.Levels[li], ops)
+	}
+	for need, member := range members {
+		need.member = member
+	}
+	pc.sends = sends
+	pc.list()
 }
 
 // latest is the critical path of per-rank ticks: of the clocks a forward
@@ -447,11 +451,10 @@ func latest(ticks []tick) tick {
 	return crit
 }
 
-// newPlacer is the placer of one placeTrees run over pl; sends (nil under
-// WireDense) is what the demand sweep knows of each op that sends: its
-// payload masks and, while the plan is being placed, each broadcast's
-// per-member demand. It prices at msgWords' bound until descend sets
-// exact.
+// newPlacer is the placer of one placeTrees run over pl, pricing at
+// msgWords' bound until descend sets exact; sends (nil under WireDense) is
+// what the demand sweep knows of each op that sends: its payload masks
+// and each broadcast's per-member demand.
 func newPlacer(pl *Plan, sends map[*Op]*sendDemand) *placer {
 	pc := &placer{pl: pl, sends: sends, clock: make([]tick, pl.P), tail: make([]tick, pl.P)}
 	pc.list()

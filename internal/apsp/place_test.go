@@ -591,9 +591,9 @@ func buildTestPlanAt(t testing.TB, ly *Layout, p int, wire WireFormat, r4 R4Stra
 
 // TestMirrorDropRekeysDemands: dropMirrors deletes ops, which moves every
 // later op of their level down a slot, so the sweep's records the placer
-// holds must follow the ops to their new addresses (drop). After the drop every
-// surviving broadcast's record holds one demand per Group member — what
-// the sweep computed for that member, nothing for a member outside
+// holds must follow the ops to their new addresses (drop). After the drop
+// every surviving broadcast's record holds one demand per Group member —
+// what the sweep computed for that member, nothing for a member outside
 // Consumers — and a mask of its block's shape, and every sending op has
 // one.
 func TestMirrorDropRekeysDemands(t *testing.T) {
@@ -776,7 +776,7 @@ func TestDropUndoesALaterClock(t *testing.T) {
 				slices.Reverse(sd.need.member)
 				chained++
 			}
-			if &ops[last] == op {
+			if last >= 0 && &ops[last] == op {
 				deleted++
 				return false
 			}
@@ -816,5 +816,41 @@ func TestDropUndoesALaterClock(t *testing.T) {
 	}
 	if len(pc.steps) != senders {
 		t.Errorf("%d steps listed over %d sending ops", len(pc.steps), senders)
+	}
+}
+
+// TestDropUndoesAnInvalidPlan: once holders serve, drop also undoes a drop
+// the validator rejects, though no clock gets later. The drop here cuts
+// the last member of every R2 column pivot of two or more members off its
+// parent: it receives nothing, and a pivot takes no mirror holder. Before
+// holders serve, drop checks the clocks alone and keeps it.
+func TestDropUndoesAnInvalidPlan(t *testing.T) {
+	ly := testLayout(t, graph.Grid2D(12, 12, graph.UnitWeights), 49)
+	for _, serving := range []bool{true, false} {
+		pl, sends, err := buildLabelOrder(ly, 49, WirePruned, R4Mapped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc := newPlacer(pl, sends)
+		pc.chooseTrees()
+		pc.serving = serving
+		body := pl.appendBody(nil)
+		cut := 0
+		pc.drop(func([]Op) func(*Op, *sendDemand) bool {
+			return func(op *Op, _ *sendDemand) bool {
+				if last := len(op.Group) - 1; op.Kind == opR2Left && last > 0 {
+					op.Parent = slices.Clone(op.Parent)
+					op.Parent[last] = -1
+					cut++
+				}
+				return true
+			}
+		})
+		if cut == 0 {
+			t.Fatal("no pivot to cut: the test checks nothing")
+		}
+		if undone := slices.Equal(pl.appendBody(nil), body); undone != serving {
+			t.Errorf("serving=%v: the drop was undone: %v", serving, undone)
+		}
 	}
 }

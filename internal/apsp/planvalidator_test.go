@@ -70,6 +70,9 @@ func FuzzBuildPlan(f *testing.F) {
 	// shipped its column 2 words under the exact price: its capture had
 	// dropped the pivot's zero diagonal (Plan.mirrorHeld).
 	f.Add([]byte("C!\x031\xff)"))
+	// A random tree, n = 611 at p = 961, whose dead-work drop narrowed an
+	// R3 mirror holder's capture under what it serves (placer.drop).
+	f.Add([]byte("CZ\x1e\xff00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
