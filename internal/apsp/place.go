@@ -1088,16 +1088,6 @@ func (op *Op) relays() []bool {
 	return relays
 }
 
-// servedByMirror reports whether broadcast op lists a mirror holder.
-func servedByMirror(op *Op) bool {
-	for p := range op.Group {
-		if op.holdsMirror(p) {
-			return true
-		}
-	}
-	return false
-}
-
 // replay replays the clocks in execution order like forward, from step
 // i on and the clocks from (all zero when nil), calling hook (if any) on
 // each step before its messages, and returns the critical path.

@@ -19,7 +19,7 @@ import (
 //
 // Format (all integers signed varints):
 //
-//	magic "SAPLAN12"                    (8 bytes; version is part of the magic)
+//	magic "SAPLAN-" + planDigest        (71 bytes; the version is part of the magic)
 //	body:
 //	  P, H, NSup, Wire, R4Seq
 //	  ND.Perm, ND.Sizes                 (length-prefixed)
@@ -45,43 +45,18 @@ import (
 // payloads: wire payloads are produced by our own executor in the same
 // process, while plan files cross process lifetimes and disks.
 
-// planMagic identifies the format and its version; bump the trailing
-// digits on any incompatible change so old files decode-or-error
-// instead of misparsing. 02: wire value 0 became the demand-pruned
-// wire — an 01 file stored under the same structure fingerprint holds
-// a wire=0 plan with no prune descriptors and must not be served.
-// 03: BuildPlan stopped planning broadcasts nobody folds — an 02 file
-// under the same fingerprint still holds them and would replay with
-// other message and word counts than a fresh build. 04: BuildPlan
-// chooses every broadcast group's order (place.go) — an 03 file holds
-// the label-order groups and would replay with other critical counts.
-// 05: one op record per op, in execution order, and a plan file ends
-// with the fingerprint it is filed under (planstore.go) — an 04 file
-// cannot prove which structure it belongs to.
-// 06: every broadcast stores its tree (Op.Parent) and BuildPlan chooses
-// it — an 05 file holds binomial trees and would replay with other
-// critical counts.
-// 07: a broadcast stores one descriptor per position, what the message
-// into it carries — an 06 file holds one per broadcast and would replay
-// with other critical and total words.
-// 08: a rank that folds a diagonal block receives the column panel alone
-// and mirrors it (dropMirrors) — an 07 file hands it both panels and
-// would replay with more messages and words.
-// 09: every broadcast's trees are re-placed at exact prices after that
-// drop (place.go's descent) — an 08 file would replay with other
-// critical counts.
-// 10: on the pruned wire R3 computes each sink block in one orientation
-// (sinkMirror) — an 09 file hands the mirror its panels too and would
-// replay with more messages and words.
-// 11: on the pruned wire R2 pivots and diagonal-block reduces ship as
-// triangles, the trees are re-placed at those prices, and a broadcast may
-// list mirror holders (Parent -1 past position 0) — a 10 file holds trees
-// placed at the rectangle prices with no holder and would replay with
-// other critical counts.
-// 12: on the pruned wire the work whose result is already known leaves the
-// schedule (dropDead) — an 11 file still plans it and would replay with
-// more messages and words.
-const planMagic = "SAPLAN12"
+// planDigest is the format's version: the SHA-256 over the Plan.Hash of
+// every plan TestPlanHashesPinned builds. A change that moves a plan, or
+// the byte layout of every plan, fails that test until this constant is
+// re-pinned beside the sweep table that shows what moved (EXPERIMENTS.md),
+// and the re-pin is the format bump: planMagic carries the digest, so a
+// file written before it is a decode error and is rebuilt. Plan.Hash
+// digests the body and not the magic, so the constant never digests
+// itself.
+const planDigest = "a88a7a441642fd852a1fd670d61b50124b523f848c00e6ae3f0562781778ed91"
+
+// planMagic identifies the format and its version.
+const planMagic = "SAPLAN-" + planDigest
 
 // Encode serializes the plan to its deterministic binary form.
 func (p *Plan) Encode() []byte {

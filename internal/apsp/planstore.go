@@ -94,21 +94,6 @@ func (s *PlanStore) Save(fp StructureFingerprint, pl *Plan) error {
 	return nil
 }
 
-// Len counts the plan files currently on disk.
-func (s *PlanStore) Len() (int, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".plan" {
-			n++
-		}
-	}
-	return n, nil
-}
-
 // NewPlanCacheAt returns a plan cache backed by a disk store at dir: a
 // memory miss falls through to disk (counting a DiskHit, not a build)
 // and every fresh build is persisted (a DiskWrite), so plans survive

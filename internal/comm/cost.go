@@ -54,12 +54,6 @@ func (c *Cost) addMessage(w int64) {
 	c.Bandwidth += w
 }
 
-// Max returns the element-wise maximum of a and b.
-func Max(a, b Cost) Cost {
-	a.maxInPlace(b)
-	return a
-}
-
 // Add returns the element-wise sum of a and b.
 func Add(a, b Cost) Cost {
 	return Cost{

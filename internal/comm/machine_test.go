@@ -332,10 +332,6 @@ func TestGridRoundTrip(t *testing.T) {
 func TestCostHelpers(t *testing.T) {
 	a := Cost{Latency: 1, Bandwidth: 5, Flops: 10}
 	b := Cost{Latency: 3, Bandwidth: 2, Flops: 10}
-	mx := Max(a, b)
-	if mx != (Cost{Latency: 3, Bandwidth: 5, Flops: 10}) {
-		t.Errorf("Max = %v", mx)
-	}
 	sum := Add(a, b)
 	if sum != (Cost{Latency: 4, Bandwidth: 7, Flops: 20}) {
 		t.Errorf("Add = %v", sum)

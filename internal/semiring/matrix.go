@@ -126,20 +126,10 @@ func (m *Matrix) NNZ() int {
 	return nnz
 }
 
-// Density is NNZ divided by the matrix area; an empty (0-dimension)
-// matrix has density 0. The packed wire encoder and the sparse kernel's
-// fallback threshold both key off this value.
-func (m *Matrix) Density() float64 {
-	if len(m.V) == 0 {
-		return 0
-	}
-	return float64(m.NNZ()) / float64(len(m.V))
-}
-
 // IsAllInf reports whether every entry is Inf — the "empty block"
-// predicate of Section 4.1 whose computations can be skipped. It sits
-// on the broadcast skip path, so it short-circuits on the first finite
-// entry instead of counting all of them like NNZ.
+// predicate of Section 4.1 whose computations can be skipped. Only tests
+// call it; it short-circuits on the first finite entry instead of
+// counting all of them like NNZ.
 func (m *Matrix) IsAllInf() bool {
 	for _, v := range m.V {
 		if !math.IsInf(v, 1) {
@@ -160,14 +150,6 @@ func MinInto(dst, src []float64) {
 			dst[i] = v
 		}
 	}
-}
-
-// EWiseMinInto performs m = m ⊕ o element-wise; shapes must match.
-func (m *Matrix) EWiseMinInto(o *Matrix) {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		panic(fmt.Sprintf("semiring: ewise-min %dx%d with %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-	MinInto(m.V, o.V)
 }
 
 func (m *Matrix) String() string {

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-func TestNNZAndDensity(t *testing.T) {
+func TestNNZ(t *testing.T) {
 	m := NewMatrix(3, 4)
-	if m.NNZ() != 0 || m.Density() != 0 || !m.IsAllInf() {
-		t.Fatalf("fresh matrix: NNZ=%d density=%g allInf=%v", m.NNZ(), m.Density(), m.IsAllInf())
+	if m.NNZ() != 0 || !m.IsAllInf() {
+		t.Fatalf("fresh matrix: NNZ=%d allInf=%v", m.NNZ(), m.IsAllInf())
 	}
 	m.Set(0, 0, 0)
 	m.Set(2, 3, 1.5)
@@ -17,15 +17,12 @@ func TestNNZAndDensity(t *testing.T) {
 	if m.NNZ() != 3 {
 		t.Fatalf("NNZ = %d, want 3", m.NNZ())
 	}
-	if got, want := m.Density(), 3.0/12; got != want {
-		t.Fatalf("Density = %g, want %g", got, want)
-	}
 	if m.IsAllInf() {
 		t.Fatal("IsAllInf on a matrix with finite entries")
 	}
 	empty := NewMatrix(0, 7)
-	if empty.NNZ() != 0 || empty.Density() != 0 {
-		t.Fatalf("0x7 matrix: NNZ=%d density=%g", empty.NNZ(), empty.Density())
+	if empty.NNZ() != 0 {
+		t.Fatalf("0x7 matrix: NNZ=%d", empty.NNZ())
 	}
 }
 

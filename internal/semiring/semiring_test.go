@@ -290,16 +290,6 @@ func TestMinInto(t *testing.T) {
 	}
 }
 
-func TestEWiseMinInto(t *testing.T) {
-	a := FromSlice(2, 2, []float64{1, 5, Inf, 0})
-	b := FromSlice(2, 2, []float64{2, 3, 7, -1})
-	a.EWiseMinInto(b)
-	want := FromSlice(2, 2, []float64{1, 3, 7, -1})
-	if !a.Equal(want) {
-		t.Errorf("EWiseMinInto = %v", a.V)
-	}
-}
-
 func TestDimensionPanics(t *testing.T) {
 	cases := []func(){
 		func() { MulAddInto(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(4, 2)) },
@@ -422,13 +412,4 @@ func TestNewMatrixRejectsNegativeDims(t *testing.T) {
 		}
 	}()
 	NewMatrix(-1, 2)
-}
-
-func TestEWiseMinIntoShapePanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for shape mismatch")
-		}
-	}()
-	NewMatrix(2, 2).EWiseMinInto(NewMatrix(2, 3))
 }
