@@ -329,7 +329,7 @@ func placeTrees(pl *Plan, sends map[*Op]*sendDemand) {
 func (pc *placer) chooseTrees() {
 	for round := 0; round < placeRounds; round++ {
 		pc.backward()
-		pc.forward(true, round >= binomialRounds)
+		pc.forward(round >= binomialRounds)
 	}
 	if len(pc.sends) == 0 {
 		return // WireDense: every edge ships the whole block
@@ -343,7 +343,7 @@ func (pc *placer) chooseTrees() {
 		pc.weigh(st)
 	}
 	pc.backward()
-	pc.forward(true, true)
+	pc.forward(true)
 }
 
 // descend re-places the trees from the plan as it stands at exact prices
@@ -363,13 +363,13 @@ func (pc *placer) descend() {
 	pc.exact = true
 	pc.list()
 	pc.backward()
-	pc.forward(true, true)
+	pc.forward(true)
 	pc.dropMirrors()
 	pc.focus = true
 	for round := 0; round < focusRounds; round++ {
 		pc.backward()
 		pc.serving = round == focusRounds-1
-		pc.forward(true, true)
+		pc.forward(true)
 	}
 	for round := 0; round < pairRounds; round++ {
 		pc.pairRound()
@@ -663,27 +663,20 @@ func (pc *placer) backward() {
 	}
 }
 
-// forward replays the clocks in execution order. With choose set, every
-// broadcast of three or more members gets its tree chosen first
-// (choose); grow adds the greedy trees to the candidates. A serving
-// placer then offers every broadcast with holders their trees (serve).
-func (pc *placer) forward(choose, grow bool) {
+// forward replays the clocks in execution order, choosing the tree of
+// every broadcast of three or more members first (choose); grow adds
+// the greedy trees to the candidates. A serving placer then offers
+// every broadcast with holders their trees (serve).
+func (pc *placer) forward(grow bool) {
 	pc.crit = latest(pc.tail)
-	for r := range pc.clock {
-		pc.clock[r] = tick{}
-	}
-	for i := range pc.steps {
-		st := &pc.steps[i]
-		if choose && len(st.tails) >= 3 {
+	pc.replay(0, nil, func(st *placeStep) {
+		if len(st.tails) >= 3 {
 			pc.choose(st, grow)
 		}
-		if choose && pc.serving && len(st.holders) > 0 {
+		if pc.serving && len(st.holders) > 0 {
 			pc.serve(st, serveGuarded)
 		}
-		for _, m := range pc.messages(st) {
-			deliver(pc.clock, m.src, m.dst, st.w[m.part])
-		}
-	}
+	})
 }
 
 // score runs the candidate on scratch clocks, each edge weighing w[p],
@@ -1088,7 +1081,7 @@ func (op *Op) relays() []bool {
 	return relays
 }
 
-// replay replays the clocks in execution order like forward, from step
+// replay replays the clocks in execution order, from step
 // i on and the clocks from (all zero when nil), calling hook (if any) on
 // each step before its messages, and returns the critical path.
 func (pc *placer) replay(i int, from []tick, hook func(*placeStep)) tick {

@@ -17,15 +17,13 @@ import (
 // component-wise maximum over the ranks' final clocks, like
 // comm.Report.Critical.
 func planClock(pl *Plan) tick {
-	pc := newPlacer(pl, nil)
-	pc.forward(false, false)
-	return latest(pc.clock)
+	return newPlacer(pl, nil).replay(0, nil, nil)
 }
 
 // rankClocks replays pl's clocks like planClock and returns every rank's.
 func rankClocks(pl *Plan) []tick {
 	pc := newPlacer(pl, nil)
-	pc.forward(false, false)
+	pc.replay(0, nil, nil)
 	return pc.clock
 }
 
@@ -41,7 +39,7 @@ func exactRankClocks(pl *Plan, ly *Layout) []tick {
 	pc := newPlacer(pl, sweepPlan(pl, ly, false))
 	pc.exact = true
 	pc.list()
-	pc.forward(false, false)
+	pc.replay(0, nil, nil)
 	return pc.clock
 }
 

@@ -16,8 +16,8 @@ import (
 // collectives may share a tag only if no pair of ranks exchanges
 // messages in both at the same time; the simplest safe discipline, used
 // by all algorithms in this repository, is a distinct tag per
-// (phase, object) pair. Fused collectives (Allreduce, Allgather,
-// Barrier) internally run two phases; the second phase uses ^tag, so
+// (phase, object) pair. Fused collectives (Allreduce, Allgather)
+// internally run two phases; the second phase uses ^tag, so
 // the negative tag space is reserved for the implementation — callers
 // may use every tag ≥ 0 freely, including consecutive ones, without
 // colliding with a fused collective's hidden phase. (Using tag+1
@@ -271,12 +271,6 @@ func (c *Ctx) Allreduce(group []int, tag int, data []float64, op func(acc, in []
 	checkTag(tag)
 	res := c.Reduce(group, group[0], tag, data, op)
 	return c.bcast(group, group[0], ^tag, res)
-}
-
-// Barrier blocks until every member of group has reached it,
-// implemented as a zero-word all-reduce (latency O(log q), bandwidth 0).
-func (c *Ctx) Barrier(group []int, tag int) {
-	c.Allreduce(group, tag, nil, func(acc, in []float64) {})
 }
 
 // Gather collects each member's (variable-length) contribution at root.

@@ -164,26 +164,6 @@ func TestAllreduce(t *testing.T) {
 	}
 }
 
-func TestBarrierCompletes(t *testing.T) {
-	const q = 9
-	m := NewMachine(q)
-	group := make([]int, q)
-	for i := range group {
-		group[i] = i
-	}
-	err := m.Run(func(c *Ctx) {
-		for round := 0; round < 3; round++ {
-			c.Barrier(group, 100+round)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bw := m.CriticalPath().Bandwidth; bw != 0 {
-		t.Errorf("barrier moved %d words, want 0", bw)
-	}
-}
-
 func TestGatherVariableLengths(t *testing.T) {
 	const q = 5
 	m := NewMachine(q)

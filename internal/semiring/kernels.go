@@ -114,47 +114,3 @@ func snapshot(p *Matrix, a *Arena) *Matrix {
 	copy(tmp.V, p.V)
 	return tmp
 }
-
-// PanelStep is one link of a fused panel-update chain: the broadcast
-// operand D and which side it multiplies on. Right=false applies
-// P ⊕= P ⊗ D (PanelUpdateLeftScratch), Right=true applies P ⊕= D ⊗ P
-// (PanelUpdateRightScratch).
-type PanelStep struct {
-	D     *Matrix
-	Right bool
-}
-
-// PanelUpdateMultiScratch applies a chain of panel updates to the
-// resident block p, keeping p hot across all accumulations: one fused
-// node loads the destination once and runs k accumulates instead of k
-// separate nodes each paying a full scheduler round-trip and
-// write-back. Step i is bit-identical to the corresponding single
-// PanelUpdateLeft/RightScratch call — each step snapshots p into the
-// arena before multiplying, so the min-plus accumulation order over
-// the same block is exactly plan order.
-//
-// The optional hooks let the caller interleave its accounting with the
-// arithmetic at the same points the unfused nodes would have:
-// before(i) runs ahead of step i's multiply (receive/send/memory
-// charges), after(i, ops) runs right after it with the step's
-// operation count (flops/memory-release charges). Either may be nil.
-// Returns the total operation count.
-func PanelUpdateMultiScratch(p *Matrix, steps []PanelStep, a *Arena, before func(i int), after func(i int, ops int64)) int64 {
-	var total int64
-	for i := range steps {
-		if before != nil {
-			before(i)
-		}
-		var ops int64
-		if steps[i].Right {
-			ops = PanelUpdateRightScratch(p, steps[i].D, a)
-		} else {
-			ops = PanelUpdateLeftScratch(p, steps[i].D, a)
-		}
-		if after != nil {
-			after(i, ops)
-		}
-		total += ops
-	}
-	return total
-}
