@@ -124,7 +124,7 @@ type Options struct {
 	// costs differ.
 	Wire WireFormat
 	// Plans, when non-nil, caches the sparse solver's symbolic plans
-	// (ordering + eTree + fill mask + full op schedule) under a
+	// (ordering + eTree + full op schedule) under a
 	// weights-independent StructureFingerprint: repeated solves on one
 	// graph structure — the serving and weight-update workloads — pay
 	// the symbolic cost once. Ignored by the non-sparse algorithms.

@@ -2,6 +2,7 @@ package apsp
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -320,5 +321,33 @@ func TestSparseAPSPRejectsMismatchedLayout(t *testing.T) {
 	}
 	if _, err := SparseAPSPWith(g, 49, SparseOptions{Layout: ly}); err == nil {
 		t.Error("expected error for mismatched layout height")
+	}
+}
+
+// TestExecuteRejectsOtherDissection: a layout of the same height and
+// supernode count but another dissection is refused, not run against a
+// schedule planned for other blocks.
+func TestExecuteRejectsOtherDissection(t *testing.T) {
+	g := graph.Grid2D(12, 12, integerWeights(rand.New(rand.NewSource(1)), 9))
+	planned, err := NewLayout(g, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := NewLayout(g, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(planned.ND.Perm, other.ND.Perm) {
+		t.Fatal("ND seeds 1 and 2 give the same ordering; the test needs two")
+	}
+	pl, err := BuildPlan(planned, 49, WirePruned, R4Mapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pl.ExecuteOpts(other, ExecOpts{}); err == nil {
+		t.Error("ExecuteOpts ran a plan on a layout from another dissection")
+	}
+	if _, err := pl.ExecuteOpts(pl.LayoutFor(g), ExecOpts{}); err != nil {
+		t.Errorf("ExecuteOpts refused the plan's own dissection: %v", err)
 	}
 }

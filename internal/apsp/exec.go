@@ -9,27 +9,27 @@ import (
 
 // What a rank does with a payload, and the reference semantics of a
 // Plan replay. The numeric steps below — one per kind — are shared by
-// ExecuteOpts (dataflow.go) and the test suite's machine reference
-// (executeMachine, machine_test.go), which call them in each rank's
-// program order (Plan.ranks) and charge them through their own sink. How
-// messages travel is not shared: the machine, one goroutine per rank,
-// drives every exchange through comm's own BcastTreeEach, ReduceTo, Send
-// and Recv, while ExecuteOpts wires them from appendMessages. That keeps
-// the machine an independent check of the expansion: TestExecutorEquality
-// and TestPlanClockIsExact hold the two executors to the same distances
-// and the same charged costs — the ones the golden cost test pins.
+// ExecuteOpts (dataflow.go, through one exec per micro-node) and the
+// test suite's machine reference (executeMachine, machine_test.go),
+// which call them in each rank's program order (Plan.ranks) and charge
+// them through their own sink. How messages travel is not shared: the
+// machine, one goroutine per rank, drives every exchange through comm's
+// own BcastTreeEach, ReduceTo, Send and Recv, while ExecuteOpts wires
+// them from appendMessages. That keeps the machine an independent check
+// of the expansion: TestExecutorEquality and TestPlanClockIsExact hold
+// the two executors to the same distances and the same charged costs —
+// the ones the golden cost test pins.
 
 // LayoutFor wraps g in a Layout that reuses the plan's cached symbolic
 // state. This is the warm serving path: the only per-solve work is the
 // O(n + m) permutation of the weights — no nested dissection, no
-// eTree, no fill mask.
+// eTree.
 func (pl *Plan) LayoutFor(g *graph.Graph) *Layout {
 	return &Layout{
 		G:    g,
 		PG:   g.Permute(pl.ND.Perm),
 		ND:   pl.ND,
 		Tree: pl.Tree,
-		Fill: pl.Fill,
 	}
 }
 

@@ -14,7 +14,7 @@ package apsp
 // an all-Inf panel finite, since P ⊕ P⊗D has no finite entries when P
 // has none).
 //
-// SparseAPSP uses the mask to skip broadcasts whose payload is
+// BuildPlan uses the mask to skip broadcasts whose payload is
 // provably all-Inf and the multiplications fed by them; because those
 // operations only move and fold semiring identities, skipping them
 // leaves every distance bit-identical.
@@ -28,8 +28,8 @@ type FillMask struct {
 }
 
 // NewFillMask runs the symbolic elimination on a layout's tree and
-// supernode adjacency. NewLayoutFromOrdering attaches the result to
-// Layout.Fill, so solvers normally never call this directly.
+// supernode adjacency. BuildPlan computes it once for the schedule it
+// enumerates; no plan or layout keeps it.
 func NewFillMask(ly *Layout) *FillMask {
 	tr, nd := ly.Tree, ly.ND
 	n := tr.N
@@ -86,21 +86,4 @@ func NewFillMask(ly *Layout) *FillMask {
 // the final level).
 func (fm *FillMask) At(l, i, j int) bool {
 	return fm.states[l-1][i*(fm.N+1)+j]
-}
-
-// Possible counts the blocks the mask cannot rule out at the start of
-// level l, out of N² — the harness reports it as the symbolic analogue
-// of the paper's |S|² structure term.
-func (fm *FillMask) Possible(l int) int {
-	count := 0
-	s := fm.states[l-1]
-	stride := fm.N + 1
-	for i := 1; i <= fm.N; i++ {
-		for j := 1; j <= fm.N; j++ {
-			if s[i*stride+j] {
-				count++
-			}
-		}
-	}
-	return count
 }

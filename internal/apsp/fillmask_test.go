@@ -25,10 +25,7 @@ func TestFillMaskStructure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fm := ly.Fill
-		if fm == nil {
-			t.Fatal("layout has no fill mask")
-		}
+		fm := NewFillMask(ly)
 		n := ly.Tree.N
 		for l := 1; l <= fm.H+1; l++ {
 			for i := 1; i <= n; i++ {
@@ -47,9 +44,6 @@ func TestFillMaskStructure(t *testing.T) {
 					t.Fatalf("graph %d: diagonal (%d,%d) unmarked at l=%d", gi, i, i, l)
 				}
 			}
-			if p := fm.Possible(l); p < 0 || p > n*n {
-				t.Fatalf("graph %d: Possible(%d) = %d out of range", gi, l, p)
-			}
 		}
 	}
 }
@@ -64,11 +58,11 @@ func TestFillMaskInitialLevelMatchesBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := ly.Blocks()
+	blocks, fm := ly.Blocks(), NewFillMask(ly)
 	for i := 1; i <= ly.Tree.N; i++ {
 		for j := 1; j <= ly.Tree.N; j++ {
 			hasFinite := blocks[i][j].NNZ() > 0
-			if got := ly.Fill.At(1, i, j); got != hasFinite {
+			if got := fm.At(1, i, j); got != hasFinite {
 				t.Errorf("At(1,%d,%d) = %v, but initial block NNZ = %d",
 					i, j, got, blocks[i][j].NNZ())
 			}
@@ -98,7 +92,8 @@ func TestFillMaskSoundAgainstSolve(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		ly, fm := res.Layout, res.Layout.Fill
+		ly := res.Layout
+		fm := NewFillMask(ly)
 		for u := 0; u < tc.g.N(); u++ {
 			su := ly.ND.SupernodeOf(ly.ND.Perm[u])
 			for v := 0; v < tc.g.N(); v++ {
@@ -125,7 +120,7 @@ func TestFillMaskRulesOutCousinsOnPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fm := ly.Fill
+	fm := NewFillMask(ly)
 	root := ly.Tree.N // bottom-up labelling: the root separator is N
 	ruledOut := 0
 	for i := 1; i <= ly.Tree.N; i++ {

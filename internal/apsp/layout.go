@@ -20,10 +20,6 @@ type Layout struct {
 	PG   *graph.Graph      // permuted (reordered) graph
 	ND   *partition.Result // the dissection: supernodes, sizes, permutation
 	Tree *etree.Tree       // eTree over supernode labels 1..N
-	// Fill is the symbolic fill mask: which blocks can ever hold a
-	// finite entry, per eTree level. SparseAPSP uses it to skip
-	// provably-empty broadcasts and multiplications.
-	Fill *FillMask
 }
 
 // NewLayout runs nested dissection with h levels on g.
@@ -39,14 +35,12 @@ func NewLayout(g *graph.Graph, h int, seed int64) (*Layout, error) {
 // for example one computed by partition.DistributedND — as a layout
 // usable by the solvers.
 func NewLayoutFromOrdering(g *graph.Graph, nd *partition.Result) *Layout {
-	ly := &Layout{
+	return &Layout{
 		G:    g,
 		PG:   g.Permute(nd.Perm),
 		ND:   nd,
 		Tree: etree.New(nd.H),
 	}
-	ly.Fill = NewFillMask(ly)
-	return ly
 }
 
 // blockBacking recycles the n²-word backing arrays of Blocks across

@@ -266,10 +266,10 @@ type step struct {
 
 // Plan is the immutable symbolic artifact: everything about a
 // 2D-SPARSE-APSP solve that does not depend on edge weights. It holds
-// the ordering (ND result), eTree and fill mask it was derived from,
-// the per-level op table and every rank's program over it. Build once
-// with BuildPlan, replay any number of times with ExecuteOpts; plans
-// are safe for concurrent use by many solves.
+// the ordering (ND result) and eTree it was derived from, the per-level
+// op table the fill mask left standing and every rank's program over
+// it. Build once with BuildPlan, replay any number of times with
+// ExecuteOpts; plans are safe for concurrent use by many solves.
 type Plan struct {
 	P     int
 	H     int
@@ -279,7 +279,6 @@ type Plan struct {
 
 	ND   *partition.Result
 	Tree *etree.Tree
-	Fill *FillMask
 
 	Levels [][]Op   // per eTree level, the ops in execution order
 	ranks  [][]step // per rank, its program over every level
@@ -385,7 +384,7 @@ func buildLabelOrder(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, 
 	b := &planBuilder{
 		tr:    ly.Tree,
 		sizes: ly.ND.Sizes,
-		mask:  ly.Fill,
+		mask:  NewFillMask(ly),
 		wire:  wire,
 		grid:  comm.Grid{Rows: ly.Tree.N, Cols: ly.Tree.N},
 	}
@@ -397,7 +396,6 @@ func buildLabelOrder(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, 
 		R4Seq: r4 == R4Sequential,
 		ND:    ly.ND,
 		Tree:  ly.Tree,
-		Fill:  ly.Fill,
 	}
 	for l := 1; l <= h; l++ {
 		ops, err := b.level(l, pl.R4Seq)

@@ -15,7 +15,9 @@ import (
 // structure and the plan-shaping options, so persisting its bytes under
 // the StructureFingerprint (planstore.go) lets a restarted process skip
 // the entire symbolic phase — nested dissection, eTree, fill mask,
-// schedule enumeration — for every structure it has ever solved.
+// schedule enumeration — for every structure it has ever solved. The
+// fill mask is read only while the schedule is enumerated, so it does
+// not travel: the file carries the schedule it decided.
 //
 // Format (all integers signed varints):
 //
@@ -23,7 +25,6 @@ import (
 //	body:
 //	  P, H, NSup, Wire, R4Seq
 //	  ND.Perm, ND.Sizes                 (length-prefixed)
-//	  FillMask states                   (count, then one bitset per state)
 //	  Levels                            (count, then per level the op count and one record per op:
 //	                                     Kind, BI, BJ, K, Root, Group, Parent, Consumers,
 //	                                     Prune (length-prefixed, one descriptor per part))
@@ -35,9 +36,8 @@ import (
 // hash-consistent file whose schedule cannot run is rejected too. Only
 // the canonical fields travel; everything derivable (Starts / InvPerm /
 // Super, the eTree, the per-rank programs) is rebuilt on decode, and
-// the decoder accepts only canonical bytes (minimal varints, zero
-// padding bits), so encoding a decoded plan reproduces them bit for
-// bit.
+// the decoder accepts only canonical bytes (minimal varints), so
+// encoding a decoded plan reproduces them bit for bit.
 //
 // DecodePlan returns an error — never panics — on malformed input
 // (fuzzed by FuzzDecodePlanMalformed). Note this is the opposite policy
@@ -53,7 +53,7 @@ import (
 // file written before it is a decode error and is rebuilt. Plan.Hash
 // digests the body and not the magic, so the constant never digests
 // itself.
-const planDigest = "a88a7a441642fd852a1fd670d61b50124b523f848c00e6ae3f0562781778ed91"
+const planDigest = "230975d87f281e4da9d4c0f4070d8ec648a741758a8ed665283e9ed69e4c25b7"
 
 // planMagic identifies the format and its version.
 const planMagic = "SAPLAN-" + planDigest
@@ -70,10 +70,6 @@ func (p *Plan) appendBody(b []byte) []byte {
 	b = appendPlanInt(b, p.P, p.H, p.NSup, int(p.Wire), boolInt(p.R4Seq))
 	b = appendPlanIntSlice(b, p.ND.Perm)
 	b = appendPlanIntSlice(b, p.ND.Sizes)
-	b = appendPlanInt(b, len(p.Fill.states))
-	for _, st := range p.Fill.states {
-		b = appendPlanBools(b, st)
-	}
 	b = appendPlanInt(b, len(p.Levels))
 	for _, ops := range p.Levels {
 		b = appendPlanInt(b, len(ops))
@@ -105,25 +101,6 @@ func appendPlanInt(b []byte, vs ...int) []byte {
 func appendPlanIntSlice(b []byte, vs []int) []byte {
 	b = appendPlanInt(b, len(vs))
 	return appendPlanInt(b, vs...)
-}
-
-// appendPlanBools encodes a []bool as a length-prefixed bitset.
-func appendPlanBools(b []byte, vs []bool) []byte {
-	b = appendPlanInt(b, len(vs))
-	var cur byte
-	for i, v := range vs {
-		if v {
-			cur |= 1 << (i % 8)
-		}
-		if i%8 == 7 {
-			b = append(b, cur)
-			cur = 0
-		}
-	}
-	if len(vs)%8 != 0 {
-		b = append(b, cur)
-	}
-	return b
 }
 
 // appendPlanPrune writes a descriptor: nil specs and nil-vs-empty axes
@@ -204,25 +181,6 @@ func (r *planReader) intSlice(what string) ([]int, error) {
 			return nil, err
 		}
 	}
-	return out, nil
-}
-
-func (r *planReader) bools(what string) ([]bool, error) {
-	n, err := r.int()
-	if err != nil {
-		return nil, err
-	}
-	if n < 0 || (n+7)/8 > r.remaining() {
-		return nil, fmt.Errorf("apsp: DecodePlan: %s bitset length %d invalid with %d bytes left", what, n, r.remaining())
-	}
-	if n%8 != 0 && r.b[r.off+n/8]>>(n%8) != 0 {
-		return nil, fmt.Errorf("apsp: DecodePlan: %s bitset has padding bits set", what)
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = r.b[r.off+i/8]&(1<<(i%8)) != 0
-	}
-	r.off += (n + 7) / 8
 	return out, nil
 }
 
@@ -361,23 +319,6 @@ func DecodePlan(b []byte) (*Plan, error) {
 		return nil, err
 	}
 
-	numStates, err := r.int()
-	if err != nil {
-		return nil, err
-	}
-	if numStates != h+1 {
-		return nil, fmt.Errorf("apsp: DecodePlan: %d fill states for height %d (want %d)", numStates, h, h+1)
-	}
-	states := make([][]bool, numStates)
-	for i := range states {
-		if states[i], err = r.bools("fill state"); err != nil {
-			return nil, err
-		}
-		if len(states[i]) != (nsup+1)*(nsup+1) {
-			return nil, fmt.Errorf("apsp: DecodePlan: fill state %d has %d cells (want %d)", i, len(states[i]), (nsup+1)*(nsup+1))
-		}
-	}
-
 	numLevels, err := r.int()
 	if err != nil {
 		return nil, err
@@ -413,7 +354,6 @@ func DecodePlan(b []byte) (*Plan, error) {
 		R4Seq:  r4seq == 1,
 		ND:     nd,
 		Tree:   tr,
-		Fill:   &FillMask{H: h, N: nsup, states: states},
 		Levels: levels,
 	}
 	pl.ranks = indexRanks(pl)

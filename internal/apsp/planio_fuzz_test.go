@@ -46,7 +46,7 @@ func FuzzDecodePlanMalformed(f *testing.F) {
 		decodeCanonical(t, data)
 		// The content hash rejects nearly every mutation before the body
 		// is parsed. Re-sealing the mutated body under its own hash hands
-		// it to the varint reader, the bitsets and the op validator.
+		// it to the varint reader and the op validator.
 		if len(data) >= len(planMagic)+sha256.Size {
 			sealed := append([]byte(nil), data...)
 			sum := sha256.Sum256(sealed[len(planMagic) : len(sealed)-sha256.Size])

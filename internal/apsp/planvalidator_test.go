@@ -1,8 +1,10 @@
 package apsp
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -60,8 +62,10 @@ var fuzzFamilies = []func(n int, w graph.WeightFn, rng *rand.Rand) *graph.Graph{
 // strategy. BuildPlan must return a plan its own check accepts, whose
 // exact clock (exactClock) is what the dataflow executor charges on the
 // critical path, and which solves to Johnson's distances bit for bit. The
-// seeds are the two served shapes: the 32² grid at p = 49 and the
-// 800-cycle at p = 961, at ND seed 42.
+// machine reference (executeMachine) must give the same distances bit
+// for bit and the same Report, and the plan's encoding must decode and
+// re-encode to the same bytes. The seeds are the two served shapes: the
+// 32² grid at p = 49 and the 800-cycle at p = 961, at ND seed 42.
 func FuzzBuildPlan(f *testing.F) {
 	// family, n-2 low and high byte, p, ND seed, weight seed, wire, R4.
 	f.Add([]byte{0, 254, 3, 1, 42, 1, 0, 0})
@@ -116,6 +120,24 @@ func FuzzBuildPlan(f *testing.F) {
 		}
 		if !identicalMatrices(res.Dist, mustJohnson(t, g)) {
 			t.Errorf("%s: distances differ from Johnson's", name())
+		}
+		mach, err := pl.executeMachine(ly)
+		if err != nil {
+			t.Fatalf("%s: machine: %v", name(), err)
+		}
+		if !identicalMatrices(mach.Dist, res.Dist) {
+			t.Errorf("%s: machine distances differ from ExecuteOpts'", name())
+		}
+		if !reflect.DeepEqual(mach.Report, res.Report) {
+			t.Errorf("%s: reports differ:\nExecuteOpts %+v\nmachine     %+v", name(), res.Report, mach.Report)
+		}
+		enc := pl.Encode()
+		dec, err := DecodePlan(enc)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name(), err)
+		}
+		if !bytes.Equal(dec.Encode(), enc) {
+			t.Errorf("%s: a decoded plan re-encodes to other bytes", name())
 		}
 	})
 }

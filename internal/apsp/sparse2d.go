@@ -124,7 +124,7 @@ type SparseOptions struct {
 	Wire WireFormat
 	// Plans, when non-nil, caches the symbolic Plan under the graph's
 	// StructureFingerprint: a solve whose structure was seen before
-	// reuses the cached ordering, eTree, fill mask and op schedule and
+	// reuses the cached ordering, eTree and op schedule and
 	// performs no symbolic work at all (only the O(n + m) weight
 	// permutation). Ignored when Layout is supplied — a caller-provided
 	// ordering is not necessarily reproducible from the graph alone.
@@ -181,8 +181,8 @@ func planFor(g *graph.Graph, p int, opts SparseOptions) (*Plan, error) {
 }
 
 // buildSymbolic runs the full symbolic phase from scratch: nested
-// dissection, eTree, fill mask (NewLayout), then the op schedule
-// (BuildPlan).
+// dissection and eTree (NewLayout), then the fill mask and the op
+// schedule (BuildPlan).
 func buildSymbolic(g *graph.Graph, p, h int, opts SparseOptions) (*Layout, *Plan, error) {
 	ly, err := NewLayout(g, h, opts.Seed)
 	if err != nil {
