@@ -283,8 +283,8 @@ func TestServedWirePinned(t *testing.T) {
 		p                  int
 		words, msgs, total int64
 	}{
-		{"grid32x32", Grid2D(32, 32, w(1)), 49, 49399, 18, 132},
-		{"cycle800", Cycle(800, w(2)), 961, 1670, 34, 2190},
+		{"grid32x32", Grid2D(32, 32, w(1)), 49, 46549, 17, 128},
+		{"cycle800", Cycle(800, w(2)), 961, 1669, 32, 2157},
 	} {
 		def, err := Solve(tc.g, Options{P: tc.p, Seed: 42})
 		if err != nil {

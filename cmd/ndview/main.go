@@ -131,7 +131,9 @@ func showRegions(h, l int) {
 
 // showTraffic renders the words-sent matrix of a sparse solve as an
 // ASCII heatmap: the eTree structure is visible as hot pivot
-// rows/columns and the Corollary 5.5 unit-processor rows.
+// rows/columns and the Corollary 5.5 unit-processor rows — above level
+// 1: the default wire runs one level-1 unit per block on the block's
+// owner.
 func showTraffic(gen string, n, h int, seed int64) {
 	g, err := graph.NamedGenerator(gen, n, seed)
 	if err != nil {

@@ -774,7 +774,7 @@ func (x *dfRun) exec(id int32, a *semiring.Arena) {
 	case opDiag:
 		rs.diag(s)
 	case opUnit:
-		rs.unitProduct(s, x.sizes[op.BI], x.sizes[op.BJ])
+		rs.unitProduct(s, x.pl.ownsUnitBlock(op), x.sizes[op.BI], x.sizes[op.BJ])
 	case opReduce:
 		upper := x.pl.upperReduce(op)
 		if !n.use { // a root outside the group: one receive from its first member

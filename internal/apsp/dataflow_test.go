@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sparseapsp/internal/graph"
+	"sparseapsp/internal/semiring"
 )
 
 // machineSolve is SparseAPSPWith on the reference semantics: the same
@@ -83,6 +84,54 @@ func TestExecutorEquality(t *testing.T) {
 	}
 }
 
+// countSink is a sink that only counts what a step charges.
+type countSink struct{ flops, memory int64 }
+
+func (s *countSink) AddFlops(n int64)      { s.flops += n }
+func (s *countSink) AddMemory(delta int64) { s.memory += delta }
+
+// TestOwnerUnitFoldsInPlace: a unit on its block's owner (unitRank)
+// folds its product straight into the owned block and holds no unit
+// beside it, so hosting it costs the owner no memory beyond its operands
+// (hosting it in a unit of its own raised MaxMemory in 48 of E52's 224
+// pruned sweep cells). A unit elsewhere holds its product for the reduce
+// and leaves the rank's block alone. Both charge the same flops.
+func TestOwnerUnitFoldsInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	block := func(rows, cols int) *semiring.Matrix {
+		m := semiring.NewMatrix(rows, cols)
+		for i := range m.V {
+			if rng.Intn(3) > 0 {
+				m.V[i] = float64(1 + rng.Intn(9))
+			}
+		}
+		return m
+	}
+	aik, akj, owned := block(4, 3), block(3, 5), block(4, 5)
+	product := semiring.NewMatrix(4, 5)
+	wantFlops := semiring.MulAddInto(product, aik, akj)
+	folded := owned.Clone()
+	semiring.MinInto(folded.V, product.V)
+	for _, onOwner := range []bool{true, false} {
+		rs := &rankState{A: owned.Clone(), aik: aik, akj: akj}
+		var s countSink
+		rs.unitProduct(&s, onOwner, 4, 5)
+		wantA, wantUnit, wantMemory := owned, product, int64(20)
+		if onOwner {
+			wantA, wantUnit, wantMemory = folded, nil, 0
+		}
+		if !identicalMatrices(rs.A, wantA) {
+			t.Errorf("owner %v: the owned block is not what the product leaves it", onOwner)
+		}
+		if (rs.unit == nil) != (wantUnit == nil) || wantUnit != nil && !identicalMatrices(rs.unit, wantUnit) {
+			t.Errorf("owner %v: the unit held is not the product", onOwner)
+		}
+		if s.memory != wantMemory || s.flops != wantFlops {
+			t.Errorf("owner %v: charged %d words of memory and %d flops, want %d and %d", onOwner, s.memory, s.flops, wantMemory, wantFlops)
+		}
+	}
+}
+
 // TestConcurrentDataflowExecute runs many dataflow Executes of one Plan
 // concurrently (the oracle registry's warm serving pattern) and checks
 // each against a reference run. Exercised under -race in CI: the lowered
@@ -145,8 +194,8 @@ func TestDataflowLoweringShape(t *testing.T) {
 		order  uint64 // prioSid hash; zero = unpinned
 	}{
 		{"grid10x10", graph.Grid2D(10, 10, integerWeights(rng, 10)), 9, 11, [4]int{}, 0},
-		{"grid32x32", graph.Grid2D(32, 32, graph.UnitWeights), 49, 42, [4]int{81, 160, 467, 132}, 0x0643f8e590f80f45},
-		{"cycle800", graph.Cycle(800, graph.UnitWeights), 961, 42, [4]int{481, 2770, 9489, 2190}, 0x2f3163ee5eeac4a8},
+		{"grid32x32", graph.Grid2D(32, 32, graph.UnitWeights), 49, 42, [4]int{81, 153, 463, 128}, 0x5181c886618b037d},
+		{"cycle800", graph.Cycle(800, graph.UnitWeights), 961, 42, [4]int{465, 2750, 9437, 2157}, 0x757bfb3a89e689e4},
 	} {
 		t.Run(tc.name, func(t *testing.T) { checkLoweringShape(t, tc.g, tc.p, tc.seed, tc.counts, tc.order) })
 	}

@@ -77,17 +77,29 @@ func (rs *rankState) consume(s sink, kind uint8, d *semiring.Matrix, a *semiring
 	}
 }
 
-// unitProduct computes the rank's R4 unit from its captured operands. A
-// diagonal block's unit may be handed its column panel alone
-// (dropMirrors): its right operand A(k,i) is that panel's mirror.
-func (rs *rankState) unitProduct(s sink, rows, cols int) {
+// unitProduct computes the rank's R4 unit from its captured operands:
+// into a unit of its own, which the block's reduce ships, or with owned
+// set — the rank owns the unit's block (unitRank) — straight into the
+// owned block, which the reduce then folds the other units into, so no
+// unit is held beside it. A diagonal block's unit may be handed its
+// column panel alone (dropMirrors): its right operand A(k,i) is that
+// panel's mirror.
+func (rs *rankState) unitProduct(s sink, owned bool, rows, cols int) {
 	if rs.akj == nil {
 		rs.akj = mirror(s, rs.aik)
 	}
-	rs.unit = semiring.NewMatrix(rows, cols)
-	s.AddMemory(int64(len(rs.unit.V)))
-	s.AddFlops(semiring.MulAddInto(rs.unit, rs.aik, rs.akj))
+	dst := rs.A
+	if !owned {
+		rs.unit = semiring.NewMatrix(rows, cols)
+		s.AddMemory(int64(len(rs.unit.V)))
+		dst = rs.unit
+	}
+	s.AddFlops(semiring.MulAddInto(dst, rs.aik, rs.akj))
 }
+
+// ownsUnitBlock reports whether unit op runs on the owner of the block
+// it updates.
+func (pl *Plan) ownsUnitBlock(op *Op) bool { return op.Root == (op.BI-1)*pl.NSup+op.BJ-1 }
 
 // fold min-folds a reduced unit sum into the owned block: res is the
 // sum's body, or with upper set its upper triangle (Plan.reducePayload),
@@ -166,7 +178,12 @@ func (pl *Plan) upperReduce(op *Op) bool { return pl.Wire == WirePruned && op.BI
 
 // reducePayload is what a member of reduce op contributes: its unit's
 // body, or its upper triangle when the op's payloads are (upperReduce).
+// A root whose unit went into its own block (unitProduct) has none and
+// contributes an all-Inf payload.
 func (pl *Plan) reducePayload(op *Op, unit *semiring.Matrix) []float64 {
+	if unit == nil {
+		unit = semiring.NewMatrix(pl.ND.Sizes[op.BI], pl.ND.Sizes[op.BJ])
+	}
 	if pl.upperReduce(op) {
 		return semiring.PackUpper(unit)
 	}

@@ -15,7 +15,8 @@
 //   - DCAPSP — the divide-and-conquer 2D-DC-APSP of Solomonik, Buluç,
 //     Demmel (IPDPS'13) on a block-cyclic layout.
 //   - SparseAPSP — the paper's 2D-SPARSE-APSP (Algorithm 1), with the
-//     Corollary 5.5 unit mapping or the Section 5.2.2 sequential
+//     Corollary 5.5 unit mapping (one level-1 unit per block on the
+//     block's owner, on the pruned wire) or the Section 5.2.2 sequential
 //     strategy (SparseOptions.R4Strategy), per-level cost breakdown,
 //     and pluggable orderings (e.g. from partition.DistributedND).
 //

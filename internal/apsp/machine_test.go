@@ -97,12 +97,12 @@ func (pl *Plan) machineStep(ctx *comm.Ctx, rs *rankState, st step, a *semiring.A
 	case opDiag:
 		rs.diag(ctx)
 	case opUnit:
-		rs.unitProduct(ctx, sizes[op.BI], sizes[op.BJ])
+		rs.unitProduct(ctx, pl.ownsUnitBlock(op), sizes[op.BI], sizes[op.BJ])
 	case opReduce:
 		var data []float64
 		if st.use {
 			data = pl.reducePayload(op, rs.unit)
-			if machineProbe != nil {
+			if machineProbe != nil && rs.unit != nil {
 				machineProbe(sentFrom{op, rank, -1, rs.unit.Clone()})
 			}
 		}

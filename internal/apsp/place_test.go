@@ -43,6 +43,104 @@ func exactRankClocks(pl *Plan, ly *Layout) []tick {
 	return pc.clock
 }
 
+// chainLink is one message of a critical chain: the op's level (1-based),
+// kind and payload block, its sender and receiver, its words, and the rank
+// whose words clock it advanced on the chain — the sender, or the
+// receiver.
+type chainLink struct {
+	level, bi, bj, src, dst, rank int
+	kind                          uint8
+	words                         int64
+}
+
+// criticalChain replays pl's clocks at exact prices, like exactClock, and
+// returns the messages that make the critical words clock, in send order.
+// It keeps, per rank, the message that last raised its words clock and the
+// chain that message extended: the sender's own, or for the receiver
+// whichever of its own and the sender's pre-send clock deliver max-merged.
+// Walking back from the rank with the most words gives the chain, whose
+// words sum to exactClock(pl, ly).words.
+func criticalChain(pl *Plan, ly *Layout) []chainLink {
+	pc := newPlacer(pl, sweepPlan(pl, ly, false))
+	pc.exact = true
+	pc.list()
+	level := make(map[*Op]int)
+	for li, ops := range pl.Levels {
+		for x := range ops {
+			level[&ops[x]] = li + 1
+		}
+	}
+	type node struct {
+		link chainLink
+		prev *node
+	}
+	clock, last := make([]tick, pl.P), make([]*node, pl.P)
+	for i := range pc.steps {
+		st := &pc.steps[i]
+		for _, m := range pc.messages(st) {
+			bi, bj := st.op.payload(m.part)
+			link := chainLink{level: level[st.op], bi: bi, bj: bj, src: m.src, dst: m.dst, kind: st.op.Kind, words: st.w[m.part]}
+			into := last[m.dst]
+			if clock[m.src].words > clock[m.dst].words {
+				into = last[m.src]
+			}
+			link.rank = m.src
+			last[m.src] = &node{link, last[m.src]}
+			link.rank = m.dst
+			last[m.dst] = &node{link, into}
+			deliver(clock, m.src, m.dst, st.w[m.part])
+		}
+	}
+	crit := 0
+	for r := range clock {
+		if clock[r].words > clock[crit].words {
+			crit = r
+		}
+	}
+	var chain []chainLink
+	for n := last[crit]; n != nil; n = n.prev {
+		chain = append(chain, n.link)
+	}
+	slices.Reverse(chain)
+	return chain
+}
+
+// TestCriticalChainMatchesClock: on the golden cases and both served
+// shapes, under both wires and both R4 strategies, the critical chain's
+// words sum to the exact clock's critical words, and the chain is one
+// path — each message leaves it on a rank the next one sends from, or
+// on the receiver of the next when that message extends its receiver's
+// clock.
+func TestCriticalChainMatchesClock(t *testing.T) {
+	cases := append(goldenCases(),
+		goldenCase{"grid32x32", graph.Grid2D(32, 32, integerWeights(rand.New(rand.NewSource(1)), 9)), 49},
+		goldenCase{"cycle800", graph.Cycle(800, integerWeights(rand.New(rand.NewSource(2)), 9)), 961},
+	)
+	for _, tc := range cases {
+		ly := testLayout(t, tc.g, tc.p)
+		for _, wire := range []WireFormat{WirePruned, WireDense} {
+			for _, r4 := range []R4Strategy{R4Mapped, R4Sequential} {
+				name := fmt.Sprintf("%s/%v/r4=%d", tc.name, wire, r4)
+				pl := buildTestPlanAt(t, ly, tc.p, wire, r4)
+				chain := criticalChain(pl, ly)
+				var words int64
+				for x, c := range chain {
+					words += c.words
+					if x == 0 {
+						continue
+					}
+					if prev := chain[x-1].rank; prev != c.src && (c.rank == c.src || prev != c.dst) {
+						t.Errorf("%s: chain link %d (%d → %d, on %d) does not continue from rank %d", name, x, c.src, c.dst, c.rank, prev)
+					}
+				}
+				if want := exactClock(pl, ly).words; words != want {
+					t.Errorf("%s: the critical chain's %d links sum to %d words, the exact clock reads %d", name, len(chain), words, want)
+				}
+			}
+		}
+	}
+}
+
 // TestPlanClockIsExact ties the clock the placement decides by to the
 // clocks the executors charge: on every sparse row of the golden table,
 // both benchmark shapes, the grid on real-valued weights and two

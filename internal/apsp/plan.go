@@ -47,7 +47,7 @@ const (
 	opR2Right              // R2 pivot along its row: consumers run A ⊕= D ⊗ A
 	opR4Aik                // R4 column panel A(BI,BJ): consumers capture their unit's left operand
 	opR4Akj                // R4 row panel A(BI,BJ): consumers capture their unit's right operand
-	opUnit                 // R4 unit product A(BI,K) ⊗ A(K,BJ) on processor Root (Corollary 5.5)
+	opUnit                 // R4 unit product A(BI,K) ⊗ A(K,BJ) on processor Root (Corollary 5.5, or the block's owner: unitRank)
 	opReduce               // R4 binomial reduce of the units of (BI,BJ) into Root
 	opSeq                  // R4 sequential ablation: Group sends A(BI,K) and A(K,BJ), Root folds the product
 	opTrans                // Algorithm 1 line 25: Group[0] sends (BI,BJ), Root stores its transpose
@@ -577,8 +577,10 @@ func (b *planBuilder) level(l int, r4seq bool) ([]Op, error) {
 }
 
 // levelR4Mapped plans the paper's strategy: panel broadcasts to the
-// Corollary 5.5 unit processors, one unit product per processor, and a
-// binomial reduce per block.
+// unit processors, one unit product per processor, and a binomial reduce
+// per block. The unit processors are Corollary 5.5's, but for one unit
+// per block on the pruned wire's level 1, which runs on the block's owner
+// (unitRank).
 func (b *planBuilder) levelR4Mapped(l int, ops []Op) ([]Op, error) {
 	tr := b.tr
 	// Column-panel broadcasts (line 14): P(i,k) → the processors whose
@@ -600,7 +602,7 @@ func (b *planBuilder) levelR4Mapped(l int, ops []Op) ([]Op, error) {
 				if !b.mayFill(l, k, u.J) {
 					continue
 				}
-				r := b.grid.Rank(u.F-1, u.G-1)
+				r := b.unitRank(l, u)
 				if r != op.Root {
 					op.Group = append(op.Group, r)
 				}
@@ -625,7 +627,7 @@ func (b *planBuilder) levelR4Mapped(l int, ops []Op) ([]Op, error) {
 				if !b.mayFill(l, u.I, k) {
 					continue
 				}
-				r := b.grid.Rank(u.F-1, u.G-1)
+				r := b.unitRank(l, u)
 				if r != op.Root {
 					op.Group = append(op.Group, r)
 				}
@@ -641,32 +643,70 @@ func (b *planBuilder) levelR4Mapped(l int, ops []Op) ([]Op, error) {
 	// column panel alone, which it mirrors: dropMirrors, place.go).
 	seen := make(map[int]bool)
 	for _, u := range tr.UnitsForLevel(l) {
-		if !b.active(u.K) || !b.mayFill(l, u.I, u.K) || !b.mayFill(l, u.K, u.J) {
+		if !b.unitPlanned(l, u.I, u.K, u.J) {
 			continue
 		}
-		r := b.grid.Rank(u.F-1, u.G-1)
+		r := b.unitRank(l, u)
 		if seen[r] {
-			return nil, fmt.Errorf("apsp: plan: unit processor P(%d,%d) assigned twice at level %d", u.F, u.G, l)
+			return nil, fmt.Errorf("apsp: plan: unit processor %d assigned twice at level %d", r, l)
 		}
 		seen[r] = true
 		ops = append(ops, Op{Kind: opUnit, BI: u.I, BJ: u.J, K: u.K, Root: r})
 	}
-	// Reduces (line 23): the units of block (i,j) live on one processor
-	// row in contiguous columns.
+	// Reduces (line 23): the group lists the processors of block (i,j)'s
+	// planned units in pivot order — Corollary 5.5 puts them on one
+	// processor row in contiguous columns, and ownerPivot's unit on the
+	// root. A block whose one unit runs on its owner has its product in
+	// place already and plans no reduce.
 	for _, blk := range tr.R4Lower(l) {
-		row, cols := tr.UnitProcessorsFor(l, blk.I, blk.J)
-		pivots := tr.UnitsFor(l, blk.I, blk.J)
+		row := tr.Row(l, tr.Level(blk.I), tr.Level(blk.J))
+		root := b.rank(blk.I, blk.J)
 		var group []int
-		for x, g := range cols {
-			if b.active(pivots[x]) && b.mayFill(l, blk.I, pivots[x]) && b.mayFill(l, pivots[x], blk.J) {
-				group = append(group, b.grid.Rank(row-1, g-1))
+		for _, k := range tr.UnitsFor(l, blk.I, blk.J) {
+			if b.unitPlanned(l, blk.I, k, blk.J) {
+				group = append(group, b.unitRank(l, etree.Unit{I: blk.I, K: k, J: blk.J, F: row, G: tr.Col(l, k)}))
 			}
 		}
-		if len(group) > 0 {
-			ops = append(ops, Op{Kind: opReduce, BI: blk.I, BJ: blk.J, Root: b.rank(blk.I, blk.J), Group: group})
+		if len(group) > 1 || len(group) == 1 && group[0] != root {
+			ops = append(ops, Op{Kind: opReduce, BI: blk.I, BJ: blk.J, Root: root, Group: group})
 		}
 	}
 	return ops, nil
+}
+
+// unitPlanned reports whether the level-l unit A(i,k) ⊗ A(k,j) is
+// planned: both its panels can be finite.
+func (b *planBuilder) unitPlanned(l, i, k, j int) bool {
+	return b.active(k) && b.mayFill(l, i, k) && b.mayFill(l, k, j)
+}
+
+// unitRank returns the processor of level-l unit u: Corollary 5.5's
+// P(u.F, u.G), or the owner of block (u.I, u.J) for the unit ownerPivot
+// names, whose product then reduces in place instead of crossing a hop.
+// The map stays injective: the level-1 columns G are the leaf labels
+// 1..2^(H−1), and an owner's column u.J is a separator label above them.
+func (b *planBuilder) unitRank(l int, u etree.Unit) int {
+	if u.K == b.ownerPivot(l, u.I, u.J) {
+		return b.rank(u.I, u.J)
+	}
+	return b.grid.Rank(u.F-1, u.G-1)
+}
+
+// ownerPivot returns the pivot whose level-l unit of block (i, j) runs
+// on the block's owner, or 0 for none: on the pruned wire at level 1,
+// the lowest-labelled pivot with a planned unit. Every level above 1
+// (where moving units raised critical counts, E52) and the dense wire,
+// Algorithm 1's own schedule, keep Corollary 5.5's map.
+func (b *planBuilder) ownerPivot(l, i, j int) int {
+	if l != 1 || b.wire == WireDense {
+		return 0
+	}
+	for _, k := range b.tr.UnitsFor(l, i, j) {
+		if b.unitPlanned(l, i, k, j) {
+			return k
+		}
+	}
+	return 0
 }
 
 // levelR4Sequential plans the Section 5.2.2 "trivial strategy"
@@ -676,7 +716,7 @@ func (b *planBuilder) levelR4Mapped(l int, ops []Op) ([]Op, error) {
 func (b *planBuilder) levelR4Sequential(l int, ops []Op) []Op {
 	for _, blk := range b.tr.R4Lower(l) {
 		for _, k := range b.tr.UnitsFor(l, blk.I, blk.J) {
-			if !b.active(k) || !b.mayFill(l, blk.I, k) || !b.mayFill(l, k, blk.J) {
+			if !b.unitPlanned(l, blk.I, k, blk.J) {
 				continue
 			}
 			ops = append(ops, Op{Kind: opSeq, BI: blk.I, BJ: blk.J, K: k, Root: b.rank(blk.I, blk.J),

@@ -53,7 +53,7 @@ import (
 // file written before it is a decode error and is rebuilt. Plan.Hash
 // digests the body and not the magic, so the constant never digests
 // itself.
-const planDigest = "230975d87f281e4da9d4c0f4070d8ec648a741758a8ed665283e9ed69e4c25b7"
+const planDigest = "65150bf95c7ebbab142044d055bd986f2c2d893b72db82a5e84a33506fa08fb8"
 
 // planMagic identifies the format and its version.
 const planMagic = "SAPLAN-" + planDigest

@@ -16,15 +16,15 @@ import (
 // forEachShapePlan builds a plan for every graph family × machine size
 // × wire × R4 strategy of the structural grid, and for the benchmark's two
 // served shapes at its ND seed, requires that it decodes (roundTrips) and
-// hands it to check.
-func forEachShapePlan(t *testing.T, check func(t *testing.T, name string, pl *Plan)) {
+// hands it to check with the layout it was built from.
+func forEachShapePlan(t *testing.T, check func(t *testing.T, name string, ly *Layout, pl *Plan)) {
 	build := func(t *testing.T, name string, ly *Layout, p int, wire WireFormat, r4 R4Strategy) {
 		pl, err := BuildPlan(ly, p, wire, r4)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		roundTrips(t, name, pl)
-		check(t, name, pl)
+		check(t, name, ly, pl)
 	}
 	forEachShape(t, build)
 	for _, s := range []struct {
@@ -120,7 +120,7 @@ func forEachShape(t *testing.T, check func(t *testing.T, name string, ly *Layout
 // captures its row panel; and level 1 has no R3 at all — leaves have no
 // descendants, R_1^3 = ∅.
 func TestPlanShipsOnlyWhatIsFolded(t *testing.T) {
-	forEachShapePlan(t, func(t *testing.T, name string, pl *Plan) {
+	forEachShapePlan(t, func(t *testing.T, name string, _ *Layout, pl *Plan) {
 		for li, ops := range pl.Levels {
 			unitOf := make(map[int]Op)
 			for _, op := range ops {
@@ -195,6 +195,86 @@ func TestPlanShipsOnlyWhatIsFolded(t *testing.T) {
 	})
 }
 
+// TestLevelOneUnitsOnOwners pins the unit map of the mapped strategy. On
+// the pruned wire at level 1, each block with a planned unit has exactly
+// one unit on the block's owner: its lowest-labelled planned pivot's.
+// Every other unit, every unit above level 1 and every unit on the dense
+// wire sits on Corollary 5.5's processor. Planned means planned before
+// dropDead, which may take a unit out but moves none. And each reduce
+// group lists only ranks that host a unit over its block, and not the
+// root alone: a product already in place is not reduced.
+func TestLevelOneUnitsOnOwners(t *testing.T) {
+	type unitKey struct{ l, i, k, j int }
+	forEachShapePlan(t, func(t *testing.T, name string, ly *Layout, pl *Plan) {
+		if pl.R4Seq {
+			return
+		}
+		planned, _, err := buildLabelOrder(ly, pl.P, pl.Wire, R4Mapped)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		tr, n := pl.Tree, pl.NSup
+		rootOf := make(map[unitKey]int)
+		for li, ops := range planned.Levels {
+			l := li + 1
+			lowest := make(map[[2]int]int) // block → its lowest planned pivot
+			for _, op := range ops {
+				if b := [2]int{op.BI, op.BJ}; op.Kind == opUnit && (lowest[b] == 0 || op.K < lowest[b]) {
+					lowest[b] = op.K
+				}
+			}
+			onOwner := make(map[[2]int]int)
+			for _, op := range ops {
+				if op.Kind != opUnit {
+					continue
+				}
+				rootOf[unitKey{l, op.BI, op.K, op.BJ}] = op.Root
+				want := (tr.Row(l, tr.Level(op.BI), tr.Level(op.BJ))-1)*n + tr.Col(l, op.K) - 1
+				owner := (op.BI-1)*n + op.BJ - 1
+				if l == 1 && pl.Wire == WirePruned && op.K == lowest[[2]int{op.BI, op.BJ}] {
+					want = owner
+				}
+				if op.Root != want {
+					t.Errorf("%s: level %d unit (%d,%d,%d) on rank %d, want %d", name, l, op.BI, op.K, op.BJ, op.Root, want)
+				}
+				if op.Root == owner {
+					onOwner[[2]int{op.BI, op.BJ}]++
+				}
+			}
+			for b := range lowest {
+				if want := boolInt(l == 1 && pl.Wire == WirePruned); onOwner[b] != want {
+					t.Errorf("%s: level %d block %v has %d units on its owner, want %d", name, l, b, onOwner[b], want)
+				}
+			}
+		}
+		for li, ops := range pl.Levels {
+			hosts := make(map[int][2]int) // rank → the block its unit updates
+			for _, op := range ops {
+				if op.Kind != opUnit {
+					continue
+				}
+				hosts[op.Root] = [2]int{op.BI, op.BJ}
+				if r, ok := rootOf[unitKey{li + 1, op.BI, op.K, op.BJ}]; !ok || r != op.Root {
+					t.Errorf("%s: level %d unit (%d,%d,%d) on rank %d, planned on %d", name, li+1, op.BI, op.K, op.BJ, op.Root, r)
+				}
+			}
+			for _, op := range ops {
+				if op.Kind != opReduce {
+					continue
+				}
+				if len(op.Group) == 1 && op.Group[0] == op.Root {
+					t.Errorf("%s: level %d reduce of (%d,%d) has its root as its one member", name, li+1, op.BI, op.BJ)
+				}
+				for _, r := range op.Group {
+					if b, ok := hosts[r]; !ok || b != [2]int{op.BI, op.BJ} {
+						t.Errorf("%s: level %d reduce of (%d,%d) lists rank %d, which hosts no unit over it", name, li+1, op.BI, op.BJ, r)
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestLevelOrderIsLegal checks the premise of running R4 and the
 // transposes ahead of R3 on every plan instead of arguing it once: per
 // level, the blocks R4 writes (reduce roots, sequential owners,
@@ -205,7 +285,7 @@ func TestPlanShipsOnlyWhatIsFolded(t *testing.T) {
 // runs first.
 func TestLevelOrderIsLegal(t *testing.T) {
 	type block struct{ i, j int }
-	forEachShapePlan(t, func(t *testing.T, name string, pl *Plan) {
+	forEachShapePlan(t, func(t *testing.T, name string, _ *Layout, pl *Plan) {
 		for li, ops := range pl.Levels {
 			r4Writes, r4Reads := map[block]bool{}, map[block]bool{}
 			for _, op := range ops {

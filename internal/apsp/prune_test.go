@@ -21,8 +21,9 @@ import (
 // stopped planning consumer-less panels — which only dense paid for in
 // full — that overhead was hidden and the bound read "≤ dense".
 // The mask-skipped schedule's message counts are pinned to literals
-// (re-pinned with it, EXPERIMENTS.md E29, and when R3 stopped handing a
-// sink's mirror its panels, E46): the label-order plan sends exactly
+// (re-pinned with it, EXPERIMENTS.md E29, when R3 stopped handing a
+// sink's mirror its panels, E46, and when one level-1 unit per block
+// moved onto the block's owner, E52): the label-order plan sends exactly
 // them. The placement then only deletes messages — a member dropMirrors
 // removes (E44), one that holds its payload's mirror and stops receiving
 // (E47), a participant whose fold dropDead proves the identity (E48) —
@@ -43,15 +44,15 @@ func TestPrunedWireMatchesDense(t *testing.T) {
 		// msgs is TotalMessages under R4Mapped and R4Sequential.
 		msgs [2]int64
 	}{
-		{"grid12", graph.Grid2D(12, 12, graph.RandomWeights(rng, 1, 10)), 49, true, false, [2]int64{152, 140}},
-		{"path", graph.Path(240, graph.UnitWeights), 49, true, false, [2]int64{141, 132}},
-		{"tree", graph.RandomTree(200, graph.UnitWeights, rng), 49, true, false, [2]int64{68, 64}},
-		{"star", graph.Star(120, graph.UnitWeights), 49, true, true, [2]int64{40, 38}},
+		{"grid12", graph.Grid2D(12, 12, graph.RandomWeights(rng, 1, 10)), 49, true, false, [2]int64{148, 140}},
+		{"path", graph.Path(240, graph.UnitWeights), 49, true, false, [2]int64{137, 132}},
+		{"tree", graph.RandomTree(200, graph.UnitWeights, rng), 49, true, false, [2]int64{67, 64}},
+		{"star", graph.Star(120, graph.UnitWeights), 49, true, true, [2]int64{39, 38}},
 		// Two disconnected cliques: the eTree schedule never ships a
 		// cross-component block at all (their separators are empty), and
 		// no receiver can fold the clique diagonals that do travel.
 		{"two-cliques", disconnectedCliques(40), 9, false, false, [2]int64{4, 4}},
-		{"gnp-dense", graph.RandomGNP(60, 0.4, graph.RandomWeights(rng, 1, 5), rng), 9, false, false, [2]int64{12, 11}},
+		{"gnp-dense", graph.RandomGNP(60, 0.4, graph.RandomWeights(rng, 1, 5), rng), 9, false, false, [2]int64{11, 11}},
 	}
 	for _, tc := range cases {
 		h, err := HeightForP(tc.p)

@@ -22,7 +22,7 @@ func TestR3SinksAreNeverRead(t *testing.T) {
 	}
 	type block struct{ i, j int }
 	sinks := 0
-	forEachShapePlan(t, func(t *testing.T, name string, pl *Plan) {
+	forEachShapePlan(t, func(t *testing.T, name string, _ *Layout, pl *Plan) {
 		written := map[block]int{} // sink block → the level R3 wrote it at
 		for li, ops := range pl.Levels {
 			l := li + 1

@@ -34,9 +34,11 @@ type DistResult struct {
 //	R_l^1  local ClassicalFW on each diagonal pivot block;
 //	R_l^2  broadcast of A(k,k) down pivot row and column, panel updates;
 //	R_l^3  row/column broadcasts of the panels, one-unit updates;
-//	R_l^4  panel broadcasts to the Corollary 5.5 unit processors P_{f,g},
-//	       parallel unit computation, binomial reduce to the owning
-//	       block, and the symmetric transpose send (Algorithm 1 line 25).
+//	R_l^4  panel broadcasts to the unit processors — Corollary 5.5's
+//	       P_{f,g}, but on the pruned wire's level 1 one unit per block
+//	       on the block's owner — parallel unit computation, binomial
+//	       reduce to the owning block, and the symmetric transpose send
+//	       (Algorithm 1 line 25).
 //
 // The solve is split into a symbolic phase (BuildPlan: ordering, eTree,
 // fill mask, and the complete op schedule above) and a numeric phase
@@ -54,8 +56,10 @@ type R4Strategy int
 
 const (
 	// R4Mapped is the paper's contribution: each computing unit runs on
-	// its own processor P_{f,g} (Corollary 5.5) and results reach the
-	// owning block through an O(log q)-message binomial reduce.
+	// its own processor and results reach the owning block through an
+	// O(log q)-message binomial reduce. The processor is Corollary 5.5's
+	// P_{f,g}, except that on the pruned wire one level-1 unit per block
+	// runs on the block's owner, where its product needs no reduce hop.
 	R4Mapped R4Strategy = iota
 	// R4Sequential is the "trivial strategy" of Section 5.2.2 (the
 	// SuperLU_DIST scheme): the owning processor P_ij receives both

@@ -69,22 +69,6 @@ func (t *Tree) UnitsForLevel(l int) []Unit {
 	return out
 }
 
-// UnitProcessorsFor returns the (F, G) coordinates of the units that
-// update block (i, j) ∈ R_l^4 with level(i) ≤ level(j): one processor
-// per pivot k ∈ Q_l ∩ 𝒟(i), all in the same row F, in contiguous
-// columns — the reduce group of Algorithm 1 line 23.
-func (t *Tree) UnitProcessorsFor(l, i, j int) (row int, cols []int) {
-	a, c := t.Level(i), t.Level(j)
-	if a > c {
-		panic(fmt.Sprintf("etree: UnitProcessorsFor wants level(i) ≤ level(j), got %d > %d", a, c))
-	}
-	row = t.Row(l, a, c)
-	for _, k := range t.DescendantsAtLevel(i, l) {
-		cols = append(cols, t.Col(l, k))
-	}
-	return row, cols
-}
-
 // R4BroadcastTargetsColPanel returns, for the column panel block (i, k)
 // with k ∈ Q_l and i ∈ 𝒜(k) at level a, the (F, G) processors that
 // need A(i,k): rows f(a,c) for c ∈ {a..H}, column g(k) — Algorithm 1

@@ -234,9 +234,11 @@ func TestCorollary55OneToOne(t *testing.T) {
 	}
 }
 
-// The reduce groups (UnitProcessorsFor) partition the units of the
-// level: every unit belongs to exactly one block's group, and the
-// group's row/column coordinates match the unit enumeration.
+// Corollary 5.5's reduce groups — block (i, j)'s units on row
+// Row(l, level(i), level(j)), one column Col(l, k) per pivot k of
+// UnitsFor — partition the units of the level: every unit belongs to
+// exactly one block's group, and the group's row/column coordinates
+// match the unit enumeration.
 func TestReduceGroupsConsistentWithUnits(t *testing.T) {
 	for h := 2; h <= 6; h++ {
 		tr := New(h)
@@ -247,10 +249,11 @@ func TestReduceGroupsConsistentWithUnits(t *testing.T) {
 			}
 			covered := map[[2]int]bool{}
 			for _, b := range tr.R4Lower(l) {
-				row, cols := tr.UnitProcessorsFor(l, b.I, b.J)
+				row := tr.Row(l, tr.Level(b.I), tr.Level(b.J))
 				pivots := tr.UnitsFor(l, b.I, b.J)
-				if len(cols) != len(pivots) {
-					t.Fatalf("h=%d l=%d block %v: %d cols vs %d pivots", h, l, b, len(cols), len(pivots))
+				var cols []int
+				for _, k := range pivots {
+					cols = append(cols, tr.Col(l, k))
 				}
 				for x, g := range cols {
 					u, ok := unitAt[[2]int{row, g}]
