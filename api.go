@@ -310,19 +310,14 @@ func SolveWithPathsOptions(g *Graph, opts Options) (*PathResult, error) {
 	if g == nil {
 		return nil, fmt.Errorf("sparseapsp: SolveWithPathsOptions: nil graph")
 	}
-	for u := 0; u < g.N(); u++ {
-		for _, e := range g.Adj(u) {
-			if e.W < 0 {
-				return nil, fmt.Errorf("sparseapsp: SolveWithPathsOptions: negative edge {%d,%d} weight %g is a negative cycle in an undirected graph", u, e.To, e.W)
-			}
-		}
+	if err := apsp.CheckNonNegative(g); err != nil {
+		return nil, fmt.Errorf("sparseapsp: SolveWithPathsOptions: %w", err)
 	}
 	res, err := Solve(g, opts)
 	if err != nil {
 		return nil, err
 	}
-	// The scan above is the negative-weight check; skip the library's.
-	pr, err := apsp.SuccessorsNonNegative(g, res.Dist)
+	pr, err := apsp.SuccessorsFromDist(g, res.Dist)
 	if err != nil {
 		return nil, err
 	}

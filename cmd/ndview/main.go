@@ -75,10 +75,9 @@ func showOrdering(gen string, n, h int, seed int64) {
 	fmt.Printf("\ntop separator |S| = %d, largest separator = %d\n",
 		nd.SeparatorSize(), nd.MaxSeparatorSize())
 	if err := partition.CheckSeparation(g, nd); err != nil {
-		fmt.Println("SEPARATION VIOLATION:", err)
-	} else {
-		fmt.Println("cousin separation verified: all cousin blocks of the reordered matrix are empty")
+		fatal(fmt.Errorf("SEPARATION VIOLATION: %w", err))
 	}
+	fmt.Println("cousin separation verified: all cousin blocks of the reordered matrix are empty")
 	if g.N() <= 80 {
 		pg := g.Permute(nd.Perm)
 		fmt.Println("\nreordered adjacency pattern (o = finite entry):")

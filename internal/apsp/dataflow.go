@@ -367,8 +367,8 @@ func priorityCost(messages, words, flops int64) int64 {
 // ledger, so any deterministic weight is semantically safe.
 func microCost(pl *Plan, n *dfNode) int64 {
 	sizes := pl.ND.Sizes
-	bi := int64(sizes[int(n.rank)/pl.NSup+1])
-	bj := int64(sizes[int(n.rank)%pl.NSup+1])
+	i, j := blockOf(int(n.rank), pl.NSup)
+	bi, bj := int64(sizes[i]), int64(sizes[j])
 	msgs := int64(len(n.recvs) + len(n.sends))
 	if n.op < 0 {
 		return priorityCost(msgs, 0, 0) // glue: no payload, no product
@@ -540,7 +540,8 @@ func (pl *Plan) execute(prog *dfProgram, ly *Layout, o ExecOpts) (*DistResult, e
 		x.labels = buildLabelTable(prog)
 	}
 	for r := 0; r < pl.P; r++ {
-		x.ranks[r].A = blocks[r/pl.NSup+1][r%pl.NSup+1]
+		i, j := blockOf(r, pl.NSup)
+		x.ranks[r].A = blocks[i][j]
 		x.sinks[r] = ledgerSink{led: x.led, rank: r}
 	}
 	for sid := range prog.supers {

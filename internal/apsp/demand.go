@@ -263,7 +263,7 @@ func newDemandState(ly *Layout) *demandState {
 			diag.set(t, t)
 		}
 	}
-	sup, loc := ly.vertexBlocks()
+	sup, loc := ly.ND.VertexBlocks()
 	for v := 0; v < ly.PG.N(); v++ {
 		sv, lv := int(sup[v]), int(loc[v])
 		for _, e := range ly.PG.Adj(v) {
@@ -273,8 +273,11 @@ func newDemandState(ly *Layout) *demandState {
 	return d
 }
 
-// blockOf converts a rank back to its 1-based block coordinates.
+// blockOf converts a rank back to its 1-based block coordinates, and
+// rankOf is its inverse: block (i, j) lives on rank (i−1)·n + (j−1).
 func blockOf(rank, n int) (int, int) { return rank/n + 1, rank%n + 1 }
+
+func rankOf(i, j, n int) int { return (i-1)*n + j - 1 }
 
 // keepList converts a demand bitset over n indices into a PruneSpec
 // axis: nil when every index is demanded (pruning saves nothing on

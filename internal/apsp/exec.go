@@ -99,7 +99,7 @@ func (rs *rankState) unitProduct(s sink, owned bool, rows, cols int) {
 
 // ownsUnitBlock reports whether unit op runs on the owner of the block
 // it updates.
-func (pl *Plan) ownsUnitBlock(op *Op) bool { return op.Root == (op.BI-1)*pl.NSup+op.BJ-1 }
+func (pl *Plan) ownsUnitBlock(op *Op) bool { return op.Root == rankOf(op.BI, op.BJ, pl.NSup) }
 
 // fold min-folds a reduced unit sum into the owned block: res is the
 // sum's body, or with upper set its upper triangle (Plan.reducePayload),

@@ -43,10 +43,11 @@ func NewFillMask(ly *Layout) *FillMask {
 			cur[i*stride+i] = true
 		}
 	}
+	sup, _ := nd.VertexBlocks()
 	for v := 0; v < ly.PG.N(); v++ {
-		sv := nd.SupernodeOf(v)
+		sv := int(sup[v])
 		for _, e := range ly.PG.Adj(v) {
-			su := nd.SupernodeOf(e.To)
+			su := int(sup[e.To])
 			cur[sv*stride+su] = true
 			cur[su*stride+sv] = true
 		}

@@ -94,13 +94,14 @@ func TestFillMaskSoundAgainstSolve(t *testing.T) {
 		}
 		ly := res.Layout
 		fm := NewFillMask(ly)
+		sup, _ := ly.ND.VertexBlocks()
 		for u := 0; u < tc.g.N(); u++ {
-			su := ly.ND.SupernodeOf(ly.ND.Perm[u])
+			su := int(sup[ly.ND.Perm[u]])
 			for v := 0; v < tc.g.N(); v++ {
 				if math.IsInf(res.Dist.At(u, v), 1) {
 					continue
 				}
-				sv := ly.ND.SupernodeOf(ly.ND.Perm[v])
+				sv := int(sup[ly.ND.Perm[v]])
 				if !fm.At(fm.H+1, su, sv) {
 					t.Fatalf("%s: finite d(%d,%d) in block (%d,%d) the mask ruled out",
 						tc.name, u, v, su, sv)

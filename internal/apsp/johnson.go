@@ -14,14 +14,10 @@ import (
 // negative weights are rejected (the Bellman–Ford reweighting step of
 // the directed algorithm has nothing it could fix).
 func Johnson(g *graph.Graph) (*semiring.Matrix, error) {
-	n := g.N()
-	for v := 0; v < n; v++ {
-		for _, e := range g.Adj(v) {
-			if e.W < 0 {
-				return nil, fmt.Errorf("apsp: negative edge {%d,%d} weight %g is a negative cycle in an undirected graph", v, e.To, e.W)
-			}
-		}
+	if err := CheckNonNegative(g); err != nil {
+		return nil, err
 	}
+	n := g.N()
 	dist := semiring.NewMatrix(n, n)
 	var h pairHeap
 	for src := 0; src < n; src++ {
@@ -31,6 +27,20 @@ func Johnson(g *graph.Graph) (*semiring.Matrix, error) {
 		dijkstra(g, &h, d, nil)
 	}
 	return dist, nil
+}
+
+// CheckNonNegative rejects a graph with a negative edge weight: in an
+// undirected graph a negative edge is a negative cycle, under which
+// shortest paths are undefined.
+func CheckNonNegative(g *graph.Graph) error {
+	for u := 0; u < g.N(); u++ {
+		for _, e := range g.Adj(u) {
+			if e.W < 0 {
+				return fmt.Errorf("apsp: negative edge {%d,%d} weight %g is a negative cycle in an undirected graph", u, e.To, e.W)
+			}
+		}
+	}
+	return nil
 }
 
 // dijkstra is the package's one Dijkstra. h holds the seeded frontier,

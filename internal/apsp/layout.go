@@ -99,7 +99,7 @@ func (ly *Layout) BlocksPooled() (blocks [][]*semiring.Matrix, release func()) {
 			diag.Set(d, d, 0)
 		}
 	}
-	sup, loc := ly.vertexBlocks()
+	sup, loc := ly.ND.VertexBlocks()
 	for v := 0; v < ly.PG.N(); v++ {
 		sv, lv := sup[v], loc[v]
 		for _, e := range ly.PG.Adj(v) {
@@ -110,24 +110,6 @@ func (ly *Layout) BlocksPooled() (blocks [][]*semiring.Matrix, release func()) {
 		}
 	}
 	return blocks, func() { blockBacking.Put(&flat) }
-}
-
-// vertexBlocks maps every permuted vertex index to its (supernode,
-// offset-within-supernode) coordinates in one O(n) sweep — the bulk
-// counterpart of the per-vertex SupernodeOf binary search, which
-// profiles as a top cost of Blocks and AssembleOriginal at large p.
-func (ly *Layout) vertexBlocks() (sup, loc []int32) {
-	n := len(ly.ND.Perm)
-	sup = make([]int32, n)
-	loc = make([]int32, n)
-	for s := 1; s <= ly.ND.N; s++ {
-		start := ly.ND.Starts[s]
-		for i := 0; i < ly.ND.Sizes[s]; i++ {
-			sup[start+i] = int32(s)
-			loc[start+i] = int32(i)
-		}
-	}
-	return sup, loc
 }
 
 // AssembleOriginal reassembles a full distance matrix in the original
@@ -145,7 +127,7 @@ func (ly *Layout) AssembleOriginal(blocks [][]*semiring.Matrix) *semiring.Matrix
 	// mirror (j, i).
 	type run struct{ v, lv, len, j int }
 	var runs []run
-	sup, loc := ly.vertexBlocks()
+	sup, loc := ly.ND.VertexBlocks()
 	for v := 0; v < n; v++ {
 		pv := ly.ND.Perm[v]
 		j, lv := int(sup[pv]), int(loc[pv])

@@ -302,31 +302,12 @@ func floydWarshallNext(g *graph.Graph, d *semiring.Matrix) []int32 {
 // explains) is reported as an error rather than producing a broken
 // oracle.
 func SuccessorsFromDist(g *graph.Graph, d *semiring.Matrix) (*PathResult, error) {
-	if err := checkNonNegative(g); err != nil {
+	if g == nil {
+		return nil, fmt.Errorf("apsp: SuccessorsFromDist: nil graph")
+	}
+	if err := CheckNonNegative(g); err != nil {
 		return nil, err
 	}
-	return SuccessorsNonNegative(g, d)
-}
-
-func checkNonNegative(g *graph.Graph) error {
-	if g == nil {
-		return fmt.Errorf("apsp: SuccessorsFromDist: nil graph")
-	}
-	for u := 0; u < g.N(); u++ {
-		for _, e := range g.Adj(u) {
-			if e.W < 0 {
-				return fmt.Errorf("apsp: negative edge {%d,%d} weight %g is a negative cycle in an undirected graph", u, e.To, e.W)
-			}
-		}
-	}
-	return nil
-}
-
-// SuccessorsNonNegative is SuccessorsFromDist for a caller that has
-// already rejected negative edge weights under its own error text (the
-// public SolveWithPathsOptions scans before it spends a solve), so the
-// edges are not scanned a second time.
-func SuccessorsNonNegative(g *graph.Graph, d *semiring.Matrix) (*PathResult, error) {
 	n := g.N()
 	if d == nil || d.Rows != n || d.Cols != n {
 		return nil, fmt.Errorf("apsp: SuccessorsFromDist: distance matrix is not %d×%d", n, n)

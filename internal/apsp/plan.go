@@ -149,7 +149,7 @@ func (op *Op) payload(part int) (int, int) {
 func mirrorOwner(op *Op, nsup int) int {
 	switch op.Kind {
 	case opR2Right, opR4Aik, opR4Akj, opR3Row, opR3Col:
-		return (op.BJ-1)*nsup + op.BI - 1
+		return rankOf(op.BJ, op.BI, nsup)
 	}
 	return -1
 }
@@ -201,7 +201,7 @@ type msg struct{ src, dst, part int }
 
 // appendMessages appends the messages of op to buf, in an order that
 // meets every rank's messages in the rank's program order. A broadcast is
-// comm.Ctx.BcastTree's: one message into each member but the root, from
+// comm.Ctx.BcastTreeEach's: one message into each member but the root, from
 // its parent, in position order — so a member receives before it sends
 // and sends to its children in position order. A reduce is
 // comm.Ctx.ReduceTo's: a binomial reduce to the root if it is a member,
@@ -298,7 +298,7 @@ type Plan struct {
 // Execute: the R2 panel updates clone the owned block, so the arena is
 // sized to exactly that block.
 func (p *Plan) ScratchWords(rank int) int {
-	i, j := rank/p.NSup+1, rank%p.NSup+1
+	i, j := blockOf(rank, p.NSup)
 	return p.ND.Sizes[i] * p.ND.Sizes[j]
 }
 

@@ -314,9 +314,9 @@ func DecodePlan(b []byte) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	nd, err := rebuildND(h, nsup, perm, sizes)
+	nd, err := partition.FromOrdering(h, perm, sizes)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("apsp: DecodePlan: %w", err)
 	}
 
 	numLevels, err := r.int()
@@ -358,54 +358,4 @@ func DecodePlan(b []byte) (*Plan, error) {
 	}
 	pl.ranks = indexRanks(pl)
 	return pl, nil
-}
-
-// rebuildND reconstructs the full nested-dissection result from its
-// canonical fields. Perm and Sizes determine everything else: Starts is
-// the prefix sum of Sizes, InvPerm inverts Perm, and each supernode's
-// vertex list is the InvPerm range of its label (already ascending,
-// because NestedDissection assigns new ids in sorted original order).
-func rebuildND(h, nsup int, perm, sizes []int) (*partition.Result, error) {
-	n := len(perm)
-	if len(sizes) != nsup+1 {
-		return nil, fmt.Errorf("apsp: DecodePlan: %d supernode sizes for %d supernodes", len(sizes), nsup)
-	}
-	if sizes[0] != 0 {
-		return nil, fmt.Errorf("apsp: DecodePlan: sizes[0] = %d (labels are 1-based)", sizes[0])
-	}
-	total := 0
-	for t := 1; t <= nsup; t++ {
-		if sizes[t] < 0 {
-			return nil, fmt.Errorf("apsp: DecodePlan: negative supernode size %d", sizes[t])
-		}
-		total += sizes[t]
-	}
-	if total != n {
-		return nil, fmt.Errorf("apsp: DecodePlan: supernode sizes sum to %d, permutation covers %d vertices", total, n)
-	}
-	nd := &partition.Result{
-		H: h, N: nsup,
-		Perm:    perm,
-		Sizes:   sizes,
-		Starts:  make([]int, nsup+1),
-		InvPerm: make([]int, n),
-		Super:   make([][]int, nsup+1),
-	}
-	seen := make([]bool, n)
-	for old, nw := range perm {
-		if nw < 0 || nw >= n || seen[nw] {
-			return nil, fmt.Errorf("apsp: DecodePlan: perm is not a permutation (entry %d -> %d)", old, nw)
-		}
-		seen[nw] = true
-		nd.InvPerm[nw] = old
-	}
-	next := 0
-	for t := 1; t <= nsup; t++ {
-		nd.Starts[t] = next
-		next += sizes[t]
-		if sizes[t] > 0 {
-			nd.Super[t] = append([]int(nil), nd.InvPerm[nd.Starts[t]:next]...)
-		}
-	}
-	return nd, nil
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"sparseapsp/internal/graph"
+	"sparseapsp/internal/partition"
 )
 
 // planioWorkloads builds the standard graph families used across the
@@ -188,6 +189,36 @@ func TestDecodePlanMalformed(t *testing.T) {
 	sum := sha256.Sum256(padded[len(planMagic):])
 	if _, err := DecodePlan(append(padded, sum[:]...)); err == nil {
 		t.Fatal("trailing bytes decoded without error")
+	}
+	// A well-hashed file whose ordering partition.FromOrdering refuses.
+	n := len(pl.ND.Perm)
+	perm := func(edit func([]int)) []int {
+		p := append([]int(nil), pl.ND.Perm...)
+		edit(p)
+		return p
+	}
+	sizes := func(edit func([]int)) []int {
+		s := append([]int(nil), pl.ND.Sizes...)
+		edit(s)
+		return s
+	}
+	for _, tc := range []struct {
+		perm, sizes []int
+		want        string
+	}{
+		{perm(func(p []int) { p[1] = p[0] }), pl.ND.Sizes, "perm is not a permutation"},
+		{perm(func(p []int) { p[0] = n }), pl.ND.Sizes, "perm is not a permutation"},
+		{pl.ND.Perm, append(slices.Clone(pl.ND.Sizes), 0), "5 supernode sizes for 3 supernodes"},
+		{pl.ND.Perm, sizes(func(s []int) { s[0], s[1] = 1, s[1]-1 }), "sizes[0] = 1"},
+		{pl.ND.Perm, sizes(func(s []int) { s[1], s[2] = -1, s[2]+s[1]+1 }), "negative supernode size -1"},
+		{pl.ND.Perm, sizes(func(s []int) { s[1]++ }), "sum to 65"},
+	} {
+		bad := &Plan{P: pl.P, H: pl.H, NSup: pl.NSup, Wire: pl.Wire, R4Seq: pl.R4Seq,
+			ND: &partition.Result{Perm: tc.perm, Sizes: tc.sizes}, Levels: pl.Levels}
+		_, err := DecodePlan(bad.Encode())
+		if err == nil || !strings.HasPrefix(err.Error(), "apsp: DecodePlan: partition: ") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("err = %v, want an apsp: DecodePlan: partition: error naming %q", err, tc.want)
+		}
 	}
 }
 
@@ -384,7 +415,7 @@ func narrowBcast(t testing.TB, pl *Plan) (op *Op, axis *[]int32, dim int) {
 // unrunnableGroupPlans returns hash-consistent encodings of plans whose
 // ops cannot run: each fixture is edited before its first Hash, so the
 // trailer matches and only the validator can reject it. Executing any
-// of them panics in comm's groupPos or BcastTree, deadlocks, indexes a
+// of them panics in comm's groupPos or BcastTreeEach, deadlocks, indexes a
 // group out of range, multiplies operands of the wrong shape, or
 // computes from a block other than the one the op names — or carries a
 // field its kind does not use, which no plan BuildPlan writes.

@@ -73,18 +73,16 @@ func (v *planValidator) errorf(format string, args ...any) error {
 func (v *planValidator) rank(r int) bool  { return r >= 0 && r < v.p }
 func (v *planValidator) block(b int) bool { return b >= 1 && b <= v.nsup }
 
-// owner is the rank of block (i, j).
-func (v *planValidator) owner(i, j int) int { return (i-1)*v.nsup + j - 1 }
-
 // reaches reports whether broadcast op may hand its payload to rank c:
 // an R2 pivot updates, and an R3 panel combines into, the consumer's own
 // block, so it travels down its column or along its row.
 func (v *planValidator) reaches(op *Op, c int) bool {
+	i, j := blockOf(c, v.nsup)
 	switch op.Kind {
 	case opR2Left, opR3Col:
-		return c%v.nsup+1 == op.BJ
+		return j == op.BJ
 	case opR2Right, opR3Row:
-		return c/v.nsup+1 == op.BI
+		return i == op.BI
 	}
 	return true
 }
@@ -110,7 +108,7 @@ func (v *planValidator) inGroup(r int) bool { return v.rank(r) && v.member[r] ==
 // tree validates a broadcast's Parent list — one entry per member, -1
 // for the root and a mirror holder (which level checks), an earlier
 // position for every other member — which is what appendMessages and
-// comm.Ctx.BcastTree take as given; every other kind carries none.
+// comm.Ctx.BcastTreeEach take as given; every other kind carries none.
 func (v *planValidator) tree(op *Op) error {
 	name := dfKindNames[op.Kind]
 	if !isBcast(op.Kind) {
@@ -247,13 +245,13 @@ func (v *planValidator) op(op *Op) error {
 			return err
 		}
 	}
-	owner := v.owner(op.BI, op.BJ)
+	owner := rankOf(op.BI, op.BJ, v.nsup)
 	switch {
 	case (op.Kind == opDiag || op.Kind == opR2Left || op.Kind == opR2Right) && op.BI != op.BJ:
 		return v.errorf("%s op on off-diagonal block (%d,%d)", name, op.BI, op.BJ)
-	case op.Kind == opTrans && (op.BI == op.BJ || op.Group[0] != owner || op.Root != v.owner(op.BJ, op.BI)):
+	case op.Kind == opTrans && (op.BI == op.BJ || op.Group[0] != owner || op.Root != rankOf(op.BJ, op.BI, v.nsup)):
 		return v.errorf("transpose of (%d,%d) from rank %d to rank %d", op.BI, op.BJ, op.Group[0], op.Root)
-	case op.Kind == opSeq && (op.Group[0] != v.owner(op.BI, op.K) || op.Group[1] != v.owner(op.K, op.BJ)):
+	case op.Kind == opSeq && (op.Group[0] != rankOf(op.BI, op.K, v.nsup) || op.Group[1] != rankOf(op.K, op.BJ, v.nsup)):
 		return v.errorf("seq op over (%d,%d) via %d from ranks %v", op.BI, op.BJ, op.K, op.Group)
 	case op.Kind != opUnit && op.Kind != opTrans && op.Root != owner:
 		return v.errorf("%s op on block (%d,%d) rooted at rank %d, not its owner", name, op.BI, op.BJ, op.Root)

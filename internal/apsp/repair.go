@@ -403,12 +403,8 @@ func repairIncreases(g2 *graph.Graph, deltas []edgeDelta, d []float64, dirty []b
 		return nil
 	}
 
-	for u := 0; u < n; u++ {
-		for _, e := range g2.Adj(u) {
-			if e.W < 0 {
-				return errRepairDamage
-			}
-		}
+	if CheckNonNegative(g2) != nil {
+		return errRepairDamage
 	}
 
 	st.Relaxations += int64(st.Increases) * int64(len(affRows)) * int64(n)

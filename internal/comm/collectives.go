@@ -88,23 +88,18 @@ func (c *Ctx) bcast(group []int, root, tag int, data []float64) []float64 {
 	return data
 }
 
-// BcastTree broadcasts data from group[0] down an explicit tree: parent[i]
-// is the position group[i] receives from (parent[0] = -1, parent[i] < i),
-// and every member forwards to its children in position order. So group
-// lists the members in an order they can receive in, and the tree's shape
-// — who relays, how often — is the caller's. On the root, data is the
-// payload; elsewhere it is ignored. Every caller receives the payload as
-// the return value, sharing its backing array like Bcast's receivers.
-func (c *Ctx) BcastTree(group []int, parent []int32, tag int, data []float64) []float64 {
-	return c.BcastTreeEach(group, parent, tag, data, nil)
-}
-
-// BcastTreeEach is BcastTree with a payload per child: before each send,
+// BcastTreeEach broadcasts data from group[0] down an explicit tree:
+// parent[i] is the position group[i] receives from (parent[0] = -1,
+// parent[i] < i), and every member forwards to its children in position
+// order. So group lists the members in an order they can receive in, and
+// the tree's shape — who relays, how often — is the caller's. On the
+// root, data is the payload; elsewhere it is ignored. Before each send,
 // forward(child, held) returns what group[child] is sent, given the
 // payload this member holds — the root's data, or what it received. A
-// nil forward sends the held payload itself. The return value is still
-// the held payload. A member past position 0 whose parent is -1 is a root
-// too: it already holds data, receives nothing and only sends.
+// nil forward sends the held payload itself. Every caller gets the held
+// payload back, sharing its backing array like Bcast's receivers. A
+// member past position 0 whose parent is -1 is a root too: it already
+// holds data, receives nothing and only sends.
 func (c *Ctx) BcastTreeEach(group []int, parent []int32, tag int, data []float64, forward func(child int, held []float64) []float64) []float64 {
 	checkTag(tag)
 	if len(group) == 0 {
@@ -134,11 +129,11 @@ func (c *Ctx) BcastTreeEach(group []int, parent []int32, tag int, data []float64
 	return data
 }
 
-// BinomialTree returns Bcast's tree over q members in BcastTree's form:
+// BinomialTree returns Bcast's tree over q members in BcastTreeEach's form:
 // order[i] is the root-relative position (Bcast's rel) of the i-th member
 // to receive, and parent[i] the index into order it receives from. A
 // member's children are ordered as Bcast sends to them, at decreasing
-// bit distances, so BcastTree over the group rearranged this way sends
+// bit distances, so BcastTreeEach over the group rearranged this way sends
 // Bcast's messages in Bcast's order.
 func BinomialTree(q int) (order, parent []int32) {
 	slot := make([]int, q) // message step at which rel holds the payload

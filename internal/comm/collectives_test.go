@@ -256,7 +256,7 @@ func contains(list []int, x int) bool {
 	return false
 }
 
-// BcastTree over BinomialTree's arrangement of a group is Bcast over the
+// BcastTreeEach over BinomialTree's arrangement of a group is Bcast over the
 // group: the same payloads, the same charged Report and the same traffic
 // matrix, for every group size up to 17 and every root.
 func TestBcastTreeBinomialMatchesBcast(t *testing.T) {
@@ -276,7 +276,7 @@ func TestBcastTreeBinomialMatchesBcast(t *testing.T) {
 				return c.Bcast(group, root, 5, payload)
 			})
 			got, gm := runTreeBcast(t, q+2, w, root, group, func(c *Ctx, payload []float64) []float64 {
-				return c.BcastTree(tree, parent, 5, payload)
+				return c.BcastTreeEach(tree, parent, 5, payload, nil)
 			})
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("q=%d root %d: payloads %v, Bcast's %v", q, root, got, want)
@@ -311,7 +311,7 @@ func TestBcastTreeChainAndStar(t *testing.T) {
 			if c.Rank() == group[0] {
 				payload = make([]float64, w)
 			}
-			if got := c.BcastTree(group, parent, 0, payload); len(got) != w {
+			if got := c.BcastTreeEach(group, parent, 0, payload, nil); len(got) != w {
 				t.Errorf("%s: rank %d received %d words, want %d", name, c.Rank(), len(got), w)
 			}
 			clocks[c.Rank()] = c.Clock()
@@ -375,7 +375,7 @@ func TestBcastTreeEachForwardsPerChild(t *testing.T) {
 func TestBcastTreeRejectsLaterParent(t *testing.T) {
 	m := NewMachine(3)
 	err := m.Run(func(c *Ctx) {
-		c.BcastTree([]int{0, 1, 2}, []int32{-1, 2, 0}, 0, []float64{1})
+		c.BcastTreeEach([]int{0, 1, 2}, []int32{-1, 2, 0}, 0, []float64{1}, nil)
 	})
 	if err == nil {
 		t.Fatal("a parent at a later position ran without error")

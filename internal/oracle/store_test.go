@@ -351,8 +351,10 @@ func TestStoreBitIdentity(t *testing.T) {
 
 			checkStoreReads(t, o.dist, ref.Dist)
 			blob := CompressDist(ref.Dist)
-			if kind, bn, err := CompressedInfo(blob); err != nil || kind != tc.kind || bn != n {
-				t.Errorf("CompressedInfo = %s/n=%d (%v), want %s/n=%d", kind, bn, err, tc.kind, n)
+			if s, err := decodeStore(blob); err != nil {
+				t.Error(err)
+			} else if s.kindName() != tc.kind || s.n != n {
+				t.Errorf("stored as %s/n=%d, want %s/n=%d", s.kindName(), s.n, tc.kind, n)
 			}
 			if got, want := int64(len(blob)), tierHeaderLen+wantDist; got != want {
 				t.Errorf("serialised to %d bytes, want %d", got, want)

@@ -613,17 +613,6 @@ func DecompressDist(blob []byte) (*semiring.Matrix, error) {
 	return s.widen(), nil
 }
 
-// CompressedInfo reports a blob's representation kind ("u1" … "u32",
-// "f32", "f64") and matrix dimension without decoding the payload — the
-// cheap probe the E23 harness uses.
-func CompressedInfo(blob []byte) (kind string, n int, err error) {
-	s, _, err := tierSplit(blob)
-	if err != nil {
-		return "", 0, err
-	}
-	return s.kindName(), s.n, nil
-}
-
 // tierSplit validates the envelope and returns the store it describes,
 // still without entries, and the payload slice. Every length is checked
 // before any payload access.

@@ -44,8 +44,8 @@ func FuzzDecompressMalformed(f *testing.F) {
 		if m == nil || m.Rows != m.Cols || len(m.V) != m.Rows*m.Cols {
 			t.Fatalf("accepted blob decoded to malformed matrix %+v", m)
 		}
-		if _, n, err := CompressedInfo(data); err != nil || n != m.Rows {
-			t.Fatalf("CompressedInfo disagrees with DecompressDist: n=%d err=%v vs rows=%d", n, err, m.Rows)
+		if s, err := decodeStore(data); err != nil || s.n != m.Rows {
+			t.Fatalf("decodeStore disagrees with DecompressDist: err=%v vs rows=%d", err, m.Rows)
 		}
 	})
 }

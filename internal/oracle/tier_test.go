@@ -63,11 +63,11 @@ func TestCompressDistKinds(t *testing.T) {
 	for _, tc := range cases {
 		d := distOf(tc.vals, 2)
 		blob := CompressDist(d)
-		kind, n, err := CompressedInfo(blob)
+		s, err := decodeStore(blob)
 		if err != nil {
-			t.Fatalf("%s: CompressedInfo: %v", tc.name, err)
+			t.Fatalf("%s: decodeStore: %v", tc.name, err)
 		}
-		if kind != tc.kind || n != 2 {
+		if kind, n := s.kindName(), s.n; kind != tc.kind || n != 2 {
 			t.Errorf("%s: compressed as %s/n=%d, want %s/n=2", tc.name, kind, n, tc.kind)
 		}
 		got, err := DecompressDist(blob)
@@ -95,11 +95,11 @@ func TestCompressDistGraphFamilies(t *testing.T) {
 			t.Fatal(err)
 		}
 		blob := CompressDist(res.Dist)
-		kind, _, err := CompressedInfo(blob)
+		s, err := decodeStore(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := quantKind(res.Dist, 1)
+		kind, want := s.kindName(), quantKind(res.Dist, 1)
 		if kind != want {
 			t.Errorf("%s: integer-weight distances compressed as %s, want %s", name, kind, want)
 		}

@@ -2,9 +2,9 @@ package partition
 
 import (
 	"fmt"
-	"sort"
 
 	"sparseapsp/internal/comm"
+	"sparseapsp/internal/etree"
 	"sparseapsp/internal/graph"
 )
 
@@ -21,6 +21,10 @@ import (
 //   - the coarsest graph is gathered to the group leader, bisected
 //     with the sequential multilevel code, and the coarse partition is
 //     broadcast back and projected down the (local) matching chains;
+//   - the projected partition is refined by a few rounds of greedy
+//     one-directional moves of positive-gain boundary vertices under a
+//     per-rank balance budget (refineDistributed), a simplified
+//     parallel FM;
 //   - the cut edges are gathered to the leader, which extracts the
 //     minimum vertex separator by König's theorem and broadcasts it;
 //   - both halves are redistributed to the two halves of the group,
@@ -28,13 +32,13 @@ import (
 //     recursion continues in parallel on the disjoint halves.
 //
 // Deviations from [18] and their cost impact are documented in
-// DESIGN.md: local-only matching can coarsen slightly slower, there is
-// no distributed FM refinement after projection (the coarse-level
-// refinement inside the leader's bisect still applies), and the
-// redistribution is a direct point-to-point exchange. The returned
-// Result satisfies the same invariants as NestedDissection
-// (CheckSeparation etc.), and the comm.Report carries the measured
-// preprocessing cost used by experiment E9.
+// DESIGN.md: local-only matching can coarsen slightly slower, the
+// refinement after projection is that greedy approximation rather than
+// full parallel FM (the leader's bisect still refines the coarsest
+// level with FM), and the redistribution is a direct point-to-point
+// exchange. The returned Result satisfies the same invariants as
+// NestedDissection (CheckSeparation etc.), and the comm.Report carries
+// the measured preprocessing cost used by experiment E9.
 func DistributedND(g *graph.Graph, p, h int, seed int64) (*Result, comm.Report, error) {
 	if h < 1 {
 		return nil, comm.Report{}, fmt.Errorf("partition: tree height %d < 1", h)
@@ -43,19 +47,12 @@ func DistributedND(g *graph.Graph, p, h int, seed int64) (*Result, comm.Report, 
 		return nil, comm.Report{}, fmt.Errorf("partition: p=%d < 1", p)
 	}
 	n := g.N()
-	res := &Result{
-		H:       h,
-		N:       (1 << h) - 1,
-		Perm:    make([]int, n),
-		InvPerm: make([]int, n),
-	}
-	res.Super = make([][]int, res.N+1)
-	res.Sizes = make([]int, res.N+1)
-	res.Starts = make([]int, res.N+1)
+	tr := etree.New(h)
+	super := make([][]int, tr.N+1)
 
 	machine := comm.NewMachine(p)
 	err := machine.Run(func(ctx *comm.Ctx) {
-		w := &dndWorker{ctx: ctx, res: res, h: h, seed: seed}
+		w := &dndWorker{ctx: ctx, tr: tr, super: super, seed: seed}
 		group := make([]int, p)
 		for i := range group {
 			group[i] = i
@@ -75,20 +72,9 @@ func DistributedND(g *graph.Graph, p, h int, seed int64) (*Result, comm.Report, 
 		return nil, comm.Report{}, err
 	}
 
-	// Finalize exactly like the sequential path.
-	next := 0
-	for t := 1; t <= res.N; t++ {
-		sort.Ints(res.Super[t])
-		res.Starts[t] = next
-		res.Sizes[t] = len(res.Super[t])
-		for _, v := range res.Super[t] {
-			res.Perm[v] = next
-			res.InvPerm[next] = v
-			next++
-		}
-	}
-	if next != n {
-		return nil, comm.Report{}, fmt.Errorf("partition: distributed ND assigned %d of %d vertices", next, n)
+	res, err := fromSupernodes(h, n, super)
+	if err != nil {
+		return nil, comm.Report{}, err
 	}
 	return res, machine.Report(), nil
 }
@@ -106,10 +92,10 @@ func newChunk() *dndChunk {
 }
 
 type dndWorker struct {
-	ctx  *comm.Ctx
-	res  *Result
-	h    int
-	seed int64
+	ctx   *comm.Ctx
+	tr    *etree.Tree
+	super [][]int // 1-based supernode lists, written by each node's leader
+	seed  int64
 }
 
 // tag derives a collision-free tag from the tree position and phase.
@@ -121,11 +107,10 @@ func (w *dndWorker) tag(depth, idx, phase, round int) int {
 // processor subset responsible and chunk is this rank's share of the
 // node's subgraph.
 func (w *dndWorker) node(group []int, chunk *dndChunk, depth, idx int) {
-	level := w.h - depth
-	label := w.res.LevelOffset(level) + idx
+	label := w.tr.LevelOffset(w.tr.H-depth) + idx
 	leader := group[0]
 
-	if depth == w.h-1 {
+	if depth == w.tr.H-1 {
 		// Leaf: leader collects the vertex ids.
 		ids := make([]float64, len(chunk.verts))
 		for i, v := range chunk.verts {
@@ -139,7 +124,7 @@ func (w *dndWorker) node(group []int, chunk *dndChunk, depth, idx int) {
 					all = append(all, int(f))
 				}
 			}
-			w.res.Super[label] = all
+			w.super[label] = all
 		}
 		return
 	}
@@ -152,7 +137,7 @@ func (w *dndWorker) node(group []int, chunk *dndChunk, depth, idx int) {
 		for v := range sep {
 			sepList = append(sepList, v)
 		}
-		w.res.Super[label] = sepList
+		w.super[label] = sepList
 	}
 
 	// Split vertices into sides, dropping separator vertices.

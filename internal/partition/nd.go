@@ -5,14 +5,15 @@ import (
 	"math/rand"
 	"sort"
 
+	"sparseapsp/internal/etree"
 	"sparseapsp/internal/graph"
 )
 
 // Result is a nested-dissection ordering: a complete binary supernode
-// tree of height H with N = 2^H − 1 supernodes, labelled level by level
-// from the bottom as in Section 5.2 (leaves are 1..2^{H−1}, the root
-// separator is N), and the vertex permutation that makes each
-// supernode's vertices consecutive in label order.
+// tree of height H with N = 2^H − 1 supernodes, carrying etree's labels
+// (Fig. 3a: leaves are 1..2^{H−1}, the root separator is N), and the
+// vertex permutation that makes each supernode's vertices consecutive
+// in label order. FromOrdering builds every Result.
 type Result struct {
 	H       int     // tree height (number of levels)
 	N       int     // number of supernodes, 2^H − 1
@@ -22,15 +23,6 @@ type Result struct {
 	Perm    []int   // old vertex id -> new vertex id
 	InvPerm []int   // new vertex id -> old vertex id
 }
-
-// LevelOffset returns the number of supernodes below level l, so level
-// l holds labels LevelOffset(l)+1 .. LevelOffset(l)+2^{H−l}.
-func (r *Result) LevelOffset(l int) int {
-	return (1 << r.H) - (1 << (r.H - l + 1))
-}
-
-// Label returns the supernode label of the i-th node (1-based) of level l.
-func (r *Result) Label(l, i int) int { return r.LevelOffset(l) + i }
 
 // SeparatorSize returns |S|, the size of the top-level separator (the
 // root supernode) — the quantity the paper's bounds are stated in.
@@ -45,12 +37,8 @@ func (r *Result) SeparatorSize() int {
 // non-leaf supernodes.
 func (r *Result) MaxSeparatorSize() int {
 	m := 0
-	for l := 2; l <= r.H; l++ {
-		for i := 1; i <= 1<<(r.H-l); i++ {
-			if s := r.Sizes[r.Label(l, i)]; s > m {
-				m = s
-			}
-		}
+	for t := 1<<(r.H-1) + 1; t <= r.N; t++ {
+		m = max(m, r.Sizes[t])
 	}
 	return m
 }
@@ -65,15 +53,8 @@ func NestedDissection(g *graph.Graph, h int, seed int64) (*Result, error) {
 		return nil, fmt.Errorf("partition: tree height %d < 1", h)
 	}
 	n := g.N()
-	res := &Result{
-		H:       h,
-		N:       (1 << h) - 1,
-		Perm:    make([]int, n),
-		InvPerm: make([]int, n),
-	}
-	res.Super = make([][]int, res.N+1)
-	res.Sizes = make([]int, res.N+1)
-	res.Starts = make([]int, res.N+1)
+	tr := etree.New(h)
+	super := make([][]int, tr.N+1)
 	rng := rand.New(rand.NewSource(seed))
 	opts := defaultBisectOptions()
 
@@ -86,14 +67,12 @@ func NestedDissection(g *graph.Graph, h int, seed int64) (*Result, error) {
 	// h); idx is the 1-based position of the node within its level.
 	var assign func(vertices []int, depth, idx int)
 	assign = func(vertices []int, depth, idx int) {
-		level := h - depth
-		label := res.LevelOffset(level) + idx
+		label := tr.LevelOffset(h-depth) + idx
 		if depth == h-1 {
-			res.Super[label] = vertices
+			super[label] = vertices
 			return
 		}
 		if len(vertices) == 0 {
-			res.Super[label] = nil
 			assign(nil, depth+1, 2*idx-1)
 			assign(nil, depth+1, 2*idx)
 			return
@@ -113,48 +92,98 @@ func NestedDissection(g *graph.Graph, h int, seed int64) (*Result, error) {
 				right = append(right, v)
 			}
 		}
-		res.Super[label] = sepVerts
+		super[label] = sepVerts
 		assign(left, depth+1, 2*idx-1)
 		assign(right, depth+1, 2*idx)
 	}
 	assign(all, 0, 1)
+	return fromSupernodes(h, n, super)
+}
 
-	// Build the permutation: supernodes in label order, vertices inside
-	// a supernode in ascending original id for determinism.
+// fromSupernodes finishes a dissection of n vertices from its 1-based
+// supernode lists: supernodes in label order, the vertices inside one
+// in ascending original id for determinism.
+func fromSupernodes(h, n int, super [][]int) (*Result, error) {
+	perm := make([]int, n)
+	sizes := make([]int, len(super))
 	next := 0
-	for t := 1; t <= res.N; t++ {
-		sort.Ints(res.Super[t])
-		res.Starts[t] = next
-		res.Sizes[t] = len(res.Super[t])
-		for _, v := range res.Super[t] {
-			res.Perm[v] = next
-			res.InvPerm[next] = v
+	for t := 1; t < len(super); t++ {
+		sort.Ints(super[t])
+		sizes[t] = len(super[t])
+		for _, v := range super[t] {
+			perm[v] = next
 			next++
 		}
 	}
-	if next != n {
-		return nil, fmt.Errorf("partition: assigned %d of %d vertices", next, n)
-	}
-	return res, nil
+	return FromOrdering(h, perm, sizes)
 }
 
-// SupernodeOf returns the supernode label owning new vertex index idx.
-func (r *Result) SupernodeOf(idx int) int {
-	// Starts is nondecreasing; binary search for the containing range.
-	lo, hi := 1, r.N
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if r.Starts[mid] <= idx {
-			lo = mid
-		} else {
-			hi = mid - 1
+// FromOrdering rebuilds the h-level dissection whose vertex permutation
+// is perm (old id -> new id) and whose supernode t holds sizes[t]
+// consecutive new indices (sizes is 1-based, sizes[0] = 0). It is the
+// one constructor of a Result, and it checks every field a plan file
+// read from disk could get wrong.
+func FromOrdering(h int, perm, sizes []int) (*Result, error) {
+	if h < 1 {
+		return nil, fmt.Errorf("partition: tree height %d < 1", h)
+	}
+	n, nsup := len(perm), (1<<h)-1
+	if len(sizes) != nsup+1 {
+		return nil, fmt.Errorf("partition: %d supernode sizes for %d supernodes", len(sizes), nsup)
+	}
+	if sizes[0] != 0 {
+		return nil, fmt.Errorf("partition: sizes[0] = %d (labels are 1-based)", sizes[0])
+	}
+	total := 0
+	for t := 1; t <= nsup; t++ {
+		if sizes[t] < 0 {
+			return nil, fmt.Errorf("partition: negative supernode size %d", sizes[t])
+		}
+		total += sizes[t]
+	}
+	if total != n {
+		return nil, fmt.Errorf("partition: supernode sizes sum to %d, permutation covers %d vertices", total, n)
+	}
+	r := &Result{
+		H: h, N: nsup,
+		Perm:    perm,
+		Sizes:   sizes,
+		Starts:  make([]int, nsup+1),
+		InvPerm: make([]int, n),
+		Super:   make([][]int, nsup+1),
+	}
+	seen := make([]bool, n)
+	for old, nw := range perm {
+		if nw < 0 || nw >= n || seen[nw] {
+			return nil, fmt.Errorf("partition: perm is not a permutation (entry %d -> %d)", old, nw)
+		}
+		seen[nw] = true
+		r.InvPerm[nw] = old
+	}
+	next := 0
+	for t := 1; t <= nsup; t++ {
+		r.Starts[t] = next
+		next += sizes[t]
+		if sizes[t] > 0 {
+			r.Super[t] = append([]int(nil), r.InvPerm[r.Starts[t]:next]...)
 		}
 	}
-	// Skip back over empty supernodes that share the same start.
-	for lo < r.N && r.Sizes[lo] == 0 {
-		lo++
+	return r, nil
+}
+
+// VertexBlocks maps every new vertex index to its supernode and its
+// offset within that supernode, in one O(n) sweep.
+func (r *Result) VertexBlocks() (sup, loc []int32) {
+	n := len(r.Perm)
+	sup = make([]int32, n)
+	loc = make([]int32, n)
+	for t := 1; t <= r.N; t++ {
+		for i := 0; i < r.Sizes[t]; i++ {
+			sup[r.Starts[t]+i] = int32(t)
+			loc[r.Starts[t]+i] = int32(i)
+		}
 	}
-	return lo
+	return sup, loc
 }
 
 // CheckSeparation verifies the structural invariant the whole algorithm
@@ -162,39 +191,11 @@ func (r *Result) SupernodeOf(idx int) int {
 // are cousins in the elimination tree (Section 4.2). It returns an
 // error naming the first offending edge.
 func CheckSeparation(g *graph.Graph, r *Result) error {
-	// ancestor-or-self test via tree positions: convert label -> (level,
-	// index); t1 is an ancestor of t2 iff walking t2 up to t1's level
-	// lands on t1.
-	levelOf := func(t int) (level, idx int) {
-		for l := 1; l <= r.H; l++ {
-			off := r.LevelOffset(l)
-			if t > off && t <= off+(1<<(r.H-l)) {
-				return l, t - off
-			}
-		}
-		panic("partition: bad supernode label")
-	}
-	related := func(t1, t2 int) bool {
-		l1, i1 := levelOf(t1)
-		l2, i2 := levelOf(t2)
-		if l1 > l2 {
-			l1, i1, l2, i2 = l2, i2, l1, i1
-		}
-		// Raise (l1, i1) to level l2.
-		for l := l1; l < l2; l++ {
-			i1 = (i1 + 1) / 2
-		}
-		return i1 == i2
-	}
-	owner := make([]int, g.N())
-	for t := 1; t <= r.N; t++ {
-		for _, v := range r.Super[t] {
-			owner[v] = t
-		}
-	}
+	tr := etree.New(r.H)
+	sup, _ := r.VertexBlocks()
 	for _, e := range g.Edges() {
-		tu, tv := owner[e.U], owner[e.V]
-		if tu != tv && !related(tu, tv) {
+		tu, tv := int(sup[r.Perm[e.U]]), int(sup[r.Perm[e.V]])
+		if !tr.Related(tu, tv) {
 			return fmt.Errorf("partition: edge {%d,%d} joins cousin supernodes %d and %d", e.U, e.V, tu, tv)
 		}
 	}

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -272,34 +273,82 @@ func TestNestedDissectionRejectsBadHeight(t *testing.T) {
 	}
 }
 
-func TestLevelOffsetsAndLabels(t *testing.T) {
-	r := &Result{H: 4}
-	// Figure 3a: level 1 holds 1..8, level 2 holds 9..12, level 3 holds
-	// 13..14, level 4 holds 15.
-	wantOff := map[int]int{1: 0, 2: 8, 3: 12, 4: 14}
-	for l, off := range wantOff {
-		if got := r.LevelOffset(l); got != off {
-			t.Errorf("LevelOffset(%d) = %d, want %d", l, got, off)
-		}
-	}
-	if r.Label(2, 3) != 11 {
-		t.Errorf("Label(2,3) = %d, want 11", r.Label(2, 3))
-	}
-}
-
 func TestSupernodeOf(t *testing.T) {
 	g := graph.Grid2D(8, 8, graph.UnitWeights)
 	r, err := NestedDissection(g, 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sup, loc := r.VertexBlocks()
 	for lbl := 1; lbl <= r.N; lbl++ {
 		for k := 0; k < r.Sizes[lbl]; k++ {
 			idx := r.Starts[lbl] + k
-			if got := r.SupernodeOf(idx); got != lbl {
-				t.Errorf("SupernodeOf(%d) = %d, want %d", idx, got, lbl)
+			if int(sup[idx]) != lbl || int(loc[idx]) != k {
+				t.Errorf("VertexBlocks at %d = (%d, %d), want (%d, %d)", idx, sup[idx], loc[idx], lbl, k)
 			}
 		}
+	}
+}
+
+// FromOrdering is the one constructor of a Result: both dissections
+// finish through it, so rebuilding either one from its permutation and
+// sizes alone gives the same Result back.
+func TestFromOrderingRebuildsDissections(t *testing.T) {
+	islands := graph.New(40) // a path over 24 vertices, 16 isolated
+	for v := 1; v < 24; v++ {
+		islands.AddEdge(v-1, v, 1)
+	}
+	for name, g := range map[string]*graph.Graph{
+		"grid":     graph.Grid2D(10, 10, graph.UnitWeights),
+		"rgg":      graph.RandomGeometric(80, 0.2, rand.New(rand.NewSource(5))),
+		"isolated": islands,
+	} {
+		seq, err := NestedDissection(g, 3, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dist, _, err := DistributedND(g, 4, 3, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for kind, r := range map[string]*Result{"NestedDissection": seq, "DistributedND": dist} {
+			got, err := FromOrdering(r.H, r.Perm, r.Sizes)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, kind, err)
+			}
+			if !reflect.DeepEqual(got, r) {
+				t.Errorf("%s %s: FromOrdering(h, Perm, Sizes) differs from the dissection", name, kind)
+			}
+		}
+	}
+}
+
+func TestFromOrderingRejectsBadOrderings(t *testing.T) {
+	perm := []int{2, 0, 1, 3}
+	sizes := []int{0, 1, 1, 2}
+	if _, err := FromOrdering(2, perm, sizes); err != nil {
+		t.Fatalf("valid ordering: %v", err)
+	}
+	for _, tc := range []struct {
+		name        string
+		perm, sizes []int
+	}{
+		{"repeated entry", []int{2, 0, 2, 3}, sizes},
+		{"entry out of range", []int{2, 0, 1, 4}, sizes},
+		{"negative entry", []int{2, 0, -1, 3}, sizes},
+		{"too few sizes", perm, []int{0, 1, 3}},
+		{"too many sizes", perm, []int{0, 1, 1, 2, 0}},
+		{"sizes[0] set", perm, []int{1, 1, 0, 2}},
+		{"negative size", perm, []int{0, -1, 3, 2}},
+		{"sizes short of n", perm, []int{0, 1, 1, 1}},
+		{"sizes past n", perm, []int{0, 2, 1, 2}},
+	} {
+		if _, err := FromOrdering(2, tc.perm, tc.sizes); err == nil {
+			t.Errorf("%s: accepted perm %v sizes %v", tc.name, tc.perm, tc.sizes)
+		}
+	}
+	if _, err := FromOrdering(0, nil, []int{0}); err == nil {
+		t.Error("height 0: accepted")
 	}
 }
 

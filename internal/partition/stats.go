@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"sparseapsp/internal/etree"
 	"sparseapsp/internal/graph"
 )
 
@@ -25,8 +26,6 @@ type Stats struct {
 // ComputeStats inspects an ordering of g.
 func ComputeStats(g *graph.Graph, r *Result) Stats {
 	s := Stats{H: r.H, N: r.N, TopSeparator: r.SeparatorSize(), MaxSeparator: r.MaxSeparatorSize()}
-	leaves := r.H - 1
-	_ = leaves
 	s.MinLeaf = -1
 	leafCount := 1 << (r.H - 1)
 	for i := 1; i <= leafCount; i++ {
@@ -54,16 +53,11 @@ func ComputeStats(g *graph.Graph, r *Result) Stats {
 	// will still be computed on; count the graph edges in related
 	// off-diagonal blocks as the "structural" edges and report the
 	// complement as fill potential, per pair of related supernodes.
-	owner := make([]int, g.N())
-	for t := 1; t <= r.N; t++ {
-		for _, v := range r.Super[t] {
-			owner[v] = t
-		}
-	}
+	sup, _ := r.VertexBlocks()
 	type pair struct{ a, b int }
 	hasEdge := map[pair]bool{}
 	for _, e := range g.Edges() {
-		tu, tv := owner[e.U], owner[e.V]
+		tu, tv := int(sup[r.Perm[e.U]]), int(sup[r.Perm[e.V]])
 		if tu != tv {
 			if tu > tv {
 				tu, tv = tv, tu
@@ -71,47 +65,18 @@ func ComputeStats(g *graph.Graph, r *Result) Stats {
 			hasEdge[pair{tu, tv}] = true
 		}
 	}
-	tr := treeOf(r)
+	tr := etree.New(r.H)
 	for i := 1; i <= r.N; i++ {
 		for j := i + 1; j <= r.N; j++ {
 			if r.Sizes[i] == 0 || r.Sizes[j] == 0 {
 				continue
 			}
-			if tr.related(i, j) && !hasEdge[pair{i, j}] {
+			if tr.Related(i, j) && !hasEdge[pair{i, j}] {
 				s.FillEdges += r.Sizes[i] * r.Sizes[j]
 			}
 		}
 	}
 	return s
-}
-
-// treeOf provides ancestor arithmetic over a Result's label scheme
-// without importing the etree package (which would be a cycle of
-// responsibility, not of imports — partition stays ordering-only).
-type miniTree struct{ r *Result }
-
-func treeOf(r *Result) miniTree { return miniTree{r: r} }
-
-func (t miniTree) levelOf(k int) (int, int) {
-	for l := 1; l <= t.r.H; l++ {
-		off := t.r.LevelOffset(l)
-		if k > off && k <= off+(1<<(t.r.H-l)) {
-			return l, k - off
-		}
-	}
-	panic("partition: bad label")
-}
-
-func (t miniTree) related(a, b int) bool {
-	la, ia := t.levelOf(a)
-	lb, ib := t.levelOf(b)
-	if la > lb {
-		la, ia, lb, ib = lb, ib, la, ia
-	}
-	for l := la; l < lb; l++ {
-		ia = (ia + 1) / 2
-	}
-	return ia == ib
 }
 
 func (s Stats) String() string {

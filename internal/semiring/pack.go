@@ -122,7 +122,7 @@ func Pack(v []float64) []float64 {
 // so an aliasing decode would let one receiver's block mutation
 // silently corrupt any retained payload buffer (and every sibling
 // receiver). Pruned payloads carry their own shape and cannot be
-// decoded by Unpack; use UnpackPruned / UnpackMatrix.
+// decoded by Unpack; use UnpackMatrix.
 func Unpack(payload []float64, n int) []float64 {
 	if len(payload) == 0 {
 		panic("semiring: Unpack of empty payload")
@@ -143,7 +143,7 @@ func Unpack(payload []float64, n int) []float64 {
 		}
 		return append([]float64(nil), payload[1:]...)
 	case packPruned, packTriangle:
-		panic("semiring: pruned payload needs its block shape; use UnpackPruned")
+		panic("semiring: pruned payload needs its block shape; use UnpackMatrix")
 	case packSparse:
 		if len(payload) < 2 {
 			panic("semiring: truncated sparse encoding")
@@ -174,7 +174,8 @@ func PackMatrix(m *Matrix) []float64 { return Pack(m.V) }
 
 // UnpackMatrix decodes a PackMatrix or PackPruned payload into a
 // rows×cols matrix. Like Unpack, the result owns its body and never
-// aliases payload.
+// aliases payload. Entries outside a pruned payload's kept rectangle
+// come back as Inf.
 func UnpackMatrix(payload []float64, rows, cols int) *Matrix {
 	if len(payload) > 0 && (payload[0] == packPruned || payload[0] == packTriangle) {
 		return unpackPrunedBody(payload, rows, cols)
@@ -337,13 +338,6 @@ func prunedKeep(m *Matrix, rows, cols []int32, dropZeroDiag bool) (keepR, keepC 
 		}
 	}
 	return keepR, keepC, seen
-}
-
-// UnpackPruned decodes any block payload — the three Pack encodings or
-// the pruned one — into a rows×cols matrix that owns its body. Entries
-// outside a pruned payload's kept rectangle come back as Inf.
-func UnpackPruned(payload []float64, rows, cols int) *Matrix {
-	return UnpackMatrix(payload, rows, cols)
 }
 
 // unpackPrunedBody decodes the packPruned and packTriangle layouts;

@@ -42,7 +42,7 @@ func fuzzKeep(mask []byte, n int) []int32 {
 }
 
 // FuzzPackRoundTrip drives every encoder/decoder pair — Pack/Unpack,
-// PackMatrix/UnpackMatrix and PackPruned/UnpackPruned with fuzzed
+// PackMatrix/UnpackMatrix and PackPruned/UnpackMatrix with fuzzed
 // demand lists and the zero-diag flag — and checks the wire contracts:
 // demanded entries round-trip bit for bit, undemanded entries decode
 // to Inf or their true value, pruned payloads never beat-miss the
@@ -112,7 +112,7 @@ func FuzzPackRoundTrip(f *testing.F) {
 		if classic := PackedLen(m.V); len(pp) > classic {
 			t.Fatalf("pruned payload %d words exceeds classic %d", len(pp), classic)
 		}
-		pm := UnpackPruned(pp, r, c)
+		pm := UnpackMatrix(pp, r, c)
 		for i := 0; i < r; i++ {
 			for j := 0; j < c; j++ {
 				want, dec := m.At(i, j), pm.At(i, j)

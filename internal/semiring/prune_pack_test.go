@@ -53,7 +53,7 @@ func TestPackPrunedRoundtrip(t *testing.T) {
 		if classic := PackedLen(m.V); len(payload) > classic {
 			t.Fatalf("trial %d: pruned payload %d words exceeds classic %d", trial, len(payload), classic)
 		}
-		got := UnpackPruned(payload, m.Rows, m.Cols)
+		got := UnpackMatrix(payload, m.Rows, m.Cols)
 		for r := 0; r < m.Rows; r++ {
 			for c := 0; c < m.Cols; c++ {
 				if inList(rows, r) && inList(cols, c) {
@@ -86,7 +86,7 @@ func TestPackPrunedChoosesPrunedEncoding(t *testing.T) {
 	if payload[0] != packPruned || len(payload) != want {
 		t.Fatalf("payload tag %g, %d words, want tag %d, %d words", payload[0], len(payload), packPruned, want)
 	}
-	got := UnpackPruned(payload, 20, 20)
+	got := UnpackMatrix(payload, 20, 20)
 	for r := 0; r < 20; r++ {
 		for c := 0; c < 20; c++ {
 			want := Inf
@@ -134,14 +134,14 @@ func TestPackPrunedZeroDiag(t *testing.T) {
 		nz.Set(i, i, 0)
 	}
 	nz.Set(5, 5, -2)
-	got := UnpackPruned(PackPruned(nz, nil, nil, true), 12, 12)
+	got := UnpackMatrix(PackPruned(nz, nil, nil, true), 12, 12)
 	if got.At(5, 5) != -2 {
 		t.Fatalf("nonzero diagonal decoded to %g, want -2", got.At(5, 5))
 	}
 	// An off-diagonal zero is likewise untouchable.
 	off := NewMatrix(12, 12)
 	off.Set(2, 9, 0)
-	got = UnpackPruned(PackPruned(off, nil, nil, true), 12, 12)
+	got = UnpackMatrix(PackPruned(off, nil, nil, true), 12, 12)
 	if got.At(2, 9) != 0 {
 		t.Fatalf("off-diagonal zero decoded to %g, want 0", got.At(2, 9))
 	}
@@ -207,10 +207,10 @@ func TestUnpackPrunedRejectsMalformed(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("UnpackPruned(%v, 4, 4): expected panic", bad)
+					t.Errorf("UnpackMatrix(%v, 4, 4): expected panic", bad)
 				}
 			}()
-			UnpackPruned(bad, 4, 4)
+			UnpackMatrix(bad, 4, 4)
 		}()
 	}
 	// Unpack (body-only API) cannot decode a pruned payload at all.

@@ -64,7 +64,7 @@ func TestPackPrunedTriangle(t *testing.T) {
 		if len(rect) < len(tri) {
 			t.Fatalf("trial %d: triangle %d words, rectangle %d", trial, len(tri), len(rect))
 		}
-		got, want := UnpackPruned(tri, n, n), UnpackPruned(rect, n, n)
+		got, want := UnpackMatrix(tri, n, n), UnpackMatrix(rect, n, n)
 		if !bitIdentical(got, want) {
 			t.Fatalf("trial %d: the triangle decodes to another block than the rectangle", trial)
 		}
@@ -84,7 +84,7 @@ func TestPackPrunedTriangle(t *testing.T) {
 		if p[0] == packTriangle {
 			t.Errorf("%s: shipped as a triangle", name)
 		}
-		got := UnpackPruned(p, 4, 4)
+		got := UnpackMatrix(p, 4, 4)
 		for r := 0; r < 4; r++ {
 			for c := 0; c < 4; c++ {
 				if r == c && m.At(r, c) == 0 && math.IsInf(got.At(r, c), 1) {
