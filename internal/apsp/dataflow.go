@@ -501,14 +501,22 @@ type ExecOpts struct {
 // any graph sharing the plan's StructureFingerprint. Safe to call
 // concurrently on one Plan.
 func (pl *Plan) ExecuteOpts(ly *Layout, o ExecOpts) (*DistResult, error) {
+	if err := pl.checkLayout(ly); err != nil {
+		return nil, err
+	}
+	return pl.execute(pl.dataflow(), ly, o)
+}
+
+// checkLayout refuses a layout that does not carry the plan's dissection.
+func (pl *Plan) checkLayout(ly *Layout) error {
 	if ly.Tree.H != pl.H || ly.ND.N != pl.NSup {
-		return nil, fmt.Errorf("apsp: layout (h=%d, N=%d) does not match plan (h=%d, N=%d)",
+		return fmt.Errorf("apsp: layout (h=%d, N=%d) does not match plan (h=%d, N=%d)",
 			ly.Tree.H, ly.ND.N, pl.H, pl.NSup)
 	}
 	if !slices.Equal(ly.ND.Perm, pl.ND.Perm) || !slices.Equal(ly.ND.Sizes, pl.ND.Sizes) {
-		return nil, fmt.Errorf("apsp: layout's dissection is not the one the plan was built from")
+		return fmt.Errorf("apsp: layout's dissection is not the one the plan was built from")
 	}
-	return pl.execute(pl.dataflow(), ly, o)
+	return nil
 }
 
 // execute runs the lowered program prog — the plan's own, or in tests
@@ -566,6 +574,7 @@ func (pl *Plan) execute(prog *dfProgram, ly *Layout, o ExecOpts) (*DistResult, e
 		Dist:    dist,
 		Report:  x.led.Report(),
 		Layout:  ly,
+		Plan:    pl,
 		P:       pl.P,
 		Phases:  phases,
 		Traffic: x.led.Traffic(),

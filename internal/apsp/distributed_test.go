@@ -326,7 +326,8 @@ func TestSparseAPSPRejectsMismatchedLayout(t *testing.T) {
 
 // TestExecuteRejectsOtherDissection: a layout of the same height and
 // supernode count but another dissection is refused, not run against a
-// schedule planned for other blocks.
+// schedule planned for other blocks — by Plan.Cost too, with the same
+// error.
 func TestExecuteRejectsOtherDissection(t *testing.T) {
 	g := graph.Grid2D(12, 12, integerWeights(rand.New(rand.NewSource(1)), 9))
 	planned, err := NewLayout(g, 3, 1)
@@ -344,8 +345,12 @@ func TestExecuteRejectsOtherDissection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.ExecuteOpts(other, ExecOpts{}); err == nil {
+	_, err = pl.ExecuteOpts(other, ExecOpts{})
+	if err == nil {
 		t.Error("ExecuteOpts ran a plan on a layout from another dissection")
+	}
+	if _, costErr := pl.Cost(other); costErr == nil || costErr.Error() != err.Error() {
+		t.Errorf("Plan.Cost on a layout from another dissection: %v, ExecuteOpts: %v", costErr, err)
 	}
 	if _, err := pl.ExecuteOpts(pl.LayoutFor(g), ExecOpts{}); err != nil {
 		t.Errorf("ExecuteOpts refused the plan's own dissection: %v", err)

@@ -292,6 +292,10 @@ type Plan struct {
 	// weights-independent and immutable once built.
 	dfOnce sync.Once
 	df     *dfProgram
+
+	// The plan clock at exact prices (Cost), computed on first use.
+	costOnce sync.Once
+	cost     *PlanCost
 }
 
 // ScratchWords returns the scratch-arena words rank needs for an

@@ -60,8 +60,8 @@ var fuzzFamilies = []func(n int, w graph.WeightFn, rng *rand.Rand) *graph.Graph{
 // integer weights in [0, 9] — and a machine: p ∈ {9, 49} (the byte 0xff
 // draws 961, the served cycle's), the ND seed, the wire and the R4
 // strategy. BuildPlan must return a plan its own check accepts, whose
-// exact clock (exactClock) is what the dataflow executor charges on the
-// critical path, and which solves to Johnson's distances bit for bit. The
+// Plan.Cost is what the dataflow executor reports of its communication
+// (costIsReport), and which solves to Johnson's distances bit for bit. The
 // machine reference (executeMachine) must give the same distances bit
 // for bit and the same Report, and the plan's encoding must decode and
 // re-encode to the same bytes. The seeds are the two served shapes: the
@@ -114,10 +114,7 @@ func FuzzBuildPlan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%s: %v", name(), err)
 		}
-		if clock, crit := exactClock(pl, ly), res.Report.Critical; clock.msgs != crit.Latency || clock.words != crit.Bandwidth {
-			t.Errorf("%s: plan-time critical path %d messages / %d words, executor charged %d / %d",
-				name(), clock.msgs, clock.words, crit.Latency, crit.Bandwidth)
-		}
+		costIsReport(t, name(), planCost(t, pl, ly), res.Report)
 		if !identicalMatrices(res.Dist, mustJohnson(t, g)) {
 			t.Errorf("%s: distances differ from Johnson's", name())
 		}

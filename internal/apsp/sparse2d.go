@@ -16,6 +16,7 @@ type DistResult struct {
 	Dist   *semiring.Matrix
 	Report comm.Report
 	Layout *Layout // the ordering used (sparse algorithm only, else nil)
+	Plan   *Plan   // the plan executed (sparse algorithm only, else nil)
 	P      int
 	// Phases carries the per-eTree-level cost breakdown of the sparse
 	// solver (the L_l / B_l decomposition of Lemmas 5.6, 5.8, 5.9);
