@@ -55,7 +55,7 @@ func (g *Graph) WriteMETIS(w io.Writer) error {
 // explicitly (the solvers define neither).
 func ReadMETIS(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
+	sc.Buffer(nil, 16<<20) // grown as lines need, up to 16 MiB
 	line := 0
 	// scanLine returns the next non-comment line, blank lines included.
 	scanLine := func() (string, bool) {

@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -154,5 +156,32 @@ func TestMETISRejectsSelfLoopsAndNonFiniteWeights(t *testing.T) {
 	}
 	if w, _ := g.HasEdge(0, 1); w != -3 {
 		t.Errorf("negative weight = %v, want -3", w)
+	}
+}
+
+// TestMETISLongVertexLine: a vertex line past 1 MiB — a hub of 9,000
+// leaves with weights written to 120 decimals — reads, since the reader
+// grows its line buffer up to 16 MiB.
+func TestMETISLongVertexLine(t *testing.T) {
+	const leaves = 9000
+	var hub, rest strings.Builder
+	weight := func(v int) string { return strconv.FormatFloat(float64(v%9+1)/4, 'f', 120, 64) }
+	for v := 2; v <= leaves+1; v++ {
+		fmt.Fprintf(&hub, " %d %s", v, weight(v))
+		fmt.Fprintf(&rest, "1 %s\n", weight(v))
+	}
+	if hub.Len() <= 1<<20 {
+		t.Fatalf("hub line is %d bytes, want more than 1 MiB", hub.Len())
+	}
+	in := fmt.Sprintf("%d %d 1\n%s\n%s", leaves+1, leaves, hub.String()[1:], rest.String())
+	g, err := ReadMETIS(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Degree(0) != leaves {
+		t.Fatalf("hub degree %d, want %d", g.Degree(0), leaves)
+	}
+	if w, ok := g.HasEdge(0, leaves); !ok || w != float64((leaves+1)%9+1)/4 {
+		t.Errorf("edge {0,%d}: w=%v ok=%v", leaves, w, ok)
 	}
 }
