@@ -1,9 +1,11 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -270,6 +272,19 @@ func TestReadDefaultsWeightAndSkipsComments(t *testing.T) {
 	}
 	if w, _ := g.HasEdge(1, 2); w != 4.5 {
 		t.Errorf("weight = %v, want 4.5", w)
+	}
+}
+
+// TestReadLineCap: a line of 1 MiB − 1 bytes before its '\n' reads and
+// one of 1 MiB is bufio.ErrTooLong, the cap the line buffer had when it
+// was allocated whole up front.
+func TestReadLineCap(t *testing.T) {
+	line := func(n int) string { return "0 1 2" + strings.Repeat(" ", n-5) }
+	if _, err := Read(strings.NewReader("n 2\n" + line(1<<20-1) + "\n")); err != nil {
+		t.Errorf("a line of 1 MiB − 1 bytes: %v", err)
+	}
+	if _, err := Read(strings.NewReader("n 2\n" + line(1<<20) + "\n")); err != bufio.ErrTooLong {
+		t.Errorf("a line of 1 MiB: %v, want %v", err, bufio.ErrTooLong)
 	}
 }
 
