@@ -43,23 +43,7 @@ func machineSolve(g *graph.Graph, p int, opts SparseOptions) (*DistResult, error
 // whose sums round: the executors must still agree bit for bit, since
 // both fold every block in the one order the plan fixes.
 func TestExecutorEquality(t *testing.T) {
-	rng, realW := rand.New(rand.NewSource(41)), rand.New(rand.NewSource(43))
-	graphs := []struct {
-		name string
-		g    *graph.Graph
-		p    int
-	}{
-		{"grid", graph.Grid2D(9, 9, integerWeights(rng, 10)), 9},
-		{"gnp", graph.RandomGNP(70, 0.08, integerWeights(rng, 5), rng), 9},
-		{"tree", graph.RandomTree(90, graph.UnitWeights, rng), 49},
-		{"rmat", graph.RMAT(6, 3, integerWeights(rng, 4), rng), 9},
-		{"star", graph.Star(60, graph.UnitWeights), 9},
-		{"grid32x32", graph.Grid2D(32, 32, integerWeights(rand.New(rand.NewSource(1)), 9)), 49},
-		{"cycle800", graph.Cycle(800, integerWeights(rand.New(rand.NewSource(2)), 9)), 961},
-		{"grid-real", graph.Grid2D(9, 9, graph.RandomWeights(realW, 0.5, 9.5)), 9},
-		{"gnp-real", graph.RandomGNP(70, 0.08, graph.RandomWeights(realW, 0.5, 9.5), realW), 9},
-	}
-	for _, tc := range graphs {
+	for _, tc := range executorCases() {
 		for _, wire := range []WireFormat{WirePruned, WireDense} {
 			for _, strat := range []R4Strategy{R4Mapped, R4Sequential} {
 				name := fmt.Sprintf("%s/%v/r4=%d", tc.name, wire, strat)
@@ -90,6 +74,31 @@ func TestExecutorEquality(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// executorCase is one input of TestExecutorEquality: a graph and its
+// machine size.
+type executorCase struct {
+	name string
+	g    *graph.Graph
+	p    int
+}
+
+// executorCases returns TestExecutorEquality's graph families, each
+// solved with ND seed 11.
+func executorCases() []executorCase {
+	rng, realW := rand.New(rand.NewSource(41)), rand.New(rand.NewSource(43))
+	return []executorCase{
+		{"grid", graph.Grid2D(9, 9, integerWeights(rng, 10)), 9},
+		{"gnp", graph.RandomGNP(70, 0.08, integerWeights(rng, 5), rng), 9},
+		{"tree", graph.RandomTree(90, graph.UnitWeights, rng), 49},
+		{"rmat", graph.RMAT(6, 3, integerWeights(rng, 4), rng), 9},
+		{"star", graph.Star(60, graph.UnitWeights), 9},
+		{"grid32x32", graph.Grid2D(32, 32, integerWeights(rand.New(rand.NewSource(1)), 9)), 49},
+		{"cycle800", graph.Cycle(800, integerWeights(rand.New(rand.NewSource(2)), 9)), 961},
+		{"grid-real", graph.Grid2D(9, 9, graph.RandomWeights(realW, 0.5, 9.5)), 9},
+		{"gnp-real", graph.RandomGNP(70, 0.08, graph.RandomWeights(realW, 0.5, 9.5), realW), 9},
 	}
 }
 

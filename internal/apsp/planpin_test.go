@@ -75,3 +75,81 @@ func TestPlanHashesPinned(t *testing.T) {
 		t.Errorf("the %d plans digest to %s, pinned %s: a placement decision moved (a deliberate move re-pins planDigest, the plan file's version)", len(lines), got, planDigest)
 	}
 }
+
+// TestPlanTrafficPinned pins who sends how many words to whom: over the
+// two served shapes (grid 32², p = 49; cycle 800, p = 961; integer
+// weights 1..9, ND seed 42) and TestExecutorEquality's families (ND seed
+// 11), under both wires and both R4 strategies, one SHA-256 over every
+// cell's nonzero "src dst words" lines of the words-sent matrix, in
+// (src, dst) order.
+func TestPlanTrafficPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("executes the served shapes; run without -short")
+	}
+	const pinned = "554f1d66073aa5cb5a25b1b1055deba02254300c9511950890ee3eb6ae276ad2"
+	var sb strings.Builder
+	add := func(name string, ly *Layout, p int) {
+		for _, wire := range []WireFormat{WirePruned, WireDense} {
+			for _, r4 := range []R4Strategy{R4Mapped, R4Sequential} {
+				pl, err := BuildPlan(ly, p, wire, r4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&sb, "%s/%v/r4=%d\n", name, wire, r4)
+				for _, e := range wordsSent(t, pl, ly) {
+					fmt.Fprintf(&sb, "%d %d %d\n", e.src, e.dst, e.words)
+				}
+			}
+		}
+	}
+	for _, s := range []struct {
+		name string
+		g    *graph.Graph
+		p    int
+	}{
+		{"grid32x32", graph.Grid2D(32, 32, integerWeights(rand.New(rand.NewSource(1)), 9)), 49},
+		{"cycle800", graph.Cycle(800, integerWeights(rand.New(rand.NewSource(2)), 9)), 961},
+	} {
+		add("served/"+s.name, testLayout(t, s.g, s.p), s.p)
+	}
+	for _, tc := range executorCases() {
+		h, err := HeightForP(tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ly, err := NewLayout(tc.g, h, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(tc.name, ly, tc.p)
+	}
+	sum := sha256.Sum256([]byte(sb.String()))
+	if got := hex.EncodeToString(sum[:]); got != pinned {
+		t.Errorf("the words-sent matrices digest to %s, pinned %s", got, pinned)
+	}
+}
+
+// pairWords is one nonzero cell of a words-sent matrix.
+type pairWords struct {
+	src, dst int
+	words    int64
+}
+
+// wordsSent is the words-sent matrix of executing pl over ly, its
+// nonzero cells in (src, dst) order.
+func wordsSent(t *testing.T, pl *Plan, ly *Layout) []pairWords {
+	t.Helper()
+	res, err := pl.ExecuteOpts(ly, ExecOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []pairWords
+	for src, row := range res.Traffic {
+		for dst, w := range row {
+			if w != 0 {
+				out = append(out, pairWords{src, dst, w})
+			}
+		}
+	}
+	return out
+}
