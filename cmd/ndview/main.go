@@ -27,7 +27,7 @@ func main() {
 	var (
 		fig1    = flag.Bool("fig1", false, "show the Figure 1 reordering demo")
 		regions = flag.Bool("regions", false, "show the R_l region map of an eTree (Figure 3b)")
-		traffic = flag.Bool("traffic", false, "run the sparse solver and show the rank-to-rank traffic heatmap")
+		traffic = flag.Bool("traffic", false, "price the sparse solver's plan and show the rank-to-rank traffic heatmap")
 		gen     = flag.String("gen", "grid", "workload generator for the ordering view")
 		n       = flag.Int("n", 64, "vertex count")
 		h       = flag.Int("h", 3, "eTree height")
@@ -132,7 +132,9 @@ func showRegions(h, l int) {
 // ASCII heatmap: the eTree structure is visible as hot pivot
 // rows/columns and the Corollary 5.5 unit-processor rows — above level
 // 1: the default wire runs one level-1 unit per block on the block's
-// owner.
+// owner. The matrix is the default plan's messages summed per (src, dst)
+// at exact prices (Plan.Cost), which is what a solve would send; nothing
+// is executed.
 func showTraffic(gen string, n, h int, seed int64) {
 	g, err := graph.NamedGenerator(gen, n, seed)
 	if err != nil {
@@ -140,20 +142,28 @@ func showTraffic(gen string, n, h int, seed int64) {
 	}
 	s := (1 << h) - 1
 	p := s * s
-	res, err := apsp.SparseAPSP(g, p, seed)
+	ly, err := apsp.NewLayout(g, h, seed)
 	if err != nil {
 		fatal(err)
 	}
-	tr := res.Traffic
-	var max int64
-	for _, row := range tr {
-		for _, v := range row {
-			if v > max {
-				max = v
-			}
-		}
+	pl, err := apsp.BuildPlan(ly, p, apsp.WirePruned, apsp.R4Mapped)
+	if err != nil {
+		fatal(err)
 	}
-	fmt.Printf("sparse solve on %s n=%d, p=%d (grid %dx%d); words sent, max cell = %d\n", gen, g.N(), p, s, s, max)
+	cost, err := pl.Cost(ly)
+	if err != nil {
+		fatal(err)
+	}
+	tr := make([][]int64, p)
+	for i := range tr {
+		tr[i] = make([]int64, p)
+	}
+	var hi int64
+	for _, m := range cost.Messages {
+		tr[m.Src][m.Dst] += m.Words
+		hi = max(hi, tr[m.Src][m.Dst])
+	}
+	fmt.Printf("sparse solve on %s n=%d, p=%d (grid %dx%d); words sent, max cell = %d\n", gen, g.N(), p, s, s, hi)
 	fmt.Println("heatmap (rows = senders, cols = receivers; . 0, then ░▒▓█ by volume):")
 	shades := []rune{'.', '░', '▒', '▓', '█'}
 	for src := 0; src < p; src++ {
@@ -161,8 +171,8 @@ func showTraffic(gen string, n, h int, seed int64) {
 		for dst := 0; dst < p; dst++ {
 			v := tr[src][dst]
 			idx := 0
-			if v > 0 && max > 0 {
-				idx = 1 + int(3*v/(max+1))
+			if v > 0 && hi > 0 {
+				idx = 1 + int(3*v/(hi+1))
 			}
 			sb.WriteRune(shades[idx])
 		}

@@ -571,13 +571,12 @@ func (pl *Plan) execute(prog *dfProgram, ly *Layout, o ExecOpts) (*DistResult, e
 	dist := ly.AssembleOriginal(blocks)
 	release()
 	return &DistResult{
-		Dist:    dist,
-		Report:  x.led.Report(),
-		Layout:  ly,
-		Plan:    pl,
-		P:       pl.P,
-		Phases:  phases,
-		Traffic: x.led.Traffic(),
+		Dist:   dist,
+		Report: x.led.Report(),
+		Layout: ly,
+		Plan:   pl,
+		P:      pl.P,
+		Phases: phases,
 	}, nil
 }
 
@@ -685,7 +684,7 @@ func (x *dfRun) recvMsg(n *dfNode, i int) []float64 {
 func (x *dfRun) sendMsg(n *dfNode, i int, data []float64) {
 	msg := n.sends[i]
 	consumer := x.prog.msgConsumer[msg]
-	snap := x.led.ChargeSend(int(n.rank), int(x.prog.micros[consumer].rank), int64(len(data)))
+	snap := x.led.ChargeSend(int(n.rank), int64(len(data)))
 	x.slots[msg] = dfSlot{data: data, clock: snap}
 	x.complete(x.prog.superOf[consumer])
 }

@@ -123,7 +123,7 @@ func DCAPSP(g *graph.Graph, p int, cyclicFactor int) (*DistResult, error) {
 			}
 		}
 	}
-	return &DistResult{Dist: out, Report: machine.Report(), P: p, Traffic: machine.Traffic()}, nil
+	return &DistResult{Dist: out, Report: machine.Report(), P: p}, nil
 }
 
 // dcStep is one step of the unrolled Kleene recursion: a local

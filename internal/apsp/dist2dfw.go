@@ -37,10 +37,9 @@ func Dist2DFW(g *graph.Graph, p int) (*DistResult, error) {
 		return nil, fmt.Errorf("apsp: 2D FW solver failed: %w", err)
 	}
 	return &DistResult{
-		Dist:    assembleDense(blocks, starts, n),
-		Report:  machine.Report(),
-		P:       p,
-		Traffic: machine.Traffic(),
+		Dist:   assembleDense(blocks, starts, n),
+		Report: machine.Report(),
+		P:      p,
 	}, nil
 }
 

@@ -27,12 +27,11 @@ func (pl *Plan) executeMachine(ly *Layout) (*DistResult, error) {
 	dist := ly.AssembleOriginal(blocks)
 	release()
 	return &DistResult{
-		Dist:    dist,
-		Report:  machine.Report(),
-		Layout:  ly,
-		P:       pl.P,
-		Phases:  phases,
-		Traffic: machine.Traffic(),
+		Dist:   dist,
+		Report: machine.Report(),
+		Layout: ly,
+		P:      pl.P,
+		Phases: phases,
 	}, nil
 }
 

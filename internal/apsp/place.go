@@ -1113,15 +1113,18 @@ func (pc *placer) replay(i int, from []tick, hook func(*placeStep)) tick {
 // PlanCost is the communication half of the Report an execute of the
 // plan gives, priced without executing: P, Critical, TotalMessages,
 // TotalWords, PerRank, LocalSent and WordsByClass are either executor's
-// (TestPlanClockIsExact); flops and memory stay zero. The words chain
-// is the critical path's messages in send order, whose words sum to
+// (TestPlanClockIsExact); flops and memory stay zero. Messages is every
+// message of the plan in replay order, TotalMessages of them; summed per
+// (Src, Dst) it is the words-sent matrix. The words chain is the
+// critical path's messages in send order, whose words sum to
 // Critical.Bandwidth; the messages chain has Critical.Latency links.
 type PlanCost struct {
 	comm.Report
+	Messages                  []Segment
 	WordsChain, MessagesChain []Segment
 }
 
-// Segment is one message of a chain: its op's eTree level (1-based) and
+// Segment is one message of a plan: its op's eTree level (1-based) and
 // send class, the payload block A(BI,BJ), its sender and receiver, and
 // its words.
 type Segment struct {
@@ -1163,6 +1166,7 @@ func (pl *Plan) exactCost(ly *Layout) *PlanCost {
 	pc.record = func(st *placeStep, m msg) {
 		bi, bj := st.op.payload(m.part)
 		seg := Segment{st.level, bi, bj, m.src, m.dst, opSendClass[st.op.Kind], st.w[m.part]}
+		c.Messages = append(c.Messages, seg)
 		c.TotalMessages++
 		c.TotalWords += seg.Words
 		c.LocalSent[m.src] += seg.Words

@@ -158,10 +158,24 @@ func commHalf(rep comm.Report) comm.Report {
 }
 
 // costIsReport fails t unless Plan.Cost's report is rep's communication
-// half, naming the first rank whose clock or sent words differ.
+// half, naming the first rank whose clock or sent words differ, and
+// unless its messages are what rep counts: TotalMessages of them, whose
+// words sum to TotalWords, to LocalSent per sender and to WordsByClass
+// per class.
 func costIsReport(t *testing.T, name string, cost *PlanCost, rep comm.Report) {
 	t.Helper()
 	want := commHalf(rep)
+	sent := comm.Report{TotalMessages: int64(len(cost.Messages)), LocalSent: make([]int64, len(want.LocalSent))}
+	for _, m := range cost.Messages {
+		sent.TotalWords += m.Words
+		sent.LocalSent[m.Src] += m.Words
+		sent.WordsByClass[m.Class] += m.Words
+	}
+	if sent.TotalMessages != want.TotalMessages || sent.TotalWords != want.TotalWords ||
+		!slices.Equal(sent.LocalSent, want.LocalSent) || sent.WordsByClass != want.WordsByClass {
+		t.Errorf("%s: Plan.Cost's %d messages sum to %d words, %v by class; the executor sent %d messages of %d words, %v by class",
+			name, sent.TotalMessages, sent.TotalWords, sent.WordsByClass, want.TotalMessages, want.TotalWords, want.WordsByClass)
+	}
 	if reflect.DeepEqual(cost.Report, want) {
 		return
 	}

@@ -1,6 +1,7 @@
 package apsp
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -81,7 +82,8 @@ func TestPlanHashesPinned(t *testing.T) {
 // weights 1..9, ND seed 42) and TestExecutorEquality's families (ND seed
 // 11), under both wires and both R4 strategies, one SHA-256 over every
 // cell's nonzero "src dst words" lines of the words-sent matrix, in
-// (src, dst) order.
+// (src, dst) order. The digest was taken from the executed solves'
+// matrices; Plan.Cost's messages reproduce it without executing.
 func TestPlanTrafficPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("executes the served shapes; run without -short")
@@ -135,21 +137,20 @@ type pairWords struct {
 	words    int64
 }
 
-// wordsSent is the words-sent matrix of executing pl over ly, its
-// nonzero cells in (src, dst) order.
+// wordsSent is the words-sent matrix of pl over ly, Plan.Cost's
+// messages summed per (src, dst), its nonzero cells in (src, dst) order.
 func wordsSent(t *testing.T, pl *Plan, ly *Layout) []pairWords {
 	t.Helper()
-	res, err := pl.ExecuteOpts(ly, ExecOpts{})
-	if err != nil {
-		t.Fatal(err)
+	sum := map[[2]int]int64{}
+	for _, m := range planCost(t, pl, ly).Messages {
+		sum[[2]int{m.Src, m.Dst}] += m.Words
 	}
 	var out []pairWords
-	for src, row := range res.Traffic {
-		for dst, w := range row {
-			if w != 0 {
-				out = append(out, pairWords{src, dst, w})
-			}
+	for k, w := range sum {
+		if w != 0 {
+			out = append(out, pairWords{k[0], k[1], w})
 		}
 	}
+	slices.SortFunc(out, func(a, b pairWords) int { return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst)) })
 	return out
 }

@@ -20,8 +20,8 @@ import (
 
 // TestSchedulerDeterminism pins the cost-aware scheduler's replay
 // guarantee: for a fixed plan and worker count, every Execute produces
-// the identical observables — distances, cost report, per-level phases
-// and the traffic matrix — no matter how the workers interleave. Run
+// the identical observables — distances, cost report and per-level
+// phases — no matter how the workers interleave. Run
 // under -race in CI, so a data race in the ready set or the completion
 // path surfaces here too.
 func TestSchedulerDeterminism(t *testing.T) {
@@ -54,9 +54,6 @@ func TestSchedulerDeterminism(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.Phases, want.Phases) {
 				t.Fatalf("workers=%d run %d: phase costs differ", workers, run)
-			}
-			if !reflect.DeepEqual(got.Traffic, want.Traffic) {
-				t.Fatalf("workers=%d run %d: traffic matrices differ", workers, run)
 			}
 		}
 	}

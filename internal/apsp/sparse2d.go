@@ -22,8 +22,6 @@ type DistResult struct {
 	// solver (the L_l / B_l decomposition of Lemmas 5.6, 5.8, 5.9);
 	// empty for the dense algorithms.
 	Phases []comm.PhaseCost
-	// Traffic is the words-sent matrix: Traffic[src][dst].
-	Traffic [][]int64
 }
 
 // SparseAPSP runs the paper's 2D-SPARSE-APSP (Algorithm 1) on a

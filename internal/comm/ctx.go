@@ -33,7 +33,7 @@ func (c *Ctx) Send(dst, tag int, data []float64) {
 	if dst == c.rank {
 		panic("comm: self-send is not allowed; keep the data local instead")
 	}
-	clock := c.machine.led.ChargeSend(c.rank, dst, int64(len(data)))
+	clock := c.machine.led.ChargeSend(c.rank, int64(len(data)))
 	c.machine.boxes[dst].put(&c.machine.ws, message{src: c.rank, tag: tag, data: data, clock: clock})
 }
 

@@ -196,12 +196,6 @@ type Report struct {
 // Report returns the cost summary of everything executed so far.
 func (m *Machine) Report() Report { return m.led.Report() }
 
-// Traffic returns the words-sent matrix: Traffic()[src][dst] is the
-// total payload volume src sent to dst. Useful for inspecting the
-// communication structure (the sparse algorithm's matrix mirrors the
-// eTree: pivot rows/columns and the unit-processor rows light up).
-func (m *Machine) Traffic() [][]int64 { return m.led.Traffic() }
-
 func (r Report) String() string {
 	return fmt.Sprintf("p=%d critical{%v} totalMsgs=%d totalWords=%d maxMemWords=%d",
 		r.P, r.Critical, r.TotalMessages, r.TotalWords, r.MaxMemory)

@@ -390,32 +390,6 @@ func TestDeadlockMismatchedCollective(t *testing.T) {
 	}
 }
 
-func TestTrafficMatrix(t *testing.T) {
-	m := NewMachine(3)
-	if err := m.Run(func(c *Ctx) {
-		switch c.Rank() {
-		case 0:
-			c.Send(1, 0, []float64{1, 2})
-			c.Send(2, 0, []float64{3, 4, 5})
-		case 1:
-			c.Recv(0, 0)
-			c.Send(2, 1, []float64{6})
-		case 2:
-			c.Recv(0, 0)
-			c.Recv(1, 1)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	tr := m.Traffic()
-	if tr[0][1] != 2 || tr[0][2] != 3 || tr[1][2] != 1 {
-		t.Errorf("traffic = %v", tr)
-	}
-	if tr[2][0] != 0 || tr[1][0] != 0 {
-		t.Error("phantom traffic recorded")
-	}
-}
-
 // Critical-path sanity: the critical path dominates every rank's own
 // local cost and is dominated by the aggregate totals.
 func TestCriticalPathSandwich(t *testing.T) {

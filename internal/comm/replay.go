@@ -17,7 +17,7 @@ package comm
 // ChargeSend happens-before the ChargeRecv consuming its returned
 // snapshot. A Machine gets all three from one goroutine per rank and
 // its mailbox locks, a dataflow executor from its dependency edges. The
-// read-side aggregators (Report, CriticalPath, PhaseCosts, Traffic)
+// read-side aggregators (Report, CriticalPath, PhaseCosts)
 // must only be called after all charges have been issued and their
 // goroutines joined.
 type Replay struct {
@@ -31,39 +31,13 @@ type rankState struct {
 	clock      Cost
 	sentMsgs   int64
 	sentWords  int64
-	memWords   int64 // currently registered resident words
-	peakWords  int64 // maximum ever registered
-	recvdMsgs  int64
-	recvdWords int64
+	memWords   int64       // currently registered resident words
+	peakWords  int64       // maximum ever registered
 	localFlops int64       // flops performed by this rank itself (no max-merge)
-	sentTo     []dstWords  // words sent per destination rank (compact pairs)
 	marks      []markEntry // phase boundaries recorded by Mark
 
 	sendClass   SendClass             // phase label charged by subsequent sends
 	sentByClass [NumSendClasses]int64 // words sent per phase class
-}
-
-// dstWords is one (destination, words) entry of a rank's traffic row.
-// A rank talks to O(log p) distinct peers (its collective-tree
-// neighbours), so the row is kept as a short scanned list instead of a
-// dense p-word slice — at p ≈ 10³ the dense rows cost several MB of
-// zeroed allocation per run and dominate the executor's GC load.
-type dstWords struct {
-	dst   int32
-	words int64
-}
-
-// addSent accumulates words into the rank's traffic row. Consecutive
-// sends usually target the same peer (tree fan-out runs), so the scan
-// starts from the most recent entry.
-func (st *rankState) addSent(dst int, words int64) {
-	for i := len(st.sentTo) - 1; i >= 0; i-- {
-		if st.sentTo[i].dst == int32(dst) {
-			st.sentTo[i].words += words
-			return
-		}
-	}
-	st.sentTo = append(st.sentTo, dstWords{dst: int32(dst), words: words})
 }
 
 // NewReplay returns a ledger for p ranks with all clocks at zero.
@@ -74,18 +48,17 @@ func NewReplay(p int) *Replay {
 // P returns the number of ranks.
 func (r *Replay) P() int { return r.p }
 
-// ChargeSend charges src for sending words payload words to dst and
-// returns the clock snapshot the message carries — the sender's clock
-// BEFORE the send was charged. The caller passes the snapshot to the
-// matching ChargeRecv.
-func (r *Replay) ChargeSend(src, dst int, words int64) Cost {
+// ChargeSend charges src for sending one message of words payload words
+// and returns the clock snapshot the message carries — the sender's
+// clock BEFORE the send was charged. The caller passes the snapshot to
+// the matching ChargeRecv.
+func (r *Replay) ChargeSend(src int, words int64) Cost {
 	st := &r.states[src]
 	snap := st.clock
 	st.clock.addMessage(words)
 	st.sentMsgs++
 	st.sentWords += words
 	st.sentByClass[st.sendClass] += words
-	st.addSent(dst, words)
 	return snap
 }
 
@@ -98,8 +71,6 @@ func (r *Replay) ChargeRecv(rank int, sender Cost, words int64) {
 	st := &r.states[rank]
 	st.clock.maxInPlace(sender)
 	st.clock.addMessage(words)
-	st.recvdMsgs++
-	st.recvdWords += words
 }
 
 // AddFlops charges n semiring operations to rank's clock and its local
@@ -173,21 +144,4 @@ func (r *Replay) Report() Report {
 		}
 	}
 	return rep
-}
-
-// Traffic returns the words-sent matrix: Traffic()[src][dst] is the
-// total payload volume src sent to dst.
-func (r *Replay) Traffic() [][]int64 {
-	// One backing array for the whole p×p matrix: at large p the row
-	// headers and per-row zeroing otherwise dominate the call.
-	p := r.p
-	out := make([][]int64, p)
-	flat := make([]int64, p*p)
-	for i := range out {
-		out[i] = flat[i*p : (i+1)*p : (i+1)*p]
-		for _, e := range r.states[i].sentTo {
-			out[i][e.dst] = e.words
-		}
-	}
-	return out
 }

@@ -7,7 +7,7 @@ import (
 
 // TestReplayMatchesMachineCharges replays a small program's charge
 // sequence on a Replay ledger and checks every observable — report,
-// critical path, phases, traffic — against the Machine executing the
+// critical path, phases — against the Machine executing the
 // same program. The program exercises the order-sensitive part of the
 // model: max-merge-then-add across two receives with different sender
 // clocks, where swapping the receive order changes the result.
@@ -47,13 +47,13 @@ func TestReplayMatchesMachineCharges(t *testing.T) {
 	// Rank 0 prefix.
 	r.AddFlops(0, 10)
 	r.SetMemory(0, 100)
-	snap02 := r.ChargeSend(0, 2, 2)
+	snap02 := r.ChargeSend(0, 2)
 	r.Mark(0, "a")
 	r.AddMemory(0, -40)
 	r.Mark(0, "b")
 	// Rank 1.
 	r.SetMemory(1, 5)
-	snap12 := r.ChargeSend(1, 2, 1)
+	snap12 := r.ChargeSend(1, 1)
 	r.Mark(1, "a")
 	r.Mark(1, "b")
 	// Rank 2, receives in the machine's order.
@@ -62,7 +62,7 @@ func TestReplayMatchesMachineCharges(t *testing.T) {
 	r.ChargeRecv(2, snap12, 1)
 	r.AddFlops(2, 4)
 	r.Mark(2, "a")
-	snap20 := r.ChargeSend(2, 0, 1)
+	snap20 := r.ChargeSend(2, 1)
 	r.Mark(2, "b")
 	// Rank 0 suffix.
 	r.ChargeRecv(0, snap20, 1)
@@ -72,9 +72,6 @@ func TestReplayMatchesMachineCharges(t *testing.T) {
 	}
 	if got, want := r.CriticalPath(), m.CriticalPath(); got != want {
 		t.Errorf("replay critical path = %v, machine = %v", got, want)
-	}
-	if !reflect.DeepEqual(r.Traffic(), m.Traffic()) {
-		t.Errorf("replay traffic = %v, machine = %v", r.Traffic(), m.Traffic())
 	}
 	rp, err := r.PhaseCosts()
 	if err != nil {
