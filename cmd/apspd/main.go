@@ -80,10 +80,10 @@ func main() {
 
 		// router-mode flags
 		backends  = flag.String("backends", "", "router: comma-separated backend base URLs (http://host:port)")
-		replicas  = flag.Int("replicas", 2, "router: replication factor R (capped at the backend count)")
+		replicas  = flag.Int("replicas", fleet.DefaultReplicas, "router: replication factor R (capped at the backend count)")
 		cachePair = flag.Int("cache-pairs", fleet.DefaultCachePairs, "router: hot-pair cache capacity in (graph, src, dst) entries; negative disables")
-		maxInFl   = flag.Int("max-inflight", 256, "router: admitted in-flight requests per backend before 429")
-		probeIv   = flag.Duration("probe-interval", 500*time.Millisecond, "router: backend /readyz probe period")
+		maxInFl   = flag.Int("max-inflight", fleet.DefaultMaxInFlight, "router: admitted in-flight requests per backend before 429")
+		probeIv   = flag.Duration("probe-interval", fleet.DefaultProbeInterval, "router: backend /readyz probe period")
 	)
 	flag.Parse()
 

@@ -290,23 +290,27 @@ func checkLoweringShape(t *testing.T, g *graph.Graph, p int, seed int64, counts 
 }
 
 // BenchmarkPlanExecute times the executor against the machine
-// reference on a warm plan — the serving-path hot loop. The benchmark
-// matrix stays at p <= 225 so the CI 1x smoke run finishes quickly.
+// reference on a warm plan — the serving-path hot loop — and reports
+// what each execute allocates. The grids stay at p <= 225 so the CI 1x
+// smoke run finishes quickly; the served cycle (800, p = 961, ~10⁴
+// dataflow nodes) runs on the dataflow executor alone, since the machine
+// reference starts a goroutine per rank.
 func BenchmarkPlanExecute(b *testing.B) {
 	for _, bc := range []struct {
-		side int
-		p    int
+		name    string
+		g       *graph.Graph
+		p       int
+		machine bool
 	}{
-		{20, 49},
-		{30, 225},
+		{"grid20_p49", graph.Grid2D(20, 20, integerWeights(rand.New(rand.NewSource(61)), 10)), 49, true},
+		{"grid30_p225", graph.Grid2D(30, 30, integerWeights(rand.New(rand.NewSource(61)), 10)), 225, true},
+		{"cycle800_p961", graph.Cycle(800, integerWeights(rand.New(rand.NewSource(2)), 9)), 961, false},
 	} {
-		rng := rand.New(rand.NewSource(61))
-		g := graph.Grid2D(bc.side, bc.side, integerWeights(rng, 10))
 		h, err := HeightForP(bc.p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ly, err := NewLayout(g, h, 11)
+		ly, err := NewLayout(bc.g, h, 11)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -321,7 +325,11 @@ func BenchmarkPlanExecute(b *testing.B) {
 			{"machine", func() (*DistResult, error) { return pl.executeMachine(ly) }},
 			{"dataflow", func() (*DistResult, error) { return pl.ExecuteOpts(ly, ExecOpts{}) }},
 		} {
-			b.Run(fmt.Sprintf("grid%d_p%d/%s", bc.side, bc.p, ex.name), func(b *testing.B) {
+			if ex.name == "machine" && !bc.machine {
+				continue
+			}
+			b.Run(bc.name+"/"+ex.name, func(b *testing.B) {
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := ex.run(); err != nil {
 						b.Fatal(err)

@@ -21,21 +21,28 @@ type Config struct {
 	Backends []string
 	// Replicas is the replication factor R: every graph is loaded onto
 	// R distinct backends and reads fan out to the least-loaded healthy
-	// replica. Capped at len(Backends); default 2.
+	// replica. Capped at len(Backends); default DefaultReplicas.
 	Replicas int
 	// CachePairs bounds the hot-pair cache in (fingerprint, src, dst)
 	// entries; 0 means DefaultCachePairs, negative disables caching.
 	CachePairs int
 	// MaxInFlight bounds admitted-but-unfinished proxied requests per
 	// backend; when every replica of a graph is saturated the router
-	// answers 429 + Retry-After instead of queueing. Default 256.
+	// answers 429 + Retry-After instead of queueing. Default
+	// DefaultMaxInFlight.
 	MaxInFlight int
-	// ProbeInterval is the /readyz health-probe period; default 500ms.
+	// ProbeInterval is the /readyz health-probe period; default
+	// DefaultProbeInterval.
 	ProbeInterval time.Duration
 }
 
-// DefaultCachePairs is the default hot-pair cache capacity.
-const DefaultCachePairs = 1 << 16
+// The defaults of a zero Config field, which apspd's router flags share.
+const (
+	DefaultReplicas      = 2                      // replication factor R
+	DefaultCachePairs    = 1 << 16                // hot-pair cache capacity
+	DefaultMaxInFlight   = 256                    // admitted requests per backend
+	DefaultProbeInterval = 500 * time.Millisecond // /readyz probe period
+)
 
 // ejectAfter is the consecutive probe failures that eject a backend (a
 // transport error on live traffic ejects at once); one probe success
@@ -44,7 +51,7 @@ const ejectAfter = 3
 
 func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
-		c.Replicas = 2
+		c.Replicas = DefaultReplicas
 	}
 	if c.Replicas > len(c.Backends) {
 		c.Replicas = len(c.Backends)
@@ -53,10 +60,10 @@ func (c Config) withDefaults() Config {
 		c.CachePairs = DefaultCachePairs
 	}
 	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 256
+		c.MaxInFlight = DefaultMaxInFlight
 	}
 	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 500 * time.Millisecond
+		c.ProbeInterval = DefaultProbeInterval
 	}
 	return c
 }

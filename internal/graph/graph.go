@@ -52,17 +52,18 @@ func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 // HasEdge reports whether the undirected edge {u, v} exists and returns
 // its weight (Inf when absent).
 func (g *Graph) HasEdge(u, v int) (float64, bool) {
-	for _, e := range g.adj[u] {
-		if e.To == v {
-			return e.W, true
-		}
+	if i := g.half(u, v); i >= 0 {
+		return g.adj[u][i].W, true
 	}
 	return Inf, false
 }
 
 // AddEdge inserts the undirected edge {u, v} with weight w. Self-loops
 // are ignored (the distance matrix diagonal is always 0). If the edge
-// already exists, the smaller weight wins.
+// already exists, the smaller weight wins. The duplicate check scans the
+// shorter of the two adjacency lists, so adding every leaf of a star
+// costs linear time, not the hub's degree per edge; only a duplicate
+// that lowers the weight also scans the longer list.
 func (g *Graph) AddEdge(u, v int, w float64) {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		panic(fmt.Sprintf("graph: edge {%d,%d} outside [0,%d)", u, v, g.n))
@@ -70,8 +71,12 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 	if u == v {
 		return
 	}
-	if g.relaxHalf(u, v, w) {
-		g.relaxHalf(v, u, w)
+	a, b := g.shorter(u, v)
+	if i := g.half(a, b); i >= 0 {
+		if w < g.adj[a][i].W {
+			g.adj[a][i].W = w
+			g.adj[b][g.half(b, a)].W = w
+		}
 		return
 	}
 	g.adj[u] = append(g.adj[u], Edge{To: v, W: w})
@@ -87,35 +92,34 @@ func (g *Graph) SetEdge(u, v int, w float64) bool {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n || u == v {
 		return false
 	}
-	if !g.setHalf(u, v, w) {
+	a, b := g.shorter(u, v)
+	i := g.half(a, b)
+	if i < 0 {
 		return false
 	}
-	g.setHalf(v, u, w)
+	g.adj[a][i].W = w
+	g.adj[b][g.half(b, a)].W = w
 	return true
 }
 
-func (g *Graph) setHalf(u, v int, w float64) bool {
-	for i := range g.adj[u] {
-		if g.adj[u][i].To == v {
-			g.adj[u][i].W = w
-			return true
-		}
+// shorter orders the endpoints of {u, v} by adjacency-list length,
+// shorter first.
+func (g *Graph) shorter(u, v int) (int, int) {
+	if len(g.adj[v]) < len(g.adj[u]) {
+		return v, u
 	}
-	return false
+	return u, v
 }
 
-// relaxHalf lowers the weight of the existing half-edge u→v to w if it
-// exists, reporting whether it was found.
-func (g *Graph) relaxHalf(u, v int, w float64) bool {
-	for i := range g.adj[u] {
-		if g.adj[u][i].To == v {
-			if w < g.adj[u][i].W {
-				g.adj[u][i].W = w
-			}
-			return true
+// half returns the index of the half-edge u→v in u's adjacency list, or
+// -1 if there is none.
+func (g *Graph) half(u, v int) int {
+	for i, e := range g.adj[u] {
+		if e.To == v {
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // Clone returns a deep copy of the graph.

@@ -3,11 +3,13 @@ package graph
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestAddEdgeBasics(t *testing.T) {
@@ -285,6 +287,39 @@ func TestReadLineCap(t *testing.T) {
 	}
 	if _, err := Read(strings.NewReader("n 2\n" + line(1<<20) + "\n")); err != bufio.ErrTooLong {
 		t.Errorf("a line of 1 MiB: %v, want %v", err, bufio.ErrTooLong)
+	}
+}
+
+// TestReadStarLinear: parsing a star whose lines name the hub first
+// grows with the body, not with the hub's degree per line. A 100,000-leaf
+// body parses in under 8× a 25,000-leaf one (linear is about 4×; the
+// duplicate check that scanned the hub's whole list on every line made
+// it about 16×). Each size is timed best of three.
+func TestReadStarLinear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times two parses; run without -short")
+	}
+	parse := func(leaves int) time.Duration {
+		var b strings.Builder
+		fmt.Fprintf(&b, "n %d\n", leaves+1)
+		for v := 1; v <= leaves; v++ {
+			fmt.Fprintf(&b, "0 %d %d\n", v, 1+v%9)
+		}
+		body := b.String()
+		best := time.Duration(math.MaxInt64)
+		for range 3 {
+			start := time.Now()
+			g, err := Read(strings.NewReader(body))
+			best = min(best, time.Since(start))
+			if err != nil || g.M() != leaves || g.Degree(0) != leaves {
+				t.Fatalf("%d leaves: %v", leaves, err)
+			}
+		}
+		return best
+	}
+	small, large := parse(25_000), parse(100_000)
+	if large >= 8*small {
+		t.Errorf("a 100,000-leaf star parses in %v, a 25,000-leaf one in %v: %.1f×, want under 8×", large, small, float64(large)/float64(small))
 	}
 }
 
