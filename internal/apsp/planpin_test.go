@@ -82,11 +82,12 @@ func TestPlanHashesPinned(t *testing.T) {
 // weights 1..9, ND seed 42) and TestExecutorEquality's families (ND seed
 // 11), under both wires and both R4 strategies, one SHA-256 over every
 // cell's nonzero "src dst words" lines of the words-sent matrix, in
-// (src, dst) order. The digest was taken from the executed solves'
-// matrices; Plan.Cost's messages reproduce it without executing.
+// (src, dst) order: Plan.Cost's messages summed per pair. The digest
+// was taken from the executed solves' matrices, which the messages
+// reproduce without executing.
 func TestPlanTrafficPinned(t *testing.T) {
 	if testing.Short() {
-		t.Skip("executes the served shapes; run without -short")
+		t.Skip("44 plans built and priced; run without -short")
 	}
 	const pinned = "554f1d66073aa5cb5a25b1b1055deba02254300c9511950890ee3eb6ae276ad2"
 	var sb strings.Builder
@@ -98,8 +99,19 @@ func TestPlanTrafficPinned(t *testing.T) {
 					t.Fatal(err)
 				}
 				fmt.Fprintf(&sb, "%s/%v/r4=%d\n", name, wire, r4)
-				for _, e := range wordsSent(t, pl, ly) {
-					fmt.Fprintf(&sb, "%d %d %d\n", e.src, e.dst, e.words)
+				sent := map[[2]int]int64{}
+				for _, m := range planCost(t, pl, ly).Messages {
+					sent[[2]int{m.Src, m.Dst}] += m.Words
+				}
+				var pairs [][2]int
+				for pair, w := range sent {
+					if w != 0 {
+						pairs = append(pairs, pair)
+					}
+				}
+				slices.SortFunc(pairs, func(a, b [2]int) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+				for _, pair := range pairs {
+					fmt.Fprintf(&sb, "%d %d %d\n", pair[0], pair[1], sent[pair])
 				}
 			}
 		}
@@ -129,28 +141,4 @@ func TestPlanTrafficPinned(t *testing.T) {
 	if got := hex.EncodeToString(sum[:]); got != pinned {
 		t.Errorf("the words-sent matrices digest to %s, pinned %s", got, pinned)
 	}
-}
-
-// pairWords is one nonzero cell of a words-sent matrix.
-type pairWords struct {
-	src, dst int
-	words    int64
-}
-
-// wordsSent is the words-sent matrix of pl over ly, Plan.Cost's
-// messages summed per (src, dst), its nonzero cells in (src, dst) order.
-func wordsSent(t *testing.T, pl *Plan, ly *Layout) []pairWords {
-	t.Helper()
-	sum := map[[2]int]int64{}
-	for _, m := range planCost(t, pl, ly).Messages {
-		sum[[2]int{m.Src, m.Dst}] += m.Words
-	}
-	var out []pairWords
-	for k, w := range sum {
-		if w != 0 {
-			out = append(out, pairWords{k[0], k[1], w})
-		}
-	}
-	slices.SortFunc(out, func(a, b pairWords) int { return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst)) })
-	return out
 }
