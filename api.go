@@ -375,7 +375,7 @@ func repairRows(ed *apsp.Edited, prevDist apsp.RowFunc, prevNext *apsp.Successor
 // NewOracle solves g once with the configuration in opts and returns a
 // distance oracle over the result.
 func NewOracle(g *Graph, opts Options) (*Oracle, error) {
-	return oracle.New(g, oracleSolver(opts), nil)
+	return oracle.New(g, oracleSolver(opts))
 }
 
 // NewOracleRegistry returns an oracle cache that solves graphs on

@@ -38,9 +38,12 @@ func main() {
 		nd.SeparatorSize(), prep.Critical.Latency, prep.Critical.Bandwidth)
 
 	// Stage 2: the paper's solver, using that ordering.
-	res, err := apsp.SparseAPSPWith(g, p, apsp.SparseOptions{
-		Layout: apsp.NewLayoutFromOrdering(g, nd),
-	})
+	ly := apsp.NewLayoutFromOrdering(g, nd)
+	pl, err := apsp.BuildPlan(ly, p, apsp.WirePruned, apsp.R4Mapped)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := pl.ExecuteOpts(ly, apsp.ExecOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -529,7 +529,7 @@ func (pl *Plan) execute(prog *dfProgram, ly *Layout, o ExecOpts) (*DistResult, e
 		workers = pool.Size()
 	}
 	// Beyond the pool's size a worker loop would only start once the
-	// run is over (Pool.Drive), so cap there as well as at p.
+	// run is over (Pool.ForEach), so cap there as well as at p.
 	workers = max(1, min(workers, pl.P, pool.Size()))
 	x := &dfRun{
 		pl:      pl,
@@ -560,7 +560,7 @@ func (pl *Plan) execute(prog *dfProgram, ly *Layout, o ExecOpts) (*DistResult, e
 	}
 	// One scratch arena per worker, reused across every op the worker
 	// executes — w arenas total instead of the machine reference's p.
-	pool.Drive(workers, func(int) { x.work(semiring.NewArena(prog.maxScratch)) })
+	pool.ForEach(workers, func(int) { x.work(semiring.NewArena(prog.maxScratch)) })
 	if x.err != nil {
 		return nil, fmt.Errorf("apsp: sparse solver failed: %w", x.err)
 	}
@@ -580,7 +580,7 @@ func (pl *Plan) execute(prog *dfProgram, ly *Layout, o ExecOpts) (*DistResult, e
 	}, nil
 }
 
-// work is the one worker loop, run by pool.Drive for every worker
+// work is the one worker loop, run by pool.ForEach for every worker
 // count: pop the most critical ready super-node, run it, retire it.
 // Only a running node can make another ready, so a worker that finds
 // the set empty waits while some node runs, and nothing ready with

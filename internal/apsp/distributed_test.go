@@ -289,7 +289,12 @@ func TestSparseAPSPWithDistributedOrdering(t *testing.T) {
 	if err := partition.CheckSeparation(g, nd); err != nil {
 		t.Fatal(err)
 	}
-	res, err := SparseAPSPWith(g, 49, SparseOptions{Layout: NewLayoutFromOrdering(g, nd)})
+	ly := NewLayoutFromOrdering(g, nd)
+	pl, err := BuildPlan(ly, 49, WirePruned, R4Mapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pl.ExecuteOpts(ly, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +308,11 @@ func TestSparseAPSPWithDistributedOrdering(t *testing.T) {
 	// ships dense payloads, so that is the wire the claim is checked
 	// against: the default wire moves fewer words than this
 	// partitioner does at n=576.
-	dense, err := SparseAPSPWith(g, 49, SparseOptions{Layout: NewLayoutFromOrdering(g, nd), Wire: WireDense})
+	densePl, err := BuildPlan(ly, 49, WireDense, R4Mapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := densePl.ExecuteOpts(ly, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +328,7 @@ func TestSparseAPSPRejectsMismatchedLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SparseAPSPWith(g, 49, SparseOptions{Layout: ly}); err == nil {
+	if _, err := BuildPlan(ly, 49, WirePruned, R4Mapped); err == nil {
 		t.Error("expected error for mismatched layout height")
 	}
 }

@@ -118,10 +118,6 @@ func ParseWireFormat(s string) (WireFormat, error) {
 type SparseOptions struct {
 	Seed       int64
 	R4Strategy R4Strategy
-	// Layout, when non-nil, supplies a precomputed ordering (e.g. from
-	// partition.DistributedND) instead of running the sequential nested
-	// dissection; its tree height must match the machine size.
-	Layout *Layout
 	// Wire selects the payload encoding (and with it the mask-based
 	// skipping); see WireFormat.
 	Wire WireFormat
@@ -129,8 +125,7 @@ type SparseOptions struct {
 	// StructureFingerprint: a solve whose structure was seen before
 	// reuses the cached ordering, eTree and op schedule and
 	// performs no symbolic work at all (only the O(n + m) weight
-	// permutation). Ignored when Layout is supplied — a caller-provided
-	// ordering is not necessarily reproducible from the graph alone.
+	// permutation).
 	Plans *PlanCache
 }
 
@@ -138,20 +133,6 @@ type SparseOptions struct {
 // wrapper over the Plan/Execute split: build (or fetch from
 // opts.Plans) the symbolic plan, then execute it against g's weights.
 func SparseAPSPWith(g *graph.Graph, p int, opts SparseOptions) (*DistResult, error) {
-	h, err := HeightForP(p)
-	if err != nil {
-		return nil, err
-	}
-	if ly := opts.Layout; ly != nil {
-		if ly.Tree.H != h {
-			return nil, fmt.Errorf("apsp: supplied layout has tree height %d, machine p=%d needs %d", ly.Tree.H, p, h)
-		}
-		pl, err := BuildPlan(ly, p, opts.Wire, opts.R4Strategy)
-		if err != nil {
-			return nil, err
-		}
-		return pl.ExecuteOpts(ly, ExecOpts{})
-	}
 	pl, err := planFor(g, p, opts)
 	if err != nil {
 		return nil, err

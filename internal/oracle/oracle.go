@@ -29,11 +29,10 @@ type queryCounters struct {
 // (tier.go: the lower triangle alone when the matrix is bit-symmetric)
 // and the successor table as packed neighbour slots, both immutable. It
 // keeps no float64 matrix. All query methods are safe for concurrent
-// use; batches fan out over a semiring.Pool.
+// use; a batch is answered on its caller's goroutine.
 type Oracle struct {
 	dist *distStore
 	succ *apsp.Successors // every oracle has its table
-	pool *semiring.Pool
 	// graph is the graph the result was solved for. Oracles built
 	// through New (and so through a Registry) retain it; the registry's
 	// Reweight path needs it to apply edge edits. Never mutated.
@@ -48,26 +47,25 @@ type Oracle struct {
 }
 
 // New solves g once with solve and wraps the result in an Oracle.
-// A nil pool means the package-wide semiring.DefaultPool.
-func New(g *graph.Graph, solve SolveFunc, pool *semiring.Pool) (*Oracle, error) {
+func New(g *graph.Graph, solve SolveFunc) (*Oracle, error) {
 	if g == nil {
 		return nil, fmt.Errorf("oracle: nil graph")
 	}
 	if solve == nil {
 		return nil, fmt.Errorf("oracle: nil solve function")
 	}
-	o, _, err := solveOracle(g, solve, pool)
+	o, _, err := solveOracle(g, solve)
 	return o, err
 }
 
 // solveOracle is New that also hands back the solve's cost report,
 // which the oracle itself does not retain.
-func solveOracle(g *graph.Graph, solve SolveFunc, pool *semiring.Pool) (*Oracle, comm.Report, error) {
+func solveOracle(g *graph.Graph, solve SolveFunc) (*Oracle, comm.Report, error) {
 	res, err := solve(g)
 	if err != nil {
 		return nil, comm.Report{}, err
 	}
-	o := FromResult(res, pool)
+	o := FromResult(res, nil)
 	o.graph = g
 	return o, res.Report, nil
 }
@@ -78,12 +76,11 @@ func solveOracle(g *graph.Graph, solve SolveFunc, pool *semiring.Pool) (*Oracle,
 // res.Dist — except that a matrix which is neither bit-symmetric nor
 // exactly representable in a narrower kind stays in res.Dist's own
 // storage, so res must not be mutated afterwards.
-// A nil pool means semiring.DefaultPool.
-func FromResult(res *apsp.PathResult, pool *semiring.Pool) *Oracle {
-	if pool == nil {
-		pool = semiring.DefaultPool
-	}
-	return &Oracle{dist: narrow(res.Dist), succ: res.Successors(), pool: pool}
+// The pool argument is ignored: it is vestigial, kept so the frozen
+// bench/ caller (FromResult(pr, nil)) compiles, and is dropped by the
+// benchmark PR of ROADMAP item 1a.
+func FromResult(res *apsp.PathResult, _ *semiring.Pool) *Oracle {
+	return &Oracle{dist: narrow(res.Dist), succ: res.Successors()}
 }
 
 // N returns the number of vertices; valid query endpoints are [0, N).
@@ -145,8 +142,8 @@ func (o *Oracle) Path(u, v int) ([]int, error) {
 	return o.succ.Path(u, v), nil
 }
 
-// BatchDist answers many distance queries at once, fanned out over the
-// worker pool. The result is index-aligned with pairs. Every pair is
+// BatchDist answers many distance queries at once, on the caller's
+// goroutine. The result is index-aligned with pairs. Every pair is
 // validated before any work starts.
 func (o *Oracle) BatchDist(pairs [][2]int) ([]float64, error) {
 	if err := o.checkBatch(pairs); err != nil {
@@ -154,23 +151,23 @@ func (o *Oracle) BatchDist(pairs [][2]int) ([]float64, error) {
 	}
 	defer o.track(len(pairs))()
 	out := make([]float64, len(pairs))
-	o.pool.ForEach(len(pairs), func(i int) {
-		out[i] = o.dist.at(pairs[i][0], pairs[i][1])
-	})
+	for i, p := range pairs {
+		out[i] = o.dist.at(p[0], p[1])
+	}
 	return out, nil
 }
 
-// BatchPath answers many path queries at once, fanned out over the
-// worker pool. Unreachable pairs get a nil path.
+// BatchPath answers many path queries at once, on the caller's
+// goroutine. Unreachable pairs get a nil path.
 func (o *Oracle) BatchPath(pairs [][2]int) ([][]int, error) {
 	if err := o.checkBatch(pairs); err != nil {
 		return nil, err
 	}
 	defer o.track(len(pairs))()
 	out := make([][]int, len(pairs))
-	o.pool.ForEach(len(pairs), func(i int) {
-		out[i] = o.succ.Path(pairs[i][0], pairs[i][1])
-	})
+	for i, p := range pairs {
+		out[i] = o.succ.Path(p[0], p[1])
+	}
 	return out, nil
 }
 

@@ -21,7 +21,7 @@ func testGraph(seed int64, n int) *graph.Graph {
 
 func TestOracleMatchesFloydWarshallPaths(t *testing.T) {
 	g := testGraph(7, 40)
-	o, err := New(g, fwSolve, nil)
+	o, err := New(g, fwSolve)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,15 +57,11 @@ func TestOracleMatchesFloydWarshallPaths(t *testing.T) {
 
 func TestOracleBatchMatchesPointQueries(t *testing.T) {
 	g := testGraph(11, 50)
-	o, err := New(g, fwSolve, nil)
+	o, err := New(g, fwSolve)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
-	pairs := make([][2]int, 500)
-	for i := range pairs {
-		pairs[i] = [2]int{rng.Intn(g.N()), rng.Intn(g.N())}
-	}
+	pairs := randomPairs(rand.New(rand.NewSource(3)), g.N(), 500)
 	dists, err := o.BatchDist(pairs)
 	if err != nil {
 		t.Fatal(err)
@@ -89,8 +85,69 @@ func TestOracleBatchMatchesPointQueries(t *testing.T) {
 	}
 }
 
+// randomPairs draws k query pairs on n vertices.
+func randomPairs(rng *rand.Rand, n, k int) [][2]int {
+	pairs := make([][2]int, k)
+	for i := range pairs {
+		pairs[i] = [2]int{rng.Intn(n), rng.Intn(n)}
+	}
+	return pairs
+}
+
+// TestBatchDistAllocatesOnlyItsResult: a standalone oracle answers a
+// batch on the caller's goroutine, so the result slice is the call's
+// one allocation.
+func TestBatchDistAllocatesOnlyItsResult(t *testing.T) {
+	g := testGraph(11, 50)
+	o, err := New(g, fwSolve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := randomPairs(rand.New(rand.NewSource(3)), g.N(), 64)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := o.BatchDist(pairs); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Errorf("BatchDist of %d pairs: %v allocations per call, want 1", len(pairs), allocs)
+	}
+}
+
+// BenchmarkOracleBatch answers 64-pair batches, the serve workloads'
+// size, on the served grid (32², weights 1..9, solved at p = 49).
+func BenchmarkOracleBatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	g := graph.Grid2D(32, 32, func(u, v int) float64 { return float64(1 + rng.Intn(9)) })
+	res, err := apsp.SparseAPSPWith(g, 49, apsp.SparseOptions{Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pr, err := apsp.SuccessorsFromDist(g, res.Dist)
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := FromResult(pr, nil)
+	pairs := randomPairs(rng, g.N(), 64)
+	b.Run("dist", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := o.BatchDist(pairs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("path", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := o.BatchPath(pairs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func TestOracleRejectsBadQueries(t *testing.T) {
-	o, err := New(testGraph(5, 10), fwSolve, nil)
+	o, err := New(testGraph(5, 10), fwSolve)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +163,10 @@ func TestOracleRejectsBadQueries(t *testing.T) {
 	if _, err := o.BatchPath([][2]int{{99, 0}}); err == nil {
 		t.Error("BatchPath with bad pair: want error")
 	}
-	if _, err := New(nil, fwSolve, nil); err == nil {
+	if _, err := New(nil, fwSolve); err == nil {
 		t.Error("New(nil graph): want error")
 	}
-	if _, err := New(testGraph(5, 10), nil, nil); err == nil {
+	if _, err := New(testGraph(5, 10), nil); err == nil {
 		t.Error("New(nil solve): want error")
 	}
 }

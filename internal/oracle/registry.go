@@ -182,7 +182,7 @@ func recoverInto(err *error) {
 // solve runs Config.Solve on g and wraps the result in an oracle.
 func (r *Registry) solve(g *graph.Graph) (o *Oracle, report comm.Report, err error) {
 	defer recoverInto(&err)
-	return solveOracle(g, r.cfg.Solve, nil)
+	return solveOracle(g, r.cfg.Solve)
 }
 
 // repair runs Config.Repair from old to ed and wraps the result in an
@@ -197,7 +197,7 @@ func (r *Registry) repair(old *Oracle, ed *apsp.Edited) (o *Oracle, report comm.
 		return nil, report, st, err
 	}
 	if st.FellBack {
-		o, report, err = solveOracle(ed.Graph, r.cfg.Solve, nil)
+		o, report, err = solveOracle(ed.Graph, r.cfg.Solve)
 		return o, report, st, err
 	}
 	o = FromResult(res, nil)

@@ -98,7 +98,7 @@ func TestRegistryLRUEviction(t *testing.T) {
 	// oracle's size follows its graph's edge count and degree.
 	var size [3]int64
 	for i, g := range gs {
-		o, err := New(g, fwSolve, nil)
+		o, err := New(g, fwSolve)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestRegistryBudgetUnderConcurrentChurn(t *testing.T) {
 	for i := range gs {
 		gs[i] = testGraph(int64(200+i), 20)
 	}
-	one, err := New(gs[0], fwSolve, nil)
+	one, err := New(gs[0], fwSolve)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestRegistrySingleOracleOverBudget(t *testing.T) {
 // deterministically.
 func TestRegistryEvictedWhileWaitingIsAMiss(t *testing.T) {
 	a, b := testGraph(1, 16), testGraph(2, 16)
-	one, err := New(a, fwSolve, nil)
+	one, err := New(a, fwSolve)
 	if err != nil {
 		t.Fatal(err)
 	}

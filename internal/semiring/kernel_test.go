@@ -6,7 +6,11 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // randKernelMatrix builds an r×c matrix with the given Inf density;
@@ -263,5 +267,39 @@ func TestPoolForEachCoversAllIndices(t *testing.T) {
 		if v != 1 {
 			t.Errorf("index %d ran %d times", i, v)
 		}
+	}
+}
+
+// TestPoolForEachBoundsConcurrency: a pool of size 3 never has more
+// than 3 calls of f in flight, the caller's included, nor more than n;
+// n <= 1 runs on the caller without starting a goroutine.
+func TestPoolForEachBoundsConcurrency(t *testing.T) {
+	p := NewPool(3)
+	for _, n := range []int{2, 3, 4, 64} {
+		for round := 0; round < 5; round++ {
+			var inFlight, peak atomic.Int32
+			p.ForEach(n, func(int) {
+				now := inFlight.Add(1)
+				for old := peak.Load(); now > old && !peak.CompareAndSwap(old, now); old = peak.Load() {
+				}
+				time.Sleep(200 * time.Microsecond)
+				inFlight.Add(-1)
+			})
+			if got, limit := peak.Load(), int32(min(3, n)); got > limit {
+				t.Fatalf("n=%d: %d calls in flight, want at most %d", n, got, limit)
+			}
+		}
+	}
+	p.ForEach(0, func(int) { t.Fatal("n=0 called f") })
+	calls := 0
+	p.ForEach(1, func(i int) {
+		calls++
+		buf := make([]byte, 1<<14)
+		if stack := string(buf[:runtime.Stack(buf, false)]); !strings.Contains(stack, "TestPoolForEachBoundsConcurrency(") {
+			t.Errorf("n=1: f(%d) ran off the caller's goroutine:\n%s", i, stack)
+		}
+	})
+	if calls != 1 {
+		t.Errorf("n=1: f ran %d times, want 1", calls)
 	}
 }

@@ -206,14 +206,15 @@ func decode(body []byte, v any) error {
 // ServeHTTP and BeginDrain are the request layer's.
 type Server struct {
 	*API
-	reg *oracle.Registry
+	reg    *oracle.Registry
+	budget int64 // the registry's MemoryBudget, fixed at NewRegistry; <= 0 = unlimited
 }
 
 // New wires the handlers. The registry owns solving and caching; the
 // server only parses requests. reg must not be nil; the server reports
 // ready as soon as New returns.
 func New(reg *oracle.Registry) *Server {
-	s := &Server{API: NewAPI(), reg: reg}
+	s := &Server{API: NewAPI(), reg: reg, budget: reg.Stats().BudgetBytes}
 	s.Handle("load", "POST /load", s.handleLoad)
 	s.Handle("generate", "POST /generate", s.handleGenerate)
 	s.Handle("query", "POST /query", s.handleQuery)
@@ -242,7 +243,7 @@ func (s *Server) register(w http.ResponseWriter, g *graph.Graph) error {
 	if err != nil {
 		return badRequest("solve failed: %v", err)
 	}
-	if size, budget := o.MemoryBytes(), s.reg.Stats().BudgetBytes; budget > 0 && size > budget {
+	if size, budget := o.MemoryBytes(), s.budget; budget > 0 && size > budget {
 		return Errorf(http.StatusRequestEntityTooLarge,
 			"the solved oracle holds %d bytes, the whole cache budget is %d: raise -budget-mb", size, budget)
 	}
@@ -257,7 +258,7 @@ func (s *Server) register(w http.ResponseWriter, g *graph.Graph) error {
 // that turns out wider than the floor is caught by the check after the
 // solve.
 func (s *Server) admit(n int) error {
-	budget := s.reg.Stats().BudgetBytes
+	budget := s.budget
 	if budget <= 0 {
 		return nil
 	}
