@@ -1,8 +1,14 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"math"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -11,17 +17,25 @@ import (
 // they accept an input, the resulting graph must satisfy basic
 // invariants and round-trip through the writer.
 
-func FuzzRead(f *testing.F) {
-	f.Add("n 3\n0 1 2.5\n1 2 1\n")
-	f.Add("# comment\nn 1\n")
-	f.Add("n 0\n")
-	f.Add("n 5\n0 4\n")
-	f.Add("n") // regression: bare header once indexed out of range
+// readSeeds are FuzzRead's seeds, which FuzzParseMatchesScanner also
+// starts from.
+var readSeeds = []string{
+	"n 3\n0 1 2.5\n1 2 1\n",
+	"# comment\nn 1\n",
+	"n 0\n",
+	"n 5\n0 4\n",
+	"n", // regression: bare header once indexed out of range
 	// Regressions: ParseFloat takes all three, and a non-finite weight
 	// was served as a graph (METIS input already refused them).
-	f.Add("n 2\n0 1 NaN\n")
-	f.Add("n 2\n0 1 Inf\n")
-	f.Add("n 2\n0 1 -Inf\n")
+	"n 2\n0 1 NaN\n",
+	"n 2\n0 1 Inf\n",
+	"n 2\n0 1 -Inf\n",
+}
+
+func FuzzRead(f *testing.F) {
+	for _, seed := range readSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := Read(strings.NewReader(input))
 		if err != nil {
@@ -139,4 +153,142 @@ func checkParsedGraph(t *testing.T, g *Graph) {
 			}
 		}
 	}
+}
+
+// scanRef is the edge-list reader Parse replaced: a bufio.Scanner loop
+// over strings.TrimSpace / strings.Fields and strconv, adding edges
+// through AddEdge. It is kept as the reference Parse must match.
+func scanRef(r io.Reader, check func(n int) error) (*Graph, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 1<<20) // grown as lines need, up to 1 MiB
+	var g *Graph
+	line := 0
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || strings.HasPrefix(text, "#") {
+			continue
+		}
+		fields := strings.Fields(text)
+		if fields[0] == "n" {
+			if g != nil {
+				return nil, fmt.Errorf("graph: line %d: duplicate n header", line)
+			}
+			if len(fields) < 2 {
+				return nil, fmt.Errorf("graph: line %d: n header missing vertex count", line)
+			}
+			n, err := strconv.Atoi(fields[1])
+			if err != nil || n < 0 {
+				return nil, fmt.Errorf("graph: line %d: bad vertex count %q", line, fields[1])
+			}
+			if err := check(n); err != nil {
+				return nil, err
+			}
+			g = New(n)
+			continue
+		}
+		if g == nil {
+			return nil, fmt.Errorf("graph: line %d: edge before n header", line)
+		}
+		if len(fields) < 2 {
+			return nil, fmt.Errorf("graph: line %d: want 'u v [w]', got %q", line, text)
+		}
+		u, err := strconv.Atoi(fields[0])
+		if err != nil {
+			return nil, fmt.Errorf("graph: line %d: bad vertex %q", line, fields[0])
+		}
+		v, err := strconv.Atoi(fields[1])
+		if err != nil {
+			return nil, fmt.Errorf("graph: line %d: bad vertex %q", line, fields[1])
+		}
+		w := 1.0
+		if len(fields) >= 3 {
+			w, err = strconv.ParseFloat(fields[2], 64)
+			if err != nil || math.IsNaN(w) || math.IsInf(w, 0) {
+				return nil, fmt.Errorf("graph: line %d: bad weight %q (must be finite)", line, fields[2])
+			}
+		}
+		if u < 0 || u >= g.n || v < 0 || v >= g.n {
+			return nil, fmt.Errorf("graph: line %d: edge {%d,%d} outside [0,%d)", line, u, v, g.n)
+		}
+		g.AddEdge(u, v, w)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if g == nil {
+		return nil, fmt.Errorf("graph: missing n header")
+	}
+	return g, nil
+}
+
+// matchesScanner fails t unless Parse and scanRef both build the same
+// graph (reflect.DeepEqual, so the same adjacency order and the same
+// weight bits up to ±0) or both refuse data with the same text.
+func matchesScanner(t *testing.T, data []byte) {
+	t.Helper()
+	// The check refuses big vertex counts the same way for both, so a
+	// fuzzed header cannot ask either for gigabytes.
+	errBig := errors.New("n over 4096")
+	check := func(n int) error {
+		if n > 4096 {
+			return errBig
+		}
+		return nil
+	}
+	got, gotErr := Parse(data, check)
+	want, wantErr := scanRef(bytes.NewReader(data), check)
+	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+		t.Fatalf("%.200q: Parse error %v, the Scanner loop's %v", data, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%.200q: Parse built %+v, the Scanner loop %+v", data, got, want)
+	}
+	if got != nil {
+		for v := range got.adj {
+			for i, e := range got.adj[v] {
+				if math.Signbit(e.W) != math.Signbit(want.adj[v][i].W) {
+					t.Fatalf("%.200q: edge %d→%d weighs %v, the Scanner loop's %v", data, v, e.To, e.W, want.adj[v][i].W)
+				}
+			}
+		}
+	}
+}
+
+// FuzzParseMatchesScanner: Parse builds what the Scanner loop it
+// replaced built, or refuses with the same text.
+func FuzzParseMatchesScanner(f *testing.F) {
+	for _, seed := range readSeeds {
+		f.Add([]byte(seed))
+	}
+	for _, seed := range []string{
+		"n 3\r\n0 1 2\r\n1 2\r\n",
+		"n\t3\n0\t1\t2\n\v1 2 3\f\n",
+		"n 3\n0\u00851\u00852\n1\u00a02\u00a03\n",
+		"n 3\n\u00a00 1 2\u0085\n",
+		"n 3\n0 1 \xff\n",
+		"n 3\n\xc20 1\n",
+		"n 3\n+2 -0 4\n",
+		"n 3\n0 1 1e3\n0 2 0x1p3\n1 2 1_0\n",
+		"n 3\n0 1 -0\n1 2 +5\n0 2 007\n",
+		"n 3\n0 1 9999999999999999999\n1 2 123456789012345678\n",
+		"n 3\n0 99999999999999999999 1\n",
+		"# head\n\n   \n n 3 \n# mid\n0 1 5 extra fields\n\n1 2",
+		"n 2\n0 1 5\n0 1 3\n1 0 4\n0 0 1\n",
+		"n 3\n0 1\n2\n",
+		"n 3\n0 1 NaN\n",
+		"n 5000\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	// A hub past hubDegree, whose duplicates the Builder looks up in its
+	// index: one lowers a weight, one does not, one names the hub last.
+	var hub strings.Builder
+	hub.WriteString("n 24\n")
+	for v := 1; v < 24; v++ {
+		fmt.Fprintf(&hub, "0 %d %d\n", v, v)
+	}
+	hub.WriteString("5 0 0.5\n0 5 9\n23 0 -1\n")
+	f.Add([]byte(hub.String()))
+	f.Fuzz(matchesScanner)
 }

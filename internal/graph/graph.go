@@ -84,6 +84,95 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 	g.m++
 }
 
+// Builder builds a graph edge by edge for a parser: Add is AddEdge, with
+// the same adjacency order and the same smaller-weight-wins rule, but no
+// duplicate check scans more than hubDegree entries, however many lines
+// repeat an edge. Adjacency lists start in one slab of slabSlots per
+// vertex, sized when the builder is made, and a longer list grows by
+// append. The first check that would scan a list past hubDegree builds
+// a neighbour → slot index for it, kept up to date from then on; the
+// index lives as long as the builder and never in the Graph.
+type Builder struct {
+	g    *Graph
+	slab []Edge
+	hubs map[int]map[int]int
+}
+
+// slabSlots is the capacity each vertex's list starts with.
+const slabSlots = 4
+
+// hubDegree is the longest adjacency list a duplicate check scans.
+const hubDegree = 16
+
+// NewBuilder returns a builder of a graph on n vertices. edges bounds
+// how many edges will be added; the slab holds slabSlots for each
+// vertex that many edges can touch.
+func NewBuilder(n, edges int) *Builder {
+	return &Builder{g: New(n), slab: make([]Edge, slabSlots*min(n, 2*edges))}
+}
+
+// Graph returns the graph built so far.
+func (b *Builder) Graph() *Graph { return b.g }
+
+// Add inserts the undirected edge {u, v} with weight w as AddEdge does.
+func (b *Builder) Add(u, v int, w float64) {
+	g := b.g
+	if u < 0 || u >= g.n || v < 0 || v >= g.n {
+		panic(fmt.Sprintf("graph: edge {%d,%d} outside [0,%d)", u, v, g.n))
+	}
+	if u == v {
+		return
+	}
+	a, c := g.shorter(u, v)
+	if i := b.half(a, c); i >= 0 {
+		if w < g.adj[a][i].W {
+			g.adj[a][i].W = w
+			g.adj[c][b.half(c, a)].W = w
+		}
+		return
+	}
+	b.push(u, v, w)
+	b.push(v, u, w)
+	g.m++
+}
+
+// half is Graph.half, looked up in u's index once u's list is past
+// hubDegree.
+func (b *Builder) half(u, v int) int {
+	adj := b.g.adj[u]
+	if len(adj) <= hubDegree {
+		return b.g.half(u, v)
+	}
+	index := b.hubs[u]
+	if index == nil {
+		index = make(map[int]int, len(adj))
+		for i, e := range adj {
+			index[e.To] = i
+		}
+		if b.hubs == nil {
+			b.hubs = make(map[int]map[int]int)
+		}
+		b.hubs[u] = index
+	}
+	if i, ok := index[v]; ok {
+		return i
+	}
+	return -1
+}
+
+// push appends the half-edge u→v to u's list, which takes its slab
+// slots first, and to u's index if it has one.
+func (b *Builder) push(u, v int, w float64) {
+	adj := b.g.adj[u]
+	if adj == nil && len(b.slab) >= slabSlots {
+		adj, b.slab = b.slab[:0:slabSlots], b.slab[slabSlots:]
+	}
+	if index := b.hubs[u]; index != nil {
+		index[v] = len(adj)
+	}
+	b.g.adj[u] = append(adj, Edge{To: v, W: w})
+}
+
 // SetEdge overwrites the weight of the existing undirected edge {u, v}
 // (both half-edges), reporting whether the edge was found. Unlike
 // AddEdge it can raise a weight, but it never changes the edge

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -320,6 +321,108 @@ func TestReadStarLinear(t *testing.T) {
 	small, large := parse(25_000), parse(100_000)
 	if large >= 8*small {
 		t.Errorf("a 100,000-leaf star parses in %v, a 25,000-leaf one in %v: %.1f×, want under 8×", large, small, float64(large)/float64(small))
+	}
+}
+
+// TestReadDuplicateEdgesLinear: repeating an edge costs the same
+// however long its endpoints' lists are. Two shapes were quadratic when
+// each duplicate scanned a list: two hubs joined by as many repeats of
+// their edge as each has leaves, and a star whose last edge repeats as
+// many times with falling weights, so each repeat also finds the hub's
+// slot. Each body with 100,000 leaves parses in under 8× the time of
+// one with 25,000 (linear is about 4×, a scan per repeat about 16×),
+// best of five.
+func TestReadDuplicateEdgesLinear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times twenty parses; run without -short")
+	}
+	shapes := []struct {
+		name string
+		body func(leaves int) string
+		m    func(leaves int) int
+	}{
+		{"two hubs", func(leaves int) string {
+			var b strings.Builder
+			fmt.Fprintf(&b, "n %d\n", 2*leaves+2)
+			for v := 2; v < 2*leaves+2; v++ {
+				fmt.Fprintf(&b, "%d %d %d\n", v%2, v, 1+v%9)
+			}
+			for range leaves {
+				b.WriteString("0 1 5\n")
+			}
+			return b.String()
+		}, func(leaves int) int { return 2*leaves + 1 }},
+		{"falling repeats", func(leaves int) string {
+			var b strings.Builder
+			fmt.Fprintf(&b, "n %d\n", leaves+1)
+			for v := 1; v <= leaves; v++ {
+				fmt.Fprintf(&b, "0 %d %d\n", v, 1+v%9)
+			}
+			for w := range leaves {
+				fmt.Fprintf(&b, "0 %d %d\n", leaves, -w)
+			}
+			return b.String()
+		}, func(leaves int) int { return leaves }},
+	}
+	for _, s := range shapes {
+		sizes := [2]int{25_000, 100_000}
+		var bodies [2]string
+		best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
+		for i, leaves := range sizes {
+			bodies[i] = s.body(leaves)
+		}
+		// The sizes alternate, so a stretch of load on the host slows
+		// both rather than one.
+		for range 5 {
+			for i, body := range bodies {
+				runtime.GC() // the last body's garbage is not this parse's
+				start := time.Now()
+				g, err := Read(strings.NewReader(body))
+				best[i] = min(best[i], time.Since(start))
+				if err != nil || g.M() != s.m(sizes[i]) {
+					t.Fatalf("%s, %d leaves: %v", s.name, sizes[i], err)
+				}
+			}
+		}
+		if small, large := best[0], best[1]; large >= 8*small {
+			t.Errorf("%s: 100,000 leaves parse in %v, 25,000 in %v: %.1f×, want under 8×", s.name, large, small, float64(large)/float64(small))
+		}
+	}
+}
+
+// TestParseMemoryFollowsGraph: what Parse holds grows with the graph,
+// not with the body. A 2-vertex graph after 8 MiB of blank lines, or of
+// one edge line repeated, allocates less than 64 KiB.
+func TestParseMemoryFollowsGraph(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		line string
+		m    int
+	}{{"blank lines", "\n", 0}, {"one edge repeated", "0 1 5\n", 1}} {
+		body := []byte("n 2\n" + strings.Repeat(c.line, 8<<20/len(c.line)))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := Parse(body, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil || g.N() != 2 || g.M() != c.m {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+			t.Errorf("%s: parsing a %d-byte body allocated %d bytes, want less than 64 KiB", c.name, len(body), alloc)
+		}
+	}
+}
+
+// TestParseLineCapMatchesScanner: at the 1 MiB line cap Parse refuses
+// exactly what the Scanner loop refused, with or without a final '\n'
+// and a '\r' before it.
+func TestParseLineCapMatchesScanner(t *testing.T) {
+	for _, n := range []int{1<<20 - 2, 1<<20 - 1, 1 << 20} {
+		line := "0 1 2" + strings.Repeat(" ", n-5)
+		for _, end := range []string{"", "\n", "\r\n", "\r"} {
+			matchesScanner(t, []byte("n 2\n"+line+end+"1 0 1\n"))
+			matchesScanner(t, []byte("n 2\n"+line+end))
+		}
 	}
 }
 

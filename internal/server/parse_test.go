@@ -45,7 +45,8 @@ func ingestBodies() []struct {
 }
 
 // TestParseGraphBodyBytes: parsing a 32² grid body allocates less than
-// half a MiB, so no per-body line buffer of 1 MiB is allocated up front.
+// 128 KiB in at most 8 allocations: the graph's own storage, with no
+// line buffer, string or field slice per line.
 func TestParseGraphBodyBytes(t *testing.T) {
 	body := ingestBodies()[0].body
 	var before, after runtime.MemStats
@@ -55,8 +56,11 @@ func TestParseGraphBodyBytes(t *testing.T) {
 	if err != nil || g.N() != 1024 || g.M() != 1984 {
 		t.Fatalf("grid body: %v", err)
 	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<19 {
-		t.Errorf("parsing a %d-byte grid body allocated %d bytes, want less than 512 KiB", len(body), alloc)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 128<<10 {
+		t.Errorf("parsing a %d-byte grid body allocated %d bytes, want less than 128 KiB", len(body), alloc)
+	}
+	if allocs := after.Mallocs - before.Mallocs; allocs > 8 {
+		t.Errorf("parsing a %d-byte grid body made %d allocations, want at most 8", len(body), allocs)
 	}
 }
 

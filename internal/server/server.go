@@ -308,17 +308,17 @@ func parseGraphBody(body []byte, admit func(n int) error) (*graph.Graph, error) 
 		if err := admit(req.N); err != nil {
 			return nil, err
 		}
-		g := graph.New(req.N)
+		b := graph.NewBuilder(req.N, len(req.Edges))
 		for i, e := range req.Edges {
 			u, v := int(e[0]), int(e[1])
 			if float64(u) != e[0] || float64(v) != e[1] || u < 0 || u >= req.N || v < 0 || v >= req.N {
 				return nil, badRequest("edge %d: endpoints (%g,%g) outside [0,%d)", i, e[0], e[1], req.N)
 			}
-			g.AddEdge(u, v, e[2])
+			b.Add(u, v, e[2])
 		}
-		return g, nil
+		return b.Graph(), nil
 	}
-	g, err := graph.ReadChecked(bytes.NewReader(trimmed), admit)
+	g, err := graph.Parse(trimmed, admit)
 	var refused *Error
 	if errors.As(err, &refused) {
 		return nil, err
