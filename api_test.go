@@ -197,6 +197,27 @@ func TestSolveWithPathsOptionsValidates(t *testing.T) {
 	}
 }
 
+// TestSparseSolvesRefuseNegativeWeights: a sparse solve, whether asked
+// for or picked by Auto, refuses a negative edge weight as
+// SolveWithPathsOptions does, and a NaN or infinite one, while a zero
+// weight solves: the report of a sparse solve is its plan's price, which
+// holds for finite non-negative weights only.
+func TestSparseSolvesRefuseNegativeWeights(t *testing.T) {
+	for w, want := range map[float64]string{-1: "negative", math.NaN(): "not finite", math.Inf(1): "not finite", 0: ""} {
+		g := Grid2D(8, 8, UnitWeights)
+		g.AddEdge(0, 9, w) // vertices 0 and 9 are not adjacent in the grid
+		for _, alg := range []Algorithm{Sparse2D, Auto} {
+			_, err := Solve(g, Options{Algorithm: alg, P: 49})
+			if want != "" && (err == nil || !strings.Contains(err.Error(), want)) {
+				t.Errorf("%s, edge weight %g: err = %v, want %q", alg, w, err, want)
+			}
+			if want == "" && err != nil {
+				t.Errorf("%s, edge weight %g: %v", alg, w, err)
+			}
+		}
+	}
+}
+
 func TestNewOracleServesQueries(t *testing.T) {
 	g := Grid2D(6, 6, UnitWeights)
 	o, err := NewOracle(g, Options{Algorithm: SeqJohnson})

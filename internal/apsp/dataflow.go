@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sparseapsp/internal/comm"
 	"sparseapsp/internal/semiring"
 )
 
@@ -26,10 +25,9 @@ import (
 // message hidden inside the collectives —
 // and runs ready nodes on a bounded worker pool (semiring.Pool,
 // GOMAXPROCS-ish workers) instead of p rank goroutines. Message
-// payloads move by direct buffer handoff through preallocated slots;
-// cost accounting is deterministic replay on a comm.Replay ledger,
-// advancing each rank's clock in the rank's plan order as its nodes
-// retire.
+// payloads move by direct buffer handoff through preallocated slots.
+// The executor counts nothing: the report it returns is the plan's
+// price (Plan.Cost), computed once per plan from the structure alone.
 //
 // There is one lowering, one schedule and one ready set (decision
 // records: EXPERIMENTS.md E28, E38):
@@ -38,48 +36,42 @@ import (
 //     super-nodes whenever the merge provably cannot create a dependency
 //     cycle, shrinking the scheduled graph (fewer pushes, atomics and
 //     panic fences) while executing the exact same micro sequence, each
-//     micro-node through the one exec — charged costs and message counts
-//     are untouched.
+//     micro-node through the one exec.
 //   - Critical-path priorities: every super-node carries the longest
-//     cost path from itself to any sink (priorityCost over the same
-//     per-op quantities the ledger charges), computed by a reverse
-//     topological sweep at lowering and frozen into a total order. The
-//     ready set is one bitmap over that order under one lock, and every
-//     worker — one or several — pops its lowest set bit, the globally
-//     most critical ready node.
+//     cost path from itself to any sink (priorityCost over the per-op
+//     messages, words and flops of the dense block sizes), computed by a
+//     reverse topological sweep at lowering and frozen into a total
+//     order. The ready set is one bitmap over that order under one lock,
+//     and every worker — one or several — pops its lowest set bit, the
+//     globally most critical ready node.
 //
-// The result is bit-identical to the machine reference in distances
-// and in every charged cost. The argument (spelled out in DESIGN.md):
-// both walk, per rank, the same program (Plan.ranks) through the same
-// numeric steps (exec.go) and charge the same comm.Replay rule, so they
-// issue the same sequence of charge operations in the same order —
+// The distances are bit-identical to the machine reference's. The
+// argument (spelled out in DESIGN.md): both walk, per rank, the same
+// program (Plan.ranks) through the same numeric steps (exec.go) —
 // program order is enforced by the next edge (micro order inside a
 // super-node, the next link across them), and each receive is wired to
-// the message comm's collective would have delivered (appendMessages).
-// Merging only concatenates one rank's adjacent charge runs
-// without reordering them, so clocks — a deterministic fold over those
-// sequences — agree by induction over plan order; the numeric kernels
-// see the same operand bytes in the same order, so distances agree bit
-// for bit.
+// the message comm's collective would have delivered (appendMessages) —
+// so the numeric kernels see the same operand bytes in the same order.
+// The machine still counts what its ranks do, and that count is the
+// referee the plan's price is held to (TestPlanClockIsExact).
 
 // dfKindNames and dfPhaseNames back the runtime/pprof labels: op_kind
 // is the micro-node kind, phase the paper region it belongs to.
 var dfKindNames = [numKinds]string{
 	opDiag: "diag", opR2Left: "r2", opR2Right: "r2", opR4Aik: "r4col", opR4Akj: "r4row",
 	opUnit: "unit", opReduce: "reduce", opSeq: "seq", opTrans: "trans", opR3Row: "r3", opR3Col: "r3",
-	kindR4Release: "r4done", kindR3Combine: "r3mul", kindInit: "init", kindMark: "mark",
+	kindR4Release: "r4done", kindR3Combine: "r3mul",
 }
 
 var dfPhaseNames = [numKinds]string{
 	opDiag: "r1", opR2Left: "r2", opR2Right: "r2", opR4Aik: "r4", opR4Akj: "r4",
 	opUnit: "r4", opReduce: "r4-reduce", opSeq: "r4-seq", opTrans: "trans", opR3Row: "r3", opR3Col: "r3",
-	kindR4Release: "r4", kindR3Combine: "r3", kindInit: "init", kindMark: "mark",
+	kindR4Release: "r4", kindR3Combine: "r3",
 }
 
 // dfNode is one micro-node of the lowered graph: one step of one rank's
-// program. recvs and sends list the node's message slots in charge
-// order — the exact order the machine executor charges them on this
-// rank.
+// program. recvs and sends list the node's message slots in the order
+// the machine executor receives and sends them on this rank.
 type dfNode struct {
 	step
 	rank  int32
@@ -104,12 +96,11 @@ type dfSuper struct {
 type dfProgram struct {
 	micros      []dfNode
 	supers      []dfSuper
-	superOf     []int32  // micro id -> owning super-node
-	msgConsumer []int32  // message slot -> consuming micro-node
-	msgPart     []int32  // message slot -> the payload part it carries (msg.part)
-	seeds       []int32  // super-nodes with deps == 0 (each rank's head)
-	levelNames  []string // "level-1".. precomputed mark ids
-	maxScratch  int      // max ScratchWords over ranks: per-worker arena size
+	superOf     []int32 // micro id -> owning super-node
+	msgConsumer []int32 // message slot -> consuming micro-node
+	msgPart     []int32 // message slot -> the payload part it carries (msg.part)
+	seeds       []int32 // super-nodes with deps == 0: the heads of ranks whose first step receives nothing
+	maxScratch  int     // max ScratchWords over ranks: per-worker arena size
 
 	// Static priority rank: prioIdx[sid] is the super-node's position
 	// in (prio desc, id asc) order and prioSid is its inverse.
@@ -143,7 +134,8 @@ type dfOpKey struct{ level, op, rank int32 }
 
 // lowerPlan builds the dependency graph. Pass 1 emits one micro-node
 // per step of each rank's program (Plan.ranks, which the machine
-// executor walks too); pass 2 wires one message slot per point-to-point
+// executor walks too) but its init and level marks, which only the
+// machine's ledger reads; pass 2 wires one message slot per point-to-point
 // message of every op (appendMessages); pass 3 computes a topological
 // order; pass 4 merges micro-nodes into super-nodes (coalescing); pass
 // 5 assigns critical-path priorities.
@@ -151,18 +143,19 @@ func lowerPlan(pl *Plan) *dfProgram {
 	prog := &dfProgram{}
 	lookup := make(map[dfOpKey]int32)
 	heads := make([]int32, 0, pl.P)
-	for li := range pl.Levels {
-		prog.levelNames = append(prog.levelNames, levelName(int32(li)))
-	}
 
 	// Pass 1: per-rank program order. Each rank's micro-nodes occupy one
-	// contiguous id range — the super-node pass depends on that.
+	// contiguous id range — the super-node pass depends on that — and a
+	// rank with none has no head.
 	for rank := 0; rank < pl.P; rank++ {
 		prog.maxScratch = max(prog.maxScratch, pl.ScratchWords(rank))
-		heads = append(heads, int32(len(prog.micros)))
-		for i, st := range pl.ranks[rank] {
+		head := int32(len(prog.micros))
+		for _, st := range pl.ranks[rank] {
+			if st.kind == kindInit || st.kind == kindMark {
+				continue
+			}
 			id := int32(len(prog.micros))
-			if i > 0 {
+			if id > head {
 				prog.micros[id-1].next = id
 			}
 			prog.micros = append(prog.micros, dfNode{step: st, rank: int32(rank), next: -1})
@@ -170,12 +163,15 @@ func lowerPlan(pl *Plan) *dfProgram {
 				lookup[dfOpKey{st.level, st.op, int32(rank)}] = id
 			}
 		}
+		if int32(len(prog.micros)) > head {
+			heads = append(heads, head)
+		}
 	}
 
 	// Pass 2: message wiring. msgProducer (transient, merge legality
 	// only) records the sending micro-node of every slot. Each node's
 	// sends and receives are appended in the expansion's order, which is
-	// the rank's charge order.
+	// the rank's program order.
 	var msgProducer []int32
 	get := func(level, op int32, rank int) int32 {
 		id, ok := lookup[dfOpKey{level, op, int32(rank)}]
@@ -293,8 +289,8 @@ func lowerPlan(pl *Plan) *dfProgram {
 	}
 
 	// Pass 5: critical-path priorities. Per-micro scheduling weights
-	// come from the same quantities the ledger charges
-	// (priorityCost); a super-node's priority is its members' cost
+	// come from the messages, words and flops of each step (microCost);
+	// a super-node's priority is its members' cost
 	// plus the max successor priority — the longest cost path to a
 	// sink. Iterating super-nodes by descending ψ is a reverse
 	// topological sweep (every edge increases ψ, shown above).
@@ -350,8 +346,8 @@ func lowerPlan(pl *Plan) *dfProgram {
 // spines ahead of similarly-sized local arithmetic.
 const priorityHopCost = 64
 
-// priorityCost folds a node's charged quantities — message count,
-// payload words and kernel operations — into one comparable weight,
+// priorityCost folds a node's quantities — message count, payload words
+// and kernel operations — into one comparable weight,
 // mirroring the α-β-γ shape of comm.Cost: a hop is worth
 // priorityHopCost words, words and flops count one each.
 func priorityCost(messages, words, flops int64) int64 {
@@ -359,12 +355,10 @@ func priorityCost(messages, words, flops int64) int64 {
 }
 
 // microCost estimates one micro-node's scheduling weight using the
-// dense block dimensions of its op — the same message, word and flop
-// quantities the replay ledger charges, collapsed by priorityCost.
-// Payload words use the dense upper bound (the sparse encodings shrink
-// data-dependently; priorities must be a pure function of the symbolic
-// schedule). Estimates only order execution — they never feed the
-// ledger, so any deterministic weight is semantically safe.
+// dense block dimensions of its op — message, word and flop quantities
+// collapsed by priorityCost. Payload words use the dense upper bound.
+// Estimates only order execution — they never feed a report, so any
+// deterministic weight is semantically safe.
 func microCost(pl *Plan, n *dfNode) int64 {
 	sizes := pl.ND.Sizes
 	i, j := blockOf(int(n.rank), pl.NSup)
@@ -416,14 +410,14 @@ func EnableProfileLabels(on bool) { dfProfileLabels.Store(on) }
 // buildLabelTable precomputes one pprof.LabelSet per (kind, level), so
 // the per-node cost under profiling is a table lookup, not a label
 // allocation.
-func buildLabelTable(prog *dfProgram) [][]pprof.LabelSet {
+func buildLabelTable(levels int) [][]pprof.LabelSet {
 	table := make([][]pprof.LabelSet, numKinds)
 	for k := range table {
-		table[k] = make([]pprof.LabelSet, len(prog.levelNames)+1)
+		table[k] = make([]pprof.LabelSet, levels+1)
 		for l := range table[k] {
 			level := "-"
 			if l > 0 {
-				level = prog.levelNames[l-1]
+				level = levelName(int32(l - 1))
 			}
 			table[k][l] = pprof.Labels(
 				"op_kind", dfKindNames[k],
@@ -435,33 +429,14 @@ func buildLabelTable(prog *dfProgram) [][]pprof.LabelSet {
 	return table
 }
 
-// dfSlot carries one message: the payload (zero-copy handoff, exactly
-// like the machine's mailboxes) and the sender's pre-send clock
-// snapshot for the receiver's max-merge.
-type dfSlot struct {
-	data  []float64
-	clock comm.Cost
-}
-
-// ledgerSink charges one rank's numeric steps to the run's ledger.
-type ledgerSink struct {
-	led  *comm.Replay
-	rank int
-}
-
-func (s *ledgerSink) AddFlops(n int64)      { s.led.AddFlops(s.rank, n) }
-func (s *ledgerSink) AddMemory(delta int64) { s.led.AddMemory(s.rank, delta) }
-
 // dfRun is the per-Execute runtime state of the dataflow executor.
 type dfRun struct {
 	pl      *Plan
 	prog    *dfProgram
 	sizes   []int
-	led     *comm.Replay
-	ranks   []rankState  // each touched only by its rank's nodes, one at a time in program order
-	sinks   []ledgerSink // per rank
-	slots   []dfSlot
-	pending []int32 // per-super remaining deps, decremented atomically
+	ranks   []rankState // each touched only by its rank's nodes, one at a time in program order
+	slots   [][]float64 // per message, its payload: a zero-copy handoff, like the machine's mailboxes
+	pending []int32     // per-super remaining deps, decremented atomically
 
 	// The ready set: one bit per super-node at its frozen priority
 	// position, plus a one-level summary (one bit per 64-bit word), so
@@ -486,7 +461,7 @@ type dfRun struct {
 
 // ExecOpts are the execution-time settings of a Plan replay; the zero
 // value (auto worker count) is what production runs. It changes no bit
-// of the distances or the charged costs.
+// of the distances, and the report is the plan's price either way.
 type ExecOpts struct {
 	// Workers bounds the worker pool. 0 means auto (the shared pool's
 	// size, capped at p); explicit values are capped at p, and the pool
@@ -495,11 +470,12 @@ type ExecOpts struct {
 }
 
 // ExecuteOpts runs the plan against ly's weights and returns the
-// assembled distances plus the simulated machine's cost report. ly
-// must carry the dissection the plan was built from (same ordering and
-// supernode sizes, else an error); LayoutFor produces such a layout for
-// any graph sharing the plan's StructureFingerprint. Safe to call
-// concurrently on one Plan.
+// assembled distances plus the simulated machine's cost report, which is
+// the plan's price (Cost): exact for finite non-negative weights, which
+// SparseAPSPWith checks. ly must carry the dissection the plan was built
+// from (same ordering and supernode sizes, else an error); LayoutFor
+// produces such a layout for any graph sharing the plan's
+// StructureFingerprint. Safe to call concurrently on one Plan.
 func (pl *Plan) ExecuteOpts(ly *Layout, o ExecOpts) (*DistResult, error) {
 	if err := pl.checkLayout(ly); err != nil {
 		return nil, err
@@ -535,22 +511,19 @@ func (pl *Plan) execute(prog *dfProgram, ly *Layout, o ExecOpts) (*DistResult, e
 		pl:      pl,
 		prog:    prog,
 		sizes:   pl.ND.Sizes,
-		led:     comm.NewReplay(pl.P),
 		ranks:   make([]rankState, pl.P),
-		sinks:   make([]ledgerSink, pl.P),
-		slots:   make([]dfSlot, len(prog.msgConsumer)),
+		slots:   make([][]float64, len(prog.msgConsumer)),
 		pending: make([]int32, len(prog.supers)),
 		words:   make([]uint64, (len(prog.supers)+63)/64),
 	}
 	x.summary = make([]uint64, (len(x.words)+63)/64)
 	x.cond.L = &x.mu
 	if dfProfileLabels.Load() {
-		x.labels = buildLabelTable(prog)
+		x.labels = buildLabelTable(len(pl.Levels))
 	}
 	for r := 0; r < pl.P; r++ {
 		i, j := blockOf(r, pl.NSup)
 		x.ranks[r].A = blocks[i][j]
-		x.sinks[r] = ledgerSink{led: x.led, rank: r}
 	}
 	for sid := range prog.supers {
 		x.pending[sid] = prog.supers[sid].deps
@@ -564,19 +537,23 @@ func (pl *Plan) execute(prog *dfProgram, ly *Layout, o ExecOpts) (*DistResult, e
 	if x.err != nil {
 		return nil, fmt.Errorf("apsp: sparse solver failed: %w", x.err)
 	}
-	phases, err := x.led.PhaseCosts()
+	cost, err := pl.Cost(ly)
 	if err != nil {
-		return nil, fmt.Errorf("apsp: phase accounting failed: %w", err)
+		return nil, err
 	}
 	dist := ly.AssembleOriginal(blocks)
 	release()
+	// The price is cached on the plan and shared: hand out copies.
+	rep := cost.Report
+	rep.PerRank, rep.PeakWords = slices.Clone(rep.PerRank), slices.Clone(rep.PeakWords)
+	rep.LocalFlops, rep.LocalSent = slices.Clone(rep.LocalFlops), slices.Clone(rep.LocalSent)
 	return &DistResult{
 		Dist:   dist,
-		Report: x.led.Report(),
+		Report: rep,
 		Layout: ly,
 		Plan:   pl,
 		P:      pl.P,
-		Phases: phases,
+		Phases: slices.Clone(cost.Phases),
 	}, nil
 }
 
@@ -668,25 +645,18 @@ func (x *dfRun) pop() (int32, bool) {
 	return 0, false
 }
 
-// recvMsg charges the i-th receive of n in program order and returns
-// the payload (shared backing array, read-only — as with the machine's
-// zero-copy delivery).
-func (x *dfRun) recvMsg(n *dfNode, i int) []float64 {
-	s := &x.slots[n.recvs[i]]
-	x.led.ChargeRecv(int(n.rank), s.clock, int64(len(s.data)))
-	return s.data
-}
+// recvMsg returns the payload of the i-th receive of n (shared backing
+// array, read-only — as with the machine's zero-copy delivery).
+func (x *dfRun) recvMsg(n *dfNode, i int) []float64 { return x.slots[n.recvs[i]] }
 
-// sendMsg charges the i-th send of n, publishes the payload into the
-// message slot and credits the consumer's dependency. Publishing
-// happens mid-node, as soon as the machine would have sent — a relay's
-// children never wait for the relay's local compute.
+// sendMsg publishes the payload of the i-th send of n into the message
+// slot and credits the consumer's dependency. Publishing happens
+// mid-node, as soon as the machine would have sent — a relay's children
+// never wait for the relay's local compute.
 func (x *dfRun) sendMsg(n *dfNode, i int, data []float64) {
 	msg := n.sends[i]
-	consumer := x.prog.msgConsumer[msg]
-	snap := x.led.ChargeSend(int(n.rank), int64(len(data)))
-	x.slots[msg] = dfSlot{data: data, clock: snap}
-	x.complete(x.prog.superOf[consumer])
+	x.slots[msg] = data
+	x.complete(x.prog.superOf[x.prog.msgConsumer[msg]])
 }
 
 // bcastData replays one rank's role in a broadcast: the root holds its
@@ -694,7 +664,7 @@ func (x *dfRun) sendMsg(n *dfNode, i int, data []float64) {
 // member receives once and decodes what it got; then each sends its
 // children down the tree (relay). It returns the block the member folds —
 // what it decoded, or for a consuming root its block packed at the whole
-// group's demand and decoded. Charge order — receive, sends, then the
+// group's demand and decoded. The order — receive, sends, then the
 // caller's consumer work — is the machine's.
 func (x *dfRun) bcastData(n *dfNode, op *Op, rs *rankState) *semiring.Matrix {
 	rows, cols := x.sizes[op.BI], x.sizes[op.BJ]
@@ -760,14 +730,8 @@ func (x *dfRun) execSuper(sid int32, a *semiring.Arena) (err error) {
 func (x *dfRun) exec(id int32, a *semiring.Arena) {
 	n := &x.prog.micros[id]
 	rank := int(n.rank)
-	rs, s := &x.ranks[rank], &x.sinks[rank]
+	rs, s := &x.ranks[rank], uncounted{}
 	switch n.kind {
-	case kindInit:
-		x.led.SetMemory(rank, int64(len(rs.A.V)))
-		return
-	case kindMark:
-		x.led.Mark(rank, x.prog.levelNames[n.level])
-		return
 	case kindR4Release:
 		rs.releaseR4(s)
 		return
@@ -776,9 +740,6 @@ func (x *dfRun) exec(id int32, a *semiring.Arena) {
 		return
 	}
 	op := &x.pl.Levels[n.level][n.op]
-	// The rank's nodes run one at a time in program order, so the sticky
-	// per-rank send class is race-free.
-	x.led.SetSendClass(rank, opSendClass[op.Kind])
 	switch op.Kind {
 	case opDiag:
 		rs.diag(s)

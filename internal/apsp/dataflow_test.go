@@ -208,8 +208,8 @@ func TestDataflowLoweringShape(t *testing.T) {
 		order  uint64 // prioSid hash; zero = unpinned
 	}{
 		{"grid10x10", graph.Grid2D(10, 10, integerWeights(rng, 10)), 9, 11, [4]int{}, 0},
-		{"grid32x32", graph.Grid2D(32, 32, graph.UnitWeights), 49, 42, [4]int{81, 153, 463, 128}, 0x5181c886618b037d},
-		{"cycle800", graph.Cycle(800, graph.UnitWeights), 961, 42, [4]int{465, 2750, 9437, 2157}, 0x757bfb3a89e689e4},
+		{"grid32x32", graph.Grid2D(32, 32, graph.UnitWeights), 49, 42, [4]int{81, 107, 267, 128}, 0xf39dbaa3d3ec250e},
+		{"cycle800", graph.Cycle(800, graph.UnitWeights), 961, 42, [4]int{465, 1815, 3671, 2157}, 0x601a643e39e31783},
 	} {
 		t.Run(tc.name, func(t *testing.T) { checkLoweringShape(t, tc.g, tc.p, tc.seed, tc.counts, tc.order) })
 	}
@@ -242,17 +242,26 @@ func checkLoweringShape(t *testing.T, g *graph.Graph, p int, seed int64, counts 
 	if prog != pl.dataflow() {
 		t.Error("dataflow() not cached: two calls returned different programs")
 	}
-	if len(prog.seeds) != pl.P {
-		t.Errorf("got %d seeds, want one head per rank (%d)", len(prog.seeds), pl.P)
-	}
 	perRank := make([]int, pl.P)
 	for _, n := range prog.micros {
 		perRank[n.rank]++
 	}
+	heads := 0
 	for r, c := range perRank {
-		// At minimum: dfInit plus one dfMark per level.
-		if c < 1+len(pl.Levels) {
-			t.Errorf("rank %d has %d micro-nodes, want at least %d", r, c, 1+len(pl.Levels))
+		// One per step of the rank's program but its init and level marks.
+		if want := len(pl.ranks[r]) - 1 - len(pl.Levels); c != want {
+			t.Errorf("rank %d has %d micro-nodes, want %d", r, c, want)
+		}
+		if c > 0 {
+			heads++
+		}
+	}
+	if len(prog.seeds) == 0 || len(prog.seeds) > heads {
+		t.Errorf("got %d seeds, want from 1 to the %d ranks with a step", len(prog.seeds), heads)
+	}
+	for _, sid := range prog.seeds {
+		if f := prog.supers[sid].first; f > 0 && prog.micros[f-1].rank == prog.micros[f].rank {
+			t.Errorf("seed %d does not start its rank's program", sid)
 		}
 	}
 	for m, c := range prog.msgConsumer {

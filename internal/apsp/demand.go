@@ -136,20 +136,35 @@ func (m *entryMask) orMul(a, b *entryMask) {
 }
 
 // closure replaces m (square) with its boolean transitive closure —
-// the mask image of ClassicalFW on the diagonal block.
-func (m *entryMask) closure() {
+// the mask image of ClassicalFW on the diagonal block — and returns the
+// flops ClassicalFW charges: the block's size for every (pivot, row)
+// pair it visits, in the same k-then-i order, with the row's pivot entry
+// finite.
+func (m *entryMask) closure() int64 {
+	var flops int64
 	for k := 0; k < m.rows; k++ {
 		krow := m.row(k)
 		kw, kb := k/64, uint64(1)<<(k%64)
 		for i := 0; i < m.rows; i++ {
 			irow := m.row(i)
 			if irow[kw]&kb != 0 {
+				flops += int64(m.rows)
 				for x := range irow {
 					irow[x] |= krow[x]
 				}
 			}
 		}
 	}
+	return flops
+}
+
+// count is the number of m's set bits.
+func (m *entryMask) count() int64 {
+	var n int
+	for _, word := range m.bits {
+		n += bits.OnesCount64(word)
+	}
+	return int64(n)
 }
 
 // transposeOf returns mᵀ as a fresh mask.
@@ -203,11 +218,15 @@ func (m *entryMask) orColAnyInto(dst []uint64) {
 func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }
 
 // demandState is the sweep's mutable mask matrix, indexed by 1-based
-// supernode labels; nil entries are provably all-Inf blocks.
+// supernode labels; nil entries are provably all-Inf blocks. work holds
+// the flops the masks alone price (Plan.Cost): a diagonal op's closure,
+// and per consumer of an R2 column pivot its update, whose left operand
+// is the consumer's own panel.
 type demandState struct {
 	n     int
 	sizes []int
 	m     []*entryMask // (i-1)*n + (j-1)
+	work  map[*Op][]int64
 }
 
 func (d *demandState) at(i, j int) *entryMask { return d.m[(i-1)*d.n+(j-1)] }
@@ -253,7 +272,7 @@ func (d *demandState) send(i, j int) *entryMask {
 // edge of the permuted graph.
 func newDemandState(ly *Layout) *demandState {
 	n := ly.ND.N
-	d := &demandState{n: n, sizes: ly.ND.Sizes, m: make([]*entryMask, n*n)}
+	d := &demandState{n: n, sizes: ly.ND.Sizes, m: make([]*entryMask, n*n), work: make(map[*Op][]int64)}
 	for i := 1; i <= n; i++ {
 		if d.sizes[i] == 0 {
 			continue
@@ -330,7 +349,7 @@ func bitset(n int) []uint64 { return make([]uint64, (n+63)/64) }
 // per-edge descriptors of the trees it chooses, and every payload's mask,
 // at which it prices them.
 func attachPrunes(pl *Plan, ly *Layout) map[*Op]*sendDemand {
-	sends := sweepPlan(pl, ly, true)
+	sends, _ := sweepPlan(pl, ly, true)
 	for op, sd := range sends {
 		if sd.need != nil {
 			sd.need.wholeGroup(op)
@@ -366,13 +385,13 @@ func (sd *sendDemand) maskOf(op *Op, part int) *entryMask {
 }
 
 // sweepPlan replays the demand sweep over pl's schedule as it stands and
-// returns what it knows of every broadcast, seq and transpose op. With
-// freeze set it is attachPrunes' sweep: it also computes each
-// broadcast's per-member demand and writes each seq op's descriptors.
-// Without, it only reads the plan — the masks are the same for any trees
-// and mirror drops, which change no mask update — so a built plan's
-// messages can be priced again (TestPlanClockIsExact).
-func sweepPlan(pl *Plan, ly *Layout, freeze bool) map[*Op]*sendDemand {
+// returns what it knows of every broadcast, seq and transpose op, and the
+// flops the masks alone price (demandState.work). With freeze set it is
+// attachPrunes' sweep: it also computes each broadcast's per-member
+// demand and writes each seq op's descriptors. Without, it only reads the
+// plan — the masks are the same for any trees and mirror drops, which
+// change no mask update — so a built plan can be priced (Plan.Cost).
+func sweepPlan(pl *Plan, ly *Layout, freeze bool) (map[*Op]*sendDemand, map[*Op][]int64) {
 	d := newDemandState(ly)
 	sends := make(map[*Op]*sendDemand)
 	for _, ops := range pl.Levels {
@@ -388,7 +407,7 @@ func sweepPlan(pl *Plan, ly *Layout, freeze bool) map[*Op]*sendDemand {
 			}
 		}
 	}
-	return sends
+	return sends, d.work
 }
 
 // sweep records op's payload masks and, with freeze set, its demand —
@@ -399,8 +418,9 @@ func sweepPlan(pl *Plan, ly *Layout, freeze bool) map[*Op]*sendDemand {
 func (d *demandState) sweep(op *Op, unitOf map[int]*Op, freeze bool) *sendDemand {
 	switch op.Kind {
 	case opDiag:
+		d.work[op] = []int64{0}
 		if d.at(op.BI, op.BI) != nil {
-			d.own(op.BI, op.BI).closure()
+			d.work[op][0] = d.own(op.BI, op.BI).closure()
 		}
 	case opUnit:
 		d.mul(op.BI, op.K, op.BJ)
@@ -460,10 +480,16 @@ func (d *demandState) sweep(op *Op, unitOf map[int]*Op, freeze bool) *sendDemand
 			// clone), so the sweep multiplies a snapshot.
 			// A frozen panel is that snapshot already: own writes a copy.
 			k := op.BI
-			for _, o := range others {
+			if !left {
+				d.work[op] = make([]int64, len(others))
+			}
+			for c, o := range others {
 				pre := d.at(o[0], o[1])
 				if pre == nil {
 					continue
+				}
+				if !left { // A ⊕= A ⊗ D charges A's finite entries × D's width
+					d.work[op][c] = pre.count() * int64(d.sizes[k])
 				}
 				if !pre.frozen {
 					pre = snapshotOf(pre)

@@ -11,14 +11,15 @@ import (
 // Plan replay. The numeric steps below — one per kind — are shared by
 // ExecuteOpts (dataflow.go, through one exec per micro-node) and the
 // test suite's machine reference (executeMachine, machine_test.go),
-// which call them in each rank's program order (Plan.ranks) and charge
-// them through their own sink. How messages travel is not shared: the
-// machine, one goroutine per rank, drives every exchange through comm's
-// own BcastTreeEach, ReduceTo, Send and Recv, while ExecuteOpts wires
-// them from appendMessages. That keeps the machine an independent check
-// of the expansion: TestExecutorEquality and TestPlanClockIsExact hold
-// the two executors to the same distances and the same charged costs —
-// the ones the golden cost test pins.
+// which call them in each rank's program order (Plan.ranks). How
+// messages travel is not shared: the machine, one goroutine per rank,
+// drives every exchange through comm's own BcastTreeEach, ReduceTo, Send
+// and Recv, while ExecuteOpts wires them from appendMessages. That keeps
+// the machine an independent check of the expansion: TestExecutorEquality
+// holds the two executors to the same distances. Only the machine counts
+// what the steps charge, and the plan's price (Plan.Cost, which
+// ExecuteOpts reports) is held to that count (TestPlanClockIsExact) —
+// the costs the golden cost test pins.
 
 // LayoutFor wraps g in a Layout that reuses the plan's cached symbolic
 // state. This is the warm serving path: the only per-solve work is the
@@ -45,11 +46,19 @@ type rankState struct {
 }
 
 // sink is what a step charges its work to: the machine rank's comm.Ctx,
-// or the dataflow executor's ledger slot for the rank.
+// the referee of the plan's price. The dataflow executor passes one that
+// counts nothing (uncounted).
 type sink interface {
 	AddFlops(n int64)
 	AddMemory(delta int64)
 }
+
+// uncounted is the sink of the dataflow executor's steps: the plan
+// prices what they charge (Plan.Cost).
+type uncounted struct{}
+
+func (uncounted) AddFlops(int64)  {}
+func (uncounted) AddMemory(int64) {}
 
 // diag runs R1 on the owned diagonal block.
 func (rs *rankState) diag(s sink) { s.AddFlops(semiring.ClassicalFW(rs.A)) }
@@ -256,7 +265,7 @@ func levelName(li int32) string { return fmt.Sprintf("level-%d", li+1) }
 // body. Always copies — collective receivers share the payload's
 // backing array, and an executor's scratch arena must never back a
 // payload for the same reason. ExecuteOpts and the machine reference
-// both call this, which is what keeps their charged words identical.
+// both call this, and packPrice prices what it ships.
 func (pl *Plan) pack(m *semiring.Matrix, prune *PruneSpec) []float64 {
 	switch {
 	case pl.Wire == WireDense:

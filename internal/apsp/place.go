@@ -139,6 +139,10 @@ type placeStep struct {
 	pair        *placeStep
 	index       int // in placer.steps
 	level       int // the op's eTree level, 1-based
+	// got[part] is the finite entries of the block the member at position
+	// part decodes (a consuming root: its own, packed and decoded), when
+	// the placer counts them; nil otherwise.
+	got []int64
 }
 
 // need is st's per-member demand, nil when it has none.
@@ -202,9 +206,8 @@ func packWords(rows, cols, nr, nc int, full bool) int64 {
 }
 
 // deliver charges one message of w words on the forward clocks, like
-// comm.Replay's ChargeSend / ChargeRecv: the message carries the
-// sender's pre-send clock, the sender is charged, the receiver
-// max-merges and is charged.
+// comm.Machine's Send / Recv: the message carries the sender's pre-send
+// clock, the sender is charged, the receiver max-merges and is charged.
 func deliver(clock []tick, src, dst int, w int64) {
 	sent := clock[src]
 	clock[src] = sent.plus(w)
@@ -254,6 +257,9 @@ type placer struct {
 	// record, when set, sees each message replay delivers before the
 	// clocks move (Plan.Cost).
 	record func(st *placeStep, m msg)
+	// count: every step also counts what each position decodes
+	// (placeStep.got), which Plan.Cost prices flops from.
+	count bool
 
 	// Candidate scratch, sized by reserve to the largest group.
 	pos      []tick       // per-position clocks of the tree being scored
@@ -494,6 +500,9 @@ func (pc *placer) list() {
 			}
 			st := placeStep{op: op, w: w[:n:n], sd: pc.sends[op], index: len(pc.steps), level: li + 1}
 			w = w[n:]
+			if pc.count {
+				st.got = make([]int64, n)
+			}
 			if isBcast(op.Kind) {
 				st.tails, tails = tails[:n:n], tails[n:]
 				maxQ = max(maxQ, n)
@@ -578,6 +587,9 @@ func (pc *placer) weigh(st *placeStep) {
 	if !pc.exact || st.sd == nil || pc.pl.Wire == WireDense {
 		for part := range st.w {
 			st.w[part] = pc.pl.msgWords(op, part)
+			if st.got != nil && st.sd != nil { // the dense wire decodes whole blocks
+				st.got[part] = int64(st.sd.maskOf(op, part).finite)
+			}
 		}
 		if pc.exact && op.Kind == opReduce {
 			st.w[0] = pc.pl.reduceWords(op)
@@ -586,18 +598,21 @@ func (pc *placer) weigh(st *placeStep) {
 	}
 	relayed := isBcast(op.Kind) // part p > 0 is packed from what Group[Parent[p]] holds
 	for part := range st.w {
-		from := rect{}
-		if relayed && op.holdsMirror(part) { // receives nothing, holds its descriptor's rectangle
-			st.w[part], pc.held[part] = 0, pc.specRect(st.sd.mask[0], op.prune(part), part)
-			continue
-		}
-		if relayed && part > 0 {
-			from = pc.held[op.Parent[part]]
-		}
 		var held rect
-		st.w[part], held = pc.price(st.sd.maskOf(op, part), from, op.prune(part), part)
+		if relayed && op.holdsMirror(part) { // receives nothing, holds its descriptor's rectangle
+			st.w[part], held = 0, pc.specRect(st.sd.mask[0], op.prune(part), part)
+		} else {
+			from := rect{}
+			if relayed && part > 0 {
+				from = pc.held[op.Parent[part]]
+			}
+			st.w[part], held = pc.price(st.sd.maskOf(op, part), from, op.prune(part), part)
+		}
 		if relayed && part > 0 {
 			pc.held[part] = held
+		}
+		if st.got != nil {
+			st.got[part] = int64(st.sd.maskOf(op, part).finiteIn(held))
 		}
 	}
 }
@@ -1110,16 +1125,16 @@ func (pc *placer) replay(i int, from []tick, hook func(*placeStep)) tick {
 	return latest(pc.clock)
 }
 
-// PlanCost is the communication half of the Report an execute of the
-// plan gives, priced without executing: P, Critical, TotalMessages,
-// TotalWords, PerRank, LocalSent and WordsByClass are either executor's
-// (TestPlanClockIsExact); flops and memory stay zero. Messages is every
-// message of the plan in replay order, TotalMessages of them; summed per
-// (Src, Dst) it is the words-sent matrix. The words chain is the
-// critical path's messages in send order, whose words sum to
+// PlanCost is the Report and the per-level phase costs an execute of the
+// plan gives, priced without executing: every field is what the machine
+// reference charges (TestPlanClockIsExact), so an execute reports this.
+// Messages is every message of the plan in replay order, TotalMessages of
+// them; summed per (Src, Dst) it is the words-sent matrix. The words
+// chain is the critical path's messages in send order, whose words sum to
 // Critical.Bandwidth; the messages chain has Critical.Latency links.
 type PlanCost struct {
 	comm.Report
+	Phases                    []comm.PhaseCost
 	Messages                  []Segment
 	WordsChain, MessagesChain []Segment
 }
@@ -1135,7 +1150,8 @@ type Segment struct {
 
 // Cost is the plan clock at exact prices: one replay of every message
 // at what pack ships for it, priced from the demand sweep's masks over
-// ly. It refuses a layout from another dissection, as ExecuteOpts does.
+// ly, with every rank's flops and memory priced beside it (pricer). It
+// refuses a layout from another dissection, as ExecuteOpts does.
 // The plan keeps the first call's result and returns it to every later
 // call, whatever layout that call passes, so ly must have the structure
 // the plan was built for; callers must not modify the result.
@@ -1151,11 +1167,17 @@ func (pl *Plan) Cost(ly *Layout) (*PlanCost, error) {
 // per clock component and rank, the chain that component ends on: a
 // sender extends its own, a receiver whichever of its own and the
 // sender's pre-send chain deliver max-merges in (its own on a tie).
+// Before each message the pricer brings both ranks' programs up to the
+// message's op, and the receiver max-merges the sender's flops as deliver
+// does its words and messages.
 func (pl *Plan) exactCost(ly *Layout) *PlanCost {
-	pc := newPlacer(pl, sweepPlan(pl, ly, false))
-	pc.exact = true
+	sends, work := sweepPlan(pl, ly, false)
+	pc := newPlacer(pl, sends)
+	pc.exact, pc.count = true, true
 	pc.list()
-	c := &PlanCost{Report: comm.Report{P: pl.P, PerRank: make([]comm.Cost, pl.P), LocalSent: make([]int64, pl.P)}}
+	pr := newPricer(pc, work)
+	c := &PlanCost{Report: comm.Report{P: pl.P, PerRank: make([]comm.Cost, pl.P), PeakWords: make([]int64, pl.P),
+		LocalFlops: make([]int64, pl.P), LocalSent: make([]int64, pl.P)}}
 	type link struct {
 		seg  Segment
 		prev *link
@@ -1164,6 +1186,9 @@ func (pl *Plan) exactCost(ly *Layout) *PlanCost {
 	last := [2][]*link{make([]*link, pl.P), make([]*link, pl.P)}
 	of := [2]func(tick) int64{func(t tick) int64 { return t.words }, func(t tick) int64 { return t.msgs }}
 	pc.record = func(st *placeStep, m msg) {
+		pr.upTo(m.src, st.op)
+		pr.upTo(m.dst, st.op)
+		pr.ranks[m.dst].flops = max(pr.ranks[m.dst].flops, pr.ranks[m.src].flops)
 		bi, bj := st.op.payload(m.part)
 		seg := Segment{st.level, bi, bj, m.src, m.dst, opSendClass[st.op.Kind], st.w[m.part]}
 		c.Messages = append(c.Messages, seg)
@@ -1180,10 +1205,16 @@ func (pl *Plan) exactCost(ly *Layout) *PlanCost {
 		}
 	}
 	crit := pc.replay(0, nil, nil)
-	c.Critical = comm.Cost{Latency: crit.msgs, Bandwidth: crit.words}
 	for r, t := range pc.clock {
-		c.PerRank[r] = comm.Cost{Latency: t.msgs, Bandwidth: t.words}
+		pr.upTo(r, nil)
+		rp := &pr.ranks[r]
+		c.PerRank[r] = comm.Cost{Latency: t.msgs, Bandwidth: t.words, Flops: rp.flops}
+		c.PeakWords[r], c.LocalFlops[r] = rp.peak, rp.local
+		c.MaxMemory = max(c.MaxMemory, rp.peak)
+		c.Critical.Flops = max(c.Critical.Flops, rp.flops)
 	}
+	c.Critical.Latency, c.Critical.Bandwidth = crit.msgs, crit.words
+	c.Phases = comm.Phases(pr.ids, pr.marks)
 	for k, out := range [2]*[]Segment{&c.WordsChain, &c.MessagesChain} {
 		end := slices.IndexFunc(pc.clock, func(t tick) bool { return of[k](t) == of[k](crit) })
 		for l := last[k][end]; l != nil; l = l.prev {

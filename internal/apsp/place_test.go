@@ -146,25 +146,50 @@ func TestPlanCostOnce(t *testing.T) {
 	}
 }
 
-// commHalf is the part of an executed report Plan.Cost prices: rep
-// without its flops and memory.
-func commHalf(rep comm.Report) comm.Report {
-	half := comm.Report{P: rep.P, Critical: comm.Cost{Latency: rep.Critical.Latency, Bandwidth: rep.Critical.Bandwidth},
-		TotalMessages: rep.TotalMessages, TotalWords: rep.TotalWords, LocalSent: rep.LocalSent, WordsByClass: rep.WordsByClass}
-	for _, c := range rep.PerRank {
-		half.PerRank = append(half.PerRank, comm.Cost{Latency: c.Latency, Bandwidth: c.Bandwidth})
+// TestExecuteCopiesThePrice: an execute reports its plan's price
+// (Plan.Cost), and the report and phases it hands out are its caller's to
+// change — the price cached on the plan and every later execute's report
+// stay as they were.
+func TestExecuteCopiesThePrice(t *testing.T) {
+	g := graph.Grid2D(12, 12, integerWeights(rand.New(rand.NewSource(1)), 9))
+	ly := testLayout(t, g, 49)
+	pl := buildTestPlanAt(t, ly, 49, WirePruned, R4Mapped)
+	cost := planCost(t, pl, ly)
+	want := func() (comm.Report, []comm.PhaseCost) {
+		rep := cost.Report
+		rep.PerRank, rep.PeakWords = slices.Clone(rep.PerRank), slices.Clone(rep.PeakWords)
+		rep.LocalFlops, rep.LocalSent = slices.Clone(rep.LocalFlops), slices.Clone(rep.LocalSent)
+		return rep, slices.Clone(cost.Phases)
 	}
-	return half
+	wantRep, wantPhases := want()
+	for run := 0; run < 2; run++ {
+		res, err := pl.ExecuteOpts(pl.LayoutFor(g), ExecOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Report, wantRep) || !reflect.DeepEqual(res.Phases, wantPhases) {
+			t.Fatalf("run %d: the execute's report or phases are not its plan's price", run)
+		}
+		res.Report.PerRank[0].Flops++
+		res.Report.PeakWords[0]++
+		res.Report.LocalFlops[0]++
+		res.Report.LocalSent[0]++
+		res.Phases[0].Critical.Flops++
+	}
+	if rep, phases := want(); !reflect.DeepEqual(rep, wantRep) || !reflect.DeepEqual(phases, wantPhases) {
+		t.Error("changing an execute's report changed the price cached on the plan")
+	}
 }
 
-// costIsReport fails t unless Plan.Cost's report is rep's communication
-// half, naming the first rank whose clock or sent words differ, and
-// unless its messages are what rep counts: TotalMessages of them, whose
-// words sum to TotalWords, to LocalSent per sender and to WordsByClass
-// per class.
-func costIsReport(t *testing.T, name string, cost *PlanCost, rep comm.Report) {
+// costIsReport fails t unless Plan.Cost is what the machine reference
+// (executeMachine) charged in mach — its whole Report and its phase
+// costs — naming the first rank whose clock, sent words, peak memory or
+// own flops differ, and unless its messages are what the machine counts:
+// TotalMessages of them, whose words sum to TotalWords, to LocalSent per
+// sender and to WordsByClass per class.
+func costIsReport(t *testing.T, name string, cost *PlanCost, mach *DistResult) {
 	t.Helper()
-	want := commHalf(rep)
+	want := mach.Report
 	sent := comm.Report{TotalMessages: int64(len(cost.Messages)), LocalSent: make([]int64, len(want.LocalSent))}
 	for _, m := range cost.Messages {
 		sent.TotalWords += m.Words
@@ -173,31 +198,39 @@ func costIsReport(t *testing.T, name string, cost *PlanCost, rep comm.Report) {
 	}
 	if sent.TotalMessages != want.TotalMessages || sent.TotalWords != want.TotalWords ||
 		!slices.Equal(sent.LocalSent, want.LocalSent) || sent.WordsByClass != want.WordsByClass {
-		t.Errorf("%s: Plan.Cost's %d messages sum to %d words, %v by class; the executor sent %d messages of %d words, %v by class",
+		t.Errorf("%s: Plan.Cost's %d messages sum to %d words, %v by class; the machine sent %d messages of %d words, %v by class",
 			name, sent.TotalMessages, sent.TotalWords, sent.WordsByClass, want.TotalMessages, want.TotalWords, want.WordsByClass)
+	}
+	if !reflect.DeepEqual(cost.Phases, mach.Phases) {
+		t.Errorf("%s: Plan.Cost's phases %+v, the machine's %+v", name, cost.Phases, mach.Phases)
 	}
 	if reflect.DeepEqual(cost.Report, want) {
 		return
 	}
-	t.Errorf("%s: Plan.Cost reads %v by class %v, the executor charged %v by class %v",
+	t.Errorf("%s: Plan.Cost reads %v by class %v, the machine charged %v by class %v",
 		name, cost.Report, cost.WordsByClass, want, want.WordsByClass)
 	for r := range want.PerRank {
-		if cost.PerRank[r] != want.PerRank[r] || cost.LocalSent[r] != want.LocalSent[r] {
-			t.Errorf("%s: rank %d: Plan.Cost %+v sent %d, executed %+v sent %d",
-				name, r, cost.PerRank[r], cost.LocalSent[r], want.PerRank[r], want.LocalSent[r])
+		if cost.PerRank[r] != want.PerRank[r] || cost.LocalSent[r] != want.LocalSent[r] ||
+			cost.PeakWords[r] != want.PeakWords[r] || cost.LocalFlops[r] != want.LocalFlops[r] {
+			t.Errorf("%s: rank %d: Plan.Cost %+v sent %d peak %d flops %d, executed %+v sent %d peak %d flops %d", name, r,
+				cost.PerRank[r], cost.LocalSent[r], cost.PeakWords[r], cost.LocalFlops[r],
+				want.PerRank[r], want.LocalSent[r], want.PeakWords[r], want.LocalFlops[r])
 			return
 		}
 	}
 }
 
-// TestPlanClockIsExact ties the clock the placement decides by to the
-// clocks the executors charge: on every sparse row of the golden table,
-// both benchmark shapes, the grid on real-valued weights and two
-// disconnected cliques (masks with empty rows), Plan.Cost is what either
-// executor reports of its communication — the critical messages and
-// words, every rank's final clock and sent words, the totals and the
-// words per send class — on the pruned wire too, where every message is
-// priced from the payload's mask as pack ships it (packPrice).
+// TestPlanClockIsExact ties the plan's price to what the machine
+// reference charges: on every sparse row of the golden table, both
+// benchmark shapes, the grid on real-valued weights and two disconnected
+// cliques (masks with empty rows), under both wires and both R4
+// strategies, Plan.Cost is the executed Report field for field — the
+// critical messages, words and flops, every rank's final clock, sent
+// words, peak memory and own flops, the totals, the words per send class
+// and the largest peak — and the per-level phase costs; on the pruned
+// wire too, where every message is priced from the payload's mask as
+// pack ships it (packPrice) and every kernel operand from the mask inside
+// what its rank decoded.
 func TestPlanClockIsExact(t *testing.T) {
 	cases := goldenCases()
 	cases = append(cases,
@@ -221,18 +254,11 @@ func TestPlanClockIsExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cost := planCost(t, pl, ly)
-				flow, err := pl.ExecuteOpts(ly, ExecOpts{})
-				if err != nil {
-					t.Fatal(err)
-				}
 				mach, err := pl.executeMachine(ly)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for exec, res := range map[string]*DistResult{"dataflow": flow, "machine": mach} {
-					costIsReport(t, fmt.Sprintf("%s/%v/r4=%d %s", tc.name, wire, r4, exec), cost, res.Report)
-				}
+				costIsReport(t, fmt.Sprintf("%s/%v/r4=%d", tc.name, wire, r4), planCost(t, pl, ly), mach)
 			}
 		}
 	}

@@ -59,11 +59,11 @@ var fuzzFamilies = []func(n int, w graph.WeightFn, rng *rand.Rand) *graph.Graph{
 // FuzzBuildPlan draws a graph — a family, about n ≤ 1,024 vertices and
 // integer weights in [0, 9] — and a machine: p ∈ {9, 49} (the byte 0xff
 // draws 961, the served cycle's), the ND seed, the wire and the R4
-// strategy. BuildPlan must return a plan its own check accepts, whose
-// Plan.Cost is what the dataflow executor reports of its communication
-// (costIsReport), and which solves to Johnson's distances bit for bit. The
-// machine reference (executeMachine) must give the same distances bit
-// for bit and the same Report, and the plan's encoding must decode and
+// strategy. BuildPlan must return a plan its own check accepts, which
+// solves to Johnson's distances bit for bit, and whose Plan.Cost is what
+// the machine reference (executeMachine) charges — its whole Report and
+// phase costs (costIsReport). The machine must give the same distances
+// bit for bit and the same Report as ExecuteOpts, and the plan's encoding must decode and
 // re-encode to the same bytes. The seeds are the two served shapes: the
 // 32² grid at p = 49 and the 800-cycle at p = 961, at ND seed 42.
 func FuzzBuildPlan(f *testing.F) {
@@ -114,7 +114,6 @@ func FuzzBuildPlan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%s: %v", name(), err)
 		}
-		costIsReport(t, name(), planCost(t, pl, ly), res.Report)
 		if !identicalMatrices(res.Dist, mustJohnson(t, g)) {
 			t.Errorf("%s: distances differ from Johnson's", name())
 		}
@@ -122,6 +121,7 @@ func FuzzBuildPlan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%s: machine: %v", name(), err)
 		}
+		costIsReport(t, name(), planCost(t, pl, ly), mach)
 		if !identicalMatrices(mach.Dist, res.Dist) {
 			t.Errorf("%s: machine distances differ from ExecuteOpts'", name())
 		}

@@ -2,6 +2,7 @@ package apsp
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"sparseapsp/internal/comm"
@@ -10,8 +11,10 @@ import (
 )
 
 // DistResult is the output of a distributed solver: the distance matrix
-// reassembled in the original vertex order plus the machine's cost
-// report (critical-path latency/bandwidth/flops, totals, peak memory).
+// reassembled in the original vertex order plus the cost report
+// (critical-path latency/bandwidth/flops, totals, peak memory) — the
+// simulated machine's for the dense solvers, the plan's price
+// (Plan.Cost) for the sparse one.
 type DistResult struct {
 	Dist   *semiring.Matrix
 	Report comm.Report
@@ -132,7 +135,21 @@ type SparseOptions struct {
 // SparseAPSPWith is SparseAPSP with explicit options. It is a thin
 // wrapper over the Plan/Execute split: build (or fetch from
 // opts.Plans) the symbolic plan, then execute it against g's weights.
+// It refuses a negative edge weight (CheckNonNegative), a negative
+// cycle in an undirected graph, and a NaN or infinite one, which the
+// blocks drop and the demand masks keep: the report is the plan's price,
+// which holds for finite non-negative weights only.
 func SparseAPSPWith(g *graph.Graph, p int, opts SparseOptions) (*DistResult, error) {
+	if err := CheckNonNegative(g); err != nil {
+		return nil, err
+	}
+	for u := 0; u < g.N(); u++ {
+		for _, e := range g.Adj(u) {
+			if math.IsNaN(e.W) || math.IsInf(e.W, 0) {
+				return nil, fmt.Errorf("apsp: edge {%d,%d} weight %g is not finite", u, e.To, e.W)
+			}
+		}
+	}
 	pl, err := planFor(g, p, opts)
 	if err != nil {
 		return nil, err

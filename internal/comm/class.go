@@ -2,7 +2,7 @@ package comm
 
 // SendClass labels which algorithm phase a send belongs to, for the
 // per-phase words-moved breakdown in Report. Ranks carry a current
-// class (set with Ctx.SetSendClass / Replay.SetSendClass); every send
+// class (set with Ctx.SetSendClass); every send
 // charges its words to the rank's class at the moment of the send, so
 // relay hops inside a collective are attributed to the phase whose
 // collective is running. The class affects accounting only — clocks,
@@ -46,11 +46,4 @@ func (s SendClass) String() string {
 
 // SetSendClass sets the phase class charged by this rank's subsequent
 // sends. Purely an accounting label; costs and matching are unaffected.
-func (c *Ctx) SetSendClass(class SendClass) { c.machine.led.SetSendClass(c.rank, class) }
-
-// SetSendClass sets the phase class charged by rank's subsequent
-// ChargeSend calls. Same concurrency contract as the charge calls:
-// issue it in the rank's program order.
-func (r *Replay) SetSendClass(rank int, class SendClass) {
-	r.states[rank].sendClass = class
-}
+func (c *Ctx) SetSendClass(class SendClass) { c.state().sendClass = class }

@@ -54,6 +54,11 @@ func (c *Cost) addMessage(w int64) {
 	c.Bandwidth += w
 }
 
+// minus returns the element-wise difference c − o.
+func (c Cost) minus(o Cost) Cost {
+	return Cost{Latency: c.Latency - o.Latency, Bandwidth: c.Bandwidth - o.Bandwidth, Flops: c.Flops - o.Flops}
+}
+
 // Add returns the element-wise sum of a and b.
 func Add(a, b Cost) Cost {
 	return Cost{

@@ -80,14 +80,52 @@ func (mb *mailbox) take(ws *watchState, rank, src, tag int) message {
 // Create one with NewMachine, execute an SPMD program with Run, then
 // read costs with Report or CriticalPath. A Machine may be reused for
 // several consecutive Run calls; costs accumulate across them (use
-// Reset to clear). Its ranks charge their costs to a Replay ledger the
-// machine owns, so the machine and a replay executor share one clock
-// rule and one set of aggregators.
+// Reset to clear).
 type Machine struct {
-	p     int
-	boxes []*mailbox
-	led   *Replay
-	ws    watchState
+	p      int
+	boxes  []*mailbox
+	states []rankState // each touched only by its rank's goroutine during a Run
+	ws     watchState
+}
+
+// rankState is one rank's ledger: its clock, counters and phase marks.
+type rankState struct {
+	clock      Cost
+	sentMsgs   int64
+	sentWords  int64
+	memWords   int64       // currently registered resident words
+	peakWords  int64       // maximum ever registered
+	localFlops int64       // flops performed by this rank itself (no max-merge)
+	marks      []markEntry // phase boundaries recorded by Mark
+
+	sendClass   SendClass             // phase label charged by subsequent sends
+	sentByClass [NumSendClasses]int64 // words sent per phase class
+}
+
+// send charges one message of words payload words and returns the clock
+// the message carries: the sender's, before the send is charged.
+func (st *rankState) send(words int64) Cost {
+	snap := st.clock
+	st.clock.addMessage(words)
+	st.sentMsgs++
+	st.sentWords += words
+	st.sentByClass[st.sendClass] += words
+	return snap
+}
+
+// recv charges receiving a words-word message carrying the sender's
+// clock: max-merge first, then one message of words words. Max-then-add
+// is not commutative across receives, so their order is part of the
+// clock.
+func (st *rankState) recv(sender Cost, words int64) {
+	st.clock.maxInPlace(sender)
+	st.clock.addMessage(words)
+}
+
+// setMemory registers the rank's resident words and updates the peak.
+func (st *rankState) setMemory(words int64) {
+	st.memWords = words
+	st.peakWords = max(st.peakWords, words)
 }
 
 // NewMachine returns a machine with p ranks. p must be positive.
@@ -96,9 +134,9 @@ func NewMachine(p int) *Machine {
 		panic(fmt.Sprintf("comm: machine size must be positive, got %d", p))
 	}
 	m := &Machine{
-		p:     p,
-		boxes: make([]*mailbox, p),
-		led:   NewReplay(p),
+		p:      p,
+		boxes:  make([]*mailbox, p),
+		states: make([]rankState, p),
 	}
 	for i := range m.boxes {
 		m.boxes[i] = newMailbox()
@@ -121,7 +159,7 @@ func (m *Machine) Reset() {
 	m.ws.taken.Store(0)
 	m.ws.blocked.Store(0)
 	m.ws.finished.Store(0)
-	m.led = NewReplay(m.p)
+	m.states = make([]rankState, m.p)
 	for _, mb := range m.boxes {
 		mb.mu.Lock()
 		mb.pending = nil
@@ -177,7 +215,7 @@ func (m *Machine) Run(fn func(ctx *Ctx)) error {
 // CriticalPath returns the element-wise maximum cost clock over all
 // ranks: the critical-path latency, bandwidth and flops of everything
 // executed so far.
-func (m *Machine) CriticalPath() Cost { return m.led.CriticalPath() }
+func (m *Machine) CriticalPath() Cost { return m.Report().Critical }
 
 // Report summarizes a finished run.
 type Report struct {
@@ -194,7 +232,30 @@ type Report struct {
 }
 
 // Report returns the cost summary of everything executed so far.
-func (m *Machine) Report() Report { return m.led.Report() }
+func (m *Machine) Report() Report {
+	rep := Report{
+		P:          m.p,
+		PerRank:    make([]Cost, m.p),
+		PeakWords:  make([]int64, m.p),
+		LocalFlops: make([]int64, m.p),
+		LocalSent:  make([]int64, m.p),
+	}
+	for i := range m.states {
+		st := &m.states[i]
+		rep.Critical.maxInPlace(st.clock)
+		rep.TotalMessages += st.sentMsgs
+		rep.TotalWords += st.sentWords
+		rep.MaxMemory = max(rep.MaxMemory, st.peakWords)
+		rep.PerRank[i] = st.clock
+		rep.PeakWords[i] = st.peakWords
+		rep.LocalFlops[i] = st.localFlops
+		rep.LocalSent[i] = st.sentWords
+		for c := 0; c < NumSendClasses; c++ {
+			rep.WordsByClass[c] += st.sentByClass[c]
+		}
+	}
+	return rep
+}
 
 func (r Report) String() string {
 	return fmt.Sprintf("p=%d critical{%v} totalMsgs=%d totalWords=%d maxMemWords=%d",

@@ -19,7 +19,10 @@ type markEntry struct {
 }
 
 // Mark records a phase boundary labelled id on this rank.
-func (c *Ctx) Mark(id string) { c.machine.led.Mark(c.rank, id) }
+func (c *Ctx) Mark(id string) {
+	st := c.state()
+	st.marks = append(st.marks, markEntry{id: id, clock: st.clock})
+}
 
 // PhaseCost is the aggregated cost of one phase across all ranks.
 type PhaseCost struct {
@@ -36,20 +39,17 @@ type PhaseCost struct {
 	MaxAdvance Cost
 }
 
-// PhaseCosts aggregates the marks of a finished run. The k-th phase
-// spans from the (k−1)-th mark (or the start) to the k-th mark. It
+// PhaseCosts aggregates the marks of a finished run (Phases). It
 // returns an error if ranks recorded diverging mark sequences.
-func (m *Machine) PhaseCosts() ([]PhaseCost, error) { return m.led.PhaseCosts() }
-
-// PhaseCosts aggregates the recorded marks, as Machine.PhaseCosts.
-func (r *Replay) PhaseCosts() ([]PhaseCost, error) {
-	p, states := r.p, r.states
-	if p == 0 {
-		return nil, nil
+func (m *Machine) PhaseCosts() ([]PhaseCost, error) {
+	ref := m.states[0].marks
+	ids := make([]string, len(ref))
+	clocks := make([][]Cost, len(ref))
+	for i := range ref {
+		ids[i], clocks[i] = ref[i].id, make([]Cost, m.p)
 	}
-	ref := states[0].marks
-	for r := 1; r < p; r++ {
-		marks := states[r].marks
+	for r := 0; r < m.p; r++ {
+		marks := m.states[r].marks
 		if len(marks) != len(ref) {
 			return nil, fmt.Errorf("comm: rank %d recorded %d marks, rank 0 recorded %d", r, len(marks), len(ref))
 		}
@@ -57,38 +57,31 @@ func (r *Replay) PhaseCosts() ([]PhaseCost, error) {
 			if marks[i].id != ref[i].id {
 				return nil, fmt.Errorf("comm: rank %d mark %d is %q, rank 0 has %q", r, i, marks[i].id, ref[i].id)
 			}
+			clocks[i][r] = marks[i].clock
 		}
 	}
-	out := make([]PhaseCost, len(ref))
-	for i := range ref {
-		out[i].ID = ref[i].id
-	}
-	// Per-rank advances.
-	for r := 0; r < p; r++ {
-		prev := Cost{}
-		for i, mk := range states[r].marks {
-			delta := Cost{
-				Latency:   mk.clock.Latency - prev.Latency,
-				Bandwidth: mk.clock.Bandwidth - prev.Bandwidth,
-				Flops:     mk.clock.Flops - prev.Flops,
-			}
-			out[i].MaxAdvance.maxInPlace(delta)
-			prev = mk.clock
-		}
-	}
-	// Global-max boundary deltas.
-	prevGlobal := Cost{}
-	for i := range ref {
+	return Phases(ids, clocks), nil
+}
+
+// Phases aggregates phase marks every rank recorded in the same
+// sequence: ids[k] labels the k-th mark and clocks[k][r] is rank r's
+// clock at it. The k-th phase spans from the (k−1)-th mark (or the
+// start) to the k-th.
+func Phases(ids []string, clocks [][]Cost) []PhaseCost {
+	out := make([]PhaseCost, len(ids))
+	var prevGlobal Cost
+	for k, at := range clocks {
 		var global Cost
-		for r := 0; r < p; r++ {
-			global.maxInPlace(states[r].marks[i].clock)
+		for r, c := range at {
+			var prev Cost
+			if k > 0 {
+				prev = clocks[k-1][r]
+			}
+			out[k].MaxAdvance.maxInPlace(c.minus(prev))
+			global.maxInPlace(c)
 		}
-		out[i].Critical = Cost{
-			Latency:   global.Latency - prevGlobal.Latency,
-			Bandwidth: global.Bandwidth - prevGlobal.Bandwidth,
-			Flops:     global.Flops - prevGlobal.Flops,
-		}
+		out[k].ID, out[k].Critical = ids[k], global.minus(prevGlobal)
 		prevGlobal = global
 	}
-	return out, nil
+	return out
 }

@@ -291,56 +291,32 @@ func TestReadLineCap(t *testing.T) {
 	}
 }
 
-// TestReadStarLinear: parsing a star whose lines name the hub first
-// grows with the body, not with the hub's degree per line. A 100,000-leaf
-// body parses in under 8× a 25,000-leaf one (linear is about 4×; the
-// duplicate check that scanned the hub's whole list on every line made
-// it about 16×). Each size is timed best of three.
-func TestReadStarLinear(t *testing.T) {
-	if testing.Short() {
-		t.Skip("times two parses; run without -short")
-	}
-	parse := func(leaves int) time.Duration {
-		var b strings.Builder
-		fmt.Fprintf(&b, "n %d\n", leaves+1)
-		for v := 1; v <= leaves; v++ {
-			fmt.Fprintf(&b, "0 %d %d\n", v, 1+v%9)
-		}
-		body := b.String()
-		best := time.Duration(math.MaxInt64)
-		for range 3 {
-			start := time.Now()
-			g, err := Read(strings.NewReader(body))
-			best = min(best, time.Since(start))
-			if err != nil || g.M() != leaves || g.Degree(0) != leaves {
-				t.Fatalf("%d leaves: %v", leaves, err)
-			}
-		}
-		return best
-	}
-	small, large := parse(25_000), parse(100_000)
-	if large >= 8*small {
-		t.Errorf("a 100,000-leaf star parses in %v, a 25,000-leaf one in %v: %.1f×, want under 8×", large, small, float64(large)/float64(small))
-	}
-}
-
-// TestReadDuplicateEdgesLinear: repeating an edge costs the same
-// however long its endpoints' lists are. Two shapes were quadratic when
-// each duplicate scanned a list: two hubs joined by as many repeats of
+// TestReadDuplicateEdgesLinear: checking an edge for a duplicate, and
+// repeating one, costs the same however long its endpoints' lists are.
+// Three shapes were quadratic when each check scanned a list: a star
+// whose lines name the hub first, two hubs joined by as many repeats of
 // their edge as each has leaves, and a star whose last edge repeats as
 // many times with falling weights, so each repeat also finds the hub's
 // slot. Each body with 100,000 leaves parses in under 8× the time of
-// one with 25,000 (linear is about 4×, a scan per repeat about 16×),
+// one with 25,000 (linear is about 4×, a scan per line about 16×),
 // best of five.
 func TestReadDuplicateEdgesLinear(t *testing.T) {
 	if testing.Short() {
-		t.Skip("times twenty parses; run without -short")
+		t.Skip("times thirty parses; run without -short")
 	}
 	shapes := []struct {
 		name string
 		body func(leaves int) string
 		m    func(leaves int) int
 	}{
+		{"star", func(leaves int) string {
+			var b strings.Builder
+			fmt.Fprintf(&b, "n %d\n", leaves+1)
+			for v := 1; v <= leaves; v++ {
+				fmt.Fprintf(&b, "0 %d %d\n", v, 1+v%9)
+			}
+			return b.String()
+		}, func(leaves int) int { return leaves }},
 		{"two hubs", func(leaves int) string {
 			var b strings.Builder
 			fmt.Fprintf(&b, "n %d\n", 2*leaves+2)
