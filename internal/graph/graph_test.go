@@ -291,32 +291,75 @@ func TestReadLineCap(t *testing.T) {
 	}
 }
 
-// TestReadDuplicateEdgesLinear: checking an edge for a duplicate, and
-// repeating one, costs the same however long its endpoints' lists are.
-// Three shapes were quadratic when each check scanned a list: a star
-// whose lines name the hub first, two hubs joined by as many repeats of
+// parseShape is a family of edge-list bodies, one per leaf count, and
+// the edge count each parses to.
+type parseShape struct {
+	name string
+	body func(leaves int) string
+	m    func(leaves int) int
+}
+
+// starShape is a star whose lines name the hub first.
+var starShape = parseShape{"star", func(leaves int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "n %d\n", leaves+1)
+	for v := 1; v <= leaves; v++ {
+		fmt.Fprintf(&b, "0 %d %d\n", v, 1+v%9)
+	}
+	return b.String()
+}, func(leaves int) int { return leaves }}
+
+// checkParsesLinearly fails unless s's body with 100,000 leaves parses
+// in under 8× the time of its body with 25,000 (linear is about 4×, a
+// scan per line about 16×), best of five.
+func checkParsesLinearly(t *testing.T, s parseShape) {
+	t.Helper()
+	sizes := [2]int{25_000, 100_000}
+	var bodies [2]string
+	best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
+	for i, leaves := range sizes {
+		bodies[i] = s.body(leaves)
+	}
+	// The sizes alternate, so a stretch of load on the host slows
+	// both rather than one.
+	for range 5 {
+		for i, body := range bodies {
+			runtime.GC() // the last body's garbage is not this parse's
+			start := time.Now()
+			g, err := Read(strings.NewReader(body))
+			best[i] = min(best[i], time.Since(start))
+			if err != nil || g.M() != s.m(sizes[i]) {
+				t.Fatalf("%s, %d leaves: %v", s.name, sizes[i], err)
+			}
+		}
+	}
+	if small, large := best[0], best[1]; large >= 8*small {
+		t.Errorf("%s: 100,000 leaves parse in %v, 25,000 in %v: %.1f×, want under 8×", s.name, large, small, float64(large)/float64(small))
+	}
+}
+
+// TestReadStarLinear: parsing a star whose lines name the hub first
+// grows with the body, not with the hub's degree per line; the
+// duplicate check that scanned the hub's whole list on every line made
+// it quadratic.
+func TestReadStarLinear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times ten parses; run without -short")
+	}
+	checkParsesLinearly(t, starShape)
+}
+
+// TestReadDuplicateEdgesLinear: repeating an edge costs the same
+// however long its endpoints' lists are. Two shapes were quadratic when
+// each repeat scanned a list: two hubs joined by as many repeats of
 // their edge as each has leaves, and a star whose last edge repeats as
 // many times with falling weights, so each repeat also finds the hub's
-// slot. Each body with 100,000 leaves parses in under 8× the time of
-// one with 25,000 (linear is about 4×, a scan per line about 16×),
-// best of five.
+// slot.
 func TestReadDuplicateEdgesLinear(t *testing.T) {
 	if testing.Short() {
-		t.Skip("times thirty parses; run without -short")
+		t.Skip("times twenty parses; run without -short")
 	}
-	shapes := []struct {
-		name string
-		body func(leaves int) string
-		m    func(leaves int) int
-	}{
-		{"star", func(leaves int) string {
-			var b strings.Builder
-			fmt.Fprintf(&b, "n %d\n", leaves+1)
-			for v := 1; v <= leaves; v++ {
-				fmt.Fprintf(&b, "0 %d %d\n", v, 1+v%9)
-			}
-			return b.String()
-		}, func(leaves int) int { return leaves }},
+	for _, s := range []parseShape{
 		{"two hubs", func(leaves int) string {
 			var b strings.Builder
 			fmt.Fprintf(&b, "n %d\n", 2*leaves+2)
@@ -330,39 +373,14 @@ func TestReadDuplicateEdgesLinear(t *testing.T) {
 		}, func(leaves int) int { return 2*leaves + 1 }},
 		{"falling repeats", func(leaves int) string {
 			var b strings.Builder
-			fmt.Fprintf(&b, "n %d\n", leaves+1)
-			for v := 1; v <= leaves; v++ {
-				fmt.Fprintf(&b, "0 %d %d\n", v, 1+v%9)
-			}
+			b.WriteString(starShape.body(leaves))
 			for w := range leaves {
 				fmt.Fprintf(&b, "0 %d %d\n", leaves, -w)
 			}
 			return b.String()
 		}, func(leaves int) int { return leaves }},
-	}
-	for _, s := range shapes {
-		sizes := [2]int{25_000, 100_000}
-		var bodies [2]string
-		best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
-		for i, leaves := range sizes {
-			bodies[i] = s.body(leaves)
-		}
-		// The sizes alternate, so a stretch of load on the host slows
-		// both rather than one.
-		for range 5 {
-			for i, body := range bodies {
-				runtime.GC() // the last body's garbage is not this parse's
-				start := time.Now()
-				g, err := Read(strings.NewReader(body))
-				best[i] = min(best[i], time.Since(start))
-				if err != nil || g.M() != s.m(sizes[i]) {
-					t.Fatalf("%s, %d leaves: %v", s.name, sizes[i], err)
-				}
-			}
-		}
-		if small, large := best[0], best[1]; large >= 8*small {
-			t.Errorf("%s: 100,000 leaves parse in %v, 25,000 in %v: %.1f×, want under 8×", s.name, large, small, float64(large)/float64(small))
-		}
+	} {
+		checkParsesLinearly(t, s)
 	}
 }
 
