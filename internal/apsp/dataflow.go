@@ -448,7 +448,9 @@ type dfRun struct {
 	cond           sync.Cond
 	words, summary []uint64
 	hint           int
-	running        int // super-nodes popped but not yet retired
+	workers        int               // worker loops
+	running        int               // super-nodes popped but not yet retired
+	split          *semiring.FWSplit // a running diagonal block idle workers help with (fw)
 	retired        int
 	idle           int // workers waiting on cond
 	done           bool
@@ -515,6 +517,7 @@ func (pl *Plan) execute(prog *dfProgram, ly *Layout, o ExecOpts) (*DistResult, e
 		slots:   make([][]float64, len(prog.msgConsumer)),
 		pending: make([]int32, len(prog.supers)),
 		words:   make([]uint64, (len(prog.supers)+63)/64),
+		workers: workers,
 	}
 	x.summary = make([]uint64, (len(x.words)+63)/64)
 	x.cond.L = &x.mu
@@ -541,7 +544,7 @@ func (pl *Plan) execute(prog *dfProgram, ly *Layout, o ExecOpts) (*DistResult, e
 	if err != nil {
 		return nil, err
 	}
-	dist := ly.AssembleOriginal(blocks)
+	dist := ly.assemble(blocks, semiring.NewPool(workers))
 	release()
 	// The price is cached on the plan and shared: hand out copies.
 	rep := cost.Report
@@ -565,7 +568,8 @@ func (pl *Plan) execute(prog *dfProgram, ly *Layout, o ExecOpts) (*DistResult, e
 // run again — a dependency cycle in the lowering, reported instead of
 // hanging, with no timers. (The machine executor needs a sampling
 // watchdog for the same job because its ranks block in ways it cannot
-// count.)
+// count.) A worker with nothing ready helps with the running diagonal
+// split, if a band of it is free, before it waits.
 func (x *dfRun) work(a *semiring.Arena) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -582,6 +586,11 @@ func (x *dfRun) work(a *semiring.Arena) {
 			if err != nil || x.retired == len(x.prog.supers) {
 				x.finish(err)
 			}
+		case x.split != nil && x.split.Open():
+			sp := x.split
+			x.mu.Unlock()
+			sp.Help()
+			x.mu.Lock()
 		case x.running > 0:
 			x.idle++
 			x.cond.Wait()
@@ -590,6 +599,35 @@ func (x *dfRun) work(a *semiring.Arena) {
 			x.finish(fmt.Errorf("dataflow executor stalled after %d of %d ops (dependency cycle in lowering)", x.retired, len(x.prog.supers)))
 		}
 	}
+}
+
+// fw runs a diagonal block's Floyd–Warshall. One of at least
+// semiring.BandMinN rows, with a worker besides the caller, runs as a
+// split (semiring.FWSplit) that workers with nothing ready help with
+// (work); one split at a time, and the caller works every band no
+// helper holds. Helpers are the run's own workers, so Workers 1 never
+// splits and no more than Workers goroutines ever run kernels.
+func (x *dfRun) fw(m *semiring.Matrix) int64 {
+	if x.workers == 1 || m.Rows < semiring.BandMinN {
+		return semiring.ClassicalFW(m)
+	}
+	sp := semiring.NewFWSplit(m, x.workers)
+	x.mu.Lock()
+	if sp == nil || x.split != nil {
+		x.mu.Unlock()
+		return semiring.ClassicalFW(m)
+	}
+	x.split = sp
+	if x.idle > 0 {
+		x.cond.Broadcast()
+	}
+	x.mu.Unlock()
+	defer func() {
+		x.mu.Lock()
+		x.split = nil
+		x.mu.Unlock()
+	}()
+	return sp.Run()
 }
 
 // finish ends the run once, under mu: it keeps the first outcome and
@@ -742,7 +780,7 @@ func (x *dfRun) exec(id int32, a *semiring.Arena) {
 	op := &x.pl.Levels[n.level][n.op]
 	switch op.Kind {
 	case opDiag:
-		rs.diag(s)
+		rs.diag(s, x.fw)
 	case opUnit:
 		rs.unitProduct(s, x.pl.ownsUnitBlock(op), x.sizes[op.BI], x.sizes[op.BJ])
 	case opReduce:

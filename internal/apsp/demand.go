@@ -226,8 +226,15 @@ type demandState struct {
 	n     int
 	sizes []int
 	m     []*entryMask // (i-1)*n + (j-1)
-	work  map[*Op][]int64
+	work  map[workKey]int64
 }
+
+// workKey names a step the sweep prices: pivot block k's closure on its
+// owner, or its column pivot's update on a consumer. Each pivot has one
+// diagonal op and one column broadcast, and neither moves a rank, so the
+// key holds wherever the placement's drops move the op or whichever
+// consumers they take out of it.
+type workKey struct{ k, rank int }
 
 func (d *demandState) at(i, j int) *entryMask { return d.m[(i-1)*d.n+(j-1)] }
 
@@ -272,7 +279,7 @@ func (d *demandState) send(i, j int) *entryMask {
 // edge of the permuted graph.
 func newDemandState(ly *Layout) *demandState {
 	n := ly.ND.N
-	d := &demandState{n: n, sizes: ly.ND.Sizes, m: make([]*entryMask, n*n), work: make(map[*Op][]int64)}
+	d := &demandState{n: n, sizes: ly.ND.Sizes, m: make([]*entryMask, n*n), work: make(map[workKey]int64)}
 	for i := 1; i <= n; i++ {
 		if d.sizes[i] == 0 {
 			continue
@@ -332,8 +339,9 @@ func pruneFor(rows, cols []uint64, nr, nc int) *PruneSpec {
 
 func bitset(n int) []uint64 { return make([]uint64, (n+63)/64) }
 
-// attachPrunes runs the symbolic demand sweep over the plan's schedule
-// and bakes a PruneSpec into every broadcast and sequential-R4 send
+// attachPrunes runs the symbolic demand sweep over the plan's schedule,
+// keeps the flops it prices on the plan (Plan.work), and bakes a
+// PruneSpec into every broadcast and sequential-R4 send
 // whose payload some receiver provably cannot fully use. Transpose
 // sends are never symbolically pruned: the receiver's block BECOMES
 // the payload (replace, not fold), so every entry is demanded — they
@@ -349,7 +357,8 @@ func bitset(n int) []uint64 { return make([]uint64, (n+63)/64) }
 // per-edge descriptors of the trees it chooses, and every payload's mask,
 // at which it prices them.
 func attachPrunes(pl *Plan, ly *Layout) map[*Op]*sendDemand {
-	sends, _ := sweepPlan(pl, ly, true)
+	sends, work := sweepPlan(pl, ly, true)
+	pl.work = work
 	for op, sd := range sends {
 		if sd.need != nil {
 			sd.need.wholeGroup(op)
@@ -389,9 +398,10 @@ func (sd *sendDemand) maskOf(op *Op, part int) *entryMask {
 // flops the masks alone price (demandState.work). With freeze set it is
 // attachPrunes' sweep: it also computes each broadcast's per-member
 // demand and writes each seq op's descriptors. Without, it only reads the
-// plan — the masks are the same for any trees and mirror drops, which
-// change no mask update — so a built plan can be priced (Plan.Cost).
-func sweepPlan(pl *Plan, ly *Layout, freeze bool) (map[*Op]*sendDemand, map[*Op][]int64) {
+// plan — the masks are the same for any trees and drops, which change no
+// mask update — so a plan that kept no record of its build's sweep can be
+// priced (Plan.Cost).
+func sweepPlan(pl *Plan, ly *Layout, freeze bool) (map[*Op]*sendDemand, map[workKey]int64) {
 	d := newDemandState(ly)
 	sends := make(map[*Op]*sendDemand)
 	for _, ops := range pl.Levels {
@@ -418,9 +428,8 @@ func sweepPlan(pl *Plan, ly *Layout, freeze bool) (map[*Op]*sendDemand, map[*Op]
 func (d *demandState) sweep(op *Op, unitOf map[int]*Op, freeze bool) *sendDemand {
 	switch op.Kind {
 	case opDiag:
-		d.work[op] = []int64{0}
 		if d.at(op.BI, op.BI) != nil {
-			d.work[op][0] = d.own(op.BI, op.BI).closure()
+			d.work[workKey{op.BI, op.Root}] = d.own(op.BI, op.BI).closure()
 		}
 	case opUnit:
 		d.mul(op.BI, op.K, op.BJ)
@@ -480,16 +489,13 @@ func (d *demandState) sweep(op *Op, unitOf map[int]*Op, freeze bool) *sendDemand
 			// clone), so the sweep multiplies a snapshot.
 			// A frozen panel is that snapshot already: own writes a copy.
 			k := op.BI
-			if !left {
-				d.work[op] = make([]int64, len(others))
-			}
 			for c, o := range others {
 				pre := d.at(o[0], o[1])
 				if pre == nil {
 					continue
 				}
 				if !left { // A ⊕= A ⊗ D charges A's finite entries × D's width
-					d.work[op][c] = pre.count() * int64(d.sizes[k])
+					d.work[workKey{k, op.Consumers[c]}] = pre.count() * int64(d.sizes[k])
 				}
 				if !pre.frozen {
 					pre = snapshotOf(pre)

@@ -60,8 +60,10 @@ type uncounted struct{}
 func (uncounted) AddFlops(int64)  {}
 func (uncounted) AddMemory(int64) {}
 
-// diag runs R1 on the owned diagonal block.
-func (rs *rankState) diag(s sink) { s.AddFlops(semiring.ClassicalFW(rs.A)) }
+// diag runs R1 on the owned diagonal block through fw: ClassicalFW, or
+// in the dataflow executor one split across idle workers (dfRun.fw),
+// which gives the same bits and flops.
+func (rs *rankState) diag(s sink, fw func(*semiring.Matrix) int64) { s.AddFlops(fw(rs.A)) }
 
 // consume acts on a broadcast payload d: an R2 panel update of the
 // owned block, or a capture for the unit product or the R3 combine.

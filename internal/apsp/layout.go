@@ -119,6 +119,13 @@ func (ly *Layout) BlocksPooled() (blocks [][]*semiring.Matrix, release func()) {
 // orientation alone (plan.go), and every other final block equals its
 // mirror's transpose bit for bit, under both wires and in SuperFW.
 func (ly *Layout) AssembleOriginal(blocks [][]*semiring.Matrix) *semiring.Matrix {
+	return ly.assemble(blocks, semiring.NewPool(1))
+}
+
+// assemble is AssembleOriginal with the output rows split into bands on
+// pool's goroutines. Each row is written by one of them, from blocks
+// nothing writes any more, so the result is the same at any pool size.
+func (ly *Layout) assemble(blocks [][]*semiring.Matrix, pool *semiring.Pool) *semiring.Matrix {
 	n := ly.G.N()
 	out := semiring.NewMatrix(n, n)
 	// A row of the result is a sequence of runs: consecutive columns at
@@ -137,11 +144,13 @@ func (ly *Layout) AssembleOriginal(blocks [][]*semiring.Matrix) *semiring.Matrix
 		}
 		runs = append(runs, run{v: v, lv: lv, len: 1, j: j})
 	}
-	// Rows go out in supernode order, so consecutive rows walk
+	// Rows go out in supernode order — row t of the permuted matrix is
+	// offset loc[t] of supernode sup[t] — so consecutive rows walk
 	// neighbouring columns of a mirror.
-	for i := 1; i <= ly.ND.N; i++ {
-		for lu := 0; lu < ly.ND.Sizes[i]; lu++ {
-			u := ly.ND.InvPerm[ly.ND.Starts[i]+lu]
+	pool.ForRanges(n, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			i, lu := int(sup[t]), int(loc[t])
+			u := ly.ND.InvPerm[t]
 			orow := out.V[u*n : (u+1)*n]
 			for _, r := range runs {
 				dst := orow[r.v : r.v+r.len]
@@ -156,7 +165,7 @@ func (ly *Layout) AssembleOriginal(blocks [][]*semiring.Matrix) *semiring.Matrix
 				}
 			}
 		}
-	}
+	})
 	return out
 }
 

@@ -94,7 +94,7 @@ func (pl *Plan) machineStep(ctx *comm.Ctx, rs *rankState, st step, a *semiring.A
 	ctx.SetSendClass(opSendClass[op.Kind])
 	switch op.Kind {
 	case opDiag:
-		rs.diag(ctx)
+		rs.diag(ctx, semiring.ClassicalFW)
 	case opUnit:
 		rs.unitProduct(ctx, pl.ownsUnitBlock(op), sizes[op.BI], sizes[op.BJ])
 	case opReduce:

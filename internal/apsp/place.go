@@ -315,16 +315,18 @@ const (
 // and on the pruned wire re-places the trees at exact prices (descend)
 // and drops the work whose result is already known (dropDead); see the
 // file comment and DESIGN.md §3. It must run after attachPrunes
-// (sends is what it returned) and before indexRanks.
-func placeTrees(pl *Plan, sends map[*Op]*sendDemand) {
+// (sends is what it returned) and before indexRanks. It returns sends
+// re-keyed by where the drops left each op (nil under WireDense).
+func placeTrees(pl *Plan, sends map[*Op]*sendDemand) map[*Op]*sendDemand {
 	pc := newPlacer(pl, sends)
 	pc.chooseTrees()
 	pc.dropMirrors()
 	if len(pc.sends) == 0 {
-		return // WireDense: no demand to descend by, nothing provably dead
+		return nil // WireDense: no demand to descend by, nothing provably dead
 	}
 	pc.descend()
 	pc.dropDead()
+	return pc.sends
 }
 
 // chooseTrees chooses the tree of every broadcast. The placeRounds
@@ -1150,8 +1152,9 @@ type Segment struct {
 
 // Cost is the plan clock at exact prices: one replay of every message
 // at what pack ships for it, priced from the demand sweep's masks over
-// ly, with every rank's flops and memory priced beside it (pricer). It
-// refuses a layout from another dissection, as ExecuteOpts does.
+// ly — those BuildPlan's sweep kept, else a sweep of its own — with every
+// rank's flops and memory priced beside it (pricer). It refuses a layout
+// from another dissection, as ExecuteOpts does.
 // The plan keeps the first call's result and returns it to every later
 // call, whatever layout that call passes, so ly must have the structure
 // the plan was built for; callers must not modify the result.
@@ -1171,7 +1174,11 @@ func (pl *Plan) Cost(ly *Layout) (*PlanCost, error) {
 // message's op, and the receiver max-merges the sender's flops as deliver
 // does its words and messages.
 func (pl *Plan) exactCost(ly *Layout) *PlanCost {
-	sends, work := sweepPlan(pl, ly, false)
+	sends, work := pl.masks, pl.work
+	if sends == nil {
+		sends, work = sweepPlan(pl, ly, false)
+	}
+	pl.masks, pl.work = nil, nil
 	pc := newPlacer(pl, sends)
 	pc.exact, pc.count = true, true
 	pc.list()

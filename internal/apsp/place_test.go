@@ -146,6 +146,26 @@ func TestPlanCostOnce(t *testing.T) {
 	}
 }
 
+// TestCostPricesTheBuildSweep: a pruned-wire plan keeps its build's
+// demand sweep for Cost, keyed across the placement's drops (workKey,
+// placeTrees), and the price from it is, field for field, the price of a
+// fresh sweep over the plan as built — on every shape and the served
+// ones. Pricing lets go of the kept sweep.
+func TestCostPricesTheBuildSweep(t *testing.T) {
+	forEachShapePlan(t, func(t *testing.T, name string, ly *Layout, pl *Plan) {
+		if pl.Wire == WirePruned && pl.masks == nil {
+			t.Fatalf("%s: the built plan kept no sweep", name)
+		}
+		kept := pl.exactCost(ly)
+		if pl.masks != nil || pl.work != nil {
+			t.Fatalf("%s: pricing kept the sweep on the plan", name)
+		}
+		if fresh := pl.exactCost(ly); !reflect.DeepEqual(kept, fresh) {
+			t.Errorf("%s: the price from the build's sweep differs from a fresh sweep's", name)
+		}
+	})
+}
+
 // TestExecuteCopiesThePrice: an execute reports its plan's price
 // (Plan.Cost), and the report and phases it hands out are its caller's to
 // change — the price cached on the plan and every later execute's report

@@ -296,6 +296,14 @@ type Plan struct {
 	// The plan clock at exact prices (Cost), computed on first use.
 	costOnce sync.Once
 	cost     *PlanCost
+
+	// What BuildPlan's demand sweep found, kept until Cost prices the plan
+	// from it rather than sweeping again: the flops the masks price, and
+	// what it knows of each sending op (its payload masks), keyed by the
+	// op's address in the plan as built. Nil on a decoded plan and on the
+	// dense wire.
+	work  map[workKey]int64
+	masks map[*Op]*sendDemand
 }
 
 // ScratchWords returns the scratch-arena words rank needs for an
@@ -357,7 +365,7 @@ func BuildPlan(ly *Layout, p int, wire WireFormat, r4 R4Strategy) (*Plan, error)
 	if err != nil {
 		return nil, err
 	}
-	placeTrees(pl, sends)
+	pl.masks = placeTrees(pl, sends)
 	if err := pl.validate(); err != nil {
 		return nil, err
 	}

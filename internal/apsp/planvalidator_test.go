@@ -64,8 +64,12 @@ var fuzzFamilies = []func(n int, w graph.WeightFn, rng *rand.Rand) *graph.Graph{
 // the machine reference (executeMachine) charges — its whole Report and
 // phase costs (costIsReport). The machine must give the same distances
 // bit for bit and the same Report as ExecuteOpts, and the plan's encoding must decode and
-// re-encode to the same bytes. The seeds are the two served shapes: the
-// 32² grid at p = 49 and the 800-cycle at p = 961, at ND seed 42.
+// re-encode to the same bytes. The seeds are the two served shapes — the
+// 32² grid at p = 49 and the 800-cycle at p = 961, at ND seed 42 — the
+// two inputs earlier runs failed on, then one small graph of every family,
+// across both wires and both R4 strategies, each solved in milliseconds,
+// so that a short burst, whose first inputs may each take seconds, still
+// replays every family.
 func FuzzBuildPlan(f *testing.F) {
 	// family, n-2 low and high byte, p, ND seed, weight seed, wire, R4.
 	f.Add([]byte{0, 254, 3, 1, 42, 1, 0, 0})
@@ -77,6 +81,18 @@ func FuzzBuildPlan(f *testing.F) {
 	// A random tree, n = 611 at p = 961, whose dead-work drop narrowed an
 	// R3 mirror holder's capture under what it serves (placer.drop).
 	f.Add([]byte("CZ\x1e\xff00"))
+	for family, seed := range [][]byte{
+		{34, 0, 0, 11, 1, 0, 0},   // grid 6², p = 9
+		{40, 0, 1, 7, 2, 1, 0},    // cycle, p = 49, dense wire
+		{30, 0, 0, 3, 3, 0, 1},    // path, p = 9, sequential R4
+		{60, 0, 1, 42, 4, 0, 0},   // random tree, p = 49
+		{20, 0, 0, 5, 5, 1, 1},    // star, p = 9, dense wire, sequential R4
+		{45, 0, 1, 9, 6, 0, 1},    // caterpillar, p = 49, sequential R4
+		{50, 0, 1, 42, 7, 0, 0},   // G(n, 4/n), p = 49
+		{30, 0, 0xff, 2, 8, 0, 0}, // cliques, p = 961
+	} {
+		f.Add(append([]byte{byte(family)}, seed...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {

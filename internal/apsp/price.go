@@ -18,7 +18,7 @@ type pricer struct {
 	pl    *Plan
 	clock []tick // the replay's
 	at    map[*Op]*placeStep
-	work  map[*Op][]int64
+	work  map[workKey]int64
 	ranks []rankPrice
 	ids   []string      // the level marks
 	marks [][]comm.Cost // per level, each rank's clock at its mark
@@ -42,7 +42,7 @@ type held struct {
 
 // newPricer prices pc's plan beside pc's replay: pc has listed every step
 // with what each position decodes, and work is the sweep's.
-func newPricer(pc *placer, work map[*Op][]int64) *pricer {
+func newPricer(pc *placer, work map[workKey]int64) *pricer {
 	pl := pc.pl
 	pr := &pricer{pl: pl, clock: pc.clock, at: make(map[*Op]*placeStep, len(pc.steps)), work: work,
 		ranks: make([]rankPrice, pl.P), marks: make([][]comm.Cost, len(pl.Levels))}
@@ -98,7 +98,7 @@ func (pr *pricer) step(r int, rp *rankPrice, st step) {
 	op := &pr.pl.Levels[st.level][st.op]
 	switch op.Kind {
 	case opDiag:
-		rp.charge(pr.work[op][0])
+		rp.charge(pr.work[workKey{op.BI, r}])
 	case opUnit:
 		if !rp.akj.ok {
 			rp.akj = rp.aik
@@ -127,7 +127,7 @@ func (pr *pricer) step(r int, rp *rankPrice, st step) {
 		rp.hold(d.words)
 		switch op.Kind {
 		case opR2Left: // the update's left operand is the rank's own panel
-			rp.charge(pr.work[op][position(op.Consumers, r)])
+			rp.charge(pr.work[workKey{op.BI, r}])
 			rp.mem -= d.words
 		case opR2Right:
 			rp.charge(d.finite * int64(sizes[bj]))

@@ -94,6 +94,55 @@ func TestExecWorkers(t *testing.T) {
 	}
 }
 
+// TestExecWorkersSplitDiagonal runs a plan whose one diagonal block is
+// the whole graph — G(400, 4/n) on the structure seed of the bench's
+// gnp workload, which nested dissection leaves in one supernode — at
+// Workers 1, 2, 3 and 8. Every count past one runs the block as a split
+// the other workers help with (dfRun.fw), so GOMAXPROCS is raised to 8
+// for the run, as the pool sizes from it; the distances must be
+// Johnson's and the Report the same at every count. Run under -race in
+// CI.
+func TestExecWorkersSplitDiagonal(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	const n = 400
+	structure, weights := rand.New(rand.NewSource(20210809)), rand.New(rand.NewSource(97))
+	g := graph.New(n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if structure.Float64() < 4.0/n {
+				g.AddEdge(u, v, float64(1+weights.Intn(9)))
+			}
+		}
+	}
+	ly, err := NewLayout(g, 2, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if big := slices.Max(ly.ND.Sizes); big < n {
+		t.Fatalf("the largest supernode has %d of %d vertices; the split needs one block", big, n)
+	}
+	pl, err := BuildPlan(ly, 9, WirePruned, R4Mapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mustJohnson(t, g)
+	var first *DistResult
+	for _, workers := range []int{1, 2, 3, 8} {
+		got, err := pl.ExecuteOpts(pl.LayoutFor(g), ExecOpts{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !identicalMatrices(got.Dist, want) {
+			t.Errorf("workers=%d: distances differ from Johnson's", workers)
+		}
+		if first == nil {
+			first = got
+		} else if !reflect.DeepEqual(got.Report, first.Report) {
+			t.Errorf("workers=%d: report differs from workers=1", workers)
+		}
+	}
+}
+
 // TestExecutorFailureInjection runs deliberately broken copies of a
 // lowered program at 1, 2 and 3 workers. Each must end in an error —
 // not a hang, not a crash — and leave no goroutine behind:

@@ -37,9 +37,11 @@ func BenchmarkMulAddInto(b *testing.B) {
 // BenchmarkClassicalFW times the diagonal update on a symmetric
 // non-negative block — what an undirected graph's R1 regions are — at
 // the grid's block edges and the G(768,4/n) supernode: the general loop
-// against the triangle path ClassicalFW takes once the proof holds.
+// against the triangle path ClassicalFW takes once the proof holds, and
+// that path split into two row bands (FWSplit), whose crossover sets
+// BandMinN.
 func BenchmarkClassicalFW(b *testing.B) {
-	for _, n := range []int{8, 16, 32, 64, 210, 768} {
+	for _, n := range []int{8, 16, 32, 48, 64, 96, 128, 192, 210, 256, 384, 768} {
 		rng := rand.New(rand.NewSource(2))
 		src := benchMatrix(n, rng)
 		mirrorLower(src)
@@ -47,7 +49,7 @@ func BenchmarkClassicalFW(b *testing.B) {
 		for _, fw := range []struct {
 			name string
 			f    func(*Matrix) int64
-		}{{"ref", classicalFWRef}, {"triangle", ClassicalFW}} {
+		}{{"ref", classicalFWRef}, {"triangle", ClassicalFW}, {"bands2", func(m *Matrix) int64 { return classicalFWBands(m, 2) }}} {
 			b.Run(fw.name+"/n="+itoa(n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					work.CopyFrom(src)

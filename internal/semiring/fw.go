@@ -93,7 +93,7 @@ func symmetricNonNegative(m *Matrix) bool {
 // Pivots go four at a time: rows k..k+3 are gathered from the triangle,
 // row k+t is brought through steps k..k+t−1 so it is the snapshot step
 // k+t would have read, and one pass folds all four into every row in
-// ascending pivot order.
+// ascending pivot order (foldGroup).
 func classicalFWTriangle(m *Matrix) int64 {
 	n := m.Rows
 	clampDiagonal(m)
@@ -102,40 +102,65 @@ func classicalFWTriangle(m *Matrix) int64 {
 	var finite int64 // (pivot, row) pairs the general loop would not skip
 	k := 0
 	for ; k+4 <= n; k += 4 {
-		gatherRow(m, k, p0)
-		gatherRow(m, k+1, p1)
-		gatherRow(m, k+2, p2)
-		gatherRow(m, k+3, p3)
-		minPlusRow(p1, p0[k+1], p0)
-		minPlusRow(p2, p0[k+2], p0)
-		minPlusRow(p2, p1[k+2], p1)
-		minPlusRow(p3, p0[k+3], p0)
-		minPlusRow(p3, p1[k+3], p1)
-		minPlusRow(p3, p2[k+3], p2)
-		for i := 0; i < n; i++ {
-			a0, a1, a2, a3 := p0[i], p1[i], p2[i], p3[i]
-			live := countFinite(a0) + countFinite(a1) + countFinite(a2) + countFinite(a3)
-			if live == 0 {
-				continue
-			}
-			finite += live
-			// An Inf pivot entry only makes Inf candidates, which
-			// never win: folding it is the general loop's skip.
-			minPlusRow4(m.V[i*n:i*n+i+1], a0, p0, a1, p1, a2, p2, a3, p3)
-		}
+		gatherRow(m, k, 0, n, p0)
+		gatherRow(m, k+1, 0, n, p1)
+		gatherRow(m, k+2, 0, n, p2)
+		gatherRow(m, k+3, 0, n, p3)
+		prepareGroup(k, p0, p1, p2, p3)
+		finite += foldGroup(m, 0, n, p0, p1, p2, p3)
 	}
 	for ; k < n; k++ {
-		gatherRow(m, k, p0)
-		for i := 0; i < n; i++ {
-			if math.IsInf(p0[i], 1) {
-				continue
-			}
-			finite++
-			minPlusRow(m.V[i*n:i*n+i+1], p0[i], p0[:i+1])
-		}
+		gatherRow(m, k, 0, n, p0)
+		finite += foldPivot(m, 0, n, p0)
 	}
 	mirrorLower(m)
 	return finite * int64(n)
+}
+
+// prepareGroup brings the gathered rows p1..p3 of the pivot group
+// k..k+3 through the group's earlier pivots.
+func prepareGroup(k int, p0, p1, p2, p3 []float64) {
+	minPlusRow(p1, p0[k+1], p0)
+	minPlusRow(p2, p0[k+2], p0)
+	minPlusRow(p2, p1[k+2], p1)
+	minPlusRow(p3, p0[k+3], p0)
+	minPlusRow(p3, p1[k+3], p1)
+	minPlusRow(p3, p2[k+3], p2)
+}
+
+// foldGroup folds a prepared pivot group into the stored prefix of each
+// of rows [lo, hi) and returns the (pivot, row) pairs with a finite
+// pivot entry. Row i reads only the group's rows and writes only its own
+// prefix, so rows split in any way give the same bits (FWSplit).
+func foldGroup(m *Matrix, lo, hi int, p0, p1, p2, p3 []float64) int64 {
+	n := m.Rows
+	var finite int64
+	for i := lo; i < hi; i++ {
+		a0, a1, a2, a3 := p0[i], p1[i], p2[i], p3[i]
+		live := countFinite(a0) + countFinite(a1) + countFinite(a2) + countFinite(a3)
+		if live == 0 {
+			continue
+		}
+		finite += live
+		// An Inf pivot entry only makes Inf candidates, which
+		// never win: folding it is the general loop's skip.
+		minPlusRow4(m.V[i*n:i*n+i+1], a0, p0, a1, p1, a2, p2, a3, p3)
+	}
+	return finite
+}
+
+// foldPivot is foldGroup for one pivot, whose gathered row is p0.
+func foldPivot(m *Matrix, lo, hi int, p0 []float64) int64 {
+	n := m.Rows
+	var finite int64
+	for i := lo; i < hi; i++ {
+		if math.IsInf(p0[i], 1) {
+			continue
+		}
+		finite++
+		minPlusRow(m.V[i*n:i*n+i+1], p0[i], p0[:i+1])
+	}
+	return finite
 }
 
 func countFinite(v float64) int64 {
@@ -145,13 +170,16 @@ func countFinite(v float64) int64 {
 	return 1
 }
 
-// gatherRow copies row k of the symmetric matrix whose lower triangle
-// is current into dst: the stored part of row k, then column k below
-// the diagonal.
-func gatherRow(m *Matrix, k int, dst []float64) {
+// gatherRow copies the part of row k of the symmetric matrix whose
+// lower triangle is current that rows [lo, hi) store into dst: row k's
+// stored part if k is one of them, and column k of the ones below the
+// diagonal. Over [0, n) it is the whole row.
+func gatherRow(m *Matrix, k, lo, hi int, dst []float64) {
 	n := m.Rows
-	copy(dst, m.V[k*n:k*n+k+1])
-	for j := k + 1; j < n; j++ {
+	if lo <= k && k < hi {
+		copy(dst, m.V[k*n:k*n+k+1])
+	}
+	for j := max(lo, k+1); j < hi; j++ {
 		dst[j] = m.V[j*n+k]
 	}
 }

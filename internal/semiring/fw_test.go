@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -11,7 +13,8 @@ import (
 // loop and requires the same bits and the same charged count. It first
 // checks that the proof answers wantProven — which path ClassicalFW
 // takes for n ≥ triangleMinN — and, where it holds, also runs the
-// triangle path directly so sizes under triangleMinN are covered too.
+// triangle path directly, in one band and split into two and three, so
+// sizes under triangleMinN are covered too.
 func checkClassicalFW(t *testing.T, m *Matrix, wantProven bool) {
 	t.Helper()
 	if got := symmetricNonNegative(m); got != wantProven {
@@ -27,6 +30,92 @@ func checkClassicalFW(t *testing.T, m *Matrix, wantProven bool) {
 		tri := m.Clone()
 		if ops := classicalFWTriangle(tri); ops != wantOps || !bitIdentical(tri, want) {
 			t.Fatalf("n=%d: triangle path ops=%d, reference %d; bits equal: %v", m.Rows, ops, wantOps, bitIdentical(tri, want))
+		}
+		for bands := 2; bands <= min(3, m.Rows); bands++ {
+			split := m.Clone()
+			if ops := runSplit(newFWSplit(split, bands), bands); ops != wantOps || !bitIdentical(split, want) {
+				t.Fatalf("n=%d, %d bands: ops=%d, reference %d; bits equal: %v", m.Rows, bands, ops, wantOps, bitIdentical(split, want))
+			}
+		}
+	}
+}
+
+// classicalFWBands runs m as an FWSplit in the given number of bands,
+// or, where NewFWSplit refuses it, as ClassicalFW.
+func classicalFWBands(m *Matrix, bands int) int64 {
+	if s := NewFWSplit(m, bands); s != nil {
+		return runSplit(s, bands)
+	}
+	return ClassicalFW(m)
+}
+
+// runSplit runs s with bands−1 helpers on goroutines of their own, each
+// joining whenever the scheduler starts it, as an executor's idle worker
+// does.
+func runSplit(s *FWSplit, bands int) int64 {
+	var wg sync.WaitGroup
+	for h := 1; h < bands; h++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.Help()
+		}()
+	}
+	defer wg.Wait()
+	return s.Run()
+}
+
+// TestFWSplit holds the split to the sequential triangle at the sizes
+// the executor splits — the served gnp root block's among them — in up
+// to five bands, with a helper that joins halfway through, and with
+// helpers that come after every band is held or the split is over; and
+// it checks that the bands cover every row once, each about an equal
+// share of the triangle.
+func TestFWSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	real := func() float64 { return 0.1 + rng.Float64()*10 }
+	for _, n := range []int{BandMinN, BandMinN + 3, 768} {
+		m := symmetricMatrix(n, 1-4/float64(n), real, rng)
+		want := m.Clone()
+		wantOps := ClassicalFW(want)
+		for _, bands := range []int{1, 2, 3, 5} {
+			got := m.Clone()
+			if ops := classicalFWBands(got, bands); ops != wantOps || !bitIdentical(got, want) {
+				t.Errorf("n=%d, %d bands: ops=%d, sequential %d; bits equal: %v", n, bands, ops, wantOps, bitIdentical(got, want))
+			}
+		}
+		got := m.Clone()
+		s := NewFWSplit(got, 2)
+		ops := make(chan int64)
+		go func() { ops <- s.Run() }()
+		for int(s.bands[1].folded.Load()) < s.groups/2 {
+			runtime.Gosched()
+		}
+		if !s.Help() || s.Help() {
+			t.Errorf("n=%d: a late helper did not take the one free band, or a second one took a band", n)
+		}
+		if op := <-ops; op != wantOps || !bitIdentical(got, want) {
+			t.Errorf("n=%d, helper from group %d of %d: ops=%d, sequential %d; bits equal: %v",
+				n, s.groups/2, s.groups, op, wantOps, bitIdentical(got, want))
+		}
+		if s.Open() || s.Help() {
+			t.Errorf("n=%d: a finished split still takes helpers", n)
+		}
+	}
+	for _, n := range []int{1, 7, 100, 768} {
+		for bands := 1; bands <= min(n, 8); bands++ {
+			bounds := areaBands(n, bands)
+			if bounds[0] != 0 || bounds[bands] != n {
+				t.Fatalf("n=%d, %d bands: bounds %v do not span the rows", n, bands, bounds)
+			}
+			total := n * (n + 1) / 2
+			for b := 0; b < bands; b++ {
+				lo, hi := bounds[b], bounds[b+1]
+				area := (hi*(hi+1) - lo*(lo+1)) / 2
+				if lo > hi || area > total/bands+hi {
+					t.Errorf("n=%d, %d bands: band %d is rows [%d, %d), area %d of %d", n, bands, b, lo, hi, area, total)
+				}
+			}
 		}
 	}
 }
@@ -126,7 +215,10 @@ func TestClassicalFWMatchesReference(t *testing.T) {
 // FuzzClassicalFW decodes the input into a small matrix of values drawn
 // from a palette that includes every class the proof must reject, and
 // mirrors it unless told not to — so the fuzzer reaches both paths —
-// then requires ClassicalFW to match the general loop bit for bit.
+// then requires ClassicalFW to match the general loop bit for bit, and
+// an FWSplit in one to three bands to match ClassicalFW. Where the proof
+// holds it also runs the split directly at every size, against the
+// sequential triangle.
 func FuzzClassicalFW(f *testing.F) {
 	f.Add([]byte{9, 1, 1, 2, 3, 4, 5, 6, 7, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{12, 1, 0, 0, 7, 7, 7, 1, 2, 7, 3, 0, 0, 1})
@@ -142,6 +234,7 @@ func FuzzClassicalFW(f *testing.F) {
 		}
 		n := int(data[0]) % 24
 		mirror := data[1]%2 == 1
+		bands := 1 + int(data[1]>>1)%3
 		data = data[2:]
 		value := func(at int) float64 {
 			if len(data) == 0 {
@@ -171,6 +264,17 @@ func FuzzClassicalFW(f *testing.F) {
 		got := m.Clone()
 		if ops := ClassicalFW(got); ops != wantOps || !bitIdentical(got, want) {
 			t.Fatalf("n=%d mirror=%v proven=%v: ops=%d, reference %d\ninput\n%v", n, mirror, symmetricNonNegative(m), ops, wantOps, m)
+		}
+		split := m.Clone()
+		if ops := classicalFWBands(split, bands); ops != wantOps || !bitIdentical(split, want) {
+			t.Fatalf("n=%d mirror=%v, %d bands: ops=%d, reference %d\ninput\n%v", n, mirror, bands, ops, wantOps, m)
+		}
+		if n > 0 && symmetricNonNegative(m) {
+			tri, split := m.Clone(), m.Clone()
+			triOps := classicalFWTriangle(tri)
+			if ops := runSplit(newFWSplit(split, bands), bands); ops != triOps || !bitIdentical(split, tri) {
+				t.Fatalf("n=%d, %d bands: ops=%d, sequential triangle %d\ninput\n%v", n, bands, ops, triOps, m)
+			}
 		}
 	})
 }
