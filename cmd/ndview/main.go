@@ -133,7 +133,7 @@ func showRegions(h, l int) {
 // rows/columns and the Corollary 5.5 unit-processor rows — above level
 // 1: the default wire runs one level-1 unit per block on the block's
 // owner. The matrix is the default plan's messages summed per (src, dst)
-// at exact prices (Plan.Cost), which is what a solve would send; nothing
+// at exact prices (Plan.Traffic), which is what a solve would send; nothing
 // is executed.
 func showTraffic(gen string, n, h int, seed int64) {
 	g, err := graph.NamedGenerator(gen, n, seed)
@@ -150,7 +150,7 @@ func showTraffic(gen string, n, h int, seed int64) {
 	if err != nil {
 		fatal(err)
 	}
-	cost, err := pl.Cost(ly)
+	traffic, err := pl.Traffic(ly)
 	if err != nil {
 		fatal(err)
 	}
@@ -159,7 +159,7 @@ func showTraffic(gen string, n, h int, seed int64) {
 		tr[i] = make([]int64, p)
 	}
 	var hi int64
-	for _, m := range cost.Messages {
+	for _, m := range traffic.Messages {
 		tr[m.Src][m.Dst] += m.Words
 		hi = max(hi, tr[m.Src][m.Dst])
 	}

@@ -43,10 +43,12 @@ func NewLayoutFromOrdering(g *graph.Graph, nd *partition.Result) *Layout {
 	}
 }
 
-// blockBacking recycles the n²-word backing arrays of Blocks across
-// solves. A warm serving run executes one Blocks per query; without the
-// pool the allocator's zeroing and the GC's scanning of a multi-megabyte
-// slice are a fixed tax on every solve.
+// blockBacking recycles n²-word float64 buffers across solves and
+// repairs: the backing array of Blocks, the matrix assemble writes, and
+// the working copy RepairRows edits. A serving run draws several per
+// load or reweight; without the pool the allocator's zeroing and the
+// GC's scanning of a multi-megabyte slice are a fixed tax on each. A
+// buffer comes back with whatever its last user left in it.
 var blockBacking sync.Pool
 
 func getBacking(n int) []float64 {
@@ -57,6 +59,18 @@ func getBacking(n int) []float64 {
 	}
 	return make([]float64, n)
 }
+
+func putBacking(s []float64) {
+	if cap(s) > 0 {
+		blockBacking.Put(&s)
+	}
+}
+
+// ReleaseDist hands the storage of a distance matrix a solve or repair
+// returned back to the pool later solves and repairs draw their n²
+// buffers from. The caller must be its last user: nothing may read or
+// keep m.V afterwards.
+func ReleaseDist(m *semiring.Matrix) { putBacking(m.V) }
 
 // Blocks builds the initial distance-matrix blocks: blocks[i][j]
 // (1-based supernode labels) holds edge weights between supernodes i
@@ -109,7 +123,7 @@ func (ly *Layout) BlocksPooled() (blocks [][]*semiring.Matrix, release func()) {
 			}
 		}
 	}
-	return blocks, func() { blockBacking.Put(&flat) }
+	return blocks, func() { putBacking(flat) }
 }
 
 // AssembleOriginal reassembles a full distance matrix in the original
@@ -125,9 +139,11 @@ func (ly *Layout) AssembleOriginal(blocks [][]*semiring.Matrix) *semiring.Matrix
 // assemble is AssembleOriginal with the output rows split into bands on
 // pool's goroutines. Each row is written by one of them, from blocks
 // nothing writes any more, so the result is the same at any pool size.
+// The runs cover every entry of every row, so the output is drawn from
+// the buffer pool as it comes, with no fill.
 func (ly *Layout) assemble(blocks [][]*semiring.Matrix, pool *semiring.Pool) *semiring.Matrix {
 	n := ly.G.N()
-	out := semiring.NewMatrix(n, n)
+	out := &semiring.Matrix{Rows: n, Cols: n, V: getBacking(n * n)}
 	// A row of the result is a sequence of runs: consecutive columns at
 	// consecutive offsets of one supernode. A run is one copy out of row
 	// lu of an owned block (i, j), or one walk down column lu of the

@@ -350,8 +350,8 @@ func tightSum(sum, dist float64) bool {
 
 // rebuild re-extracts the rows named by targets (every row when nil)
 // from g — which must have the structure the table was allocated for —
-// on semiring.DefaultPool, in contiguous chunks with one scratch queue,
-// one distance buffer and one unpacked slot row each, all walking one
+// on semiring.DefaultPool, in contiguous chunks with one queue, one
+// distance buffer and one unpacked slot row each, all walking one
 // flat copy of the weighted half-edges (weigh). Distinct targets
 // pack into disjoint words, so the table is the same for any worker
 // count; so is the error, which is always the lowest-numbered failing
@@ -370,8 +370,9 @@ func (s *Successors) rebuild(g *graph.Graph, row RowFunc, targets []int) error {
 	}
 	errs := make([]error, chunks)
 	edges := s.adj.weigh(g)
+	integral := integralWeights(edges)
 	semiring.DefaultPool.ForEach(chunks, func(c int) {
-		queue := make([]int32, 0, n)
+		queue := make([]int32, n+1)
 		buf := make([]float64, n)
 		slots := make([]int32, n)
 		for i := c * count / chunks; i < (c+1)*count/chunks; i++ {
@@ -379,7 +380,7 @@ func (s *Successors) rebuild(g *graph.Graph, row RowFunc, targets []int) error {
 			if targets != nil {
 				v = targets[i]
 			}
-			if errs[c] = successorRow(edges, s.adj, row(v, buf), v, slots, queue); errs[c] != nil {
+			if errs[c] = successorRow(edges, s.adj, row(v, buf), v, slots, queue, integral); errs[c] != nil {
 				return
 			}
 			s.packRow(v, slots)
@@ -397,42 +398,122 @@ func (s *Successors) rebuild(g *graph.Graph, row RowFunc, targets []int) error {
 // path tree into v — from row v of the distance matrix: the backward
 // breadth-first walk of the tight-edge graph rooted at v described on
 // SuccessorsFromDist. Every entry of slots is overwritten, unpacked (-1
-// for none, v's own included); queue is scratch. The incremental repair
-// path calls this for exactly the targets whose distances or tight edges
-// changed, leaving the rest of the table as the original solve built it.
+// for none, v's own included); queue is scratch of length n+1, which the
+// walk fills by index. integral says every edge weight is an integer
+// (integralWeights). The incremental repair path calls this for exactly
+// the targets whose distances or tight edges changed, leaving the rest
+// of the table as the original solve built it.
+//
+// Whether the walk takes an edge — target unreached, edge tight — is
+// close to a coin toss on a grid or a random graph, so as a branch it
+// is hard to predict. On a row where tightSum is
+// plain equality (exactRow, with integral weights) and while more than
+// wideFrontier vertices wait in the queue, the walk instead computes
+// the decision as a 0/1 flag and applies it without branching: the slot
+// is rewritten with itself and the entry past the queue's tail
+// overwritten when the edge is not taken. A short queue keeps the
+// branch: there the next vertex to scan is the one the last decision
+// appended, and the flag's latency would sit on that chain (a cycle's
+// walk has two vertices in flight). Both loops visit the same edges in
+// the same order and take the same ones, so the table does not depend
+// on which ran.
 //
 // The table answers "no successor" from the component labels alone, so a
 // row is refused unless its distances agree with them both ways: every
 // finite distance reached by the walk, and no +Inf inside v's component
-// (an edge of weight +Inf).
-func successorRow(edges []slotEdge, adj *slotAdjacency, distV []float64, v int, slots []int32, queue []int32) error {
+// (an edge of weight +Inf). A walk that reaches all n vertices on a row
+// with no +Inf agrees by construction; any other row is checked vertex
+// by vertex and the lowest failing vertex reported.
+func successorRow(edges []slotEdge, adj *slotAdjacency, distV []float64, v int, slots []int32, queue []int32, integral bool) error {
 	for u := range slots {
 		slots[u] = -1
 	}
 	slots[v] = 0 // visited; cleared below
-	queue = append(queue[:0], int32(v))
-	for head := 0; head < len(queue); head++ {
+	queue[0] = int32(v)
+	exact, finite := exactRow(distV)
+	exact = exact && integral
+	tail := 1
+	for head := 0; head < tail; head++ {
 		w := queue[head]
 		dwv := distV[w]
-		for _, e := range edges[adj.cols[w].off:adj.cols[w+1].off] {
+		out := edges[adj.cols[w].off:adj.cols[w+1].off]
+		if exact && tail-head > wideFrontier {
+			for _, e := range out {
+				u, su := e.to, slots[e.to]
+				take := flag(e.w+dwv == distV[u]) & (uint32(su) >> 31) // tight and unreached (-1)
+				slots[u] = su + int32(take)*(e.rev-su)
+				queue[tail] = u
+				tail += int(take)
+			}
+			continue
+		}
+		for _, e := range out {
 			if slots[e.to] != -1 {
 				continue
 			}
 			if tightSum(e.w+dwv, distV[e.to]) {
 				slots[e.to] = e.rev
-				queue = append(queue, e.to)
+				queue[tail] = e.to
+				tail++
 			}
 		}
 	}
-	for u, su := range slots {
-		if inf := math.IsInf(distV[u], 1); su == -1 && !inf {
-			return fmt.Errorf("apsp: SuccessorsFromDist: d(%d,%d)=%g is not explained by any edge of the graph (inconsistent distances)", u, v, distV[u])
-		} else if inf && adj.comp[u] == adj.comp[v] {
-			return fmt.Errorf("apsp: SuccessorsFromDist: d(%d,%d)=+Inf inside one component of the graph (inconsistent distances)", u, v)
+	if tail < len(slots) || !finite {
+		for u, su := range slots {
+			if inf := math.IsInf(distV[u], 1); su == -1 && !inf {
+				return fmt.Errorf("apsp: SuccessorsFromDist: d(%d,%d)=%g is not explained by any edge of the graph (inconsistent distances)", u, v, distV[u])
+			} else if inf && adj.comp[u] == adj.comp[v] {
+				return fmt.Errorf("apsp: SuccessorsFromDist: d(%d,%d)=+Inf inside one component of the graph (inconsistent distances)", u, v)
+			}
 		}
 	}
 	slots[v] = -1
 	return nil
+}
+
+// wideFrontier is the queue length above which successorRow's exact
+// walk stops branching on each edge. BenchmarkSuccessorsFromDist reads
+// the same at 4 to 16 on every shape; at 2 the cycle slows by up to 2×.
+const wideFrontier = 8
+
+// flag is b as 0 or 1.
+func flag(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// exactRow scans a distance row once. finite reports that it holds no
+// +Inf; exact, that every entry is a non-negative integer below 1e9,
+// +Inf or NaN. On an exact row, with integral weights, tightSum(sum, d)
+// is sum == d: both sides are then exact integers, infinities or NaN,
+// and two integers that differ do so by at least 1, more than
+// tightSum's tolerance of 1e-9·max(1, |d|) below 1e9.
+func exactRow(d []float64) (exact, finite bool) {
+	exact, finite = true, true
+	for _, x := range d {
+		if x >= 0 && x < 1e9 && x == float64(int64(x)) {
+			continue
+		}
+		if x > math.MaxFloat64 {
+			finite = false
+		} else if x == x { // not NaN
+			exact = false
+		}
+	}
+	return exact, finite
+}
+
+// integralWeights reports whether every weight of edges is an integer,
+// ±Inf or NaN — every float64 of magnitude 2^53 or more is an integer.
+func integralWeights(edges []slotEdge) bool {
+	for _, e := range edges {
+		if math.Abs(e.w) < 1<<53 && e.w != float64(int64(e.w)) {
+			return false
+		}
+	}
+	return true
 }
 
 // N returns the number of vertices the result covers; valid query

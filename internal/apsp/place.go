@@ -1130,13 +1130,17 @@ func (pc *placer) replay(i int, from []tick, hook func(*placeStep)) tick {
 // PlanCost is the Report and the per-level phase costs an execute of the
 // plan gives, priced without executing: every field is what the machine
 // reference charges (TestPlanClockIsExact), so an execute reports this.
-// Messages is every message of the plan in replay order, TotalMessages of
-// them; summed per (Src, Dst) it is the words-sent matrix. The words
-// chain is the critical path's messages in send order, whose words sum to
-// Critical.Bandwidth; the messages chain has Critical.Latency links.
 type PlanCost struct {
 	comm.Report
-	Phases                    []comm.PhaseCost
+	Phases []comm.PhaseCost
+}
+
+// PlanTraffic is every message of a plan and its critical chains.
+// Messages is every message in replay order, TotalMessages of them;
+// summed per (Src, Dst) it is the words-sent matrix. The words chain is
+// the critical path's messages in send order, whose words sum to
+// Critical.Bandwidth; the messages chain has Critical.Latency links.
+type PlanTraffic struct {
 	Messages                  []Segment
 	WordsChain, MessagesChain []Segment
 }
@@ -1166,50 +1170,44 @@ func (pl *Plan) Cost(ly *Layout) (*PlanCost, error) {
 	return pl.cost, nil
 }
 
-// exactCost replays pl at exact prices, summing the report and keeping,
-// per clock component and rank, the chain that component ends on: a
-// sender extends its own, a receiver whichever of its own and the
-// sender's pre-send chain deliver max-merges in (its own on a tie).
-// Before each message the pricer brings both ranks' programs up to the
-// message's op, and the receiver max-merges the sender's flops as deliver
-// does its words and messages.
+// exactPlacer is the placer that replays pl at exact prices from the
+// masks sends.
+func (pl *Plan) exactPlacer(sends map[*Op]*sendDemand) *placer {
+	pc := newPlacer(pl, sends)
+	pc.exact, pc.count = true, true
+	pc.list()
+	return pc
+}
+
+// segment is message m of step st.
+func (st *placeStep) segment(m msg) Segment {
+	bi, bj := st.op.payload(m.part)
+	return Segment{st.level, bi, bj, m.src, m.dst, opSendClass[st.op.Kind], st.w[m.part]}
+}
+
+// exactCost replays pl at exact prices, summing the report. Before each
+// message the pricer brings both ranks' programs up to the message's op,
+// and the receiver max-merges the sender's flops as deliver does its
+// words and messages.
 func (pl *Plan) exactCost(ly *Layout) *PlanCost {
 	sends, work := pl.masks, pl.work
 	if sends == nil {
 		sends, work = sweepPlan(pl, ly, false)
 	}
 	pl.masks, pl.work = nil, nil
-	pc := newPlacer(pl, sends)
-	pc.exact, pc.count = true, true
-	pc.list()
+	pc := pl.exactPlacer(sends)
 	pr := newPricer(pc, work)
 	c := &PlanCost{Report: comm.Report{P: pl.P, PerRank: make([]comm.Cost, pl.P), PeakWords: make([]int64, pl.P),
 		LocalFlops: make([]int64, pl.P), LocalSent: make([]int64, pl.P)}}
-	type link struct {
-		seg  Segment
-		prev *link
-	}
-	// Per component (words, messages), each rank's chain, newest first.
-	last := [2][]*link{make([]*link, pl.P), make([]*link, pl.P)}
-	of := [2]func(tick) int64{func(t tick) int64 { return t.words }, func(t tick) int64 { return t.msgs }}
 	pc.record = func(st *placeStep, m msg) {
 		pr.upTo(m.src, st.op)
 		pr.upTo(m.dst, st.op)
 		pr.ranks[m.dst].flops = max(pr.ranks[m.dst].flops, pr.ranks[m.src].flops)
-		bi, bj := st.op.payload(m.part)
-		seg := Segment{st.level, bi, bj, m.src, m.dst, opSendClass[st.op.Kind], st.w[m.part]}
-		c.Messages = append(c.Messages, seg)
+		seg := st.segment(m)
 		c.TotalMessages++
 		c.TotalWords += seg.Words
 		c.LocalSent[m.src] += seg.Words
 		c.WordsByClass[seg.Class] += seg.Words
-		for k, chain := range last {
-			from := chain[m.dst]
-			if of[k](pc.clock[m.src]) > of[k](pc.clock[m.dst]) {
-				from = chain[m.src]
-			}
-			chain[m.src], chain[m.dst] = &link{seg, chain[m.src]}, &link{seg, from}
-		}
 	}
 	crit := pc.replay(0, nil, nil)
 	for r, t := range pc.clock {
@@ -1222,14 +1220,49 @@ func (pl *Plan) exactCost(ly *Layout) *PlanCost {
 	}
 	c.Critical.Latency, c.Critical.Bandwidth = crit.msgs, crit.words
 	c.Phases = comm.Phases(pr.ids, pr.marks)
-	for k, out := range [2]*[]Segment{&c.WordsChain, &c.MessagesChain} {
-		end := slices.IndexFunc(pc.clock, func(t tick) bool { return of[k](t) == of[k](crit) })
+	return c
+}
+
+// Traffic replays the plan clock Cost prices once more, from a demand
+// sweep of its own over ly, and keeps every message and, per clock
+// component and rank, the chain that component ends on: a sender extends
+// its own, a receiver whichever of its own and the sender's pre-send
+// chain deliver max-merges in (its own on a tie). Nothing of it is kept
+// on the plan; it refuses a layout from another dissection, as Cost does.
+func (pl *Plan) Traffic(ly *Layout) (*PlanTraffic, error) {
+	if err := pl.checkLayout(ly); err != nil {
+		return nil, err
+	}
+	sends, _ := sweepPlan(pl, ly, false)
+	pc := pl.exactPlacer(sends)
+	t := &PlanTraffic{}
+	type link struct {
+		seg  Segment
+		prev *link
+	}
+	// Per component (words, messages), each rank's chain, newest first.
+	last := [2][]*link{make([]*link, pl.P), make([]*link, pl.P)}
+	of := [2]func(tick) int64{func(t tick) int64 { return t.words }, func(t tick) int64 { return t.msgs }}
+	pc.record = func(st *placeStep, m msg) {
+		seg := st.segment(m)
+		t.Messages = append(t.Messages, seg)
+		for k, chain := range last {
+			from := chain[m.dst]
+			if of[k](pc.clock[m.src]) > of[k](pc.clock[m.dst]) {
+				from = chain[m.src]
+			}
+			chain[m.src], chain[m.dst] = &link{seg, chain[m.src]}, &link{seg, from}
+		}
+	}
+	crit := pc.replay(0, nil, nil)
+	for k, out := range [2]*[]Segment{&t.WordsChain, &t.MessagesChain} {
+		end := slices.IndexFunc(pc.clock, func(c tick) bool { return of[k](c) == of[k](crit) })
 		for l := last[k][end]; l != nil; l = l.prev {
 			*out = append(*out, l.seg)
 		}
 		slices.Reverse(*out)
 	}
-	return c
+	return t, nil
 }
 
 // pairRound tries, for every pair of panel broadcasts of a block and its

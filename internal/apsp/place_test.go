@@ -65,8 +65,8 @@ func critRank(perRank []comm.Cost, of func(comm.Cost) int64) int {
 }
 
 // TestCriticalChainMatchesClock: on the golden cases and both served
-// shapes, under both wires and both R4 strategies, Plan.Cost's words
-// chain sums to its critical words and its messages chain has one link
+// shapes, under both wires and both R4 strategies, Plan.Traffic's words
+// chain sums to Plan.Cost's critical words and its messages chain has one link
 // per critical message, and each chain is one path ending on the rank
 // whose clock reads that component's critical value (chainIsPath).
 func TestCriticalChainMatchesClock(t *testing.T) {
@@ -79,19 +79,20 @@ func TestCriticalChainMatchesClock(t *testing.T) {
 		for _, wire := range []WireFormat{WirePruned, WireDense} {
 			for _, r4 := range []R4Strategy{R4Mapped, R4Sequential} {
 				name := fmt.Sprintf("%s/%v/r4=%d", tc.name, wire, r4)
-				cost := planCost(t, buildTestPlanAt(t, ly, tc.p, wire, r4), ly)
+				pl := buildTestPlanAt(t, ly, tc.p, wire, r4)
+				cost, tr := planCost(t, pl, ly), planTraffic(t, pl, ly)
 				var words int64
-				for _, s := range cost.WordsChain {
+				for _, s := range tr.WordsChain {
 					words += s.Words
 				}
 				if words != cost.Critical.Bandwidth {
-					t.Errorf("%s: the words chain's %d links sum to %d words, the clock reads %d", name, len(cost.WordsChain), words, cost.Critical.Bandwidth)
+					t.Errorf("%s: the words chain's %d links sum to %d words, the clock reads %d", name, len(tr.WordsChain), words, cost.Critical.Bandwidth)
 				}
-				if n := int64(len(cost.MessagesChain)); n != cost.Critical.Latency {
+				if n := int64(len(tr.MessagesChain)); n != cost.Critical.Latency {
 					t.Errorf("%s: the messages chain has %d links, the clock reads %d messages", name, n, cost.Critical.Latency)
 				}
-				chainIsPath(t, name+" words", cost.WordsChain, critRank(cost.PerRank, func(c comm.Cost) int64 { return c.Bandwidth }))
-				chainIsPath(t, name+" messages", cost.MessagesChain, critRank(cost.PerRank, func(c comm.Cost) int64 { return c.Latency }))
+				chainIsPath(t, name+" words", tr.WordsChain, critRank(cost.PerRank, func(c comm.Cost) int64 { return c.Bandwidth }))
+				chainIsPath(t, name+" messages", tr.MessagesChain, critRank(cost.PerRank, func(c comm.Cost) int64 { return c.Latency }))
 			}
 		}
 	}
@@ -103,7 +104,7 @@ func TestCriticalChainMatchesClock(t *testing.T) {
 // of the 8,193-word A(1,7) from rank 6 to ranks 3, 1 and 0 — 24,579 words.
 func TestPlanCostServedGridChain(t *testing.T) {
 	ly := testLayout(t, graph.Grid2D(32, 32, integerWeights(rand.New(rand.NewSource(1)), 9)), 49)
-	chain := planCost(t, buildTestPlanAt(t, ly, 49, WirePruned, R4Mapped), ly).WordsChain
+	chain := planTraffic(t, buildTestPlanAt(t, ly, 49, WirePruned, R4Mapped), ly).WordsChain
 	var words int64
 	for _, s := range chain {
 		words += s.Words
@@ -201,24 +202,25 @@ func TestExecuteCopiesThePrice(t *testing.T) {
 	}
 }
 
-// costIsReport fails t unless Plan.Cost is what the machine reference
-// (executeMachine) charged in mach — its whole Report and its phase
-// costs — naming the first rank whose clock, sent words, peak memory or
-// own flops differ, and unless its messages are what the machine counts:
-// TotalMessages of them, whose words sum to TotalWords, to LocalSent per
-// sender and to WordsByClass per class.
-func costIsReport(t *testing.T, name string, cost *PlanCost, mach *DistResult) {
+// costIsReport fails t unless pl's Plan.Cost is what the machine
+// reference (executeMachine) charged in mach — its whole Report and its
+// phase costs — naming the first rank whose clock, sent words, peak
+// memory or own flops differ, and unless Plan.Traffic's messages are what
+// the machine counts: TotalMessages of them, whose words sum to
+// TotalWords, to LocalSent per sender and to WordsByClass per class.
+func costIsReport(t *testing.T, name string, pl *Plan, ly *Layout, mach *DistResult) {
 	t.Helper()
+	cost, tr := planCost(t, pl, ly), planTraffic(t, pl, ly)
 	want := mach.Report
-	sent := comm.Report{TotalMessages: int64(len(cost.Messages)), LocalSent: make([]int64, len(want.LocalSent))}
-	for _, m := range cost.Messages {
+	sent := comm.Report{TotalMessages: int64(len(tr.Messages)), LocalSent: make([]int64, len(want.LocalSent))}
+	for _, m := range tr.Messages {
 		sent.TotalWords += m.Words
 		sent.LocalSent[m.Src] += m.Words
 		sent.WordsByClass[m.Class] += m.Words
 	}
 	if sent.TotalMessages != want.TotalMessages || sent.TotalWords != want.TotalWords ||
 		!slices.Equal(sent.LocalSent, want.LocalSent) || sent.WordsByClass != want.WordsByClass {
-		t.Errorf("%s: Plan.Cost's %d messages sum to %d words, %v by class; the machine sent %d messages of %d words, %v by class",
+		t.Errorf("%s: Plan.Traffic's %d messages sum to %d words, %v by class; the machine sent %d messages of %d words, %v by class",
 			name, sent.TotalMessages, sent.TotalWords, sent.WordsByClass, want.TotalMessages, want.TotalWords, want.WordsByClass)
 	}
 	if !reflect.DeepEqual(cost.Phases, mach.Phases) {
@@ -278,7 +280,7 @@ func TestPlanClockIsExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				costIsReport(t, fmt.Sprintf("%s/%v/r4=%d", tc.name, wire, r4), planCost(t, pl, ly), mach)
+				costIsReport(t, fmt.Sprintf("%s/%v/r4=%d", tc.name, wire, r4), pl, ly, mach)
 			}
 		}
 	}
@@ -780,6 +782,15 @@ func planCost(t testing.TB, pl *Plan, ly *Layout) *PlanCost {
 		t.Fatal(err)
 	}
 	return cost
+}
+
+func planTraffic(t testing.TB, pl *Plan, ly *Layout) *PlanTraffic {
+	t.Helper()
+	tr, err := pl.Traffic(ly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 // TestMirrorDropRekeysDemands: dropMirrors deletes ops, which moves every

@@ -100,7 +100,7 @@ func TestPlanTrafficPinned(t *testing.T) {
 				}
 				fmt.Fprintf(&sb, "%s/%v/r4=%d\n", name, wire, r4)
 				sent := map[[2]int]int64{}
-				for _, m := range planCost(t, pl, ly).Messages {
+				for _, m := range planTraffic(t, pl, ly).Messages {
 					sent[[2]int{m.Src, m.Dst}] += m.Words
 				}
 				var pairs [][2]int

@@ -137,7 +137,7 @@ func FuzzBuildPlan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%s: machine: %v", name(), err)
 		}
-		costIsReport(t, name(), planCost(t, pl, ly), mach)
+		costIsReport(t, name(), pl, ly, mach)
 		if !identicalMatrices(mach.Dist, res.Dist) {
 			t.Errorf("%s: machine distances differ from ExecuteOpts'", name())
 		}

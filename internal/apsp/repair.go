@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"sparseapsp/internal/graph"
 	"sparseapsp/internal/semiring"
@@ -218,11 +219,26 @@ func RepairRows(ed *Edited, prevDist RowFunc, prevNext *Successors, threshold fl
 	}
 
 	d := copyRows(prevDist, n)
-	// dirty marks the targets whose successor rows are rebuilt: both
-	// ends of every entry either phase writes. A changed d(x,z) dirties
-	// x and z alike — extraction reads the distances towards a target
-	// from its row, VerifyPaths and callers read them from its column.
-	dirty := make([]bool, n)
+	res, err := repairMatrix(ed, d, prevNext, threshold, budget, &st)
+	if res == nil {
+		putBacking(d) // nothing else saw it
+	}
+	if err != nil {
+		if err == errRepairDamage {
+			return fellBack()
+		}
+		return nil, st, err
+	}
+	return res, st, nil
+}
+
+// repairMatrix runs both phases and the successor rebuild on d, the
+// working copy of the previous distances; RepairRows owns d and takes it
+// back when no result keeps it. errRepairDamage means a threshold gave up.
+func repairMatrix(ed *Edited, d []float64, prevNext *Successors, threshold float64, budget int64, st *RepairStats) (*PathResult, error) {
+	g2, deltas := ed.Graph, ed.deltas
+	n := g2.N()
+	ws := newRepairWorkers(n)
 
 	// The phases below lean on the matrix being value-symmetric
 	// (d(x,y) = d(y,x), guaranteed for an undirected graph), reading
@@ -235,45 +251,53 @@ func RepairRows(ed *Edited, prevDist RowFunc, prevNext *Successors, threshold fl
 	// with non-negative weights a shortest path crosses the decreased
 	// edge {u,v} at most once, so for every affected pair (x,z) the new
 	// distance is min(d(x,z), d(x,u)+w+d(v,z), d(x,v)+w+d(u,z)) over
-	// the pre-sweep matrix. Reading partially-updated entries is
-	// harmless — every candidate stays a valid walk weight ≥ the true
-	// distance. Applied one edit at a time, the matrix is exactly the
-	// distances of the partially-edited graph after each sweep — no
-	// fixpoint iteration, no worklist.
-	affected := make([]int, 0, n)
+	// the pre-sweep matrix — which is what every row reads: its own
+	// entries, and rows u and v from snapshots taken before the sweep.
+	// Each affected row is then a function of the pre-sweep matrix
+	// alone, so the rows sweep in bands on the pool and the result does
+	// not depend on how many workers ran. Applied one edit at a time,
+	// the matrix is exactly the distances of the partially-edited graph
+	// after each sweep — no fixpoint iteration, no worklist.
+	var affected []int
+	var snapU, snapV []float64
 	for _, del := range deltas {
 		if del.new >= del.old {
 			continue
 		}
+		if affected == nil {
+			affected, snapU, snapV = make([]int, 0, n), make([]float64, n), make([]float64, n)
+		}
 		w := del.new
-		rowU := d[del.u*n : (del.u+1)*n]
-		rowV := d[del.v*n : (del.v+1)*n]
+		copy(snapU, d[del.u*n:(del.u+1)*n])
+		copy(snapV, d[del.v*n:(del.v+1)*n])
 		affected = affected[:0]
 		for x := 0; x < n; x++ {
-			if rowU[x]+w < rowV[x] || rowV[x]+w < rowU[x] {
+			if snapU[x]+w < snapV[x] || snapV[x]+w < snapU[x] {
 				affected = append(affected, x)
 			}
 		}
 		st.Relaxations += int64(n) + int64(len(affected))*int64(n)
 		if st.Relaxations > budget {
-			return fellBack()
+			return nil, errRepairDamage
 		}
-		for _, x := range affected {
-			rowX := d[x*n : (x+1)*n]
-			au := rowX[del.u] + w
-			av := rowX[del.v] + w
-			for z, dvz := range rowV {
-				s := au + dvz
-				if s2 := av + rowU[z]; s2 < s {
-					s = s2
-				}
-				if s < rowX[z] {
-					rowX[z] = s
-					st.Writes++
-					dirty[x], dirty[z] = true, true
+		ws.bands(len(affected), func(wk *repairWorker, _, lo, hi int) {
+			for _, x := range affected[lo:hi] {
+				rowX := d[x*n : (x+1)*n]
+				au := rowX[del.u] + w
+				av := rowX[del.v] + w
+				for z, dvz := range snapV {
+					s := au + dvz
+					if s2 := av + snapU[z]; s2 < s {
+						s = s2
+					}
+					if s < rowX[z] {
+						rowX[z] = s
+						wk.writes++
+						wk.dirty[x], wk.dirty[z] = true, true
+					}
 				}
 			}
-		}
+		})
 	}
 
 	// Phase 2 — increases. The matrix is now exact for the graph with
@@ -281,13 +305,15 @@ func RepairRows(ed *Edited, prevDist RowFunc, prevNext *Successors, threshold fl
 	// edge at its OLD weight), so it is a min-plus fixpoint under which
 	// the tightness tests below are meaningful.
 	if st.Increases > 0 {
-		if err := repairIncreases(g2, deltas, d, dirty, threshold, budget, &st); err != nil {
-			if err == errRepairDamage {
-				return fellBack()
-			}
-			return nil, st, err
+		if err := repairIncreases(g2, deltas, d, ws, threshold, budget, st); err != nil {
+			return nil, err
 		}
 	}
+	// dirty marks the targets whose successor rows are rebuilt: both
+	// ends of every entry either phase writes. A changed d(x,z) dirties
+	// x and z alike — extraction reads the distances towards a target
+	// from its row, VerifyPaths and callers read them from its column.
+	dirty := ws.merge(st)
 
 	dist := &semiring.Matrix{Rows: n, Cols: n, V: d}
 
@@ -316,15 +342,16 @@ func RepairRows(ed *Edited, prevDist RowFunc, prevNext *Successors, threshold fl
 	}
 	next := prevNext.clone()
 	if err := next.rebuild(g2, matrixRows(dist), targets); err != nil {
-		return nil, st, fmt.Errorf("apsp: Repair: %w", err)
+		return nil, fmt.Errorf("apsp: Repair: %w", err)
 	}
 	st.RepairedColumns = len(targets)
-	return &PathResult{Dist: dist, next: next}, st, nil
+	return &PathResult{Dist: dist, next: next}, nil
 }
 
-// copyRows materialises the n rows of row as one fresh row-major slice.
+// copyRows materialises the n rows of row as one row-major slice drawn
+// from the solvers' n² buffer pool (getBacking).
 func copyRows(row RowFunc, n int) []float64 {
-	d := make([]float64, n*n)
+	d := getBacking(n * n)
 	semiring.DefaultPool.ForRanges(n, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			dst := d[v*n : (v+1)*n]
@@ -334,6 +361,69 @@ func copyRows(row RowFunc, n int) []float64 {
 		}
 	})
 	return d
+}
+
+// repairWorker is one pool goroutine's share of a repair: the targets
+// the rows it swept dirtied, what it adds to RepairStats, and the
+// increase phase's scratch — reset marks, and the boundary Dijkstra's
+// heap, membership and distances — allocated once at n and reused for
+// every row the goroutine takes.
+type repairWorker struct {
+	dirty                 []bool
+	writes                int64
+	resetPairs, resetRows int
+
+	mark, inS []bool
+	dist      []float64
+	h         pairHeap
+}
+
+// repairWorkers holds a repairWorker per goroutine the pool runs, each
+// made on first use.
+type repairWorkers struct {
+	n  int
+	ws []*repairWorker
+}
+
+func newRepairWorkers(n int) *repairWorkers {
+	return &repairWorkers{n: n, ws: make([]*repairWorker, max(1, min(semiring.DefaultPool.Size(), n)))}
+}
+
+// bandCount is how many contiguous bands count rows are cut into: a few
+// per goroutine, so uneven rows balance.
+func (r *repairWorkers) bandCount(count int) int { return min(4*len(r.ws), count) }
+
+// bands cuts [0, count) into bandCount(count) contiguous bands and runs
+// f(wk, b, lo, hi) for every band b = [lo, hi) on the pool, handing the
+// bands out dynamically; every band a goroutine takes runs with that
+// goroutine's repairWorker, so counters and scratch are never shared.
+func (r *repairWorkers) bands(count int, f func(wk *repairWorker, b, lo, hi int)) {
+	nb := r.bandCount(count)
+	var next atomic.Int64
+	semiring.DefaultPool.ForEach(min(len(r.ws), nb), func(k int) {
+		if r.ws[k] == nil {
+			r.ws[k] = &repairWorker{dirty: make([]bool, r.n)}
+		}
+		for b := int(next.Add(1)) - 1; b < nb; b = int(next.Add(1)) - 1 {
+			f(r.ws[k], b, b*count/nb, (b+1)*count/nb)
+		}
+	})
+}
+
+// merge adds the workers' writes to st and returns the union of the
+// targets they dirtied.
+func (r *repairWorkers) merge(st *RepairStats) []bool {
+	dirty := make([]bool, r.n)
+	for _, wk := range r.ws {
+		if wk == nil {
+			continue
+		}
+		st.Writes += wk.writes
+		for v, x := range wk.dirty {
+			dirty[v] = dirty[v] || x
+		}
+	}
+	return dirty
 }
 
 // errRepairDamage signals that the increase phase detected more damage
@@ -371,20 +461,27 @@ var errRepairDamage = errors.New("apsp: repair damage threshold exceeded")
 //     so rows whose resets are tie-induced false alarms cost almost
 //     nothing.
 //
-// Rows are repaired independently (each reads only its own settled
-// entries and edge weights), so the order is irrelevant. The boundary
+// Rows are repaired independently — each reads only its own entries,
+// rows u and v of the increased edges and the edge weights, and writes
+// only its own entries — so both the reset scan and the Dijkstras run in
+// bands of affected rows on the pool, each goroutine with its own marks
+// and Dijkstra scratch, and the result is the same for any worker count:
+// a row's reset targets come out in the same order (increase by
+// increase, ascending within one) whoever scans it. The boundary
 // Dijkstra requires non-negative weights; graphs carrying a negative
 // edge fall back instead (errRepairDamage), and the caller's solve
 // handles them exactly.
-func repairIncreases(g2 *graph.Graph, deltas []edgeDelta, d []float64, dirty []bool, threshold float64, budget int64, st *RepairStats) error {
+func repairIncreases(g2 *graph.Graph, deltas []edgeDelta, d []float64, ws *repairWorkers, threshold float64, budget int64, st *RepairStats) error {
 	n := g2.N()
 
 	aff := make([]bool, n)
 	affRows := make([]int, 0, n)
+	var incs []edgeDelta
 	for _, del := range deltas {
 		if del.new <= del.old {
 			continue
 		}
+		incs = append(incs, del)
 		rowU := d[del.u*n : (del.u+1)*n]
 		rowV := d[del.v*n : (del.v+1)*n]
 		for x := 0; x < n; x++ {
@@ -411,47 +508,66 @@ func repairIncreases(g2 *graph.Graph, deltas []edgeDelta, d []float64, dirty []b
 	if st.Relaxations > budget {
 		return errRepairDamage
 	}
-	// Reset scan. The tightness test is tightSum inlined (exact match
-	// or within 1e-9 relative) — at #increases·|affected|·n probes the
-	// call overhead is the phase's hot spot.
-	reset := make([]bool, n*n)
-	rowResets := make([][]int32, n)
-	for _, del := range deltas {
-		if del.new <= del.old {
-			continue
+	// Reset scan, one band of affected rows per task; a band keeps the
+	// rows holding resets and their targets, back to back, for the
+	// Dijkstra pass below. The tightness test is tightSum inlined (exact
+	// match or within 1e-9 relative) — at #increases·|affected|·n probes
+	// the call overhead is the phase's hot spot.
+	type resetBand struct {
+		rows, ends, targets []int32 // row rows[i] resets targets[ends[i-1]:ends[i]]
+	}
+	bands := make([]resetBand, ws.bandCount(len(affRows)))
+	ws.bands(len(affRows), func(wk *repairWorker, bi, lo, hi int) {
+		if wk.mark == nil {
+			wk.mark = make([]bool, n)
 		}
-		rowU := d[del.u*n : (del.u+1)*n]
-		rowV := d[del.v*n : (del.v+1)*n]
-		for _, a := range affRows {
-			au := rowU[a] + del.old
-			av := rowV[a] + del.old
-			if math.IsInf(au, 1) && math.IsInf(av, 1) {
-				continue
-			}
+		rb, mark := &bands[bi], wk.mark
+		for _, a := range affRows[lo:hi] {
 			drow := d[a*n : (a+1)*n]
-			rra := reset[a*n : (a+1)*n]
-			for b := 0; b < n; b++ {
-				if a == b || rra[b] {
+			start := len(rb.targets)
+			for _, del := range incs {
+				rowU := d[del.u*n : (del.u+1)*n]
+				rowV := d[del.v*n : (del.v+1)*n]
+				au := rowU[a] + del.old
+				av := rowV[a] + del.old
+				if math.IsInf(au, 1) && math.IsInf(av, 1) {
 					continue
 				}
-				dab := drow[b]
-				if math.IsInf(dab, 1) {
-					continue
-				}
-				tol := 1e-9
-				if dab > 1 {
-					tol *= dab
-				} else if dab < -1 {
-					tol *= -dab
-				}
-				s1 := au + rowV[b] - dab
-				s2 := av + rowU[b] - dab
-				if (s1 <= tol && s1 >= -tol) || (s2 <= tol && s2 >= -tol) {
-					rra[b] = true
-					rowResets[a] = append(rowResets[a], int32(b))
-					st.ResetPairs++
+				for b := 0; b < n; b++ {
+					if a == b || mark[b] {
+						continue
+					}
+					dab := drow[b]
+					if math.IsInf(dab, 1) {
+						continue
+					}
+					tol := 1e-9
+					if dab > 1 {
+						tol *= dab
+					} else if dab < -1 {
+						tol *= -dab
+					}
+					s1 := au + rowV[b] - dab
+					s2 := av + rowU[b] - dab
+					if (s1 <= tol && s1 >= -tol) || (s2 <= tol && s2 >= -tol) {
+						mark[b] = true
+						rb.targets = append(rb.targets, int32(b))
+					}
 				}
 			}
+			if len(rb.targets) > start {
+				for _, b := range rb.targets[start:] {
+					mark[b] = false
+				}
+				rb.rows = append(rb.rows, int32(a))
+				rb.ends = append(rb.ends, int32(len(rb.targets)))
+				wk.resetPairs += len(rb.targets) - start
+			}
+		}
+	})
+	for _, wk := range ws.ws {
+		if wk != nil {
+			st.ResetPairs += wk.resetPairs
 		}
 	}
 	st.DamageFraction = float64(st.ResetPairs) / float64(st.TotalPairs)
@@ -459,46 +575,65 @@ func repairIncreases(g2 *graph.Graph, deltas []edgeDelta, d []float64, dirty []b
 		return errRepairDamage
 	}
 
-	var h pairHeap
-	inS := make([]bool, n)
-	dist := make([]float64, n)
-	for a, S := range rowResets {
-		if len(S) == 0 {
-			continue
+	// The Dijkstras, over the same bands. probes is the running total of
+	// Relaxations across goroutines: once it passes the budget the repair
+	// has given up, whichever rows are left, so they are skipped.
+	var probes atomic.Int64
+	probes.Store(st.Relaxations)
+	ws.bands(len(affRows), func(wk *repairWorker, bi, _, _ int) {
+		if wk.inS == nil {
+			wk.inS, wk.dist = make([]bool, n), make([]float64, n)
 		}
-		st.ResetRows++
-		row := d[a*n : (a+1)*n]
-		for _, b := range S {
-			inS[b] = true
-		}
-		for _, b := range S {
-			adj := g2.Adj(int(b))
-			best := semiring.Inf
-			for _, e := range adj {
-				if !inS[e.To] {
-					if c := row[e.To] + e.W; c < best {
-						best = c
+		rb, inS, dist := &bands[bi], wk.inS, wk.dist
+		start := int32(0)
+		for i, a := range rb.rows {
+			S := rb.targets[start:rb.ends[i]]
+			start = rb.ends[i]
+			if probes.Load() > budget {
+				return
+			}
+			wk.resetRows++
+			row := d[int(a)*n : (int(a)+1)*n]
+			var relax int64
+			for _, b := range S {
+				inS[b] = true
+			}
+			for _, b := range S {
+				adj := g2.Adj(int(b))
+				best := semiring.Inf
+				for _, e := range adj {
+					if !inS[e.To] {
+						if c := row[e.To] + e.W; c < best {
+							best = c
+						}
 					}
 				}
+				dist[b] = best
+				if !math.IsInf(best, 1) {
+					wk.h.push(best, int(b))
+				}
+				relax += int64(len(adj))
 			}
-			dist[b] = best
-			if !math.IsInf(best, 1) {
-				h.push(best, int(b))
+			relax += dijkstra(g2, &wk.h, dist, inS)
+			for _, b := range S {
+				inS[b] = false
+				if nv := dist[b]; nv != row[b] {
+					row[b] = nv
+					wk.writes++
+					wk.dirty[a], wk.dirty[b] = true, true
+				}
 			}
-			st.Relaxations += int64(len(adj))
+			probes.Add(relax)
 		}
-		st.Relaxations += dijkstra(g2, &h, dist, inS)
-		for _, b := range S {
-			inS[b] = false
-			if nv := dist[b]; nv != row[b] {
-				row[b] = nv
-				st.Writes++
-				dirty[a], dirty[b] = true, true
-			}
+	})
+	st.Relaxations = probes.Load()
+	for _, wk := range ws.ws {
+		if wk != nil {
+			st.ResetRows += wk.resetRows
 		}
-		if st.Relaxations > budget {
-			return errRepairDamage
-		}
+	}
+	if st.Relaxations > budget {
+		return errRepairDamage
 	}
 	return nil
 }

@@ -3,6 +3,9 @@ package apsp
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -327,6 +330,117 @@ func TestRepairReadsEachRowOnce(t *testing.T) {
 		if !identicalMatrices(got.Dist, mustJohnson(t, ed.Graph)) {
 			t.Errorf("%s: repaired distances differ from Johnson", kind)
 		}
+	}
+}
+
+// TestRepairWorkerInvariance: both repair phases sweep rows in bands on
+// the pool, each goroutine with its own scratch and counters, so the
+// repaired distances, the successor words and every RepairStats field
+// must come out the same at 1, 2 and 4 goroutines — on integer and on
+// real-valued weights, for decrease, increase and mixed batches, and for
+// a batch whose damage makes the repair give up. Run under -race.
+func TestRepairWorkerInvariance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	type outcome struct {
+		dist  []uint64
+		words []uint64
+		st    RepairStats
+	}
+	rng := rand.New(rand.NewSource(53))
+	for _, wc := range []struct {
+		name string
+		w    graph.WeightFn
+	}{{"int", integerWeights(rng, 9)}, {"real", graph.RandomWeights(rng, 1, 9)}} {
+		g := graph.Grid2D(12, 12, wc.w)
+		prev := johnsonPaths(t, g)
+		type batch struct {
+			name      string
+			edits     []EdgeEdit
+			threshold float64
+		}
+		batches := []batch{
+			{"dec", pickEdits(g, rng, 4, "dec"), 1},
+			{"inc", pickEdits(g, rng, 4, "inc"), 1},
+			{"mixed", pickEdits(g, rng, 6, "mixed"), 1},
+			{"fallback", pickEdits(g, rng, 12, "inc"), 0.05},
+		}
+		for _, b := range batches {
+			ed, err := ApplyEdits(g, b.edits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want outcome
+			for i, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				res, st, err := RepairRows(ed, matrixRows(prev.Dist), prev.next, b.threshold)
+				if err != nil {
+					t.Fatalf("%s/%s at %d: %v", wc.name, b.name, procs, err)
+				}
+				got := outcome{st: st}
+				if res != nil {
+					got.words = slices.Clone(res.next.words)
+					for _, x := range res.Dist.V {
+						got.dist = append(got.dist, math.Float64bits(x))
+					}
+				}
+				if st.FellBack != (b.name == "fallback") || (st.FellBack && st.ResetPairs == 0) {
+					t.Fatalf("%s/%s at %d: FellBack = %v after %d reset pairs", wc.name, b.name, procs, st.FellBack, st.ResetPairs)
+				}
+				if i == 0 {
+					want = got
+					continue
+				}
+				if !slices.Equal(got.dist, want.dist) {
+					t.Errorf("%s/%s: distances at %d goroutines differ from 1", wc.name, b.name, procs)
+				}
+				if !slices.Equal(got.words, want.words) {
+					t.Errorf("%s/%s: successor words at %d goroutines differ from 1", wc.name, b.name, procs)
+				}
+				if !reflect.DeepEqual(got.st, want.st) {
+					t.Errorf("%s/%s: stats at %d goroutines %+v, at 1 %+v", wc.name, b.name, procs, got.st, want.st)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkRepairRows times one repair on the served grid's shape — 32²,
+// weights 1..9 — under the bench's reweight toggle: one edge of weight
+// ≤ 5 raised by 4 and one above 5 lowered by 4. Each repair's matrix
+// goes back to the buffer pool, as the registry hands it back once
+// narrowed.
+func BenchmarkRepairRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	g := graph.Grid2D(32, 32, integerWeights(rng, 9))
+	d, err := Johnson(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prev, err := SuccessorsFromDist(g, d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var edits []EdgeEdit
+	var up, down bool
+	for _, e := range g.Edges() {
+		if e.W <= 5 && !up {
+			edits, up = append(edits, EdgeEdit{U: e.U, V: e.V, W: e.W + 4}), true
+		} else if e.W > 5 && !down {
+			edits, down = append(edits, EdgeEdit{U: e.U, V: e.V, W: e.W - 4}), true
+		}
+	}
+	ed, err := ApplyEdits(g, edits)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, st, err := RepairRows(ed, matrixRows(prev.Dist), prev.next, 0)
+		if err != nil || st.FellBack {
+			b.Fatalf("err %v, stats %+v", err, st)
+		}
+		ReleaseDist(res.Dist)
 	}
 }
 

@@ -569,9 +569,9 @@ func TestSuccessorsColumnWidths(t *testing.T) {
 		}
 
 		edges := s.adj.weigh(f.g)
-		slots := make([]int32, n)
+		slots, queue := make([]int32, n), make([]int32, n+1)
 		for v := 0; v < n; v++ {
-			if err := successorRow(edges, s.adj, d.V[v*n:(v+1)*n], v, slots, nil); err != nil {
+			if err := successorRow(edges, s.adj, d.V[v*n:(v+1)*n], v, slots, queue, integralWeights(edges)); err != nil {
 				t.Fatalf("%s: %v", f.name, err)
 			}
 			tree := refTree(f.g, d.V[v*n:(v+1)*n], v)
@@ -607,6 +607,53 @@ func TestSuccessorsColumnWidths(t *testing.T) {
 		}
 		if err := VerifyPaths(f.g, FloydWarshallPaths(f.g)); err != nil {
 			t.Errorf("%s: classical loop: %v", f.name, err)
+		}
+	}
+}
+
+// TestSuccessorRowExactWalk: on rows of non-negative integers below 1e9 under
+// integer weights, successorRow decides tightness by plain equality and,
+// while the queue is long, without a branch. Every row of these graphs
+// must come out slot for slot — or fail with the same error — as the
+// branching walk under tightSum's tolerance makes it: integer grids and
+// random graphs with zero weights and several components, distances
+// past 1e9 (where the tolerance reaches 1 and the exact walk must not
+// run), and rows pushed off by one unit or to +Inf.
+func TestSuccessorRowExactWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(60))
+	big := func(u, v int) float64 { return float64(3e8 + rng.Intn(3)) }
+	islands := graph.RandomGNP(300, 2.0/300, func(u, v int) float64 { return float64(rng.Intn(4)) }, rng)
+	for _, c := range []namedGraph{
+		{"grid", graph.Grid2D(32, 32, integerWeights(rng, 9))},
+		{"gnp", graph.RandomGNP(400, 5.0/400, integerWeights(rng, 9), rng)},
+		{"islands", islands},
+		{"big", graph.Grid2D(12, 12, big)},
+	} {
+		n := c.g.N()
+		d, _ := FloydWarshall(c.g)
+		s := newSuccessors(c.g)
+		edges := s.adj.weigh(c.g)
+		if !integralWeights(edges) {
+			t.Fatalf("%s: weights are integers", c.name)
+		}
+		exact, branching := make([]int32, n), make([]int32, n)
+		queue := make([]int32, n+1)
+		for v := 0; v < n; v++ {
+			row := slices.Clone(d.V[v*n : (v+1)*n])
+			switch v % 7 {
+			case 3:
+				row[(v+1)%n]++ // no edge explains it, or it is not the shortest
+			case 5:
+				row[(v+2)%n] = math.Inf(1)
+			}
+			errE := successorRow(edges, s.adj, row, v, exact, queue, true)
+			errB := successorRow(edges, s.adj, row, v, branching, queue, false)
+			if fmt.Sprint(errE) != fmt.Sprint(errB) {
+				t.Fatalf("%s row %d: exact walk %v, branching walk %v", c.name, v, errE, errB)
+			}
+			if errE == nil && !slices.Equal(exact, branching) {
+				t.Fatalf("%s row %d: the exact walk's slots differ from the branching walk's", c.name, v)
+			}
 		}
 	}
 }

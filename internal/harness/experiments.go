@@ -146,7 +146,7 @@ func (s *Suite) Table2Latency() *Table {
 
 // CriticalChains renders experiment E53 beside E2 / E3: where each
 // sweep point's critical words went. The words chain of the sparse
-// plan's exact clock (Plan.Cost, priced here and nowhere else in the
+// plan's exact clock (Plan.Traffic, replayed here and nowhere else in the
 // sweep) is split by send class, and the longest segment is its
 // heaviest message.
 func (s *Suite) CriticalChains() (*Table, error) {
@@ -162,13 +162,13 @@ func (s *Suite) CriticalChains() (*Table, error) {
 	t.Columns = append(t.Columns, "longest segment")
 	for _, pt := range s.Points {
 		row := []interface{}{pt.N, pt.P, pt.Sparse.Critical.Bandwidth}
-		cost, err := pt.plan.Cost(pt.layout)
+		traffic, err := pt.plan.Traffic(pt.layout)
 		if err != nil {
 			return nil, err
 		}
 		var byClass [comm.NumSendClasses]int64
 		var longest int64
-		for _, seg := range cost.WordsChain {
+		for _, seg := range traffic.WordsChain {
 			byClass[seg.Class] += seg.Words
 			longest = max(longest, seg.Words)
 		}

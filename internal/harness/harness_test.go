@@ -54,12 +54,12 @@ func TestSuiteTables(t *testing.T) {
 	}
 	// E53's classes split the executed critical words.
 	for _, pt := range s.Points {
-		cost, err := pt.plan.Cost(pt.layout)
+		traffic, err := pt.plan.Traffic(pt.layout)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var words int64
-		for _, seg := range cost.WordsChain {
+		for _, seg := range traffic.WordsChain {
 			words += seg.Words
 		}
 		if words != pt.Sparse.Critical.Bandwidth {

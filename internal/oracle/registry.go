@@ -18,8 +18,10 @@ import (
 // oracle holds it — distances widened a row at a time on request, plus
 // the successor table — and neither may be mutated. A repair that gives
 // up returns no result and stats with FellBack set; the registry then
-// solves ed.Graph with Config.Solve. The root package supplies
-// apsp.RepairRows at its default damage threshold.
+// solves ed.Graph with Config.Solve. The result's distance matrix passes
+// to the registry, which recycles its storage once narrowed: nothing
+// else may keep it. The root package supplies apsp.RepairRows at its
+// default damage threshold.
 type RepairFunc func(ed *apsp.Edited, prevDist apsp.RowFunc, prevNext *apsp.Successors) (*apsp.PathResult, apsp.RepairStats, error)
 
 // ErrUnknownGraph is returned by Reweight when the fingerprint names no
@@ -202,6 +204,11 @@ func (r *Registry) repair(old *Oracle, ed *apsp.Edited) (o *Oracle, report comm.
 	}
 	o = FromResult(res, nil)
 	o.graph = ed.Graph
+	// The repair's working matrix goes back to the solvers' buffer pool
+	// for the next solve or repair, unless the store kept it.
+	if !o.dist.shares(res.Dist.V) {
+		apsp.ReleaseDist(res.Dist)
+	}
 	return o, res.Report, st, nil
 }
 

@@ -445,3 +445,112 @@ func TestRegistryPanicIsTheCallsError(t *testing.T) {
 		t.Errorf("stats = %+v, want nothing in flight, 1 entry and 1 reweight", st)
 	}
 }
+
+// TestReweightRecyclesOnlyUnsharedMatrices: a repair's working matrix
+// goes back to the solvers' buffer pool once the new oracle's store has
+// narrowed it — unless the store keeps it, as the square f64 kind does.
+// Real-valued, asymmetric repairs (one entry pushed an ulp off its
+// mirror) land in that kind; their answers must stay bit for bit what
+// they were while concurrent queries read them and another graph of the
+// same size is reweighted over and over, drawing recycled buffers from
+// the pool. Run under -race.
+func TestReweightRecyclesOnlyUnsharedMatrices(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	real := graph.Grid2D(6, 6, graph.RandomWeights(rng, 1, 9))
+	churn := intGraph(62, real.N())
+	asym := func(res *apsp.PathResult, g *graph.Graph) {
+		if res != nil && g.M() == real.M() {
+			n := g.N()
+			res.Dist.Set(0, n-1, math.Nextafter(res.Dist.At(0, n-1), math.Inf(1)))
+		}
+	}
+	r := NewRegistry(Config{
+		Solve: func(g *graph.Graph) (*apsp.PathResult, error) {
+			res, err := succSolve(g)
+			asym(res, g)
+			return res, err
+		},
+		Repair: func(ed *apsp.Edited, prevDist apsp.RowFunc, prevNext *apsp.Successors) (*apsp.PathResult, apsp.RepairStats, error) {
+			res, st, err := apsp.RepairRows(ed, prevDist, prevNext, 1)
+			asym(res, ed.Graph)
+			return res, st, err
+		},
+	})
+	type served struct {
+		o    *Oracle
+		want []float64
+	}
+	var oracles []served
+	o, err := r.Get(real)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, g := FingerprintOf(real), real
+	for i, e := range g.Edges()[:4] {
+		w := e.W + 0.5
+		if i%2 == 1 {
+			w = e.W / 2
+		}
+		if fp, o, _, err = r.Reweight(fp, []apsp.EdgeEdit{{U: e.U, V: e.V, W: w}}); err != nil {
+			t.Fatal(err)
+		}
+		if o.dist.tri || o.dist.kind != tierF64 {
+			t.Fatalf("reweight %d: store %s/%s, want the square f64 kind", i, o.dist.kindName(), o.dist.layoutName())
+		}
+		n := o.N()
+		want := make([]float64, n*n)
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				want[u*n+v], _ = o.Dist(u, v)
+			}
+		}
+		oracles = append(oracles, served{o, want})
+	}
+
+	if _, err := r.Get(churn); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for q := 0; q < 2; q++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, s := range oracles {
+					n := s.o.N()
+					for u := 0; u < n; u++ {
+						for v := 0; v < n; v++ {
+							if got, _ := s.o.Dist(u, v); !sameBits(got, s.want[u*n+v]) {
+								t.Errorf("Dist(%d,%d) = %v, was %v: a live store's matrix was recycled", u, v, got, s.want[u*n+v])
+								return
+							}
+						}
+					}
+				}
+			}
+		}()
+	}
+	e := churn.Edges()[0]
+	cur := FingerprintOf(churn)
+	for i := 0; i < 40; i++ {
+		w := e.W + float64(1+i%2)
+		next, co, st, err := r.Reweight(cur, []apsp.EdgeEdit{{U: e.U, V: e.V, W: w}})
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		if st.FellBack || co.dist.kind == tierF64 {
+			t.Errorf("churn reweight %d: fell back %v, store %s — it must repair into a narrowed kind", i, st.FellBack, co.dist.kindName())
+			break
+		}
+		cur = next
+	}
+	close(stop)
+	wg.Wait()
+}

@@ -207,6 +207,12 @@ func (s *distStore) at(u, v int) float64 {
 	}
 }
 
+// shares reports whether the store keeps v's storage as its own: the
+// square f64 kind narrow leaves in place.
+func (s *distStore) shares(v []float64) bool {
+	return len(s.f64) > 0 && len(v) > 0 && &s.f64[0] == &v[0]
+}
+
 // row widens row v into buf and returns it (an apsp.RowFunc). A square
 // row is one run of the store — the f64 kind returns its own storage
 // instead, callers only read; a triangular one is the run up to the
