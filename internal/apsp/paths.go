@@ -43,7 +43,7 @@ type PathResult struct {
 // a word. Immutable once built.
 type Successors struct {
 	n        int
-	adj      *slotAdjacency // structure only: shared by every clone
+	adj      *slotAdjacency // structure only: shared by every repaired copy
 	rowWords int
 	words    []uint64
 }
@@ -142,12 +142,6 @@ func (s *Successors) Bits() int { return s.adj.maxBits }
 // adjacency that decodes them.
 func (s *Successors) Bytes() int64 {
 	return int64(len(s.words))*8 + int64(2*len(s.adj.cols)+len(s.adj.to)+len(s.adj.rev)+len(s.adj.comp))*4
-}
-
-func (s *Successors) clone() *Successors {
-	c := *s
-	c.words = slices.Clone(s.words)
-	return &c
 }
 
 func (s *Successors) row(v int) []uint64 { return s.words[v*s.rowWords : (v+1)*s.rowWords] }
@@ -394,15 +388,60 @@ func (s *Successors) rebuild(g *graph.Graph, row RowFunc, targets []int) error {
 	return nil
 }
 
+// repaired returns the table a fresh extraction of d builds: s was
+// extracted from the distances of the graph ed edits, d is the repaired
+// matrix of ed.Graph, and wrote marks every target whose row or column
+// the repair wrote. It walks again only the rows an edit can change and
+// copies the rest, and says how many it walked. Row v's walk reads row v
+// of d and the weights, so it must be walked again when
+//
+//   - row v was written (a superset is harmless: a walk over unchanged
+//     distances reproduces its row);
+//   - an edited edge {a,b} was a tree edge of old row v, which the new
+//     walk may drop;
+//   - an edited edge is tight by tightSum at its new weight in row v, in
+//     either direction, which the new walk may take.
+//
+// Nothing else can move it. The walk takes an edge w→u when it scans w,
+// u is unreached and the edge is tight. Run the old and the new walk side
+// by side: they agree until an edited edge is scanned, and an edited edge
+// that the old walk did not take (not a tree edge) and that is not tight
+// now is taken by neither. Every other decision reads unchanged weights
+// and distances. v's walk never scans an edge outside v's component. The
+// exact walk's == is tightSum on the rows it runs on, so the rule covers
+// both loops.
+func (s *Successors) repaired(ed *Edited, d *semiring.Matrix, wrote []bool) (*Successors, int, error) {
+	n := s.n
+	targets := make([]int, 0, n)
+	for v := 0; v < n; v++ {
+		row := d.V[v*n : (v+1)*n]
+		walk := wrote[v]
+		for i := 0; i < len(ed.deltas) && !walk; i++ {
+			e := ed.deltas[i]
+			walk = s.adj.comp[e.u] == s.adj.comp[v] && (s.at(v, e.u) == e.v || s.at(v, e.v) == e.u ||
+				tightSum(e.new+row[e.v], row[e.u]) || tightSum(e.new+row[e.u], row[e.v]))
+		}
+		if walk {
+			targets = append(targets, v)
+		}
+	}
+	next := *s
+	next.words = slices.Clone(s.words)
+	if err := next.rebuild(ed.Graph, matrixRows(d), targets); err != nil {
+		return nil, 0, err
+	}
+	return &next, len(targets), nil
+}
+
 // successorRow extracts row v of the successor table — the shortest-
 // path tree into v — from row v of the distance matrix: the backward
 // breadth-first walk of the tight-edge graph rooted at v described on
 // SuccessorsFromDist. Every entry of slots is overwritten, unpacked (-1
 // for none, v's own included); queue is scratch of length n+1, which the
 // walk fills by index. integral says every edge weight is an integer
-// (integralWeights). The incremental repair path calls this for exactly
-// the targets whose distances or tight edges changed, leaving the rest
-// of the table as the original solve built it.
+// (integralWeights). A repair calls this only for the targets
+// Successors.repaired finds an edit can change, and copies the other
+// rows from the previous table.
 //
 // Whether the walk takes an edge — target unreached, edge tight — is
 // close to a coin toss on a grid or a random graph, so as a branch it

@@ -166,6 +166,8 @@ func ApplyEdits(g *graph.Graph, edits []EdgeEdit) (*Edited, error) {
 // The repaired distances are exactly the shortest-path distances of
 // the edited graph; with weights whose path sums are float64-exact
 // (integers, in particular) they are bit-identical to a fresh solve.
+// The repaired successor table is the one SuccessorsFromDist builds
+// from them, word for word (Successors.repaired).
 //
 // threshold is the fraction of the n² pairs that may be seeded (changed
 // by an edit or reset by the increase phase) before the repair gives up;
@@ -309,42 +311,19 @@ func repairMatrix(ed *Edited, d []float64, prevNext *Successors, threshold float
 			return nil, err
 		}
 	}
-	// dirty marks the targets whose successor rows are rebuilt: both
-	// ends of every entry either phase writes. A changed d(x,z) dirties
-	// x and z alike — extraction reads the distances towards a target
-	// from its row, VerifyPaths and callers read them from its column.
+	// dirty marks both ends of every entry either phase writes: a changed
+	// d(x,z) is in row x and in row z. Phase 1 writes only strict
+	// decreases and phase 2 only values that differ, so the writes are
+	// the net changes, or for a mixed batch a superset (an entry lowered
+	// and then raised back). The successor table decides from them and
+	// the edits which rows to walk again.
 	dirty := ws.merge(st)
-
 	dist := &semiring.Matrix{Rows: n, Cols: n, V: d}
-
-	// Successor repair: rebuild the targets the phases wrote to. Phase 1
-	// writes only strict decreases and phase 2 only values that differ,
-	// so for a decrease-only or increase-only batch the writes are
-	// exactly the net changes, and for a mixed batch a superset (an
-	// entry lowered and then raised back) — rebuilding a row whose
-	// distances did not move reproduces it, so either is exact. Tied
-	// entries the increase phase recomputes to their old value are not
-	// writes and dirty nothing. Add the targets whose old tree used an
-	// edited edge: the distance may be unchanged while the stored
-	// pointer now disagrees with the new weight.
-	for _, del := range deltas {
-		for v := 0; v < n; v++ {
-			if prevNext.at(v, del.u) == del.v || prevNext.at(v, del.v) == del.u {
-				dirty[v] = true
-			}
-		}
-	}
-	targets := make([]int, 0, n)
-	for v, isDirty := range dirty {
-		if isDirty {
-			targets = append(targets, v)
-		}
-	}
-	next := prevNext.clone()
-	if err := next.rebuild(g2, matrixRows(dist), targets); err != nil {
+	next, walked, err := prevNext.repaired(ed, dist, dirty)
+	if err != nil {
 		return nil, fmt.Errorf("apsp: Repair: %w", err)
 	}
-	st.RepairedColumns = len(targets)
+	st.RepairedColumns = walked
 	return &PathResult{Dist: dist, next: next}, nil
 }
 

@@ -1,6 +1,7 @@
 package apsp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -52,10 +53,10 @@ func pickEdits(g *graph.Graph, rng *rand.Rand, k int, kind string) []EdgeEdit {
 
 // TestRepairMatchesWarmExecute is the tentpole property test: across
 // graph families, both wire formats and all edit mixes, Repair's
-// distances are bit-identical to a from-scratch warm solve of the
-// edited graph, the repaired successor structure passes VerifyPaths,
-// and the previous result is left untouched (the registry serves it
-// concurrently while the swap is in flight).
+// distances and successor words are bit-identical to a from-scratch
+// warm solve of the edited graph, the repaired successor structure
+// passes VerifyPaths, and the previous result is left untouched (the
+// registry serves it concurrently while the swap is in flight).
 func TestRepairMatchesWarmExecute(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	graphs := []struct {
@@ -88,6 +89,9 @@ func TestRepairMatchesWarmExecute(t *testing.T) {
 				if !identicalMatrices(got.Dist, want.Dist) {
 					t.Errorf("%s/%v/%s: repaired distances differ from warm re-solve (stats %+v)", tc.name, wire, kind, st)
 				}
+				if !slices.Equal(got.next.words, want.next.words) {
+					t.Errorf("%s/%v/%s: repaired successor words differ from warm re-solve (stats %+v)", tc.name, wire, kind, st)
+				}
 				if err := VerifyPaths(g2, got); err != nil {
 					t.Errorf("%s/%v/%s: repaired successors invalid: %v", tc.name, wire, kind, err)
 				}
@@ -106,6 +110,89 @@ func TestRepairMatchesWarmExecute(t *testing.T) {
 			// phase (the whole point of repairing in place).
 			if s := sopts.Plans.Stats(); s.Builds != 1 {
 				t.Errorf("%s/%v: plan cache built %d times, want 1", tc.name, wire, s.Builds)
+			}
+		}
+	}
+}
+
+// toggleEdit is the benchmark's reweight shape on random edges: one edge
+// of weight ≤ 5 raised by 4 and one above 5 lowered by 4.
+func toggleEdit(g *graph.Graph, rng *rand.Rand) []EdgeEdit {
+	var edits []EdgeEdit
+	var up, down bool
+	edges := g.Edges()
+	for _, i := range rng.Perm(len(edges)) {
+		e := edges[i]
+		if e.W <= 5 && !up {
+			edits, up = append(edits, EdgeEdit{U: e.U, V: e.V, W: e.W + 4}), true
+		} else if e.W > 5 && !down {
+			edits, down = append(edits, EdgeEdit{U: e.U, V: e.V, W: e.W - 4}), true
+		}
+	}
+	return edits
+}
+
+// TestRepairSuccessorsMatchExtraction: a repaired successor table is the
+// table a fresh extraction of the repaired distances builds, word for
+// word, so a graph reached by a reweight serves the same paths as the
+// same graph loaded fresh. On integer weights it is also the table of a
+// fresh solve of the edited graph. Every batch is drawn against the
+// unedited graph, on three families under integer and real weights, for
+// decrease, increase, mixed and toggle batches. The decisive case is an
+// edit that makes an edge tight without moving a distance: no row is
+// written and no old tree edge is edited, but the fresh walk may take
+// the new tight edge.
+func TestRepairSuccessorsMatchExtraction(t *testing.T) {
+	const rounds = 15
+	rng := rand.New(rand.NewSource(1308))
+	for _, wc := range []struct {
+		name  string
+		w     graph.WeightFn
+		exact bool
+	}{{"int", integerWeights(rng, 9), true}, {"real", graph.RandomWeights(rng, 1, 9), false}} {
+		for _, f := range []namedGraph{
+			{"grid", graph.Grid2D(12, 12, wc.w)},
+			{"gnp", graph.RandomGNP(120, 4.0/120, wc.w, rng)},
+			{"cycle", graph.Cycle(100, wc.w)},
+		} {
+			prev := solvePaths(t, f.g, 9, SparseOptions{Seed: 42})
+			batches, differ, unlike, first := 0, 0, 0, ""
+			for _, kind := range []string{"dec", "inc", "mixed", "toggle"} {
+				for round := 0; round < rounds; round++ {
+					var edits []EdgeEdit
+					if kind == "toggle" {
+						edits = toggleEdit(f.g, rng)
+					} else {
+						edits = pickEdits(f.g, rng, 1+rng.Intn(3), kind)
+					}
+					ed, err := ApplyEdits(f.g, edits)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, st, err := RepairRows(ed, matrixRows(prev.Dist), prev.next, 1)
+					if err != nil || st.FellBack {
+						t.Fatalf("%s/%s/%s: err %v, stats %+v", wc.name, f.name, kind, err, st)
+					}
+					want, err := SuccessorsFromDist(ed.Graph, got.Dist)
+					if err != nil {
+						t.Fatal(err)
+					}
+					batches++
+					if !slices.Equal(got.next.words, want.next.words) {
+						if differ++; first == "" {
+							first = fmt.Sprintf("%s round %d, edits %+v, %d rows walked", kind, round, edits, st.RepairedColumns)
+						}
+					}
+					if wc.exact && !slices.Equal(got.next.words, johnsonPaths(t, ed.Graph).next.words) {
+						unlike++
+					}
+				}
+			}
+			if differ > 0 {
+				t.Errorf("%s/%s: %d of %d repaired tables differ from extracting the repaired distances (first: %s)", wc.name, f.name, differ, batches, first)
+			}
+			if unlike > 0 {
+				t.Errorf("%s/%s: %d of %d repaired tables differ from a fresh solve's", wc.name, f.name, unlike, batches)
 			}
 		}
 	}
@@ -448,11 +535,16 @@ func BenchmarkRepairRows(b *testing.B) {
 // weights, duplicate edges and several components included) and a
 // batch of edits to it; the repair must either report FellBack or
 // return Johnson's distances for the edited graph bit for bit, with
-// successors that pass VerifyPaths and the previous result untouched.
+// successors that pass VerifyPaths and equal a fresh extraction of the
+// repaired distances word for word, and the previous result untouched.
 func FuzzRepairMatchesJohnson(f *testing.F) {
 	f.Add([]byte{9, 14, 0, 1, 3, 1, 2, 0, 2, 3, 5, 3, 4, 1, 4, 0, 2, 5, 6, 7, 6, 7, 0, 7, 8, 4, 8, 5, 3, 2, 4, 1, 0, 3, 7, 5, 6, 1, 0})
 	f.Add([]byte{6, 9, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 4, 1, 4, 5, 0, 5, 0, 2, 1, 3, 7, 0, 4, 2, 2, 6, 0, 7, 2, 1})
 	f.Add([]byte{12, 30, 1, 2, 7, 3, 4, 7, 5, 6, 7, 7, 8, 7, 9, 10, 7, 11, 0, 7, 0, 1, 1, 2, 3, 1, 4, 5, 1, 6, 7, 1, 8, 9, 1, 10, 11, 1, 4, 2, 0, 5, 3, 6, 0, 1, 8, 2, 4, 1})
+	// One decrease that makes an edge tight without moving a distance:
+	// nothing is written and no old tree edge is edited, yet a fresh walk
+	// takes the new tight edge.
+	f.Add([]byte("090101202C0C$0$%02000000C10001A"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -505,6 +597,13 @@ func FuzzRepairMatchesJohnson(f *testing.F) {
 		}
 		if err := VerifyPaths(ed.Graph, got); err != nil {
 			t.Fatalf("repaired successors: %v (edits %+v)", err, edits)
+		}
+		fresh, err := SuccessorsFromDist(ed.Graph, got.Dist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.next.words, fresh.next.words) {
+			t.Fatalf("repaired successors differ from extracting the repaired distances (edits %+v, stats %+v)", edits, st)
 		}
 	})
 }

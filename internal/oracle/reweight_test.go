@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -553,4 +554,42 @@ func TestReweightRecyclesOnlyUnsharedMatrices(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestReweightServesWhatAFreshGetServes: a chain of reweights on an
+// integer-weight graph — the registry's usage, each repair feeding the
+// next — leaves after every step an oracle whose store bytes and
+// successor table are those a fresh registry's Get of the edited graph
+// builds. A graph's answers do not depend on whether it was loaded or
+// reached by edits.
+func TestReweightServesWhatAFreshGetServes(t *testing.T) {
+	r := NewRegistry(Config{Solve: succSolve, Repair: testRepairer()})
+	g := intGraph(17, 60)
+	if _, err := r.Get(g); err != nil {
+		t.Fatal(err)
+	}
+	fp := FingerprintOf(g)
+	rng := rand.New(rand.NewSource(18))
+	for round := 0; round < 12; round++ {
+		edges := g.Edges()
+		var edits []apsp.EdgeEdit
+		for _, i := range rng.Perm(len(edges))[:1+rng.Intn(2)] {
+			edits = append(edits, apsp.EdgeEdit{U: edges[i].U, V: edges[i].V, W: float64(rng.Intn(9) + 1)})
+		}
+		next, o, st, err := r.Reweight(fp, edits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewRegistry(Config{Solve: succSolve}).Get(o.Graph())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(o.dist.encode(), fresh.dist.encode()) {
+			t.Errorf("round %d: the reweighted store's bytes differ from a fresh Get's (edits %+v)", round, edits)
+		}
+		if !reflect.DeepEqual(o.succ, fresh.succ) {
+			t.Errorf("round %d: the reweighted successor table differs from a fresh Get's (edits %+v, stats %+v)", round, edits, st)
+		}
+		fp, g = next, o.Graph()
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -648,6 +649,77 @@ func TestServerReweight(t *testing.T) {
 	}
 	if st.Endpoints["reweight"].Requests != 4 || st.Endpoints["reweight"].Errors != 3 {
 		t.Errorf("reweight endpoint counters %+v, want 4 requests / 3 errors", st.Endpoints["reweight"])
+	}
+}
+
+// TestServerReweightPathsMatchFreshLoad: after each of a chain of
+// /reweight calls on an integer-weight grid, a paths:true /query of every
+// pair answers byte for byte what a server that loaded the edited graph
+// fresh answers. A graph's paths do not depend on how it was reached.
+func TestServerReweightPathsMatchFreshLoad(t *testing.T) {
+	ts, _ := newTestServer(t, 0)
+	rng := rand.New(rand.NewSource(6))
+	g := graph.Grid2D(8, 8, func(u, v int) float64 { return float64(rng.Intn(9) + 1) })
+	load := func(url string, g *graph.Graph) string {
+		req := LoadRequest{N: g.N()}
+		for _, e := range g.Edges() {
+			req.Edges = append(req.Edges, [3]float64{float64(e.U), float64(e.V), e.W})
+		}
+		var info GraphInfo
+		if resp := postJSON(t, url+"/load", req, &info); resp.StatusCode != http.StatusOK {
+			t.Fatalf("/load status %d", resp.StatusCode)
+		}
+		return info.Graph
+	}
+	var pairs [][2]int
+	for u := 0; u < g.N(); u++ {
+		for v := 0; v < g.N(); v++ {
+			pairs = append(pairs, [2]int{u, v})
+		}
+	}
+	query := func(url, id string) []byte {
+		body, err := json.Marshal(QueryRequest{Graph: id, Pairs: pairs, Paths: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(url+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("/query: status %d, %v", resp.StatusCode, err)
+		}
+		return out
+	}
+	id := load(ts.URL, g)
+	for round := 0; round < 6; round++ {
+		edges := g.Edges()
+		var edits [][3]float64
+		var applied []apsp.EdgeEdit
+		for _, i := range rng.Perm(len(edges))[:2] {
+			e := edges[i]
+			w := float64(rng.Intn(9) + 1)
+			edits = append(edits, [3]float64{float64(e.U), float64(e.V), w})
+			applied = append(applied, apsp.EdgeEdit{U: e.U, V: e.V, W: w})
+		}
+		var rw ReweightResponse
+		if resp := postJSON(t, ts.URL+"/reweight", ReweightRequest{Graph: id, Edits: edits}, &rw); resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: /reweight status %d", round, resp.StatusCode)
+		}
+		ed, err := apsp.ApplyEdits(g, applied)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, _ := newTestServer(t, 0)
+		if freshID := load(fresh.URL, ed.Graph); freshID != rw.Graph {
+			t.Fatalf("round %d: a fresh /load of the edited graph is %s, the reweight %s", round, freshID, rw.Graph)
+		}
+		if !bytes.Equal(query(ts.URL, rw.Graph), query(fresh.URL, rw.Graph)) {
+			t.Errorf("round %d: paths after /reweight differ from a fresh /load's (edits %v)", round, edits)
+		}
+		g, id = ed.Graph, rw.Graph
 	}
 }
 
