@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"sparseapsp/internal/comm"
 	"sparseapsp/internal/graph"
@@ -40,12 +42,31 @@ type PathResult struct {
 // distances say otherwise (successorRow, FloydWarshallPaths); what such
 // an entry holds is never read. Every row starts on a word boundary,
 // because rebuild's workers write rows concurrently and must never share
-// a word. Immutable once built.
+// a word.
+//
+// Every row is written once. A table a solve extracts is complete when
+// built. A repaired table leaves the rows an edit may change pending
+// (Successors.repaired) and walks each on the first path query that
+// reads it (Walk, Path), from the edited graph and the repaired
+// distances it keeps for that; a row once walked never changes, so a
+// reader needs no lock for it.
 type Successors struct {
 	n        int
 	adj      *slotAdjacency // structure only: shared by every repaired copy
 	rowWords int
 	words    []uint64
+	// byWalk says every row is, or will be, successorRow's walk. It is
+	// false for FloydWarshallPaths, which breaks ties by its loop order,
+	// so a repair of that table walks every row instead of mixing rules.
+	byWalk bool
+
+	// pending has a bit for each row not yet walked; nil on a table a
+	// solve extracts. A bit is cleared only under mu, after its row is
+	// written; graph and dist are what the walk reads.
+	pending []atomic.Uint64
+	mu      sync.Mutex // held by a walk and by a repair copying the table
+	graph   *graph.Graph
+	dist    RowFunc
 }
 
 // slotAdjacency is the edge structure of a graph as compact CSR, in
@@ -139,9 +160,90 @@ func newSuccessors(g *graph.Graph) *Successors {
 func (s *Successors) Bits() int { return s.adj.maxBits }
 
 // Bytes is the retained size of the table: the packed rows plus the
-// adjacency that decodes them.
+// adjacency that decodes them. A repaired table's pending bits (n/8
+// bytes) are left out, so a table's size does not depend on whether it
+// was extracted or repaired.
 func (s *Successors) Bytes() int64 {
 	return int64(len(s.words))*8 + int64(2*len(s.adj.cols)+len(s.adj.to)+len(s.adj.rev)+len(s.adj.comp))*4
+}
+
+// isPending reports whether row v still waits for its walk. A false
+// answer is final, and the row's words are then safe to read.
+func (s *Successors) isPending(v int) bool {
+	return s.pending != nil && s.pending[v>>6].Load()&(1<<(v&63)) != 0
+}
+
+// Pending counts the rows still waiting for their walk: 0 on a table a
+// solve extracts, and on a repaired one once every row has been read.
+func (s *Successors) Pending() int {
+	c := 0
+	for i := range s.pending {
+		c += bits.OnesCount64(s.pending[i].Load())
+	}
+	return c
+}
+
+// Walk walks every pending row a path query of pairs reads — row v of
+// each (u, v), which must lie in [0, n) — so that Path finds them
+// ready: all of them in one rebuild on the pool. A row the walk refuses
+// (inconsistent distances) stays pending and its error is returned, the
+// lowest-numbered failing row's. Concurrent calls walk a row once: the
+// walk holds the table's lock and looks at each bit again under it. On
+// a table with no pending row it costs one bit test per pair.
+func (s *Successors) Walk(pairs [][2]int) error {
+	if s.pending == nil {
+		return nil
+	}
+	var rows []int
+	for _, p := range pairs {
+		if s.isPending(p[1]) {
+			rows = append(rows, p[1])
+		}
+	}
+	return s.walk(rows)
+}
+
+// walk walks the rows named (duplicates allowed) that are still pending.
+func (s *Successors) walk(rows []int) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	slices.Sort(rows)
+	rows = slices.DeleteFunc(slices.Compact(rows), func(v int) bool { return !s.isPending(v) })
+	if len(rows) == 0 {
+		return nil
+	}
+	if err := s.rebuild(s.graph, s.dist, rows); err != nil {
+		return err
+	}
+	for _, v := range rows { // every clear holds mu, so Load then Store is safe
+		w := &s.pending[v>>6]
+		w.Store(w.Load() &^ (1 << (v & 63)))
+	}
+	return nil
+}
+
+// walkAll walks every pending row.
+func (s *Successors) walkAll() error {
+	var rows []int
+	for v := 0; v < s.n; v++ {
+		if s.isPending(v) {
+			rows = append(rows, v)
+		}
+	}
+	return s.walk(rows)
+}
+
+// ReadRowsFrom points the walks of the table's pending rows at row,
+// which must yield the distances the table was repaired to: a caller
+// that keeps them in another form (the oracle's narrowed store) can then
+// release the repair's matrix. Call it before the table is shared.
+func (s *Successors) ReadRowsFrom(row RowFunc) {
+	s.mu.Lock()
+	s.dist = row
+	s.mu.Unlock()
 }
 
 func (s *Successors) row(v int) []uint64 { return s.words[v*s.rowWords : (v+1)*s.rowWords] }
@@ -310,6 +412,7 @@ func SuccessorsFromDist(g *graph.Graph, d *semiring.Matrix) (*PathResult, error)
 	if err := next.rebuild(g, matrixRows(d), nil); err != nil {
 		return nil, err
 	}
+	next.byWalk = true
 	return &PathResult{Dist: d, next: next}, nil
 }
 
@@ -388,12 +491,13 @@ func (s *Successors) rebuild(g *graph.Graph, row RowFunc, targets []int) error {
 	return nil
 }
 
-// repaired returns the table a fresh extraction of d builds: s was
-// extracted from the distances of the graph ed edits, d is the repaired
-// matrix of ed.Graph, and wrote marks every target whose row or column
-// the repair wrote. It walks again only the rows an edit can change and
-// copies the rest, and says how many it walked. Row v's walk reads row v
-// of d and the weights, so it must be walked again when
+// repaired returns the table a fresh extraction of d builds, with the
+// rows an edit can change left pending: s was built from the distances
+// of the graph ed edits, d is the repaired matrix of ed.Graph, and wrote
+// marks every target whose row or column the repair wrote. It copies
+// every row of s and says how many rows it left pending, which are
+// walked from ed.Graph and d when a path query first reads them. Row v's
+// walk reads row v of d and the weights, so it must be walked again when
 //
 //   - row v was written (a superset is harmless: a walk over unchanged
 //     distances reproduces its row);
@@ -410,27 +514,35 @@ func (s *Successors) rebuild(g *graph.Graph, row RowFunc, targets []int) error {
 // and distances. v's walk never scans an edge outside v's component. The
 // exact walk's == is tightSum on the rows it runs on, so the rule covers
 // both loops.
-func (s *Successors) repaired(ed *Edited, d *semiring.Matrix, wrote []bool) (*Successors, int, error) {
+//
+// A row still pending in s stays pending: its old words were never
+// written. Every row is pending when the walk did not build s
+// (FloydWarshallPaths), so no table mixes two tie-break rules.
+func (s *Successors) repaired(ed *Edited, d *semiring.Matrix, wrote []bool) (*Successors, int) {
 	n := s.n
-	targets := make([]int, 0, n)
+	next := &Successors{n: n, adj: s.adj, rowWords: s.rowWords, byWalk: true,
+		pending: make([]atomic.Uint64, (n+63)/64), graph: ed.Graph, dist: matrixRows(d)}
+	marked := 0
 	for v := 0; v < n; v++ {
 		row := d.V[v*n : (v+1)*n]
-		walk := wrote[v]
+		walk := !s.byWalk || wrote[v] || s.isPending(v)
 		for i := 0; i < len(ed.deltas) && !walk; i++ {
 			e := ed.deltas[i]
 			walk = s.adj.comp[e.u] == s.adj.comp[v] && (s.at(v, e.u) == e.v || s.at(v, e.v) == e.u ||
 				tightSum(e.new+row[e.v], row[e.u]) || tightSum(e.new+row[e.u], row[e.v]))
 		}
-		if walk {
-			targets = append(targets, v)
+		if walk { // next is not shared yet
+			w := &next.pending[v>>6]
+			w.Store(w.Load() | 1<<(v&63))
+			marked++
 		}
 	}
-	next := *s
+	// A walk of s may be writing its pending rows; those are pending here
+	// too, and the lock keeps the copy from racing with them.
+	s.mu.Lock()
 	next.words = slices.Clone(s.words)
-	if err := next.rebuild(ed.Graph, matrixRows(d), targets); err != nil {
-		return nil, 0, err
-	}
-	return &next, len(targets), nil
+	s.mu.Unlock()
+	return next, marked
 }
 
 // successorRow extracts row v of the successor table — the shortest-
@@ -439,9 +551,9 @@ func (s *Successors) repaired(ed *Edited, d *semiring.Matrix, wrote []bool) (*Su
 // SuccessorsFromDist. Every entry of slots is overwritten, unpacked (-1
 // for none, v's own included); queue is scratch of length n+1, which the
 // walk fills by index. integral says every edge weight is an integer
-// (integralWeights). A repair calls this only for the targets
-// Successors.repaired finds an edit can change, and copies the other
-// rows from the previous table.
+// (integralWeights). A repaired table calls this only for the targets
+// Successors.repaired finds an edit can change, on their first path
+// query, and keeps the other rows from the previous table.
 //
 // Whether the walk takes an edge — target unreached, edge tight — is
 // close to a coin toss on a grid or a random graph, so as a branch it
@@ -559,7 +671,8 @@ func integralWeights(edges []slotEdge) bool {
 // endpoints are [0, N).
 func (p *PathResult) N() int { return p.next.n }
 
-// Successors returns the result's successor table (shared, immutable).
+// Successors returns the result's successor table (shared; its rows are
+// written once).
 func (p *PathResult) Successors() *Successors { return p.next }
 
 // MemoryBytes is the retained size of the result: the float64 distance
@@ -575,11 +688,18 @@ func (p *PathResult) MemoryBytes() int64 {
 func (p *PathResult) Path(u, v int) []int { return p.next.Path(u, v) }
 
 // Path walks row v of the table in one pass — column, slot, then the
-// neighbour it names — appending as it goes; see PathResult.Path.
+// neighbour it names — appending as it goes; see PathResult.Path. A
+// pending row is walked first (Walk), and a row the walk refuses panics
+// like a corrupted one: call Walk to have that as an error.
 func (s *Successors) Path(u, v int) []int {
 	n := s.n
 	if u < 0 || u >= n || v < 0 || v >= n {
 		panic(fmt.Sprintf("apsp: path query (%d,%d) outside [0,%d)", u, v, n))
+	}
+	if s.isPending(v) {
+		if err := s.walk([]int{v}); err != nil {
+			panic(err.Error())
+		}
 	}
 	if u == v {
 		return []int{u}

@@ -82,7 +82,7 @@ type RepairStats struct {
 	FellBack        bool  // true when a threshold gave up: no result, solve the edited graph
 	Relaxations     int64 // probes run (sweeps + reset scans + Dijkstra edges)
 	Writes          int64 // entries the repair actually improved
-	RepairedColumns int   // successor-table targets (rows) rebuilt
+	RepairedColumns int   // successor-table targets (rows) left pending, walked on their first path query
 }
 
 // edgeDelta is a validated, deduplicated edit with its old weight.
@@ -167,7 +167,10 @@ func ApplyEdits(g *graph.Graph, edits []EdgeEdit) (*Edited, error) {
 // the edited graph; with weights whose path sums are float64-exact
 // (integers, in particular) they are bit-identical to a fresh solve.
 // The repaired successor table is the one SuccessorsFromDist builds
-// from them, word for word (Successors.repaired).
+// from them, word for word once its pending rows are walked
+// (Successors.repaired). It walks them from the returned Dist on their
+// first path query, so Dist must outlive the table unless the caller
+// points it elsewhere first (Successors.ReadRowsFrom).
 //
 // threshold is the fraction of the n² pairs that may be seeded (changed
 // by an edit or reset by the increase phase) before the repair gives up;
@@ -234,7 +237,7 @@ func RepairRows(ed *Edited, prevDist RowFunc, prevNext *Successors, threshold fl
 	return res, st, nil
 }
 
-// repairMatrix runs both phases and the successor rebuild on d, the
+// repairMatrix runs both phases and the successor repair on d, the
 // working copy of the previous distances; RepairRows owns d and takes it
 // back when no result keeps it. errRepairDamage means a threshold gave up.
 func repairMatrix(ed *Edited, d []float64, prevNext *Successors, threshold float64, budget int64, st *RepairStats) (*PathResult, error) {
@@ -316,14 +319,11 @@ func repairMatrix(ed *Edited, d []float64, prevNext *Successors, threshold float
 	// decreases and phase 2 only values that differ, so the writes are
 	// the net changes, or for a mixed batch a superset (an entry lowered
 	// and then raised back). The successor table decides from them and
-	// the edits which rows to walk again.
+	// the edits which rows to leave pending.
 	dirty := ws.merge(st)
 	dist := &semiring.Matrix{Rows: n, Cols: n, V: d}
-	next, walked, err := prevNext.repaired(ed, dist, dirty)
-	if err != nil {
-		return nil, fmt.Errorf("apsp: Repair: %w", err)
-	}
-	st.RepairedColumns = walked
+	next, pending := prevNext.repaired(ed, dist, dirty)
+	st.RepairedColumns = pending
 	return &PathResult{Dist: dist, next: next}, nil
 }
 

@@ -28,6 +28,16 @@ func solvePaths(t *testing.T, g *graph.Graph, p int, sopts SparseOptions) *PathR
 	return pr
 }
 
+// walked walks every pending row of s and returns its words: a repaired
+// table compares word for word with an extracted one only once walked.
+func walked(t testing.TB, s *Successors) []uint64 {
+	t.Helper()
+	if err := s.walkAll(); err != nil {
+		t.Fatal(err)
+	}
+	return s.words
+}
+
 // pickEdits draws k distinct edges and reweights them: kind "dec"
 // lowers each weight by 1 (possibly to 0), "inc" raises it by 1–5,
 // "mixed" alternates. Integer weights in, integer weights out, so every
@@ -53,12 +63,14 @@ func pickEdits(g *graph.Graph, rng *rand.Rand, k int, kind string) []EdgeEdit {
 
 // TestRepairMatchesWarmExecute is the tentpole property test: across
 // graph families, both wire formats and all edit mixes, Repair's
-// distances and successor words are bit-identical to a from-scratch
-// warm solve of the edited graph, the repaired successor structure
-// passes VerifyPaths, and the previous result is left untouched (the
-// registry serves it concurrently while the swap is in flight).
+// distances, and its successor words once the pending rows are walked,
+// are bit-identical to a from-scratch warm solve of the edited graph,
+// the repaired successor structure passes VerifyPaths, and the previous
+// result is left untouched (the registry serves it concurrently while
+// the swap is in flight).
 func TestRepairMatchesWarmExecute(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
+	pending := 0
 	graphs := []struct {
 		name string
 		g    *graph.Graph
@@ -89,7 +101,11 @@ func TestRepairMatchesWarmExecute(t *testing.T) {
 				if !identicalMatrices(got.Dist, want.Dist) {
 					t.Errorf("%s/%v/%s: repaired distances differ from warm re-solve (stats %+v)", tc.name, wire, kind, st)
 				}
-				if !slices.Equal(got.next.words, want.next.words) {
+				if p := got.next.Pending(); !st.FellBack && p != st.RepairedColumns {
+					t.Errorf("%s/%v/%s: %d rows pending, stats say %d", tc.name, wire, kind, p, st.RepairedColumns)
+				}
+				pending += got.next.Pending()
+				if !slices.Equal(walked(t, got.next), want.next.words) {
 					t.Errorf("%s/%v/%s: repaired successor words differ from warm re-solve (stats %+v)", tc.name, wire, kind, st)
 				}
 				if err := VerifyPaths(g2, got); err != nil {
@@ -113,6 +129,9 @@ func TestRepairMatchesWarmExecute(t *testing.T) {
 			}
 		}
 	}
+	if pending == 0 {
+		t.Error("no repair left a row pending: the walked comparison compared nothing")
+	}
 }
 
 // toggleEdit is the benchmark's reweight shape on random edges: one edge
@@ -132,10 +151,11 @@ func toggleEdit(g *graph.Graph, rng *rand.Rand) []EdgeEdit {
 	return edits
 }
 
-// TestRepairSuccessorsMatchExtraction: a repaired successor table is the
-// table a fresh extraction of the repaired distances builds, word for
-// word, so a graph reached by a reweight serves the same paths as the
-// same graph loaded fresh. On integer weights it is also the table of a
+// TestRepairSuccessorsMatchExtraction: a repaired successor table, once
+// its pending rows are walked, is the table a fresh extraction of the
+// repaired distances builds, word for word, so a graph reached by a
+// reweight serves the same paths as the same graph loaded fresh. Every
+// toggle must leave rows pending, or the comparison is trivial. On integer weights it is also the table of a
 // fresh solve of the edited graph. Every batch is drawn against the
 // unedited graph, on three families under integer and real weights, for
 // decrease, increase, mixed and toggle batches. The decisive case is an
@@ -177,8 +197,11 @@ func TestRepairSuccessorsMatchExtraction(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					if p := got.next.Pending(); p != st.RepairedColumns || (kind == "toggle" && p == 0) {
+						t.Errorf("%s/%s/%s round %d: %d rows pending, stats say %d", wc.name, f.name, kind, round, p, st.RepairedColumns)
+					}
 					batches++
-					if !slices.Equal(got.next.words, want.next.words) {
+					if !slices.Equal(walked(t, got.next), want.next.words) {
 						if differ++; first == "" {
 							first = fmt.Sprintf("%s round %d, edits %+v, %d rows walked", kind, round, edits, st.RepairedColumns)
 						}
@@ -465,7 +488,7 @@ func TestRepairWorkerInvariance(t *testing.T) {
 				}
 				got := outcome{st: st}
 				if res != nil {
-					got.words = slices.Clone(res.next.words)
+					got.words = slices.Clone(walked(t, res.next))
 					for _, x := range res.Dist.V {
 						got.dist = append(got.dist, math.Float64bits(x))
 					}
@@ -535,8 +558,9 @@ func BenchmarkRepairRows(b *testing.B) {
 // weights, duplicate edges and several components included) and a
 // batch of edits to it; the repair must either report FellBack or
 // return Johnson's distances for the edited graph bit for bit, with
-// successors that pass VerifyPaths and equal a fresh extraction of the
-// repaired distances word for word, and the previous result untouched.
+// successors that pass VerifyPaths and, once every pending row is
+// walked, equal a fresh extraction of the repaired distances word for
+// word, and the previous result untouched.
 func FuzzRepairMatchesJohnson(f *testing.F) {
 	f.Add([]byte{9, 14, 0, 1, 3, 1, 2, 0, 2, 3, 5, 3, 4, 1, 4, 0, 2, 5, 6, 7, 6, 7, 0, 7, 8, 4, 8, 5, 3, 2, 4, 1, 0, 3, 7, 5, 6, 1, 0})
 	f.Add([]byte{6, 9, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 4, 1, 4, 5, 0, 5, 0, 2, 1, 3, 7, 0, 4, 2, 2, 6, 0, 7, 2, 1})
@@ -602,7 +626,7 @@ func FuzzRepairMatchesJohnson(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got.next.words, fresh.next.words) {
+		if !slices.Equal(walked(t, got.next), fresh.next.words) {
 			t.Fatalf("repaired successors differ from extracting the repaired distances (edits %+v, stats %+v)", edits, st)
 		}
 	})

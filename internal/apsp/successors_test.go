@@ -387,6 +387,51 @@ func TestRepairRebuildsRows(t *testing.T) {
 	}
 }
 
+// TestRepairChainKeepsPendingRows: repairs chained without walking every
+// row — the registry's usage when no path query arrives between two
+// reweights — keep a row pending until it is read. Between repairs a
+// path query reads a third of the rows; every table of the chain, walked
+// in the end, is the one a fresh extraction of its own distances builds,
+// even though each was copied from a table that still had rows pending.
+func TestRepairChainKeepsPendingRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := graph.Grid2D(10, 10, integerWeights(rng, 9))
+	n := g.N()
+	prev := johnsonPaths(t, g)
+	var chain []*PathResult
+	var graphs []*graph.Graph
+	for round := 0; round < 8; round++ {
+		ed, err := ApplyEdits(g, toggleEdit(g, rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := prev.next.Pending()
+		got, st, err := RepairRows(ed, matrixRows(prev.Dist), prev.next, 1)
+		if err != nil || st.FellBack {
+			t.Fatalf("round %d: %v, stats %+v", round, err, st)
+		}
+		if p := got.next.Pending(); p != st.RepairedColumns || p < before || p == 0 {
+			t.Errorf("round %d: %d rows pending after a repair of a table with %d, stats say %d", round, p, before, st.RepairedColumns)
+		}
+		for v := round % 3; v < n; v += 3 {
+			if p := got.Path((v*7+1)%n, v); PathWeight(ed.Graph, p) != got.Dist.At((v*7+1)%n, v) {
+				t.Errorf("round %d: path into %d weighs %g, want %g", round, v, PathWeight(ed.Graph, p), got.Dist.At((v*7+1)%n, v))
+			}
+		}
+		chain, graphs = append(chain, got), append(graphs, ed.Graph)
+		g, prev = ed.Graph, got
+	}
+	for i, res := range chain {
+		fresh, err := SuccessorsFromDist(graphs[i], res.Dist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(walked(t, res.next), fresh.next.words) {
+			t.Errorf("table %d of the chain differs from a fresh extraction of its distances", i)
+		}
+	}
+}
+
 // cancellingEdits finds a vertex v with neighbours a and b such that
 // a–v–b is a shortest a–b path and the mixed batch lowering {a,v} by
 // one and raising {v,b} by one leaves d(a,b) unchanged, and returns

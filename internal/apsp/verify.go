@@ -87,6 +87,9 @@ func VerifyPaths(g *graph.Graph, res *PathResult) error {
 	if res == nil || res.N() != n || res.Dist == nil || res.Dist.Rows != n || res.Dist.Cols != n {
 		return fmt.Errorf("apsp: VerifyPaths: result does not cover %d vertices", n)
 	}
+	if err := res.next.walkAll(); err != nil {
+		return fmt.Errorf("apsp: VerifyPaths: %w", err)
+	}
 	for v := 0; v < n; v++ {
 		for u := 0; u < n; u++ {
 			duv := res.Dist.At(u, v)

@@ -27,8 +27,10 @@ type queryCounters struct {
 // Oracle holds one solved graph and answers distance and path queries
 // from typed storage: the distances at their proven width and layout
 // (tier.go: the lower triangle alone when the matrix is bit-symmetric)
-// and the successor table as packed neighbour slots, both immutable. It
-// keeps no float64 matrix. All query methods are safe for concurrent
+// and the successor table as packed neighbour slots. The store is
+// immutable; the table's rows are written once — a repaired table walks
+// each pending row on the first path query that reads it. It keeps no
+// float64 matrix. All query methods are safe for concurrent
 // use; a batch is answered on its caller's goroutine.
 type Oracle struct {
 	dist *distStore
@@ -80,7 +82,13 @@ func solveOracle(g *graph.Graph, solve SolveFunc) (*Oracle, comm.Report, error) 
 // bench/ caller (FromResult(pr, nil)) compiles, and is dropped by the
 // benchmark PR of ROADMAP item 1a.
 func FromResult(res *apsp.PathResult, _ *semiring.Pool) *Oracle {
-	return &Oracle{dist: narrow(res.Dist), succ: res.Successors()}
+	o := &Oracle{dist: narrow(res.Dist), succ: res.Successors()}
+	if o.succ.Pending() > 0 {
+		// A repaired table walks its pending rows from the store, which
+		// holds the same distances, so res.Dist need not outlive it.
+		o.succ.ReadRowsFrom(o.dist.row)
+	}
+	return o
 }
 
 // N returns the number of vertices; valid query endpoints are [0, N).
@@ -133,12 +141,16 @@ func (o *Oracle) Dist(u, v int) (float64, error) {
 }
 
 // Path returns the vertices of a shortest u→v path inclusive of both
-// endpoints, nil when v is unreachable from u.
+// endpoints, nil when v is unreachable from u. A pending row the walk
+// refuses is the error.
 func (o *Oracle) Path(u, v int) ([]int, error) {
 	if err := o.check(u, v); err != nil {
 		return nil, err
 	}
 	defer o.track(1)()
+	if err := o.succ.Walk([][2]int{{u, v}}); err != nil {
+		return nil, err
+	}
 	return o.succ.Path(u, v), nil
 }
 
@@ -158,12 +170,17 @@ func (o *Oracle) BatchDist(pairs [][2]int) ([]float64, error) {
 }
 
 // BatchPath answers many path queries at once, on the caller's
-// goroutine. Unreachable pairs get a nil path.
+// goroutine. Unreachable pairs get a nil path. The batch's pending rows
+// are walked first, together, on the pool; one the walk refuses is the
+// error.
 func (o *Oracle) BatchPath(pairs [][2]int) ([][]int, error) {
 	if err := o.checkBatch(pairs); err != nil {
 		return nil, err
 	}
 	defer o.track(len(pairs))()
+	if err := o.succ.Walk(pairs); err != nil {
+		return nil, err
+	}
 	out := make([][]int, len(pairs))
 	for i, p := range pairs {
 		out[i] = o.succ.Path(p[0], p[1])

@@ -205,7 +205,8 @@ func (r *Registry) repair(old *Oracle, ed *apsp.Edited) (o *Oracle, report comm.
 	o = FromResult(res, nil)
 	o.graph = ed.Graph
 	// The repair's working matrix goes back to the solvers' buffer pool
-	// for the next solve or repair, unless the store kept it.
+	// for the next solve or repair, unless the store kept it: FromResult
+	// pointed the table's pending rows at the store.
 	if !o.dist.shares(res.Dist.V) {
 		apsp.ReleaseDist(res.Dist)
 	}

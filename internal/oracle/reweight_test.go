@@ -558,38 +558,312 @@ func TestReweightRecyclesOnlyUnsharedMatrices(t *testing.T) {
 
 // TestReweightServesWhatAFreshGetServes: a chain of reweights on an
 // integer-weight graph — the registry's usage, each repair feeding the
-// next — leaves after every step an oracle whose store bytes and
-// successor table are those a fresh registry's Get of the edited graph
-// builds. A graph's answers do not depend on whether it was loaded or
-// reached by edits.
+// next — leaves after every step an oracle whose store bytes are those a
+// fresh registry's Get of the edited graph builds, and whose every path
+// is that Get's. A graph's answers do not depend on whether it was
+// loaded or reached by edits. The chain starts from a walked table
+// (succSolve) and from Floyd–Warshall's (fwSolve), whose ties break
+// otherwise: a repair of that one walks every row, so it never mixes the
+// two rules. Its graph is a grid, on which an edit leaves most rows
+// unwritten and integer weights tie often. Every repair must leave rows
+// pending, or the comparison would read only rows a solve wrote.
 func TestReweightServesWhatAFreshGetServes(t *testing.T) {
-	r := NewRegistry(Config{Solve: succSolve, Repair: testRepairer()})
-	g := intGraph(17, 60)
+	rng := rand.New(rand.NewSource(19))
+	for _, sv := range []struct {
+		name  string
+		solve SolveFunc
+		g     *graph.Graph
+	}{
+		{"succ", succSolve, intGraph(17, 60)},
+		{"fw", fwSolve, graph.Grid2D(8, 8, func(u, v int) float64 { return float64(rng.Intn(9) + 1) })},
+	} {
+		r := NewRegistry(Config{Solve: sv.solve, Repair: testRepairer()})
+		g := sv.g
+		if _, err := r.Get(g); err != nil {
+			t.Fatal(err)
+		}
+		n := g.N()
+		pairs := make([][2]int, 0, n*n)
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				pairs = append(pairs, [2]int{u, v})
+			}
+		}
+		fp := FingerprintOf(g)
+		rng := rand.New(rand.NewSource(18))
+		repaired := false
+		for round := 0; round < 12; round++ {
+			edges := g.Edges()
+			var edits []apsp.EdgeEdit
+			for _, i := range rng.Perm(len(edges))[:1+rng.Intn(2)] {
+				edits = append(edits, apsp.EdgeEdit{U: edges[i].U, V: edges[i].V, W: float64(rng.Intn(9) + 1)})
+			}
+			next, o, st, err := r.Reweight(fp, edits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := o.succ.Pending(); st.Edits > 0 && (p == 0 || p != st.RepairedColumns) {
+				t.Errorf("%s round %d: %d rows pending, stats say %d", sv.name, round, p, st.RepairedColumns)
+			}
+			fresh, err := NewRegistry(Config{Solve: succSolve}).Get(o.Graph())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(o.dist.encode(), fresh.dist.encode()) {
+				t.Errorf("%s round %d: the reweighted store's bytes differ from a fresh Get's (edits %+v)", sv.name, round, edits)
+			}
+			if repaired = repaired || st.Edits > 0; !repaired {
+				continue // no-op edits: o is still the loaded oracle
+			}
+			got, err := o.BatchPath(pairs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.BatchPath(pairs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) || o.succ.Pending() != 0 {
+				t.Errorf("%s round %d: the reweighted oracle's paths differ from a fresh Get's, %d rows still pending (edits %+v, stats %+v)", sv.name, round, o.succ.Pending(), edits, st)
+			}
+			fp, g = next, o.Graph()
+		}
+	}
+}
+
+// TestRefusedPendingRowIsTheQuerysError: a repaired table walks its
+// pending rows from the distances it was repaired to, so a repair that
+// wrote a wrong distance is found on the first path query of that row.
+// Path and BatchPath return the walk's refusal as their error — every
+// time, since the row stays pending — instead of panicking; distances
+// and the rows the repair left alone still answer.
+func TestRefusedPendingRowIsTheQuerysError(t *testing.T) {
+	g := intGraph(23, 40)
+	var bad [2]int // the corrupted entry: row bad[0], column bad[1]
+	corrupt := func(ed *apsp.Edited, prevDist apsp.RowFunc, prevNext *apsp.Successors) (*apsp.PathResult, apsp.RepairStats, error) {
+		res, st, err := apsp.RepairRows(ed, prevDist, prevNext, 1)
+		if err != nil || st.FellBack {
+			return res, st, err
+		}
+		n := ed.Graph.N()
+		buf := make([]float64, n)
+		for x := 0; x < n; x++ {
+			old := prevDist(x, buf)
+			for z := 0; z < n; z++ {
+				if x != z && res.Dist.At(x, z) != old[z] {
+					bad = [2]int{x, z}
+					res.Dist.Set(x, z, res.Dist.At(x, z)+0.5) // no integer path explains it
+					return res, st, nil
+				}
+			}
+		}
+		return nil, st, errors.New("the repair wrote no entry")
+	}
+	r := NewRegistry(Config{Solve: succSolve, Repair: corrupt})
 	if _, err := r.Get(g); err != nil {
 		t.Fatal(err)
 	}
+	e := g.Edges()[0]
+	_, o, st, err := r.Reweight(FingerprintOf(g), []apsp.EdgeEdit{{U: e.U, V: e.V, W: e.W + 7}})
+	if err != nil || st.FellBack {
+		t.Fatalf("reweight: %v, stats %+v", err, st)
+	}
+	v, u := bad[0], bad[1]
+	for i := 0; i < 2; i++ {
+		if _, err := o.Path(u, v); err == nil || !strings.Contains(err.Error(), "inconsistent distances") {
+			t.Errorf("Path(%d,%d) over the corrupted row: err %v, want the walk's refusal", u, v, err)
+		}
+		if _, err := o.BatchPath([][2]int{{0, 1}, {u, v}}); err == nil {
+			t.Errorf("BatchPath over the corrupted row: no error")
+		}
+	}
+	if d, err := o.Dist(v, u); err != nil || d != math.Floor(d)+0.5 {
+		t.Errorf("Dist(%d,%d) = %v, %v: want the stored corrupted distance", v, u, d, err)
+	}
+	for w := 0; w < g.N(); w++ {
+		if w == v {
+			continue
+		}
+		if _, err := o.Path(u, w); err != nil {
+			t.Errorf("Path(%d,%d) of an uncorrupted row: %v", u, w, err)
+		}
+	}
+}
+
+// TestPendingRowsWalkOnceUnderConcurrentQueries: readers ask paths over
+// overlapping pending targets of a freshly reweighted oracle, while
+// another keeps asking paths of the previous oracle — itself repaired,
+// with rows pending — during the reweight that copies its table. Every
+// path equals a fresh Get's of the same graph, and every pending row is
+// walked once: the walk reads a row's distances once per walk, and the
+// test counts those reads. Run under -race.
+func TestPendingRowsWalkOnceUnderConcurrentQueries(t *testing.T) {
+	r := NewRegistry(Config{Solve: succSolve, Repair: testRepairer()})
+	g := graph.Grid2D(12, 12, func(u, v int) float64 { return float64((u*7+v*3)%9 + 1) })
+	n := g.N()
+	o0, err := r.Get(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	toggle := func(o *Oracle) []apsp.EdgeEdit {
+		e := o.Graph().Edges()
+		return []apsp.EdgeEdit{{U: e[5].U, V: e[5].V, W: e[5].W + 4}, {U: e[90].U, V: e[90].V, W: 1}}
+	}
+	// reads wraps an oracle's distance rows, counting the reads of each.
+	reads := func(o *Oracle) []atomic.Int32 {
+		c := make([]atomic.Int32, n)
+		o.succ.ReadRowsFrom(func(v int, buf []float64) []float64 {
+			c[v].Add(1)
+			return o.dist.row(v, buf)
+		})
+		return c
+	}
+	fresh := func(g *graph.Graph) *Oracle {
+		f, err := NewRegistry(Config{Solve: succSolve}).Get(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	// same asks pairs of o and of a fresh oracle f of the same graph.
+	same := func(o, f *Oracle, pairs [][2]int) bool {
+		got, err := o.BatchPath(pairs)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		want, _ := f.BatchPath(pairs)
+		return reflect.DeepEqual(got, want)
+	}
+	// into asks a path into each target in [lo, hi) from two sources.
+	into := func(lo, hi int) [][2]int {
+		var pairs [][2]int
+		for v := lo; v < hi; v++ {
+			pairs = append(pairs, [2]int{(v*37 + 1) % n, v}, [2]int{(v*5 + 11) % n, v})
+		}
+		return pairs
+	}
+
+	fp1, o1, _, err := r.Reweight(FingerprintOf(g), toggle(o0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending1 := o1.succ.Pending()
+	if pending1 == 0 {
+		t.Fatal("the first reweight left no row pending")
+	}
+	reads1 := reads(o1)
+	fresh1 := fresh(o1.Graph())
+
+	var wg sync.WaitGroup
+	oldDone := make(chan struct{})
+	wg.Add(1)
+	go func() { // the previous oracle, read while the reweight copies it
+		defer wg.Done()
+		defer close(oldDone)
+		for k := 0; k < n; k += 8 {
+			if !same(o1, fresh1, into(k, min(k+8, n))) {
+				t.Errorf("old oracle: paths into %d..%d differ from a fresh Get's", k, k+7)
+			}
+		}
+	}()
+	_, o2, st2, err := r.Reweight(fp1, toggle(o1))
+	<-oldDone
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := o2.succ.Pending(); p == 0 || p != st2.RepairedColumns {
+		t.Fatalf("the second reweight left %d rows pending, stats say %d", p, st2.RepairedColumns)
+	}
+	reads2 := reads(o2)
+	fresh2 := fresh(o2.Graph())
+	pending2 := o2.succ.Pending()
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := w * 4; k < n; k += 12 { // windows of 24 targets, overlapping their neighbours'
+				hi := min(k+24, n)
+				if !same(o2, fresh2, into(k, hi)) {
+					t.Errorf("reader %d: paths into %d..%d differ from a fresh Get's", w, k, hi-1)
+				}
+				u := (k*13 + 5) % n
+				got, err := o2.Path(u, hi-1)
+				if want, _ := fresh2.Path(u, hi-1); err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("reader %d: Path(%d,%d) = %v, %v, a fresh Get's %v", w, u, hi-1, got, err, want)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, c := range []struct {
+		name    string
+		o       *Oracle
+		reads   []atomic.Int32
+		pending int
+	}{{"old", o1, reads1, pending1}, {"new", o2, reads2, pending2}} {
+		walks := 0
+		for v := range c.reads {
+			if k := c.reads[v].Load(); k > 1 {
+				t.Errorf("%s oracle: row %d walked %d times", c.name, v, k)
+			} else {
+				walks += int(k)
+			}
+		}
+		if p := c.o.succ.Pending(); p != 0 || walks != c.pending {
+			t.Errorf("%s oracle: %d rows walked, %d pending before, %d after", c.name, walks, c.pending, p)
+		}
+	}
+}
+
+// BenchmarkReweightThenPaths times what a reweight costs a client that
+// then asks for paths: one Registry.Reweight of the served grid's shape
+// (32², integer weights 1..9) under the bench's toggle — one edge of
+// weight ≤ 5 raised by 4, one above 5 lowered by 4, undone on the next
+// iteration — plus the first 64-pair BatchPath of the new oracle, which
+// walks the rows the repair left pending that the batch reads.
+func BenchmarkReweightThenPaths(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	g := graph.Grid2D(32, 32, func(u, v int) float64 { return float64(rng.Intn(9) + 1) })
+	solve := func(g *graph.Graph) (*apsp.PathResult, error) {
+		d, err := apsp.Johnson(g)
+		if err != nil {
+			return nil, err
+		}
+		return apsp.SuccessorsFromDist(g, d)
+	}
+	r := NewRegistry(Config{Solve: solve, Repair: testRepairer()})
+	if _, err := r.Get(g); err != nil {
+		b.Fatal(err)
+	}
+	var there, back []apsp.EdgeEdit
+	var up, down bool
+	for _, e := range g.Edges() {
+		if e.W <= 5 && !up {
+			there, back, up = append(there, apsp.EdgeEdit{U: e.U, V: e.V, W: e.W + 4}), append(back, apsp.EdgeEdit{U: e.U, V: e.V, W: e.W}), true
+		} else if e.W > 5 && !down {
+			there, back, down = append(there, apsp.EdgeEdit{U: e.U, V: e.V, W: e.W - 4}), append(back, apsp.EdgeEdit{U: e.U, V: e.V, W: e.W}), true
+		}
+	}
+	pairs := make([][2]int, 64)
+	for i := range pairs {
+		pairs[i] = [2]int{rng.Intn(g.N()), rng.Intn(g.N())}
+	}
 	fp := FingerprintOf(g)
-	rng := rand.New(rand.NewSource(18))
-	for round := 0; round < 12; round++ {
-		edges := g.Edges()
-		var edits []apsp.EdgeEdit
-		for _, i := range rng.Perm(len(edges))[:1+rng.Intn(2)] {
-			edits = append(edits, apsp.EdgeEdit{U: edges[i].U, V: edges[i].V, W: float64(rng.Intn(9) + 1)})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		edits := there
+		if i%2 == 1 {
+			edits = back
 		}
 		next, o, st, err := r.Reweight(fp, edits)
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || st.FellBack {
+			b.Fatalf("err %v, stats %+v", err, st)
 		}
-		fresh, err := NewRegistry(Config{Solve: succSolve}).Get(o.Graph())
-		if err != nil {
-			t.Fatal(err)
+		if _, err := o.BatchPath(pairs); err != nil {
+			b.Fatal(err)
 		}
-		if !slices.Equal(o.dist.encode(), fresh.dist.encode()) {
-			t.Errorf("round %d: the reweighted store's bytes differ from a fresh Get's (edits %+v)", round, edits)
-		}
-		if !reflect.DeepEqual(o.succ, fresh.succ) {
-			t.Errorf("round %d: the reweighted successor table differs from a fresh Get's (edits %+v, stats %+v)", round, edits, st)
-		}
-		fp, g = next, o.Graph()
+		fp = next
 	}
 }

@@ -442,8 +442,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, body []byte
 	}
 	resp := QueryResponse{Dists: dists}
 	if req.Paths {
+		// BatchDist has checked the pairs, so what is left is a
+		// repaired successor row the walk refused: the server's fault.
 		if resp.Paths, err = o.BatchPath(req.Pairs); err != nil {
-			return badRequest("%v", err)
+			return Errorf(http.StatusInternalServerError, "%v", err)
 		}
 	}
 	return WriteJSON(w, resp)
