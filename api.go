@@ -80,7 +80,7 @@ var (
 type Algorithm string
 
 const (
-	// Auto picks SparseAPSP when P is a valid sparse machine size
+	// Auto picks Sparse2D when P is a valid sparse machine size
 	// ((2^h−1)²), DCAPSP for other P > 1, and SuperFW for P ≤ 1.
 	Auto Algorithm = "auto"
 	// Sparse2D is the paper's distributed 2D-SPARSE-APSP.
@@ -298,7 +298,7 @@ type PathResult = apsp.PathResult
 
 // SolveWithPathsOptions computes APSP with path reconstruction using
 // the solver and machine size selected by opts — any Solve
-// configuration works, including the distributed SparseAPSP. The
+// configuration works, including the distributed Sparse2D. The
 // successor structure is extracted from the finished distance matrix
 // (see internal/apsp.SuccessorsFromDist), so Path(u, v) queries run in
 // time proportional to the path length regardless of the solver.

@@ -150,7 +150,7 @@ func TestSeparatorSizeGrid(t *testing.T) {
 
 func TestSolveWithPathsOptionsAcrossSolvers(t *testing.T) {
 	g := Grid2D(7, 7, UnitWeights)
-	want := apsp.FloydWarshallPaths(g)
+	want, _ := apsp.FloydWarshall(g)
 	for _, opts := range []Options{
 		{Algorithm: SeqFW},
 		{Algorithm: SeqJohnson},
@@ -162,8 +162,8 @@ func TestSolveWithPathsOptionsAcrossSolvers(t *testing.T) {
 			t.Errorf("%s: %v", opts.Algorithm, err)
 			continue
 		}
-		if !pr.Dist.EqualTol(want.Dist, 1e-9) {
-			t.Errorf("%s: distances diverge from FloydWarshallPaths", opts.Algorithm)
+		if !pr.Dist.EqualTol(want, 1e-9) {
+			t.Errorf("%s: distances diverge from FloydWarshall", opts.Algorithm)
 			continue
 		}
 		for _, q := range [][2]int{{0, 48}, {6, 42}, {3, 3}, {48, 0}} {
@@ -172,7 +172,7 @@ func TestSolveWithPathsOptionsAcrossSolvers(t *testing.T) {
 				t.Errorf("%s: Path(%d,%d) = %v: bad endpoints", opts.Algorithm, q[0], q[1], path)
 				continue
 			}
-			if got, ref := PathWeight(g, path), want.Dist.At(q[0], q[1]); math.Abs(got-ref) > 1e-9 {
+			if got, ref := PathWeight(g, path), want.At(q[0], q[1]); math.Abs(got-ref) > 1e-9 {
 				t.Errorf("%s: Path(%d,%d) weight %g, want %g", opts.Algorithm, q[0], q[1], got, ref)
 			}
 		}
@@ -224,12 +224,12 @@ func TestNewOracleServesQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := apsp.FloydWarshallPaths(g)
+	want, _ := apsp.FloydWarshall(g)
 	d, err := o.Dist(0, 35)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref := want.Dist.At(0, 35); d != ref {
+	if ref := want.At(0, 35); d != ref {
 		t.Errorf("Dist(0,35) = %g, want %g", d, ref)
 	}
 	paths, err := o.BatchPath([][2]int{{0, 35}, {5, 30}})
@@ -237,8 +237,8 @@ func TestNewOracleServesQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range [][2]int{{0, 35}, {5, 30}} {
-		if w := PathWeight(g, paths[i]); w != want.Dist.At(q[0], q[1]) {
-			t.Errorf("batch path %d weight %g, want %g", i, w, want.Dist.At(q[0], q[1]))
+		if w := PathWeight(g, paths[i]); w != want.At(q[0], q[1]) {
+			t.Errorf("batch path %d weight %g, want %g", i, w, want.At(q[0], q[1]))
 		}
 	}
 }

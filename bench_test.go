@@ -170,7 +170,7 @@ func BenchmarkSparseAPSP(b *testing.B) {
 			b.ResetTimer()
 			var rep Report
 			for i := 0; i < b.N; i++ {
-				r, err := apsp.SparseAPSP(g, p, 11)
+				r, err := apsp.SparseAPSPWith(g, p, apsp.SparseOptions{Seed: 11})
 				if err != nil {
 					b.Fatal(err)
 				}

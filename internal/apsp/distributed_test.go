@@ -19,13 +19,13 @@ func TestSparseAPSPMatchesFloydWarshall(t *testing.T) {
 	for name, g := range testGraphs(rng) {
 		want, _ := FloydWarshall(g)
 		for _, p := range []int{1, 9, 49} {
-			res, err := SparseAPSP(g, p, 5)
+			res, err := SparseAPSPWith(g, p, SparseOptions{Seed: 5})
 			if err != nil {
 				t.Errorf("%s p=%d: %v", name, p, err)
 				continue
 			}
 			if !res.Dist.EqualTol(want, 1e-9) {
-				t.Errorf("%s p=%d: SparseAPSP diverges from Floyd-Warshall", name, p)
+				t.Errorf("%s p=%d: SparseAPSPWith diverges from Floyd-Warshall", name, p)
 			}
 		}
 	}
@@ -34,7 +34,7 @@ func TestSparseAPSPMatchesFloydWarshall(t *testing.T) {
 func TestSparseAPSPRejectsBadP(t *testing.T) {
 	g := graph.Path(5, graph.UnitWeights)
 	for _, p := range []int{2, 4, 16, 25, 100} {
-		if _, err := SparseAPSP(g, p, 1); err == nil {
+		if _, err := SparseAPSPWith(g, p, SparseOptions{Seed: 1}); err == nil {
 			t.Errorf("p=%d: expected error", p)
 		}
 	}
@@ -90,7 +90,7 @@ func TestSparseAPSPMatchesSuperFW(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := SparseAPSP(g, 49, 17)
+	dist, err := SparseAPSPWith(g, 49, SparseOptions{Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestQuickDistributedSolversAgree(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sp, err := SparseAPSP(g, 9, seed)
+		sp, err := SparseAPSPWith(g, 9, SparseOptions{Seed: seed})
 		if err != nil || !sp.Dist.EqualTol(want, 1e-9) {
 			return false
 		}
@@ -133,7 +133,7 @@ func TestQuickDistributedSolversAgree(t *testing.T) {
 // connected graph, and per-rank memory close to the block sizes.
 func TestSparseAPSPReportPopulated(t *testing.T) {
 	g := graph.Grid2D(12, 12, graph.UnitWeights)
-	res, err := SparseAPSP(g, 9, 3)
+	res, err := SparseAPSPWith(g, 9, SparseOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestSparseAPSPLatencyIndependentOfN(t *testing.T) {
 func sparseLatency(t *testing.T, side int) int64 {
 	t.Helper()
 	g := graph.Grid2D(side, side, graph.UnitWeights)
-	res, err := SparseAPSP(g, 9, 3)
+	res, err := SparseAPSPWith(g, 9, SparseOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +177,11 @@ func sparseLatency(t *testing.T, side int) int64 {
 // algorithm's stays polylogarithmic — the headline Table 2 row 3.
 func TestLatencySeparationSparseVsDense(t *testing.T) {
 	g := graph.Grid2D(24, 24, graph.UnitWeights)
-	sparse9, err := SparseAPSP(g, 9, 3)
+	sparse9, err := SparseAPSPWith(g, 9, SparseOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse49, err := SparseAPSP(g, 49, 3)
+	sparse49, err := SparseAPSPWith(g, 49, SparseOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestSparseAPSPAtP961(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(107))
 	g := graph.Grid2D(32, 32, graph.RandomWeights(rng, 1, 10))
-	res, err := SparseAPSP(g, 961, 7)
+	res, err := SparseAPSPWith(g, 961, SparseOptions{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

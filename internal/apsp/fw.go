@@ -14,14 +14,15 @@
 //     layout.
 //   - DCAPSP — the divide-and-conquer 2D-DC-APSP of Solomonik, Buluç,
 //     Demmel (IPDPS'13) on a block-cyclic layout.
-//   - SparseAPSP — the paper's 2D-SPARSE-APSP (Algorithm 1), with the
+//   - SparseAPSPWith — the paper's 2D-SPARSE-APSP (Algorithm 1), with the
 //     Corollary 5.5 unit mapping (one level-1 unit per block on the
 //     block's owner, on the pruned wire) or the Section 5.2.2 sequential
 //     strategy (SparseOptions.R4Strategy), per-level cost breakdown,
 //     and pluggable orderings (e.g. from partition.DistributedND).
 //
-// Extras: FloydWarshallPaths reconstructs actual shortest paths, and
-// VerifyDistances certifies a distance matrix without recomputation.
+// Extras: SuccessorsFromDist reconstructs actual shortest paths from
+// any solver's distances, and VerifyDistances certifies a distance
+// matrix without recomputation.
 package apsp
 
 import (
@@ -37,23 +38,4 @@ func FloydWarshall(g *graph.Graph) (*semiring.Matrix, int64) {
 	m := semiring.FromSlice(n, n, g.AdjacencyMatrix())
 	ops := semiring.ClassicalFW(m)
 	return m, ops
-}
-
-// FloydWarshallFull is FloydWarshall with no empty-entry skipping: it
-// always performs exactly n³ operations: the classical-cost reference
-// the operation-count tests compare SuperFW's saving against.
-func FloydWarshallFull(g *graph.Graph) (*semiring.Matrix, int64) {
-	n := g.N()
-	m := semiring.FromSlice(n, n, g.AdjacencyMatrix())
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			mik := m.At(i, k)
-			for j := 0; j < n; j++ {
-				if s := mik + m.At(k, j); s < m.At(i, j) {
-					m.Set(i, j, s)
-				}
-			}
-		}
-	}
-	return m, int64(n) * int64(n) * int64(n)
 }

@@ -38,11 +38,10 @@ type PathResult struct {
 // its leaves — at a bit offset shared by every row (slotAdjacency.cols).
 // There is no code for "no successor": a pair has none exactly when
 // u = v or the two lie in different components, which the adjacency's
-// component labels answer, and every builder refuses a row on which the
-// distances say otherwise (successorRow, FloydWarshallPaths); what such
-// an entry holds is never read. Every row starts on a word boundary,
-// because rebuild's workers write rows concurrently and must never share
-// a word.
+// component labels answer, and the walk refuses a row on which the
+// distances say otherwise (successorRow); what such an entry holds is
+// never read. Every row starts on a word boundary, because rebuild's
+// workers write rows concurrently and must never share a word.
 //
 // Every row is written once. A table a solve extracts is complete when
 // built. A repaired table leaves the rows an edit may change pending
@@ -55,10 +54,6 @@ type Successors struct {
 	adj      *slotAdjacency // structure only: shared by every repaired copy
 	rowWords int
 	words    []uint64
-	// byWalk says every row is, or will be, successorRow's walk. It is
-	// false for FloydWarshallPaths, which breaks ties by its loop order,
-	// so a repair of that table walks every row instead of mixing rules.
-	byWalk bool
 
 	// pending has a bit for each row not yet walked; nil on a table a
 	// solve extracts. A bit is cleared only under mu, after its row is
@@ -287,13 +282,6 @@ func (s *Successors) packRow(v int, slots []int32) {
 	}
 }
 
-// packRows packs a whole unpacked table, n×n target-major.
-func (s *Successors) packRows(slots []int32) {
-	for v := 0; v < s.n; v++ {
-		s.packRow(v, slots[v*s.n:(v+1)*s.n])
-	}
-}
-
 // at returns the vertex after u on a shortest u→v path, -1 if none.
 func (s *Successors) at(v, u int) int {
 	if u == v {
@@ -305,76 +293,10 @@ func (s *Successors) at(v, u int) int {
 	return int(s.adj.to[int(s.adj.cols[u].off)+int(s.slot(s.row(v), u))])
 }
 
-// FloydWarshallPaths runs the classical algorithm while maintaining
-// successors, so Path can extract any shortest path in O(path length).
-//
-// The loop runs on the transposed problem — row j holds the distances
-// and hops TOWARDS j — so the table comes out target-major with every
-// access contiguous. On an undirected graph that is the same matrix:
-// within step k neither row k nor column k changes, so every entry
-// (i,j) and its mirror (j,i) take the minimum of the same two floats
-// and stay bit-equal.
-//
-// It panics on a graph that holds a pair without a path inside one
-// component — one joined only through edges of weight +Inf — because the
-// table has no way to say so; SuccessorsFromDist reports the same as an
-// error.
-func FloydWarshallPaths(g *graph.Graph) *PathResult {
-	n := g.N()
-	d := semiring.FromSlice(n, n, g.AdjacencyMatrix())
-	next := newSuccessors(g)
-	slots := floydWarshallNext(g, d)
-	for i, x := range slots {
-		if v, u := i/n, i%n; x == -1 && u != v && next.adj.comp[u] == next.adj.comp[v] {
-			panic(fmt.Sprintf("apsp: FloydWarshallPaths: no path from %d to %d inside one component (an edge of weight +Inf?)", u, v))
-		}
-	}
-	next.packRows(slots)
-	return &PathResult{Dist: d, next: next}
-}
-
-// floydWarshallNext runs the loop on d in place and returns the slots
-// unpacked, n×n target-major, -1 for none. A slot is relative to its
-// source i, which is the same on both sides of nextJ[i] = nextK[i], so
-// the classical successor copy carries over unchanged.
-func floydWarshallNext(g *graph.Graph, d *semiring.Matrix) []int32 {
-	n := g.N()
-	next := make([]int32, n*n)
-	for i := range next {
-		next[i] = -1
-	}
-	for u := 0; u < n; u++ {
-		for s, e := range g.Adj(u) {
-			if e.W <= d.At(e.To, u) && !math.IsInf(e.W, 1) {
-				next[e.To*n+u] = int32(s)
-			}
-		}
-	}
-	for k := 0; k < n; k++ {
-		rowK := d.V[k*n : (k+1)*n]
-		nextK := next[k*n : (k+1)*n]
-		for j := 0; j < n; j++ {
-			dkj := d.V[j*n+k]
-			if math.IsInf(dkj, 1) {
-				continue
-			}
-			rowJ := d.V[j*n : (j+1)*n]
-			nextJ := next[j*n : (j+1)*n]
-			for i, dik := range rowK {
-				if s := dik + dkj; s < rowJ[i] {
-					rowJ[i] = s
-					nextJ[i] = nextK[i]
-				}
-			}
-		}
-	}
-	return next
-}
-
 // SuccessorsFromDist reconstructs the successor structure from a
 // finished distance matrix, so shortest paths can be served from the
 // output of *any* solver (blocked, supernodal, or the distributed
-// 2D-SPARSE-APSP), not just the classical FloydWarshallPaths loop.
+// 2D-SPARSE-APSP). It is the one rule every served table is built by.
 //
 // For each target v it walks the "tight" edges — edges {u, w} with
 // d(u,v) = w(u,w) + d(w,v) — backwards from v in breadth-first order,
@@ -412,7 +334,6 @@ func SuccessorsFromDist(g *graph.Graph, d *semiring.Matrix) (*PathResult, error)
 	if err := next.rebuild(g, matrixRows(d), nil); err != nil {
 		return nil, err
 	}
-	next.byWalk = true
 	return &PathResult{Dist: d, next: next}, nil
 }
 
@@ -516,16 +437,15 @@ func (s *Successors) rebuild(g *graph.Graph, row RowFunc, targets []int) error {
 // both loops.
 //
 // A row still pending in s stays pending: its old words were never
-// written. Every row is pending when the walk did not build s
-// (FloydWarshallPaths), so no table mixes two tie-break rules.
+// written.
 func (s *Successors) repaired(ed *Edited, d *semiring.Matrix, wrote []bool) (*Successors, int) {
 	n := s.n
-	next := &Successors{n: n, adj: s.adj, rowWords: s.rowWords, byWalk: true,
+	next := &Successors{n: n, adj: s.adj, rowWords: s.rowWords,
 		pending: make([]atomic.Uint64, (n+63)/64), graph: ed.Graph, dist: matrixRows(d)}
 	marked := 0
 	for v := 0; v < n; v++ {
 		row := d.V[v*n : (v+1)*n]
-		walk := !s.byWalk || wrote[v] || s.isPending(v)
+		walk := wrote[v] || s.isPending(v)
 		for i := 0; i < len(ed.deltas) && !walk; i++ {
 			e := ed.deltas[i]
 			walk = s.adj.comp[e.u] == s.adj.comp[v] && (s.at(v, e.u) == e.v || s.at(v, e.v) == e.u ||

@@ -58,8 +58,10 @@ func TestPathEdgeCases(t *testing.T) {
 }
 
 // Property: successor structures extracted from a finished distance
-// matrix (any solver) reconstruct real shortest paths, matching the
-// in-loop successors of FloydWarshallPaths.
+// matrix (any solver) reconstruct real shortest paths: every path has
+// the right endpoints and weighs its pair's distance, and an unreachable
+// pair has none. Only distances and path weights are compared, not the
+// hops, which the two builders' tie-breaks may choose differently.
 func TestQuickSuccessorsFromDist(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

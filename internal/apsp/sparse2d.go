@@ -27,32 +27,6 @@ type DistResult struct {
 	Phases []comm.PhaseCost
 }
 
-// SparseAPSP runs the paper's 2D-SPARSE-APSP (Algorithm 1) on a
-// simulated machine of p processors. p must be (2^h − 1)² so that the
-// supernodal block matrix maps one block per processor (Section 5.1).
-//
-// Per level l = 1..h the four regions are updated in order:
-//
-//	R_l^1  local ClassicalFW on each diagonal pivot block;
-//	R_l^2  broadcast of A(k,k) down pivot row and column, panel updates;
-//	R_l^3  row/column broadcasts of the panels, one-unit updates;
-//	R_l^4  panel broadcasts to the unit processors — Corollary 5.5's
-//	       P_{f,g}, but on the pruned wire's level 1 one unit per block
-//	       on the block's owner — parallel unit computation, binomial
-//	       reduce to the owning block, and the symmetric transpose send
-//	       (Algorithm 1 line 25).
-//
-// The solve is split into a symbolic phase (BuildPlan: ordering, eTree,
-// fill mask, and the complete op schedule above) and a numeric phase
-// (Plan.ExecuteOpts: the min-plus block updates against actual weights).
-// Every rank follows the same deterministic global schedule, entering
-// only the collectives it belongs to, so the communication pattern —
-// and therefore the measured critical-path cost — is exactly the
-// paper's.
-func SparseAPSP(g *graph.Graph, p int, seed int64) (*DistResult, error) {
-	return SparseAPSPWith(g, p, SparseOptions{Seed: seed})
-}
-
 // R4Strategy selects how the multi-unit region R_l^4 is updated.
 type R4Strategy int
 
@@ -132,9 +106,29 @@ type SparseOptions struct {
 	Plans *PlanCache
 }
 
-// SparseAPSPWith is SparseAPSP with explicit options. It is a thin
-// wrapper over the Plan/Execute split: build (or fetch from
-// opts.Plans) the symbolic plan, then execute it against g's weights.
+// SparseAPSPWith runs the paper's 2D-SPARSE-APSP (Algorithm 1) on a
+// simulated machine of p processors. p must be (2^h − 1)² so that the
+// supernodal block matrix maps one block per processor (Section 5.1).
+//
+// Per level l = 1..h the four regions are updated in order:
+//
+//	R_l^1  local ClassicalFW on each diagonal pivot block;
+//	R_l^2  broadcast of A(k,k) down pivot row and column, panel updates;
+//	R_l^3  row/column broadcasts of the panels, one-unit updates;
+//	R_l^4  panel broadcasts to the unit processors — Corollary 5.5's
+//	       P_{f,g}, but on the pruned wire's level 1 one unit per block
+//	       on the block's owner — parallel unit computation, binomial
+//	       reduce to the owning block, and the symmetric transpose send
+//	       (Algorithm 1 line 25).
+//
+// The solve is split into a symbolic phase (BuildPlan: ordering, eTree,
+// fill mask, and the complete op schedule above), built or fetched from
+// opts.Plans, and a numeric phase (Plan.ExecuteOpts: the min-plus block
+// updates against g's weights). Every rank follows the same
+// deterministic global schedule, entering only the collectives it
+// belongs to, so the communication pattern — and therefore the measured
+// critical-path cost — is exactly the paper's.
+//
 // It refuses a negative edge weight (CheckNonNegative), a negative
 // cycle in an undirected graph, and a NaN or infinite one, which the
 // blocks drop and the demand masks keep: the report is the plan's price,

@@ -19,7 +19,7 @@ type SuperFWResult struct {
 // cousin blocks are skipped entirely, which is where the O(n/|S|)
 // operation reduction over classical Floyd–Warshall comes from.
 //
-// It is also the sequential semantics of the distributed SparseAPSP:
+// It is also the sequential semantics of the distributed SparseAPSPWith:
 // both run the same region schedule, so their results must agree
 // exactly.
 func SuperFW(g *graph.Graph, h int, seed int64) (*SuperFWResult, error) {

@@ -34,13 +34,3 @@ func (t *Tree) PivotsAt(l, i, j int) []int {
 		return nil
 	}
 }
-
-// AllPivots unions PivotsAt over every level: the complete pivot set
-// the schedule applies to block (i, j).
-func (t *Tree) AllPivots(i, j int) []int {
-	var out []int
-	for l := 1; l <= t.H; l++ {
-		out = append(out, t.PivotsAt(l, i, j)...)
-	}
-	return out
-}

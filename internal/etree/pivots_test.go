@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// AllPivots unions PivotsAt over every level: the complete pivot set
+// the schedule applies to block (i, j).
+func (t *Tree) AllPivots(i, j int) []int {
+	var out []int
+	for l := 1; l <= t.H; l++ {
+		out = append(out, t.PivotsAt(l, i, j)...)
+	}
+	return out
+}
+
 // Equation (1) / Lemma 6.3: over the whole elimination, block (i, j)
 // must be updated through exactly the pivots
 // S_ij = (i ∪ 𝒜(i) ∪ 𝒟(i)) ∩ (j ∪ 𝒜(j) ∪ 𝒟(j)) — never a cousin of

@@ -13,6 +13,27 @@ import (
 	"time"
 )
 
+// PseudoPeripheral returns a vertex of approximately maximal
+// eccentricity within src's component, found by repeated BFS — the
+// standard starting point for graph-growing bisection.
+func (g *Graph) PseudoPeripheral(src int) int {
+	last := src
+	lastDepth := -1
+	for iter := 0; iter < 8; iter++ {
+		far, farDepth := last, 0
+		g.BFS(last, func(v, d int) {
+			if d > farDepth {
+				far, farDepth = v, d
+			}
+		})
+		if farDepth <= lastDepth {
+			return last
+		}
+		last, lastDepth = far, farDepth
+	}
+	return last
+}
+
 func TestAddEdgeBasics(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1, 2.5)

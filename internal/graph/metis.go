@@ -20,39 +20,15 @@ import (
 // Only the 0 (unweighted) and 1 (edge-weighted) fmt codes are
 // supported; vertex weights (fmt 10/11) are rejected explicitly.
 
-// WriteMETIS serializes the graph in METIS format with edge weights.
-func (g *Graph) WriteMETIS(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%d %d 1\n", g.n, g.m); err != nil {
-		return err
-	}
-	for v := 0; v < g.n; v++ {
-		for i, e := range g.adj[v] {
-			if i > 0 {
-				if err := bw.WriteByte(' '); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(bw, "%d %g", e.To+1, e.W); err != nil {
-				return err
-			}
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // ReadMETIS parses a METIS graph file. Asymmetric weight declarations
 // are collapsed to the minimum, matching AddEdge semantics.
 //
 // Comment lines (leading '%') may appear anywhere. Blank lines before
 // the header are skipped, but within the vertex section a blank line IS
-// a vertex line — the empty adjacency list of an isolated vertex,
-// exactly what WriteMETIS emits — so Write→Read round-trips graphs with
-// isolated vertices. Self-loops and non-finite weights are rejected
-// explicitly (the solvers define neither).
+// a vertex line — the empty adjacency list of an isolated vertex — so
+// a written graph with isolated vertices reads back unchanged.
+// Self-loops and non-finite weights are rejected explicitly (the solvers
+// define neither).
 func ReadMETIS(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, 16<<20) // grown as lines need, up to 16 MiB

@@ -1,13 +1,39 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+// WriteMETIS serializes the graph in METIS format with edge weights.
+func (g *Graph) WriteMETIS(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	if _, err := fmt.Fprintf(bw, "%d %d 1\n", g.n, g.m); err != nil {
+		return err
+	}
+	for v := 0; v < g.n; v++ {
+		for i, e := range g.adj[v] {
+			if i > 0 {
+				if err := bw.WriteByte(' '); err != nil {
+					return err
+				}
+			}
+			if _, err := fmt.Fprintf(bw, "%d %g", e.To+1, e.W); err != nil {
+				return err
+			}
+		}
+		if err := bw.WriteByte('\n'); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
 
 func TestMETISRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))

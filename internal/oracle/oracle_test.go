@@ -3,15 +3,25 @@ package oracle
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sparseapsp/internal/apsp"
 	"sparseapsp/internal/graph"
+	"sparseapsp/internal/semiring"
 )
 
-// fwSolve is the reference solver the tests build oracles with.
-func fwSolve(g *graph.Graph) (*apsp.PathResult, error) {
-	return apsp.FloydWarshallPaths(g), nil
+// succSolve mirrors the production registry solver: distances from the
+// classical loop, successors extracted by apsp.SuccessorsFromDist.
+func succSolve(g *graph.Graph) (*apsp.PathResult, error) {
+	return apsp.SuccessorsFromDist(g, fwDist(g))
+}
+
+// fwDist is the classical loop's distance matrix of g: the referee
+// every answer is checked against, independent of the successor walk.
+func fwDist(g *graph.Graph) *semiring.Matrix {
+	d, _ := apsp.FloydWarshall(g)
+	return d
 }
 
 func testGraph(seed int64, n int) *graph.Graph {
@@ -19,25 +29,39 @@ func testGraph(seed int64, n int) *graph.Graph {
 	return graph.RandomGNP(n, 3.0/float64(n), graph.RandomWeights(rng, 1, 10), rng)
 }
 
-func TestOracleMatchesFloydWarshallPaths(t *testing.T) {
+// TestOracleMatchesFloydWarshall: every distance the oracle serves is
+// the classical loop's bit for bit, and every path is the one a fresh
+// SuccessorsFromDist table over those distances walks — a table that
+// VerifyPaths certifies on its own.
+func TestOracleMatchesFloydWarshall(t *testing.T) {
 	g := testGraph(7, 40)
-	o, err := New(g, fwSolve)
+	o, err := New(g, succSolve)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := apsp.FloydWarshallPaths(g)
+	want := fwDist(g)
+	fresh, err := apsp.SuccessorsFromDist(g, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := apsp.VerifyPaths(g, fresh); err != nil {
+		t.Fatal(err)
+	}
 	for u := 0; u < g.N(); u++ {
 		for v := 0; v < g.N(); v++ {
 			d, err := o.Dist(u, v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ref := want.Dist.At(u, v); d != ref && !(math.IsInf(d, 1) && math.IsInf(ref, 1)) {
+			if ref := want.At(u, v); d != ref && !(math.IsInf(d, 1) && math.IsInf(ref, 1)) {
 				t.Fatalf("Dist(%d,%d) = %g, want %g", u, v, d, ref)
 			}
 			path, err := o.Path(u, v)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !slices.Equal(path, fresh.Path(u, v)) {
+				t.Fatalf("Path(%d,%d) = %v, a fresh table walks %v", u, v, path, fresh.Path(u, v))
 			}
 			if math.IsInf(d, 1) {
 				if path != nil {
@@ -57,7 +81,7 @@ func TestOracleMatchesFloydWarshallPaths(t *testing.T) {
 
 func TestOracleBatchMatchesPointQueries(t *testing.T) {
 	g := testGraph(11, 50)
-	o, err := New(g, fwSolve)
+	o, err := New(g, succSolve)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +123,7 @@ func randomPairs(rng *rand.Rand, n, k int) [][2]int {
 // one allocation.
 func TestBatchDistAllocatesOnlyItsResult(t *testing.T) {
 	g := testGraph(11, 50)
-	o, err := New(g, fwSolve)
+	o, err := New(g, succSolve)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +171,7 @@ func BenchmarkOracleBatch(b *testing.B) {
 }
 
 func TestOracleRejectsBadQueries(t *testing.T) {
-	o, err := New(testGraph(5, 10), fwSolve)
+	o, err := New(testGraph(5, 10), succSolve)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +187,7 @@ func TestOracleRejectsBadQueries(t *testing.T) {
 	if _, err := o.BatchPath([][2]int{{99, 0}}); err == nil {
 		t.Error("BatchPath with bad pair: want error")
 	}
-	if _, err := New(nil, fwSolve); err == nil {
+	if _, err := New(nil, succSolve); err == nil {
 		t.Error("New(nil graph): want error")
 	}
 	if _, err := New(testGraph(5, 10), nil); err == nil {

@@ -13,9 +13,10 @@ import (
 
 	"sparseapsp/internal/apsp"
 	"sparseapsp/internal/graph"
+	"sparseapsp/internal/semiring"
 )
 
-// countingSolver wraps fwSolve with an invocation counter and an
+// countingSolver wraps succSolve with an invocation counter and an
 // optional delay that widens the coalescing window.
 func countingSolver(count *atomic.Int64, delay time.Duration) SolveFunc {
 	return func(g *graph.Graph) (*apsp.PathResult, error) {
@@ -23,7 +24,7 @@ func countingSolver(count *atomic.Int64, delay time.Duration) SolveFunc {
 		if delay > 0 {
 			time.Sleep(delay)
 		}
-		return apsp.FloydWarshallPaths(g), nil
+		return succSolve(g)
 	}
 }
 
@@ -39,9 +40,9 @@ func TestRegistryCoalescesConcurrentSolves(t *testing.T) {
 	for i := range gs {
 		gs[i] = testGraph(int64(100+i), 30)
 	}
-	want := make([]*apsp.PathResult, graphs)
+	want := make([]*semiring.Matrix, graphs)
 	for i, g := range gs {
-		want[i] = apsp.FloydWarshallPaths(g)
+		want[i] = fwDist(g)
 	}
 
 	var wg sync.WaitGroup
@@ -63,7 +64,7 @@ func TestRegistryCoalescesConcurrentSolves(t *testing.T) {
 					errs <- err
 					return
 				}
-				if ref := want[i].Dist.At(u, v); d != ref {
+				if ref := want[i].At(u, v); d != ref {
 					errs <- fmt.Errorf("graph %d: Dist(%d,%d) = %g, want %g", i, u, v, d, ref)
 				}
 			}(w, i)
@@ -98,7 +99,7 @@ func TestRegistryLRUEviction(t *testing.T) {
 	// oracle's size follows its graph's edge count and degree.
 	var size [3]int64
 	for i, g := range gs {
-		o, err := New(g, fwSolve)
+		o, err := New(g, succSolve)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +156,7 @@ func TestRegistryBudgetUnderConcurrentChurn(t *testing.T) {
 	for i := range gs {
 		gs[i] = testGraph(int64(200+i), 20)
 	}
-	one, err := New(gs[0], fwSolve)
+	one, err := New(gs[0], succSolve)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestRegistryFailedSolveNotCachedAndRetried(t *testing.T) {
 		if calls.Add(1) == 1 {
 			return nil, boom
 		}
-		return apsp.FloydWarshallPaths(g), nil
+		return succSolve(g)
 	}})
 	g := testGraph(9, 15)
 	if _, err := r.Get(g); !errors.Is(err, boom) {
@@ -226,7 +227,7 @@ func TestRegistryFailedSolveNotCachedAndRetried(t *testing.T) {
 }
 
 func TestRegistryLookupUnknown(t *testing.T) {
-	r := NewRegistry(Config{Solve: fwSolve})
+	r := NewRegistry(Config{Solve: succSolve})
 	if _, ok, _ := r.Lookup(FingerprintOf(testGraph(1, 8))); ok {
 		t.Error("Lookup of never-loaded graph reported ok")
 	}
@@ -278,11 +279,11 @@ func TestRegistrySingleOracleOverBudget(t *testing.T) {
 // deterministically.
 func TestRegistryEvictedWhileWaitingIsAMiss(t *testing.T) {
 	a, b := testGraph(1, 16), testGraph(2, 16)
-	one, err := New(a, fwSolve)
+	one, err := New(a, succSolve)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRegistry(Config{Solve: fwSolve, MemoryBudget: one.MemoryBytes() + 1})
+	r := NewRegistry(Config{Solve: succSolve, MemoryBudget: one.MemoryBytes() + 1})
 	if _, err := r.Get(a); err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestRegistryQuiesceWaitsForInFlightSolves(t *testing.T) {
 		close(started)
 		<-release // the solve outlives its originating request
 		solveDone.Store(true)
-		return apsp.FloydWarshallPaths(g), nil
+		return succSolve(g)
 	}})
 
 	// Idle registry: Quiesce returns immediately.

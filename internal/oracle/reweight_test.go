@@ -51,7 +51,7 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // graph's fingerprint, the old fingerprint stops serving atomically,
 // and the byte accounting survives the swap.
 func TestRegistryReweightSwapsFingerprint(t *testing.T) {
-	r := NewRegistry(Config{Solve: fwSolve, Repair: testRepairer()})
+	r := NewRegistry(Config{Solve: succSolve, Repair: testRepairer()})
 	g := intGraph(5, 40)
 	fp := FingerprintOf(g)
 	if _, err := r.Get(g); err != nil {
@@ -97,20 +97,31 @@ func TestRegistryReweightSwapsFingerprint(t *testing.T) {
 	if FingerprintOf(g2) != newFp {
 		t.Error("reweight fingerprint disagrees with ApplyEdits")
 	}
-	want := apsp.FloydWarshallPaths(g2)
+	want := fwDist(g2)
 	for u := 0; u < g2.N(); u++ {
 		for v := 0; v < g2.N(); v++ {
 			got, err := o.Dist(u, v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameBits(got, want.Dist.At(u, v)) {
-				t.Fatalf("Dist(%d,%d) = %g, want %g", u, v, got, want.Dist.At(u, v))
+			if !sameBits(got, want.At(u, v)) {
+				t.Fatalf("Dist(%d,%d) = %g, want %g", u, v, got, want.At(u, v))
 			}
 		}
 	}
-	if err := apsp.VerifyPaths(g2, want); err != nil {
+	fresh, err := apsp.SuccessorsFromDist(g2, want)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := apsp.VerifyPaths(g2, fresh); err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < g2.N(); u++ {
+		for v := 0; v < g2.N(); v++ {
+			if got, err := o.Path(u, v); err != nil || !slices.Equal(got, fresh.Path(u, v)) {
+				t.Fatalf("Path(%d,%d) = %v (%v), a fresh table walks %v", u, v, got, err, fresh.Path(u, v))
+			}
+		}
 	}
 
 	stats := r.Stats()
@@ -138,7 +149,7 @@ func TestRegistryReweightSwapsFingerprint(t *testing.T) {
 // fingerprints, invalid edits (which must leave the old oracle
 // serving), and a registry wired without a repair function.
 func TestRegistryReweightErrors(t *testing.T) {
-	r := NewRegistry(Config{Solve: fwSolve, Repair: testRepairer()})
+	r := NewRegistry(Config{Solve: succSolve, Repair: testRepairer()})
 	g := intGraph(9, 30)
 	fp := FingerprintOf(g)
 
@@ -158,7 +169,7 @@ func TestRegistryReweightErrors(t *testing.T) {
 		t.Error("failed reweight displaced the old oracle")
 	}
 
-	bare := NewRegistry(Config{Solve: fwSolve})
+	bare := NewRegistry(Config{Solve: succSolve})
 	if _, err := bare.Get(g); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +254,7 @@ func TestRegistryFailedWaitsAreNotHits(t *testing.T) {
 // its graph, and the cache must end in a consistent single-entry
 // state. Run under -race in CI.
 func TestRegistryReweightConcurrent(t *testing.T) {
-	r := NewRegistry(Config{Solve: fwSolve, Repair: testRepairer()})
+	r := NewRegistry(Config{Solve: succSolve, Repair: testRepairer()})
 	g := intGraph(11, 36)
 	fp := FingerprintOf(g)
 	if _, err := r.Get(g); err != nil {
@@ -256,7 +267,7 @@ func TestRegistryReweightConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2 := ed.Graph
-	want := apsp.FloydWarshallPaths(g2)
+	want := fwDist(g2)
 	newFp := FingerprintOf(g2)
 
 	const workers = 12
@@ -279,8 +290,8 @@ func TestRegistryReweightConcurrent(t *testing.T) {
 					t.Errorf("reweight produced fp %s, want %s", gotFp, newFp)
 					return
 				}
-				if d, err := o.Dist(0, g.N()-1); err != nil || !sameBits(d, want.Dist.At(0, g.N()-1)) {
-					t.Errorf("reweighted oracle Dist = %v (err %v), want %v", d, err, want.Dist.At(0, g.N()-1))
+				if d, err := o.Dist(0, g.N()-1); err != nil || !sameBits(d, want.At(0, g.N()-1)) {
+					t.Errorf("reweighted oracle Dist = %v (err %v), want %v", d, err, want.At(0, g.N()-1))
 				}
 			case 1: // query whichever fingerprint still serves
 				if o, ok, err := r.Lookup(fp); ok && err == nil {
@@ -290,7 +301,7 @@ func TestRegistryReweightConcurrent(t *testing.T) {
 				}
 			default:
 				if o, ok, err := r.Lookup(newFp); ok && err == nil {
-					if d, err := o.Dist(0, g.N()-1); err != nil || !sameBits(d, want.Dist.At(0, g.N()-1)) {
+					if d, err := o.Dist(0, g.N()-1); err != nil || !sameBits(d, want.At(0, g.N()-1)) {
 						t.Errorf("new oracle Dist = %v (err %v)", d, err)
 					}
 				}
@@ -308,8 +319,8 @@ func TestRegistryReweightConcurrent(t *testing.T) {
 	}
 	for u := 0; u < g2.N(); u += 7 {
 		for v := 0; v < g2.N(); v += 5 {
-			if d, _ := o.Dist(u, v); !sameBits(d, want.Dist.At(u, v)) {
-				t.Fatalf("final oracle Dist(%d,%d) = %g, want %g", u, v, d, want.Dist.At(u, v))
+			if d, _ := o.Dist(u, v); !sameBits(d, want.At(u, v)) {
+				t.Fatalf("final oracle Dist(%d,%d) = %g, want %g", u, v, d, want.At(u, v))
 			}
 		}
 	}
@@ -561,23 +572,20 @@ func TestReweightRecyclesOnlyUnsharedMatrices(t *testing.T) {
 // next — leaves after every step an oracle whose store bytes are those a
 // fresh registry's Get of the edited graph builds, and whose every path
 // is that Get's. A graph's answers do not depend on whether it was
-// loaded or reached by edits. The chain starts from a walked table
-// (succSolve) and from Floyd–Warshall's (fwSolve), whose ties break
-// otherwise: a repair of that one walks every row, so it never mixes the
-// two rules. Its graph is a grid, on which an edit leaves most rows
-// unwritten and integer weights tie often. Every repair must leave rows
-// pending, or the comparison would read only rows a solve wrote.
+// loaded or reached by edits. The second chain runs on a grid, on which
+// an edit leaves most rows unwritten and integer weights tie often.
+// Every repair must leave rows pending, or the comparison would read
+// only rows a solve wrote.
 func TestReweightServesWhatAFreshGetServes(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, sv := range []struct {
-		name  string
-		solve SolveFunc
-		g     *graph.Graph
+		name string
+		g    *graph.Graph
 	}{
-		{"succ", succSolve, intGraph(17, 60)},
-		{"fw", fwSolve, graph.Grid2D(8, 8, func(u, v int) float64 { return float64(rng.Intn(9) + 1) })},
+		{"random", intGraph(17, 60)},
+		{"grid", graph.Grid2D(8, 8, func(u, v int) float64 { return float64(rng.Intn(9) + 1) })},
 	} {
-		r := NewRegistry(Config{Solve: sv.solve, Repair: testRepairer()})
+		r := NewRegistry(Config{Solve: succSolve, Repair: testRepairer()})
 		g := sv.g
 		if _, err := r.Get(g); err != nil {
 			t.Fatal(err)

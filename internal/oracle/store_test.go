@@ -597,7 +597,7 @@ func TestReweightRenarrows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	intKind := quantKind(apsp.FloydWarshallPaths(g).Dist, 1)
+	intKind := quantKind(fwDist(g), 1)
 	if kind := o.dist.kindName(); kind != intKind {
 		t.Fatalf("integer graph stored as %s, want %s", kind, intKind)
 	}
@@ -609,7 +609,7 @@ func TestReweightRenarrows(t *testing.T) {
 	e := g.Edges()[0]
 	check := func(o *Oracle, g2 *graph.Graph, exact bool) {
 		t.Helper()
-		fresh := apsp.FloydWarshallPaths(g2)
+		fresh := fwDist(g2)
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
 				d, err := o.Dist(u, v)
@@ -621,7 +621,7 @@ func TestReweightRenarrows(t *testing.T) {
 				}
 				// Sums through the 0.1 edge round differently in different
 				// orders; integer sums do not round at all.
-				if want := fresh.Dist.At(u, v); exact && !sameBits(d, want) || math.Abs(d-want) > 1e-9 {
+				if want := fresh.At(u, v); exact && !sameBits(d, want) || math.Abs(d-want) > 1e-9 {
 					t.Fatalf("Dist(%d,%d) = %v, a fresh solve says %v", u, v, d, want)
 				}
 				path, err := o.Path(u, v)
@@ -752,13 +752,13 @@ func TestRegistryAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := apsp.FloydWarshallPaths(g)
+		want := fwDist(g)
 		for v := 0; v < g.N(); v++ {
-			if d, _ := o.Dist(0, v); !sameBits(d, want.Dist.At(0, v)) {
-				t.Fatalf("Dist(0,%d) = %v, want %v", v, d, want.Dist.At(0, v))
+			if d, _ := o.Dist(0, v); !sameBits(d, want.At(0, v)) {
+				t.Fatalf("Dist(0,%d) = %v, want %v", v, d, want.At(0, v))
 			}
-			if p, _ := o.Path(0, v); apsp.PathWeight(g, p) != want.Dist.At(0, v) {
-				t.Fatalf("Path(0,%d) = %v does not weigh %v", v, p, want.Dist.At(0, v))
+			if p, _ := o.Path(0, v); apsp.PathWeight(g, p) != want.At(0, v) {
+				t.Fatalf("Path(0,%d) = %v does not weigh %v", v, p, want.At(0, v))
 			}
 		}
 	}
@@ -821,8 +821,8 @@ func TestRegistryAccounting(t *testing.T) {
 func TestHeldOracleSurvivesEviction(t *testing.T) {
 	const n, queriers, cycles = 24, 4, 25
 	a, b := intGraph(41, n), intGraph(42, n)
-	bytesA := hotBytes(a, quantKind(apsp.FloydWarshallPaths(a).Dist, 1))
-	bytesB := hotBytes(b, quantKind(apsp.FloydWarshallPaths(b).Dist, 1))
+	bytesA := hotBytes(a, quantKind(fwDist(a), 1))
+	bytesB := hotBytes(b, quantKind(fwDist(b), 1))
 	r := NewRegistry(Config{
 		Solve:        succSolve,
 		Repair:       testRepairer(),

@@ -5,16 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"sparseapsp/internal/apsp"
 	"sparseapsp/internal/graph"
 	"sparseapsp/internal/semiring"
 )
-
-// succSolve mirrors the production registry solver: distances from the
-// classical loop, successors extracted by apsp.SuccessorsFromDist.
-func succSolve(g *graph.Graph) (*apsp.PathResult, error) {
-	return apsp.SuccessorsFromDist(g, apsp.FloydWarshallPaths(g).Dist)
-}
 
 // tierWorkloads builds the five standard graph families with small
 // integer weights, so every distance is a small integer and the store

@@ -67,21 +67,6 @@ func mulAddPlain(c, a, b *Matrix) int64 {
 	return ops
 }
 
-// MulAddIntoFull is MulAddInto without the Inf skip; it always performs
-// r·k·c operations. The operation-count experiments use it to measure
-// the classical (non-avoiding) cost.
-func MulAddIntoFull(c, a, b *Matrix) int64 {
-	checkMulDims(c, a, b)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.V[i*a.Cols : (i+1)*a.Cols]
-		crow := c.V[i*c.Cols : (i+1)*c.Cols]
-		for k, aik := range arow {
-			minPlusRow(crow, aik, b.V[k*b.Cols:(k+1)*b.Cols])
-		}
-	}
-	return int64(a.Rows) * int64(a.Cols) * int64(b.Cols)
-}
-
 // PanelUpdateLeft computes P = P ⊕ P ⊗ D for a column panel P (r×k) and
 // diagonal block D (k×k): the A(i,k) ← A(i,k) ⊕ A(i,k)⊗A(k,k) step of
 // the blocked algorithm. D must already be transitively closed

@@ -61,13 +61,6 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 	copy(m.V, src.V)
 }
 
-// Fill sets every element to v.
-func (m *Matrix) Fill(v float64) {
-	for i := range m.V {
-		m.V[i] = v
-	}
-}
-
 // Transpose returns a new matrix that is the transpose of m.
 func (m *Matrix) Transpose() *Matrix {
 	t := &Matrix{Rows: m.Cols, Cols: m.Rows, V: make([]float64, len(m.V))}

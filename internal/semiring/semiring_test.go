@@ -7,6 +7,31 @@ import (
 	"testing/quick"
 )
 
+// MulAddIntoFull is MulAddInto without the Inf skip; it always performs
+// r·k·c operations: the classical (non-avoiding) cost the skipping
+// kernel's count is compared against.
+func MulAddIntoFull(c, a, b *Matrix) int64 {
+	checkMulDims(c, a, b)
+	for i := 0; i < a.Rows; i++ {
+		arow := a.V[i*a.Cols : (i+1)*a.Cols]
+		crow := c.V[i*c.Cols : (i+1)*c.Cols]
+		for k, aik := range arow {
+			minPlusRow(crow, aik, b.V[k*b.Cols:(k+1)*b.Cols])
+		}
+	}
+	return int64(a.Rows) * int64(a.Cols) * int64(b.Cols)
+}
+
+// IndexMatrix builds the CSR index of a's finite entries.
+func IndexMatrix(a *Matrix) *SparseIndex { return indexMatrix(a, a.NNZ()) }
+
+// Fill sets every element to v.
+func (m *Matrix) Fill(v float64) {
+	for i := range m.V {
+		m.V[i] = v
+	}
+}
+
 // naiveMulAdd is the obvious triple loop, used as the oracle.
 func naiveMulAdd(c, a, b *Matrix) {
 	for i := 0; i < a.Rows; i++ {

@@ -31,11 +31,8 @@ type SparseIndex struct {
 	Val        []float64
 }
 
-// IndexMatrix builds the CSR index of a's finite entries.
-func IndexMatrix(a *Matrix) *SparseIndex { return indexMatrix(a, a.NNZ()) }
-
-// indexMatrix is IndexMatrix for a caller that has already counted a's
-// nnz finite entries.
+// indexMatrix builds the CSR index of a's finite entries, nnz of them,
+// which the caller has already counted.
 func indexMatrix(a *Matrix, nnz int) *SparseIndex {
 	ix := &SparseIndex{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int, a.Rows+1)}
 	ix.Col = make([]int, 0, nnz)

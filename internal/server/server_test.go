@@ -71,7 +71,7 @@ func getStats(t *testing.T, base string) StatszResponse {
 }
 
 // TestServerEndToEnd: generate a grid, query distances and paths, and
-// check every answer against FloydWarshallPaths ground truth.
+// check every answer against the classical loop's distances.
 func TestServerEndToEnd(t *testing.T) {
 	ts, _ := newTestServer(t, 0)
 
@@ -92,7 +92,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if got := oracle.FingerprintOf(g).String(); got != info.Graph {
 		t.Fatalf("server fingerprint %s, local %s", info.Graph, got)
 	}
-	want := apsp.FloydWarshallPaths(g)
+	want, _ := apsp.FloydWarshall(g)
 
 	pairs := [][2]int{{0, 48}, {6, 42}, {0, 0}, {13, 27}}
 	var qr QueryResponse
@@ -101,7 +101,7 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("/query status %d", resp.StatusCode)
 	}
 	for i, p := range pairs {
-		ref := want.Dist.At(p[0], p[1])
+		ref := want.At(p[0], p[1])
 		if math.Abs(qr.Dists[i]-ref) > 1e-9 {
 			t.Errorf("dist %v = %g, want %g", p, qr.Dists[i], ref)
 		}
@@ -314,7 +314,8 @@ func TestServerLoadRefusedBeforeSolve(t *testing.T) {
 		if g.N() > 1000 { // a regression must fail the test, not allocate n² float64s
 			return nil, fmt.Errorf("the solver was reached with n=%d", g.N())
 		}
-		return apsp.FloydWarshallPaths(g), nil
+		d, _ := apsp.FloydWarshall(g)
+		return apsp.SuccessorsFromDist(g, d)
 	}
 	reg := oracle.NewRegistry(oracle.Config{MemoryBudget: budget, Solve: solve})
 	ts := httptest.NewServer(New(reg))
@@ -614,18 +615,18 @@ func TestServerReweight(t *testing.T) {
 	if got := oracle.FingerprintOf(g2).String(); got != rw.Graph {
 		t.Fatalf("server reweight fingerprint %s, local %s", rw.Graph, got)
 	}
-	want := apsp.FloydWarshallPaths(g2)
+	want, _ := apsp.FloydWarshall(g2)
 	pairs := [][2]int{{0, 48}, {edges[0].U, edges[0].V}, {6, 42}}
 	var qr QueryResponse
 	if resp := postJSON(t, ts.URL+"/query", QueryRequest{Graph: rw.Graph, Pairs: pairs, Paths: true}, &qr); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/query on new fingerprint: status %d", resp.StatusCode)
 	}
 	for i, p := range pairs {
-		if ref := want.Dist.At(p[0], p[1]); math.Abs(qr.Dists[i]-ref) > 1e-9 {
+		if ref := want.At(p[0], p[1]); math.Abs(qr.Dists[i]-ref) > 1e-9 {
 			t.Errorf("dist %v = %g, want %g", p, qr.Dists[i], ref)
 		}
-		if w := apsp.PathWeight(g2, qr.Paths[i]); math.Abs(w-want.Dist.At(p[0], p[1])) > 1e-9 {
-			t.Errorf("path %v weight %g, want %g", p, w, want.Dist.At(p[0], p[1]))
+		if w := apsp.PathWeight(g2, qr.Paths[i]); math.Abs(w-want.At(p[0], p[1])) > 1e-9 {
+			t.Errorf("path %v weight %g, want %g", p, w, want.At(p[0], p[1]))
 		}
 	}
 
